@@ -4,7 +4,10 @@ Unlike the paper-reproduction benches (which report *modelled* time),
 these track the real wall-clock cost of the library's inner kernels so
 performance regressions of the simulator itself are visible:
 
-* the vectorised move-selection sweep;
+* the vectorised move-selection sweep — from the singleton state, from
+  a mid-run state with sparse community ids, and under a 25%-active
+  mask — and one whole ``_sweep_round`` at p=1, so the dense renumbering
+  and lookup glue around the kernel has its own number;
 * the vectorised greedy coloring and vertex-following seeds (and their
   reference per-vertex scans, kept as before/after comparisons);
 * serial graph coarsening;
@@ -18,15 +21,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import coarsen_csr, pack_info
+import pytest
+
+from repro.core import LouvainConfig, coarsen_csr, pack_info
 from repro.core.commcache import CommunityCache
+from repro.core.distlouvain import _GhostChannel, _sweep_round
 from repro.core.grappolo import (
     _greedy_coloring_loop,
     _vertex_following_loop,
     greedy_coloring,
     vertex_following_seed,
 )
-from repro.core.sweep import propose_moves
+from repro.core.sweep import SweepPlan, array_lookup, propose_moves
 from repro.generators import generate_lfr
 from repro.graph import CSRGraph, DistGraph, EdgeList
 from repro.runtime import FREE, run_spmd
@@ -36,14 +42,37 @@ def _graph():
     return generate_lfr(3000, avg_degree=16, seed=1).edges
 
 
-def test_kernel_propose_moves(benchmark):
+def _sweep_state(g: CSRGraph, state: str) -> np.ndarray:
+    """Community per vertex: singletons, or a mid-run state of a few
+    hundred communities labelled by sparse vertex ids."""
+    n = g.num_vertices
+    if state == "singleton":
+        return np.arange(n, dtype=np.int64)
+    rng = np.random.default_rng(7)
+    labels = np.sort(rng.choice(n, size=300, replace=False))
+    return labels[rng.integers(0, len(labels), n)]
+
+
+def _sweep_active(n: int, active: str) -> np.ndarray | None:
+    if active == "all":
+        return None
+    return np.random.default_rng(11).random(n) < 0.25
+
+
+SWEEP_CASES = [
+    ("singleton", "all"), ("midrun", "all"), ("midrun", "quarter"),
+]
+
+
+@pytest.mark.parametrize("state,active", SWEEP_CASES)
+def test_kernel_propose_moves(benchmark, state, active):
     g = _graph().to_csr()
     n = g.num_vertices
     k = g.degrees()
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.index))
-    comm = np.arange(n, dtype=np.int64)
-    tot = k.copy()
-    size = np.ones(n, dtype=np.int64)
+    comm = _sweep_state(g, state)
+    tot = np.bincount(comm, weights=k, minlength=n)
+    size = np.bincount(comm, minlength=n)
 
     result = benchmark(
         propose_moves,
@@ -54,10 +83,48 @@ def test_kernel_propose_moves(benchmark):
         degrees=k,
         cur_comm=comm,
         total_weight=g.total_weight,
-        tot_lookup=lambda ids: tot[ids],
-        size_lookup=lambda ids: size[ids],
+        tot_lookup=array_lookup(None, tot),
+        size_lookup=array_lookup(None, size),
+        active=_sweep_active(n, active),
     )
     assert result.num_moves > 0
+
+
+@pytest.mark.parametrize("state,active", SWEEP_CASES)
+def test_kernel_sweep_round(benchmark, state, active):
+    # Steps (i)-(iv) of one iteration on a single rank: ghost refresh
+    # (empty), dense renumbering, the ``needed`` set and its fetch, the
+    # kernel, the delta application.  Each round restarts from the same
+    # assignment, so the owner arrays are rebuilt outside the timer.
+    g = _graph().to_csr()
+    n = g.num_vertices
+    comm0 = _sweep_state(g, state)
+    mask = _sweep_active(n, active)
+    mask = np.ones(n, dtype=bool) if mask is None else mask
+    config = LouvainConfig()
+
+    def prog(comm):
+        dg = DistGraph.from_global(g, np.array([0, n]), 0)
+        ghosts = _GhostChannel(dg, dg.build_ghost_plan(comm), config)
+        ctargets = dg.compressed_targets(ghosts.plan)
+        k = dg.local_degrees()
+        self_mask = dg.edges == np.repeat(
+            dg.local_vertex_ids(), np.diff(dg.index)
+        )
+        plan = SweepPlan.build(dg.index, dg.weights, self_mask)
+
+        def setup():
+            tot = np.bincount(comm0, weights=k, minlength=n)
+            size = np.bincount(comm0, minlength=n)
+            return (comm, dg, ghosts, ctargets, plan, self_mask, k,
+                    comm0, tot, size, mask, config), {}
+
+        return benchmark.pedantic(
+            _sweep_round, setup=setup, rounds=30, warmup_rounds=3
+        )
+
+    _, moved, _, moves = run_spmd(1, prog, machine=FREE).values[0]
+    assert moves == int(moved.sum()) > 0
 
 
 def test_kernel_greedy_coloring(benchmark):

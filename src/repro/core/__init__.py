@@ -47,7 +47,7 @@ from .resultio import (
     write_communities_text,
 )
 from .sequential import louvain, louvain_phase
-from .sweep import SweepResult, propose_moves, sorted_lookup
+from .sweep import SweepPlan, SweepResult, array_lookup, propose_moves
 from .validate import (
     AuditReport,
     audit_community_info,
@@ -66,6 +66,7 @@ __all__ = [
     "PAPER_VARIANTS",
     "PhaseStats",
     "RESULT_FORMAT_VERSION",
+    "SweepPlan",
     "SweepResult",
     "ThresholdCycler",
     "Variant",
@@ -75,6 +76,7 @@ __all__ = [
     "ChurnAccumulator",
     "EdgeChurn",
     "apply_churn",
+    "array_lookup",
     "audit_community_info",
     "audit_ghost_coherence",
     "audit_partition",
@@ -102,7 +104,6 @@ __all__ = [
     "remote_lookup",
     "run_louvain",
     "save_result",
-    "sorted_lookup",
     "unpack_info",
     "verify_coloring",
     "vertex_following_seed",

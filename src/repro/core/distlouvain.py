@@ -52,7 +52,7 @@ from .config import LouvainConfig
 from .heuristics import EarlyTermination, ThresholdCycler, make_rank_rng
 from .refine import refine_communities
 from .result import IterationStats, LouvainResult, PhaseStats, normalize_assignment
-from .sweep import propose_moves, sorted_lookup
+from .sweep import SweepPlan, array_lookup, propose_moves
 
 
 @dataclass
@@ -179,7 +179,7 @@ def _sweep_round(
     dg: DistGraph,
     ghosts: _GhostChannel,
     ctargets: np.ndarray,
-    rows: np.ndarray,
+    plan: SweepPlan,
     self_mask: np.ndarray,
     k: np.ndarray,
     local_comm: np.ndarray,
@@ -204,59 +204,71 @@ def _sweep_round(
     bit-identical to the pull protocol either way.
     """
     w = dg.total_weight
+    nloc = dg.num_local
 
-    # (i) latest ghost vertex community assignments (lines 4-5).
+    # (i) latest ghost vertex community assignments (lines 4-5), then
+    # renumber the communities this rank can see densely: one sort over
+    # the vertex *slots* (local + ghost), one gather per CSR entry.
+    # ``uniq`` is sorted, so dense order is id order and every tie-break
+    # of the kernel is unchanged.
     ghost_comm = ghosts.refresh(comm, local_comm)
-    target_comm = (
-        np.concatenate([local_comm, ghost_comm])[ctargets]
-        if len(ctargets)
-        else np.empty(0, dtype=np.int64)
+    uniq, slot_dense = np.unique(
+        np.concatenate([local_comm, ghost_comm]), return_inverse=True
     )
+    target_dense = slot_dense[ctargets]
+    local_dense = slot_dense[:nloc]
 
     # (ii) fetch a_c and |c| for the communities this round evaluates:
-    # neighbours of active vertices + their own.
-    if len(target_comm):
-        needed = np.unique(
-            np.concatenate([target_comm[active[rows]], local_comm[active]])
-        )
+    # neighbours of active vertices + their own.  Every slot is a local
+    # vertex or the target of a local entry, so a full active set needs
+    # exactly ``uniq``; a partial one flags its candidates.  Unfetched
+    # communities stay NaN in the dense tables, which ``array_lookup``
+    # turns into the ``KeyError`` a protocol bug deserves.
+    if active.all():
+        scanned = len(plan.rows)
+        wanted: slice | np.ndarray = slice(None)
     else:
-        needed = np.unique(local_comm[active])
+        active_entries = active[plan.rows]
+        scanned = int(np.count_nonzero(active_entries))
+        wanted = np.zeros(len(uniq), dtype=bool)
+        wanted[target_dense[active_entries]] = True
+        wanted[local_dense[active]] = True
+    needed = uniq[wanted]
     if cache is not None:
-        prefetch = None
-        if cache.cold:
-            # Cold start: pull every community this rank's vertices
-            # could reference (all neighbour communities and own ones,
-            # active or not) so later rounds never miss — new ids can
-            # then only arrive through hinted ghost moves.
-            prefetch = (
-                np.unique(np.concatenate([target_comm, local_comm]))
-                if len(target_comm)
-                else np.unique(local_comm)
-            )
+        # Cold start: pull every community this rank's vertices could
+        # reference (all neighbour communities and own ones, active or
+        # not) so later rounds never miss — new ids can then only arrive
+        # through hinted ghost moves.
         needed_tot, needed_size = cache.fetch(
-            comm, needed, tot_owned, size_owned, prefetch=prefetch
+            comm, needed, tot_owned, size_owned,
+            prefetch=uniq if cache.cold else None,
         )
     else:
         needed_tot, needed_size = _fetch_community_info(
             comm, dg, needed, tot_owned, size_owned
         )
+    dense_tot = np.full(len(uniq), np.nan)
+    dense_size = np.full(len(uniq), np.nan)
+    dense_tot[wanted] = needed_tot
+    dense_size[wanted] = needed_size
 
-    # (iii) local move computation (lines 6-9).
+    # (iii) local move computation (lines 6-9), in dense ids.
     res = propose_moves(
         index=dg.index,
-        target_comm=target_comm,
+        target_comm=target_dense,
         weights=dg.weights,
         self_mask=self_mask,
         degrees=k,
-        cur_comm=local_comm,
+        cur_comm=local_dense,
         total_weight=w,
-        tot_lookup=sorted_lookup(needed, needed_tot),
-        size_lookup=sorted_lookup(needed, needed_size),
+        tot_lookup=array_lookup(uniq, dense_tot),
+        size_lookup=array_lookup(uniq, dense_size),
         active=active,
         resolution=config.resolution,
+        plan=plan,
     )
-    scanned = int(active[rows].sum()) if len(rows) else 0
-    comm.charge_compute(res.pairs_evaluated + scanned + dg.num_local)
+    comm.charge_compute(res.pairs_evaluated + scanned + nloc)
+    proposal = uniq[res.proposal]
 
     # (iv) send community updates to owner processes (lines 10-11).
     moved = res.moved
@@ -271,11 +283,11 @@ def _sweep_round(
         cache.exchange_deltas(
             comm,
             old=local_comm[moved],
-            new=res.proposal[moved],
+            new=proposal[moved],
             deg=k[moved],
             tot_owned=tot_owned,
             size_owned=size_owned,
-            hint_ids=res.proposal[send_loc[hm]],
+            hint_ids=proposal[send_loc[hm]],
             hint_ranks=send_rank[hm],
         )
     else:
@@ -283,12 +295,12 @@ def _sweep_round(
             comm,
             dg,
             old=local_comm[moved],
-            new=res.proposal[moved],
+            new=proposal[moved],
             deg=k[moved],
             tot_owned=tot_owned,
             size_owned=size_owned,
         )
-    return res.proposal, moved, ghost_comm, res.num_moves
+    return proposal, moved, ghost_comm, res.num_moves
 
 
 def louvain_phase_distributed(
@@ -322,8 +334,11 @@ def louvain_phase_distributed(
     w = dg.total_weight
     n_global = dg.num_global_vertices
     k = dg.local_degrees()
-    rows = np.repeat(np.arange(nloc, dtype=np.int64), np.diff(dg.index))
-    self_mask = dg.edges == dg.from_local(rows)
+    self_mask = dg.edges == np.repeat(dg.local_vertex_ids(), np.diff(dg.index))
+    # Phase-invariant sweep state (rows, non-self-loop entries, the
+    # synthetic own-community entries): built once, gathered from every
+    # iteration.
+    sweep_plan = SweepPlan.build(dg.index, dg.weights, self_mask)
 
     # Each vertex starts in its own community; owners of the community id
     # set coincide with owners of the vertex set, so C_info is dense over
@@ -430,7 +445,7 @@ def louvain_phase_distributed(
         # rank-local (the mask only gates local move proposals).
         for round_active in rounds:  # spmdlint: ignore[SPMD001, SPMD004]
             local_comm, round_moved, ghost_comm, n = _sweep_round(
-                comm, dg, ghosts, ctargets, rows, self_mask, k,
+                comm, dg, ghosts, ctargets, sweep_plan, self_mask, k,
                 local_comm, tot_owned, size_owned, round_active, config,
                 cache=cache,
             )
@@ -447,14 +462,9 @@ def louvain_phase_distributed(
         # intentionally stale view of §III-B — only the convergence test
         # sees fresh values.
         ghost_comm = ghosts.publish(comm, local_comm)
-        if len(ctargets):
-            target_after = np.concatenate(
-                [local_comm, ghost_comm]
-            )[ctargets]
-            intra = local_comm[rows] == target_after
-            local_in = float(dg.weights[intra].sum())
-        else:
-            local_in = 0.0
+        slot_comm = np.concatenate([local_comm, ghost_comm])
+        intra = slot_comm[sweep_plan.rows] == slot_comm[ctargets]
+        local_in = float(dg.weights[intra].sum())
         comm.charge_compute(dg.num_local_entries)
         local_inactive = et.update(moved) if et is not None else 0
         # a_c^2 is summed *before* dividing by w^2 (like

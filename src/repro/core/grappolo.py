@@ -30,7 +30,7 @@ from .coarsen import coarsen_csr
 from .config import LouvainConfig
 from .heuristics import EarlyTermination, ThresholdCycler, make_rank_rng
 from .result import IterationStats, LouvainResult, PhaseStats, normalize_assignment
-from .sweep import propose_moves
+from .sweep import SweepPlan, array_lookup, propose_moves
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -279,6 +279,7 @@ def _phase(
     k = g.degrees()
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.index))
     self_mask = g.edges == rows
+    sweep_plan = SweepPlan.build(g.index, g.weights, self_mask)
 
     if seed_assignment is not None:
         # Warm start: rename each community to its minimum member vertex
@@ -322,8 +323,7 @@ def _phase(
             cls_active[cls] = active[cls]
             if not cls_active.any():
                 continue
-            tot = np.zeros(n, dtype=np.float64)
-            np.add.at(tot, comm, k)
+            tot = np.bincount(comm, weights=k, minlength=n)
             size = np.bincount(comm, minlength=n)
             res = propose_moves(
                 index=g.index,
@@ -333,10 +333,11 @@ def _phase(
                 degrees=k,
                 cur_comm=comm,
                 total_weight=w,
-                tot_lookup=lambda ids, t=tot: t[ids],
-                size_lookup=lambda ids, s=size: s[ids],
+                tot_lookup=array_lookup(None, tot),
+                size_lookup=array_lookup(None, size),
                 active=cls_active,
                 resolution=config.resolution,
+                plan=sweep_plan,
             )
             comm = res.proposal
             moved |= res.moved

@@ -185,3 +185,29 @@ class TestStatsTracking:
         cfg = LouvainConfig(max_phases=1)
         r = run_louvain(planted_blocks, 4, cfg, machine=FREE)
         assert r.num_phases == 1
+
+
+class TestCommunityInfoCoverage:
+    def test_unfetched_candidate_fails_loudly(
+        self, planted_blocks, monkeypatch
+    ):
+        # A sweep that evaluates a community whose (a_c, |c|) was never
+        # fetched is a protocol bug.  Simulate one: the kernel sweeps
+        # *every* vertex while the round fetched only what ET's active
+        # subset needs.  The miss must surface as a KeyError naming the
+        # communities, never as a move scored against garbage.
+        from repro.core import distlouvain
+        from repro.runtime import RankFailedError
+
+        def sweep_everyone(**kwargs):
+            kwargs["active"] = None
+            return real(**kwargs)
+
+        real = distlouvain.propose_moves
+        monkeypatch.setattr(distlouvain, "propose_moves", sweep_everyone)
+        cfg = LouvainConfig(variant=Variant.ET, alpha=0.75)
+        with pytest.raises(RankFailedError) as excinfo:
+            run_louvain(planted_blocks, 2, cfg, machine=FREE)
+        cause = excinfo.value.causes[excinfo.value.rank]
+        assert isinstance(cause, KeyError)
+        assert "community totals missing for ids" in str(cause)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import move_gain, propose_moves, sorted_lookup
-from repro.core.sweep import array_lookup
+from repro.core import array_lookup, move_gain, propose_moves
 from repro.graph import CSRGraph, EdgeList
 
 
@@ -123,30 +122,80 @@ class TestProposeMoves:
 
 
 class TestLookups:
-    def test_sorted_lookup_hits(self):
-        look = sorted_lookup(
+    """``array_lookup``: dense tables where an unfetched slot is NaN."""
+
+    def test_array_lookup_hits(self):
+        look = array_lookup(
             np.array([2, 5, 9]), np.array([20.0, 50.0, 90.0])
         )
         np.testing.assert_allclose(
-            look(np.array([9, 2, 5, 2])), [90.0, 20.0, 50.0, 20.0]
+            look(np.array([2, 0, 1, 0])), [90.0, 20.0, 50.0, 20.0]
         )
 
-    def test_sorted_lookup_miss_raises(self):
-        look = sorted_lookup(np.array([2, 5]), np.array([1.0, 2.0]))
-        with pytest.raises(KeyError, match="missing"):
-            look(np.array([3]))
+    def test_array_lookup_miss_raises(self):
+        # Slot 1 (community 5 before renumbering) was never fetched.
+        look = array_lookup(np.array([2, 5, 9]), np.array([1.0, np.nan, 2.0]))
+        with pytest.raises(KeyError, match=r"missing for ids \[5\]"):
+            look(np.array([0, 1, 1, 2]))
 
-    def test_sorted_lookup_miss_past_end(self):
-        look = sorted_lookup(np.array([2, 5]), np.array([1.0, 2.0]))
-        with pytest.raises(KeyError):
+    def test_array_lookup_miss_past_end(self):
+        look = array_lookup(np.array([2, 5]), np.array([1.0, 2.0]))
+        with pytest.raises(IndexError):
             look(np.array([99]))
 
-    def test_sorted_lookup_empty_table(self):
-        look = sorted_lookup(np.empty(0, np.int64), np.empty(0))
+    def test_array_lookup_empty_table(self):
+        look = array_lookup(np.empty(0, np.int64), np.empty(0))
         assert len(look(np.empty(0, np.int64))) == 0
-        with pytest.raises(KeyError):
+        with pytest.raises(IndexError):
             look(np.array([1]))
 
     def test_array_lookup_dense(self):
         look = array_lookup(None, np.array([10.0, 20.0, 30.0]))
         np.testing.assert_allclose(look(np.array([2, 0])), [30.0, 10.0])
+        # Without names the missing slot itself is reported.
+        look = array_lookup(None, np.array([10.0, np.nan]))
+        with pytest.raises(KeyError, match=r"\[1\]"):
+            look(np.array([1]))
+
+    def test_sweep_refuses_an_unfetched_community(self, two_cliques):
+        # Drop one candidate's totals from the fetched set: the kernel
+        # must name it, not score against the NaN.
+        g = two_cliques
+        n = g.num_vertices
+        comm = np.arange(n, dtype=np.int64)
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.index))
+        tot = g.degrees().copy()
+        tot[3] = np.nan
+        with pytest.raises(KeyError, match=r"missing for ids \[3\]"):
+            propose_moves(
+                index=g.index,
+                target_comm=comm[g.edges],
+                weights=g.weights,
+                self_mask=g.edges == rows,
+                degrees=g.degrees(),
+                cur_comm=comm,
+                total_weight=g.total_weight,
+                tot_lookup=array_lookup(None, tot),
+                size_lookup=array_lookup(None, np.ones(n)),
+            )
+
+    def test_sweep_refuses_arrays_that_do_not_match_the_csr(self, two_cliques):
+        # The kernel gathers with clipped indices, so a short array must
+        # be turned away up front rather than read past its end.
+        g = two_cliques
+        n = g.num_vertices
+        comm = np.arange(n, dtype=np.int64)
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.index))
+        good = dict(target_comm=comm[g.edges], cur_comm=comm)
+        for name in good:
+            with pytest.raises(ValueError, match="do not match the CSR"):
+                propose_moves(
+                    index=g.index,
+                    weights=g.weights,
+                    self_mask=g.edges == rows,
+                    degrees=g.degrees(),
+                    total_weight=g.total_weight,
+                    tot_lookup=array_lookup(None, g.degrees()),
+                    size_lookup=array_lookup(None, np.ones(n)),
+                    **{**good, name: good[name][:-1]},
+                )

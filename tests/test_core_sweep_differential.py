@@ -1,0 +1,257 @@
+"""Differential test: the shipped sweep kernel against the two-lexsort oracle.
+
+The rewrite of ``repro.core.sweep.propose_moves`` (one fused-key sort,
+sort-free argmax, per-phase plan with reused scratch memory) keeps the arithmetic of the old kernel
+— same floats summed in the same order — so on every input the oracle in
+``tests/oracles/sweep_reference.py`` accepts, ``proposal``, ``moved``
+and ``pairs_evaluated`` must be *equal*, not close.  The generator aims
+at the places an order or grouping slip would show: self loops, parallel
+edges, zero and non-integer weights, isolated vertices, exact score
+ties, singleton-singleton swap pairs and the sparse community ids a rank
+sees at p > 1.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.sweep import SweepPlan, array_lookup, propose_moves
+
+from .oracles.sweep_reference import propose_moves as reference_propose_moves
+
+SEEDS = range(40)
+ACTIVE_KINDS = ("all", "quarter", "none")
+RESOLUTIONS = (0.5, 1.0, 2.0)
+
+
+def adversarial_case(seed: int) -> dict:
+    """One small sweep input; every array the kernel takes, by keyword."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    m = int(rng.integers(0, 4 * n))
+    u = rng.integers(0, n, m)
+    v = rng.integers(0, n, m)
+    # Isolated vertices: the top few ids get no edges at all.
+    isolated = int(rng.integers(0, 3))
+    if isolated and n > isolated + 1:
+        u %= n - isolated
+        v %= n - isolated
+    # Self loops and parallel edges (the CSR keeps duplicates).
+    loops = rng.random(m) < 0.1
+    v[loops] = u[loops]
+    if m:
+        dup = rng.integers(0, m, m // 4)
+        u = np.concatenate([u, u[dup]])
+        v = np.concatenate([v, v[dup]])
+    # Unit weights make exact score ties (and, from singletons, swap
+    # pairs) common; the other kinds add zero and fractional weights.
+    weight_kind = seed % 3
+    if weight_kind == 0:
+        w = np.ones(len(u))
+    elif weight_kind == 1:
+        w = rng.integers(0, 4, len(u)).astype(np.float64)  # zeros included
+    else:
+        w = rng.random(len(u)) * 3.0
+
+    # Symmetric CSR with duplicates kept, rows in insertion order.
+    keep = u != v
+    src = np.concatenate([u, v[keep]])
+    dst = np.concatenate([v, u[keep]])
+    ww = np.concatenate([w, w[keep]])
+    order = np.argsort(src, kind="stable")
+    src, dst, ww = src[order], dst[order], ww[order]
+    index = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=index[1:])
+    degrees = np.bincount(src, weights=ww, minlength=n)
+
+    # Communities: singletons, a few blobs, or a mid-run mix; labels are
+    # then spread over a sparse id space (rank-local views at p > 1 hold
+    # ids far apart), order-preserving or shuffled.
+    state = seed % 4
+    if state == 0:
+        comm = np.arange(n)
+    elif state == 1:
+        comm = rng.integers(0, max(1, n // 4), n)
+    else:
+        comm = np.where(rng.random(n) < 0.5, np.arange(n), rng.integers(0, n, n))
+    if seed % 2:
+        spread = np.sort(rng.choice(50 * n, size=n, replace=False))
+        if seed % 5 == 0:
+            rng.shuffle(spread)
+        comm = spread[comm]
+    comm = comm.astype(np.int64)
+
+    # Dense tables over the whole id range, NaN where no community lives.
+    ids, inv = np.unique(comm, return_inverse=True)
+    tot = np.full(int(ids[-1]) + 1, np.nan)
+    size = np.full(int(ids[-1]) + 1, np.nan)
+    tot[ids] = np.bincount(inv, weights=degrees)
+    size[ids] = np.bincount(inv)
+    return dict(
+        index=index,
+        target_comm=comm[dst],
+        weights=ww,
+        self_mask=dst == src,
+        degrees=degrees,
+        cur_comm=comm,
+        total_weight=float(ww.sum()),
+        tot_lookup=array_lookup(None, tot),
+        size_lookup=array_lookup(None, size),
+    )
+
+
+def active_mask(kind: str, n: int, seed: int) -> np.ndarray | None:
+    if kind == "all":
+        return None if seed % 2 else np.ones(n, dtype=bool)
+    if kind == "none":
+        return np.zeros(n, dtype=bool)
+    return np.random.default_rng(seed + 1000).random(n) < 0.25
+
+
+def assert_same(got, want) -> None:
+    np.testing.assert_array_equal(got.proposal, want.proposal)
+    np.testing.assert_array_equal(got.moved, want.moved)
+    assert got.pairs_evaluated == want.pairs_evaluated
+    assert got.num_moves == want.num_moves
+
+
+@pytest.mark.parametrize("active_kind", ACTIVE_KINDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_matches_reference(seed, active_kind):
+    case = adversarial_case(seed)
+    n = len(case["cur_comm"])
+    active = active_mask(active_kind, n, seed)
+    resolution = RESOLUTIONS[seed % len(RESOLUTIONS)]
+    want = reference_propose_moves(
+        **case, active=active, resolution=resolution
+    )
+    got = propose_moves(**case, active=active, resolution=resolution)
+    assert_same(got, want)
+    # A pre-built plan (the per-phase path) changes nothing.
+    plan = SweepPlan.build(case["index"], case["weights"], case["self_mask"])
+    planned = propose_moves(
+        **case, active=active, resolution=resolution, plan=plan
+    )
+    assert_same(planned, want)
+
+
+@pytest.mark.parametrize("words", [0, 3, None])
+def test_one_plan_serves_many_sweeps(words, monkeypatch):
+    """A plan's scratch memory is reused call after call: sweeps of every
+    shape through one plan must not see each other's leftovers, nor care
+    whether the scratch holds all, some or none of their temporaries."""
+    if words is not None:
+        monkeypatch.setattr("repro.core.sweep.SCRATCH_WORDS", words)
+    for seed in range(0, 40, 5):
+        case = adversarial_case(seed)
+        n = len(case["cur_comm"])
+        plan = SweepPlan.build(
+            case["index"], case["weights"], case["self_mask"]
+        )
+        for kind in ACTIVE_KINDS * 2:
+            active = active_mask(kind, n, seed)
+            assert_same(
+                propose_moves(**case, active=active, plan=plan),
+                reference_propose_moves(**case, active=active),
+            )
+
+
+def test_narrow_id_dtype():
+    """int32 community arrays (a caller's choice) give the same answer."""
+    case = adversarial_case(4)
+    narrow = dict(
+        case,
+        cur_comm=case["cur_comm"].astype(np.int32),
+        target_comm=case["target_comm"].astype(np.int32),
+    )
+    active = active_mask("quarter", len(case["cur_comm"]), 4)
+    for mask in (None, active):
+        got = propose_moves(**narrow, active=mask)
+        assert_same(got, reference_propose_moves(**case, active=mask))
+        assert got.proposal.dtype == np.int32
+
+
+@pytest.mark.parametrize("seed", range(0, 40, 3))
+def test_ids_too_wide_to_pack_under_the_sort_key(seed):
+    """Ids near the int64 limit leave no low bits for the entry position,
+    so the kernel must sort with its stable-argsort fallback: same answer."""
+    case = adversarial_case(seed)
+    n = len(case["cur_comm"])
+    ids = np.unique(case["cur_comm"])
+    # Order-preserving stretch: n * (max id + 1) lands within 16x of 2**63.
+    stretch = (2**63 // (16 * n)) // (int(ids[-1]) + 1)
+    tot, size = case["tot_lookup"](ids), case["size_lookup"](ids)
+    case.update(
+        cur_comm=case["cur_comm"] * stretch,
+        target_comm=case["target_comm"] * stretch,
+        tot_lookup=lambda q: tot[np.searchsorted(ids * stretch, q)],
+        size_lookup=lambda q: size[np.searchsorted(ids * stretch, q)],
+    )
+    for kind in ACTIVE_KINDS:
+        active = active_mask(kind, n, seed)
+        assert_same(
+            propose_moves(**case, active=active),
+            reference_propose_moves(**case, active=active),
+        )
+
+
+def test_generator_reaches_the_hard_cases():
+    """The comparison above is only worth something if the cases occur."""
+    seen = dict.fromkeys(
+        ("self_loop", "parallel_edge", "zero_weight", "fraction_weight",
+         "isolated", "sparse_ids", "moves", "masked_moves"),
+        False,
+    )
+    for seed in SEEDS:
+        case = adversarial_case(seed)
+        index, w = case["index"], case["weights"]
+        n = len(index) - 1
+        rows = np.repeat(np.arange(n), np.diff(index))
+        entry = rows * (int(case["target_comm"].max(initial=0)) + 1)
+        entry = (entry + case["target_comm"])[~case["self_mask"]]
+        seen["self_loop"] |= bool(case["self_mask"].any())
+        seen["parallel_edge"] |= len(np.unique(entry)) < len(entry)
+        seen["zero_weight"] |= bool((w == 0).any())
+        seen["fraction_weight"] |= bool((w != np.round(w)).any())
+        seen["isolated"] |= bool((np.diff(index) == 0).any())
+        seen["sparse_ids"] |= bool(case["cur_comm"].max() >= 2 * n)
+        seen["moves"] |= propose_moves(**case).num_moves > 0
+        quarter = active_mask("quarter", n, seed)
+        seen["masked_moves"] |= (
+            propose_moves(**case, active=quarter).num_moves > 0
+        )
+    assert all(seen.values()), seen
+
+
+def test_tie_and_swap_pair_with_sparse_ids():
+    """Known answers: an exact tie goes to the smallest id (here the
+    vertex's own), and of two linked singletons only the larger moves."""
+    case = _path_case()
+    res = propose_moves(**case)
+    assert_same(res, reference_propose_moves(**case))
+    np.testing.assert_array_equal(res.proposal, [10, 10, 10, 40, 40])
+
+
+def _path_case() -> dict:
+    """Path 1 - 0 - 2 (parallel edge 0-1 split in two halves) plus the
+    isolated pair 3 - 4, singletons with sparse ids 10, 20, 30, 40, 50."""
+    src = np.array([0, 0, 0, 1, 1, 2, 3, 4])
+    dst = np.array([1, 1, 2, 0, 0, 0, 4, 3])
+    ww = np.array([0.5, 0.5, 1.0, 0.5, 0.5, 1.0, 1.0, 1.0])
+    n = 5
+    index = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=index[1:])
+    comm = np.array([10, 20, 30, 40, 50])
+    degrees = np.bincount(src, weights=ww, minlength=n)
+    tot = np.full(51, np.nan)
+    size = np.full(51, np.nan)
+    tot[comm] = degrees
+    size[comm] = 1
+    return dict(
+        index=index, target_comm=comm[dst], weights=ww,
+        self_mask=dst == src, degrees=degrees, cur_comm=comm,
+        total_weight=float(ww.sum()),
+        tot_lookup=array_lookup(None, tot),
+        size_lookup=array_lookup(None, size),
+    )
