@@ -1,46 +1,20 @@
-"""Ablation: partitioning knobs — input distribution and phase layout.
+"""Ablation: even-edge vs even-vertex *input* distribution.
 
-Two experiments share this module:
-
-* even-edge vs even-vertex *input* distribution.  The paper loads
-  "such that each process receives roughly the same number of edges"
-  (§IV); this quantifies why: on skewed (social) inputs, even-vertex
-  ranges concentrate the heavy rows on a few ranks and the stragglers
-  dominate the synchronizing collectives.
-* ``repartition="none"`` vs ``"community"`` *phase-boundary* layout.
-  The paper re-establishes the even split at every reconstruction
-  (§IV-A step 6); community-aware placement instead keeps whole coarse
-  communities per rank, shrinking the achieved coarse-phase ghost
-  fraction — and with it the modelled ghost + community communication —
-  while staying bit-identical.  Mesh-like inputs (channel), whose
-  vertex ids already encode locality, are the honest negative case.
-
-Set ``REPRO_BENCH_GRAPHS=channel`` (comma-separated names) to restrict
-the repartition sweep — the CI smoke job runs the small graph only.
+The paper loads "such that each process receives roughly the same
+number of edges" (§IV); this quantifies why: on skewed (social) inputs,
+even-vertex ranges concentrate the heavy rows on a few ranks and the
+stragglers dominate the synchronizing collectives.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.bench import format_table
-from repro.core import LouvainConfig, run_louvain
+from repro.core import run_louvain
 from repro.graph import even_edge, even_vertex
 
 from _cache import graph, machine
-
-BENCH_GRAPHS = tuple(
-    os.environ.get(
-        "REPRO_BENCH_GRAPHS", "soc-friendster,com-orkut,channel"
-    ).split(",")
-)
-
-#: Social inputs where community placement must strictly win (meshes
-#: with id-locality are allowed to regress — that is the point of the
-#: ablation).
-SOCIAL_GRAPHS = frozenset({"soc-friendster", "com-orkut"})
 
 
 def imbalance(g, offsets) -> float:
@@ -92,89 +66,3 @@ def test_ablation_partition(benchmark, record_result):
     # On the skewed social input it must not be slower overall.
     social = [r for r in rows if r[0] == "soc-friendster"]
     assert min(r[5] for r in social) <= min(r[4] for r in social) * 1.1
-
-
-def collect_repartition():
-    rows = []
-    for name in BENCH_GRAPHS:
-        g = graph(name)
-        mach = machine(name)
-        for p in (4, 8):
-            ref = run_louvain(g, p, LouvainConfig(), machine=mach)
-            rep = run_louvain(
-                g, p, LouvainConfig(repartition="community"), machine=mach
-            )
-            # Layout-only: the detection outcome is untouched.
-            assert np.array_equal(ref.assignment, rep.assignment)
-            assert ref.modularity == rep.modularity
-            # Phase 0 runs on the identical input split either way;
-            # coarse phases are where the layout differs.
-            gf_none = float(
-                np.mean([ph.ghost_fraction for ph in ref.phases[1:]])
-            )
-            gf_comm = float(
-                np.mean([ph.ghost_fraction for ph in rep.phases[1:]])
-            )
-            s_none = ref.trace.seconds_by_category()
-            s_comm = rep.trace.seconds_by_category()
-            comm_none = s_none.get("ghost_comm", 0.0) + s_none.get(
-                "community_comm", 0.0
-            )
-            comm_comm = s_comm.get("ghost_comm", 0.0) + s_comm.get(
-                "community_comm", 0.0
-            )
-            rows.append(
-                [
-                    name,
-                    p,
-                    round(gf_none, 4),
-                    round(gf_comm, 4),
-                    round(comm_none, 4),
-                    round(comm_comm, 4),
-                    round(ref.elapsed, 4),
-                    round(rep.elapsed, 4),
-                ]
-            )
-    return rows
-
-
-def test_ablation_repartition(benchmark, record_result, record_bench):
-    rows = benchmark.pedantic(
-        collect_repartition, rounds=1, iterations=1, warmup_rounds=0
-    )
-    record_result(
-        "ablation_repartition",
-        format_table(
-            ["Graph", "p", "ghost frac (none)", "ghost frac (community)",
-             "ghost+community s (none)", "ghost+community s (community)",
-             "time none (s)", "time community (s)"],
-            rows,
-            title="Ablation — phase-boundary layout: even split vs "
-                  "community placement (coarse-phase means)",
-        ),
-    )
-    record_bench(
-        "ablation_partition",
-        {
-            "rows": [
-                {
-                    "graph": name,
-                    "ranks": p,
-                    "ghost_fraction_none": gf_n,
-                    "ghost_fraction_community": gf_c,
-                    "comm_seconds_none": cs_n,
-                    "comm_seconds_community": cs_c,
-                    "elapsed_none": t_n,
-                    "elapsed_community": t_c,
-                }
-                for name, p, gf_n, gf_c, cs_n, cs_c, t_n, t_c in rows
-            ]
-        },
-    )
-    # On every social input, community placement must strictly shrink
-    # both the achieved coarse-phase ghost fraction and the modelled
-    # ghost + community communication, at every rank count.
-    for name, p, gf_n, gf_c, cs_n, cs_c, _, _ in rows:
-        if name in SOCIAL_GRAPHS:
-            assert gf_c < gf_n, (name, p)
-            assert cs_c < cs_n, (name, p)

@@ -8,8 +8,7 @@ performance regressions of the simulator itself are visible:
   a mid-run state with sparse community ids, and under a 25%-active
   mask — and one whole ``_sweep_round`` at p=1, so the dense renumbering
   and lookup glue around the kernel has its own number;
-* the vectorised greedy coloring and vertex-following seeds (and their
-  reference per-vertex scans, kept as before/after comparisons);
+* the vectorised greedy coloring and vertex-following seeds;
 * serial graph coarsening;
 * CSR construction from edge lists;
 * one full communicator round trip (alltoall) across ranks;
@@ -26,12 +25,7 @@ import pytest
 from repro.core import LouvainConfig, coarsen_csr, pack_info
 from repro.core.commcache import CommunityCache
 from repro.core.distlouvain import _GhostChannel, _sweep_round
-from repro.core.grappolo import (
-    _greedy_coloring_loop,
-    _vertex_following_loop,
-    greedy_coloring,
-    vertex_following_seed,
-)
+from repro.core.grappolo import greedy_coloring, vertex_following_seed
 from repro.core.sweep import SweepPlan, array_lookup, propose_moves
 from repro.generators import generate_lfr
 from repro.graph import CSRGraph, DistGraph, EdgeList
@@ -134,26 +128,10 @@ def test_kernel_greedy_coloring(benchmark):
     assert colors.min() == 0
 
 
-def test_kernel_greedy_coloring_loop(benchmark):
-    # Reference per-vertex scan: the "before" of the vectorised kernel.
-    g = _graph().to_csr()
-
-    colors = benchmark(_greedy_coloring_loop, g)
-    assert colors.min() == 0
-
-
 def test_kernel_vertex_following(benchmark):
     g = _graph().to_csr()
 
     comm = benchmark(vertex_following_seed, g)
-    assert len(comm) == g.num_vertices
-
-
-def test_kernel_vertex_following_loop(benchmark):
-    # Reference per-vertex scan: the "before" of the vectorised kernel.
-    g = _graph().to_csr()
-
-    comm = benchmark(_vertex_following_loop, g)
     assert len(comm) == g.num_vertices
 
 

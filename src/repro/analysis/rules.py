@@ -59,7 +59,6 @@ COLLECTIVE_METHODS = frozenset(
 COLLECTIVE_HELPERS = frozenset(
     {
         "_apply_community_deltas",
-        "_community_placement",
         "_component_labels",
         "_exact_modularity",
         "_exchange_changed",

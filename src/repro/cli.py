@@ -125,11 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--community-push", action="store_true",
                      help="owner-push community-info exchange "
                           "(subscription caches; bit-identical)")
-    det.add_argument("--repartition", default="none",
-                     choices=("none", "community"),
-                     help="phase-boundary layout: 'community' places "
-                          "whole coarse communities per rank, shrinking "
-                          "the ghost fraction (bit-identical results)")
     det.add_argument("--out", help="write 'vertex community' text file")
     det.add_argument("--save", help="write .npz result file")
     det.add_argument("--trace", action="store_true",
@@ -399,7 +394,6 @@ def _cmd_detect(args) -> int:
         vertex_following=args.vertex_following,
         use_coloring=args.coloring,
         community_push_updates=args.community_push,
-        repartition=args.repartition,
         seed=args.seed,
     )
     if args.resolutions:

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..graph.distgraph import DistGraph, split_by_rank
-from ..graph.partition import even_vertex, place_communities
+from ..graph.partition import even_vertex
 from ..runtime.comm import Communicator
 
 
@@ -98,7 +98,7 @@ def remote_lookup(
 
     ``owner`` is either a contiguous-partition ``offsets`` array or a
     callable mapping global ids to owning ranks (e.g.
-    ``DistGraph.owner_of``, which also handles general partitions).
+    ``DistGraph.owner_of``).
     ``local_lookup`` must accept an ``int64`` array of *owned* ids and
     return the aligned values.  Queries for locally-owned ids are
     answered without communication, but every rank must call this
@@ -139,7 +139,6 @@ def rebuild_distributed(
     dg: DistGraph,
     local_comm: np.ndarray,
     ghost_comm: np.ndarray,
-    repartition: str = "none",
 ) -> tuple[DistGraph, np.ndarray]:
     """Distributed graph reconstruction at the end of a phase.
 
@@ -152,14 +151,6 @@ def rebuild_distributed(
         Final community id of each ghost vertex, aligned with the phase's
         :class:`~repro.graph.distgraph.GhostPlan` (i.e. already refreshed
         after the last iteration).
-    repartition:
-        ``"none"`` re-establishes the paper's even-vertex layout
-        (step 6); ``"community"`` places whole coarse communities with
-        :func:`~repro.graph.partition.place_communities` instead,
-        producing a general (non-contiguous) partition that shrinks the
-        next phase's ghost fraction.  Meta-vertex *ids* are identical in
-        both modes (community ranks by sorted old community id), so the
-        choice never changes assignments — only layout.
 
     Returns
     -------
@@ -169,8 +160,6 @@ def rebuild_distributed(
         hook callers use to fold the phase into the original-vertex
         assignment.
     """
-    if repartition not in ("none", "community"):
-        raise ValueError(f"unknown repartition mode {repartition!r}")
     plan = dg.build_ghost_plan(comm)
     if len(ghost_comm) != plan.num_ghosts:
         raise ValueError("ghost_comm not aligned with the ghost plan")
@@ -181,66 +170,46 @@ def rebuild_distributed(
     ) else np.unique(local_comm)
     used_sorted = used  # sorted by np.unique
 
-    if repartition == "community":
-        # --- steps 1-4, community mode: canonical global renumbering ---
-        # One allgather replaces the notify alltoall + exscan + id
-        # propagation: every rank learns the full alive set (the union
-        # of used-here sets) and numbers it by sorted old community id.
-        # With contiguous ownership this equals the exscan numbering
-        # below exactly (per-rank alive sets are sorted and rank ranges
-        # ascend), and unlike the exscan it stays canonical once
-        # ownership is no longer contiguous — which keeps meta ids, and
-        # therefore assignments, bit-identical to "none".
-        all_alive = np.unique(
-            np.concatenate(comm.allgather(used, category="partition"))
+    # A community (id == vertex id) is alive if any vertex anywhere
+    # is assigned to it.  Used-here ids are split by owner; owners
+    # also learn about remote usage through the notification
+    # alltoall.
+    owners = np.asarray(dg.owner_of(used))
+    notify = [
+        used[owners == r] if r != comm.rank else np.empty(0, np.int64)
+        for r in range(comm.size)
+    ]
+    reported = comm.alltoall(notify, category="rebuild")
+    mine_here = used[owners == comm.rank]
+    alive = np.unique(np.concatenate([mine_here] + list(reported)))
+    # (every id reported to us is owned by us by construction)
+
+    # --- step 3: global renumbering via parallel prefix sum --------
+    base = comm.exscan(len(alive), category="rebuild")
+    n_new = comm.allreduce(len(alive), category="rebuild")
+    new_ids = base + np.arange(len(alive), dtype=np.int64)
+    alive_sorted = alive  # np.unique output is sorted
+
+    def lookup_owned(ids: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(alive_sorted, ids)
+        bad = (pos >= len(alive_sorted)) | (
+            alive_sorted[np.minimum(pos, max(len(alive_sorted) - 1, 0))]
+            != ids
         )
-        n_new = len(all_alive)
-
-        def translate(ids: np.ndarray) -> np.ndarray:
-            return np.searchsorted(all_alive, ids)
-
-        new_of_used = translate(used_sorted)
-    else:
-        # A community (id == vertex id) is alive if any vertex anywhere
-        # is assigned to it.  Used-here ids are split by owner; owners
-        # also learn about remote usage through the notification
-        # alltoall.
-        owners = np.asarray(dg.owner_of(used))
-        notify = [
-            used[owners == r] if r != comm.rank else np.empty(0, np.int64)
-            for r in range(comm.size)
-        ]
-        reported = comm.alltoall(notify, category="rebuild")
-        mine_here = used[owners == comm.rank]
-        alive = np.unique(np.concatenate([mine_here] + list(reported)))
-        # (every id reported to us is owned by us by construction)
-
-        # --- step 3: global renumbering via parallel prefix sum --------
-        base = comm.exscan(len(alive), category="rebuild")
-        n_new = comm.allreduce(len(alive), category="rebuild")
-        new_ids = base + np.arange(len(alive), dtype=np.int64)
-        alive_sorted = alive  # np.unique output is sorted
-
-        def lookup_owned(ids: np.ndarray) -> np.ndarray:
-            pos = np.searchsorted(alive_sorted, ids)
-            bad = (pos >= len(alive_sorted)) | (
-                alive_sorted[np.minimum(pos, max(len(alive_sorted) - 1, 0))]
-                != ids
+        if np.any(bad):
+            raise KeyError(
+                f"rank {comm.rank}: asked for dead community ids "
+                f"{np.asarray(ids)[bad][:5].tolist()}"
             )
-            if np.any(bad):
-                raise KeyError(
-                    f"rank {comm.rank}: asked for dead community ids "
-                    f"{np.asarray(ids)[bad][:5].tolist()}"
-                )
-            return new_ids[pos]
+        return new_ids[pos]
 
-        # --- step 4: propagate new ids for every community used here ---
-        new_of_used = remote_lookup(
-            comm, dg.owner_of, used, lookup_owned, category="rebuild"
-        )
+    # --- step 4: propagate new ids for every community used here ---
+    new_of_used = remote_lookup(
+        comm, dg.owner_of, used, lookup_owned, category="rebuild"
+    )
 
-        def translate(ids: np.ndarray) -> np.ndarray:
-            return new_of_used[np.searchsorted(used_sorted, ids)]
+    def translate(ids: np.ndarray) -> np.ndarray:
+        return new_of_used[np.searchsorted(used_sorted, ids)]
 
     local_new = translate(local_comm)
     ghost_new = translate(ghost_comm) if len(ghost_comm) else ghost_comm
@@ -259,16 +228,8 @@ def rebuild_distributed(
     comm.charge_compute(dg.num_local_entries, category="rebuild")
 
     # --- step 6: redistribute by new owner ------------------------------
-    if repartition == "community":
-        new_offsets = None
-        rank_of_new = _community_placement(
-            comm, int(n_new), src_new, target_new, dg.weights
-        )
-        dest = rank_of_new[src_new] if len(src_new) else src_new
-    else:
-        new_offsets = even_vertex(int(n_new), comm.size)
-        rank_of_new = None
-        dest = np.searchsorted(new_offsets, src_new, side="right") - 1
+    new_offsets = even_vertex(int(n_new), comm.size)
+    dest = np.searchsorted(new_offsets, src_new, side="right") - 1
     outgoing = []
     for r, (s, d, w) in enumerate(
         split_by_rank(dest, comm.size, src_new, target_new, dg.weights)
@@ -283,67 +244,20 @@ def rebuild_distributed(
     rw = np.concatenate([t[2] for t in received])
 
     # --- step 7: rebuild local CSR --------------------------------------
-    if repartition == "community":
-        assert rank_of_new is not None
-        owned = np.flatnonzero(rank_of_new == comm.rank)
-        index, edges, weights = _aggregate_directed(
-            np.searchsorted(owned, rs), rd, rw, len(owned)
-        )
-        new_dg = DistGraph(
-            offsets=None,
-            rank=comm.rank,
-            index=index,
-            edges=edges,
-            weights=weights,
-            total_weight=dg.total_weight,
-            owned_ids=owned,
-            rank_of=rank_of_new,
-            rank_count=comm.size,
-        )
-    else:
-        vb = int(new_offsets[comm.rank])
-        nlocal_new = int(new_offsets[comm.rank + 1]) - vb
-        index, edges, weights = _aggregate_directed(
-            rs - vb, rd, rw, nlocal_new
-        )
-        new_dg = DistGraph(
-            offsets=new_offsets,
-            rank=comm.rank,
-            index=index,
-            edges=edges,
-            weights=weights,
-            total_weight=dg.total_weight,
-        )
-    return new_dg, local_new
-
-
-def _community_placement(
-    comm: Communicator,
-    n_new: int,
-    src_new: np.ndarray,
-    target_new: np.ndarray,
-    weights: np.ndarray,
-) -> np.ndarray:
-    """Replicated greedy placement of coarse communities onto ranks.
-
-    Each rank pre-aggregates its partial meta edge list, the lists are
-    allgathered (the one-time migration-planning exchange, charged to
-    the ``"partition"`` category), merged deterministically, and fed to
-    :func:`~repro.graph.partition.place_communities`.  Every rank runs
-    the same greedy on the same merged list, so the returned owner map
-    is replicated without a broadcast.
-    """
-    s, d, w = _combine_entries(src_new, target_new, weights)
-    gathered = comm.allgather((s, d, w), category="partition")
-    ms, md, mw = _combine_entries(
-        np.concatenate([t[0] for t in gathered]),
-        np.concatenate([t[1] for t in gathered]),
-        np.concatenate([t[2] for t in gathered]),
+    vb = int(new_offsets[comm.rank])
+    nlocal_new = int(new_offsets[comm.rank + 1]) - vb
+    index, edges, weights = _aggregate_directed(
+        rs - vb, rd, rw, nlocal_new
     )
-    # Greedy scan: one pass over the merged list plus a per-community
-    # argmax over ranks.
-    comm.charge_compute(len(ms) + n_new * comm.size, category="partition")
-    return place_communities(n_new, ms, md, mw, comm.size)
+    new_dg = DistGraph(
+        offsets=new_offsets,
+        rank=comm.rank,
+        index=index,
+        edges=edges,
+        weights=weights,
+        total_weight=dg.total_weight,
+    )
+    return new_dg, local_new
 
 
 def _combine_entries(

@@ -135,9 +135,8 @@ class CommunityCache:
     re-materialises exactly the owner state the interrupted run held).
     """
 
-    def __init__(self, dg: DistGraph, comm_size: int, sparse: bool = False):
+    def __init__(self, dg: DistGraph, comm_size: int):
         self.dg = dg
-        self.sparse = sparse
         #: True until the first (collective, cold-start) fetch.
         self.cold = True
         # Subscriber-side mirror of remote C_info entries.
@@ -250,7 +249,7 @@ class CommunityCache:
             return replies
 
         got = comm.exchange_roundtrip(
-            requests, serve, category="community_comm", sparse=self.sparse
+            requests, serve, category="community_comm"
         )
         fresh = [
             pack_info(requests[r], got[r][0], got[r][1].astype(np.int64))
@@ -404,7 +403,7 @@ class CommunityCache:
             return replies
 
         got = comm.exchange_roundtrip(
-            requests, serve, category="community_comm", sparse=self.sparse
+            requests, serve, category="community_comm"
         )
         for packed in got:
             if packed is not None and len(packed):

@@ -72,10 +72,6 @@ CACHE_KEY_FIELDS = frozenset(
         "refine",
         "resolution",
         "track_assignments",
-        # Layout-only by design — assignments and modularity stay
-        # bit-identical — but checkpoints store the partitioned graph,
-        # so resuming across repartition modes must be refused.
-        "repartition",
     }
 )
 
@@ -88,10 +84,6 @@ CACHE_KEY_FIELDS = frozenset(
 #: Both kinds are *schedule-safe*: they may legitimately change which
 #: collectives run without invalidating a cached detection result.
 CACHE_KEY_EXCLUSIONS = {
-    "use_neighbor_collectives": (
-        "transport: neighborhood vs point-to-point halo exchange moves "
-        "the same bytes; assignments and modularity are bit-identical"
-    ),
     "ghost_delta_updates": (
         "transport: delta vs full ghost refresh converges to the same "
         "ghost state each round"
@@ -131,9 +123,6 @@ class LouvainConfig:
     max_iterations: int = 500
     #: RNG seed for the ET probabilistic scheme.
     seed: int = 0
-    #: Use MPI-3-style neighbourhood collectives for ghost exchange
-    #: (paper §VI future work; ablation knob).
-    use_neighbor_collectives: bool = False
     #: Distance-1 coloring: process mutually non-adjacent vertex sets
     #: one after another (paper §VI future work).  More synchronisation
     #: per iteration, fewer iterations to converge.
@@ -171,16 +160,6 @@ class LouvainConfig:
     #: Gather per-phase vertex-community associations to rank 0
     #: ("quality assessment feature", §V-D).  Costs extra collectives.
     track_assignments: bool = False
-    #: Phase-boundary layout: "none" re-establishes the paper's even
-    #: split at every reconstruction (§IV-A step 6); "community" places
-    #: whole coarse communities on ranks via the greedy repartitioner,
-    #: shrinking the next phase's ghost fraction at the source.
-    #: Assignments and modularity are bit-identical either way for the
-    #: deterministic variants on integer-weighted graphs (every float is
-    #: then an order-independent integer sum); ET/ETC randomness and
-    #: arbitrary float weights are layout-sensitive in the last ulp,
-    #: exactly as changing the rank count is.
-    repartition: str = "none"
     #: Debug mode: audit the distributed state (C_info vs ground truth,
     #: partition sanity, ghost coherence) after every phase and raise on
     #: any inconsistency.  Expensive; for tests and debugging.
@@ -210,11 +189,6 @@ class LouvainConfig:
         if self.refine not in ("none", "leiden"):
             raise ValueError(
                 f"refine must be 'none' or 'leiden', got {self.refine!r}"
-            )
-        if self.repartition not in ("none", "community"):
-            raise ValueError(
-                f"repartition must be 'none' or 'community', got "
-                f"{self.repartition!r}"
             )
         if not self.threshold_cycle:
             raise ValueError("threshold_cycle must be non-empty")
@@ -285,9 +259,8 @@ class LouvainConfig:
         """Stable content hash over the semantically meaningful fields.
 
         Two configs hash equal iff they request the same detection
-        *outcome*: transport knobs (``use_neighbor_collectives``,
-        ``ghost_delta_updates``, ``community_push_updates``) are
-        excluded because their results are proven bit-identical, and
+        *outcome*: transport knobs (``ghost_delta_updates``,
+        ``community_push_updates``) are excluded because their results are proven bit-identical, and
         ``validate_invariants`` is excluded because it only audits.
         Field order never matters (keys are sorted), so the hash is
         stable across dataclass reordering and process restarts.  Used

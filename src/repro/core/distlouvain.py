@@ -86,7 +86,6 @@ class _GhostChannel:
         self.dg = dg
         self.plan = plan
         self.delta = config.ghost_delta_updates
-        self.neighbor = config.use_neighbor_collectives
         self._ghost: np.ndarray | None = None
         self._last_sent: np.ndarray | None = None
         self._send_cat: np.ndarray | None = None
@@ -129,7 +128,6 @@ class _GhostChannel:
                 self.plan,
                 local_comm,
                 category="ghost_comm",
-                use_neighbor_collectives=self.neighbor,
             )
             self._last_sent = local_comm.copy()
             # The delta flag is config (replicated) and the first-call
@@ -353,9 +351,7 @@ def louvain_phase_distributed(
     # predate any subscription, so they can keep using the plain pull
     # path — the cache starts cold and fills via first-touch pulls.
     cache = (
-        CommunityCache(
-            dg, comm.size, sparse=config.use_neighbor_collectives
-        )
+        CommunityCache(dg, comm.size)
         if config.community_push_updates
         else None
     )
@@ -457,8 +453,8 @@ def louvain_phase_distributed(
         # every stored entry evaluate under the *post-move* assignment:
         # the estimate is then a function of the global assignment alone
         # and cannot depend on which endpoints happen to be rank-local
-        # under the current layout (a requirement for repartitioned runs
-        # to stay bit-identical).  The sweep itself keeps the
+        # under the current layout (a requirement for bit-identity across
+        # rank counts and input partitions).  The sweep itself keeps the
         # intentionally stale view of §III-B — only the convergence test
         # sees fresh values.
         ghost_comm = ghosts.publish(comm, local_comm)
@@ -470,7 +466,8 @@ def louvain_phase_distributed(
         # a_c^2 is summed *before* dividing by w^2 (like
         # _exact_modularity) so the reduction is exact for integer
         # weights — the per-rank grouping of communities then cannot
-        # perturb Q, which keeps repartitioned layouts bit-identical.
+        # perturb Q, which keeps every rank count and input partition
+        # bit-identical.
         partial = np.array(
             [
                 local_in,
@@ -570,8 +567,7 @@ def _fetch_community_info(
     """
     owners = np.asarray(dg.owner_of(needed))
     # ``needed`` is sorted; split_by_rank keeps that order within each
-    # rank's slice (stable), so payloads stay deterministic even when a
-    # general partition makes ``owners`` non-monotonic.
+    # rank's slice (stable), so payloads stay deterministic.
     requests = [
         ids if r != comm.rank else np.empty(0, np.int64)
         for r, (ids,) in enumerate(split_by_rank(owners, comm.size, needed))
@@ -756,7 +752,7 @@ def _save_checkpoint(
 
 
 def _vertex_following_targets(
-    comm: Communicator, dg: DistGraph, config: LouvainConfig
+    comm: Communicator, dg: DistGraph
 ) -> tuple[np.ndarray, np.ndarray]:
     """Community targets of Grappolo's vertex-following pre-merge.
 
@@ -806,7 +802,6 @@ def _vertex_following_targets(
         plan,
         local_comm,
         category="ghost_comm",
-        use_neighbor_collectives=config.use_neighbor_collectives,
     )
     return local_comm, ghost_comm
 
@@ -900,11 +895,8 @@ def distributed_louvain(
             # skip the merge — the seed already places every vertex —
             # and resumed runs restore the post-merge graph from the
             # checkpoint, so both paths stay bit-identical.
-            vf_local, vf_ghost = _vertex_following_targets(comm, dg, config)
-            vf_dg, vf_new = rebuild_distributed(
-                comm, dg, vf_local, vf_ghost,
-                repartition=config.repartition,
-            )
+            vf_local, vf_ghost = _vertex_following_targets(comm, dg)
+            vf_dg, vf_new = rebuild_distributed(comm, dg, vf_local, vf_ghost)
             pre_dg = dg
             orig_slice = remote_lookup(
                 comm,
@@ -1009,12 +1001,11 @@ def distributed_louvain(
         n_edges = comm.allreduce(dg.num_local_entries, category="allreduce")
         # Achieved layout quality of the graph this phase ran on: the
         # cross-rank fraction of stored adjacency entries.  One small
-        # allreduce; this is what repartition="community" shrinks and
-        # what the tuner's cost model wants fed back.
+        # allreduce.
         cross = int(np.count_nonzero(~dg.is_owned(dg.edges)))
         cross_total = comm.allreduce(
             np.array([cross, dg.num_local_entries], dtype=np.int64),
-            category="partition",
+            category="allreduce",
         )
         ghost_fraction = (
             float(cross_total[0] / cross_total[1]) if cross_total[1] else 0.0
@@ -1043,7 +1034,6 @@ def distributed_louvain(
                 dg,
                 out.local_comm,
                 out.ghost_comm,
-                use_neighbor_collectives=config.use_neighbor_collectives,
             )
             if out.tot_owned is not None and out.size_owned is not None:
                 # Keep the owner-side C_info audit-consistent with the
@@ -1077,8 +1067,7 @@ def distributed_louvain(
             ).raise_if_failed()
 
         new_dg, local_new = rebuild_distributed(
-            comm, dg, out.local_comm, out.ghost_comm,
-            repartition=config.repartition,
+            comm, dg, out.local_comm, out.ghost_comm
         )
         # The per-iteration modularity is computed against the stale
         # ghost view (the paper's semantics).  The coarsened graph gives

@@ -53,7 +53,8 @@ def greedy_coloring(g: CSRGraph) -> np.ndarray:
     neighbours are all colored and computes the per-vertex mex with
     segment ops over the wave's edge list.  Two vertices in the same
     wave are never adjacent, so within-wave order cannot matter.
-    Bit-identical to :func:`_greedy_coloring_loop`.
+    Bit-identical to ``greedy_coloring_loop`` in
+    ``tests/oracles/grappolo_reference.py``.
     """
     n = g.num_vertices
     colors = np.full(n, -1, dtype=np.int64)
@@ -116,20 +117,6 @@ def _wave_mex(
     return mex
 
 
-def _greedy_coloring_loop(g: CSRGraph) -> np.ndarray:
-    """Reference per-vertex scan (kept for equivalence tests and benches)."""
-    n = g.num_vertices
-    colors = np.full(n, -1, dtype=np.int64)
-    for u in range(n):
-        nbrs, _ = g.neighbors(u)
-        taken = set(int(colors[v]) for v in nbrs if colors[v] >= 0)
-        c = 0
-        while c in taken:
-            c += 1
-        colors[u] = c
-    return colors
-
-
 def vertex_following_seed(g: CSRGraph) -> np.ndarray:
     """Initial assignment merging degree-1 vertices into their neighbour.
 
@@ -139,7 +126,7 @@ def vertex_following_seed(g: CSRGraph) -> np.ndarray:
     the same single-pass id-order semantics as the reference loop: a
     leaf adopts its neighbour's label, and a mutual leaf pair (isolated
     edge) lands on the larger id — bit-identical to
-    :func:`_vertex_following_loop`.
+    ``vertex_following_loop`` in ``tests/oracles/grappolo_reference.py``.
     """
     n = g.num_vertices
     comm = np.arange(n, dtype=np.int64)
@@ -160,17 +147,6 @@ def vertex_following_seed(g: CSRGraph) -> np.ndarray:
     partner = nbr[ids]
     mutual = leaf[partner] & (nbr[partner] == ids)
     comm[ids[mutual]] = np.maximum(ids[mutual], partner[mutual])
-    return comm
-
-
-def _vertex_following_loop(g: CSRGraph) -> np.ndarray:
-    """Reference per-vertex scan (kept for equivalence tests and benches)."""
-    n = g.num_vertices
-    comm = np.arange(n, dtype=np.int64)
-    for u in range(n):
-        nbrs, _ = g.neighbors(u)
-        if len(nbrs) == 1 and nbrs[0] != u:
-            comm[u] = comm[nbrs[0]]
     return comm
 
 

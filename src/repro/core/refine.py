@@ -60,7 +60,6 @@ def _component_labels(
     plan: GhostPlan,
     local_comm: np.ndarray,
     ghost_comm: np.ndarray,
-    use_neighbor_collectives: bool,
     max_rounds: int,
 ) -> np.ndarray:
     """Min vertex id of each owned vertex's (community, component)."""
@@ -75,7 +74,6 @@ def _component_labels(
             plan,
             labels,
             category="other",
-            use_neighbor_collectives=use_neighbor_collectives,
         )
         if len(rows):
             both = np.concatenate([labels, ghost_labels])
@@ -171,7 +169,6 @@ def refine_communities(
     local_comm: np.ndarray,
     ghost_comm: np.ndarray,
     *,
-    use_neighbor_collectives: bool = False,
     max_rounds: int = 10_000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split every internally disconnected community into components.
@@ -198,7 +195,6 @@ def refine_communities(
         plan,
         local_comm,
         ghost_comm,
-        use_neighbor_collectives,
         max_rounds,
     )
     split = _split_flags(comm, dg, local_comm, labels)
@@ -210,6 +206,5 @@ def refine_communities(
         plan,
         refined,
         category="other",
-        use_neighbor_collectives=use_neighbor_collectives,
     )
     return refined, refined_ghost

@@ -24,7 +24,6 @@ from .partition import (
     even_vertex,
     local_counts,
     owner_of,
-    place_communities,
 )
 from .textio import (
     TextFormatError,
@@ -54,7 +53,6 @@ __all__ = [
     "is_connected",
     "local_counts",
     "owner_of",
-    "place_communities",
     "TextFormatError",
     "convert_to_binary",
     "read_edgelist",

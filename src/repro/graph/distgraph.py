@@ -8,8 +8,7 @@ phase, which ghost values must be fetched from which owner.
 
 The heavy per-iteration primitive — refreshing ghost community
 assignments — is :meth:`DistGraph.exchange_ghost_values`, which moves a
-value per ghost vertex through one ``alltoall`` (or an MPI-3-style
-neighbourhood exchange when enabled).
+value per ghost vertex through one ``alltoall``.
 """
 
 from __future__ import annotations
@@ -83,9 +82,9 @@ class DistGraph:
     Attributes
     ----------
     offsets:
-        Global vertex partition, ``int64[p + 1]``, when the partition is
-        contiguous (the paper's layout); ``None`` for a general
-        partition, in which case ``owned_ids``/``rank_of`` describe it.
+        Global vertex partition, ``int64[p + 1]``: rank ``r`` owns the
+        contiguous range ``[offsets[r], offsets[r + 1])`` (the paper's
+        layout).
     rank:
         Owning rank id.
     index / edges / weights:
@@ -93,18 +92,9 @@ class DistGraph:
     total_weight:
         Global ``sum_u k_u`` (replicated on every rank — the paper keeps
         this as part of the modularity denominator).
-    owned_ids:
-        General partition only: sorted global ids of the vertices this
-        rank owns; CSR row ``i`` is vertex ``owned_ids[i]``.
-    rank_of:
-        General partition only: ``int64[num_global_vertices]`` owner map
-        (replicated on every rank, like ``offsets`` is).
-    rank_count:
-        General partition only: total rank count (``offsets`` carries it
-        implicitly in the contiguous case).
     """
 
-    offsets: np.ndarray | None
+    offsets: np.ndarray
     rank: int
     index: np.ndarray
     edges: np.ndarray
@@ -113,48 +103,28 @@ class DistGraph:
     _compressed: np.ndarray | None = field(default=None, repr=False)
     _plan: GhostPlan | None = field(default=None, repr=False)
     _owner_bounds: np.ndarray | None = field(default=None, repr=False)
-    owned_ids: np.ndarray | None = field(default=None, repr=False)
-    rank_of: np.ndarray | None = field(default=None, repr=False)
-    rank_count: int | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     # Shape
     # ------------------------------------------------------------------
     @property
-    def is_general(self) -> bool:
-        """True when the partition is non-contiguous (owned_ids-based)."""
-        return self.owned_ids is not None
-
-    @property
     def nranks(self) -> int:
-        if self.offsets is not None:
-            return len(self.offsets) - 1
-        assert self.rank_count is not None
-        return self.rank_count
+        return len(self.offsets) - 1
 
     @property
     def num_global_vertices(self) -> int:
-        if self.offsets is not None:
-            return int(self.offsets[-1])
-        assert self.rank_of is not None
-        return len(self.rank_of)
+        return int(self.offsets[-1])
 
     @property
     def vbegin(self) -> int:
-        if self.offsets is None:
-            raise ValueError("vbegin is undefined for a general partition")
         return int(self.offsets[self.rank])
 
     @property
     def vend(self) -> int:
-        if self.offsets is None:
-            raise ValueError("vend is undefined for a general partition")
         return int(self.offsets[self.rank + 1])
 
     @property
     def num_local(self) -> int:
-        if self.owned_ids is not None:
-            return len(self.owned_ids)
         return self.vend - self.vbegin
 
     @property
@@ -167,45 +137,26 @@ class DistGraph:
         return self.owner_of(vertices)
 
     def owner_of(self, ids: np.ndarray | int):
-        """Vectorised owner lookup.
-
-        Contiguous partitions search the cached interior boundaries
-        ``offsets[1:-1]`` (computed once and reused); general partitions
-        index the replicated ``rank_of`` map directly.
-        """
-        if self.rank_of is not None:
-            return self.rank_of[ids]
-        assert self.offsets is not None
+        """Vectorised owner lookup: searches the cached interior
+        boundaries ``offsets[1:-1]`` (computed once and reused)."""
         if self._owner_bounds is None:
             self._owner_bounds = np.ascontiguousarray(self.offsets[1:-1])
         return np.searchsorted(self._owner_bounds, ids, side="right")
 
     def to_local(self, ids: np.ndarray | int):
         """Local slot of each *owned* global vertex id."""
-        if self.owned_ids is not None:
-            return np.searchsorted(self.owned_ids, ids)
         return ids - self.vbegin
 
     def from_local(self, slots: np.ndarray | int):
         """Global id of each local slot (inverse of :meth:`to_local`)."""
-        if self.owned_ids is not None:
-            return self.owned_ids[slots]
         return slots + self.vbegin
 
     def is_owned(self, ids: np.ndarray | int):
         """Whether each global id is owned by this rank."""
-        if self.rank_of is not None:
-            return self.rank_of[ids] == self.rank
         return (ids >= self.vbegin) & (ids < self.vend)
 
     def local_vertex_ids(self) -> np.ndarray:
-        """Global ids of owned vertices, in local-slot order (sorted).
-
-        General partitions return the internal ``owned_ids`` array —
-        treat the result as read-only.
-        """
-        if self.owned_ids is not None:
-            return self.owned_ids
+        """Global ids of owned vertices, in local-slot order (sorted)."""
         return np.arange(self.vbegin, self.vend, dtype=np.int64)
 
     def local_degrees(self) -> np.ndarray:
@@ -294,7 +245,6 @@ class DistGraph:
         plan: GhostPlan,
         local_values: np.ndarray,
         category: str = "ghost_comm",
-        use_neighbor_collectives: bool = False,
     ) -> np.ndarray:
         """Fetch one value per ghost vertex from its owner.
 
@@ -307,32 +257,20 @@ class DistGraph:
                 f"local_values has {len(local_values)} entries for "
                 f"{self.num_local} owned vertices"
             )
-        if use_neighbor_collectives:
-            payload = {
-                r: local_values[self.to_local(ids)]
-                for r, ids in sorted(plan.send_ids.items())
-            }
-            got = comm.neighbor_alltoall(payload, category=category)
-        else:
-            payload_list = [
-                local_values[self.to_local(plan.send_ids[r])]
-                if r in plan.send_ids
-                else np.empty(0, local_values.dtype)
-                for r in range(comm.size)
-            ]
-            received = comm.alltoall(payload_list, category=category)
-            got = {
-                r: received[r]
-                for r in plan.recv_ids
-            }
+        payload_list = [
+            local_values[self.to_local(plan.send_ids[r])]
+            if r in plan.send_ids
+            else np.empty(0, local_values.dtype)
+            for r in range(comm.size)
+        ]
+        received = comm.alltoall(payload_list, category=category)
         out = np.empty(plan.num_ghosts, dtype=local_values.dtype)
         for r, ids in sorted(plan.recv_ids.items()):
-            values = got.get(r)
-            if values is None or len(values) != len(ids):
+            values = received[r]
+            if len(values) != len(ids):
                 raise ValueError(
                     f"ghost exchange mismatch with rank {r}: expected "
-                    f"{len(ids)} values, got "
-                    f"{None if values is None else len(values)}"
+                    f"{len(ids)} values, got {len(values)}"
                 )
             out[np.searchsorted(plan.ghost_ids, ids)] = values
         return out

@@ -13,25 +13,11 @@ number of edges".  Two strategies are provided:
 A contiguous partition is represented by an ``int64[p + 1]`` offsets
 array ``offsets``; rank ``i`` owns global vertices
 ``[offsets[i], offsets[i+1])``.
-
-Phase-boundary repartitioning (``LouvainConfig.repartition="community"``)
-needs a *general* (non-contiguous) partition: an ``int64[n]`` map
-``rank_of[v] -> rank``.  :func:`place_communities` produces one from the
-coarse meta-graph with a deterministic greedy that co-locates heavily
-connected communities while balancing stored edge count.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-#: Allowed per-rank overshoot above perfect stored-entry balance before a
-#: rank stops accepting communities in :func:`place_communities`.
-PLACEMENT_SLACK = 0.1
-
-#: Maximum boundary-refinement sweeps in :func:`place_communities`
-#: (each sweep is one deterministic pass over all communities).
-_REFINE_SWEEPS = 4
 
 
 def even_vertex(num_vertices: int, nranks: int) -> np.ndarray:
@@ -87,135 +73,6 @@ def owner_of(offsets: np.ndarray, vertices: np.ndarray | int) -> np.ndarray | in
 def local_counts(offsets: np.ndarray) -> np.ndarray:
     """Vertices owned per rank."""
     return np.diff(offsets)
-
-
-def place_communities(
-    num_communities: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    weight: np.ndarray,
-    nranks: int,
-    *,
-    slack: float = PLACEMENT_SLACK,
-) -> np.ndarray:
-    """Greedy graph-growing community-to-rank placement (GGGP style).
-
-    ``(src, dst, weight)`` is the globally merged directed stored-entry
-    list of the coarsened graph (duplicate pairs already combined), with
-    ids in ``[0, num_communities)``.  Ranks are filled one at a time:
-    rank ``r`` grows a connected region by repeatedly absorbing the
-    unplaced community with the strongest affinity to the region —
-    affinity is the number of stored entries into the region (exactly
-    what the achieved ghost fraction counts), with summed meta-edge
-    weight, then community size, then lowest id as deterministic
-    tie-breaks — until the region reaches its balance target
-    ``ceil(remaining_entries / remaining_ranks)``.  A fresh region (all
-    affinities zero) seeds with the largest unplaced community.  The
-    last rank takes everything left.
-
-    Growth respects a load cap of ``ceil(total * (1 + slack) / nranks)``
-    stored entries per rank while candidates fit; communities larger
-    than the remaining cap headroom everywhere fall through to the final
-    rank.  Every step is a pure function of the replicated edge list, so
-    all ranks derive the identical ``rank_of`` map.
-
-    Returns an ``int64[num_communities]`` owner map.
-    """
-    _validate(num_communities, nranks)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    weight = np.asarray(weight, dtype=np.float64)
-    if not (len(src) == len(dst) == len(weight)):
-        raise ValueError("src/dst/weight must be aligned")
-    if len(src) and (
-        int(src.max()) >= num_communities or int(dst.max()) >= num_communities
-    ):
-        raise ValueError("community id outside [0, num_communities)")
-    sizes = np.bincount(src, minlength=num_communities)
-    total = int(sizes.sum())
-    if nranks == 1:
-        return np.zeros(num_communities, dtype=np.int64)
-    if total == 0:
-        # Edgeless coarse graph: nothing to co-locate, spread evenly.
-        even = even_vertex(num_communities, nranks)
-        return np.asarray(
-            owner_of(even, np.arange(num_communities, dtype=np.int64)),
-            dtype=np.int64,
-        )
-    cap = int(-(-total * (1.0 + slack) // nranks))  # ceil
-
-    # CSR over src for neighbour scans (entries arrive sorted by (src,
-    # dst) from the merge, but re-derive the index defensively).
-    order = np.argsort(src, kind="stable")
-    dst_s, w_s = dst[order], weight[order]
-    index = np.zeros(num_communities + 1, dtype=np.int64)
-    np.add.at(index, src[order] + 1, 1)
-    np.cumsum(index, out=index)
-
-    rank_of = np.full(num_communities, -1, dtype=np.int64)
-    unplaced = np.ones(num_communities, dtype=bool)
-    conn_cnt = np.zeros(num_communities, dtype=np.int64)
-    conn_w = np.zeros(num_communities, dtype=np.float64)
-    remaining = total
-    for r in range(nranks - 1):
-        target = -(-remaining // (nranks - r))  # ceil, rebalanced per rank
-        conn_cnt[:] = 0
-        conn_w[:] = 0.0
-        load = 0
-        while load < target:
-            cand = np.flatnonzero(unplaced & (sizes <= cap - load))
-            if not len(cand):
-                break
-            # Strongest entry-count affinity to the growing region; ties
-            # by weight, then size (seeds pick the largest community),
-            # then lowest id.
-            for key in (conn_cnt, conn_w, sizes):
-                sel = key[cand]
-                cand = cand[sel == sel.max()]
-            c = int(cand[0])
-            rank_of[c] = r
-            unplaced[c] = False
-            load += int(sizes[c])
-            lo, hi = int(index[c]), int(index[c + 1])
-            nbrs = dst_s[lo:hi]
-            np.add.at(conn_cnt, nbrs, 1)
-            np.add.at(conn_w, nbrs, w_s[lo:hi])
-        remaining -= load
-    rank_of[unplaced] = nranks - 1
-
-    # -- boundary refinement (KL/FM-lite) -----------------------------
-    # A few deterministic sweeps: move a community to the rank holding
-    # the most entries to it when that strictly shrinks the cut and the
-    # cap allows.  Greedy growth fixes regions in rank order, so late
-    # ranks' neighbourhoods can pull early misplacements back.
-    loads = np.bincount(rank_of, weights=sizes, minlength=nranks).astype(
-        np.int64
-    )
-    here = np.empty(nranks, dtype=np.int64)
-    for _ in range(_REFINE_SWEEPS):
-        moved_any = False
-        for c in range(num_communities):
-            lo, hi = int(index[c]), int(index[c + 1])
-            nbrs = dst_s[lo:hi]
-            m = nbrs != c
-            if not np.any(m):
-                continue
-            here[:] = 0
-            np.add.at(here, rank_of[nbrs[m]], 1)
-            r = int(rank_of[c])
-            fits = loads + sizes[c] <= cap
-            fits[r] = True
-            best = here.copy()
-            best[~fits] = -1
-            t = int(np.argmax(best))  # ties: lowest rank id
-            if best[t] > here[r] and t != r:
-                rank_of[c] = t
-                loads[r] -= int(sizes[c])
-                loads[t] += int(sizes[c])
-                moved_any = True
-        if not moved_any:
-            break
-    return rank_of
 
 
 def _validate(num_vertices: int, nranks: int) -> None:

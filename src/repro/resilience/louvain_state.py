@@ -133,15 +133,8 @@ def pack_rank_state(
         "edges": dg.edges,
         "weights": dg.weights,
         "orig_slice": orig_slice,
+        "offsets": dg.offsets,
     }
-    if dg.is_general:
-        # General (community-placed) layout: the owner map replaces the
-        # contiguous offsets array.
-        meta["rank_count"] = dg.nranks
-        arrays["owned_ids"] = dg.owned_ids
-        arrays["rank_of"] = dg.rank_of
-    else:
-        arrays["offsets"] = dg.offsets
     if seed_assignment is not None:
         arrays["seed_assignment"] = np.asarray(seed_assignment, dtype=np.int64)
     if phase_assignments is not None:
@@ -174,27 +167,21 @@ def unpack_rank_state(
             f"checkpoint shard belongs to rank {saved_rank}, loaded on "
             f"rank {rank}"
         )
-    if "offsets" in arrays:
-        dg = DistGraph(
-            offsets=np.asarray(arrays["offsets"], dtype=np.int64),
-            rank=rank,
-            index=np.asarray(arrays["index"], dtype=np.int64),
-            edges=np.asarray(arrays["edges"], dtype=np.int64),
-            weights=np.asarray(arrays["weights"], dtype=np.float64),
-            total_weight=float(meta["total_weight"]),
+    if "offsets" not in arrays:
+        # Pre-key manifests skip the resume-config check, so a shard
+        # written under the deleted option can reach this point.
+        raise ValueError(
+            "checkpoint uses the removed community-placed layout "
+            "(no 'offsets' array); re-run without --resume"
         )
-    else:
-        dg = DistGraph(
-            offsets=None,
-            rank=rank,
-            index=np.asarray(arrays["index"], dtype=np.int64),
-            edges=np.asarray(arrays["edges"], dtype=np.int64),
-            weights=np.asarray(arrays["weights"], dtype=np.float64),
-            total_weight=float(meta["total_weight"]),
-            owned_ids=np.asarray(arrays["owned_ids"], dtype=np.int64),
-            rank_of=np.asarray(arrays["rank_of"], dtype=np.int64),
-            rank_count=int(meta["rank_count"]),
-        )
+    dg = DistGraph(
+        offsets=np.asarray(arrays["offsets"], dtype=np.int64),
+        rank=rank,
+        index=np.asarray(arrays["index"], dtype=np.int64),
+        edges=np.asarray(arrays["edges"], dtype=np.int64),
+        weights=np.asarray(arrays["weights"], dtype=np.float64),
+        total_weight=float(meta["total_weight"]),
+    )
     phase_assignments: list[np.ndarray] | None = None
     if "num_phase_assignments" in meta:
         phase_assignments = [

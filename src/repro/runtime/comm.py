@@ -65,7 +65,7 @@ from .errors import (
     InvalidRankError,
     RankAborted,
 )
-from .payload import message_bytes, nbytes
+from .payload import message_bytes
 from .perfmodel import MachineModel
 from .tracing import RankTrace
 
@@ -854,7 +854,6 @@ class Communicator:
         outgoing: Sequence[Any],
         serve: Callable[[list], list],
         category: str = "other",
-        sparse: bool = False,
     ) -> list:
         """Fused request/reply personalized exchange (one collective).
 
@@ -874,10 +873,7 @@ class Communicator:
         Cost model: two back-to-back alltoallv legs (see
         :meth:`MachineModel.exchange_leg_cost`) with a synchronisation
         point in between — no rank can serve before its last request
-        arrives.  With ``sparse=True`` both legs are charged like
-        neighbourhood collectives: latency scales with the number of
-        non-empty partner payloads instead of ``p - 1`` (``None`` or
-        zero-byte payloads count as "no message").
+        arrives.
         """
         if len(outgoing) != self.size:
             raise ValueError(
@@ -886,14 +882,6 @@ class Communicator:
             )
         m = self.machine
         p = self.size
-
-        def _occupied(obj: Any) -> bool:
-            return obj is not None and nbytes(obj) > 0
-
-        def _leg_cost(r: int, sent: int, recv: int, deg: int) -> float:
-            return m.exchange_leg_cost(
-                sent, recv, p, rank=r, degree=deg if sparse else None
-            )
 
         def finalize(slots):
             mats = [v for (v, _fn), _ in slots]
@@ -904,16 +892,12 @@ class Communicator:
             for r in range(p):
                 sent_slots = [mats[r][d] for d in range(p) if d != r]
                 recv_slots = [mats[s][r] for s in range(p) if s != r]
-                if sparse:
-                    sent_slots = [v for v in sent_slots if _occupied(v)]
-                    recv_slots = [v for v in recv_slots if _occupied(v)]
-                deg = len(sent_slots) + len(recv_slots)
                 req_costs.append(
-                    _leg_cost(
-                        r,
+                    m.exchange_leg_cost(
                         sum(message_bytes(v) for v in sent_slots),
                         sum(message_bytes(v) for v in recv_slots),
-                        deg,
+                        p,
+                        rank=r,
                     )
                 )
             t_mid = t0 + max(req_costs)
@@ -933,21 +917,15 @@ class Communicator:
                 received = [reply_mat[s][r] for s in range(p)]
                 sent_slots = [reply_mat[r][d] for d in range(p) if d != r]
                 recv_slots = [reply_mat[s][r] for s in range(p) if s != r]
-                if sparse:
-                    sent_slots = [v for v in sent_slots if _occupied(v)]
-                    recv_slots = [v for v in recv_slots if _occupied(v)]
-                deg = len(sent_slots) + len(recv_slots)
-                t = t_mid + _leg_cost(
-                    r,
+                t = t_mid + m.exchange_leg_cost(
                     sum(message_bytes(v) for v in sent_slots),
                     sum(message_bytes(v) for v in recv_slots),
-                    deg,
+                    p,
+                    rank=r,
                 )
                 rep_sent = [message_bytes(v) for v in sent_slots]
                 req_recv = [
-                    message_bytes(mats[s][r])
-                    for s in range(p)
-                    if s != r and (not sparse or _occupied(mats[s][r]))
+                    message_bytes(mats[s][r]) for s in range(p) if s != r
                 ]
                 outs.append(((received, rep_sent, req_recv), t))
             return outs
@@ -956,14 +934,14 @@ class Communicator:
             "exchange_roundtrip", (list(outgoing), serve), finalize, category
         )
         for d, v in enumerate(outgoing):
-            if d != self.rank and (not sparse or _occupied(v)):
+            if d != self.rank:
                 self.trace.record_send(message_bytes(v))
         for n in req_recv:
             self.trace.record_recv(n)
         for n in rep_sent:
             self.trace.record_send(n)
         for s, v in enumerate(received):
-            if s != self.rank and (not sparse or _occupied(v)):
+            if s != self.rank:
                 self.trace.record_recv(message_bytes(v))
         return received
 

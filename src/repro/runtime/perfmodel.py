@@ -194,21 +194,16 @@ class MachineModel:
         recv_bytes: int,
         p: int,
         rank: int | None = None,
-        degree: int | None = None,
     ) -> float:
         """One leg of a fused request/reply exchange as seen by one rank.
 
         The owner-push community protocol models its round trip as two
         back-to-back personalized-exchange legs (request/deltas out,
         replies/pushes back); each leg is charged like a standalone
-        alltoallv — dense pairwise exchange by default, or the
-        degree-scaled neighbourhood variant when ``degree`` is given.
-        Nothing is discounted for the fusion: the saving the push
-        protocol realises comes from sending fewer legs with smaller
-        payloads, not from a cheaper primitive.
+        dense alltoallv.  Nothing is discounted for the fusion: the
+        saving the push protocol realises comes from sending fewer legs
+        with smaller payloads, not from a cheaper primitive.
         """
-        if degree is not None:
-            return self.neighbor_alltoallv_cost(sent_bytes, recv_bytes, degree)
         return self.alltoallv_cost(sent_bytes, recv_bytes, p, rank=rank)
 
     # ------------------------------------------------------------------

@@ -21,7 +21,6 @@ CATEGORIES = (
     "community_comm",   # community update exchange to owners
     "allreduce",        # global modularity / counters reduction
     "rebuild",          # distributed graph reconstruction
-    "partition",        # community-aware repartitioning at phase bounds
     "io",               # input reading
     "checkpoint",       # resilience: checkpoint save/load traffic and I/O
     "service",          # detection service: engine-side overhead per job

@@ -18,11 +18,7 @@ The model mirrors the per-iteration structure of Algorithm 3:
 * the modularity/counters allreduce, doubled for ETC's extra
   inactive-count vote (``allreduce``);
 
-plus per-phase graph reconstruction and one-time ingest.  Under
-``repartition="community"`` the coarse phases' ghost/community legs use
-the *achieved* ghost fraction fed back by prior repartitioned runs (or
-a fixed discount before any feedback exists), and each phase boundary
-is charged a one-time migration/placement term.  Variant
+plus per-phase graph reconstruction and one-time ingest.  Variant
 effects enter as *work multipliers*: ET deactivates vertices (stronger
 on skewed graphs, Table I), threshold cycling truncates early phases
 (Fig. 2), ETC exits phases at its inactive fraction.
@@ -59,10 +55,6 @@ _PHASE_SHRINK = 0.25
 _PUSH_PAYLOAD_FACTOR = 0.4
 #: Payload shrink of the ghost delta refresh (unmoved vertices skip).
 _DELTA_PAYLOAD_FACTOR = 0.45
-#: Fallback coarse-phase ghost-fraction discount under
-#: ``repartition="community"`` when the featurizer carries no measured
-#: feedback yet (achieved fractions, once observed, replace this guess).
-_REPARTITION_GHOST_FACTOR = 0.7
 #: Per-color-class sweep-round overhead of coloring-ordered sweeps.
 #: Coloring buys modularity (independent sets move on fresh neighbour
 #: state), never time: every iteration runs one synchronised sweep
@@ -181,28 +173,7 @@ def predict_cost(
         colors = min(8.0, 2.0 + math.log2(features.mean_degree + 2.0))
         work_factor *= 1.0 + _COLORING_ROUND_OVERHEAD * (colors - 1.0)
 
-    # Estimated neighbour count for the MPI-3 neighbourhood collectives:
-    # with a 1-D contiguous partition most ghost traffic is near-range.
-    degree = (
-        min(p - 1, max(1, round(p * min(1.0, 4.0 * gf))))
-        if config.use_neighbor_collectives and p > 1
-        else None
-    )
-
-    repartitioned = config.repartition == "community" and p > 1
-    # Coarse phases (k >= 1) run on the community-placed layout; use the
-    # measured feedback when a prior repartitioned run reported it, else
-    # a fixed optimistic discount.  Phase 0 always sees the input split.
-    if repartitioned:
-        achieved = features.achieved_ghost_at(p)
-        gf_coarse = (
-            achieved if achieved is not None
-            else gf * _REPARTITION_GHOST_FACTOR
-        )
-    else:
-        gf_coarse = gf
-
-    compute = ghost = community = allreduce = rebuild = partition = 0.0
+    compute = ghost = community = allreduce = rebuild = 0.0
     refine = 0.0
     if vertex_following:
         # The pre-coarsening: a rebuild-sized alltoallv on the *input*
@@ -214,29 +185,27 @@ def predict_cost(
     size = 1.0  # relative size of the current phase's graph
     for k in range(phases):
         e = entries_per_rank * size
-        gf_k = gf if k == 0 else gf_coarse
         per_iter_compute = machine.compute_cost(e * work_factor)
 
-        ghost_bytes = gf_k * e * _GHOST_ENTRY_BYTES
+        ghost_bytes = gf * e * _GHOST_ENTRY_BYTES
         if config.ghost_delta_updates:
             ghost_bytes *= _DELTA_PAYLOAD_FACTOR
         per_iter_ghost = machine.exchange_leg_cost(
-            int(ghost_bytes), int(ghost_bytes), p, rank=0, degree=degree
+            int(ghost_bytes), int(ghost_bytes), p, rank=0
         )
 
-        comm_bytes = gf_k * e * _COMM_INFO_BYTES
+        comm_bytes = gf * e * _COMM_INFO_BYTES
         if config.community_push_updates:
             leg = machine.exchange_leg_cost(
                 int(comm_bytes * _PUSH_PAYLOAD_FACTOR),
                 int(comm_bytes * _PUSH_PAYLOAD_FACTOR),
                 p,
                 rank=0,
-                degree=degree,
             )
             per_iter_community = 2.0 * leg  # one fused round trip
         else:
             leg = machine.exchange_leg_cost(
-                int(comm_bytes), int(comm_bytes), p, rank=0, degree=degree
+                int(comm_bytes), int(comm_bytes), p, rank=0
             )
             per_iter_community = 3.0 * leg  # fetch x2 + delta push
         per_iter_allreduce = machine.allreduce_cost(64, p)
@@ -264,25 +233,16 @@ def predict_cost(
             refine += _REFINE_ROUNDS * (
                 per_iter_ghost + machine.allreduce_cost(8, p)
             ) + 2.0 * machine.exchange_leg_cost(
-                int(gf_k * e * _GHOST_ENTRY_BYTES),
-                int(gf_k * e * _GHOST_ENTRY_BYTES),
+                int(gf * e * _GHOST_ENTRY_BYTES),
+                int(gf * e * _GHOST_ENTRY_BYTES),
                 p,
                 rank=0,
-                degree=degree,
             )
 
         rebuild_bytes = int(e * _REBUILD_ENTRY_BYTES)
         rebuild += machine.alltoallv_cost(
             rebuild_bytes, rebuild_bytes, p, rank=0
         ) + machine.allreduce_cost(64, p)
-        if repartitioned:
-            # One-time migration/placement term per boundary: every rank
-            # broadcasts its coarse meta-edge partials (allgather) and
-            # replays the greedy placement on the merged list.
-            coarse_bytes = int(e * _PHASE_SHRINK * _REBUILD_ENTRY_BYTES)
-            partition += machine.allgather_cost(
-                coarse_bytes, p
-            ) + machine.compute_cost(e * _PHASE_SHRINK * p)
         size *= _PHASE_SHRINK
 
     io = machine.io_cost(input_entries_per_rank * _INPUT_ENTRY_BYTES)
@@ -292,7 +252,6 @@ def predict_cost(
         "community_comm": community,
         "allreduce": allreduce,
         "rebuild": rebuild,
-        "partition": partition,
         "refine": refine,
         "io": io,
     }

@@ -32,7 +32,9 @@ from ..core.config import LouvainConfig
 from .features import GraphFeatures, feature_distance
 
 #: On-disk document version; bump on incompatible layout changes.
-DB_FORMAT_VERSION = 1
+#: v2: configs lost two fields and the feature vector a dimension, so
+#: v1 plans and nearest-neighbour distances do not carry over.
+DB_FORMAT_VERSION = 2
 
 #: Default feature-space radius inside which a neighbour's plan is
 #: considered transferable.  Vector axes are normalised to ~unit scale
@@ -356,15 +358,17 @@ def _read_file(path: str) -> dict[str, TuningRecord]:
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ValueError(f"{path}: not a tuning DB document")
     version = doc.get("version", 0)
-    if not 1 <= version <= DB_FORMAT_VERSION:
+    if version != DB_FORMAT_VERSION:
         raise ValueError(
             f"{path}: tuning DB version {version} not supported "
-            f"(this build reads 1..{DB_FORMAT_VERSION})"
+            f"(this build reads {DB_FORMAT_VERSION})"
         )
     out: dict[str, TuningRecord] = {}
     for fp, entry in doc["entries"].items():
-        rec = TuningRecord.from_dict(entry)
-        out[fp] = rec
+        try:
+            out[fp] = TuningRecord.from_dict(entry)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: entry {fp}: {exc}") from exc
     return out
 
 

@@ -18,7 +18,7 @@ graph always featurizes identically regardless of process or platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
@@ -35,12 +35,11 @@ DEFAULT_GHOST_PROBES: tuple[int, ...] = (2, 4, 8)
 #: changes so stale DB entries are recognisably old.
 #: v2 added the streaming-churn axes (default 0.0, so v1 records load
 #: unchanged as "static graph, no churn observed").
-#: v3 added the achieved-ghost-fraction feedback map (default empty, so
-#: v1/v2 records load unchanged as "no repartitioned run observed").
 #: v4 added the degree-one vertex fraction (default 0.0, so older
 #: records load unchanged as "no leaves": vertex following then gets no
 #: modelled discount, which is the conservative estimate).
-FEATURES_VERSION = 4
+#: v5 removed v3's achieved-ghost feedback map and its vector slot.
+FEATURES_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -78,13 +77,6 @@ class GraphFeatures:
     #: the population Grappolo's vertex-following heuristic merges away
     #: before phase 1, hence the direct driver of its modelled payoff.
     degree_one_fraction: float = 0.0
-    #: Measured feedback from ``repartition="community"`` runs:
-    #: p -> mean *achieved* cross-rank entry fraction of the coarse
-    #: phases (phases >= 1).  Empty until a repartitioned run reports
-    #: back; the cost model falls back to a fixed discount without it.
-    achieved_ghost_fraction: Mapping[int, float] = field(
-        default_factory=dict
-    )
 
     # ------------------------------------------------------------------
     def ghost_fraction_at(self, nranks: int) -> float:
@@ -104,39 +96,6 @@ class GraphFeatures:
         best = min(probes, key=lambda p: abs(math.log2(p) - math.log2(nranks)))
         return float(self.ghost_fraction[best])
 
-    def achieved_ghost_at(self, nranks: int) -> float | None:
-        """Measured coarse-phase ghost fraction at ``nranks``, if known.
-
-        Served from the nearest probed rank count (``log2`` distance,
-        like :meth:`ghost_fraction_at`); ``None`` when no repartitioned
-        run has reported feedback yet.
-        """
-        if nranks <= 1:
-            return 0.0
-        probes = sorted(self.achieved_ghost_fraction)
-        if not probes:
-            return None
-        if nranks in self.achieved_ghost_fraction:
-            return float(self.achieved_ghost_fraction[nranks])
-        best = min(probes, key=lambda p: abs(math.log2(p) - math.log2(nranks)))
-        return float(self.achieved_ghost_fraction[best])
-
-    def with_achieved_ghost(
-        self, nranks: int, fraction: float
-    ) -> "GraphFeatures":
-        """Copy with one measured coarse-phase ghost fraction merged in.
-
-        The search loop calls this after a ``repartition="community"``
-        trial so the record persisted to the tuning DB carries the
-        achieved fraction — later cost-model queries on this graph (or
-        its nearest neighbours) then use measurement over guesswork.
-        """
-        import dataclasses
-
-        merged = dict(self.achieved_ghost_fraction)
-        merged[int(nranks)] = max(float(fraction), 0.0)
-        return dataclasses.replace(self, achieved_ghost_fraction=merged)
-
     def vector(self) -> tuple[float, ...]:
         """Normalised feature vector for nearest-neighbour distance.
 
@@ -155,14 +114,6 @@ class GraphFeatures:
             min(self.churn_edge_fraction, 1.0),
             min(self.churn_touched_fraction, 1.0),
             min(self.degree_one_fraction, 1.0),
-            # Achieved coarse-phase fraction under community repartition;
-            # falls back to the static estimate so unmeasured records
-            # (this axis then duplicates the one above) stay comparable.
-            (
-                self.achieved_ghost_at(max(DEFAULT_GHOST_PROBES))
-                if self.achieved_ghost_fraction
-                else self.ghost_fraction_at(max(DEFAULT_GHOST_PROBES))
-            ),
         )
 
     def with_churn(
@@ -199,10 +150,6 @@ class GraphFeatures:
             "churn_edge_fraction": self.churn_edge_fraction,
             "churn_touched_fraction": self.churn_touched_fraction,
             "degree_one_fraction": self.degree_one_fraction,
-            "achieved_ghost_fraction": {
-                str(p): float(f)
-                for p, f in sorted(self.achieved_ghost_fraction.items())
-            },
         }
 
     @classmethod
@@ -225,24 +172,12 @@ class GraphFeatures:
             ),
             # v1-v3 records carry no leaf census: load as "no leaves".
             degree_one_fraction=float(data.get("degree_one_fraction", 0.0)),
-            # v1/v2 records carry no feedback map: load as unmeasured.
-            achieved_ghost_fraction={
-                int(p): float(f)
-                for p, f in dict(
-                    data.get("achieved_ghost_fraction", {})
-                ).items()
-            },
         )
 
     def format(self) -> str:
         ghosts = " ".join(
             f"p{p}={f:.2f}" for p, f in sorted(self.ghost_fraction.items())
         )
-        if self.achieved_ghost_fraction:
-            ghosts += " | achieved " + " ".join(
-                f"p{p}={f:.2f}"
-                for p, f in sorted(self.achieved_ghost_fraction.items())
-            )
         churn = (
             f" churn[e={self.churn_edge_fraction:.3f} "
             f"v={self.churn_touched_fraction:.3f}]"

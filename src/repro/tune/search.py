@@ -49,23 +49,6 @@ from .space import Candidate, SearchSpace, default_space
 TUNER_VERSION = 1
 
 
-def _achieved_ghost(result: LouvainResult) -> float | None:
-    """Mean achieved coarse-phase ghost fraction of one run, if measured.
-
-    Phase 0 always runs on the input split, so only phases >= 1 (whose
-    layout the repartitioner chose) count.  ``None`` when the run never
-    reached a coarse phase or predates the measurement.
-    """
-    gfs = [
-        p.ghost_fraction
-        for p in result.phases
-        if p.phase >= 1 and p.ghost_fraction >= 0.0
-    ]
-    if not gfs:
-        return None
-    return float(sum(gfs) / len(gfs))
-
-
 def _pareto_frontier(
     points: list[tuple[float, float, Candidate]],
 ) -> tuple[dict[str, Any], ...]:
@@ -255,7 +238,7 @@ def plan_for_graph(
     def measure(
         cand: Candidate, rung: int, cap: int | None
     ) -> tuple[Trial, LouvainResult]:
-        nonlocal spent, features
+        nonlocal spent
         result = run_trial(
             g,
             cand.config,
@@ -275,16 +258,6 @@ def plan_for_graph(
         )
         trials.append(trial)
         spent += result.elapsed
-        # Feed the achieved coarse-phase ghost fraction back into the
-        # features that get persisted with the record: later cost-model
-        # queries on this graph then rank repartitioned candidates from
-        # measurement instead of the fixed fallback discount.
-        if cand.config.repartition == "community" and cand.ranks > 1:
-            achieved = _achieved_ghost(result)
-            if achieved is not None:
-                features = features.with_achieved_ghost(
-                    cand.ranks, achieved
-                )
         return trial, result
 
     # ------------------------------------------------------------------

@@ -68,16 +68,12 @@ class Candidate:
             extras.append("push")
         if cfg.ghost_delta_updates:
             extras.append("delta")
-        if cfg.use_neighbor_collectives:
-            extras.append("nbr")
         if cfg.use_coloring:
             extras.append("coloring")
         if cfg.vertex_following:
             extras.append("vf")
         if cfg.refine != "none":
             extras.append(f"refine={cfg.refine}")
-        if cfg.repartition != "none":
-            extras.append(f"repart={cfg.repartition}")
         tail = (" " + " ".join(extras)) if extras else ""
         return f"{cfg.label()} x{self.ranks}{tail}"
 
@@ -112,10 +108,6 @@ class SearchSpace:
     #: Transport knobs (bit-identical results; runtime only).
     community_push: tuple[bool, ...] = (False, True)
     ghost_delta: tuple[bool, ...] = (False, True)
-    neighbor_collectives: tuple[bool, ...] = (False,)
-    #: Phase-boundary layouts (outcome-identical for the deterministic
-    #: variants; runtime differs via the coarse ghost fraction).
-    repartitions: tuple[str, ...] = ("none", "community")
     #: Grappolo heuristics and Leiden refinement (quality/speed axes —
     #: these change the detection *outcome*, so the Pareto frontier is
     #: where their trade-offs surface).  The resolution parameter is
@@ -174,55 +166,43 @@ class SearchSpace:
                 if variant.uses_threshold_cycling
                 else ("paper",)
             )
-            for alpha in alphas:
-                for exit_fraction in exits:
-                    for cycle_name in cycles:
-                        for push in self.community_push:
-                            for delta in self.ghost_delta:
-                                for nbr in self.neighbor_collectives:
-                                    for ranks in self.rank_counts:
-                                        # Repartitioning is a no-op on a
-                                        # single rank: pin it there so the
-                                        # space stays alias-free.
-                                        reparts = (
-                                            self.repartitions
-                                            if ranks > 1
-                                            else (base.repartition,)
-                                        )
-                                        heuristics = product(
-                                            reparts,
-                                            self.colorings,
-                                            self.vertex_following,
-                                            self.refines,
-                                        )
-                                        for (
-                                            repart,
-                                            coloring,
-                                            vf,
-                                            refine,
-                                        ) in heuristics:
-                                            try:
-                                                config = replace(
-                                                    base,
-                                                    variant=variant,
-                                                    alpha=alpha,
-                                                    etc_exit_fraction=exit_fraction,
-                                                    threshold_cycle=THRESHOLD_CYCLES[
-                                                        cycle_name
-                                                    ],
-                                                    community_push_updates=push,
-                                                    ghost_delta_updates=delta,
-                                                    use_neighbor_collectives=nbr,
-                                                    repartition=repart,
-                                                    use_coloring=coloring,
-                                                    vertex_following=vf,
-                                                    refine=refine,
-                                                )
-                                            except ValueError:
-                                                continue  # constraint oracle said no
-                                            yield Candidate(
-                                                config=config, ranks=ranks
-                                            )
+            for (
+                alpha,
+                exit_fraction,
+                cycle_name,
+                push,
+                delta,
+                ranks,
+                coloring,
+                vf,
+                refine,
+            ) in product(
+                alphas,
+                exits,
+                cycles,
+                self.community_push,
+                self.ghost_delta,
+                self.rank_counts,
+                self.colorings,
+                self.vertex_following,
+                self.refines,
+            ):
+                try:
+                    config = replace(
+                        base,
+                        variant=variant,
+                        alpha=alpha,
+                        etc_exit_fraction=exit_fraction,
+                        threshold_cycle=THRESHOLD_CYCLES[cycle_name],
+                        community_push_updates=push,
+                        ghost_delta_updates=delta,
+                        use_coloring=coloring,
+                        vertex_following=vf,
+                        refine=refine,
+                    )
+                except ValueError:
+                    continue  # constraint oracle said no
+                yield Candidate(config=config, ranks=ranks)
 
     def size(self) -> int:
         return len(self.candidates())

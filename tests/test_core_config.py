@@ -137,6 +137,12 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="unknown"):
             LouvainConfig.from_dict({"tau": 1e-6, "warp_speed": True})
 
+    def test_from_dict_rejects_removed_fields(self):
+        # No retired-name allow-list: a removed knob is a typo like any
+        # other, even at the value that used to be its default.
+        with pytest.raises(ValueError, match="unknown.*repartition"):
+            LouvainConfig.from_dict({"repartition": "none"})
+
     def test_from_dict_partial_uses_defaults(self):
         cfg = LouvainConfig.from_dict({"seed": 42})
         assert cfg.seed == 42
@@ -170,7 +176,6 @@ class TestCacheKey:
         # result for a push request is correct.
         base = LouvainConfig()
         for knob in (
-            "use_neighbor_collectives",
             "ghost_delta_updates",
             "community_push_updates",
         ):

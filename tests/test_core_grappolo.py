@@ -15,6 +15,10 @@ from repro.core import (
 from repro.graph import CSRGraph
 
 from .conftest import assert_valid_partition
+from .oracles.grappolo_reference import (
+    greedy_coloring_loop,
+    vertex_following_loop,
+)
 
 
 class TestGreedyColoring:
@@ -54,39 +58,31 @@ class TestVectorisedKernelEquivalence:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_coloring_matches_reference_loop(self, seed):
-        from repro.core.grappolo import _greedy_coloring_loop
-
         g = self._random_graph(seed)
         np.testing.assert_array_equal(
-            greedy_coloring(g), _greedy_coloring_loop(g)
+            greedy_coloring(g), greedy_coloring_loop(g)
         )
 
     @pytest.mark.parametrize("seed", range(8))
     def test_vertex_following_matches_reference_loop(self, seed):
-        from repro.core.grappolo import _vertex_following_loop
-
         g = self._random_graph(seed)
         np.testing.assert_array_equal(
-            vertex_following_seed(g), _vertex_following_loop(g)
+            vertex_following_seed(g), vertex_following_loop(g)
         )
 
     def test_coloring_sequential_chain(self, path_graph):
         # Worst-case wave depth: every vertex waits on its predecessor.
-        from repro.core.grappolo import _greedy_coloring_loop
-
         np.testing.assert_array_equal(
-            greedy_coloring(path_graph), _greedy_coloring_loop(path_graph)
+            greedy_coloring(path_graph), greedy_coloring_loop(path_graph)
         )
 
     def test_isolated_edges_follow_to_larger_id(self):
-        from repro.core.grappolo import _vertex_following_loop
-
         g = CSRGraph.from_edges(
             4, [0, 1, 2, 3], [1, 0, 3, 2], [1.0] * 4
         )
         comm = vertex_following_seed(g)
         np.testing.assert_array_equal(comm, [1, 1, 3, 3])
-        np.testing.assert_array_equal(comm, _vertex_following_loop(g))
+        np.testing.assert_array_equal(comm, vertex_following_loop(g))
 
 
 class TestVertexFollowing:

@@ -61,11 +61,9 @@ class TestBitIdentical:
         "toggles",
         [
             {"use_coloring": True},
-            {"use_neighbor_collectives": True},
             {"ghost_delta_updates": True},
             {
                 "use_coloring": True,
-                "use_neighbor_collectives": True,
                 "ghost_delta_updates": True,
             },
         ],

@@ -203,7 +203,6 @@ _COMPOSITIONS = [
         "community_push_updates": True,
         "ghost_delta_updates": True,
     },
-    {"vertex_following": True, "refine": "leiden", "repartition": "community"},
     {"refine": "leiden", "use_coloring": True},
     {"vertex_following": True, "use_coloring": True},
 ]

@@ -110,8 +110,7 @@ class TestGhostPlan:
 
 
 class TestGhostExchange:
-    @pytest.mark.parametrize("use_neighbor", [False, True])
-    def test_values_match_owners(self, use_neighbor):
+    def test_values_match_owners(self):
         g = planted_blocks_graph(blocks=4, per_block=10, seed=3)
 
         def prog(comm):
@@ -119,17 +118,12 @@ class TestGhostExchange:
             plan = dg.build_ghost_plan(comm)
             # Send a recognisable function of the global vertex id.
             local = (np.arange(dg.vbegin, dg.vend) * 7 + 1).astype(np.int64)
-            ghosts = dg.exchange_ghost_values(
-                comm, plan, local, use_neighbor_collectives=use_neighbor
-            )
+            ghosts = dg.exchange_ghost_values(comm, plan, local)
             return bool(np.all(ghosts == plan.ghost_ids * 7 + 1))
 
         assert all(spmd(4, prog).values)
 
-    @pytest.mark.parametrize("use_neighbor", [False, True])
-    def test_insertion_order_of_plan_dicts_is_irrelevant(
-        self, use_neighbor
-    ):
+    def test_insertion_order_of_plan_dicts_is_irrelevant(self):
         # Regression: exchange_ghost_values used to iterate
         # plan.send_ids/recv_ids in dict insertion order, so two plans
         # with the same content but different construction history could
@@ -149,13 +143,8 @@ class TestGhostExchange:
                 send_ids=dict(reversed(list(plan.send_ids.items()))),
             )
             local = (np.arange(dg.vbegin, dg.vend) * 7 + 1).astype(np.int64)
-            a = dg.exchange_ghost_values(
-                comm, plan, local, use_neighbor_collectives=use_neighbor
-            )
-            b = dg.exchange_ghost_values(
-                comm, reversed_plan, local,
-                use_neighbor_collectives=use_neighbor,
-            )
+            a = dg.exchange_ghost_values(comm, plan, local)
+            b = dg.exchange_ghost_values(comm, reversed_plan, local)
             return bool(np.array_equal(a, b)) and bool(
                 np.all(a == plan.ghost_ids * 7 + 1)
             )

@@ -1,4 +1,4 @@
-"""Unit tests for 1-D partitioners and the community placer."""
+"""Unit tests for 1-D partitioners."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.graph import (
     even_vertex,
     local_counts,
     owner_of,
-    place_communities,
 )
 
 
@@ -145,92 +144,3 @@ class TestOwnerOf:
         with pytest.raises(ValueError):
             owner_of(off, -1)
 
-
-class TestPlaceCommunities:
-    def _clique_pair_metagraph(self):
-        """Two 3-community cliques joined by one weak edge.
-
-        Directed stored-entry list: communities {0,1,2} heavily
-        interconnected, {3,4,5} heavily interconnected, one light
-        2 <-> 3 bridge.
-        """
-        src, dst, w = [], [], []
-
-        def link(a, b, weight):
-            src.extend([a, b])
-            dst.extend([b, a])
-            w.extend([weight, weight])
-
-        for grp in ((0, 1, 2), (3, 4, 5)):
-            for i in grp:
-                for j in grp:
-                    if i < j:
-                        link(i, j, 10.0)
-        link(2, 3, 1.0)
-        return (
-            np.array(src, dtype=np.int64),
-            np.array(dst, dtype=np.int64),
-            np.array(w, dtype=np.float64),
-        )
-
-    def test_colocates_connected_communities(self):
-        src, dst, w = self._clique_pair_metagraph()
-        rank_of = place_communities(6, src, dst, w, 2)
-        # Each clique must land whole on one rank (and the two cliques
-        # on different ranks, since either alone exceeds half the load).
-        assert len(set(rank_of[:3].tolist())) == 1
-        assert len(set(rank_of[3:].tolist())) == 1
-        assert rank_of[0] != rank_of[3]
-
-    def test_deterministic(self):
-        src, dst, w = self._clique_pair_metagraph()
-        a = place_communities(6, src, dst, w, 4)
-        b = place_communities(6, src, dst, w, 4)
-        np.testing.assert_array_equal(a, b)
-
-    def test_load_cap_respected(self):
-        # 8 isolated communities of equal size: the cap forces an even
-        # 2-per-rank spread at p = 4 regardless of processing order.
-        src = np.repeat(np.arange(8, dtype=np.int64), 2)
-        dst = src.copy()  # self-loop entries only (no affinity signal)
-        w = np.ones(len(src))
-        rank_of = place_communities(8, src, dst, w, 4)
-        loads = np.bincount(rank_of, minlength=4)
-        assert loads.max() <= 2 * -(-8 * 2 * (1.0 + 0.1) // (4 * 2))
-
-    def test_single_rank_is_trivial(self):
-        src, dst, w = self._clique_pair_metagraph()
-        np.testing.assert_array_equal(
-            place_communities(6, src, dst, w, 1), np.zeros(6)
-        )
-
-    def test_edgeless_metagraph_spreads_evenly(self):
-        empty = np.empty(0, dtype=np.int64)
-        rank_of = place_communities(6, empty, empty, empty.astype(float), 3)
-        loads = np.bincount(rank_of, minlength=3)
-        assert loads.max() == 2
-
-    def test_isolated_communities_still_placed(self):
-        # Community 2 never appears in the edge list; it must still get
-        # a valid owner.
-        src = np.array([0, 1], dtype=np.int64)
-        dst = np.array([1, 0], dtype=np.int64)
-        w = np.ones(2)
-        rank_of = place_communities(3, src, dst, w, 2)
-        assert rank_of.min() >= 0 and rank_of.max() < 2
-
-    def test_rejects_out_of_range_ids(self):
-        with pytest.raises(ValueError):
-            place_communities(
-                2,
-                np.array([0, 2]),
-                np.array([1, 0]),
-                np.ones(2),
-                2,
-            )
-
-    def test_rejects_misaligned_arrays(self):
-        with pytest.raises(ValueError):
-            place_communities(
-                2, np.array([0]), np.array([1, 0]), np.ones(2), 2
-            )

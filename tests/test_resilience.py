@@ -21,6 +21,7 @@ from repro.resilience import (
     load_shard,
     read_manifest,
     scan_checkpoints,
+    unpack_rank_state,
     verify_manifest,
 )
 from repro.runtime import (
@@ -262,3 +263,19 @@ class TestConfigKeyGuard:
         run_louvain(g, 2, cfg, checkpoint_dir=d)
         manifest = latest_valid_manifest(d, expect_size=2)
         assert manifest.config_key == cfg.cache_key()
+
+    def test_shard_without_offsets_refused(self, tmp_path):
+        """Shards of the removed community-placed layout carry an owner
+        map instead of ``offsets``; pre-key manifests skip the config
+        guard, so the unpacker itself must refuse them by name."""
+        g, cfg = _graph(), _config()
+        d = str(tmp_path / "ck")
+        run_louvain(g, 2, cfg, checkpoint_dir=d)
+        manifest = latest_valid_manifest(d, expect_size=2)
+        meta, arrays = load_shard(manifest, 0)
+        unpack_rank_state(0, meta, arrays)  # as written: loads
+        del arrays["offsets"]
+        with pytest.raises(
+            ValueError, match="removed community-placed layout"
+        ):
+            unpack_rank_state(0, meta, arrays)

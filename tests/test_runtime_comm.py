@@ -354,23 +354,6 @@ class TestExchangeRoundtrip:
 
         assert spmd(1, prog).values == [[0, 2, 4]]
 
-    def test_sparse_mode_matches_dense_results(self):
-        def prog(comm, sparse):
-            out = [None] * comm.size
-            out[(comm.rank + 1) % comm.size] = np.full(4, comm.rank)
-
-            def serve(incoming):
-                return [
-                    None if v is None else v + 100 for v in incoming
-                ]
-
-            got = comm.exchange_roundtrip(out, serve, sparse=sparse)
-            return [None if v is None else v.tolist() for v in got]
-
-        dense = spmd(4, lambda c: prog(c, False))
-        sparse = spmd(4, lambda c: prog(c, True))
-        assert dense.values == sparse.values
-
     def test_wrong_outgoing_length(self):
         def prog(comm):
             with pytest.raises(ValueError):

@@ -104,6 +104,31 @@ class TestPersistence:
         with pytest.raises(ValueError, match="not supported"):
             TuningDB(path)
 
+    def test_v1_file_refused_with_path(self, tmp_path):
+        # v1 entries hold config dicts with since-removed fields.
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"version": 1, "entries": {}}))
+        with pytest.raises(ValueError) as excinfo:
+            TuningDB(path)
+        assert f"{path}: tuning DB version 1 not supported" in str(
+            excinfo.value
+        )
+
+    def test_undecodable_entry_names_file_and_fingerprint(
+        self, channel, tmp_path
+    ):
+        path = tmp_path / "db.json"
+        TuningDB(path).put(_record(channel))
+        doc = json.loads(path.read_text())
+        fp = channel.fingerprint()
+        doc["entries"][fp]["config"]["repartition"] = "none"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as excinfo:
+            TuningDB(path)
+        msg = str(excinfo.value)
+        assert str(path) in msg and fp in msg
+        assert "unknown LouvainConfig field(s): repartition" in msg
+
     def test_no_tmp_litter(self, channel, tmp_path):
         path = tmp_path / "db.json"
         db = TuningDB(path)

@@ -65,6 +65,14 @@ class TestSerialization:
         blob = json.dumps(compute_features(channel).to_dict())
         assert "ghost_fraction" in blob
 
+    def test_v4_record_loads_without_achieved_ghost_slot(self, channel):
+        f = compute_features(channel)
+        v4 = dict(f.to_dict(), version=4, achieved_ghost_fraction={"4": 0.5})
+        assert GraphFeatures.from_dict(v4) == f
+        assert f.to_dict()["version"] == 5
+        assert "achieved_ghost_fraction" not in f.to_dict()
+        assert len(f.vector()) == 10
+
 
 class TestDistance:
     def test_self_distance_zero(self, channel):

@@ -1,5 +1,8 @@
 """Unit tests for the declarative search space (repro.tune.space)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import LouvainConfig, Variant
@@ -44,6 +47,32 @@ class TestEnumeration:
     def test_rank_axis_respects_cap(self):
         ranks = {c.ranks for c in default_space(max_ranks=4).candidates()}
         assert ranks == {1, 2, 4}
+
+    def test_default_space_order_pinned(self):
+        # The digest is that of the eleven-deep loop nest's candidate
+        # list (the one with the repartition / neighbour-collective
+        # axes, filtered to repartition == "none" and with those two
+        # fields dropped from every config dict), taken at PR 12: the
+        # flattened product must enumerate the survivors in that order.
+        cands = default_space().candidates()
+        assert default_space().size() == len(cands) == 2688
+        assert cands[0].describe() == "Baseline x1"
+        assert cands[-1].describe() == (
+            "ET(0.75)+TC x8 cycle=custom push delta coloring vf "
+            "refine=leiden"
+        )
+        digest = hashlib.sha256()
+        for c in cands:
+            digest.update(
+                json.dumps(
+                    {"config": c.config.to_dict(), "ranks": c.ranks},
+                    sort_keys=True,
+                ).encode()
+            )
+            digest.update(b"\n")
+        assert digest.hexdigest() == (
+            "346cc2218306e0a4c52ac2d6c2108c601320fbad3f4e42c0f8afec314dd59456"
+        )
 
 
 class TestValidation:
@@ -96,7 +125,6 @@ class TestHeuristicAxes:
             rank_counts=(2,),
             community_push=(False,),
             ghost_delta=(False,),
-            repartitions=("none",),
         ).candidates()
         combos = {
             (c.config.use_coloring, c.config.vertex_following, c.config.refine)
