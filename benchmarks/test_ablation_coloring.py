@@ -1,16 +1,12 @@
-"""Ablation: distance-1 coloring and delta ghost updates (§IV-B/§VI).
+"""Ablation: distance-1 coloring (§VI).
 
-Two implemented extensions the paper proposes but does not evaluate:
-
-* coloring trades extra synchronisation per iteration (one sweep round
-  per colour class) for fewer iterations to converge;
-* delta ghost updates ship only moved vertices' community values,
-  cutting ghost-exchange volume at zero quality cost.
+An implemented extension the paper proposes but does not evaluate:
+coloring trades extra synchronisation per iteration (one sweep round,
+with its own ghost and community exchanges, per colour class) for fewer
+iterations to converge.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.bench import format_table
 from repro.core import LouvainConfig, run_louvain
@@ -27,10 +23,6 @@ def collect():
         col = run_louvain(
             g, 4, LouvainConfig(use_coloring=True), machine=mach
         )
-        delta = run_louvain(
-            g, 4, LouvainConfig(ghost_delta_updates=True), machine=mach
-        )
-        assert np.array_equal(base.assignment, delta.assignment)
         rows.append(
             [
                 name,
@@ -39,13 +31,13 @@ def collect():
                 round(base.modularity, 4),
                 round(col.modularity, 4),
                 base.trace.total_bytes,
-                delta.trace.total_bytes,
+                col.trace.total_bytes,
             ]
         )
     return rows
 
 
-def test_ablation_coloring_and_deltas(benchmark, record_result):
+def test_ablation_coloring(benchmark, record_result):
     rows = benchmark.pedantic(
         collect, rounds=1, iterations=1, warmup_rounds=0
     )
@@ -58,17 +50,14 @@ def test_ablation_coloring_and_deltas(benchmark, record_result):
                 "iters (coloring)",
                 "Q (baseline)",
                 "Q (coloring)",
-                "bytes (full ghosts)",
-                "bytes (delta ghosts)",
+                "bytes (baseline)",
+                "bytes (coloring)",
             ],
             rows,
-            title="Ablation — §VI coloring and delta ghost updates",
+            title="Ablation — §VI coloring",
         ),
     )
-    for _, it_b, it_c, q_b, q_c, bytes_full, bytes_delta in rows:
+    for _, it_b, it_c, q_b, q_c, _, _ in rows:
         # Coloring: fewer or equal iterations, comparable quality.
         assert it_c <= it_b + 2
         assert q_c >= q_b - 0.03
-        # Delta ghosts: strictly less traffic (identical results,
-        # asserted inside collect()).
-        assert bytes_delta < bytes_full

@@ -4,6 +4,10 @@ Not a paper figure — the sharded serving tier is an extension beyond
 the paper (see docs/PAPER_MAPPING.md and docs/SERVING.md).  This bench
 keeps the tier honest under the workload it was built for:
 
+* **engine**: 16 distinct (graph, config) jobs through one 4-worker
+  in-process engine, then the same jobs resubmitted against its
+  populated result store (all cache hits) — the single-process
+  baseline the sharded numbers below sit on;
 * **cold**: first detection of every tenant through a 2-shard fleet —
   process-spawn + scheduling + SPMD simulation end to end;
 * **warm**: repeated detections against the shared disk result store —
@@ -30,11 +34,52 @@ import time
 
 import numpy as np
 
+from repro.core import PAPER_VARIANTS
 from repro.generators import make_graph
-from repro.service import DetectionRequest, Engine
+from repro.service import DetectionRequest, Engine, ResultStore
 from repro.serving import ChurnPolicy, DeficitRoundRobinScheduler, ServingTier
 
 WAIT = 300.0
+
+
+def test_service_throughput(record_result):
+    requests = [
+        DetectionRequest(graph=g, nranks=p, config=cfg)
+        for g in (
+            make_graph("soc-friendster", scale="tiny"),
+            make_graph("channel", scale="tiny"),
+        )
+        for cfg in PAPER_VARIANTS
+        for p in (2, 4)
+    ][:16]
+    store = ResultStore(capacity=64)
+
+    with Engine(workers=4, store=store) as engine:
+        t0 = time.perf_counter()
+        engine.wait_all([engine.submit(r) for r in requests], timeout=600)
+        cold = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        warm_ids = [engine.submit(r) for r in requests]
+        responses = engine.wait_all(warm_ids, timeout=600)
+        warm = time.perf_counter() - t0
+
+        snapshot = engine.metrics.snapshot()
+
+    hits = sum(r.cache_hit for r in responses)
+    assert hits == len(requests), "warm pass should be all cache hits"
+    assert snapshot["counters"]["cache_hits"] >= len(requests)
+
+    lines = [
+        "service throughput (4 workers, tiny graphs, "
+        f"{len(requests)} mixed-variant jobs)",
+        f"  cold: {cold:8.3f}s  {len(requests) / cold:8.1f} jobs/s",
+        f"  warm: {warm:8.3f}s  {len(requests) / warm:8.1f} jobs/s "
+        "(all cache hits)",
+        f"  cache hit-rate over both passes: "
+        f"{snapshot['cache_hit_rate']:.1%}",
+    ]
+    record_result("service_throughput", "\n".join(lines))
 
 
 def test_serving_throughput(record_result, record_bench, tmp_path):

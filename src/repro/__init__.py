@@ -20,9 +20,8 @@ One-shot, without a worker pool::
 
     result = detect(DetectionRequest(graph=g, nranks=8)).result
 
-The pre-service entry points (``run_louvain``, ``distributed_louvain``,
-``incremental_louvain``) still work but are deprecated wrappers over
-the request API and emit :class:`DeprecationWarning`.
+The library entry points ``run_louvain``, ``distributed_louvain`` and
+``incremental_louvain`` are re-exported from :mod:`repro.core`.
 
 Subpackages
 -----------
@@ -51,9 +50,12 @@ from .core import (
     LouvainConfig,
     LouvainResult,
     Variant,
+    distributed_louvain,
     grappolo_louvain,
+    incremental_louvain,
     louvain,
     modularity,
+    run_louvain,
 )
 from .generators import make_graph
 from .graph import CSRGraph, DistGraph, EdgeList
@@ -67,11 +69,6 @@ from .service import (
     JobState,
     ResultStore,
     detect,
-)
-from .service.facade import (
-    distributed_louvain,
-    incremental_louvain,
-    run_louvain,
 )
 
 __version__ = "1.1.0"

@@ -61,7 +61,6 @@ COLLECTIVE_HELPERS = frozenset(
         "_apply_community_deltas",
         "_component_labels",
         "_exact_modularity",
-        "_exchange_changed",
         "_fetch_community_info",
         "_labels_collide",
         "_load_restored_state",
@@ -91,7 +90,6 @@ COLLECTIVE_HELPERS = frozenset(
         "publish",
         "rebuild_distributed",
         "refine_communities",
-        "refresh",
         "remote_lookup",
         "save",
         "split_communicator",

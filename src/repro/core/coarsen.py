@@ -149,8 +149,8 @@ def rebuild_distributed(
         which live in the vertex-id space).
     ghost_comm:
         Final community id of each ghost vertex, aligned with the phase's
-        :class:`~repro.graph.distgraph.GhostPlan` (i.e. already refreshed
-        after the last iteration).
+        :class:`~repro.graph.distgraph.GhostPlan` (i.e. current as of
+        the last iteration's exchange).
 
     Returns
     -------

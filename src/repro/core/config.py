@@ -84,10 +84,6 @@ CACHE_KEY_FIELDS = frozenset(
 #: Both kinds are *schedule-safe*: they may legitimately change which
 #: collectives run without invalidating a cached detection result.
 CACHE_KEY_EXCLUSIONS = {
-    "ghost_delta_updates": (
-        "transport: delta vs full ghost refresh converges to the same "
-        "ghost state each round"
-    ),
     "community_push_updates": (
         "transport: push vs pull community info exchange is a wire-"
         "protocol choice with bit-identical results"
@@ -141,10 +137,6 @@ class LouvainConfig:
     #: their connected components after every phase's sweep.  Splitting
     #: along zero-edge cuts never lowers modularity.
     refine: str = "none"
-    #: Only ship ghost community values that changed since the last
-    #: exchange (the "further sophistication" §IV-B(b) sketches —
-    #: unmoved vertices' ghost copies are already correct).
-    ghost_delta_updates: bool = False
     #: Owner-push incremental community-info exchange: ranks subscribe
     #: to the remote communities they reference and owners push fresh
     #: ``(a_c, |c|)`` only for subscribed communities that *changed*,
@@ -259,8 +251,8 @@ class LouvainConfig:
         """Stable content hash over the semantically meaningful fields.
 
         Two configs hash equal iff they request the same detection
-        *outcome*: transport knobs (``ghost_delta_updates``,
-        ``community_push_updates``) are excluded because their results are proven bit-identical, and
+        *outcome*: the transport knob ``community_push_updates`` is
+        excluded because its results are proven bit-identical, and
         ``validate_invariants`` is excluded because it only audits.
         Field order never matters (keys are sorted), so the hash is
         stable across dataclass reordering and process restarts.  Used

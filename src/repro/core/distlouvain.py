@@ -4,11 +4,13 @@ SPMD structure (executed identically on every rank):
 
 Phase loop (Algorithm 2)
     * ``ExchangeGhostVertices`` — one-time-per-phase ghost coordinate
-      exchange (Algorithm 4; :meth:`DistGraph.build_ghost_plan`);
+      exchange (Algorithm 4; :meth:`DistGraph.build_ghost_plan`), then
+      one full exchange of the ghost vertices' starting communities;
     * iteration loop (Algorithm 3):
 
-      i.   receive latest community assignment of every ghost vertex
-           (lines 4-5; bulk refresh, category ``ghost_comm``);
+      i.   the community of every ghost vertex as of the last
+           synchronisation point is already in place (lines 4-5; see
+           step iv);
       ii.  fetch current ``a_c``/size for every community referenced by
            this iteration's *active* vertices from the community owners
            (category ``community_comm``);
@@ -16,7 +18,10 @@ Phase loop (Algorithm 2)
            vertex against the fetched state (lines 6-9; the shared
            kernel from :mod:`repro.core.sweep`);
       iv.  push ``a_c``/size deltas of the moves to community owners,
-           who apply them (lines 10-11, category ``community_comm``);
+           who apply them (lines 10-11, category ``community_comm``),
+           and ship the new community of every moved vertex to the ranks
+           ghosting it (the iteration's one ghost exchange, category
+           ``ghost_comm``);
       v.   one global allreduce combines the modularity partials, move
            and activity counters (lines 12-13, category ``allreduce``);
       vi.  tau test; plus ETC's extra inactive-count allreduce and its
@@ -65,111 +70,56 @@ class _PhaseOutcome:
     stats: list[IterationStats]
     exited_by_inactive: bool
     #: Owner-side C_info at phase end (exposed for the debug audits).
-    tot_owned: np.ndarray | None = None
-    size_owned: np.ndarray | None = None
+    tot_owned: np.ndarray
+    size_owned: np.ndarray
 
 
 class _GhostChannel:
-    """Per-phase ghost community refresh (Algorithm 3, lines 4-5).
+    """Per-phase ghost community copies (Algorithm 3, lines 4-5).
 
-    Two transports:
-
-    * full refresh (the paper's baseline): every owned vertex's current
-      community ships to every rank ghosting it, each call;
-    * delta refresh (``config.ghost_delta_updates``, the optimization
-      §IV-B(b) sketches as "further sophistication"): only vertices
-      whose community changed since the last send are shipped, since a
-      ghost copy of an unmoved vertex is already correct.
+    Built from the phase's one full exchange
+    (:meth:`DistGraph.exchange_ghost_values`); after every sweep round
+    :meth:`publish` ships only the values that changed and updates
+    :attr:`values` in place — a ghost copy of an unmoved vertex is
+    already correct (the "further sophistication" §IV-B(b) sketches).
+    The sweep, the modularity estimate and the graph rebuild all read
+    that one array.
     """
 
-    def __init__(self, dg: DistGraph, plan, config: LouvainConfig):
-        self.dg = dg
+    def __init__(self, dg: DistGraph, plan, values: np.ndarray):
         self.plan = plan
-        self.delta = config.ghost_delta_updates
-        self._ghost: np.ndarray | None = None
-        self._last_sent: np.ndarray | None = None
-        self._send_cat: np.ndarray | None = None
-        self._send_rank: np.ndarray | None = None
-        self._send_loc: np.ndarray | None = None
-
-    def send_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened ghost send plan: (owned vertex id, destination rank)
-        pairs.  Built once; shared by the delta refresh and the push
-        protocol's subscription hints (the ranks ghosting a vertex are
-        the ranks that will reference its community next round)."""
-        if self._send_cat is None:
-            items = sorted(self.plan.send_ids.items())
-            self._send_cat = (
-                np.concatenate([ids for _, ids in items])
-                if items
-                else np.empty(0, np.int64)
-            )
-            self._send_rank = (
-                np.repeat(
-                    np.array([r for r, _ in items], dtype=np.int64),
-                    [len(ids) for _, ids in items],
-                )
-                if items
-                else np.empty(0, np.int64)
-            )
-        return self._send_cat, self._send_rank
-
-    def send_local(self) -> np.ndarray:
-        """Local slots of the send-plan vertices (cached ``to_local``)."""
-        if self._send_loc is None:
-            send_cat, _ = self.send_pairs()
-            self._send_loc = np.asarray(self.dg.to_local(send_cat))
-        return self._send_loc
-
-    def refresh(self, comm: Communicator, local_comm: np.ndarray) -> np.ndarray:
-        if not self.delta or self._ghost is None:
-            self._ghost = self.dg.exchange_ghost_values(
-                comm,
-                self.plan,
-                local_comm,
-                category="ghost_comm",
-            )
-            self._last_sent = local_comm.copy()
-            # The delta flag is config (replicated) and the first-call
-            # full refresh happens on the same round everywhere, so the
-            # branch is taken in lockstep.
-            return self._ghost  # spmdlint: ignore[SPMD002]
-        return self._exchange_changed(comm, local_comm)
+        #: Community of every ghost vertex, aligned with ``plan.ghost_ids``.
+        self.values = values
+        # Flattened ghost send plan: (owned vertex id, destination rank)
+        # pairs and the vertices' local slots.  Shared with the push
+        # protocol's subscription hints (the ranks ghosting a vertex are
+        # the ranks that will reference its community next round).
+        items = sorted(plan.send_ids.items())
+        self.send_ids = np.concatenate(
+            [np.empty(0, np.int64)] + [ids for _, ids in items]
+        )
+        self.send_rank = np.repeat(
+            np.array([r for r, _ in items], dtype=np.int64),
+            [len(ids) for _, ids in items],
+        )
+        self.send_loc = np.asarray(dg.to_local(self.send_ids))
 
     def publish(
-        self, comm: Communicator, local_comm: np.ndarray
-    ) -> np.ndarray:
-        """Ship values changed since the last exchange, whatever the
-        transport.  Used after the sweep so the modularity estimate sees
-        the post-move assignment of every ghost; the sweep's own next
-        ``refresh`` then sends nothing new (delta mode) or identical
-        full values (baseline mode), so move trajectories are untouched.
-        """
-        if self._ghost is None:
-            # Replicated: every rank performs the first (full) refresh
-            # together, so the delta buffer exists on all ranks or none.
-            return self.refresh(comm, local_comm)  # spmdlint: ignore[SPMD002]
-        return self._exchange_changed(comm, local_comm)
-
-    def _exchange_changed(
-        self, comm: Communicator, local_comm: np.ndarray
-    ) -> np.ndarray:
-        send_cat, send_rank = self.send_pairs()
-        send_loc = self.send_local()
-        changed = local_comm != self._last_sent
-        m = changed[send_loc]
-        sel = send_cat[m]
+        self, comm: Communicator, local_comm: np.ndarray, moved: np.ndarray
+    ) -> None:
+        """Ship the new community of every ``moved`` owned vertex to the
+        ranks ghosting it.  Every rank participates, moves or not."""
+        m = moved[self.send_loc]
         payloads = split_by_rank(
-            send_rank[m], comm.size, sel, local_comm[send_loc[m]]
+            self.send_rank[m],
+            comm.size,
+            self.send_ids[m],
+            local_comm[self.send_loc[m]],
         )
         received = comm.alltoall(payloads, category="ghost_comm")
-        for r, (ids, values) in enumerate(received):
-            if r == comm.rank or not len(ids):
-                continue
-            slots = np.searchsorted(self.plan.ghost_ids, ids)
-            self._ghost[slots] = values
-        self._last_sent = local_comm.copy()
-        return self._ghost
+        for ids, values in received:
+            if len(ids):
+                self.values[np.searchsorted(self.plan.ghost_ids, ids)] = values
 
 
 def _sweep_round(
@@ -186,10 +136,11 @@ def _sweep_round(
     active: np.ndarray,
     config: LouvainConfig,
     cache: CommunityCache | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Steps (i)-(iv) of one Louvain iteration for one active set.
 
-    Returns ``(new local_comm, moved mask, ghost_comm snapshot, moves)``.
+    Returns ``(new local_comm, moved mask, moves)``; ``ghosts.values`` is
+    current again on return.
     The baseline calls this once per iteration with the full active set;
     the coloring mode (§VI) calls it once per colour class.
 
@@ -204,14 +155,13 @@ def _sweep_round(
     w = dg.total_weight
     nloc = dg.num_local
 
-    # (i) latest ghost vertex community assignments (lines 4-5), then
-    # renumber the communities this rank can see densely: one sort over
-    # the vertex *slots* (local + ghost), one gather per CSR entry.
-    # ``uniq`` is sorted, so dense order is id order and every tie-break
-    # of the kernel is unchanged.
-    ghost_comm = ghosts.refresh(comm, local_comm)
+    # (i) ghost vertex community assignments as of the last exchange
+    # (lines 4-5): renumber the communities this rank can see densely —
+    # one sort over the vertex *slots* (local + ghost), one gather per
+    # CSR entry.  ``uniq`` is sorted, so dense order is id order and
+    # every tie-break of the kernel is unchanged.
     uniq, slot_dense = np.unique(
-        np.concatenate([local_comm, ghost_comm]), return_inverse=True
+        np.concatenate([local_comm, ghosts.values]), return_inverse=True
     )
     target_dense = slot_dense[ctargets]
     local_dense = slot_dense[:nloc]
@@ -275,9 +225,7 @@ def _sweep_round(
         # reference its new community next round — subscribe them now,
         # through the owner, so the info rides this exchange's push leg
         # instead of a fallback pull next round.
-        send_cat, send_rank = ghosts.send_pairs()
-        send_loc = ghosts.send_local()
-        hm = moved[send_loc]
+        hm = moved[ghosts.send_loc]
         cache.exchange_deltas(
             comm,
             old=local_comm[moved],
@@ -285,8 +233,8 @@ def _sweep_round(
             deg=k[moved],
             tot_owned=tot_owned,
             size_owned=size_owned,
-            hint_ids=proposal[send_loc[hm]],
-            hint_ranks=send_rank[hm],
+            hint_ids=proposal[ghosts.send_loc[hm]],
+            hint_ranks=ghosts.send_rank[hm],
         )
     else:
         _apply_community_deltas(
@@ -298,7 +246,10 @@ def _sweep_round(
             tot_owned=tot_owned,
             size_owned=size_owned,
         )
-    return proposal, moved, ghost_comm, res.num_moves
+    # ... and the moved vertices' new communities to the ranks ghosting
+    # them: the round's one ghost exchange.
+    ghosts.publish(comm, proposal, moved)
+    return proposal, moved, res.num_moves
 
 
 def louvain_phase_distributed(
@@ -344,7 +295,6 @@ def louvain_phase_distributed(
     local_comm = dg.local_vertex_ids().copy()
     tot_owned = k.copy()
     size_owned = np.ones(nloc, dtype=np.int64)
-    ghosts = _GhostChannel(dg, plan, config)
     # Owner-push community-info protocol (perf knob; bit-identical to
     # pull).  Per-phase lifetime: community ids live in this graph's
     # vertex-id space.  The warm-start / resume delta applications below
@@ -402,15 +352,13 @@ def louvain_phase_distributed(
     stats: list[IterationStats] = []
     prev_q = -np.inf
     q = 0.0
-    ghost_comm = np.empty(0, dtype=np.int64)
     exited_by_inactive = False
     start_it = 0
 
     if resume_state is not None:
         # Rejoin the loop exactly where the checkpoint was cut.  The
-        # ghost channel is fresh, so the first refresh is a full one —
-        # it reproduces the same ghost values the uninterrupted run's
-        # (possibly delta) refresh would hold at this point.
+        # full ghost exchange below reproduces the values the
+        # uninterrupted run's channel holds at this point.
         local_comm = resume_state.local_comm.astype(np.int64).copy()
         tot_owned = resume_state.tot_owned.astype(np.float64).copy()
         size_owned = resume_state.size_owned.astype(np.int64).copy()
@@ -424,6 +372,16 @@ def louvain_phase_distributed(
                 bool
             ).copy()
             et.rng.bit_generator.state = resume_state.et_rng_state
+
+    # Algorithm 3 lines 4-5, once per phase in full: the warm-start /
+    # resume state is in place, later rounds ship only what changed.
+    ghosts = _GhostChannel(
+        dg,
+        plan,
+        dg.exchange_ghost_values(
+            comm, plan, local_comm, category="ghost_comm"
+        ),
+    )
 
     for it in range(start_it, config.max_iterations):
         # ET: vertices mark themselves active/inactive first (§IV-B(b)).
@@ -440,7 +398,7 @@ def louvain_phase_distributed(
         # — replicated even though each round's active *mask* is
         # rank-local (the mask only gates local move proposals).
         for round_active in rounds:  # spmdlint: ignore[SPMD001, SPMD004]
-            local_comm, round_moved, ghost_comm, n = _sweep_round(
+            local_comm, round_moved, n = _sweep_round(
                 comm, dg, ghosts, ctargets, sweep_plan, self_mask, k,
                 local_comm, tot_owned, size_owned, round_active, config,
                 cache=cache,
@@ -448,17 +406,15 @@ def louvain_phase_distributed(
             moved |= round_moved
             moves += n
 
-        # (v) global modularity (lines 12-13).  Publish this round's
-        # moves first (a changed-values-only payload) so both sides of
-        # every stored entry evaluate under the *post-move* assignment:
-        # the estimate is then a function of the global assignment alone
-        # and cannot depend on which endpoints happen to be rank-local
-        # under the current layout (a requirement for bit-identity across
-        # rank counts and input partitions).  The sweep itself keeps the
-        # intentionally stale view of §III-B — only the convergence test
-        # sees fresh values.
-        ghost_comm = ghosts.publish(comm, local_comm)
-        slot_comm = np.concatenate([local_comm, ghost_comm])
+        # (v) global modularity (lines 12-13).  The round's exchange has
+        # delivered every move, so both sides of every stored entry
+        # evaluate under the *post-move* assignment: the estimate is a
+        # function of the global assignment alone and cannot depend on
+        # which endpoints happen to be rank-local under the current
+        # layout (a requirement for bit-identity across rank counts and
+        # input partitions).  Each sweep still decided against the
+        # synchronisation point before it (§III-B).
+        slot_comm = np.concatenate([local_comm, ghosts.values])
         intra = slot_comm[sweep_plan.rows] == slot_comm[ctargets]
         local_in = float(dg.weights[intra].sum())
         comm.charge_compute(dg.num_local_entries)
@@ -483,6 +439,20 @@ def louvain_phase_distributed(
             else 0.0
         )
 
+        # (vi) exit tests.
+        inactive_fraction = 0.0
+        if config.variant.uses_inactive_exit:
+            # ETC's extra remote communication: global inactive count.
+            global_inactive = comm.allreduce(
+                local_inactive, category="allreduce"
+            )
+            inactive_fraction = global_inactive / n_global if n_global else 0.0
+            exited_by_inactive = (
+                inactive_fraction >= config.etc_exit_fraction
+            )
+        elif et is not None:
+            # ET tracks only its local view (no extra collective).
+            inactive_fraction = et.inactive_fraction()
         stats.append(
             IterationStats(
                 phase=phase,
@@ -490,25 +460,10 @@ def louvain_phase_distributed(
                 modularity=q,
                 moves=int(total[2]),
                 active_fraction=(total[3] / n_global) if n_global else 1.0,
-                inactive_fraction=0.0 if et is None else -1.0,  # fixed below
+                inactive_fraction=inactive_fraction,
             )
         )
-
-        # (vi) exit tests.
-        if config.variant.uses_inactive_exit:
-            # ETC's extra remote communication: global inactive count.
-            global_inactive = comm.allreduce(
-                local_inactive, category="allreduce"
-            )
-            frac = global_inactive / n_global if n_global else 0.0
-            stats[-1] = _with_inactive(stats[-1], frac)
-            if frac >= config.etc_exit_fraction:
-                exited_by_inactive = True
-                break
-        elif et is not None:
-            # ET tracks only its local view (no extra collective).
-            stats[-1] = _with_inactive(stats[-1], et.inactive_fraction())
-        if q - prev_q <= tau:
+        if exited_by_inactive or q - prev_q <= tau:
             break
         prev_q = q
         if checkpoint_hook is not None:
@@ -528,27 +483,14 @@ def louvain_phase_distributed(
                 }
             )
 
-    # Refresh ghosts one last time so reconstruction sees final state.
-    ghost_comm = ghosts.refresh(comm, local_comm)
     return _PhaseOutcome(
         local_comm=local_comm,
-        ghost_comm=ghost_comm,
+        ghost_comm=ghosts.values,
         modularity=q,
         stats=stats,
         exited_by_inactive=exited_by_inactive,
         tot_owned=tot_owned,
         size_owned=size_owned,
-    )
-
-
-def _with_inactive(s: IterationStats, frac: float) -> IterationStats:
-    return IterationStats(
-        phase=s.phase,
-        iteration=s.iteration,
-        modularity=s.modularity,
-        moves=s.moves,
-        active_fraction=s.active_fraction,
-        inactive_fraction=frac,
     )
 
 
@@ -998,10 +940,9 @@ def distributed_louvain(
         )
         iterations.extend(out.stats)
         n_vertices = dg.num_global_vertices
-        n_edges = comm.allreduce(dg.num_local_entries, category="allreduce")
         # Achieved layout quality of the graph this phase ran on: the
         # cross-rank fraction of stored adjacency entries.  One small
-        # allreduce.
+        # allreduce, which also totals the stored entries.
         cross = int(np.count_nonzero(~dg.is_owned(dg.edges)))
         cross_total = comm.allreduce(
             np.array([cross, dg.num_local_entries], dtype=np.int64),
@@ -1017,7 +958,8 @@ def distributed_louvain(
                 num_iterations=len(out.stats),
                 modularity=out.modularity,
                 num_vertices=n_vertices,
-                num_edges=n_edges // 2,  # stored entries ~ 2 per edge
+                # stored entries ~ 2 per edge
+                num_edges=int(cross_total[1]) // 2,
                 exited_by_inactive=out.exited_by_inactive,
                 ghost_fraction=ghost_fraction,
             )
@@ -1035,19 +977,18 @@ def distributed_louvain(
                 out.local_comm,
                 out.ghost_comm,
             )
-            if out.tot_owned is not None and out.size_owned is not None:
-                # Keep the owner-side C_info audit-consistent with the
-                # refined labels (same delta protocol as a sweep move).
-                moved = ref_local != out.local_comm
-                _apply_community_deltas(
-                    comm,
-                    dg,
-                    old=out.local_comm[moved],
-                    new=ref_local[moved],
-                    deg=dg.local_degrees()[moved],
-                    tot_owned=out.tot_owned,
-                    size_owned=out.size_owned,
-                )
+            # Keep the owner-side C_info audit-consistent with the
+            # refined labels (same delta protocol as a sweep move).
+            moved = ref_local != out.local_comm
+            _apply_community_deltas(
+                comm,
+                dg,
+                old=out.local_comm[moved],
+                new=ref_local[moved],
+                deg=dg.local_degrees()[moved],
+                tot_owned=out.tot_owned,
+                size_owned=out.size_owned,
+            )
             out.local_comm = ref_local
             out.ghost_comm = ref_ghost
 

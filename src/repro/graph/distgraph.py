@@ -6,9 +6,9 @@ targets remain *global* ids.  Any target owned by another rank is a
 "ghost" vertex, and :class:`GhostPlan` (Algorithm 4) records, once per
 phase, which ghost values must be fetched from which owner.
 
-The heavy per-iteration primitive — refreshing ghost community
-assignments — is :meth:`DistGraph.exchange_ghost_values`, which moves a
-value per ghost vertex through one ``alltoall``.
+The full ghost exchange a phase starts with — every ghost vertex's
+community assignment — is :meth:`DistGraph.exchange_ghost_values`, which
+moves a value per ghost vertex through one ``alltoall``.
 """
 
 from __future__ import annotations
@@ -250,7 +250,8 @@ class DistGraph:
 
         ``local_values`` is indexed by local vertex (0..num_local); the
         return array aligns with ``plan.ghost_ids``.  This is the
-        Algorithm 3 lines 4-5 exchange, executed every iteration.
+        Algorithm 3 lines 4-5 exchange in full, executed once per phase;
+        the iterations then ship only values that changed.
         """
         if len(local_values) != self.num_local:
             raise ValueError(

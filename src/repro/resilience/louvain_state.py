@@ -66,7 +66,11 @@ def _iterations_from_json(raw: list[dict]) -> list[IterationStats]:
 
 @dataclass
 class IterationState:
-    """Live mid-phase state (present only in ``kind="iteration"``)."""
+    """Live mid-phase state (present only in ``kind="iteration"``).
+
+    Ghost copies are not stored: a resumed phase starts, like every
+    phase, with the full ghost exchange of ``local_comm``.
+    """
 
     iteration: int
     prev_q: float

@@ -3,8 +3,7 @@
 The serving tier over the distributed Louvain library.  One way in —
 :class:`DetectionRequest` — and three ways to run it:
 
-* :func:`detect` — inline, on the calling thread (the one-shot path the
-  deprecated legacy wrappers delegate to);
+* :func:`detect` — inline, on the calling thread (the one-shot path);
 * :class:`Engine` — asynchronous: a bounded worker pool multiplexes
   many jobs, with priority scheduling, admission control and
   backpressure (:class:`AdmissionError`), per-job retry-with-resume on

@@ -90,11 +90,11 @@ def execute_request(
     """Run one request synchronously; the single unified execution path.
 
     Every way into the library — ``Engine`` workers, the inline
-    :func:`repro.service.detect` facade, and the deprecated legacy
-    wrappers — funnels through here, so request semantics are defined
-    once.  The keyword overrides exist for the engine's retry machinery
-    (per-job checkpoint directory, resume-on-retry, dropping a fired
-    fault plan); plain callers never pass them.
+    :func:`repro.service.detect` facade — funnels through here, so
+    request semantics are defined once.  The keyword overrides exist for
+    the engine's retry machinery (per-job checkpoint directory,
+    resume-on-retry, dropping a fired fault plan); plain callers never
+    pass them.
     """
     ckpt = checkpoint_dir if checkpoint_dir is not None else request.checkpoint_dir
     every_iters = (
@@ -938,9 +938,7 @@ def detect(request: DetectionRequest) -> DetectionResponse:
 
     No queue, no worker pool, no cache — the request executes on the
     calling thread via the same :func:`execute_request` path the engine
-    uses.  This is what the deprecated ``run_louvain`` /
-    ``incremental_louvain`` wrappers delegate to; prefer an
-    :class:`Engine` when serving more than one job.
+    uses.  Prefer an :class:`Engine` when serving more than one job.
     """
     response = DetectionResponse(
         job_id="inline",

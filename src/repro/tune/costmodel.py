@@ -9,9 +9,9 @@ simulator charges, then measures only the most promising few.
 The model mirrors the per-iteration structure of Algorithm 3:
 
 * local ΔQ sweep over the rank's adjacency entries (``compute``);
-* ghost community refresh — one personalized exchange whose volume is
-  the cross-rank entry fraction the featurizer measured
-  (``ghost_comm``);
+* ghost community exchange — one personalized exchange whose volume is
+  the changed share of the cross-rank entry fraction the featurizer
+  measured (``ghost_comm``);
 * community-info exchange — three alltoallv legs for the paper's pull
   protocol, one fused round trip with delta-sized payloads for the
   owner-push protocol (``community_comm``);
@@ -53,7 +53,7 @@ _PHASE_SHRINK = 0.25
 #: Payload shrink of the push protocol's fused legs vs one pull leg
 #: (only *changed* subscribed communities ship).
 _PUSH_PAYLOAD_FACTOR = 0.4
-#: Payload shrink of the ghost delta refresh (unmoved vertices skip).
+#: Payload shrink of the per-round ghost exchange (unmoved vertices skip).
 _DELTA_PAYLOAD_FACTOR = 0.45
 #: Per-color-class sweep-round overhead of coloring-ordered sweeps.
 #: Coloring buys modularity (independent sets move on fresh neighbour
@@ -187,9 +187,7 @@ def predict_cost(
         e = entries_per_rank * size
         per_iter_compute = machine.compute_cost(e * work_factor)
 
-        ghost_bytes = gf * e * _GHOST_ENTRY_BYTES
-        if config.ghost_delta_updates:
-            ghost_bytes *= _DELTA_PAYLOAD_FACTOR
+        ghost_bytes = gf * e * _GHOST_ENTRY_BYTES * _DELTA_PAYLOAD_FACTOR
         per_iter_ghost = machine.exchange_leg_cost(
             int(ghost_bytes), int(ghost_bytes), p, rank=0
         )
@@ -213,7 +211,7 @@ def predict_cost(
             per_iter_allreduce += machine.allreduce_cost(16, p)
 
         compute += iters * per_iter_compute
-        # Each color class pays its own ghost refresh and community
+        # Each color class pays its own ghost exchange and community
         # round trip inside one iteration; the end-of-iteration
         # allreduce stays single.
         ghost += iters * per_iter_ghost * colors
@@ -267,7 +265,7 @@ def screen(
 ) -> list[tuple[float, Candidate]]:
     """Rank candidates by predicted modelled seconds, cheapest first.
 
-    Ties (identical predictions — e.g. transport knobs at ``p = 1``)
+    Ties (identical predictions — e.g. push vs pull at ``p = 1``)
     break on the candidate key, so the ordering is fully deterministic.
     """
     scored = [

@@ -34,7 +34,8 @@ from .features import GraphFeatures, feature_distance
 #: On-disk document version; bump on incompatible layout changes.
 #: v2: configs lost two fields and the feature vector a dimension, so
 #: v1 plans and nearest-neighbour distances do not carry over.
-DB_FORMAT_VERSION = 2
+#: v3: configs lost the ghost-transport switch; v2 plans name it.
+DB_FORMAT_VERSION = 3
 
 #: Default feature-space radius inside which a neighbour's plan is
 #: considered transferable.  Vector axes are normalised to ~unit scale

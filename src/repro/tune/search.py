@@ -209,7 +209,7 @@ def plan_for_graph(
     # Admit the cheapest-predicted candidates, collapsing *equivalence
     # classes*: two candidates with identical predicted cost, identical
     # rank count, and identical outcome (same config cache_key — i.e.
-    # they differ only in transport knobs the model says are free here,
+    # they differ only in the transport knob the model says is free here,
     # e.g. push-vs-pull at p = 1) would yield byte-identical trials, so
     # measuring both wastes budget.
     survivors: list[Candidate] = []

@@ -4,7 +4,7 @@ The paper hand-picks its heuristic parameters — ET decay ``alpha``
 (Table I evaluates only 0.25/0.75), the Fig. 2 threshold cycle, ETC's
 90% exit fraction — and evaluates each variant at fixed process counts.
 The tuner instead enumerates a *declarative* space over those axes (plus
-the transport knobs added since) and lets the cost model and measured
+the transport knob added since) and lets the cost model and measured
 trials pick.
 
 Every candidate is materialised as a real :class:`LouvainConfig`, so
@@ -47,8 +47,8 @@ class Candidate:
         """Stable short id: content digest over (config, ranks).
 
         Uses the full ``to_dict`` serialization (not ``cache_key``)
-        because transport knobs *do* change modelled runtime even
-        though they are outcome-identical.
+        because the transport knob *does* change modelled runtime even
+        though it is outcome-identical.
         """
         blob = json.dumps(
             {"config": self.config.to_dict(), "ranks": self.ranks},
@@ -66,8 +66,6 @@ class Candidate:
             extras.append(f"exit={cfg.etc_exit_fraction:g}")
         if cfg.community_push_updates:
             extras.append("push")
-        if cfg.ghost_delta_updates:
-            extras.append("delta")
         if cfg.use_coloring:
             extras.append("coloring")
         if cfg.vertex_following:
@@ -105,9 +103,8 @@ class SearchSpace:
     threshold_cycles: tuple[str, ...] = ("paper", "aggressive")
     #: Simulated world sizes to plan over.
     rank_counts: tuple[int, ...] = (1, 2, 4, 8)
-    #: Transport knobs (bit-identical results; runtime only).
+    #: Transport knob (bit-identical results; runtime only).
     community_push: tuple[bool, ...] = (False, True)
-    ghost_delta: tuple[bool, ...] = (False, True)
     #: Grappolo heuristics and Leiden refinement (quality/speed axes —
     #: these change the detection *outcome*, so the Pareto frontier is
     #: where their trade-offs surface).  The resolution parameter is
@@ -171,7 +168,6 @@ class SearchSpace:
                 exit_fraction,
                 cycle_name,
                 push,
-                delta,
                 ranks,
                 coloring,
                 vf,
@@ -181,7 +177,6 @@ class SearchSpace:
                 exits,
                 cycles,
                 self.community_push,
-                self.ghost_delta,
                 self.rank_counts,
                 self.colorings,
                 self.vertex_following,
@@ -195,7 +190,6 @@ class SearchSpace:
                         etc_exit_fraction=exit_fraction,
                         threshold_cycle=THRESHOLD_CYCLES[cycle_name],
                         community_push_updates=push,
-                        ghost_delta_updates=delta,
                         use_coloring=coloring,
                         vertex_following=vf,
                         refine=refine,

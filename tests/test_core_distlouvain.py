@@ -236,3 +236,41 @@ class TestCommunityInfoCoverage:
         cause = excinfo.value.causes[excinfo.value.rank]
         assert isinstance(cause, KeyError)
         assert "community totals missing for ids" in str(cause)
+
+
+class TestOneGhostExchangePerRound:
+    """Algorithm 3 exchanges ghost communities once per iteration: a
+    phase costs its two set-up exchanges (Algorithm 4's plan, then the
+    full values) plus exactly one ``ghost_comm`` alltoall per sweep
+    round — one per colour class under coloring."""
+
+    @pytest.mark.parametrize("use_coloring", [False, True])
+    def test_ghost_exchanges_counted(
+        self, planted_blocks, monkeypatch, use_coloring
+    ):
+        from repro.core import distlouvain
+        from repro.runtime.comm import Communicator
+
+        counts = {"ghost": 0, "rounds": 0}
+        real_alltoall = Communicator.alltoall
+        real_round = distlouvain._sweep_round
+
+        def alltoall(self, values, category="other"):
+            if self.rank == 0 and category == "ghost_comm":
+                counts["ghost"] += 1
+            return real_alltoall(self, values, category=category)
+
+        def sweep_round(comm, *args, **kwargs):
+            if comm.rank == 0:
+                counts["rounds"] += 1
+            return real_round(comm, *args, **kwargs)
+
+        monkeypatch.setattr(Communicator, "alltoall", alltoall)
+        monkeypatch.setattr(distlouvain, "_sweep_round", sweep_round)
+        cfg = LouvainConfig(use_coloring=use_coloring)
+        r = run_louvain(planted_blocks, 4, cfg, machine=FREE)
+        if use_coloring:
+            assert counts["rounds"] > r.total_iterations
+        else:
+            assert counts["rounds"] == r.total_iterations
+        assert counts["ghost"] == 2 * r.num_phases + counts["rounds"]

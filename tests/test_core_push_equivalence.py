@@ -59,14 +59,7 @@ class TestBitIdentical:
 
     @pytest.mark.parametrize(
         "toggles",
-        [
-            {"use_coloring": True},
-            {"ghost_delta_updates": True},
-            {
-                "use_coloring": True,
-                "ghost_delta_updates": True,
-            },
-        ],
+        [{"use_coloring": True}],
         ids=lambda t: "+".join(sorted(t)),
     )
     def test_composes_with_other_transport_knobs(self, toggles):

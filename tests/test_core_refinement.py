@@ -201,7 +201,6 @@ _COMPOSITIONS = [
         "vertex_following": True,
         "refine": "leiden",
         "community_push_updates": True,
-        "ghost_delta_updates": True,
     },
     {"refine": "leiden", "use_coloring": True},
     {"vertex_following": True, "use_coloring": True},
@@ -226,7 +225,6 @@ class TestCompositionBitIdentity:
             vertex_following=True,
             refine="leiden",
             community_push_updates=True,
-            ghost_delta_updates=True,
         )
         a = run_louvain(
             planted_blocks, 4, pull, machine=FREE, verify_schedule=True

@@ -149,32 +149,52 @@ class TestAuditsCatchCorruption:
 
 
 class TestGhostChannelDeltaCoherence:
-    """The delta transport must keep ghosts coherent across many rounds."""
+    """One full exchange, then changed-values-only rounds, must keep the
+    ghost copies coherent across many rounds."""
 
-    def test_delta_stays_coherent(self, planted_blocks):
+    @staticmethod
+    def _churn_rounds(graph, scrambled_start):
         def prog(comm):
-            dg = DistGraph.distribute(comm, planted_blocks)
+            dg = DistGraph.distribute(comm, graph)
             plan = dg.build_ghost_plan(comm)
-            config = LouvainConfig(ghost_delta_updates=True)
-            chan = _GhostChannel(dg, plan, config)
             rng = np.random.default_rng(comm.rank)
             local_comm = np.arange(dg.vbegin, dg.vend, dtype=np.int64)
-            oks = []
+            if scrambled_start:
+                local_comm[:] = rng.integers(
+                    0, dg.num_global_vertices, dg.num_local
+                )
+            chan = _GhostChannel(
+                dg, plan, dg.exchange_ghost_values(comm, plan, local_comm)
+            )
+            oks = [
+                audit_ghost_coherence(comm, dg, local_comm, chan.values).ok
+            ]
             for _ in range(5):
                 # Random churn of local assignments.
+                new_comm = local_comm.copy()
                 if dg.num_local:
                     idx = rng.integers(0, dg.num_local, 3)
-                    local_comm = local_comm.copy()
-                    local_comm[idx] = rng.integers(
+                    new_comm[idx] = rng.integers(
                         0, dg.num_global_vertices, 3
                     )
-                ghost = chan.refresh(comm, local_comm)
-                rep = audit_ghost_coherence(comm, dg, local_comm, ghost)
+                chan.publish(comm, new_comm, new_comm != local_comm)
+                local_comm = new_comm
+                rep = audit_ghost_coherence(
+                    comm, dg, local_comm, chan.values
+                )
                 oks.append(rep.ok)
-            return all(oks)
+            return oks
 
         r = run_spmd(4, prog, machine=FREE, timeout=60.0)
-        assert all(r.values)
+        assert all(len(oks) == 6 and all(oks) for oks in r.values)
+
+    def test_delta_stays_coherent(self, planted_blocks):
+        self._churn_rounds(planted_blocks, scrambled_start=False)
+
+    def test_resume_shaped_start_stays_coherent(self, planted_blocks):
+        # A resumed (or warm-started) phase builds the channel from an
+        # arbitrary assignment, not the singleton one.
+        self._churn_rounds(planted_blocks, scrambled_start=True)
 
 
 class TestMisalignedGhostAudit:

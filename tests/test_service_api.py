@@ -1,9 +1,5 @@
-"""The deprecated legacy entry points: warn, but keep working.
-
-The three pre-service front doors exported from ``repro`` are now thin
-wrappers over the request API.  Each must emit a DeprecationWarning and
-return results equivalent to the core implementation it replaced.
-"""
+"""The top-level ``repro`` namespace: service names plus the library
+entry points, which are the ``repro.core`` functions themselves."""
 
 import numpy as np
 import pytest
@@ -13,8 +9,6 @@ from repro.core import LouvainConfig
 from repro.core import distlouvain as core_distlouvain
 from repro.core.dynamic import incremental_louvain as core_incremental
 from repro.generators import make_graph
-from repro.graph import DistGraph
-from repro.runtime import run_spmd
 
 
 @pytest.fixture(scope="module")
@@ -23,25 +17,8 @@ def tiny():
 
 
 class TestRunLouvain:
-    def test_warns_and_matches_core(self, tiny):
-        cfg = LouvainConfig(seed=5)
-        with pytest.warns(DeprecationWarning, match="run_louvain is deprecated"):
-            wrapped = repro.run_louvain(tiny, 2, cfg)
-        reference = core_distlouvain.run_louvain(tiny, 2, cfg)
-        assert np.array_equal(wrapped.assignment, reference.assignment)
-        assert wrapped.modularity == reference.modularity
-
-    def test_warm_start_passes_through(self, tiny):
-        cfg = LouvainConfig(seed=5)
-        seed = np.zeros(tiny.num_vertices, dtype=np.int64)
-        with pytest.warns(DeprecationWarning):
-            wrapped = repro.run_louvain(
-                tiny, 2, cfg, initial_assignment=seed
-            )
-        reference = core_distlouvain.run_louvain(
-            tiny, 2, cfg, initial_assignment=seed
-        )
-        assert np.array_equal(wrapped.assignment, reference.assignment)
+    def test_is_core_run_louvain(self):
+        assert repro.run_louvain is core_distlouvain.run_louvain
 
     def test_resume_round_trip(self, tiny, tmp_path):
         cfg = LouvainConfig(seed=5)
@@ -49,44 +26,23 @@ class TestRunLouvain:
         baseline = core_distlouvain.run_louvain(
             tiny, 2, cfg, checkpoint_dir=ckpt, checkpoint_every_iterations=2
         )
-        with pytest.warns(DeprecationWarning):
-            resumed = repro.run_louvain(
-                None, 2, cfg, checkpoint_dir=ckpt, resume=True
-            )
+        resumed = repro.run_louvain(
+            None, 2, cfg, checkpoint_dir=ckpt, resume=True
+        )
         assert np.array_equal(resumed.assignment, baseline.assignment)
         assert resumed.modularity == baseline.modularity
 
 
 class TestDistributedLouvain:
-    def test_warns_inside_spmd(self, tiny):
-        # size==1 runs the rank inline, so the wrapper's warning
-        # propagates to the caller thread.
-        cfg = LouvainConfig(seed=5)
-
-        def main(comm):
-            dg = DistGraph.distribute(comm, tiny)
-            return repro.distributed_louvain(comm, dg, cfg)
-
-        with pytest.warns(
-            DeprecationWarning, match="distributed_louvain is deprecated"
-        ):
-            spmd = run_spmd(1, main)
-        reference = core_distlouvain.run_louvain(tiny, 1, cfg)
-        assert np.array_equal(spmd.value.assignment, reference.assignment)
-        assert spmd.value.modularity == reference.modularity
+    def test_is_core_distributed_louvain(self):
+        assert (
+            repro.distributed_louvain is core_distlouvain.distributed_louvain
+        )
 
 
 class TestIncrementalLouvain:
-    def test_warns_and_matches_core(self, tiny):
-        cfg = LouvainConfig(seed=5)
-        previous = core_distlouvain.run_louvain(tiny, 2, cfg).assignment
-        with pytest.warns(
-            DeprecationWarning, match="incremental_louvain is deprecated"
-        ):
-            wrapped = repro.incremental_louvain(tiny, previous, 2, cfg)
-        reference = core_incremental(tiny, previous, 2, cfg)
-        assert np.array_equal(wrapped.assignment, reference.assignment)
-        assert wrapped.modularity == reference.modularity
+    def test_is_core_incremental_louvain(self):
+        assert repro.incremental_louvain is core_incremental
 
 
 class TestFacadeExports:
@@ -104,9 +60,7 @@ class TestFacadeExports:
             assert hasattr(repro, name)
 
     def test_core_imports_stay_warning_free(self, tiny, recwarn):
-        # Internal callers use repro.core directly and must not be
-        # punished for it.
-        core_distlouvain.run_louvain(tiny, 2, LouvainConfig())
+        repro.run_louvain(tiny, 2, LouvainConfig())
         deprecations = [
             w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
         ]

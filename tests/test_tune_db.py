@@ -114,6 +114,16 @@ class TestPersistence:
             excinfo.value
         )
 
+    def test_v2_file_refused_with_path(self, tmp_path):
+        # v2 plans may name the removed ghost_delta_updates field.
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"version": 2, "entries": {}}))
+        with pytest.raises(ValueError) as excinfo:
+            TuningDB(path)
+        assert f"{path}: tuning DB version 2 not supported" in str(
+            excinfo.value
+        )
+
     def test_undecodable_entry_names_file_and_fingerprint(
         self, channel, tmp_path
     ):

@@ -28,7 +28,6 @@ SMALL_SPACE = SearchSpace(
     threshold_cycles=("paper",),
     rank_counts=(1, 2, 4),
     community_push=(False,),
-    ghost_delta=(False,),
 )
 
 FAST = TunerSettings(trials=4, rung_phase_caps=(1,))

@@ -49,16 +49,15 @@ class TestEnumeration:
         assert ranks == {1, 2, 4}
 
     def test_default_space_order_pinned(self):
-        # The digest is that of the eleven-deep loop nest's candidate
-        # list (the one with the repartition / neighbour-collective
-        # axes, filtered to repartition == "none" and with those two
-        # fields dropped from every config dict), taken at PR 12: the
-        # flattened product must enumerate the survivors in that order.
+        # The digest is that of PR 14's candidate list (the one with
+        # the ghost_delta axis) filtered to ghost_delta_updates == False
+        # and with that field dropped from every config dict: the
+        # product must enumerate the survivors in that order.
         cands = default_space().candidates()
-        assert default_space().size() == len(cands) == 2688
+        assert default_space().size() == len(cands) == 1344
         assert cands[0].describe() == "Baseline x1"
         assert cands[-1].describe() == (
-            "ET(0.75)+TC x8 cycle=custom push delta coloring vf "
+            "ET(0.75)+TC x8 cycle=custom push coloring vf "
             "refine=leiden"
         )
         digest = hashlib.sha256()
@@ -71,7 +70,7 @@ class TestEnumeration:
             )
             digest.update(b"\n")
         assert digest.hexdigest() == (
-            "346cc2218306e0a4c52ac2d6c2108c601320fbad3f4e42c0f8afec314dd59456"
+            "e6711caa5c2e90d41c38ce4db213656acd5eee4960679d93dbe29cd2d7c48860"
         )
 
 
@@ -124,7 +123,6 @@ class TestHeuristicAxes:
             variants=("baseline",),
             rank_counts=(2,),
             community_push=(False,),
-            ghost_delta=(False,),
         ).candidates()
         combos = {
             (c.config.use_coloring, c.config.vertex_following, c.config.refine)
