@@ -11,12 +11,16 @@ performance regressions of the simulator itself are visible:
 * the vectorised greedy coloring and vertex-following seeds;
 * serial graph coarsening;
 * CSR construction from edge lists;
-* one full communicator round trip (alltoall) across ranks;
+* the simulated runtime itself: wall ns and ``message_bytes`` calls per
+  collective for allreduce / allgather / alltoall /
+  ``exchange_roundtrip`` at p ∈ {2, 4, 8} with empty and 1 kB payloads;
 * the subscription-cache push update of the owner-push community
   exchange (overwrite-known + merge-insert-unknown).
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -199,16 +203,70 @@ def test_kernel_subscription_cache_update(benchmark):
     assert len(cache.ids) >= len(warm)
 
 
-def test_kernel_alltoall_roundtrip(benchmark):
-    payloads = [np.arange(500, dtype=np.int64)] * 4
+# ----------------------------------------------------------------------
+# The simulated runtime's own number: wall cost of one collective
+# ----------------------------------------------------------------------
+COLLECTIVES_PER_RUN = 200
 
-    def roundtrip():
-        def prog(comm):
-            got = comm.alltoall(list(payloads[: comm.size]))
-            return len(got)
+PAYLOADS = {
+    "empty": np.empty(0, dtype=np.int64),
+    "1kB": np.arange(128, dtype=np.int64),
+}
 
-        return run_spmd(4, prog, machine=FREE, timeout=10.0)
 
-    r = benchmark.pedantic(roundtrip, rounds=3, iterations=1,
-                           warmup_rounds=1)
-    assert r.values == [4] * 4
+def _collective_call(op: str, payload: np.ndarray):
+    """``call(comm)`` issuing one collective of kind ``op``."""
+    if op == "allreduce":
+        return lambda comm: comm.allreduce(payload)
+    if op == "allgather":
+        return lambda comm: comm.allgather(payload)
+    if op == "alltoall":
+        return lambda comm: comm.alltoall([payload] * comm.size)
+    assert op == "exchange_roundtrip"
+    return lambda comm: comm.exchange_roundtrip([payload] * comm.size, list)
+
+
+@pytest.mark.parametrize("payload", sorted(PAYLOADS))
+@pytest.mark.parametrize("p", [2, 4, 8])
+@pytest.mark.parametrize(
+    "op", ["allreduce", "allgather", "alltoall", "exchange_roundtrip"]
+)
+def test_kernel_collective(benchmark, monkeypatch, op, p, payload):
+    """Wall ns and ``message_bytes`` calls per collective, ``machine=FREE``
+    (200 collectives per ``run_spmd``, so thread start-up is amortised)."""
+    from repro.runtime import comm as comm_mod
+
+    call = _collective_call(op, PAYLOADS[payload])
+    walls: list[int] = []
+
+    def prog(comm):
+        for _ in range(COLLECTIVES_PER_RUN):
+            call(comm)
+        return comm.trace.collectives[op]
+
+    def run():
+        t0 = time.perf_counter_ns()
+        r = run_spmd(p, prog, machine=FREE, timeout=30.0)
+        walls.append(time.perf_counter_ns() - t0)
+        return r
+
+    r = benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
+    assert r.values == [COLLECTIVES_PER_RUN] * p
+
+    # One extra, untimed run counts the sizing calls.
+    sized: list[int] = []
+    sizer = comm_mod.message_bytes
+    monkeypatch.setattr(
+        comm_mod, "message_bytes", lambda obj: sized.append(1) or sizer(obj)
+    )
+    run_spmd(p, prog, machine=FREE, timeout=30.0)
+    # Drop the warm-up round (absent under --benchmark-disable).
+    ns = float(np.median(walls[1:] or walls)) / COLLECTIVES_PER_RUN
+    sizings = len(sized) / COLLECTIVES_PER_RUN
+    benchmark.extra_info.update(
+        wall_ns_per_collective=ns, message_bytes_calls_per_collective=sizings
+    )
+    print(
+        f"\ncollective {op:<18} p={p} payload={payload:<5} "
+        f"{ns:>10.0f} ns/collective {sizings:>6.1f} message_bytes calls"
+    )

@@ -102,8 +102,8 @@ COLLECTIVE_HELPERS = frozenset(
 REPLICATING_METHODS = frozenset({"allreduce", "bcast", "allgather"})
 
 #: Point-to-point send-side / receive-side call names (tag matching).
-SEND_METHODS = frozenset({"send", "isend"})
-RECV_METHODS = frozenset({"recv", "irecv"})
+SEND_METHODS = frozenset({"send"})
+RECV_METHODS = frozenset({"recv"})
 
 #: Attributes whose value differs per rank by definition.
 RANK_ATTRIBUTES = frozenset({"rank", "world_rank"})
@@ -737,7 +737,6 @@ def check_dict_iteration(fn) -> Iterator[tuple[ast.AST, str]]:
 PAYLOAD_ARG0_METHODS = frozenset(
     {
         "send",
-        "isend",
         "sendrecv",
         "bcast",
         "reduce",

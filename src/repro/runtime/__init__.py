@@ -8,13 +8,11 @@ substitution rationale).
 
 from .comm import (
     Communicator,
-    Request,
     ScheduleRecorder,
     SubCommunicator,
     World,
     payload_kind,
     split_communicator,
-    wait_all,
 )
 from .errors import (
     CollectiveMismatchError,
@@ -60,7 +58,6 @@ __all__ = [
     "RankAborted",
     "RankFailedError",
     "RankTrace",
-    "Request",
     "RuntimeSimError",
     "SPMDResult",
     "ScheduleRecorder",
@@ -74,5 +71,4 @@ __all__ = [
     "registered_payload_types",
     "run_spmd",
     "split_communicator",
-    "wait_all",
 ]

@@ -4,12 +4,24 @@ The paper's implementation is an MPI+OpenMP SPMD program.  This module
 provides the same programming model inside one Python process: ``p``
 ranks run as threads, each holding a :class:`Communicator`, and talk via
 
-* buffered point-to-point messages (``send``/``recv``/``sendrecv``), and
+* buffered, blocking point-to-point messages (``send``/``recv``/
+  ``sendrecv``; there is no nonblocking ``isend``/``irecv`` surface —
+  sends never block, so nothing needed one), and
 * synchronizing collectives (``barrier``, ``bcast``, ``reduce``,
   ``allreduce``, ``gather``, ``allgather``, ``scatter``, ``alltoall``,
   ``scan``/``exscan``), the MPI-3-style ``neighbor_alltoall`` the
   paper lists as future work (§VI), and the fused request/reply
   ``exchange_roundtrip`` backing the owner-push community protocol.
+  The algorithm itself uses allreduce, alltoall, ``exchange_roundtrip``,
+  bcast, allgather, gather, exscan, barrier, send/recv and ``split``;
+  ``reduce``, ``scatter``, ``scan``, ``sendrecv`` and
+  ``neighbor_alltoall`` have no caller outside the tests and stay only
+  because the end-to-end benchmark's span table names them.
+
+The two personalized exchanges (``alltoall``, ``exchange_roundtrip``)
+size each wire message exactly once, in the rendezvous finalizer
+(:func:`_leg_sizes`): the cost model and the per-rank trace counters
+both read that one matrix.
 
 Every operation advances the rank's *virtual clock* according to the
 :class:`~repro.runtime.perfmodel.MachineModel` and attributes the time to
@@ -55,7 +67,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import defaultdict, deque
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -96,6 +108,30 @@ def _fold(values: Sequence[Any], op: Callable[[Any, Any], Any]) -> Any:
     for v in values[1:]:
         acc = op(acc, v)
     return acc
+
+
+def _leg_sizes(mats: Sequence[Sequence[Any]]) -> list[tuple[list[int], list[int]]]:
+    """Size every wire message of one personalized-exchange leg once.
+
+    ``mats[s][d]`` is rank ``s``'s payload for rank ``d``.  Returns, per
+    rank, ``(sent, received)``: the sizes of the messages it sends (by
+    destination) and receives (by source).  The self-message never
+    touches the wire and is not sized.  The cost model prices a rank
+    from the integer sums of its two lists and the rank's trace counters
+    read the same lists back, so no payload is sized twice.
+    """
+    p = len(mats)
+    sizes = [
+        [message_bytes(v) if d != s else 0 for d, v in enumerate(row)]
+        for s, row in enumerate(mats)
+    ]
+    return [
+        (
+            [sizes[r][d] for d in range(p) if d != r],
+            [sizes[s][r] for s in range(p) if s != r],
+        )
+        for r in range(p)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -447,16 +483,6 @@ class World:
             finally:
                 self.clear_blocked(dest)
 
-    def probe_any(self, dest: int) -> bool:
-        """True if any message is waiting for ``dest`` (test helper)."""
-        with self._box_cvs[dest]:
-            return any(self._boxes[dest].values())
-
-    def probe(self, dest: int, source: int, tag: int) -> bool:
-        """True if a matching message is already queued for ``dest``."""
-        with self._box_cvs[dest]:
-            return bool(self._boxes[dest][(source, tag)])
-
     def fault_op(self, rank: int, op_name: str) -> Any:
         """Advance ``rank``'s op counter and consult the fault plan.
 
@@ -618,25 +644,6 @@ class Communicator:
         self.charge(category, target - self.clock)
         return obj
 
-    def isend(
-        self, obj: Any, dest: int, tag: int = 0, category: str = "other"
-    ) -> "Request":
-        """Nonblocking send.  The simulator buffers sends, so the
-        returned request is already complete; it exists so SPMD code
-        written in the MPI isend/irecv style runs unchanged."""
-        self.send(obj, dest, tag=tag, category=category)
-        return Request(comm=self, kind="send")
-
-    def irecv(
-        self, source: int, tag: int = 0, category: str = "other"
-    ) -> "Request":
-        """Nonblocking receive: returns a :class:`Request`; the message
-        is consumed at ``wait()`` (or a successful ``test()``)."""
-        self._check_peer(source)
-        return Request(
-            comm=self, kind="recv", source=source, tag=tag, category=category
-        )
-
     def sendrecv(
         self,
         obj: Any,
@@ -693,6 +700,13 @@ class Communicator:
         if self.world.verify_schedule and name in _DTYPE_CHECKED:
             return payload_kind(deposit)
         return ""
+
+    def _record_leg(self, sent: list[int], received: list[int]) -> None:
+        """Count one exchange leg's messages, sized by ``_leg_sizes``."""
+        for n in sent:
+            self.trace.record_send(n)
+        for n in received:
+            self.trace.record_recv(n)
 
     def barrier(self, category: str = "other") -> None:
         m = self.machine
@@ -828,25 +842,15 @@ class Communicator:
             mats = [v for v, _ in slots]
             t0 = max(c for _, c in slots)
             outs = []
-            for r in range(p):
-                received = [mats[s][r] for s in range(p)]
-                sent_bytes = sum(
-                    message_bytes(mats[r][d]) for d in range(p) if d != r
-                )
-                recv_bytes = sum(
-                    message_bytes(mats[s][r]) for s in range(p) if s != r
-                )
-                t = t0 + m.alltoallv_cost(sent_bytes, recv_bytes, p, rank=r)
-                outs.append((received, t))
+            for r, (sent, recv) in enumerate(_leg_sizes(mats)):
+                t = t0 + m.alltoallv_cost(sum(sent), sum(recv), p, rank=r)
+                outs.append((([mats[s][r] for s in range(p)], sent, recv), t))
             return outs
 
-        out = self._collective("alltoall", list(values), finalize, category)
-        for d, v in enumerate(values):
-            if d != self.rank:
-                self.trace.record_send(message_bytes(v))
-        for s, v in enumerate(out):
-            if s != self.rank:
-                self.trace.record_recv(message_bytes(v))
+        out, sent, recv = self._collective(
+            "alltoall", list(values), finalize, category
+        )
+        self._record_leg(sent, recv)
         return out
 
     def exchange_roundtrip(
@@ -888,19 +892,11 @@ class Communicator:
             serves = [fn for (_v, fn), _ in slots]
             t0 = max(c for _, c in slots)
             # Request leg: servers reply only once every request landed.
-            req_costs = []
-            for r in range(p):
-                sent_slots = [mats[r][d] for d in range(p) if d != r]
-                recv_slots = [mats[s][r] for s in range(p) if s != r]
-                req_costs.append(
-                    m.exchange_leg_cost(
-                        sum(message_bytes(v) for v in sent_slots),
-                        sum(message_bytes(v) for v in recv_slots),
-                        p,
-                        rank=r,
-                    )
-                )
-            t_mid = t0 + max(req_costs)
+            req_sizes = _leg_sizes(mats)
+            t_mid = t0 + max(
+                m.exchange_leg_cost(sum(sent), sum(recv), p, rank=r)
+                for r, (sent, recv) in enumerate(req_sizes)
+            )
             # Serve in rank order: deterministic regardless of which
             # thread happens to run the rendezvous finalizer.
             reply_mat = []
@@ -913,36 +909,17 @@ class Communicator:
                     )
                 reply_mat.append(replies)
             outs = []
-            for r in range(p):
+            for r, (sent, recv) in enumerate(_leg_sizes(reply_mat)):
+                t = t_mid + m.exchange_leg_cost(sum(sent), sum(recv), p, rank=r)
                 received = [reply_mat[s][r] for s in range(p)]
-                sent_slots = [reply_mat[r][d] for d in range(p) if d != r]
-                recv_slots = [reply_mat[s][r] for s in range(p) if s != r]
-                t = t_mid + m.exchange_leg_cost(
-                    sum(message_bytes(v) for v in sent_slots),
-                    sum(message_bytes(v) for v in recv_slots),
-                    p,
-                    rank=r,
-                )
-                rep_sent = [message_bytes(v) for v in sent_slots]
-                req_recv = [
-                    message_bytes(mats[s][r]) for s in range(p) if s != r
-                ]
-                outs.append(((received, rep_sent, req_recv), t))
+                outs.append(((received, req_sizes[r], (sent, recv)), t))
             return outs
 
-        received, rep_sent, req_recv = self._collective(
+        received, req_leg, reply_leg = self._collective(
             "exchange_roundtrip", (list(outgoing), serve), finalize, category
         )
-        for d, v in enumerate(outgoing):
-            if d != self.rank:
-                self.trace.record_send(message_bytes(v))
-        for n in req_recv:
-            self.trace.record_recv(n)
-        for n in rep_sent:
-            self.trace.record_send(n)
-        for s, v in enumerate(received):
-            if s != self.rank:
-                self.trace.record_recv(message_bytes(v))
+        self._record_leg(*req_leg)
+        self._record_leg(*reply_leg)
         return received
 
     def neighbor_alltoall(
@@ -1150,62 +1127,3 @@ def split_communicator(
         tuple(member_ranks), group_id
     )
     return SubCommunicator(comm, member_ranks, group_id, rendezvous)
-
-
-class Request:
-    """Handle for a nonblocking operation (mpi4py-style).
-
-    ``wait()`` blocks until completion and returns the received object
-    (``None`` for sends); ``test()`` returns ``(done, value)`` without
-    blocking.  A request completes at most once; further calls return
-    the cached outcome.
-    """
-
-    def __init__(
-        self,
-        comm: "Communicator",
-        kind: str,
-        source: int = -1,
-        tag: int = 0,
-        category: str = "other",
-    ):
-        self._comm = comm
-        self._kind = kind
-        self._source = source
-        self._tag = tag
-        self._category = category
-        self._done = kind == "send"
-        self._value: Any = None
-
-    @property
-    def completed(self) -> bool:
-        return self._done
-
-    def wait(self) -> Any:
-        if not self._done:
-            self._value = self._comm.recv(
-                self._source, tag=self._tag, category=self._category
-            )
-            self._done = True
-        return self._value
-
-    def test(self) -> tuple[bool, Any]:
-        if self._done:
-            return True, self._value
-        if self._comm.world.probe(
-            self._comm.rank, self._source, self._tag
-        ):
-            return True, self.wait()
-        return False, None
-
-
-def wait_all(requests: Sequence["Request"]) -> list[Any]:
-    """Wait for every request; returns their values in order."""
-    return [r.wait() for r in requests]
-
-
-def iter_ranks(size: int) -> Iterable[int]:
-    """Convenience: ``range(size)`` with validation (used in examples)."""
-    if size < 1:
-        raise InvalidRankError(f"size must be >= 1, got {size}")
-    return range(size)

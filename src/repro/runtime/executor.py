@@ -12,17 +12,35 @@ Usage mirrors ``mpiexec -n p python script.py``::
     result.elapsed     # modelled execution time (max virtual clock)
     result.trace       # per-category time/message breakdown
 
-Each rank runs in its own thread.  The machine has no real parallelism
-requirement — ranks spend their lives exchanging small Python objects —
-so thread scheduling only affects wall time, never the modelled time or
-the results (the algorithms are deterministic given their seeds).
+Each rank runs in its own thread, and the threads of one world are
+confined to **one CPU**.  Ranks spend their lives exchanging small
+Python objects, so they serialise on the GIL: a second core adds no
+throughput, only a cross-core GIL / condition-variable ping-pong at
+every hand-off (measured on a 2-CPU box: one 8-rank ``mesh_p8``
+detection made ~30 000 voluntary context switches and ~0.3 s of system
+time when the kernel spread its threads over both CPUs — which it does
+in some processes and not in others — and ~3 000 and ~0.02 s on one:
+0.60 s against 0.20 s of wall).  So each rank thread of a multi-rank
+world pins *itself* (``os.sched_setaffinity(0, ...)`` is per-thread on
+Linux) to a CPU chosen per world from the caller's allowed set:
+successive worlds take successive CPUs, offset by the pid so sibling
+shard processes do not march in step.  The calling thread and every
+other thread keep their masks, the pin dies with the rank threads, and
+where the platform lacks the call (macOS, Windows), refuses it, or
+allows one CPU the world runs unconfined.  Thread placement only ever
+affects wall time, never the modelled time or the results (the
+algorithms are deterministic given their seeds).
 
 Failure semantics: the first exception on any rank aborts the world;
 other ranks observe :class:`~repro.runtime.errors.RankAborted` at their
 next communication call, and the executor re-raises a single
 :class:`~repro.runtime.errors.RankFailedError` carrying every original
-(non-secondary) failure.  (On ``size == 1`` the fast path lets the
-exception propagate natively instead.)
+(non-secondary) failure.  A rank that neither returns nor fails — still
+running after the join deadline and the abort — is reported the same
+way, as a :class:`~repro.runtime.errors.CommTimeoutError` carrying the
+deadlock audit; its slot is never handed back as ``None``.  (On
+``size == 1`` the fast path lets the exception propagate natively
+instead.)
 
 Resilience hooks: ``fault_plan`` installs a deterministic fault-injection
 plan (see :mod:`repro.resilience.faults`) consulted on every
@@ -35,15 +53,38 @@ SPMD program as ``comm.restored``.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..obs.events import emit_current
 from .comm import Communicator, World
-from .errors import RankAborted, RankFailedError
+from .errors import CommTimeoutError, RankAborted, RankFailedError
 from .perfmodel import CORI_HASWELL, MachineModel
 from .tracing import TraceReport
+
+
+#: Multi-rank worlds started by this process so far (see ``_world_cpu``).
+_WORLD_SEQ = itertools.count()
+
+
+def _world_cpu() -> int | None:
+    """CPU the next multi-rank world is confined to (``None``: unconfined).
+
+    Read from the *calling* thread's mask, so a caller restricted to a
+    subset (``taskset``, a cgroup cpuset) only ever yields CPUs of that
+    subset.  The pid is added at use, not at import: a forked shard
+    inherits the counter but not the offset.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    allowed = sorted(os.sched_getaffinity(0))
+    if len(allowed) < 2:
+        return None
+    return allowed[(os.getpid() + next(_WORLD_SEQ)) % len(allowed)]
 
 
 @dataclass
@@ -153,7 +194,14 @@ def run_spmd(
             machine=machine,
         )
 
+    cpu = _world_cpu()
+
     def runner(rank: int) -> None:
+        if cpu is not None:
+            # This thread only.  A refusal (sandboxed syscall, cpuset
+            # shrunk since the mask was read) costs wall time, nothing else.
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, {cpu})
         try:
             values[rank] = fn(comms[rank], *args, **kwargs)
         except RankAborted as exc:
@@ -177,6 +225,17 @@ def run_spmd(
             world.abort(TimeoutError(f"thread {t.name} failed to finish"))
     for t in threads:
         t.join(timeout=5.0)
+    # A rank that is still running never saw the abort (it is computing
+    # or spinning, not communicating): its missing value is a failure,
+    # not a ``None`` result.
+    with lock:
+        for r, t in enumerate(threads):
+            if t.is_alive():
+                failures.setdefault(r, CommTimeoutError(
+                    f"rank {r} was still running {timeout * 2}s after the "
+                    "world started and did not stop when it was aborted\n"
+                    + world.deadlock_audit()
+                ))
 
     if failures:
         primary = {

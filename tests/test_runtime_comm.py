@@ -391,3 +391,145 @@ class TestExchangeRoundtrip:
         counts = r.trace.collective_counts()
         assert counts.get("exchange_roundtrip") == 4
         assert r.trace.seconds_by_category()["community_comm"] > 0
+
+
+# ----------------------------------------------------------------------
+# Byte/message/clock accounting of the two personalized exchanges
+# ----------------------------------------------------------------------
+def _ragged(s, d, salt=0):
+    """Deterministic ragged payload for the message s -> d."""
+    from repro.core.commcache import COMM_INFO_DTYPE
+
+    if s == d:
+        # A fat self-message: delivered, never priced or counted.
+        return np.arange(1000, dtype=np.int64)
+    k = (3 * s + 5 * d + salt) % 5
+    if k == 0:
+        return None
+    if k == 1:
+        return np.empty(0, dtype=COMM_INFO_DTYPE)
+    if k == 2:
+        return np.zeros(s + 2 * d + 1, dtype=COMM_INFO_DTYPE)
+    if k == 3:
+        return [[s, d], [float(salt)] * (d + 1), (s, "tag")]
+    return np.arange(7 * s + d, dtype=np.int64)
+
+
+def _leg_expectation(machine, p, payload):
+    """Per-rank (sent sizes, received sizes, leg cost) of one exchange
+    leg, from ``message_bytes`` and the machine model alone."""
+    from repro.runtime.payload import message_bytes
+
+    legs = []
+    for r in range(p):
+        sent = [message_bytes(payload(r, d)) for d in range(p) if d != r]
+        recv = [message_bytes(payload(s, r)) for s in range(p) if s != r]
+        cost = machine.alltoallv_cost(sum(sent), sum(recv), p, rank=r)
+        assert cost == machine.exchange_leg_cost(sum(sent), sum(recv), p, rank=r)
+        legs.append((sent, recv, cost))
+    return legs
+
+
+class TestExchangeAccounting:
+    """``alltoall`` / ``exchange_roundtrip`` size each wire message once;
+    the counters and clocks they produce are pinned here against values
+    computed without going through the communicator."""
+
+    @staticmethod
+    def _stagger(comm):
+        # Unequal entry clocks: the collective must start at the latest.
+        comm.charge_compute(1e5 * (comm.rank + 1))
+        return comm.clock
+
+    @staticmethod
+    def _advance(start, target):
+        # Exactly how ``Communicator._collective`` moves a clock.
+        return start + max(target - start, 0.0)
+
+    @pytest.mark.parametrize("p", [2, 3, 8])
+    def test_alltoall_counters_and_clocks(self, p):
+        from repro.runtime import CORI_HASWELL as M
+
+        def prog(comm):
+            start = self._stagger(comm)
+            got = comm.alltoall([_ragged(comm.rank, d) for d in range(p)])
+            assert [type(v) for v in got] == [
+                type(_ragged(s, comm.rank)) for s in range(p)
+            ]
+            return start, comm.clock
+
+        r = run_spmd(p, prog, machine=M, timeout=10.0)
+        legs = _leg_expectation(M, p, _ragged)
+        t0 = max(start for start, _ in r.values)
+        for rank, ((start, clock), (sent, recv, cost)) in enumerate(
+            zip(r.values, legs)
+        ):
+            t = r.trace.ranks[rank]
+            assert (t.messages_sent, t.bytes_sent) == (p - 1, sum(sent))
+            assert (t.messages_received, t.bytes_received) == (p - 1, sum(recv))
+            assert clock == self._advance(start, t0 + cost)
+
+    @pytest.mark.parametrize("p", [2, 3, 8])
+    def test_exchange_roundtrip_counters_and_clocks(self, p):
+        from repro.runtime import CORI_HASWELL as M
+
+        def reply(s, d):  # server s's reply to client d
+            return _ragged(s, d, salt=2)
+
+        def prog(comm):
+            start = self._stagger(comm)
+            comm.exchange_roundtrip(
+                [_ragged(comm.rank, d) for d in range(p)],
+                lambda incoming: [reply(comm.rank, d) for d in range(p)],
+            )
+            return start, comm.clock
+
+        r = run_spmd(p, prog, machine=M, timeout=10.0)
+        req = _leg_expectation(M, p, _ragged)
+        rep = _leg_expectation(M, p, reply)
+        t_mid = max(start for start, _ in r.values) + max(c for _, _, c in req)
+        for rank, (start, clock) in enumerate(r.values):
+            t = r.trace.ranks[rank]
+            sent = req[rank][0] + rep[rank][0]
+            recv = req[rank][1] + rep[rank][1]
+            assert (t.messages_sent, t.bytes_sent) == (2 * (p - 1), sum(sent))
+            assert (t.messages_received, t.bytes_received) == (
+                2 * (p - 1), sum(recv),
+            )
+            assert clock == self._advance(start, t_mid + rep[rank][2])
+
+    @pytest.mark.parametrize("p", [2, 3, 8])
+    def test_every_wire_message_sized_exactly_once(self, p, monkeypatch):
+        import threading
+
+        from repro.runtime import comm as comm_mod
+        from repro.runtime.payload import message_bytes
+
+        calls = []
+        lock = threading.Lock()
+
+        def counting(obj):
+            with lock:
+                calls.append(1)
+            return message_bytes(obj)
+
+        monkeypatch.setattr(comm_mod, "message_bytes", counting)
+
+        def prog(comm):
+            comm.alltoall([_ragged(comm.rank, d) for d in range(p)])
+            comm.barrier()
+            after_alltoall = len(calls)
+            comm.barrier()
+            comm.exchange_roundtrip(
+                [_ragged(comm.rank, d) for d in range(p)],
+                lambda incoming: [_ragged(comm.rank, d, 1) for d in range(p)],
+            )
+            return after_alltoall
+
+        r = spmd(p, prog)
+        # p(p-1) wire messages per leg (the p self-messages are never
+        # sized); before the single sizing pass an 8-rank alltoall made
+        # 224 calls: 112 in finalize plus 14 on each rank for its trace.
+        wire = p * (p - 1)
+        assert r.values == [wire] * p
+        assert len(calls) == 3 * wire
