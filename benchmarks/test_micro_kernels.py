@@ -15,11 +15,16 @@ performance regressions of the simulator itself are visible:
   collective for allreduce / allgather / alltoall /
   ``exchange_roundtrip`` at p ∈ {2, 4, 8} with empty and 1 kB payloads;
 * the subscription-cache push update of the owner-push community
-  exchange (overwrite-known + merge-insert-unknown).
+  exchange (overwrite-known + merge-insert-unknown);
+* one collective checkpoint save, full (the first of a phase: graph
+  slice and history too) and delta (iteration state only), at
+  p ∈ {1, 2, 4} on the ``service_mix`` graph: wall µs and bytes.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 import time
 
 import numpy as np
@@ -28,11 +33,17 @@ import pytest
 
 from repro.core import LouvainConfig, coarsen_csr, pack_info
 from repro.core.commcache import CommunityCache
-from repro.core.distlouvain import _GhostChannel, _sweep_round
+from repro.core.distlouvain import (
+    _GhostChannel,
+    _save_checkpoint,
+    _sweep_round,
+)
 from repro.core.grappolo import greedy_coloring, vertex_following_seed
 from repro.core.sweep import SweepPlan, array_lookup, propose_moves
-from repro.generators import generate_lfr
+from repro.core.result import IterationStats
+from repro.generators import generate_lfr, make_graph
 from repro.graph import CSRGraph, DistGraph, EdgeList
+from repro.resilience import CheckpointManager, IterationState, read_manifest
 from repro.runtime import FREE, run_spmd
 
 
@@ -270,3 +281,93 @@ def test_kernel_collective(benchmark, monkeypatch, op, p, payload):
         f"\ncollective {op:<18} p={p} payload={payload:<5} "
         f"{ns:>10.0f} ns/collective {sizings:>6.1f} message_bytes calls"
     )
+
+
+# ----------------------------------------------------------------------
+# The checkpoint layer: wall cost and bytes of one collective save
+# ----------------------------------------------------------------------
+SAVES_PER_RUN = 12
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("form", ["full", "delta"])
+def test_kernel_checkpoint_save(benchmark, tmp_path, form, p):
+    """Wall µs and bytes of one mid-phase save on web-wiki small (the
+    ``service_mix`` graph), ``machine=FREE``.  ``full`` opens a new phase
+    with every save, so each one stores the rank's graph slice;
+    ``delta`` stays in the phase an untimed first save opened.  The
+    labels are a late phase-0 state (a finished run's communities named
+    by their smallest member), so the arrays compress as real ones do."""
+    g = make_graph("web-wiki-en-2013", scale="small", seed=1)
+    n = g.num_vertices
+    assignment = _labels_by_min_member(g)
+    tot = np.bincount(assignment, weights=g.degrees(), minlength=n)
+    size = np.bincount(assignment, minlength=n)
+    stats = [
+        IterationStats(
+            phase=0, iteration=i, modularity=0.5 + 0.01 * i, moves=n >> i,
+            active_fraction=1.0, inactive_fraction=0.0,
+        )
+        for i in range(8)
+    ]
+    walls: list[int] = []
+    nbytes: list[int] = []
+
+    def prog(comm, root):
+        dg = DistGraph.distribute(comm, g)
+        lo, hi = dg.vbegin, dg.vend
+        manager = CheckpointManager(root, every_iterations=1)
+
+        def cut(phase, iteration):
+            _save_checkpoint(
+                manager, comm, kind="iteration", phase=phase,
+                iteration=iteration, dg=dg,
+                orig_slice=np.arange(lo, hi, dtype=np.int64),
+                prev_mod=-np.inf, final_mod=0.0, phases=[], iterations=[],
+                cycler=None,
+                iteration_state=IterationState(
+                    iteration=iteration, prev_q=0.56, q=0.57, stats=stats,
+                    local_comm=assignment[lo:hi], tot_owned=tot[lo:hi],
+                    size_owned=size[lo:hi], et_prob=None, et_inactive=None,
+                    et_rng_state=None,
+                ),
+            )
+
+        cut(0, 0)
+        for i in range(1, SAVES_PER_RUN + 1):
+            comm.barrier()
+            t0 = time.perf_counter_ns()
+            cut(i if form == "full" else 0, i)
+            if comm.rank == 0:
+                walls.append(time.perf_counter_ns() - t0)
+                newest = max(os.listdir(root))
+                nbytes.append(sum(
+                    s.nbytes
+                    for s in read_manifest(os.path.join(root, newest)).shards
+                ))
+
+    def run():
+        root = tempfile.mkdtemp(dir=tmp_path)
+        run_spmd(p, prog, root, machine=FREE, timeout=60.0)
+
+    benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
+    # Drop the warm-up round (absent under --benchmark-disable).
+    timed = walls[SAVES_PER_RUN:] or walls
+    us = float(np.median(timed)) / 1e3
+    per_save = int(np.median(nbytes))
+    benchmark.extra_info.update(wall_us_per_save=us, bytes_per_save=per_save)
+    print(
+        f"\ncheckpoint save {form:<5} p={p} {us:>9.0f} us/save "
+        f"{per_save:>8d} bytes/save"
+    )
+
+
+def _labels_by_min_member(g: CSRGraph) -> np.ndarray:
+    """A finished detection's communities, each named by its smallest
+    member (the id space live ``local_comm`` arrays use)."""
+    from repro.core.sequential import louvain
+
+    labels = louvain(g).assignment
+    first = np.full(labels.max() + 1, g.num_vertices, dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(g.num_vertices))
+    return first[labels]

@@ -6,9 +6,15 @@ mid-run with a deterministic fault plan, then resumes from the last
 valid checkpoint and verifies the final communities match an
 uninterrupted run exactly.
 
-Run:  python examples/checkpoint_resume.py
+Run:  python examples/checkpoint_resume.py [CHECKPOINT_DIR]
+
+With a directory argument the checkpoints are left there for
+``repro-louvain ckpt validate`` (CI does this); without, they live in a
+temporary directory.
 """
 
+import contextlib
+import sys
 import tempfile
 
 import numpy as np
@@ -27,7 +33,11 @@ print(f"input: {graph}")
 reference = run_louvain(graph, nranks=NRANKS, config=config)
 print(f"uninterrupted run: {reference.summary()}")
 
-with tempfile.TemporaryDirectory() as ckpt_dir:
+with (
+    contextlib.nullcontext(sys.argv[1])
+    if len(sys.argv) > 1
+    else tempfile.TemporaryDirectory()
+) as ckpt_dir:
     # Deterministic fault plan: rank 2 dies at its 40th communication
     # operation.  Same plan => same failure point, every run.
     plan = FaultPlan(kills={2: 40})
@@ -37,7 +47,7 @@ with tempfile.TemporaryDirectory() as ckpt_dir:
             nranks=NRANKS,
             config=config,
             checkpoint_dir=ckpt_dir,
-            checkpoint_every_iterations=2,
+            checkpoint_every_iterations=1,
             fault_plan=plan,
         )
         raise SystemExit("fault plan did not fire?!")
@@ -48,12 +58,16 @@ with tempfile.TemporaryDirectory() as ckpt_dir:
     print(f"last valid checkpoint: {manifest.describe()}")
 
     # Resume from the checkpoint directory: the graph ingest is skipped
-    # and the run continues from the last consistent snapshot.
+    # and the run continues from the last consistent snapshot — here a
+    # delta checkpoint (the iteration state) laid over the full one that
+    # opened its phase (the graph slice).  The resumed run keeps cutting
+    # checkpoints at the same cadence.
     resumed = run_louvain(
         graph,
         nranks=NRANKS,
         config=config,
         checkpoint_dir=ckpt_dir,
+        checkpoint_every_iterations=1,
         resume=True,
     )
     print(f"resumed run:       {resumed.summary()}")

@@ -3,7 +3,9 @@
 from .ascii_plot import ascii_plot, sparkline
 from .extrapolate import RunObservables, ScalingModel, calibrate, observe_run
 from .harness import (
+    CheckpointOverhead,
     SweepResultSet,
+    measure_checkpoint_overhead,
     run_trial,
     run_variant_sweep,
     speedup_table,
@@ -19,6 +21,7 @@ from .tables import format_series, format_table
 
 __all__ = [
     "BENCH_FORMAT_VERSION",
+    "CheckpointOverhead",
     "RunObservables",
     "ascii_plot",
     "sparkline",
@@ -30,6 +33,7 @@ __all__ = [
     "observe_run",
     "format_series",
     "format_table",
+    "measure_checkpoint_overhead",
     "read_bench_records",
     "run_trial",
     "run_variant_sweep",

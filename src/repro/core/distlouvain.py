@@ -665,31 +665,36 @@ def _save_checkpoint(
     phase_assignments: list[np.ndarray] | None = None,
     iteration_state=None,
 ) -> None:
-    """Cut one checkpoint (collective; charged to ``checkpoint``)."""
-    from ..resilience.louvain_state import pack_rank_state
+    """Cut one checkpoint (collective; charged to ``checkpoint``).
 
-    meta, arrays = pack_rank_state(
-        kind=kind,
-        phase=phase,
-        dg=dg,
-        orig_slice=orig_slice,
-        prev_mod=prev_mod,
-        final_mod=final_mod,
-        phases=phases,
-        iterations=iterations,
-        in_final_pass=bool(cycler.in_final_pass) if cycler else False,
-        clock=comm.clock,
-        seed_assignment=seed_assignment,
-        phase_assignments=phase_assignments if comm.rank == 0 else None,
-        iteration_state=iteration_state,
+    The manager packs the phase state only into the first checkpoint it
+    writes in ``phase``; later ones are deltas of that one.
+    """
+    from ..resilience.louvain_state import (
+        pack_iteration_state,
+        pack_phase_state,
     )
+
     manager.save(
         comm,
         kind=kind,
         phase=phase,
         iteration=iteration,
-        meta=meta,
-        arrays=arrays,
+        phase_state=lambda: pack_phase_state(
+            phase=phase,
+            dg=dg,
+            orig_slice=orig_slice,
+            prev_mod=prev_mod,
+            final_mod=final_mod,
+            phases=phases,
+            iterations=iterations,
+            in_final_pass=bool(cycler.in_final_pass) if cycler else False,
+            seed_assignment=seed_assignment,
+            phase_assignments=phase_assignments if comm.rank == 0 else None,
+        ),
+        iteration_state=pack_iteration_state(
+            kind=kind, clock=comm.clock, state=iteration_state
+        ),
     )
 
 

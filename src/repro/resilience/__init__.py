@@ -7,7 +7,9 @@ subpackage provides the three layers:
 * **checkpointing** (:mod:`.checkpoint`) — versioned, checksummed,
   per-rank-sharded snapshots of the distributed state at phase
   boundaries (and optionally every K iterations), written atomically so
-  a crash never leaves a half-valid checkpoint;
+  a crash never leaves a half-valid checkpoint; the first checkpoint of
+  a phase is full, later ones are deltas that store only the iteration
+  state and pin the full one's shards by size and SHA-256;
 * **fault injection** (:mod:`.faults`) — seeded, deterministic failure
   schedules (kill a rank at operation N, delay/drop messages, corrupt a
   shard on disk) so recovery can be exercised and *proven* in tests;
@@ -22,6 +24,7 @@ the bench harness reports it alongside the paper's §V-A breakdown.
 
 from .checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
+    BaseRef,
     CheckpointError,
     CheckpointManager,
     CorruptShardError,
@@ -41,11 +44,13 @@ from .faults import FaultPlan, corrupt_checkpoint_shard
 from .louvain_state import (
     IterationState,
     RestoredLouvainState,
-    pack_rank_state,
+    pack_iteration_state,
+    pack_phase_state,
     unpack_rank_state,
 )
 
 __all__ = [
+    "BaseRef",
     "CHECKPOINT_FORMAT_VERSION",
     "CheckpointError",
     "CheckpointManager",
@@ -61,7 +66,8 @@ __all__ = [
     "corrupt_checkpoint_shard",
     "latest_valid_manifest",
     "load_shard",
-    "pack_rank_state",
+    "pack_iteration_state",
+    "pack_phase_state",
     "read_manifest",
     "restore_world",
     "scan_checkpoints",

@@ -11,14 +11,26 @@ On-disk layout (one directory per checkpoint under the user's root)::
         step-000001/
             ...
 
+A checkpoint is either *full* — its shards hold the whole state — or a
+*delta*: its shards hold only the state that changes from iteration to
+iteration, and its manifest's ``base`` record names the full checkpoint
+of the same phase it extends, by step directory and by the size and
+SHA-256 of every base shard.  A manager writes a full checkpoint the
+first time it saves in a phase and deltas until the phase changes, so
+the phase-invariant state (the graph slice) is serialized once per
+phase.  :func:`load_shard` is the only reader that knows: it verifies
+both shards against the delta's manifest and hands back the merged
+payload.
+
 Shards are written to a temp file and atomically renamed; the manifest
 (rank 0 only) likewise, after a gather of every shard's SHA-256 digest.
 A crash mid-save therefore never produces a half-valid checkpoint: either
 the manifest exists and names checksummed shards, or the step directory
 is garbage to be ignored.  Corruption after the fact (bit rot, truncated
 writes, an injected ``corrupt_checkpoint_shard``) is caught by digest
-verification at restore time, and restore falls back to the newest
-*older* checkpoint that verifies.
+verification at restore time — of the base's shards as much as the
+delta's — and restore falls back to the newest *older* checkpoint whose
+whole chain verifies.
 
 Checkpoint traffic and file I/O are charged to the ``checkpoint`` trace
 category so the bench harness can attribute the overhead (§V-A style).
@@ -33,20 +45,28 @@ import os
 import re
 import shutil
 import tempfile
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+import zipfile
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from ..runtime.comm import Communicator
 
 #: Version of the on-disk checkpoint format.  Bump on layout changes;
-#: restore refuses manifests written by a different version.
-CHECKPOINT_FORMAT_VERSION = 1
+#: restore refuses manifests written by a different version.  Version 2
+#: introduced delta checkpoints (the manifest's ``base`` record).
+CHECKPOINT_FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 _STEP_RE = re.compile(r"^step-(\d{6,})$")
 _META_KEY = "_meta"
+#: zlib level of every shard member.  Level 1 packs a 283 kB shard in
+#: 2.2 ms where numpy's default (6) takes 9.1 ms, for 12 % more bytes.
+_DEFLATE_LEVEL = 1
+
+#: One rank's checkpoint payload: JSON-able scalars and named arrays.
+ShardPayload = tuple[dict[str, Any], dict[str, np.ndarray]]
 
 
 class CheckpointError(Exception):
@@ -76,6 +96,19 @@ class ShardInfo:
 
 
 @dataclass(frozen=True)
+class BaseRef:
+    """The full checkpoint a delta extends, as the delta's manifest pins it.
+
+    The delta carries its own copy of the base shards' sizes and
+    digests, so restoring it trusts nothing in the base directory that
+    the delta's manifest did not vouch for.
+    """
+
+    step: str                        # step directory name, beside the delta's
+    shards: tuple[ShardInfo, ...]
+
+
+@dataclass(frozen=True)
 class Manifest:
     """One checkpoint's metadata (contents of ``manifest.json``)."""
 
@@ -93,11 +126,39 @@ class Manifest:
     #: whose key differs from the resuming config: continuing a run
     #: under different semantics would silently produce garbage.
     config_key: str = ""
+    #: ``None`` for a full checkpoint; for a delta, the full checkpoint
+    #: whose shards complete this one's.
+    base: BaseRef | None = None
+
+    @property
+    def base_directory(self) -> str | None:
+        if self.base is None:
+            return None
+        return os.path.join(os.path.dirname(self.directory), self.base.step)
 
     def shard_path(self, rank: int) -> str:
-        for s in self.shards:
+        """Path of the shard *this* checkpoint wrote for ``rank``."""
+        return os.path.join(
+            self.directory, self._info(self.shards, rank).filename
+        )
+
+    def parts(self) -> list[tuple[str, tuple[ShardInfo, ...]]]:
+        """``(directory, shard records)`` of the files this checkpoint
+        is made of: its base's, if it is a delta, then its own."""
+        own = (self.directory, self.shards)
+        if self.base is None:
+            return [own]
+        return [(self.base_directory, self.base.shards), own]
+
+    def chain(self, rank: int) -> list[tuple[str, ShardInfo]]:
+        """``(directory, record)`` of every file holding ``rank``'s
+        state, base first."""
+        return [(d, self._info(shards, rank)) for d, shards in self.parts()]
+
+    def _info(self, shards: tuple[ShardInfo, ...], rank: int) -> ShardInfo:
+        for s in shards:
             if s.rank == rank:
-                return os.path.join(self.directory, s.filename)
+                return s
         raise ManifestError(
             f"manifest {self.directory} has no shard for rank {rank}"
         )
@@ -109,9 +170,10 @@ class Manifest:
             else f"phase {self.phase} iteration {self.iteration}"
         )
         total = sum(s.nbytes for s in self.shards)
+        form = "full" if self.base is None else f"delta of {self.base.step}"
         return (
             f"step {self.seq:06d}: {self.kind} checkpoint at {where}, "
-            f"{self.size} rank(s), {total} bytes"
+            f"{self.size} rank(s), {total} bytes, {form}"
             + (f" [{self.label}]" if self.label else "")
         )
 
@@ -129,14 +191,6 @@ class RestoredRank:
 # ----------------------------------------------------------------------
 # Low-level helpers
 # ----------------------------------------------------------------------
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _atomic_write_bytes(path: str, data: bytes) -> None:
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
@@ -160,21 +214,79 @@ def _step_dirname(seq: int) -> str:
     return f"step-{seq:06d}"
 
 
+def _step_names(root: str) -> list[str]:
+    """Step directories under ``root``, oldest first."""
+    if not os.path.isdir(root):
+        return []
+    return sorted(
+        (n for n in os.listdir(root) if _STEP_RE.match(n)),
+        key=lambda n: int(_STEP_RE.match(n).group(1)),
+    )
+
+
 def _serialize_shard(meta: dict[str, Any], arrays: dict[str, np.ndarray]) -> bytes:
+    """``np.savez_compressed``'s container, at :data:`_DEFLATE_LEVEL`."""
     if _META_KEY in arrays:
         raise ValueError(f"array key {_META_KEY!r} is reserved")
+    payload = dict(arrays)
+    payload[_META_KEY] = np.frombuffer(
+        json.dumps(meta).encode("utf-8"), dtype=np.uint8
+    )
     buf = io.BytesIO()
-    payload = {k: np.asarray(v) for k, v in arrays.items()}
-    payload[_META_KEY] = np.array(json.dumps(meta))
-    np.savez_compressed(buf, **payload)
+    with zipfile.ZipFile(
+        buf, "w", zipfile.ZIP_DEFLATED, compresslevel=_DEFLATE_LEVEL
+    ) as zf:
+        for name, value in payload.items():
+            with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(
+                    fh, np.asanyarray(value), allow_pickle=False
+                )
     return buf.getvalue()
 
 
-def _deserialize_shard(path: str) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data[_META_KEY]))
+def _deserialize_shard(blob: bytes) -> ShardPayload:
+    with np.load(io.BytesIO(blob), allow_pickle=False) as data:
+        meta = json.loads(data[_META_KEY].tobytes())
         arrays = {k: data[k] for k in data.files if k != _META_KEY}
     return meta, arrays
+
+
+def _read_verified(directory: str, info: ShardInfo) -> bytes:
+    """A shard's bytes, checked against its manifest record."""
+    path = os.path.join(directory, info.filename)
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CorruptShardError(f"shard {path} is missing ({exc})") from exc
+    if len(blob) != info.nbytes:
+        raise CorruptShardError(
+            f"shard {path}: size {len(blob)} != manifest {info.nbytes}"
+        )
+    if hashlib.sha256(blob).hexdigest() != info.sha256:
+        raise CorruptShardError(
+            f"shard {path} fails its manifest checksum (corrupt or "
+            "partially written)"
+        )
+    return blob
+
+
+def _shards_from_json(raw: list[dict]) -> tuple[ShardInfo, ...]:
+    return tuple(
+        ShardInfo(
+            rank=int(s["rank"]),
+            filename=str(s["filename"]),
+            nbytes=int(s["nbytes"]),
+            sha256=str(s["sha256"]),
+        )
+        for s in raw
+    )
+
+
+def _manifest_to_json(manifest: Manifest) -> bytes:
+    raw = asdict(manifest)
+    del raw["directory"]  # where the file sits, not what it says
+    return json.dumps(raw, indent=1).encode("utf-8")
 
 
 def read_manifest(step_dir: str) -> Manifest:
@@ -191,17 +303,16 @@ def read_manifest(step_dir: str) -> Manifest:
             raise ManifestError(
                 f"{path}: checkpoint format version {version} is not "
                 f"supported (this build reads version "
-                f"{CHECKPOINT_FORMAT_VERSION})"
+                f"{CHECKPOINT_FORMAT_VERSION}); re-run without --resume"
             )
-        shards = tuple(
-            ShardInfo(
-                rank=int(s["rank"]),
-                filename=str(s["filename"]),
-                nbytes=int(s["nbytes"]),
-                sha256=str(s["sha256"]),
+        base = raw["base"]
+        if base is not None:
+            if not _STEP_RE.match(str(base["step"])):
+                raise ValueError(f"bad base step {base['step']!r}")
+            base = BaseRef(
+                step=str(base["step"]),
+                shards=_shards_from_json(base["shards"]),
             )
-            for s in raw["shards"]
-        )
         return Manifest(
             seq=int(raw["seq"]),
             kind=str(raw["kind"]),
@@ -210,35 +321,38 @@ def read_manifest(step_dir: str) -> Manifest:
             size=int(raw["size"]),
             version=version,
             label=str(raw.get("label", "")),
-            shards=shards,
+            shards=_shards_from_json(raw["shards"]),
             directory=os.path.abspath(step_dir),
             config_key=str(raw.get("config_key", "")),
+            base=base,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"malformed manifest {path}: {exc}") from exc
 
 
 def verify_manifest(manifest: Manifest) -> list[str]:
-    """Return integrity problems ([] when the checkpoint is fully valid)."""
+    """Return integrity problems ([] when the checkpoint is fully valid).
+
+    A delta is valid only together with its base: every base shard is
+    checked against the record the delta's own manifest keeps of it.
+    """
     problems: list[str] = []
-    if len(manifest.shards) != manifest.size:
-        problems.append(
-            f"{len(manifest.shards)} shard(s) listed for world size "
-            f"{manifest.size}"
+    for directory, shards in manifest.parts():
+        prefix = (
+            ""
+            if directory == manifest.directory
+            else f"base {manifest.base.step}: "
         )
-    for s in manifest.shards:
-        path = os.path.join(manifest.directory, s.filename)
-        if not os.path.exists(path):
-            problems.append(f"missing shard {s.filename}")
-            continue
-        if os.path.getsize(path) != s.nbytes:
+        if len(shards) != manifest.size:
             problems.append(
-                f"shard {s.filename}: size {os.path.getsize(path)} != "
-                f"manifest {s.nbytes}"
+                f"{prefix}{len(shards)} shard(s) listed for world size "
+                f"{manifest.size}"
             )
-            continue
-        if _sha256_file(path) != s.sha256:
-            problems.append(f"shard {s.filename}: checksum mismatch")
+        for s in shards:
+            try:
+                _read_verified(directory, s)
+            except CorruptShardError as exc:
+                problems.append(f"{prefix}{exc}")
     return problems
 
 
@@ -249,12 +363,8 @@ def scan_checkpoints(root: str) -> list[tuple[str, Manifest | None, str | None]]
     ascending sequence number; directories whose manifest is missing or
     unreadable appear with ``manifest=None`` and the error string.
     """
-    if not os.path.isdir(root):
-        return []
     out = []
-    for name in sorted(os.listdir(root)):
-        if not _STEP_RE.match(name):
-            continue
+    for name in _step_names(root):
         step_dir = os.path.join(root, name)
         try:
             out.append((name, read_manifest(step_dir), None))
@@ -271,8 +381,8 @@ def latest_valid_manifest(
     """Newest checkpoint that parses, matches the size, and verifies.
 
     Scans sequence numbers in descending order and skips invalid or
-    corrupt checkpoints, so restore degrades gracefully to the last
-    good state.
+    corrupt checkpoints — a delta whose base is missing or damaged
+    among them — so restore degrades gracefully to the last good state.
     """
     entries = [m for _, m, _ in scan_checkpoints(root) if m is not None]
     for manifest in sorted(entries, key=lambda m: -m.seq):
@@ -305,8 +415,9 @@ class CheckpointManager:
         Additionally checkpoint every K Louvain iterations inside a
         phase (None/0 disables).
     keep:
-        Retain at most this many newest checkpoints; older step
-        directories are pruned after each successful save (0 keeps all).
+        Retain at most this many newest checkpoints, plus the full
+        checkpoints they extend; older step directories are pruned
+        after each successful save (0 keeps all).
     label:
         Free-form tag recorded in manifests (e.g. the config label).
     config_key:
@@ -339,6 +450,10 @@ class CheckpointManager:
         self.label = label
         self.config_key = config_key
         self._seq: int | None = None
+        #: Phase of the last save, whose first checkpoint was full (every
+        #: rank), and that checkpoint as deltas cite it (rank 0 only).
+        self._base_phase: int | None = None
+        self._base: BaseRef | None = None
 
     # -- cadence --------------------------------------------------------
     def should_checkpoint_phase(self, phase: int) -> bool:
@@ -359,16 +474,10 @@ class CheckpointManager:
         directory, scattering one logical checkpoint across two seqs.
         """
         if self._seq is None:
-            existing = [
-                int(_STEP_RE.match(name).group(1))
-                for name in (
-                    os.listdir(self.directory)
-                    if os.path.isdir(self.directory)
-                    else []
-                )
-                if _STEP_RE.match(name)
-            ]
-            self._seq = max(existing) + 1 if existing else 0
+            steps = _step_names(self.directory)
+            self._seq = (
+                int(_STEP_RE.match(steps[-1]).group(1)) + 1 if steps else 0
+            )
         seq = self._seq
         self._seq = seq + 1
         return seq
@@ -381,17 +490,30 @@ class CheckpointManager:
         kind: str,
         phase: int,
         iteration: int,
-        meta: dict[str, Any],
-        arrays: dict[str, np.ndarray],
-    ) -> Manifest:
+        phase_state: Callable[[], ShardPayload],
+        iteration_state: ShardPayload,
+    ) -> Manifest | None:
         """Write one checkpoint (collective over ``comm``).
 
-        Each rank serializes ``meta`` + ``arrays`` into its shard and
-        writes it atomically; rank 0 gathers the digests, writes the
-        manifest last, and prunes old checkpoints.  All time (modelled
-        file I/O plus the digest gather and closing barrier) is charged
-        to the ``checkpoint`` trace category.
+        ``iteration_state`` is what changes between two saves of one
+        phase; ``phase_state()`` builds the rest, and is called only
+        for the first save of ``phase`` — that checkpoint is full, the
+        ones after it are deltas citing it.  Each rank serializes its
+        shard and writes it atomically; rank 0 gathers the digests,
+        writes the manifest last, prunes old checkpoints, and returns
+        the manifest of the shards this call wrote (other ranks return
+        ``None``).  All time (modelled file I/O plus the digest gather
+        and closing barrier) is charged to the ``checkpoint`` trace
+        category.
         """
+        full = self._base_phase != phase
+        self._base_phase = phase
+        meta, arrays = iteration_state
+        if full:
+            base_meta, base_arrays = phase_state()
+            meta = {**base_meta, **meta}
+            arrays = {**base_arrays, **arrays}
+
         seq = comm.bcast(
             self._next_seq() if comm.rank == 0 else None,
             root=0,
@@ -405,6 +527,7 @@ class CheckpointManager:
         _atomic_write_bytes(os.path.join(step_dir, filename), blob)
         digest = hashlib.sha256(blob).hexdigest()
         comm.charge("checkpoint", comm.machine.io_cost(len(blob)))
+        comm.trace.bytes_written += len(blob)
 
         infos = comm.gather(
             (comm.rank, filename, len(blob), digest),
@@ -413,10 +536,6 @@ class CheckpointManager:
         )
         manifest: Manifest | None = None
         if comm.rank == 0:
-            shards = tuple(
-                ShardInfo(rank=r, filename=f, nbytes=n, sha256=d)
-                for r, f, n, d in sorted(infos)
-            )
             manifest = Manifest(
                 seq=seq,
                 kind=kind,
@@ -425,54 +544,46 @@ class CheckpointManager:
                 size=comm.size,
                 version=CHECKPOINT_FORMAT_VERSION,
                 label=self.label,
-                shards=shards,
+                shards=tuple(
+                    ShardInfo(rank=r, filename=f, nbytes=n, sha256=d)
+                    for r, f, n, d in sorted(infos)
+                ),
                 directory=os.path.abspath(step_dir),
                 config_key=self.config_key,
+                base=None if full else self._base,
             )
             _atomic_write_bytes(
                 os.path.join(step_dir, MANIFEST_NAME),
-                json.dumps(
-                    {
-                        "seq": manifest.seq,
-                        "kind": manifest.kind,
-                        "phase": manifest.phase,
-                        "iteration": manifest.iteration,
-                        "size": manifest.size,
-                        "version": manifest.version,
-                        "label": manifest.label,
-                        "config_key": manifest.config_key,
-                        "shards": [
-                            {
-                                "rank": s.rank,
-                                "filename": s.filename,
-                                "nbytes": s.nbytes,
-                                "sha256": s.sha256,
-                            }
-                            for s in manifest.shards
-                        ],
-                    },
-                    indent=1,
-                ).encode("utf-8"),
+                _manifest_to_json(manifest),
             )
+            if full:
+                self._base = BaseRef(
+                    step=_step_dirname(seq), shards=manifest.shards
+                )
             self._prune()
         # No rank may race past the manifest write (a fault right after
         # the barrier must still find a fully valid checkpoint on disk).
         comm.barrier(category="checkpoint")
-        return manifest if manifest is not None else read_manifest(step_dir)
+        return manifest
 
     def _prune(self) -> None:
+        """Drop all but the ``keep`` newest checkpoints and their bases."""
         if not self.keep:
             return
-        steps = sorted(
-            (
-                name
-                for name in os.listdir(self.directory)
-                if _STEP_RE.match(name)
-            ),
-            key=lambda n: int(_STEP_RE.match(n).group(1)),
-        )
-        for name in steps[: max(len(steps) - self.keep, 0)]:
-            shutil.rmtree(os.path.join(self.directory, name), ignore_errors=True)
+        steps = _step_names(self.directory)
+        kept = set(steps[-self.keep:])
+        for name in sorted(kept):
+            try:
+                base = read_manifest(os.path.join(self.directory, name)).base
+            except ManifestError:
+                continue  # a torn step holds nothing worth protecting
+            if base is not None:
+                kept.add(base.step)
+        for name in steps:
+            if name not in kept:
+                shutil.rmtree(
+                    os.path.join(self.directory, name), ignore_errors=True
+                )
 
     # -- load -----------------------------------------------------------
     def load_latest(
@@ -502,30 +613,31 @@ class CheckpointManager:
         comm.charge(
             "checkpoint",
             comm.machine.io_cost(
-                next(s.nbytes for s in manifest.shards if s.rank == comm.rank)
+                sum(info.nbytes for _, info in manifest.chain(comm.rank))
             ),
         )
         return manifest, meta, arrays
 
 
-def load_shard(
-    manifest: Manifest, rank: int
-) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-    """Load and integrity-check one rank's shard of a checkpoint."""
-    info = next((s for s in manifest.shards if s.rank == rank), None)
-    if info is None:
-        raise ManifestError(
-            f"checkpoint {manifest.directory} has no shard for rank {rank}"
-        )
-    path = os.path.join(manifest.directory, info.filename)
-    if not os.path.exists(path):
-        raise CorruptShardError(f"shard {path} is missing")
-    if _sha256_file(path) != info.sha256:
-        raise CorruptShardError(
-            f"shard {path} fails its manifest checksum (corrupt or "
-            "partially written)"
-        )
-    return _deserialize_shard(path)
+def load_shard(manifest: Manifest, rank: int) -> ShardPayload:
+    """Load and integrity-check one rank's state from a checkpoint.
+
+    The one place that knows about deltas: every file of the rank's
+    chain is verified against ``manifest`` before any is parsed, then
+    the delta's entries are laid over the base's, so callers always see
+    the payload a full checkpoint at the same point would hold.
+    """
+    blobs = [
+        _read_verified(directory, info)
+        for directory, info in manifest.chain(rank)
+    ]
+    meta: dict[str, Any] = {}
+    arrays: dict[str, np.ndarray] = {}
+    for blob in blobs:
+        shard_meta, shard_arrays = _deserialize_shard(blob)
+        meta.update(shard_meta)
+        arrays.update(shard_arrays)
+    return meta, arrays
 
 
 def restore_world(comms: Iterable[Communicator], root: str) -> Manifest:

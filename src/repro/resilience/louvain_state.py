@@ -9,6 +9,12 @@ the live iteration state: community labels, the owner-side ``C_info``
 arrays, the ET activity probabilities and RNG state, and the iteration
 statistics accumulated so far.
 
+The two halves are packed separately — :func:`pack_phase_state` for what
+holds for a whole phase, :func:`pack_iteration_state` for what changes
+inside it — because a delta checkpoint stores only the second; a loaded
+checkpoint is always the two merged, which :func:`unpack_rank_state`
+reads.
+
 Everything numeric rides in the shard's arrays (bit-exact ``.npz``
 round-trip); scalars and statistics ride in the JSON meta (Python's
 ``repr``-based float serialization round-trips exactly, so resumed runs
@@ -24,6 +30,7 @@ import numpy as np
 
 from ..core.result import IterationStats, PhaseStats
 from ..graph.distgraph import DistGraph
+from .checkpoint import ShardPayload
 
 
 def _phases_to_json(phases: list[PhaseStats]) -> list[dict]:
@@ -103,9 +110,8 @@ class RestoredLouvainState:
     iteration_state: IterationState | None
 
 
-def pack_rank_state(
+def pack_phase_state(
     *,
-    kind: str,
     phase: int,
     dg: DistGraph,
     orig_slice: np.ndarray,
@@ -114,21 +120,19 @@ def pack_rank_state(
     phases: list[PhaseStats],
     iterations: list[IterationStats],
     in_final_pass: bool,
-    clock: float,
     seed_assignment: np.ndarray | None = None,
     phase_assignments: list[np.ndarray] | None = None,
-    iteration_state: IterationState | None = None,
-) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-    """Build the (meta, arrays) shard payload for one rank."""
+) -> ShardPayload:
+    """One rank's (meta, arrays) that hold for the whole of ``phase``:
+    the graph slice, the original-vertex map and the history up to the
+    phase's start.  Only a full checkpoint stores them."""
     meta: dict[str, Any] = {
-        "kind": kind,
         "phase": phase,
         "rank": dg.rank,
         "total_weight": dg.total_weight,
         "prev_mod": prev_mod,
         "final_mod": final_mod,
         "in_final_pass": in_final_pass,
-        "clock": clock,
         "phases": _phases_to_json(phases),
         "iterations": _iterations_to_json(iterations),
     }
@@ -145,26 +149,38 @@ def pack_rank_state(
         meta["num_phase_assignments"] = len(phase_assignments)
         for i, a in enumerate(phase_assignments):
             arrays[f"passign_{i:04d}"] = a
-    if iteration_state is not None:
-        st = iteration_state
-        meta["iteration"] = st.iteration
-        meta["prev_q"] = st.prev_q
-        meta["q"] = st.q
-        meta["phase_stats"] = _iterations_to_json(st.stats)
-        arrays["local_comm"] = st.local_comm
-        arrays["tot_owned"] = st.tot_owned
-        arrays["size_owned"] = st.size_owned
-        if st.et_prob is not None:
-            arrays["et_prob"] = st.et_prob
-            arrays["et_inactive"] = st.et_inactive
-            meta["et_rng_state"] = st.et_rng_state
+    return meta, arrays
+
+
+def pack_iteration_state(
+    *, kind: str, clock: float, state: IterationState | None = None
+) -> ShardPayload:
+    """One rank's (meta, arrays) that change from save to save inside a
+    phase — all a delta checkpoint stores.  ``state`` is ``None`` at a
+    phase boundary, where no iteration has run yet."""
+    meta: dict[str, Any] = {"kind": kind, "clock": clock}
+    arrays: dict[str, np.ndarray] = {}
+    if state is not None:
+        meta["iteration"] = state.iteration
+        meta["prev_q"] = state.prev_q
+        meta["q"] = state.q
+        meta["phase_stats"] = _iterations_to_json(state.stats)
+        arrays["local_comm"] = state.local_comm
+        arrays["tot_owned"] = state.tot_owned
+        arrays["size_owned"] = state.size_owned
+        if state.et_prob is not None:
+            arrays["et_prob"] = state.et_prob
+            arrays["et_inactive"] = state.et_inactive
+            meta["et_rng_state"] = state.et_rng_state
     return meta, arrays
 
 
 def unpack_rank_state(
     rank: int, meta: dict[str, Any], arrays: dict[str, np.ndarray]
 ) -> RestoredLouvainState:
-    """Rebuild a rank's phase-loop state from a shard payload."""
+    """Rebuild a rank's phase-loop state from a checkpoint's payload
+    (phase state and iteration state together, as ``load_shard`` hands
+    them back for full and delta checkpoints alike)."""
     saved_rank = int(meta["rank"])
     if saved_rank != rank:
         raise ValueError(

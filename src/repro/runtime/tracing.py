@@ -54,6 +54,8 @@ class RankTrace:
     messages_received: int = 0
     bytes_received: int = 0
     collectives: Counter = field(default_factory=Counter)
+    #: Bytes this rank wrote to the filesystem (checkpoint shards).
+    bytes_written: int = 0
     #: Per-interval timeline, populated only when event recording is on.
     events: list[TraceEvent] | None = None
 
@@ -128,6 +130,10 @@ class TraceReport:
     @property
     def total_bytes(self) -> int:
         return sum(t.bytes_sent for t in self.ranks)
+
+    @property
+    def total_bytes_written(self) -> int:
+        return sum(t.bytes_written for t in self.ranks)
 
     def collective_counts(self) -> dict[str, int]:
         out: Counter = Counter()

@@ -6,6 +6,7 @@ from repro.bench import (
     SweepResultSet,
     format_series,
     format_table,
+    measure_checkpoint_overhead,
     run_variant_sweep,
     speedup_table,
     strong_scaling_curve,
@@ -107,3 +108,27 @@ class TestScalingHelpers:
             machine=CORI_HASWELL,
         )
         assert len(s.labels()) == len(PAPER_VARIANTS)
+
+
+class TestCheckpointOverhead:
+    def test_reports_both_clocks_and_bytes(self, planted_blocks, tmp_path):
+        from repro.resilience import scan_checkpoints
+
+        d = str(tmp_path / "ck")
+        o = measure_checkpoint_overhead(
+            planted_blocks, 2, LouvainConfig(), d,
+            checkpoint_every_iterations=1,
+        )
+        assert o.num_checkpoints > 2
+        assert o.checkpoint_seconds > 0.0
+        assert 0.0 < o.overhead_fraction < 1.0
+        assert o.checkpointed.elapsed > o.plain.elapsed
+        assert o.plain_wall_s > 0.0 and o.checkpointed_wall_s > 0.0
+        # Every shard written counts, the pruned checkpoints' too.
+        on_disk = sum(
+            s.nbytes for _, m, _ in scan_checkpoints(d) for s in m.shards
+        )
+        assert o.bytes_written > on_disk > 0
+        text = o.format()
+        assert f"{o.bytes_written} bytes" in text
+        assert "s modelled, " in text and text.endswith("s wall")

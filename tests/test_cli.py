@@ -128,12 +128,37 @@ class TestCheckpointCli:
 
     def test_ckpt_list_and_validate(self, tmp_path, capsys, graph_file):
         ck = str(tmp_path / "ck")
-        main(["detect", graph_file, "--ranks", "2", "--checkpoint-dir", ck])
+        main(["detect", graph_file, "--ranks", "2", "--checkpoint-dir", ck,
+              "--checkpoint-every-iterations", "1"])
         capsys.readouterr()
         assert main(["ckpt", "list", ck]) == 0
-        assert "phase checkpoint" in capsys.readouterr().out
+        listed = capsys.readouterr().out
+        assert "phase checkpoint" in listed
+        # The last phase's boundary checkpoint and the delta extending it.
+        full, delta = listed.splitlines()
+        assert ", full" in full
+        assert f", delta of {full.split(':')[0]}" in delta
         assert main(["ckpt", "validate", ck]) == 0
-        assert "checkpoint(s) valid" in capsys.readouterr().out
+        assert "2/2 checkpoint(s) valid" in capsys.readouterr().out
+
+    def test_ckpt_validate_reports_delta_with_bad_base(
+        self, tmp_path, capsys, graph_file
+    ):
+        from repro.resilience import corrupt_checkpoint_shard, scan_checkpoints
+
+        ck = str(tmp_path / "ck")
+        main(["detect", graph_file, "--ranks", "2", "--checkpoint-dir", ck,
+              "--checkpoint-every-iterations", "1"])
+        capsys.readouterr()
+        (base_name, base, _), (delta_name, delta, _) = scan_checkpoints(ck)
+        assert delta.base.step == base_name
+        corrupt_checkpoint_shard(base.shard_path(1), seed=0)
+        assert main(["ckpt", "validate", ck]) == 1
+        out = capsys.readouterr().out
+        assert f"{base_name}: INVALID" in out
+        # The delta's own shards are intact; its base is what fails.
+        assert f"{delta_name}: INVALID (base {base_name}: " in out
+        assert "0/2 checkpoint(s) valid" in out
 
     def test_ckpt_validate_detects_corruption(self, tmp_path, capsys,
                                               graph_file):

@@ -5,7 +5,9 @@ valid checkpoint, and the final labels and modularity are bit-identical
 to an uninterrupted run.
 """
 
+import json
 import os
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +15,10 @@ import pytest
 
 from repro.core import LouvainConfig, Variant, run_louvain
 from repro.resilience import (
+    CheckpointManager,
     CorruptShardError,
     FaultPlan,
+    ManifestError,
     NoCheckpointError,
     corrupt_checkpoint_shard,
     latest_valid_manifest,
@@ -279,3 +283,238 @@ class TestConfigKeyGuard:
             ValueError, match="removed community-placed layout"
         ):
             unpack_rank_state(0, meta, arrays)
+
+
+PHASE_ARRAYS = {"index", "edges", "weights", "offsets", "orig_slice"}
+
+
+def _flip(path):
+    corrupt_checkpoint_shard(path, seed=0)
+
+
+class TestDeltaCheckpoints:
+    """The first checkpoint of a phase is full; the ones after it store
+    only the iteration state and pin the full one's shards."""
+
+    @pytest.fixture
+    def keep_all(self, monkeypatch):
+        """Runs under ``keep=0`` (``run_louvain`` has no knob for it)."""
+        monkeypatch.setitem(
+            CheckpointManager.__init__.__kwdefaults__, "keep", 0
+        )
+
+    def _run(self, tmp_path, p=2, cfg=None):
+        """One checkpoint per iteration, none pruned (needs keep_all)."""
+        g, cfg = _graph(), cfg or _config()
+        d = tmp_path / "all"
+        ref = run_louvain(
+            g, p, cfg, checkpoint_dir=str(d), checkpoint_every_iterations=1
+        )
+        manifests = [m for _, m, _ in scan_checkpoints(str(d))]
+        assert None not in manifests
+        return g, cfg, d, ref, manifests
+
+    def _upto(self, tmp_path, src, manifests, last):
+        """Copy of ``src`` as a crash right after step ``last`` left it."""
+        d = tmp_path / f"upto{last}"
+        for m in manifests[: last + 1]:
+            name = os.path.basename(m.directory)
+            shutil.copytree(src / name, d / name)
+        return d
+
+    @pytest.mark.parametrize("variant", ["baseline", "etc"])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_resume_from_every_checkpoint(self, tmp_path, keep_all, p, variant):
+        cfg = {
+            "baseline": LouvainConfig(seed=1),
+            "etc": LouvainConfig(variant=Variant.ETC, alpha=0.25, seed=1),
+        }[variant]
+        g, cfg, src, ref, manifests = self._run(tmp_path, p, cfg)
+        kinds = {(m.kind, m.base is None) for m in manifests}
+        assert kinds == {("phase", True), ("iteration", False)}
+        reopened = 0
+        for k, m in enumerate(manifests):
+            d = self._upto(tmp_path, src, manifests, k)
+            assert latest_valid_manifest(str(d), expect_size=p).seq == m.seq
+            res = run_louvain(
+                g, p, cfg, checkpoint_dir=str(d), resume=True,
+                checkpoint_every_iterations=1,
+            )
+            np.testing.assert_array_equal(ref.assignment, res.assignment)
+            assert res.modularity == ref.modularity
+            assert res.iterations == ref.iterations
+            assert res.phases == ref.phases
+            # A resumed run cannot lean on the dead run's base: whatever
+            # it cuts first is full, even mid-phase.
+            cut = [x for _, x, _ in scan_checkpoints(str(d))][k + 1:]
+            if cut:
+                assert cut[0].base is None
+            if (
+                not reopened
+                and len(cut) > 1
+                and cut[0].kind == "iteration"
+                and cut[1].base is not None
+            ):
+                # Crash a second time, on a delta of that mid-phase
+                # full checkpoint.
+                reopened += 1
+                for later in cut[2:]:
+                    shutil.rmtree(later.directory)
+                res = run_louvain(g, p, cfg, checkpoint_dir=str(d), resume=True)
+                np.testing.assert_array_equal(ref.assignment, res.assignment)
+                assert res.modularity == ref.modularity
+                assert res.iterations == ref.iterations
+        assert reopened
+
+    def test_delta_shard_holds_no_phase_state(self, tmp_path, keep_all):
+        g, cfg, d, ref, manifests = self._run(tmp_path)
+        for m in manifests:
+            for rank in range(m.size):
+                with np.load(m.shard_path(rank)) as shard:
+                    stored = set(shard.files)
+                if m.base is None:
+                    assert PHASE_ARRAYS <= stored
+                else:
+                    assert not PHASE_ARRAYS & stored
+                    assert "local_comm" in stored
+                    base = read_manifest(m.base_directory)
+                    assert base.base is None and base.phase == m.phase
+                    assert base.shards == m.base.shards
+                # ... and a reader never learns the difference.
+                _, arrays = load_shard(m, rank)
+                assert PHASE_ARRAYS <= set(arrays)
+
+    def test_sparse_phase_cadence_opens_phase_with_full_iteration(
+        self, tmp_path, keep_all
+    ):
+        """checkpoint_every=2 skips phase 1's boundary checkpoint, so its
+        first iteration checkpoint carries the phase state."""
+        g, cfg = _graph(), _config()
+        d = str(tmp_path / "ck")
+        run_louvain(
+            g, 2, cfg, checkpoint_dir=d, checkpoint_every=2,
+            checkpoint_every_iterations=1,
+        )
+        phase1 = [
+            m for _, m, _ in scan_checkpoints(d) if m.phase == 1
+        ]
+        assert [m.kind for m in phase1] == ["iteration"] * len(phase1)
+        assert phase1[0].base is None
+        assert all(m.base is not None for m in phase1[1:])
+
+    def test_corrupt_delta_falls_back_to_previous(self, tmp_path, keep_all):
+        g, cfg, src, ref, manifests = self._run(tmp_path)
+        d = self._upto(tmp_path, src, manifests, 3)  # full + three deltas
+        newest = read_manifest(str(d / "step-000003"))
+        assert newest.base is not None
+        _flip(newest.shard_path(1))
+        assert latest_valid_manifest(str(d), expect_size=2).seq == 2
+        res = run_louvain(g, 2, cfg, checkpoint_dir=str(d), resume=True)
+        np.testing.assert_array_equal(ref.assignment, res.assignment)
+        assert res.modularity == ref.modularity
+
+    @pytest.mark.parametrize("damage", [_flip, os.unlink])
+    def test_damaged_base_invalidates_its_deltas(
+        self, tmp_path, keep_all, damage
+    ):
+        g, cfg, src, ref, manifests = self._run(tmp_path)
+        second_full = [m.seq for m in manifests if m.base is None][1]
+        # ... full, deltas, second full, one delta of it.
+        d = self._upto(tmp_path, src, manifests, second_full + 1)
+        delta = read_manifest(str(d / f"step-{second_full + 1:06d}"))
+        base = read_manifest(delta.base_directory)
+        assert base.seq == second_full
+        damage(base.shard_path(1))
+        problems = verify_manifest(delta)
+        assert problems and all(p.startswith("base step-") for p in problems)
+        # The delta's own shard still verifies; the pair must not load.
+        with pytest.raises(CorruptShardError):
+            load_shard(delta, 1)
+        survivor = latest_valid_manifest(str(d), expect_size=2)
+        assert survivor.seq == second_full - 1  # last delta of phase 0
+        res = run_louvain(g, 2, cfg, checkpoint_dir=str(d), resume=True)
+        np.testing.assert_array_equal(ref.assignment, res.assignment)
+        assert res.modularity == ref.modularity
+
+    def test_damaged_only_base_leaves_no_checkpoint(self, tmp_path, keep_all):
+        g, cfg, src, ref, manifests = self._run(tmp_path)
+        d = self._upto(tmp_path, src, manifests, 3)
+        _flip(read_manifest(str(d / "step-000000")).shard_path(0))
+        assert latest_valid_manifest(str(d), expect_size=2) is None
+        with pytest.raises(RankFailedError) as exc:
+            run_louvain(g, 2, cfg, checkpoint_dir=str(d), resume=True)
+        assert any(
+            isinstance(c, NoCheckpointError) for c in exc.value.causes.values()
+        )
+
+    def test_swapped_base_is_refused(self, tmp_path, keep_all):
+        """The delta pins its base by digest, not by name: another valid
+        checkpoint sitting in the base's directory does not complete it."""
+        g, cfg, src, ref, manifests = self._run(tmp_path)
+        fulls = [m for m in manifests if m.base is None]
+        d = self._upto(tmp_path, src, manifests, fulls[1].seq)
+        shutil.rmtree(d / "step-000000")
+        shutil.copytree(fulls[1].directory, d / "step-000000")
+        assert not verify_manifest(read_manifest(str(d / "step-000000")))
+        delta = read_manifest(str(d / "step-000001"))
+        assert verify_manifest(delta)
+        with pytest.raises(CorruptShardError):
+            load_shard(delta, 0)
+
+    def test_prune_keeps_bases_of_retained_deltas(self, tmp_path):
+        d = str(tmp_path / "ck")
+        packed = []
+
+        def phase_state():
+            packed.append(1)
+            return {"graph": "g", "clock": 0.0}, {"edges": np.arange(5)}
+
+        def program(comm):
+            manager = CheckpointManager(d, every_iterations=1, keep=2)
+            seen = []
+            for phase, it in [(0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]:
+                manager.save(
+                    comm, kind="iteration", phase=phase, iteration=it,
+                    phase_state=phase_state,
+                    iteration_state=({"clock": float(it)}, {"y": np.full(2, it)}),
+                )
+                seen.append(sorted(os.listdir(d)))
+            return seen
+
+        seen = run_spmd(1, program).values[0]
+        step = "step-{:06d}".format
+        assert seen == [
+            [step(0)],
+            [step(0), step(1)],
+            [step(0), step(1), step(2)],  # 1 and 2 both lean on 0
+            [step(0), step(2), step(3)],  # 2 is retained, so its base is
+            [step(3), step(4)],
+            [step(3), step(4), step(5)],
+        ]
+        assert len(packed) == 2  # phase state built once per phase
+        newest = latest_valid_manifest(d, expect_size=1)
+        assert newest.seq == 5 and newest.base.step == step(3)
+        meta, arrays = load_shard(newest, 0)
+        assert meta == {"graph": "g", "clock": 1.0}
+        assert sorted(arrays) == ["edges", "y"]
+
+    def test_v1_manifest_refused(self, tmp_path):
+        g, cfg = _graph(), _config()
+        d = str(tmp_path / "ck")
+        run_louvain(g, 2, cfg, checkpoint_dir=d)
+        for name, manifest, _ in scan_checkpoints(d):
+            path = os.path.join(d, name, "manifest.json")
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+            raw["version"] = 1
+            raw.pop("base", None)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(raw, fh)
+            with pytest.raises(ManifestError, match="format version 1"):
+                read_manifest(os.path.join(d, name))
+        assert latest_valid_manifest(d, expect_size=2) is None
+        with pytest.raises(RankFailedError) as exc:
+            run_louvain(g, 2, cfg, checkpoint_dir=d, resume=True)
+        assert any(
+            isinstance(c, NoCheckpointError) for c in exc.value.causes.values()
+        )

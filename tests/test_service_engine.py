@@ -167,7 +167,20 @@ class TestCancellation:
 
 
 class TestRetryWithResume:
-    def test_fault_retried_and_resumed(self, tiny, tmp_path):
+    def test_fault_retried_and_resumed(self, tiny, tmp_path, monkeypatch):
+        from repro.resilience import latest_valid_manifest
+
+        # What the retry will restore, looked up when it decides to.
+        resumed_from = []
+        can_resume = Engine._can_resume
+
+        def spy(self, job):
+            resumed_from.append(
+                latest_valid_manifest(job.checkpoint_dir, expect_size=4)
+            )
+            return can_resume(self, job)
+
+        monkeypatch.setattr(Engine, "_can_resume", spy)
         cfg = LouvainConfig(seed=3)
         request = DetectionRequest(
             graph=tiny,
@@ -185,6 +198,9 @@ class TestRetryWithResume:
         assert response.state is JobState.DONE
         assert response.retries >= 1
         assert response.resumed_from_checkpoint
+        # The kill lands mid-phase: the newest checkpoint is a delta.
+        assert resumed_from[0].kind == "iteration"
+        assert resumed_from[0].base is not None
         reference = run_louvain(tiny, 4, cfg)
         assert np.array_equal(response.result.assignment, reference.assignment)
         assert response.result.modularity == reference.modularity
