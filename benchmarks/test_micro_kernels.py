@@ -6,8 +6,10 @@ performance regressions of the simulator itself are visible:
 
 * the vectorised move-selection sweep — from the singleton state, from
   a mid-run state with sparse community ids, and under a 25%-active
-  mask — and one whole ``_sweep_round`` at p=1, so the dense renumbering
-  and lookup glue around the kernel has its own number;
+  mask — and one whole ``_sweep_round`` per rank at p ∈ {1, 4} (wall
+  and thread-CPU µs, the kernel's share beside it), so the glue around
+  the kernel has its own number;
+* one ``rebuild_distributed`` at p ∈ {1, 4};
 * the vectorised greedy coloring and vertex-following seeds;
 * serial graph coarsening;
 * CSR construction from edge lists;
@@ -33,8 +35,9 @@ import pytest
 
 from repro.core import LouvainConfig, coarsen_csr, pack_info
 from repro.core.commcache import CommunityCache
+from repro.core.coarsen import rebuild_distributed
 from repro.core.distlouvain import (
-    _GhostChannel,
+    _CommunityView,
     _save_checkpoint,
     _sweep_round,
 )
@@ -99,45 +102,129 @@ def test_kernel_propose_moves(benchmark, state, active):
     assert result.num_moves > 0
 
 
+SWEEP_ROUNDS = 30
+
+
+@pytest.mark.parametrize("p", [1, 4])
 @pytest.mark.parametrize("state,active", SWEEP_CASES)
-def test_kernel_sweep_round(benchmark, state, active):
-    # Steps (i)-(iv) of one iteration on a single rank: dense
-    # renumbering, the ``needed`` set and its fetch, the kernel, the
-    # delta application, the ghost exchange (empty).  Each round
-    # restarts from the same assignment, so the owner arrays are rebuilt
-    # outside the timer.
+def test_kernel_sweep_round(benchmark, monkeypatch, state, active, p):
+    """Steps (i)-(iv) of one iteration, per rank: the ``needed`` set and
+    its fetch, the kernel, the delta aggregation and exchange, the ghost
+    exchange and the view's update — at p = 1 and on rank-sized slices
+    of the same graph at p = 4.  Every round restarts from the same
+    assignment (the view and owner arrays are rebuilt outside the
+    timers).  Reported per rank-round: wall µs, thread-CPU µs
+    (``thread_time_ns``: what the rank itself burns, waits excluded) and
+    the kernel's share of that CPU, so a change to the glue shows with
+    the kernel's own number beside it."""
+    from repro.core import distlouvain
+
     g = _graph().to_csr()
     n = g.num_vertices
     comm0 = _sweep_state(g, state)
     mask = _sweep_active(n, active)
     mask = np.ones(n, dtype=bool) if mask is None else mask
     config = LouvainConfig()
+    deg = g.degrees()
+    tot0 = np.bincount(comm0, weights=deg, minlength=n)
+    size0 = np.bincount(comm0, minlength=n)
+    kernel_ns: list[int] = []
+    kernel = distlouvain.propose_moves
+
+    def timed_kernel(**kwargs):
+        t0 = time.thread_time_ns()
+        try:
+            return kernel(**kwargs)
+        finally:
+            kernel_ns.append(time.thread_time_ns() - t0)
+
+    monkeypatch.setattr(distlouvain, "propose_moves", timed_kernel)
 
     def prog(comm):
-        dg = DistGraph.from_global(g, np.array([0, n]), 0)
+        dg = DistGraph.distribute(comm, g)
+        lo, hi = dg.vbegin, dg.vend
         ghost_plan = dg.build_ghost_plan(comm)
-        ghosts = _GhostChannel(
-            dg, ghost_plan, dg.exchange_ghost_values(comm, ghost_plan, comm0)
-        )
-        ctargets = dg.compressed_targets(ghost_plan)
         k = dg.local_degrees()
-        self_mask = dg.edges == np.repeat(
-            dg.local_vertex_ids(), np.diff(dg.index)
+        self_mask = dg.self_loop_mask()
+        plan = SweepPlan.build(
+            dg.index, dg.weights, self_mask, rows=dg.local_rows()
         )
-        plan = SweepPlan.build(dg.index, dg.weights, self_mask)
+        wall, cpu, moves = [], [], 0
+        for _ in range(SWEEP_ROUNDS + 3):
+            local = comm0[lo:hi].copy()
+            view = _CommunityView(
+                dg, ghost_plan, local,
+                dg.exchange_ghost_values(comm, ghost_plan, local),
+            )
+            tot, size = tot0[lo:hi].copy(), size0[lo:hi].copy()
+            comm.barrier()
+            w0, c0 = time.perf_counter_ns(), time.thread_time_ns()
+            moved, moves = _sweep_round(
+                comm, dg, view, plan, self_mask, k, local, tot, size,
+                mask[lo:hi], config,
+            )
+            cpu.append(time.thread_time_ns() - c0)
+            wall.append(time.perf_counter_ns() - w0)
+            assert moves == int(moved.sum())
+        # Drop the warm-up rounds.
+        return wall[3:], cpu[3:], moves
 
-        def setup():
-            tot = np.bincount(comm0, weights=k, minlength=n)
-            size = np.bincount(comm0, minlength=n)
-            return (comm, dg, ghosts, ctargets, plan, self_mask, k,
-                    comm0, tot, size, mask, config), {}
+    r = benchmark.pedantic(
+        lambda: run_spmd(p, prog, machine=FREE, timeout=60.0),
+        rounds=1, iterations=1,
+    )
+    assert sum(v[2] for v in r.values) > 0
+    wall_us = float(np.median([w for v in r.values for w in v[0]])) / 1e3
+    cpu_us = float(np.median([c for v in r.values for c in v[1]])) / 1e3
+    # Kernel calls of the timed rounds only (warm-ups come first per rank,
+    # ranks interleave: take the median, which the few warm-ups cannot move).
+    kernel_us = float(np.median(kernel_ns)) / 1e3
+    benchmark.extra_info.update(
+        wall_us_per_rank_round=wall_us, cpu_us_per_rank_round=cpu_us,
+        kernel_cpu_us=kernel_us,
+    )
+    print(
+        f"\nsweep round {state:<9} {active:<7} p={p} "
+        f"{wall_us:>8.0f} us wall {cpu_us:>8.0f} us cpu per rank-round, "
+        f"kernel {kernel_us:>7.0f} us ({kernel_us / cpu_us:.0%})"
+    )
 
-        return benchmark.pedantic(
-            _sweep_round, setup=setup, rounds=30, warmup_rounds=3
-        )
 
-    _, moved, moves = run_spmd(1, prog, machine=FREE).values[0]
-    assert moves == int(moved.sum()) > 0
+@pytest.mark.parametrize("p", [1, 4])
+def test_kernel_rebuild(benchmark, p):
+    """One ``rebuild_distributed`` (§IV-A(b) steps 1-7) of the mid-run
+    state: wall ms of the collective call, thread-CPU ms per rank."""
+    g = _graph().to_csr()
+    comm0 = _sweep_state(g, "midrun")
+    cpu: list[int] = []
+    wall: list[int] = []
+
+    def prog(comm):
+        dg = DistGraph.distribute(comm, g)
+        ghost_plan = dg.build_ghost_plan(comm)
+        local = comm0[dg.vbegin:dg.vend]
+        ghost = dg.exchange_ghost_values(comm, ghost_plan, local)
+        for _ in range(12):
+            comm.barrier()
+            w0, c0 = time.perf_counter_ns(), time.thread_time_ns()
+            new_dg, _ = rebuild_distributed(comm, dg, local, ghost)
+            cpu.append(time.thread_time_ns() - c0)
+            if comm.rank == 0:
+                wall.append(time.perf_counter_ns() - w0)
+        return new_dg.num_global_vertices
+
+    r = benchmark.pedantic(
+        lambda: run_spmd(p, prog, machine=FREE, timeout=60.0),
+        rounds=1, iterations=1,
+    )
+    assert r.values == [300] * p
+    wall_ms = float(np.median(wall)) / 1e6
+    cpu_ms = float(np.median(cpu)) / 1e6
+    benchmark.extra_info.update(wall_ms=wall_ms, cpu_ms_per_rank=cpu_ms)
+    print(
+        f"\nrebuild_distributed p={p} {wall_ms:>7.2f} ms wall "
+        f"{cpu_ms:>7.2f} ms cpu per rank"
+    )
 
 
 def test_kernel_greedy_coloring(benchmark):

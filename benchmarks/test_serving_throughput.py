@@ -225,65 +225,78 @@ def test_serving_throughput(record_result, record_bench, tmp_path):
     )
 
 
-def _fresh_compute_rate(tmp_path, tag, repeats, jobs, observed):
-    """Best-of-N jobs/s for fresh (uncached) detections on one worker."""
+def _fresh_compute_seconds(tmp_path, tag, jobs, observed):
+    """Seconds for ``jobs`` fresh (uncached) detections on one worker."""
     graph = make_graph("soc-friendster", scale="tiny", seed=5)
     request = DetectionRequest(graph=graph, nranks=2)
-    best = 0.0
-    for rep in range(repeats):
-        event_log = None
-        drift = None
+    event_log = None
+    drift = None
+    if observed:
+        from repro.obs import DriftMonitor, EventLog
+
+        event_log = EventLog(tmp_path / f"{tag}.jsonl", origin="bench")
+        drift = DriftMonitor()
+    with Engine(
+        workers=1, store=None, event_log=event_log, drift=drift
+    ) as engine:
+        exporter = None
         if observed:
-            from repro.obs import DriftMonitor, EventLog
+            from repro.obs import PeriodicExporter
 
-            event_log = EventLog(
-                tmp_path / f"{tag}-{rep}.jsonl", origin="bench"
+            exporter = PeriodicExporter(
+                lambda: engine.metrics.registry.snapshot(),
+                prometheus_path=tmp_path / f"{tag}.prom",
+                interval=0.05,
             )
-            drift = DriftMonitor()
-        with Engine(
-            workers=1, store=None, event_log=event_log, drift=drift
-        ) as engine:
-            exporter = None
-            if observed:
-                from repro.obs import PeriodicExporter
-
-                exporter = PeriodicExporter(
-                    lambda: engine.metrics.registry.snapshot(),
-                    prometheus_path=tmp_path / f"{tag}-{rep}.prom",
-                    interval=0.05,
-                )
-            try:
-                t0 = time.perf_counter()
-                ids = [engine.submit(request) for _ in range(jobs)]
-                responses = engine.wait_all(ids, timeout=WAIT)
-                elapsed = time.perf_counter() - t0
-            finally:
-                if exporter is not None:
-                    exporter.close()
-        if event_log is not None:
-            event_log.close()
-        assert all(r.state.value == "done" for r in responses)
-        best = max(best, jobs / elapsed)
-    return best
+        try:
+            t0 = time.perf_counter()
+            ids = [engine.submit(request) for _ in range(jobs)]
+            responses = engine.wait_all(ids, timeout=WAIT)
+            elapsed = time.perf_counter() - t0
+        finally:
+            if exporter is not None:
+                exporter.close()
+    if event_log is not None:
+        event_log.close()
+    assert all(r.state.value == "done" for r in responses)
+    return elapsed
 
 
 def test_observability_overhead(record_result, record_bench, tmp_path):
-    """The obs stack must stay passive in cost, not just in results."""
-    repeats, jobs = 3, 8
-    rate_off = _fresh_compute_rate(
-        tmp_path, "off", repeats, jobs, observed=False
+    """The obs stack must stay passive in cost, not just in results.
+
+    The host's clock flips between two levels ~17% apart and holds one
+    for 10-60 s, so all bare repetitions followed by all observed ones
+    can sit on different levels and read as a 17% "overhead" either
+    way.  Bare and observed repetitions alternate instead — which of
+    the two goes first alternates too — and the bound is on the median
+    of the ratios within pairs: a flip spoils at most the pair it lands
+    in.
+    """
+    repeats, jobs = 7, 8
+    seconds = {False: [], True: []}
+    for rep in range(repeats):
+        for observed in ((False, True) if rep % 2 == 0 else (True, False)):
+            seconds[observed].append(
+                _fresh_compute_seconds(
+                    tmp_path, f"{'on' if observed else 'off'}-{rep}",
+                    jobs, observed,
+                )
+            )
+    ratio = float(
+        np.median(np.array(seconds[True]) / np.array(seconds[False]))
     )
-    rate_on = _fresh_compute_rate(
-        tmp_path, "on", repeats, jobs, observed=True
-    )
-    overhead = max(0.0, 1.0 - rate_on / rate_off)
+    rate_off = jobs / float(np.median(seconds[False]))
+    rate_on = jobs / float(np.median(seconds[True]))
+    overhead = max(0.0, ratio - 1.0)
     assert overhead < 0.05, (
-        f"observability overhead {overhead:.1%}: "
-        f"{rate_off:.1f} jobs/s bare vs {rate_on:.1f} jobs/s observed"
+        f"observability overhead {overhead:.1%} (median of {repeats} "
+        f"paired ratios): {rate_off:.1f} jobs/s bare vs {rate_on:.1f} "
+        "jobs/s observed"
     )
     lines = [
-        "observability overhead (1 worker, fresh computes, best of "
-        f"{repeats}x{jobs} jobs)",
+        "observability overhead (1 worker, fresh computes, median of "
+        f"{repeats} interleaved pairs x {jobs} jobs)",
         f"  obs off: {rate_off:8.1f} jobs/s",
         f"  obs on:  {rate_on:8.1f} jobs/s  (event log + drift monitor "
         "+ 20Hz Prometheus exporter)",

@@ -64,6 +64,7 @@ COLLECTIVE_HELPERS = frozenset(
         "_fetch_community_info",
         "_labels_collide",
         "_load_restored_state",
+        "_lookup_sorted",
         "_pull_and_subscribe",
         "_save_checkpoint",
         "_split_flags",

@@ -22,12 +22,15 @@ tests lean on.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from ..graph.csr import CSRGraph
-from ..graph.distgraph import DistGraph, split_by_rank
+from ..graph.csr import (
+    CSRGraph,
+    row_index,
+    sorted_unique,
+    sum_duplicate_entries,
+)
+from ..graph.distgraph import DistGraph, owner_cuts
 from ..graph.partition import even_vertex
 from ..runtime.comm import Communicator
 
@@ -66,21 +69,12 @@ def _aggregate_directed(
     loops once), so the output keeps the library's storage convention
     and the total weight automatically.
     """
-    if len(src):
-        span = np.int64(max(int(dst.max()) + 1, 1))
-        key = src * span + dst
-        order = np.argsort(key, kind="stable")
-        key, src, dst, w = key[order], src[order], dst[order], w[order]
-        uniq = np.empty(len(key), dtype=bool)
-        uniq[0] = True
-        np.not_equal(key[1:], key[:-1], out=uniq[1:])
-        starts = np.flatnonzero(uniq)
-        w = np.add.reduceat(w, starts)
-        src, dst = src[starts], dst[starts]
-    index = np.zeros(n_rows + 1, dtype=np.int64)
-    np.add.at(index, src + 1, 1)
-    np.cumsum(index, out=index)
-    return index, dst.astype(np.int64), w.astype(np.float64)
+    src, dst, w = sum_duplicate_entries(src, dst, w)
+    return (
+        row_index(src, n_rows),
+        dst.astype(np.int64, copy=False),
+        w.astype(np.float64, copy=False),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -88,7 +82,7 @@ def _aggregate_directed(
 # ----------------------------------------------------------------------
 def remote_lookup(
     comm: Communicator,
-    owner: np.ndarray | Callable[[np.ndarray], np.ndarray],
+    offsets: np.ndarray,
     query_ids: np.ndarray,
     local_lookup,
     category: str = "rebuild",
@@ -96,42 +90,48 @@ def remote_lookup(
     """Resolve values owned by other ranks: route each query id to its
     owner, owners answer via ``local_lookup(ids)``.
 
-    ``owner`` is either a contiguous-partition ``offsets`` array or a
-    callable mapping global ids to owning ranks (e.g.
-    ``DistGraph.owner_of``).
-    ``local_lookup`` must accept an ``int64`` array of *owned* ids and
-    return the aligned values.  Queries for locally-owned ids are
-    answered without communication, but every rank must call this
-    function (it contains collectives).
+    ``offsets`` is the contiguous partition the ids live in
+    (``DistGraph.offsets``).  ``local_lookup`` must accept an ``int64``
+    array of *owned* ids and return the aligned ``int64`` values.
+    Queries for locally-owned ids are answered without communication,
+    but every rank must call this function (it contains collectives).
     """
     query_ids = np.asarray(query_ids, dtype=np.int64)
     uniq_ids, inverse = np.unique(query_ids, return_inverse=True)
-    if callable(owner):
-        uniq_owners = np.asarray(owner(uniq_ids))
-    else:
-        uniq_owners = np.searchsorted(owner, uniq_ids, side="right") - 1
-
-    requests = [
-        uniq_ids[uniq_owners == r] if r != comm.rank else np.empty(0, np.int64)
-        for r in range(comm.size)
+    return _lookup_sorted(comm, offsets, uniq_ids, local_lookup, category)[
+        inverse
     ]
-    incoming = comm.alltoall(requests, category=category)
+
+
+def _lookup_sorted(
+    comm: Communicator,
+    offsets: np.ndarray,
+    ids: np.ndarray,
+    local_lookup,
+    category: str,
+) -> np.ndarray:
+    """:func:`remote_lookup` of ascending, duplicate-free ``ids``:
+    requests are slices by owner, and the answers, in rank order, are
+    the values in ``ids`` order."""
+    cuts = owner_cuts(offsets, ids)
+    parts = [ids[cuts[r]:cuts[r + 1]] for r in range(comm.size)]
+    mine = parts[comm.rank]
+    parts[comm.rank] = ids[:0]
+    incoming = comm.alltoall(parts, category=category)
     replies = [
-        local_lookup(ids) if len(ids) else np.empty(0, np.int64)
-        for ids in incoming
+        local_lookup(asked) if len(asked) else np.empty(0, np.int64)
+        for asked in incoming
     ]
     answers = comm.alltoall(replies, category=category)
-
-    out_uniq = np.empty(len(uniq_ids), dtype=np.int64)
-    mine = uniq_owners == comm.rank
-    if np.any(mine):
-        out_uniq[mine] = local_lookup(uniq_ids[mine])
-    for r in range(comm.size):
-        sent = requests[r]
-        if len(sent):
-            slots = np.searchsorted(uniq_ids, sent)
-            out_uniq[slots] = answers[r]
-    return out_uniq[inverse]
+    if len(mine):
+        answers[comm.rank] = local_lookup(mine)
+    for r, got in enumerate(answers):
+        if len(got) != cuts[r + 1] - cuts[r]:
+            raise ValueError(
+                f"rank {comm.rank}: rank {r} answered {len(got)} of "
+                f"{cuts[r + 1] - cuts[r]} lookups"
+            )
+    return np.concatenate(answers).astype(np.int64, copy=False)
 
 
 def rebuild_distributed(
@@ -165,36 +165,34 @@ def rebuild_distributed(
         raise ValueError("ghost_comm not aligned with the ghost plan")
 
     # --- steps 1-2: find alive communities -----------------------------
-    used = np.unique(np.concatenate([local_comm, ghost_comm])) if len(
-        ghost_comm
-    ) else np.unique(local_comm)
-    used_sorted = used  # sorted by np.unique
+    # ``slot_of[i]`` is the position in ``used`` of slot i's community
+    # (owned slots first, then the ghosts), kept for the translation of
+    # step 4.
+    used, slot_of = np.unique(
+        np.concatenate([local_comm, ghost_comm]), return_inverse=True
+    )
 
     # A community (id == vertex id) is alive if any vertex anywhere
-    # is assigned to it.  Used-here ids are split by owner; owners
+    # is assigned to it.  Used-here ids are sliced by owner; owners
     # also learn about remote usage through the notification
     # alltoall.
-    owners = np.asarray(dg.owner_of(used))
-    notify = [
-        used[owners == r] if r != comm.rank else np.empty(0, np.int64)
-        for r in range(comm.size)
-    ]
+    cuts = dg.cuts(used)
+    notify = [used[cuts[r]:cuts[r + 1]] for r in range(comm.size)]
+    mine_here = notify[comm.rank]
+    notify[comm.rank] = used[:0]
     reported = comm.alltoall(notify, category="rebuild")
-    mine_here = used[owners == comm.rank]
-    alive = np.unique(np.concatenate([mine_here] + list(reported)))
+    alive = sorted_unique(np.concatenate([mine_here] + list(reported)))
     # (every id reported to us is owned by us by construction)
 
     # --- step 3: global renumbering via parallel prefix sum --------
     base = comm.exscan(len(alive), category="rebuild")
     n_new = comm.allreduce(len(alive), category="rebuild")
     new_ids = base + np.arange(len(alive), dtype=np.int64)
-    alive_sorted = alive  # np.unique output is sorted
 
     def lookup_owned(ids: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(alive_sorted, ids)
-        bad = (pos >= len(alive_sorted)) | (
-            alive_sorted[np.minimum(pos, max(len(alive_sorted) - 1, 0))]
-            != ids
+        pos = np.searchsorted(alive, ids)
+        bad = (pos >= len(alive)) | (
+            alive[np.minimum(pos, max(len(alive) - 1, 0))] != ids
         )
         if np.any(bad):
             raise KeyError(
@@ -204,40 +202,24 @@ def rebuild_distributed(
         return new_ids[pos]
 
     # --- step 4: propagate new ids for every community used here ---
-    new_of_used = remote_lookup(
-        comm, dg.owner_of, used, lookup_owned, category="rebuild"
-    )
-
-    def translate(ids: np.ndarray) -> np.ndarray:
-        return new_of_used[np.searchsorted(used_sorted, ids)]
-
-    local_new = translate(local_comm)
-    ghost_new = translate(ghost_comm) if len(ghost_comm) else ghost_comm
+    slot_new = _lookup_sorted(
+        comm, dg.offsets, used, lookup_owned, category="rebuild"
+    )[slot_of]
+    local_new = slot_new[:dg.num_local]
 
     # --- step 5: partial meta edge lists --------------------------------
-    rows = np.repeat(
-        np.arange(dg.num_local, dtype=np.int64), np.diff(dg.index)
-    )
-    # Community of each edge target: local targets via local_new, ghost
-    # targets via ghost_new (the compressed-target trick).
-    ctargets = dg.compressed_targets(plan)
-    target_new = np.concatenate([local_new, ghost_new])[ctargets] if len(
-        ctargets
-    ) else np.empty(0, np.int64)
-    src_new = local_new[rows]
+    # Community of each edge target: local targets via their own slot,
+    # ghost targets via the ghost slots (the compressed-target trick).
+    target_new = slot_new[dg.compressed_targets(plan)]
+    src_new = local_new[dg.local_rows()]
     comm.charge_compute(dg.num_local_entries, category="rebuild")
 
     # --- step 6: redistribute by new owner ------------------------------
     new_offsets = even_vertex(int(n_new), comm.size)
-    dest = np.searchsorted(new_offsets, src_new, side="right") - 1
-    outgoing = []
-    for r, (s, d, w) in enumerate(
-        split_by_rank(dest, comm.size, src_new, target_new, dg.weights)
-    ):
-        # Pre-aggregate per destination to cut message volume (the
-        # "partial new edge lists" of step 5 are already combined).
-        outgoing.append(_combine_entries(s, d, w))
-    received = comm.alltoall(outgoing, category="rebuild")
+    received = comm.alltoall(
+        _meta_edge_payloads(src_new, target_new, dg.weights, new_offsets),
+        category="rebuild",
+    )
 
     rs = np.concatenate([t[0] for t in received])
     rd = np.concatenate([t[1] for t in received])
@@ -260,18 +242,21 @@ def rebuild_distributed(
     return new_dg, local_new
 
 
-def _combine_entries(
-    src: np.ndarray, dst: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge duplicate (src, dst) pairs by summing weights."""
-    if not len(src):
-        return src, dst, w
-    span = np.int64(max(int(dst.max()) + 1, 1))
-    key = src * span + dst
-    order = np.argsort(key, kind="stable")
-    key, src, dst, w = key[order], src[order], dst[order], w[order]
-    uniq = np.empty(len(key), dtype=bool)
-    uniq[0] = True
-    np.not_equal(key[1:], key[:-1], out=uniq[1:])
-    starts = np.flatnonzero(uniq)
-    return src[starts], dst[starts], np.add.reduceat(w, starts)
+def _meta_edge_payloads(
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, offsets: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per-owner partial meta-edge lists, duplicates pre-summed to cut
+    message volume (the "partial new edge lists" of step 5).
+
+    The owner of a meta edge is the owner of its source, which ascends
+    with the source: one stable ``(src, dst)`` sort serves every
+    destination, each taking a slice — the same entries, with weights
+    summed in the same order, as bucketing by owner first and sorting
+    every bucket.
+    """
+    s, d, w = sum_duplicate_entries(src, dst, w)
+    cuts = owner_cuts(offsets, s)
+    return [
+        (s[cuts[r]:cuts[r + 1]], d[cuts[r]:cuts[r + 1]], w[cuts[r]:cuts[r + 1]])
+        for r in range(len(offsets) - 1)
+    ]

@@ -92,21 +92,37 @@ def aggregate_deltas(
 
     A vertex moving ``old -> new`` contributes ``(-k, -1)`` to its old
     community and ``(+k, +1)`` to its new one; duplicates are summed
-    before communicating.  Shared by the pull and push protocols so the
-    float accumulation order — and hence the owner-side state — is
-    bit-identical between them.
+    before communicating.  Returns ``(ids, dtot, dsize)`` with ``ids``
+    ascending; a touched community whose deltas cancel is still listed.
     """
-    ids = np.concatenate([old, new])
-    dtot = np.concatenate([-deg, deg])
-    dsize = np.concatenate(
-        [-np.ones(len(old), np.int64), np.ones(len(new), np.int64)]
+    ids, dense = np.unique(np.concatenate([old, new]), return_inverse=True)
+    return aggregate_dense_deltas(
+        ids, dense[:len(old)], dense[len(old):], deg
     )
-    uniq, inv = np.unique(ids, return_inverse=True)
-    agg_tot = np.zeros(len(uniq))
-    agg_size = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(agg_tot, inv, dtot)
-    np.add.at(agg_size, inv, dsize)
-    return uniq, agg_tot, agg_size
+
+
+def aggregate_dense_deltas(
+    ids: np.ndarray, old: np.ndarray, new: np.ndarray, deg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`aggregate_deltas` of moves given as positions in the
+    ascending id table ``ids`` (which may hold untouched ids too).
+
+    One scatter per column instead of a sort; ``np.bincount`` adds its
+    weights left to right like ``np.add.at``, all departures before all
+    arrivals.  This is the one accumulation every protocol's deltas go
+    through, so the owner-side floats cannot depend on the protocol.
+    """
+    n = len(ids)
+    left = np.bincount(old, minlength=n)
+    joined = np.bincount(new, minlength=n)
+    # (bincount counts in int64 when given nothing to add: cast.)
+    dtot = np.bincount(
+        np.concatenate([old, new]),
+        weights=np.concatenate([-deg, deg]),
+        minlength=n,
+    ).astype(np.float64, copy=False)
+    touched = np.flatnonzero(left + joined)
+    return ids[touched], dtot[touched], (joined - left)[touched]
 
 
 def _membership(sorted_ids: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -228,10 +244,8 @@ class CommunityCache:
         like the pull protocol's reply leg.
         """
         dg = self.dg
-        owners = dg.owner_of(wanted)
-        requests = [
-            ids for (ids,) in split_by_rank(owners, comm.size, wanted)
-        ]
+        cuts = dg.cuts(wanted)
+        requests = [wanted[cuts[r]:cuts[r + 1]] for r in range(comm.size)]
 
         def serve(incoming: list) -> list:
             replies = []
@@ -302,9 +316,9 @@ class CommunityCache:
     def exchange_deltas(
         self,
         comm: Communicator,
-        old: np.ndarray,
-        new: np.ndarray,
-        deg: np.ndarray,
+        ids: np.ndarray,
+        dtot: np.ndarray,
+        dsize: np.ndarray,
         tot_owned: np.ndarray,
         size_owned: np.ndarray,
         hint_ids: np.ndarray | None = None,
@@ -312,8 +326,9 @@ class CommunityCache:
     ) -> None:
         """The fused end-of-round exchange (replaces three alltoalls).
 
-        Request leg: this rank's aggregated move deltas, routed to the
-        community owners, plus *subscription hints* — ``(hint_ids[i],
+        Request leg: this rank's aggregated move deltas ``(ids, dtot,
+        dsize)`` (:func:`aggregate_deltas`; ``ids`` ascending), sliced
+        by community owner, plus *subscription hints* — ``(hint_ids[i],
         hint_ranks[i])`` pairs saying "rank ``hint_ranks[i]`` may
         reference community ``hint_ids[i]`` from now on" (the mover of
         a ghosted vertex knows which ranks ghost it, so it subscribes
@@ -346,11 +361,10 @@ class CommunityCache:
         """
         dg = self.dg
         p = comm.size
-        uniq, agg_tot, agg_size = aggregate_deltas(old, new, deg)
-        owners = dg.owner_of(uniq)
+        cuts = dg.cuts(ids)
         deltas = [
-            pack_info(i, t, s)
-            for (i, t, s) in split_by_rank(owners, p, uniq, agg_tot, agg_size)
+            pack_info(ids[a:b], dtot[a:b], dsize[a:b])
+            for a, b in zip(cuts[:-1], cuts[1:])
         ]
         if hint_ids is None or not len(hint_ids):
             hints = [(_EMPTY_IDS, _EMPTY_IDS)] * p

@@ -32,7 +32,12 @@ Phase loop (Algorithm 2)
 Community ids live in the vertex-id space, and a community is owned by
 the rank owning the same-numbered vertex, so owners keep *dense*
 ``a_c``/size arrays over their vertex interval — the ``C_info`` vector
-of Algorithm 3.
+of Algorithm 3.  Ownership is contiguous (§IV), so anything routed by
+owner — community requests, deltas, ghost updates — is an ascending id
+array cut into one slice per rank (:meth:`DistGraph.cuts`), and the
+replies, in rank order, are already in request order.  What a rank knows
+of the communities between exchanges lives in a per-phase
+:class:`_CommunityView` that the rounds patch rather than rebuild.
 
 Consistency semantics are the paper's: within an iteration every rank
 decides against state from the last synchronisation point, so remote
@@ -46,13 +51,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
-from ..graph.distgraph import DistGraph, split_by_rank
+from ..graph.csr import CSRGraph, sorted_unique
+from ..graph.distgraph import DistGraph
 from ..runtime.comm import Communicator
 from ..runtime.executor import SPMDResult, run_spmd
 from ..runtime.perfmodel import CORI_HASWELL, MachineModel
 from .coarsen import rebuild_distributed, remote_lookup
-from .commcache import CommunityCache, aggregate_deltas
+from .commcache import (
+    CommunityCache,
+    aggregate_deltas,
+    aggregate_dense_deltas,
+)
 from .config import LouvainConfig
 from .heuristics import EarlyTermination, ThresholdCycler, make_rank_rng
 from .refine import refine_communities
@@ -74,59 +83,124 @@ class _PhaseOutcome:
     size_owned: np.ndarray
 
 
-class _GhostChannel:
-    """Per-phase ghost community copies (Algorithm 3, lines 4-5).
+class _CommunityView:
+    """What this rank knows of the communities during one phase.
 
-    Built from the phase's one full exchange
-    (:meth:`DistGraph.exchange_ghost_values`); after every sweep round
-    :meth:`publish` ships only the values that changed and updates
-    :attr:`values` in place — a ghost copy of an unmoved vertex is
-    already correct (the "further sophistication" §IV-B(b) sketches).
+    Inside a phase only labels change (Algorithm 3): the CSR, the ghost
+    plan and the id -> owner map are fixed.  So the view is built once,
+    from the phase's one full ghost exchange
+    (:meth:`DistGraph.exchange_ghost_values`), and every sweep round
+    patches it with what the round already has in hand instead of
+    re-deriving it from the raw labels:
+
+    * :attr:`values` — community of every ghost vertex (Algorithm 3,
+      lines 4-5).  :meth:`publish` ships only the values that changed; a
+      ghost copy of an unmoved vertex is already correct (the "further
+      sophistication" §IV-B(b) sketches).
+    * :attr:`ids` — every community id seen here this phase, ascending.
+      It only grows: an id no vertex here holds any more costs one
+      unused table row, while deleting it would renumber every slot.
+    * :attr:`slot` — position in :attr:`ids` of the community of every
+      vertex slot (owned vertices, then ghosts).  Positions ascend with
+      the ids, so the kernel's smallest-id tie-breaks are those of the
+      raw ids whatever else the table holds.
+    * :attr:`target` — ``slot[ctargets]``, the dense community of every
+      CSR entry's target: the kernel's ``target_comm``, and one side of
+      the modularity estimate.
+
     The sweep, the modularity estimate and the graph rebuild all read
-    that one array.
+    this one object.
     """
 
-    def __init__(self, dg: DistGraph, plan, values: np.ndarray):
+    def __init__(
+        self,
+        dg: DistGraph,
+        plan,
+        local_comm: np.ndarray,
+        values: np.ndarray,
+    ):
         self.plan = plan
+        self.nloc = dg.num_local
         #: Community of every ghost vertex, aligned with ``plan.ghost_ids``.
         self.values = values
+        self.ids, self.slot = np.unique(
+            np.concatenate([local_comm, values]), return_inverse=True
+        )
+        self._ctargets = dg.compressed_targets(plan)
+        self.target = self.slot[self._ctargets]
         # Flattened ghost send plan: (owned vertex id, destination rank)
-        # pairs and the vertices' local slots.  Shared with the push
-        # protocol's subscription hints (the ranks ghosting a vertex are
-        # the ranks that will reference its community next round).
-        items = sorted(plan.send_ids.items())
-        self.send_ids = np.concatenate(
-            [np.empty(0, np.int64)] + [ids for _, ids in items]
-        )
-        self.send_rank = np.repeat(
-            np.array([r for r, _ in items], dtype=np.int64),
-            [len(ids) for _, ids in items],
-        )
+        # pairs, ascending by rank, and the vertices' local slots.
+        # Shared with the push protocol's subscription hints (the ranks
+        # ghosting a vertex are the ranks that will reference its
+        # community next round).
+        per_rank = [
+            plan.send_ids.get(r, np.empty(0, np.int64))
+            for r in range(dg.nranks)
+        ]
+        counts = [len(ids) for ids in per_rank]
+        self.send_ids = np.concatenate(per_rank)
+        self.send_rank = np.repeat(np.arange(dg.nranks), counts)
         self.send_loc = np.asarray(dg.to_local(self.send_ids))
+        #: Where each destination's pairs start in the send lists.
+        self._send_cuts = np.concatenate([[0], np.cumsum(counts)])
 
     def publish(
         self, comm: Communicator, local_comm: np.ndarray, moved: np.ndarray
     ) -> None:
-        """Ship the new community of every ``moved`` owned vertex to the
-        ranks ghosting it.  Every rank participates, moves or not."""
-        m = moved[self.send_loc]
-        payloads = split_by_rank(
-            self.send_rank[m],
-            comm.size,
-            self.send_ids[m],
-            local_comm[self.send_loc[m]],
+        """The round's one ghost exchange: ship the new community of
+        every ``moved`` owned vertex to the ranks ghosting it and absorb
+        theirs.  Every rank participates, moves or not.  ``slot`` must
+        already hold the moved vertices' own new positions (the kernel
+        proposes in positions, so the caller has them for free)."""
+        sel = np.flatnonzero(moved[self.send_loc])
+        cuts = np.searchsorted(sel, self._send_cuts)
+        ids = self.send_ids[sel]
+        values = local_comm[self.send_loc[sel]]
+        received = comm.alltoall(
+            [
+                (ids[a:b], values[a:b])
+                for a, b in zip(cuts[:-1], cuts[1:])
+            ],
+            category="ghost_comm",
         )
-        received = comm.alltoall(payloads, category="ghost_comm")
-        for ids, values in received:
-            if len(ids):
-                self.values[np.searchsorted(self.plan.ghost_ids, ids)] = values
+        self.absorb(
+            np.concatenate([ids for ids, _ in received]),
+            np.concatenate([values for _, values in received]),
+        )
+
+    def absorb(self, ghost_ids: np.ndarray, values: np.ndarray) -> None:
+        """Ghost vertices ``ghost_ids`` now belong to communities
+        ``values`` (raw ids, possibly never seen here): update the ghost
+        copies and their positions, then re-aim :attr:`target`."""
+        if len(ghost_ids):
+            ghosts = np.searchsorted(self.plan.ghost_ids, ghost_ids)
+            self.values[ghosts] = values
+            self.slot[self.nloc + ghosts] = self._positions(values)
+        self.slot.take(self._ctargets, out=self.target, mode="clip")
+
+    def _positions(self, values: np.ndarray) -> np.ndarray:
+        """Position in :attr:`ids` of each raw id, merging unseen ids in
+        (which shifts the positions above them, in ``slot`` too)."""
+        pos = np.searchsorted(self.ids, values)
+        unseen = self.ids.take(pos, mode="clip") != values
+        if unseen.any():
+            fresh = sorted_unique(values[unseen])
+            # Every position, old or asked for, moves up by the number
+            # of fresh ids below it.
+            shift = np.searchsorted(fresh, self.ids)
+            shift += np.arange(len(self.ids))
+            self.slot[:] = shift[self.slot]
+            self.ids = np.insert(
+                self.ids, np.searchsorted(self.ids, fresh), fresh
+            )
+            pos += np.searchsorted(fresh, values)
+        return pos
 
 
 def _sweep_round(
     comm: Communicator,
     dg: DistGraph,
-    ghosts: _GhostChannel,
-    ctargets: np.ndarray,
+    view: _CommunityView,
     plan: SweepPlan,
     self_mask: np.ndarray,
     k: np.ndarray,
@@ -136,11 +210,12 @@ def _sweep_round(
     active: np.ndarray,
     config: LouvainConfig,
     cache: CommunityCache | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, int]:
     """Steps (i)-(iv) of one Louvain iteration for one active set.
 
-    Returns ``(new local_comm, moved mask, moves)``; ``ghosts.values`` is
-    current again on return.
+    Updates ``local_comm``, the owner-side ``tot_owned`` / ``size_owned``
+    and ``view`` in place and returns ``(moved mask, moves)``;
+    ``view.values`` is current again on return.
     The baseline calls this once per iteration with the full active set;
     the coloring mode (§VI) calls it once per colour class.
 
@@ -152,104 +227,95 @@ def _sweep_round(
     proportional to the number of *changed* communities.  Results are
     bit-identical to the pull protocol either way.
     """
-    w = dg.total_weight
     nloc = dg.num_local
-
     # (i) ghost vertex community assignments as of the last exchange
-    # (lines 4-5): renumber the communities this rank can see densely —
-    # one sort over the vertex *slots* (local + ghost), one gather per
-    # CSR entry.  ``uniq`` is sorted, so dense order is id order and
-    # every tie-break of the kernel is unchanged.
-    uniq, slot_dense = np.unique(
-        np.concatenate([local_comm, ghosts.values]), return_inverse=True
-    )
-    target_dense = slot_dense[ctargets]
-    local_dense = slot_dense[:nloc]
+    # (lines 4-5) are in the view, already numbered densely: the kernel
+    # works in positions of ``view.ids``.
+    ids = view.ids
+    local_dense = view.slot[:nloc]
 
     # (ii) fetch a_c and |c| for the communities this round evaluates:
     # neighbours of active vertices + their own.  Every slot is a local
     # vertex or the target of a local entry, so a full active set needs
-    # exactly ``uniq``; a partial one flags its candidates.  Unfetched
-    # communities stay NaN in the dense tables, which ``array_lookup``
-    # turns into the ``KeyError`` a protocol bug deserves.
+    # the community of every slot; a partial one flags its candidates.
+    # Unfetched communities — among them ids nobody here holds any more
+    # — stay NaN in the dense tables, which ``array_lookup`` turns into
+    # the ``KeyError`` a protocol bug deserves.
+    flags = np.zeros(len(ids), dtype=bool)
     if active.all():
         scanned = len(plan.rows)
-        wanted: slice | np.ndarray = slice(None)
+        flags[view.slot] = True
     else:
         active_entries = active[plan.rows]
         scanned = int(np.count_nonzero(active_entries))
-        wanted = np.zeros(len(uniq), dtype=bool)
-        wanted[target_dense[active_entries]] = True
-        wanted[local_dense[active]] = True
-    needed = uniq[wanted]
+        flags[view.target[active_entries]] = True
+        flags[local_dense[active]] = True
+    wanted = np.flatnonzero(flags)
+    needed = ids[wanted]
     if cache is not None:
         # Cold start: pull every community this rank's vertices could
         # reference (all neighbour communities and own ones, active or
         # not) so later rounds never miss — new ids can then only arrive
-        # through hinted ghost moves.
-        needed_tot, needed_size = cache.fetch(
+        # through hinted ghost moves.  The view is fresh at that point:
+        # ``ids`` is exactly what the slots hold.
+        info = cache.fetch(
             comm, needed, tot_owned, size_owned,
-            prefetch=uniq if cache.cold else None,
+            prefetch=ids if cache.cold else None,
         )
     else:
-        needed_tot, needed_size = _fetch_community_info(
-            comm, dg, needed, tot_owned, size_owned
-        )
-    dense_tot = np.full(len(uniq), np.nan)
-    dense_size = np.full(len(uniq), np.nan)
-    dense_tot[wanted] = needed_tot
-    dense_size[wanted] = needed_size
+        info = _fetch_community_info(comm, dg, needed, tot_owned, size_owned)
+    # Row 0: a_c, row 1: |c|, by position in ``ids``.
+    dense_info = np.full((2, len(ids)), np.nan)
+    dense_info[0, wanted], dense_info[1, wanted] = info
 
     # (iii) local move computation (lines 6-9), in dense ids.
     res = propose_moves(
         index=dg.index,
-        target_comm=target_dense,
+        target_comm=view.target,
         weights=dg.weights,
         self_mask=self_mask,
         degrees=k,
         cur_comm=local_dense,
-        total_weight=w,
-        tot_lookup=array_lookup(uniq, dense_tot),
-        size_lookup=array_lookup(uniq, dense_size),
+        total_weight=dg.total_weight,
+        tot_lookup=array_lookup(ids, dense_info[0]),
+        size_lookup=array_lookup(ids, dense_info[1]),
         active=active,
         resolution=config.resolution,
         plan=plan,
     )
     comm.charge_compute(res.pairs_evaluated + scanned + nloc)
-    proposal = uniq[res.proposal]
 
     # (iv) send community updates to owner processes (lines 10-11).
+    # Duplicates are pre-aggregated in the view's dense space, before
+    # the protocols part ways, so both ship the same floats.
     moved = res.moved
+    rows = np.flatnonzero(moved)
+    new_dense = res.proposal[rows]
+    deltas = aggregate_dense_deltas(ids, local_dense[rows], new_dense, k[rows])
+    local_comm[rows] = ids[new_dense]
+    local_dense[rows] = new_dense
     if cache is not None:
         # Subscription hints: every rank ghosting a moved vertex will
         # reference its new community next round — subscribe them now,
         # through the owner, so the info rides this exchange's push leg
         # instead of a fallback pull next round.
-        hm = moved[ghosts.send_loc]
+        hm = moved[view.send_loc]
         cache.exchange_deltas(
             comm,
-            old=local_comm[moved],
-            new=proposal[moved],
-            deg=k[moved],
+            *deltas,
             tot_owned=tot_owned,
             size_owned=size_owned,
-            hint_ids=proposal[ghosts.send_loc[hm]],
-            hint_ranks=ghosts.send_rank[hm],
+            hint_ids=local_comm[view.send_loc[hm]],
+            hint_ranks=view.send_rank[hm],
         )
     else:
         _apply_community_deltas(
-            comm,
-            dg,
-            old=local_comm[moved],
-            new=proposal[moved],
-            deg=k[moved],
-            tot_owned=tot_owned,
-            size_owned=size_owned,
+            comm, dg, *deltas, tot_owned=tot_owned, size_owned=size_owned
         )
     # ... and the moved vertices' new communities to the ranks ghosting
     # them: the round's one ghost exchange.
-    ghosts.publish(comm, proposal, moved)
-    return proposal, moved, res.num_moves
+    view.publish(comm, local_comm, moved)
+    return moved, len(rows)
 
 
 def louvain_phase_distributed(
@@ -278,16 +344,17 @@ def louvain_phase_distributed(
     iterations on every rank.
     """
     plan = dg.build_ghost_plan(comm)
-    ctargets = dg.compressed_targets(plan)
     nloc = dg.num_local
     w = dg.total_weight
     n_global = dg.num_global_vertices
     k = dg.local_degrees()
-    self_mask = dg.edges == np.repeat(dg.local_vertex_ids(), np.diff(dg.index))
+    self_mask = dg.self_loop_mask()
     # Phase-invariant sweep state (rows, non-self-loop entries, the
     # synthetic own-community entries): built once, gathered from every
     # iteration.
-    sweep_plan = SweepPlan.build(dg.index, dg.weights, self_mask)
+    sweep_plan = SweepPlan.build(
+        dg.index, dg.weights, self_mask, rows=dg.local_rows()
+    )
 
     # Each vertex starts in its own community; owners of the community id
     # set coincide with owners of the vertex set, so C_info is dense over
@@ -320,9 +387,7 @@ def louvain_phase_distributed(
         _apply_community_deltas(
             comm,
             dg,
-            old=local_comm[moved0],
-            new=seed_comm[moved0],
-            deg=k[moved0],
+            *aggregate_deltas(local_comm[moved0], seed_comm[moved0], k[moved0]),
             tot_owned=tot_owned,
             size_owned=size_owned,
         )
@@ -375,17 +440,21 @@ def louvain_phase_distributed(
 
     # Algorithm 3 lines 4-5, once per phase in full: the warm-start /
     # resume state is in place, later rounds ship only what changed.
-    ghosts = _GhostChannel(
+    # The view is derived state — a resumed run rebuilds it here from
+    # the restored labels; no checkpoint stores it.
+    view = _CommunityView(
         dg,
         plan,
+        local_comm,
         dg.exchange_ghost_values(
             comm, plan, local_comm, category="ghost_comm"
         ),
     )
+    everyone = np.ones(nloc, dtype=bool)
 
     for it in range(start_it, config.max_iterations):
         # ET: vertices mark themselves active/inactive first (§IV-B(b)).
-        active = et.draw_active() if et is not None else np.ones(nloc, bool)
+        active = et.draw_active() if et is not None else everyone
 
         moved = np.zeros(nloc, dtype=bool)
         moves = 0
@@ -398,8 +467,8 @@ def louvain_phase_distributed(
         # — replicated even though each round's active *mask* is
         # rank-local (the mask only gates local move proposals).
         for round_active in rounds:  # spmdlint: ignore[SPMD001, SPMD004]
-            local_comm, round_moved, n = _sweep_round(
-                comm, dg, ghosts, ctargets, sweep_plan, self_mask, k,
+            round_moved, n = _sweep_round(
+                comm, dg, view, sweep_plan, self_mask, k,
                 local_comm, tot_owned, size_owned, round_active, config,
                 cache=cache,
             )
@@ -414,9 +483,8 @@ def louvain_phase_distributed(
         # layout (a requirement for bit-identity across rank counts and
         # input partitions).  Each sweep still decided against the
         # synchronisation point before it (§III-B).
-        slot_comm = np.concatenate([local_comm, ghosts.values])
-        intra = slot_comm[sweep_plan.rows] == slot_comm[ctargets]
-        local_in = float(dg.weights[intra].sum())
+        intra = view.slot[sweep_plan.rows] == view.target
+        local_in = float(dg.weights.compress(intra).sum())
         comm.charge_compute(dg.num_local_entries)
         local_inactive = et.update(moved) if et is not None else 0
         # a_c^2 is summed *before* dividing by w^2 (like
@@ -485,7 +553,7 @@ def louvain_phase_distributed(
 
     return _PhaseOutcome(
         local_comm=local_comm,
-        ghost_comm=ghosts.values,
+        ghost_comm=view.values,
         modularity=q,
         stats=stats,
         exited_by_inactive=exited_by_inactive,
@@ -501,70 +569,65 @@ def _fetch_community_info(
     tot_owned: np.ndarray,
     size_owned: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pull current (a_c, |c|) for each community id in ``needed``.
+    """Pull current (a_c, |c|) for each community id in ascending
+    ``needed``; both come back as ``float64`` rows aligned with it.
 
     Owners answer from their dense C_info arrays.  Two alltoalls
     (request + reply), charged to ``community_comm`` — the traffic the
-    paper's §V-A profile attributes ~34% of the runtime to.
+    paper's §V-A profile attributes ~34% of the runtime to.  Requests
+    are slices of ``needed`` by owner, so the replies in rank order —
+    this rank answering its own slice in place — *are* the answer.
     """
-    owners = np.asarray(dg.owner_of(needed))
-    # ``needed`` is sorted; split_by_rank keeps that order within each
-    # rank's slice (stable), so payloads stay deterministic.
-    requests = [
-        ids if r != comm.rank else np.empty(0, np.int64)
-        for r, (ids,) in enumerate(split_by_rank(owners, comm.size, needed))
-    ]
-    incoming = comm.alltoall(requests, category="community_comm")
-    replies = []
-    for ids in incoming:
-        if len(ids):
-            loc = dg.to_local(ids)
-            replies.append(
-                np.stack([tot_owned[loc], size_owned[loc].astype(np.float64)])
-            )
-        else:
-            replies.append(np.empty((2, 0)))
-    answers = comm.alltoall(replies, category="community_comm")
 
-    tot_out = np.empty(len(needed), dtype=np.float64)
-    size_out = np.empty(len(needed), dtype=np.int64)
-    mine = owners == comm.rank
-    if np.any(mine):
-        loc = dg.to_local(needed[mine])
-        tot_out[mine] = tot_owned[loc]
-        size_out[mine] = size_owned[loc]
-    for r in range(comm.size):
-        sent = requests[r]
-        if len(sent):
-            slots = np.searchsorted(needed, sent)
-            tot_out[slots] = answers[r][0]
-            size_out[slots] = answers[r][1].astype(np.int64)
-    return tot_out, size_out
+    def answer(ids: np.ndarray) -> np.ndarray:
+        loc = dg.to_local(ids)
+        out = np.empty((2, len(ids)))
+        out[0], out[1] = tot_owned[loc], size_owned[loc]
+        return out
+
+    cuts = dg.cuts(needed)
+    requests = [needed[cuts[r]:cuts[r + 1]] for r in range(comm.size)]
+    mine = requests[comm.rank]
+    requests[comm.rank] = needed[:0]
+    incoming = comm.alltoall(requests, category="community_comm")
+    answers = comm.alltoall(
+        [answer(ids) for ids in incoming], category="community_comm"
+    )
+    answers[comm.rank] = answer(mine)
+    for r, got in enumerate(answers):
+        if got.shape[1] != cuts[r + 1] - cuts[r]:
+            raise ValueError(
+                f"rank {comm.rank}: rank {r} answered {got.shape[1]} of "
+                f"{cuts[r + 1] - cuts[r]} community requests"
+            )
+    return tuple(np.concatenate(answers, axis=1))
 
 
 def _apply_community_deltas(
     comm: Communicator,
     dg: DistGraph,
-    old: np.ndarray,
-    new: np.ndarray,
-    deg: np.ndarray,
+    ids: np.ndarray,
+    dtot: np.ndarray,
+    dsize: np.ndarray,
     tot_owned: np.ndarray,
     size_owned: np.ndarray,
 ) -> None:
-    """Route (a_c, |c|) deltas of this rank's moves to community owners.
+    """Route aggregated (a_c, |c|) deltas of this rank's moves
+    (:func:`~.commcache.aggregate_deltas`: ``ids`` ascending and
+    duplicate-free) to the community owners, who apply them.
 
     Every rank participates in the exchange even with zero moves (the
     collective is unconditional in Algorithm 3).
     """
-    # Pre-aggregate duplicates before communicating (shared with the
-    # push protocol so both accumulate in the same order).
-    uniq, agg_tot, agg_size = aggregate_deltas(old, new, deg)
-    outgoing = split_by_rank(
-        dg.owner_of(uniq), comm.size, uniq, agg_tot, agg_size
+    cuts = dg.cuts(ids)
+    received = comm.alltoall(
+        [
+            (ids[a:b], dtot[a:b], dsize[a:b])
+            for a, b in zip(cuts[:-1], cuts[1:])
+        ],
+        category="community_comm",
     )
-    received = comm.alltoall(outgoing, category="community_comm")
-
-    for r, (rids, rtot, rsize) in enumerate(received):
+    for rids, rtot, rsize in received:
         if len(rids):
             loc = dg.to_local(rids)
             np.add.at(tot_owned, loc, rtot)
@@ -729,7 +792,7 @@ def _vertex_following_targets(
     # Stored-entry count of each leaf's neighbour, wherever it lives.
     tgt_deg = remote_lookup(
         comm,
-        dg.owner_of,
+        dg.offsets,
         leaf_targets,
         lambda ids: entry_counts[dg.to_local(ids)],
         category="rebuild",
@@ -847,7 +910,7 @@ def distributed_louvain(
             pre_dg = dg
             orig_slice = remote_lookup(
                 comm,
-                pre_dg.owner_of,
+                pre_dg.offsets,
                 orig_slice,
                 lambda ids: vf_new[pre_dg.to_local(ids)],
                 category="rebuild",
@@ -988,9 +1051,11 @@ def distributed_louvain(
             _apply_community_deltas(
                 comm,
                 dg,
-                old=out.local_comm[moved],
-                new=ref_local[moved],
-                deg=dg.local_degrees()[moved],
+                *aggregate_deltas(
+                    out.local_comm[moved],
+                    ref_local[moved],
+                    dg.local_degrees()[moved],
+                ),
                 tot_owned=out.tot_owned,
                 size_owned=out.size_owned,
             )
@@ -1026,7 +1091,7 @@ def distributed_louvain(
         old_dg = dg
         orig_slice = remote_lookup(
             comm,
-            old_dg.owner_of,
+            old_dg.offsets,
             orig_slice,
             lambda ids: local_new[old_dg.to_local(ids)],
             category="rebuild",

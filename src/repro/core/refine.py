@@ -123,7 +123,7 @@ def _split_flags(
             np.add.at(ncomp, dg.to_local(rids), rcounts)
     counts = remote_lookup(
         comm,
-        dg.owner_of,
+        dg.offsets,
         local_comm,
         lambda ids: ncomp[dg.to_local(ids)],
         category="other",

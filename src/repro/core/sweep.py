@@ -44,9 +44,10 @@ it snapshot community ids for *global* targets and a ``tot`` lookup that
 covers remotely-owned communities, so exactly the same decision logic
 runs in the serial, shared-memory and distributed paths.  Community ids
 must be non-negative with ``nloc * (max id + 1)`` inside int64; the
-distributed caller renumbers the ids a rank can see densely each round
-(an order-preserving map, so tie-breaks are unaffected), which also
-lets it hand over totals as plain arrays through :func:`array_lookup`.
+distributed caller keeps the ids a rank has seen this phase numbered
+densely (an order-preserving map, so tie-breaks are unaffected), which
+also lets it hand over totals as plain arrays through
+:func:`array_lookup`.
 """
 
 from __future__ import annotations
@@ -137,11 +138,18 @@ class SweepPlan:
 
     @classmethod
     def build(
-        cls, index: np.ndarray, weights: np.ndarray, self_mask: np.ndarray
+        cls,
+        index: np.ndarray,
+        weights: np.ndarray,
+        self_mask: np.ndarray,
+        rows: np.ndarray | None = None,
     ) -> "SweepPlan":
+        """``rows`` is the owning row of every entry when the caller
+        already has it (``DistGraph.local_rows``); derived otherwise."""
         nloc = len(index) - 1
         own = np.arange(nloc, dtype=np.int64)
-        rows = np.repeat(own, np.diff(index))
+        if rows is None:
+            rows = np.repeat(own, np.diff(index))
         entries = np.flatnonzero(~self_mask)
         entry_rows = np.concatenate([rows[entries], own])
         return cls(

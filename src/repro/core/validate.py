@@ -169,7 +169,7 @@ def audit_ghost_coherence(
         return report.merge_global(comm)
     truth = remote_lookup(
         comm,
-        dg.owner_of,
+        dg.offsets,
         plan.ghost_ids,
         lambda ids: local_comm[dg.to_local(ids)],
         category="other",

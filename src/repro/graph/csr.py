@@ -23,6 +23,66 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
+def sum_duplicate_entries(
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort ``(src, dst, w)`` entries by ``(src, dst)`` and merge equal
+    pairs by summing their weights.
+
+    The sort is stable, so each sum adds its floats in input order
+    whatever the ids.  Ids must be non-negative.  Like the sweep kernel,
+    the entry's position rides in the low bits of the fused key
+    ``src * span + dst`` when it fits, so sorting the keys in place *is*
+    the stable sort (a third of the time of a stable ``argsort``); ids
+    too wide for that fall back to the ``argsort``.
+    """
+    n = len(src)
+    if not n:
+        return src, dst, w
+    span = int(dst.max()) + 1
+    key = src * np.int64(span)
+    key += dst
+    bits = (n - 1).bit_length()
+    if (int(src.max()) + 1) * span <= np.iinfo(np.int64).max >> bits:
+        key <<= bits
+        key |= np.arange(n, dtype=np.int64)
+        key.sort()
+        order = key & ((1 << bits) - 1)
+        key >>= bits
+    else:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+    starts = np.flatnonzero(_run_heads(key))
+    del key  # entry-sized, like the gather below: keep the peak down
+    summed = np.add.reduceat(w[order], starts)
+    lead = order[starts]
+    return src[lead], dst[lead], summed
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, ascending — ``np.unique(values)`` as one
+    sort and one comparison pass (numpy's own picks a hash table when no
+    inverse is asked for, several times slower at the sizes a rank
+    sees)."""
+    values = np.sort(values)
+    return values[_run_heads(values)]
+
+
+def _run_heads(sorted_values: np.ndarray) -> np.ndarray:
+    """True at the first element of every run of equal values."""
+    heads = np.empty(len(sorted_values), dtype=bool)
+    heads[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=heads[1:])
+    return heads
+
+
+def row_index(rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """CSR ``index`` array of entries whose (sorted) rows are ``rows``."""
+    index = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=index[1:])
+    return index
+
+
 @dataclass(frozen=True)
 class CSRGraph:
     """Immutable weighted undirected graph in CSR form.
@@ -174,24 +234,14 @@ class CSRGraph:
         dst = np.concatenate([v, u[non_loop]])
         ww = np.concatenate([w, w[non_loop]])
 
-        if combine_duplicates and len(src):
-            key = src * np.int64(num_vertices) + dst
-            order = np.argsort(key, kind="stable")
-            key, src, dst, ww = key[order], src[order], dst[order], ww[order]
-            uniq_mask = np.empty(len(key), dtype=bool)
-            uniq_mask[0] = True
-            np.not_equal(key[1:], key[:-1], out=uniq_mask[1:])
-            starts = np.flatnonzero(uniq_mask)
-            ww = np.add.reduceat(ww, starts)
-            src, dst = src[starts], dst[starts]
+        if combine_duplicates:
+            src, dst, ww = sum_duplicate_entries(src, dst, ww)
         else:
             order = np.lexsort((dst, src))
             src, dst, ww = src[order], dst[order], ww[order]
-
-        index = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.add.at(index, src + 1, 1)
-        np.cumsum(index, out=index)
-        return CSRGraph(index=index, edges=dst, weights=ww)
+        return CSRGraph(
+            index=row_index(src, num_vertices), edges=dst, weights=ww
+        )
 
     @staticmethod
     def empty(num_vertices: int) -> "CSRGraph":

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..runtime.comm import Communicator
 from . import binio
-from .csr import CSRGraph
+from .csr import CSRGraph, row_index, sum_duplicate_entries
 from .edgelist import EdgeList
 from .partition import even_edge, even_vertex
 
@@ -45,6 +45,25 @@ def split_by_rank(
         tuple(a[order[bounds[r]:bounds[r + 1]]] for a in arrays)
         for r in range(nranks)
     ]
+
+
+def owner_cuts(offsets: np.ndarray, sorted_ids: np.ndarray) -> np.ndarray:
+    """Where each rank's ids start in an ascending id array.
+
+    Ownership is contiguous (``offsets``), so the owners of ascending
+    ids ascend too and routing by owner is slicing:
+    ``sorted_ids[cuts[r]:cuts[r + 1]]`` are the ids rank ``r`` owns —
+    payload for payload what ``split_by_rank(owner_of(ids), ...)``
+    yields, with no sort and no copy.  An id outside the vertex space
+    has no owner; it raises rather than being dropped off either end.
+    """
+    cuts = np.searchsorted(sorted_ids, offsets)
+    if cuts[0] != 0 or cuts[-1] != len(sorted_ids):
+        raise ValueError(
+            f"ids outside the vertex space [0, {int(offsets[-1])}): "
+            f"{int(sorted_ids[0])} .. {int(sorted_ids[-1])}"
+        )
+    return cuts
 
 
 @dataclass
@@ -100,9 +119,12 @@ class DistGraph:
     edges: np.ndarray
     weights: np.ndarray
     total_weight: float
-    _compressed: np.ndarray | None = field(default=None, repr=False)
+    _targets: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False
+    )
     _plan: GhostPlan | None = field(default=None, repr=False)
     _owner_bounds: np.ndarray | None = field(default=None, repr=False)
+    _rows: np.ndarray | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     # Shape
@@ -143,6 +165,11 @@ class DistGraph:
             self._owner_bounds = np.ascontiguousarray(self.offsets[1:-1])
         return np.searchsorted(self._owner_bounds, ids, side="right")
 
+    def cuts(self, sorted_ids: np.ndarray) -> np.ndarray:
+        """:func:`owner_cuts` of ascending ``sorted_ids`` in this graph's
+        partition: rank ``r`` owns ``sorted_ids[cuts[r]:cuts[r + 1]]``."""
+        return owner_cuts(self.offsets, sorted_ids)
+
     def to_local(self, ids: np.ndarray | int):
         """Local slot of each *owned* global vertex id."""
         return ids - self.vbegin
@@ -159,24 +186,37 @@ class DistGraph:
         """Global ids of owned vertices, in local-slot order (sorted)."""
         return np.arange(self.vbegin, self.vend, dtype=np.int64)
 
+    def local_rows(self) -> np.ndarray:
+        """Local slot of the owning vertex of every stored entry
+        (``int64[nnz]``, built once and shared — do not write to it)."""
+        if self._rows is None:
+            self._rows = np.repeat(
+                np.arange(self.num_local, dtype=np.int64),
+                np.diff(self.index),
+            )
+        return self._rows
+
+    def self_loop_mask(self) -> np.ndarray:
+        """True for every stored entry that is a self loop."""
+        return self.edges == self.from_local(self.local_rows())
+
+    def _row_sums(self, entries: np.ndarray | slice) -> np.ndarray:
+        """Per owned vertex, the weight of its ``entries``, added in
+        storage order (``bincount`` counts in int64 when given nothing
+        to add, hence the cast)."""
+        return np.bincount(
+            self.local_rows()[entries],
+            weights=self.weights[entries],
+            minlength=self.num_local,
+        ).astype(np.float64, copy=False)
+
     def local_degrees(self) -> np.ndarray:
         """Weighted degree of each owned vertex."""
-        out = np.zeros(self.num_local, dtype=np.float64)
-        rows = np.repeat(
-            np.arange(self.num_local, dtype=np.int64), np.diff(self.index)
-        )
-        np.add.at(out, rows, self.weights)
-        return out
+        return self._row_sums(slice(None))
 
     def local_self_loops(self) -> np.ndarray:
         """Self-loop weight of each owned vertex."""
-        out = np.zeros(self.num_local, dtype=np.float64)
-        rows = np.repeat(
-            np.arange(self.num_local, dtype=np.int64), np.diff(self.index)
-        )
-        mask = self.edges == self.from_local(rows)
-        np.add.at(out, rows[mask], self.weights[mask])
-        return out
+        return self._row_sums(self.self_loop_mask())
 
     def row(self, local_u: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbour (global ids, weights) of owned vertex ``local_u``."""
@@ -199,18 +239,14 @@ class DistGraph:
             # (built right after distribution, invalidated together at
             # coarsening): all ranks hit the cache, or none do.
             return self._plan  # spmdlint: ignore[SPMD002]
-        mine = self.is_owned(self.edges)
-        ghosts = np.unique(self.edges[~mine])
-        owners = self.owner_of(ghosts)
+        ghosts, _ = self._scan_targets()
+        cuts = self.cuts(ghosts)
         # Scan cost: one pass over the local edge list (Algorithm 4 l.2-7).
         comm.charge_compute(self.num_local_entries, category="ghost_comm")
 
-        recv_ids: dict[int, np.ndarray] = {}
-        requests: list[np.ndarray] = []
-        for r, (ids,) in enumerate(split_by_rank(owners, comm.size, ghosts)):
-            if r != comm.rank and len(ids):
-                recv_ids[r] = ids
-            requests.append(ids if r != comm.rank else np.empty(0, np.int64))
+        # No ghost is owned here, so this rank's own slice is empty.
+        requests = [ghosts[cuts[r]:cuts[r + 1]] for r in range(comm.size)]
+        recv_ids = {r: ids for r, ids in enumerate(requests) if len(ids)}
         got = comm.alltoall(requests, category="ghost_comm")
         send_ids = {
             r: ids for r, ids in enumerate(got) if r != comm.rank and len(ids)
@@ -220,24 +256,31 @@ class DistGraph:
         )
         return self._plan
 
+    def _scan_targets(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ghost ids, compressed targets)`` from one sort of the
+        non-owned edge targets: the distinct ids are the ghost vertices,
+        and each entry's rank among them is its ghost slot."""
+        if self._targets is None:
+            far = np.flatnonzero(~self.is_owned(self.edges))
+            ghosts, slots = np.unique(self.edges[far], return_inverse=True)
+            compressed = self.to_local(self.edges)
+            compressed[far] = self.num_local + slots
+            self._targets = ghosts, compressed
+        return self._targets
+
     def compressed_targets(self, plan: GhostPlan) -> np.ndarray:
         """Edge targets re-indexed for O(1) community lookup.
 
         Owned target ``v`` becomes ``v - vbegin``; ghost target becomes
-        ``num_local + slot`` where ``slot`` indexes ``plan.ghost_ids``.
+        ``num_local + slot`` where ``slot`` indexes ``plan.ghost_ids``
+        (``plan`` being this graph's own plan).
         With local community assignments ``C_loc[num_local]`` and ghost
         values ``C_gho[num_ghosts]``, the community of every edge target
         is ``concat(C_loc, C_gho)[compressed_targets]`` — the vectorised
         equivalent of the per-edge hash-map lookup in the paper's Fig. 1.
+        Shared, like :meth:`local_rows`: do not write to it.
         """
-        if self._compressed is None:
-            mask = ~self.is_owned(self.edges)
-            out = np.empty(len(self.edges), dtype=np.int64)
-            out[~mask] = self.to_local(self.edges[~mask])
-            slots = np.searchsorted(plan.ghost_ids, self.edges[mask])
-            out[mask] = self.num_local + slots
-            self._compressed = out
-        return self._compressed
+        return self._scan_targets()[1]
 
     def exchange_ghost_values(
         self,
@@ -408,18 +451,5 @@ def _rows_from_undirected(
     src = np.concatenate([u[mu], v[mv]]) - vbegin
     dst = np.concatenate([v[mu], u[mv]])
     ww = np.concatenate([w[mu], w[mv]])
-    if len(src):
-        span = np.int64(max(int(dst.max()) + 1, 1))
-        key = src * span + dst
-        order = np.argsort(key, kind="stable")
-        key, src, dst, ww = key[order], src[order], dst[order], ww[order]
-        uniq = np.empty(len(key), dtype=bool)
-        uniq[0] = True
-        np.not_equal(key[1:], key[:-1], out=uniq[1:])
-        starts = np.flatnonzero(uniq)
-        ww = np.add.reduceat(ww, starts)
-        src, dst = src[starts], dst[starts]
-    index = np.zeros(nlocal + 1, dtype=np.int64)
-    np.add.at(index, src + 1, 1)
-    np.cumsum(index, out=index)
-    return index, dst, ww
+    src, dst, ww = sum_duplicate_entries(src, dst, ww)
+    return row_index(src, nlocal), dst, ww

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csr import CSRGraph
+from .csr import CSRGraph, sum_duplicate_entries
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,8 @@ class EdgeList:
             raise ValueError("edge endpoint exceeds num_vertices")
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
-        if dedup and len(lo):
-            key = lo * np.int64(num_vertices) + hi
-            order = np.argsort(key, kind="stable")
-            key, lo, hi, w = key[order], lo[order], hi[order], w[order]
-            mask = np.empty(len(key), dtype=bool)
-            mask[0] = True
-            np.not_equal(key[1:], key[:-1], out=mask[1:])
-            starts = np.flatnonzero(mask)
-            w = np.add.reduceat(w, starts)
-            lo, hi = lo[starts], hi[starts]
+        if dedup:
+            lo, hi, w = sum_duplicate_entries(lo, hi, w)
         return EdgeList(num_vertices=num_vertices, u=lo, v=hi, w=w)
 
     def to_csr(self) -> CSRGraph:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import coarsen_csr, modularity, remote_lookup
-from repro.core.coarsen import rebuild_distributed
+from repro.core.coarsen import _meta_edge_payloads, rebuild_distributed
 from repro.graph import CSRGraph, DistGraph
-from repro.runtime import FREE, run_spmd
+from repro.graph.partition import even_vertex
+from repro.runtime import FREE, RankFailedError, run_spmd
 
 from .conftest import planted_blocks_graph
+from .oracles import aggregate_reference
 
 
 class TestCoarsenCSR:
@@ -95,8 +97,72 @@ class TestRemoteLookup:
 
         assert run_spmd(2, prog, machine=FREE, timeout=10.0).values == [0, 0]
 
+    def test_short_answer_raises(self):
+        # The answers are taken as slices of the request order, so an
+        # owner that answers fewer ids than it was asked must not pass.
+        offsets = np.array([0, 4, 8])
+
+        def prog(comm):
+            def lookup(ids):
+                return ids[:-1] if comm.rank == 1 else ids
+
+            return remote_lookup(comm, offsets, np.arange(8), lookup)
+
+        with pytest.raises(RankFailedError, match="answered 3 of 4"):
+            run_spmd(2, prog, machine=FREE, timeout=10.0)
+
+    def test_query_outside_vertex_space_raises(self):
+        offsets = np.array([0, 4, 8])
+
+        def prog(comm):
+            return remote_lookup(
+                comm, offsets, np.array([1, 8]), lambda ids: ids
+            )
+
+        with pytest.raises(RankFailedError, match="outside the vertex space"):
+            run_spmd(2, prog, machine=FREE, timeout=10.0)
+
+
+class TestMetaEdgePayloads:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_sort_equals_per_destination_sorts(self, seed):
+        """Step 6's payloads — one stable (src, dst) sort, destinations
+        as slices — against bucketing by owner and sorting each bucket:
+        same entries, same order, and on fractional weights the same
+        floats (duplicates are summed in storage order either way)."""
+        rng = np.random.default_rng(seed)
+        n_new = int(rng.integers(1, 12))
+        p = int(rng.integers(1, 6))  # p > n_new leaves ranks empty
+        m = int(rng.integers(0, 200))
+        src = rng.integers(0, n_new, m)
+        dst = rng.integers(0, n_new, m)
+        w = rng.random(m) * 3.0
+        offsets = even_vertex(n_new, p)
+        got = _meta_edge_payloads(src, dst, w, offsets)
+        want = aggregate_reference.meta_edge_payloads(src, dst, w, offsets)
+        assert len(got) == len(want) == p
+        for g_r, w_r in zip(got, want):
+            for a, b in zip(g_r, w_r):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
 
 class TestRebuildDistributed:
+    def test_misaligned_ghost_comm_raises(self):
+        g = planted_blocks_graph(blocks=2, per_block=6, seed=2)
+
+        def prog(comm):
+            dg = DistGraph.distribute(comm, g, partition="even_vertex")
+            plan = dg.build_ghost_plan(comm)
+            return rebuild_distributed(
+                comm, dg, dg.local_vertex_ids(), plan.ghost_ids[:-1]
+            )
+
+        with pytest.raises(
+            RankFailedError, match="ghost_comm not aligned with the ghost plan"
+        ):
+            run_spmd(2, prog, machine=FREE, timeout=10.0)
+
     @pytest.mark.parametrize("nranks", [1, 2, 3, 4])
     def test_matches_serial_coarsening(self, nranks):
         g = planted_blocks_graph(blocks=4, per_block=10, seed=11)

@@ -134,13 +134,13 @@ class TestHintDedup:
             for _ in range(2):
                 if comm.rank == 0:
                     cache.exchange_deltas(
-                        comm, empty, empty, emptyf, tot, size,
+                        comm, empty, emptyf, empty, tot, size,
                         hint_ids=np.array([7]),
                         hint_ranks=np.array([0]),
                     )
                 else:
                     cache.exchange_deltas(
-                        comm, empty, empty, emptyf, tot, size
+                        comm, empty, emptyf, empty, tot, size
                     )
             return cache.hinted_pairs
 
@@ -159,7 +159,7 @@ class TestHintDedup:
             # Hinting "rank r may reference a community r owns" is
             # useless: owned info never goes through the cache.
             cache.exchange_deltas(
-                comm, empty, empty, np.empty(0), tot, size,
+                comm, empty, np.empty(0), empty, tot, size,
                 hint_ids=np.array([dg.vbegin + 1 if comm.rank == 1 else 7]),
                 hint_ranks=np.array([comm.rank if comm.rank == 1 else 1]),
             )

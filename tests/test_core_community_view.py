@@ -1,0 +1,201 @@
+"""The per-phase community view and the dense-space delta aggregation.
+
+``_CommunityView`` is derived state the sweep rounds patch instead of
+rebuilding: these tests hold it to what a rebuild from the raw labels
+would give — after arbitrary patches, after every round of real runs,
+and after a resume — and hold ``aggregate_dense_deltas`` to the sort-based
+reference it replaced.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import LouvainConfig, Variant, aggregate_deltas, run_louvain
+from repro.core import distlouvain
+from repro.core.commcache import aggregate_dense_deltas
+from repro.core.distlouvain import _CommunityView
+from repro.graph import DistGraph
+from repro.resilience import FaultPlan
+from repro.runtime import FREE, RankFailedError, run_spmd
+
+from .conftest import planted_blocks_graph, random_graph
+from .oracles import aggregate_reference
+
+COMMON = dict(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def assert_view_consistent(view, dg, local_comm) -> None:
+    """The three invariants: the table ascends strictly, every slot
+    names its raw community, every entry aims at its target's slot —
+    and the numbering is order-preserving, i.e. it ranks the slots
+    exactly as a fresh ``np.unique`` of the raw communities would."""
+    raw = np.concatenate([local_comm, view.values])
+    assert np.all(np.diff(view.ids) > 0)
+    np.testing.assert_array_equal(view.ids[view.slot], raw)
+    np.testing.assert_array_equal(
+        view.target, view.slot[dg.compressed_targets(view.plan)]
+    )
+    np.testing.assert_array_equal(
+        np.unique(view.slot, return_inverse=True)[1],
+        np.unique(raw, return_inverse=True)[1],
+    )
+
+
+# ----------------------------------------------------------------------
+# Random patches (no run around them)
+# ----------------------------------------------------------------------
+steps = st.lists(
+    st.tuples(
+        st.integers(0, 2**16),                      # seed of the step
+        st.sampled_from(["local", "ghost", "both"]),
+        # Where unseen ids come from: inside the known range, below
+        # every known id, above every known id.
+        st.sampled_from(["inside", "below", "above"]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(
+    n=st.integers(6, 30), m=st.integers(4, 90), seed=st.integers(0, 2**16),
+    p=st.integers(2, 4), steps=steps,
+)
+@settings(**COMMON)
+def test_view_survives_random_patches(n, m, seed, p, steps):
+    """Local moves (positions the kernel would propose) and ghost
+    updates (raw ids, some never seen on this rank) in any order leave
+    the view equal to one rebuilt from the labels."""
+    g = random_graph(np.random.default_rng(seed), n, m)
+    # Community ids sit in the middle of a wider id space so unseen ids
+    # can land below and above everything known.
+    lo, hi = 1000, 1000 + n
+
+    def prog(comm):
+        dg = DistGraph.distribute(comm, g, partition="even_vertex")
+        plan = dg.build_ghost_plan(comm)
+        nloc, nghost = dg.num_local, plan.num_ghosts
+        local_comm = lo + dg.local_vertex_ids()
+        view = _CommunityView(
+            dg, plan, local_comm, lo + plan.ghost_ids.copy()
+        )
+        assert_view_consistent(view, dg, local_comm)
+        for step_seed, kind, where in steps:
+            rng = np.random.default_rng((step_seed, comm.rank))
+            if kind != "ghost" and nloc:
+                rows = np.flatnonzero(rng.random(nloc) < 0.5)
+                dense = rng.integers(0, len(view.ids), len(rows))
+                local_comm[rows] = view.ids[dense]
+                view.slot[rows] = dense
+            moved = np.empty(0, dtype=np.int64)
+            values = np.empty(0, dtype=np.int64)
+            if kind != "local" and nghost:
+                moved = np.flatnonzero(rng.random(nghost) < 0.5)
+                low, high = {
+                    "inside": (lo, hi),
+                    "below": (0, lo),
+                    "above": (hi, 2 * hi),
+                }[where]
+                values = np.where(
+                    rng.random(len(moved)) < 0.5,
+                    rng.integers(low, high, len(moved)),
+                    rng.choice(view.ids, len(moved)),
+                )
+            view.absorb(plan.ghost_ids[moved], values)
+            np.testing.assert_array_equal(view.values[moved], values)
+            assert_view_consistent(view, dg, local_comm)
+        return True
+
+    assert all(run_spmd(p, prog, machine=FREE, timeout=30.0).values)
+
+
+# ----------------------------------------------------------------------
+# Every round of real runs
+# ----------------------------------------------------------------------
+@pytest.fixture
+def checked_rounds(monkeypatch):
+    """Assert the view's invariants after every ``_sweep_round``;
+    yields the per-rank count of rounds checked."""
+    real = distlouvain._sweep_round
+    checked: dict[int, int] = {}
+
+    def sweep_round(comm, dg, view, plan, self_mask, k, local_comm, *a, **kw):
+        out = real(comm, dg, view, plan, self_mask, k, local_comm, *a, **kw)
+        assert_view_consistent(view, dg, local_comm)
+        checked[comm.rank] = checked.get(comm.rank, 0) + 1
+        return out
+
+    monkeypatch.setattr(distlouvain, "_sweep_round", sweep_round)
+    return checked
+
+
+ETC = LouvainConfig(variant=Variant.ETC, alpha=0.25, seed=1)
+
+
+def test_view_consistent_after_every_round(checked_rounds):
+    g = planted_blocks_graph(blocks=6, per_block=16, inter_edges=70, seed=2)
+    r = run_louvain(g, 4, ETC, machine=FREE)
+    assert checked_rounds == {rank: r.total_iterations for rank in range(4)}
+
+
+def test_view_consistent_after_resume(checked_rounds, tmp_path):
+    """A resumed phase rebuilds the view from the restored labels (no
+    shard stores it) and carries on bit-identically."""
+    g = planted_blocks_graph(blocks=6, per_block=16, inter_edges=70, seed=2)
+    ref = run_louvain(g, 4, ETC, machine=FREE)
+    full_run = dict(checked_rounds)
+    checked_rounds.clear()
+    d = str(tmp_path / "ck")
+    with pytest.raises(RankFailedError):
+        run_louvain(
+            g, 4, ETC, machine=FREE, checkpoint_dir=d,
+            checkpoint_every_iterations=1, fault_plan=FaultPlan(kills={3: 60}),
+        )
+    before_kill = checked_rounds.get(0, 0)
+    assert 0 < before_kill < full_run[0]
+    res = run_louvain(g, 4, ETC, machine=FREE, checkpoint_dir=d, resume=True)
+    assert checked_rounds[0] > before_kill
+    np.testing.assert_array_equal(res.assignment, ref.assignment)
+    assert res.modularity == ref.modularity
+    assert res.iterations == ref.iterations
+
+
+# ----------------------------------------------------------------------
+# Dense-space delta aggregation against the sort-based reference
+# ----------------------------------------------------------------------
+@given(
+    moves=st.integers(0, 60), communities=st.integers(1, 12),
+    spare=st.integers(0, 5), seed=st.integers(0, 2**16),
+)
+@settings(**COMMON)
+def test_dense_aggregation_matches_reference(moves, communities, spare, seed):
+    """Array for array — ids, float deltas bit for bit, size deltas —
+    on fractional degrees, with net-zero communities (a swap, a move
+    onto itself) and table rows no move touches."""
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(10_000, communities + spare, replace=False))
+    live = rng.choice(len(ids), communities, replace=False)
+    old = rng.choice(live, moves)
+    new = rng.choice(live, moves)
+    deg = rng.random(moves) * 7.0
+    if moves >= 2:
+        # A swap of equal degrees nets to zero on both communities.
+        new[0], new[1] = old[1], old[0]
+        deg[1] = deg[0]
+    want = aggregate_reference.aggregate_deltas(ids[old], ids[new], deg)
+    for got in (
+        aggregate_dense_deltas(ids, old, new, deg),
+        aggregate_deltas(ids[old], ids[new], deg),
+    ):
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)

@@ -238,6 +238,60 @@ class TestCommunityInfoCoverage:
         assert "community totals missing for ids" in str(cause)
 
 
+    def test_short_reply_fails_loudly(self, planted_blocks, monkeypatch):
+        # Replies are read as slices of the request order, so a reply
+        # that is not as long as its request must not be accepted.
+        from repro.core.distlouvain import _fetch_community_info
+        from repro.graph import DistGraph
+        from repro.runtime import RankFailedError, run_spmd
+        from repro.runtime.comm import Communicator
+
+        real = Communicator.alltoall
+
+        def lossy(self, values, category="other"):
+            if self.rank == 1:
+                values = [
+                    v[:, :-1] if getattr(v, "ndim", 0) == 2 else v
+                    for v in values
+                ]
+            return real(self, values, category=category)
+
+        monkeypatch.setattr(Communicator, "alltoall", lossy)
+
+        def prog(comm):
+            dg = DistGraph.distribute(comm, planted_blocks)
+            n = dg.num_global_vertices
+            return _fetch_community_info(
+                comm, dg, np.arange(0, n, 3), dg.local_degrees(),
+                np.ones(dg.num_local, dtype=np.int64),
+            )
+
+        with pytest.raises(RankFailedError) as excinfo:
+            run_spmd(2, prog, machine=FREE, timeout=15.0)
+        assert isinstance(excinfo.value.causes[0], ValueError)
+        assert "rank 1 answered" in str(excinfo.value.causes[0])
+
+    def test_delta_for_a_non_vertex_fails_loudly(self, planted_blocks):
+        # Community ids are vertex ids.  One outside the vertex space
+        # has no owner: routing it must raise, not hand it to the last
+        # rank (the old owner lookup) or drop it (a bare cut).
+        from repro.core.distlouvain import _apply_community_deltas
+        from repro.graph import DistGraph
+        from repro.runtime import RankFailedError, run_spmd
+
+        def prog(comm):
+            dg = DistGraph.distribute(comm, planted_blocks)
+            n = dg.num_global_vertices
+            _apply_community_deltas(
+                comm, dg, np.array([0, n + 3]), np.array([1.0, -1.0]),
+                np.array([1, -1]), dg.local_degrees(),
+                np.ones(dg.num_local, dtype=np.int64),
+            )
+
+        with pytest.raises(RankFailedError, match="outside the vertex space"):
+            run_spmd(2, prog, machine=FREE, timeout=15.0)
+
+
 class TestOneGhostExchangePerRound:
     """Algorithm 3 exchanges ghost communities once per iteration: a
     phase costs its two set-up exchanges (Algorithm 4's plan, then the

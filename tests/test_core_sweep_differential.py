@@ -25,8 +25,11 @@ ACTIVE_KINDS = ("all", "quarter", "none")
 RESOLUTIONS = (0.5, 1.0, 2.0)
 
 
-def adversarial_case(seed: int) -> dict:
-    """One small sweep input; every array the kernel takes, by keyword."""
+def adversarial_edges(seed: int):
+    """``(rng, n, u, v, w)``: a small undirected edge list with self
+    loops, parallel edges, zero and fractional weights and isolated
+    vertices.  ``rng`` comes back so a caller can keep drawing from the
+    same stream."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 40))
     m = int(rng.integers(0, 4 * n))
@@ -53,6 +56,12 @@ def adversarial_case(seed: int) -> dict:
         w = rng.integers(0, 4, len(u)).astype(np.float64)  # zeros included
     else:
         w = rng.random(len(u)) * 3.0
+    return rng, n, u, v, w
+
+
+def adversarial_case(seed: int) -> dict:
+    """One small sweep input; every array the kernel takes, by keyword."""
+    rng, n, u, v, w = adversarial_edges(seed)
 
     # Symmetric CSR with duplicates kept, rows in insertion order.
     keep = u != v

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.distlouvain import (
-    _GhostChannel,
+    _CommunityView,
     louvain_phase_distributed,
 )
 from repro.core import LouvainConfig
@@ -53,14 +53,17 @@ class TestAuditsOnLiveState:
             size = np.ones(dg.num_local, dtype=np.int64)
             # Replay the moves as one batch of deltas (ground truth is
             # recomputed inside the audit anyway).
+            from repro.core import aggregate_deltas
             from repro.core.distlouvain import _apply_community_deltas
 
             start = np.arange(dg.vbegin, dg.vend, dtype=np.int64)
             moved = out.local_comm != start
             _apply_community_deltas(
                 comm, dg,
-                old=start[moved], new=out.local_comm[moved],
-                deg=k[moved], tot_owned=tot, size_owned=size,
+                *aggregate_deltas(
+                    start[moved], out.local_comm[moved], k[moved]
+                ),
+                tot_owned=tot, size_owned=size,
             )
             r1 = audit_community_info(comm, dg, out.local_comm, tot, size)
             r2 = audit_partition(comm, dg, out.local_comm)
@@ -163,8 +166,9 @@ class TestGhostChannelDeltaCoherence:
                 local_comm[:] = rng.integers(
                     0, dg.num_global_vertices, dg.num_local
                 )
-            chan = _GhostChannel(
-                dg, plan, dg.exchange_ghost_values(comm, plan, local_comm)
+            chan = _CommunityView(
+                dg, plan, local_comm,
+                dg.exchange_ghost_values(comm, plan, local_comm),
             )
             oks = [
                 audit_ghost_coherence(comm, dg, local_comm, chan.values).ok

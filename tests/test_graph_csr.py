@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.graph import CSRGraph
+from repro.graph.csr import row_index, sorted_unique, sum_duplicate_entries
+
+from .oracles import aggregate_reference
 
 
 def small_graph():
@@ -175,3 +178,51 @@ class TestFingerprint:
         a = CSRGraph.from_edges(3, [0, 1], [1, 2])
         b = CSRGraph.from_edges(4, [0, 1], [1, 2])
         assert a.fingerprint() != b.fingerprint()
+
+
+class TestSumDuplicateEntries:
+    """The one "sort by (src, dst), sum the duplicates" of the library
+    against the stable-argsort formulation it replaced five copies of."""
+
+    #: Id ranges: narrow ones ride the entry position in the key's low
+    #: bits; the wide one does not fit and takes the argsort fallback.
+    @pytest.mark.parametrize("span", [1, 7, 1000, 2**31])
+    @pytest.mark.parametrize("m", [0, 1, 300])
+    def test_matches_stable_argsort(self, span, m):
+        rng = np.random.default_rng(span % 97 + m)
+        src = rng.integers(0, span, m)
+        dst = rng.integers(0, span, m)
+        if m > 10:
+            dup = rng.integers(0, m, m // 2)  # plenty of repeated pairs
+            src[: len(dup)], dst[: len(dup)] = src[dup], dst[dup]
+        w = rng.random(m) * 3.0
+        got = sum_duplicate_entries(src, dst, w)
+        want = aggregate_reference.combine_entries(src, dst, w)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_inputs_left_alone(self):
+        src, dst = np.array([2, 0, 2]), np.array([1, 5, 1])
+        w = np.array([0.25, 1.0, 0.5])
+        s, d, ww = sum_duplicate_entries(src, dst, w)
+        np.testing.assert_array_equal(src, [2, 0, 2])
+        np.testing.assert_array_equal(dst, [1, 5, 1])
+        np.testing.assert_array_equal(w, [0.25, 1.0, 0.5])
+        np.testing.assert_array_equal(s, [0, 2])
+        np.testing.assert_array_equal(d, [5, 1])
+        np.testing.assert_array_equal(ww, [1.0, 0.75])
+
+    def test_row_index(self):
+        np.testing.assert_array_equal(
+            row_index(np.array([0, 0, 2, 5]), 6), [0, 2, 2, 3, 3, 3, 4]
+        )
+        np.testing.assert_array_equal(row_index(np.empty(0, np.int64), 2), [0, 0, 0])
+        np.testing.assert_array_equal(row_index(np.empty(0, np.int64), 0), [0])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 50])
+    def test_sorted_unique_is_np_unique(self, n):
+        values = np.random.default_rng(n).integers(0, 12, n)
+        got = sorted_unique(values)
+        assert got.dtype == values.dtype
+        np.testing.assert_array_equal(got, np.unique(values))

@@ -282,3 +282,84 @@ class TestSplitByRank:
         out = split_by_rank(np.empty(0, np.int64), 3, np.empty(0, np.int64))
         assert len(out) == 3
         assert all(len(t[0]) == 0 for t in out)
+
+
+class TestOwnerCuts:
+    """``DistGraph.cuts``: on ascending ids, routing by owner is slicing."""
+
+    #: Partitions with an empty first, middle and last rank, and with
+    #: more ranks than vertices.
+    OFFSETS = [
+        [0, 4, 7, 10],
+        [0, 0, 3, 3, 6, 6],
+        [0, 1, 2, 3, 3, 3, 3, 3],
+        [0, 5],
+    ]
+
+    @pytest.mark.parametrize("offsets", OFFSETS)
+    def test_equals_split_by_owner(self, offsets):
+        from repro.graph.distgraph import split_by_rank
+
+        offsets = np.array(offsets)
+        n, p = int(offsets[-1]), len(offsets) - 1
+        dg = DistGraph.from_global(ring_graph(n), offsets, 0)
+        rng = np.random.default_rng(n * p)
+        for ids in (
+            np.arange(n),
+            np.empty(0, np.int64),
+            np.sort(rng.choice(n, n // 2, replace=False)),
+            np.sort(rng.integers(0, n, 3 * n)),  # duplicates allowed
+        ):
+            aux = ids * 0.5
+            cuts = dg.cuts(ids)
+            assert len(cuts) == p + 1
+            want = split_by_rank(dg.owner_of(ids), p, ids, aux)
+            for r in range(p):
+                a, b = cuts[r], cuts[r + 1]
+                np.testing.assert_array_equal(ids[a:b], want[r][0])
+                np.testing.assert_array_equal(aux[a:b], want[r][1])
+                # A slice, not a copy: the same bytes go on the wire.
+                assert ids[a:b].base is ids or not len(ids)
+
+    @pytest.mark.parametrize("bad", [[-1, 2], [3, 10], [0, 99], [-5]])
+    def test_id_outside_vertex_space_raises(self, bad):
+        # owner_of would hand such an id to the first or last rank; a
+        # cut would silently drop it off the end.  Neither: it raises.
+        dg = DistGraph.from_global(ring_graph(10), np.array([0, 4, 7, 10]), 1)
+        with pytest.raises(ValueError, match="outside the vertex space"):
+            dg.cuts(np.array(bad))
+
+    def test_ghost_plan_rejects_out_of_range_target(self):
+        from repro.runtime import RankFailedError
+
+        g = ring_graph(6)
+
+        def prog(comm):
+            dg = DistGraph.from_global(g, np.array([0, 3, 6]), comm.rank)
+            if comm.rank == 0:
+                dg.edges[0] = 6  # not a vertex
+            return dg.build_ghost_plan(comm)
+
+        with pytest.raises(RankFailedError, match="outside the vertex space"):
+            spmd(2, prog)
+
+
+class TestLocalRowSums:
+    def test_degrees_and_loops_match_the_global_graph(self):
+        rng = np.random.default_rng(4)
+        n = 17
+        u, v = rng.integers(0, n, 60), rng.integers(0, n, 60)
+        v[::7] = u[::7]  # self loops
+        g = CSRGraph.from_edges(n, u, v, rng.random(60))
+        # A rank without entries and one without vertices included.
+        offsets = np.array([0, 6, 6, 11, n])
+        for r in range(4):
+            dg = DistGraph.from_global(g, offsets, r)
+            lo, hi = offsets[r], offsets[r + 1]
+            for got, want in (
+                (dg.local_degrees(), g.degrees()[lo:hi]),
+                (dg.local_self_loops(), g.self_loop_weights()[lo:hi]),
+            ):
+                assert got.dtype == np.float64
+                np.testing.assert_array_equal(got, want)
+            assert dg.local_rows() is dg.local_rows()
