@@ -16,8 +16,6 @@ performance regressions of the simulator itself are visible:
 * the simulated runtime itself: wall ns and ``message_bytes`` calls per
   collective for allreduce / allgather / alltoall /
   ``exchange_roundtrip`` at p ∈ {2, 4, 8} with empty and 1 kB payloads;
-* the subscription-cache push update of the owner-push community
-  exchange (overwrite-known + merge-insert-unknown);
 * one collective checkpoint save, full (the first of a phase: graph
   slice and history too) and delta (iteration state only), at
   p ∈ {1, 2, 4} on the ``service_mix`` graph: wall µs and bytes.
@@ -33,8 +31,7 @@ import numpy as np
 
 import pytest
 
-from repro.core import LouvainConfig, coarsen_csr, pack_info
-from repro.core.commcache import CommunityCache
+from repro.core import LouvainConfig, coarsen_csr
 from repro.core.coarsen import rebuild_distributed
 from repro.core.distlouvain import (
     _CommunityView,
@@ -267,38 +264,6 @@ def test_kernel_edgelist_dedup(benchmark):
 
     el = benchmark(EdgeList.from_arrays, n, u, v)
     assert el.num_edges > 0
-
-
-def test_kernel_subscription_cache_update(benchmark):
-    g = _graph().to_csr()
-    n = g.num_vertices
-    dg = DistGraph.from_global(g, np.array([0, n // 2, n]), 0)
-    rng = np.random.default_rng(3)
-    # Warm cache over half the remote id space; each push touches a mix
-    # of known (overwrite) and unknown (merge-insert) communities.
-    warm = np.unique(rng.integers(n // 2, n, 4000))
-    pushes = [
-        pack_info(
-            ids := np.unique(rng.integers(n // 2, n, 800)),
-            rng.random(len(ids)),
-            rng.integers(1, 50, len(ids)),
-        )
-        for _ in range(16)
-    ]
-
-    def update():
-        cache = CommunityCache(dg, comm_size=2)
-        cache._insert(
-            pack_info(warm, rng.random(len(warm)),
-                      np.ones(len(warm), np.int64))
-        )
-        for packed in pushes:
-            cache._apply_push(packed)
-        return cache
-
-    cache = benchmark(update)
-    assert cache.pushed_entries == sum(len(x) for x in pushes)
-    assert len(cache.ids) >= len(warm)
 
 
 # ----------------------------------------------------------------------

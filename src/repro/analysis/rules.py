@@ -65,7 +65,6 @@ COLLECTIVE_HELPERS = frozenset(
         "_labels_collide",
         "_load_restored_state",
         "_lookup_sorted",
-        "_pull_and_subscribe",
         "_save_checkpoint",
         "_split_flags",
         "_sweep_round",
@@ -81,9 +80,7 @@ COLLECTIVE_HELPERS = frozenset(
         "distributed_louvain",
         "distributed_num_components",
         "distributed_total_weight",
-        "exchange_deltas",
         "exchange_ghost_values",
-        "fetch",
         "load_binary",
         "load_latest",
         "louvain_phase_distributed",

@@ -26,7 +26,7 @@ Config guards are recognised in three forms: direct field tests
 (``if config.use_coloring:``), derived-property chains
 (``config.variant.uses_inactive_exit``), and the ``x = <expr> if
 config.f else None`` / ``if x is not None:`` idiom the codebase uses
-for optional subsystems (ET, the push cache, assignment tracking).
+for optional subsystems (ET, assignment tracking).
 """
 
 from __future__ import annotations
@@ -939,9 +939,11 @@ def schedule_matrix(
 
     Enumerates the tuner search space, projects each candidate config
     onto the fields that actually guard the entry's footprint, and
-    evaluates one schedule per distinct projection.  Suppressed
-    divergences (``# spmdlint: ignore[SPMD004]`` at the forking line)
-    count as justified.
+    evaluates one schedule per distinct projection.  The stock space is
+    enumerated with and without ``use_coloring``: the tuner takes that
+    knob from the caller, but it guards collectives, so its schedules
+    are verified too.  Suppressed divergences (``# spmdlint:
+    ignore[SPMD004]`` at the forking line) count as justified.
     """
     fns = sorted(
         (
@@ -957,14 +959,23 @@ def schedule_matrix(
     raw = builder.summary(fn)
     fields = sorted(config_fields_in(raw))
     if space is None:
+        from ..core.config import LouvainConfig
         from ..tune.space import default_space
 
-        space = default_space()
+        candidates = [
+            cand
+            for coloring in (False, True)
+            for cand in default_space(
+                base=LouvainConfig(use_coloring=coloring)
+            ).candidates()
+        ]
+    else:
+        candidates = space.candidates()
     import json as _json
 
     rows: list[dict[str, Any]] = []
     seen: set[str] = set()
-    for cand in space.candidates():
+    for cand in candidates:
         proj = {f: _jsonable(getattr(cand.config, f)) for f in fields}
         pkey = _json.dumps(proj, sort_keys=True, default=str)
         if pkey in seen:

@@ -122,9 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "--resolution)")
     det.add_argument("--coloring", action="store_true",
                      help="distance-1 coloring (§VI future work)")
-    det.add_argument("--community-push", action="store_true",
-                     help="owner-push community-info exchange "
-                          "(subscription caches; bit-identical)")
     det.add_argument("--out", help="write 'vertex community' text file")
     det.add_argument("--save", help="write .npz result file")
     det.add_argument("--trace", action="store_true",
@@ -393,7 +390,6 @@ def _cmd_detect(args) -> int:
         refine=args.refine,
         vertex_following=args.vertex_following,
         use_coloring=args.coloring,
-        community_push_updates=args.community_push,
         seed=args.seed,
     )
     if args.resolutions:

@@ -2,20 +2,18 @@
 
 from .coarsen import coarsen_csr, rebuild_distributed, remote_lookup
 from .coloring import distributed_coloring, verify_coloring
-from .commcache import (
-    COMM_INFO_DTYPE,
-    CommunityCache,
-    aggregate_deltas,
-    pack_info,
-    unpack_info,
-)
 from .config import (
     DEFAULT_THRESHOLD_CYCLE,
     PAPER_VARIANTS,
     LouvainConfig,
     Variant,
 )
-from .distlouvain import distributed_louvain, louvain_phase_distributed, run_louvain
+from .distlouvain import (
+    aggregate_deltas,
+    distributed_louvain,
+    louvain_phase_distributed,
+    run_louvain,
+)
 from .dynamic import (
     ChurnAccumulator,
     ChurnStats,
@@ -56,8 +54,6 @@ from .validate import (
 )
 
 __all__ = [
-    "COMM_INFO_DTYPE",
-    "CommunityCache",
     "DEFAULT_THRESHOLD_CYCLE",
     "EarlyTermination",
     "IterationStats",
@@ -97,14 +93,12 @@ __all__ = [
     "modularity_bounds_ok",
     "move_gain",
     "normalize_assignment",
-    "pack_info",
     "propose_moves",
     "read_communities_text",
     "rebuild_distributed",
     "remote_lookup",
     "run_louvain",
     "save_result",
-    "unpack_info",
     "verify_coloring",
     "vertex_following_seed",
     "warm_start_assignment",

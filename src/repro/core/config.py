@@ -52,10 +52,9 @@ DEFAULT_THRESHOLD_CYCLE: tuple[tuple[float, int], ...] = (
 
 
 #: Fields that determine the detection outcome (assignment, modularity,
-#: per-phase statistics).  The complement — bit-identical transport
-#: ablations and debug auditing — is deliberately outside the cache key
-#: so e.g. a push-transport request can be served from a pull-transport
-#: cached result.
+#: per-phase statistics).  The complement — debug auditing — is
+#: deliberately outside the cache key, so an audited request can be
+#: served from an unaudited cached result.
 CACHE_KEY_FIELDS = frozenset(
     {
         "variant",
@@ -84,10 +83,6 @@ CACHE_KEY_FIELDS = frozenset(
 #: Both kinds are *schedule-safe*: they may legitimately change which
 #: collectives run without invalidating a cached detection result.
 CACHE_KEY_EXCLUSIONS = {
-    "community_push_updates": (
-        "transport: push vs pull community info exchange is a wire-"
-        "protocol choice with bit-identical results"
-    ),
     "validate_invariants": (
         "audit: adds replicated verification collectives; detection "
         "output is unchanged"
@@ -137,14 +132,6 @@ class LouvainConfig:
     #: their connected components after every phase's sweep.  Splitting
     #: along zero-edge cuts never lowers modularity.
     refine: str = "none"
-    #: Owner-push incremental community-info exchange: ranks subscribe
-    #: to the remote communities they reference and owners push fresh
-    #: ``(a_c, |c|)`` only for subscribed communities that *changed*,
-    #: fused into the end-of-round delta exchange — one round trip per
-    #: iteration instead of the pull protocol's three alltoalls (the
-    #: §V-A "Community" traffic, ~34% of Baseline runtime).  Results
-    #: are bit-identical to the pull protocol.
-    community_push_updates: bool = False
     #: Resolution parameter gamma: Q_gamma = sum_c [in_c/W - g(a_c/W)^2].
     #: gamma > 1 favours more, smaller communities — the standard remedy
     #: for the resolution limit the paper's §I discusses [12], [30].
@@ -251,9 +238,8 @@ class LouvainConfig:
         """Stable content hash over the semantically meaningful fields.
 
         Two configs hash equal iff they request the same detection
-        *outcome*: the transport knob ``community_push_updates`` is
-        excluded because its results are proven bit-identical, and
-        ``validate_invariants`` is excluded because it only audits.
+        *outcome*: ``validate_invariants`` is excluded because it only
+        audits.
         Field order never matters (keys are sorted), so the hash is
         stable across dataclass reordering and process restarts.  Used
         as the config half of the result-store cache key and recorded

@@ -57,11 +57,6 @@ from ..runtime.comm import Communicator
 from ..runtime.executor import SPMDResult, run_spmd
 from ..runtime.perfmodel import CORI_HASWELL, MachineModel
 from .coarsen import rebuild_distributed, remote_lookup
-from .commcache import (
-    CommunityCache,
-    aggregate_deltas,
-    aggregate_dense_deltas,
-)
 from .config import LouvainConfig
 from .heuristics import EarlyTermination, ThresholdCycler, make_rank_rng
 from .refine import refine_communities
@@ -128,18 +123,14 @@ class _CommunityView:
         )
         self._ctargets = dg.compressed_targets(plan)
         self.target = self.slot[self._ctargets]
-        # Flattened ghost send plan: (owned vertex id, destination rank)
-        # pairs, ascending by rank, and the vertices' local slots.
-        # Shared with the push protocol's subscription hints (the ranks
-        # ghosting a vertex are the ranks that will reference its
-        # community next round).
+        # Flattened ghost send plan: the owned vertex ids each rank
+        # ghosts, ascending by destination rank, and their local slots.
         per_rank = [
             plan.send_ids.get(r, np.empty(0, np.int64))
             for r in range(dg.nranks)
         ]
         counts = [len(ids) for ids in per_rank]
         self.send_ids = np.concatenate(per_rank)
-        self.send_rank = np.repeat(np.arange(dg.nranks), counts)
         self.send_loc = np.asarray(dg.to_local(self.send_ids))
         #: Where each destination's pairs start in the send lists.
         self._send_cuts = np.concatenate([[0], np.cumsum(counts)])
@@ -209,7 +200,6 @@ def _sweep_round(
     size_owned: np.ndarray,
     active: np.ndarray,
     config: LouvainConfig,
-    cache: CommunityCache | None = None,
 ) -> tuple[np.ndarray, int]:
     """Steps (i)-(iv) of one Louvain iteration for one active set.
 
@@ -218,14 +208,6 @@ def _sweep_round(
     ``view.values`` is current again on return.
     The baseline calls this once per iteration with the full active set;
     the coloring mode (§VI) calls it once per colour class.
-
-    With ``cache`` set (``config.community_push_updates``), steps (ii)
-    and (iv) run the owner-push protocol: community info comes from the
-    subscription cache (plus a targeted fallback pull on first touch)
-    and the delta exchange fuses the owners' pushes into its reply leg —
-    one exchange per round instead of three alltoalls, with payload
-    proportional to the number of *changed* communities.  Results are
-    bit-identical to the pull protocol either way.
     """
     nloc = dg.num_local
     # (i) ghost vertex community assignments as of the last exchange
@@ -251,22 +233,11 @@ def _sweep_round(
         flags[view.target[active_entries]] = True
         flags[local_dense[active]] = True
     wanted = np.flatnonzero(flags)
-    needed = ids[wanted]
-    if cache is not None:
-        # Cold start: pull every community this rank's vertices could
-        # reference (all neighbour communities and own ones, active or
-        # not) so later rounds never miss — new ids can then only arrive
-        # through hinted ghost moves.  The view is fresh at that point:
-        # ``ids`` is exactly what the slots hold.
-        info = cache.fetch(
-            comm, needed, tot_owned, size_owned,
-            prefetch=ids if cache.cold else None,
-        )
-    else:
-        info = _fetch_community_info(comm, dg, needed, tot_owned, size_owned)
     # Row 0: a_c, row 1: |c|, by position in ``ids``.
     dense_info = np.full((2, len(ids)), np.nan)
-    dense_info[0, wanted], dense_info[1, wanted] = info
+    dense_info[0, wanted], dense_info[1, wanted] = _fetch_community_info(
+        comm, dg, ids[wanted], tot_owned, size_owned
+    )
 
     # (iii) local move computation (lines 6-9), in dense ids.
     res = propose_moves(
@@ -285,33 +256,17 @@ def _sweep_round(
     )
     comm.charge_compute(res.pairs_evaluated + scanned + nloc)
 
-    # (iv) send community updates to owner processes (lines 10-11).
-    # Duplicates are pre-aggregated in the view's dense space, before
-    # the protocols part ways, so both ship the same floats.
+    # (iv) send community updates to owner processes (lines 10-11),
+    # duplicates pre-aggregated in the view's dense space.
     moved = res.moved
     rows = np.flatnonzero(moved)
     new_dense = res.proposal[rows]
     deltas = aggregate_dense_deltas(ids, local_dense[rows], new_dense, k[rows])
     local_comm[rows] = ids[new_dense]
     local_dense[rows] = new_dense
-    if cache is not None:
-        # Subscription hints: every rank ghosting a moved vertex will
-        # reference its new community next round — subscribe them now,
-        # through the owner, so the info rides this exchange's push leg
-        # instead of a fallback pull next round.
-        hm = moved[view.send_loc]
-        cache.exchange_deltas(
-            comm,
-            *deltas,
-            tot_owned=tot_owned,
-            size_owned=size_owned,
-            hint_ids=local_comm[view.send_loc[hm]],
-            hint_ranks=view.send_rank[hm],
-        )
-    else:
-        _apply_community_deltas(
-            comm, dg, *deltas, tot_owned=tot_owned, size_owned=size_owned
-        )
+    _apply_community_deltas(
+        comm, dg, *deltas, tot_owned=tot_owned, size_owned=size_owned
+    )
     # ... and the moved vertices' new communities to the ranks ghosting
     # them: the round's one ghost exchange.
     view.publish(comm, local_comm, moved)
@@ -362,16 +317,6 @@ def louvain_phase_distributed(
     local_comm = dg.local_vertex_ids().copy()
     tot_owned = k.copy()
     size_owned = np.ones(nloc, dtype=np.int64)
-    # Owner-push community-info protocol (perf knob; bit-identical to
-    # pull).  Per-phase lifetime: community ids live in this graph's
-    # vertex-id space.  The warm-start / resume delta applications below
-    # predate any subscription, so they can keep using the plain pull
-    # path — the cache starts cold and fills via first-touch pulls.
-    cache = (
-        CommunityCache(dg, comm.size)
-        if config.community_push_updates
-        else None
-    )
 
     if initial_assignment is not None:
         # Warm start: treat the seed as a batch of moves from the
@@ -470,7 +415,6 @@ def louvain_phase_distributed(
             round_moved, n = _sweep_round(
                 comm, dg, view, sweep_plan, self_mask, k,
                 local_comm, tot_owned, size_owned, round_active, config,
-                cache=cache,
             )
             moved |= round_moved
             moves += n
@@ -603,6 +547,45 @@ def _fetch_community_info(
     return tuple(np.concatenate(answers, axis=1))
 
 
+def aggregate_deltas(
+    old: np.ndarray, new: np.ndarray, deg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Net (a_c, |c|) delta per community touched by a batch of moves.
+
+    A vertex moving ``old -> new`` contributes ``(-k, -1)`` to its old
+    community and ``(+k, +1)`` to its new one; duplicates are summed
+    before communicating.  Returns ``(ids, dtot, dsize)`` with ``ids``
+    ascending; a touched community whose deltas cancel is still listed.
+    """
+    ids, dense = np.unique(np.concatenate([old, new]), return_inverse=True)
+    return aggregate_dense_deltas(
+        ids, dense[:len(old)], dense[len(old):], deg
+    )
+
+
+def aggregate_dense_deltas(
+    ids: np.ndarray, old: np.ndarray, new: np.ndarray, deg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`aggregate_deltas` of moves given as positions in the
+    ascending id table ``ids`` (which may hold untouched ids too).
+
+    One scatter per column instead of a sort; ``np.bincount`` adds its
+    weights left to right like ``np.add.at``, all departures before all
+    arrivals.
+    """
+    n = len(ids)
+    left = np.bincount(old, minlength=n)
+    joined = np.bincount(new, minlength=n)
+    # (bincount counts in int64 when given nothing to add: cast.)
+    dtot = np.bincount(
+        np.concatenate([old, new]),
+        weights=np.concatenate([-deg, deg]),
+        minlength=n,
+    ).astype(np.float64, copy=False)
+    touched = np.flatnonzero(left + joined)
+    return ids[touched], dtot[touched], (joined - left)[touched]
+
+
 def _apply_community_deltas(
     comm: Communicator,
     dg: DistGraph,
@@ -613,8 +596,8 @@ def _apply_community_deltas(
     size_owned: np.ndarray,
 ) -> None:
     """Route aggregated (a_c, |c|) deltas of this rank's moves
-    (:func:`~.commcache.aggregate_deltas`: ``ids`` ascending and
-    duplicate-free) to the community owners, who apply them.
+    (:func:`aggregate_deltas`: ``ids`` ascending and duplicate-free) to
+    the community owners, who apply them.
 
     Every rank participates in the exchange even with zero moves (the
     collective is unconditional in Algorithm 3).

@@ -35,8 +35,8 @@ uniqueness audit detects any such clash, and the pass then falls back
 to canonical min-member labels for every community (injective by
 construction: min members of disjoint vertex sets are distinct).  Both
 the split decision and the fallback decision are global and purely
-structural, so refined runs stay bit-identical across rank counts,
-layouts, and transports.
+structural, so refined runs stay bit-identical across rank counts and
+layouts.
 
 SPMD: call from every rank.  The propagation trip count is
 data-dependent but replicated (one ``lor`` allreduce per round), the

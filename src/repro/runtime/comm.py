@@ -10,12 +10,12 @@ ranks run as threads, each holding a :class:`Communicator`, and talk via
 * synchronizing collectives (``barrier``, ``bcast``, ``reduce``,
   ``allreduce``, ``gather``, ``allgather``, ``scatter``, ``alltoall``,
   ``scan``/``exscan``), the MPI-3-style ``neighbor_alltoall`` the
-  paper lists as future work (§VI), and the fused request/reply
-  ``exchange_roundtrip`` backing the owner-push community protocol.
-  The algorithm itself uses allreduce, alltoall, ``exchange_roundtrip``,
-  bcast, allgather, gather, exscan, barrier, send/recv and ``split``;
-  ``reduce``, ``scatter``, ``scan``, ``sendrecv`` and
-  ``neighbor_alltoall`` have no caller outside the tests and stay only
+  paper lists as future work (§VI), and a fused request/reply
+  ``exchange_roundtrip``.
+  The algorithm itself uses allreduce, alltoall, bcast, allgather,
+  gather, exscan, barrier, send/recv and ``split``; ``reduce``,
+  ``scatter``, ``scan``, ``sendrecv``, ``neighbor_alltoall`` and
+  ``exchange_roundtrip`` have no caller outside the tests and stay only
   because the end-to-end benchmark's span table names them.
 
 The two personalized exchanges (``alltoall``, ``exchange_roundtrip``)
@@ -866,16 +866,13 @@ class Communicator:
         requests from every rank (``incoming[s]`` is rank ``s``'s
         request) and must return one reply payload per rank; the call
         returns the replies addressed to this rank (``result[j]`` is
-        rank ``j``'s reply).  ``serve`` is the *owner side* of an
-        owner-push protocol: it may mutate rank-local state (the
+        rank ``j``'s reply).  ``serve`` may mutate rank-local state (the
         deposits travel by reference inside the simulator, and every
         rank is blocked in the collective while the serve callbacks run
-        in rank order), which is what lets a delta-apply step and the
-        push of its consequences fuse into a single exchange instead of
-        the three alltoalls of a pull protocol.
+        in rank order).
 
         Cost model: two back-to-back alltoallv legs (see
-        :meth:`MachineModel.exchange_leg_cost`) with a synchronisation
+        :meth:`MachineModel.alltoallv_cost`) with a synchronisation
         point in between — no rank can serve before its last request
         arrives.
         """
@@ -894,7 +891,7 @@ class Communicator:
             # Request leg: servers reply only once every request landed.
             req_sizes = _leg_sizes(mats)
             t_mid = t0 + max(
-                m.exchange_leg_cost(sum(sent), sum(recv), p, rank=r)
+                m.alltoallv_cost(sum(sent), sum(recv), p, rank=r)
                 for r, (sent, recv) in enumerate(req_sizes)
             )
             # Serve in rank order: deterministic regardless of which
@@ -910,7 +907,7 @@ class Communicator:
                 reply_mat.append(replies)
             outs = []
             for r, (sent, recv) in enumerate(_leg_sizes(reply_mat)):
-                t = t_mid + m.exchange_leg_cost(sum(sent), sum(recv), p, rank=r)
+                t = t_mid + m.alltoallv_cost(sum(sent), sum(recv), p, rank=r)
                 received = [reply_mat[s][r] for s in range(p)]
                 outs.append(((received, req_sizes[r], (sent, recv)), t))
             return outs

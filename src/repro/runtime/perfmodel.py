@@ -188,24 +188,6 @@ class MachineModel:
         neighbour count instead of ``p - 1`` (paper §VI future work)."""
         return degree * self.alpha + self.beta * (sent_bytes + recv_bytes)
 
-    def exchange_leg_cost(
-        self,
-        sent_bytes: int,
-        recv_bytes: int,
-        p: int,
-        rank: int | None = None,
-    ) -> float:
-        """One leg of a fused request/reply exchange as seen by one rank.
-
-        The owner-push community protocol models its round trip as two
-        back-to-back personalized-exchange legs (request/deltas out,
-        replies/pushes back); each leg is charged like a standalone
-        dense alltoallv.  Nothing is discounted for the fusion: the
-        saving the push protocol realises comes from sending fewer legs
-        with smaller payloads, not from a cheaper primitive.
-        """
-        return self.alltoallv_cost(sent_bytes, recv_bytes, p, rank=rank)
-
     # ------------------------------------------------------------------
     def with_threads(self, threads: int) -> "MachineModel":
         """A copy of this model with a different OpenMP thread count."""

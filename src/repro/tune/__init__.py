@@ -6,7 +6,7 @@ threshold cycle, ETC's 90% exit) and the best setting varies per graph
 
 1. :mod:`~repro.tune.features` featurizes the graph in one CSR pass;
 2. :mod:`~repro.tune.space` declares the search space over variant,
-   heuristic parameters, transport knob and rank count, reusing
+   heuristic parameters and rank count, reusing
    :class:`~repro.core.config.LouvainConfig` validation as its
    constraint oracle;
 3. :mod:`~repro.tune.costmodel` pre-screens hundreds of candidates with

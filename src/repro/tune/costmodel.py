@@ -12,9 +12,9 @@ The model mirrors the per-iteration structure of Algorithm 3:
 * ghost community exchange — one personalized exchange whose volume is
   the changed share of the cross-rank entry fraction the featurizer
   measured (``ghost_comm``);
-* community-info exchange — three alltoallv legs for the paper's pull
-  protocol, one fused round trip with delta-sized payloads for the
-  owner-push protocol (``community_comm``);
+* community-info exchange — the three alltoallv legs of the paper's
+  pull protocol, each priced by what it carries: ids out, ``(a_c, |c|)``
+  back, deltas of the changed share to the owners (``community_comm``);
 * the modularity/counters allreduce, doubled for ETC's extra
   inactive-count vote (``allreduce``);
 
@@ -26,7 +26,7 @@ on skewed graphs, Table I), threshold cycling truncates early phases
 The absolute numbers only need to be plausible — the measured
 successive-halving stage corrects them — but the *ordering* they induce
 decides which candidates get measured at all, so the model must rank
-e.g. push-vs-pull and ET-vs-Baseline the same way the simulator does.
+e.g. ET-vs-Baseline the same way the simulator does.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from .space import Candidate
 
 #: Bytes per shipped ghost community entry (vertex id + community id).
 _GHOST_ENTRY_BYTES = 16
-#: Bytes per community-info entry ((a_c, size) plus addressing).
-_COMM_INFO_BYTES = 24
 #: Bytes per edge moved during distributed graph reconstruction.
 _REBUILD_ENTRY_BYTES = 24
 #: Bytes per edge of the on-disk binary input.
@@ -50,20 +48,21 @@ _INPUT_ENTRY_BYTES = 20
 #: Per-phase shrink factor of the coarsened graph (empirically the
 #: rebuilt graph keeps ~20-30% of the previous phase's edges).
 _PHASE_SHRINK = 0.25
-#: Payload shrink of the push protocol's fused legs vs one pull leg
-#: (only *changed* subscribed communities ship).
-_PUSH_PAYLOAD_FACTOR = 0.4
 #: Payload shrink of the per-round ghost exchange (unmoved vertices skip).
 _DELTA_PAYLOAD_FACTOR = 0.45
+#: Bytes per referenced community on each leg of the pull protocol: the
+#: request ships ids, the reply (a_c, |c|) pairs, the delta leg
+#: (id, da_c, d|c|) records for the share that changed.
+_COMMUNITY_LEG_BYTES = (8.0, 16.0, 24.0 * _DELTA_PAYLOAD_FACTOR)
 #: Per-color-class sweep-round overhead of coloring-ordered sweeps.
 #: Coloring buys modularity (independent sets move on fresh neighbour
 #: state), never time: every iteration runs one synchronised sweep
 #: round per color class, each paying its own scan/bookkeeping pass and
 #: its own ghost/community legs.  The measured simulator shows colored
 #: runs 1.5-4x slower even at one rank, so the model must rank coloring
-#: as strictly more expensive everywhere — a colored candidate reaches
-#: the measured rungs on the Pareto frontier's quality axis, not by
-#: looking cheap.
+#: as strictly more expensive everywhere.  That is why coloring is not a
+#: search axis: it is priced only when the caller's base config asks
+#: for it, and then every candidate carries it.
 _COLORING_ROUND_OVERHEAD = 0.25
 #: Modelled propagation rounds of one Leiden refinement pass (min-label
 #: propagation converges in the intra-community diameter, small for the
@@ -188,24 +187,14 @@ def predict_cost(
         per_iter_compute = machine.compute_cost(e * work_factor)
 
         ghost_bytes = gf * e * _GHOST_ENTRY_BYTES * _DELTA_PAYLOAD_FACTOR
-        per_iter_ghost = machine.exchange_leg_cost(
+        per_iter_ghost = machine.alltoallv_cost(
             int(ghost_bytes), int(ghost_bytes), p, rank=0
         )
 
-        comm_bytes = gf * e * _COMM_INFO_BYTES
-        if config.community_push_updates:
-            leg = machine.exchange_leg_cost(
-                int(comm_bytes * _PUSH_PAYLOAD_FACTOR),
-                int(comm_bytes * _PUSH_PAYLOAD_FACTOR),
-                p,
-                rank=0,
-            )
-            per_iter_community = 2.0 * leg  # one fused round trip
-        else:
-            leg = machine.exchange_leg_cost(
-                int(comm_bytes), int(comm_bytes), p, rank=0
-            )
-            per_iter_community = 3.0 * leg  # fetch x2 + delta push
+        per_iter_community = 0.0
+        for nbytes in _COMMUNITY_LEG_BYTES:
+            leg = int(gf * e * nbytes)
+            per_iter_community += machine.alltoallv_cost(leg, leg, p, rank=0)
         per_iter_allreduce = machine.allreduce_cost(64, p)
         if config.variant.uses_inactive_exit:
             per_iter_allreduce += machine.allreduce_cost(16, p)
@@ -230,7 +219,7 @@ def predict_cost(
             # owner-routed split census and label-clash audit.
             refine += _REFINE_ROUNDS * (
                 per_iter_ghost + machine.allreduce_cost(8, p)
-            ) + 2.0 * machine.exchange_leg_cost(
+            ) + 2.0 * machine.alltoallv_cost(
                 int(gf * e * _GHOST_ENTRY_BYTES),
                 int(gf * e * _GHOST_ENTRY_BYTES),
                 p,
@@ -265,8 +254,8 @@ def screen(
 ) -> list[tuple[float, Candidate]]:
     """Rank candidates by predicted modelled seconds, cheapest first.
 
-    Ties (identical predictions — e.g. push vs pull at ``p = 1``)
-    break on the candidate key, so the ordering is fully deterministic.
+    Ties (identical predictions) break on the candidate key, so the
+    ordering is fully deterministic.
     """
     scored = [
         (predict_cost(features, c, machine).seconds, c) for c in candidates

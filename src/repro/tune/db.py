@@ -35,7 +35,8 @@ from .features import GraphFeatures, feature_distance
 #: v2: configs lost two fields and the feature vector a dimension, so
 #: v1 plans and nearest-neighbour distances do not carry over.
 #: v3: configs lost the ghost-transport switch; v2 plans name it.
-DB_FORMAT_VERSION = 3
+#: v4: configs lost the owner-push switch; v3 plans name it.
+DB_FORMAT_VERSION = 4
 
 #: Default feature-space radius inside which a neighbour's plan is
 #: considered transferable.  Vector axes are normalised to ~unit scale

@@ -21,7 +21,7 @@ plan that detects worse communities).
 
 The full-fidelity runs (baseline + finalists) additionally yield a
 **Pareto frontier** over (modelled seconds, modularity): the heuristic
-axes added since the paper — coloring, vertex following, Leiden-style
+axes added since the paper — vertex following, Leiden-style
 refinement — trade speed against quality rather than strictly winning
 on one, so the report exposes the whole frontier instead of collapsing
 it to a single winner.  Callers who care about quality more than the
@@ -44,10 +44,6 @@ from .costmodel import predict_cost, screen
 from .db import TuningDB, TuningRecord
 from .features import GraphFeatures, compute_features
 from .space import Candidate, SearchSpace, default_space
-
-#: Version of the search procedure (recorded for reproducibility).
-TUNER_VERSION = 1
-
 
 def _pareto_frontier(
     points: list[tuple[float, float, Candidate]],
@@ -206,22 +202,7 @@ def plan_for_graph(
 
     candidates = space.candidates(seed=settings.seed)
     ranked = screen(features, candidates, machine)
-    # Admit the cheapest-predicted candidates, collapsing *equivalence
-    # classes*: two candidates with identical predicted cost, identical
-    # rank count, and identical outcome (same config cache_key — i.e.
-    # they differ only in the transport knob the model says is free here,
-    # e.g. push-vs-pull at p = 1) would yield byte-identical trials, so
-    # measuring both wastes budget.
-    survivors: list[Candidate] = []
-    seen_equiv: set[tuple[float, int, str]] = set()
-    for predicted_s, cand in ranked:
-        equiv = (round(predicted_s, 12), cand.ranks, cand.config.cache_key())
-        if equiv in seen_equiv:
-            continue
-        seen_equiv.add(equiv)
-        survivors.append(cand)
-        if len(survivors) >= settings.trials:
-            break
+    survivors = [cand for _, cand in ranked[:settings.trials]]
     num_screened = len(survivors)
     predicted = {c.key(): s for s, c in ranked}
 

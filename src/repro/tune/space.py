@@ -3,9 +3,8 @@
 The paper hand-picks its heuristic parameters — ET decay ``alpha``
 (Table I evaluates only 0.25/0.75), the Fig. 2 threshold cycle, ETC's
 90% exit fraction — and evaluates each variant at fixed process counts.
-The tuner instead enumerates a *declarative* space over those axes (plus
-the transport knob added since) and lets the cost model and measured
-trials pick.
+The tuner instead enumerates a *declarative* space over those axes and
+lets the cost model and measured trials pick.
 
 Every candidate is materialised as a real :class:`LouvainConfig`, so
 validity constraints are exactly the config's own ``__post_init__``
@@ -44,12 +43,7 @@ class Candidate:
     ranks: int
 
     def key(self) -> str:
-        """Stable short id: content digest over (config, ranks).
-
-        Uses the full ``to_dict`` serialization (not ``cache_key``)
-        because the transport knob *does* change modelled runtime even
-        though it is outcome-identical.
-        """
+        """Stable short id: content digest over (config, ranks)."""
         blob = json.dumps(
             {"config": self.config.to_dict(), "ranks": self.ranks},
             sort_keys=True,
@@ -64,8 +58,6 @@ class Candidate:
             extras.append("cycle=custom")
         if cfg.variant.uses_inactive_exit and cfg.etc_exit_fraction != 0.90:
             extras.append(f"exit={cfg.etc_exit_fraction:g}")
-        if cfg.community_push_updates:
-            extras.append("push")
         if cfg.use_coloring:
             extras.append("coloring")
         if cfg.vertex_following:
@@ -103,14 +95,13 @@ class SearchSpace:
     threshold_cycles: tuple[str, ...] = ("paper", "aggressive")
     #: Simulated world sizes to plan over.
     rank_counts: tuple[int, ...] = (1, 2, 4, 8)
-    #: Transport knob (bit-identical results; runtime only).
-    community_push: tuple[bool, ...] = (False, True)
-    #: Grappolo heuristics and Leiden refinement (quality/speed axes —
-    #: these change the detection *outcome*, so the Pareto frontier is
-    #: where their trade-offs surface).  The resolution parameter is
-    #: deliberately *not* an axis: it is pinned per-request through
-    #: ``base`` (a zoom level is a caller choice, not a tunable).
-    colorings: tuple[bool, ...] = (False, True)
+    #: Grappolo's vertex following and Leiden refinement (quality/speed
+    #: axes — these change the detection *outcome*, so the Pareto
+    #: frontier is where their trade-offs surface).  The resolution
+    #: parameter and coloring are deliberately *not* axes: both are
+    #: pinned per-request through ``base`` (a zoom level is a caller
+    #: choice, not a tunable; coloring buys quality and never time, so
+    #: a search ranked by predicted seconds would never measure it).
     vertex_following: tuple[bool, ...] = (False, True)
     refines: tuple[str, ...] = ("none", "leiden")
     #: Base config every candidate derives from (tau, caps, seed, ...).
@@ -167,18 +158,14 @@ class SearchSpace:
                 alpha,
                 exit_fraction,
                 cycle_name,
-                push,
                 ranks,
-                coloring,
                 vf,
                 refine,
             ) in product(
                 alphas,
                 exits,
                 cycles,
-                self.community_push,
                 self.rank_counts,
-                self.colorings,
                 self.vertex_following,
                 self.refines,
             ):
@@ -189,8 +176,6 @@ class SearchSpace:
                         alpha=alpha,
                         etc_exit_fraction=exit_fraction,
                         threshold_cycle=THRESHOLD_CYCLES[cycle_name],
-                        community_push_updates=push,
-                        use_coloring=coloring,
                         vertex_following=vf,
                         refine=refine,
                     )

@@ -4,15 +4,13 @@
 self loops, parallel edges, zero and fractional weights, isolated
 vertices — at the sweep kernel alone.  Here the same edge lists become
 graphs and run end to end at p ∈ {1, 2, 3, 4, 7} (more ranks than some
-graphs have vertices) under the baseline, ETC, coloring and the push
-transport, with the collective-schedule verifier on.  What must hold:
+graphs have vertices) under the baseline, ETC and coloring, with the
+collective-schedule verifier on.  What must hold:
 
 * the reported Q is the Q of the returned assignment, recomputed from
   scratch;
-* push is a transport: at every p it reproduces the pull run's
-  assignment and per-iteration Q bit for bit;
 * on integer weights every float of a run is an exact sum, so the
-  baseline, coloring and push runs are the *same run* at every p —
+  baseline and coloring runs are the *same run* at every p —
   assignment and per-iteration Q (ETC draws its active sets from a
   per-rank stream, so it is only held to itself);
 * a run is a function of its input: repeating it reproduces the
@@ -33,10 +31,9 @@ CONFIGS = {
     "baseline": LouvainConfig(),
     "etc": LouvainConfig(variant=Variant.ETC, alpha=0.25, seed=3),
     "coloring": LouvainConfig(use_coloring=True),
-    "push": LouvainConfig(community_push_updates=True),
 }
 #: Same run at every rank count when the weights are integers.
-RANK_INVARIANT = ("baseline", "coloring", "push")
+RANK_INVARIANT = ("baseline", "coloring")
 
 
 def outcome(r) -> tuple:
@@ -70,7 +67,6 @@ def test_adversarial_graph_every_rank_count(seed):
             ), where
             if integer_weights and name in RANK_INVARIANT:
                 assert first.setdefault(name, outcome(r)) == outcome(r), where
-        assert outcome(runs["push"]) == outcome(runs["baseline"]), (seed, p)
         if p == 4:
             for name, r in runs.items():
                 again = run_louvain(g, p, CONFIGS[name], verify_schedule=True)

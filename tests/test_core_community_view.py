@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import LouvainConfig, Variant, aggregate_deltas, run_louvain
 from repro.core import distlouvain
-from repro.core.commcache import aggregate_dense_deltas
-from repro.core.distlouvain import _CommunityView
+from repro.core.distlouvain import _CommunityView, aggregate_dense_deltas
 from repro.graph import DistGraph
 from repro.resilience import FaultPlan
 from repro.runtime import FREE, RankFailedError, run_spmd
@@ -199,3 +198,25 @@ def test_dense_aggregation_matches_reference(moves, communities, spare, seed):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+
+
+class TestAggregateDeltas:
+    def test_nets_out_per_community(self):
+        # propose_moves only reports movers, but a mover may land in a
+        # community another mover left.
+        old = np.array([5, 9, 2])
+        new = np.array([9, 5, 5])
+        deg = np.array([2.0, 3.0, 1.0])
+        uniq, dtot, dsize = aggregate_deltas(old, new, deg)
+        np.testing.assert_array_equal(uniq, [2, 5, 9])
+        np.testing.assert_allclose(dtot, [-1.0, -2.0 + 3.0 + 1.0, 2.0 - 3.0])
+        np.testing.assert_array_equal(dsize, [-1, 1, 0])
+
+    def test_net_zero_ids_are_kept(self):
+        # A touched community whose deltas cancel is still listed.
+        uniq, dtot, dsize = aggregate_deltas(
+            np.array([4]), np.array([4]), np.array([2.0])
+        )
+        np.testing.assert_array_equal(uniq, [4])
+        np.testing.assert_array_equal(dtot, [0.0])
+        np.testing.assert_array_equal(dsize, [0])

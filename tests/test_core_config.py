@@ -144,6 +144,8 @@ class TestConfigSerialization:
             LouvainConfig.from_dict({"repartition": "none"})
         with pytest.raises(ValueError, match="unknown.*ghost_delta_updates"):
             LouvainConfig.from_dict({"ghost_delta_updates": False})
+        with pytest.raises(ValueError, match="unknown.*community_push_updates"):
+            LouvainConfig.from_dict({"community_push_updates": False})
 
     def test_from_dict_partial_uses_defaults(self):
         cfg = LouvainConfig.from_dict({"seed": 42})
@@ -180,14 +182,6 @@ class TestCacheKey:
 
     def test_seed_changes_key(self):
         assert LouvainConfig(seed=1).cache_key() != LouvainConfig(seed=2).cache_key()
-
-    def test_transport_knobs_do_not_change_key(self):
-        # Transport ablations are proven bit-identical; serving a pull
-        # result for a push request is correct.
-        assert (
-            LouvainConfig(community_push_updates=True).cache_key()
-            == LouvainConfig().cache_key()
-        )
 
     def test_validate_invariants_does_not_change_key(self):
         assert (

@@ -5,7 +5,7 @@ pipeline — ``vertex_following`` (degree-one pre-coarsening) and
 ``refine="leiden"`` (post-phase splitting of internally disconnected
 communities) — plus the serial connectivity checkers backing the
 refinement guarantee and the bit-identity of every heuristic
-composition across rank counts, transports, and checkpoint/resume.
+composition across rank counts and checkpoint/resume.
 """
 
 import numpy as np
@@ -192,16 +192,11 @@ class TestVertexFollowing:
 
 
 #: Heuristic compositions whose outcomes must be bit-identical across
-#: every layout and transport (all are structurally deterministic).
+#: every layout (all are structurally deterministic).
 _COMPOSITIONS = [
     {"vertex_following": True},
     {"refine": "leiden"},
     {"vertex_following": True, "refine": "leiden"},
-    {
-        "vertex_following": True,
-        "refine": "leiden",
-        "community_push_updates": True,
-    },
     {"refine": "leiden", "use_coloring": True},
     {"vertex_following": True, "use_coloring": True},
 ]
@@ -218,22 +213,6 @@ class TestCompositionBitIdentity:
         for r in runs[1:]:
             np.testing.assert_array_equal(runs[0].assignment, r.assignment)
             assert r.modularity == runs[0].modularity
-
-    def test_transport_invariance(self, planted_blocks):
-        pull = LouvainConfig(vertex_following=True, refine="leiden")
-        push = LouvainConfig(
-            vertex_following=True,
-            refine="leiden",
-            community_push_updates=True,
-        )
-        a = run_louvain(
-            planted_blocks, 4, pull, machine=FREE, verify_schedule=True
-        )
-        b = run_louvain(
-            planted_blocks, 4, push, machine=FREE, verify_schedule=True
-        )
-        np.testing.assert_array_equal(a.assignment, b.assignment)
-        assert a.modularity == b.modularity
 
     def test_checkpointing_does_not_perturb(self, tmp_path, planted_blocks):
         cfg = LouvainConfig(vertex_following=True, refine="leiden")

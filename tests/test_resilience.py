@@ -250,15 +250,15 @@ class TestConfigKeyGuard:
         with pytest.raises((ValueError, RankFailedError), match="config"):
             run_louvain(g, 2, other, checkpoint_dir=d, resume=True)
 
-    def test_transport_knob_change_still_resumes(self, tmp_path):
-        """Transport ablations are outside the config key: resuming a
-        pull-transport checkpoint with push transport is legal."""
+    def test_excluded_field_change_still_resumes(self, tmp_path):
+        """Auditing is outside the config key: resuming an unaudited
+        checkpoint with ``validate_invariants`` on is legal."""
         g, cfg = _graph(), _config()
         ref = run_louvain(g, 2, cfg)
         d = str(tmp_path / "ck")
         _crash(g, 2, cfg, d, FaultPlan(kills={1: 40}))
-        push_cfg = replace(cfg, community_push_updates=True)
-        res = run_louvain(g, 2, push_cfg, checkpoint_dir=d, resume=True)
+        audited = replace(cfg, validate_invariants=True)
+        res = run_louvain(g, 2, audited, checkpoint_dir=d, resume=True)
         np.testing.assert_array_equal(ref.assignment, res.assignment)
 
     def test_manifest_records_config_key(self, tmp_path):

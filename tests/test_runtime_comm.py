@@ -325,8 +325,8 @@ class TestExchangeRoundtrip:
             assert replies == [(j, rank) for j in range(4)]
 
     def test_serve_runs_in_rank_order_and_mutates_by_reference(self):
-        """Serve callbacks observe a global rank-ordered apply sequence
-        — the property the owner-push delta protocol builds on."""
+        """Serve callbacks observe a global rank-ordered apply
+        sequence."""
 
         def prog(comm):
             state = {"log": []}
@@ -396,10 +396,12 @@ class TestExchangeRoundtrip:
 # ----------------------------------------------------------------------
 # Byte/message/clock accounting of the two personalized exchanges
 # ----------------------------------------------------------------------
+#: A 24-byte struct record, so struct-array payloads are sized too.
+_RECORD_DTYPE = np.dtype([("id", "<i8"), ("tot", "<f8"), ("size", "<i8")])
+
+
 def _ragged(s, d, salt=0):
     """Deterministic ragged payload for the message s -> d."""
-    from repro.core.commcache import COMM_INFO_DTYPE
-
     if s == d:
         # A fat self-message: delivered, never priced or counted.
         return np.arange(1000, dtype=np.int64)
@@ -407,9 +409,9 @@ def _ragged(s, d, salt=0):
     if k == 0:
         return None
     if k == 1:
-        return np.empty(0, dtype=COMM_INFO_DTYPE)
+        return np.empty(0, dtype=_RECORD_DTYPE)
     if k == 2:
-        return np.zeros(s + 2 * d + 1, dtype=COMM_INFO_DTYPE)
+        return np.zeros(s + 2 * d + 1, dtype=_RECORD_DTYPE)
     if k == 3:
         return [[s, d], [float(salt)] * (d + 1), (s, "tag")]
     return np.arange(7 * s + d, dtype=np.int64)
@@ -425,7 +427,6 @@ def _leg_expectation(machine, p, payload):
         sent = [message_bytes(payload(r, d)) for d in range(p) if d != r]
         recv = [message_bytes(payload(s, r)) for s in range(p) if s != r]
         cost = machine.alltoallv_cost(sum(sent), sum(recv), p, rank=r)
-        assert cost == machine.exchange_leg_cost(sum(sent), sum(recv), p, rank=r)
         legs.append((sent, recv, cost))
     return legs
 

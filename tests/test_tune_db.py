@@ -115,14 +115,21 @@ class TestPersistence:
         )
 
     def test_v2_file_refused_with_path(self, tmp_path):
-        # v2 plans may name the removed ghost_delta_updates field.
+        # v2 plans may name the removed ghost_delta_updates field, v3
+        # plans the removed owner-push switch: both are refused by
+        # version, before any entry is decoded.
         path = tmp_path / "db.json"
-        path.write_text(json.dumps({"version": 2, "entries": {}}))
-        with pytest.raises(ValueError) as excinfo:
-            TuningDB(path)
-        assert f"{path}: tuning DB version 2 not supported" in str(
-            excinfo.value
-        )
+        for version in (2, 3):
+            entry = {"config": {"a_removed_field": True}}
+            path.write_text(
+                json.dumps({"version": version, "entries": {"fp": entry}})
+            )
+            with pytest.raises(ValueError) as excinfo:
+                TuningDB(path)
+            assert (
+                f"{path}: tuning DB version {version} not supported"
+                in str(excinfo.value)
+            )
 
     def test_undecodable_entry_names_file_and_fingerprint(
         self, channel, tmp_path

@@ -27,7 +27,6 @@ SMALL_SPACE = SearchSpace(
     alphas=(0.25, 0.5),
     threshold_cycles=("paper",),
     rank_counts=(1, 2, 4),
-    community_push=(False,),
 )
 
 FAST = TunerSettings(trials=4, rung_phase_caps=(1,))

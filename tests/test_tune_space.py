@@ -49,16 +49,15 @@ class TestEnumeration:
         assert ranks == {1, 2, 4}
 
     def test_default_space_order_pinned(self):
-        # The digest is that of PR 14's candidate list (the one with
-        # the ghost_delta axis) filtered to ghost_delta_updates == False
-        # and with that field dropped from every config dict: the
-        # product must enumerate the survivors in that order.
+        # The digest is that of PR 18's candidate list (the one with
+        # the push and coloring axes) filtered to pull, uncolored
+        # candidates and with the push field dropped from every config
+        # dict: the product must enumerate the survivors in that order.
         cands = default_space().candidates()
-        assert default_space().size() == len(cands) == 1344
+        assert default_space().size() == len(cands) == 336
         assert cands[0].describe() == "Baseline x1"
         assert cands[-1].describe() == (
-            "ET(0.75)+TC x8 cycle=custom push coloring vf "
-            "refine=leiden"
+            "ET(0.75)+TC x8 cycle=custom vf refine=leiden"
         )
         digest = hashlib.sha256()
         for c in cands:
@@ -70,7 +69,7 @@ class TestEnumeration:
             )
             digest.update(b"\n")
         assert digest.hexdigest() == (
-            "e6711caa5c2e90d41c38ce4db213656acd5eee4960679d93dbe29cd2d7c48860"
+            "959e756754422857f192328f341e8804ca46891c3da8cc28340ec70aa8eb816f"
         )
 
 
@@ -106,34 +105,33 @@ class TestCandidate:
         assert a.key() == b.key()
         assert a.key() != c.key()
 
-    def test_transport_knobs_change_key(self):
-        a = Candidate(config=LouvainConfig(), ranks=4)
-        b = Candidate(
-            config=LouvainConfig(community_push_updates=True), ranks=4
-        )
-        assert a.key() != b.key()
-
     def test_describe_mentions_ranks(self):
         assert "x4" in Candidate(config=LouvainConfig(), ranks=4).describe()
 
 
 class TestHeuristicAxes:
     def test_space_covers_heuristic_combinations(self):
-        cands = SearchSpace(
-            variants=("baseline",),
-            rank_counts=(2,),
-            community_push=(False,),
-        ).candidates()
-        combos = {
-            (c.config.use_coloring, c.config.vertex_following, c.config.refine)
-            for c in cands
-        }
-        assert combos == {
-            (col, vf, ref)
-            for col in (False, True)
-            for vf in (False, True)
-            for ref in ("none", "leiden")
-        }
+        # Coloring is not an axis: like the resolution, every candidate
+        # takes it from the caller's base config.
+        for coloring in (False, True):
+            cands = SearchSpace(
+                variants=("baseline",),
+                rank_counts=(2,),
+                base=LouvainConfig(use_coloring=coloring),
+            ).candidates()
+            combos = [
+                (
+                    c.config.use_coloring,
+                    c.config.vertex_following,
+                    c.config.refine,
+                )
+                for c in cands
+            ]
+            assert sorted(combos) == sorted(
+                (coloring, vf, ref)
+                for vf in (False, True)
+                for ref in ("none", "leiden")
+            )
 
     def test_describe_tags_heuristics(self):
         from dataclasses import replace
