@@ -31,7 +31,7 @@ import numpy as np
 
 import pytest
 
-from repro.core import LouvainConfig, coarsen_csr
+from repro.core import IterationState, LouvainConfig, RunState, coarsen_csr
 from repro.core.coarsen import rebuild_distributed
 from repro.core.distlouvain import (
     _CommunityView,
@@ -43,7 +43,7 @@ from repro.core.sweep import SweepPlan, array_lookup, propose_moves
 from repro.core.result import IterationStats
 from repro.generators import generate_lfr, make_graph
 from repro.graph import CSRGraph, DistGraph, EdgeList
-from repro.resilience import CheckpointManager, IterationState, read_manifest
+from repro.resilience import CheckpointManager, read_manifest
 from repro.runtime import FREE, run_spmd
 
 
@@ -370,20 +370,15 @@ def test_kernel_checkpoint_save(benchmark, tmp_path, form, p):
         lo, hi = dg.vbegin, dg.vend
         manager = CheckpointManager(root, every_iterations=1)
 
+        run = RunState(dg=dg, orig_slice=np.arange(lo, hi, dtype=np.int64))
+        state = IterationState(
+            local_comm=assignment[lo:hi], tot_owned=tot[lo:hi],
+            size_owned=size[lo:hi], prev_q=0.56, q=0.57, stats=stats,
+        )
+
         def cut(phase, iteration):
-            _save_checkpoint(
-                manager, comm, kind="iteration", phase=phase,
-                iteration=iteration, dg=dg,
-                orig_slice=np.arange(lo, hi, dtype=np.int64),
-                prev_mod=-np.inf, final_mod=0.0, phases=[], iterations=[],
-                cycler=None,
-                iteration_state=IterationState(
-                    iteration=iteration, prev_q=0.56, q=0.57, stats=stats,
-                    local_comm=assignment[lo:hi], tot_owned=tot[lo:hi],
-                    size_owned=size[lo:hi], et_prob=None, et_inactive=None,
-                    et_rng_state=None,
-                ),
-            )
+            run.phase, state.iteration = phase, iteration
+            _save_checkpoint(manager, comm, run, state)
 
         cut(0, 0)
         for i in range(1, SAVES_PER_RUN + 1):

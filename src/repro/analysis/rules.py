@@ -46,7 +46,6 @@ COLLECTIVE_METHODS = frozenset(
         "exscan",
         "neighbor_alltoall",
         "exchange_roundtrip",
-        "split",
     }
 )
 
@@ -59,27 +58,33 @@ COLLECTIVE_METHODS = frozenset(
 COLLECTIVE_HELPERS = frozenset(
     {
         "_apply_community_deltas",
+        "_audit_phase",
+        "_begin_phase",
+        "_color_classes",
         "_component_labels",
         "_exact_modularity",
         "_fetch_community_info",
+        "_finish_phase",
+        "_gather_result",
+        "_iterate",
         "_labels_collide",
-        "_load_restored_state",
         "_lookup_sorted",
+        "_premerge_leaves",
+        "_project",
+        "_record_phase",
+        "_refine_phase",
+        "_restore_run",
         "_save_checkpoint",
         "_split_flags",
         "_sweep_round",
         "_vertex_following_targets",
+        "_warm_start",
         "audit_community_info",
         "audit_ghost_coherence",
         "audit_partition",
         "build_ghost_plan",
         "distributed_coloring",
-        "distributed_components",
-        "distributed_degree_histogram",
-        "distributed_label_counts",
         "distributed_louvain",
-        "distributed_num_components",
-        "distributed_total_weight",
         "exchange_ghost_values",
         "load_binary",
         "load_latest",
@@ -90,7 +95,6 @@ COLLECTIVE_HELPERS = frozenset(
         "refine_communities",
         "remote_lookup",
         "save",
-        "split_communicator",
         "verify_coloring",
     }
 )

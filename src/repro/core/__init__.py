@@ -45,6 +45,7 @@ from .resultio import (
     write_communities_text,
 )
 from .sequential import louvain, louvain_phase
+from .state import IterationState, RunState
 from .sweep import SweepPlan, SweepResult, array_lookup, propose_moves
 from .validate import (
     AuditReport,
@@ -56,12 +57,14 @@ from .validate import (
 __all__ = [
     "DEFAULT_THRESHOLD_CYCLE",
     "EarlyTermination",
+    "IterationState",
     "IterationStats",
     "LouvainConfig",
     "LouvainResult",
     "PAPER_VARIANTS",
     "PhaseStats",
     "RESULT_FORMAT_VERSION",
+    "RunState",
     "SweepPlan",
     "SweepResult",
     "ThresholdCycler",

@@ -98,9 +98,8 @@ def remote_lookup(
     """
     query_ids = np.asarray(query_ids, dtype=np.int64)
     uniq_ids, inverse = np.unique(query_ids, return_inverse=True)
-    return _lookup_sorted(comm, offsets, uniq_ids, local_lookup, category)[
-        inverse
-    ]
+    values = _lookup_sorted(comm, offsets, uniq_ids, local_lookup, category)
+    return values.astype(np.int64, copy=False)[inverse]
 
 
 def _lookup_sorted(
@@ -109,29 +108,35 @@ def _lookup_sorted(
     ids: np.ndarray,
     local_lookup,
     category: str,
+    what: str = "lookups",
 ) -> np.ndarray:
-    """:func:`remote_lookup` of ascending, duplicate-free ``ids``:
-    requests are slices by owner, and the answers, in rank order, are
-    the values in ``ids`` order."""
+    """The one owner-routed lookup: values of ascending, duplicate-free
+    ``ids`` from the ranks that own them.
+
+    Requests are slices of ``ids`` by owner, owners answer every request
+    — an empty one included — with ``local_lookup``, and the replies in
+    rank order, this rank answering its own slice in place, are the
+    values in ``ids`` order.  A reply holds one value per id along its
+    *last* axis (``(k,)`` new ids for the rebuild, ``(2, k)`` for the
+    community info), and is refused unless it is as long as its
+    request; ``what`` names the requests in that error.
+    """
     cuts = owner_cuts(offsets, ids)
-    parts = [ids[cuts[r]:cuts[r + 1]] for r in range(comm.size)]
-    mine = parts[comm.rank]
-    parts[comm.rank] = ids[:0]
-    incoming = comm.alltoall(parts, category=category)
-    replies = [
-        local_lookup(asked) if len(asked) else np.empty(0, np.int64)
-        for asked in incoming
-    ]
-    answers = comm.alltoall(replies, category=category)
-    if len(mine):
-        answers[comm.rank] = local_lookup(mine)
+    requests = [ids[cuts[r]:cuts[r + 1]] for r in range(comm.size)]
+    mine = requests[comm.rank]
+    requests[comm.rank] = ids[:0]
+    incoming = comm.alltoall(requests, category=category)
+    answers = comm.alltoall(
+        [local_lookup(asked) for asked in incoming], category=category
+    )
+    answers[comm.rank] = local_lookup(mine)
     for r, got in enumerate(answers):
-        if len(got) != cuts[r + 1] - cuts[r]:
+        if got.shape[-1] != cuts[r + 1] - cuts[r]:
             raise ValueError(
-                f"rank {comm.rank}: rank {r} answered {len(got)} of "
-                f"{cuts[r + 1] - cuts[r]} lookups"
+                f"rank {comm.rank}: rank {r} answered {got.shape[-1]} of "
+                f"{cuts[r + 1] - cuts[r]} {what}"
             )
-    return np.concatenate(answers).astype(np.int64, copy=False)
+    return np.concatenate(answers, axis=-1)
 
 
 def rebuild_distributed(

@@ -1,12 +1,20 @@
 """Distributed-memory parallel Louvain (the paper's Algorithms 2-4).
 
-SPMD structure (executed identically on every rank):
+SPMD structure (executed identically on every rank); every step is a
+named stage of this module:
 
-Phase loop (Algorithm 2)
-    * ``ExchangeGhostVertices`` — one-time-per-phase ghost coordinate
-      exchange (Algorithm 4; :meth:`DistGraph.build_ghost_plan`), then
-      one full exchange of the ghost vertices' starting communities;
-    * iteration loop (Algorithm 3):
+Phase loop (Algorithm 2, :func:`distributed_louvain`)
+    begin the run (:func:`_begin_run`, then Grappolo's vertex-following
+    pre-merge, :func:`_premerge_leaves`) or restore it
+    (:func:`_restore_run`); per phase:
+
+    * begin the phase (:func:`_begin_phase`): singleton, warm-started
+      or resumed labels, then ``ExchangeGhostVertices`` — one-time-per-
+      phase ghost coordinate exchange (Algorithm 4;
+      :meth:`DistGraph.build_ghost_plan`) and one full exchange of the
+      ghost vertices' starting communities;
+    * iteration loop (Algorithm 3, :func:`louvain_phase_distributed`;
+      one :func:`_iterate` of one or more :func:`_sweep_round`):
 
       i.   the community of every ghost vertex as of the last
            synchronisation point is already in place (lines 4-5; see
@@ -25,9 +33,19 @@ Phase loop (Algorithm 2)
       v.   one global allreduce combines the modularity partials, move
            and activity counters (lines 12-13, category ``allreduce``);
       vi.  tau test; plus ETC's extra inactive-count allreduce and its
-           90% exit when enabled (§IV-B(b)).
+           90% exit when enabled (§IV-B(b)); then, the phase going on,
+           an optional checkpoint (:func:`_save_checkpoint`);
 
-    * distributed graph reconstruction (§IV-A(b); :mod:`~.coarsen`).
+    * finish the phase (:func:`_finish_phase`): statistics, Leiden
+      refinement, audits, distributed graph reconstruction (§IV-A(b);
+      :mod:`~.coarsen`), exact Q, projection of the original vertices;
+
+    and gather the assignment (:func:`_gather_result`).
+
+What the two loops carry from one synchronisation point to the next is
+one object each (:mod:`repro.core.state`), mutated in place and handed
+whole to the checkpoint; the rest of a phase's working set is derived
+from it (:class:`_PhaseDerived`).
 
 Community ids live in the vertex-id space, and a community is owned by
 the rank owning the same-numbered vertex, so owners keep *dense*
@@ -52,30 +70,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import CSRGraph, sorted_unique
-from ..graph.distgraph import DistGraph
+from ..graph.distgraph import DistGraph, GhostPlan
 from ..runtime.comm import Communicator
 from ..runtime.executor import SPMDResult, run_spmd
 from ..runtime.perfmodel import CORI_HASWELL, MachineModel
-from .coarsen import rebuild_distributed, remote_lookup
+from .coarsen import _lookup_sorted, rebuild_distributed, remote_lookup
 from .config import LouvainConfig
 from .heuristics import EarlyTermination, ThresholdCycler, make_rank_rng
 from .refine import refine_communities
 from .result import IterationStats, LouvainResult, PhaseStats, normalize_assignment
+from .state import IterationState, RunState
 from .sweep import SweepPlan, array_lookup, propose_moves
 
 
 @dataclass
 class _PhaseOutcome:
-    """What one phase hands back to the phase loop."""
+    """What one phase hands back to the phase loop: its last iteration
+    state, and what the loop needs that is not part of it."""
 
-    local_comm: np.ndarray
+    state: IterationState
+    #: Community of every ghost vertex as of the last exchange.
     ghost_comm: np.ndarray
-    modularity: float
-    stats: list[IterationStats]
+    #: ETC's inactive-fraction exit ended the phase.
     exited_by_inactive: bool
-    #: Owner-side C_info at phase end (exposed for the debug audits).
-    tot_owned: np.ndarray
-    size_owned: np.ndarray
 
 
 class _CommunityView:
@@ -273,6 +290,24 @@ def _sweep_round(
     return moved, len(rows)
 
 
+@dataclass
+class _PhaseDerived:
+    """What a phase derives once from its graph slice and its starting
+    labels.  None of it is state: a resumed phase rebuilds all of it
+    exactly as a fresh one does (:mod:`repro.core.state`)."""
+
+    #: Weighted degree of every owned vertex.
+    k: np.ndarray
+    self_mask: np.ndarray
+    #: Phase-invariant sweep state (rows, non-self-loop entries, the
+    #: synthetic own-community entries), gathered from every iteration.
+    sweep_plan: SweepPlan
+    view: _CommunityView
+    #: §VI future work: distance-1 colour classes, swept one after
+    #: another so concurrently processed vertices are non-adjacent.
+    color_classes: list[np.ndarray] | None
+
+
 def louvain_phase_distributed(
     comm: Communicator,
     dg: DistGraph,
@@ -281,7 +316,7 @@ def louvain_phase_distributed(
     phase: int,
     initial_assignment: np.ndarray | None = None,
     checkpoint_hook=None,
-    resume_state=None,
+    resume_state: IterationState | None = None,
 ) -> _PhaseOutcome:
     """Algorithm 3: the Louvain iterations of one phase at this rank.
 
@@ -291,219 +326,226 @@ def louvain_phase_distributed(
     previous solution.
 
     ``checkpoint_hook`` (resilience subsystem) is called at the end of
-    every non-final iteration with the live loop state, so mid-phase
-    checkpoints can be cut; ``resume_state`` (a
-    :class:`repro.resilience.louvain_state.IterationState`) rejoins the
-    iteration loop from such a checkpoint instead of the singleton
-    state.  Both are collective-consistent: the hook fires at the same
-    iterations on every rank.
+    every non-final iteration with the live
+    :class:`~repro.core.state.IterationState`, so mid-phase checkpoints
+    can be cut; ``resume_state`` is such a state, and rejoins the
+    iteration loop after its last iteration instead of starting from
+    singletons or the seed.  Both are collective-consistent: the hook
+    fires at the same iterations on every rank.
     """
-    plan = dg.build_ghost_plan(comm)
-    nloc = dg.num_local
-    w = dg.total_weight
-    n_global = dg.num_global_vertices
-    k = dg.local_degrees()
-    self_mask = dg.self_loop_mask()
-    # Phase-invariant sweep state (rows, non-self-loop entries, the
-    # synthetic own-community entries): built once, gathered from every
-    # iteration.
-    sweep_plan = SweepPlan.build(
-        dg.index, dg.weights, self_mask, rows=dg.local_rows()
+    state, derived = _begin_phase(
+        comm, dg, config, phase, initial_assignment, resume_state
     )
-
-    # Each vertex starts in its own community; owners of the community id
-    # set coincide with owners of the vertex set, so C_info is dense over
-    # the owned slots.
-    local_comm = dg.local_vertex_ids().copy()
-    tot_owned = k.copy()
-    size_owned = np.ones(nloc, dtype=np.int64)
-
-    if initial_assignment is not None:
-        # Warm start: treat the seed as a batch of moves from the
-        # singleton state, so the owner-side C_info updates flow through
-        # the same delta machinery as regular iterations.
-        seed_comm = np.asarray(initial_assignment, dtype=np.int64)
-        if len(seed_comm) != nloc:
-            raise ValueError(
-                f"initial_assignment covers {len(seed_comm)} vertices, "
-                f"rank owns {nloc}"
-            )
-        moved0 = seed_comm != local_comm
-        _apply_community_deltas(
-            comm,
-            dg,
-            *aggregate_deltas(local_comm[moved0], seed_comm[moved0], k[moved0]),
-            tot_owned=tot_owned,
-            size_owned=size_owned,
-        )
-        local_comm = seed_comm.copy()
-
-    # §VI future work: distance-1 coloring so concurrently processed
-    # vertices are mutually non-adjacent (one sweep per colour class).
-    color_classes: list[np.ndarray] | None = None
-    if config.use_coloring:
-        from .coloring import distributed_coloring
-
-        colors = distributed_coloring(comm, dg, plan, seed=config.seed)
-        num_colors = int(comm.allreduce(
-            int(colors.max()) + 1 if nloc else 0, op="max",
-            category="other",
-        ))
-        color_classes = [colors == c for c in range(num_colors)]
-
-    et = (
-        EarlyTermination(
-            nloc, config, make_rank_rng(config.seed, comm.rank, phase)
-        )
-        if config.variant.uses_early_termination
-        else None
-    )
-
-    stats: list[IterationStats] = []
-    prev_q = -np.inf
-    q = 0.0
     exited_by_inactive = False
-    start_it = 0
-
-    if resume_state is not None:
-        # Rejoin the loop exactly where the checkpoint was cut.  The
-        # full ghost exchange below reproduces the values the
-        # uninterrupted run's channel holds at this point.
-        local_comm = resume_state.local_comm.astype(np.int64).copy()
-        tot_owned = resume_state.tot_owned.astype(np.float64).copy()
-        size_owned = resume_state.size_owned.astype(np.int64).copy()
-        stats = list(resume_state.stats)
-        prev_q = resume_state.prev_q
-        q = resume_state.q
-        start_it = resume_state.iteration + 1
-        if et is not None and resume_state.et_prob is not None:
-            et.prob = resume_state.et_prob.astype(np.float64).copy()
-            et.permanently_inactive = resume_state.et_inactive.astype(
-                bool
-            ).copy()
-            et.rng.bit_generator.state = resume_state.et_rng_state
-
-    # Algorithm 3 lines 4-5, once per phase in full: the warm-start /
-    # resume state is in place, later rounds ship only what changed.
-    # The view is derived state — a resumed run rebuilds it here from
-    # the restored labels; no checkpoint stores it.
-    view = _CommunityView(
-        dg,
-        plan,
-        local_comm,
-        dg.exchange_ghost_values(
-            comm, plan, local_comm, category="ghost_comm"
-        ),
-    )
-    everyone = np.ones(nloc, dtype=bool)
-
-    for it in range(start_it, config.max_iterations):
-        # ET: vertices mark themselves active/inactive first (§IV-B(b)).
-        active = et.draw_active() if et is not None else everyone
-
-        moved = np.zeros(nloc, dtype=bool)
-        moves = 0
-        rounds = (
-            [active]
-            if color_classes is None
-            else [active & cls for cls in color_classes]
+    for it in range(state.iteration + 1, config.max_iterations):
+        exited_by_inactive = _iterate(
+            comm, dg, derived, state, it, config, phase
         )
-        # Trip count is len(rounds) — 1, or the allreduced colour count
-        # — replicated even though each round's active *mask* is
-        # rank-local (the mask only gates local move proposals).
-        for round_active in rounds:  # spmdlint: ignore[SPMD001, SPMD004]
-            round_moved, n = _sweep_round(
-                comm, dg, view, sweep_plan, self_mask, k,
-                local_comm, tot_owned, size_owned, round_active, config,
-            )
-            moved |= round_moved
-            moves += n
-
-        # (v) global modularity (lines 12-13).  The round's exchange has
-        # delivered every move, so both sides of every stored entry
-        # evaluate under the *post-move* assignment: the estimate is a
-        # function of the global assignment alone and cannot depend on
-        # which endpoints happen to be rank-local under the current
-        # layout (a requirement for bit-identity across rank counts and
-        # input partitions).  Each sweep still decided against the
-        # synchronisation point before it (§III-B).
-        intra = view.slot[sweep_plan.rows] == view.target
-        local_in = float(dg.weights.compress(intra).sum())
-        comm.charge_compute(dg.num_local_entries)
-        local_inactive = et.update(moved) if et is not None else 0
-        # a_c^2 is summed *before* dividing by w^2 (like
-        # _exact_modularity) so the reduction is exact for integer
-        # weights — the per-rank grouping of communities then cannot
-        # perturb Q, which keeps every rank count and input partition
-        # bit-identical.
-        partial = np.array(
-            [
-                local_in,
-                float(np.square(tot_owned).sum()),
-                float(moves),
-                float(active.sum()),
-            ]
-        )
-        total = comm.allreduce(partial, category="allreduce")
-        q = (
-            total[0] / w - config.resolution * total[1] / (w * w)
-            if w > 0
-            else 0.0
-        )
-
-        # (vi) exit tests.
-        inactive_fraction = 0.0
-        if config.variant.uses_inactive_exit:
-            # ETC's extra remote communication: global inactive count.
-            global_inactive = comm.allreduce(
-                local_inactive, category="allreduce"
-            )
-            inactive_fraction = global_inactive / n_global if n_global else 0.0
-            exited_by_inactive = (
-                inactive_fraction >= config.etc_exit_fraction
-            )
-        elif et is not None:
-            # ET tracks only its local view (no extra collective).
-            inactive_fraction = et.inactive_fraction()
-        stats.append(
-            IterationStats(
-                phase=phase,
-                iteration=it,
-                modularity=q,
-                moves=int(total[2]),
-                active_fraction=(total[3] / n_global) if n_global else 1.0,
-                inactive_fraction=inactive_fraction,
-            )
-        )
-        if exited_by_inactive or q - prev_q <= tau:
+        if exited_by_inactive or state.q - state.prev_q <= tau:
             break
-        prev_q = q
+        state.prev_q = state.q
         if checkpoint_hook is not None:
             # The phase continues past this iteration on every rank
             # (all exit tests are derived from replicated global
             # values), so cutting a checkpoint here is collective-safe.
-            checkpoint_hook(
-                {
-                    "iteration": it,
-                    "prev_q": prev_q,
-                    "q": q,
-                    "stats": stats,
-                    "local_comm": local_comm,
-                    "tot_owned": tot_owned,
-                    "size_owned": size_owned,
-                    "et": et,
-                }
-            )
+            checkpoint_hook(state)
+    return _PhaseOutcome(state, derived.view.values, exited_by_inactive)
 
-    return _PhaseOutcome(
-        local_comm=local_comm,
-        ghost_comm=view.values,
-        modularity=q,
-        stats=stats,
-        exited_by_inactive=exited_by_inactive,
-        tot_owned=tot_owned,
-        size_owned=size_owned,
+
+def _begin_phase(
+    comm: Communicator,
+    dg: DistGraph,
+    config: LouvainConfig,
+    phase: int,
+    initial_assignment: np.ndarray | None,
+    resume_state: IterationState | None,
+) -> tuple[IterationState, _PhaseDerived]:
+    """The phase's starting state — resumed, warm-started or singleton —
+    and everything derived from it: ghost set-up (Algorithm 4), colour
+    classes, and the community view after the phase's one full ghost
+    exchange (Algorithm 3, lines 4-5)."""
+    plan = dg.build_ghost_plan(comm)
+    k = dg.local_degrees()
+    self_mask = dg.self_loop_mask()
+    sweep_plan = SweepPlan.build(
+        dg.index, dg.weights, self_mask, rows=dg.local_rows()
     )
+    if resume_state is not None:
+        # Rejoin the loop exactly where the checkpoint was cut.
+        state = resume_state
+    else:
+        # Each vertex starts in its own community; owners of the
+        # community id set coincide with owners of the vertex set, so
+        # C_info is dense over the owned slots.
+        state = IterationState(
+            local_comm=dg.local_vertex_ids().copy(),
+            tot_owned=k.copy(),
+            size_owned=np.ones(dg.num_local, dtype=np.int64),
+        )
+        if config.variant.uses_early_termination:
+            state.et = EarlyTermination(
+                dg.num_local,
+                config,
+                make_rank_rng(config.seed, comm.rank, phase),
+            )
+        if initial_assignment is not None:
+            _warm_start(comm, dg, k, state, initial_assignment)
+    color_classes = (
+        _color_classes(comm, dg, plan, config.seed)
+        if config.use_coloring
+        else None
+    )
+    # Later rounds ship only what changed.  The view is derived state:
+    # the full exchange of a resumed phase reproduces the ghost values
+    # the uninterrupted run holds at this point.
+    view = _CommunityView(
+        dg,
+        plan,
+        state.local_comm,
+        dg.exchange_ghost_values(
+            comm, plan, state.local_comm, category="ghost_comm"
+        ),
+    )
+    return state, _PhaseDerived(k, self_mask, sweep_plan, view, color_classes)
+
+
+def _warm_start(
+    comm: Communicator,
+    dg: DistGraph,
+    k: np.ndarray,
+    state: IterationState,
+    initial_assignment: np.ndarray,
+) -> None:
+    """Move the singleton ``state`` to the seed, as one batch of moves:
+    the owner-side C_info updates flow through the same delta machinery
+    as regular iterations."""
+    seed_comm = np.asarray(initial_assignment, dtype=np.int64)
+    if len(seed_comm) != dg.num_local:
+        raise ValueError(
+            f"initial_assignment covers {len(seed_comm)} vertices, "
+            f"rank owns {dg.num_local}"
+        )
+    moved = seed_comm != state.local_comm
+    _apply_community_deltas(
+        comm,
+        dg,
+        *aggregate_deltas(state.local_comm[moved], seed_comm[moved], k[moved]),
+        tot_owned=state.tot_owned,
+        size_owned=state.size_owned,
+    )
+    state.local_comm = seed_comm.copy()
+
+
+def _color_classes(
+    comm: Communicator, dg: DistGraph, plan: GhostPlan, seed: int
+) -> list[np.ndarray]:
+    """One mask of owned vertices per colour of a distance-1 coloring;
+    every rank gets the same number of classes."""
+    from .coloring import distributed_coloring
+
+    colors = distributed_coloring(comm, dg, plan, seed=seed)
+    num_colors = int(comm.allreduce(
+        int(colors.max()) + 1 if dg.num_local else 0, op="max",
+        category="other",
+    ))
+    return [colors == c for c in range(num_colors)]
+
+
+def _iterate(
+    comm: Communicator,
+    dg: DistGraph,
+    derived: _PhaseDerived,
+    state: IterationState,
+    it: int,
+    config: LouvainConfig,
+    phase: int,
+) -> bool:
+    """Iteration ``it`` of a phase: sweep rounds, the modularity
+    allreduce, the exit tests.  Updates ``state`` in place (labels,
+    C_info, ET, ``q``, one more ``stats`` row) and returns whether
+    ETC's inactive-fraction exit fired; the tau test is the caller's.
+    """
+    nloc = dg.num_local
+    n_global = dg.num_global_vertices
+    w = dg.total_weight
+    view = derived.view
+    et = state.et
+    # ET: vertices mark themselves active/inactive first (§IV-B(b)).
+    active = et.draw_active() if et is not None else np.ones(nloc, dtype=bool)
+
+    moved = np.zeros(nloc, dtype=bool)
+    moves = 0
+    rounds = (
+        [active]
+        if derived.color_classes is None
+        else [active & cls for cls in derived.color_classes]
+    )
+    # Trip count is len(rounds) — 1, or the allreduced colour count —
+    # replicated even though each round's active *mask* is rank-local
+    # (the mask only gates local move proposals).
+    for round_active in rounds:  # spmdlint: ignore[SPMD001, SPMD004]
+        round_moved, n = _sweep_round(
+            comm, dg, view, derived.sweep_plan, derived.self_mask, derived.k,
+            state.local_comm, state.tot_owned, state.size_owned,
+            round_active, config,
+        )
+        moved |= round_moved
+        moves += n
+
+    # (v) global modularity (lines 12-13).  The round's exchange has
+    # delivered every move, so both sides of every stored entry
+    # evaluate under the *post-move* assignment: the estimate is a
+    # function of the global assignment alone and cannot depend on
+    # which endpoints happen to be rank-local under the current
+    # layout (a requirement for bit-identity across rank counts and
+    # input partitions).  Each sweep still decided against the
+    # synchronisation point before it (§III-B).
+    intra = view.slot[derived.sweep_plan.rows] == view.target
+    local_in = float(dg.weights.compress(intra).sum())
+    comm.charge_compute(dg.num_local_entries)
+    local_inactive = et.update(moved) if et is not None else 0
+    # a_c^2 is summed *before* dividing by w^2 (like _exact_modularity)
+    # so the reduction is exact for integer weights — the per-rank
+    # grouping of communities then cannot perturb Q, which keeps every
+    # rank count and input partition bit-identical.
+    partial = np.array(
+        [
+            local_in,
+            float(np.square(state.tot_owned).sum()),
+            float(moves),
+            float(active.sum()),
+        ]
+    )
+    total = comm.allreduce(partial, category="allreduce")
+    state.q = (
+        total[0] / w - config.resolution * total[1] / (w * w)
+        if w > 0
+        else 0.0
+    )
+
+    # (vi) exit tests.
+    exited_by_inactive = False
+    inactive_fraction = 0.0
+    if config.variant.uses_inactive_exit:
+        # ETC's extra remote communication: global inactive count.
+        global_inactive = comm.allreduce(local_inactive, category="allreduce")
+        inactive_fraction = global_inactive / n_global if n_global else 0.0
+        exited_by_inactive = inactive_fraction >= config.etc_exit_fraction
+    elif et is not None:
+        # ET tracks only its local view (no extra collective).
+        inactive_fraction = et.inactive_fraction()
+    state.stats.append(
+        IterationStats(
+            phase=phase,
+            iteration=it,
+            modularity=state.q,
+            moves=int(total[2]),
+            active_fraction=(total[3] / n_global) if n_global else 1.0,
+            inactive_fraction=inactive_fraction,
+        )
+    )
+    state.iteration = it
+    return exited_by_inactive
 
 
 def _fetch_community_info(
@@ -516,11 +558,11 @@ def _fetch_community_info(
     """Pull current (a_c, |c|) for each community id in ascending
     ``needed``; both come back as ``float64`` rows aligned with it.
 
-    Owners answer from their dense C_info arrays.  Two alltoalls
-    (request + reply), charged to ``community_comm`` — the traffic the
-    paper's §V-A profile attributes ~34% of the runtime to.  Requests
-    are slices of ``needed`` by owner, so the replies in rank order —
-    this rank answering its own slice in place — *are* the answer.
+    Owners answer from their dense C_info arrays: the owner-routed
+    lookup (:func:`~repro.core.coarsen._lookup_sorted`) with a
+    two-row answer.  Two alltoalls (request + reply), charged to
+    ``community_comm`` — the traffic the paper's §V-A profile
+    attributes ~34% of the runtime to.
     """
 
     def answer(ids: np.ndarray) -> np.ndarray:
@@ -529,22 +571,10 @@ def _fetch_community_info(
         out[0], out[1] = tot_owned[loc], size_owned[loc]
         return out
 
-    cuts = dg.cuts(needed)
-    requests = [needed[cuts[r]:cuts[r + 1]] for r in range(comm.size)]
-    mine = requests[comm.rank]
-    requests[comm.rank] = needed[:0]
-    incoming = comm.alltoall(requests, category="community_comm")
-    answers = comm.alltoall(
-        [answer(ids) for ids in incoming], category="community_comm"
-    )
-    answers[comm.rank] = answer(mine)
-    for r, got in enumerate(answers):
-        if got.shape[1] != cuts[r + 1] - cuts[r]:
-            raise ValueError(
-                f"rank {comm.rank}: rank {r} answered {got.shape[1]} of "
-                f"{cuts[r + 1] - cuts[r]} community requests"
-            )
-    return tuple(np.concatenate(answers, axis=1))
+    return tuple(_lookup_sorted(
+        comm, dg.offsets, needed, answer,
+        category="community_comm", what="community requests",
+    ))
 
 
 def aggregate_deltas(
@@ -617,39 +647,158 @@ def _apply_community_deltas(
             np.add.at(size_owned, loc, rsize)
 
 
-def _exact_modularity(
-    comm: Communicator, dg: DistGraph, resolution: float = 1.0
-) -> float:
-    """Exact Q of the singleton partition of ``dg``.
+def distributed_louvain(
+    comm: Communicator,
+    dg: DistGraph | None,
+    config: LouvainConfig | None = None,
+    initial_assignment: np.ndarray | None = None,
+    *,
+    checkpoint_dir: str | None = None,
+    checkpoint_every: int = 1,
+    checkpoint_every_iterations: int | None = None,
+    resume: bool = False,
+) -> LouvainResult:
+    """Algorithm 2: the full multi-phase distributed Louvain at one rank.
 
-    On a freshly coarsened graph this is the exact modularity of the
-    phase's final communities: each meta vertex's self loop carries the
-    intra-community weight (in_c) and its degree is the community's
-    incident weight (a_c).  One small allreduce.
+    Returns the (replicated) result; ``assignment`` covers the original
+    global vertex set.  ``elapsed``/``trace`` are filled by the driver
+    (:func:`run_louvain`) from the executor's clocks.
+
+    ``initial_assignment`` warm-starts phase 0 from an existing
+    community per owned vertex (global community ids drawn from the
+    vertex-id space) — the incremental/dynamic re-detection mode.
+
+    Resilience (see :mod:`repro.resilience`): with ``checkpoint_dir``
+    set, the distributed state is checkpointed at every
+    ``checkpoint_every``-th phase boundary (and every
+    ``checkpoint_every_iterations`` Louvain iterations inside a phase,
+    when set).  With ``resume=True`` the run restarts from the latest
+    valid checkpoint instead of the input graph (``dg`` may then be
+    ``None``); a resumed run reproduces the uninterrupted run's final
+    labels and modularity bit for bit.
     """
-    w = dg.total_weight
-    if w <= 0:
-        # total_weight is replicated at distribution time, so every rank
-        # agrees on this exit.
-        return 0.0  # spmdlint: ignore[SPMD002]
-    partial = np.array(
-        [float(dg.local_self_loops().sum()),
-         float(np.square(dg.local_degrees()).sum())]
+    config = config or LouvainConfig()
+    manager = _checkpoint_manager(
+        config, checkpoint_dir, checkpoint_every, checkpoint_every_iterations
     )
-    total = comm.allreduce(partial, category="allreduce")
-    return float(total[0] / w - resolution * total[1] / (w * w))
+    if resume:
+        # The restored graph is the post-merge one.
+        run, rejoin = _restore_run(comm, manager, config)
+    else:
+        run, rejoin = _begin_run(comm, dg, config, initial_assignment), None
+        # Warm starts (incremental re-detection) skip the merge: the
+        # seed already places every vertex.
+        if config.vertex_following and initial_assignment is None:
+            _premerge_leaves(comm, run)
+    restored_at = run.phase if resume else None
+    cycler = (
+        ThresholdCycler(config)
+        if config.variant.uses_threshold_cycling
+        else None
+    )
+    hook = None
+    if manager is not None and manager.every_iterations:
+
+        def hook(it: IterationState) -> None:
+            if manager.should_checkpoint_iteration(it.iteration):
+                _save_checkpoint(manager, comm, run, it)
+
+    while run.phase < config.max_phases:
+        tau = _phase_tau(run, config, cycler)
+        if (
+            manager is not None
+            and manager.should_checkpoint_phase(run.phase)
+            # Don't re-cut the checkpoint we just restored from.
+            and run.phase != restored_at
+        ):
+            _save_checkpoint(manager, comm, run)
+        # The first phase a run begins consumes the warm start (a
+        # phase rejoined mid-way is already past it).
+        seed, run.seed_assignment = run.seed_assignment, None
+        out = louvain_phase_distributed(
+            comm,
+            run.dg,
+            tau,
+            config,
+            run.phase,
+            initial_assignment=seed,
+            checkpoint_hook=hook,
+            resume_state=rejoin,
+        )
+        rejoin = None
+        if not _finish_phase(comm, run, out, tau, config, cycler):
+            break
+    return _gather_result(comm, run)
 
 
-def _check_resume_config(manifest, config: LouvainConfig | None) -> None:
+def _checkpoint_manager(
+    config: LouvainConfig,
+    checkpoint_dir: str | None,
+    every_phases: int,
+    every_iterations: int | None,
+):
+    """This rank's :class:`~repro.resilience.checkpoint.CheckpointManager`
+    (``None`` without a ``checkpoint_dir``)."""
+    if checkpoint_dir is None:
+        return None
+    from ..resilience.checkpoint import CheckpointManager
+
+    return CheckpointManager(
+        checkpoint_dir,
+        every_phases=every_phases,
+        every_iterations=every_iterations,
+        label=config.label(),
+        config_key=config.cache_key(),
+    )
+
+
+def _begin_run(
+    comm: Communicator,
+    dg: DistGraph | None,
+    config: LouvainConfig,
+    initial_assignment: np.ndarray | None,
+) -> RunState:
+    """A fresh run's state: the input slice, every original vertex this
+    rank loaded (its phase-0 interval) its own meta vertex."""
+    if dg is None:
+        raise ValueError("dg may only be None when resume=True")
+    run = RunState(
+        dg=dg,
+        orig_slice=np.arange(dg.vbegin, dg.vend, dtype=np.int64),
+        seed_assignment=initial_assignment,
+    )
+    if config.track_assignments and comm.rank == 0:
+        run.phase_assignments = []
+    return run
+
+
+def _restore_run(
+    comm: Communicator, manager, config: LouvainConfig
+) -> tuple[RunState, IterationState | None]:
+    """The state of the latest valid checkpoint (collective): the run
+    state and, for a mid-phase checkpoint, the iteration state its
+    phase rejoins at."""
+    from ..resilience.louvain_state import unpack_rank_state
+
+    if manager is None:
+        raise ValueError("resume=True requires checkpoint_dir=")
+    manifest, meta, arrays = manager.load_latest(comm)
+    _check_resume_config(manifest, config)
+    run, rejoin, clock = unpack_rank_state(comm.rank, meta, arrays, config)
+    # Resumed modelled time = time at the checkpoint + restore cost
+    # accrued so far on this fresh world.
+    comm.clock += clock
+    return run, rejoin
+
+
+def _check_resume_config(manifest, config: LouvainConfig) -> None:
     """Refuse to resume under semantics the checkpoint was not taken with.
 
     Pre-key manifests (empty ``config_key``) are accepted for backward
     compatibility.  Config and manifest are replicated across ranks, so
     raising here is SPMD-safe (all ranks raise together).
     """
-    if config is None or not getattr(manifest, "config_key", ""):
-        return
-    if manifest.config_key != config.cache_key():
+    if manifest.config_key and manifest.config_key != config.cache_key():
         raise ValueError(
             f"checkpoint {manifest.directory} was written by config "
             f"[{manifest.label}] (key {manifest.config_key[:12]}…) but "
@@ -659,89 +808,18 @@ def _check_resume_config(manifest, config: LouvainConfig | None) -> None:
         )
 
 
-def _load_restored_state(comm: Communicator, manager, config=None):
-    """Fetch this rank's checkpointed state for ``resume=True``.
+def _premerge_leaves(comm: Communicator, run: RunState) -> None:
+    """Grappolo's vertex following: merge single-degree vertices into
+    their sole neighbour with one extra coarsening before phase 0.
 
-    Prefers state attached by ``run_spmd(..., restore_from=...)`` (the
-    world's clocks are already resumed there); otherwise performs the
-    collective load through the checkpoint manager and resumes the
-    clock here.
+    The un-merge is exact: the projection folds each leaf through its
+    meta vertex, so the final assignment maps it wherever its
+    neighbour's community ends up.
     """
-    from ..resilience.louvain_state import unpack_rank_state
-
-    attached = getattr(comm, "restored", None)
-    if attached is not None:
-        attached.consumed = True
-        _check_resume_config(attached.manifest, config)
-        # run_spmd(restore_from=...) attaches restored state to every
-        # rank's communicator or to none, so all ranks exit here
-        # together.
-        return unpack_rank_state(  # spmdlint: ignore[SPMD002]
-            comm.rank, attached.meta, attached.arrays
-        )
-    if manager is None:
-        raise ValueError(
-            "resume=True requires checkpoint_dir= or a world restored "
-            "via run_spmd(..., restore_from=...)"
-        )
-    manifest, meta, arrays = manager.load_latest(comm)
-    _check_resume_config(manifest, config)
-    state = unpack_rank_state(comm.rank, meta, arrays)
-    # Resumed modelled time = time at the checkpoint + restore cost
-    # accrued so far on this fresh world.
-    comm.clock += state.clock
-    return state
-
-
-def _save_checkpoint(
-    manager,
-    comm: Communicator,
-    *,
-    kind: str,
-    phase: int,
-    iteration: int,
-    dg: DistGraph,
-    orig_slice: np.ndarray,
-    prev_mod: float,
-    final_mod: float,
-    phases: list[PhaseStats],
-    iterations: list[IterationStats],
-    cycler: ThresholdCycler | None,
-    seed_assignment: np.ndarray | None = None,
-    phase_assignments: list[np.ndarray] | None = None,
-    iteration_state=None,
-) -> None:
-    """Cut one checkpoint (collective; charged to ``checkpoint``).
-
-    The manager packs the phase state only into the first checkpoint it
-    writes in ``phase``; later ones are deltas of that one.
-    """
-    from ..resilience.louvain_state import (
-        pack_iteration_state,
-        pack_phase_state,
-    )
-
-    manager.save(
-        comm,
-        kind=kind,
-        phase=phase,
-        iteration=iteration,
-        phase_state=lambda: pack_phase_state(
-            phase=phase,
-            dg=dg,
-            orig_slice=orig_slice,
-            prev_mod=prev_mod,
-            final_mod=final_mod,
-            phases=phases,
-            iterations=iterations,
-            in_final_pass=bool(cycler.in_final_pass) if cycler else False,
-            seed_assignment=seed_assignment,
-            phase_assignments=phase_assignments if comm.rank == 0 else None,
-        ),
-        iteration_state=pack_iteration_state(
-            kind=kind, clock=comm.clock, state=iteration_state
-        ),
-    )
+    vf_local, vf_ghost = _vertex_following_targets(comm, run.dg)
+    vf_dg, vf_new = rebuild_distributed(comm, run.dg, vf_local, vf_ghost)
+    _project(comm, run, vf_new)
+    run.dg = vf_dg
 
 
 def _vertex_following_targets(
@@ -799,311 +877,219 @@ def _vertex_following_targets(
     return local_comm, ghost_comm
 
 
-def distributed_louvain(
-    comm: Communicator,
-    dg: DistGraph | None,
-    config: LouvainConfig | None = None,
-    initial_assignment: np.ndarray | None = None,
-    *,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int = 1,
-    checkpoint_every_iterations: int | None = None,
-    resume: bool = False,
-) -> LouvainResult:
-    """Algorithm 2: the full multi-phase distributed Louvain at one rank.
+def _phase_tau(
+    run: RunState, config: LouvainConfig, cycler: ThresholdCycler | None
+) -> float:
+    """tau of phase ``run.phase`` (Fig. 2's schedule under threshold
+    cycling, its lowest step in the forced final pass)."""
+    if cycler is None:
+        return config.tau
+    if run.in_final_pass:
+        return cycler.final_tau
+    return cycler.tau_for_phase(run.phase)
 
-    Returns the (replicated) result; ``assignment`` covers the original
-    global vertex set.  ``elapsed``/``trace`` are filled by the driver
-    (:func:`run_louvain`) from the executor's clocks.
 
-    ``initial_assignment`` warm-starts phase 0 from an existing
-    community per owned vertex (global community ids drawn from the
-    vertex-id space) — the incremental/dynamic re-detection mode.
+def _save_checkpoint(
+    manager, comm: Communicator, run: RunState, it: IterationState | None = None
+) -> None:
+    """Cut one checkpoint (collective; charged to ``checkpoint``): at
+    the boundary before phase ``run.phase``, or after iteration
+    ``it.iteration`` of it.
 
-    Resilience (see :mod:`repro.resilience`): with ``checkpoint_dir``
-    set, the distributed state is checkpointed at every
-    ``checkpoint_every``-th phase boundary (and every
-    ``checkpoint_every_iterations`` Louvain iterations inside a phase,
-    when set).  With ``resume=True`` the run restarts from the latest
-    valid checkpoint instead of the input graph (``dg`` may then be
-    ``None``); a resumed run reproduces the uninterrupted run's final
-    labels and modularity bit for bit.
+    The manager packs the run state only into the first checkpoint it
+    writes in a phase; later ones are deltas of that one.
     """
-    config = config or LouvainConfig()
-    manager = None
-    if checkpoint_dir is not None:
-        from ..resilience.checkpoint import CheckpointManager
-
-        manager = CheckpointManager(
-            checkpoint_dir,
-            every_phases=checkpoint_every,
-            every_iterations=checkpoint_every_iterations,
-            label=config.label(),
-            config_key=config.cache_key(),
-        )
-
-    cycler = (
-        ThresholdCycler(config)
-        if config.variant.uses_threshold_cycling
-        else None
+    from ..resilience.louvain_state import (
+        pack_iteration_state,
+        pack_phase_state,
     )
-    restored = _load_restored_state(comm, manager, config) if resume else None
-    if restored is not None:
-        dg = restored.dg
-        orig_slice = restored.orig_slice
-        prev_mod = restored.prev_mod
-        final_mod = restored.final_mod
-        phases = restored.phases
-        iterations = restored.iterations
-        start_phase = restored.phase
-        initial_assignment = restored.seed_assignment
-        resume_iter = restored.iteration_state
-        if cycler is not None and restored.in_final_pass:
-            cycler.enter_final_pass()
-        phase_assignments: list[np.ndarray] | None = (
-            (restored.phase_assignments or [])
-            if config.track_assignments
-            else None
-        )
-    else:
-        if dg is None:
-            raise ValueError("dg may only be None when resume=True")
-        # Each rank tracks the current meta-vertex of the original
-        # vertices it loaded (its phase-0 interval).
-        orig_slice = np.arange(dg.vbegin, dg.vend, dtype=np.int64)
-        prev_mod = -np.inf
-        phases = []
-        iterations = []
-        final_mod = 0.0
-        start_phase = 0
-        resume_iter = None
-        phase_assignments = [] if config.track_assignments else None
-        if config.vertex_following and initial_assignment is None:
-            # Grappolo's vertex following: merge single-degree vertices
-            # into their sole neighbour with one extra coarsening before
-            # phase 0.  The un-merge is exact: the original-vertex
-            # projection below folds each leaf through its meta vertex,
-            # so the final assignment maps it wherever its neighbour's
-            # community ends up.  Warm starts (incremental re-detection)
-            # skip the merge — the seed already places every vertex —
-            # and resumed runs restore the post-merge graph from the
-            # checkpoint, so both paths stay bit-identical.
-            vf_local, vf_ghost = _vertex_following_targets(comm, dg)
-            vf_dg, vf_new = rebuild_distributed(comm, dg, vf_local, vf_ghost)
-            pre_dg = dg
-            orig_slice = remote_lookup(
-                comm,
-                pre_dg.offsets,
-                orig_slice,
-                lambda ids: vf_new[pre_dg.to_local(ids)],
-                category="rebuild",
-            )
-            dg = vf_dg
 
-    for phase in range(start_phase, config.max_phases):
-        tau = cycler.tau_for_phase(phase) if cycler else config.tau
-        phase_resume = (
-            resume_iter
-            if restored is not None and phase == start_phase
-            else None
-        )
-        seed = (
-            initial_assignment
-            if phase == 0 and phase_resume is None
-            else None
-        )
-        if (
-            manager is not None
-            and manager.should_checkpoint_phase(phase)
-            # Don't re-cut the checkpoint we just restored from.
-            and not (restored is not None and phase == start_phase)
-        ):
-            _save_checkpoint(
-                manager,
-                comm,
-                kind="phase",
-                phase=phase,
-                iteration=-1,
-                dg=dg,
-                orig_slice=orig_slice,
-                prev_mod=prev_mod,
-                final_mod=final_mod,
-                phases=phases,
-                iterations=iterations,
-                cycler=cycler,
-                seed_assignment=seed,
-                phase_assignments=phase_assignments,
-            )
+    manager.save(
+        comm,
+        kind="phase" if it is None else "iteration",
+        phase=run.phase,
+        iteration=-1 if it is None else it.iteration,
+        phase_state=lambda: pack_phase_state(run),
+        iteration_state=pack_iteration_state(comm.clock, it),
+    )
 
-        ckpt_hook = None
-        if manager is not None and manager.every_iterations:
-            from ..resilience.louvain_state import IterationState
 
-            def ckpt_hook(state, _dg=dg, _phase=phase):
-                if not manager.should_checkpoint_iteration(
-                    state["iteration"]
-                ):
-                    return
-                et = state["et"]
-                _save_checkpoint(
-                    manager,
-                    comm,
-                    kind="iteration",
-                    phase=_phase,
-                    iteration=state["iteration"],
-                    dg=_dg,
-                    orig_slice=orig_slice,
-                    prev_mod=prev_mod,
-                    final_mod=final_mod,
-                    phases=phases,
-                    iterations=iterations,
-                    cycler=cycler,
-                    phase_assignments=phase_assignments,
-                    iteration_state=IterationState(
-                        iteration=state["iteration"],
-                        prev_q=state["prev_q"],
-                        q=state["q"],
-                        stats=state["stats"],
-                        local_comm=state["local_comm"],
-                        tot_owned=state["tot_owned"],
-                        size_owned=state["size_owned"],
-                        et_prob=None if et is None else et.prob,
-                        et_inactive=(
-                            None if et is None else et.permanently_inactive
-                        ),
-                        et_rng_state=(
-                            None
-                            if et is None
-                            else et.rng.bit_generator.state
-                        ),
-                    ),
-                )
+def _finish_phase(
+    comm: Communicator,
+    run: RunState,
+    out: _PhaseOutcome,
+    tau: float,
+    config: LouvainConfig,
+    cycler: ThresholdCycler | None,
+) -> bool:
+    """Close phase ``run.phase`` — stats, refinement, audits, graph
+    rebuild, exact Q, projection, tracking — and advance ``run`` to the
+    next one; returns whether there is a next one."""
+    state = out.state
+    _record_phase(comm, run, out, tau)
+    if config.refine == "leiden":
+        _refine_phase(comm, run.dg, out)
+    if config.validate_invariants:
+        _audit_phase(comm, run.dg, out)
 
-        out = louvain_phase_distributed(
-            comm,
-            dg,
-            tau,
-            config,
-            phase,
-            initial_assignment=seed,
-            checkpoint_hook=ckpt_hook,
-            resume_state=phase_resume,
+    new_dg, local_new = rebuild_distributed(
+        comm, run.dg, state.local_comm, out.ghost_comm
+    )
+    # The per-iteration modularity is computed against the stale ghost
+    # view (the paper's semantics).  The coarsened graph gives the
+    # *exact* value for free: meta self-loops are in_c and meta degrees
+    # are a_c, both fully synchronised after the rebuild.
+    run.final_mod = _exact_modularity(comm, new_dg, config.resolution)
+    _project(comm, run, local_new)
+    if config.track_assignments:
+        gathered = comm.gather(run.orig_slice, root=0, category="other")
+        if comm.rank == 0:
+            run.phase_assignments.append(np.concatenate(gathered))
+
+    gain = state.q - run.prev_mod
+    no_merge = new_dg.num_global_vertices == run.dg.num_global_vertices
+    run.dg = new_dg
+    if gain <= tau or no_merge:
+        if cycler is None or run.in_final_pass or tau <= cycler.final_tau:
+            return False
+        # Converged above the schedule's lowest tau: one more pass at
+        # it before declaring convergence (§V-C(a)).
+        run.in_final_pass = True
+    run.prev_mod = state.q
+    run.phase += 1
+    return True
+
+
+def _record_phase(
+    comm: Communicator, run: RunState, out: _PhaseOutcome, tau: float
+) -> None:
+    """Append the finished phase's iterations and its
+    :class:`PhaseStats` to the run's history."""
+    dg, stats = run.dg, out.state.stats
+    run.iterations.extend(stats)
+    # Achieved layout quality of the graph this phase ran on: the
+    # cross-rank fraction of stored adjacency entries.  One small
+    # allreduce, which also totals the stored entries.
+    cross = int(np.count_nonzero(~dg.is_owned(dg.edges)))
+    cross_total = comm.allreduce(
+        np.array([cross, dg.num_local_entries], dtype=np.int64),
+        category="allreduce",
+    )
+    run.phases.append(
+        PhaseStats(
+            phase=run.phase,
+            tau=tau,
+            num_iterations=len(stats),
+            modularity=out.state.q,
+            num_vertices=dg.num_global_vertices,
+            # stored entries ~ 2 per edge
+            num_edges=int(cross_total[1]) // 2,
+            exited_by_inactive=out.exited_by_inactive,
+            ghost_fraction=(
+                float(cross_total[0] / cross_total[1])
+                if cross_total[1]
+                else 0.0
+            ),
         )
-        iterations.extend(out.stats)
-        n_vertices = dg.num_global_vertices
-        # Achieved layout quality of the graph this phase ran on: the
-        # cross-rank fraction of stored adjacency entries.  One small
-        # allreduce, which also totals the stored entries.
-        cross = int(np.count_nonzero(~dg.is_owned(dg.edges)))
-        cross_total = comm.allreduce(
-            np.array([cross, dg.num_local_entries], dtype=np.int64),
-            category="allreduce",
-        )
-        ghost_fraction = (
-            float(cross_total[0] / cross_total[1]) if cross_total[1] else 0.0
-        )
-        phases.append(
-            PhaseStats(
-                phase=phase,
-                tau=tau,
-                num_iterations=len(out.stats),
-                modularity=out.modularity,
-                num_vertices=n_vertices,
-                # stored entries ~ 2 per edge
-                num_edges=int(cross_total[1]) // 2,
-                exited_by_inactive=out.exited_by_inactive,
-                ghost_fraction=ghost_fraction,
-            )
-        )
-        if config.refine == "leiden":
-            # Leiden-style refinement: split every community into its
-            # connected components before coarsening.  Zero-edge cuts
-            # mean in_c is preserved while the a_c^2 penalty can only
-            # shrink, so modularity never decreases; connected
-            # communities are merely renamed to their minimum member
-            # (the rebuild renumbers canonically either way).
-            ref_local, ref_ghost = refine_communities(
-                comm,
-                dg,
-                out.local_comm,
-                out.ghost_comm,
-            )
-            # Keep the owner-side C_info audit-consistent with the
-            # refined labels (same delta protocol as a sweep move).
-            moved = ref_local != out.local_comm
-            _apply_community_deltas(
-                comm,
-                dg,
-                *aggregate_deltas(
-                    out.local_comm[moved],
-                    ref_local[moved],
-                    dg.local_degrees()[moved],
-                ),
-                tot_owned=out.tot_owned,
-                size_owned=out.size_owned,
-            )
-            out.local_comm = ref_local
-            out.ghost_comm = ref_ghost
+    )
 
-        if config.validate_invariants:
-            from .validate import (
-                audit_community_info,
-                audit_ghost_coherence,
-                audit_partition,
-            )
 
-            audit_community_info(
-                comm, dg, out.local_comm, out.tot_owned, out.size_owned
-            ).raise_if_failed()
-            audit_partition(comm, dg, out.local_comm).raise_if_failed()
-            audit_ghost_coherence(
-                comm, dg, out.local_comm, out.ghost_comm
-            ).raise_if_failed()
+def _refine_phase(comm: Communicator, dg: DistGraph, out: _PhaseOutcome) -> None:
+    """Leiden-style refinement: split every community into its connected
+    components before coarsening.
 
-        new_dg, local_new = rebuild_distributed(
-            comm, dg, out.local_comm, out.ghost_comm
-        )
-        # The per-iteration modularity is computed against the stale
-        # ghost view (the paper's semantics).  The coarsened graph gives
-        # the *exact* value for free: meta self-loops are in_c and meta
-        # degrees are a_c, both fully synchronised after the rebuild.
-        final_mod = _exact_modularity(comm, new_dg, config.resolution)
-        # Fold this phase into the original-vertex assignment: the new
-        # meta id of original vertex o is local_new[to_local(x)] at the
-        # owner of o's current meta vertex x.
-        old_dg = dg
-        orig_slice = remote_lookup(
-            comm,
-            old_dg.offsets,
-            orig_slice,
-            lambda ids: local_new[old_dg.to_local(ids)],
-            category="rebuild",
-        )
-        if phase_assignments is not None:
-            gathered = comm.gather(orig_slice, root=0, category="other")
-            if comm.rank == 0:
-                phase_assignments.append(np.concatenate(gathered))
+    Zero-edge cuts mean in_c is preserved while the a_c^2 penalty can
+    only shrink, so modularity never decreases; connected communities
+    are merely renamed to their minimum member (the rebuild renumbers
+    canonically either way).
+    """
+    state = out.state
+    ref_local, ref_ghost = refine_communities(
+        comm, dg, state.local_comm, out.ghost_comm
+    )
+    # Keep the owner-side C_info audit-consistent with the refined
+    # labels (same delta protocol as a sweep move).
+    moved = ref_local != state.local_comm
+    _apply_community_deltas(
+        comm,
+        dg,
+        *aggregate_deltas(
+            state.local_comm[moved],
+            ref_local[moved],
+            dg.local_degrees()[moved],
+        ),
+        tot_owned=state.tot_owned,
+        size_owned=state.size_owned,
+    )
+    state.local_comm = ref_local
+    out.ghost_comm = ref_ghost
 
-        gain = out.modularity - prev_mod
-        no_merge = new_dg.num_global_vertices == dg.num_global_vertices
-        dg = new_dg
-        if gain <= tau or no_merge:
-            if cycler and not cycler.in_final_pass and tau > cycler.final_tau:
-                cycler.enter_final_pass()
-                prev_mod = out.modularity
-                continue
-            break
-        prev_mod = out.modularity
 
-    # Assemble the replicated original-vertex assignment.
-    pieces = comm.allgather(orig_slice, category="other")
-    assignment = normalize_assignment(np.concatenate(pieces))
+def _audit_phase(comm: Communicator, dg: DistGraph, out: _PhaseOutcome) -> None:
+    """``validate_invariants``: the phase's final labels, owner-side
+    C_info and ghost copies must agree across ranks."""
+    from .validate import (
+        audit_community_info,
+        audit_ghost_coherence,
+        audit_partition,
+    )
+
+    state = out.state
+    audit_community_info(
+        comm, dg, state.local_comm, state.tot_owned, state.size_owned
+    ).raise_if_failed()
+    audit_partition(comm, dg, state.local_comm).raise_if_failed()
+    audit_ghost_coherence(
+        comm, dg, state.local_comm, out.ghost_comm
+    ).raise_if_failed()
+
+
+def _exact_modularity(
+    comm: Communicator, dg: DistGraph, resolution: float = 1.0
+) -> float:
+    """Exact Q of the singleton partition of ``dg``.
+
+    On a freshly coarsened graph this is the exact modularity of the
+    phase's final communities: each meta vertex's self loop carries the
+    intra-community weight (in_c) and its degree is the community's
+    incident weight (a_c).  One small allreduce.
+    """
+    w = dg.total_weight
+    if w <= 0:
+        # total_weight is replicated at distribution time, so every rank
+        # agrees on this exit.
+        return 0.0  # spmdlint: ignore[SPMD002]
+    partial = np.array(
+        [float(dg.local_self_loops().sum()),
+         float(np.square(dg.local_degrees()).sum())]
+    )
+    total = comm.allreduce(partial, category="allreduce")
+    return float(total[0] / w - resolution * total[1] / (w * w))
+
+
+def _project(comm: Communicator, run: RunState, local_new: np.ndarray) -> None:
+    """Fold one coarsening of ``run.dg`` into the original-vertex map:
+    the new meta id of original vertex o is ``local_new[to_local(x)]``
+    at the owner of o's current meta vertex x."""
+    dg = run.dg
+    run.orig_slice = remote_lookup(
+        comm,
+        dg.offsets,
+        run.orig_slice,
+        lambda ids: local_new[dg.to_local(ids)],
+        category="rebuild",
+    )
+
+
+def _gather_result(comm: Communicator, run: RunState) -> LouvainResult:
+    """Assemble the replicated original-vertex assignment."""
+    pieces = comm.allgather(run.orig_slice, category="other")
     return LouvainResult(
-        modularity=final_mod,
-        assignment=assignment,
-        phases=phases,
-        iterations=iterations,
-        phase_assignments=phase_assignments,
+        modularity=run.final_mod,
+        assignment=normalize_assignment(np.concatenate(pieces)),
+        phases=run.phases,
+        iterations=run.iterations,
+        phase_assignments=run.phase_assignments,
     )
 
 

@@ -16,10 +16,9 @@ penalty shrinks (``(sum_i a_i)^2 >= sum_i a_i^2`` for non-negative
 contains only connected communities by induction (coarsening a
 connected community yields one meta-vertex, trivially connected).
 
-The pass is a *community-constrained* variant of
-:func:`repro.graph.distalgo.distributed_components`: min-label
-propagation where a vertex may only adopt a neighbour's label when both
-sit in the same community.  Component labels are then mapped back so
+The pass is a *community-constrained* connected-components sweep:
+min-label propagation where a vertex may only adopt a neighbour's label
+when both sit in the same community.  Component labels are then mapped back so
 that **unsplit communities keep their original id** — refinement is a
 bit-exact no-op on a phase whose communities are all connected — while
 each component of a split community takes its minimum member id (a

@@ -10,12 +10,6 @@ from .binio import (
     write_edgelist,
 )
 from .csr import CSRGraph
-from .distalgo import (
-    distributed_components,
-    distributed_degree_histogram,
-    distributed_num_components,
-    distributed_total_weight,
-)
 from .distgraph import DistGraph, GhostPlan
 from .edgelist import EdgeList
 from .metrics import GraphStats, connected_components, graph_stats, is_connected
@@ -43,10 +37,6 @@ __all__ = [
     "GhostPlan",
     "GraphStats",
     "connected_components",
-    "distributed_components",
-    "distributed_degree_histogram",
-    "distributed_num_components",
-    "distributed_total_weight",
     "even_edge",
     "even_vertex",
     "graph_stats",

@@ -89,10 +89,10 @@ class Gauge:
 class Histogram:
     """Fixed-bucket histogram of seconds (cumulative, Prometheus-style).
 
-    Also the implementation behind the service tier's historical
-    ``LatencyHistogram`` — the snapshot dict format (``count`` / ``sum``
-    / ``mean`` / ``max`` / ``p50`` / ``p99`` / per-bound ``buckets``) is
-    part of the engine's public metrics JSON and must not change.
+    The snapshot dict format (``count`` / ``sum`` / ``mean`` / ``max``
+    / ``p50`` / ``p99`` / per-bound ``buckets``) is part of the engine's
+    public metrics JSON (``ServiceMetrics.snapshot()``) and must not
+    change.
     """
 
     def __init__(self, buckets: tuple[float, ...] = DEFAULT_BUCKETS):

@@ -13,10 +13,14 @@ subpackage provides the three layers:
 * **fault injection** (:mod:`.faults`) — seeded, deterministic failure
   schedules (kill a rank at operation N, delay/drop messages, corrupt a
   shard on disk) so recovery can be exercised and *proven* in tests;
-* **recovery** — ``run_spmd(..., restore_from=dir)`` and
-  ``distributed_louvain(..., checkpoint_dir=dir, resume=True)`` restart
-  the world from the latest valid manifest; a resumed run reproduces the
-  uninterrupted run's final labels and modularity bit for bit.
+* **recovery** — ``distributed_louvain(..., checkpoint_dir=dir,
+  resume=True)`` (``run_louvain``'s ``resume=True``) restarts the run
+  from the latest valid manifest, every rank loading its state through
+  :meth:`CheckpointManager.load_latest` — the one way state comes back;
+  a resumed run reproduces the uninterrupted run's final labels and
+  modularity bit for bit.  The state itself — what a run carries from
+  one synchronisation point to the next — is defined in
+  :mod:`repro.core.state`; :mod:`.louvain_state` packs it into shards.
 
 Checkpoint overhead is charged to the ``checkpoint`` trace category, so
 the bench harness reports it alongside the paper's §V-A breakdown.
@@ -31,19 +35,15 @@ from .checkpoint import (
     Manifest,
     ManifestError,
     NoCheckpointError,
-    RestoredRank,
     ShardInfo,
     latest_valid_manifest,
     load_shard,
     read_manifest,
-    restore_world,
     scan_checkpoints,
     verify_manifest,
 )
 from .faults import FaultPlan, corrupt_checkpoint_shard
 from .louvain_state import (
-    IterationState,
-    RestoredLouvainState,
     pack_iteration_state,
     pack_phase_state,
     unpack_rank_state,
@@ -56,12 +56,9 @@ __all__ = [
     "CheckpointManager",
     "CorruptShardError",
     "FaultPlan",
-    "IterationState",
     "Manifest",
     "ManifestError",
     "NoCheckpointError",
-    "RestoredLouvainState",
-    "RestoredRank",
     "ShardInfo",
     "corrupt_checkpoint_shard",
     "latest_valid_manifest",
@@ -69,7 +66,6 @@ __all__ = [
     "pack_iteration_state",
     "pack_phase_state",
     "read_manifest",
-    "restore_world",
     "scan_checkpoints",
     "unpack_rank_state",
     "verify_manifest",

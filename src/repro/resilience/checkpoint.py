@@ -46,8 +46,8 @@ import re
 import shutil
 import tempfile
 import zipfile
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterable
+from dataclasses import asdict, dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -176,16 +176,6 @@ class Manifest:
             f"{self.size} rank(s), {total} bytes, {form}"
             + (f" [{self.label}]" if self.label else "")
         )
-
-
-@dataclass
-class RestoredRank:
-    """Per-rank state attached to a communicator by ``restore_world``."""
-
-    manifest: Manifest
-    meta: dict[str, Any]
-    arrays: dict[str, np.ndarray]
-    consumed: bool = field(default=False)
 
 
 # ----------------------------------------------------------------------
@@ -638,26 +628,3 @@ def load_shard(manifest: Manifest, rank: int) -> ShardPayload:
         meta.update(shard_meta)
         arrays.update(shard_arrays)
     return meta, arrays
-
-
-def restore_world(comms: Iterable[Communicator], root: str) -> Manifest:
-    """Attach restored state to every communicator of a fresh world.
-
-    Used by ``run_spmd(..., restore_from=dir)``: finds the latest valid
-    manifest for the world size, loads every shard, resumes each rank's
-    virtual clock from its saved value, and sets ``comm.restored`` to a
-    :class:`RestoredRank` for the SPMD program to consume.
-    """
-    comms = list(comms)
-    manifest = latest_valid_manifest(
-        root, expect_size=len(comms), verify_shards=True
-    )
-    if manifest is None:
-        raise NoCheckpointError(
-            f"no valid checkpoint for {len(comms)} rank(s) under {root!r}"
-        )
-    for comm in comms:
-        meta, arrays = load_shard(manifest, comm.rank)
-        comm.clock = float(meta.get("clock", comm.clock))
-        comm.restored = RestoredRank(manifest=manifest, meta=meta, arrays=arrays)
-    return manifest

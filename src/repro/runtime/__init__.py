@@ -9,10 +9,8 @@ substitution rationale).
 from .comm import (
     Communicator,
     ScheduleRecorder,
-    SubCommunicator,
     World,
     payload_kind,
-    split_communicator,
 )
 from .errors import (
     CollectiveMismatchError,
@@ -61,7 +59,6 @@ __all__ = [
     "RuntimeSimError",
     "SPMDResult",
     "ScheduleRecorder",
-    "SubCommunicator",
     "TraceReport",
     "World",
     "message_bytes",
@@ -70,5 +67,4 @@ __all__ = [
     "register_payload_type",
     "registered_payload_types",
     "run_spmd",
-    "split_communicator",
 ]

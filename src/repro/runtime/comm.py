@@ -13,7 +13,7 @@ ranks run as threads, each holding a :class:`Communicator`, and talk via
   paper lists as future work (§VI), and a fused request/reply
   ``exchange_roundtrip``.
   The algorithm itself uses allreduce, alltoall, bcast, allgather,
-  gather, exscan, barrier, send/recv and ``split``; ``reduce``,
+  gather, exscan, barrier and send/recv; ``reduce``,
   ``scatter``, ``scan``, ``sendrecv``, ``neighbor_alltoall`` and
   ``exchange_roundtrip`` have no caller outside the tests and stay only
   because the end-to-end benchmark's span table names them.
@@ -261,16 +261,9 @@ class _Rendezvous:
     the next collective cannot clobber a slow rank's pending result.
     """
 
-    def __init__(
-        self,
-        size: int,
-        world: "World",
-        members: Sequence[int] | None = None,
-    ):
+    def __init__(self, size: int, world: "World"):
         self._size = size
         self._world = world
-        #: World ranks participating in this rendezvous.
-        self._members = list(members) if members is not None else list(range(size))
         self._cv = threading.Condition()
         self._gen = 0
         self._arrived = 0
@@ -280,13 +273,13 @@ class _Rendezvous:
         self._refs: dict[int, int] = {}
         # Debug-mode schedule verification (lazy; see module docstring).
         self._recorders: list[ScheduleRecorder] | None = None
-        self._sched_ref: tuple[int, int] | None = None
-        #: group rank -> world rank of the ranks inside the current
-        #: generation (diagnostics: deadlock audit "waiting for ...").
-        self._present: dict[int, int] = {}
+        self._sched_ref: int | None = None
+        #: Ranks inside the current generation (diagnostics: deadlock
+        #: audit "waiting for ...").
+        self._present: set[int] = set()
 
     def _verify(
-        self, rank: int, world_rank: int, op_name: str, kind: str
+        self, rank: int, op_name: str, kind: str
     ) -> CollectiveMismatchError | None:
         """Record ``rank``'s op and cross-check rolling schedule hashes.
 
@@ -299,16 +292,16 @@ class _Rendezvous:
         rec = self._recorders[rank]
         rec.record(op_name, kind)
         if self._arrived == 0:
-            self._sched_ref = (rank, world_rank)
+            self._sched_ref = rank
             return None
-        ref_rank, ref_wr = self._sched_ref  # type: ignore[misc]
+        ref_rank = self._sched_ref
         ref = self._recorders[ref_rank]
         if (ref.rolling, ref.count) == (rec.rolling, rec.count):
             return None
         idx, ref_sig, sig = _first_divergence(ref.log, rec.log)
         return CollectiveMismatchError(
-            f"collective schedule divergence at op #{idx}: rank {ref_wr} "
-            f"recorded {ref_sig!r} but rank {world_rank} recorded {sig!r} "
+            f"collective schedule divergence at op #{idx}: rank {ref_rank} "
+            f"recorded {ref_sig!r} but rank {rank} recorded {sig!r} "
             f"(detected entering {op_name!r}, collective op #{self._gen})"
         )
 
@@ -319,10 +312,8 @@ class _Rendezvous:
         deposit: Any,
         finalize: Callable[[list[Any]], list[Any]],
         timeout: float,
-        world_rank: int | None = None,
         kind: str = "",
     ) -> Any:
-        wr = rank if world_rank is None else world_rank
         with self._cv:
             self._world.check_abort()
             gen = self._gen
@@ -330,20 +321,20 @@ class _Rendezvous:
                 self._op_name = op_name
             elif self._op_name != op_name:
                 exc = CollectiveMismatchError(
-                    f"rank {wr} called {op_name!r} while other ranks are in "
+                    f"rank {rank} called {op_name!r} while other ranks are in "
                     f"{self._op_name!r} (collective op #{gen})"
                 )
                 self._world.abort(exc)
                 self._cv.notify_all()
                 raise exc
             if self._world.verify_schedule:
-                mismatch = self._verify(rank, wr, op_name, kind)
+                mismatch = self._verify(rank, op_name, kind)
                 if mismatch is not None:
                     self._world.abort(mismatch)
                     self._cv.notify_all()
                     raise mismatch
             self._slots[rank] = deposit
-            self._present[rank] = wr
+            self._present.add(rank)
             self._arrived += 1
             if self._arrived == self._size:
                 outs = finalize(self._slots)
@@ -356,16 +347,16 @@ class _Rendezvous:
                 self._refs[gen] = self._size
                 self._slots = [None] * self._size
                 self._arrived = 0
-                self._present = {}
+                self._present = set()
                 self._gen += 1
                 self._cv.notify_all()
             else:
-                self._world.set_blocked(wr, ("collective", op_name, self))
+                self._world.set_blocked(rank, ("collective", op_name, self))
                 try:
                     while self._gen == gen:
                         if not self._cv.wait(timeout):
                             exc = CommTimeoutError(
-                                f"rank {wr} timed out after {timeout}s inside "
+                                f"rank {rank} timed out after {timeout}s inside "
                                 f"collective {op_name!r} (collective op "
                                 f"#{gen}); only {self._arrived}/{self._size} "
                                 "ranks arrived — likely a deadlock in the "
@@ -377,7 +368,7 @@ class _Rendezvous:
                             raise exc
                         self._world.check_abort()
                 finally:
-                    self._world.clear_blocked(wr)
+                    self._world.clear_blocked(rank)
             out = self._results[gen][rank]
             self._refs[gen] -= 1
             if self._refs[gen] == 0:
@@ -413,7 +404,7 @@ class World:
         #: hash at every rendezvous (see module docstring).
         self.verify_schedule = bool(verify_schedule)
         self._abort_exc: BaseException | None = None
-        # Per-world-rank blocked state for the deadlock audit:
+        # Per-rank blocked state for the deadlock audit:
         # ("recv", source, tag) or ("collective", op_name, rendezvous).
         self._blocked: list[tuple | None] = [None] * size
         #: Optional fault-injection plan (``on_op(rank, op_index, op)``).
@@ -428,8 +419,6 @@ class World:
         ]
         self._box_cvs = [threading.Condition() for _ in range(size)]
         self.rendezvous = _Rendezvous(size, self)
-        self._sub_lock = threading.Lock()
-        self._sub_rendezvous: dict[tuple, _Rendezvous] = {}
 
     # -- abort handling -------------------------------------------------
     def abort(self, exc: BaseException) -> None:
@@ -440,10 +429,6 @@ class World:
             with cv:
                 cv.notify_all()
         self.rendezvous.wake_all()
-        with self._sub_lock:
-            subs = list(self._sub_rendezvous.values())
-        for r in subs:
-            r.wake_all()
 
     @property
     def aborted(self) -> bool:
@@ -497,24 +482,12 @@ class World:
             return None
         return self.fault_plan.on_op(rank, n, op_name)
 
-    def subgroup_rendezvous(
-        self, members: tuple[int, ...], group_id: int
-    ) -> _Rendezvous:
-        """Shared rendezvous for a subgroup (one instance per group)."""
-        with self._sub_lock:
-            key = (members, group_id)
-            if key not in self._sub_rendezvous:
-                self._sub_rendezvous[key] = _Rendezvous(
-                    len(members), self, members=members
-                )
-            return self._sub_rendezvous[key]
-
     # -- deadlock audit --------------------------------------------------
-    def set_blocked(self, world_rank: int, info: tuple) -> None:
-        self._blocked[world_rank] = info
+    def set_blocked(self, rank: int, info: tuple) -> None:
+        self._blocked[rank] = info
 
-    def clear_blocked(self, world_rank: int) -> None:
-        self._blocked[world_rank] = None
+    def clear_blocked(self, rank: int) -> None:
+        self._blocked[rank] = None
 
     def deadlock_audit(self) -> str:
         """Wait-for-graph snapshot: every rank's blocking op plus any
@@ -541,7 +514,7 @@ class World:
             else:
                 _, op_name, rdv = info
                 waiting = sorted(
-                    set(rdv._members) - set(rdv._present.values())
+                    set(range(self.size)) - rdv._present
                 )
                 lines.append(
                     f"  rank {r}: blocked in collective {op_name!r} "
@@ -577,11 +550,6 @@ class Communicator:
         self.clock = 0.0
         self.trace = RankTrace(rank=rank)
 
-    @property
-    def world_rank(self) -> int:
-        """Rank in the world communicator (differs inside subgroups)."""
-        return self.rank
-
     def _fault_hook(self, op_name: str, category: str) -> Any:
         """Consult the world's fault plan before a communication op.
 
@@ -589,7 +557,7 @@ class Communicator:
         charged to the op's category) and returns the action so callers
         can honour ``drop``.
         """
-        action = self.world.fault_op(self.world_rank, op_name)
+        action = self.world.fault_op(self.rank, op_name)
         if isinstance(action, tuple) and action and action[0] == "delay":
             self.charge(category, float(action[1]))
         return action
@@ -662,10 +630,6 @@ class Communicator:
                 f"peer rank {peer} out of range [0, {self.size})"
             )
 
-    def split(self, color: int, key: int | None = None) -> "SubCommunicator":
-        """MPI_Comm_split over this communicator (collective)."""
-        return split_communicator(self, color, key)
-
     # ------------------------------------------------------------------
     # Collectives
     # ------------------------------------------------------------------
@@ -689,7 +653,6 @@ class Communicator:
             (deposit, self.clock),
             finalize,
             self.world.timeout,
-            world_rank=self.world_rank,
             kind=self._schedule_kind(name, deposit),
         )
         self.charge(category, max(new_clock - self.clock, 0.0))
@@ -1013,114 +976,3 @@ class Communicator:
             return outs
 
         return self._collective("exscan", value, finalize, category)
-
-
-class SubCommunicator(Communicator):
-    """Communicator over a subgroup of ranks (result of ``split``).
-
-    Ranks are renumbered ``0..group_size-1`` in the order given by the
-    split key.  Point-to-point goes through the parent's mailboxes in a
-    private tag space; collectives run on a dedicated rendezvous, so a
-    subgroup collective can overlap freely with other subgroups (the
-    property real MPI sub-communicators provide).
-    """
-
-    #: Tag-space offset isolating subcommunicator traffic.
-    _TAG_BASE = 1 << 40
-
-    def __init__(
-        self,
-        parent: Communicator,
-        members: list[int],
-        group_id: int,
-        rendezvous: _Rendezvous,
-    ):
-        self.parent = parent
-        self.world = parent.world
-        self.machine = parent.machine
-        self.members = list(members)
-        self.rank = self.members.index(parent.rank)
-        self.size = len(self.members)
-        self.trace = parent.trace  # charges flow to the parent's trace
-        self._group_id = group_id
-        self._rendezvous = rendezvous
-
-    @property
-    def world_rank(self) -> int:
-        return self.parent.rank
-
-    # Clock is shared with the parent: one rank, one timeline.
-    @property
-    def clock(self) -> float:
-        return self.parent.clock
-
-    @clock.setter
-    def clock(self, value: float) -> None:
-        self.parent.clock = value
-
-    def _tag_of(self, tag: int) -> int:
-        if tag < 0 or tag >= self._TAG_BASE:
-            raise ValueError(f"tag {tag} out of range for subcommunicator")
-        return self._TAG_BASE + self._group_id * (self._TAG_BASE // 4096) + tag
-
-    def send(self, obj: Any, dest: int, tag: int = 0, category: str = "other") -> None:
-        self._check_peer(dest)
-        self.parent.send(
-            obj, self.members[dest], tag=self._tag_of(tag), category=category
-        )
-
-    def recv(self, source: int, tag: int = 0, category: str = "other") -> Any:
-        self._check_peer(source)
-        return self.parent.recv(
-            self.members[source], tag=self._tag_of(tag), category=category
-        )
-
-    def _collective(
-        self,
-        name: str,
-        deposit: Any,
-        finalize: Callable[[list[Any]], list[Any]],
-        category: str,
-    ) -> Any:
-        self._fault_hook(name, category)
-        self.trace.record_collective(name)
-        out, new_clock = self._rendezvous.exchange(
-            self.rank,
-            name,
-            (deposit, self.clock),
-            finalize,
-            self.world.timeout,
-            world_rank=self.world_rank,
-            kind=self._schedule_kind(name, deposit),
-        )
-        self.charge(category, max(new_clock - self.clock, 0.0))
-        return out
-
-
-def split_communicator(
-    comm: Communicator, color: int, key: int | None = None
-) -> SubCommunicator:
-    """MPI_Comm_split: partition ranks by ``color`` into subgroups.
-
-    Collective over ``comm``.  Ranks sharing a color form one
-    subcommunicator, ordered by ``(key, world rank)`` (``key`` defaults
-    to the world rank).  Colors may be any integers; every rank must
-    participate (there is no ``MPI_UNDEFINED`` — pass a unique color
-    for a singleton group instead).
-    """
-    key = comm.rank if key is None else key
-    triples = comm.allgather((color, key, comm.rank), category="other")
-    members = sorted(
-        (k, r) for c, k, r in triples if c == color
-    )
-    member_ranks = [r for _, r in members]
-    # Deterministic group id shared by the group's members: dense index
-    # of the color among all colors present.
-    colors = sorted(set(c for c, _, _ in triples))
-    group_id = colors.index(color)
-    # One rendezvous per group, created consistently on every member via
-    # a world-level registry keyed by the split generation + group.
-    rendezvous = comm.world.subgroup_rendezvous(
-        tuple(member_ranks), group_id
-    )
-    return SubCommunicator(comm, member_ranks, group_id, rendezvous)

@@ -42,13 +42,9 @@ deadlock audit; its slot is never handed back as ``None``.  (On
 ``size == 1`` the fast path lets the exception propagate natively
 instead.)
 
-Resilience hooks: ``fault_plan`` installs a deterministic fault-injection
+Resilience hook: ``fault_plan`` installs a deterministic fault-injection
 plan (see :mod:`repro.resilience.faults`) consulted on every
-communication operation; ``restore_from`` restarts the world from the
-latest valid checkpoint manifest in a directory (see
-:mod:`repro.resilience.checkpoint`) — each rank's virtual clock resumes
-from its saved value and the restored per-rank state is exposed to the
-SPMD program as ``comm.restored``.
+communication operation.
 """
 
 from __future__ import annotations
@@ -120,7 +116,6 @@ def run_spmd(
     timeout: float = 300.0,
     trace_events: bool = False,
     fault_plan: Any = None,
-    restore_from: str | None = None,
     verify_schedule: bool | None = None,
     **kwargs: Any,
 ) -> SPMDResult:
@@ -146,12 +141,6 @@ def run_spmd(
         Deterministic fault-injection plan (any object with
         ``on_op(rank, op_index, op_name)``; see
         :class:`repro.resilience.faults.FaultPlan`).
-    restore_from:
-        Checkpoint directory.  The world restarts from the latest valid
-        manifest: each rank's shard is integrity-checked and loaded, its
-        virtual clock resumes from the saved value, and the state is
-        attached as ``comm.restored`` for the SPMD program to consume
-        (e.g. ``distributed_louvain(..., resume=True)``).
     verify_schedule:
         Debug mode: cross-check every rank's rolling collective-schedule
         hash at each rendezvous so a divergent schedule fails at its
@@ -162,11 +151,6 @@ def run_spmd(
     world = World(size, machine, timeout=timeout, verify_schedule=verify_schedule)
     world.fault_plan = fault_plan
     comms: list[Communicator] = [world.communicator(r) for r in range(size)]
-    if restore_from is not None:
-        # Imported lazily: resilience sits above the runtime layer.
-        from ..resilience.checkpoint import restore_world
-
-        restore_world(comms, restore_from)
     if trace_events:
         for c in comms:
             c.trace.enable_events()
@@ -176,12 +160,7 @@ def run_spmd(
     # Passive observability: when an event scope is installed (the
     # engine wraps jobs in repro.obs.events.scoped), bracket the run
     # with correlated records; a no-op otherwise.
-    emit_current(
-        "spmd_run_started",
-        size=size,
-        machine=machine.name,
-        restored=restore_from is not None,
-    )
+    emit_current("spmd_run_started", size=size, machine=machine.name)
 
     if size == 1:
         # Fast path: no threads needed, and failures propagate natively.

@@ -27,7 +27,7 @@ one-shot batch jobs) — see ``docs/PAPER_MAPPING.md``.
 """
 
 from .engine import Engine, Job, detect, execute_request
-from .metrics import LatencyHistogram, ServiceMetrics
+from .metrics import ServiceMetrics
 from .request import (
     MODES,
     DetectionRequest,
@@ -44,7 +44,6 @@ __all__ = [
     "Engine",
     "Job",
     "JobState",
-    "LatencyHistogram",
     "MODES",
     "PriorityScheduler",
     "ResultStore",

@@ -13,26 +13,23 @@ breakdown across the whole served workload: the snapshot carries the
 aggregate modelled seconds per category (compute, ghost_comm, …,
 checkpoint) summed over every completed job.
 
-Since the ``repro.obs`` port, the backing store is a
-:class:`~repro.obs.registry.MetricsRegistry` (exposed as
-:attr:`ServiceMetrics.registry`) so the same numbers are available as
-labeled Prometheus families; the legacy surface — ``counters`` /
-``gauges`` attributes, the ``queue_latency`` / ``run_latency``
-histograms, and every :meth:`snapshot` key — is unchanged.
+The backing store is a :class:`~repro.obs.registry.MetricsRegistry`
+(exposed as :attr:`ServiceMetrics.registry`), so the same numbers are
+available as labeled Prometheus families.  :meth:`snapshot` — with the
+``counters`` / ``gauges`` views and the ``queue_latency`` /
+``run_latency`` histograms (:class:`~repro.obs.registry.Histogram`) it
+is built from — is what the CLI's ``--metrics``, the shard RPC and the
+tests read; its keys and number formatting are a contract.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from ..obs.registry import DEFAULT_BUCKETS, Histogram, MetricsRegistry
+from ..obs.registry import DEFAULT_BUCKETS, MetricsRegistry
 from ..runtime.tracing import TraceReport
 
-__all__ = ["DEFAULT_BUCKETS", "LatencyHistogram", "ServiceMetrics"]
-
-#: Historical name: the engine's histogram type now lives in
-#: :mod:`repro.obs.registry`; the API and snapshot format are identical.
-LatencyHistogram = Histogram
+__all__ = ["DEFAULT_BUCKETS", "ServiceMetrics"]
 
 
 class ServiceMetrics:
@@ -76,10 +73,11 @@ class ServiceMetrics:
         self._gauges.labels(name="queue_depth").set(0)
         self._gauges.labels(name="running").set(0)
 
-    # -- legacy read surface --------------------------------------------
+    # -- read views -----------------------------------------------------
     @property
     def counters(self) -> Counter[str]:
-        """Event counters as the historical :class:`collections.Counter`."""
+        """Event counters by name (a :class:`collections.Counter`: an
+        event that never fired reads 0)."""
         return Counter(
             {
                 labels["event"]: int(child.value)
@@ -123,11 +121,6 @@ class ServiceMetrics:
             self._trace_collectives.labels(op=op).inc(count)
 
     # -- export ---------------------------------------------------------
-    def cache_hit_rate(self) -> float:
-        counters = self.counters
-        looked = counters["cache_hits"] + counters["cache_misses"]
-        return counters["cache_hits"] / looked if looked else 0.0
-
     def snapshot(self) -> dict:
         """One consistent JSON-able view of everything."""
         counters = self.counters
@@ -184,5 +177,5 @@ class ServiceMetrics:
 
 
 def _as_number(value: float) -> int | float:
-    """Integral floats render as the ints the pre-registry dicts held."""
+    """Integral floats render as ints in :meth:`ServiceMetrics.snapshot`."""
     return int(value) if float(value).is_integer() else value

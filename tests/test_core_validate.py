@@ -46,6 +46,7 @@ class TestAuditsOnLiveState:
             dg = DistGraph.distribute(comm, g)
             config = LouvainConfig()
             out = louvain_phase_distributed(comm, dg, 1e-6, config, 0)
+            labels = out.state.local_comm
             # Recompute owned C_info the same way the phase did, from
             # scratch, for the audit comparison.
             k = dg.local_degrees()
@@ -57,19 +58,15 @@ class TestAuditsOnLiveState:
             from repro.core.distlouvain import _apply_community_deltas
 
             start = np.arange(dg.vbegin, dg.vend, dtype=np.int64)
-            moved = out.local_comm != start
+            moved = labels != start
             _apply_community_deltas(
                 comm, dg,
-                *aggregate_deltas(
-                    start[moved], out.local_comm[moved], k[moved]
-                ),
+                *aggregate_deltas(start[moved], labels[moved], k[moved]),
                 tot_owned=tot, size_owned=size,
             )
-            r1 = audit_community_info(comm, dg, out.local_comm, tot, size)
-            r2 = audit_partition(comm, dg, out.local_comm)
-            r3 = audit_ghost_coherence(
-                comm, dg, out.local_comm, out.ghost_comm
-            )
+            r1 = audit_community_info(comm, dg, labels, tot, size)
+            r2 = audit_partition(comm, dg, labels)
+            r3 = audit_ghost_coherence(comm, dg, labels, out.ghost_comm)
             return r1.ok, r2.ok, r3.ok, r1.failures + r2.failures + r3.failures
 
         r = run_spmd(nranks, prog, machine=FREE, timeout=60.0)

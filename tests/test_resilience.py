@@ -5,6 +5,7 @@ valid checkpoint, and the final labels and modularity are bit-identical
 to an uninterrupted run.
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -13,7 +14,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import LouvainConfig, Variant, run_louvain
+from repro.core import (
+    EarlyTermination,
+    IterationState,
+    IterationStats,
+    LouvainConfig,
+    PhaseStats,
+    RunState,
+    Variant,
+    make_rank_rng,
+    run_louvain,
+)
+from repro.graph import DistGraph, EdgeList
 from repro.resilience import (
     CheckpointManager,
     CorruptShardError,
@@ -23,11 +35,14 @@ from repro.resilience import (
     corrupt_checkpoint_shard,
     latest_valid_manifest,
     load_shard,
+    pack_iteration_state,
+    pack_phase_state,
     read_manifest,
     scan_checkpoints,
     unpack_rank_state,
     verify_manifest,
 )
+from repro.resilience.checkpoint import _deserialize_shard, _serialize_shard
 from repro.runtime import (
     CommTimeoutError,
     InjectedFault,
@@ -277,15 +292,77 @@ class TestConfigKeyGuard:
         run_louvain(g, 2, cfg, checkpoint_dir=d)
         manifest = latest_valid_manifest(d, expect_size=2)
         meta, arrays = load_shard(manifest, 0)
-        unpack_rank_state(0, meta, arrays)  # as written: loads
+        unpack_rank_state(0, meta, arrays, cfg)  # as written: loads
         del arrays["offsets"]
         with pytest.raises(
             ValueError, match="removed community-placed layout"
         ):
-            unpack_rank_state(0, meta, arrays)
+            unpack_rank_state(0, meta, arrays, cfg)
 
 
 PHASE_ARRAYS = {"index", "edges", "weights", "offsets", "orig_slice"}
+
+
+def _leafy_graph():
+    """``_graph()`` with a pendant vertex hung on every fifth vertex, so
+    the vertex-following pre-merge has something to fold."""
+    g = _graph()
+    n = g.num_vertices
+    rows = np.repeat(np.arange(n), np.diff(g.index))
+    upper = rows < g.edges
+    hosts = np.arange(0, n, 5)
+    return EdgeList.from_arrays(
+        n + len(hosts),
+        np.concatenate([rows[upper], hosts]),
+        np.concatenate([g.edges[upper], n + np.arange(len(hosts))]),
+    ).to_csr()
+
+
+def _any(pred):
+    return lambda shards: any(pred(meta, arrays) for _, meta, arrays in shards)
+
+
+#: name -> (config, graph, ``run_louvain`` keywords of the first run, a
+#: predicate over the run's ``(manifest, meta, arrays)`` shards proving
+#: the state field the case is there for is live in some checkpoint).
+#: Together the cases exercise every field of the run state.
+RESUME_CASES = {
+    "baseline": (LouvainConfig(seed=1), _graph, {}, None),
+    "etc": (
+        LouvainConfig(variant=Variant.ETC, alpha=0.25, seed=1), _graph, {},
+        _any(lambda meta, arrays: "et_rng_state" in meta),
+    ),
+    # Reaches threshold cycling's forced final pass with ET's RNG live.
+    "et+tc": (
+        LouvainConfig(variant=Variant.ET_TC, alpha=0.25, seed=1), _graph, {},
+        _any(
+            lambda meta, arrays: meta["in_final_pass"]
+            and "et_rng_state" in meta
+        ),
+    ),
+    "tracked": (
+        LouvainConfig(seed=1, track_assignments=True), _graph, {},
+        lambda shards: {
+            meta["rank"] for _, meta, _ in shards
+            if meta.get("num_phase_assignments")
+        } == {0},
+    ),
+    # ``orig_slice`` folded through the pre-merge before phase 0.
+    "vf+leiden": (
+        LouvainConfig(seed=1, vertex_following=True, refine="leiden"),
+        _leafy_graph, {},
+        _any(
+            lambda meta, arrays: meta["phase"] == 0
+            and arrays["offsets"][-1] < _leafy_graph().num_vertices
+        ),
+    ),
+    # ``initial_assignment`` rides the phase-0 checkpoint.
+    "warm": (
+        LouvainConfig(seed=1), _graph,
+        {"initial_assignment": np.arange(48) // 2},
+        _any(lambda meta, arrays: "seed_assignment" in arrays),
+    ),
+}
 
 
 def _flip(path):
@@ -303,12 +380,13 @@ class TestDeltaCheckpoints:
             CheckpointManager.__init__.__kwdefaults__, "keep", 0
         )
 
-    def _run(self, tmp_path, p=2, cfg=None):
+    def _run(self, tmp_path, p=2, cfg=None, g=None, **kwargs):
         """One checkpoint per iteration, none pruned (needs keep_all)."""
-        g, cfg = _graph(), cfg or _config()
+        g, cfg = g or _graph(), cfg or _config()
         d = tmp_path / "all"
         ref = run_louvain(
-            g, p, cfg, checkpoint_dir=str(d), checkpoint_every_iterations=1
+            g, p, cfg, checkpoint_dir=str(d), checkpoint_every_iterations=1,
+            **kwargs,
         )
         manifests = [m for _, m, _ in scan_checkpoints(str(d))]
         assert None not in manifests
@@ -322,16 +400,20 @@ class TestDeltaCheckpoints:
             shutil.copytree(src / name, d / name)
         return d
 
-    @pytest.mark.parametrize("variant", ["baseline", "etc"])
+    @pytest.mark.parametrize("variant", list(RESUME_CASES))
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_resume_from_every_checkpoint(self, tmp_path, keep_all, p, variant):
-        cfg = {
-            "baseline": LouvainConfig(seed=1),
-            "etc": LouvainConfig(variant=Variant.ETC, alpha=0.25, seed=1),
-        }[variant]
-        g, cfg, src, ref, manifests = self._run(tmp_path, p, cfg)
+        cfg, graph, first_run, live = RESUME_CASES[variant]
+        g, cfg, src, ref, manifests = self._run(
+            tmp_path, p, cfg, graph(), **first_run
+        )
         kinds = {(m.kind, m.base is None) for m in manifests}
         assert kinds == {("phase", True), ("iteration", False)}
+        if live is not None:
+            assert live([
+                (m, *load_shard(m, rank))
+                for m in manifests for rank in range(p)
+            ])
         reopened = 0
         for k, m in enumerate(manifests):
             d = self._upto(tmp_path, src, manifests, k)
@@ -344,6 +426,12 @@ class TestDeltaCheckpoints:
             assert res.modularity == ref.modularity
             assert res.iterations == ref.iterations
             assert res.phases == ref.phases
+            if cfg.track_assignments:
+                assert len(res.phase_assignments) == len(ref.phase_assignments)
+                for got, want in zip(
+                    res.phase_assignments, ref.phase_assignments
+                ):
+                    np.testing.assert_array_equal(got, want)
             # A resumed run cannot lean on the dead run's base: whatever
             # it cuts first is full, even mid-phase.
             cut = [x for _, x, _ in scan_checkpoints(str(d))][k + 1:]
@@ -518,3 +606,148 @@ class TestDeltaCheckpoints:
         assert any(
             isinstance(c, NoCheckpointError) for c in exc.value.causes.values()
         )
+
+
+def _same(a, b):
+    """Field-value equality strict enough for bit-identical resumes."""
+    if isinstance(a, np.ndarray):
+        return (
+            isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and np.array_equal(a, b)
+        )
+    if isinstance(a, list):
+        return (
+            isinstance(b, list)
+            and len(a) == len(b)
+            and all(_same(x, y) for x, y in zip(a, b))
+        )
+    if isinstance(a, np.random.Generator):
+        return a.random(8).tolist() == b.random(8).tolist()
+    if isinstance(a, DistGraph):
+        return type(b) is DistGraph and all(
+            _same(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a)
+            if not f.name.startswith("_")
+        )
+    if isinstance(a, EarlyTermination):
+        return type(b) is EarlyTermination and vars(a).keys() == vars(
+            b
+        ).keys() and all(_same(v, vars(b)[k]) for k, v in vars(a).items())
+    return type(a) is type(b) and a == b
+
+
+class TestStateRoundTrip:
+    """Every field of the two state classes has its place in a shard: a
+    field added to the state but not to ``louvain_state`` fails here,
+    not in a resumed run."""
+
+    CFG = LouvainConfig(variant=Variant.ET, alpha=0.4, et_inactive_floor=0.05, seed=5)
+
+    def _populated(self):
+        """A (run, iteration) state pair with no field at its default."""
+        rank, phase = 1, 3
+        dg = DistGraph(
+            offsets=np.array([0, 3, 7]),
+            rank=rank,
+            index=np.array([0, 2, 3, 5, 6]),
+            edges=np.array([0, 4, 3, 1, 6, 5]),
+            weights=np.array([1.5, 2.0, 0.25, 1.0, 3.0, 0.125]),
+            total_weight=15.75,
+        )
+        iteration = IterationStats(
+            phase=2, iteration=0, modularity=0.1 + 0.2, moves=7,
+            active_fraction=1 / 3, inactive_fraction=0.0,
+        )
+        run = RunState(
+            dg=dg,
+            orig_slice=np.array([2, 2, 0, 1, 1]),
+            phase=phase,
+            prev_mod=0.1 + 0.7,
+            final_mod=1 / 7,
+            phases=[PhaseStats(
+                phase=2, tau=1e-3, num_iterations=1, modularity=0.1 + 0.2,
+                num_vertices=9, num_edges=14, exited_by_inactive=True,
+                ghost_fraction=2 / 9,
+            )],
+            iterations=[iteration],
+            in_final_pass=True,
+            seed_assignment=np.array([3, 3, 5, 6]),
+            phase_assignments=[np.array([0, 0, 1, 2, 2, 1, 0])],
+        )
+        et = EarlyTermination(4, self.CFG, make_rank_rng(self.CFG.seed, rank, phase))
+        et.update(et.draw_active())
+        state = IterationState(
+            local_comm=np.array([3, 3, 5, 3]),
+            tot_owned=np.array([6.5, 0.0, 3.125, 0.0]),
+            size_owned=np.array([3, 0, 1, 0]),
+            et=et,
+            iteration=4,
+            prev_q=1 / 3,
+            q=0.1 + 0.25,
+            stats=[replace(iteration, phase=phase, iteration=i)
+                   for i in range(5)],
+        )
+        return run, state
+
+    def _round_trip(self, run, state, clock):
+        meta, arrays = pack_phase_state(run)
+        it_meta, it_arrays = pack_iteration_state(clock, state)
+        # (merged as CheckpointManager.save merges a full checkpoint)
+        blob = _serialize_shard({**meta, **it_meta}, {**arrays, **it_arrays})
+        return unpack_rank_state(
+            run.dg.rank, *_deserialize_shard(blob), self.CFG
+        )
+
+    def test_every_field_comes_back(self):
+        run, state = self._populated()
+        run2, state2, clock = self._round_trip(run, state, 0.1 + 0.02)
+        assert clock == 0.1 + 0.02
+        for obj, back in ((run, run2), (state, state2)):
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                if f.default is not dataclasses.MISSING:
+                    assert not _same(value, f.default), (
+                        f"{f.name}: populate it with a non-default value"
+                    )
+                elif f.default_factory is not dataclasses.MISSING:
+                    assert not _same(value, f.default_factory()), f.name
+                assert _same(value, getattr(back, f.name)), (
+                    f"{type(obj).__name__}.{f.name} did not survive "
+                    "pack -> serialize -> deserialize -> unpack"
+                )
+
+    def test_fresh_state_comes_back(self):
+        """The defaults too: -inf, no seed, no tracking, no ET, and no
+        iteration state at a phase boundary."""
+        populated, _ = self._populated()
+        run = RunState(dg=populated.dg, orig_slice=populated.orig_slice)
+        run2, state2, clock = self._round_trip(run, None, 0.0)
+        assert state2 is None and clock == 0.0
+        for f in dataclasses.fields(run):
+            assert _same(getattr(run, f.name), getattr(run2, f.name)), f.name
+        assert run2.prev_mod == -np.inf
+        state = IterationState(
+            local_comm=np.arange(3, 7),
+            tot_owned=np.ones(4),
+            size_owned=np.ones(4, dtype=np.int64),
+            iteration=0,
+        )
+        _, state2, _ = self._round_trip(run, state, 0.0)
+        for f in dataclasses.fields(state):
+            assert _same(getattr(state, f.name), getattr(state2, f.name)), f.name
+        assert state2.prev_q == -np.inf and state2.et is None
+
+
+class TestOneResumePath:
+    """``manager.load_latest(comm)`` is the only way state comes back."""
+
+    def test_run_spmd_takes_no_restore_from(self, tmp_path):
+        with pytest.raises(TypeError, match="restore_from"):
+            run_spmd(1, lambda comm: None, restore_from=str(tmp_path))
+
+    def test_removed_names_do_not_import(self):
+        with pytest.raises(ImportError):
+            from repro.resilience import RestoredRank  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.runtime import split_communicator  # noqa: F401
