@@ -57,12 +57,12 @@ COLLECTIVE_METHODS = frozenset(
 #: --dump-helpers``; rule SPMD005 reports drift in either direction.
 COLLECTIVE_HELPERS = frozenset(
     {
+        "_answer_requests",
         "_apply_community_deltas",
         "_audit_phase",
         "_begin_phase",
         "_color_classes",
         "_component_labels",
-        "_exact_modularity",
         "_fetch_community_info",
         "_finish_phase",
         "_gather_result",
@@ -75,6 +75,7 @@ COLLECTIVE_HELPERS = frozenset(
         "_refine_phase",
         "_restore_run",
         "_save_checkpoint",
+        "_send_requests",
         "_split_flags",
         "_sweep_round",
         "_vertex_following_targets",
@@ -90,7 +91,6 @@ COLLECTIVE_HELPERS = frozenset(
         "load_latest",
         "louvain_phase_distributed",
         "merge_global",
-        "publish",
         "rebuild_distributed",
         "refine_communities",
         "remote_lookup",

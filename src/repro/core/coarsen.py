@@ -7,9 +7,10 @@ the paper — the seven numbered steps around Fig. 1:
 1. each rank counts/renumbers its *owned*, still-alive communities;
 2. owned communities used only by remote vertices are kept alive via a
    notification exchange (the stale-ID check of step 2);
-3. alive counts feed a parallel prefix sum (``exscan``) producing the
-   global renumbering base per rank;
-4. new ids are propagated back to every rank that uses them;
+3. alive counts are shared (one ``allgather``): the prefix sum giving
+   each rank's global renumbering base, and the total, are local;
+4. new ids are propagated back to every rank that uses them — the
+   notification of step 2 doubles as the request, so this is one reply;
 5. each rank translates its edges into partial meta-edge lists
    (intra-community entries become self loops);
 6. partial lists are redistributed so every rank owns an (almost) equal
@@ -111,21 +112,44 @@ def _lookup_sorted(
     what: str = "lookups",
 ) -> np.ndarray:
     """The one owner-routed lookup: values of ascending, duplicate-free
-    ``ids`` from the ranks that own them.
+    ``ids`` from the ranks that own them — :func:`_send_requests`, then
+    :func:`_answer_requests`."""
+    return _answer_requests(
+        comm, *_send_requests(comm, offsets, ids, category), local_lookup,
+        category, what,
+    )
 
-    Requests are slices of ``ids`` by owner, owners answer every request
-    — an empty one included — with ``local_lookup``, and the replies in
-    rank order, this rank answering its own slice in place, are the
-    values in ``ids`` order.  A reply holds one value per id along its
-    *last* axis (``(k,)`` new ids for the rebuild, ``(2, k)`` for the
-    community info), and is refused unless it is as long as its
-    request; ``what`` names the requests in that error.
-    """
+
+def _send_requests(
+    comm: Communicator, offsets: np.ndarray, ids: np.ndarray, category: str
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Requests are slices of ``ids`` by owner: deliver them and return
+    ``(cuts, this rank's own slice, the slices sent here)`` — the own
+    slice never touches the wire."""
     cuts = owner_cuts(offsets, ids)
     requests = [ids[cuts[r]:cuts[r + 1]] for r in range(comm.size)]
     mine = requests[comm.rank]
     requests[comm.rank] = ids[:0]
-    incoming = comm.alltoall(requests, category=category)
+    return cuts, mine, comm.alltoall(requests, category=category)
+
+
+def _answer_requests(
+    comm: Communicator,
+    cuts: np.ndarray,
+    mine: np.ndarray,
+    incoming: list[np.ndarray],
+    local_lookup,
+    category: str,
+    what: str = "lookups",
+) -> np.ndarray:
+    """Owners answer every request — an empty one included — with
+    ``local_lookup``, and the replies in rank order, this rank answering
+    its own slice in place, are the values in ``ids`` order.  A reply
+    holds one value per id along its *last* axis (``(k,)`` new ids for
+    the rebuild, ``(2, k)`` for the community info), and is refused
+    unless it is as long as its request; ``what`` names the requests in
+    that error.
+    """
     answers = comm.alltoall(
         [local_lookup(asked) for asked in incoming], category=category
     )
@@ -179,36 +203,26 @@ def rebuild_distributed(
 
     # A community (id == vertex id) is alive if any vertex anywhere
     # is assigned to it.  Used-here ids are sliced by owner; owners
-    # also learn about remote usage through the notification
-    # alltoall.
-    cuts = dg.cuts(used)
-    notify = [used[cuts[r]:cuts[r + 1]] for r in range(comm.size)]
-    mine_here = notify[comm.rank]
-    notify[comm.rank] = used[:0]
-    reported = comm.alltoall(notify, category="rebuild")
-    alive = sorted_unique(np.concatenate([mine_here] + list(reported)))
+    # learn about remote usage through the notification alltoall —
+    # also step 4's request: a rank needs the new ids of exactly the
+    # communities it reports.
+    cuts, mine_here, reported = _send_requests(
+        comm, dg.offsets, used, category="rebuild"
+    )
+    alive = sorted_unique(np.concatenate([mine_here] + reported))
     # (every id reported to us is owned by us by construction)
 
-    # --- step 3: global renumbering via parallel prefix sum --------
-    base = comm.exscan(len(alive), category="rebuild")
-    n_new = comm.allreduce(len(alive), category="rebuild")
-    new_ids = base + np.arange(len(alive), dtype=np.int64)
-
-    def lookup_owned(ids: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(alive, ids)
-        bad = (pos >= len(alive)) | (
-            alive[np.minimum(pos, max(len(alive) - 1, 0))] != ids
-        )
-        if np.any(bad):
-            raise KeyError(
-                f"rank {comm.rank}: asked for dead community ids "
-                f"{np.asarray(ids)[bad][:5].tolist()}"
-            )
-        return new_ids[pos]
+    # --- step 3: global renumbering: every rank's alive count ------
+    counts = comm.allgather(len(alive), category="rebuild")
+    n_new = sum(counts)
+    new_ids = sum(counts[:comm.rank]) + np.arange(len(alive), dtype=np.int64)
 
     # --- step 4: propagate new ids for every community used here ---
-    slot_new = _lookup_sorted(
-        comm, dg.offsets, used, lookup_owned, category="rebuild"
+    # (owners answer their notifications: all in ``alive``)
+    slot_new = _answer_requests(
+        comm, cuts, mine_here, reported,
+        lambda ids: new_ids[np.searchsorted(alive, ids)],
+        category="rebuild", what="new community ids",
     )[slot_of]
     local_new = slot_new[:dg.num_local]
 

@@ -37,7 +37,8 @@ class Variant(enum.Enum):
 
     @property
     def uses_inactive_exit(self) -> bool:
-        """ETC's extra collective: exit phase on global inactive count."""
+        """ETC's exit: end the phase on the global inactive count (which
+        rides the iteration's allreduce on every variant)."""
         return self is Variant.ETC
 
 

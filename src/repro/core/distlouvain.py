@@ -25,20 +25,23 @@ Phase loop (Algorithm 2, :func:`distributed_louvain`)
       iii. snapshot sweep: compute the best move for every active local
            vertex against the fetched state (lines 6-9; the shared
            kernel from :mod:`repro.core.sweep`);
-      iv.  push ``a_c``/size deltas of the moves to community owners,
-           who apply them (lines 10-11, category ``community_comm``),
-           and ship the new community of every moved vertex to the ranks
-           ghosting it (the iteration's one ghost exchange, category
-           ``ghost_comm``);
-      v.   one global allreduce combines the modularity partials, move
-           and activity counters (lines 12-13, category ``allreduce``);
-      vi.  tau test; plus ETC's extra inactive-count allreduce and its
-           90% exit when enabled (§IV-B(b)); then, the phase going on,
-           an optional checkpoint (:func:`_save_checkpoint`);
+      iv.  one personalised exchange carries everything the moves
+           changed, one message per peer: the ``a_c``/size deltas of the
+           communities that peer owns, which it applies (lines 10-11),
+           and the new community of every moved vertex it ghosts (the
+           next sweep's lines 4-5) — category ``community_comm``;
+      v.   one global allreduce combines the modularity partials with
+           the move, activity and inactive-vertex counters (lines 12-13,
+           category ``allreduce``);
+      vi.  tau test, and ETC's 90% exit on the inactive count the same
+           allreduce delivered (§IV-B(b)) — no variant adds a
+           collective; then, the phase going on, an optional checkpoint
+           (:func:`_save_checkpoint`);
 
-    * finish the phase (:func:`_finish_phase`): statistics, Leiden
-      refinement, audits, distributed graph reconstruction (§IV-A(b);
-      :mod:`~.coarsen`), exact Q, projection of the original vertices;
+    * finish the phase (:func:`_finish_phase`): Leiden refinement,
+      audits, distributed graph reconstruction (§IV-A(b);
+      :mod:`~.coarsen`), statistics and exact Q (one allreduce),
+      projection of the original vertices;
 
     and gather the assignment (:func:`_gather_result`).
 
@@ -53,8 +56,9 @@ the rank owning the same-numbered vertex, so owners keep *dense*
 of Algorithm 3.  Ownership is contiguous (§IV), so anything routed by
 owner — community requests, deltas, ghost updates — is an ascending id
 array cut into one slice per rank (:meth:`DistGraph.cuts`), and the
-replies, in rank order, are already in request order.  What a rank knows
-of the communities between exchanges lives in a per-phase
+replies, in rank order, are already in request order.  Whatever is ready
+at the same synchronisation point leaves in one message per peer.  What
+a rank knows of the communities between exchanges lives in a per-phase
 :class:`_CommunityView` that the rounds patch rather than rebuild.
 
 Consistency semantics are the paper's: within an iteration every rank
@@ -106,9 +110,10 @@ class _CommunityView:
     re-deriving it from the raw labels:
 
     * :attr:`values` — community of every ghost vertex (Algorithm 3,
-      lines 4-5).  :meth:`publish` ships only the values that changed; a
+      lines 4-5).  :meth:`publish` lists only the values that changed; a
       ghost copy of an unmoved vertex is already correct (the "further
-      sophistication" §IV-B(b) sketches).
+      sophistication" §IV-B(b) sketches).  The view itself never
+      communicates: the lists ride the round's one update exchange.
     * :attr:`ids` — every community id seen here this phase, ascending.
       It only grows: an id no vertex here holds any more costs one
       unused table row, while deleting it would renumber every slot.
@@ -153,28 +158,23 @@ class _CommunityView:
         self._send_cuts = np.concatenate([[0], np.cumsum(counts)])
 
     def publish(
-        self, comm: Communicator, local_comm: np.ndarray, moved: np.ndarray
-    ) -> None:
-        """The round's one ghost exchange: ship the new community of
-        every ``moved`` owned vertex to the ranks ghosting it and absorb
-        theirs.  Every rank participates, moves or not.  ``slot`` must
-        already hold the moved vertices' own new positions (the kernel
-        proposes in positions, so the caller has them for free)."""
+        self, local_comm: np.ndarray, moved: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """This round's label slices by destination rank: the
+        ``(vertex ids, new communities)`` of the ``moved`` owned
+        vertices each rank ghosts (empty for a rank that ghosts none of
+        them).  The caller ships them with the round's deltas
+        (:func:`_apply_community_deltas`) and hands what came back to
+        :meth:`absorb`.  ``slot`` must already hold the moved vertices'
+        own new positions (the kernel proposes in positions, so the
+        caller has them for free)."""
         sel = np.flatnonzero(moved[self.send_loc])
         cuts = np.searchsorted(sel, self._send_cuts)
         ids = self.send_ids[sel]
         values = local_comm[self.send_loc[sel]]
-        received = comm.alltoall(
-            [
-                (ids[a:b], values[a:b])
-                for a, b in zip(cuts[:-1], cuts[1:])
-            ],
-            category="ghost_comm",
-        )
-        self.absorb(
-            np.concatenate([ids for ids, _ in received]),
-            np.concatenate([values for _, values in received]),
-        )
+        return [
+            (ids[a:b], values[a:b]) for a, b in zip(cuts[:-1], cuts[1:])
+        ]
 
     def absorb(self, ghost_ids: np.ndarray, values: np.ndarray) -> None:
         """Ghost vertices ``ghost_ids`` now belong to communities
@@ -218,7 +218,10 @@ def _sweep_round(
     active: np.ndarray,
     config: LouvainConfig,
 ) -> tuple[np.ndarray, int]:
-    """Steps (i)-(iv) of one Louvain iteration for one active set.
+    """Steps (i)-(iv) of one Louvain iteration for one active set:
+    three exchanges — community-info request, reply, and after the
+    sweep one message per peer with the deltas it owns and the labels
+    it ghosts.
 
     Updates ``local_comm``, the owner-side ``tot_owned`` / ``size_owned``
     and ``view`` in place and returns ``(moved mask, moves)``;
@@ -273,20 +276,25 @@ def _sweep_round(
     )
     comm.charge_compute(res.pairs_evaluated + scanned + nloc)
 
-    # (iv) send community updates to owner processes (lines 10-11),
-    # duplicates pre-aggregated in the view's dense space.
+    # (iv) everything the moves changed, one message per peer: the
+    # a_c/|c| deltas of the communities it owns (lines 10-11;
+    # duplicates pre-aggregated in the view's dense space) and the new
+    # community of every moved vertex it ghosts (the next round's
+    # lines 4-5).
     moved = res.moved
     rows = np.flatnonzero(moved)
     new_dense = res.proposal[rows]
     deltas = aggregate_dense_deltas(ids, local_dense[rows], new_dense, k[rows])
     local_comm[rows] = ids[new_dense]
     local_dense[rows] = new_dense
-    _apply_community_deltas(
-        comm, dg, *deltas, tot_owned=tot_owned, size_owned=size_owned
+    labels = _apply_community_deltas(
+        comm, dg, *deltas, tot_owned=tot_owned, size_owned=size_owned,
+        labels=view.publish(local_comm, moved),
     )
-    # ... and the moved vertices' new communities to the ranks ghosting
-    # them: the round's one ghost exchange.
-    view.publish(comm, local_comm, moved)
+    view.absorb(
+        np.concatenate([vertices for vertices, _ in labels]),
+        np.concatenate([values for _, values in labels]),
+    )
     return moved, len(rows)
 
 
@@ -460,10 +468,12 @@ def _iterate(
     config: LouvainConfig,
     phase: int,
 ) -> bool:
-    """Iteration ``it`` of a phase: sweep rounds, the modularity
-    allreduce, the exit tests.  Updates ``state`` in place (labels,
-    C_info, ET, ``q``, one more ``stats`` row) and returns whether
-    ETC's inactive-fraction exit fired; the tau test is the caller's.
+    """Iteration ``it`` of a phase: sweep rounds, then the iteration's
+    one allreduce (modularity partials and the global move / active /
+    inactive counts, the same 5-vector on every variant), then the exit
+    tests on its result.  Updates ``state`` in place (labels, C_info,
+    ET, ``q``, one more ``stats`` row) and returns whether ETC's
+    inactive-fraction exit fired; the tau test is the caller's.
     """
     nloc = dg.num_local
     n_global = dg.num_global_vertices
@@ -504,48 +514,46 @@ def _iterate(
     local_in = float(dg.weights.compress(intra).sum())
     comm.charge_compute(dg.num_local_entries)
     local_inactive = et.update(moved) if et is not None else 0
-    # a_c^2 is summed *before* dividing by w^2 (like _exact_modularity)
-    # so the reduction is exact for integer weights — the per-rank
-    # grouping of communities then cannot perturb Q, which keeps every
-    # rank count and input partition bit-identical.
+    # a_c^2 is summed *before* dividing by w^2 (like _record_phase's
+    # exact Q) so the reduction is exact for integer weights — the
+    # per-rank grouping of communities then cannot perturb Q, which
+    # keeps every rank count and input partition bit-identical.  The
+    # three counts ride along: below 2**53 they sum exactly in float64
+    # in any order.
     partial = np.array(
         [
             local_in,
             float(np.square(state.tot_owned).sum()),
             float(moves),
             float(active.sum()),
+            float(local_inactive),
         ]
     )
     total = comm.allreduce(partial, category="allreduce")
     state.q = (
-        total[0] / w - config.resolution * total[1] / (w * w)
+        float(total[0] / w - config.resolution * total[1] / (w * w))
         if w > 0
         else 0.0
     )
 
-    # (vi) exit tests.
-    exited_by_inactive = False
-    inactive_fraction = 0.0
-    if config.variant.uses_inactive_exit:
-        # ETC's extra remote communication: global inactive count.
-        global_inactive = comm.allreduce(local_inactive, category="allreduce")
-        inactive_fraction = global_inactive / n_global if n_global else 0.0
-        exited_by_inactive = inactive_fraction >= config.etc_exit_fraction
-    elif et is not None:
-        # ET tracks only its local view (no extra collective).
-        inactive_fraction = et.inactive_fraction()
+    # (vi) exit tests, all on replicated values: ETC's is on the global
+    # inactive count the allreduce just delivered (§IV-B(b)).
+    inactive_fraction = float(total[4] / n_global) if n_global else 0.0
     state.stats.append(
         IterationStats(
             phase=phase,
             iteration=it,
             modularity=state.q,
             moves=int(total[2]),
-            active_fraction=(total[3] / n_global) if n_global else 1.0,
+            active_fraction=float(total[3] / n_global) if n_global else 1.0,
             inactive_fraction=inactive_fraction,
         )
     )
     state.iteration = it
-    return exited_by_inactive
+    return (
+        config.variant.uses_inactive_exit
+        and inactive_fraction >= config.etc_exit_fraction
+    )
 
 
 def _fetch_community_info(
@@ -624,27 +632,35 @@ def _apply_community_deltas(
     dsize: np.ndarray,
     tot_owned: np.ndarray,
     size_owned: np.ndarray,
-) -> None:
+    labels: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> list[tuple[np.ndarray, ...]]:
     """Route aggregated (a_c, |c|) deltas of this rank's moves
     (:func:`aggregate_deltas`: ``ids`` ascending and duplicate-free) to
-    the community owners, who apply them.
+    the community owners, who apply them in source-rank order.
 
-    Every rank participates in the exchange even with zero moves (the
-    collective is unconditional in Algorithm 3).
+    ``labels`` — one tuple of arrays per destination rank, a sweep
+    round's :meth:`_CommunityView.publish` — leaves in the same message
+    as that rank's delta slice; returns what each rank sent here beside
+    its deltas, in rank order.  One exchange, charged to
+    ``community_comm``; every rank participates even with zero moves
+    (the collective is unconditional in Algorithm 3).
     """
     cuts = dg.cuts(ids)
+    if labels is None:
+        labels = [()] * comm.size
     received = comm.alltoall(
         [
-            (ids[a:b], dtot[a:b], dsize[a:b])
-            for a, b in zip(cuts[:-1], cuts[1:])
+            (ids[a:b], dtot[a:b], dsize[a:b], *extra)
+            for a, b, extra in zip(cuts[:-1], cuts[1:], labels)
         ],
         category="community_comm",
     )
-    for rids, rtot, rsize in received:
+    for rids, rtot, rsize, *_ in received:
         if len(rids):
             loc = dg.to_local(rids)
             np.add.at(tot_owned, loc, rtot)
             np.add.at(size_owned, loc, rsize)
+    return [message[3:] for message in received]
 
 
 def distributed_louvain(
@@ -922,11 +938,10 @@ def _finish_phase(
     config: LouvainConfig,
     cycler: ThresholdCycler | None,
 ) -> bool:
-    """Close phase ``run.phase`` — stats, refinement, audits, graph
-    rebuild, exact Q, projection, tracking — and advance ``run`` to the
-    next one; returns whether there is a next one."""
+    """Close phase ``run.phase`` — refinement, audits, graph rebuild,
+    stats and exact Q, projection, tracking — and advance ``run`` to
+    the next one; returns whether there is a next one."""
     state = out.state
-    _record_phase(comm, run, out, tau)
     if config.refine == "leiden":
         _refine_phase(comm, run.dg, out)
     if config.validate_invariants:
@@ -935,11 +950,7 @@ def _finish_phase(
     new_dg, local_new = rebuild_distributed(
         comm, run.dg, state.local_comm, out.ghost_comm
     )
-    # The per-iteration modularity is computed against the stale ghost
-    # view (the paper's semantics).  The coarsened graph gives the
-    # *exact* value for free: meta self-loops are in_c and meta degrees
-    # are a_c, both fully synchronised after the rebuild.
-    run.final_mod = _exact_modularity(comm, new_dg, config.resolution)
+    _record_phase(comm, run, out, tau, new_dg, config.resolution)
     _project(comm, run, local_new)
     if config.track_assignments:
         gathered = comm.gather(run.orig_slice, root=0, category="other")
@@ -961,19 +972,42 @@ def _finish_phase(
 
 
 def _record_phase(
-    comm: Communicator, run: RunState, out: _PhaseOutcome, tau: float
+    comm: Communicator,
+    run: RunState,
+    out: _PhaseOutcome,
+    tau: float,
+    new_dg: DistGraph,
+    resolution: float,
 ) -> None:
     """Append the finished phase's iterations and its
-    :class:`PhaseStats` to the run's history."""
+    :class:`PhaseStats` to the run's history and set ``run.final_mod``
+    to the phase's exact Q — one small allreduce for both.
+
+    The per-iteration modularity is computed against the stale ghost
+    view (the paper's semantics).  The coarsened graph ``new_dg`` gives
+    the *exact* value for free: each meta vertex's self loop carries the
+    intra-community weight (in_c) and its degree is the community's
+    incident weight (a_c), both fully synchronised after the rebuild.
+    """
     dg, stats = run.dg, out.state.stats
     run.iterations.extend(stats)
     # Achieved layout quality of the graph this phase ran on: the
-    # cross-rank fraction of stored adjacency entries.  One small
-    # allreduce, which also totals the stored entries.
-    cross = int(np.count_nonzero(~dg.is_owned(dg.edges)))
-    cross_total = comm.allreduce(
-        np.array([cross, dg.num_local_entries], dtype=np.int64),
-        category="allreduce",
+    # cross-rank fraction of stored adjacency entries, beside their
+    # total.  Counts sum exactly in float64, so they share the vector.
+    partial = np.array(
+        [
+            float(np.count_nonzero(~dg.is_owned(dg.edges))),
+            float(dg.num_local_entries),
+            float(new_dg.local_self_loops().sum()),
+            float(np.square(new_dg.local_degrees()).sum()),
+        ]
+    )
+    cross, entries, in_c, sq_a_c = comm.allreduce(
+        partial, category="allreduce"
+    )
+    w = dg.total_weight
+    run.final_mod = (
+        float(in_c / w - resolution * sq_a_c / (w * w)) if w > 0 else 0.0
     )
     run.phases.append(
         PhaseStats(
@@ -983,13 +1017,9 @@ def _record_phase(
             modularity=out.state.q,
             num_vertices=dg.num_global_vertices,
             # stored entries ~ 2 per edge
-            num_edges=int(cross_total[1]) // 2,
+            num_edges=int(entries) // 2,
             exited_by_inactive=out.exited_by_inactive,
-            ghost_fraction=(
-                float(cross_total[0] / cross_total[1])
-                if cross_total[1]
-                else 0.0
-            ),
+            ghost_fraction=float(cross / entries) if entries else 0.0,
         )
     )
 
@@ -1042,29 +1072,6 @@ def _audit_phase(comm: Communicator, dg: DistGraph, out: _PhaseOutcome) -> None:
     audit_ghost_coherence(
         comm, dg, state.local_comm, out.ghost_comm
     ).raise_if_failed()
-
-
-def _exact_modularity(
-    comm: Communicator, dg: DistGraph, resolution: float = 1.0
-) -> float:
-    """Exact Q of the singleton partition of ``dg``.
-
-    On a freshly coarsened graph this is the exact modularity of the
-    phase's final communities: each meta vertex's self loop carries the
-    intra-community weight (in_c) and its degree is the community's
-    incident weight (a_c).  One small allreduce.
-    """
-    w = dg.total_weight
-    if w <= 0:
-        # total_weight is replicated at distribution time, so every rank
-        # agrees on this exit.
-        return 0.0  # spmdlint: ignore[SPMD002]
-    partial = np.array(
-        [float(dg.local_self_loops().sum()),
-         float(np.square(dg.local_degrees()).sum())]
-    )
-    total = comm.allreduce(partial, category="allreduce")
-    return float(total[0] / w - resolution * total[1] / (w * w))
 
 
 def _project(comm: Communicator, run: RunState, local_new: np.ndarray) -> None:

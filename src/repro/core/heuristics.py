@@ -7,12 +7,10 @@
   Eq. 3: ``P(v,k) = P(v,k-1) * (1 - alpha)`` while ``v``'s community is
   unchanged, reset to 1 on a move; permanently inactive below the 2%
   floor.  ETC additionally exits a phase when >= 90% of vertices are
-  inactive globally (one extra allreduce).
+  inactive globally (the count rides the iteration's allreduce).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,19 +46,11 @@ class ThresholdCycler:
         self._final_pass = True
 
 
-@dataclass
-class ETDecision:
-    """Outcome of one ET update step."""
-
-    active: np.ndarray  # bool mask: participates this iteration
-    inactive_count: int  # permanently inactive vertices (local)
-
-
 class EarlyTermination:
     """Per-vertex activity state for one phase (Eq. 3).
 
-    The state is local to a rank (vertex activity needs no communication;
-    only ETC's exit test does).  Deterministic given the seed.
+    The state is local to a rank (vertex activity needs no
+    communication of its own).  Deterministic given the seed.
     """
 
     def __init__(

@@ -13,8 +13,8 @@ ranks run as threads, each holding a :class:`Communicator`, and talk via
   paper lists as future work (§VI), and a fused request/reply
   ``exchange_roundtrip``.
   The algorithm itself uses allreduce, alltoall, bcast, allgather,
-  gather, exscan, barrier and send/recv; ``reduce``,
-  ``scatter``, ``scan``, ``sendrecv``, ``neighbor_alltoall`` and
+  gather, barrier and send/recv; ``reduce``, ``scatter``, ``scan``,
+  ``exscan``, ``sendrecv``, ``neighbor_alltoall`` and
   ``exchange_roundtrip`` have no caller outside the tests and stay only
   because the end-to-end benchmark's span table names them.
 

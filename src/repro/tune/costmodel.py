@@ -6,17 +6,19 @@ with a closed-form estimate built from the same
 :class:`~repro.runtime.perfmodel.MachineModel` cost primitives the
 simulator charges, then measures only the most promising few.
 
-The model mirrors the per-iteration structure of Algorithm 3:
+The model mirrors the per-iteration structure of Algorithm 3 — what
+leaves at each synchronisation point is one message per peer:
 
 * local ΔQ sweep over the rank's adjacency entries (``compute``);
-* ghost community exchange — one personalized exchange whose volume is
-  the changed share of the cross-rank entry fraction the featurizer
-  measured (``ghost_comm``);
-* community-info exchange — the three alltoallv legs of the paper's
-  pull protocol, each priced by what it carries: ids out, ``(a_c, |c|)``
-  back, deltas of the changed share to the owners (``community_comm``);
-* the modularity/counters allreduce, doubled for ETC's extra
-  inactive-count vote (``allreduce``);
+* community-info exchange — the three alltoallv legs of a sweep round,
+  each priced by what it carries: ids out, ``(a_c, |c|)`` back, and
+  after the sweep the deltas of the changed share to the owners with
+  the changed ghost labels in the same message (``community_comm``);
+* the iteration's one allreduce — modularity partials and the move,
+  activity and inactive counters, the same vector on every variant
+  (``allreduce``);
+* once per phase, the ghost plan and the full exchange of the ghost
+  vertices' starting communities (``ghost_comm``);
 
 plus per-phase graph reconstruction and one-time ingest.  Variant
 effects enter as *work multipliers*: ET deactivates vertices (stronger
@@ -48,17 +50,27 @@ _INPUT_ENTRY_BYTES = 20
 #: Per-phase shrink factor of the coarsened graph (empirically the
 #: rebuilt graph keeps ~20-30% of the previous phase's edges).
 _PHASE_SHRINK = 0.25
-#: Payload shrink of the per-round ghost exchange (unmoved vertices skip).
+#: Iterations of a phase relative to the one before it: the coarsened
+#: graph starts closer to its optimum (on the four benchmark workloads
+#: phases run 17-22, 5-15, 2-6, 2-5 iterations), down to the two any
+#: phase needs to see that nothing moves.
+_ITERATION_DECAY = 0.5
+_MIN_ITERATIONS = 2.0
+#: Share of a round's records that changed (unmoved vertices and
+#: untouched communities ship nothing).
 _DELTA_PAYLOAD_FACTOR = 0.45
-#: Bytes per referenced community on each leg of the pull protocol: the
-#: request ships ids, the reply (a_c, |c|) pairs, the delta leg
-#: (id, da_c, d|c|) records for the share that changed.
-_COMMUNITY_LEG_BYTES = (8.0, 16.0, 24.0 * _DELTA_PAYLOAD_FACTOR)
+#: Bytes per referenced community on each leg of a sweep round: the
+#: request ships ids, the reply (a_c, |c|) pairs, the closing leg the
+#: (id, da_c, d|c|) records and the ghost labels of the share that
+#: changed, one message per peer.
+_COMMUNITY_LEG_BYTES = (
+    8.0, 16.0, (24.0 + _GHOST_ENTRY_BYTES) * _DELTA_PAYLOAD_FACTOR
+)
 #: Per-color-class sweep-round overhead of coloring-ordered sweeps.
 #: Coloring buys modularity (independent sets move on fresh neighbour
 #: state), never time: every iteration runs one synchronised sweep
 #: round per color class, each paying its own scan/bookkeeping pass and
-#: its own ghost/community legs.  The measured simulator shows colored
+#: its own community legs.  The measured simulator shows colored
 #: runs 1.5-4x slower even at one rank, so the model must rank coloring
 #: as strictly more expensive everywhere.  That is why coloring is not a
 #: search axis: it is priced only when the caller's base config asks
@@ -85,10 +97,11 @@ class CostEstimate:
 
 
 def _iterations_per_phase(features: GraphFeatures) -> float:
-    """Baseline move-phase iteration count: grows slowly with size."""
+    """Baseline iteration count of the first phase: grows slowly with
+    size (later phases: ``_ITERATION_DECAY``)."""
     import math
 
-    return 8.0 + 2.0 * math.log10(features.num_vertices + 10.0)
+    return 11.0 + 2.0 * math.log10(features.num_vertices + 10.0)
 
 
 def _phase_count(features: GraphFeatures) -> int:
@@ -132,6 +145,24 @@ def _variant_factors(
     return work, iters
 
 
+def _rebuild_cost(machine: MachineModel, entries: float, p: int) -> float:
+    """One §IV-A(b) reconstruction of a graph of ``entries`` per rank:
+    the translation pass, five exchanges (notification-and-request,
+    reply, meta edges, the projection's request and reply) and the
+    alive-count allgather.  Only the meta edges carry volume: the
+    partial lists are pre-summed, so about the next phase's entries
+    move (none of them, on a single rank)."""
+    moved = (
+        int(entries * _PHASE_SHRINK * _REBUILD_ENTRY_BYTES) if p > 1 else 0
+    )
+    return (
+        machine.compute_cost(entries)
+        + machine.alltoallv_cost(moved, moved, p, rank=0)
+        + 4.0 * machine.alltoallv_cost(0, 0, p, rank=0)
+        + machine.allgather_cost(8, p)
+    )
+
+
 def predict_cost(
     features: GraphFeatures,
     candidate: Candidate,
@@ -146,7 +177,7 @@ def predict_cost(
     entries_per_rank = input_entries_per_rank
     gf = features.ghost_fraction_at(p)
     work_factor, iter_factor = _variant_factors(config, features)
-    iters = _iterations_per_phase(features) * iter_factor
+    first_iters = _iterations_per_phase(features) * iter_factor
     phases = _phase_count(features)
 
     # Vertex following merges the degree-one population away before
@@ -162,7 +193,7 @@ def predict_cost(
 
     # Coloring-ordered sweeps: one synchronised sweep round per color
     # class inside each iteration — per-round scan overhead on the
-    # compute side, per-round ghost/community legs on the comm side,
+    # compute side, per-round community legs on the comm side,
     # plus the one-time distance-1 coloring itself.  The class count
     # grows with density.
     colors = 1.0
@@ -175,42 +206,49 @@ def predict_cost(
     compute = ghost = community = allreduce = rebuild = 0.0
     refine = 0.0
     if vertex_following:
-        # The pre-coarsening: a rebuild-sized alltoallv on the *input*
-        # graph plus the owner-routed neighbour-degree lookup.
-        vf_bytes = int(input_entries_per_rank * _REBUILD_ENTRY_BYTES)
-        rebuild += machine.alltoallv_cost(
-            vf_bytes, vf_bytes, p, rank=0
-        ) + machine.allreduce_cost(64, p)
+        # The pre-coarsening, all on the *input* graph: the leaves'
+        # owner-routed neighbour-degree lookup (request, reply), a ghost
+        # plan and exchange of its own (one scan, two exchanges), then
+        # a rebuild.
+        rebuild += (
+            machine.compute_cost(input_entries_per_rank)
+            + 4.0 * machine.alltoallv_cost(0, 0, p, rank=0)
+            + _rebuild_cost(machine, input_entries_per_rank, p)
+        )
     size = 1.0  # relative size of the current phase's graph
     for k in range(phases):
         e = entries_per_rank * size
+        iters = max(first_iters * _ITERATION_DECAY**k, _MIN_ITERATIONS)
         per_iter_compute = machine.compute_cost(e * work_factor)
 
-        ghost_bytes = gf * e * _GHOST_ENTRY_BYTES * _DELTA_PAYLOAD_FACTOR
-        per_iter_ghost = machine.alltoallv_cost(
-            int(ghost_bytes), int(ghost_bytes), p, rank=0
+        # One exchange of a value per ghost vertex.  A phase has two
+        # outside its rounds' own messages — the plan's ids after a
+        # scan of the entries, then the starting communities (a single
+        # rank has no ghosts to plan for).
+        ghost_bytes = int(gf * e * _GHOST_ENTRY_BYTES / 2)
+        ghost_exchange = machine.alltoallv_cost(
+            ghost_bytes, ghost_bytes, p, rank=0
         )
+        if p > 1:
+            ghost += machine.compute_cost(e) + 2.0 * ghost_exchange
 
         per_iter_community = 0.0
         for nbytes in _COMMUNITY_LEG_BYTES:
             leg = int(gf * e * nbytes)
             per_iter_community += machine.alltoallv_cost(leg, leg, p, rank=0)
-        per_iter_allreduce = machine.allreduce_cost(64, p)
-        if config.variant.uses_inactive_exit:
-            per_iter_allreduce += machine.allreduce_cost(16, p)
 
         compute += iters * per_iter_compute
-        # Each color class pays its own ghost exchange and community
-        # round trip inside one iteration; the end-of-iteration
-        # allreduce stays single.
-        ghost += iters * per_iter_ghost * colors
+        # Each color class pays its own three legs inside one
+        # iteration; the end-of-iteration allreduce stays single, and
+        # the phase adds one (its statistics and exact Q).
         community += iters * per_iter_community * colors
-        allreduce += iters * per_iter_allreduce
+        allreduce += (iters + 1.0) * machine.allreduce_cost(64, p)
         if config.use_coloring:
             # One distance-1 coloring per phase: a few conflict-
-            # resolution sweeps over the adjacency, each with a
-            # convergence vote.
+            # resolution sweeps over the adjacency, each with an
+            # exchange of the ghosts' colours and a convergence vote.
             compute += machine.compute_cost(3.0 * e)
+            ghost += 3.0 * ghost_exchange
             allreduce += 3.0 * machine.allreduce_cost(16, p)
 
         if config.refine == "leiden":
@@ -218,7 +256,7 @@ def predict_cost(
             # (ghost exchange + convergence vote each) plus the
             # owner-routed split census and label-clash audit.
             refine += _REFINE_ROUNDS * (
-                per_iter_ghost + machine.allreduce_cost(8, p)
+                ghost_exchange + machine.allreduce_cost(8, p)
             ) + 2.0 * machine.alltoallv_cost(
                 int(gf * e * _GHOST_ENTRY_BYTES),
                 int(gf * e * _GHOST_ENTRY_BYTES),
@@ -226,10 +264,7 @@ def predict_cost(
                 rank=0,
             )
 
-        rebuild_bytes = int(e * _REBUILD_ENTRY_BYTES)
-        rebuild += machine.alltoallv_cost(
-            rebuild_bytes, rebuild_bytes, p, rank=0
-        ) + machine.allreduce_cost(64, p)
+        rebuild += _rebuild_cost(machine, e, p)
         size *= _PHASE_SHRINK
 
     io = machine.io_cost(input_entries_per_rank * _INPUT_ENTRY_BYTES)

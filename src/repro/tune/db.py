@@ -36,7 +36,10 @@ from .features import GraphFeatures, feature_distance
 #: v1 plans and nearest-neighbour distances do not carry over.
 #: v3: configs lost the ghost-transport switch; v2 plans name it.
 #: v4: configs lost the owner-push switch; v3 plans name it.
-DB_FORMAT_VERSION = 4
+#: v5: a sweep round is three exchanges and an iteration one allreduce;
+#: v4 records hold seconds (predicted, measured, per trial) of the old
+#: schedule, which must not be ranked against new ones.
+DB_FORMAT_VERSION = 5
 
 #: Default feature-space radius inside which a neighbour's plan is
 #: considered transferable.  Vector axes are normalised to ~unit scale

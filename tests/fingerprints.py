@@ -1,9 +1,16 @@
-"""Whole-run fingerprints: one SHA-256 per ``run_louvain`` call.
+"""Whole-run fingerprints: two SHA-256 digests per ``run_louvain`` call.
 
-A digest covers everything a refactor of ``core/``, ``graph/`` or
-``runtime/`` must leave alone: the assignment, every iteration's Q, the
-final Q, the modelled clock, and the messages, bytes and collective
-counts of the run.  Two uses:
+* the **outcome** digest (:func:`outcome_digest`) covers what no
+  refactor or re-scheduling of ``core/``, ``graph/`` or ``runtime/`` may
+  move: the assignment, every iteration's Q and move count, the final Q,
+  and every phase's ``num_edges`` / ``ghost_fraction``;
+* the **cost** digest (:func:`cost_digest`) covers what a change of the
+  communication schedule moves on purpose: the modelled clock, and the
+  messages, bytes and collective counts of the run.
+
+Floats are hashed by value (``float.hex``), so a digest depends neither
+on numpy's ``repr`` nor on whether a number is an ``np.float64`` or a
+``float`` (one unpacked from a checkpoint).  Two uses:
 
 * ``tests/test_core_fingerprints.py`` checks :func:`pinned_rows` against
   ``tests/data/run_fingerprints.json``.  Those rows keep the generators'
@@ -14,9 +21,12 @@ counts of the run.  Two uses:
   from an algorithm change.
 * ``PYTHONPATH=src python -m tests.fingerprints`` prints the full table
   (:func:`full_rows`: ET / ETC, fractional weights, p ∈ {3, 7} and one
-  killed-then-resumed run per graph on top) for diffing a change against
-  a clone of its parent — drop a copy of this file into the clone.
-  ``--write-pins`` regenerates the JSON file.
+  killed-then-resumed run per graph on top — each resumed run's outcome
+  digest must equal its uninterrupted run's) for diffing a change
+  against a clone of its parent — drop a copy of this file into the
+  clone; ``--against FILE`` does the diff, one count per digest.
+  ``--write-pins`` regenerates the JSON file, ``--write-pins cost`` only
+  its cost digests.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import os
 import sys
 import tempfile
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -62,6 +72,13 @@ RESUME_CONFIG = LouvainConfig(variant=Variant.ET_TC, alpha=0.25, seed=3)
 KILL_AT_OP = 150
 
 
+class Row(NamedTuple):
+    key: str
+    graph: str
+    outcome: str
+    cost: str
+
+
 @lru_cache(maxsize=None)
 def graph(name: str, weights: str = "integer") -> CSRGraph:
     g = make_graph(name, scale="tiny", seed=1)
@@ -75,17 +92,7 @@ def graph(name: str, weights: str = "integer") -> CSRGraph:
     return CSRGraph(index=g.index, edges=g.edges, weights=g.weights * frac)
 
 
-def run_digest(result: LouvainResult) -> str:
-    """SHA-256 over what a bit-identical run must reproduce."""
-    trace = result.trace
-    parts = [
-        np.ascontiguousarray(result.assignment, dtype=np.int64).tobytes(),
-        repr([repr(it.modularity) for it in result.iterations]).encode(),
-        repr(result.modularity).encode(),
-        repr(result.elapsed).encode(),
-        repr((trace.total_messages, trace.total_bytes)).encode(),
-        repr(sorted(trace.collective_counts().items())).encode(),
-    ]
+def _sha256(parts: list[bytes]) -> str:
     h = hashlib.sha256()
     for part in parts:
         h.update(len(part).to_bytes(8, "little"))
@@ -93,16 +100,50 @@ def run_digest(result: LouvainResult) -> str:
     return h.hexdigest()
 
 
+def _hex(x) -> str:
+    return float(x).hex()
+
+
+def outcome_digest(result: LouvainResult) -> str:
+    """SHA-256 over what every schedule of the same algorithm must
+    reproduce."""
+    return _sha256([
+        np.ascontiguousarray(result.assignment, dtype=np.int64).tobytes(),
+        repr([_hex(it.modularity) for it in result.iterations]).encode(),
+        repr([int(it.moves) for it in result.iterations]).encode(),
+        _hex(result.modularity).encode(),
+        repr([
+            (int(ph.num_edges), _hex(ph.ghost_fraction))
+            for ph in result.phases
+        ]).encode(),
+    ])
+
+
+def cost_digest(result: LouvainResult) -> str:
+    """SHA-256 over what the run cost on the modelled machine."""
+    trace = result.trace
+    return _sha256([
+        _hex(result.elapsed).encode(),
+        repr((int(trace.total_messages), int(trace.total_bytes))).encode(),
+        repr(sorted(
+            (name, int(n)) for name, n in trace.collective_counts().items()
+        )).encode(),
+    ])
+
+
 def _row(name: str, weights: str, p: int, label: str, config: LouvainConfig):
     g = graph(name, weights)
-    key = f"{name}/{weights}/p{p}/{label}"
-    return key, g.fingerprint(), run_digest(run_louvain(g, p, config))
+    result = run_louvain(g, p, config)
+    return Row(
+        f"{name}/{weights}/p{p}/{label}", g.fingerprint(),
+        outcome_digest(result), cost_digest(result),
+    )
 
 
-def _resumed_row(name: str):
+def _resumed_row(name: str) -> Row:
     """Kill a checkpointing run mid-way, resume it, fingerprint the
     resumed run (its clock and counts are as deterministic as the
-    uninterrupted run's)."""
+    uninterrupted run's; its outcome *is* the uninterrupted run's)."""
     g, p = graph(name), 4
     with tempfile.TemporaryDirectory() as d:
         try:
@@ -121,7 +162,10 @@ def _resumed_row(name: str):
             checkpoint_every_iterations=1,
         )
     key = f"{name}/integer/p{p}/et+tc killed at op {KILL_AT_OP}, resumed"
-    return key, g.fingerprint(), run_digest(resumed)
+    outcome = outcome_digest(resumed)
+    if outcome != outcome_digest(run_louvain(g, p, RESUME_CONFIG)):
+        raise AssertionError(f"{key}: outcome differs from the uninterrupted run")
+    return Row(key, g.fingerprint(), outcome, cost_digest(resumed))
 
 
 def pinned_keys() -> list[tuple[str, int, str]]:
@@ -131,17 +175,16 @@ def pinned_keys() -> list[tuple[str, int, str]]:
     ]
 
 
-def pinned_row(name: str, p: int, label: str) -> tuple[str, str, str]:
-    """``(key, graph fingerprint, run digest)`` of one pinned run."""
+def pinned_row(name: str, p: int, label: str) -> Row:
     return _row(name, "integer", p, label, PINNED_CONFIGS[label])
 
 
-def pinned_rows() -> Iterator[tuple[str, str, str]]:
+def pinned_rows() -> Iterator[Row]:
     for key in pinned_keys():
         yield pinned_row(*key)
 
 
-def full_rows() -> Iterator[tuple[str, str, str]]:
+def full_rows() -> Iterator[Row]:
     for name in GRAPHS:
         for weights in ("integer", "fractional"):
             for p in (1, 2, 3, 4, 7):
@@ -155,26 +198,77 @@ def load_pins() -> dict[str, dict[str, str]]:
         return json.load(fh)["rows"]
 
 
+def _format(row: Row) -> str:
+    return f"{row.outcome}  {row.cost}  graph={row.graph[:12]}  {row.key}"
+
+
+def _parse_table(path: str) -> dict[str, tuple[str, str]]:
+    """``{key: (outcome, cost)}`` of a table this tool printed."""
+    table = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            fields = line.rstrip("\n").split("  ", 3)
+            if len(fields) == 4:
+                table[fields[3]] = (fields[0], fields[1])
+    return table
+
+
+def _write_pins(only_cost: bool) -> None:
+    old = load_pins() if only_cost else {}
+    rows = {}
+    for row in pinned_rows():
+        if only_cost and (old[row.key]["graph"], old[row.key]["outcome"]) != (
+            row.graph, row.outcome
+        ):
+            raise AssertionError(f"{row.key}: the pinned outcome moved")
+        rows[row.key] = {
+            "graph": row.graph, "outcome": row.outcome, "cost": row.cost,
+        }
+    with open(PINS, "w", encoding="utf-8") as fh:
+        json.dump({"numpy": np.__version__, "rows": rows}, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {len(rows)} rows to {PINS}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--write-pins", action="store_true",
-        help=f"regenerate {os.path.relpath(PINS)} from the pinned rows",
+        "--write-pins", nargs="?", const="all", choices=("all", "cost"),
+        help=f"regenerate {os.path.relpath(PINS)} from the pinned rows "
+        "('cost': the cost digests only, refusing a moved outcome)",
+    )
+    parser.add_argument(
+        "--against", metavar="FILE",
+        help="a table printed by this tool on another commit: count the "
+        "rows whose outcome / cost digests are equal, list the others",
     )
     args = parser.parse_args(argv)
     if args.write_pins:
-        rows = {k: {"graph": g, "run": r} for k, g, r in pinned_rows()}
-        with open(PINS, "w", encoding="utf-8") as fh:
-            json.dump({"numpy": np.__version__, "rows": rows}, fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {len(rows)} rows to {PINS}")
+        _write_pins(only_cost=args.write_pins == "cost")
         return 0
-    count = 0
-    for key, graph_fp, digest in full_rows():
-        print(f"{digest}  graph={graph_fp[:12]}  {key}", flush=True)
-        count += 1
-    print(f"{count} rows")
-    return 0
+    theirs = _parse_table(args.against) if args.against else None
+    rows = []
+    for row in full_rows():
+        print(_format(row), flush=True)
+        rows.append(row)
+    print(f"{len(rows)} rows")
+    if theirs is None:
+        return 0
+    differing = {"outcome": [], "cost": []}
+    for row in rows:
+        other = theirs.get(row.key, ("missing", "missing"))
+        for name, mine, their in zip(differing, (row.outcome, row.cost), other):
+            if mine != their:
+                differing[name].append(row.key)
+    n = len(rows)
+    print(
+        f"outcome equal {n - len(differing['outcome'])}/{n}, "
+        f"cost equal {n - len(differing['cost'])}/{n}"
+    )
+    for name, keys in differing.items():
+        for key in keys:
+            print(f"{name} differs: {key}")
+    return 1 if differing["outcome"] else 0
 
 
 if __name__ == "__main__":

@@ -258,7 +258,8 @@ class TestCli:
         doc = json.loads(out_file.read_text())
         assert doc["entry"] == "distributed_louvain"
         assert doc["summary"]["divergence_free"] is True
-        assert doc["summary"]["variants"] >= 5
+        # coloring x refine: no heuristic variant guards a collective.
+        assert doc["summary"]["variants"] == 4
         for row in doc["rows"]:
             assert row["divergences"] == []
             assert row["collectives"]

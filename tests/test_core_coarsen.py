@@ -239,3 +239,115 @@ class TestRebuildDistributed:
         rows = dict(kv for v in r.values for kv in v)
         assert rows[0] == [(0, 20.0), (1, 1.0)]
         assert rows[1] == [(0, 1.0), (1, 20.0)]
+
+
+class TestRebuildOneRequest:
+    """Steps 2-4 send the used-community lists once: the notification
+    that keeps a community alive is the request for its new id, and the
+    renumbering base comes from one allgather of the alive counts."""
+
+    @staticmethod
+    def _rebuild_and_oracle(g, assignment, nranks):
+        """Per rank: the shipped rebuild's outputs beside the oracle's
+        renumbering (notification and request as separate exchanges,
+        ``exscan`` + ``allreduce``)."""
+        from .oracles.exchange_reference import rebuild_renumbering
+
+        def prog(comm):
+            dg = DistGraph.distribute(comm, g, partition="even_vertex")
+            plan = dg.build_ghost_plan(comm)
+            local_comm = assignment[dg.vbegin:dg.vend]
+            ghost_comm = assignment[plan.ghost_ids]
+            want_n, want_slots = rebuild_renumbering(
+                comm, dg, local_comm, ghost_comm
+            )
+            new_dg, local_new = rebuild_distributed(
+                comm, dg, local_comm, ghost_comm
+            )
+            np.testing.assert_array_equal(
+                local_new, want_slots[:dg.num_local]
+            )
+            assert new_dg.num_global_vertices == want_n
+            np.testing.assert_array_equal(
+                new_dg.offsets, even_vertex(want_n, comm.size)
+            )
+            return local_new, new_dg.index, new_dg.edges, new_dg.weights
+
+        return run_spmd(nranks, prog, machine=FREE, timeout=30.0).values
+
+    @pytest.mark.parametrize("nranks", [2, 3, 4, 7])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_equals_the_two_exchange_formulation(self, seed, nranks):
+        from .test_core_sweep_differential import adversarial_edges
+
+        rng, n, u, v, w = adversarial_edges(seed)
+        if seed % 3 == 2:
+            w = np.ceil(w)  # integer weights: every sum below is exact
+        g = CSRGraph.from_edges(n, u, v, w)
+        # Community ids are vertex ids, most of them used by nobody.
+        labels = rng.choice(n, max(n // 4, 1)).astype(np.int64)
+        assignment = labels[rng.integers(0, len(labels), n)]
+        pieces = self._rebuild_and_oracle(g, assignment, nranks)
+        meta, v2m = coarsen_csr(g, assignment)
+        np.testing.assert_array_equal(
+            np.concatenate([piece[0] for piece in pieces]), v2m
+        )
+        # The rebuilt slices, in rank order, are the serial coarsening.
+        np.testing.assert_array_equal(
+            np.concatenate([np.diff(piece[1]) for piece in pieces]),
+            np.diff(meta.index),
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([piece[2] for piece in pieces]), meta.edges
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([piece[3] for piece in pieces]), meta.weights
+        )
+
+    def test_ranks_that_own_nothing_alive(self):
+        # Five vertices on eight ranks: three ranks own no vertex at
+        # all, and of the rest only the owners of 1 and 3 own a live
+        # community — everyone else answers an empty notification and
+        # contributes a zero to the allgather.
+        g = CSRGraph.from_edges(5, [0, 1, 2, 3, 0], [1, 2, 3, 4, 4])
+        assignment = np.array([1, 1, 3, 3, 3], dtype=np.int64)
+        pieces = self._rebuild_and_oracle(g, assignment, 8)
+        np.testing.assert_array_equal(
+            np.concatenate([piece[0] for piece in pieces]), [0, 0, 1, 1, 1]
+        )
+        meta, _ = coarsen_csr(g, assignment)
+        np.testing.assert_array_equal(
+            np.concatenate([piece[2] for piece in pieces]), meta.edges
+        )
+
+    def test_short_new_id_reply_fails_loudly(self, monkeypatch):
+        # The new ids are read as slices of the notification order, so
+        # a reply that is not as long as its notification must not be
+        # accepted — and the error names the rank that sent it.
+        from repro.runtime.comm import Communicator
+
+        g = planted_blocks_graph(blocks=2, per_block=6, seed=2)
+        real = Communicator.alltoall
+        calls = {}
+
+        def lossy(self, values, category="other"):
+            calls[self.rank] = calls.get(self.rank, 0) + 1
+            # Rank 1's second exchange is its new-id reply.
+            if self.rank == 1 and calls[1] == 2:
+                values = [v[:-1] for v in values]
+            return real(self, values, category=category)
+
+        def prog(comm):
+            dg = DistGraph.distribute(comm, g, partition="even_vertex")
+            plan = dg.build_ghost_plan(comm)
+            calls.pop(comm.rank, None)
+            return rebuild_distributed(
+                comm, dg, dg.local_vertex_ids(), plan.ghost_ids.copy()
+            )
+
+        monkeypatch.setattr(Communicator, "alltoall", lossy)
+        with pytest.raises(RankFailedError) as excinfo:
+            run_spmd(2, prog, machine=FREE, timeout=15.0)
+        assert isinstance(excinfo.value.causes[0], ValueError)
+        assert "rank 1 answered" in str(excinfo.value.causes[0])
+        assert "new community ids" in str(excinfo.value.causes[0])

@@ -9,6 +9,8 @@ reference it replaced.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,12 +19,13 @@ from hypothesis import strategies as st
 from repro.core import LouvainConfig, Variant, aggregate_deltas, run_louvain
 from repro.core import distlouvain
 from repro.core.distlouvain import _CommunityView, aggregate_dense_deltas
-from repro.graph import DistGraph
+from repro.graph import CSRGraph, DistGraph
 from repro.resilience import FaultPlan
 from repro.runtime import FREE, RankFailedError, run_spmd
 
 from .conftest import planted_blocks_graph, random_graph
-from .oracles import aggregate_reference
+from .oracles import aggregate_reference, exchange_reference
+from .test_core_sweep_differential import adversarial_edges
 
 COMMON = dict(
     max_examples=25,
@@ -165,6 +168,75 @@ def test_view_consistent_after_resume(checked_rounds, tmp_path):
     np.testing.assert_array_equal(res.assignment, ref.assignment)
     assert res.modularity == ref.modularity
     assert res.iterations == ref.iterations
+
+
+# ----------------------------------------------------------------------
+# One message per peer against the two-exchange oracle
+# ----------------------------------------------------------------------
+def _state_after_every_round(g, p, config, two_exchanges: bool):
+    """Run a detection; per rank, copies of the owner-side tables and
+    the view after each ``_sweep_round`` — under the shipped exchange or
+    the oracle's two (which also logs what each peer's message held)."""
+    states = {rank: [] for rank in range(p)}
+    received: list[tuple[bool, bool]] = []
+    real = distlouvain._sweep_round
+
+    def sweep_round(
+        comm, dg, view, plan, self_mask, k, local_comm, tot_owned, size_owned,
+        *args,
+    ):
+        out = real(
+            comm, dg, view, plan, self_mask, k, local_comm, tot_owned,
+            size_owned, *args,
+        )
+        states[comm.rank].append([
+            a.copy() for a in
+            (tot_owned, size_owned, view.values, view.slot, view.target)
+        ])
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distlouvain, "_sweep_round", sweep_round)
+        if two_exchanges:
+            patch.setattr(
+                distlouvain, "_apply_community_deltas",
+                partial(
+                    exchange_reference.apply_community_deltas,
+                    received_log=received,
+                ),
+            )
+        run_louvain(g, p, config, machine=FREE)
+    return states, set(received)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 7])
+def test_fused_exchange_matches_two_exchanges(p):
+    """Deltas and labels in one message per peer leave every rank
+    holding, after every round, exactly what the two exchanges left:
+    owner-side ``tot`` / ``size``, ``view.values``, ``view.slot``,
+    ``view.target`` — on rounds where a peer's message carries deltas
+    and labels, only one of them, or nothing."""
+    message_kinds = set()
+    for seed in range(8):
+        _, n, u, v, w = adversarial_edges(seed)
+        g = CSRGraph.from_edges(n, u, v, w)
+        for config in (LouvainConfig(), ETC):
+            got, _ = _state_after_every_round(g, p, config, False)
+            want, kinds = _state_after_every_round(g, p, config, True)
+            message_kinds |= kinds
+            for rank in range(p):
+                assert len(got[rank]) == len(want[rank]) > 0
+                for got_round, want_round in zip(got[rank], want[rank]):
+                    for a, b in zip(got_round, want_round):
+                        assert a.dtype == b.dtype
+                        np.testing.assert_array_equal(a, b)
+    # (deltas, labels) of one peer's message in one round.  With two
+    # ranks a vertex joining a community the peer owns nearly always
+    # has a neighbour there, so "deltas, no labels" needs p > 2.
+    expected = {(True, True), (False, True), (False, False)}
+    if p > 2:
+        expected.add((True, False))
+    assert message_kinds >= expected
 
 
 # ----------------------------------------------------------------------

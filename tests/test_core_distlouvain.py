@@ -118,6 +118,56 @@ class TestVariants:
         r = run_louvain(planted_blocks, 4, cfg, machine=FREE)
         assert any(p.exited_by_inactive for p in r.phases)
 
+    @pytest.mark.parametrize("nranks", [2, 4])
+    @pytest.mark.parametrize("variant", [Variant.ET, Variant.ET_TC])
+    def test_et_result_is_replicated(self, planted_blocks, variant, nranks):
+        # The inactive fraction is the global one (its count rides the
+        # modularity allreduce), not this rank's own vertices': every
+        # rank returns the same iteration records.
+        from repro.core.distlouvain import distributed_louvain
+        from repro.graph import DistGraph
+        from repro.runtime import run_spmd
+
+        cfg = LouvainConfig(variant=variant, alpha=0.75, seed=1)
+
+        def prog(comm):
+            dg = DistGraph.distribute(comm, planted_blocks)
+            return distributed_louvain(comm, dg, cfg).iterations
+
+        per_rank = run_spmd(nranks, prog, machine=FREE, timeout=60.0).values
+        assert max(it.inactive_fraction for it in per_rank[0]) > 0.0
+        for iterations in per_rank[1:]:
+            assert iterations == per_rank[0]
+
+    @pytest.mark.parametrize(
+        "name,nranks,exits",
+        [
+            # (phase, its last iteration, inactive fraction) of every
+            # phase ETC's exit ended, recorded when the exit still had
+            # an allreduce of its own.
+            ("soc-friendster", 1, [(1, 5, "0x1.e6dc211c83382p-1"),
+                                   (2, 4, "0x1.d74a5f82bd74ap-1")]),
+            ("soc-friendster", 2, [(1, 6, "0x1.d4a16e3b07d4ap-1")]),
+            ("soc-friendster", 4, [(2, 4, "0x1.d83f9a3c6c1fdp-1")]),
+            ("channel", 4, []),
+            ("web-wiki-en-2013", 1, [(1, 6, "0x1.d87c6d4b3ea24p-1"),
+                                     (2, 5, "0x1.dd1745d1745d1p-1")]),
+            ("web-wiki-en-2013", 4, [(2, 4, "0x1.d5a0a97d5a0a9p-1"),
+                                     (4, 3, "0x1.de6d1d60864b9p-1")]),
+        ],
+    )
+    def test_etc_exits_where_it_did(self, name, nranks, exits):
+        from tests import fingerprints
+
+        cfg = LouvainConfig(variant=Variant.ETC, alpha=0.75, seed=3)
+        r = run_louvain(fingerprints.graph(name), nranks, cfg)
+        last = {it.phase: it for it in r.iterations}
+        assert [
+            (ph.phase, last[ph.phase].iteration,
+             float(last[ph.phase].inactive_fraction).hex())
+            for ph in r.phases if ph.exited_by_inactive
+        ] == exits
+
 
 class TestTiming:
     def test_elapsed_and_trace_populated(self, planted_blocks):
@@ -292,39 +342,106 @@ class TestCommunityInfoCoverage:
             run_spmd(2, prog, machine=FREE, timeout=15.0)
 
 
-class TestOneGhostExchangePerRound:
-    """Algorithm 3 exchanges ghost communities once per iteration: a
-    phase costs its two set-up exchanges (Algorithm 4's plan, then the
-    full values) plus exactly one ``ghost_comm`` alltoall per sweep
-    round — one per colour class under coloring."""
+class TestCollectiveBudget:
+    """What leaves at which synchronisation point, counted: a sweep
+    round is three exchanges (community-info request, reply, then one
+    message per peer with its deltas and labels), an iteration one
+    allreduce on every variant, a phase boundary seven exchanges (ghost
+    plan, full ghost exchange; the rebuild's notification-and-request,
+    its reply, the meta edges; the projection's request and reply), one
+    allreduce (statistics + exact Q) and one allgather (alive counts) —
+    plus the final allgather of the assignment."""
 
-    @pytest.mark.parametrize("use_coloring", [False, True])
-    def test_ghost_exchanges_counted(
-        self, planted_blocks, monkeypatch, use_coloring
-    ):
+    @staticmethod
+    def _watch_rank0(monkeypatch):
+        """Log rank 0's ``(collective, category)`` sequence, the number
+        of sweep rounds it ran, and the log position after each
+        iteration in which ETC's exit fired."""
         from repro.core import distlouvain
         from repro.runtime.comm import Communicator
 
-        counts = {"ghost": 0, "rounds": 0}
-        real_alltoall = Communicator.alltoall
+        seen = {"log": [], "rounds": 0, "exits": []}
+        real_collective = Communicator._collective
         real_round = distlouvain._sweep_round
+        real_iterate = distlouvain._iterate
 
-        def alltoall(self, values, category="other"):
-            if self.rank == 0 and category == "ghost_comm":
-                counts["ghost"] += 1
-            return real_alltoall(self, values, category=category)
+        def collective(self, name, deposit, finalize, category):
+            if self.rank == 0:
+                seen["log"].append((name, category))
+            return real_collective(self, name, deposit, finalize, category)
 
         def sweep_round(comm, *args, **kwargs):
-            if comm.rank == 0:
-                counts["rounds"] += 1
+            seen["rounds"] += comm.rank == 0
             return real_round(comm, *args, **kwargs)
 
-        monkeypatch.setattr(Communicator, "alltoall", alltoall)
+        def iterate(comm, *args, **kwargs):
+            exited = real_iterate(comm, *args, **kwargs)
+            if exited and comm.rank == 0:
+                seen["exits"].append(len(seen["log"]))
+            return exited
+
+        monkeypatch.setattr(Communicator, "_collective", collective)
         monkeypatch.setattr(distlouvain, "_sweep_round", sweep_round)
-        cfg = LouvainConfig(use_coloring=use_coloring)
-        r = run_louvain(planted_blocks, 4, cfg, machine=FREE)
-        if use_coloring:
-            assert counts["rounds"] > r.total_iterations
-        else:
-            assert counts["rounds"] == r.total_iterations
-        assert counts["ghost"] == 2 * r.num_phases + counts["rounds"]
+        monkeypatch.setattr(distlouvain, "_iterate", iterate)
+        return seen
+
+    @pytest.mark.parametrize("nranks", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "variant", [Variant.BASELINE, Variant.ET, Variant.ETC]
+    )
+    def test_budget_per_rank(self, planted_blocks, monkeypatch, variant, nranks):
+        seen = self._watch_rank0(monkeypatch)
+        cfg = LouvainConfig(variant=variant, alpha=0.5, seed=4)
+        r = run_louvain(planted_blocks, nranks, cfg, machine=FREE)
+        rounds, phases = r.total_iterations, r.num_phases
+        assert seen["rounds"] == rounds
+        for rank_trace in r.trace.ranks:
+            got = rank_trace.collectives
+            assert got["alltoall"] == 3 * rounds + 7 * phases
+            assert got["allreduce"] == rounds + phases
+            assert got["allgather"] == phases + 1
+            assert "exscan" not in got
+
+    def test_three_exchanges_per_colour_class_round(
+        self, planted_blocks, monkeypatch
+    ):
+        seen = self._watch_rank0(monkeypatch)
+        r = run_louvain(
+            planted_blocks, 4, LouvainConfig(use_coloring=True), machine=FREE
+        )
+        assert seen["rounds"] > r.total_iterations
+        # Without refinement the rounds are all ``community_comm`` holds,
+        # and the ghost labels ride there: ``ghost_comm`` is left with
+        # what the phase's set-up and the coloring itself exchange.
+        assert (
+            seen["log"].count(("alltoall", "community_comm"))
+            == 3 * seen["rounds"]
+        )
+        assert seen["log"].count(("allreduce", "allreduce")) == (
+            r.total_iterations + r.num_phases
+        )
+
+    def test_etc_schedule_is_ets_up_to_the_exit(
+        self, planted_blocks, monkeypatch
+    ):
+        """No variant guards a collective: at equal alpha and seed ETC
+        and ET issue the same sequence until ETC's exit first fires."""
+        logs = {}
+        for variant in (Variant.ETC, Variant.ET):
+            seen = self._watch_rank0(monkeypatch)
+            cfg = LouvainConfig(
+                variant=variant, alpha=0.5, etc_exit_fraction=0.5, seed=2
+            )
+            run_louvain(planted_blocks, 4, cfg, machine=FREE)
+            logs[variant] = seen
+            monkeypatch.undo()
+        assert logs[Variant.ET]["exits"] == []
+        first_exit = logs[Variant.ETC]["exits"][0]
+        # Nine iterations in: 2 set-up exchanges, then 3 + 1 a round.
+        assert first_exit - logs[Variant.ETC]["log"].index(
+            ("alltoall", "ghost_comm")
+        ) == 2 + 9 * 4
+        assert (
+            logs[Variant.ETC]["log"][:first_exit]
+            == logs[Variant.ET]["log"][:first_exit]
+        )

@@ -1,11 +1,16 @@
 """Pinned whole-run fingerprints (see :mod:`tests.fingerprints`).
 
-``tests/data/run_fingerprints.json`` was generated at the commit before
-the loops of ``core/distlouvain.py`` were cut into stages; a digest that
-moves means the assignment, some iteration's Q, the modelled clock, or a
-message / byte / collective count of that run moved.  After an intended
-change, diff the full tables of ``python -m tests.fingerprints`` on both
-commits first, then regenerate with ``--write-pins``.
+Each row of ``tests/data/run_fingerprints.json`` pins two digests.  The
+``outcome`` digests were generated at the commit before a sweep round's
+last two exchanges were fused (four alltoalls and up to two allreduces
+an iteration): one that moves means the assignment, some iteration's Q
+or move count, the final Q or a phase's edge count / ghost fraction
+moved, and no change of the communication schedule may do that.  The
+``cost`` digests (modelled clock, messages, bytes, collective counts)
+are those of the current schedule.  After an intended change, run
+``python -m tests.fingerprints --against`` the parent's table first,
+then regenerate with ``--write-pins`` (``--write-pins cost`` when only
+the schedule was meant to move).
 """
 
 import pytest
@@ -25,11 +30,12 @@ def test_pins_cover_the_pinned_rows():
 
 @pytest.mark.parametrize("name,p,label", fingerprints.pinned_keys())
 def test_run_fingerprint(name, p, label):
-    key, graph_fp, digest = fingerprints.pinned_row(name, p, label)
-    pin = PINS[key]
+    row = fingerprints.pinned_row(name, p, label)
+    pin = PINS[row.key]
     # Told apart from an algorithm change: the input itself differs.
-    assert graph_fp == pin["graph"], (
+    assert row.graph == pin["graph"], (
         f"{name}: this numpy's Generator stream builds a different graph "
         "than the one the digests were pinned on — not an algorithm diff"
     )
-    assert digest == pin["run"], key
+    assert row.outcome == pin["outcome"], f"{row.key}: outcome moved"
+    assert row.cost == pin["cost"], f"{row.key}: outcome equal, cost moved"

@@ -149,27 +149,63 @@ class TestAuditsCatchCorruption:
 
 
 class TestGhostChannelDeltaCoherence:
-    """One full exchange, then changed-values-only rounds, must keep the
-    ghost copies coherent across many rounds."""
+    """One full exchange, then rounds of one message per peer — the
+    deltas it owns and the changed labels it ghosts — must keep the
+    ghost copies *and* the owner-side C_info coherent across many
+    rounds."""
 
     @staticmethod
     def _churn_rounds(graph, scrambled_start):
+        from repro.core import aggregate_deltas
+        from repro.core.distlouvain import _apply_community_deltas
+
         def prog(comm):
             dg = DistGraph.distribute(comm, graph)
             plan = dg.build_ghost_plan(comm)
             rng = np.random.default_rng(comm.rank)
+            k = dg.local_degrees()
+            tot = k.copy()
+            size = np.ones(dg.num_local, dtype=np.int64)
             local_comm = np.arange(dg.vbegin, dg.vend, dtype=np.int64)
-            if scrambled_start:
-                local_comm[:] = rng.integers(
-                    0, dg.num_global_vertices, dg.num_local
+
+            def move_to(new_comm, chan=None):
+                """One round's exchange for the moves ``local_comm`` ->
+                ``new_comm``; with a view, the labels ride along."""
+                moved = new_comm != local_comm
+                labels = _apply_community_deltas(
+                    comm, dg,
+                    *aggregate_deltas(
+                        local_comm[moved], new_comm[moved], k[moved]
+                    ),
+                    tot_owned=tot, size_owned=size,
+                    labels=(
+                        None if chan is None
+                        else chan.publish(new_comm, moved)
+                    ),
                 )
+                if chan is not None:
+                    chan.absorb(
+                        np.concatenate([ids for ids, _ in labels]),
+                        np.concatenate([values for _, values in labels]),
+                    )
+                local_comm[:] = new_comm
+
+            if scrambled_start:
+                move_to(rng.integers(0, dg.num_global_vertices, dg.num_local))
             chan = _CommunityView(
                 dg, plan, local_comm,
                 dg.exchange_ghost_values(comm, plan, local_comm),
             )
-            oks = [
-                audit_ghost_coherence(comm, dg, local_comm, chan.values).ok
-            ]
+
+            def coherent():
+                return (
+                    audit_ghost_coherence(comm, dg, local_comm, chan.values).ok
+                    and audit_community_info(
+                        comm, dg, local_comm, tot, size
+                    ).ok
+                )
+
+            oks = [coherent()]
             for _ in range(5):
                 # Random churn of local assignments.
                 new_comm = local_comm.copy()
@@ -178,12 +214,8 @@ class TestGhostChannelDeltaCoherence:
                     new_comm[idx] = rng.integers(
                         0, dg.num_global_vertices, 3
                     )
-                chan.publish(comm, new_comm, new_comm != local_comm)
-                local_comm = new_comm
-                rep = audit_ghost_coherence(
-                    comm, dg, local_comm, chan.values
-                )
-                oks.append(rep.ok)
+                move_to(new_comm, chan)
+                oks.append(coherent())
             return oks
 
         r = run_spmd(4, prog, machine=FREE, timeout=60.0)

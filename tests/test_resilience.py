@@ -254,6 +254,58 @@ class TestFaultInjection:
             FaultPlan.seeded(0, size=2, min_step=5, max_step=4)
 
 
+class TestKillInsideFusedExchange:
+    """A sweep round closes with one message per peer (deltas to
+    owners + labels to ghosting ranks).  A rank that dies entering it
+    leaves its peers inside the exchange with the round's moves made
+    locally but delivered nowhere; the resumed run must not see any of
+    that."""
+
+    @pytest.mark.parametrize("p,seed", [(2, 5), (4, 6)])
+    def test_resumes_bit_identically(self, tmp_path, monkeypatch, p, seed):
+        from repro.runtime.comm import Communicator
+
+        g = _graph()
+        cfg = LouvainConfig(variant=Variant.ETC, alpha=0.25, seed=1)
+        # Every rank issues the same operations: log rank 0's.
+        ops = []
+        real = Communicator._fault_hook
+
+        def logging_hook(self, op_name, category):
+            if self.rank == 0:
+                ops.append((op_name, category))
+            return real(self, op_name, category)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Communicator, "_fault_hook", logging_hook)
+            ref = run_louvain(
+                g, p, cfg, checkpoint_dir=str(tmp_path / "ref"),
+                checkpoint_every_iterations=1,
+            )
+        # Request, reply, then the fused exchange: the third
+        # ``community_comm`` alltoall in a row (op indices are 1-based).
+        round_ops = [("alltoall", "community_comm")] * 3
+        fused = [
+            i + 1 for i in range(2, len(ops)) if ops[i - 2:i + 1] == round_ops
+        ]
+        assert len(fused) == ref.total_iterations
+        op = fused[len(fused) // 2]
+        plan = FaultPlan.seeded(seed, size=p, min_step=op, max_step=op)
+        d = str(tmp_path / "ck")
+        fault = _injected_fault(
+            _crash(g, p, cfg, d, plan, checkpoint_every_iterations=1)
+        )
+        assert (fault.op_index, fault.op_name) == (op, "alltoall")
+        res = run_louvain(
+            g, p, cfg, checkpoint_dir=d, resume=True,
+            checkpoint_every_iterations=1,
+        )
+        np.testing.assert_array_equal(ref.assignment, res.assignment)
+        assert res.modularity == ref.modularity
+        assert res.iterations == ref.iterations
+        assert res.phases == ref.phases
+
+
 class TestConfigKeyGuard:
     def test_cross_config_resume_refused(self, tmp_path):
         """A checkpoint written under one config must not seed a resume
