@@ -8,7 +8,11 @@ performance regressions of the simulator itself are visible:
   a mid-run state with sparse community ids, and under a 25%-active
   mask — and one whole ``_sweep_round`` per rank at p ∈ {1, 4} (wall
   and thread-CPU µs, the kernel's share beside it), so the glue around
-  the kernel has its own number;
+  the kernel has its own number; both also on soc-friendster ``small``
+  / ``medium`` / ``large`` (p = 1), in ns per candidate entry and per
+  (vertex, community) pair with the kernel's stages replayed beside
+  them, so a per-edge cost that rises with the input says where
+  (ROADMAP 3(ii); appended to ``BENCH_generators.json``);
 * one ``rebuild_distributed`` at p ∈ {1, 4};
 * the vectorised greedy coloring and vertex-following seeds;
 * serial graph coarsening;
@@ -26,6 +30,7 @@ from __future__ import annotations
 import os
 import tempfile
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,14 +56,27 @@ def _graph():
     return generate_lfr(3000, avg_degree=16, seed=1).edges
 
 
+#: The kernel rows' inputs: the 3 000-vertex LFR graph every other row
+#: of this file uses, then the flagship social stand-in at three sizes
+#: (36 k / 109 k / 363 k edges).
+KERNEL_GRAPHS = ("lfr3000", "small", "medium", "large")
+
+
+@lru_cache(maxsize=None)
+def _kernel_graph(which: str) -> CSRGraph:
+    if which == "lfr3000":
+        return _graph().to_csr()
+    return make_graph("soc-friendster", scale=which, seed=0)
+
+
 def _sweep_state(g: CSRGraph, state: str) -> np.ndarray:
-    """Community per vertex: singletons, or a mid-run state of a few
-    hundred communities labelled by sparse vertex ids."""
+    """Community per vertex: singletons, or a mid-run state of one
+    community per ten vertices labelled by sparse vertex ids."""
     n = g.num_vertices
     if state == "singleton":
         return np.arange(n, dtype=np.int64)
     rng = np.random.default_rng(7)
-    labels = np.sort(rng.choice(n, size=300, replace=False))
+    labels = np.sort(rng.choice(n, size=n // 10, replace=False))
     return labels[rng.integers(0, len(labels), n)]
 
 
@@ -73,42 +91,156 @@ SWEEP_CASES = [
 ]
 
 
+def _median_ns(fn, repeats: int = 5):
+    """``(median wall ns, last result)`` of ``repeats`` calls."""
+    times, out = [], None
+    for _ in range(repeats):
+        t0 = time.perf_counter_ns()
+        out = fn()
+        times.append(time.perf_counter_ns() - t0)
+    return float(np.median(times)), out
+
+
+def _replay_stages(plan, target_comm, cur_comm, active):
+    """The grouping half of ``propose_moves`` — candidate entries, fused
+    key, in-place sort, segment sum, pair gathers — one stage at a time,
+    in freshly allocated arrays (the kernel writes into its plan's
+    scratch).  Returns ``({stage: median ns}, entries, pairs)``; scoring
+    and the per-row argmax are what the kernel's total has left."""
+    ns = {}
+
+    def select():
+        if active is None:
+            return plan.entry_rows, plan.entry_weights, None
+        sel = np.flatnonzero(active[plan.entry_rows])
+        return plan.entry_rows[sel], plan.entry_weights[sel], sel
+
+    ns["select"], (c_rows, c_w, sel) = _median_ns(select)
+
+    def entry_comm():
+        every = np.concatenate([target_comm[plan.entries], cur_comm])
+        return every if sel is None else every[sel]
+
+    ns["entry_comm"], c_comm = _median_ns(entry_comm)
+    n_entries = len(c_comm)
+    span = int(c_comm.max()) + 1
+    bits = (n_entries - 1).bit_length()
+
+    def build_key():
+        key = c_rows * span
+        key += c_comm
+        key <<= bits
+        key |= plan.positions[:n_entries]
+        return key
+
+    ns["key"], key = _median_ns(build_key)
+
+    def sort():
+        out = key.copy()
+        t0 = time.perf_counter_ns()
+        out.sort()
+        return time.perf_counter_ns() - t0, out
+
+    runs = [sort() for _ in range(5)]
+    ns["sort"], key = float(np.median([r[0] for r in runs])), runs[-1][1]
+
+    def unpack():
+        order = key & ((1 << bits) - 1)
+        first = np.empty(n_entries, bool)
+        first[:1] = True
+        np.not_equal(key[1:] >> bits, key[:-1] >> bits, out=first[1:])
+        return order, np.flatnonzero(first)
+
+    ns["unpack+starts"], (order, starts) = _median_ns(unpack)
+    ns["reduceat"], _ = _median_ns(
+        lambda: np.add.reduceat(c_w.take(order), starts)
+    )
+
+    def pairs():
+        lead = order.take(starts)
+        return c_rows.take(lead), c_comm.take(lead)
+
+    ns["pair_gathers"], _ = _median_ns(pairs)
+    return ns, n_entries, len(starts)
+
+
+@pytest.mark.parametrize("which", KERNEL_GRAPHS)
 @pytest.mark.parametrize("state,active", SWEEP_CASES)
-def test_kernel_propose_moves(benchmark, state, active):
-    g = _graph().to_csr()
+def test_kernel_propose_moves(benchmark, record_bench, state, active, which):
+    g = _kernel_graph(which)
     n = g.num_vertices
     k = g.degrees()
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.index))
     comm = _sweep_state(g, state)
     tot = np.bincount(comm, weights=k, minlength=n)
     size = np.bincount(comm, minlength=n)
+    self_mask = g.edges == rows
+    target_comm = comm[g.edges]
+    mask = _sweep_active(n, active)
+    # As the distributed caller runs it: one plan (and its scratch) per
+    # phase, many sweeps.
+    plan = SweepPlan.build(g.index, g.weights, self_mask, rows=rows)
 
-    result = benchmark(
-        propose_moves,
-        index=g.index,
-        target_comm=comm[g.edges],
-        weights=g.weights,
-        self_mask=g.edges == rows,
-        degrees=k,
-        cur_comm=comm,
-        total_weight=g.total_weight,
-        tot_lookup=array_lookup(None, tot),
-        size_lookup=array_lookup(None, size),
-        active=_sweep_active(n, active),
-    )
+    def sweep():
+        return propose_moves(
+            index=g.index,
+            target_comm=target_comm,
+            weights=g.weights,
+            self_mask=self_mask,
+            degrees=k,
+            cur_comm=comm,
+            total_weight=g.total_weight,
+            tot_lookup=array_lookup(None, tot),
+            size_lookup=array_lookup(None, size),
+            active=mask,
+            plan=plan,
+        )
+
+    result = benchmark(sweep)
     assert result.num_moves > 0
+
+    total_ns, _ = _median_ns(sweep, repeats=9)
+    stages, entries, pairs = _replay_stages(plan, target_comm, comm, mask)
+    assert pairs == result.pairs_evaluated
+    per_entry = {name: round(t / entries, 2) for name, t in stages.items()}
+    per_entry["scoring+argmax"] = round(
+        (total_ns - sum(stages.values())) / entries, 2
+    )
+    print(
+        f"\npropose_moves {which:<8} {state:<9} {active:<7} "
+        f"{g.num_edges:>7} edges {entries:>7} entries {pairs:>7} pairs  "
+        f"{total_ns / entries:6.1f} ns/entry {total_ns / pairs:6.1f} ns/pair"
+        f"  {total_ns / 1e6:7.2f} ms  stages ns/entry: "
+        + " ".join(f"{name}={v}" for name, v in per_entry.items())
+    )
+    if which != "lfr3000":
+        record_bench("generators", {
+            "kind": "kernel_propose_moves", "dataset": "soc-friendster",
+            "scale": which, "state": state, "active": active,
+            "num_edges": g.num_edges, "entries": entries, "pairs": pairs,
+            "kernel_ms": round(total_ns / 1e6, 3),
+            "ns_per_entry": round(total_ns / entries, 2),
+            "ns_per_pair": round(total_ns / pairs, 2),
+            "stage_ns_per_entry": per_entry,
+        })
 
 
 SWEEP_ROUNDS = 30
 
 
-@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize(
+    "p,which",
+    [(1, "lfr3000"), (4, "lfr3000"), (1, "small"), (1, "medium"), (1, "large")],
+)
 @pytest.mark.parametrize("state,active", SWEEP_CASES)
-def test_kernel_sweep_round(benchmark, monkeypatch, state, active, p):
+def test_kernel_sweep_round(
+    benchmark, monkeypatch, record_bench, state, active, p, which
+):
     """Steps (i)-(iv) of one iteration, per rank: the ``needed`` set and
     its fetch, the kernel, the delta aggregation and exchange, the ghost
     exchange and the view's update — at p = 1 and on rank-sized slices
-    of the same graph at p = 4.  Every round restarts from the same
+    of the same graph at p = 4, and at p = 1 on soc-friendster at three
+    sizes.  Every round restarts from the same
     assignment (the view and owner arrays are rebuilt outside the
     timers).  Reported per rank-round: wall µs, thread-CPU µs
     (``thread_time_ns``: what the rank itself burns, waits excluded) and
@@ -116,7 +248,7 @@ def test_kernel_sweep_round(benchmark, monkeypatch, state, active, p):
     the kernel's own number beside it."""
     from repro.core import distlouvain
 
-    g = _graph().to_csr()
+    g = _kernel_graph(which)
     n = g.num_vertices
     comm0 = _sweep_state(g, state)
     mask = _sweep_active(n, active)
@@ -127,6 +259,7 @@ def test_kernel_sweep_round(benchmark, monkeypatch, state, active, p):
     size0 = np.bincount(comm0, minlength=n)
     kernel_ns: list[int] = []
     kernel = distlouvain.propose_moves
+    rounds = SWEEP_ROUNDS if which == "lfr3000" else SWEEP_ROUNDS // 3
 
     def timed_kernel(**kwargs):
         t0 = time.thread_time_ns()
@@ -147,7 +280,7 @@ def test_kernel_sweep_round(benchmark, monkeypatch, state, active, p):
             dg.index, dg.weights, self_mask, rows=dg.local_rows()
         )
         wall, cpu, moves = [], [], 0
-        for _ in range(SWEEP_ROUNDS + 3):
+        for _ in range(rounds + 3):
             local = comm0[lo:hi].copy()
             view = _CommunityView(
                 dg, ghost_plan, local,
@@ -181,10 +314,21 @@ def test_kernel_sweep_round(benchmark, monkeypatch, state, active, p):
         kernel_cpu_us=kernel_us,
     )
     print(
-        f"\nsweep round {state:<9} {active:<7} p={p} "
+        f"\nsweep round {which:<8} {state:<9} {active:<7} p={p} "
         f"{wall_us:>8.0f} us wall {cpu_us:>8.0f} us cpu per rank-round, "
-        f"kernel {kernel_us:>7.0f} us ({kernel_us / cpu_us:.0%})"
+        f"kernel {kernel_us:>7.0f} us ({kernel_us / cpu_us:.0%}), "
+        f"{1e3 * cpu_us / g.num_edges:.0f} ns cpu per edge"
     )
+    if which != "lfr3000":
+        record_bench("generators", {
+            "kind": "kernel_sweep_round", "dataset": "soc-friendster",
+            "scale": which, "state": state, "active": active, "ranks": p,
+            "num_edges": g.num_edges,
+            "wall_us_per_rank_round": round(wall_us, 1),
+            "cpu_us_per_rank_round": round(cpu_us, 1),
+            "kernel_cpu_us": round(kernel_us, 1),
+            "cpu_ns_per_edge": round(1e3 * cpu_us / g.num_edges, 1),
+        })
 
 
 @pytest.mark.parametrize("p", [1, 4])

@@ -62,6 +62,8 @@ def _start_exporters(
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .generators import SCALES
+
     parser = argparse.ArgumentParser(
         prog="repro-louvain",
         description="Distributed Louvain community detection "
@@ -74,8 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument("dataset", help="registry name, e.g. soc-friendster")
     gen.add_argument("output", help="binary edge-list file to write")
-    gen.add_argument("--scale", default="small",
-                     choices=("tiny", "small", "medium"))
+    gen.add_argument("--scale", default="small", choices=tuple(SCALES))
     gen.add_argument("--seed", type=int, default=0)
 
     conv = sub.add_parser(

@@ -106,13 +106,13 @@ def apply_churn(g: CSRGraph, churn: EdgeChurn) -> CSRGraph:
     eu, ev, ew = g.edge_array()
     n = g.num_vertices
     if churn.num_deletions:
-        dl = np.minimum(churn.del_u, churn.del_v)
-        dh = np.maximum(churn.del_u, churn.del_v)
-        del_keys = set(zip(dl.tolist(), dh.tolist()))
-        keep = np.array(
-            [(int(a), int(b)) not in del_keys for a, b in zip(eu, ev)],
-            dtype=bool,
-        )
+        dl = np.minimum(churn.del_u, churn.del_v).astype(np.int64)
+        dh = np.maximum(churn.del_u, churn.del_v).astype(np.int64)
+        # One key per undirected edge (``eu <= ev`` already).  A pair
+        # naming a vertex outside the graph can match nothing and is
+        # dropped first: folded on ``n`` it would alias a real edge.
+        inside = (dl >= 0) & (dh < n)
+        keep = ~np.isin(eu * n + ev, dl[inside] * n + dh[inside])
         eu, ev, ew = eu[keep], ev[keep], ew[keep]
     if churn.num_insertions:
         hi = max(

@@ -25,9 +25,14 @@ from .smallworld import generate_smallworld
 from .ssca2 import generate_ssca2
 from .webgraph import generate_webgraph
 
-#: Size multiplier per named scale.  "small" keeps full variant sweeps
-#: fast; "medium" is for single-configuration runs.
-SCALES: dict[str, float] = {"tiny": 0.4, "small": 1.0, "medium": 3.0}
+#: Size multiplier per named scale, ascending.  "small" keeps full
+#: variant sweeps fast; "medium" is for single-configuration runs;
+#: "large" (20-64 k vertices, 10^5-10^6 edges; every graph generates in
+#: well under a second, one p = 1 detection takes seconds) is for
+#: benchmarks, examples and the CLI — the test suite stays below it.
+SCALES: dict[str, float] = {
+    "tiny": 0.4, "small": 1.0, "medium": 3.0, "large": 10.0,
+}
 
 
 @dataclass(frozen=True)

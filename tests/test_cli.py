@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core.resultio import read_communities_text, load_result
+from repro.generators import SCALES
 from repro.graph import EdgeList, read_header
 from repro.graph.textio import write_snap_edgelist
 
@@ -26,6 +27,16 @@ class TestGenerate:
         main(["generate", "com-orkut", a, "--scale", "tiny", "--seed", "1"])
         main(["generate", "com-orkut", b, "--scale", "tiny", "--seed", "2"])
         assert open(a, "rb").read() != open(b, "rb").read()
+
+    def test_scale_choices_are_the_registry_scales(self, capsys):
+        # Parsed, not generated: "large" is for benchmarks and the CLI.
+        parser = build_parser()
+        for scale in SCALES:
+            args = parser.parse_args(["generate", "channel", "g.bin", "--scale", scale])
+            assert args.scale == scale
+        with pytest.raises(SystemExit):
+            parser.parse_args(["generate", "channel", "g.bin", "--scale", "huge"])
+        assert "'large'" in capsys.readouterr().err
 
 
 class TestConvertInfo:

@@ -12,6 +12,7 @@ from repro.core.dynamic import (
     churn_statistics,
     incremental_louvain,
 )
+from repro.graph import CSRGraph
 from repro.runtime import FREE
 
 from .conftest import assert_valid_partition
@@ -91,6 +92,70 @@ class TestApplyChurn:
         g2 = apply_churn(two_cliques, EdgeChurn())
         assert g2.num_edges == two_cliques.num_edges
         assert g2.total_weight == pytest.approx(two_cliques.total_weight)
+
+    @staticmethod
+    def _edge_by_edge(g, churn):
+        """``apply_churn`` with every edge tested against the deleted
+        pairs one by one — the formulation the fused key replaced."""
+        eu, ev, ew = g.edge_array()
+        gone = {
+            (min(a, b), max(a, b))
+            for a, b in zip(churn.del_u.tolist(), churn.del_v.tolist())
+        }
+        keep = np.array(
+            [(a, b) not in gone for a, b in zip(eu.tolist(), ev.tolist())],
+            dtype=bool,
+        )
+        survivors = CSRGraph.from_edges(
+            g.num_vertices, eu[keep], ev[keep], ew[keep]
+        )
+        return apply_churn(survivors, EdgeChurn(
+            add_u=churn.add_u, add_v=churn.add_v, add_w=churn.add_w,
+        ))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_churn_equals_edge_by_edge(self, planted_blocks, seed):
+        churn = EdgeChurn.random(planted_blocks, 0.05, 0.05, seed=seed)
+        assert churn.num_deletions and churn.num_insertions
+        got = apply_churn(planted_blocks, churn)
+        want = self._edge_by_edge(planted_blocks, churn)
+        assert got.fingerprint() == want.fingerprint()
+        assert got.num_edges < planted_blocks.num_edges + churn.num_insertions
+
+    def test_deletions_in_any_form_equal_edge_by_edge(self, planted_blocks):
+        g = planted_blocks
+        n = g.num_vertices
+        eu, ev, _ = g.edge_array()
+        present = (int(eu[-1]), int(ev[-1]))
+        assert 1 <= present[0] < present[1]
+        absent = next(
+            (0, b) for b in range(1, n) if b not in g.neighbors(0)[0]
+        )
+        cases = {
+            "as stored": ([present[0]], [present[1]]),
+            "reversed": ([present[1]], [present[0]]),
+            "repeated, both ways": (
+                [present[0], present[1], present[0]],
+                [present[1], present[0], present[1]],
+            ),
+            "missing": ([absent[0]], [absent[1]]),
+            "beyond the graph": ([0, n + 7, 1], [n, n + 9, 2**62]),
+            "negative": ([-1, -3], [2, -2]),
+            # (a - 1, n + b) is not (a, b): a key folded on n alone
+            # would say it is.
+            "beyond the graph, aliasing": ([present[0] - 1], [n + present[1]]),
+            "everything": (np.concatenate([eu, ev]), np.concatenate([ev, eu])),
+        }
+        removed = {"as stored": 1, "reversed": 1, "repeated, both ways": 1,
+                   "everything": g.num_edges}
+        for label, (du, dv) in cases.items():
+            churn = EdgeChurn(del_u=np.array(du), del_v=np.array(dv))
+            got = apply_churn(g, churn)
+            assert got.fingerprint() == self._edge_by_edge(
+                g, churn
+            ).fingerprint(), label
+            assert got.num_vertices == n, label
+            assert got.num_edges == g.num_edges - removed.get(label, 0), label
 
 
 class TestIncrementalLouvain:

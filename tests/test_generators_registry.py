@@ -9,6 +9,7 @@ from repro.generators import (
     dataset,
     make_graph,
 )
+from tests import graph_fingerprints
 
 
 class TestRegistryContents:
@@ -49,7 +50,11 @@ class TestGeneration:
             dataset("channel").generate(scale="huge")
 
     def test_scales_ordered(self):
-        assert SCALES["tiny"] < SCALES["small"] < SCALES["medium"]
+        assert (
+            SCALES["tiny"] < SCALES["small"] < SCALES["medium"]
+            < SCALES["large"]
+        )
+        assert list(SCALES) == ["tiny", "small", "medium", "large"]
 
     def test_tiny_smaller_than_small(self):
         t = make_graph("channel", scale="tiny")
@@ -80,3 +85,35 @@ class TestGeneration:
         first = make_graph(TABLE2_NAMES[0], scale="small")
         last = make_graph(TABLE2_NAMES[-1], scale="small")
         assert last.num_vertices > first.num_vertices
+
+
+class TestPinnedGraphs:
+    """``tests/data/graph_fingerprints.json``: every registry graph at
+    the three tier-1 scales, and the LFR ground truth with it (see
+    :mod:`tests.graph_fingerprints`)."""
+
+    PINS = graph_fingerprints.load_pins()
+
+    def test_pins_cover_the_registry(self):
+        assert sorted(self.PINS["rows"]) == sorted(graph_fingerprints.keys())
+        assert len(self.PINS["rows"]) == 14 * 3 * 2 + 5 * 2
+        with_truth = {
+            key.split("/")[0]
+            for key, pin in self.PINS["rows"].items() if "community_of" in pin
+        }
+        assert with_truth == {
+            "com-orkut", "soc-sinaweibo", "twitter-2010", "soc-friendster",
+            "lfr-defaults",
+        }
+
+    @pytest.mark.parametrize("key", graph_fingerprints.keys())
+    def test_graph_fingerprint(self, key):
+        row, pin = graph_fingerprints.row(key), self.PINS["rows"][key]
+        # Told apart from a generator change by the differential tests
+        # against tests/oracles/, which hold on every numpy.
+        assert row == pin, (
+            f"{key}: this numpy's Generator stream builds a different "
+            f"graph than the one pinned on numpy {self.PINS['numpy']} — "
+            "not a generator diff, unless a differential test against "
+            "the reference generator fails too"
+        )
