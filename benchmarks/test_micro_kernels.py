@@ -48,8 +48,8 @@ from repro.core.sweep import SweepPlan, array_lookup, propose_moves
 from repro.core.result import IterationStats
 from repro.generators import generate_lfr, make_graph
 from repro.graph import CSRGraph, DistGraph, EdgeList
-from repro.resilience import CheckpointManager, read_manifest
-from repro.runtime import FREE, run_spmd
+from repro.resilience import CheckpointManager, RunSnapshots, read_manifest
+from repro.runtime import CORI_HASWELL, FREE, run_spmd
 
 
 def _graph():
@@ -480,20 +480,29 @@ def test_kernel_collective(benchmark, monkeypatch, op, p, payload):
 
 
 # ----------------------------------------------------------------------
-# The checkpoint layer: wall cost and bytes of one collective save
+# The checkpoint layer: both clocks and bytes of one save, per medium
 # ----------------------------------------------------------------------
 SAVES_PER_RUN = 12
 
 
 @pytest.mark.parametrize("p", [1, 2, 4])
 @pytest.mark.parametrize("form", ["full", "delta"])
-def test_kernel_checkpoint_save(benchmark, tmp_path, form, p):
-    """Wall µs and bytes of one mid-phase save on web-wiki small (the
-    ``service_mix`` graph), ``machine=FREE``.  ``full`` opens a new phase
-    with every save, so each one stores the rank's graph slice;
-    ``delta`` stays in the phase an untimed first save opened.  The
-    labels are a late phase-0 state (a finished run's communities named
-    by their smallest member), so the arrays compress as real ones do."""
+@pytest.mark.parametrize("medium", ["disk", "snapshot"])
+def test_kernel_checkpoint_save(benchmark, tmp_path, medium, form, p):
+    """One mid-phase save on web-wiki small (the ``service_mix`` graph):
+    wall µs under ``machine=FREE`` (as every earlier record of the disk
+    rows), the bytes it moves, and — from one more, untimed run on the
+    ``CORI_HASWELL`` — the modelled seconds charged to ``checkpoint`` on
+    rank 0.  ``full`` opens a new phase with every save, so each one
+    takes in the rank's graph slice; ``delta`` stays in the phase an
+    untimed first save opened.
+
+    ``disk`` is a :class:`CheckpointManager` (bytes: the shards written);
+    ``snapshot`` a :class:`RunSnapshots`, what an engine retry resumes
+    from (bytes: copied, and beside them what the generation holds by
+    reference).  The labels are a late phase-0 state (a finished run's
+    communities named by their smallest member), so the arrays compress
+    as real ones do."""
     g = make_graph("web-wiki-en-2013", scale="small", seed=1)
     n = g.num_vertices
     assignment = _labels_by_min_member(g)
@@ -508,11 +517,13 @@ def test_kernel_checkpoint_save(benchmark, tmp_path, form, p):
     ]
     walls: list[int] = []
     nbytes: list[int] = []
+    modelled: list[float] = []
+    referenced: list[int] = []
 
-    def prog(comm, root):
+    def prog(comm, root, snapshots, walls, modelled):
         dg = DistGraph.distribute(comm, g)
         lo, hi = dg.vbegin, dg.vend
-        manager = CheckpointManager(root, every_iterations=1)
+        manager = snapshots or CheckpointManager(root, every_iterations=1)
 
         run = RunState(dg=dg, orig_slice=np.arange(lo, hi, dtype=np.int64))
         state = IterationState(
@@ -527,30 +538,69 @@ def test_kernel_checkpoint_save(benchmark, tmp_path, form, p):
         cut(0, 0)
         for i in range(1, SAVES_PER_RUN + 1):
             comm.barrier()
+            charged = comm.trace.seconds["checkpoint"]
             t0 = time.perf_counter_ns()
             cut(i if form == "full" else 0, i)
             if comm.rank == 0:
                 walls.append(time.perf_counter_ns() - t0)
+                modelled.append(comm.trace.seconds["checkpoint"] - charged)
+            if snapshots is not None:
+                # A deposit is rank-local: wait for the last one.
+                comm.barrier()
+            if comm.rank == 0 and snapshots is None:
                 newest = max(os.listdir(root))
                 nbytes.append(sum(
                     s.nbytes
                     for s in read_manifest(os.path.join(root, newest)).shards
                 ))
+            elif comm.rank == 0:
+                held, copied = _generation_bytes(snapshots)
+                referenced.append(held)
+                nbytes.append(copied)
 
-    def run():
+    def run(machine, walls, modelled):
         root = tempfile.mkdtemp(dir=tmp_path)
-        run_spmd(p, prog, root, machine=FREE, timeout=60.0)
+        snapshots = (
+            RunSnapshots(every_iterations=1) if medium == "snapshot" else None
+        )
+        run_spmd(
+            p, prog, root, snapshots, walls, modelled,
+            machine=machine, timeout=60.0,
+        )
+        assert bool(os.listdir(root)) == (medium == "disk")
 
-    benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
+    benchmark.pedantic(
+        run, args=(FREE, walls, []), rounds=3, iterations=1, warmup_rounds=1
+    )
+    run(CORI_HASWELL, [], modelled)
     # Drop the warm-up round (absent under --benchmark-disable).
     timed = walls[SAVES_PER_RUN:] or walls
     us = float(np.median(timed)) / 1e3
     per_save = int(np.median(nbytes))
-    benchmark.extra_info.update(wall_us_per_save=us, bytes_per_save=per_save)
-    print(
-        f"\ncheckpoint save {form:<5} p={p} {us:>9.0f} us/save "
-        f"{per_save:>8d} bytes/save"
+    held = int(np.median(referenced)) if referenced else 0
+    charged_us = float(np.median(modelled)) * 1e6
+    benchmark.extra_info.update(
+        wall_us_per_save=us, bytes_per_save=per_save,
+        bytes_referenced_per_save=held, modelled_us_per_save=charged_us,
     )
+    print(
+        f"\ncheckpoint save {medium:<8} {form:<5} p={p} {us:>9.0f} us/save "
+        f"{charged_us:>8.2f} modelled us/save {per_save:>8d} bytes "
+        f"{'written' if medium == 'disk' else 'copied'}/save"
+        + (f" {held:>8d} bytes by reference" if medium == "snapshot" else "")
+    )
+
+
+def _generation_bytes(snapshots: RunSnapshots) -> tuple[int, int]:
+    """``(bytes held by reference, bytes copied)`` of the newest
+    generation, over all ranks."""
+    manifest, parts = snapshots._latest
+    held = sum(
+        arrays[name].nbytes
+        for _, (_, arrays), _ in parts.values()
+        for name in sorted(arrays)
+    )
+    return held, sum(shard.nbytes for shard in manifest.shards)
 
 
 def _labels_by_min_member(g: CSRGraph) -> np.ndarray:

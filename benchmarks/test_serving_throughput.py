@@ -20,6 +20,10 @@ keeps the tier honest under the workload it was built for:
   a heavy (24-job) and a starved (6-job) tenant — the ISSUE's
   acceptance bound, starved p95 queue wait within 2x of the heavy
   tenant's, is asserted here;
+* **retry medium**: cold jobs/s and modelled seconds per job of a
+  retryable job that checkpoints to a named directory (what every
+  retryable job did before PR 24), one that keeps in-memory snapshots
+  (the default since) and one that allows no retry;
 * **observability overhead**: fresh-compute jobs/s through one engine
   with the full observability stack on (event log + drift monitor +
   periodic Prometheus exporter) vs off — asserted under 5%.
@@ -221,6 +225,76 @@ def test_serving_throughput(record_result, record_bench, tmp_path):
             "hit_rate_under_churn": round(hit_rate_under_churn, 3),
             "heavy_p95_queue_s": round(heavy_p95, 5),
             "starved_p95_queue_s": round(starved_p95, 5),
+        },
+    )
+
+
+def test_retry_medium_cold_jobs(record_result, record_bench, tmp_path):
+    """What a cold, retryable job pays to be resumable, per medium.
+
+    Four web-wiki ``small`` graphs (the ``service_mix`` inputs) at p = 2
+    through a one-worker engine with no store, three ways: ``disk`` —
+    the request names a ``checkpoint_dir``, which is what every
+    retryable job did before retries resumed from memory; ``snapshots``
+    — the default; ``none`` — ``max_retries=0``, the floor.  The order
+    of the three rotates from repetition to repetition (the host's
+    clock flips between levels that hold for tens of seconds), medians
+    are reported on both clocks, and the outcomes must agree.
+    """
+    graphs = [
+        make_graph("web-wiki-en-2013", scale="small", seed=s) for s in range(4)
+    ]
+    media = ("disk", "snapshots", "none")
+    repeats = 5
+    wall = {m: [] for m in media}
+    modelled = {}
+    outcome = {}
+
+    def requests(medium, rep):
+        for i, g in enumerate(graphs):
+            extra = {}
+            if medium == "disk":
+                extra["checkpoint_dir"] = str(tmp_path / f"{rep}-{i}")
+            elif medium == "none":
+                extra["max_retries"] = 0
+            yield DetectionRequest(graph=g, nranks=2, **extra)
+
+    for rep in range(repeats):
+        for medium in media[rep % 3:] + media[:rep % 3]:
+            with Engine(workers=1, store=None) as engine:
+                t0 = time.perf_counter()
+                responses = [
+                    engine.detect(r, timeout=WAIT)
+                    for r in requests(medium, rep)
+                ]
+                wall[medium].append(time.perf_counter() - t0)
+            assert all(r.state.value == "done" for r in responses)
+            modelled[medium] = float(
+                np.mean([r.result.elapsed for r in responses])
+            )
+            outcome[medium] = [r.result.modularity for r in responses]
+    assert outcome["disk"] == outcome["snapshots"] == outcome["none"]
+    rate = {m: len(graphs) / float(np.median(wall[m])) for m in media}
+    # The modelled clock is exact; the wall rates are reported, not
+    # asserted (a noisy host can reorder them).
+    assert modelled["none"] < modelled["snapshots"] < modelled["disk"]
+
+    lines = [
+        "retry medium (1 worker, no store, 4 web-wiki small graphs, p=2, "
+        f"median of {repeats} rotated repetitions)",
+    ] + [
+        f"  {m:<10} {rate[m]:8.1f} cold jobs/s   "
+        f"{modelled[m] * 1e3:8.4f} modelled ms/job"
+        for m in media
+    ]
+    record_result("retry_medium", "\n".join(lines))
+    record_bench(
+        "serving_throughput",
+        {
+            "retry_medium_graph": "web-wiki-en-2013 small, p=2",
+            **{f"jobs_per_s_cold_{m}": round(rate[m], 2) for m in media},
+            **{f"modelled_ms_per_job_{m}": round(modelled[m] * 1e3, 5)
+               for m in media},
         },
     )
 

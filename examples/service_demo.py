@@ -6,8 +6,9 @@ Exercises the serving tier end to end:
 * 20 mixed jobs (two graphs x the paper's variant sweep x 2/4 ranks)
   multiplexed over a 4-worker engine — all complete, none lost;
 * one job killed mid-run by a deterministic injected fault — the engine
-  retries it, *resuming* from the job's automatic checkpoint, and the
-  recovered result is bit-identical to an uninterrupted reference run;
+  retries it, *resuming* from the job's last in-memory snapshot (no
+  file is written for it), and the recovered result is bit-identical to
+  an uninterrupted reference run;
 * a repeated (graph, config) submission — served from the
   content-addressed result cache (hit counted in the metrics) with a
   bit-identical result;
@@ -17,6 +18,7 @@ Exercises the serving tier end to end:
 Run:  python examples/service_demo.py
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -48,8 +50,10 @@ requests = [
 ][:20]
 
 # One more job that *will* be killed: rank 1 dies at its 60th
-# communication op.  max_retries lets the engine retry it; the engine's
-# automatic per-job checkpointing lets the retry resume mid-run.
+# communication op.  max_retries lets the engine retry it; the
+# snapshots the engine keeps of every retryable job's run state (every
+# phase boundary, every second iteration here) let the retry resume
+# mid-run.
 faulty = DetectionRequest(
     graph=graphs["soc-friendster"],
     nranks=4,
@@ -60,11 +64,15 @@ faulty = DetectionRequest(
 )
 
 with tempfile.TemporaryDirectory() as tmp:
+    # Where engines used to put per-job checkpoints; still accepted,
+    # and checked below to stay empty.
+    jobs_dir = f"{tmp}/jobs"
+    os.makedirs(jobs_dir)
     engine = Engine(
         workers=4,
         queue_depth=64,
         store=ResultStore(capacity=64, directory=f"{tmp}/cache"),
-        workdir=f"{tmp}/jobs",
+        workdir=jobs_dir,
         checkpoint_every_iterations=2,
     )
     with engine:
@@ -85,6 +93,8 @@ with tempfile.TemporaryDirectory() as tmp:
     assert fault_resp.state is JobState.DONE
     assert fault_resp.retries >= 1, "injected fault did not trigger a retry"
     assert fault_resp.resumed_from_checkpoint, "retry restarted from scratch"
+    assert not os.listdir(jobs_dir), "an engine job wrote to disk"
+    print("engine workdir after 21 jobs and one resumed retry: empty")
     reference = reference_run(
         graphs["soc-friendster"], 4, LouvainConfig(seed=3)
     )

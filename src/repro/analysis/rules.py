@@ -80,6 +80,7 @@ COLLECTIVE_HELPERS = frozenset(
         "_sweep_round",
         "_vertex_following_targets",
         "_warm_start",
+        "_write",
         "audit_community_info",
         "audit_ghost_coherence",
         "audit_partition",

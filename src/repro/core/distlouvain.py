@@ -673,6 +673,7 @@ def distributed_louvain(
     checkpoint_every: int = 1,
     checkpoint_every_iterations: int | None = None,
     resume: bool = False,
+    snapshots=None,
 ) -> LouvainResult:
     """Algorithm 2: the full multi-phase distributed Louvain at one rank.
 
@@ -691,10 +692,16 @@ def distributed_louvain(
     when set).  With ``resume=True`` the run restarts from the latest
     valid checkpoint instead of the input graph (``dg`` may then be
     ``None``); a resumed run reproduces the uninterrupted run's final
-    labels and modularity bit for bit.
+    labels and modularity bit for bit.  ``snapshots`` (a
+    :class:`~repro.resilience.snapshots.RunSnapshots`, one object shared
+    by every rank) takes ``checkpoint_dir``'s place for a caller that
+    will retry in this process: saves and the resume go through it, at
+    its own cadence, and nothing is written to disk.
     """
     config = config or LouvainConfig()
-    manager = _checkpoint_manager(
+    if snapshots is not None and checkpoint_dir is not None:
+        raise ValueError("pass checkpoint_dir= or snapshots=, not both")
+    manager = snapshots or _checkpoint_manager(
         config, checkpoint_dir, checkpoint_every, checkpoint_every_iterations
     )
     if resume:
@@ -791,13 +798,13 @@ def _begin_run(
 def _restore_run(
     comm: Communicator, manager, config: LouvainConfig
 ) -> tuple[RunState, IterationState | None]:
-    """The state of the latest valid checkpoint (collective): the run
-    state and, for a mid-phase checkpoint, the iteration state its
-    phase rejoins at."""
+    """The state of the latest valid checkpoint (collective on disk; a
+    rank-local read of ``snapshots``): the run state and, for a
+    mid-phase checkpoint, the iteration state its phase rejoins at."""
     from ..resilience.louvain_state import unpack_rank_state
 
     if manager is None:
-        raise ValueError("resume=True requires checkpoint_dir=")
+        raise ValueError("resume=True requires checkpoint_dir= or snapshots=")
     manifest, meta, arrays = manager.load_latest(comm)
     _check_resume_config(manifest, config)
     run, rejoin, clock = unpack_rank_state(comm.rank, meta, arrays, config)
@@ -908,9 +915,9 @@ def _phase_tau(
 def _save_checkpoint(
     manager, comm: Communicator, run: RunState, it: IterationState | None = None
 ) -> None:
-    """Cut one checkpoint (collective; charged to ``checkpoint``): at
-    the boundary before phase ``run.phase``, or after iteration
-    ``it.iteration`` of it.
+    """Cut one checkpoint (charged to ``checkpoint``; collective when
+    ``manager`` writes to disk): at the boundary before phase
+    ``run.phase``, or after iteration ``it.iteration`` of it.
 
     The manager packs the run state only into the first checkpoint it
     writes in a phase; later ones are deltas of that one.
@@ -1113,6 +1120,7 @@ def run_louvain(
     checkpoint_every: int = 1,
     checkpoint_every_iterations: int | None = None,
     resume: bool = False,
+    snapshots=None,
     fault_plan=None,
     verify_schedule: bool | None = None,
 ) -> LouvainResult:
@@ -1128,6 +1136,8 @@ def run_louvain(
     ``checkpoint_every_iterations``, mid-phase) checkpointing;
     ``resume=True`` restarts from the latest valid checkpoint (the
     input graph is not re-distributed — state comes from the shards);
+    ``snapshots`` keeps the saves in memory instead, for a caller that
+    retries in this process (see :func:`distributed_louvain`);
     ``fault_plan`` injects deterministic failures
     (:class:`repro.resilience.faults.FaultPlan`).  ``verify_schedule``
     enables the debug collective-schedule verifier for this run
@@ -1136,6 +1146,8 @@ def run_louvain(
     seed_global = None
     if initial_assignment is not None:
         seed_global = _labels_to_vertex_space(initial_assignment)
+    if snapshots is not None:
+        snapshots.begin_attempt(resume=resume)
 
     def main(comm: Communicator) -> LouvainResult:
         if resume:
@@ -1148,6 +1160,7 @@ def run_louvain(
                 checkpoint_every=checkpoint_every,
                 checkpoint_every_iterations=checkpoint_every_iterations,
                 resume=True,
+                snapshots=snapshots,
             )
         dg = DistGraph.distribute(comm, g, partition=partition)
         seed_local = (
@@ -1161,6 +1174,7 @@ def run_louvain(
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
             checkpoint_every_iterations=checkpoint_every_iterations,
+            snapshots=snapshots,
         )
 
     spmd: SPMDResult = run_spmd(

@@ -7,7 +7,7 @@ them, alongside the final community assignment and modelled timings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,6 +61,23 @@ class LouvainResult:
     trace: TraceReport | None = None
     #: Per-phase assignments of original vertices (when tracking is on).
     phase_assignments: list[np.ndarray] | None = None
+
+    def copy(self) -> "LouvainResult":
+        """An independent result: own arrays, own stats lists (their
+        records are frozen, so they are shared) and own trace counters.
+        Mutating the copy leaves the original as it was."""
+        return replace(
+            self,
+            assignment=self.assignment.copy(),
+            phases=list(self.phases),
+            iterations=list(self.iterations),
+            trace=None if self.trace is None else self.trace.copy(),
+            phase_assignments=(
+                None
+                if self.phase_assignments is None
+                else [a.copy() for a in self.phase_assignments]
+            ),
+        )
 
     @property
     def num_phases(self) -> int:

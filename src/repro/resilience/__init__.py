@@ -2,7 +2,7 @@
 
 Long multi-phase runs (hours on billion-edge inputs on the real machine)
 must survive rank failures without losing completed phases.  This
-subpackage provides the three layers:
+subpackage provides the four layers:
 
 * **checkpointing** (:mod:`.checkpoint`) — versioned, checksummed,
   per-rank-sharded snapshots of the distributed state at phase
@@ -10,6 +10,10 @@ subpackage provides the three layers:
   a crash never leaves a half-valid checkpoint; the first checkpoint of
   a phase is full, later ones are deltas that store only the iteration
   state and pin the full one's shards by size and SHA-256;
+* **snapshots** (:mod:`.snapshots`) — the same state at the same
+  cadence kept in memory, by reference where a phase never writes it
+  and copied where it does: what an ``Engine`` retry resumes from,
+  with no file and no collective;
 * **fault injection** (:mod:`.faults`) — seeded, deterministic failure
   schedules (kill a rank at operation N, delay/drop messages, corrupt a
   shard on disk) so recovery can be exercised and *proven* in tests;
@@ -48,6 +52,7 @@ from .louvain_state import (
     pack_phase_state,
     unpack_rank_state,
 )
+from .snapshots import RunSnapshots
 
 __all__ = [
     "BaseRef",
@@ -59,6 +64,7 @@ __all__ = [
     "Manifest",
     "ManifestError",
     "NoCheckpointError",
+    "RunSnapshots",
     "ShardInfo",
     "corrupt_checkpoint_shard",
     "latest_valid_manifest",

@@ -483,18 +483,43 @@ class CheckpointManager:
         phase_state: Callable[[], ShardPayload],
         iteration_state: ShardPayload,
     ) -> Manifest | None:
-        """Write one checkpoint (collective over ``comm``).
+        """Cut one checkpoint in this manager's medium.
 
         ``iteration_state`` is what changes between two saves of one
         phase; ``phase_state()`` builds the rest, and is called only
-        for the first save of ``phase`` — that checkpoint is full, the
-        ones after it are deltas citing it.  Each rank serializes its
-        shard and writes it atomically; rank 0 gathers the digests,
-        writes the manifest last, prunes old checkpoints, and returns
-        the manifest of the shards this call wrote (other ranks return
-        ``None``).  All time (modelled file I/O plus the digest gather
-        and closing barrier) is charged to the ``checkpoint`` trace
-        category.
+        for the first save of ``phase``.  Every save of every medium
+        enters here (:class:`~.snapshots.RunSnapshots` replaces
+        :meth:`_write` alone), so whatever times or counts what
+        resumability costs a run wraps this one method.
+        """
+        return self._write(
+            comm,
+            kind=kind,
+            phase=phase,
+            iteration=iteration,
+            phase_state=phase_state,
+            iteration_state=iteration_state,
+        )
+
+    def _write(
+        self,
+        comm: Communicator,
+        *,
+        kind: str,
+        phase: int,
+        iteration: int,
+        phase_state: Callable[[], ShardPayload],
+        iteration_state: ShardPayload,
+    ) -> Manifest | None:
+        """Write the checkpoint to disk (collective over ``comm``).
+
+        The first one of ``phase`` is full, the ones after it are
+        deltas citing it.  Each rank serializes its shard and writes it
+        atomically; rank 0 gathers the digests, writes the manifest
+        last, prunes old checkpoints, and returns the manifest of the
+        shards this call wrote (other ranks return ``None``).  All time
+        (modelled file I/O plus the digest gather and closing barrier)
+        is charged to the ``checkpoint`` trace category.
         """
         full = self._base_phase != phase
         self._base_phase = phase

@@ -10,7 +10,7 @@ tagged with a category, and :class:`TraceReport` aggregates across ranks.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 #: Canonical categories used by the library.  Free-form strings are also
@@ -63,6 +63,16 @@ class RankTrace:
         if self.events is None:
             self.events = []
 
+    def copy(self) -> "RankTrace":
+        """An independent trace: own counters and event list (the
+        events themselves are immutable)."""
+        return replace(
+            self,
+            seconds=Counter(self.seconds),
+            collectives=Counter(self.collectives),
+            events=None if self.events is None else list(self.events),
+        )
+
     def charge(self, category: str, dt: float, at: float | None = None) -> None:
         """Attribute ``dt`` virtual seconds to ``category``.
 
@@ -103,6 +113,9 @@ class TraceReport:
     @classmethod
     def merge(cls, traces: Iterable[RankTrace]) -> "TraceReport":
         return cls(ranks=sorted(traces, key=lambda t: t.rank))
+
+    def copy(self) -> "TraceReport":
+        return TraceReport(ranks=[t.copy() for t in self.ranks])
 
     @property
     def size(self) -> int:

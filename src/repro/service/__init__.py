@@ -7,7 +7,8 @@ The serving tier over the distributed Louvain library.  One way in —
 * :class:`Engine` — asynchronous: a bounded worker pool multiplexes
   many jobs, with priority scheduling, admission control and
   backpressure (:class:`AdmissionError`), per-job retry-with-resume on
-  rank failure (PR-1 checkpoints), content-addressed result caching
+  rank failure (from in-memory snapshots of the run state),
+  content-addressed result caching
   (:class:`ResultStore`), and full observability
   (:class:`ServiceMetrics`);
 * ``repro-louvain serve / submit`` — the same engine from the command

@@ -13,10 +13,12 @@ Reliability semantics:
   bound are rejected with a reason (:class:`AdmissionError`), never
   buffered unboundedly;
 * **retry-with-resume** — a job whose ranks die mid-run (crash, injected
-  fault, lost message) is retried up to ``max_retries`` times; the
-  engine auto-checkpoints every job that allows retries into a per-job
-  directory, so each retry *resumes* from the last valid checkpoint
-  (PR-1 machinery) instead of recomputing finished phases;
+  fault, lost message) is retried up to ``max_retries`` times; every
+  job that allows retries keeps in-memory snapshots of its run state
+  (:class:`~repro.resilience.snapshots.RunSnapshots`, dropped when the
+  job finishes), so each retry *resumes* from the last complete one
+  instead of recomputing finished phases.  Only a request that names a
+  ``checkpoint_dir`` writes checkpoints to disk, and resumes from them;
 * **result caching** — cacheable requests are content-addressed
   (graph fingerprint + canonical config hash) against the engine's
   :class:`~repro.service.store.ResultStore`; a repeat submission is
@@ -36,11 +38,11 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import tempfile
 import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..core.distlouvain import run_louvain
 from ..core.dynamic import warm_start_assignment
@@ -59,6 +61,9 @@ from .metrics import ServiceMetrics
 from .request import DetectionRequest, DetectionResponse, JobState
 from .scheduler import AdmissionError, PriorityScheduler
 from .store import ResultStore
+
+if TYPE_CHECKING:
+    from ..resilience.snapshots import RunSnapshots
 
 __all__ = [
     "Engine",
@@ -82,7 +87,7 @@ _UNSET = object()
 def execute_request(
     request: DetectionRequest,
     *,
-    checkpoint_dir: str | None = None,
+    snapshots: RunSnapshots | None = None,
     checkpoint_every_iterations: int | None = None,
     resume: bool | None = None,
     fault_plan: object = _UNSET,
@@ -92,11 +97,10 @@ def execute_request(
     Every way into the library — ``Engine`` workers, the inline
     :func:`repro.service.detect` facade — funnels through here, so
     request semantics are defined once.  The keyword overrides exist for
-    the engine's retry machinery (per-job checkpoint directory,
-    resume-on-retry, dropping a fired fault plan); plain callers never
-    pass them.
+    the engine's retry machinery (the job's snapshots, its default
+    cadence, resume-on-retry, dropping a fired fault plan); plain
+    callers never pass them.
     """
-    ckpt = checkpoint_dir if checkpoint_dir is not None else request.checkpoint_dir
     every_iters = (
         checkpoint_every_iterations
         if checkpoint_every_iterations is not None
@@ -121,10 +125,11 @@ def execute_request(
         partition=request.partition,
         timeout=request.timeout or DEFAULT_OP_TIMEOUT,
         initial_assignment=seed,
-        checkpoint_dir=ckpt,
+        checkpoint_dir=request.checkpoint_dir,
         checkpoint_every=request.checkpoint_every,
         checkpoint_every_iterations=every_iters,
         resume=do_resume,
+        snapshots=snapshots,
         fault_plan=plan,
     )
 
@@ -151,7 +156,9 @@ class Job:
     cache_key: str | None = None
     retries: int = 0
     resumed_from_checkpoint: bool = False
-    checkpoint_dir: str | None = None
+    #: What a retry resumes from when the request names no
+    #: ``checkpoint_dir``; lives from the first attempt to ``_finish``.
+    snapshots: RunSnapshots | None = None
     ticket: int | None = None
     cancel_requested: bool = False
     submitted_at: float = 0.0
@@ -196,12 +203,13 @@ class Engine:
     store:
         Result cache; ``None`` disables caching entirely.
     workdir:
-        Root for per-job checkpoint directories (auto-created temp dir
-        when omitted).  Jobs with ``max_retries > 0`` checkpoint here so
-        retries resume instead of restarting.
+        Unused: the engine writes no files (retries resume from
+        in-memory snapshots).  Still accepted because
+        ``benchmarks/e2e/workloads.py`` passes it; goes with the next
+        ``benchmark`` PR.
     checkpoint_every_iterations:
-        Auto-checkpoint cadence for retryable jobs that did not choose
-        their own (iterations between mid-phase checkpoints).
+        Save cadence for retryable jobs that did not choose their own
+        (iterations between mid-phase snapshots or checkpoints).
     tuning_db:
         Autotuning database (:class:`repro.tune.TuningDB`).  Requests
         submitted with ``tune="auto"`` consult it: an exact fingerprint
@@ -264,11 +272,6 @@ class Engine:
             else PriorityScheduler(max_pending=queue_depth)
         )
         self.checkpoint_every_iterations = checkpoint_every_iterations
-        self._workdir = (
-            os.fspath(workdir)
-            if workdir is not None
-            else tempfile.mkdtemp(prefix="repro-engine-")
-        )
         self._jobs: dict[str, Job] = {}
         self._lock = threading.Lock()
         self._next_id = 0
@@ -331,12 +334,6 @@ class Engine:
                 self._finish(job, JobState.DONE, result=cached)
                 return job.id
             self.metrics.inc("cache_misses")
-
-        if request.max_retries > 0 and request.checkpoint_dir is None:
-            # Auto-checkpoint so a retry can resume instead of restart.
-            job.checkpoint_dir = os.path.join(self._workdir, job.id)
-        else:
-            job.checkpoint_dir = request.checkpoint_dir
 
         with self._lock:
             self._jobs[job.id] = job
@@ -523,6 +520,8 @@ class Engine:
         job.state = state
         job.result = result
         job.error = error
+        # ``_jobs`` keeps the job; nothing will resume it any more.
+        job.snapshots = None
         job.finished_at = time.monotonic()
         self.metrics.inc(
             {
@@ -836,8 +835,24 @@ class Engine:
         )
         fault_plan: object = request.fault_plan
         resume = request.mode == "resume"
+        every_iterations = (
+            request.checkpoint_every_iterations
+            or self.checkpoint_every_iterations
+        )
+        in_memory = request.max_retries > 0 and request.checkpoint_dir is None
         while True:
             try:
+                if in_memory and job.snapshots is None:
+                    # So a retry can resume instead of restart.  (Built
+                    # in here: a cadence it refuses fails the job.)
+                    from ..resilience.snapshots import RunSnapshots
+
+                    job.snapshots = RunSnapshots(
+                        every_phases=request.checkpoint_every,
+                        every_iterations=every_iterations,
+                        label=request.config.label(),
+                        config_key=request.config.cache_key(),
+                    )
                 with scoped(
                     self.event_log,
                     job_id=job.id,
@@ -845,11 +860,8 @@ class Engine:
                 ):
                     result = execute_request(
                         request,
-                        checkpoint_dir=job.checkpoint_dir,
-                        checkpoint_every_iterations=(
-                            request.checkpoint_every_iterations
-                            or self.checkpoint_every_iterations
-                        ),
+                        snapshots=job.snapshots,
+                        checkpoint_every_iterations=every_iterations,
                         resume=resume,
                         fault_plan=fault_plan,
                     )
@@ -911,14 +923,18 @@ class Engine:
         self._finish(job, JobState.DONE, result=result)
 
     def _can_resume(self, job: Job) -> bool:
-        """A retry resumes iff a valid checkpoint of this job exists."""
-        if job.checkpoint_dir is None:
+        """A retry resumes iff the job has a complete snapshot — or,
+        for a request that names a ``checkpoint_dir``, a valid
+        checkpoint there."""
+        if job.snapshots is not None:
+            return job.snapshots.latest is not None
+        if job.request.checkpoint_dir is None:
             return False
         from ..resilience.checkpoint import latest_valid_manifest
 
         return (
             latest_valid_manifest(
-                job.checkpoint_dir, expect_size=job.request.nranks
+                job.request.checkpoint_dir, expect_size=job.request.nranks
             )
             is not None
         )

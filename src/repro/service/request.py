@@ -93,11 +93,12 @@ class DetectionRequest:
     #: not retried past it); also caps each blocking runtime op.
     timeout: float | None = None
     #: Transparent retries on rank failure.  Each attempt after the
-    #: first resumes from the job's latest valid checkpoint when one
-    #: exists (the engine auto-assigns a checkpoint directory).
+    #: first resumes from the job's last complete in-memory snapshot
+    #: when there is one (from its latest valid checkpoint, for a
+    #: request that names a ``checkpoint_dir``).
     max_retries: int = 1
     #: Explicit checkpoint directory (required for ``mode="resume"``;
-    #: otherwise optional — the engine manages a per-job one).
+    #: otherwise optional — without one nothing is written to disk).
     checkpoint_dir: str | None = None
     checkpoint_every: int = 1
     checkpoint_every_iterations: int | None = None
@@ -287,7 +288,8 @@ class DetectionResponse:
     #: The config/ranks that ran were planned by the autotuner (the
     #: ``request`` field reflects the substituted plan).
     tuned: bool = False
-    #: Whether any retry resumed from a checkpoint (vs restarting).
+    #: Whether any retry resumed from a snapshot or checkpoint (vs
+    #: restarting).
     resumed_from_checkpoint: bool = False
     #: Wall-clock timestamps (``time.monotonic`` domain).
     submitted_at: float = 0.0

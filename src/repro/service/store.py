@@ -24,7 +24,6 @@ get back without corrupting the cache.
 
 from __future__ import annotations
 
-import copy
 import os
 import threading
 import time
@@ -83,7 +82,7 @@ class ResultStore:
             if result is not None:
                 self._memory.move_to_end(key)
                 self.hits += 1
-                return copy.deepcopy(result)
+                return result.copy()
         path = self._disk_path(key)
         if path is not None and os.path.exists(path):
             result = load_result(path)
@@ -91,14 +90,14 @@ class ResultStore:
                 self.hits += 1
                 self._insert_locked(key, result)
                 self._touch_locked(path)
-            return copy.deepcopy(result)
+            return result.copy()
         with self._lock:
             self.misses += 1
         return None
 
     def put(self, key: str, result: LouvainResult) -> None:
         """Store a result under its content key (memory + disk tiers)."""
-        result = copy.deepcopy(result)
+        result = result.copy()
         path = self._disk_path(key)
         if path is not None:
             os.makedirs(self.directory, exist_ok=True)  # type: ignore[arg-type]

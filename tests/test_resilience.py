@@ -25,6 +25,7 @@ from repro.core import (
     make_rank_rng,
     run_louvain,
 )
+from repro.core.distlouvain import _save_checkpoint
 from repro.graph import DistGraph, EdgeList
 from repro.resilience import (
     CheckpointManager,
@@ -32,6 +33,7 @@ from repro.resilience import (
     FaultPlan,
     ManifestError,
     NoCheckpointError,
+    RunSnapshots,
     corrupt_checkpoint_shard,
     latest_valid_manifest,
     load_shard,
@@ -421,6 +423,38 @@ def _flip(path):
     corrupt_checkpoint_shard(path, seed=0)
 
 
+def _assert_same_run(ref, res, cfg):
+    """``res`` — a resumed run — is ``ref`` down to its history."""
+    np.testing.assert_array_equal(ref.assignment, res.assignment)
+    assert res.modularity == ref.modularity
+    assert res.iterations == ref.iterations
+    assert res.phases == ref.phases
+    if cfg.track_assignments:
+        assert len(res.phase_assignments) == len(ref.phase_assignments)
+        for got, want in zip(res.phase_assignments, ref.phase_assignments):
+            np.testing.assert_array_equal(got, want)
+
+
+def _point(snaps):
+    """The save point of a snapshot object's newest generation."""
+    newest = snaps.latest
+    return newest.kind, newest.phase, newest.iteration
+
+
+class _DyingSnapshots(RunSnapshots):
+    """Snapshots whose world dies the moment generation ``last`` is
+    complete (``None``: never) — the in-memory counterpart of copying
+    the step directories up to ``last``."""
+
+    last = None
+
+    def save(self, comm, **kwargs):
+        super().save(comm, **kwargs)
+        newest = self.latest
+        if self.last is not None and newest and newest.seq >= self.last:
+            raise InjectedFault(comm.rank, newest.seq, "save")
+
+
 class TestDeltaCheckpoints:
     """The first checkpoint of a phase is full; the ones after it store
     only the iteration state and pin the full one's shards."""
@@ -474,16 +508,7 @@ class TestDeltaCheckpoints:
                 g, p, cfg, checkpoint_dir=str(d), resume=True,
                 checkpoint_every_iterations=1,
             )
-            np.testing.assert_array_equal(ref.assignment, res.assignment)
-            assert res.modularity == ref.modularity
-            assert res.iterations == ref.iterations
-            assert res.phases == ref.phases
-            if cfg.track_assignments:
-                assert len(res.phase_assignments) == len(ref.phase_assignments)
-                for got, want in zip(
-                    res.phase_assignments, ref.phase_assignments
-                ):
-                    np.testing.assert_array_equal(got, want)
+            _assert_same_run(ref, res, cfg)
             # A resumed run cannot lean on the dead run's base: whatever
             # it cuts first is full, even mid-phase.
             cut = [x for _, x, _ in scan_checkpoints(str(d))][k + 1:]
@@ -504,6 +529,35 @@ class TestDeltaCheckpoints:
                 np.testing.assert_array_equal(ref.assignment, res.assignment)
                 assert res.modularity == ref.modularity
                 assert res.iterations == ref.iterations
+        assert reopened
+        # The other medium: the same save points, each resumed from memory.
+        self._resume_from_every_snapshot(
+            g, p, cfg, first_run, ref,
+            [(m.kind, m.phase, m.iteration) for m in manifests],
+        )
+
+    def _resume_from_every_snapshot(self, g, p, cfg, first_run, ref, points):
+        reopened = 0
+        for k, point in enumerate(points):
+            snaps = _DyingSnapshots(
+                every_iterations=1, config_key=cfg.cache_key()
+            )
+            snaps.last = k
+            with pytest.raises((RankFailedError, InjectedFault)):
+                run_louvain(g, p, cfg, snapshots=snaps, **first_run)
+            assert _point(snaps) == point
+            if not reopened and k + 2 < len(points):
+                # Die a second time, two generations into the resumed run.
+                reopened += 1
+                snaps.last = k + 2
+                with pytest.raises((RankFailedError, InjectedFault)):
+                    run_louvain(g, p, cfg, snapshots=snaps, resume=True)
+                assert _point(snaps) == points[k + 2]
+            snaps.last = None
+            res = run_louvain(g, p, cfg, snapshots=snaps, resume=True)
+            _assert_same_run(ref, res, cfg)
+            # It saved on: the last generation is the run's last save point.
+            assert _point(snaps) == points[-1]
         assert reopened
 
     def test_delta_shard_holds_no_phase_state(self, tmp_path, keep_all):
@@ -789,6 +843,199 @@ class TestStateRoundTrip:
         for f in dataclasses.fields(state):
             assert _same(getattr(state, f.name), getattr(state2, f.name)), f.name
         assert state2.prev_q == -np.inf and state2.et is None
+
+
+def _rank_state(comm, g):
+    """A phase-0 state after one iteration in which nothing moved."""
+    dg = DistGraph.distribute(comm, g)
+    run = RunState(dg=dg, orig_slice=np.arange(dg.vbegin, dg.vend))
+    state = IterationState(
+        local_comm=dg.local_vertex_ids().copy(),
+        tot_owned=dg.local_degrees().copy(),
+        size_owned=np.ones(dg.num_local, dtype=np.int64),
+        iteration=0,
+    )
+    return run, state
+
+
+class _FreezingSnapshots(_DyingSnapshots):
+    """Flags read-only everything a save keeps by reference, so a later
+    write to it anywhere in the run raises."""
+
+    def save(self, comm, **kwargs):
+        try:
+            super().save(comm, **kwargs)
+        finally:
+            _, held = self._phase_state[comm.rank][1]
+            for name in sorted(held):
+                held[name].setflags(write=False)
+
+
+class TestRunSnapshots:
+    """The in-memory medium: what a save copies and what it references,
+    when a generation counts, what the modelled clock is charged."""
+
+    def test_shares_the_managers_cadence(self):
+        for test in ("should_checkpoint_phase", "should_checkpoint_iteration"):
+            assert getattr(RunSnapshots, test) is getattr(CheckpointManager, test)
+        with pytest.raises(ValueError, match="every_iterations"):
+            RunSnapshots(every_iterations=-1)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_saves_enter_through_the_managers_save(self, p, monkeypatch):
+        """One entry point for both media — what ``benchmarks/e2e``
+        wraps to time a save — and each rank gets back a manifest of
+        the shard it deposited, without waiting for its peers."""
+        returned = []
+        save = CheckpointManager.save
+
+        def spy(self, comm, **kwargs):
+            manifest = save(self, comm, **kwargs)
+            returned.append((comm.rank, manifest))
+            return manifest
+
+        monkeypatch.setattr(CheckpointManager, "save", spy)
+        snaps = RunSnapshots(every_iterations=1)
+        run_louvain(_graph(), p, _config(), snapshots=snaps)
+        newest = snaps.latest
+        assert len(returned) == p * (newest.seq + 1)
+        assert [s.rank for s in newest.shards] == list(range(p))
+        for rank, manifest in returned:
+            (shard,) = manifest.shards
+            assert shard.rank == rank and manifest.directory == "<memory>"
+            assert (shard.nbytes > 0) == (manifest.kind == "iteration")
+        last = {rank: m.shards[0] for rank, m in returned}
+        assert newest.shards == tuple(last[r] for r in range(p))
+
+    def test_references_phase_state_copies_iteration_state(self):
+        snaps = RunSnapshots(every_iterations=1)
+
+        def prog(comm):
+            run, state = _rank_state(comm, _graph())
+            _save_checkpoint(snaps, comm, run, state)
+            _, _, first = snaps.load_latest(comm)
+            for name in sorted(PHASE_ARRAYS - {"orig_slice"}):
+                assert first[name] is getattr(run.dg, name), name
+            assert first["orig_slice"] is run.orig_slice
+            labels = state.local_comm.copy()
+            for name in ("local_comm", "tot_owned", "size_owned"):
+                assert not np.shares_memory(first[name], getattr(state, name))
+            # Neither the run going on nor a resumed attempt's writes
+            # reach the snapshot.
+            state.local_comm[:] = -1
+            first["local_comm"][:] = -2
+            _, meta, again = snaps.load_latest(comm)
+            np.testing.assert_array_equal(again["local_comm"], labels)
+            assert meta["kind"] == "iteration" and meta["iteration"] == 0
+
+        run_spmd(1, prog)
+
+    def test_generation_counts_once_every_rank_deposited(self):
+        """A fault between two ranks' deposits of one generation leaves
+        the previous generation the one restored."""
+        g = _graph()
+        snaps = RunSnapshots(every_iterations=1)
+
+        def dies_between_deposits(comm):
+            run, state = _rank_state(comm, g)
+            _save_checkpoint(snaps, comm, run, state)
+            comm.barrier()
+            state.iteration, state.local_comm[:] = 1, 7
+            # (a deposit is rank-local: no peer waits for it)
+            if comm.rank == 0:  # spmdlint: ignore[SPMD001]
+                _save_checkpoint(snaps, comm, run, state)
+            comm.barrier()
+            if comm.rank == 1:  # spmdlint: ignore[SPMD004]
+                raise InjectedFault(1, 0, "between deposits")
+            comm.barrier()
+
+        with pytest.raises(RankFailedError):
+            run_spmd(2, dies_between_deposits)
+        assert _point(snaps) == ("iteration", 0, 0)
+        snaps.begin_attempt(resume=True)
+
+        def next_attempt(comm):
+            _, meta, arrays = snaps.load_latest(comm)
+            run, state = _rank_state(comm, g)
+            assert meta["iteration"] == 0
+            np.testing.assert_array_equal(arrays["local_comm"], state.local_comm)
+            if comm.rank == 1:  # spmdlint: ignore[SPMD001]
+                # Rank 0's half of the dead attempt is gone: rank 1's
+                # alone completes nothing.
+                state.iteration = 1
+                _save_checkpoint(snaps, comm, run, state)
+            comm.barrier()
+
+        run_spmd(2, next_attempt)
+        assert _point(snaps) == ("iteration", 0, 0)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_charges_the_words_it_copies_and_no_collective(self, p):
+        snaps = RunSnapshots(every_iterations=1)
+
+        def prog(comm):
+            run, state = _rank_state(comm, _graph())
+            copied = 3 * run.dg.num_local
+            _save_checkpoint(snaps, comm, run)       # references only
+            at_boundary = comm.trace.seconds["checkpoint"]
+            _save_checkpoint(snaps, comm, run, state)
+            saved = comm.trace.seconds["checkpoint"]
+            comm.barrier()
+            calls = dict(comm.trace.collectives)
+            snaps.load_latest(comm)
+            assert comm.trace.collectives == calls == {"barrier": 1}
+            assert comm.trace.bytes_written == 0
+            cost = comm.machine.compute_cost(copied)
+            assert cost > 0
+            return at_boundary, saved, comm.trace.seconds["checkpoint"], cost
+
+        for at_boundary, saved, restored, cost in run_spmd(p, prog).values:
+            assert at_boundary == 0.0
+            assert saved == cost
+            assert restored == cost + cost
+
+    def test_resume_needs_a_complete_generation(self):
+        with pytest.raises(NoCheckpointError, match="no complete snapshot"):
+            run_louvain(_graph(), 1, _config(), snapshots=RunSnapshots(), resume=True)
+
+    def test_cross_config_resume_refused(self):
+        g, cfg = _graph(), _config()
+        snaps = _DyingSnapshots(config_key=cfg.cache_key())
+        snaps.last = 0
+        with pytest.raises(InjectedFault):
+            run_louvain(g, 1, cfg, snapshots=snaps)
+        snaps.last = None
+        with pytest.raises(ValueError, match="would corrupt the run"):
+            run_louvain(g, 1, replace(cfg, alpha=0.5), snapshots=snaps, resume=True)
+
+    def test_one_medium_per_run(self, tmp_path):
+        with pytest.raises(ValueError, match="not both"):
+            run_louvain(
+                _graph(), 1, _config(),
+                checkpoint_dir=str(tmp_path), snapshots=RunSnapshots(),
+            )
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("variant", list(RESUME_CASES))
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_nothing_held_by_reference_is_written_again(self, p, variant):
+        """The audit behind keeping the phase state by reference: with
+        every such array read-only from the save on, a whole detection —
+        and one killed mid-way and resumed — runs clean and unchanged."""
+        cfg, graph, first_run, _ = RESUME_CASES[variant]
+        g = graph()
+        ref = run_louvain(g, p, cfg, **first_run)
+        snaps = _FreezingSnapshots(every_iterations=1)
+        _assert_same_run(
+            ref, run_louvain(g, p, cfg, snapshots=snaps, **first_run), cfg
+        )
+        snaps.last = snaps.latest.seq // 2
+        with pytest.raises((RankFailedError, InjectedFault)):
+            run_louvain(g, p, cfg, snapshots=snaps, **first_run)
+        snaps.last = None
+        _assert_same_run(
+            ref, run_louvain(g, p, cfg, snapshots=snaps, resume=True), cfg
+        )
 
 
 class TestOneResumePath:

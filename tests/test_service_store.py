@@ -1,5 +1,7 @@
 """Unit tests for the content-addressed result store (LRU + disk tier)."""
 
+import copy
+
 import numpy as np
 
 from repro.core import LouvainConfig
@@ -36,6 +38,54 @@ class TestMemoryTier:
         a.assignment[:] = -1
         b = store.get("k1")
         assert b.assignment.min() >= 0, "cached entry was mutated via a hit"
+
+    def test_hits_and_the_stored_entry_are_independent(self, tmp_path):
+        """The module's contract — "callers may mutate what they get
+        back without corrupting the cache" — for everything a result
+        holds that can be mutated, through both tiers, and for the
+        object handed to ``put``."""
+        g = make_graph("soc-friendster", scale="tiny")
+        original = run_louvain(
+            g, 2, LouvainConfig(seed=0, track_assignments=True)
+        )
+        pristine = copy.deepcopy(original)
+
+        def vandalise(result):
+            result.assignment[:] = -1
+            result.phases.clear()
+            if result.iterations:          # (not persisted to disk)
+                result.iterations.pop()
+            if result.phase_assignments:
+                result.phase_assignments[0][:] = -1
+                result.phase_assignments.pop()
+            if result.trace is not None:   # (memory tier only)
+                result.trace.ranks[0].seconds["compute"] += 1.0
+                result.trace.ranks[0].collectives["alltoall"] += 1
+                result.trace.ranks[0].messages_sent += 1
+                result.trace.ranks.pop()
+
+        def contents(result):
+            return (
+                result.modularity, result.elapsed,
+                result.assignment.tolist(), result.phases, result.iterations,
+                result.phase_assignments
+                and [a.tolist() for a in result.phase_assignments],
+                result.trace and [vars(t) for t in result.trace.ranks],
+            )
+
+        store = ResultStore(capacity=4, directory=str(tmp_path))
+        store.put("k", original)
+        vandalise(original)
+        # First the memory tier, then a cold disk hit and its promotion.
+        for tier in (store, ResultStore(capacity=4, directory=str(tmp_path))):
+            want = contents(pristine) if tier is store else None
+            for _ in range(3):
+                hit = tier.get("k")
+                want = want or copy.deepcopy(contents(hit))
+                assert contents(hit) == want
+                _assert_identical(hit, pristine)
+                vandalise(hit)
+            assert tier.stats()["hits"] == 3
 
     def test_miss_counts(self):
         store = ResultStore(capacity=4)
