@@ -5,7 +5,11 @@ Two cooperating layers:
 * **static** — :mod:`repro.analysis.spmdlint`, an AST linter with a
   table-driven rule catalog (:mod:`repro.analysis.rules`) that flags
   collective-schedule divergence, nondeterminism hazards, unmatched
-  point-to-point tags, and payload hazards before a run ever hangs;
+  point-to-point tags, and payload hazards before a run ever hangs.
+  Divergence is read from a whole-program call graph
+  (:mod:`repro.analysis.callgraph`) and per-function collective
+  footprints (:mod:`repro.analysis.summaries`), so a collective hidden
+  in a helper counts like a bare one;
 * **dynamic** — the debug-mode collective-schedule verifier and the
   wait-for-graph deadlock auditor inside :mod:`repro.runtime.comm`
   (enabled per run with ``run_spmd(..., verify_schedule=True)`` or
@@ -16,7 +20,13 @@ rationale: ``docs/ANALYSIS.md``.
 """
 
 from .rules import RULES, SEVERITIES, SEVERITY_ORDER, Rule, rule
-from .spmdlint import Finding, LintResult, build_program, lint_paths
+from .spmdlint import (
+    Finding,
+    LintResult,
+    build_program,
+    lint_paths,
+    lint_program,
+)
 
 __all__ = [
     "RULES",
@@ -28,4 +38,5 @@ __all__ = [
     "LintResult",
     "build_program",
     "lint_paths",
+    "lint_program",
 ]

@@ -6,16 +6,15 @@ per-function rules cannot:
 
 * **contains-collective closure** — which functions (transitively)
   execute a collective, computed as a fixpoint over bare-name call
-  edges.  The exported :func:`derive_collective_helpers` projection of
-  that closure is the machine-derived replacement for the hand-curated
-  ``COLLECTIVE_HELPERS`` catalog in :mod:`repro.analysis.rules`
-  (rule SPMD005 diffs the two; ``lint --dump-helpers`` prints it);
+  edges; a call that resolves into the closure counts as a collective
+  for the rules (:func:`repro.analysis.rules.collective_op`) and is
+  inlined by the footprint summaries;
 * **rank-variant returns** — which functions return a value derived
   from the rank id, so assignments from their call sites can be
   rank-tainted in the caller;
 * **rank-tainted parameters** — which callee parameters receive a
   rank-variant argument at some call site, so the callee's own
-  branches on that parameter become visible to SPMD001/SPMD004.
+  branches on that parameter become visible to SPMD001/SPMD002.
 
 Call edges are resolved by *bare name* (Python has no static types to
 dispatch on), preferring same-module definitions and falling back to
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import ast
 from collections import defaultdict
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .rules import (
@@ -47,16 +45,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: communicator (``self.comm``, ``self._comm``); used to recognise
 #: direct collectives inside methods that hold the comm as state
 #: rather than taking it as a parameter.
-COMM_ATTRIBUTE_NAMES = frozenset({"comm", "_comm", "subcomm", "world_comm"})
+COMM_ATTRIBUTE_NAMES = frozenset({"comm", "_comm"})
 
 
 def direct_collective_op(node: ast.AST, fn: "FunctionContext") -> str | None:
     """Op name if ``node`` is a *bare* collective method call.
 
     Unlike :func:`repro.analysis.rules.collective_op` this never
-    matches catalog helpers (the call graph derives the catalog, so it
-    must not consume it) but does recognise method receivers that hold
-    the communicator as attribute state (``self.comm.allreduce``).
+    matches helper calls (it seeds the closure those are read from) but
+    does recognise method receivers that hold the communicator as
+    attribute state (``self.comm.allreduce``).
     """
     if not isinstance(node, ast.Call):
         return None
@@ -183,41 +181,6 @@ class CallGraph:
         self._compute_closure()
         return id(fn) in self._contains
 
-    def derive_collective_helpers(
-        self,
-        scope_root: Path | None = None,
-        scope_modules: frozenset[int] | None = None,
-    ) -> frozenset[str]:
-        """The machine-derived ``COLLECTIVE_HELPERS`` catalog.
-
-        A name belongs to the catalog when some top-level (non-nested)
-        SPMD function with that name — defined under ``scope_root``
-        when given, or in a module whose ``id()`` is in
-        ``scope_modules`` when given, anywhere in the program otherwise
-        — transitively contains a collective.  Communicator method
-        names themselves are excluded (they are
-        ``COLLECTIVE_METHODS``).
-        """
-        self._compute_closure()
-        names = set()
-        for fn in self.functions:
-            if fn.is_nested or not fn.is_spmd:
-                continue
-            if fn.name in COLLECTIVE_METHODS:
-                continue
-            if not self.contains_collective(fn):
-                continue
-            if scope_modules is not None:
-                if id(fn.module) not in scope_modules:
-                    continue
-            elif scope_root is not None:
-                try:
-                    fn.module.path.resolve().relative_to(scope_root)
-                except ValueError:
-                    continue
-            names.add(fn.name)
-        return frozenset(names)
-
     # ------------------------------------------------------------------
     # interprocedural rank taint
     # ------------------------------------------------------------------
@@ -299,9 +262,8 @@ class CallGraph:
 
         After this, every :class:`FunctionContext`'s ``rank_tainted``
         set and ``interproc_rank_calls`` reflect rank variance flowing
-        through call arguments and return values, so the existing
-        intraprocedural rules (SPMD001/002) see across function
-        boundaries for free.
+        through call arguments and return values, so the rules and the
+        footprint summaries see across function boundaries for free.
         """
         for _ in range(max_rounds):
             for fn in self.functions:
@@ -321,36 +283,3 @@ class CallGraph:
         return frozenset(
             fn.name for fn in self.functions if id(fn) in self._rank_returning
         )
-
-
-def taints_rank(
-    expr: ast.AST, extra_calls: frozenset[str] | set[str] = frozenset()
-) -> bool:
-    """Lexical check: does ``expr`` mention a rank source at all?
-
-    ``extra_calls`` extends the rank-call set (e.g. with names of
-    functions the call graph proved rank-returning).
-    """
-    for sub in ast.walk(expr):
-        if isinstance(sub, ast.Attribute) and sub.attr in RANK_ATTRIBUTES:
-            return True
-        if isinstance(sub, ast.Call):
-            name = _callable_name(sub.func)
-            if name in RANK_CALLS or name in extra_calls:
-                return True
-    return False
-
-
-def package_root(path: Path) -> Path | None:
-    """Topmost package directory containing ``path``.
-
-    Ascends from the module's directory while an ``__init__.py`` is
-    present; returns ``None`` when the module is not inside a package
-    (a standalone fixture file scopes to itself).
-    """
-    d = path.resolve().parent
-    if not (d / "__init__.py").exists():
-        return None
-    while (d.parent / "__init__.py").exists():
-        d = d.parent
-    return d

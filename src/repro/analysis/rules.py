@@ -3,9 +3,9 @@
 Every rule is a small checker function registered through the
 :func:`rule` decorator; the engine (:mod:`repro.analysis.spmdlint`)
 builds the per-function analysis context (communicator parameters,
-rank-variance taint, replication taint, collective call sites) and hands
-it to each checker.  Adding a rule is ~20 lines: write a generator that
-yields ``(ast_node, message)`` pairs and decorate it.
+rank-variance taint, replication taint, the program's call graph) and
+hands it to each checker.  Adding a rule is ~20 lines: write a
+generator that yields ``(ast_node, message)`` pairs and decorate it.
 
 Rule identifiers are grouped by family:
 
@@ -14,7 +14,8 @@ Rule identifiers are grouped by family:
 * ``SPMD1xx`` — determinism (unordered iteration, unseeded RNG,
   ``id()``-derived ordering);
 * ``SPMD2xx`` — payload hygiene (objects the payload model cannot
-  size deterministically).
+  size deterministically);
+* ``SPMD3xx`` — config / cache-key drift.
 
 The full catalog with rationale lives in ``docs/ANALYSIS.md``.
 """
@@ -22,9 +23,8 @@ The full catalog with rationale lives in ``docs/ANALYSIS.md``.
 from __future__ import annotations
 
 import ast
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 #: Severity levels, least to most severe.
 SEVERITIES = ("info", "warning", "error")
@@ -49,57 +49,6 @@ COLLECTIVE_METHODS = frozenset(
     }
 )
 
-#: Library functions/methods documented as *collective* (they contain
-#: collectives internally, so skipping them on a subset of ranks is the
-#: same bug as skipping a bare collective).  This list is kept in exact
-#: sync with the call graph's contains-collective closure over
-#: ``src/repro`` — regenerate with ``repro-louvain lint src/
-#: --dump-helpers``; rule SPMD005 reports drift in either direction.
-COLLECTIVE_HELPERS = frozenset(
-    {
-        "_answer_requests",
-        "_apply_community_deltas",
-        "_audit_phase",
-        "_begin_phase",
-        "_color_classes",
-        "_component_labels",
-        "_fetch_community_info",
-        "_finish_phase",
-        "_gather_result",
-        "_iterate",
-        "_labels_collide",
-        "_lookup_sorted",
-        "_premerge_leaves",
-        "_project",
-        "_record_phase",
-        "_refine_phase",
-        "_restore_run",
-        "_save_checkpoint",
-        "_send_requests",
-        "_split_flags",
-        "_sweep_round",
-        "_vertex_following_targets",
-        "_warm_start",
-        "_write",
-        "audit_community_info",
-        "audit_ghost_coherence",
-        "audit_partition",
-        "build_ghost_plan",
-        "distributed_coloring",
-        "distributed_louvain",
-        "exchange_ghost_values",
-        "load_binary",
-        "load_latest",
-        "louvain_phase_distributed",
-        "merge_global",
-        "rebuild_distributed",
-        "refine_communities",
-        "remote_lookup",
-        "save",
-        "verify_coloring",
-    }
-)
-
 #: Collectives whose result is *replicated* on every rank, so names
 #: assigned from them are safe to branch on in SPMD code.
 REPLICATING_METHODS = frozenset({"allreduce", "bcast", "allgather"})
@@ -109,7 +58,7 @@ SEND_METHODS = frozenset({"send"})
 RECV_METHODS = frozenset({"recv"})
 
 #: Attributes whose value differs per rank by definition.
-RANK_ATTRIBUTES = frozenset({"rank", "world_rank"})
+RANK_ATTRIBUTES = frozenset({"rank"})
 
 #: Calls returning per-rank data (ownership lookups).
 RANK_CALLS = frozenset({"owner_of", "owner"})
@@ -214,29 +163,31 @@ def collective_op(node: ast.AST, fn) -> str | None:
     """Op name if ``node`` is a collective call in function context ``fn``.
 
     Two forms count: a :data:`COLLECTIVE_METHODS` method on a
-    communicator receiver, and a call to a :data:`COLLECTIVE_HELPERS`
-    name that receives the communicator as an argument.
+    communicator receiver, and a call the call graph resolves to a
+    definition that (transitively) contains a collective — skipping a
+    helper on a subset of ranks is the same bug as skipping a bare
+    collective.  Before ``fn.callgraph`` is attached only the first
+    form is seen.
     """
     if not isinstance(node, ast.Call):
         return None
     func = node.func
-    if isinstance(func, ast.Attribute) and func.attr in COLLECTIVE_METHODS:
-        recv = func.value
+    name = _callable_name(func)
+    if name in COLLECTIVE_METHODS:
+        recv = func.value if isinstance(func, ast.Attribute) else None
         if isinstance(recv, ast.Name) and recv.id in fn.comm_names:
-            return func.attr
+            return name
         if (
             isinstance(recv, ast.Attribute)
             and recv.attr in fn.comm_names
         ):  # self.comm / ctx.comm
-            return func.attr
-    name = _callable_name(func)
-    if name in COLLECTIVE_HELPERS:
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            if isinstance(arg, ast.Name) and arg.id in fn.comm_names:
-                return name
-        # Method form (obj.remote_lookup(...)) or comm passed indirectly.
-        if isinstance(func, ast.Attribute):
             return name
+        return None
+    graph = fn.callgraph
+    if name is not None and graph is not None and any(
+        graph.contains_collective(g) for g in graph.resolve(name, fn.module)
+    ):
+        return name
     return None
 
 
@@ -271,17 +222,6 @@ def is_replicated_safe(node: ast.AST, fn) -> bool:
     return all(n.id in fn.replicated for n in names)
 
 
-def collect_collective_counts(stmts: Iterable[ast.stmt], fn) -> Counter:
-    """Multiset of collective op names in a statement list (no nested defs)."""
-    counts: Counter = Counter()
-    for stmt in stmts:
-        for sub in walk_stmt_subtree(stmt):
-            op = collective_op(sub, fn)
-            if op is not None:
-                counts[op] += 1
-    return counts
-
-
 def _is_set_expression(node: ast.AST) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
@@ -313,34 +253,35 @@ def _iteration_targets(fn) -> Iterator[tuple[ast.AST, ast.AST]]:
 @rule(
     "SPMD001",
     "error",
-    "collective under rank-dependent control flow without a matching "
-    "call on the other path",
+    "rank-dependent control flow changes the collective schedule "
+    "(callees inlined over the call graph)",
+    scope="program",
 )
-def check_divergent_collective(fn) -> Iterator[tuple[ast.AST, str]]:
-    for node in walk_no_nested(fn.node):
-        if isinstance(node, ast.If) and is_rank_variant(node.test, fn):
-            body = collect_collective_counts(node.body, fn)
-            other = collect_collective_counts(node.orelse, fn)
-            if body != other:
-                missing = (body - other) + (other - body)
-                ops = ", ".join(sorted(missing))
-                yield node, (
-                    f"collective(s) {ops} reachable only under a "
-                    "rank-dependent condition; ranks taking the other "
-                    "branch will not make the matching call (real MPI: "
-                    "deadlock or corrupted collective)"
+def check_divergent_collective(program) -> Iterator:
+    """Scans every SPMD function's collective-footprint summary (see
+    summaries.py) for rank-variant branches whose options execute
+    different collectives and rank-variant loops around collectives —
+    including collectives that live in callees (module helpers, nested
+    closures, methods).  A divergence is reported once, at the function
+    that holds the forking statement.
+    """
+    from .summaries import divergences
+
+    for module in program.modules:
+        for fn in module.functions:
+            if not fn.is_spmd:
+                continue
+            seen: set[int] = set()
+            for d in divergences(program.analysis.summary(fn)):
+                if d.owner is not fn or id(d.node) in seen:
+                    continue  # callee forks are reported where defined
+                seen.add(id(d.node))
+                yield module, d.node, (
+                    d.describe()
+                    + "; ranks disagreeing on the condition execute "
+                    "different collective schedules (real MPI: deadlock "
+                    "or corrupted collective)"
                 )
-        elif isinstance(node, (ast.For, ast.While)):
-            header = node.iter if isinstance(node, ast.For) else node.test
-            if is_rank_variant(header, fn):
-                body = collect_collective_counts(node.body, fn)
-                if body:
-                    ops = ", ".join(sorted(body))
-                    yield node, (
-                        f"collective(s) {ops} inside a loop whose trip "
-                        "count is rank-dependent; ranks will call them "
-                        "a different number of times"
-                    )
 
 
 @rule(
@@ -441,71 +382,22 @@ def check_tag_matching(program) -> Iterator[tuple[ast.AST, str]]:
             )
 
 
-@rule(
-    "SPMD004",
-    "error",
-    "whole-program schedule divergence: rank-variant control flow "
-    "changes the collective footprint of an inlined callee",
-    scope="program",
-)
-def check_interprocedural_divergence(program) -> Iterator:
-    """Footprint-summary counterpart of SPMD001 (see summaries.py).
-
-    Scans every SPMD function's collective-footprint summary for
-    rank-variant alternations/loops whose branches execute different
-    collective schedules — including collectives that live in callees
-    SPMD001's per-function view cannot see (local helpers, nested
-    closures, functions outside ``COLLECTIVE_HELPERS``).  Nodes the
-    intraprocedural SPMD001 already reports are skipped so each
-    divergence surfaces exactly once.
-    """
-    builder = getattr(program, "analysis", None)
-    if builder is None:
-        return
-    from .summaries import divergences
-
-    for module in program.modules:
-        for fn in module.functions:
-            if not fn.is_spmd:
-                continue
-            local = {
-                id(node) for node, _ in check_divergent_collective(fn)
-            }
-            seen: set[int] = set()
-            for d in divergences(builder.summary(fn)):
-                if d.owner is not fn:
-                    continue  # reported at the defining function
-                nid = id(d.node)
-                if nid in local or nid in seen:
-                    continue
-                seen.add(nid)
-                yield module, d.node, (
-                    d.describe()
-                    + "; ranks disagreeing on the condition execute "
-                    "different collective schedules (real MPI: deadlock "
-                    "or corrupted collective)"
-                )
-
-
-def _literal_str_collection(node: ast.AST) -> frozenset[str] | None:
-    """Strings of a ``frozenset({...})`` / ``{...}`` / tuple/list literal."""
-    if isinstance(node, ast.Call) and _callable_name(node.func) in (
-        "frozenset",
-        "set",
+def _literal_str_set(node: ast.AST) -> frozenset[str] | None:
+    """Strings of a ``frozenset({...})`` or ``{...}`` literal."""
+    if (
+        isinstance(node, ast.Call)
+        and _callable_name(node.func) == "frozenset"
+        and len(node.args) == 1
     ):
-        if len(node.args) != 1 or node.keywords:
-            return None
         node = node.args[0]
-    if isinstance(node, (ast.Set, ast.List, ast.Tuple)):
-        out = set()
-        for elt in node.elts:
-            if not (
-                isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-            ):
-                return None
-            out.add(elt.value)
-        return frozenset(out)
-    return None
+    if not isinstance(node, ast.Set):
+        return None
+    out = set()
+    for elt in node.elts:
+        if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
+            return None
+        out.add(elt.value)
+    return frozenset(out)
 
 
 def _literal_str_dict(node: ast.AST) -> dict[str, str] | None:
@@ -542,69 +434,6 @@ def _module_assignment(
             if isinstance(stmt.target, ast.Name) and stmt.target.id == name:
                 return stmt, stmt.value
     return None
-
-
-@rule(
-    "SPMD005",
-    "warning",
-    "COLLECTIVE_HELPERS catalog drifted from the derived "
-    "contains-collective closure (regenerate with lint --dump-helpers)",
-    scope="program",
-)
-def check_helper_catalog_drift(program) -> Iterator:
-    """Diffs the hand-maintained catalog against the call graph.
-
-    The declared set is read from the ``COLLECTIVE_HELPERS =
-    frozenset({...})`` literal of any linted module; the derived set is
-    the transitive contains-collective closure restricted to the
-    declaring module's package subtree (so linting ``tests/`` alongside
-    ``src/`` never reports test workers as "missing").  The comparison
-    is skipped when the package subtree is only partially linted.
-    """
-    cg = getattr(program, "callgraph", None)
-    if cg is None:
-        return
-    from .callgraph import package_root
-
-    linted = {m.path.resolve() for m in program.modules}
-    for module in program.modules:
-        found = _module_assignment(module.tree, "COLLECTIVE_HELPERS")
-        if found is None:
-            continue
-        node, value = found
-        declared = _literal_str_collection(value)
-        if declared is None:
-            continue
-        root = package_root(module.path)
-        if root is not None:
-            expected = {
-                p.resolve()
-                for p in root.rglob("*.py")
-                if "__pycache__" not in p.parts
-            }
-            if not expected <= linted:
-                continue  # partial lint of the package: cannot judge
-            derived = cg.derive_collective_helpers(root)
-        else:
-            derived = cg.derive_collective_helpers(
-                scope_modules=frozenset({id(module)})
-            )
-        stale = sorted(declared - derived)
-        missing = sorted(derived - declared)
-        if stale:
-            yield module, node, (
-                "stale COLLECTIVE_HELPERS entr"
-                + ("y" if len(stale) == 1 else "ies")
-                + " (no linted SPMD definition contains a collective): "
-                + ", ".join(stale)
-            )
-        if missing:
-            yield module, node, (
-                "collective-containing SPMD function"
-                + ("" if len(missing) == 1 else "s")
-                + " missing from COLLECTIVE_HELPERS: "
-                + ", ".join(missing)
-            )
 
 
 # ----------------------------------------------------------------------
@@ -802,10 +631,9 @@ def check_payload_hazard(fn) -> Iterator[tuple[ast.AST, str]]:
 
 #: Exclusion kinds in ``CACHE_KEY_EXCLUSIONS`` whose fields may
 #: legitimately guard collectives while staying outside ``cache_key()``:
-#: *transport* knobs change how data moves (extra/alternative
-#: collectives) without changing what is computed; *audit* knobs add
-#: verification collectives that every rank executes identically.
-SCHEDULE_SAFE_EXCLUSION_KINDS = frozenset({"transport", "audit"})
+#: *audit* knobs add verification collectives that every rank executes
+#: identically, without changing what is computed.
+SCHEDULE_SAFE_EXCLUSION_KINDS = frozenset({"audit"})
 
 
 def _dataclass_def(
@@ -882,7 +710,7 @@ def check_cache_key_partition(program) -> Iterator:
         if found is None:
             continue
         key_node, key_value = found
-        key_fields = _literal_str_collection(key_value)
+        key_fields = _literal_str_set(key_value)
         if key_fields is None:
             continue
         excl_node: ast.stmt = key_node
@@ -919,7 +747,7 @@ def check_cache_key_partition(program) -> Iterator:
             if not kind:
                 yield module, excl_node, (
                     f"CACHE_KEY_EXCLUSIONS['{f}'] reason must start with "
-                    "'<kind>: ' (e.g. 'transport: bit-identical results')"
+                    "'<kind>: ' (e.g. 'audit: results unchanged')"
                 )
 
 
@@ -939,9 +767,6 @@ def check_collective_guard_coverage(program) -> Iterator:
     or carry an exclusion of a kind in
     :data:`SCHEDULE_SAFE_EXCLUSION_KINDS`.
     """
-    builder = getattr(program, "analysis", None)
-    if builder is None:
-        return
     from .summaries import schedule_guarding_fields
 
     guarding: dict[str, str] = {}
@@ -949,7 +774,8 @@ def check_collective_guard_coverage(program) -> Iterator:
         for fn in m.functions:
             if not fn.is_spmd:
                 continue
-            for f in sorted(schedule_guarding_fields(builder.summary(fn))):
+            summary = program.analysis.summary(fn)
+            for f in sorted(schedule_guarding_fields(summary)):
                 guarding.setdefault(f, fn.qualname)
     if not guarding:
         return
@@ -961,7 +787,7 @@ def check_collective_guard_coverage(program) -> Iterator:
         if found is None:
             continue
         key_node, key_value = found
-        key_fields = _literal_str_collection(key_value) or frozenset()
+        key_fields = _literal_str_set(key_value) or frozenset()
         exclusions: dict[str, str] = {}
         excl_found = _module_assignment(module.tree, "CACHE_KEY_EXCLUSIONS")
         if excl_found is not None:

@@ -31,18 +31,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from .callgraph import CallGraph
 from .rules import (
     REPLICATING_METHODS,
     RULES,
-    SEVERITY_ORDER,
     Rule,
     collective_op,
     is_rank_variant,
     walk_no_nested,
 )
+from .summaries import SummaryBuilder
 
 #: Parameter names assumed to be communicators even without annotation.
-COMM_PARAM_NAMES = frozenset({"comm", "subcomm", "world_comm", "local_comm"})
+COMM_PARAM_NAMES = frozenset({"comm"})
 
 _SUPPRESS_RE = re.compile(r"#\s*spmdlint:\s*ignore(?:\[([A-Za-z0-9_,\s]+)\])?")
 _SKIP_FILE_RE = re.compile(r"#\s*spmdlint:\s*skip-file")
@@ -86,6 +87,8 @@ class FunctionContext:
     helpers needs.  ``interproc_rank_calls`` is filled by the call
     graph's taint fixpoint: names of callees whose return value is
     rank-variant, treated like ``owner_of`` by the local taint pass.
+    ``callgraph`` is attached by :class:`ProgramContext`; through it
+    :func:`~repro.analysis.rules.collective_op` sees helper calls.
     """
 
     def __init__(
@@ -109,6 +112,7 @@ class FunctionContext:
         self.rank_tainted: set[str] = set()
         self.replicated: set[str] = set()
         self.interproc_rank_calls: set[str] = set()
+        self.callgraph: CallGraph | None = None
         if self.is_spmd:
             self._build_taint()
 
@@ -247,18 +251,25 @@ class ModuleContext:
 
 
 class ProgramContext:
-    """All modules of one lint run (for cross-module rules).
+    """All modules of one lint run plus the interprocedural artifacts.
 
-    The engine attaches the interprocedural artifacts before any rule
-    runs: ``callgraph`` (:class:`repro.analysis.callgraph.CallGraph`)
-    and ``analysis`` (:class:`repro.analysis.summaries.SummaryBuilder`),
-    so program-scope rules can consume summaries without rebuilding.
+    ``callgraph`` (rank-taint fixpoint applied, attached to every
+    function) and ``analysis`` (the memoizing summary builder) are
+    built once here, so the rules and the schedule matrix share them.
     """
 
-    def __init__(self, modules: Sequence[ModuleContext]):
+    def __init__(
+        self, modules: Sequence[ModuleContext], parse_errors: list[str]
+    ):
         self.modules = list(modules)
-        self.callgraph = None
-        self.analysis = None
+        self.parse_errors = parse_errors
+        self.callgraph = CallGraph(self.modules)
+        for fn in self.callgraph.functions:
+            fn.callgraph = self.callgraph
+        # Interprocedural rank taint first: the per-function rules and
+        # the summaries both read the augmented ``rank_tainted`` sets.
+        self.callgraph.augment_rank_taint()
+        self.analysis = SummaryBuilder(self.callgraph)
 
 
 def _excluded(path: Path, exclude: Sequence[str]) -> bool:
@@ -309,12 +320,6 @@ class LintResult:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     parse_errors: list[str] = field(default_factory=list)
-
-    def count_at_least(self, severity: str) -> int:
-        floor = SEVERITY_ORDER[severity]
-        return sum(
-            1 for f in self.findings if SEVERITY_ORDER[f.severity] >= floor
-        )
 
     def to_json(self) -> str:
         by_sev: dict[str, int] = {}
@@ -404,58 +409,42 @@ def _emit(
 
 
 def build_program(
-    paths: Sequence[str | Path],
-    exclude: Sequence[str] = (),
-    parse_errors: list[str] | None = None,
+    paths: Sequence[str | Path], exclude: Sequence[str] = ()
 ) -> ProgramContext:
     """Parse ``paths`` and run the interprocedural analyses.
 
-    Returns a :class:`ProgramContext` whose ``callgraph`` (with the
-    rank-taint fixpoint already applied) and ``analysis`` (summary
-    builder) are populated — the shared substrate for ``lint_paths``,
-    ``--dump-helpers`` and ``--schedule-report``.
+    Files that fail to parse are skipped and listed in the program's
+    ``parse_errors``.  The result feeds :func:`lint_program` and
+    :func:`repro.analysis.summaries.schedule_matrix` alike.
     """
-    from .callgraph import CallGraph
-    from .summaries import SummaryBuilder
-
     modules: list[ModuleContext] = []
+    parse_errors: list[str] = []
     for path in _iter_python_files(paths, exclude):
         try:
             source = path.read_text(encoding="utf-8")
-            module = ModuleContext(path, source, display_path=str(path))
+            modules.append(ModuleContext(path, source, display_path=str(path)))
         except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-            if parse_errors is not None:
-                parse_errors.append(f"{path}: {exc}")
-            continue
-        modules.append(module)
-
-    program = ProgramContext(modules)
-    program.callgraph = CallGraph(modules)
-    # Interprocedural rank taint first: the per-function rules and the
-    # summaries both read the augmented ``rank_tainted`` sets.
-    program.callgraph.augment_rank_taint()
-    program.analysis = SummaryBuilder(program.callgraph)
-    return program
+            parse_errors.append(f"{path}: {exc}")
+    return ProgramContext(modules, parse_errors)
 
 
-def lint_paths(
-    paths: Sequence[str | Path],
+def lint_program(
+    program: ProgramContext,
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
-    exclude: Sequence[str] = (),
 ) -> LintResult:
-    """Run the registered rules over ``paths`` (files or directories)."""
+    """Run the registered rules over an already-built program."""
     rules = _selected_rules(select, ignore)
-    result = LintResult()
-    program = build_program(paths, exclude, parse_errors=result.parse_errors)
-    modules = program.modules
-    result.files_checked = len(modules)
+    result = LintResult(
+        files_checked=len(program.modules),
+        parse_errors=list(program.parse_errors),
+    )
     for rule in rules:
         if rule.scope == "program":
             for module, node, message in rule.check(program):
                 _emit(result, module, rule, node, message)
             continue
-        for module in modules:
+        for module in program.modules:
             if rule.scope == "module":
                 for node, message in rule.check(module):
                     _emit(result, module, rule, node, message)
@@ -468,3 +457,14 @@ def lint_paths(
 
     result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return result
+
+
+def lint_paths(
+    paths: Sequence[str | Path],
+    select: Sequence[str] | None = None,
+    ignore: Sequence[str] | None = None,
+    exclude: Sequence[str] = (),
+) -> LintResult:
+    """Run the registered rules over ``paths`` (files or directories)."""
+    _selected_rules(select, ignore)  # unknown ids fail before parsing
+    return lint_program(build_program(paths, exclude), select, ignore)

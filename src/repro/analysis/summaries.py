@@ -2,14 +2,13 @@
 
 A *footprint* is the abstract collective schedule a function executes:
 
-* :class:`Coll` — one collective call site (``allreduce``, a catalog
-  helper resolved to nothing, ...);
+* :class:`Coll` — one collective call site (``allreduce``, ...);
 * :class:`Seq` — sequential composition;
 * :class:`Star` — a loop body (trip count abstracted away);
 * :class:`Alt` — alternation, tagged with *why* the program forks:
   ``config`` (a branch on :class:`~repro.core.config.LouvainConfig`
   fields — resolvable once a concrete config is chosen), ``rank`` (a
-  branch on rank-derived state — the divergence SPMD001/SPMD004 hunt),
+  branch on rank-derived state — the divergence SPMD001 hunts),
   or ``data`` (anything else — assumed replicated, as SPMD001 does);
 * :class:`Opaque` — a recursion cutoff.
 
@@ -35,11 +34,10 @@ import ast
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .callgraph import CallGraph, direct_collective_op
 from .rules import (
-    COLLECTIVE_HELPERS,
     _callable_name,
     is_rank_variant,
     walk_no_nested,
@@ -721,15 +719,6 @@ class SummaryBuilder:
             if len(opts) == 1:
                 return opts[0]
             return alt(opts, "data", node=call, owner=fn)
-        if name in COLLECTIVE_HELPERS:
-            # Catalog helper with no linted definition (partial lint):
-            # treat as a single opaque collective op.
-            comm_args = any(
-                isinstance(a, ast.Name) and a.id in fn.all_comm_names
-                for a in [*call.args, *[k.value for k in call.keywords]]
-            )
-            if comm_args or isinstance(call.func, ast.Attribute):
-                return Coll(name, node=call)
         return EMPTY
 
     def _expr(
@@ -933,7 +922,6 @@ def schedule_matrix(
     builder: SummaryBuilder,
     entry: str = "distributed_louvain",
     space: Any = None,
-    rule_id: str = "SPMD004",
 ) -> dict[str, Any]:
     """Per-config-variant schedule table for ``entry``.
 
@@ -943,7 +931,7 @@ def schedule_matrix(
     enumerated with and without ``use_coloring``: the tuner takes that
     knob from the caller, but it guards collectives, so its schedules
     are verified too.  Suppressed divergences (``# spmdlint:
-    ignore[SPMD004]`` at the forking line) count as justified.
+    ignore[SPMD001]`` at the forking line) count as justified.
     """
     fns = sorted(
         (
@@ -987,7 +975,7 @@ def schedule_matrix(
             d
             for d in divs
             if not d.owner.module.is_suppressed(
-                rule_id, getattr(d.node, "lineno", 1)
+                "SPMD001", getattr(d.node, "lineno", 1)
             )
         ]
         rows.append(
@@ -1016,12 +1004,3 @@ def schedule_matrix(
             "distinct_schedules": len({r["signature"] for r in rows}),
         },
     }
-
-
-def iter_spmd_functions(
-    builder: SummaryBuilder,
-) -> Iterator["FunctionContext"]:
-    """Top-level SPMD functions of the program, in lint order."""
-    for fn in builder.callgraph.functions:
-        if fn.is_spmd and not fn.is_nested:
-            yield fn

@@ -329,11 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalog and exit",
     )
     lint.add_argument(
-        "--dump-helpers", action="store_true",
-        help="print the derived COLLECTIVE_HELPERS catalog (transitive "
-             "contains-collective closure over the linted files) and exit",
-    )
-    lint.add_argument(
         "--schedule-report", metavar="FILE",
         help="write the config-variant schedule matrix for "
              "distributed_louvain (JSON) to FILE",
@@ -995,7 +990,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from .analysis import RULES, SEVERITY_ORDER, lint_paths
+    from .analysis import RULES, SEVERITY_ORDER, build_program, lint_program
 
     if args.list_rules:
         for r in RULES.values():
@@ -1004,26 +999,16 @@ def _cmd_lint(args) -> int:
     def split(spec: str) -> list[str]:
         return [x.strip() for x in spec.split(",") if x.strip()]
 
-    exclude = split(args.exclude) if args.exclude else []
-
-    if args.dump_helpers:
-        from .analysis.spmdlint import build_program
-
-        try:
-            program = build_program(args.paths, exclude=exclude)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for name in sorted(program.callgraph.derive_collective_helpers()):
-            print(name)
-        return 0
-
+    # One program per run: the rules and the schedule matrix share its
+    # call graph and summary memo.
+    program = build_program(
+        args.paths, exclude=split(args.exclude) if args.exclude else []
+    )
     try:
-        result = lint_paths(
-            args.paths,
+        result = lint_program(
+            program,
             select=split(args.select) if args.select else None,
             ignore=split(args.ignore) if args.ignore else None,
-            exclude=exclude,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1039,10 +1024,8 @@ def _cmd_lint(args) -> int:
         import json as _json
         from pathlib import Path
 
-        from .analysis.spmdlint import build_program
         from .analysis.summaries import schedule_matrix
 
-        program = build_program(args.paths, exclude=exclude)
         try:
             report = schedule_matrix(program.analysis)
         except ValueError as exc:

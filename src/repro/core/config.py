@@ -77,12 +77,11 @@ CACHE_KEY_FIELDS = frozenset(
 
 #: Machine-readable justification for every field left out of
 #: :data:`CACHE_KEY_FIELDS`.  Each value is ``"<kind>: <reason>"`` where
-#: the kind is one of the exclusion categories the lint config-drift
-#: rules (SPMD301/SPMD302) understand: ``transport`` — the knob changes
-#: how data moves between ranks, never what is computed; ``audit`` —
-#: the knob adds verification work executed identically by every rank.
-#: Both kinds are *schedule-safe*: they may legitimately change which
-#: collectives run without invalidating a cached detection result.
+#: the kind names the exclusion category for the lint config-drift
+#: rules (SPMD301/SPMD302).  ``audit`` — the knob adds verification work
+#: executed identically by every rank — is the one *schedule-safe* kind:
+#: such a field may change which collectives run without invalidating a
+#: cached detection result.
 CACHE_KEY_EXCLUSIONS = {
     "validate_invariants": (
         "audit: adds replicated verification collectives; detection "

@@ -493,7 +493,7 @@ def _iterate(
     # Trip count is len(rounds) — 1, or the allreduced colour count —
     # replicated even though each round's active *mask* is rank-local
     # (the mask only gates local move proposals).
-    for round_active in rounds:  # spmdlint: ignore[SPMD001, SPMD004]
+    for round_active in rounds:  # spmdlint: ignore[SPMD001]
         round_moved, n = _sweep_round(
             comm, dg, view, derived.sweep_plan, derived.self_mask, derived.k,
             state.local_comm, state.tot_owned, state.size_owned,

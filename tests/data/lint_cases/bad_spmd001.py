@@ -43,3 +43,26 @@ def unbalanced_collective_mix(comm, x):
     else:
         y = comm.allreduce(x)
     return y
+
+
+def _exchange(comm, values):
+    return comm.allreduce(values)
+
+
+def helper_under_rank_guard(comm, config, values):
+    # The allreduce lives in a module-local helper; the call graph
+    # inlines it, so the rank guard is seen to skip it on odd ranks.
+    if config.use_coloring:
+        if comm.rank % 2 == 0:
+            values = _exchange(comm, values)
+    return values
+
+
+def closure_under_rank_guard(comm, values):
+    def sync():
+        return comm.allreduce(values)
+
+    # A nested closure over the communicator is a helper too.
+    if comm.rank == 0:
+        values = sync()
+    return values

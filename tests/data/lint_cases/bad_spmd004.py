@@ -1,21 +1,20 @@
-"""SPMD004: divergence only visible through the call graph.
+"""SPMD004 (retired, now reported as SPMD001): divergence two calls deep.
 
-``_exchange`` is a module-local helper the hand-maintained
-``COLLECTIVE_HELPERS`` catalog knows nothing about, so the
-intraprocedural SPMD001 cannot see a collective under the rank guard.
-The footprint summary inlines it and catches the config-guarded
-rank-variant schedule.
+The allreduce sits in ``_reduce``, reached through ``_refresh``; the
+call graph's contains-collective closure is transitive, so the rank
+guard around ``_refresh`` is seen to skip a collective on odd ranks.
 """
 
 
-def _exchange(comm, values):
+def _reduce(comm, values):
     return comm.allreduce(values)
 
 
-def sweep(comm, config, values):
-    if config.use_coloring:
-        # Rank-dependent: odd ranks never enter the allreduce hidden
-        # inside _exchange.
-        if comm.rank % 2 == 0:
-            values = _exchange(comm, values)
+def _refresh(comm, values):
+    return _reduce(comm, values) / comm.size
+
+
+def sweep(comm, values):
+    if comm.rank % 2 == 0:
+        values = _refresh(comm, values)
     return values

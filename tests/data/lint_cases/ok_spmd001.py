@@ -38,3 +38,16 @@ def uniform_trip_count(comm, rounds):
     for _ in range(rounds):
         acc += comm.allreduce(1.0)
     return acc
+
+
+def _exchange(comm, values):
+    return comm.allreduce(values)
+
+
+def config_guarded_helper(comm, config, values):
+    # A config flag is identical on every rank: the inlined allreduce
+    # changes the schedule per config (the schedule matrix), never per
+    # rank.
+    if config.use_coloring:
+        values = _exchange(comm, values)
+    return values

@@ -1,16 +1,34 @@
-"""SPMD004 near-miss: the same helper shape, but replicated guards.
+"""SPMD004 (retired, now SPMD001) near-misses: helpers two calls deep.
 
-A config flag is identical on every rank, so alternating the inlined
-collective on it changes the schedule *per config*, never *per rank* —
-the schedule matrix records two variants and neither diverges.
+A config guard around a transitive collective changes the schedule per
+config, never per rank; a rank guard around a helper chain that makes
+no collective changes nothing.
 """
 
 
-def _exchange(comm, values):
+def _reduce(comm, values):
     return comm.allreduce(values)
 
 
-def sweep(comm, config, values):
+def _refresh(comm, values):
+    return _reduce(comm, values) / comm.size
+
+
+def _scale(values, factor):
+    return values * factor
+
+
+def _local_update(values, rank):
+    return _scale(values, rank + 1)
+
+
+def config_guarded_chain(comm, config, values):
     if config.use_coloring:
-        values = _exchange(comm, values)
+        values = _refresh(comm, values)
     return values
+
+
+def rank_guarded_local_chain(comm, values):
+    if comm.rank == 0:
+        values = _local_update(values, comm.rank)
+    return comm.allreduce(values)

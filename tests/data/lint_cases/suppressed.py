@@ -1,7 +1,7 @@
 """Suppression-comment behavior.
 
-Two violations are silenced (targeted and bare ignore); the third uses
-a non-matching rule id, so its finding must still be emitted.
+Three violations are silenced (targeted, bare, and a helper divergence
+under a targeted ignore); the fourth's rule id does not match: reported.
 """
 
 
@@ -21,4 +21,14 @@ def iterate(comm, members, gains):
 def wrong_id(comm, x):
     if comm.rank == 0:  # spmdlint: ignore[SPMD104] -- wrong rule: no effect
         comm.bcast(x, root=0)
+    return x
+
+
+def _exchange(comm, x):
+    return comm.allreduce(x)
+
+
+def through_helper(comm, x):
+    if comm.rank == 0:  # spmdlint: ignore[SPMD001] -- deliberate fixture
+        x = _exchange(comm, x)
     return x

@@ -11,8 +11,10 @@ from repro.analysis import (
     RULES,
     SEVERITIES,
     SEVERITY_ORDER,
+    build_program,
     lint_paths,
     rule,
+    spmdlint,
 )
 from repro.analysis.rules import COLLECTIVE_METHODS
 from repro.cli import main as cli_main
@@ -24,8 +26,6 @@ RULE_IDS = (
     "SPMD001",
     "SPMD002",
     "SPMD003",
-    "SPMD004",
-    "SPMD005",
     "SPMD101",
     "SPMD102",
     "SPMD103",
@@ -36,18 +36,25 @@ RULE_IDS = (
     "SPMD303",
 )
 
+#: Fixture stem -> the rule its ``bad_`` case must trigger.  SPMD004
+#: (divergence through an inlined callee) was folded into SPMD001; its
+#: fixtures stay as SPMD001's transitive-helper cases.
+FIXTURE_RULES = {rule_id: rule_id for rule_id in RULE_IDS} | {
+    "SPMD004": "SPMD001",
+}
+
 
 def rules_found(path: Path) -> set[str]:
     return {f.rule for f in lint_paths([path]).findings}
 
 
 class TestFixtures:
-    @pytest.mark.parametrize("rule_id", RULE_IDS)
+    @pytest.mark.parametrize("rule_id", FIXTURE_RULES)
     def test_bad_fixture_triggers_exactly_its_rule(self, rule_id):
         path = CASES_DIR / f"bad_{rule_id.lower()}.py"
-        assert rules_found(path) == {rule_id}
+        assert rules_found(path) == {FIXTURE_RULES[rule_id]}
 
-    @pytest.mark.parametrize("rule_id", RULE_IDS)
+    @pytest.mark.parametrize("rule_id", FIXTURE_RULES)
     def test_near_miss_is_quiet(self, rule_id):
         path = CASES_DIR / f"ok_{rule_id.lower()}.py"
         assert rules_found(path) == set()
@@ -55,6 +62,11 @@ class TestFixtures:
     def test_findings_carry_location_and_severity(self):
         result = lint_paths([CASES_DIR / "bad_spmd001.py"])
         assert result.files_checked == 1
+        # One rule reports every fork, around a bare collective or a
+        # helper call (module-local helper at 56, nested closure at 66).
+        assert [f.line for f in result.findings] == [
+            9, 19, 28, 34, 40, 56, 66,
+        ]
         for f in result.findings:
             assert f.rule == "SPMD001"
             assert f.severity == "error"
@@ -68,7 +80,7 @@ class TestFixtures:
 
 class TestSuppression:
     def test_targeted_and_bare_ignores_silence_matching_rules(self):
-        # suppressed.py has three violations: two silenced, one with a
+        # suppressed.py has four violations: three silenced, one with a
         # non-matching rule id that must still be reported.
         result = lint_paths([CASES_DIR / "suppressed.py"])
         assert [f.rule for f in result.findings] == ["SPMD001"]
@@ -98,16 +110,6 @@ class TestShippedTree:
         )
         assert result.parse_errors == []
         assert result.findings == []
-
-    def test_declared_catalog_matches_derived_closure(self):
-        # COLLECTIVE_HELPERS is machine-derived: zero stale entries,
-        # zero missing ones.  Regenerate with `lint --dump-helpers`.
-        from repro.analysis.rules import COLLECTIVE_HELPERS
-        from repro.analysis.spmdlint import build_program
-
-        program = build_program([REPO_ROOT / "src" / "repro"])
-        derived = program.callgraph.derive_collective_helpers()
-        assert sorted(derived) == sorted(COLLECTIVE_HELPERS)
 
 
 class TestEngine:
@@ -153,6 +155,22 @@ class TestEngine:
         )
         assert filtered.files_checked < full.files_checked
         assert filtered.findings == []
+
+    def test_label_array_named_local_comm_is_not_a_communicator(self, tmp_path):
+        # ``local_comm`` is the community-label array in core/; only a
+        # ``comm`` parameter or a ``Communicator`` annotation makes a
+        # function SPMD.
+        mod = tmp_path / "labels.py"
+        mod.write_text(
+            "def relabel(local_comm, rank):\n"
+            "    return local_comm + rank\n"
+            "\n"
+            "def reduce(comm: 'Communicator', x):\n"
+            "    return comm.allreduce(x)\n"
+        )
+        program = build_program([mod])
+        spmd = {f.name: f.is_spmd for f in program.modules[0].functions}
+        assert spmd == {"relabel": False, "reduce": True}
 
     def test_github_format(self):
         result = lint_paths([CASES_DIR / "bad_spmd001.py"])
@@ -241,14 +259,6 @@ class TestCli:
                          "--fail-on", "never"]) == 0
         assert "::error file=" in capsys.readouterr().out
 
-    def test_dump_helpers(self, capsys):
-        ok = str(CASES_DIR / "ok_spmd005.py")
-        assert cli_main(["lint", ok, "--dump-helpers"]) == 0
-        assert capsys.readouterr().out.split() == [
-            "fresh_helper",
-            "outer_helper",
-        ]
-
     def test_schedule_report(self, tmp_path, capsys):
         target = str(REPO_ROOT / "src" / "repro")
         out_file = tmp_path / "schedule-report.json"
@@ -263,6 +273,27 @@ class TestCli:
         for row in doc["rows"]:
             assert row["divergences"] == []
             assert row["collectives"]
+
+    def test_one_program_per_invocation(self, tmp_path, capsys, monkeypatch):
+        # The rules and the schedule matrix share one parsed program.
+        built = []
+
+        class Counting(spmdlint.ProgramContext):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(spmdlint, "ProgramContext", Counting)
+        target = tmp_path / "entry.py"
+        target.write_text(
+            "def distributed_louvain(comm, config):\n"
+            "    return comm.allreduce(1)\n"
+        )
+        out_file = tmp_path / "schedule-report.json"
+        assert cli_main(["lint", str(target), "--schedule-report",
+                         str(out_file), "--fail-on", "error"]) == 0
+        assert "1 variant(s)" in capsys.readouterr().out
+        assert len(built) == 1
 
 
 class TestToolingConfig:

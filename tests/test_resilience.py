@@ -945,7 +945,7 @@ class TestRunSnapshots:
             if comm.rank == 0:  # spmdlint: ignore[SPMD001]
                 _save_checkpoint(snaps, comm, run, state)
             comm.barrier()
-            if comm.rank == 1:  # spmdlint: ignore[SPMD004]
+            if comm.rank == 1:  # spmdlint: ignore[SPMD001]
                 raise InjectedFault(1, 0, "between deposits")
             comm.barrier()
 

@@ -128,7 +128,7 @@ class TestFailureTiming:
         def prog(comm):
             for i in range(20):
                 # Fault injection: rank 1 dies at a chosen iteration.
-                if comm.rank == 1 and i == fail_at:  # spmdlint: ignore[SPMD004]
+                if comm.rank == 1 and i == fail_at:  # spmdlint: ignore[SPMD001]
                     raise RuntimeError(f"die-{i}")
                 comm.allreduce(i)
             return True
