@@ -6,13 +6,15 @@ performance regressions of the simulator itself are visible:
 
 * the vectorised move-selection sweep — from the singleton state, from
   a mid-run state with sparse community ids, and under a 25%-active
-  mask — and one whole ``_sweep_round`` per rank at p ∈ {1, 4} (wall
-  and thread-CPU µs, the kernel's share beside it), so the glue around
-  the kernel has its own number; both also on soc-friendster ``small``
-  / ``medium`` / ``large`` (p = 1), in ns per candidate entry and per
-  (vertex, community) pair with the kernel's stages replayed beside
-  them, so a per-edge cost that rises with the input says where
-  (ROADMAP 3(ii); appended to ``BENCH_generators.json``);
+  mask — and one whole ``_sweep_round`` on every rank at p ∈ {1, 4}
+  (per world-round: wall and thread-CPU µs summed over the ranks, the
+  kernel's share beside it), so the glue around the kernel has its own
+  number; both also on soc-friendster ``small`` / ``medium`` /
+  ``large`` (p = 1), in ns per candidate entry and per (vertex,
+  community) pair with the kernel's stages replayed beside them, so a
+  per-edge cost that rises with the input says where, and the rounds
+  also on the ``mesh_p8`` and ``social_p4_etc`` workloads' slices
+  (appended to ``BENCH_generators.json``);
 * one ``rebuild_distributed`` at p ∈ {1, 4};
 * the vectorised greedy coloring and vertex-following seeds;
 * serial graph coarsening;
@@ -41,10 +43,11 @@ from repro.core.coarsen import rebuild_distributed
 from repro.core.distlouvain import (
     _CommunityView,
     _save_checkpoint,
+    _stack_sweep,
     _sweep_round,
 )
 from repro.core.grappolo import greedy_coloring, vertex_following_seed
-from repro.core.sweep import SweepPlan, array_lookup, propose_moves
+from repro.core.sweep import SweepPlan, SweepSlice, array_lookup, propose_moves
 from repro.core.result import IterationStats
 from repro.generators import generate_lfr, make_graph
 from repro.graph import CSRGraph, DistGraph, EdgeList
@@ -66,6 +69,8 @@ KERNEL_GRAPHS = ("lfr3000", "small", "medium", "large")
 def _kernel_graph(which: str) -> CSRGraph:
     if which == "lfr3000":
         return _graph().to_csr()
+    if which == "mesh":
+        return make_graph("channel", scale="medium", seed=0)
     return make_graph("soc-friendster", scale=which, seed=0)
 
 
@@ -226,26 +231,35 @@ def test_kernel_propose_moves(benchmark, record_bench, state, active, which):
 
 
 SWEEP_ROUNDS = 30
+WARM_ROUNDS = 3
 
 
 @pytest.mark.parametrize(
     "p,which",
-    [(1, "lfr3000"), (4, "lfr3000"), (1, "small"), (1, "medium"), (1, "large")],
+    [
+        (1, "lfr3000"), (4, "lfr3000"), (1, "small"), (1, "medium"),
+        (1, "large"),
+        # the end-to-end workloads' slices: mesh_p8, social_p4_etc
+        (8, "mesh"), (4, "small"),
+    ],
 )
 @pytest.mark.parametrize("state,active", SWEEP_CASES)
 def test_kernel_sweep_round(
     benchmark, monkeypatch, record_bench, state, active, p, which
 ):
-    """Steps (i)-(iv) of one iteration, per rank: the ``needed`` set and
-    its fetch, the kernel, the delta aggregation and exchange, the ghost
-    exchange and the view's update — at p = 1 and on rank-sized slices
-    of the same graph at p = 4, and at p = 1 on soc-friendster at three
-    sizes.  Every round restarts from the same
-    assignment (the view and owner arrays are rebuilt outside the
-    timers).  Reported per rank-round: wall µs, thread-CPU µs
-    (``thread_time_ns``: what the rank itself burns, waits excluded) and
-    the kernel's share of that CPU, so a change to the glue shows with
-    the kernel's own number beside it."""
+    """Steps (i)-(iv) of one iteration on every rank — the ``needed``
+    set and its fetch, the world call of the kernel, the delta
+    aggregation and exchange, the ghost exchange and the view's update —
+    at p = 1 on soc-friendster at three sizes, on the 3 000-vertex LFR
+    graph at p = 1 and 4, and on the slices the ``mesh_p8`` (channel
+    ``medium``, p = 8) and ``social_p4_etc`` (soc-friendster ``small``,
+    p = 4) workloads sweep.  Every round restarts from the same
+    assignment (the views and owner arrays are rebuilt outside the
+    timers).  Reported per world-round: wall µs (first rank in to last
+    rank out), thread-CPU µs summed over the ranks (``thread_time_ns``:
+    what the ranks burn, waits excluded) and the kernel's share of that
+    CPU — one thread sweeps for every rank, so a per-rank number would
+    charge the whole world to whichever rank ran it."""
     from repro.core import distlouvain
 
     g = _kernel_graph(which)
@@ -253,7 +267,6 @@ def test_kernel_sweep_round(
     comm0 = _sweep_state(g, state)
     mask = _sweep_active(n, active)
     mask = np.ones(n, dtype=bool) if mask is None else mask
-    config = LouvainConfig()
     deg = g.degrees()
     tot0 = np.bincount(comm0, weights=deg, minlength=n)
     size0 = np.bincount(comm0, minlength=n)
@@ -275,58 +288,69 @@ def test_kernel_sweep_round(
         lo, hi = dg.vbegin, dg.vend
         ghost_plan = dg.build_ghost_plan(comm)
         k = dg.local_degrees()
-        self_mask = dg.self_loop_mask()
-        plan = SweepPlan.build(
-            dg.index, dg.weights, self_mask, rows=dg.local_rows()
+        sweep = _stack_sweep(
+            comm,
+            SweepSlice(
+                dg.index, dg.weights, np.flatnonzero(~dg.self_loop_mask()),
+                dg.local_rows(), k,
+            ),
+            dg.total_weight,
+            1.0,
         )
-        wall, cpu, moves = [], [], 0
-        for _ in range(rounds + 3):
+        spans, moves = [], 0
+        for _ in range(rounds + WARM_ROUNDS):
             local = comm0[lo:hi].copy()
             view = _CommunityView(
                 dg, ghost_plan, local,
                 dg.exchange_ghost_values(comm, ghost_plan, local),
+                target=sweep.target,
             )
             tot, size = tot0[lo:hi].copy(), size0[lo:hi].copy()
             comm.barrier()
             w0, c0 = time.perf_counter_ns(), time.thread_time_ns()
             moved, moves = _sweep_round(
-                comm, dg, view, plan, self_mask, k, local, tot, size,
-                mask[lo:hi], config,
+                comm, dg, view, sweep, k, local, tot, size, mask[lo:hi],
             )
-            cpu.append(time.thread_time_ns() - c0)
-            wall.append(time.perf_counter_ns() - w0)
+            c1, w1 = time.thread_time_ns(), time.perf_counter_ns()
+            spans.append((w0, w1, c1 - c0))
             assert moves == int(moved.sum())
-        # Drop the warm-up rounds.
-        return wall[3:], cpu[3:], moves
+        return spans[WARM_ROUNDS:], moves
 
     r = benchmark.pedantic(
         lambda: run_spmd(p, prog, machine=FREE, timeout=60.0),
         rounds=1, iterations=1,
     )
-    assert sum(v[2] for v in r.values) > 0
-    wall_us = float(np.median([w for v in r.values for w in v[0]])) / 1e3
-    cpu_us = float(np.median([c for v in r.values for c in v[1]])) / 1e3
-    # Kernel calls of the timed rounds only (warm-ups come first per rank,
-    # ranks interleave: take the median, which the few warm-ups cannot move).
-    kernel_us = float(np.median(kernel_ns)) / 1e3
+    assert sum(v[1] for v in r.values) > 0
+    per_round = list(zip(*(v[0] for v in r.values)))
+    wall_us = float(np.median(
+        [max(s[1] for s in rs) - min(s[0] for s in rs) for rs in per_round]
+    )) / 1e3
+    cpu_us = float(np.median([sum(s[2] for s in rs) for rs in per_round])) / 1e3
+    # The kernel calls of the timed rounds: the last ones made.
+    calls = len(kernel_ns) // (rounds + WARM_ROUNDS)
+    kernel_us = float(np.sum(kernel_ns[-calls * rounds:])) / rounds / 1e3
     benchmark.extra_info.update(
-        wall_us_per_rank_round=wall_us, cpu_us_per_rank_round=cpu_us,
-        kernel_cpu_us=kernel_us,
+        wall_us_per_world_round=wall_us, cpu_us_per_world_round=cpu_us,
+        kernel_cpu_us_per_world_round=kernel_us,
     )
+    dataset = "channel" if which == "mesh" else "soc-friendster"
     print(
         f"\nsweep round {which:<8} {state:<9} {active:<7} p={p} "
-        f"{wall_us:>8.0f} us wall {cpu_us:>8.0f} us cpu per rank-round, "
-        f"kernel {kernel_us:>7.0f} us ({kernel_us / cpu_us:.0%}), "
-        f"{1e3 * cpu_us / g.num_edges:.0f} ns cpu per edge"
+        f"{wall_us:>8.0f} us wall {cpu_us:>8.0f} us cpu per world-round, "
+        f"kernel {kernel_us:>7.0f} us ({kernel_us / cpu_us:.0%}) in "
+        f"{calls} call(s), {1e3 * cpu_us / g.num_edges:.0f} ns cpu per edge"
     )
     if which != "lfr3000":
         record_bench("generators", {
-            "kind": "kernel_sweep_round", "dataset": "soc-friendster",
-            "scale": which, "state": state, "active": active, "ranks": p,
-            "num_edges": g.num_edges,
-            "wall_us_per_rank_round": round(wall_us, 1),
-            "cpu_us_per_rank_round": round(cpu_us, 1),
-            "kernel_cpu_us": round(kernel_us, 1),
+            "kind": "kernel_sweep_round", "dataset": dataset,
+            "scale": "medium" if which == "mesh" else which,
+            "state": state, "active": active, "ranks": p,
+            "num_edges": g.num_edges, "sweep": "one call per world",
+            "kernel_calls_per_world_round": calls,
+            "wall_us_per_world_round": round(wall_us, 1),
+            "cpu_us_per_world_round": round(cpu_us, 1),
+            "kernel_cpu_us_per_world_round": round(kernel_us, 1),
+            "kernel_cpu_share": round(kernel_us / cpu_us, 3),
             "cpu_ns_per_edge": round(1e3 * cpu_us / g.num_edges, 1),
         })
 

@@ -32,6 +32,8 @@ SEVERITY_ORDER = {name: i for i, name in enumerate(SEVERITIES)}
 
 #: Methods on a communicator object that are synchronizing collectives:
 #: every rank must call them, in the same order (``runtime/comm.py``).
+#: ``world_call`` sends nothing, but it is a rendezvous of every rank
+#: all the same.
 COLLECTIVE_METHODS = frozenset(
     {
         "barrier",
@@ -46,6 +48,7 @@ COLLECTIVE_METHODS = frozenset(
         "exscan",
         "neighbor_alltoall",
         "exchange_roundtrip",
+        "world_call",
     }
 )
 

@@ -24,7 +24,11 @@ Phase loop (Algorithm 2, :func:`distributed_louvain`)
            (category ``community_comm``);
       iii. snapshot sweep: compute the best move for every active local
            vertex against the fetched state (lines 6-9; the shared
-           kernel from :mod:`repro.core.sweep`);
+           kernel from :mod:`repro.core.sweep`) — for every rank at
+           once: the round's sweeps are independent, so one world call
+           (:func:`_sweep_world`) runs the kernel once over every rank's
+           entries, laid end to end once per phase by
+           :func:`_stack_sweep`;
       iv.  one personalised exchange carries everything the moves
            changed, one message per peer: the ``a_c``/size deltas of the
            communities that peer owns, which it applies (lines 10-11),
@@ -70,6 +74,7 @@ modularity can differ slightly from the serial reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -84,7 +89,14 @@ from .heuristics import EarlyTermination, ThresholdCycler, make_rank_rng
 from .refine import refine_communities
 from .result import IterationStats, LouvainResult, PhaseStats, normalize_assignment
 from .state import IterationState, RunState
-from .sweep import SweepPlan, array_lookup, propose_moves
+from .sweep import (
+    Segments,
+    StackedSweep,
+    SweepSlice,
+    SweepWorkspace,
+    array_lookup,
+    propose_moves,
+)
 
 
 @dataclass
@@ -123,7 +135,9 @@ class _CommunityView:
       raw ids whatever else the table holds.
     * :attr:`target` — ``slot[ctargets]``, the dense community of every
       CSR entry's target: the kernel's ``target_comm``, and one side of
-      the modularity estimate.
+      the modularity estimate.  Kept in ``target`` when one is given —
+      the rank's segment of the world sweep's input, so the round's
+      patch is also the sweep's input, with no copy in between.
 
     The sweep, the modularity estimate and the graph rebuild all read
     this one object.
@@ -135,6 +149,7 @@ class _CommunityView:
         plan,
         local_comm: np.ndarray,
         values: np.ndarray,
+        target: np.ndarray | None = None,
     ):
         self.plan = plan
         self.nloc = dg.num_local
@@ -144,7 +159,7 @@ class _CommunityView:
             np.concatenate([local_comm, values]), return_inverse=True
         )
         self._ctargets = dg.compressed_targets(plan)
-        self.target = self.slot[self._ctargets]
+        self.target = self.slot.take(self._ctargets, out=target, mode="clip")
         # Flattened ghost send plan: the owned vertex ids each rank
         # ghosts, ascending by destination rank, and their local slots.
         per_rank = [
@@ -205,23 +220,127 @@ class _CommunityView:
         return pos
 
 
+@dataclass(frozen=True)
+class _WorldSweep:
+    """This rank's share of the phase's world sweep (:func:`_stack_sweep`):
+    the stack, and the rank's segments of its inputs, which the rank
+    writes before every sweep."""
+
+    stack: StackedSweep
+    target: np.ndarray
+    cur: np.ndarray
+    active: np.ndarray
+    total_weight: float
+    resolution: float
+
+
+def _stack_sweep(
+    comm: Communicator,
+    part: SweepSlice,
+    total_weight: float,
+    resolution: float,
+) -> _WorldSweep:
+    """One world call per phase: every rank's CSR slice laid end to end
+    in the world's workspace, as one input of :func:`_sweep_world`."""
+    return comm.world_call(
+        part,
+        partial(_stack_world, comm.world.workspace, total_weight, resolution),
+    )
+
+
+def _stack_world(
+    workspace: dict, total_weight: float, resolution: float, slices
+) -> list[_WorldSweep]:
+    if "sweep" not in workspace:
+        workspace["sweep"] = SweepWorkspace()
+    stack = workspace["sweep"].stack(slices)
+    return [
+        _WorldSweep(stack, *stack.segment(r), total_weight, resolution)
+        for r in range(len(slices))
+    ]
+
+
+def _sweep_world(rounds) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Step (iii) for every rank at once: one :func:`propose_moves` over
+    the stack.  ``rounds[r]`` is rank ``r``'s ``(sweep, dense (a_c, |c|)
+    table, ids)``; its tables, laid end to end, back the lookups, each
+    rank's positions shifted by the ids of the ranks before (one rank
+    has nothing to shift).  Returns, per rank, its proposals, moved mask
+    and pair count."""
+    sweep = rounds[0][0]
+    stack = sweep.stack
+    segments = None
+    if len(rounds) == 1:
+        _, info, ids = rounds[0]
+    else:
+        lengths = [len(r_ids) for _, _, r_ids in rounds]
+        shift = np.zeros(len(rounds), dtype=np.int64)
+        np.cumsum(lengths[:-1], out=shift[1:])
+        segments = Segments(stack.row_cuts, shift)
+        total = sum(lengths)
+        ids = stack.workspace.array("ids", total, np.int64)
+        info = stack.workspace.array("info", 2 * total, np.float64)
+        info = info.reshape(2, total)
+        np.concatenate([r_ids for _, _, r_ids in rounds], out=ids)
+        np.concatenate([r_info for _, r_info, _ in rounds], axis=1, out=info)
+    res = propose_moves(
+        index=stack.index,
+        target_comm=stack.target,
+        weights=None,
+        self_mask=None,
+        degrees=stack.degrees,
+        cur_comm=stack.cur,
+        total_weight=sweep.total_weight,
+        tot_lookup=array_lookup(ids, info[0]),
+        size_lookup=array_lookup(ids, info[1]),
+        active=stack.active,
+        resolution=sweep.resolution,
+        plan=stack.plan,
+        segments=segments,
+    )
+    if segments is None:
+        return [(res.proposal, res.moved, res.pairs_evaluated)]
+    cuts = stack.row_cuts
+    return [
+        (res.proposal[a:b], res.moved[a:b], int(pairs))
+        for a, b, pairs in zip(cuts[:-1], cuts[1:], res.segment_pairs)
+    ]
+
+
+def _world_propose(
+    comm: Communicator,
+    sweep: _WorldSweep,
+    cur: np.ndarray,
+    active: np.ndarray,
+    info: np.ndarray,
+    ids: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Step (iii) as a world call: this rank's current communities and
+    active flags go into its segment of the stack (its targets are there
+    already), and it gets back its proposals, a moved mask of its own and
+    its pair count.  The proposals are the stack's, valid until the
+    rank's next sweep."""
+    sweep.cur[:] = cur
+    sweep.active[:] = active
+    proposal, moved, pairs = comm.world_call((sweep, info, ids), _sweep_world)
+    return proposal, moved.copy(), pairs
+
+
 def _sweep_round(
     comm: Communicator,
     dg: DistGraph,
     view: _CommunityView,
-    plan: SweepPlan,
-    self_mask: np.ndarray,
+    sweep: _WorldSweep,
     k: np.ndarray,
     local_comm: np.ndarray,
     tot_owned: np.ndarray,
     size_owned: np.ndarray,
     active: np.ndarray,
-    config: LouvainConfig,
 ) -> tuple[np.ndarray, int]:
     """Steps (i)-(iv) of one Louvain iteration for one active set:
     three exchanges — community-info request, reply, and after the
     sweep one message per peer with the deltas it owns and the labels
-    it ghosts.
+    it ghosts — and between them the world call of the sweep.
 
     Updates ``local_comm``, the owner-side ``tot_owned`` / ``size_owned``
     and ``view`` in place and returns ``(moved mask, moves)``;
@@ -245,10 +364,10 @@ def _sweep_round(
     # the ``KeyError`` a protocol bug deserves.
     flags = np.zeros(len(ids), dtype=bool)
     if active.all():
-        scanned = len(plan.rows)
+        scanned = dg.num_local_entries
         flags[view.slot] = True
     else:
-        active_entries = active[plan.rows]
+        active_entries = active[dg.local_rows()]
         scanned = int(np.count_nonzero(active_entries))
         flags[view.target[active_entries]] = True
         flags[local_dense[active]] = True
@@ -259,31 +378,22 @@ def _sweep_round(
         comm, dg, ids[wanted], tot_owned, size_owned
     )
 
-    # (iii) local move computation (lines 6-9), in dense ids.
-    res = propose_moves(
-        index=dg.index,
-        target_comm=view.target,
-        weights=dg.weights,
-        self_mask=self_mask,
-        degrees=k,
-        cur_comm=local_dense,
-        total_weight=dg.total_weight,
-        tot_lookup=array_lookup(ids, dense_info[0]),
-        size_lookup=array_lookup(ids, dense_info[1]),
-        active=active,
-        resolution=config.resolution,
-        plan=plan,
+    # (iii) local move computation (lines 6-9), in dense ids, swept with
+    # every other rank's in one call; the view already wrote the
+    # targets into this rank's segment.  Each rank is charged for its
+    # own pairs, as if it had swept alone.
+    proposal, moved, pairs = _world_propose(
+        comm, sweep, local_dense, active, dense_info, ids
     )
-    comm.charge_compute(res.pairs_evaluated + scanned + nloc)
+    comm.charge_compute(pairs + scanned + nloc)
 
     # (iv) everything the moves changed, one message per peer: the
     # a_c/|c| deltas of the communities it owns (lines 10-11;
     # duplicates pre-aggregated in the view's dense space) and the new
     # community of every moved vertex it ghosts (the next round's
     # lines 4-5).
-    moved = res.moved
     rows = np.flatnonzero(moved)
-    new_dense = res.proposal[rows]
+    new_dense = proposal[rows]
     deltas = aggregate_dense_deltas(ids, local_dense[rows], new_dense, k[rows])
     local_comm[rows] = ids[new_dense]
     local_dense[rows] = new_dense
@@ -306,10 +416,10 @@ class _PhaseDerived:
 
     #: Weighted degree of every owned vertex.
     k: np.ndarray
-    self_mask: np.ndarray
-    #: Phase-invariant sweep state (rows, non-self-loop entries, the
-    #: synthetic own-community entries), gathered from every iteration.
-    sweep_plan: SweepPlan
+    #: This rank's share of the world's phase-invariant sweep input
+    #: (rows, non-self-loop entries, the synthetic own-community
+    #: entries), gathered from every iteration.
+    sweep: _WorldSweep
     view: _CommunityView
     #: §VI future work: distance-1 colour classes, swept one after
     #: another so concurrently processed vertices are non-adjacent.
@@ -374,9 +484,17 @@ def _begin_phase(
     exchange (Algorithm 3, lines 4-5)."""
     plan = dg.build_ghost_plan(comm)
     k = dg.local_degrees()
-    self_mask = dg.self_loop_mask()
-    sweep_plan = SweepPlan.build(
-        dg.index, dg.weights, self_mask, rows=dg.local_rows()
+    sweep = _stack_sweep(
+        comm,
+        SweepSlice(
+            dg.index,
+            dg.weights,
+            np.flatnonzero(~dg.self_loop_mask()),
+            dg.local_rows(),
+            k,
+        ),
+        dg.total_weight,
+        config.resolution,
     )
     if resume_state is not None:
         # Rejoin the loop exactly where the checkpoint was cut.
@@ -413,8 +531,9 @@ def _begin_phase(
         dg.exchange_ghost_values(
             comm, plan, state.local_comm, category="ghost_comm"
         ),
+        target=sweep.target,
     )
-    return state, _PhaseDerived(k, self_mask, sweep_plan, view, color_classes)
+    return state, _PhaseDerived(k, sweep, view, color_classes)
 
 
 def _warm_start(
@@ -495,9 +614,9 @@ def _iterate(
     # (the mask only gates local move proposals).
     for round_active in rounds:  # spmdlint: ignore[SPMD001]
         round_moved, n = _sweep_round(
-            comm, dg, view, derived.sweep_plan, derived.self_mask, derived.k,
+            comm, dg, view, derived.sweep, derived.k,
             state.local_comm, state.tot_owned, state.size_owned,
-            round_active, config,
+            round_active,
         )
         moved |= round_moved
         moves += n
@@ -510,7 +629,7 @@ def _iterate(
     # layout (a requirement for bit-identity across rank counts and
     # input partitions).  Each sweep still decided against the
     # synchronisation point before it (§III-B).
-    intra = view.slot[derived.sweep_plan.rows] == view.target
+    intra = view.slot[dg.local_rows()] == view.target
     local_in = float(dg.weights.compress(intra).sum())
     comm.charge_compute(dg.num_local_entries)
     local_inactive = et.update(moved) if et is not None else 0

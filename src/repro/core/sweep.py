@@ -14,9 +14,10 @@ over the edges, with a single sort:
    once per phase; an iteration only gathers community ids.  The plan
    also owns the scratch memory of the sweep: the entry-sized
    temporaries are carved from one buffer that lives as long as the
-   phase (gathers and ufuncs write through ``out=``), so an iteration
-   neither mallocs nor page-faults them afresh — that was a third of the
-   call and the part whose cost follows the host, not the input;
+   plan, or longer (gathers and ufuncs write through ``out=``), so an
+   iteration neither mallocs nor page-faults them afresh — that was a
+   third of the call and the part whose cost follows the host, not the
+   input;
 1. every (vertex, neighbouring community) entry gets the fused integer
    key ``row * C + community`` and **one** stable sort groups equal
    pairs, rows ascending and communities ascending within a row (the
@@ -48,21 +49,31 @@ distributed caller keeps the ids a rank has seen this phase numbered
 densely (an order-preserving map, so tie-breaks are unaffected), which
 also lets it hand over totals as plain arrays through
 :func:`array_lookup`.
+
+Nothing in a row's decision reads another row, so independent CSR
+slices — the ranks' slices of one synchronised round — can be swept by
+one call: :meth:`SweepWorkspace.stack` lays them end to end (rows and
+entry positions offset by the slices before), and ``segments=``
+(:class:`Segments`) keeps each slice's community numbering its own and
+counts its pairs apart.  Every array such a call touches that grows with
+the entries lives in the :class:`SweepWorkspace`, which the caller keeps
+from sweep to sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 #: Relative tolerance for "strictly positive gain" decisions.
 GAIN_EPS = 1e-12
-#: Scratch per candidate entry, in 8-byte words; a masked sweep from the
-#: singleton state, the worst case, uses 10.3.  Pages are only touched
+#: Scratch per candidate entry, in 8-byte words; the worst case measured,
+#: a masked sweep early in a phase, reaches 10.  Pages are only touched
 #: as far as a sweep gets, and a sweep that outgrows it mallocs the rest.
 SCRATCH_WORDS = 11
+_I8, _F8, _B1 = np.dtype(np.int64), np.dtype(np.float64), np.dtype(bool)
 
 
 @dataclass(frozen=True)
@@ -76,14 +87,33 @@ class SweepResult:
     #: Number of (vertex, community) candidate pairs evaluated — the
     #: work measure charged to the performance model.
     pairs_evaluated: int
+    #: ``pairs_evaluated`` per segment, when the call had ``segments=``.
+    segment_pairs: np.ndarray | None = None
 
     @property
     def num_moves(self) -> int:
         return int(self.moved.sum())
 
 
+class Segments(NamedTuple):
+    """Consecutive row slices swept as independent problems in one call.
+
+    Slice ``s`` is rows ``rows[s]:rows[s + 1]`` and numbers its
+    communities on its own.  The kernel adds ``shift[s]`` to slice
+    ``s``'s ids only where they meet the lookups, which therefore cover
+    the slices' tables laid end to end.  Grouping, scores and tie-breaks
+    compare ids within one row, so every slice decides exactly as it
+    would swept alone.
+    """
+
+    #: Where each slice starts, then the row count: ``int64[s + 1]``.
+    rows: np.ndarray
+    #: Lookup offset of each slice's community ids: ``int64[s]``.
+    shift: np.ndarray
+
+
 class _Scratch:
-    """Bump allocator over one buffer a plan keeps for its phase.
+    """Bump allocator over one buffer kept from sweep to sweep.
 
     A sweep needs about a dozen temporaries as long as the entry list.
     Left to malloc they are given back to the OS when the call ends and
@@ -92,19 +122,28 @@ class _Scratch:
     them from here instead; nothing it returns to the caller lives here.
     """
 
-    def __init__(self, nbytes: int) -> None:
-        self._buf = np.empty(nbytes, dtype=np.uint8)
+    def __init__(self, buf: np.ndarray) -> None:
+        self._buf = buf
         #: Offset of the first free byte; callers save and restore it.
         self.top = 0
+        self._newest: tuple[int, np.ndarray | None] = (0, None)
 
-    def empty(self, n: int, dtype: type | np.dtype) -> np.ndarray:
-        size = n * np.dtype(dtype).itemsize
-        end = self.top + -(-size // 64) * 64
+    def empty(self, n: int, dtype: np.dtype) -> np.ndarray:
+        end = self.top + -(-n * dtype.itemsize // 64) * 64
         if end > len(self._buf):
             return np.empty(n, dtype)
-        out = self._buf[self.top:self.top + size].view(dtype)
+        out = np.ndarray(n, dtype, self._buf, self.top)
+        self._newest = (self.top, out)
         self.top = end
         return out
+
+    def trim(self, out: np.ndarray, n: int) -> np.ndarray:
+        """``out[:n]``; when ``out`` is the newest allocation, the space
+        past it is free again."""
+        start, newest = self._newest
+        if newest is out:
+            self.top = start + -(-n * out.itemsize // 64) * 64
+        return out[:n]
 
     def take(self, source: np.ndarray, where: np.ndarray) -> np.ndarray:
         """``source[where]`` into scratch; ``where`` must be in range."""
@@ -123,8 +162,6 @@ class SweepPlan:
     community of each entry does.
     """
 
-    #: Owning row of every CSR entry, ``int64[nnz]``.
-    rows: np.ndarray
     #: CSR positions of the non-self-loop entries.
     entries: np.ndarray
     #: Row of every candidate entry: ``rows[entries]`` then ``0..nloc-1``.
@@ -135,6 +172,9 @@ class SweepPlan:
     positions: np.ndarray
     #: The kernel's temporaries; one sweep at a time per plan.
     scratch: _Scratch
+    #: Where a sweep writes its proposal and moved mask — overwritten by
+    #: the next sweep with this plan; allocated per sweep when ``None``.
+    out: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def build(
@@ -153,21 +193,164 @@ class SweepPlan:
         entries = np.flatnonzero(~self_mask)
         entry_rows = np.concatenate([rows[entries], own])
         return cls(
-            rows=rows,
             entries=entries,
             entry_rows=entry_rows,
             entry_weights=np.concatenate([weights[entries], np.zeros(nloc)]),
             positions=np.arange(len(entry_rows), dtype=np.int64),
-            scratch=_Scratch(SCRATCH_WORDS * 8 * len(entry_rows) + 4096),
+            scratch=_Scratch(
+                np.empty(_scratch_bytes(len(entry_rows)), dtype=np.uint8)
+            ),
         )
+
+
+def _scratch_bytes(n_entries: int) -> int:
+    return SCRATCH_WORDS * 8 * n_entries + 4096
+
+
+@dataclass(frozen=True)
+class StackedSweep:
+    """CSR slices laid end to end as the input of one sweep
+    (:meth:`SweepWorkspace.stack`); its arrays live in the workspace.
+
+    ``index``, ``degrees`` and ``plan`` are fixed when it is built.
+    ``target``, ``cur`` and ``active`` are written by the owner of each
+    slice before every sweep, in the slice's own community ids
+    (:meth:`segment`); :class:`Segments` keeps those apart in the sweep.
+    """
+
+    plan: SweepPlan
+    #: Row index of the stacked CSR: slice ``s``'s entries offset by
+    #: ``entry_cuts[s]``.
+    index: np.ndarray
+    degrees: np.ndarray
+    #: Community of every entry's target, of every row, and the active
+    #: flag of every row.
+    target: np.ndarray
+    cur: np.ndarray
+    active: np.ndarray
+    #: Where slice ``s`` starts in the rows / the CSR entries, then the
+    #: totals.
+    row_cuts: np.ndarray
+    entry_cuts: np.ndarray
+    workspace: "SweepWorkspace"
+
+    def segment(self, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Slice ``s``'s views of ``(target, cur, active)``."""
+        e0, e1 = self.entry_cuts[s], self.entry_cuts[s + 1]
+        r0, r1 = self.row_cuts[s], self.row_cuts[s + 1]
+        return self.target[e0:e1], self.cur[r0:r1], self.active[r0:r1]
+
+
+class SweepWorkspace:
+    """Memory of stacked sweeps that outlives any one of them.
+
+    Every array a stacked sweep reads or writes that grows with the
+    entries — its plan, its inputs, the kernel's scratch — is a view of
+    a buffer kept here by name.  A buffer grows when a larger input
+    arrives and is never shrunk or handed back, so a caller that keeps
+    the workspace (one per concurrently running sweep, however many
+    phases and detections it serves) allocates and faults in its pages
+    once, whichever thread runs the sweep.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+        self._positions = np.empty(0, dtype=np.int64)
+
+    def array(self, name: str, n: int, dtype: type | np.dtype) -> np.ndarray:
+        """``n`` elements of the buffer ``name`` (its contents are lost
+        when it has to grow)."""
+        size = n * np.dtype(dtype).itemsize
+        buf = self._buffers.get(name)
+        if buf is None or len(buf) < size:
+            grown = size if buf is None else max(size, len(buf) * 5 // 4)
+            buf = self._buffers[name] = np.empty(grown, dtype=np.uint8)
+        return buf[:size].view(dtype)
+
+    def positions(self, n: int) -> np.ndarray:
+        """``0..n-1``, from one arange that only grows."""
+        if len(self._positions) < n:
+            self._positions = np.arange(
+                max(n, len(self._positions) * 5 // 4), dtype=np.int64
+            )
+        return self._positions[:n]
+
+    def stack(self, slices: Sequence["SweepSlice"]) -> StackedSweep:
+        """Lay ``slices`` end to end as one CSR: rows offset by the rows
+        before, entry positions by the entries before."""
+        row_cuts = _cuts([len(s.index) - 1 for s in slices])
+        entry_cuts = _cuts([int(s.index[-1]) for s in slices])
+        inner_cuts = _cuts([len(s.entries) for s in slices])
+        n, inner = int(row_cuts[-1]), int(inner_cuts[-1])
+        index = self.array("index", n + 1, np.int64)
+        degrees = self.array("degrees", n, np.float64)
+        entries = self.array("entries", inner, np.int64)
+        entry_rows = self.array("entry_rows", inner + n, np.int64)
+        entry_weights = self.array("entry_weights", inner + n, np.float64)
+        index[0] = 0
+        for s, part in enumerate(slices):
+            r0, r1 = row_cuts[s], row_cuts[s + 1]
+            i0, i1 = inner_cuts[s], inner_cuts[s + 1]
+            np.add(part.index[1:], entry_cuts[s], out=index[r0 + 1:r1 + 1])
+            degrees[r0:r1] = part.degrees
+            np.add(part.entries, entry_cuts[s], out=entries[i0:i1])
+            part.rows.take(part.entries, out=entry_rows[i0:i1], mode="clip")
+            entry_rows[i0:i1] += r0
+            part.weights.take(
+                part.entries, out=entry_weights[i0:i1], mode="clip"
+            )
+        entry_rows[inner:] = self.positions(n)
+        entry_weights[inner:] = 0.0
+        plan = SweepPlan(
+            entries=entries,
+            entry_rows=entry_rows,
+            entry_weights=entry_weights,
+            positions=self.positions(inner + n),
+            scratch=_Scratch(
+                self.array("scratch", _scratch_bytes(inner + n), np.uint8)
+            ),
+            out=(
+                self.array("proposal", n, np.int64),
+                self.array("moved", n, bool),
+            ),
+        )
+        return StackedSweep(
+            plan=plan,
+            index=index,
+            degrees=degrees,
+            target=self.array("target", int(entry_cuts[-1]), np.int64),
+            cur=self.array("cur", n, np.int64),
+            active=self.array("active", n, bool),
+            row_cuts=row_cuts,
+            entry_cuts=entry_cuts,
+            workspace=self,
+        )
+
+
+class SweepSlice(NamedTuple):
+    """One CSR slice of a stack: what :meth:`SweepWorkspace.stack`
+    reads of it (``entries``: positions of the non-self-loop entries;
+    ``rows``: owning row of every entry)."""
+
+    index: np.ndarray
+    weights: np.ndarray
+    entries: np.ndarray
+    rows: np.ndarray
+    degrees: np.ndarray
+
+
+def _cuts(counts: Sequence[int]) -> np.ndarray:
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
 
 
 def _group_starts(sorted_keys: np.ndarray, scratch: _Scratch) -> np.ndarray:
     """Start position of every run of equal values."""
-    first = scratch.empty(len(sorted_keys), bool)
+    first = scratch.empty(len(sorted_keys), _B1)
     first[:1] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-    return np.flatnonzero(first)
+    return _nonzero(first, scratch)
 
 
 def propose_moves(
@@ -183,6 +366,7 @@ def propose_moves(
     active: np.ndarray | None = None,
     resolution: float = 1.0,
     plan: SweepPlan | None = None,
+    segments: Segments | None = None,
 ) -> SweepResult:
     """Compute the best move for every (active) local vertex.
 
@@ -197,6 +381,7 @@ def propose_moves(
         Edge weights aligned with the entries.
     self_mask:
         True for entries that are self loops (excluded from ``d_{u,c}``).
+        Like ``weights``, only read when no ``plan`` is given.
     degrees:
         Weighted degree ``k_u`` per local vertex.
     cur_comm:
@@ -217,17 +402,39 @@ def propose_moves(
     plan:
         ``SweepPlan.build(index, weights, self_mask)``, when the caller
         sweeps the same CSR repeatedly; built here otherwise.
+    segments:
+        Independent row slices with their own community numbering
+        (:class:`Segments`); the result then counts each slice's pairs
+        in ``segment_pairs``.
     """
     nloc = len(index) - 1
-    proposal = cur_comm.copy()
-    moved = np.zeros(nloc, dtype=bool)
-    idle = SweepResult(proposal=proposal, moved=moved, pairs_evaluated=0)
+    if plan is not None and plan.out is not None:
+        proposal, moved = plan.out
+        proposal[:] = cur_comm
+        moved[:] = False
+    else:
+        proposal = cur_comm.copy()
+        moved = np.zeros(nloc, dtype=bool)
+    idle = SweepResult(
+        proposal=proposal,
+        moved=moved,
+        pairs_evaluated=0,
+        segment_pairs=(
+            None if segments is None
+            else np.zeros(len(segments.shift), dtype=np.int64)
+        ),
+    )
     if nloc == 0 or total_weight <= 0.0:
         return idle
     if plan is None:
         plan = SweepPlan.build(index, weights, self_mask)
-    if len(target_comm) != len(plan.rows) or len(cur_comm) != nloc:
+    if len(target_comm) != index[-1] or len(cur_comm) != nloc:
         raise ValueError("target_comm / cur_comm do not match the CSR")
+    shift = (
+        segments.shift
+        if segments is not None and segments.shift.any()
+        else None
+    )
     target_comm = np.asarray(target_comm, dtype=np.int64)
     ws = plan.scratch
     ws.top = 0
@@ -242,15 +449,15 @@ def propose_moves(
 
     c_rows, c_w = plan.entry_rows, plan.entry_weights
     if active is None or active.all():
-        c_comm = entry_comm(ws.empty(len(c_rows), np.int64))
+        c_comm = entry_comm(ws.empty(len(c_rows), _I8))
     else:
-        sel = np.flatnonzero(ws.take(active, c_rows))
+        sel = _nonzero(ws.take(active, c_rows), ws)
         if not len(sel):
             return idle
         c_rows, c_w = ws.take(c_rows, sel), ws.take(c_w, sel)
-        c_comm = ws.empty(len(sel), np.int64)
+        c_comm = ws.empty(len(sel), _I8)
         mark = ws.top
-        every = entry_comm(ws.empty(len(plan.entry_rows), np.int64))
+        every = entry_comm(ws.empty(len(plan.entry_rows), _I8))
         every.take(sel, out=c_comm, mode="clip")
         ws.top = mark
     n_entries = len(c_comm)
@@ -264,11 +471,11 @@ def propose_moves(
             f"inside int64 (nloc={nloc}, ids in "
             f"[{int(c_comm.min())}, {span - 1}])"
         )
-    d = ws.empty(n_entries, np.float64)
-    pr = ws.empty(n_entries, np.int64)
-    pc = ws.empty(n_entries, np.int64)
+    d = ws.empty(n_entries, _F8)
+    pr = ws.empty(n_entries, _I8)
+    pc = ws.empty(n_entries, _I8)
     mark = ws.top
-    key = ws.empty(n_entries, np.int64)
+    key = ws.empty(n_entries, _I8)
     np.multiply(c_rows, span, out=key)
     key += c_comm
     bits = (n_entries - 1).bit_length()
@@ -279,27 +486,47 @@ def propose_moves(
         key <<= bits
         key |= plan.positions[:n_entries]
         key.sort()
-        order = ws.empty(n_entries, np.int64)
+        order = ws.empty(n_entries, _I8)
         np.bitwise_and(key, (1 << bits) - 1, out=order)
         key >>= bits
     else:
         order = np.argsort(key, kind="stable")
         key = key[order]
     starts = _group_starts(key, ws)
-    d = np.add.reduceat(ws.take(c_w, order), starts, out=d[:len(starts)])
+    # The weights in sorted order take the keys' place, read by now.
+    sorted_w = np.ndarray(n_entries, c_w.dtype, key)
+    c_w.take(order, out=sorted_w, mode="clip")
+    d = np.add.reduceat(sorted_w, starts, out=d[:len(starts)])
     lead = ws.take(order, starts)
     pr = c_rows.take(lead, out=pr[:len(starts)], mode="clip")
     pc = c_comm.take(lead, out=pc[:len(starts)], mode="clip")
     ws.top = mark
 
     # Score candidates against the snapshot totals (minus own degree
-    # when evaluating the current community).  Every swept row holds
-    # exactly one own-community pair (the synthetic entry guarantees it).
-    flags = ws.empty(len(pr), bool)
-    own = np.flatnonzero(np.equal(pc, ws.take(cur_comm, pr), out=flags))
-    tot_eff = ws.empty(len(pr), np.float64)
-    tot_eff[:] = tot_lookup(pc)
-    tot_eff[own] -= degrees[pr[own]]
+    # when evaluating the current community).  Pairs ascend by row, so
+    # each segment's pairs are one run; every swept row holds exactly one
+    # own-community pair (the synthetic entry guarantees it), so ``own``,
+    # ``row_starts`` and ``swept`` are one per swept row, rows ascending.
+    # ``spare`` holds, in turn, the three pair-sized arrays that are dead
+    # as soon as they are read.
+    pair_cuts = None if segments is None else pr.searchsorted(segments.rows)
+    row_starts = _group_starts(pr, ws)
+    swept = ws.take(pr, row_starts)
+    flags = ws.empty(len(pr), _B1)
+    spare = ws.empty(len(pr), _I8)
+    pair_cur = np.ndarray(len(pr), cur_comm.dtype, spare)
+    own = _nonzero(
+        np.equal(pc, cur_comm.take(pr, out=pair_cur, mode="clip"), out=flags),
+        ws,
+    )
+    tot_eff = _look_up(
+        tot_lookup,
+        _shifted(pc, pair_cuts, shift, spare),
+        ws.empty(len(pr), _F8),
+    )
+    own_tot = ws.take(tot_eff, own)
+    own_tot -= ws.take(degrees, swept)
+    tot_eff[own] = own_tot
     score = ws.take(degrees, pr)
     np.multiply(resolution, score, out=score)  # d - gamma * k * tot' / W,
     score *= tot_eff                           # left to right, in place
@@ -309,39 +536,103 @@ def propose_moves(
     # Per-row argmax with smallest-community-id tie break: a row's pairs
     # are contiguous with ids ascending, so the winner is the first pair
     # that reaches the row's maximum.
-    row_starts = _group_starts(pr, ws)
-    row_best = np.empty(nloc)
-    row_best[pr[row_starts]] = np.maximum.reduceat(score, row_starts)
-    at_best = np.flatnonzero(
-        np.equal(score, ws.take(row_best, pr), out=flags)
+    row_best = ws.empty(nloc, _F8)
+    row_best[swept] = np.maximum.reduceat(
+        score, row_starts, out=ws.empty(len(row_starts), _F8)
     )
-    win = at_best[_group_starts(pr[at_best], ws)]
-    win_rows = pr[win]
-    own_score = np.empty(nloc)
-    own_score[pr[own]] = score[own]
-    src_score = own_score[win_rows]
+    pair_best = row_best.take(pr, out=spare.view(np.float64), mode="clip")
+    at_best = _nonzero(np.equal(score, pair_best, out=flags), ws)
+    win = ws.take(at_best, _group_starts(ws.take(pr, at_best), ws))
+    src_score = ws.take(score, own)
 
-    eps = GAIN_EPS * (1.0 + np.abs(src_score))
-    better = score[win] > src_score + eps
-    cand_rows = win_rows[better]
-    cand_comm = pc[win][better]
+    # better = score[win] > src_score + GAIN_EPS * (1 + |src_score|)
+    eps = np.abs(src_score, out=ws.empty(len(win), _F8))
+    np.add(1.0, eps, out=eps)
+    np.multiply(GAIN_EPS, eps, out=eps)
+    np.add(src_score, eps, out=eps)
+    better = np.greater(ws.take(score, win), eps, out=flags[:len(win)])
+    pick = _nonzero(better, ws)
+    cand_rows = ws.take(swept, pick)
+    cand_comm = ws.take(pc, ws.take(win, pick))
 
     # Singleton-singleton swap suppression (minimum labelling).
     if len(cand_rows):
-        src_c = cur_comm[cand_rows]
-        src_alone = (size_lookup(src_c) == 1) & (
-            np.abs(tot_lookup(src_c) - degrees[cand_rows]) <= 1e-9
+        src_c = ws.take(cur_comm, cand_rows)
+        cand_cuts = (
+            None if shift is None else cand_rows.searchsorted(segments.rows)
         )
-        dst_single = size_lookup(cand_comm) == 1
-        blocked = src_alone & dst_single & (cand_comm > src_c)
-        cand_rows = cand_rows[~blocked]
-        cand_comm = cand_comm[~blocked]
+        query = spare[:len(cand_rows)]
+        src_q = _shifted(src_c, cand_cuts, shift, query)
+        looked = ws.empty(len(cand_rows), _F8)
+        src_alone = _look_up(size_lookup, src_q, looked) == 1
+        gap = _look_up(tot_lookup, src_q, looked)
+        gap -= ws.take(degrees, cand_rows)
+        src_alone &= np.abs(gap, out=gap) <= 1e-9
+        dst_q = _shifted(cand_comm, cand_cuts, shift, query)
+        src_alone &= _look_up(size_lookup, dst_q, looked) == 1
+        src_alone &= cand_comm > src_c  # now: blocked
+        keep = _nonzero(np.logical_not(src_alone, out=src_alone), ws)
+        cand_rows = ws.take(cand_rows, keep)
+        cand_comm = ws.take(cand_comm, keep)
 
     proposal[cand_rows] = cand_comm
     moved[cand_rows] = True
     return SweepResult(
-        proposal=proposal, moved=moved, pairs_evaluated=len(pr)
+        proposal=proposal,
+        moved=moved,
+        pairs_evaluated=len(pr),
+        segment_pairs=None if pair_cuts is None else np.diff(pair_cuts),
     )
+
+
+#: Entries per block of the calls that cannot write into scratch.
+_BLOCK = 1 << 14
+
+
+def _nonzero(mask: np.ndarray, ws: _Scratch) -> np.ndarray:
+    """``np.flatnonzero(mask)``, into scratch past one block: numpy's
+    ``nonzero`` has no ``out=``, so a long result is found a block of the
+    mask at a time and what it mallocs stays one block's worth, whatever
+    the length."""
+    if len(mask) <= _BLOCK or np.count_nonzero(mask) <= _BLOCK:
+        return mask.nonzero()[0]
+    out = ws.empty(len(mask), _I8)
+    at = 0
+    for lo in range(0, len(mask), _BLOCK):
+        found = mask[lo:lo + _BLOCK].nonzero()[0]
+        np.add(found, lo, out=out[at:at + len(found)])
+        at += len(found)
+    return ws.trim(out, at)
+
+
+def _look_up(
+    lookup: Callable[[np.ndarray], np.ndarray],
+    ids: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """``out[:] = lookup(ids)``, a block at a time (see :func:`_nonzero`)."""
+    if len(ids) <= _BLOCK:
+        out[:] = lookup(ids)
+        return out
+    for lo in range(0, len(ids), _BLOCK):
+        out[lo:lo + _BLOCK] = lookup(ids[lo:lo + _BLOCK])
+    return out
+
+
+def _shifted(
+    ids: np.ndarray,
+    cuts: np.ndarray | None,
+    shift: np.ndarray | None,
+    out: np.ndarray,
+) -> np.ndarray:
+    """``ids`` as the lookups number them: the run ``cuts[s]:cuts[s + 1]``
+    (segment ``s``'s) plus ``shift[s]``, written into ``out`` (int64, as
+    long as ``ids``); ``ids`` itself when nothing shifts."""
+    if shift is None:
+        return ids
+    for s, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        np.add(ids[a:b], shift[s], out=out[a:b])
+    return out
 
 
 def array_lookup(ids: np.ndarray | None, values: np.ndarray) -> Callable:

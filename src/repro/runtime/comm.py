@@ -18,6 +18,14 @@ ranks run as threads, each holding a :class:`Communicator`, and talk via
   ``exchange_roundtrip`` have no caller outside the tests and stay only
   because the end-to-end benchmark's span table names them.
 
+Beside them sits one rendezvous that is not a message,
+:meth:`Communicator.world_call`: one function run once over every
+rank's deposit (the sweep of a synchronised round, in ``core/``).  It
+moves no bytes and charges no time, but every rank must make it in
+schedule order like a collective, so the schedule verifier and the
+deadlock audit see it.  Memory such a call keeps from one world to the
+next lives in :attr:`World.workspace`.
+
 The two personalized exchanges (``alltoall``, ``exchange_roundtrip``)
 size each wire message exactly once, in the rendezvous finalizer
 (:func:`_leg_sizes`): the cost model and the per-rank trace counters
@@ -164,6 +172,7 @@ _DTYPE_CHECKED = frozenset(
         "exscan",
         "neighbor_alltoall",
         "exchange_roundtrip",
+        "world_call",
     }
 )
 
@@ -252,13 +261,18 @@ def _find_wait_cycle(edges: dict[int, set[int]]) -> list[int] | None:
 
 
 class _Rendezvous:
-    """Reusable all-ranks rendezvous used to implement collectives.
+    """Reusable all-ranks rendezvous behind every collective and every
+    world call.
 
-    Each collective call is one *generation*.  Every rank deposits a
-    value; the last rank to arrive runs a ``finalize`` callback once,
-    producing a per-rank output list; every rank then picks up its slot.
-    Results are kept per generation (refcounted) so a fast rank starting
-    the next collective cannot clobber a slow rank's pending result.
+    Each call is one *generation*.  Every rank deposits a value; the
+    last rank to arrive runs a ``finalize`` callback once, producing a
+    per-rank output list; every rank then picks up its slot.  For a
+    collective ``finalize`` routes payloads and prices them; for a
+    :meth:`Communicator.world_call` it is the caller's computation, run
+    on whichever rank thread arrived last (an exception in it fails that
+    rank, and the world abort releases the others).  Results are kept
+    per generation (refcounted) so a fast rank starting the next call
+    cannot clobber a slow rank's pending result.
     """
 
     def __init__(self, size: int, world: "World"):
@@ -390,12 +404,17 @@ class World:
         machine: MachineModel,
         timeout: float = 120.0,
         verify_schedule: bool | None = None,
+        workspace: dict | None = None,
     ):
         if size < 1:
             raise InvalidRankError(f"world size must be >= 1, got {size}")
         self.size = size
         self.machine = machine
         self.timeout = timeout
+        #: Memory the program keeps by key for world calls; it may
+        #: outlive the world (``run_spmd`` hands it to the next world its
+        #: calling thread starts), so no two live worlds share one.
+        self.workspace = {} if workspace is None else workspace
         if verify_schedule is None:
             verify_schedule = os.environ.get(
                 "REPRO_VERIFY_SCHEDULE", ""
@@ -577,6 +596,34 @@ class Communicator:
     def charge_io(self, nbytes: float) -> None:
         """Charge reading ``nbytes`` from the parallel filesystem."""
         self.charge("io", self.machine.io_cost(nbytes))
+
+    # ------------------------------------------------------------------
+    # World calls
+    # ------------------------------------------------------------------
+    def world_call(
+        self, deposit: Any, run: Callable[[list[Any]], list[Any]]
+    ) -> Any:
+        """Run ``run`` once over every rank's ``deposit`` (in rank order)
+        and return this rank's item of the list it returns.
+
+        For work that is independent per rank but cheaper as one call:
+        the last rank to arrive runs it for all.  It is not a message —
+        nothing is sized or sent, the virtual clock does not move, the
+        trace records nothing and the fault plan is not consulted (its
+        op indices, and so its seeded kill points, count communication
+        only) — so each rank charges its own share of the work itself.
+        It is a rendezvous all the same: every rank must make the call,
+        in the same place of its schedule, which the schedule verifier
+        checks and the deadlock audit reports like a collective.
+        """
+        return self.world.rendezvous.exchange(
+            self.rank,
+            "world_call",
+            deposit,
+            run,
+            self.world.timeout,
+            kind=self._schedule_kind("world_call", deposit),
+        )
 
     # ------------------------------------------------------------------
     # Point-to-point

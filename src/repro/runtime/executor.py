@@ -31,6 +31,16 @@ allows one CPU the world runs unconfined.  Thread placement only ever
 affects wall time, never the modelled time or the results (the
 algorithms are deterministic given their seeds).
 
+Memory: a world's :attr:`~repro.runtime.comm.World.workspace` (what its
+world calls keep by key — the sweep's buffers, in ``core/``) is taken
+from a pool of the *calling* thread and put back when the world
+finishes cleanly, so the next world that thread starts inherits it:
+memory such a call needs is allocated and faulted in once per calling
+thread, not once per phase or detection, however many rank threads come
+and go; and two worlds running at once — started from two threads, or
+one nested in another — never share one.  A failed world's workspace is
+dropped (a rank thread may still be inside it).
+
 Failure semantics: the first exception on any rank aborts the world;
 other ranks observe :class:`~repro.runtime.errors.RankAborted` at their
 next communication call, and the executor re-raises a single
@@ -81,6 +91,18 @@ def _world_cpu() -> int | None:
     if len(allowed) < 2:
         return None
     return allowed[(os.getpid() + next(_WORLD_SEQ)) % len(allowed)]
+
+
+#: Per calling thread, the workspaces of its finished worlds.
+_IDLE = threading.local()
+
+
+def _idle_workspaces() -> list[dict]:
+    try:
+        return _IDLE.pool
+    except AttributeError:
+        _IDLE.pool = []
+        return _IDLE.pool
 
 
 @dataclass
@@ -148,7 +170,11 @@ def run_spmd(
         wherever it happens to explode later.  Defaults to the
         ``REPRO_VERIFY_SCHEDULE`` environment variable.
     """
-    world = World(size, machine, timeout=timeout, verify_schedule=verify_schedule)
+    idle = _idle_workspaces()
+    world = World(
+        size, machine, timeout=timeout, verify_schedule=verify_schedule,
+        workspace=idle.pop() if idle else None,
+    )
     world.fault_plan = fault_plan
     comms: list[Communicator] = [world.communicator(r) for r in range(size)]
     if trace_events:
@@ -165,6 +191,7 @@ def run_spmd(
     if size == 1:
         # Fast path: no threads needed, and failures propagate natively.
         values[0] = fn(comms[0], *args, **kwargs)
+        idle.append(world.workspace)
         emit_current("spmd_run_finished", size=1, max_clock=comms[0].clock)
         return SPMDResult(
             values=values,
@@ -225,6 +252,7 @@ def run_spmd(
         )
         raise RankFailedError(primary or failures)
 
+    idle.append(world.workspace)
     emit_current(
         "spmd_run_finished",
         size=size,

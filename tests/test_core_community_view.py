@@ -129,8 +129,8 @@ def checked_rounds(monkeypatch):
     real = distlouvain._sweep_round
     checked: dict[int, int] = {}
 
-    def sweep_round(comm, dg, view, plan, self_mask, k, local_comm, *a, **kw):
-        out = real(comm, dg, view, plan, self_mask, k, local_comm, *a, **kw)
+    def sweep_round(comm, dg, view, sweep, k, local_comm, *a, **kw):
+        out = real(comm, dg, view, sweep, k, local_comm, *a, **kw)
         assert_view_consistent(view, dg, local_comm)
         checked[comm.rank] = checked.get(comm.rank, 0) + 1
         return out
@@ -182,12 +182,11 @@ def _state_after_every_round(g, p, config, two_exchanges: bool):
     real = distlouvain._sweep_round
 
     def sweep_round(
-        comm, dg, view, plan, self_mask, k, local_comm, tot_owned, size_owned,
-        *args,
+        comm, dg, view, sweep, k, local_comm, tot_owned, size_owned, *args,
     ):
         out = real(
-            comm, dg, view, plan, self_mask, k, local_comm, tot_owned,
-            size_owned, *args,
+            comm, dg, view, sweep, k, local_comm, tot_owned, size_owned,
+            *args,
         )
         states[comm.rank].append([
             a.copy() for a in

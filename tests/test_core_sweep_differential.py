@@ -13,11 +13,19 @@ sees at p > 1.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from repro.core.sweep import SweepPlan, array_lookup, propose_moves
+from repro.core import LouvainConfig, Variant, distlouvain, run_louvain
+from repro.core.distlouvain import _stack_sweep, _world_propose
+from repro.core.sweep import SweepPlan, SweepSlice, array_lookup, propose_moves
+from repro.runtime import FREE, run_spmd
 
+from .conftest import planted_blocks_graph
 from .oracles.sweep_reference import propose_moves as reference_propose_moves
 
 SEEDS = range(40)
@@ -240,6 +248,142 @@ def test_tie_and_swap_pair_with_sparse_ids():
     res = propose_moves(**case)
     assert_same(res, reference_propose_moves(**case))
     np.testing.assert_array_equal(res.proposal, [10, 10, 10, 40, 40])
+
+
+# ----------------------------------------------------------------------
+# The world sweep: every rank's slice in one call
+# ----------------------------------------------------------------------
+def rank_slices(case: dict, p: int) -> list[dict]:
+    """The case's rows cut into ``p`` contiguous slices (empty ones when
+    ``p`` exceeds the rows), each as a rank holds it: its CSR slice, its
+    communities numbered densely in ascending id order (as the community
+    view numbers them) and their ``(a_c, |c|)`` table."""
+    index = case["index"]
+    bounds = np.cumsum([0] + [len(r) for r in np.array_split(
+        np.arange(len(index) - 1), p
+    )])
+    slices = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        e0, e1 = index[lo], index[hi]
+        cur = case["cur_comm"][lo:hi]
+        target = case["target_comm"][e0:e1]
+        ids = np.unique(np.concatenate([cur, target]))
+        slices.append(dict(
+            index=index[lo:hi + 1] - e0,
+            weights=case["weights"][e0:e1],
+            self_mask=case["self_mask"][e0:e1],
+            degrees=case["degrees"][lo:hi],
+            cur=np.searchsorted(ids, cur),
+            target=np.searchsorted(ids, target),
+            ids=ids,
+            info=np.stack([case["tot_lookup"](ids), case["size_lookup"](ids)]),
+            rows=slice(lo, hi),
+        ))
+    return slices
+
+
+def world_sweep(slices, active, total_weight, resolution):
+    """Each rank's ``(proposal, moved, pairs)`` from the world calls a
+    phase and a round make (:func:`_stack_sweep`, :func:`_world_propose`)."""
+
+    def prog(comm):
+        s = slices[comm.rank]
+        rows = np.repeat(np.arange(len(s["index"]) - 1), np.diff(s["index"]))
+        sweep = _stack_sweep(
+            comm,
+            SweepSlice(
+                s["index"], s["weights"], np.flatnonzero(~s["self_mask"]),
+                rows, s["degrees"],
+            ),
+            total_weight,
+            resolution,
+        )
+        sweep.target[:] = s["target"]
+        proposal, moved, pairs = _world_propose(
+            comm, sweep, s["cur"], active[s["rows"]], s["info"], s["ids"]
+        )
+        return proposal.copy(), moved, pairs
+
+    return run_spmd(len(slices), prog, machine=FREE, timeout=30.0).values
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7])
+@pytest.mark.parametrize("active_kind", ACTIVE_KINDS)
+def test_world_sweep_matches_each_rank_alone(p, active_kind):
+    """One call over every rank's entries hands each rank the proposals,
+    moved mask and pair count its own ``propose_moves`` gives — on self
+    loops, parallel edges, zero and fractional weights, exact ties,
+    ``resolution != 1``, all-false masks and empty slices."""
+    empty_slices = 0
+    for seed in range(0, 40, 2):
+        case = adversarial_case(seed)
+        n = len(case["cur_comm"])
+        active = active_mask(active_kind, n, seed)
+        active = np.ones(n, dtype=bool) if active is None else active
+        resolution = RESOLUTIONS[seed % len(RESOLUTIONS)]
+        slices = rank_slices(case, p)
+        empty_slices += sum(len(s["cur"]) == 0 for s in slices)
+        got = world_sweep(slices, active, case["total_weight"], resolution)
+        for s, (proposal, moved, pairs) in zip(slices, got):
+            want = propose_moves(
+                index=s["index"], target_comm=s["target"],
+                weights=s["weights"], self_mask=s["self_mask"],
+                degrees=s["degrees"], cur_comm=s["cur"],
+                total_weight=case["total_weight"],
+                tot_lookup=array_lookup(s["ids"], s["info"][0]),
+                size_lookup=array_lookup(s["ids"], s["info"][1]),
+                active=active[s["rows"]], resolution=resolution,
+            )
+            np.testing.assert_array_equal(proposal, want.proposal)
+            np.testing.assert_array_equal(moved, want.moved)
+            assert pairs == want.pairs_evaluated
+    assert (empty_slices > 0) == (p == 7)
+
+
+def test_concurrent_detections_do_not_share_a_workspace(monkeypatch):
+    """Two detections in two threads at once — each world's sweeps in its
+    own workspace — end exactly as they do one after the other.  Every
+    sweep sleeps a little, so the two worlds' rounds interleave."""
+    jobs = [
+        (planted_blocks_graph(blocks=6, per_block=20, seed=1), 3,
+         LouvainConfig()),
+        (planted_blocks_graph(blocks=5, per_block=30, seed=2), 4,
+         LouvainConfig(variant=Variant.ETC, alpha=0.5, seed=3)),
+    ]
+    want = [run_louvain(g, p, cfg, machine=FREE) for g, p, cfg in jobs]
+
+    real = distlouvain._sweep_world
+
+    def yielding(rounds):
+        time.sleep(0.0005)
+        return real(rounds)
+
+    monkeypatch.setattr(distlouvain, "_sweep_world", yielding)
+    got: list = [None, None]
+
+    def detect(i: int) -> None:
+        g, p, cfg = jobs[i]
+        try:
+            got[i] = run_louvain(g, p, cfg, machine=FREE)
+        except BaseException as exc:  # surfaced by the asserts below
+            got[i] = exc
+
+    threads = [threading.Thread(target=detect, args=(i,)) for i in range(2)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for result, ref in zip(got, want):
+        assert not isinstance(result, BaseException), result
+        np.testing.assert_array_equal(result.assignment, ref.assignment)
+        assert result.modularity == ref.modularity
+        assert result.iterations == ref.iterations
 
 
 def _path_case() -> dict:
