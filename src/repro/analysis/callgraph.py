@@ -8,7 +8,9 @@ per-function rules cannot:
   execute a collective, computed as a fixpoint over bare-name call
   edges; a call that resolves into the closure counts as a collective
   for the rules (:func:`repro.analysis.rules.collective_op`) and is
-  inlined by the footprint summaries;
+  inlined by the footprint summaries — unless it hands the callee a
+  one-rank communicator (``comm.solo()``; see
+  :func:`repro.analysis.rules.is_private_call`);
 * **rank-variant returns** — which functions return a value derived
   from the rank id, so assignments from their call sites can be
   rank-tainted in the caller;
@@ -34,6 +36,7 @@ from .rules import (
     RANK_ATTRIBUTES,
     RANK_CALLS,
     _callable_name,
+    is_private_call,
     is_rank_variant,
     walk_no_nested,
 )
@@ -166,8 +169,8 @@ class CallGraph:
             for fn in self.functions:
                 if id(fn) in self._contains:
                     continue
-                for name, _call in self.callee_names(fn):
-                    if any(
+                for name, call in self.callee_names(fn):
+                    if not is_private_call(call, fn) and any(
                         id(g) in self._contains
                         for g in self.resolve(name, fn.module)
                     ):

@@ -56,6 +56,11 @@ COLLECTIVE_METHODS = frozenset(
 #: assigned from them are safe to branch on in SPMD code.
 REPLICATING_METHODS = frozenset({"allreduce", "bcast", "allgather"})
 
+#: Communicator methods that open a one-rank communicator
+#: (``MPI_COMM_SELF``): a collective on it involves no other rank, so
+#: one rank alone may make it.
+SOLO_METHODS = frozenset({"solo"})
+
 #: Point-to-point send-side / receive-side call names (tag matching).
 SEND_METHODS = frozenset({"send"})
 RECV_METHODS = frozenset({"recv"})
@@ -162,6 +167,53 @@ def _callable_name(func: ast.AST) -> str | None:
     return None
 
 
+def _is_solo_call(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in SOLO_METHODS
+    )
+
+
+def solo_names(node: ast.AST) -> frozenset[str]:
+    """Names the function ``node`` binds to a one-rank communicator:
+    ``with comm.solo() as solo`` or ``solo = comm.solo()``."""
+    names: set[str] = set()
+    for sub in walk_no_nested(node):
+        if isinstance(sub, ast.withitem) and _is_solo_call(sub.context_expr):
+            if isinstance(sub.optional_vars, ast.Name):
+                names.add(sub.optional_vars.id)
+        elif isinstance(sub, ast.Assign) and _is_solo_call(sub.value):
+            names.update(t.id for t in sub.targets if isinstance(t, ast.Name))
+    return frozenset(names)
+
+
+def is_private_call(call: ast.Call, fn) -> bool:
+    """Does ``call`` hand a callee a one-rank communicator and no other?
+
+    Its collectives then run on ``MPI_COMM_SELF``: they involve this
+    rank alone, so a rank guard around the call skips nothing the other
+    ranks wait for.
+    """
+    args = [
+        a.value if isinstance(a, ast.Starred) else a
+        for a in [*call.args, *(kw.value for kw in call.keywords)]
+    ]
+
+    def solo(a: ast.expr) -> bool:
+        return _is_solo_call(a) or (
+            isinstance(a, ast.Name) and a.id in fn.solo_names
+        )
+
+    def outer(a: ast.expr) -> bool:
+        name = a.id if isinstance(a, ast.Name) else (
+            a.attr if isinstance(a, ast.Attribute) else None
+        )
+        return name in fn.all_comm_names
+
+    return any(solo(a) for a in args) and not any(outer(a) for a in args)
+
+
 def collective_op(node: ast.AST, fn) -> str | None:
     """Op name if ``node`` is a collective call in function context ``fn``.
 
@@ -169,8 +221,9 @@ def collective_op(node: ast.AST, fn) -> str | None:
     communicator receiver, and a call the call graph resolves to a
     definition that (transitively) contains a collective — skipping a
     helper on a subset of ranks is the same bug as skipping a bare
-    collective.  Before ``fn.callgraph`` is attached only the first
-    form is seen.
+    collective — unless the call hands the helper a one-rank
+    communicator (:func:`is_private_call`).  Before ``fn.callgraph`` is
+    attached only the first form is seen.
     """
     if not isinstance(node, ast.Call):
         return None
@@ -187,8 +240,14 @@ def collective_op(node: ast.AST, fn) -> str | None:
             return name
         return None
     graph = fn.callgraph
-    if name is not None and graph is not None and any(
-        graph.contains_collective(g) for g in graph.resolve(name, fn.module)
+    if (
+        name is not None
+        and graph is not None
+        and not is_private_call(node, fn)
+        and any(
+            graph.contains_collective(g)
+            for g in graph.resolve(name, fn.module)
+        )
     ):
         return name
     return None

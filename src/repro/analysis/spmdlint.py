@@ -38,6 +38,7 @@ from .rules import (
     Rule,
     collective_op,
     is_rank_variant,
+    solo_names,
     walk_no_nested,
 )
 from .summaries import SummaryBuilder
@@ -89,6 +90,8 @@ class FunctionContext:
     rank-variant, treated like ``owner_of`` by the local taint pass.
     ``callgraph`` is attached by :class:`ProgramContext`; through it
     :func:`~repro.analysis.rules.collective_op` sees helper calls.
+    ``solo_names`` are the names bound to a one-rank communicator
+    (``MPI_COMM_SELF``), on which collectives are this rank's own.
     """
 
     def __init__(
@@ -108,6 +111,7 @@ class FunctionContext:
         self.is_nested = is_nested
         self.comm_names = self._find_comm_params(node)
         self.all_comm_names = self.comm_names | enclosing_comm_names
+        self.solo_names = solo_names(node)
         self.is_spmd = bool(self.comm_names)
         self.rank_tainted: set[str] = set()
         self.replicated: set[str] = set()

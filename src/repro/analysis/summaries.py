@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 from .callgraph import CallGraph, direct_collective_op
 from .rules import (
     _callable_name,
+    is_private_call,
     is_rank_variant,
     walk_no_nested,
 )
@@ -695,7 +696,7 @@ class SummaryBuilder:
         if op is not None:
             return Coll(op, node=call)
         name = _callable_name(call.func)
-        if name is None:
+        if name is None or is_private_call(call, fn):
             return EMPTY
         candidates = [
             g

@@ -3,10 +3,12 @@
 SPMD structure (executed identically on every rank); every step is a
 named stage of this module:
 
-Phase loop (Algorithm 2, :func:`distributed_louvain`)
+Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
     begin the run (:func:`_begin_run`, then Grappolo's vertex-following
     pre-merge, :func:`_premerge_leaves`) or restore it
-    (:func:`_restore_run`); per phase:
+    (:func:`_restore_run`); per phase — until, at a boundary after the
+    first phase, the rest is cheaper on one rank (:mod:`.tail`) and
+    rank 0 finishes it alone (:func:`_finish_on_one_rank`):
 
     * begin the phase (:func:`_begin_phase`): singleton, warm-started
       or resumed labels, then ``ExchangeGhostVertices`` — one-time-per-
@@ -80,12 +82,18 @@ import numpy as np
 
 from ..graph.csr import CSRGraph, sorted_unique
 from ..graph.distgraph import DistGraph, GhostPlan
+from ..graph.partition import even_vertex
 from ..runtime.comm import Communicator
 from ..runtime.executor import SPMDResult, run_spmd
 from ..runtime.perfmodel import CORI_HASWELL, MachineModel
 from .coarsen import _lookup_sorted, rebuild_distributed, remote_lookup
 from .config import LouvainConfig
-from .heuristics import EarlyTermination, ThresholdCycler, make_rank_rng
+from .heuristics import (
+    EarlyTermination,
+    LayoutStreams,
+    ThresholdCycler,
+    make_rank_rng,
+)
 from .refine import refine_communities
 from .result import IterationStats, LouvainResult, PhaseStats, normalize_assignment
 from .state import IterationState, RunState
@@ -97,6 +105,7 @@ from .sweep import (
     array_lookup,
     propose_moves,
 )
+from .tail import gather_pays
 
 
 @dataclass
@@ -435,6 +444,7 @@ def louvain_phase_distributed(
     initial_assignment: np.ndarray | None = None,
     checkpoint_hook=None,
     resume_state: IterationState | None = None,
+    layout_ranks: int | None = None,
 ) -> _PhaseOutcome:
     """Algorithm 3: the Louvain iterations of one phase at this rank.
 
@@ -450,9 +460,13 @@ def louvain_phase_distributed(
     iteration loop after its last iteration instead of starting from
     singletons or the seed.  Both are collective-consistent: the hook
     fires at the same iterations on every rank.
+
+    ``layout_ranks`` is set on a phase gathered onto one rank
+    (:func:`_run_phases`): ET then draws as that many ranks would.
     """
     state, derived = _begin_phase(
-        comm, dg, config, phase, initial_assignment, resume_state
+        comm, dg, config, phase, initial_assignment, resume_state,
+        layout_ranks,
     )
     exited_by_inactive = False
     for it in range(state.iteration + 1, config.max_iterations):
@@ -477,6 +491,7 @@ def _begin_phase(
     phase: int,
     initial_assignment: np.ndarray | None,
     resume_state: IterationState | None,
+    layout_ranks: int | None,
 ) -> tuple[IterationState, _PhaseDerived]:
     """The phase's starting state — resumed, warm-started or singleton —
     and everything derived from it: ghost set-up (Algorithm 4), colour
@@ -512,7 +527,13 @@ def _begin_phase(
             state.et = EarlyTermination(
                 dg.num_local,
                 config,
-                make_rank_rng(config.seed, comm.rank, phase),
+                make_rank_rng(config.seed, comm.rank, phase)
+                if layout_ranks is None
+                else LayoutStreams(
+                    config.seed,
+                    phase,
+                    np.diff(even_vertex(dg.num_local, layout_ranks)),
+                ),
             )
         if initial_assignment is not None:
             _warm_start(comm, dg, k, state, initial_assignment)
@@ -832,7 +853,31 @@ def distributed_louvain(
         # seed already places every vertex.
         if config.vertex_following and initial_assignment is None:
             _premerge_leaves(comm, run)
-    restored_at = run.phase if resume else None
+    _run_phases(
+        comm, run, config, manager, rejoin,
+        restored_at=run.phase if resume else None,
+    )
+    return _gather_result(comm, run)
+
+
+def _run_phases(
+    comm: Communicator,
+    run: RunState,
+    config: LouvainConfig,
+    manager=None,
+    rejoin: IterationState | None = None,
+    restored_at: int | None = None,
+    layout_ranks: int | None = None,
+) -> None:
+    """Algorithm 2's phase loop, from ``run.phase`` until the run
+    converges: checkpoint the boundary (``manager``, unless it is the
+    one ``restored_at``), then — the graph cheap enough on one rank —
+    finish on rank 0 (:func:`_finish_on_one_rank`), or else run the
+    phase (rejoining ``rejoin``, a mid-phase state) and close it.
+
+    ``layout_ranks`` is set on a gathered tail's one-rank run: the rank
+    count of the world it stands for, whose even-vertex layout its
+    phases draw ET and report ``ghost_fraction`` under."""
     cycler = (
         ThresholdCycler(config)
         if config.variant.uses_threshold_cycling
@@ -854,6 +899,17 @@ def distributed_louvain(
             and run.phase != restored_at
         ):
             _save_checkpoint(manager, comm, run)
+        # Replicated inputs only: the machine, the rank count, the new
+        # graph's vertex count (the rebuild's allgather) and, bounding
+        # its entries, the last phase's (its statistics' allreduce).
+        if rejoin is None and run.phases and gather_pays(
+            comm.machine,
+            comm.size,
+            run.dg.num_global_vertices,
+            2 * run.phases[-1].num_edges + 1,
+        ):
+            _finish_on_one_rank(comm, run, config)
+            break
         # The first phase a run begins consumes the warm start (a
         # phase rejoined mid-way is already past it).
         seed, run.seed_assignment = run.seed_assignment, None
@@ -866,11 +922,79 @@ def distributed_louvain(
             initial_assignment=seed,
             checkpoint_hook=hook,
             resume_state=rejoin,
+            layout_ranks=layout_ranks,
         )
         rejoin = None
-        if not _finish_phase(comm, run, out, tau, config, cycler):
+        if not _finish_phase(
+            comm, run, out, tau, config, cycler, layout_ranks
+        ):
             break
-    return _gather_result(comm, run)
+
+
+def _finish_on_one_rank(
+    comm: Communicator, run: RunState, config: LouvainConfig
+) -> None:
+    """The remaining phases on rank 0 alone (:mod:`.tail`): one gather of
+    the ranks' CSR slices (with their original-vertex maps when
+    assignments are tracked), the same phase loop on ``MPI_COMM_SELF``
+    there, and one broadcast of the meta vertex -> community map and
+    the phases' statistics, through which every rank maps its original
+    vertices.  Atomic: nothing is checkpointed inside."""
+    dg = run.dg
+    mine = (dg.index, dg.edges, dg.weights)
+    if config.track_assignments:
+        mine += (run.orig_slice,)
+    parts = comm.gather(mine, root=0, category="rebuild")
+    found = None
+    if comm.rank == 0:
+        with comm.solo() as solo:
+            found = _run_tail(solo, run, parts, config, comm.size)
+    meta_map, run.final_mod, phases, iterations = comm.bcast(
+        found, root=0, category="rebuild"
+    )
+    run.orig_slice = meta_map[run.orig_slice]
+    run.phases.extend(phases)
+    run.iterations.extend(iterations)
+
+
+def _run_tail(
+    comm: Communicator,
+    run: RunState,
+    parts: list[tuple[np.ndarray, ...]],
+    config: LouvainConfig,
+    layout_ranks: int,
+) -> tuple[np.ndarray, float, list[PhaseStats], list[IterationStats]]:
+    """Rank 0's share of :func:`_finish_on_one_rank`, on the one-rank
+    ``comm``: the gathered slices joined into one graph, each meta
+    vertex its own original vertex, and the phase loop run over it as
+    the ``layout_ranks`` ranks would have.  Returns the meta vertex ->
+    community map, the final Q and the phases' statistics."""
+    n = run.dg.num_global_vertices
+    index, base = [np.zeros(1, dtype=np.int64)], 0
+    for part in parts:
+        index.append(part[0][1:] + base)
+        base += int(part[0][-1])
+    tail = RunState(
+        dg=DistGraph(
+            offsets=np.array([0, n], dtype=np.int64),
+            rank=0,
+            index=np.concatenate(index),
+            edges=np.concatenate([part[1] for part in parts]),
+            weights=np.concatenate([part[2] for part in parts]),
+            total_weight=run.dg.total_weight,
+        ),
+        orig_slice=np.arange(n, dtype=np.int64),
+        phase=run.phase,
+        prev_mod=run.prev_mod,
+        final_mod=run.final_mod,
+        in_final_pass=run.in_final_pass,
+        phase_assignments=[] if config.track_assignments else None,
+    )
+    _run_phases(comm, tail, config, layout_ranks=layout_ranks)
+    if config.track_assignments:
+        orig = np.concatenate([part[3] for part in parts])
+        run.phase_assignments.extend(m[orig] for m in tail.phase_assignments)
+    return tail.orig_slice, tail.final_mod, tail.phases, tail.iterations
 
 
 def _checkpoint_manager(
@@ -1063,10 +1187,12 @@ def _finish_phase(
     tau: float,
     config: LouvainConfig,
     cycler: ThresholdCycler | None,
+    layout_ranks: int | None,
 ) -> bool:
     """Close phase ``run.phase`` — refinement, audits, graph rebuild,
     stats and exact Q, projection, tracking — and advance ``run`` to
-    the next one; returns whether there is a next one."""
+    the next one; returns whether there is a next one.
+    ``layout_ranks``: see :func:`_run_phases`."""
     state = out.state
     if config.refine == "leiden":
         _refine_phase(comm, run.dg, out)
@@ -1076,7 +1202,9 @@ def _finish_phase(
     new_dg, local_new = rebuild_distributed(
         comm, run.dg, state.local_comm, out.ghost_comm
     )
-    _record_phase(comm, run, out, tau, new_dg, config.resolution)
+    _record_phase(
+        comm, run, out, tau, new_dg, config.resolution, layout_ranks
+    )
     _project(comm, run, local_new)
     if config.track_assignments:
         gathered = comm.gather(run.orig_slice, root=0, category="other")
@@ -1104,10 +1232,13 @@ def _record_phase(
     tau: float,
     new_dg: DistGraph,
     resolution: float,
+    layout_ranks: int | None,
 ) -> None:
     """Append the finished phase's iterations and its
     :class:`PhaseStats` to the run's history and set ``run.final_mod``
-    to the phase's exact Q — one small allreduce for both.
+    to the phase's exact Q — one small allreduce for both.  A gathered
+    phase (``layout_ranks``) reports the ghost fraction of the layout
+    it stands for.
 
     The per-iteration modularity is computed against the stale ghost
     view (the paper's semantics).  The coarsened graph ``new_dg`` gives
@@ -1122,7 +1253,7 @@ def _record_phase(
     # total.  Counts sum exactly in float64, so they share the vector.
     partial = np.array(
         [
-            float(np.count_nonzero(~dg.is_owned(dg.edges))),
+            float(_cross_entries(dg, layout_ranks)),
             float(dg.num_local_entries),
             float(new_dg.local_self_loops().sum()),
             float(np.square(new_dg.local_degrees()).sum()),
@@ -1148,6 +1279,20 @@ def _record_phase(
             ghost_fraction=float(cross / entries) if entries else 0.0,
         )
     )
+
+
+def _cross_entries(dg: DistGraph, layout_ranks: int | None) -> int:
+    """Stored entries of this slice whose target another rank owns — or,
+    on a gathered phase, another rank of the ``layout_ranks``-rank
+    even-vertex layout it stands for."""
+    if layout_ranks is None:
+        return int(np.count_nonzero(~dg.is_owned(dg.edges)))
+    cuts = even_vertex(dg.num_global_vertices, layout_ranks)[1:-1]
+    rows = dg.from_local(dg.local_rows())
+    return int(np.count_nonzero(
+        np.searchsorted(cuts, rows, side="right")
+        != np.searchsorted(cuts, dg.edges, side="right")
+    ))
 
 
 def _refine_phase(comm: Communicator, dg: DistGraph, out: _PhaseOutcome) -> None:

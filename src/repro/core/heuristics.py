@@ -106,3 +106,28 @@ def make_rank_rng(seed: int, rank: int, phase: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(rank, phase))
     )
+
+
+class LayoutStreams:
+    """The ET draws of ranks ``0..p-1`` in one generator: ``random(n)``
+    draws each rank's slice from that rank's :func:`make_rank_rng` stream
+    and lays them end to end in rank order.
+
+    A phase gathered onto one rank holds every vertex of the ``p``-rank
+    layout it stands for (``sizes``: the vertex count of each of its
+    slices); drawing through this object it activates exactly the
+    vertices the ``p`` ranks would have.
+    """
+
+    def __init__(self, seed: int, phase: int, sizes: np.ndarray):
+        self.streams = [make_rank_rng(seed, r, phase) for r in range(len(sizes))]
+        self.sizes = [int(k) for k in sizes]
+
+    def random(self, n: int) -> np.ndarray:
+        if n != sum(self.sizes):
+            raise ValueError(
+                f"{n} draws asked of a layout of {sum(self.sizes)} vertices"
+            )
+        return np.concatenate(
+            [rng.random(k) for rng, k in zip(self.streams, self.sizes)]
+        )

@@ -28,18 +28,26 @@ class IterationStats:
 
 @dataclass(frozen=True)
 class PhaseStats:
-    """One Louvain phase (graph level) — one point of Fig. 5b/6b."""
+    """One Louvain phase (graph level) — one point of Fig. 5b/6b.
+
+    A distributed run's records do not depend on where a phase ran: a
+    phase of the tail gathered to rank 0 (``core/tail.py``) reports what
+    the run's p ranks would have, ``ghost_fraction`` included.
+    """
 
     phase: int
     tau: float
     num_iterations: int
     modularity: float
     num_vertices: int
+    #: Stored adjacency entries // 2 (a self loop is stored once).
     num_edges: int
     exited_by_inactive: bool = False  # ETC's 90%-inactive exit fired
     #: Achieved cross-rank stored-entry fraction of the graph this phase
-    #: ran on (distributed runs; -1.0 when not measured, e.g. serial
-    #: runs or pre-existing checkpoints).
+    #: ran on, under the run's p-rank layout — for a gathered phase, the
+    #: p-rank even-vertex layout the rebuild would have spread it over
+    #: (distributed runs; -1.0 when not measured, e.g. serial runs or
+    #: pre-existing checkpoints).
     ghost_fraction: float = -1.0
 
 

@@ -12,11 +12,12 @@ ranks run as threads, each holding a :class:`Communicator`, and talk via
   ``scan``/``exscan``), the MPI-3-style ``neighbor_alltoall`` the
   paper lists as future work (§VI), and a fused request/reply
   ``exchange_roundtrip``.
-  The algorithm itself uses allreduce, alltoall, bcast, allgather,
-  gather, barrier and send/recv; ``reduce``, ``scatter``, ``scan``,
-  ``exscan``, ``sendrecv``, ``neighbor_alltoall`` and
-  ``exchange_roundtrip`` have no caller outside the tests and stay only
-  because the end-to-end benchmark's span table names them.
+  The algorithm itself uses allreduce, alltoall, allgather, gather and
+  bcast, and checkpointing adds barrier; no caller outside the tests
+  sends point to point.  ``send``, ``recv``, ``sendrecv``, ``reduce``,
+  ``scatter``, ``scan``, ``exscan``, ``neighbor_alltoall`` and
+  ``exchange_roundtrip`` stay only because the end-to-end benchmark's
+  span table names them.
 
 Beside them sits one rendezvous that is not a message,
 :meth:`Communicator.world_call`: one function run once over every
@@ -25,6 +26,11 @@ moves no bytes and charges no time, but every rank must make it in
 schedule order like a collective, so the schedule verifier and the
 deadlock audit see it.  Memory such a call keeps from one world to the
 next lives in :attr:`World.workspace`.
+
+:meth:`Communicator.solo` is ``MPI_COMM_SELF``: a one-rank communicator
+for work one rank does alone inside the SPMD program (the gathered tail
+of a run, in ``core/``).  Its collectives meet no peer, so they cost
+nothing on the modelled machine.
 
 The two personalized exchanges (``alltoall``, ``exchange_roundtrip``)
 size each wire message exactly once, in the rendezvous finalizer
@@ -72,10 +78,11 @@ stuck in, and any wait cycle.  The static half of this tooling is
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from collections import defaultdict, deque
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -624,6 +631,33 @@ class Communicator:
             self.world.timeout,
             kind=self._schedule_kind("world_call", deposit),
         )
+
+    @contextlib.contextmanager
+    def solo(self) -> Iterator["Communicator"]:
+        """``MPI_COMM_SELF``: a one-rank communicator of this rank alone,
+        open for the ``with`` block.
+
+        Only this rank uses it; the world's other ranks go on with their
+        own schedule (typically, waiting in the collective that follows).
+        Its collectives meet no peer: the one-rank cost formulas are
+        zero, no fault plan is consulted and no rendezvous waits.  It
+        shares this rank's trace and the world's workspace, and runs on
+        this rank's clock — it starts at it and hands it back when the
+        block ends.
+        """
+        world = World(
+            1,
+            self.machine,
+            timeout=self.world.timeout,
+            verify_schedule=self.world.verify_schedule,
+            workspace=self.world.workspace,
+        )
+        comm = Communicator(world, 0)
+        comm.clock, comm.trace = self.clock, self.trace
+        try:
+            yield comm
+        finally:
+            self.clock = comm.clock
 
     # ------------------------------------------------------------------
     # Point-to-point

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..core.config import LouvainConfig
+from ..core.tail import gather_pays
 from ..runtime.perfmodel import MachineModel
 from .features import GraphFeatures
 from .space import Candidate
@@ -216,8 +217,20 @@ def predict_cost(
             + _rebuild_cost(machine, input_entries_per_rank, p)
         )
     size = 1.0  # relative size of the current phase's graph
+    ranks = p  # ranks holding the current phase's graph
     for k in range(phases):
-        e = entries_per_rank * size
+        e = entries_per_rank * size * p / ranks
+        vertices = features.num_vertices * size
+        # At each boundary after the first phase the run gathers what is
+        # left to rank 0 once the simulator's own rule says so, with the
+        # previous phase's entries as the bound, as the run has it.
+        if ranks > 1 and k > 0 and gather_pays(
+            machine, p, int(vertices), int(p * e / _PHASE_SHRINK)
+        ):
+            rebuild += machine.gather_cost(
+                int(_REBUILD_ENTRY_BYTES * e + 8.0 * vertices / p), p
+            ) + machine.bcast_cost(int(8.0 * vertices), p)
+            ranks, e, gf = 1, e * p, features.ghost_fraction_at(1)
         iters = max(first_iters * _ITERATION_DECAY**k, _MIN_ITERATIONS)
         per_iter_compute = machine.compute_cost(e * work_factor)
 
@@ -227,44 +240,46 @@ def predict_cost(
         # rank has no ghosts to plan for).
         ghost_bytes = int(gf * e * _GHOST_ENTRY_BYTES / 2)
         ghost_exchange = machine.alltoallv_cost(
-            ghost_bytes, ghost_bytes, p, rank=0
+            ghost_bytes, ghost_bytes, ranks, rank=0
         )
-        if p > 1:
+        if ranks > 1:
             ghost += machine.compute_cost(e) + 2.0 * ghost_exchange
 
         per_iter_community = 0.0
         for nbytes in _COMMUNITY_LEG_BYTES:
             leg = int(gf * e * nbytes)
-            per_iter_community += machine.alltoallv_cost(leg, leg, p, rank=0)
+            per_iter_community += machine.alltoallv_cost(
+                leg, leg, ranks, rank=0
+            )
 
         compute += iters * per_iter_compute
         # Each color class pays its own three legs inside one
         # iteration; the end-of-iteration allreduce stays single, and
         # the phase adds one (its statistics and exact Q).
         community += iters * per_iter_community * colors
-        allreduce += (iters + 1.0) * machine.allreduce_cost(64, p)
+        allreduce += (iters + 1.0) * machine.allreduce_cost(64, ranks)
         if config.use_coloring:
             # One distance-1 coloring per phase: a few conflict-
             # resolution sweeps over the adjacency, each with an
             # exchange of the ghosts' colours and a convergence vote.
             compute += machine.compute_cost(3.0 * e)
             ghost += 3.0 * ghost_exchange
-            allreduce += 3.0 * machine.allreduce_cost(16, p)
+            allreduce += 3.0 * machine.allreduce_cost(16, ranks)
 
         if config.refine == "leiden":
             # Per-phase refinement: a few min-label propagation rounds
             # (ghost exchange + convergence vote each) plus the
             # owner-routed split census and label-clash audit.
             refine += _REFINE_ROUNDS * (
-                ghost_exchange + machine.allreduce_cost(8, p)
+                ghost_exchange + machine.allreduce_cost(8, ranks)
             ) + 2.0 * machine.alltoallv_cost(
                 int(gf * e * _GHOST_ENTRY_BYTES),
                 int(gf * e * _GHOST_ENTRY_BYTES),
-                p,
+                ranks,
                 rank=0,
             )
 
-        rebuild += _rebuild_cost(machine, e, p)
+        rebuild += _rebuild_cost(machine, e, ranks)
         size *= _PHASE_SHRINK
 
     io = machine.io_cost(input_entries_per_rank * _INPUT_ENTRY_BYTES)

@@ -39,7 +39,9 @@ from .features import GraphFeatures, feature_distance
 #: v5: a sweep round is three exchanges and an iteration one allreduce;
 #: v4 records hold seconds (predicted, measured, per trial) of the old
 #: schedule, which must not be ranked against new ones.
-DB_FORMAT_VERSION = 5
+#: v6: a run gathers its small tail phases to rank 0 once that is
+#: cheaper; v5 seconds were measured and predicted without the gather.
+DB_FORMAT_VERSION = 6
 
 #: Default feature-space radius inside which a neighbour's plan is
 #: considered transferable.  Vector axes are normalised to ~unit scale

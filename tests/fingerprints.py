@@ -24,9 +24,10 @@ on numpy's ``repr`` nor on whether a number is an ``np.float64`` or a
   killed-then-resumed run per graph on top — each resumed run's outcome
   digest must equal its uninterrupted run's) for diffing a change
   against a clone of its parent — drop a copy of this file into the
-  clone; ``--against FILE`` does the diff, one count per digest.
-  ``--write-pins`` regenerates the JSON file, ``--write-pins cost`` only
-  its cost digests.
+  clone; each row also prints its modelled seconds.  ``--against FILE``
+  does the diff: one count per digest, and how many rows' modelled
+  seconds are lower, equal and higher.  ``--write-pins`` regenerates
+  the JSON file, ``--write-pins cost`` only its cost digests.
 """
 
 from __future__ import annotations
@@ -67,9 +68,11 @@ FULL_CONFIGS = {
     "etc": LouvainConfig(variant=Variant.ETC, alpha=0.25, seed=3),
 }
 #: The killed-then-resumed rows: ET + threshold cycling at p = 4, one
-#: checkpoint per iteration, the last rank killed at this operation.
+#: checkpoint per iteration, the last rank killed at this operation —
+#: before the run gathers its tail to rank 0, where nothing is
+#: checkpointed (:func:`_resumed_row` checks).
 RESUME_CONFIG = LouvainConfig(variant=Variant.ET_TC, alpha=0.25, seed=3)
-KILL_AT_OP = 150
+KILL_AT_OP = 100
 
 
 class Row(NamedTuple):
@@ -77,6 +80,8 @@ class Row(NamedTuple):
     graph: str
     outcome: str
     cost: str
+    #: The run's modelled seconds (``LouvainResult.elapsed``).
+    modelled: float
 
 
 @lru_cache(maxsize=None)
@@ -136,8 +141,35 @@ def _row(name: str, weights: str, p: int, label: str, config: LouvainConfig):
     result = run_louvain(g, p, config)
     return Row(
         f"{name}/{weights}/p{p}/{label}", g.fingerprint(),
-        outcome_digest(result), cost_digest(result),
+        outcome_digest(result), cost_digest(result), result.elapsed,
     )
+
+
+class OpLog:
+    """A fault plan that kills nothing and lists one rank's operations."""
+
+    def __init__(self, rank: int):
+        self.rank = rank
+        self.ops: list[str] = []
+
+    def on_op(self, rank: int, op_index: int, op_name: str) -> None:
+        if rank == self.rank:
+            self.ops.append(op_name)
+
+
+def _gather_op(g: CSRGraph, p: int) -> int | None:
+    """Op index of the tail's gather at the last rank of the checkpointing
+    run, ``None`` when the run does not gather.  A gathered tail ends the
+    rank's schedule with gather, bcast and the result's allgather."""
+    log = OpLog(p - 1)
+    with tempfile.TemporaryDirectory() as d:
+        run_louvain(
+            g, p, RESUME_CONFIG, checkpoint_dir=d,
+            checkpoint_every_iterations=1, fault_plan=log,
+        )
+    if log.ops[-3:] != ["gather", "bcast", "allgather"]:
+        return None
+    return len(log.ops) - 2
 
 
 def _resumed_row(name: str) -> Row:
@@ -145,6 +177,11 @@ def _resumed_row(name: str) -> Row:
     resumed run (its clock and counts are as deterministic as the
     uninterrupted run's; its outcome *is* the uninterrupted run's)."""
     g, p = graph(name), 4
+    gather = _gather_op(g, p)
+    if gather is not None and KILL_AT_OP >= gather:
+        raise AssertionError(
+            f"{name}: op {KILL_AT_OP} is not before the gather (op {gather})"
+        )
     with tempfile.TemporaryDirectory() as d:
         try:
             run_louvain(
@@ -165,7 +202,9 @@ def _resumed_row(name: str) -> Row:
     outcome = outcome_digest(resumed)
     if outcome != outcome_digest(run_louvain(g, p, RESUME_CONFIG)):
         raise AssertionError(f"{key}: outcome differs from the uninterrupted run")
-    return Row(key, g.fingerprint(), outcome, cost_digest(resumed))
+    return Row(
+        key, g.fingerprint(), outcome, cost_digest(resumed), resumed.elapsed
+    )
 
 
 def pinned_keys() -> list[tuple[str, int, str]]:
@@ -199,17 +238,22 @@ def load_pins() -> dict[str, dict[str, str]]:
 
 
 def _format(row: Row) -> str:
-    return f"{row.outcome}  {row.cost}  graph={row.graph[:12]}  {row.key}"
+    return (
+        f"{row.outcome}  {row.cost}  graph={row.graph[:12]}  "
+        f"modelled={row.modelled!r}s  {row.key}"
+    )
 
 
-def _parse_table(path: str) -> dict[str, tuple[str, str]]:
-    """``{key: (outcome, cost)}`` of a table this tool printed."""
+def _parse_table(path: str) -> dict[str, tuple[str, str, float]]:
+    """``{key: (outcome, cost, modelled seconds)}`` of a table this tool
+    printed."""
     table = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            fields = line.rstrip("\n").split("  ", 3)
-            if len(fields) == 4:
-                table[fields[3]] = (fields[0], fields[1])
+            fields = line.rstrip("\n").split("  ", 4)
+            if len(fields) == 5 and fields[3].startswith("modelled="):
+                modelled = float(fields[3][len("modelled="):-1])
+                table[fields[4]] = (fields[0], fields[1], modelled)
     return table
 
 
@@ -255,15 +299,27 @@ def main(argv: list[str] | None = None) -> int:
     if theirs is None:
         return 0
     differing = {"outcome": [], "cost": []}
+    clock = {"lower": 0, "equal": 0, "higher": 0}
     for row in rows:
-        other = theirs.get(row.key, ("missing", "missing"))
+        other = theirs.get(row.key, ("missing", "missing", float("nan")))
         for name, mine, their in zip(differing, (row.outcome, row.cost), other):
             if mine != their:
                 differing[name].append(row.key)
+        if row.modelled < other[2]:
+            clock["lower"] += 1
+        elif row.modelled == other[2]:
+            clock["equal"] += 1
+        elif row.modelled > other[2]:
+            clock["higher"] += 1
+            print(f"modelled higher: {row.key}")
     n = len(rows)
     print(
         f"outcome equal {n - len(differing['outcome'])}/{n}, "
         f"cost equal {n - len(differing['cost'])}/{n}"
+    )
+    print(
+        "modelled seconds lower {lower} / equal {equal} / higher "
+        "{higher}".format(**clock)
     )
     for name, keys in differing.items():
         for key in keys:

@@ -40,9 +40,12 @@ RULE_IDS = (
 #: (divergence through an inlined callee) was folded into SPMD001; its
 #: fixtures stay as SPMD001's transitive-helper cases.  ``world_call``
 #: moves no data but is a rendezvous, so skipping it is SPMD001 too.
+#: ``solo``: a rank-guarded collective is SPMD001 on the world's
+#: communicator and fine on the one-rank ``comm.solo()``.
 FIXTURE_RULES = {rule_id: rule_id for rule_id in RULE_IDS} | {
     "SPMD004": "SPMD001",
     "WORLD_CALL": "SPMD001",
+    "SOLO": "SPMD001",
 }
 
 

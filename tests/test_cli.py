@@ -145,12 +145,16 @@ class TestCheckpointCli:
         assert main(["ckpt", "list", ck]) == 0
         listed = capsys.readouterr().out
         assert "phase checkpoint" in listed
-        # The last phase's boundary checkpoint and the delta extending it.
-        full, delta = listed.splitlines()
+        # Phase 0's boundary checkpoint and the delta extending it, then
+        # phase 1's boundary, where the run gathers to rank 0 (the
+        # gathered tail cuts none).
+        full, delta, gathered = listed.splitlines()
         assert ", full" in full
         assert f", delta of {full.split(':')[0]}" in delta
+        assert "phase checkpoint at phase 1" in gathered
+        assert ", full" in gathered
         assert main(["ckpt", "validate", ck]) == 0
-        assert "2/2 checkpoint(s) valid" in capsys.readouterr().out
+        assert "3/3 checkpoint(s) valid" in capsys.readouterr().out
 
     def test_ckpt_validate_reports_delta_with_bad_base(
         self, tmp_path, capsys, graph_file
@@ -161,7 +165,7 @@ class TestCheckpointCli:
         main(["detect", graph_file, "--ranks", "2", "--checkpoint-dir", ck,
               "--checkpoint-every-iterations", "1"])
         capsys.readouterr()
-        (base_name, base, _), (delta_name, delta, _) = scan_checkpoints(ck)
+        (base_name, base, _), (delta_name, delta, _), _ = scan_checkpoints(ck)
         assert delta.base.step == base_name
         corrupt_checkpoint_shard(base.shard_path(1), seed=0)
         assert main(["ckpt", "validate", ck]) == 1
@@ -169,7 +173,8 @@ class TestCheckpointCli:
         assert f"{base_name}: INVALID" in out
         # The delta's own shards are intact; its base is what fails.
         assert f"{delta_name}: INVALID (base {base_name}: " in out
-        assert "0/2 checkpoint(s) valid" in out
+        # The last boundary (where the run gathers) is a full of its own.
+        assert "1/3 checkpoint(s) valid" in out
 
     def test_ckpt_validate_detects_corruption(self, tmp_path, capsys,
                                               graph_file):

@@ -46,6 +46,7 @@ from repro.resilience import (
 )
 from repro.resilience.checkpoint import _deserialize_shard, _serialize_shard
 from repro.runtime import (
+    FREE,
     CommTimeoutError,
     InjectedFault,
     RankFailedError,
@@ -379,7 +380,8 @@ def _any(pred):
 #: name -> (config, graph, ``run_louvain`` keywords of the first run, a
 #: predicate over the run's ``(manifest, meta, arrays)`` shards proving
 #: the state field the case is there for is live in some checkpoint).
-#: Together the cases exercise every field of the run state.
+#: Together the cases exercise every field of the run state.  A
+#: ``machine`` keyword rides every run of its case (:func:`_again`).
 RESUME_CASES = {
     "baseline": (LouvainConfig(seed=1), _graph, {}, None),
     "etc": (
@@ -387,8 +389,11 @@ RESUME_CASES = {
         _any(lambda meta, arrays: "et_rng_state" in meta),
     ),
     # Reaches threshold cycling's forced final pass with ET's RNG live.
+    # On a free machine: on Cori the final pass of this graph runs in
+    # the tail gathered to rank 0, which cuts no checkpoint.
     "et+tc": (
-        LouvainConfig(variant=Variant.ET_TC, alpha=0.25, seed=1), _graph, {},
+        LouvainConfig(variant=Variant.ET_TC, alpha=0.25, seed=1), _graph,
+        {"machine": FREE},
         _any(
             lambda meta, arrays: meta["in_final_pass"]
             and "et_rng_state" in meta
@@ -417,6 +422,12 @@ RESUME_CASES = {
         _any(lambda meta, arrays: "seed_assignment" in arrays),
     ),
 }
+
+
+def _again(first_run):
+    """The keywords of a case's first run that its resumed runs repeat:
+    the machine (a resumed run gathers where its machine says)."""
+    return {k: v for k, v in first_run.items() if k == "machine"}
 
 
 def _flip(path):
@@ -506,7 +517,7 @@ class TestDeltaCheckpoints:
             assert latest_valid_manifest(str(d), expect_size=p).seq == m.seq
             res = run_louvain(
                 g, p, cfg, checkpoint_dir=str(d), resume=True,
-                checkpoint_every_iterations=1,
+                checkpoint_every_iterations=1, **_again(first_run),
             )
             _assert_same_run(ref, res, cfg)
             # A resumed run cannot lean on the dead run's base: whatever
@@ -525,7 +536,10 @@ class TestDeltaCheckpoints:
                 reopened += 1
                 for later in cut[2:]:
                     shutil.rmtree(later.directory)
-                res = run_louvain(g, p, cfg, checkpoint_dir=str(d), resume=True)
+                res = run_louvain(
+                    g, p, cfg, checkpoint_dir=str(d), resume=True,
+                    **_again(first_run),
+                )
                 np.testing.assert_array_equal(ref.assignment, res.assignment)
                 assert res.modularity == ref.modularity
                 assert res.iterations == ref.iterations
@@ -551,10 +565,15 @@ class TestDeltaCheckpoints:
                 reopened += 1
                 snaps.last = k + 2
                 with pytest.raises((RankFailedError, InjectedFault)):
-                    run_louvain(g, p, cfg, snapshots=snaps, resume=True)
+                    run_louvain(
+                        g, p, cfg, snapshots=snaps, resume=True,
+                        **_again(first_run),
+                    )
                 assert _point(snaps) == points[k + 2]
             snaps.last = None
-            res = run_louvain(g, p, cfg, snapshots=snaps, resume=True)
+            res = run_louvain(
+                g, p, cfg, snapshots=snaps, resume=True, **_again(first_run)
+            )
             _assert_same_run(ref, res, cfg)
             # It saved on: the last generation is the run's last save point.
             assert _point(snaps) == points[-1]
@@ -582,12 +601,14 @@ class TestDeltaCheckpoints:
         self, tmp_path, keep_all
     ):
         """checkpoint_every=2 skips phase 1's boundary checkpoint, so its
-        first iteration checkpoint carries the phase state."""
+        first iteration checkpoint carries the phase state.  (On a free
+        machine: on Cori the run gathers phase 1 to rank 0, whose tail
+        cuts no checkpoint.)"""
         g, cfg = _graph(), _config()
         d = str(tmp_path / "ck")
         run_louvain(
             g, 2, cfg, checkpoint_dir=d, checkpoint_every=2,
-            checkpoint_every_iterations=1,
+            checkpoint_every_iterations=1, machine=FREE,
         )
         phase1 = [
             m for _, m, _ in scan_checkpoints(d) if m.phase == 1
@@ -611,7 +632,9 @@ class TestDeltaCheckpoints:
     def test_damaged_base_invalidates_its_deltas(
         self, tmp_path, keep_all, damage
     ):
-        g, cfg, src, ref, manifests = self._run(tmp_path)
+        # A free machine runs phase 1 on both ranks (Cori gathers it to
+        # rank 0, where nothing is checkpointed), so it has a delta.
+        g, cfg, src, ref, manifests = self._run(tmp_path, machine=FREE)
         second_full = [m.seq for m in manifests if m.base is None][1]
         # ... full, deltas, second full, one delta of it.
         d = self._upto(tmp_path, src, manifests, second_full + 1)
@@ -1034,7 +1057,11 @@ class TestRunSnapshots:
             run_louvain(g, p, cfg, snapshots=snaps, **first_run)
         snaps.last = None
         _assert_same_run(
-            ref, run_louvain(g, p, cfg, snapshots=snaps, resume=True), cfg
+            ref,
+            run_louvain(
+                g, p, cfg, snapshots=snaps, resume=True, **_again(first_run)
+            ),
+            cfg,
         )
 
 

@@ -64,6 +64,20 @@ class TestCostModel:
         assert est.breakdown.get("ghost_comm", 0.0) == 0.0
         assert est.breakdown.get("community_comm", 0.0) == 0.0
 
+    def test_prediction_tracks_the_mesh_workload(self):
+        """Channel medium at p = 8 (the ``mesh_p8`` input) gathers its
+        tail to rank 0; the model, pricing the phases after the same
+        rule on one rank, stays within 1.25x of the traced seconds (it
+        was 1.33x over when it priced every phase on eight ranks)."""
+        from repro.core import run_louvain
+        from repro.tune import compute_features
+
+        g = make_graph("channel", scale="medium", seed=0)
+        cand = Candidate(config=LouvainConfig(), ranks=8)
+        predicted = predict_cost(compute_features(g), cand, CORI_HASWELL)
+        traced = run_louvain(g, 8, LouvainConfig()).elapsed
+        assert 1 / 1.25 <= predicted.seconds / traced <= 1.25
+
 
 class TestDeterminism:
     def test_same_seed_same_plan_and_schedule(self, channel):
