@@ -547,7 +547,9 @@ def test_kernel_checkpoint_save(benchmark, tmp_path, medium, form, p):
     def prog(comm, root, snapshots, walls, modelled):
         dg = DistGraph.distribute(comm, g)
         lo, hi = dg.vbegin, dg.vend
-        manager = snapshots or CheckpointManager(root, every_iterations=1)
+        manager = snapshots or CheckpointManager(
+            root, every_iterations=1, config_key=LouvainConfig().cache_key()
+        )
 
         run = RunState(dg=dg, orig_slice=np.arange(lo, hi, dtype=np.int64))
         state = IterationState(
@@ -585,7 +587,9 @@ def test_kernel_checkpoint_save(benchmark, tmp_path, medium, form, p):
     def run(machine, walls, modelled):
         root = tempfile.mkdtemp(dir=tmp_path)
         snapshots = (
-            RunSnapshots(every_iterations=1) if medium == "snapshot" else None
+            RunSnapshots(every_iterations=1, config_key=LouvainConfig().cache_key())
+            if medium == "snapshot"
+            else None
         )
         run_spmd(
             p, prog, root, snapshots, walls, modelled,

@@ -5,11 +5,11 @@ Walks the whole ``repro.obs`` surface on one small workload:
 
 1. a tuning database is seeded with a deliberately mis-calibrated
    machine model (8x too optimistic), so every served detection
-   measures far above its cost-model prediction;
+   simulates far above its cost-model prediction;
 2. an engine runs with full observability attached — labeled metrics
    registry, structured JSON-lines event log, and the drift monitor —
    and serves a stream of detection jobs;
-3. the per-config-family EWMA of log(measured/predicted) crosses the
+3. the per-config-family EWMA of log(simulated/predicted) crosses the
    drift threshold, the machine model is recalibrated from the
    observed ratio, and a *forced* background re-tune fires against the
    calibrated model (the existing low-priority ``tune`` job path);
@@ -110,15 +110,15 @@ def main() -> None:
     # ----------------------------------------------------------------
     # 4. Prediction error shrinks under the calibrated model
     # ----------------------------------------------------------------
-    measured = read_events(events_path, event="drift_observed")[-1][
-        "measured"
+    simulated = read_events(events_path, event="drift_observed")[-1][
+        "simulated"
     ]
     features = compute_features(graph)
     cand = Candidate(config=request.config, ranks=request.nranks)
 
     def log_error(machine):
         predicted = predict_cost(features, cand, machine).seconds
-        return abs(math.log(max(measured, 1e-12) / max(predicted, 1e-12)))
+        return abs(math.log(max(simulated, 1e-12) / max(predicted, 1e-12)))
 
     err_before = log_error(wrong)
     err_after = log_error(drift.machine)

@@ -32,10 +32,10 @@ from collections import defaultdict
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .rules import (
-    COLLECTIVE_METHODS,
     RANK_ATTRIBUTES,
     RANK_CALLS,
     _callable_name,
+    direct_collective_op,
     is_private_call,
     is_rank_variant,
     walk_no_nested,
@@ -43,36 +43,6 @@ from .rules import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .spmdlint import FunctionContext, ModuleContext
-
-#: Attribute names under which objects conventionally store their
-#: communicator (``self.comm``, ``self._comm``); used to recognise
-#: direct collectives inside methods that hold the comm as state
-#: rather than taking it as a parameter.
-COMM_ATTRIBUTE_NAMES = frozenset({"comm", "_comm"})
-
-
-def direct_collective_op(node: ast.AST, fn: "FunctionContext") -> str | None:
-    """Op name if ``node`` is a *bare* collective method call.
-
-    Unlike :func:`repro.analysis.rules.collective_op` this never
-    matches helper calls (it seeds the closure those are read from) but
-    does recognise method receivers that hold the communicator as
-    attribute state (``self.comm.allreduce``).
-    """
-    if not isinstance(node, ast.Call):
-        return None
-    func = node.func
-    if not isinstance(func, ast.Attribute) or func.attr not in COLLECTIVE_METHODS:
-        return None
-    recv = func.value
-    comm_names = fn.all_comm_names
-    if isinstance(recv, ast.Name) and recv.id in comm_names:
-        return func.attr
-    if isinstance(recv, ast.Attribute) and (
-        recv.attr in comm_names or recv.attr in COMM_ATTRIBUTE_NAMES
-    ):
-        return func.attr
-    return None
 
 
 def _control_rank_source(

@@ -65,6 +65,10 @@ SOLO_METHODS = frozenset({"solo"})
 SEND_METHODS = frozenset({"send"})
 RECV_METHODS = frozenset({"recv"})
 
+#: Attribute names under which objects conventionally store their
+#: communicator (``self.comm``, ``self._comm``).
+COMM_ATTRIBUTE_NAMES = frozenset({"comm", "_comm"})
+
 #: Attributes whose value differs per rank by definition.
 RANK_ATTRIBUTES = frozenset({"rank"})
 
@@ -167,6 +171,20 @@ def _callable_name(func: ast.AST) -> str | None:
     return None
 
 
+def params_matching(
+    fn_node: ast.FunctionDef, names: frozenset[str], annotation: str
+) -> frozenset[str]:
+    """Parameters of ``fn_node`` named in ``names`` or annotated with a
+    type whose text contains ``annotation`` (``Optional[...]`` too)."""
+    args = fn_node.args
+    return frozenset(
+        a.arg
+        for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        if a.arg in names
+        or (a.annotation is not None and annotation in ast.unparse(a.annotation))
+    )
+
+
 def _is_solo_call(node: ast.AST) -> bool:
     return (
         isinstance(node, ast.Call)
@@ -214,31 +232,43 @@ def is_private_call(call: ast.Call, fn) -> bool:
     return any(solo(a) for a in args) and not any(outer(a) for a in args)
 
 
-def collective_op(node: ast.AST, fn) -> str | None:
-    """Op name if ``node`` is a collective call in function context ``fn``.
+def _is_comm(recv: ast.expr, fn) -> bool:
+    """Is ``recv`` a communicator of ``fn`` (its own or closed over), or
+    an attribute holding one (``self.comm``, ``ctx.comm``)?"""
+    if isinstance(recv, ast.Name):
+        return recv.id in fn.all_comm_names
+    return isinstance(recv, ast.Attribute) and (
+        recv.attr in fn.all_comm_names or recv.attr in COMM_ATTRIBUTE_NAMES
+    )
 
-    Two forms count: a :data:`COLLECTIVE_METHODS` method on a
-    communicator receiver, and a call the call graph resolves to a
-    definition that (transitively) contains a collective — skipping a
-    helper on a subset of ranks is the same bug as skipping a bare
-    collective — unless the call hands the helper a one-rank
-    communicator (:func:`is_private_call`).  Before ``fn.callgraph`` is
-    attached only the first form is seen.
-    """
+
+def direct_collective_op(node: ast.AST, fn) -> str | None:
+    """Op name if ``node`` is a *bare* collective: a
+    :data:`COLLECTIVE_METHODS` method on a communicator receiver.  It
+    seeds the call graph's contains-collective closure."""
     if not isinstance(node, ast.Call):
         return None
     func = node.func
-    name = _callable_name(func)
-    if name in COLLECTIVE_METHODS:
-        recv = func.value if isinstance(func, ast.Attribute) else None
-        if isinstance(recv, ast.Name) and recv.id in fn.comm_names:
-            return name
-        if (
-            isinstance(recv, ast.Attribute)
-            and recv.attr in fn.comm_names
-        ):  # self.comm / ctx.comm
-            return name
+    if not isinstance(func, ast.Attribute) or func.attr not in COLLECTIVE_METHODS:
         return None
+    return func.attr if _is_comm(func.value, fn) else None
+
+
+def collective_op(node: ast.AST, fn) -> str | None:
+    """Op name if ``node`` is a collective call in function context ``fn``.
+
+    Two forms count: a bare collective (:func:`direct_collective_op`),
+    and a call the call graph resolves to a definition that
+    (transitively) contains a collective — skipping a helper on a
+    subset of ranks is the same bug as skipping a bare collective —
+    unless the call hands the helper a one-rank communicator
+    (:func:`is_private_call`).  Before ``fn.callgraph`` is attached only
+    the first form is seen.
+    """
+    op = direct_collective_op(node, fn)
+    if op is not None or not isinstance(node, ast.Call):
+        return op
+    name = _callable_name(node.func)
     graph = fn.callgraph
     if (
         name is not None
@@ -444,24 +474,6 @@ def check_tag_matching(program) -> Iterator[tuple[ast.AST, str]]:
             )
 
 
-def _literal_str_set(node: ast.AST) -> frozenset[str] | None:
-    """Strings of a ``frozenset({...})`` or ``{...}`` literal."""
-    if (
-        isinstance(node, ast.Call)
-        and _callable_name(node.func) == "frozenset"
-        and len(node.args) == 1
-    ):
-        node = node.args[0]
-    if not isinstance(node, ast.Set):
-        return None
-    out = set()
-    for elt in node.elts:
-        if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
-            return None
-        out.add(elt.value)
-    return frozenset(out)
-
-
 def _literal_str_dict(node: ast.AST) -> dict[str, str] | None:
     """Keys/values of a ``{"k": "v", ...}`` literal (dict() not handled)."""
     if isinstance(node, ast.Call) and _callable_name(node.func) == "dict":
@@ -627,24 +639,11 @@ def check_dict_iteration(fn) -> Iterator[tuple[ast.AST, str]]:
 # ----------------------------------------------------------------------
 # SPMD2xx — payload hygiene
 # ----------------------------------------------------------------------
-#: Comm calls whose first argument is the outgoing payload.
-PAYLOAD_ARG0_METHODS = frozenset(
-    {
-        "send",
-        "sendrecv",
-        "bcast",
-        "reduce",
-        "allreduce",
-        "gather",
-        "allgather",
-        "scatter",
-        "alltoall",
-        "scan",
-        "exscan",
-        "neighbor_alltoall",
-        "exchange_roundtrip",
-    }
-)
+#: Comm calls whose first argument is the outgoing payload: the sends,
+#: and every collective but the two that carry no payload argument.
+PAYLOAD_ARG0_METHODS = (
+    COLLECTIVE_METHODS - {"barrier", "world_call"}
+) | SEND_METHODS | {"sendrecv"}
 
 
 @rule(
@@ -660,12 +659,7 @@ def check_payload_hazard(fn) -> Iterator[tuple[ast.AST, str]]:
         if not (
             isinstance(func, ast.Attribute)
             and func.attr in PAYLOAD_ARG0_METHODS
-            and (
-                (isinstance(func.value, ast.Name)
-                 and func.value.id in fn.comm_names)
-                or (isinstance(func.value, ast.Attribute)
-                    and func.value.attr in fn.comm_names)
-            )
+            and _is_comm(func.value, fn)
         ):
             continue
         payload = node.args[0]
@@ -711,106 +705,18 @@ def _dataclass_def(
     return None
 
 
-def _dataclass_fields(cls: ast.ClassDef) -> list[str]:
-    fields = []
-    for stmt in cls.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(
-            stmt.target, ast.Name
-        ):
-            if "ClassVar" in ast.unparse(stmt.annotation):
-                continue
-            fields.append(stmt.target.id)
-    return fields
-
-
 def _config_attr_surface(cls: ast.ClassDef) -> frozenset[str]:
-    """Attribute names a config instance legitimately exposes."""
-    names = set(_dataclass_fields(cls))
+    """Attribute names a config instance legitimately exposes: its
+    fields, methods and class attributes."""
+    names = set()
     for stmt in cls.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             names.add(stmt.name)
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names.add(stmt.target.id)
         elif isinstance(stmt, ast.Assign):
-            for t in stmt.targets:
-                if isinstance(t, ast.Name):
-                    names.add(t.id)
+            names.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
     return frozenset(names)
-
-
-def _louvain_config_params(fn_node: ast.AST) -> frozenset[str]:
-    """Parameters annotated as ``LouvainConfig`` (incl. Optional[...])."""
-    args = fn_node.args
-    out = set()
-    for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-        if a.annotation is not None and "LouvainConfig" in ast.unparse(
-            a.annotation
-        ):
-            out.add(a.arg)
-    return frozenset(out)
-
-
-@rule(
-    "SPMD301",
-    "error",
-    "LouvainConfig field partition drift: every field must be in "
-    "CACHE_KEY_FIELDS or documented in CACHE_KEY_EXCLUSIONS",
-    scope="program",
-)
-def check_cache_key_partition(program) -> Iterator:
-    """Field-partition invariant on the config declaration itself.
-
-    ``CACHE_KEY_FIELDS`` (what :meth:`LouvainConfig.cache_key` hashes)
-    and ``CACHE_KEY_EXCLUSIONS`` (documented reasons for leaving a
-    field out) must partition the dataclass fields exactly: no
-    undocumented field, no overlap, no stale names on either side, and
-    every exclusion reason tagged ``"<kind>: ..."``.
-    """
-    for module in program.modules:
-        cls = _dataclass_def(module.tree)
-        if cls is None:
-            continue
-        found = _module_assignment(module.tree, "CACHE_KEY_FIELDS")
-        if found is None:
-            continue
-        key_node, key_value = found
-        key_fields = _literal_str_set(key_value)
-        if key_fields is None:
-            continue
-        excl_node: ast.stmt = key_node
-        exclusions: dict[str, str] = {}
-        excl_found = _module_assignment(module.tree, "CACHE_KEY_EXCLUSIONS")
-        if excl_found is not None:
-            excl_node = excl_found[0]
-            exclusions = _literal_str_dict(excl_found[1]) or {}
-        fields = set(_dataclass_fields(cls))
-        for f in sorted(fields - key_fields - set(exclusions)):
-            yield module, key_node, (
-                f"config field '{f}' is neither in CACHE_KEY_FIELDS nor "
-                "documented in CACHE_KEY_EXCLUSIONS; undocumented fields "
-                "silently escape the autotuner's cache key"
-            )
-        for f in sorted(key_fields & set(exclusions)):
-            yield module, excl_node, (
-                f"config field '{f}' appears in both CACHE_KEY_FIELDS "
-                "and CACHE_KEY_EXCLUSIONS"
-            )
-        for f in sorted(key_fields - fields):
-            yield module, key_node, (
-                f"CACHE_KEY_FIELDS names '{f}', which is not a "
-                "LouvainConfig field"
-            )
-        for f in sorted(set(exclusions) - fields):
-            yield module, excl_node, (
-                f"CACHE_KEY_EXCLUSIONS names '{f}', which is not a "
-                "LouvainConfig field"
-            )
-        for f in sorted(exclusions):
-            reason = exclusions[f]
-            kind = reason.split(":", 1)[0].strip() if ":" in reason else ""
-            if not kind:
-                yield module, excl_node, (
-                    f"CACHE_KEY_EXCLUSIONS['{f}'] reason must start with "
-                    "'<kind>: ' (e.g. 'audit: results unchanged')"
-                )
 
 
 @rule(
@@ -821,12 +727,12 @@ def check_cache_key_partition(program) -> Iterator:
     scope="program",
 )
 def check_collective_guard_coverage(program) -> Iterator:
-    """Cross-checks footprint summaries against the cache-key partition.
+    """Cross-checks footprint summaries against ``CACHE_KEY_EXCLUSIONS``.
 
-    A config field whose value selects between different collective
-    schedules (a config-``Alt`` with differing options in some SPMD
-    function's footprint) must either participate in ``cache_key()``
-    or carry an exclusion of a kind in
+    ``cache_key()`` hashes every config field not excluded, so a config
+    field whose value selects between different collective schedules (a
+    config-``Alt`` with differing options in some SPMD function's
+    footprint) is either in the key or carries an exclusion of a kind in
     :data:`SCHEDULE_SAFE_EXCLUSION_KINDS`.
     """
     from .summaries import schedule_guarding_fields
@@ -834,36 +740,19 @@ def check_collective_guard_coverage(program) -> Iterator:
     guarding: dict[str, str] = {}
     for m in program.modules:
         for fn in m.functions:
-            if not fn.is_spmd:
-                continue
-            summary = program.analysis.summary(fn)
-            for f in sorted(schedule_guarding_fields(summary)):
-                guarding.setdefault(f, fn.qualname)
-    if not guarding:
-        return
+            if fn.is_spmd:
+                summary = program.analysis.summary(fn)
+                for f in sorted(schedule_guarding_fields(summary)):
+                    guarding.setdefault(f, fn.qualname)
     for module in program.modules:
-        cls = _dataclass_def(module.tree)
-        if cls is None:
-            continue
-        found = _module_assignment(module.tree, "CACHE_KEY_FIELDS")
+        found = _module_assignment(module.tree, "CACHE_KEY_EXCLUSIONS")
         if found is None:
             continue
-        key_node, key_value = found
-        key_fields = _literal_str_set(key_value) or frozenset()
-        exclusions: dict[str, str] = {}
-        excl_found = _module_assignment(module.tree, "CACHE_KEY_EXCLUSIONS")
-        if excl_found is not None:
-            exclusions = _literal_str_dict(excl_found[1]) or {}
-        fields = set(_dataclass_fields(cls))
-        for f in sorted(guarding):
-            if f not in fields or f in key_fields:
-                continue
-            reason = exclusions.get(f)
-            if reason is None:
-                continue  # SPMD301 already reports undocumented fields
-            kind = reason.split(":", 1)[0].strip()
+        exclusions = _literal_str_dict(found[1]) or {}
+        for f in sorted(guarding.keys() & exclusions.keys()):
+            kind = exclusions[f].split(":", 1)[0].strip()
             if kind not in SCHEDULE_SAFE_EXCLUSION_KINDS:
-                yield module, key_node, (
+                yield module, found[0], (
                     f"config field '{f}' guards the collective schedule "
                     f"(see {guarding[f]}) but is excluded from "
                     f"cache_key() with kind '{kind}'; only "
@@ -896,7 +785,7 @@ def check_config_attr_reads(program) -> Iterator:
         return
     for module in program.modules:
         for fn in module.functions:
-            cfg_params = _louvain_config_params(fn.node)
+            cfg_params = params_matching(fn.node, frozenset(), "LouvainConfig")
             if not cfg_params:
                 continue
             for node in walk_no_nested(fn.node):

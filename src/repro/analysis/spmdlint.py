@@ -33,11 +33,11 @@ from typing import Iterable, Iterator, Sequence
 
 from .callgraph import CallGraph
 from .rules import (
-    REPLICATING_METHODS,
     RULES,
     Rule,
-    collective_op,
     is_rank_variant,
+    is_replicated_safe,
+    params_matching,
     solo_names,
     walk_no_nested,
 )
@@ -109,7 +109,9 @@ class FunctionContext:
         self.qualname = qualname or node.name
         self.class_name = class_name
         self.is_nested = is_nested
-        self.comm_names = self._find_comm_params(node)
+        self.comm_names = params_matching(
+            node, COMM_PARAM_NAMES, "Communicator"
+        )
         self.all_comm_names = self.comm_names | enclosing_comm_names
         self.solo_names = solo_names(node)
         self.is_spmd = bool(self.comm_names)
@@ -119,17 +121,6 @@ class FunctionContext:
         self.callgraph: CallGraph | None = None
         if self.is_spmd:
             self._build_taint()
-
-    @staticmethod
-    def _find_comm_params(node: ast.FunctionDef) -> frozenset[str]:
-        names = set()
-        args = node.args
-        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-            ann = arg.annotation
-            ann_text = ast.unparse(ann) if ann is not None else ""
-            if arg.arg in COMM_PARAM_NAMES or "Communicator" in ann_text:
-                names.add(arg.arg)
-        return frozenset(names)
 
     def _assignments(self) -> Iterator[tuple[list[ast.expr], ast.expr]]:
         for node in walk_no_nested(self.node):
@@ -154,15 +145,8 @@ class FunctionContext:
                     continue
                 if is_rank_variant(value, self):
                     self.rank_tainted.update(names)
-                elif self._is_replicating_value(value):
+                elif is_replicated_safe(value, self):
                     self.replicated.update(names)
-
-    def _is_replicating_value(self, value: ast.expr) -> bool:
-        for sub in ast.walk(value):
-            if collective_op(sub, self) in REPLICATING_METHODS:
-                return True
-        names = [s for s in ast.walk(value) if isinstance(s, ast.Name)]
-        return bool(names) and all(n.id in self.replicated for n in names)
 
     def rebuild_taint(self) -> None:
         """Re-run the local taint pass after interprocedural updates.

@@ -32,22 +32,24 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import operator
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from .callgraph import CallGraph, direct_collective_op
+from .callgraph import CallGraph
 from .rules import (
+    _NESTED_SCOPES,
     _callable_name,
+    direct_collective_op,
     is_private_call,
     is_rank_variant,
+    params_matching,
     walk_no_nested,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .spmdlint import FunctionContext
-
-_NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 #: Names an abstract guard expression may reference besides the config.
 _SAFE_GLOBALS = frozenset({"Variant", "True", "False", "None"})
@@ -227,23 +229,28 @@ def alt(
     )
 
 
-def op_counter(fp: Footprint) -> Counter:
-    """Static collective-site counts (loop bodies counted once)."""
-    counts: Counter = Counter()
+def nodes(fp: Footprint) -> Iterator[Footprint]:
+    """``fp`` and every footprint nested in it (each loop body and
+    alternative once)."""
     stack = [fp]
     while stack:
         f = stack.pop()
-        if isinstance(f, Coll):
-            counts[f.op] += 1
-        elif isinstance(f, Opaque):
-            counts[f.key()] += 1
-        elif isinstance(f, Seq):
+        yield f
+        if isinstance(f, Seq):
             stack.extend(f.parts)
         elif isinstance(f, Star):
             stack.append(f.body)
         elif isinstance(f, Alt):
             stack.extend(f.options)
-    return counts
+
+
+def op_counter(fp: Footprint) -> Counter:
+    """Static collective-site counts (loop bodies counted once)."""
+    return Counter(
+        f.op if isinstance(f, Coll) else f.key()
+        for f in nodes(fp)
+        if isinstance(f, (Coll, Opaque))
+    )
 
 
 # ----------------------------------------------------------------------
@@ -253,21 +260,11 @@ def op_counter(fp: Footprint) -> Counter:
 class _GuardInfo:
     """Per-function map from local names to config-derived values."""
 
-    config_names: set[str] = dc_field(default_factory=set)
+    config_names: frozenset[str] = frozenset()
     #: name -> config-pure expression it was assigned from.
     alias_exprs: dict[str, ast.expr] = dc_field(default_factory=dict)
     #: name -> ``A if <test> else None`` (or flipped) it was assigned from.
     none_ifexp: dict[str, ast.IfExp] = dc_field(default_factory=dict)
-
-
-def _config_param_names(node: ast.FunctionDef) -> set[str]:
-    names = set()
-    args = node.args
-    for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-        ann = ast.unparse(arg.annotation) if arg.annotation is not None else ""
-        if arg.arg == "config" or "LouvainConfig" in ann:
-            names.add(arg.arg)
-    return names
 
 
 def config_fields_of(
@@ -288,40 +285,20 @@ def config_fields_of(
             return frozenset({expr.attr})
         if isinstance(base, ast.Name) and base.id in _SAFE_GLOBALS:
             return frozenset()  # Variant.ET and friends
-        inner = config_fields_of(base, info)
-        return inner  # chained attribute on a config-derived value
-    if isinstance(expr, ast.UnaryOp):
-        return config_fields_of(expr.operand, info)
-    if isinstance(expr, (ast.BoolOp,)):
+        # a chained attribute on a config-derived value
+        return config_fields_of(base, info)
+    if isinstance(
+        expr, (ast.UnaryOp, ast.BoolOp, ast.Compare, ast.BinOp, ast.IfExp)
+    ):
         out: frozenset[str] = frozenset()
-        for v in expr.values:
-            sub = config_fields_of(v, info)
+        for child in ast.iter_child_nodes(expr):
+            if not isinstance(child, ast.expr):
+                continue  # the operator itself
+            sub = config_fields_of(child, info)
             if sub is None:
                 return None
             out |= sub
         return out
-    if isinstance(expr, ast.Compare):
-        out = frozenset()
-        for v in [expr.left, *expr.comparators]:
-            sub = config_fields_of(v, info)
-            if sub is None:
-                return None
-            out |= sub
-        return out
-    if isinstance(expr, ast.BinOp):
-        left = config_fields_of(expr.left, info)
-        right = config_fields_of(expr.right, info)
-        if left is None or right is None:
-            return None
-        return left | right
-    if isinstance(expr, ast.IfExp):
-        parts = [
-            config_fields_of(e, info)
-            for e in (expr.test, expr.body, expr.orelse)
-        ]
-        if any(p is None for p in parts):
-            return None
-        return frozenset().union(*parts)  # type: ignore[arg-type]
     return None
 
 
@@ -374,6 +351,21 @@ def classify_guard(
     return "data", (), None
 
 
+def _branch(
+    node: ast.If | ast.IfExp,
+    on_true: Footprint,
+    on_false: Footprint,
+    fn: "FunctionContext",
+    info: _GuardInfo,
+) -> Footprint:
+    """The alternation ``node``'s test selects between."""
+    kind, fields, guard = classify_guard(node.test, fn, info)
+    return alt(
+        (on_true, on_false), kind, fields=fields, guard=guard, info=info,
+        node=node, owner=fn,
+    )
+
+
 def _copy_expr(expr: ast.expr) -> ast.expr:
     mod = ast.parse(ast.unparse(expr), mode="eval")
     return mod.body
@@ -382,6 +374,19 @@ def _copy_expr(expr: ast.expr) -> ast.expr:
 # ----------------------------------------------------------------------
 # guard evaluation against a concrete config
 # ----------------------------------------------------------------------
+#: Comparison operators a guard may apply to evaluated operands.
+_COMPARE: dict[type, Callable[[Any, Any], Any]] = {
+    ast.Eq: operator.eq,
+    ast.NotEq: operator.ne,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.In: lambda a, b: a in b,
+    ast.NotIn: lambda a, b: a not in b,
+}
+
+
 def _eval_expr(node: ast.AST, cfg: Any, info: _GuardInfo) -> Any:
     if isinstance(node, ast.Constant):
         return node.value
@@ -433,28 +438,13 @@ def _eval_expr(node: ast.AST, cfg: Any, info: _GuardInfo) -> Any:
                     is_none = other is None
                 return not is_none if isinstance(op, ast.IsNot) else is_none
             return UNKNOWN
-        if left is UNKNOWN or right is UNKNOWN or left is NOT_NONE or right is NOT_NONE:
+        compare = _COMPARE.get(type(op))
+        if compare is None or any(v is UNKNOWN or v is NOT_NONE for v in (left, right)):
             return UNKNOWN
         try:
-            if isinstance(op, ast.Eq):
-                return left == right
-            if isinstance(op, ast.NotEq):
-                return left != right
-            if isinstance(op, ast.Gt):
-                return left > right
-            if isinstance(op, ast.GtE):
-                return left >= right
-            if isinstance(op, ast.Lt):
-                return left < right
-            if isinstance(op, ast.LtE):
-                return left <= right
-            if isinstance(op, ast.In):
-                return left in right
-            if isinstance(op, ast.NotIn):
-                return left not in right
+            return compare(left, right)
         except TypeError:
             return UNKNOWN
-        return UNKNOWN
     if isinstance(node, ast.IfExp):
         t = _truthy(_eval_expr(node.test, cfg, info))
         if t is UNKNOWN:
@@ -507,19 +497,12 @@ def evaluate(fp: Footprint, cfg: Any) -> Footprint:
 
 def config_fields_in(fp: Footprint) -> frozenset[str]:
     """All config fields guarding any alternation inside ``fp``."""
-    out: set[str] = set()
-    stack = [fp]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Seq):
-            stack.extend(f.parts)
-        elif isinstance(f, Star):
-            stack.append(f.body)
-        elif isinstance(f, Alt):
-            if f.kind == "config":
-                out.update(f.fields)
-            stack.extend(f.options)
-    return frozenset(out)
+    return frozenset(
+        field
+        for f in nodes(fp)
+        if isinstance(f, Alt) and f.kind == "config"
+        for field in f.fields
+    )
 
 
 def schedule_guarding_fields(fp: Footprint) -> frozenset[str]:
@@ -530,22 +513,14 @@ def schedule_guarding_fields(fp: Footprint) -> frozenset[str]:
     "guards the schedule" (and so concerns rule SPMD302) when flipping
     it changes which collectives run.
     """
-    out: set[str] = set()
-    stack = [fp]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Seq):
-            stack.extend(f.parts)
-        elif isinstance(f, Star):
-            stack.append(f.body)
-        elif isinstance(f, Alt):
-            if (
-                f.kind == "config"
-                and len({o.key() for o in f.options}) > 1
-            ):
-                out.update(f.fields)
-            stack.extend(f.options)
-    return frozenset(out)
+    return frozenset(
+        field
+        for f in nodes(fp)
+        if isinstance(f, Alt)
+        and f.kind == "config"
+        and len({o.key() for o in f.options}) > 1
+        for field in f.fields
+    )
 
 
 # ----------------------------------------------------------------------
@@ -643,7 +618,11 @@ class SummaryBuilder:
     def guard_info(self, fn: "FunctionContext") -> _GuardInfo:
         key = id(fn)
         if key not in self._info:
-            info = _GuardInfo(config_names=_config_param_names(fn.node))
+            info = _GuardInfo(
+                config_names=params_matching(
+                    fn.node, frozenset({"config"}), "LouvainConfig"
+                )
+            )
             for node in walk_no_nested(fn.node):
                 targets: list[ast.expr] = []
                 value: ast.expr | None = None
@@ -746,15 +725,9 @@ class SummaryBuilder:
             return self._expr(node.value, fn, info, stack)
         if isinstance(node, ast.IfExp):
             parts = self._expr(node.test, fn, info, stack)
-            kind, fields, guard = classify_guard(node.test, fn, info)
             on_true = seq(self._expr(node.body, fn, info, stack))
             on_false = seq(self._expr(node.orelse, fn, info, stack))
-            parts.append(
-                alt(
-                    (on_true, on_false), kind, fields=fields, guard=guard,
-                    info=info, node=node, owner=fn,
-                )
-            )
+            parts.append(_branch(node, on_true, on_false, fn, info))
             return parts
         parts = []
         for child in ast.iter_child_nodes(node):
@@ -794,42 +767,19 @@ class SummaryBuilder:
                 return seq(parts), True
             if isinstance(stmt, ast.If):
                 parts.extend(self._expr(stmt.test, fn, info, stack))
-                kind, fields, guard = classify_guard(stmt.test, fn, info)
                 body_fp, body_t = self._block(stmt.body, fn, info, stack)
                 else_fp, else_t = self._block(stmt.orelse, fn, info, stack)
-                if body_t and else_t:
-                    parts.append(
-                        alt(
-                            (body_fp, else_fp), kind, fields=fields,
-                            guard=guard, info=info, node=stmt, owner=fn,
-                        )
-                    )
-                    return seq(parts), True
                 if body_t != else_t:
                     # One branch leaves the block: the other branch
                     # continues into the rest of the statements.
-                    rest_fp, rest_t = self._block(
-                        stmts[i + 1:], fn, info, stack
-                    )
+                    rest_fp, _ = self._block(stmts[i + 1:], fn, info, stack)
                     if body_t:
-                        on_true: Footprint = body_fp
-                        on_false = seq([else_fp, rest_fp])
+                        else_fp = seq([else_fp, rest_fp])
                     else:
-                        on_true = seq([body_fp, rest_fp])
-                        on_false = else_fp
-                    parts.append(
-                        alt(
-                            (on_true, on_false), kind, fields=fields,
-                            guard=guard, info=info, node=stmt, owner=fn,
-                        )
-                    )
-                    return seq(parts), False
-                parts.append(
-                    alt(
-                        (body_fp, else_fp), kind, fields=fields,
-                        guard=guard, info=info, node=stmt, owner=fn,
-                    )
-                )
+                        body_fp = seq([body_fp, rest_fp])
+                parts.append(_branch(stmt, body_fp, else_fp, fn, info))
+                if body_t or else_t:
+                    return seq(parts), body_t and else_t
                 continue
             if isinstance(stmt, (ast.For, ast.AsyncFor)):
                 parts.extend(self._expr(stmt.iter, fn, info, stack))

@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="append structured JSON-lines events to FILE "
                           "(tier and shards share it, tagged by origin)")
     tnt.add_argument("--drift", action="store_true",
-                     help="enable the measured-vs-predicted drift monitor "
+                     help="enable the simulated-vs-predicted drift monitor "
                           "in every shard engine")
     tnt.add_argument("--drain", choices=("complete", "cancel"),
                      default="complete",

@@ -52,36 +52,14 @@ DEFAULT_THRESHOLD_CYCLE: tuple[tuple[float, int], ...] = (
 )
 
 
-#: Fields that determine the detection outcome (assignment, modularity,
-#: per-phase statistics).  The complement — debug auditing — is
-#: deliberately outside the cache key, so an audited request can be
-#: served from an unaudited cached result.
-CACHE_KEY_FIELDS = frozenset(
-    {
-        "variant",
-        "tau",
-        "alpha",
-        "et_inactive_floor",
-        "etc_exit_fraction",
-        "threshold_cycle",
-        "max_phases",
-        "max_iterations",
-        "seed",
-        "use_coloring",
-        "vertex_following",
-        "refine",
-        "resolution",
-        "track_assignments",
-    }
-)
-
-#: Machine-readable justification for every field left out of
-#: :data:`CACHE_KEY_FIELDS`.  Each value is ``"<kind>: <reason>"`` where
-#: the kind names the exclusion category for the lint config-drift
-#: rules (SPMD301/SPMD302).  ``audit`` — the knob adds verification work
-#: executed identically by every rank — is the one *schedule-safe* kind:
-#: such a field may change which collectives run without invalidating a
-#: cached detection result.
+#: The :class:`LouvainConfig` fields :meth:`LouvainConfig.cache_key`
+#: leaves out; it hashes every other field, so a new field is in the key
+#: unless it is named here.  Each value is ``"<kind>: <reason>"``; lint
+#: rule SPMD302 reads the kind.  ``audit`` — the knob adds verification
+#: work executed identically by every rank, and the detection outcome
+#: does not change — is the one *schedule-safe* kind: such a field may
+#: change which collectives run without invalidating a cached detection
+#: result, so an audited request can be served from an unaudited one.
 CACHE_KEY_EXCLUSIONS = {
     "validate_invariants": (
         "audit: adds replicated verification collectives; detection "
@@ -235,7 +213,8 @@ class LouvainConfig:
         return cls(**kwargs)
 
     def cache_key(self) -> str:
-        """Stable content hash over the semantically meaningful fields.
+        """Stable content hash over every field not in
+        :data:`CACHE_KEY_EXCLUSIONS`.
 
         Two configs hash equal iff they request the same detection
         *outcome*: ``validate_invariants`` is excluded because it only
@@ -248,7 +227,7 @@ class LouvainConfig:
         payload = {
             name: value
             for name, value in self.to_dict().items()
-            if name in CACHE_KEY_FIELDS
+            if name not in CACHE_KEY_EXCLUSIONS
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -1060,11 +1060,10 @@ def _restore_run(
 def _check_resume_config(manifest, config: LouvainConfig) -> None:
     """Refuse to resume under semantics the checkpoint was not taken with.
 
-    Pre-key manifests (empty ``config_key``) are accepted for backward
-    compatibility.  Config and manifest are replicated across ranks, so
-    raising here is SPMD-safe (all ranks raise together).
+    Config and manifest are replicated across ranks, so raising here is
+    SPMD-safe (all ranks raise together).
     """
-    if manifest.config_key and manifest.config_key != config.cache_key():
+    if manifest.config_key != config.cache_key():
         raise ValueError(
             f"checkpoint {manifest.directory} was written by config "
             f"[{manifest.label}] (key {manifest.config_key[:12]}…) but "

@@ -13,7 +13,7 @@ per-category timing breakdown):
 * :mod:`repro.obs.events` — structured JSON-lines event log with
   correlated run / job / phase / tenant ids across the engine, shard
   processes, and SPMD runs.
-* :mod:`repro.obs.drift` — per-config-family EWMA of measured vs
+* :mod:`repro.obs.drift` — per-config-family EWMA of simulated vs
   cost-model-predicted seconds; crossing the threshold triggers a
   background re-tune and a cheap machine-model calibration rescale
   (ROADMAP item 3's online half).

@@ -1,10 +1,11 @@
-"""Measured-vs-predicted drift monitoring (ROADMAP item 3, online half).
+"""Simulated-vs-predicted drift monitoring (ROADMAP item 3, online half).
 
-The autotuner plans with an analytic cost model; the engine then
-*measures* what each served job actually took.  :class:`DriftMonitor`
-keeps, per config family (machine preset × config label × rank count),
-an EWMA of ``log(measured / predicted)``.  When the smoothed ratio
-drifts past a threshold the monitor:
+The autotuner plans with an analytic cost model; the engine then reads
+what each served job took on the simulator's virtual clock
+(``result.elapsed`` — simulated seconds, not a wall-clock measurement).
+:class:`DriftMonitor` keeps, per config family (machine preset × config
+label × rank count), an EWMA of ``log(simulated / predicted)``.  When
+the smoothed ratio drifts past a threshold the monitor:
 
 * reports a :class:`DriftDecision` with ``retune=True`` — the engine
   reacts by enqueueing its existing low-priority background
@@ -15,7 +16,7 @@ drifts past a threshold the monitor:
   forced re-tune search run against a model that matches reality.
 
 The monitor is deterministic: the decision sequence is a pure function
-of the ``(family, predicted, measured)`` observation sequence, which is
+of the ``(family, predicted, simulated)`` observation sequence, which is
 what makes the re-tune trigger point testable.
 """
 
@@ -30,7 +31,7 @@ from .registry import MetricsRegistry
 
 __all__ = ["DriftConfig", "DriftDecision", "DriftMonitor"]
 
-#: Floor for measured/predicted seconds so ratios stay finite.
+#: Floor for simulated/predicted seconds so ratios stay finite.
 _EPS = 1e-12
 
 
@@ -40,7 +41,7 @@ class DriftConfig:
 
     #: EWMA smoothing weight of the newest log-ratio observation.
     ewma_alpha: float = 0.4
-    #: Trigger when the smoothed measured/predicted ratio leaves
+    #: Trigger when the smoothed simulated/predicted ratio leaves
     #: ``[1/ratio_threshold, ratio_threshold]``.
     ratio_threshold: float = 1.5
     #: Observations a family needs before it may trigger (one outlier
@@ -66,8 +67,9 @@ class DriftDecision:
 
     family: str
     predicted: float
-    measured: float
-    #: Smoothed measured/predicted ratio after this observation.
+    #: The job's seconds on the simulator's virtual clock.
+    simulated: float
+    #: Smoothed simulated/predicted ratio after this observation.
     ratio: float
     observations: int
     retune: bool
@@ -106,7 +108,7 @@ class DriftMonitor:
         if registry is not None:
             self._ratio_g = registry.gauge(
                 "repro_drift_ratio",
-                "Smoothed measured/predicted seconds ratio per config family.",
+                "Smoothed simulated/predicted seconds ratio per config family.",
                 labelnames=("family",),
             )
             self._obs_c = registry.counter(
@@ -132,20 +134,20 @@ class DriftMonitor:
         return f"{machine}|{config_label}|p{ranks}"
 
     def observe(
-        self, family: str, predicted: float, measured: float
+        self, family: str, predicted: float, simulated: float
     ) -> DriftDecision:
-        """Fold one served job's seconds into the family's EWMA.
+        """Fold one served job's simulated seconds into the family's EWMA.
 
         Returns the (deterministic) decision; on ``retune`` the family
         state resets so a second trigger needs fresh evidence against
         the recalibrated model.
         """
-        if measured < 0 or predicted < 0:
+        if simulated < 0 or predicted < 0:
             raise ValueError(
                 f"seconds must be >= 0, got predicted={predicted} "
-                f"measured={measured}"
+                f"simulated={simulated}"
             )
-        log_ratio = math.log(max(measured, _EPS) / max(predicted, _EPS))
+        log_ratio = math.log(max(simulated, _EPS) / max(predicted, _EPS))
         cfg = self.config
         with self._lock:
             state = self._families.setdefault(family, _FamilyState())
@@ -172,7 +174,7 @@ class DriftMonitor:
             decision = DriftDecision(
                 family=family,
                 predicted=predicted,
-                measured=measured,
+                simulated=simulated,
                 ratio=ratio,
                 observations=state.observations,
                 retune=retune,

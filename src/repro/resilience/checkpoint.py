@@ -122,10 +122,10 @@ class Manifest:
     shards: tuple[ShardInfo, ...]
     directory: str       # absolute path of the checkpoint directory
     #: ``LouvainConfig.cache_key()`` of the run that wrote the
-    #: checkpoint ("" for pre-key manifests).  Resume refuses manifests
-    #: whose key differs from the resuming config: continuing a run
-    #: under different semantics would silently produce garbage.
-    config_key: str = ""
+    #: checkpoint.  Resume refuses manifests whose key differs from the
+    #: resuming config: continuing a run under different semantics would
+    #: silently produce garbage.
+    config_key: str
     #: ``None`` for a full checkpoint; for a delta, the full checkpoint
     #: whose shards complete this one's.
     base: BaseRef | None = None
@@ -313,7 +313,7 @@ def read_manifest(step_dir: str) -> Manifest:
             label=str(raw.get("label", "")),
             shards=_shards_from_json(raw["shards"]),
             directory=os.path.abspath(step_dir),
-            config_key=str(raw.get("config_key", "")),
+            config_key=str(raw["config_key"]),
             base=base,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -411,8 +411,8 @@ class CheckpointManager:
     label:
         Free-form tag recorded in manifests (e.g. the config label).
     config_key:
-        ``LouvainConfig.cache_key()`` of the run, recorded in every
-        manifest so resume can detect cross-config mismatches.
+        ``LouvainConfig.cache_key()`` of the run (required), recorded in
+        every manifest so resume can refuse a cross-config mismatch.
     """
 
     def __init__(
@@ -423,7 +423,7 @@ class CheckpointManager:
         every_iterations: int | None = None,
         keep: int = 2,
         label: str = "",
-        config_key: str = "",
+        config_key: str,
     ):
         if every_phases < 0:
             raise ValueError(f"every_phases must be >= 0, got {every_phases}")

@@ -82,7 +82,7 @@ class RunSnapshots(CheckpointManager):
         every_phases: int = 1,
         every_iterations: int | None = None,
         label: str = "",
-        config_key: str = "",
+        config_key: str,
     ):
         super().__init__(
             MEMORY,

@@ -629,7 +629,7 @@ class Engine:
             )
 
     def _observe_drift(self, job: Job, result: LouvainResult) -> None:
-        """Close the tuning loop: measured seconds vs the cost model.
+        """Close the tuning loop: simulated seconds vs the cost model.
 
         Folds the job into the drift monitor's config-family EWMA,
         writes serving feedback onto the graph's tuning record, and —
@@ -669,7 +669,7 @@ class Engine:
                 tenant=request.tenant,
                 family=family,
                 predicted=predicted,
-                measured=result.elapsed,
+                simulated=result.elapsed,
                 ratio=decision.ratio,
                 retune=decision.retune,
             )

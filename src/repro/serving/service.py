@@ -88,7 +88,7 @@ class ServingTier:
         tenant churn through shard admission to the cache write.
         ``None`` (the default) disables events everywhere.
     drift:
-        Enable the measured-vs-predicted drift monitor on every shard
+        Enable the simulated-vs-predicted drift monitor on every shard
         engine (see :class:`repro.obs.DriftMonitor`).
     """
 

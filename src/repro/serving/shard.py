@@ -89,7 +89,7 @@ class ShardConfig:
     #: multiple processes interleave without tearing, so one file can
     #: carry the whole fleet's correlated records.
     event_log_path: str | None = None
-    #: Enable the measured-vs-predicted drift monitor on this shard's
+    #: Enable the simulated-vs-predicted drift monitor on this shard's
     #: engine (fires forced background re-tunes through the shared
     #: tuning DB when a config family drifts).
     drift: bool = False

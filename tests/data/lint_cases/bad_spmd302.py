@@ -8,8 +8,6 @@ exclusion is tagged ``perf``, which does not certify schedule safety.
 
 from dataclasses import dataclass
 
-CACHE_KEY_FIELDS = frozenset({"tau"})
-
 CACHE_KEY_EXCLUSIONS = {
     "fast_exit": "perf: skips the final consistency barrier",
 }

@@ -7,8 +7,6 @@ collectives never change detection results.
 
 from dataclasses import dataclass
 
-CACHE_KEY_FIELDS = frozenset({"tau"})
-
 CACHE_KEY_EXCLUSIONS = {
     "audit_pass": "audit: replicated verification only, results unchanged",
 }

@@ -21,6 +21,9 @@ from repro.cli import main as cli_main
 
 CASES_DIR = Path(__file__).parent / "data" / "lint_cases"
 REPO_ROOT = Path(__file__).parent.parent
+#: Every ``(file, rule, line, col)`` finding over ``CASES_DIR``; rewrite
+#: with ``python -m tests.test_analysis_spmdlint`` after an intended move.
+FINDINGS_GOLDEN = Path(__file__).parent / "data" / "lint_findings.json"
 
 RULE_IDS = (
     "SPMD001",
@@ -31,7 +34,6 @@ RULE_IDS = (
     "SPMD103",
     "SPMD104",
     "SPMD201",
-    "SPMD301",
     "SPMD302",
     "SPMD303",
 )
@@ -53,7 +55,20 @@ def rules_found(path: Path) -> set[str]:
     return {f.rule for f in lint_paths([path]).findings}
 
 
+def fixture_findings() -> list[list]:
+    """``[file, rule, line, col]`` of every finding, each fixture linted
+    as its own one-module program."""
+    return [
+        [path.name, f.rule, f.line, f.col + 1]
+        for path in sorted(CASES_DIR.glob("*.py"))
+        for f in lint_paths([path]).findings
+    ]
+
+
 class TestFixtures:
+    def test_every_finding_matches_the_golden(self):
+        assert fixture_findings() == json.loads(FINDINGS_GOLDEN.read_text())
+
     @pytest.mark.parametrize("rule_id", FIXTURE_RULES)
     def test_bad_fixture_triggers_exactly_its_rule(self, rule_id):
         path = CASES_DIR / f"bad_{rule_id.lower()}.py"
@@ -325,3 +340,9 @@ class TestToolingConfig:
         assert "name: schedule-report" in text
         assert "ruff check ." in text
         assert "mypy -p repro.analysis" in text
+
+
+if __name__ == "__main__":
+    FINDINGS_GOLDEN.write_text(
+        "[\n" + ",\n".join(json.dumps(r) for r in fixture_findings()) + "\n]\n"
+    )

@@ -28,6 +28,18 @@ from repro.analysis.summaries import (
 from repro.core.config import LouvainConfig
 
 REPO_ROOT = Path(__file__).parent.parent
+#: ``src/``'s schedule-matrix rows; rewrite with ``python -m
+#: tests.test_analysis_summaries`` after an intended schedule change.
+SCHEDULE_GOLDEN = Path(__file__).parent / "data" / "schedule_matrix.json"
+GOLDEN_KEYS = ("config", "label", "signature", "collectives", "divergence_free")
+
+
+def golden_rows(report):
+    return [{k: row[k] for k in GOLDEN_KEYS} for row in report["rows"]]
+
+
+def src_report():
+    return schedule_matrix(build_program([REPO_ROOT / "src"]).analysis)
 
 
 def program_from(tmp_path, source):
@@ -212,8 +224,10 @@ class TestGuardsAndInlining:
 class TestScheduleMatrix:
     @pytest.fixture(scope="class")
     def report(self):
-        program = build_program([REPO_ROOT / "src" / "repro"])
-        return schedule_matrix(program.analysis)
+        return src_report()
+
+    def test_rows_match_the_golden(self, report):
+        assert golden_rows(report) == json.loads(SCHEDULE_GOLDEN.read_text())
 
     def test_every_search_space_variant_is_divergence_free(self, report):
         assert report["entry"] == "distributed_louvain"
@@ -308,3 +322,9 @@ class TestInterproceduralTaint:
         result = lint_paths([tmp_path / "mod.py"])
         findings = {f.rule for f in result.findings}
         assert "SPMD001" in findings
+
+
+if __name__ == "__main__":
+    SCHEDULE_GOLDEN.write_text(
+        json.dumps(golden_rows(src_report()), indent=1, sort_keys=True) + "\n"
+    )

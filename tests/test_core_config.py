@@ -1,8 +1,11 @@
 """Unit tests for LouvainConfig validation and variant semantics."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import PAPER_VARIANTS, LouvainConfig, Variant
+from repro.core.config import CACHE_KEY_EXCLUSIONS
 
 
 class TestVariant:
@@ -182,6 +185,16 @@ class TestCacheKey:
 
     def test_seed_changes_key(self):
         assert LouvainConfig(seed=1).cache_key() != LouvainConfig(seed=2).cache_key()
+
+    def test_exclusions_name_fields_and_carry_a_kind(self):
+        # The key hashes every field not excluded, so what is left to
+        # get wrong is a stale exclusion or an untagged reason (SPMD302
+        # reads the kind).
+        names = {f.name for f in fields(LouvainConfig)}
+        for name, reason in CACHE_KEY_EXCLUSIONS.items():
+            assert name in names, name
+            kind, sep, why = reason.partition(":")
+            assert kind.strip() and sep and why.strip(), reason
 
     def test_validate_invariants_does_not_change_key(self):
         assert (

@@ -1,7 +1,7 @@
 """Drift-monitor tests: EWMA determinism, calibration, the closed loop.
 
 The last class is the acceptance scenario for the observability PR: a
-deliberately mis-calibrated machine model drives the measured/predicted
+deliberately mis-calibrated machine model drives the simulated/predicted
 ratio over the threshold, the engine fires a forced background re-tune
 against the recalibrated model, and the prediction error shrinks —
 while detection outputs stay bit-identical to an engine without any
@@ -38,7 +38,7 @@ class TestEwmaDecisions:
     def test_accurate_predictions_never_retune(self):
         mon = DriftMonitor()
         for _ in range(50):
-            decision = mon.observe("fam", predicted=1.0, measured=1.0)
+            decision = mon.observe("fam", predicted=1.0, simulated=1.0)
             assert not decision.retune
             assert decision.ratio == pytest.approx(1.0)
 
@@ -48,7 +48,7 @@ class TestEwmaDecisions:
         )
         fired_at = None
         for i in range(20):
-            if mon.observe("fam", predicted=1.0, measured=3.0).retune:
+            if mon.observe("fam", predicted=1.0, simulated=3.0).retune:
                 fired_at = i
                 break
         assert fired_at is not None
@@ -58,7 +58,7 @@ class TestEwmaDecisions:
         # Drift is symmetric: a model predicting 3x reality drifts too.
         mon = DriftMonitor()
         decisions = [
-            mon.observe("fam", predicted=3.0, measured=1.0) for _ in range(20)
+            mon.observe("fam", predicted=3.0, simulated=1.0) for _ in range(20)
         ]
         assert any(d.retune for d in decisions)
         trigger = next(d for d in decisions if d.retune)
@@ -70,20 +70,20 @@ class TestEwmaDecisions:
                 ewma_alpha=0.2, ratio_threshold=2.0, min_observations=5
             )
         )
-        decision = mon.observe("fam", predicted=1.0, measured=100.0)
+        decision = mon.observe("fam", predicted=1.0, simulated=100.0)
         assert not decision.retune
         for _ in range(30):
-            decision = mon.observe("fam", predicted=1.0, measured=1.0)
+            decision = mon.observe("fam", predicted=1.0, simulated=1.0)
         assert not decision.retune
 
     def test_deterministic_trigger_point(self):
-        # Same measured sequence => same re-tune trigger index, always.
+        # Same simulated sequence => same re-tune trigger index, always.
         seq = [1.4, 2.1, 1.9, 2.5, 2.2, 3.0, 2.8, 2.6, 2.9, 3.1]
 
         def trigger_index():
             mon = DriftMonitor()
-            for i, measured in enumerate(seq):
-                if mon.observe("fam", 1.0, measured).retune:
+            for i, simulated in enumerate(seq):
+                if mon.observe("fam", 1.0, simulated).retune:
                     return i
             return None
 
@@ -142,7 +142,7 @@ class TestMachineCalibration:
         assert decision.retune
         assert mon.machine is not None
         assert mon.machine.name.startswith("cori-haswell~cal")
-        # Calibration moves the model toward measured reality.
+        # Calibration moves the model toward the simulated seconds.
         assert decision.calibration == pytest.approx(
             math.exp(math.log(3.0) * 1.0), rel=0.5
         )
@@ -176,7 +176,7 @@ class TestClosedLoop:
 
         db = TuningDB(str(tmp_path / "tuning.json"))
         # Seed a tuning record with a model that underestimates cost
-        # 8x: every served job will measure ~8x the prediction.
+        # 8x: every served job will simulate ~8x the prediction.
         wrong = CORI_HASWELL.calibrated(1 / 8)
         settings = TunerSettings(
             trials=2, rung_phase_caps=(1,), machine=wrong
@@ -222,9 +222,9 @@ class TestClosedLoop:
         assert drift.machine.name != wrong.name
 
         # Prediction error shrinks: the calibrated model's error on the
-        # measured runtime is smaller than the mis-calibrated model's.
+        # simulated runtime is smaller than the mis-calibrated model's.
         observed = read_events(events_path, event="drift_observed")
-        measured = observed[-1]["measured"]
+        simulated = observed[-1]["simulated"]
         from repro.tune.costmodel import predict_cost
         from repro.tune.features import compute_features
         from repro.tune.space import Candidate
@@ -233,13 +233,13 @@ class TestClosedLoop:
         cand = Candidate(config=request.config, ranks=2)
         err_before = abs(
             math.log(
-                max(measured, 1e-12)
+                max(simulated, 1e-12)
                 / predict_cost(features, cand, wrong).seconds
             )
         )
         err_after = abs(
             math.log(
-                max(measured, 1e-12)
+                max(simulated, 1e-12)
                 / predict_cost(features, cand, drift.machine).seconds
             )
         )

@@ -73,6 +73,11 @@ def _config():
     return LouvainConfig(variant=Variant.ET_TC, alpha=0.25, seed=1)
 
 
+def _snapshots(**kwargs):
+    """In-memory snapshots keyed to :func:`_config`."""
+    return RunSnapshots(config_key=_config().cache_key(), **kwargs)
+
+
 def _crash(g, p, cfg, ckpt_dir, plan, **kwargs):
     """Run a checkpointed job that is expected to die from the plan."""
     with pytest.raises((RankFailedError, InjectedFault)) as exc:
@@ -338,10 +343,28 @@ class TestConfigKeyGuard:
         manifest = latest_valid_manifest(d, expect_size=2)
         assert manifest.config_key == cfg.cache_key()
 
+    def test_keyless_manager_and_manifest_refused(self, tmp_path):
+        with pytest.raises(TypeError, match="config_key"):
+            CheckpointManager(str(tmp_path))
+        with pytest.raises(TypeError, match="config_key"):
+            RunSnapshots()
+        g, cfg = _graph(), _config()
+        d = str(tmp_path / "ck")
+        run_louvain(g, 2, cfg, checkpoint_dir=d)
+        step = latest_valid_manifest(d, expect_size=2).directory
+        path = os.path.join(step, "manifest.json")
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        del raw["config_key"]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        with pytest.raises(ManifestError, match="config_key"):
+            read_manifest(step)
+
     def test_shard_without_offsets_refused(self, tmp_path):
         """Shards of the removed community-placed layout carry an owner
-        map instead of ``offsets``; pre-key manifests skip the config
-        guard, so the unpacker itself must refuse them by name."""
+        map instead of ``offsets``; the unpacker itself refuses them by
+        name."""
         g, cfg = _graph(), _config()
         d = str(tmp_path / "ck")
         run_louvain(g, 2, cfg, checkpoint_dir=d)
@@ -687,7 +710,9 @@ class TestDeltaCheckpoints:
             return {"graph": "g", "clock": 0.0}, {"edges": np.arange(5)}
 
         def program(comm):
-            manager = CheckpointManager(d, every_iterations=1, keep=2)
+            manager = CheckpointManager(
+                d, every_iterations=1, keep=2, config_key="k"
+            )
             seen = []
             for phase, it in [(0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]:
                 manager.save(
@@ -902,7 +927,7 @@ class TestRunSnapshots:
         for test in ("should_checkpoint_phase", "should_checkpoint_iteration"):
             assert getattr(RunSnapshots, test) is getattr(CheckpointManager, test)
         with pytest.raises(ValueError, match="every_iterations"):
-            RunSnapshots(every_iterations=-1)
+            _snapshots(every_iterations=-1)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_saves_enter_through_the_managers_save(self, p, monkeypatch):
@@ -918,7 +943,7 @@ class TestRunSnapshots:
             return manifest
 
         monkeypatch.setattr(CheckpointManager, "save", spy)
-        snaps = RunSnapshots(every_iterations=1)
+        snaps = _snapshots(every_iterations=1)
         run_louvain(_graph(), p, _config(), snapshots=snaps)
         newest = snaps.latest
         assert len(returned) == p * (newest.seq + 1)
@@ -931,7 +956,7 @@ class TestRunSnapshots:
         assert newest.shards == tuple(last[r] for r in range(p))
 
     def test_references_phase_state_copies_iteration_state(self):
-        snaps = RunSnapshots(every_iterations=1)
+        snaps = _snapshots(every_iterations=1)
 
         def prog(comm):
             run, state = _rank_state(comm, _graph())
@@ -957,7 +982,7 @@ class TestRunSnapshots:
         """A fault between two ranks' deposits of one generation leaves
         the previous generation the one restored."""
         g = _graph()
-        snaps = RunSnapshots(every_iterations=1)
+        snaps = _snapshots(every_iterations=1)
 
         def dies_between_deposits(comm):
             run, state = _rank_state(comm, g)
@@ -994,7 +1019,7 @@ class TestRunSnapshots:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_charges_the_words_it_copies_and_no_collective(self, p):
-        snaps = RunSnapshots(every_iterations=1)
+        snaps = _snapshots(every_iterations=1)
 
         def prog(comm):
             run, state = _rank_state(comm, _graph())
@@ -1019,7 +1044,7 @@ class TestRunSnapshots:
 
     def test_resume_needs_a_complete_generation(self):
         with pytest.raises(NoCheckpointError, match="no complete snapshot"):
-            run_louvain(_graph(), 1, _config(), snapshots=RunSnapshots(), resume=True)
+            run_louvain(_graph(), 1, _config(), snapshots=_snapshots(), resume=True)
 
     def test_cross_config_resume_refused(self):
         g, cfg = _graph(), _config()
@@ -1035,7 +1060,7 @@ class TestRunSnapshots:
         with pytest.raises(ValueError, match="not both"):
             run_louvain(
                 _graph(), 1, _config(),
-                checkpoint_dir=str(tmp_path), snapshots=RunSnapshots(),
+                checkpoint_dir=str(tmp_path), snapshots=_snapshots(),
             )
         assert not os.listdir(tmp_path)
 
@@ -1048,7 +1073,7 @@ class TestRunSnapshots:
         cfg, graph, first_run, _ = RESUME_CASES[variant]
         g = graph()
         ref = run_louvain(g, p, cfg, **first_run)
-        snaps = _FreezingSnapshots(every_iterations=1)
+        snaps = _FreezingSnapshots(every_iterations=1, config_key=cfg.cache_key())
         _assert_same_run(
             ref, run_louvain(g, p, cfg, snapshots=snaps, **first_run), cfg
         )
