@@ -524,7 +524,8 @@ def test_kernel_checkpoint_save(benchmark, tmp_path, medium, form, p):
     ``disk`` is a :class:`CheckpointManager` (bytes: the shards written);
     ``snapshot`` a :class:`RunSnapshots`, what an engine retry resumes
     from (bytes: copied, and beside them what the generation holds by
-    reference).  The labels are a late phase-0 state (a finished run's
+    reference).  Either way one manager, built before the world starts,
+    serves every rank.  The labels are a late phase-0 state (a finished run's
     communities named by their smallest member), so the arrays compress
     as real ones do."""
     g = make_graph("web-wiki-en-2013", scale="small", seed=1)
@@ -544,12 +545,9 @@ def test_kernel_checkpoint_save(benchmark, tmp_path, medium, form, p):
     modelled: list[float] = []
     referenced: list[int] = []
 
-    def prog(comm, root, snapshots, walls, modelled):
+    def prog(comm, manager, walls, modelled):
         dg = DistGraph.distribute(comm, g)
         lo, hi = dg.vbegin, dg.vend
-        manager = snapshots or CheckpointManager(
-            root, every_iterations=1, config_key=LouvainConfig().cache_key()
-        )
 
         run = RunState(dg=dg, orig_slice=np.arange(lo, hi, dtype=np.int64))
         state = IterationState(
@@ -570,29 +568,33 @@ def test_kernel_checkpoint_save(benchmark, tmp_path, medium, form, p):
             if comm.rank == 0:
                 walls.append(time.perf_counter_ns() - t0)
                 modelled.append(comm.trace.seconds["checkpoint"] - charged)
-            if snapshots is not None:
+            if medium == "snapshot":
                 # A deposit is rank-local: wait for the last one.
                 comm.barrier()
-            if comm.rank == 0 and snapshots is None:
+            if comm.rank == 0 and medium == "disk":
+                root = manager.directory
                 newest = max(os.listdir(root))
                 nbytes.append(sum(
                     s.nbytes
                     for s in read_manifest(os.path.join(root, newest)).shards
                 ))
             elif comm.rank == 0:
-                held, copied = _generation_bytes(snapshots)
+                held, copied = _generation_bytes(manager)
                 referenced.append(held)
                 nbytes.append(copied)
 
     def run(machine, walls, modelled):
         root = tempfile.mkdtemp(dir=tmp_path)
-        snapshots = (
-            RunSnapshots(every_iterations=1, config_key=LouvainConfig().cache_key())
-            if medium == "snapshot"
-            else None
+        cadence = dict(
+            every_iterations=1, config_key=LouvainConfig().cache_key()
+        )
+        manager = (
+            CheckpointManager(root, **cadence)
+            if medium == "disk"
+            else RunSnapshots(**cadence)
         )
         run_spmd(
-            p, prog, root, snapshots, walls, modelled,
+            p, prog, manager, walls, modelled,
             machine=machine, timeout=60.0,
         )
         assert bool(os.listdir(root)) == (medium == "disk")

@@ -4,7 +4,8 @@
 Runs distributed Louvain with checkpointing enabled, kills one rank
 mid-run with a deterministic fault plan, then resumes from the last
 valid checkpoint and verifies the final communities match an
-uninterrupted run exactly.
+uninterrupted run exactly.  One ``CheckpointManager`` — where the save
+points go and how often — serves both attempts.
 
 Run:  python examples/checkpoint_resume.py [CHECKPOINT_DIR]
 
@@ -20,7 +21,7 @@ import tempfile
 import numpy as np
 
 from repro import LouvainConfig, Variant, make_graph, run_louvain
-from repro.resilience import FaultPlan, latest_valid_manifest
+from repro.resilience import CheckpointManager, FaultPlan
 from repro.runtime import InjectedFault, RankFailedError
 
 NRANKS = 4
@@ -38,6 +39,14 @@ with (
     if len(sys.argv) > 1
     else tempfile.TemporaryDirectory()
 ) as ckpt_dir:
+    # A checkpoint at every phase boundary and after every iteration,
+    # keyed to the config so no other config can resume from it.
+    checkpoints = CheckpointManager(
+        ckpt_dir,
+        every_iterations=1,
+        label=config.label(),
+        config_key=config.cache_key(),
+    )
     # Deterministic fault plan: rank 2 dies at its 40th communication
     # operation.  Same plan => same failure point, every run.
     plan = FaultPlan(kills={2: 40})
@@ -46,28 +55,25 @@ with (
             graph,
             nranks=NRANKS,
             config=config,
-            checkpoint_dir=ckpt_dir,
-            checkpoint_every_iterations=1,
+            checkpoints=checkpoints,
             fault_plan=plan,
         )
         raise SystemExit("fault plan did not fire?!")
     except (RankFailedError, InjectedFault) as exc:
         print(f"injected failure: {exc}")
 
-    manifest = latest_valid_manifest(ckpt_dir, expect_size=NRANKS)
-    print(f"last valid checkpoint: {manifest.describe()}")
+    print(f"last valid checkpoint: {checkpoints.latest(NRANKS).describe()}")
 
-    # Resume from the checkpoint directory: the graph ingest is skipped
-    # and the run continues from the last consistent snapshot — here a
-    # delta checkpoint (the iteration state) laid over the full one that
+    # Resume with the same manager: the graph ingest is skipped and the
+    # run continues from the last consistent snapshot — here a delta
+    # checkpoint (the iteration state) laid over the full one that
     # opened its phase (the graph slice).  The resumed run keeps cutting
-    # checkpoints at the same cadence.
+    # checkpoints at the same cadence, starting with a full one.
     resumed = run_louvain(
         graph,
         nranks=NRANKS,
         config=config,
-        checkpoint_dir=ckpt_dir,
-        checkpoint_every_iterations=1,
+        checkpoints=checkpoints,
         resume=True,
     )
     print(f"resumed run:       {resumed.summary()}")

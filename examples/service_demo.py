@@ -50,9 +50,10 @@ requests = [
 ][:20]
 
 # One more job that *will* be killed: rank 1 dies at its 60th
-# communication op.  max_retries lets the engine retry it; the
-# snapshots the engine keeps of every retryable job's run state (every
-# phase boundary, every second iteration here) let the retry resume
+# communication op.  max_retries lets the engine retry it.  A retryable
+# job that names no checkpoint_dir keeps its save points in memory (a
+# RunSnapshots the engine builds once per job, cutting at every phase
+# boundary and every second iteration here), so the retry resumes
 # mid-run.
 faulty = DetectionRequest(
     graph=graphs["soc-friendster"],

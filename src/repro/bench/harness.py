@@ -14,6 +14,7 @@ from ..core.config import LouvainConfig
 from ..core.distlouvain import run_louvain
 from ..core.result import LouvainResult
 from ..graph.csr import CSRGraph
+from ..resilience.checkpoint import CheckpointManager
 from ..runtime.perfmodel import CORI_HASWELL, MachineModel
 
 
@@ -200,14 +201,13 @@ def measure_checkpoint_overhead(
     g: CSRGraph,
     nranks: int,
     config: LouvainConfig,
-    checkpoint_dir: str,
+    checkpoints: CheckpointManager,
     *,
-    checkpoint_every: int = 1,
-    checkpoint_every_iterations: int | None = None,
     machine: MachineModel = CORI_HASWELL,
     partition: str = "even_edge",
 ) -> CheckpointOverhead:
-    """Run ``g`` plain and with checkpointing; report the cost.
+    """Run ``g`` plain and with checkpointing to the disk manager
+    ``checkpoints``, at its cadence; report the cost.
 
     Both runs use the same seed and machine model, so the checkpointed
     run's extra modelled time is exactly the checkpoint overhead (the
@@ -229,9 +229,7 @@ def measure_checkpoint_overhead(
         config,
         machine=machine,
         partition=partition,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        checkpoint_every_iterations=checkpoint_every_iterations,
+        checkpoints=checkpoints,
     )
     t2 = time.perf_counter()
     if checkpointed.modularity != plain.modularity:
@@ -243,7 +241,7 @@ def measure_checkpoint_overhead(
     # reveals how many checkpoints were cut even after pruning.
     seqs = [
         int(name.split("-", 1)[1])
-        for name in os.listdir(checkpoint_dir)
+        for name in os.listdir(checkpoints.directory)
         if name.startswith("step-")
     ]
     num = max(seqs) + 1 if seqs else 0

@@ -373,21 +373,13 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    from .core import LouvainConfig, Variant, distributed_louvain
+    from .core import distributed_louvain
     from .core.resultio import save_result, write_communities_text
     from .graph import DistGraph
+    from .resilience import CheckpointManager
     from .runtime import run_spmd
 
-    config = LouvainConfig(
-        variant=Variant(args.variant),
-        alpha=args.alpha,
-        tau=args.tau,
-        resolution=args.resolution,
-        refine=args.refine,
-        vertex_following=args.vertex_following,
-        use_coloring=args.coloring,
-        seed=args.seed,
-    )
+    config = _config_from_args(args, use_coloring=args.coloring)
     if args.resolutions:
         if args.resume or args.checkpoint_dir:
             print(
@@ -400,31 +392,29 @@ def _cmd_detect(args) -> int:
     if args.resume and not args.checkpoint_dir:
         print("error: --resume requires --checkpoint-dir", file=sys.stderr)
         return 1
-    if args.resume:
-        from .resilience import latest_valid_manifest
-
-        if latest_valid_manifest(
-            args.checkpoint_dir, expect_size=args.ranks
-        ) is None:
-            print(
-                f"error: no valid checkpoint for {args.ranks} rank(s) "
-                f"under {args.checkpoint_dir!r}",
-                file=sys.stderr,
-            )
-            return 1
+    checkpoints = None
+    if args.checkpoint_dir:
+        checkpoints = CheckpointManager(
+            args.checkpoint_dir,
+            every_phases=args.checkpoint_every,
+            every_iterations=args.checkpoint_every_iterations,
+            label=config.label(),
+            config_key=config.cache_key(),
+        )
+    if args.resume and checkpoints.latest(args.ranks) is None:
+        print(
+            f"error: no valid checkpoint for {args.ranks} rank(s) "
+            f"under {args.checkpoint_dir!r}",
+            file=sys.stderr,
+        )
+        return 1
 
     def main_spmd(comm):
         # A resumed run rebuilds its graph slice from the checkpoint,
         # so the (possibly long) distributed ingest is skipped entirely.
         dg = None if args.resume else DistGraph.load_binary(comm, args.input)
         return distributed_louvain(
-            comm,
-            dg,
-            config,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_every_iterations=args.checkpoint_every_iterations,
-            resume=args.resume,
+            comm, dg, config, checkpoints=checkpoints, resume=args.resume
         )
 
     spmd = run_spmd(
@@ -503,7 +493,7 @@ def _detect_resolutions(args, config) -> int:
     return 1 if failed else 0
 
 
-def _config_from_args(args):
+def _config_from_args(args, use_coloring: bool = False):
     from .core import LouvainConfig, Variant
 
     return LouvainConfig(
@@ -513,6 +503,7 @@ def _config_from_args(args):
         resolution=args.resolution,
         refine=args.refine,
         vertex_following=args.vertex_following,
+        use_coloring=use_coloring,
         seed=args.seed,
     )
 

@@ -273,25 +273,20 @@ def _sweep_world(rounds) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """Step (iii) for every rank at once: one :func:`propose_moves` over
     the stack.  ``rounds[r]`` is rank ``r``'s ``(sweep, dense (a_c, |c|)
     table, ids)``; its tables, laid end to end, back the lookups, each
-    rank's positions shifted by the ids of the ranks before (one rank
-    has nothing to shift).  Returns, per rank, its proposals, moved mask
-    and pair count."""
+    rank's positions shifted by the ids of the ranks before (one rank is
+    one segment, with nothing to shift).  Returns, per rank, its
+    proposals, moved mask and pair count."""
     sweep = rounds[0][0]
     stack = sweep.stack
-    segments = None
-    if len(rounds) == 1:
-        _, info, ids = rounds[0]
-    else:
-        lengths = [len(r_ids) for _, _, r_ids in rounds]
-        shift = np.zeros(len(rounds), dtype=np.int64)
-        np.cumsum(lengths[:-1], out=shift[1:])
-        segments = Segments(stack.row_cuts, shift)
-        total = sum(lengths)
-        ids = stack.workspace.array("ids", total, np.int64)
-        info = stack.workspace.array("info", 2 * total, np.float64)
-        info = info.reshape(2, total)
-        np.concatenate([r_ids for _, _, r_ids in rounds], out=ids)
-        np.concatenate([r_info for _, r_info, _ in rounds], axis=1, out=info)
+    lengths = [len(r_ids) for _, _, r_ids in rounds]
+    shift = np.zeros(len(rounds), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=shift[1:])
+    total = sum(lengths)
+    ids = stack.workspace.array("ids", total, np.int64)
+    info = stack.workspace.array("info", 2 * total, np.float64)
+    info = info.reshape(2, total)
+    np.concatenate([r_ids for _, _, r_ids in rounds], out=ids)
+    np.concatenate([r_info for _, r_info, _ in rounds], axis=1, out=info)
     res = propose_moves(
         index=stack.index,
         target_comm=stack.target,
@@ -305,10 +300,8 @@ def _sweep_world(rounds) -> list[tuple[np.ndarray, np.ndarray, int]]:
         active=stack.active,
         resolution=sweep.resolution,
         plan=stack.plan,
-        segments=segments,
+        segments=Segments(stack.row_cuts, shift),
     )
-    if segments is None:
-        return [(res.proposal, res.moved, res.pairs_evaluated)]
     cuts = stack.row_cuts
     return [
         (res.proposal[a:b], res.moved[a:b], int(pairs))
@@ -809,11 +802,8 @@ def distributed_louvain(
     config: LouvainConfig | None = None,
     initial_assignment: np.ndarray | None = None,
     *,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int = 1,
-    checkpoint_every_iterations: int | None = None,
+    checkpoints=None,
     resume: bool = False,
-    snapshots=None,
 ) -> LouvainResult:
     """Algorithm 2: the full multi-phase distributed Louvain at one rank.
 
@@ -825,28 +815,21 @@ def distributed_louvain(
     community per owned vertex (global community ids drawn from the
     vertex-id space) — the incremental/dynamic re-detection mode.
 
-    Resilience (see :mod:`repro.resilience`): with ``checkpoint_dir``
-    set, the distributed state is checkpointed at every
-    ``checkpoint_every``-th phase boundary (and every
-    ``checkpoint_every_iterations`` Louvain iterations inside a phase,
-    when set).  With ``resume=True`` the run restarts from the latest
-    valid checkpoint instead of the input graph (``dg`` may then be
-    ``None``); a resumed run reproduces the uninterrupted run's final
-    labels and modularity bit for bit.  ``snapshots`` (a
-    :class:`~repro.resilience.snapshots.RunSnapshots`, one object shared
-    by every rank) takes ``checkpoint_dir``'s place for a caller that
-    will retry in this process: saves and the resume go through it, at
-    its own cadence, and nothing is written to disk.
+    Resilience (see :mod:`repro.resilience`): ``checkpoints`` — one
+    :class:`~repro.resilience.checkpoint.CheckpointManager` shared by
+    every rank, on disk or in memory
+    (:class:`~repro.resilience.snapshots.RunSnapshots`) — cuts the
+    distributed state at its cadence.  With ``resume=True`` the run
+    restarts from its latest valid save point instead of the input graph
+    (``dg`` may then be ``None``); a resumed run reproduces the
+    uninterrupted run's final labels and modularity bit for bit.
     """
     config = config or LouvainConfig()
-    if snapshots is not None and checkpoint_dir is not None:
-        raise ValueError("pass checkpoint_dir= or snapshots=, not both")
-    manager = snapshots or _checkpoint_manager(
-        config, checkpoint_dir, checkpoint_every, checkpoint_every_iterations
-    )
+    if dg is None and not resume:
+        raise ValueError("dg may only be None when resume=True")
     if resume:
         # The restored graph is the post-merge one.
-        run, rejoin = _restore_run(comm, manager, config)
+        run, rejoin = _restore_run(comm, checkpoints, config)
     else:
         run, rejoin = _begin_run(comm, dg, config, initial_assignment), None
         # Warm starts (incremental re-detection) skip the merge: the
@@ -854,7 +837,7 @@ def distributed_louvain(
         if config.vertex_following and initial_assignment is None:
             _premerge_leaves(comm, run)
     _run_phases(
-        comm, run, config, manager, rejoin,
+        comm, run, config, checkpoints, rejoin,
         restored_at=run.phase if resume else None,
     )
     return _gather_result(comm, run)
@@ -997,37 +980,14 @@ def _run_tail(
     return tail.orig_slice, tail.final_mod, tail.phases, tail.iterations
 
 
-def _checkpoint_manager(
-    config: LouvainConfig,
-    checkpoint_dir: str | None,
-    every_phases: int,
-    every_iterations: int | None,
-):
-    """This rank's :class:`~repro.resilience.checkpoint.CheckpointManager`
-    (``None`` without a ``checkpoint_dir``)."""
-    if checkpoint_dir is None:
-        return None
-    from ..resilience.checkpoint import CheckpointManager
-
-    return CheckpointManager(
-        checkpoint_dir,
-        every_phases=every_phases,
-        every_iterations=every_iterations,
-        label=config.label(),
-        config_key=config.cache_key(),
-    )
-
-
 def _begin_run(
     comm: Communicator,
-    dg: DistGraph | None,
+    dg: DistGraph,
     config: LouvainConfig,
     initial_assignment: np.ndarray | None,
 ) -> RunState:
     """A fresh run's state: the input slice, every original vertex this
     rank loaded (its phase-0 interval) its own meta vertex."""
-    if dg is None:
-        raise ValueError("dg may only be None when resume=True")
     run = RunState(
         dg=dg,
         orig_slice=np.arange(dg.vbegin, dg.vend, dtype=np.int64),
@@ -1042,12 +1002,12 @@ def _restore_run(
     comm: Communicator, manager, config: LouvainConfig
 ) -> tuple[RunState, IterationState | None]:
     """The state of the latest valid checkpoint (collective on disk; a
-    rank-local read of ``snapshots``): the run state and, for a
-    mid-phase checkpoint, the iteration state its phase rejoins at."""
+    rank-local read in memory): the run state and, for a mid-phase
+    checkpoint, the iteration state its phase rejoins at."""
     from ..resilience.louvain_state import unpack_rank_state
 
     if manager is None:
-        raise ValueError("resume=True requires checkpoint_dir= or snapshots=")
+        raise ValueError("resume=True requires checkpoints=")
     manifest, meta, arrays = manager.load_latest(comm)
     _check_resume_config(manifest, config)
     run, rejoin, clock = unpack_rank_state(comm.rank, meta, arrays, config)
@@ -1379,11 +1339,8 @@ def run_louvain(
     partition: str = "even_edge",
     timeout: float = 300.0,
     initial_assignment: np.ndarray | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int = 1,
-    checkpoint_every_iterations: int | None = None,
+    checkpoints=None,
     resume: bool = False,
-    snapshots=None,
     fault_plan=None,
     verify_schedule: bool | None = None,
 ) -> LouvainResult:
@@ -1394,13 +1351,13 @@ def run_louvain(
     (community id per *global* vertex; any integer labels) warm-starts
     the run — see :mod:`repro.core.dynamic`.
 
-    Resilience knobs (see :mod:`repro.resilience`): ``checkpoint_dir``
-    enables phase-boundary (and, with
-    ``checkpoint_every_iterations``, mid-phase) checkpointing;
-    ``resume=True`` restarts from the latest valid checkpoint (the
-    input graph is not re-distributed — state comes from the shards);
-    ``snapshots`` keeps the saves in memory instead, for a caller that
-    retries in this process (see :func:`distributed_louvain`);
+    Resilience (see :mod:`repro.resilience`): ``checkpoints`` is where
+    the run's save points go — a
+    :class:`~repro.resilience.checkpoint.CheckpointManager` on disk or
+    :class:`~repro.resilience.snapshots.RunSnapshots` in memory, built
+    once by the caller and reusable across attempts; ``resume=True``
+    restarts from its latest valid save point (the input graph is not
+    re-distributed — state comes from the save point);
     ``fault_plan`` injects deterministic failures
     (:class:`repro.resilience.faults.FaultPlan`).  ``verify_schedule``
     enables the debug collective-schedule verifier for this run
@@ -1409,35 +1366,18 @@ def run_louvain(
     seed_global = None
     if initial_assignment is not None:
         seed_global = _labels_to_vertex_space(initial_assignment)
-    if snapshots is not None:
-        snapshots.begin_attempt(resume=resume)
+    if checkpoints is not None:
+        checkpoints.begin_attempt(resume=resume)
 
     def main(comm: Communicator) -> LouvainResult:
-        if resume:
-            # resume is a driver argument, identical on every rank.
-            return distributed_louvain(  # spmdlint: ignore[SPMD002]
-                comm,
-                None,
-                config,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every=checkpoint_every,
-                checkpoint_every_iterations=checkpoint_every_iterations,
-                resume=True,
-                snapshots=snapshots,
-            )
-        dg = DistGraph.distribute(comm, g, partition=partition)
-        seed_local = (
-            seed_global[dg.vbegin:dg.vend] if seed_global is not None else None
-        )
+        dg = seed_local = None
+        # resume is run_louvain's argument, identical on every rank.
+        if not resume:
+            dg = DistGraph.distribute(comm, g, partition=partition)
+            if seed_global is not None:
+                seed_local = seed_global[dg.vbegin:dg.vend]
         return distributed_louvain(
-            comm,
-            dg,
-            config,
-            initial_assignment=seed_local,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            checkpoint_every_iterations=checkpoint_every_iterations,
-            snapshots=snapshots,
+            comm, dg, config, seed_local, checkpoints=checkpoints, resume=resume
         )
 
     spmd: SPMDResult = run_spmd(

@@ -16,11 +16,11 @@ A checkpoint is either *full* — its shards hold the whole state — or a
 iteration, and its manifest's ``base`` record names the full checkpoint
 of the same phase it extends, by step directory and by the size and
 SHA-256 of every base shard.  A manager writes a full checkpoint the
-first time it saves in a phase and deltas until the phase changes, so
-the phase-invariant state (the graph slice) is serialized once per
-phase.  :func:`load_shard` is the only reader that knows: it verifies
-both shards against the delta's manifest and hands back the merged
-payload.
+first time an attempt saves in a phase and deltas until the phase
+changes, so the phase-invariant state (the graph slice) is serialized
+once per phase.  :func:`load_shard` is the only reader that knows: it
+verifies both shards against the delta's manifest and hands back the
+merged payload.
 
 Shards are written to a temp file and atomically renamed; the manifest
 (rank 0 only) likewise, after a gather of every shard's SHA-256 digest.
@@ -388,12 +388,15 @@ def latest_valid_manifest(
 # The manager
 # ----------------------------------------------------------------------
 class CheckpointManager:
-    """Collective checkpoint writer/reader for one SPMD run.
+    """Where a run's save points go, and the cadence it cuts them at.
 
-    Every rank of the run constructs its own manager over the same
-    directory (managers are rank-local objects, like communicators).
-    :meth:`save` and :meth:`load_latest` are collective: all ranks must
-    call them together, in the same order.
+    One object serves every rank of the run, and every attempt of it:
+    whoever builds it chooses the medium (this class: disk;
+    :class:`~.snapshots.RunSnapshots`: memory) and the layers below
+    hand it on.  :meth:`save` and :meth:`load_latest` are collective:
+    all ranks must call them together, in the same order.
+    ``run_louvain`` calls :meth:`begin_attempt` before it opens each
+    attempt's world.
 
     Parameters
     ----------
@@ -440,10 +443,25 @@ class CheckpointManager:
         self.label = label
         self.config_key = config_key
         self._seq: int | None = None
-        #: Phase of the last save, whose first checkpoint was full (every
-        #: rank), and that checkpoint as deltas cite it (rank 0 only).
-        self._base_phase: int | None = None
+        #: Phase of each rank's last save, whose first checkpoint was
+        #: full, and that checkpoint as deltas cite it (rank 0 only).
+        self._base_phase: dict[int, int] = {}
         self._base: BaseRef | None = None
+
+    def begin_attempt(self, *, resume: bool) -> None:
+        """Forget what the last attempt left in this object, so the
+        next one cuts what a fresh manager would: a full checkpoint
+        first.  On disk ``resume`` changes nothing: the directory keeps
+        its checkpoints, and a fresh attempt numbers its steps after
+        them."""
+        self._seq = None
+        self._base_phase.clear()
+        self._base = None
+
+    def latest(self, size: int) -> Manifest | None:
+        """The newest valid checkpoint for a world of ``size`` ranks
+        (``None``: a resume would find nothing)."""
+        return latest_valid_manifest(self.directory, expect_size=size)
 
     # -- cadence --------------------------------------------------------
     def should_checkpoint_phase(self, phase: int) -> bool:
@@ -489,7 +507,7 @@ class CheckpointManager:
         phase; ``phase_state()`` builds the rest, and is called only
         for the first save of ``phase``.  Every save of every medium
         enters here (:class:`~.snapshots.RunSnapshots` replaces
-        :meth:`_write` alone), so whatever times or counts what
+        :meth:`_write`, not this), so whatever times or counts what
         resumability costs a run wraps this one method.
         """
         return self._write(
@@ -521,8 +539,8 @@ class CheckpointManager:
         (modelled file I/O plus the digest gather and closing barrier)
         is charged to the ``checkpoint`` trace category.
         """
-        full = self._base_phase != phase
-        self._base_phase = phase
+        full = self._base_phase.get(comm.rank) != phase
+        self._base_phase[comm.rank] = phase
         meta, arrays = iteration_state
         if full:
             base_meta, base_arrays = phase_state()
@@ -613,9 +631,7 @@ class CheckpointManager:
         """
         step_dir: str | None = None
         if comm.rank == 0:
-            manifest = latest_valid_manifest(
-                self.directory, expect_size=comm.size, verify_shards=True
-            )
+            manifest = self.latest(comm.size)
             step_dir = manifest.directory if manifest is not None else None
         step_dir = comm.bcast(step_dir, root=0, category="checkpoint")
         if step_dir is None:

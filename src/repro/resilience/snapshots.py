@@ -20,8 +20,8 @@ What a save costs:
   so a resumed attempt that dies before its first save leaves the
   snapshot as it found it.
 
-One object serves every rank of the job (ranks are threads of one
-process).  No collective and no file: every rank reaches a save point
+As on disk, one object serves every rank of the job, and every attempt
+of it.  No collective and no file: every rank reaches a save point
 on the same replicated decision and deposits its own part; a
 *generation* counts — becomes what :meth:`RunSnapshots.load_latest`
 hands back — only once all ranks of the world have deposited it, so a
@@ -69,11 +69,10 @@ def _copied(comm: Communicator, arrays: dict[str, np.ndarray]) -> dict[str, np.n
 class RunSnapshots(CheckpointManager):
     """The snapshots of one run, owned by whoever may retry it.
 
-    Unlike a disk manager — one per rank over a shared directory — this
-    *is* the shared place: one object, handed to every rank.  ``label``
-    and ``config_key`` are recorded with every generation, as a manifest
-    records them, so a resume under another config is refused the same
-    way.
+    The same one object per run as a disk manager, with memory for the
+    medium.  ``label`` and ``config_key`` are recorded with every
+    generation, as a manifest records them, so a resume under another
+    config is refused the same way.
     """
 
     def __init__(
@@ -102,17 +101,19 @@ class RunSnapshots(CheckpointManager):
         self._latest: tuple[Manifest, dict[int, _Deposit]] | None = None
         self._generations = 0
 
-    @property
-    def latest(self) -> Manifest | None:
-        """The newest complete generation (``None`` before the first
-        one): a manifest whose shards say what each rank copied."""
+    def latest(self, size: int) -> Manifest | None:
+        """The newest complete generation of a ``size``-rank world
+        (``None`` before the first one): a manifest whose shards say
+        what each rank copied."""
         with self._lock:
-            return None if self._latest is None else self._latest[0]
+            latest = self._latest
+        if latest is None or latest[0].size != size:
+            return None
+        return latest[0]
 
     def begin_attempt(self, *, resume: bool) -> None:
         """Forget what a dead attempt left half-deposited — and, for an
-        attempt that starts over, everything.  The driver calls this
-        before it opens the attempt's world (no rank is running)."""
+        attempt that starts over, everything (no rank is running)."""
         with self._lock:
             self._deposits.clear()
             self._phase_state.clear()

@@ -42,13 +42,14 @@ import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from ..core.distlouvain import run_louvain
 from ..core.dynamic import warm_start_assignment
 from ..core.result import LouvainResult
 from ..obs.drift import DriftMonitor
 from ..obs.events import EventLog, scoped
+from ..resilience.checkpoint import CheckpointManager
+from ..resilience.snapshots import RunSnapshots
 from ..runtime.errors import (
     CommTimeoutError,
     InjectedFault,
@@ -61,9 +62,6 @@ from .metrics import ServiceMetrics
 from .request import DetectionRequest, DetectionResponse, JobState
 from .scheduler import AdmissionError, PriorityScheduler
 from .store import ResultStore
-
-if TYPE_CHECKING:
-    from ..resilience.snapshots import RunSnapshots
 
 __all__ = [
     "Engine",
@@ -87,8 +85,7 @@ _UNSET = object()
 def execute_request(
     request: DetectionRequest,
     *,
-    snapshots: RunSnapshots | None = None,
-    checkpoint_every_iterations: int | None = None,
+    checkpoints: CheckpointManager | None = None,
     resume: bool | None = None,
     fault_plan: object = _UNSET,
 ) -> LouvainResult:
@@ -97,26 +94,26 @@ def execute_request(
     Every way into the library — ``Engine`` workers, the inline
     :func:`repro.service.detect` facade — funnels through here, so
     request semantics are defined once.  The keyword overrides exist for
-    the engine's retry machinery (the job's snapshots, its default
-    cadence, resume-on-retry, dropping a fired fault plan); plain
-    callers never pass them.
+    the engine's retry machinery (the job's save points, resume-on-retry,
+    dropping a fired fault plan); plain callers never pass them, and
+    their request's ``checkpoint_dir``, if it names one, is where the
+    save points go.
     """
-    every_iters = (
-        checkpoint_every_iterations
-        if checkpoint_every_iterations is not None
-        else request.checkpoint_every_iterations
-    )
+    if checkpoints is None:
+        checkpoints = _checkpoints_for(request)
     do_resume = (request.mode == "resume") if resume is None else resume
     plan = request.fault_plan if fault_plan is _UNSET else fault_plan
-    seed = None
-    if request.mode == "incremental":
-        assert request.previous_assignment is not None  # __post_init__
-        seed = warm_start_assignment(
-            request.resolved_graph(),
-            request.previous_assignment,
-            reset_touched=request.reset_touched,
-        )
-    graph = None if do_resume else request.resolved_graph()
+    seed = graph = None
+    if not do_resume:
+        graph = request.resolved_graph()
+        # A resumed attempt's pending seed, if any, is in the save point.
+        if request.mode == "incremental":
+            assert request.previous_assignment is not None  # __post_init__
+            seed = warm_start_assignment(
+                graph,
+                request.previous_assignment,
+                reset_touched=request.reset_touched,
+            )
     return run_louvain(
         graph,  # type: ignore[arg-type]  # unused on the resume path
         request.nranks,
@@ -125,13 +122,32 @@ def execute_request(
         partition=request.partition,
         timeout=request.timeout or DEFAULT_OP_TIMEOUT,
         initial_assignment=seed,
-        checkpoint_dir=request.checkpoint_dir,
-        checkpoint_every=request.checkpoint_every,
-        checkpoint_every_iterations=every_iters,
+        checkpoints=checkpoints,
         resume=do_resume,
-        snapshots=snapshots,
         fault_plan=plan,
     )
+
+
+def _checkpoints_for(
+    request: DetectionRequest, retry_every_iterations: int | None = None
+) -> CheckpointManager | None:
+    """Where ``request``'s save points go: its ``checkpoint_dir``, when
+    it names one; else, for an engine job that may be retried
+    (``retry_every_iterations``: the engine's cadence where the request
+    sets none), memory; else nowhere."""
+    kwargs = dict(
+        every_phases=request.checkpoint_every,
+        every_iterations=(
+            request.checkpoint_every_iterations or retry_every_iterations
+        ),
+        label=request.config.label(),
+        config_key=request.config.cache_key(),
+    )
+    if request.checkpoint_dir is not None:
+        return CheckpointManager(request.checkpoint_dir, **kwargs)
+    if retry_every_iterations is not None and request.max_retries > 0:
+        return RunSnapshots(**kwargs)
+    return None
 
 
 @dataclass
@@ -156,9 +172,9 @@ class Job:
     cache_key: str | None = None
     retries: int = 0
     resumed_from_checkpoint: bool = False
-    #: What a retry resumes from when the request names no
-    #: ``checkpoint_dir``; lives from the first attempt to ``_finish``.
-    snapshots: RunSnapshots | None = None
+    #: Where the job's save points go, and what a retry resumes from;
+    #: lives from the first attempt to ``_finish``.
+    checkpoints: CheckpointManager | None = None
     ticket: int | None = None
     cancel_requested: bool = False
     submitted_at: float = 0.0
@@ -521,7 +537,7 @@ class Engine:
         job.result = result
         job.error = error
         # ``_jobs`` keeps the job; nothing will resume it any more.
-        job.snapshots = None
+        job.checkpoints = None
         job.finished_at = time.monotonic()
         self.metrics.inc(
             {
@@ -835,23 +851,13 @@ class Engine:
         )
         fault_plan: object = request.fault_plan
         resume = request.mode == "resume"
-        every_iterations = (
-            request.checkpoint_every_iterations
-            or self.checkpoint_every_iterations
-        )
-        in_memory = request.max_retries > 0 and request.checkpoint_dir is None
         while True:
             try:
-                if in_memory and job.snapshots is None:
+                if not job.retries:
                     # So a retry can resume instead of restart.  (Built
                     # in here: a cadence it refuses fails the job.)
-                    from ..resilience.snapshots import RunSnapshots
-
-                    job.snapshots = RunSnapshots(
-                        every_phases=request.checkpoint_every,
-                        every_iterations=every_iterations,
-                        label=request.config.label(),
-                        config_key=request.config.cache_key(),
+                    job.checkpoints = _checkpoints_for(
+                        request, self.checkpoint_every_iterations
                     )
                 with scoped(
                     self.event_log,
@@ -860,8 +866,7 @@ class Engine:
                 ):
                     result = execute_request(
                         request,
-                        snapshots=job.snapshots,
-                        checkpoint_every_iterations=every_iterations,
+                        checkpoints=job.checkpoints,
                         resume=resume,
                         fault_plan=fault_plan,
                     )
@@ -923,20 +928,11 @@ class Engine:
         self._finish(job, JobState.DONE, result=result)
 
     def _can_resume(self, job: Job) -> bool:
-        """A retry resumes iff the job has a complete snapshot — or,
-        for a request that names a ``checkpoint_dir``, a valid
-        checkpoint there."""
-        if job.snapshots is not None:
-            return job.snapshots.latest is not None
-        if job.request.checkpoint_dir is None:
-            return False
-        from ..resilience.checkpoint import latest_valid_manifest
-
+        """A retry resumes iff the job has a complete save point, in
+        whichever medium it keeps them."""
         return (
-            latest_valid_manifest(
-                job.request.checkpoint_dir, expect_size=job.request.nranks
-            )
-            is not None
+            job.checkpoints is not None
+            and job.checkpoints.latest(job.request.nranks) is not None
         )
 
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import LouvainConfig
 from repro.graph import CSRGraph, EdgeList
+from repro.resilience import CheckpointManager
 
 #: Zachary's karate club (34 vertices, 78 edges) — the classic community
 #: detection testbed.  Louvain finds Q ≈ 0.41-0.42 with ~4 communities.
@@ -67,6 +69,19 @@ def planted_blocks_graph(
     return EdgeList.from_arrays(
         blocks * per_block, np.array(uu), np.array(vv)
     ).to_csr()
+
+
+def disk_checkpoints(
+    directory, config: LouvainConfig, **cadence
+) -> CheckpointManager:
+    """A disk manager over ``directory`` for runs of ``config``, labelled
+    and keyed as the CLI and the engine build theirs."""
+    return CheckpointManager(
+        str(directory),
+        label=config.label(),
+        config_key=config.cache_key(),
+        **cadence,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -49,6 +49,7 @@ from repro.generators import make_graph
 from repro.graph import CSRGraph
 from repro.resilience import FaultPlan
 from repro.runtime import InjectedFault, RankFailedError
+from tests.conftest import disk_checkpoints
 
 PINS = os.path.join(os.path.dirname(__file__), "data", "run_fingerprints.json")
 
@@ -164,8 +165,8 @@ def _gather_op(g: CSRGraph, p: int) -> int | None:
     log = OpLog(p - 1)
     with tempfile.TemporaryDirectory() as d:
         run_louvain(
-            g, p, RESUME_CONFIG, checkpoint_dir=d,
-            checkpoint_every_iterations=1, fault_plan=log,
+            g, p, RESUME_CONFIG, fault_plan=log,
+            checkpoints=disk_checkpoints(d, RESUME_CONFIG, every_iterations=1),
         )
     if log.ops[-3:] != ["gather", "bcast", "allgather"]:
         return None
@@ -183,10 +184,10 @@ def _resumed_row(name: str) -> Row:
             f"{name}: op {KILL_AT_OP} is not before the gather (op {gather})"
         )
     with tempfile.TemporaryDirectory() as d:
+        checkpoints = disk_checkpoints(d, RESUME_CONFIG, every_iterations=1)
         try:
             run_louvain(
-                g, p, RESUME_CONFIG, checkpoint_dir=d,
-                checkpoint_every_iterations=1,
+                g, p, RESUME_CONFIG, checkpoints=checkpoints,
                 fault_plan=FaultPlan(kills={p - 1: KILL_AT_OP}),
             )
         except RankFailedError as exc:
@@ -195,8 +196,7 @@ def _resumed_row(name: str) -> Row:
         else:
             raise AssertionError(f"{name}: finished before op {KILL_AT_OP}")
         resumed = run_louvain(
-            g, p, RESUME_CONFIG, checkpoint_dir=d, resume=True,
-            checkpoint_every_iterations=1,
+            g, p, RESUME_CONFIG, checkpoints=checkpoints, resume=True
         )
     key = f"{name}/integer/p{p}/et+tc killed at op {KILL_AT_OP}, resumed"
     outcome = outcome_digest(resumed)

@@ -113,11 +113,13 @@ class TestScalingHelpers:
 class TestCheckpointOverhead:
     def test_reports_both_clocks_and_bytes(self, planted_blocks, tmp_path):
         from repro.resilience import scan_checkpoints
+        from tests.conftest import disk_checkpoints
 
         d = str(tmp_path / "ck")
+        cfg = LouvainConfig()
         o = measure_checkpoint_overhead(
-            planted_blocks, 2, LouvainConfig(), d,
-            checkpoint_every_iterations=1,
+            planted_blocks, 2, cfg,
+            disk_checkpoints(d, cfg, every_iterations=1),
         )
         assert o.num_checkpoints > 2
         assert o.checkpoint_seconds > 0.0

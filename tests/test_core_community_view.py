@@ -23,7 +23,7 @@ from repro.graph import CSRGraph, DistGraph
 from repro.resilience import FaultPlan
 from repro.runtime import FREE, RankFailedError, run_spmd
 
-from .conftest import planted_blocks_graph, random_graph
+from .conftest import disk_checkpoints, planted_blocks_graph, random_graph
 from .oracles import aggregate_reference, exchange_reference
 from .test_core_sweep_differential import adversarial_edges
 
@@ -158,12 +158,16 @@ def test_view_consistent_after_resume(checked_rounds, tmp_path):
     d = str(tmp_path / "ck")
     with pytest.raises(RankFailedError):
         run_louvain(
-            g, 4, ETC, machine=FREE, checkpoint_dir=d,
-            checkpoint_every_iterations=1, fault_plan=FaultPlan(kills={3: 60}),
+            g, 4, ETC, machine=FREE,
+            checkpoints=disk_checkpoints(d, ETC, every_iterations=1),
+            fault_plan=FaultPlan(kills={3: 60}),
         )
     before_kill = checked_rounds.get(0, 0)
     assert 0 < before_kill < full_run[0]
-    res = run_louvain(g, 4, ETC, machine=FREE, checkpoint_dir=d, resume=True)
+    res = run_louvain(
+        g, 4, ETC, machine=FREE, checkpoints=disk_checkpoints(d, ETC),
+        resume=True,
+    )
     assert checked_rounds[0] > before_kill
     np.testing.assert_array_equal(res.assignment, ref.assignment)
     assert res.modularity == ref.modularity

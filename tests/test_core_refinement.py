@@ -22,7 +22,7 @@ from repro.quality import (
 from repro.resilience import FaultPlan
 from repro.runtime import FREE, InjectedFault, RankFailedError, run_spmd
 
-from .conftest import assert_valid_partition, random_graph
+from .conftest import assert_valid_partition, disk_checkpoints, random_graph
 
 
 def _disconnected_fixture():
@@ -225,8 +225,9 @@ class TestCompositionBitIdentity:
             cfg,
             machine=FREE,
             verify_schedule=True,
-            checkpoint_dir=str(tmp_path / "ck"),
-            checkpoint_every_iterations=2,
+            checkpoints=disk_checkpoints(
+                tmp_path / "ck", cfg, every_iterations=2
+            ),
         )
         np.testing.assert_array_equal(ref.assignment, res.assignment)
         assert res.modularity == ref.modularity
@@ -241,8 +242,7 @@ class TestCompositionBitIdentity:
                 2,
                 cfg,
                 machine=FREE,
-                checkpoint_dir=d,
-                checkpoint_every_iterations=1,
+                checkpoints=disk_checkpoints(d, cfg, every_iterations=1),
                 fault_plan=FaultPlan(kills={1: 25}),
             )
         res = run_louvain(
@@ -250,7 +250,7 @@ class TestCompositionBitIdentity:
             2,
             cfg,
             machine=FREE,
-            checkpoint_dir=d,
+            checkpoints=disk_checkpoints(d, cfg),
             resume=True,
             verify_schedule=True,
         )

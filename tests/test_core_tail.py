@@ -26,7 +26,7 @@ from repro.runtime import FREE, InjectedFault, RankFailedError
 from repro.tune import costmodel
 
 from tests import fingerprints
-from tests.conftest import planted_blocks_graph
+from tests.conftest import disk_checkpoints, planted_blocks_graph
 
 CONFIGS = {
     "baseline": LouvainConfig(),
@@ -208,15 +208,10 @@ class TestResilience:
 
     def _medium(self, medium, tmp_path, name):
         if medium == "disk":
-            return {
-                "checkpoint_dir": str(tmp_path / name),
-                "checkpoint_every_iterations": 1,
-            }
-        return {
-            "snapshots": RunSnapshots(
-                every_iterations=1, config_key=self.CFG.cache_key()
+            return disk_checkpoints(
+                tmp_path / name, self.CFG, every_iterations=1
             )
-        }
+        return RunSnapshots(every_iterations=1, config_key=self.CFG.cache_key())
 
     @pytest.mark.parametrize("medium", ["disk", "memory"])
     @pytest.mark.parametrize("op", ["gather", "bcast"])
@@ -229,7 +224,7 @@ class TestResilience:
         log = fingerprints.OpLog(victim)
         run_louvain(
             channel, self.P, self.CFG, fault_plan=log,
-            **self._medium(medium, tmp_path, "log"),
+            checkpoints=self._medium(medium, tmp_path, "log"),
         )
         # The tail ends every rank's schedule: gather, broadcast, and
         # the result's allgather.
@@ -239,11 +234,13 @@ class TestResilience:
         with pytest.raises(RankFailedError) as exc:
             run_louvain(
                 channel, self.P, self.CFG,
-                fault_plan=FaultPlan(kills={victim: at}), **kept,
+                fault_plan=FaultPlan(kills={victim: at}), checkpoints=kept,
             )
         cause = exc.value.causes[victim]
         assert isinstance(cause, InjectedFault) and cause.op_name == op
-        res = run_louvain(channel, self.P, self.CFG, resume=True, **kept)
+        res = run_louvain(
+            channel, self.P, self.CFG, resume=True, checkpoints=kept
+        )
         assert_same_outcome(res, ref)
 
     def test_no_checkpoint_inside_the_tail(self, channel, monkeypatch):
@@ -257,7 +254,7 @@ class TestResilience:
         monkeypatch.setattr(RunSnapshots, "save", save)
         r = run_louvain(
             channel, self.P, self.CFG,
-            snapshots=RunSnapshots(
+            checkpoints=RunSnapshots(
                 every_iterations=1, config_key=self.CFG.cache_key()
             ),
         )

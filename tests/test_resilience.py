@@ -9,6 +9,7 @@ import dataclasses
 import json
 import os
 import shutil
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -60,7 +61,7 @@ def _verify_schedule(monkeypatch):
     a checkpoint/resume divergence fails at its first mismatched op
     instead of on end-state mismatch."""
     monkeypatch.setenv("REPRO_VERIFY_SCHEDULE", "1")
-from tests.conftest import planted_blocks_graph
+from tests.conftest import disk_checkpoints, planted_blocks_graph
 
 
 def _graph():
@@ -78,12 +79,17 @@ def _snapshots(**kwargs):
     return RunSnapshots(config_key=_config().cache_key(), **kwargs)
 
 
-def _crash(g, p, cfg, ckpt_dir, plan, **kwargs):
-    """Run a checkpointed job that is expected to die from the plan."""
+def _crash(g, p, cfg, ckpt_dir, plan, **cadence):
+    """Run a job checkpointing to ``ckpt_dir`` that is expected to die
+    from the plan."""
+    return _crash_with(
+        g, p, cfg, disk_checkpoints(ckpt_dir, cfg, **cadence), plan
+    )
+
+
+def _crash_with(g, p, cfg, checkpoints, plan):
     with pytest.raises((RankFailedError, InjectedFault)) as exc:
-        run_louvain(
-            g, p, cfg, checkpoint_dir=ckpt_dir, fault_plan=plan, **kwargs
-        )
+        run_louvain(g, p, cfg, checkpoints=checkpoints, fault_plan=plan)
     return exc.value
 
 
@@ -105,10 +111,41 @@ class TestCheckpointResume:
         ref = run_louvain(g, p, cfg)
         d = str(tmp_path / "ck")
         plan = FaultPlan(kills={p - 1: 25})
-        _crash(g, p, cfg, d, plan, checkpoint_every_iterations=1)
-        res = run_louvain(g, p, cfg, checkpoint_dir=d, resume=True)
+        _crash(g, p, cfg, d, plan, every_iterations=1)
+        res = run_louvain(
+            g, p, cfg, checkpoints=disk_checkpoints(d, cfg), resume=True
+        )
         np.testing.assert_array_equal(ref.assignment, res.assignment)
         assert res.modularity == ref.modularity
+
+    def test_reused_manager_resumes_like_a_fresh_one(self, tmp_path):
+        """One manager serves every attempt: handed back to the resumed
+        attempt, it cuts a full checkpoint first, as a fresh manager
+        over a copy of the directory does, and the two directories end
+        up listing the same checkpoints."""
+        g, cfg, p = _graph(), _config(), 4
+        # (Names of one length: a resume broadcasts the step's path, and
+        # its size moves the modelled clock each checkpoint records.)
+        same, fresh = (
+            disk_checkpoints(tmp_path / name, cfg, every_iterations=1, keep=0)
+            for name in ("same", "copy")
+        )
+        # Dies in phase 0's last iteration, before its checkpoint.
+        _crash_with(g, p, cfg, same, FaultPlan(kills={p - 1: 48}))
+        shutil.copytree(same.directory, fresh.directory)
+        dead = len(scan_checkpoints(same.directory))
+        listed = []
+        for manager in (same, fresh):
+            run_louvain(g, p, cfg, checkpoints=manager, resume=True)
+            listed.append([
+                (name, m.describe())
+                for name, m, _ in scan_checkpoints(manager.directory)
+            ])
+        assert listed[0] == listed[1]
+        (_, first, _), *_ = scan_checkpoints(same.directory)[dead:]
+        # Mid-phase, where a manager that remembered the dead attempt's
+        # full checkpoint of this phase would cut a delta of it.
+        assert (first.kind, first.base) == ("iteration", None)
 
     def test_resume_from_phase_boundary_only(self, tmp_path):
         """Phase-boundary cadence alone (no mid-phase checkpoints)."""
@@ -116,7 +153,9 @@ class TestCheckpointResume:
         ref = run_louvain(g, 2, cfg)
         d = str(tmp_path / "ck")
         _crash(g, 2, cfg, d, FaultPlan(kills={1: 40}))
-        res = run_louvain(g, 2, cfg, checkpoint_dir=d, resume=True)
+        res = run_louvain(
+            g, 2, cfg, checkpoints=disk_checkpoints(d, cfg), resume=True
+        )
         np.testing.assert_array_equal(ref.assignment, res.assignment)
         assert res.modularity == ref.modularity
 
@@ -124,7 +163,8 @@ class TestCheckpointResume:
         g, cfg = _graph(), _config()
         with pytest.raises((RankFailedError, NoCheckpointError)):
             run_louvain(
-                g, 1, cfg, checkpoint_dir=str(tmp_path / "empty"), resume=True
+                g, 1, cfg, checkpoints=disk_checkpoints(tmp_path / "empty", cfg),
+                resume=True,
             )
 
     def test_checkpointing_does_not_perturb_result(self, tmp_path):
@@ -133,15 +173,18 @@ class TestCheckpointResume:
         ref = run_louvain(g, 2, cfg)
         res = run_louvain(
             g, 2, cfg,
-            checkpoint_dir=str(tmp_path / "ck"),
-            checkpoint_every_iterations=2,
+            checkpoints=disk_checkpoints(
+                tmp_path / "ck", cfg, every_iterations=2
+            ),
         )
         np.testing.assert_array_equal(ref.assignment, res.assignment)
         assert res.modularity == ref.modularity
 
     def test_trace_includes_checkpoint_category(self, tmp_path):
         g, cfg = _graph(), _config()
-        res = run_louvain(g, 2, cfg, checkpoint_dir=str(tmp_path / "ck"))
+        res = run_louvain(
+            g, 2, cfg, checkpoints=disk_checkpoints(tmp_path / "ck", cfg)
+        )
         assert res.trace is not None
         seconds = res.trace.seconds_by_category()
         assert seconds.get("checkpoint", 0.0) > 0.0
@@ -152,7 +195,7 @@ class TestCorruption:
         g, cfg = _graph(), _config()
         d = str(tmp_path / "ck")
         ref = run_louvain(
-            g, 2, cfg, checkpoint_dir=d, checkpoint_every_iterations=2
+            g, 2, cfg, checkpoints=disk_checkpoints(d, cfg, every_iterations=2)
         )
         return g, cfg, d, ref
 
@@ -177,7 +220,9 @@ class TestCorruption:
         survivor = latest_valid_manifest(d, expect_size=2)
         assert survivor is not None
         assert survivor.seq < newest.seq
-        res = run_louvain(g, 2, cfg, checkpoint_dir=d, resume=True)
+        res = run_louvain(
+            g, 2, cfg, checkpoints=disk_checkpoints(d, cfg), resume=True
+        )
         np.testing.assert_array_equal(ref.assignment, res.assignment)
         assert res.modularity == ref.modularity
 
@@ -188,7 +233,9 @@ class TestCorruption:
             for rank in range(manifest.size):
                 corrupt_checkpoint_shard(manifest.shard_path(rank), seed=rank)
         with pytest.raises(RankFailedError) as exc:
-            run_louvain(g, 2, cfg, checkpoint_dir=d, resume=True)
+            run_louvain(
+                g, 2, cfg, checkpoints=disk_checkpoints(d, cfg), resume=True
+            )
         assert any(
             isinstance(c, NoCheckpointError) for c in exc.value.causes.values()
         )
@@ -212,7 +259,7 @@ class TestFaultInjection:
         faults = []
         for attempt in range(2):
             d = str(tmp_path / f"ck{attempt}")
-            exc = _crash(g, p, cfg, d, plan, checkpoint_every_iterations=1)
+            exc = _crash(g, p, cfg, d, plan, every_iterations=1)
             faults.append(_injected_fault(exc))
         assert faults[0].rank == faults[1].rank
         assert faults[0].op_index == faults[1].op_index
@@ -224,7 +271,7 @@ class TestFaultInjection:
         with pytest.raises(InjectedFault):
             run_louvain(
                 g, 1, cfg,
-                checkpoint_dir=str(tmp_path / "ck"),
+                checkpoints=disk_checkpoints(tmp_path / "ck", cfg),
                 fault_plan=FaultPlan(kills={0: 5}),
             )
 
@@ -287,8 +334,9 @@ class TestKillInsideFusedExchange:
         with monkeypatch.context() as patch:
             patch.setattr(Communicator, "_fault_hook", logging_hook)
             ref = run_louvain(
-                g, p, cfg, checkpoint_dir=str(tmp_path / "ref"),
-                checkpoint_every_iterations=1,
+                g, p, cfg, checkpoints=disk_checkpoints(
+                    tmp_path / "ref", cfg, every_iterations=1
+                ),
             )
         # Request, reply, then the fused exchange: the third
         # ``community_comm`` alltoall in a row (op indices are 1-based).
@@ -301,12 +349,12 @@ class TestKillInsideFusedExchange:
         plan = FaultPlan.seeded(seed, size=p, min_step=op, max_step=op)
         d = str(tmp_path / "ck")
         fault = _injected_fault(
-            _crash(g, p, cfg, d, plan, checkpoint_every_iterations=1)
+            _crash(g, p, cfg, d, plan, every_iterations=1)
         )
         assert (fault.op_index, fault.op_name) == (op, "alltoall")
         res = run_louvain(
-            g, p, cfg, checkpoint_dir=d, resume=True,
-            checkpoint_every_iterations=1,
+            g, p, cfg, resume=True,
+            checkpoints=disk_checkpoints(d, cfg, every_iterations=1),
         )
         np.testing.assert_array_equal(ref.assignment, res.assignment)
         assert res.modularity == ref.modularity
@@ -323,7 +371,10 @@ class TestConfigKeyGuard:
         _crash(g, 2, cfg, d, FaultPlan(kills={1: 40}))
         other = LouvainConfig(variant=Variant.BASELINE, seed=99)
         with pytest.raises((ValueError, RankFailedError), match="config"):
-            run_louvain(g, 2, other, checkpoint_dir=d, resume=True)
+            run_louvain(
+                g, 2, other, checkpoints=disk_checkpoints(d, other),
+                resume=True,
+            )
 
     def test_excluded_field_change_still_resumes(self, tmp_path):
         """Auditing is outside the config key: resuming an unaudited
@@ -333,13 +384,16 @@ class TestConfigKeyGuard:
         d = str(tmp_path / "ck")
         _crash(g, 2, cfg, d, FaultPlan(kills={1: 40}))
         audited = replace(cfg, validate_invariants=True)
-        res = run_louvain(g, 2, audited, checkpoint_dir=d, resume=True)
+        res = run_louvain(
+            g, 2, audited, checkpoints=disk_checkpoints(d, audited),
+            resume=True,
+        )
         np.testing.assert_array_equal(ref.assignment, res.assignment)
 
     def test_manifest_records_config_key(self, tmp_path):
         g, cfg = _graph(), _config()
         d = str(tmp_path / "ck")
-        run_louvain(g, 2, cfg, checkpoint_dir=d)
+        run_louvain(g, 2, cfg, checkpoints=disk_checkpoints(d, cfg))
         manifest = latest_valid_manifest(d, expect_size=2)
         assert manifest.config_key == cfg.cache_key()
 
@@ -350,7 +404,7 @@ class TestConfigKeyGuard:
             RunSnapshots()
         g, cfg = _graph(), _config()
         d = str(tmp_path / "ck")
-        run_louvain(g, 2, cfg, checkpoint_dir=d)
+        run_louvain(g, 2, cfg, checkpoints=disk_checkpoints(d, cfg))
         step = latest_valid_manifest(d, expect_size=2).directory
         path = os.path.join(step, "manifest.json")
         with open(path, encoding="utf-8") as fh:
@@ -367,7 +421,7 @@ class TestConfigKeyGuard:
         name."""
         g, cfg = _graph(), _config()
         d = str(tmp_path / "ck")
-        run_louvain(g, 2, cfg, checkpoint_dir=d)
+        run_louvain(g, 2, cfg, checkpoints=disk_checkpoints(d, cfg))
         manifest = latest_valid_manifest(d, expect_size=2)
         meta, arrays = load_shard(manifest, 0)
         unpack_rank_state(0, meta, arrays, cfg)  # as written: loads
@@ -469,9 +523,9 @@ def _assert_same_run(ref, res, cfg):
             np.testing.assert_array_equal(got, want)
 
 
-def _point(snaps):
+def _point(snaps, size):
     """The save point of a snapshot object's newest generation."""
-    newest = snaps.latest
+    newest = snaps.latest(size)
     return newest.kind, newest.phase, newest.iteration
 
 
@@ -484,7 +538,7 @@ class _DyingSnapshots(RunSnapshots):
 
     def save(self, comm, **kwargs):
         super().save(comm, **kwargs)
-        newest = self.latest
+        newest = self.latest(comm.size)
         if self.last is not None and newest and newest.seq >= self.last:
             raise InjectedFault(comm.rank, newest.seq, "save")
 
@@ -495,7 +549,7 @@ class TestDeltaCheckpoints:
 
     @pytest.fixture
     def keep_all(self, monkeypatch):
-        """Runs under ``keep=0`` (``run_louvain`` has no knob for it)."""
+        """Every manager keeps every checkpoint (``keep=0``)."""
         monkeypatch.setitem(
             CheckpointManager.__init__.__kwdefaults__, "keep", 0
         )
@@ -505,7 +559,7 @@ class TestDeltaCheckpoints:
         g, cfg = g or _graph(), cfg or _config()
         d = tmp_path / "all"
         ref = run_louvain(
-            g, p, cfg, checkpoint_dir=str(d), checkpoint_every_iterations=1,
+            g, p, cfg, checkpoints=disk_checkpoints(d, cfg, every_iterations=1),
             **kwargs,
         )
         manifests = [m for _, m, _ in scan_checkpoints(str(d))]
@@ -539,8 +593,9 @@ class TestDeltaCheckpoints:
             d = self._upto(tmp_path, src, manifests, k)
             assert latest_valid_manifest(str(d), expect_size=p).seq == m.seq
             res = run_louvain(
-                g, p, cfg, checkpoint_dir=str(d), resume=True,
-                checkpoint_every_iterations=1, **_again(first_run),
+                g, p, cfg, resume=True,
+                checkpoints=disk_checkpoints(d, cfg, every_iterations=1),
+                **_again(first_run),
             )
             _assert_same_run(ref, res, cfg)
             # A resumed run cannot lean on the dead run's base: whatever
@@ -560,7 +615,7 @@ class TestDeltaCheckpoints:
                 for later in cut[2:]:
                     shutil.rmtree(later.directory)
                 res = run_louvain(
-                    g, p, cfg, checkpoint_dir=str(d), resume=True,
+                    g, p, cfg, checkpoints=disk_checkpoints(d, cfg), resume=True,
                     **_again(first_run),
                 )
                 np.testing.assert_array_equal(ref.assignment, res.assignment)
@@ -581,29 +636,47 @@ class TestDeltaCheckpoints:
             )
             snaps.last = k
             with pytest.raises((RankFailedError, InjectedFault)):
-                run_louvain(g, p, cfg, snapshots=snaps, **first_run)
-            assert _point(snaps) == point
+                run_louvain(g, p, cfg, checkpoints=snaps, **first_run)
+            assert _point(snaps, p) == point
             if not reopened and k + 2 < len(points):
                 # Die a second time, two generations into the resumed run.
                 reopened += 1
                 snaps.last = k + 2
                 with pytest.raises((RankFailedError, InjectedFault)):
                     run_louvain(
-                        g, p, cfg, snapshots=snaps, resume=True,
+                        g, p, cfg, checkpoints=snaps, resume=True,
                         **_again(first_run),
                     )
-                assert _point(snaps) == points[k + 2]
+                assert _point(snaps, p) == points[k + 2]
             snaps.last = None
             res = run_louvain(
-                g, p, cfg, snapshots=snaps, resume=True, **_again(first_run)
+                g, p, cfg, checkpoints=snaps, resume=True, **_again(first_run)
             )
             _assert_same_run(ref, res, cfg)
             # It saved on: the last generation is the run's last save point.
-            assert _point(snaps) == points[-1]
+            assert _point(snaps, p) == points[-1]
         assert reopened
 
     def test_delta_shard_holds_no_phase_state(self, tmp_path, keep_all):
         g, cfg, d, ref, manifests = self._run(tmp_path)
+        self._assert_forms(manifests)
+
+    def test_shared_manager_under_thread_churn(self, tmp_path, keep_all):
+        """One manager serves all eight rank threads (more than the
+        cores), switching every few microseconds: each rank still
+        decides full or delta for itself, as the manifest says."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _, _, _, _, manifests = self._run(tmp_path, p=8, machine=FREE)
+        finally:
+            sys.setswitchinterval(interval)
+        assert {m.size for m in manifests} == {8}
+        assert sum(m.base is None for m in manifests) > 1
+        self._assert_forms(manifests)
+
+    @staticmethod
+    def _assert_forms(manifests):
         for m in manifests:
             for rank in range(m.size):
                 with np.load(m.shard_path(rank)) as shard:
@@ -623,15 +696,16 @@ class TestDeltaCheckpoints:
     def test_sparse_phase_cadence_opens_phase_with_full_iteration(
         self, tmp_path, keep_all
     ):
-        """checkpoint_every=2 skips phase 1's boundary checkpoint, so its
+        """every_phases=2 skips phase 1's boundary checkpoint, so its
         first iteration checkpoint carries the phase state.  (On a free
         machine: on Cori the run gathers phase 1 to rank 0, whose tail
         cuts no checkpoint.)"""
         g, cfg = _graph(), _config()
         d = str(tmp_path / "ck")
         run_louvain(
-            g, 2, cfg, checkpoint_dir=d, checkpoint_every=2,
-            checkpoint_every_iterations=1, machine=FREE,
+            g, 2, cfg, machine=FREE, checkpoints=disk_checkpoints(
+                d, cfg, every_phases=2, every_iterations=1
+            ),
         )
         phase1 = [
             m for _, m, _ in scan_checkpoints(d) if m.phase == 1
@@ -647,7 +721,9 @@ class TestDeltaCheckpoints:
         assert newest.base is not None
         _flip(newest.shard_path(1))
         assert latest_valid_manifest(str(d), expect_size=2).seq == 2
-        res = run_louvain(g, 2, cfg, checkpoint_dir=str(d), resume=True)
+        res = run_louvain(
+            g, 2, cfg, checkpoints=disk_checkpoints(d, cfg), resume=True
+        )
         np.testing.assert_array_equal(ref.assignment, res.assignment)
         assert res.modularity == ref.modularity
 
@@ -672,7 +748,9 @@ class TestDeltaCheckpoints:
             load_shard(delta, 1)
         survivor = latest_valid_manifest(str(d), expect_size=2)
         assert survivor.seq == second_full - 1  # last delta of phase 0
-        res = run_louvain(g, 2, cfg, checkpoint_dir=str(d), resume=True)
+        res = run_louvain(
+            g, 2, cfg, checkpoints=disk_checkpoints(d, cfg), resume=True
+        )
         np.testing.assert_array_equal(ref.assignment, res.assignment)
         assert res.modularity == ref.modularity
 
@@ -682,7 +760,9 @@ class TestDeltaCheckpoints:
         _flip(read_manifest(str(d / "step-000000")).shard_path(0))
         assert latest_valid_manifest(str(d), expect_size=2) is None
         with pytest.raises(RankFailedError) as exc:
-            run_louvain(g, 2, cfg, checkpoint_dir=str(d), resume=True)
+            run_louvain(
+                g, 2, cfg, checkpoints=disk_checkpoints(d, cfg), resume=True
+            )
         assert any(
             isinstance(c, NoCheckpointError) for c in exc.value.causes.values()
         )
@@ -743,7 +823,7 @@ class TestDeltaCheckpoints:
     def test_v1_manifest_refused(self, tmp_path):
         g, cfg = _graph(), _config()
         d = str(tmp_path / "ck")
-        run_louvain(g, 2, cfg, checkpoint_dir=d)
+        run_louvain(g, 2, cfg, checkpoints=disk_checkpoints(d, cfg))
         for name, manifest, _ in scan_checkpoints(d):
             path = os.path.join(d, name, "manifest.json")
             with open(path, encoding="utf-8") as fh:
@@ -756,7 +836,9 @@ class TestDeltaCheckpoints:
                 read_manifest(os.path.join(d, name))
         assert latest_valid_manifest(d, expect_size=2) is None
         with pytest.raises(RankFailedError) as exc:
-            run_louvain(g, 2, cfg, checkpoint_dir=d, resume=True)
+            run_louvain(
+                g, 2, cfg, checkpoints=disk_checkpoints(d, cfg), resume=True
+            )
         assert any(
             isinstance(c, NoCheckpointError) for c in exc.value.causes.values()
         )
@@ -944,8 +1026,8 @@ class TestRunSnapshots:
 
         monkeypatch.setattr(CheckpointManager, "save", spy)
         snaps = _snapshots(every_iterations=1)
-        run_louvain(_graph(), p, _config(), snapshots=snaps)
-        newest = snaps.latest
+        run_louvain(_graph(), p, _config(), checkpoints=snaps)
+        newest = snaps.latest(p)
         assert len(returned) == p * (newest.seq + 1)
         assert [s.rank for s in newest.shards] == list(range(p))
         for rank, manifest in returned:
@@ -999,7 +1081,7 @@ class TestRunSnapshots:
 
         with pytest.raises(RankFailedError):
             run_spmd(2, dies_between_deposits)
-        assert _point(snaps) == ("iteration", 0, 0)
+        assert _point(snaps, 2) == ("iteration", 0, 0)
         snaps.begin_attempt(resume=True)
 
         def next_attempt(comm):
@@ -1015,7 +1097,7 @@ class TestRunSnapshots:
             comm.barrier()
 
         run_spmd(2, next_attempt)
-        assert _point(snaps) == ("iteration", 0, 0)
+        assert _point(snaps, 2) == ("iteration", 0, 0)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_charges_the_words_it_copies_and_no_collective(self, p):
@@ -1044,25 +1126,17 @@ class TestRunSnapshots:
 
     def test_resume_needs_a_complete_generation(self):
         with pytest.raises(NoCheckpointError, match="no complete snapshot"):
-            run_louvain(_graph(), 1, _config(), snapshots=_snapshots(), resume=True)
+            run_louvain(_graph(), 1, _config(), checkpoints=_snapshots(), resume=True)
 
     def test_cross_config_resume_refused(self):
         g, cfg = _graph(), _config()
         snaps = _DyingSnapshots(config_key=cfg.cache_key())
         snaps.last = 0
         with pytest.raises(InjectedFault):
-            run_louvain(g, 1, cfg, snapshots=snaps)
+            run_louvain(g, 1, cfg, checkpoints=snaps)
         snaps.last = None
         with pytest.raises(ValueError, match="would corrupt the run"):
-            run_louvain(g, 1, replace(cfg, alpha=0.5), snapshots=snaps, resume=True)
-
-    def test_one_medium_per_run(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            run_louvain(
-                _graph(), 1, _config(),
-                checkpoint_dir=str(tmp_path), snapshots=_snapshots(),
-            )
-        assert not os.listdir(tmp_path)
+            run_louvain(g, 1, replace(cfg, alpha=0.5), checkpoints=snaps, resume=True)
 
     @pytest.mark.parametrize("variant", list(RESUME_CASES))
     @pytest.mark.parametrize("p", [1, 2, 4])
@@ -1075,16 +1149,16 @@ class TestRunSnapshots:
         ref = run_louvain(g, p, cfg, **first_run)
         snaps = _FreezingSnapshots(every_iterations=1, config_key=cfg.cache_key())
         _assert_same_run(
-            ref, run_louvain(g, p, cfg, snapshots=snaps, **first_run), cfg
+            ref, run_louvain(g, p, cfg, checkpoints=snaps, **first_run), cfg
         )
-        snaps.last = snaps.latest.seq // 2
+        snaps.last = snaps.latest(p).seq // 2
         with pytest.raises((RankFailedError, InjectedFault)):
-            run_louvain(g, p, cfg, snapshots=snaps, **first_run)
+            run_louvain(g, p, cfg, checkpoints=snaps, **first_run)
         snaps.last = None
         _assert_same_run(
             ref,
             run_louvain(
-                g, p, cfg, snapshots=snaps, resume=True, **_again(first_run)
+                g, p, cfg, checkpoints=snaps, resume=True, **_again(first_run)
             ),
             cfg,
         )

@@ -85,14 +85,15 @@ class TestCategories:
         assert "checkpoint" in CATEGORIES
 
     def test_checkpointed_run_report_includes_checkpoint(self, tmp_path):
-        from tests.conftest import planted_blocks_graph
+        from tests.conftest import disk_checkpoints, planted_blocks_graph
         from repro.core import LouvainConfig, run_louvain
 
         g = planted_blocks_graph(
             blocks=3, per_block=8, p_in=0.8, inter_edges=6, seed=1
         )
+        cfg = LouvainConfig(seed=0)
         res = run_louvain(
-            g, 2, LouvainConfig(seed=0), checkpoint_dir=str(tmp_path / "ck")
+            g, 2, cfg, checkpoints=disk_checkpoints(tmp_path / "ck", cfg)
         )
         assert res.trace.seconds_by_category().get("checkpoint", 0.0) > 0.0
         assert "checkpoint" in res.trace.format()

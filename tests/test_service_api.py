@@ -9,6 +9,7 @@ from repro.core import LouvainConfig
 from repro.core import distlouvain as core_distlouvain
 from repro.core.dynamic import incremental_louvain as core_incremental
 from repro.generators import make_graph
+from tests.conftest import disk_checkpoints
 
 
 @pytest.fixture(scope="module")
@@ -22,12 +23,10 @@ class TestRunLouvain:
 
     def test_resume_round_trip(self, tiny, tmp_path):
         cfg = LouvainConfig(seed=5)
-        ckpt = str(tmp_path / "ckpt")
-        baseline = core_distlouvain.run_louvain(
-            tiny, 2, cfg, checkpoint_dir=ckpt, checkpoint_every_iterations=2
-        )
+        ckpt = disk_checkpoints(tmp_path / "ckpt", cfg, every_iterations=2)
+        baseline = core_distlouvain.run_louvain(tiny, 2, cfg, checkpoints=ckpt)
         resumed = repro.run_louvain(
-            None, 2, cfg, checkpoint_dir=ckpt, resume=True
+            None, 2, cfg, checkpoints=ckpt, resume=True
         )
         assert np.array_equal(resumed.assignment, baseline.assignment)
         assert resumed.modularity == baseline.modularity

@@ -18,7 +18,7 @@ import pytest
 from repro.core import LouvainConfig, Variant
 from repro.core.distlouvain import run_louvain
 from repro.generators import make_graph
-from repro.resilience import FaultPlan
+from repro.resilience import FaultPlan, RunSnapshots
 from repro.service import (
     AdmissionError,
     DetectionRequest,
@@ -27,6 +27,7 @@ from repro.service import (
     ResultStore,
     detect,
 )
+from tests.conftest import disk_checkpoints
 
 
 @pytest.fixture(scope="module")
@@ -173,18 +174,18 @@ class TestCancellation:
 
 
 def _spy_on_retries(monkeypatch):
-    """Record, at each retry decision, the job, the snapshot generation
-    it is about to resume from (``None``: it restarts) and a weak
-    reference to its snapshots."""
+    """Record, at each retry decision, the job, the save point it is
+    about to resume from (``None``: it restarts) and a weak reference to
+    its checkpoint manager."""
     seen = []
     can_resume = Engine._can_resume
 
     def spy(self, job):
-        snaps = job.snapshots
+        manager = job.checkpoints
         seen.append(SimpleNamespace(
             job=job,
-            resumed_from=snaps and snaps.latest,
-            snapshots=snaps and weakref.ref(snaps),
+            resumed_from=manager and manager.latest(job.request.nranks),
+            checkpoints=manager and weakref.ref(manager),
         ))
         return can_resume(self, job)
 
@@ -263,7 +264,7 @@ class TestRetryWithResume:
                 DetectionRequest(graph=tiny, nranks=2), timeout=300
             )
             assert good.state is JobState.DONE
-            assert all(j.snapshots is None for j in engine._jobs.values())
+            assert all(j.checkpoints is None for j in engine._jobs.values())
 
     def test_named_checkpoint_dir_still_goes_to_disk(self, tiny, tmp_path):
         """A request that names a directory gets format-v2 steps there —
@@ -274,7 +275,8 @@ class TestRetryWithResume:
         cfg = LouvainConfig(seed=3)
         direct, served = str(tmp_path / "direct"), str(tmp_path / "served")
         reference = run_louvain(
-            tiny, 2, cfg, checkpoint_dir=direct, checkpoint_every_iterations=4
+            tiny, 2, cfg,
+            checkpoints=disk_checkpoints(direct, cfg, every_iterations=4),
         )
         request = DetectionRequest(
             graph=tiny,
@@ -318,9 +320,50 @@ class TestRetryWithResume:
         )
         with Engine(workers=1) as engine:
             response = engine.wait(engine.submit(request), timeout=300)
-        assert [r.snapshots for r in seen] == [None]
+        (retry,) = seen
+        assert retry.resumed_from.directory.startswith(str(tmp_path))
+        assert not isinstance(retry.checkpoints(), RunSnapshots)
         assert response.resumed_from_checkpoint and os.listdir(tmp_path)
         _assert_same_run(response, run_louvain(tiny, 2, cfg))
+
+    def test_resumed_incremental_retry_computes_no_seed(
+        self, tiny, monkeypatch
+    ):
+        """An incremental job's pending seed rides its save points, so a
+        retry that resumes derives none, and still ends where the
+        uninterrupted job does."""
+        from repro.service import engine as engine_module
+
+        seeds = []
+        warm_start = engine_module.warm_start_assignment
+
+        def spy(*args, **kwargs):
+            seeds.append(args)
+            return warm_start(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "warm_start_assignment", spy)
+        cfg = LouvainConfig(seed=3)
+        previous = run_louvain(tiny, 2, LouvainConfig(seed=1)).assignment
+        request = DetectionRequest(
+            graph=tiny,
+            nranks=2,
+            config=cfg,
+            mode="incremental",
+            previous_assignment=previous,
+            reset_touched=np.arange(0, tiny.num_vertices, 3),
+        )
+        reference = detect(request).result
+        assert len(seeds) == 1
+        with Engine(workers=1) as engine:
+            response = engine.detect(
+                dataclasses.replace(
+                    request, fault_plan=FaultPlan(kills={1: 60})
+                ),
+                timeout=300,
+            )
+        assert response.retries == 1 and response.resumed_from_checkpoint
+        assert len(seeds) == 2  # the first attempt's
+        _assert_same_run(response, reference)
 
 
 VARIANTS = {
@@ -402,8 +445,8 @@ class TestSnapshotsAreReleased:
                 False, True, False,
             ]
             gc.collect()
-            assert [r.snapshots() for r in seen] == [None]
-            assert all(j.snapshots is None for j in engine._jobs.values())
+            assert [r.checkpoints() for r in seen] == [None]
+            assert all(j.checkpoints is None for j in engine._jobs.values())
         assert not os.listdir(tmp_path)
 
     def test_failed_and_cancelled_jobs_drop_theirs(self, tiny, monkeypatch):
@@ -427,7 +470,7 @@ class TestSnapshotsAreReleased:
             assert failed.state is JobState.FAILED
             assert "deadline exceeded" in failed.error
             assert [r.resumed_from is None for r in seen] == [False]
-            assert all(j.snapshots is None for j in engine._jobs.values())
+            assert all(j.checkpoints is None for j in engine._jobs.values())
 
 
 class TestObservability:
