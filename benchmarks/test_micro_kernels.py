@@ -15,6 +15,10 @@ performance regressions of the simulator itself are visible:
   per-edge cost that rises with the input says where, and the rounds
   also on the ``mesh_p8`` and ``social_p4_etc`` workloads' slices
   (appended to ``BENCH_generators.json``);
+* one round's community-info legs per 8-rank world on the ``mesh_p8``
+  slice — ``Communicator.lookup`` + ``push`` with the ghost labels
+  against the list protocol they replaced — wall µs per world-round and
+  modelled seconds per round (appended to ``BENCH_generators.json``);
 * one ``rebuild_distributed`` at p ∈ {1, 4};
 * the vectorised greedy coloring and vertex-following seeds;
 * serial graph coarsening;
@@ -38,7 +42,13 @@ import numpy as np
 
 import pytest
 
-from repro.core import IterationState, LouvainConfig, RunState, coarsen_csr
+from repro.core import (
+    IterationState,
+    LouvainConfig,
+    RunState,
+    aggregate_deltas,
+    coarsen_csr,
+)
 from repro.core.coarsen import rebuild_distributed
 from repro.core.distlouvain import (
     _CommunityView,
@@ -53,6 +63,7 @@ from repro.generators import generate_lfr, make_graph
 from repro.graph import CSRGraph, DistGraph, EdgeList
 from repro.resilience import CheckpointManager, RunSnapshots, read_manifest
 from repro.runtime import CORI_HASWELL, FREE, run_spmd
+from tests.oracles import exchange_reference
 
 
 def _graph():
@@ -352,6 +363,119 @@ def test_kernel_sweep_round(
             "kernel_cpu_us_per_world_round": round(kernel_us, 1),
             "kernel_cpu_share": round(kernel_us / cpu_us, 3),
             "cpu_ns_per_edge": round(1e3 * cpu_us / g.num_edges, 1),
+        })
+
+
+COMMUNITY_ROUNDS = 30
+COMMUNITY_PATHS = {
+    "list protocol": (
+        lambda comm, dg, ids, tables: exchange_reference.lookup(
+            comm, dg.offsets, ids, tables, "community_comm"
+        ),
+        lambda comm, dg, ids, values, tables, carry: exchange_reference.push(
+            comm, dg.offsets, ids, values, tables, carry, "community_comm"
+        ),
+    ),
+    "lookup + push": (
+        lambda comm, dg, ids, tables: comm.lookup(
+            ids, dg.cuts(ids), tables, category="community_comm"
+        ),
+        lambda comm, dg, ids, values, tables, carry: comm.push(
+            ids, dg.cuts(ids), values, tables, carry, "community_comm"
+        ),
+    ),
+}
+
+
+def test_kernel_community_legs(benchmark, record_bench):
+    """One round's community-info legs per 8-rank world on the
+    ``mesh_p8`` slice (channel ``medium``) in the mid-run state: step
+    (ii)'s request and reply for every community a rank holds, then
+    step (iv)'s deltas with the moved vertices' labels, each rank moving
+    every seventh vertex it owns to its first neighbour's community.
+    ``lookup + push`` is the shipped path, ``list protocol`` the
+    request / reply ``alltoall``s and per-source ``np.add.at`` it
+    replaced (``tests/oracles/exchange_reference.py``), run as the
+    before.  Both must leave every rank the same answers, tables and
+    labels and the same modelled seconds.  Reported per world-round:
+    wall µs (first rank in to last rank out) and the modelled seconds
+    of the round's three legs on ``CORI_HASWELL``."""
+    g = _kernel_graph("mesh")
+    n = g.num_vertices
+    comm0 = _sweep_state(g, "midrun")
+    tot0 = np.bincount(comm0, weights=g.degrees(), minlength=n)
+    size0 = np.bincount(comm0, minlength=n)
+
+    def prog(comm, lookup, push):
+        dg = DistGraph.distribute(comm, g)
+        lo, hi = dg.vbegin, dg.vend
+        plan = dg.build_ghost_plan(comm)
+        local = comm0[lo:hi].copy()
+        view = _CommunityView(
+            dg, plan, local, dg.exchange_ghost_values(comm, plan, local)
+        )
+        rows = np.arange(0, dg.num_local, 7)
+        rows = rows[np.diff(dg.index)[rows] > 0]
+        new = local.copy()
+        new[rows] = comm0[dg.edges[dg.index[rows]]]
+        moved = new != local
+        deltas = aggregate_deltas(
+            local[moved], new[moved], dg.local_degrees()[moved]
+        )
+        labels = view.publish(new, moved)
+        spans = []
+        for _ in range(COMMUNITY_ROUNDS + WARM_ROUNDS):
+            tables = (tot0[lo:hi].copy(), size0[lo:hi].copy())
+            comm.barrier()
+            w0, m0 = time.perf_counter_ns(), comm.clock
+            info = lookup(comm, dg, view.ids, tables)
+            got = push(comm, dg, deltas[0], deltas[1:], tables, labels)
+            spans.append((w0, time.perf_counter_ns(), comm.clock - m0))
+        return spans[WARM_ROUNDS:], (*info, *got, *tables)
+
+    runs = {
+        path: run_spmd(8, prog, *legs, machine=CORI_HASWELL, timeout=60.0)
+        for path, legs in COMMUNITY_PATHS.items()
+    }
+    benchmark.pedantic(
+        lambda: run_spmd(
+            8, prog, *COMMUNITY_PATHS["lookup + push"], timeout=60.0
+        ),
+        rounds=1, iterations=1,
+    )
+    rows = {}
+    for path, r in runs.items():
+        per_round = list(zip(*(v[0] for v in r.values)))
+        rows[path] = (
+            float(np.median([
+                max(s[1] for s in rs) - min(s[0] for s in rs)
+                for rs in per_round
+            ])) / 1e3,
+            float(np.median([max(s[2] for s in rs) for rs in per_round])),
+        )
+    before, after = (runs[path].values for path in COMMUNITY_PATHS)
+    for (_, want), (_, got) in zip(before, after):
+        assert len(want) == len(got)
+        for a, b in zip(want, got):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+    assert rows["list protocol"][1] == rows["lookup + push"][1]
+    benchmark.extra_info.update({
+        f"{path} {unit}": value
+        for path, row in rows.items()
+        for unit, value in zip(("wall_us", "modelled_s"), row)
+    })
+    for path, (wall_us, modelled_s) in rows.items():
+        print(
+            f"\ncommunity legs {path:<14} p=8 {wall_us:>8.0f} us wall per "
+            f"world-round, {modelled_s * 1e6:.2f} us modelled per round"
+        )
+        record_bench("generators", {
+            "kind": "kernel_community_legs", "dataset": "channel",
+            "scale": "medium", "state": "midrun", "ranks": 8,
+            "path": path, "num_edges": g.num_edges,
+            "wall_us_per_world_round": round(wall_us, 1),
+            "modelled_s_per_round": modelled_s,
         })
 
 

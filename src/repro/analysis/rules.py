@@ -33,7 +33,8 @@ SEVERITY_ORDER = {name: i for i, name in enumerate(SEVERITIES)}
 #: Methods on a communicator object that are synchronizing collectives:
 #: every rank must call them, in the same order (``runtime/comm.py``).
 #: ``world_call`` sends nothing, but it is a rendezvous of every rank
-#: all the same.
+#: all the same; ``lookup`` and ``push`` are the owner-routed exchanges
+#: (two alltoall legs and one on the wire, one rendezvous each).
 COLLECTIVE_METHODS = frozenset(
     {
         "barrier",
@@ -44,6 +45,8 @@ COLLECTIVE_METHODS = frozenset(
         "allgather",
         "scatter",
         "alltoall",
+        "lookup",
+        "push",
         "scan",
         "exscan",
         "neighbor_alltoall",

@@ -85,82 +85,41 @@ def remote_lookup(
     comm: Communicator,
     offsets: np.ndarray,
     query_ids: np.ndarray,
-    local_lookup,
+    table: np.ndarray,
     category: str = "rebuild",
 ) -> np.ndarray:
-    """Resolve values owned by other ranks: route each query id to its
-    owner, owners answer via ``local_lookup(ids)``.
-
-    ``offsets`` is the contiguous partition the ids live in
-    (``DistGraph.offsets``).  ``local_lookup`` must accept an ``int64``
-    array of *owned* ids and return the aligned ``int64`` values.
-    Queries for locally-owned ids are answered without communication,
-    but every rank must call this function (it contains collectives).
+    """Resolve values owned by other ranks: every query id is answered
+    from its owner's ``table`` (:func:`owner_lookup`) in the partition
+    ``offsets``.  Every rank must call this collective, asking or not.
     """
     query_ids = np.asarray(query_ids, dtype=np.int64)
     uniq_ids, inverse = np.unique(query_ids, return_inverse=True)
-    values = _lookup_sorted(comm, offsets, uniq_ids, local_lookup, category)
+    (values,) = owner_lookup(comm, offsets, uniq_ids, (table,), category)
     return values.astype(np.int64, copy=False)[inverse]
 
 
-def _lookup_sorted(
+def owner_lookup(
     comm: Communicator,
     offsets: np.ndarray,
     ids: np.ndarray,
-    local_lookup,
+    tables: tuple[np.ndarray, ...],
     category: str,
-    what: str = "lookups",
-) -> np.ndarray:
+) -> tuple[np.ndarray, ...]:
     """The one owner-routed lookup: values of ascending, duplicate-free
-    ``ids`` from the ranks that own them — :func:`_send_requests`, then
-    :func:`_answer_requests`."""
-    return _answer_requests(
-        comm, *_send_requests(comm, offsets, ids, category), local_lookup,
-        category, what,
-    )
-
-
-def _send_requests(
-    comm: Communicator, offsets: np.ndarray, ids: np.ndarray, category: str
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Requests are slices of ``ids`` by owner: deliver them and return
-    ``(cuts, this rank's own slice, the slices sent here)`` — the own
-    slice never touches the wire."""
+    ``ids`` from the dense ``tables`` (one per field, over this rank's
+    interval of ``offsets``) of the ranks that own them —
+    :meth:`~repro.runtime.comm.Communicator.lookup`, whose owners answer
+    every rank at once.  A table that is not as long as its interval
+    would shift every later rank's ids, so it raises."""
     cuts = owner_cuts(offsets, ids)
-    requests = [ids[cuts[r]:cuts[r + 1]] for r in range(comm.size)]
-    mine = requests[comm.rank]
-    requests[comm.rank] = ids[:0]
-    return cuts, mine, comm.alltoall(requests, category=category)
-
-
-def _answer_requests(
-    comm: Communicator,
-    cuts: np.ndarray,
-    mine: np.ndarray,
-    incoming: list[np.ndarray],
-    local_lookup,
-    category: str,
-    what: str = "lookups",
-) -> np.ndarray:
-    """Owners answer every request — an empty one included — with
-    ``local_lookup``, and the replies in rank order, this rank answering
-    its own slice in place, are the values in ``ids`` order.  A reply
-    holds one value per id along its *last* axis (``(k,)`` new ids for
-    the rebuild, ``(2, k)`` for the community info), and is refused
-    unless it is as long as its request; ``what`` names the requests in
-    that error.
-    """
-    answers = comm.alltoall(
-        [local_lookup(asked) for asked in incoming], category=category
-    )
-    answers[comm.rank] = local_lookup(mine)
-    for r, got in enumerate(answers):
-        if got.shape[-1] != cuts[r + 1] - cuts[r]:
+    owned = int(offsets[comm.rank + 1] - offsets[comm.rank])
+    for table in tables:
+        if len(table) != owned:
             raise ValueError(
-                f"rank {comm.rank}: rank {r} answered {got.shape[-1]} of "
-                f"{cuts[r + 1] - cuts[r]} {what}"
+                f"rank {comm.rank}: owner table of {len(table)} values "
+                f"for its {owned} ids"
             )
-    return np.concatenate(answers, axis=-1)
+    return comm.lookup(ids, cuts, tables, category=category)
 
 
 def rebuild_distributed(
@@ -206,10 +165,13 @@ def rebuild_distributed(
     # learn about remote usage through the notification alltoall —
     # also step 4's request: a rank needs the new ids of exactly the
     # communities it reports.
-    cuts, mine_here, reported = _send_requests(
-        comm, dg.offsets, used, category="rebuild"
-    )
-    alive = sorted_unique(np.concatenate([mine_here] + reported))
+    cuts = dg.cuts(used)
+    requests = [used[cuts[r]:cuts[r + 1]] for r in range(comm.size)]
+    mine_here = requests[comm.rank]
+    requests[comm.rank] = used[:0]  # (the own slice stays off the wire)
+    reported = comm.alltoall(requests, category="rebuild")
+    reported[comm.rank] = mine_here
+    alive = sorted_unique(np.concatenate(reported))
     # (every id reported to us is owned by us by construction)
 
     # --- step 3: global renumbering: every rank's alive count ------
@@ -218,12 +180,25 @@ def rebuild_distributed(
     new_ids = sum(counts[:comm.rank]) + np.arange(len(alive), dtype=np.int64)
 
     # --- step 4: propagate new ids for every community used here ---
-    # (owners answer their notifications: all in ``alive``)
-    slot_new = _answer_requests(
-        comm, cuts, mine_here, reported,
-        lambda ids: new_ids[np.searchsorted(alive, ids)],
-        category="rebuild", what="new community ids",
-    )[slot_of]
+    # Owners answer their notifications (all in ``alive``) with one
+    # search, the own slice in place; the replies, in rank order, are
+    # the new ids in ``used`` order, so each must be as long as what
+    # this rank reported to its sender.
+    replies = np.split(
+        new_ids[np.searchsorted(alive, np.concatenate(reported))],
+        np.cumsum([len(ids) for ids in reported[:-1]]),
+    )
+    own = replies[comm.rank]
+    replies[comm.rank] = own[:0]
+    answers = comm.alltoall(replies, category="rebuild")
+    answers[comm.rank] = own
+    for r, got in enumerate(answers):
+        if len(got) != cuts[r + 1] - cuts[r]:
+            raise ValueError(
+                f"rank {comm.rank}: rank {r} answered {len(got)} of "
+                f"{cuts[r + 1] - cuts[r]} new community ids"
+            )
+    slot_new = np.concatenate(answers)[slot_of]
     local_new = slot_new[:dg.num_local]
 
     # --- step 5: partial meta edge lists --------------------------------

@@ -23,7 +23,8 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
            step iv);
       ii.  fetch current ``a_c``/size for every community referenced by
            this iteration's *active* vertices from the community owners
-           (category ``community_comm``);
+           (one ``lookup``: request and reply in one rendezvous; category
+           ``community_comm``);
       iii. snapshot sweep: compute the best move for every active local
            vertex against the fetched state (lines 6-9; the shared
            kernel from :mod:`repro.core.sweep`) — for every rank at
@@ -31,8 +32,8 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
            (:func:`_sweep_world`) runs the kernel once over every rank's
            entries, laid end to end once per phase by
            :func:`_stack_sweep`;
-      iv.  one personalised exchange carries everything the moves
-           changed, one message per peer: the ``a_c``/size deltas of the
+      iv.  one personalised exchange (``push``) carries everything the
+           moves changed, one message per peer: the ``a_c``/size deltas of the
            communities that peer owns, which it applies (lines 10-11),
            and the new community of every moved vertex it ghosts (the
            next sweep's lines 4-5) — category ``community_comm``;
@@ -62,7 +63,8 @@ the rank owning the same-numbered vertex, so owners keep *dense*
 of Algorithm 3.  Ownership is contiguous (§IV), so anything routed by
 owner — community requests, deltas, ghost updates — is an ascending id
 array cut into one slice per rank (:meth:`DistGraph.cuts`), and the
-replies, in rank order, are already in request order.  Whatever is ready
+owners' tables laid end to end are indexed by global id, so the owners
+answer and apply for the whole world at once.  Whatever is ready
 at the same synchronisation point leaves in one message per peer.  What
 a rank knows of the communities between exchanges lives in a per-phase
 :class:`_CommunityView` that the rounds patch rather than rebuild.
@@ -86,7 +88,7 @@ from ..graph.partition import even_vertex
 from ..runtime.comm import Communicator
 from ..runtime.executor import SPMDResult, run_spmd
 from ..runtime.perfmodel import CORI_HASWELL, MachineModel
-from .coarsen import _lookup_sorted, rebuild_distributed, remote_lookup
+from .coarsen import owner_lookup, rebuild_distributed, remote_lookup
 from .config import LouvainConfig
 from .heuristics import (
     EarlyTermination,
@@ -183,22 +185,18 @@ class _CommunityView:
 
     def publish(
         self, local_comm: np.ndarray, moved: np.ndarray
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """This round's label slices by destination rank: the
-        ``(vertex ids, new communities)`` of the ``moved`` owned
-        vertices each rank ghosts (empty for a rank that ghosts none of
-        them).  The caller ships them with the round's deltas
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This round's labels by destination rank: ``(counts, vertex
+        ids, new communities)`` of the ``moved`` owned vertices each rank
+        ghosts, in destination order, ``counts[d]`` of them for rank
+        ``d``.  The caller ships them with the round's deltas
         (:func:`_apply_community_deltas`) and hands what came back to
         :meth:`absorb`.  ``slot`` must already hold the moved vertices'
         own new positions (the kernel proposes in positions, so the
         caller has them for free)."""
         sel = np.flatnonzero(moved[self.send_loc])
-        cuts = np.searchsorted(sel, self._send_cuts)
-        ids = self.send_ids[sel]
-        values = local_comm[self.send_loc[sel]]
-        return [
-            (ids[a:b], values[a:b]) for a, b in zip(cuts[:-1], cuts[1:])
-        ]
+        counts = np.diff(np.searchsorted(sel, self._send_cuts))
+        return counts, self.send_ids[sel], local_comm[self.send_loc[sel]]
 
     def absorb(self, ghost_ids: np.ndarray, values: np.ndarray) -> None:
         """Ghost vertices ``ghost_ids`` now belong to communities
@@ -340,9 +338,9 @@ def _sweep_round(
     active: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """Steps (i)-(iv) of one Louvain iteration for one active set:
-    three exchanges — community-info request, reply, and after the
-    sweep one message per peer with the deltas it owns and the labels
-    it ghosts — and between them the world call of the sweep.
+    three legs — community-info request and reply (one lookup), and
+    after the sweep one message per peer with the deltas it owns and
+    the labels it ghosts (one push) — and between them the world call.
 
     Updates ``local_comm``, the owner-side ``tot_owned`` / ``size_owned``
     and ``view`` in place and returns ``(moved mask, moves)``;
@@ -399,14 +397,10 @@ def _sweep_round(
     deltas = aggregate_dense_deltas(ids, local_dense[rows], new_dense, k[rows])
     local_comm[rows] = ids[new_dense]
     local_dense[rows] = new_dense
-    labels = _apply_community_deltas(
+    view.absorb(*_apply_community_deltas(
         comm, dg, *deltas, tot_owned=tot_owned, size_owned=size_owned,
         labels=view.publish(local_comm, moved),
-    )
-    view.absorb(
-        np.concatenate([vertices for vertices, _ in labels]),
-        np.concatenate([values for _, values in labels]),
-    )
+    ))
     return moved, len(rows)
 
 
@@ -697,25 +691,16 @@ def _fetch_community_info(
     size_owned: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pull current (a_c, |c|) for each community id in ascending
-    ``needed``; both come back as ``float64`` rows aligned with it.
-
-    Owners answer from their dense C_info arrays: the owner-routed
-    lookup (:func:`~repro.core.coarsen._lookup_sorted`) with a
-    two-row answer.  Two alltoalls (request + reply), charged to
-    ``community_comm`` — the traffic the paper's §V-A profile
-    attributes ~34% of the runtime to.
+    ``needed``, as two arrays aligned with it, from the owners' dense
+    C_info tables (:func:`~repro.core.coarsen.owner_lookup`).  Two
+    alltoall legs (request + reply), charged to ``community_comm`` —
+    the traffic the paper's §V-A profile attributes ~34% of the
+    runtime to.
     """
-
-    def answer(ids: np.ndarray) -> np.ndarray:
-        loc = dg.to_local(ids)
-        out = np.empty((2, len(ids)))
-        out[0], out[1] = tot_owned[loc], size_owned[loc]
-        return out
-
-    return tuple(_lookup_sorted(
-        comm, dg.offsets, needed, answer,
-        category="community_comm", what="community requests",
-    ))
+    return owner_lookup(
+        comm, dg.offsets, needed, (tot_owned, size_owned),
+        category="community_comm",
+    )
 
 
 def aggregate_deltas(
@@ -765,35 +750,25 @@ def _apply_community_deltas(
     dsize: np.ndarray,
     tot_owned: np.ndarray,
     size_owned: np.ndarray,
-    labels: list[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> list[tuple[np.ndarray, ...]]:
+    labels: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, ...]:
     """Route aggregated (a_c, |c|) deltas of this rank's moves
     (:func:`aggregate_deltas`: ``ids`` ascending and duplicate-free) to
-    the community owners, who apply them in source-rank order.
+    the community owners, who apply them in source-rank order
+    (:meth:`~repro.runtime.comm.Communicator.push`).
 
-    ``labels`` — one tuple of arrays per destination rank, a sweep
-    round's :meth:`_CommunityView.publish` — leaves in the same message
-    as that rank's delta slice; returns what each rank sent here beside
-    its deltas, in rank order.  One exchange, charged to
-    ``community_comm``; every rank participates even with zero moves
-    (the collective is unconditional in Algorithm 3).
+    ``labels`` — a sweep round's :meth:`_CommunityView.publish`,
+    ``(counts, ids, values)`` in destination order — leaves in the same
+    message as that rank's delta slice; returns the ``(ids, values)``
+    every rank sent here, concatenated in source order (``()`` without
+    labels).  One exchange, charged to ``community_comm``; every rank
+    participates even with zero moves (the collective is unconditional
+    in Algorithm 3).
     """
-    cuts = dg.cuts(ids)
-    if labels is None:
-        labels = [()] * comm.size
-    received = comm.alltoall(
-        [
-            (ids[a:b], dtot[a:b], dsize[a:b], *extra)
-            for a, b, extra in zip(cuts[:-1], cuts[1:], labels)
-        ],
-        category="community_comm",
+    return comm.push(
+        ids, dg.cuts(ids), (dtot, dsize), (tot_owned, size_owned),
+        carry=labels, category="community_comm",
     )
-    for rids, rtot, rsize, *_ in received:
-        if len(rids):
-            loc = dg.to_local(rids)
-            np.add.at(tot_owned, loc, rtot)
-            np.add.at(size_owned, loc, rsize)
-    return [message[3:] for message in received]
 
 
 def distributed_louvain(
@@ -1077,11 +1052,7 @@ def _vertex_following_targets(
     leaf_targets = cand_targets[leaf_mask]
     # Stored-entry count of each leaf's neighbour, wherever it lives.
     tgt_deg = remote_lookup(
-        comm,
-        dg.offsets,
-        leaf_targets,
-        lambda ids: entry_counts[dg.to_local(ids)],
-        category="rebuild",
+        comm, dg.offsets, leaf_targets, entry_counts, category="rebuild"
     )
     local_comm = own_ids.copy()
     if len(leaves):
@@ -1310,11 +1281,7 @@ def _project(comm: Communicator, run: RunState, local_new: np.ndarray) -> None:
     at the owner of o's current meta vertex x."""
     dg = run.dg
     run.orig_slice = remote_lookup(
-        comm,
-        dg.offsets,
-        run.orig_slice,
-        lambda ids: local_new[dg.to_local(ids)],
-        category="rebuild",
+        comm, dg.offsets, run.orig_slice, local_new, category="rebuild"
     )
 
 

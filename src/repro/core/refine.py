@@ -112,20 +112,13 @@ def _split_flags(
     root_comms, root_counts = np.unique(
         local_comm[roots], return_counts=True
     )
-    outgoing = split_by_rank(
-        dg.owner_of(root_comms), comm.size, root_comms, root_counts
-    )
-    received = comm.alltoall(outgoing, category="other")
     ncomp = np.zeros(dg.num_local, dtype=np.int64)
-    for rids, rcounts in received:
-        if len(rids):
-            np.add.at(ncomp, dg.to_local(rids), rcounts)
-    counts = remote_lookup(
-        comm,
-        dg.offsets,
-        local_comm,
-        lambda ids: ncomp[dg.to_local(ids)],
+    comm.push(
+        root_comms, dg.cuts(root_comms), (root_counts,), (ncomp,),
         category="other",
+    )
+    counts = remote_lookup(
+        comm, dg.offsets, local_comm, ncomp, category="other"
     )
     return counts > 1
 

@@ -76,20 +76,12 @@ def audit_community_info(
     np.add.at(part_tot, inv, k)
     np.add.at(part_size, inv, 1)
 
-    owners = np.asarray(dg.owner_of(uniq))
-    outgoing = []
-    for r in range(comm.size):
-        m = owners == r
-        outgoing.append((uniq[m], part_tot[m], part_size[m]))
-    received = comm.alltoall(outgoing, category="other")
-
     true_tot = np.zeros(dg.num_local)
     true_size = np.zeros(dg.num_local, dtype=np.int64)
-    for ids, tots, sizes in received:
-        if len(ids):
-            loc = dg.to_local(ids)
-            np.add.at(true_tot, loc, tots)
-            np.add.at(true_size, loc, sizes)
+    comm.push(
+        uniq, dg.cuts(uniq), (part_tot, part_size), (true_tot, true_size),
+        category="other",
+    )
 
     bad_tot = np.flatnonzero(
         np.abs(true_tot - tot_owned) > tolerance * (1 + np.abs(true_tot))
@@ -168,11 +160,7 @@ def audit_ghost_coherence(
         )
         return report.merge_global(comm)
     truth = remote_lookup(
-        comm,
-        dg.offsets,
-        plan.ghost_ids,
-        lambda ids: local_comm[dg.to_local(ids)],
-        category="other",
+        comm, dg.offsets, plan.ghost_ids, local_comm, category="other"
     )
     bad = np.flatnonzero(truth != ghost_comm)
     for g in bad[:5]:

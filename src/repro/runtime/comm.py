@@ -9,11 +9,12 @@ ranks run as threads, each holding a :class:`Communicator`, and talk via
   sends never block, so nothing needed one), and
 * synchronizing collectives (``barrier``, ``bcast``, ``reduce``,
   ``allreduce``, ``gather``, ``allgather``, ``scatter``, ``alltoall``,
-  ``scan``/``exscan``), the MPI-3-style ``neighbor_alltoall`` the
-  paper lists as future work (§VI), and a fused request/reply
-  ``exchange_roundtrip``.
-  The algorithm itself uses allreduce, alltoall, allgather, gather and
-  bcast, and checkpointing adds barrier; no caller outside the tests
+  ``scan``/``exscan``), the owner-routed ``lookup`` and ``push``, the
+  MPI-3-style ``neighbor_alltoall`` the paper lists as future work
+  (§VI), and a fused request/reply ``exchange_roundtrip``.
+  The algorithm itself uses allreduce, alltoall, lookup, push,
+  allgather, gather and bcast, and checkpointing adds barrier; no
+  caller outside the tests
   sends point to point.  ``send``, ``recv``, ``sendrecv``, ``reduce``,
   ``scatter``, ``scan``, ``exscan``, ``neighbor_alltoall`` and
   ``exchange_roundtrip`` stay only because the end-to-end benchmark's
@@ -32,10 +33,19 @@ for work one rank does alone inside the SPMD program (the gathered tail
 of a run, in ``core/``).  Its collectives meet no peer, so they cost
 nothing on the modelled machine.
 
-The two personalized exchanges (``alltoall``, ``exchange_roundtrip``)
-size each wire message exactly once, in the rendezvous finalizer
-(:func:`_leg_sizes`): the cost model and the per-rank trace counters
-both read that one matrix.
+A *leg* is one personalised exchange on the wire, a message from every
+rank to every peer, priced per rank by the alltoallv model from the
+bytes it sends and receives; the cost model and the trace counters read
+the same sums.  ``alltoall`` is one leg and sizes its payloads once, in
+the rendezvous finalizer (:func:`_leg_sizes`).  Owner-routed traffic
+(Algorithm 3's community info) runs on the table-backed ``lookup``
+(request and reply legs) and ``push`` (one leg): one rendezvous each, in
+which the owners' work is done once for the world while every rank is
+blocked.  The model, the trace and the fault plan still see the paper's
+alltoallv legs — each leg consults the plan and counts as one
+``alltoall`` — and message ``(s, d)`` is sized ``ENVELOPE_BYTES + Σ count
+× itemsize`` (:func:`_count_sizes`), ``message_bytes`` of the same
+slices by construction.
 
 Every operation advances the rank's *virtual clock* according to the
 :class:`~repro.runtime.perfmodel.MachineModel` and attributes the time to
@@ -82,6 +92,7 @@ import contextlib
 import os
 import threading
 from collections import defaultdict, deque
+from itertools import accumulate
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -92,7 +103,7 @@ from .errors import (
     InvalidRankError,
     RankAborted,
 )
-from .payload import message_bytes
+from .payload import ENVELOPE_BYTES, message_bytes
 from .perfmodel import MachineModel
 from .tracing import RankTrace
 
@@ -125,27 +136,65 @@ def _fold(values: Sequence[Any], op: Callable[[Any, Any], Any]) -> Any:
     return acc
 
 
-def _leg_sizes(mats: Sequence[Sequence[Any]]) -> list[tuple[list[int], list[int]]]:
-    """Size every wire message of one personalized-exchange leg once.
-
-    ``mats[s][d]`` is rank ``s``'s payload for rank ``d``.  Returns, per
-    rank, ``(sent, received)``: the sizes of the messages it sends (by
-    destination) and receives (by source).  The self-message never
-    touches the wire and is not sized.  The cost model prices a rank
-    from the integer sums of its two lists and the rank's trace counters
-    read the same lists back, so no payload is sized twice.
-    """
-    p = len(mats)
-    sizes = [
-        [message_bytes(v) if d != s else 0 for d, v in enumerate(row)]
+def _leg_sizes(mats: Sequence[Sequence[Any]]) -> list[tuple[int, int]]:
+    """Size every wire message of one ``alltoall`` leg once:
+    ``mats[s][d]`` is rank ``s``'s payload for rank ``d``; the
+    self-message never touches the wire and is not sized."""
+    return _count_sizes(np.array([
+        [message_bytes(v) - ENVELOPE_BYTES if d != s else 0 for d, v in enumerate(row)]
         for s, row in enumerate(mats)
-    ]
+    ]))
+
+
+def _count_sizes(payload: np.ndarray) -> list[tuple[int, int]]:
+    """Per rank, the bytes it sends and receives in a leg whose message
+    ``(s, d)`` carries ``payload[s, d]`` bytes of arrays in its envelope
+    (from counts: ``message_bytes`` of the same slices by construction).
+    The cost model and the rank's trace counters read the same sums."""
+    sizes = payload + ENVELOPE_BYTES
+    sizes.flat[:: len(sizes) + 1] = 0  # the diagonal: self-messages
+    return list(zip(sizes.sum(axis=1).tolist(), sizes.sum(axis=0).tolist()))
+
+
+def _counts(cuts: Sequence[np.ndarray]) -> np.ndarray:
+    """``counts[s, d]``: how many of rank ``s``'s ids rank ``d`` owns."""
+    c = np.array(cuts)
+    return c[:, 1:] - c[:, :-1]
+
+
+def _widths(arrays: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+    """Bytes per id of every rank's aligned ``arrays``, as a column."""
+    return np.array([[sum(a.itemsize for a in row)] for row in arrays])
+
+
+def _joined(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Every rank's part laid end to end (a lone rank's as it is): with
+    contiguous ownership from 0, global ids index the owners' tables."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _route(
+    counts: np.ndarray, arrays: Sequence[Sequence[np.ndarray]]
+) -> list[tuple[np.ndarray, ...]]:
+    """Personalised routing of concatenated arrays in one gather per
+    field: ``arrays[s]`` are rank ``s``'s arrays in destination order,
+    ``counts[s, d]`` elements for rank ``d``; rank ``d`` gets, per
+    field, what every rank sent it concatenated in source order."""
+    p = len(counts)
+    if not counts.any():
+        return [tuple(a[:0] for a in arrays[0])] * p
+    flat = counts.ravel()
+    lengths = counts.T.ravel()
+    # Segment (s, d) moves from its start in the source-major layout to
+    # its start in the destination-major one.
+    shift = (flat.cumsum() - flat).reshape(p, p).T.ravel()
+    shift -= lengths.cumsum() - lengths
+    index = shift.repeat(lengths)
+    index += np.arange(len(index))
+    fields = [np.concatenate(field).take(index) for field in zip(*arrays)]
+    cuts = list(accumulate(counts.sum(axis=0).tolist(), initial=0))
     return [
-        (
-            [sizes[r][d] for d in range(p) if d != r],
-            [sizes[s][r] for s in range(p) if s != r],
-        )
-        for r in range(p)
+        tuple(f[cuts[d]:cuts[d + 1]] for f in fields) for d in range(p)
     ]
 
 
@@ -179,6 +228,8 @@ _DTYPE_CHECKED = frozenset(
         "exscan",
         "neighbor_alltoall",
         "exchange_roundtrip",
+        "lookup",
+        "push",
         "world_call",
     }
 )
@@ -445,6 +496,16 @@ class World:
         ]
         self._box_cvs = [threading.Condition() for _ in range(size)]
         self.rendezvous = _Rendezvous(size, self)
+        # Each rank's alltoallv latency (its cost of a leg without bytes).
+        self._latency = [
+            machine.alltoallv_cost(0, 0, size, rank=r) for r in range(size)
+        ]
+
+    def leg_costs(self, sizes: list[tuple[int, int]]) -> list[float]:
+        """``alltoallv_cost`` of every rank's ``(sent, received)`` bytes
+        in one leg, from the latencies the world computed once."""
+        beta = self.machine.beta
+        return [t + beta * (s + r) for t, (s, r) in zip(self._latency, sizes)]
 
     # -- abort handling -------------------------------------------------
     def abort(self, exc: BaseException) -> None:
@@ -745,12 +806,14 @@ class Communicator:
             return payload_kind(deposit)
         return ""
 
-    def _record_leg(self, sent: list[int], received: list[int]) -> None:
-        """Count one exchange leg's messages, sized by ``_leg_sizes``."""
-        for n in sent:
-            self.trace.record_send(n)
-        for n in received:
-            self.trace.record_recv(n)
+    def _record_leg(self, sent: int, received: int) -> None:
+        """Count one exchange leg: a message to and from every peer,
+        ``sent`` and ``received`` bytes in all."""
+        trace, peers = self.trace, self.size - 1
+        trace.messages_sent += peers
+        trace.bytes_sent += sent
+        trace.messages_received += peers
+        trace.bytes_received += received
 
     def barrier(self, category: str = "other") -> None:
         m = self.machine
@@ -879,22 +942,152 @@ class Communicator:
                 f"alltoall needs one value per rank ({self.size}), got "
                 f"{len(values)}"
             )
-        m = self.machine
-        p = self.size
+        world, p = self.world, self.size
 
         def finalize(slots):
             mats = [v for v, _ in slots]
             t0 = max(c for _, c in slots)
-            outs = []
-            for r, (sent, recv) in enumerate(_leg_sizes(mats)):
-                t = t0 + m.alltoallv_cost(sum(sent), sum(recv), p, rank=r)
-                outs.append((([mats[s][r] for s in range(p)], sent, recv), t))
-            return outs
+            legs = _leg_sizes(mats)
+            return [
+                ([mats[s][r] for s in range(p)], (leg,), (t0 + dt,))
+                for r, (leg, dt) in enumerate(zip(legs, world.leg_costs(legs)))
+            ]
 
-        out, sent, recv = self._collective(
-            "alltoall", list(values), finalize, category
+        return self._legs("alltoall", 1, list(values), finalize, category)
+
+    def lookup(
+        self,
+        ids: np.ndarray,
+        cuts: np.ndarray,
+        tables: Sequence[np.ndarray],
+        category: str = "other",
+    ) -> tuple[np.ndarray, ...]:
+        """Values of ascending ``ids`` from the ranks that own them
+        (``ids[cuts[r]:cuts[r + 1]]`` are rank ``r``'s): request and
+        reply legs in one rendezvous.  ``tables`` are this rank's dense
+        tables over its own vertex interval, one per field; ownership is
+        contiguous from 0, so the finalizer lays every rank's tables end
+        to end and answers every rank with one gather per field by
+        global id.  Returns one array per field, aligned with ``ids``.
+        Request ``(d, s)`` carries the ids ``d`` asks ``s`` for, reply
+        ``(s, d)`` one value per id and field (:meth:`_legs`).
+        """
+        world = self.world
+
+        def finalize(slots):
+            asks = [d[0] for d, _ in slots]
+            owners = [d[2] for d, _ in slots]
+            counts = _counts([d[1] for d, _ in slots])
+            asked = _joined(asks)
+            fields = [_joined(w).take(asked) for w in zip(*owners)]
+            cuts = list(accumulate([len(a) for a in asks], initial=0))
+            request = _count_sizes(counts * _widths([[a] for a in asks]))
+            reply = _count_sizes(counts.T * _widths(owners))
+            t0 = max(c for _, c in slots)
+            mids = [t0 + dt for dt in world.leg_costs(request)]
+            # The reply leg starts from every rank's clock after the
+            # request leg (the float operations of charging it), as a
+            # second alltoall would.
+            t1 = max(c + max(mid - c, 0.0) for (_, c), mid in zip(slots, mids))
+            return [
+                (
+                    tuple(f[cuts[r]:cuts[r + 1]] for f in fields),
+                    (request[r], reply[r]),
+                    (mids[r], t1 + dt),
+                )
+                for r, dt in enumerate(world.leg_costs(reply))
+            ]
+
+        return self._legs(
+            "lookup", 2, (ids, cuts, tuple(tables)), finalize, category
         )
-        self._record_leg(sent, recv)
+
+    def push(
+        self,
+        ids: np.ndarray,
+        cuts: np.ndarray,
+        values: Sequence[np.ndarray],
+        tables: Sequence[np.ndarray],
+        carry: Sequence[np.ndarray] | None = None,
+        category: str = "other",
+    ) -> tuple[np.ndarray, ...]:
+        """Add ``values`` (one array per field, aligned with ascending
+        ``ids``, cut by owner as in :meth:`lookup`) into the owners'
+        dense ``tables``, in place: one leg.  The finalizer applies every
+        rank's values with one ``np.add.at`` per field over the world's
+        tables laid end to end, in source-rank order — the order one
+        ``np.add.at`` per source gives each element — and copies each
+        owner's slice back.  ``carry=(counts, *arrays)`` routes arrays in
+        destination order in the same messages, ``counts[d]`` elements
+        of each to rank ``d``; returns what was carried here, per field
+        in source order (``()`` without ``carry``).
+        """
+        world, p = self.world, self.size
+
+        def finalize(slots):
+            deps = [d for d, _ in slots]
+            owners = [d[3] for d in deps]
+            payload = _counts([d[1] for d in deps]) * _widths(
+                [(d[0], *d[2]) for d in deps]
+            )
+            at = _joined([d[0] for d in deps])
+            joined = [_joined(w) for w in zip(*owners)]
+            for table, field in zip(joined, zip(*(d[2] for d in deps))):
+                np.add.at(table, at, _joined(field))
+            lo = 0
+            for own in owners:
+                hi = lo + len(own[0])
+                for mine, table in zip(own, joined):
+                    if mine is not table:
+                        mine[:] = table[lo:hi]
+                lo = hi
+            carried = [()] * p
+            if deps[0][4]:
+                routed = np.array([d[4][0] for d in deps])
+                arrays = [d[4][1:] for d in deps]
+                payload += routed * _widths(arrays)
+                carried = _route(routed, arrays)
+            t0 = max(c for _, c in slots)
+            legs = _count_sizes(payload)
+            return [
+                (carried[r], (leg,), (t0 + dt,))
+                for r, (leg, dt) in enumerate(zip(legs, world.leg_costs(legs)))
+            ]
+
+        return self._legs(
+            "push",
+            1,
+            (ids, cuts, tuple(values), tuple(tables), tuple(carry or ())),
+            finalize,
+            category,
+        )
+
+    def _legs(
+        self,
+        name: str,
+        legs: int,
+        deposit: Any,
+        finalize: Callable[[list[Any]], list[Any]],
+        category: str,
+    ) -> Any:
+        """One rendezvous ``name`` the machine sees as ``legs`` alltoalls:
+        each leg consults the fault plan and is recorded before it (a
+        delay on a later leg is charged there), then charged and counted
+        from ``finalize``'s ``(result, sizes, ends)``, one of each a leg."""
+        for _ in range(legs):
+            self._fault_hook("alltoall", category)
+            self.trace.record_collective("alltoall")
+        out, sizes, ends = self.world.rendezvous.exchange(
+            self.rank,
+            name,
+            (deposit, self.clock),
+            finalize,
+            self.world.timeout,
+            kind=self._schedule_kind(name, deposit),
+        )
+        for (sent, received), end in zip(sizes, ends):
+            self.charge(category, max(end - self.clock, 0.0))
+            self._record_leg(sent, received)
         return out
 
     def exchange_roundtrip(
@@ -935,7 +1128,7 @@ class Communicator:
             # Request leg: servers reply only once every request landed.
             req_sizes = _leg_sizes(mats)
             t_mid = t0 + max(
-                m.alltoallv_cost(sum(sent), sum(recv), p, rank=r)
+                m.alltoallv_cost(sent, recv, p, rank=r)
                 for r, (sent, recv) in enumerate(req_sizes)
             )
             # Serve in rank order: deterministic regardless of which
@@ -951,7 +1144,7 @@ class Communicator:
                 reply_mat.append(replies)
             outs = []
             for r, (sent, recv) in enumerate(_leg_sizes(reply_mat)):
-                t = t_mid + m.alltoallv_cost(sum(sent), sum(recv), p, rank=r)
+                t = t_mid + m.alltoallv_cost(sent, recv, p, rank=r)
                 received = [reply_mat[s][r] for s in range(p)]
                 outs.append(((received, req_sizes[r], (sent, recv)), t))
             return outs

@@ -43,11 +43,13 @@ RULE_IDS = (
 #: fixtures stay as SPMD001's transitive-helper cases.  ``world_call``
 #: moves no data but is a rendezvous, so skipping it is SPMD001 too.
 #: ``solo``: a rank-guarded collective is SPMD001 on the world's
-#: communicator and fine on the one-rank ``comm.solo()``.
+#: communicator and fine on the one-rank ``comm.solo()``.  ``lookup``:
+#: the owner-routed exchange is a collective like ``alltoall``.
 FIXTURE_RULES = {rule_id: rule_id for rule_id in RULE_IDS} | {
     "SPMD004": "SPMD001",
     "WORLD_CALL": "SPMD001",
     "SOLO": "SPMD001",
+    "LOOKUP": "SPMD001",
 }
 
 

@@ -76,9 +76,7 @@ class TestRemoteLookup:
             ve = offsets[comm.rank + 1]
             table = (np.arange(vb, ve) * 100).astype(np.int64)
             queries = np.array([1, 5, 9, 5, 1], dtype=np.int64)
-            return remote_lookup(
-                comm, offsets, queries, lambda ids: table[ids - vb]
-            ).tolist()
+            return remote_lookup(comm, offsets, queries, table).tolist()
 
         r = run_spmd(3, prog, machine=FREE, timeout=10.0)
         assert r.values == [[100, 500, 900, 500, 100]] * 3
@@ -87,28 +85,25 @@ class TestRemoteLookup:
         offsets = np.array([0, 2, 4])
 
         def prog(comm):
-            vb = offsets[comm.rank]
             table = np.zeros(2, dtype=np.int64)
-            out = remote_lookup(
-                comm, offsets, np.empty(0, np.int64),
-                lambda ids: table[ids - vb],
-            )
+            out = remote_lookup(comm, offsets, np.empty(0, np.int64), table)
             return len(out)
 
         assert run_spmd(2, prog, machine=FREE, timeout=10.0).values == [0, 0]
 
-    def test_short_answer_raises(self):
-        # The answers are taken as slices of the request order, so an
-        # owner that answers fewer ids than it was asked must not pass.
+    def test_owner_table_not_its_interval_raises(self):
+        # Owners answer from their tables laid end to end, so a table
+        # shorter than its owner's interval would shift every later
+        # rank's ids: it must not pass, and the error names the rank.
         offsets = np.array([0, 4, 8])
 
         def prog(comm):
-            def lookup(ids):
-                return ids[:-1] if comm.rank == 1 else ids
+            table = np.arange(3 if comm.rank == 1 else 4, dtype=np.int64)
+            return remote_lookup(comm, offsets, np.arange(8), table)
 
-            return remote_lookup(comm, offsets, np.arange(8), lookup)
-
-        with pytest.raises(RankFailedError, match="answered 3 of 4"):
+        with pytest.raises(
+            RankFailedError, match="rank 1: owner table of 3 values"
+        ):
             run_spmd(2, prog, machine=FREE, timeout=10.0)
 
     def test_query_outside_vertex_space_raises(self):

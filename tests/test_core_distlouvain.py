@@ -288,38 +288,29 @@ class TestCommunityInfoCoverage:
         assert "community totals missing for ids" in str(cause)
 
 
-    def test_short_reply_fails_loudly(self, planted_blocks, monkeypatch):
-        # Replies are read as slices of the request order, so a reply
-        # that is not as long as its request must not be accepted.
+    def test_owner_table_not_its_interval_fails_loudly(self, planted_blocks):
+        # Owners answer from their C_info tables laid end to end, so a
+        # table that does not cover its owner's interval would shift
+        # every later rank's answers: it must raise, naming the rank.
         from repro.core.distlouvain import _fetch_community_info
         from repro.graph import DistGraph
         from repro.runtime import RankFailedError, run_spmd
-        from repro.runtime.comm import Communicator
-
-        real = Communicator.alltoall
-
-        def lossy(self, values, category="other"):
-            if self.rank == 1:
-                values = [
-                    v[:, :-1] if getattr(v, "ndim", 0) == 2 else v
-                    for v in values
-                ]
-            return real(self, values, category=category)
-
-        monkeypatch.setattr(Communicator, "alltoall", lossy)
 
         def prog(comm):
             dg = DistGraph.distribute(comm, planted_blocks)
             n = dg.num_global_vertices
+            tot = dg.local_degrees()
             return _fetch_community_info(
-                comm, dg, np.arange(0, n, 3), dg.local_degrees(),
+                comm, dg, np.arange(0, n, 3),
+                tot[:-1] if comm.rank == 1 else tot,
                 np.ones(dg.num_local, dtype=np.int64),
             )
 
         with pytest.raises(RankFailedError) as excinfo:
             run_spmd(2, prog, machine=FREE, timeout=15.0)
-        assert isinstance(excinfo.value.causes[0], ValueError)
-        assert "rank 1 answered" in str(excinfo.value.causes[0])
+        cause = excinfo.value.causes[1]
+        assert isinstance(cause, ValueError)
+        assert "rank 1: owner table" in str(cause)
 
     def test_delta_for_a_non_vertex_fails_loudly(self, planted_blocks):
         # Community ids are vertex ids.  One outside the vertex space
@@ -354,21 +345,22 @@ class TestCollectiveBudget:
 
     @staticmethod
     def _watch_rank0(monkeypatch):
-        """Log rank 0's ``(collective, category)`` sequence, the number
-        of sweep rounds it ran, and the log position after each
-        iteration in which ETC's exit fired."""
+        """Log rank 0's ``(collective, category)`` sequence — one entry
+        per leg, where it consults the fault plan — the number of sweep
+        rounds it ran, and the log position after each iteration in
+        which ETC's exit fired."""
         from repro.core import distlouvain
         from repro.runtime.comm import Communicator
 
         seen = {"log": [], "rounds": 0, "exits": []}
-        real_collective = Communicator._collective
+        real_hook = Communicator._fault_hook
         real_round = distlouvain._sweep_round
         real_iterate = distlouvain._iterate
 
-        def collective(self, name, deposit, finalize, category):
+        def collective(self, name, category):
             if self.rank == 0:
                 seen["log"].append((name, category))
-            return real_collective(self, name, deposit, finalize, category)
+            return real_hook(self, name, category)
 
         def sweep_round(comm, *args, **kwargs):
             seen["rounds"] += comm.rank == 0
@@ -380,7 +372,7 @@ class TestCollectiveBudget:
                 seen["exits"].append(len(seen["log"]))
             return exited
 
-        monkeypatch.setattr(Communicator, "_collective", collective)
+        monkeypatch.setattr(Communicator, "_fault_hook", collective)
         monkeypatch.setattr(distlouvain, "_sweep_round", sweep_round)
         monkeypatch.setattr(distlouvain, "_iterate", iterate)
         return seen

@@ -184,10 +184,7 @@ class TestGhostChannelDeltaCoherence:
                     ),
                 )
                 if chan is not None:
-                    chan.absorb(
-                        np.concatenate([ids for ids, _ in labels]),
-                        np.concatenate([values for _, values in labels]),
-                    )
+                    chan.absorb(*labels)
                 local_comm[:] = new_comm
 
             if scrambled_start:

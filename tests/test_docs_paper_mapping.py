@@ -29,7 +29,13 @@ import repro
 MAPPING = Path(__file__).resolve().parents[1] / "docs" / "PAPER_MAPPING.md"
 
 #: Cited as history: what the "tried and removed" section says is gone.
-REMOVED = {"LouvainConfig.community_push_updates"}
+REMOVED = {
+    "LouvainConfig.community_push_updates",
+    "_lookup_sorted",
+    "core.coarsen._lookup_sorted",
+    "_send_requests",
+    "_answer_requests",
+}
 
 _NAME = re.compile(r"^[A-Za-z_]\w*(\.[A-Za-z_]\w*)*$")
 _CALL = re.compile(r"\(.*\)$")

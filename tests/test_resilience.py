@@ -314,7 +314,9 @@ class TestKillInsideFusedExchange:
     owners + labels to ghosting ranks).  A rank that dies entering it
     leaves its peers inside the exchange with the round's moves made
     locally but delivered nowhere; the resumed run must not see any of
-    that."""
+    that.  The same holds for a death at the round's community-info
+    request or reply leg, which share one rendezvous: each leg is its
+    own ``alltoall`` op to the fault plan."""
 
     @pytest.mark.parametrize("p,seed", [(2, 5), (4, 6)])
     def test_resumes_bit_identically(self, tmp_path, monkeypatch, p, seed):
@@ -345,21 +347,22 @@ class TestKillInsideFusedExchange:
             i + 1 for i in range(2, len(ops)) if ops[i - 2:i + 1] == round_ops
         ]
         assert len(fused) == ref.total_iterations
-        op = fused[len(fused) // 2]
-        plan = FaultPlan.seeded(seed, size=p, min_step=op, max_step=op)
-        d = str(tmp_path / "ck")
-        fault = _injected_fault(
-            _crash(g, p, cfg, d, plan, every_iterations=1)
-        )
-        assert (fault.op_index, fault.op_name) == (op, "alltoall")
-        res = run_louvain(
-            g, p, cfg, resume=True,
-            checkpoints=disk_checkpoints(d, cfg, every_iterations=1),
-        )
-        np.testing.assert_array_equal(ref.assignment, res.assignment)
-        assert res.modularity == ref.modularity
-        assert res.iterations == ref.iterations
-        assert res.phases == ref.phases
+        # A mid-run round's request leg, reply leg and delta leg.
+        for op in range(fused[len(fused) // 2] - 2, fused[len(fused) // 2] + 1):
+            plan = FaultPlan.seeded(seed, size=p, min_step=op, max_step=op)
+            d = str(tmp_path / f"ck{op}")
+            fault = _injected_fault(
+                _crash(g, p, cfg, d, plan, every_iterations=1)
+            )
+            assert (fault.op_index, fault.op_name) == (op, "alltoall")
+            res = run_louvain(
+                g, p, cfg, resume=True,
+                checkpoints=disk_checkpoints(d, cfg, every_iterations=1),
+            )
+            np.testing.assert_array_equal(ref.assignment, res.assignment)
+            assert res.modularity == ref.modularity
+            assert res.iterations == ref.iterations
+            assert res.phases == ref.phases
 
 
 class TestConfigKeyGuard:
