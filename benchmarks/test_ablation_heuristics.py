@@ -14,6 +14,10 @@ knobs of the distributed pipeline.  None of the three is a pure win:
   phase — a per-phase propagation cost buying a structural guarantee
   (zero disconnected communities) the baseline demonstrably violates.
 
+Coloring also runs on top of vertex following (``+vf+coloring``), the
+way Grappolo combines the two, so its frontier points are measured
+where it has them, not only alone.
+
 So instead of a single winner, the ablation reports the **Pareto
 frontier** over (modelled seconds, modularity) per graph and rank
 count.  Inputs are the stand-in graphs decorated with one pendant
@@ -50,6 +54,7 @@ CONFIGS = (
     ("baseline", LouvainConfig()),
     ("+coloring", LouvainConfig(use_coloring=True)),
     ("+vf", LouvainConfig(vertex_following=True)),
+    ("+vf+coloring", LouvainConfig(vertex_following=True, use_coloring=True)),
     ("+refine", LouvainConfig(refine="leiden")),
 )
 

@@ -52,6 +52,7 @@ from repro.core import (
 from repro.core.coarsen import rebuild_distributed
 from repro.core.distlouvain import (
     _CommunityView,
+    _Phase,
     _save_checkpoint,
     _stack_sweep,
     _sweep_round,
@@ -316,12 +317,15 @@ def test_kernel_sweep_round(
                 dg.exchange_ghost_values(comm, ghost_plan, local),
                 target=sweep.target,
             )
-            tot, size = tot0[lo:hi].copy(), size0[lo:hi].copy()
+            state = IterationState(
+                local, tot0[lo:hi].copy(), size0[lo:hi].copy()
+            )
+            phase = _Phase(
+                dg, 0, k, sweep, view, None, state, view.values
+            )
             comm.barrier()
             w0, c0 = time.perf_counter_ns(), time.thread_time_ns()
-            moved, moves = _sweep_round(
-                comm, dg, view, sweep, k, local, tot, size, mask[lo:hi],
-            )
+            moved, moves = _sweep_round(comm, phase, mask[lo:hi])
             c1, w1 = time.thread_time_ns(), time.perf_counter_ns()
             spans.append((w0, w1, c1 - c0))
             assert moves == int(moved.sum())

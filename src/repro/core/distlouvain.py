@@ -11,12 +11,13 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
     rank 0 finishes it alone (:func:`_finish_on_one_rank`):
 
     * begin the phase (:func:`_begin_phase`): singleton, warm-started
-      or resumed labels, then ``ExchangeGhostVertices`` — one-time-per-
-      phase ghost coordinate exchange (Algorithm 4;
-      :meth:`DistGraph.build_ghost_plan`) and one full exchange of the
-      ghost vertices' starting communities;
+      (:func:`_relabel`) or resumed labels, then
+      ``ExchangeGhostVertices`` — one-time-per-phase ghost coordinate
+      exchange (Algorithm 4; :meth:`DistGraph.build_ghost_plan`) and one
+      full exchange of the ghost vertices' starting communities;
     * iteration loop (Algorithm 3, :func:`louvain_phase_distributed`;
-      one :func:`_iterate` of one or more :func:`_sweep_round`):
+      each :func:`_iterate` runs steps i-iv in one or more
+      :func:`_sweep_round`, then v and vi):
 
       i.   the community of every ghost vertex as of the last
            synchronisation point is already in place (lines 4-5; see
@@ -33,29 +34,32 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
            entries, laid end to end once per phase by
            :func:`_stack_sweep`;
       iv.  one personalised exchange (``push``) carries everything the
-           moves changed, one message per peer: the ``a_c``/size deltas of the
-           communities that peer owns, which it applies (lines 10-11),
-           and the new community of every moved vertex it ghosts (the
-           next sweep's lines 4-5) — category ``community_comm``;
-      v.   one global allreduce combines the modularity partials with
-           the move, activity and inactive-vertex counters (lines 12-13,
-           category ``allreduce``);
-      vi.  tau test, and ETC's 90% exit on the inactive count the same
-           allreduce delivered (§IV-B(b)) — no variant adds a
-           collective; then, the phase going on, an optional checkpoint
-           (:func:`_save_checkpoint`);
+           moves changed, one message per peer: the ``a_c``/size deltas
+           of the communities that peer owns, which it applies (lines
+           10-11), and the new community of every moved vertex it
+           ghosts (the next sweep's lines 4-5) — ``community_comm``;
+      v.   :func:`_global_modularity`: one allreduce combines the
+           modularity partials with the move, activity and
+           inactive-vertex counters (lines 12-13, ``allreduce``);
+      vi.  :func:`_exit_tests`: the stats row and ETC's 90% exit on the
+           inactive count the same allreduce delivered (§IV-B(b)) — no
+           variant adds a collective; then the tau test and, the phase
+           going on, an optional checkpoint (:func:`_save_checkpoint`);
 
-    * finish the phase (:func:`_finish_phase`): Leiden refinement,
-      audits, distributed graph reconstruction (§IV-A(b);
-      :mod:`~.coarsen`), statistics and exact Q (one allreduce),
-      projection of the original vertices;
+    * finish the phase (:func:`_finish_phase`): Leiden refinement
+      (:func:`_refine_phase`, relabelled like a warm start), audits,
+      distributed graph reconstruction (§IV-A(b); :mod:`~.coarsen`),
+      statistics and exact Q (one allreduce), projection of the
+      original vertices;
 
     and gather the assignment (:func:`_gather_result`).
 
 What the two loops carry from one synchronisation point to the next is
 one object each (:mod:`repro.core.state`), mutated in place and handed
-whole to the checkpoint; the rest of a phase's working set is derived
-from it (:class:`_PhaseDerived`).
+whole to the checkpoint.  A phase's whole working set — its graph
+slice, what it derives once from it, its ``IterationState`` and how it
+ended — is one :class:`_Phase`, built once per phase and handed to
+every stage.
 
 Community ids live in the vertex-id space, and a community is owned by
 the rank owning the same-numbered vertex, so owners keep *dense*
@@ -91,10 +95,7 @@ from ..runtime.perfmodel import CORI_HASWELL, MachineModel
 from .coarsen import owner_lookup, rebuild_distributed, remote_lookup
 from .config import LouvainConfig
 from .heuristics import (
-    EarlyTermination,
-    LayoutStreams,
-    ThresholdCycler,
-    make_rank_rng,
+    EarlyTermination, LayoutStreams, ThresholdCycler, make_rank_rng,
 )
 from .refine import refine_communities
 from .result import IterationStats, LouvainResult, PhaseStats, normalize_assignment
@@ -108,18 +109,6 @@ from .sweep import (
     propose_moves,
 )
 from .tail import gather_pays
-
-
-@dataclass
-class _PhaseOutcome:
-    """What one phase hands back to the phase loop: its last iteration
-    state, and what the loop needs that is not part of it."""
-
-    state: IterationState
-    #: Community of every ghost vertex as of the last exchange.
-    ghost_comm: np.ndarray
-    #: ETC's inactive-fraction exit ended the phase.
-    exited_by_inactive: bool
 
 
 class _CommunityView:
@@ -327,27 +316,20 @@ def _world_propose(
 
 
 def _sweep_round(
-    comm: Communicator,
-    dg: DistGraph,
-    view: _CommunityView,
-    sweep: _WorldSweep,
-    k: np.ndarray,
-    local_comm: np.ndarray,
-    tot_owned: np.ndarray,
-    size_owned: np.ndarray,
-    active: np.ndarray,
+    comm: Communicator, phase: _Phase, active: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """Steps (i)-(iv) of one Louvain iteration for one active set:
     three legs — community-info request and reply (one lookup), and
     after the sweep one message per peer with the deltas it owns and
     the labels it ghosts (one push) — and between them the world call.
 
-    Updates ``local_comm``, the owner-side ``tot_owned`` / ``size_owned``
-    and ``view`` in place and returns ``(moved mask, moves)``;
-    ``view.values`` is current again on return.
-    The baseline calls this once per iteration with the full active set;
-    the coloring mode (§VI) calls it once per colour class.
+    Updates the phase's labels, owner-side C_info and view in place and
+    returns ``(moved mask, moves)``; ``phase.view.values`` is current
+    again on return.  The baseline calls this once per iteration with
+    the full active set; the coloring mode (§VI) calls it once per
+    colour class.
     """
+    dg, view, state = phase.dg, phase.view, phase.state
     nloc = dg.num_local
     # (i) ghost vertex community assignments as of the last exchange
     # (lines 4-5) are in the view, already numbered densely: the kernel
@@ -375,7 +357,7 @@ def _sweep_round(
     # Row 0: a_c, row 1: |c|, by position in ``ids``.
     dense_info = np.full((2, len(ids)), np.nan)
     dense_info[0, wanted], dense_info[1, wanted] = _fetch_community_info(
-        comm, dg, ids[wanted], tot_owned, size_owned
+        comm, dg, ids[wanted], state.tot_owned, state.size_owned
     )
 
     # (iii) local move computation (lines 6-9), in dense ids, swept with
@@ -383,7 +365,7 @@ def _sweep_round(
     # targets into this rank's segment.  Each rank is charged for its
     # own pairs, as if it had swept alone.
     proposal, moved, pairs = _world_propose(
-        comm, sweep, local_dense, active, dense_info, ids
+        comm, phase.sweep, local_dense, active, dense_info, ids
     )
     comm.charge_compute(pairs + scanned + nloc)
 
@@ -394,22 +376,32 @@ def _sweep_round(
     # lines 4-5).
     rows = np.flatnonzero(moved)
     new_dense = proposal[rows]
-    deltas = aggregate_dense_deltas(ids, local_dense[rows], new_dense, k[rows])
-    local_comm[rows] = ids[new_dense]
+    deltas = aggregate_dense_deltas(
+        ids, local_dense[rows], new_dense, phase.k[rows]
+    )
+    state.local_comm[rows] = ids[new_dense]
     local_dense[rows] = new_dense
     view.absorb(*_apply_community_deltas(
-        comm, dg, *deltas, tot_owned=tot_owned, size_owned=size_owned,
-        labels=view.publish(local_comm, moved),
+        comm, dg, *deltas, tot_owned=state.tot_owned,
+        size_owned=state.size_owned,
+        labels=view.publish(state.local_comm, moved),
     ))
     return moved, len(rows)
 
 
 @dataclass
-class _PhaseDerived:
-    """What a phase derives once from its graph slice and its starting
-    labels.  None of it is state: a resumed phase rebuilds all of it
-    exactly as a fresh one does (:mod:`repro.core.state`)."""
+class _Phase:
+    """One phase's working set at this rank (Algorithm 3), built once by
+    :func:`_begin_phase` and handed whole to every stage.
 
+    Only :attr:`state` is state (:mod:`repro.core.state`): the rest is
+    derived from the graph slice and the starting labels, so a resumed
+    phase rebuilds it exactly as a fresh one does.
+    """
+
+    #: The rank's slice of the graph the phase runs on, and its index.
+    dg: DistGraph
+    index: int
     #: Weighted degree of every owned vertex.
     k: np.ndarray
     #: This rank's share of the world's phase-invariant sweep input
@@ -420,47 +412,39 @@ class _PhaseDerived:
     #: §VI future work: distance-1 colour classes, swept one after
     #: another so concurrently processed vertices are non-adjacent.
     color_classes: list[np.ndarray] | None
+    state: IterationState
+    #: Community of every ghost vertex as of the last exchange: the
+    #: view's copies, which the rounds patch in place, until Leiden
+    #: refinement replaces them.
+    ghost_comm: np.ndarray
+    #: ETC's inactive-fraction exit ended the phase.
+    exited_by_inactive: bool = False
 
 
 def louvain_phase_distributed(
     comm: Communicator,
-    dg: DistGraph,
+    run: RunState,
     tau: float,
     config: LouvainConfig,
-    phase: int,
-    initial_assignment: np.ndarray | None = None,
     checkpoint_hook=None,
-    resume_state: IterationState | None = None,
-    layout_ranks: int | None = None,
-) -> _PhaseOutcome:
-    """Algorithm 3: the Louvain iterations of one phase at this rank.
-
-    ``initial_assignment`` (community id per *owned* vertex, in the
-    global vertex-id space) seeds the phase instead of singletons —
-    the hook the dynamic/incremental mode uses to warm-start from a
-    previous solution.
+    rejoin: IterationState | None = None,
+) -> _Phase:
+    """Algorithm 3: the Louvain iterations of phase ``run.phase`` at this
+    rank, on ``run.dg``; returns the phase as it ended.  A pending
+    ``run.seed_assignment`` (community id per *owned* vertex, in the
+    vertex-id space) seeds it instead of singletons — the incremental
+    mode's warm start.
 
     ``checkpoint_hook`` (resilience subsystem) is called at the end of
-    every non-final iteration with the live
-    :class:`~repro.core.state.IterationState`, so mid-phase checkpoints
-    can be cut; ``resume_state`` is such a state, and rejoins the
-    iteration loop after its last iteration instead of starting from
-    singletons or the seed.  Both are collective-consistent: the hook
-    fires at the same iterations on every rank.
-
-    ``layout_ranks`` is set on a phase gathered onto one rank
-    (:func:`_run_phases`): ET then draws as that many ranks would.
+    every non-final iteration — at the same iterations on every rank —
+    with the live :class:`~repro.core.state.IterationState`; ``rejoin``
+    is such a state, and rejoins the loop after its last iteration.
     """
-    state, derived = _begin_phase(
-        comm, dg, config, phase, initial_assignment, resume_state,
-        layout_ranks,
-    )
-    exited_by_inactive = False
+    phase = _begin_phase(comm, run, config, rejoin)
+    state = phase.state
     for it in range(state.iteration + 1, config.max_iterations):
-        exited_by_inactive = _iterate(
-            comm, dg, derived, state, it, config, phase
-        )
-        if exited_by_inactive or state.q - state.prev_q <= tau:
+        phase.exited_by_inactive = _iterate(comm, phase, it, config)
+        if phase.exited_by_inactive or state.q - state.prev_q <= tau:
             break
         state.prev_q = state.q
         if checkpoint_hook is not None:
@@ -468,39 +452,33 @@ def louvain_phase_distributed(
             # (all exit tests are derived from replicated global
             # values), so cutting a checkpoint here is collective-safe.
             checkpoint_hook(state)
-    return _PhaseOutcome(state, derived.view.values, exited_by_inactive)
+    return phase
 
 
 def _begin_phase(
     comm: Communicator,
-    dg: DistGraph,
+    run: RunState,
     config: LouvainConfig,
-    phase: int,
-    initial_assignment: np.ndarray | None,
-    resume_state: IterationState | None,
-    layout_ranks: int | None,
-) -> tuple[IterationState, _PhaseDerived]:
-    """The phase's starting state — resumed, warm-started or singleton —
+    rejoin: IterationState | None,
+) -> _Phase:
+    """The phase's starting state — rejoined, warm-started or singleton —
     and everything derived from it: ghost set-up (Algorithm 4), colour
     classes, and the community view after the phase's one full ghost
-    exchange (Algorithm 3, lines 4-5)."""
+    exchange (Algorithm 3, lines 4-5).  A one-rank run standing for a
+    wider world (``run.layout_ranks``) draws ET as that world would."""
+    dg = run.dg
     plan = dg.build_ghost_plan(comm)
     k = dg.local_degrees()
-    sweep = _stack_sweep(
-        comm,
-        SweepSlice(
-            dg.index,
-            dg.weights,
-            np.flatnonzero(~dg.self_loop_mask()),
-            dg.local_rows(),
-            k,
-        ),
-        dg.total_weight,
-        config.resolution,
-    )
-    if resume_state is not None:
+    sweep = _stack_sweep(comm, SweepSlice(
+        dg.index, dg.weights, np.flatnonzero(~dg.self_loop_mask()),
+        dg.local_rows(), k,
+    ), dg.total_weight, config.resolution)
+    # The first phase a run begins consumes the warm start (a phase
+    # rejoined mid-way is already past it).
+    seed, run.seed_assignment = run.seed_assignment, None
+    if rejoin is not None:
         # Rejoin the loop exactly where the checkpoint was cut.
-        state = resume_state
+        state = rejoin
     else:
         # Each vertex starts in its own community; owners of the
         # community id set coincide with owners of the vertex set, so
@@ -514,16 +492,23 @@ def _begin_phase(
             state.et = EarlyTermination(
                 dg.num_local,
                 config,
-                make_rank_rng(config.seed, comm.rank, phase)
-                if layout_ranks is None
+                make_rank_rng(config.seed, comm.rank, run.phase)
+                if run.layout_ranks is None
                 else LayoutStreams(
                     config.seed,
-                    phase,
-                    np.diff(even_vertex(dg.num_local, layout_ranks)),
+                    run.phase,
+                    np.diff(even_vertex(dg.num_local, run.layout_ranks)),
                 ),
             )
-        if initial_assignment is not None:
-            _warm_start(comm, dg, k, state, initial_assignment)
+        if seed is not None:
+            # Warm start: a copy of the seed (the rounds relabel in
+            # place) as one batch of moves.
+            if len(seed) != dg.num_local:
+                raise ValueError(
+                    f"initial_assignment covers {len(seed)} vertices, "
+                    f"rank owns {dg.num_local}"
+                )
+            _relabel(comm, dg, k, state, np.array(seed, dtype=np.int64))
     color_classes = (
         _color_classes(comm, dg, plan, config.seed)
         if config.use_coloring
@@ -533,42 +518,34 @@ def _begin_phase(
     # the full exchange of a resumed phase reproduces the ghost values
     # the uninterrupted run holds at this point.
     view = _CommunityView(
-        dg,
-        plan,
-        state.local_comm,
+        dg, plan, state.local_comm,
         dg.exchange_ghost_values(
             comm, plan, state.local_comm, category="ghost_comm"
         ),
         target=sweep.target,
     )
-    return state, _PhaseDerived(k, sweep, view, color_classes)
+    return _Phase(
+        dg, run.phase, k, sweep, view, color_classes, state, view.values
+    )
 
 
-def _warm_start(
+def _relabel(
     comm: Communicator,
     dg: DistGraph,
     k: np.ndarray,
     state: IterationState,
-    initial_assignment: np.ndarray,
+    labels: np.ndarray,
 ) -> None:
-    """Move the singleton ``state`` to the seed, as one batch of moves:
-    the owner-side C_info updates flow through the same delta machinery
-    as regular iterations."""
-    seed_comm = np.asarray(initial_assignment, dtype=np.int64)
-    if len(seed_comm) != dg.num_local:
-        raise ValueError(
-            f"initial_assignment covers {len(seed_comm)} vertices, "
-            f"rank owns {dg.num_local}"
-        )
-    moved = seed_comm != state.local_comm
+    """Move the owned vertices to ``labels`` as one batch outside the
+    sweep — a warm start's seed or Leiden's split: the owner-side C_info
+    follows through the same delta exchange as a round's moves."""
+    moved = labels != state.local_comm
     _apply_community_deltas(
-        comm,
-        dg,
-        *aggregate_deltas(state.local_comm[moved], seed_comm[moved], k[moved]),
-        tot_owned=state.tot_owned,
-        size_owned=state.size_owned,
+        comm, dg,
+        *aggregate_deltas(state.local_comm[moved], labels[moved], k[moved]),
+        tot_owned=state.tot_owned, size_owned=state.size_owned,
     )
-    state.local_comm = seed_comm.copy()
+    state.local_comm = labels
 
 
 def _color_classes(
@@ -587,95 +564,90 @@ def _color_classes(
 
 
 def _iterate(
-    comm: Communicator,
-    dg: DistGraph,
-    derived: _PhaseDerived,
-    state: IterationState,
-    it: int,
-    config: LouvainConfig,
-    phase: int,
+    comm: Communicator, phase: _Phase, it: int, config: LouvainConfig
 ) -> bool:
-    """Iteration ``it`` of a phase: sweep rounds, then the iteration's
-    one allreduce (modularity partials and the global move / active /
-    inactive counts, the same 5-vector on every variant), then the exit
-    tests on its result.  Updates ``state`` in place (labels, C_info,
-    ET, ``q``, one more ``stats`` row) and returns whether ETC's
-    inactive-fraction exit fired; the tau test is the caller's.
-    """
-    nloc = dg.num_local
-    n_global = dg.num_global_vertices
-    w = dg.total_weight
-    view = derived.view
-    et = state.et
+    """Iteration ``it`` of the phase: steps (i)-(iv) in one sweep round
+    per active set, then (v) and (vi).  Updates ``phase.state`` in place
+    and returns whether ETC's inactive-fraction exit fired; the tau
+    test is the caller's."""
+    et = phase.state.et
+    nloc = phase.dg.num_local
     # ET: vertices mark themselves active/inactive first (§IV-B(b)).
     active = et.draw_active() if et is not None else np.ones(nloc, dtype=bool)
-
-    moved = np.zeros(nloc, dtype=bool)
-    moves = 0
     rounds = (
         [active]
-        if derived.color_classes is None
-        else [active & cls for cls in derived.color_classes]
+        if phase.color_classes is None
+        else [active & cls for cls in phase.color_classes]
     )
+    moved = np.zeros(nloc, dtype=bool)
     # Trip count is len(rounds) — 1, or the allreduced colour count —
     # replicated even though each round's active *mask* is rank-local
     # (the mask only gates local move proposals).
     for round_active in rounds:  # spmdlint: ignore[SPMD001]
-        round_moved, n = _sweep_round(
-            comm, dg, view, derived.sweep, derived.k,
-            state.local_comm, state.tot_owned, state.size_owned,
-            round_active,
-        )
-        moved |= round_moved
-        moves += n
+        moved |= _sweep_round(comm, phase, round_active)[0]
+    total = _global_modularity(comm, phase, config, active, moved)
+    return _exit_tests(phase, it, config, total)
 
-    # (v) global modularity (lines 12-13).  The round's exchange has
-    # delivered every move, so both sides of every stored entry
-    # evaluate under the *post-move* assignment: the estimate is a
-    # function of the global assignment alone and cannot depend on
-    # which endpoints happen to be rank-local under the current
-    # layout (a requirement for bit-identity across rank counts and
-    # input partitions).  Each sweep still decided against the
-    # synchronisation point before it (§III-B).
+
+def _global_modularity(
+    comm: Communicator, phase: _Phase, config: LouvainConfig,
+    active: np.ndarray, moved: np.ndarray,
+) -> np.ndarray:
+    """Step (v), global modularity (lines 12-13): the iteration's one
+    allreduce of the modularity partials and the global move / active /
+    inactive counts, the same 5-vector on every variant.  Sets
+    ``phase.state.q`` and returns the reduced vector.
+
+    The rounds' exchanges have delivered every move, so both sides of
+    every stored entry evaluate under the *post-move* assignment: the
+    estimate is a function of the global assignment alone and cannot
+    depend on which endpoints happen to be rank-local under the current
+    layout (a requirement for bit-identity across rank counts and input
+    partitions).  Each sweep still decided against the synchronisation
+    point before it (§III-B).
+    """
+    dg, view, state = phase.dg, phase.view, phase.state
     intra = view.slot[dg.local_rows()] == view.target
     local_in = float(dg.weights.compress(intra).sum())
     comm.charge_compute(dg.num_local_entries)
-    local_inactive = et.update(moved) if et is not None else 0
+    local_inactive = state.et.update(moved) if state.et is not None else 0
     # a_c^2 is summed *before* dividing by w^2 (like _record_phase's
     # exact Q) so the reduction is exact for integer weights — the
     # per-rank grouping of communities then cannot perturb Q, which
     # keeps every rank count and input partition bit-identical.  The
     # three counts ride along: below 2**53 they sum exactly in float64
-    # in any order.
-    partial = np.array(
-        [
-            local_in,
-            float(np.square(state.tot_owned).sum()),
-            float(moves),
-            float(active.sum()),
-            float(local_inactive),
-        ]
-    )
+    # in any order.  (Colour classes are disjoint, so no vertex moves
+    # twice in one iteration.)
+    partial = np.array([
+        local_in, float(np.square(state.tot_owned).sum()),
+        float(np.count_nonzero(moved)), float(active.sum()),
+        float(local_inactive),
+    ])
     total = comm.allreduce(partial, category="allreduce")
+    w = dg.total_weight
     state.q = (
         float(total[0] / w - config.resolution * total[1] / (w * w))
         if w > 0
         else 0.0
     )
+    return total
 
-    # (vi) exit tests, all on replicated values: ETC's is on the global
-    # inactive count the allreduce just delivered (§IV-B(b)).
+
+def _exit_tests(
+    phase: _Phase, it: int, config: LouvainConfig, total: np.ndarray
+) -> bool:
+    """Step (vi) on the replicated result of step (v): the iteration's
+    stats row, then ETC's exit on the global inactive count the
+    allreduce delivered (§IV-B(b)); returns whether it fired."""
+    state = phase.state
+    n_global = phase.dg.num_global_vertices
     inactive_fraction = float(total[4] / n_global) if n_global else 0.0
-    state.stats.append(
-        IterationStats(
-            phase=phase,
-            iteration=it,
-            modularity=state.q,
-            moves=int(total[2]),
-            active_fraction=float(total[3] / n_global) if n_global else 1.0,
-            inactive_fraction=inactive_fraction,
-        )
-    )
+    state.stats.append(IterationStats(
+        phase=phase.index, iteration=it, modularity=state.q,
+        moves=int(total[2]),
+        active_fraction=float(total[3] / n_global) if n_global else 1.0,
+        inactive_fraction=inactive_fraction,
+    ))
     state.iteration = it
     return (
         config.variant.uses_inactive_exit
@@ -825,17 +797,12 @@ def _run_phases(
     manager=None,
     rejoin: IterationState | None = None,
     restored_at: int | None = None,
-    layout_ranks: int | None = None,
 ) -> None:
     """Algorithm 2's phase loop, from ``run.phase`` until the run
     converges: checkpoint the boundary (``manager``, unless it is the
     one ``restored_at``), then — the graph cheap enough on one rank —
     finish on rank 0 (:func:`_finish_on_one_rank`), or else run the
-    phase (rejoining ``rejoin``, a mid-phase state) and close it.
-
-    ``layout_ranks`` is set on a gathered tail's one-rank run: the rank
-    count of the world it stands for, whose even-vertex layout its
-    phases draw ET and report ``ghost_fraction`` under."""
+    phase (rejoining ``rejoin``, a mid-phase state) and close it."""
     cycler = (
         ThresholdCycler(config)
         if config.variant.uses_threshold_cycling
@@ -861,31 +828,14 @@ def _run_phases(
         # graph's vertex count (the rebuild's allgather) and, bounding
         # its entries, the last phase's (its statistics' allreduce).
         if rejoin is None and run.phases and gather_pays(
-            comm.machine,
-            comm.size,
-            run.dg.num_global_vertices,
+            comm.machine, comm.size, run.dg.num_global_vertices,
             2 * run.phases[-1].num_edges + 1,
         ):
             _finish_on_one_rank(comm, run, config)
             break
-        # The first phase a run begins consumes the warm start (a
-        # phase rejoined mid-way is already past it).
-        seed, run.seed_assignment = run.seed_assignment, None
-        out = louvain_phase_distributed(
-            comm,
-            run.dg,
-            tau,
-            config,
-            run.phase,
-            initial_assignment=seed,
-            checkpoint_hook=hook,
-            resume_state=rejoin,
-            layout_ranks=layout_ranks,
-        )
+        phase = louvain_phase_distributed(comm, run, tau, config, hook, rejoin)
         rejoin = None
-        if not _finish_phase(
-            comm, run, out, tau, config, cycler, layout_ranks
-        ):
+        if not _finish_phase(comm, run, phase, tau, config, cycler):
             break
 
 
@@ -906,7 +856,7 @@ def _finish_on_one_rank(
     found = None
     if comm.rank == 0:
         with comm.solo() as solo:
-            found = _run_tail(solo, run, parts, config, comm.size)
+            found = _run_tail(solo, run, parts, config)
     meta_map, run.final_mod, phases, iterations = comm.bcast(
         found, root=0, category="rebuild"
     )
@@ -920,13 +870,13 @@ def _run_tail(
     run: RunState,
     parts: list[tuple[np.ndarray, ...]],
     config: LouvainConfig,
-    layout_ranks: int,
 ) -> tuple[np.ndarray, float, list[PhaseStats], list[IterationStats]]:
     """Rank 0's share of :func:`_finish_on_one_rank`, on the one-rank
     ``comm``: the gathered slices joined into one graph, each meta
     vertex its own original vertex, and the phase loop run over it as
-    the ``layout_ranks`` ranks would have.  Returns the meta vertex ->
-    community map, the final Q and the phases' statistics."""
+    the ranks it was gathered from would have (``layout_ranks``).
+    Returns the meta vertex -> community map, the final Q and the
+    phases' statistics."""
     n = run.dg.num_global_vertices
     index, base = [np.zeros(1, dtype=np.int64)], 0
     for part in parts:
@@ -948,7 +898,8 @@ def _run_tail(
         in_final_pass=run.in_final_pass,
         phase_assignments=[] if config.track_assignments else None,
     )
-    _run_phases(comm, tail, config, layout_ranks=layout_ranks)
+    tail.layout_ranks = len(parts)
+    _run_phases(comm, tail, config)
     if config.track_assignments:
         orig = np.concatenate([part[3] for part in parts])
         run.phase_assignments.extend(m[orig] for m in tail.phase_assignments)
@@ -984,20 +935,8 @@ def _restore_run(
     if manager is None:
         raise ValueError("resume=True requires checkpoints=")
     manifest, meta, arrays = manager.load_latest(comm)
-    _check_resume_config(manifest, config)
-    run, rejoin, clock = unpack_rank_state(comm.rank, meta, arrays, config)
-    # Resumed modelled time = time at the checkpoint + restore cost
-    # accrued so far on this fresh world.
-    comm.clock += clock
-    return run, rejoin
-
-
-def _check_resume_config(manifest, config: LouvainConfig) -> None:
-    """Refuse to resume under semantics the checkpoint was not taken with.
-
-    Config and manifest are replicated across ranks, so raising here is
-    SPMD-safe (all ranks raise together).
-    """
+    # Refuse to resume under semantics the checkpoint was not taken
+    # with.  Config and manifest are replicated, so every rank raises.
     if manifest.config_key != config.cache_key():
         raise ValueError(
             f"checkpoint {manifest.directory} was written by config "
@@ -1006,6 +945,11 @@ def _check_resume_config(manifest, config: LouvainConfig) -> None:
             f"{config.cache_key()[:12]}…); resuming across configs "
             "would corrupt the run"
         )
+    run, rejoin, clock = unpack_rank_state(comm.rank, meta, arrays, config)
+    # Resumed modelled time = time at the checkpoint + restore cost
+    # accrued so far on this fresh world.
+    comm.clock += clock
+    return run, rejoin
 
 
 def _premerge_leaves(comm: Communicator, run: RunState) -> None:
@@ -1058,17 +1002,12 @@ def _vertex_following_targets(
     if len(leaves):
         leaf_ids = own_ids[leaves]
         local_comm[leaves] = np.where(
-            tgt_deg == 1,
-            np.maximum(leaf_ids, leaf_targets),
-            leaf_targets,
+            tgt_deg == 1, np.maximum(leaf_ids, leaf_targets), leaf_targets
         )
     comm.charge_compute(dg.num_local)
     plan = dg.build_ghost_plan(comm)
     ghost_comm = dg.exchange_ghost_values(
-        comm,
-        plan,
-        local_comm,
-        category="ghost_comm",
+        comm, plan, local_comm, category="ghost_comm"
     )
     return local_comm, ghost_comm
 
@@ -1095,10 +1034,7 @@ def _save_checkpoint(
     The manager packs the run state only into the first checkpoint it
     writes in a phase; later ones are deltas of that one.
     """
-    from ..resilience.louvain_state import (
-        pack_iteration_state,
-        pack_phase_state,
-    )
+    from ..resilience.louvain_state import pack_iteration_state, pack_phase_state
 
     manager.save(
         comm,
@@ -1113,28 +1049,24 @@ def _save_checkpoint(
 def _finish_phase(
     comm: Communicator,
     run: RunState,
-    out: _PhaseOutcome,
+    phase: _Phase,
     tau: float,
     config: LouvainConfig,
     cycler: ThresholdCycler | None,
-    layout_ranks: int | None,
 ) -> bool:
-    """Close phase ``run.phase`` — refinement, audits, graph rebuild,
-    stats and exact Q, projection, tracking — and advance ``run`` to
-    the next one; returns whether there is a next one.
-    ``layout_ranks``: see :func:`_run_phases`."""
-    state = out.state
+    """Close ``phase`` — refinement, audits, graph rebuild, stats and
+    exact Q, projection, tracking — and advance ``run`` to the next
+    one; returns whether there is a next one."""
+    state = phase.state
     if config.refine == "leiden":
-        _refine_phase(comm, run.dg, out)
+        _refine_phase(comm, phase)
     if config.validate_invariants:
-        _audit_phase(comm, run.dg, out)
+        _audit_phase(comm, phase)
 
     new_dg, local_new = rebuild_distributed(
-        comm, run.dg, state.local_comm, out.ghost_comm
+        comm, run.dg, state.local_comm, phase.ghost_comm
     )
-    _record_phase(
-        comm, run, out, tau, new_dg, config.resolution, layout_ranks
-    )
+    _record_phase(comm, run, phase, tau, new_dg, config.resolution)
     _project(comm, run, local_new)
     if config.track_assignments:
         gathered = comm.gather(run.orig_slice, root=0, category="other")
@@ -1158,17 +1090,14 @@ def _finish_phase(
 def _record_phase(
     comm: Communicator,
     run: RunState,
-    out: _PhaseOutcome,
+    phase: _Phase,
     tau: float,
     new_dg: DistGraph,
     resolution: float,
-    layout_ranks: int | None,
 ) -> None:
     """Append the finished phase's iterations and its
     :class:`PhaseStats` to the run's history and set ``run.final_mod``
-    to the phase's exact Q — one small allreduce for both.  A gathered
-    phase (``layout_ranks``) reports the ghost fraction of the layout
-    it stands for.
+    to the phase's exact Q — one small allreduce for both.
 
     The per-iteration modularity is computed against the stale ghost
     view (the paper's semantics).  The coarsened graph ``new_dg`` gives
@@ -1176,14 +1105,14 @@ def _record_phase(
     intra-community weight (in_c) and its degree is the community's
     incident weight (a_c), both fully synchronised after the rebuild.
     """
-    dg, stats = run.dg, out.state.stats
+    dg, stats = run.dg, phase.state.stats
     run.iterations.extend(stats)
     # Achieved layout quality of the graph this phase ran on: the
     # cross-rank fraction of stored adjacency entries, beside their
     # total.  Counts sum exactly in float64, so they share the vector.
     partial = np.array(
         [
-            float(_cross_entries(dg, layout_ranks)),
+            float(_cross_entries(run)),
             float(dg.num_local_entries),
             float(new_dg.local_self_loops().sum()),
             float(np.square(new_dg.local_degrees()).sum()),
@@ -1201,23 +1130,24 @@ def _record_phase(
             phase=run.phase,
             tau=tau,
             num_iterations=len(stats),
-            modularity=out.state.q,
+            modularity=phase.state.q,
             num_vertices=dg.num_global_vertices,
             # stored entries ~ 2 per edge
             num_edges=int(entries) // 2,
-            exited_by_inactive=out.exited_by_inactive,
+            exited_by_inactive=phase.exited_by_inactive,
             ghost_fraction=float(cross / entries) if entries else 0.0,
         )
     )
 
 
-def _cross_entries(dg: DistGraph, layout_ranks: int | None) -> int:
-    """Stored entries of this slice whose target another rank owns — or,
-    on a gathered phase, another rank of the ``layout_ranks``-rank
+def _cross_entries(run: RunState) -> int:
+    """Stored entries of ``run.dg`` whose target another rank owns — or,
+    on a gathered tail, another rank of the ``run.layout_ranks``-rank
     even-vertex layout it stands for."""
-    if layout_ranks is None:
+    dg = run.dg
+    if run.layout_ranks is None:
         return int(np.count_nonzero(~dg.is_owned(dg.edges)))
-    cuts = even_vertex(dg.num_global_vertices, layout_ranks)[1:-1]
+    cuts = even_vertex(dg.num_global_vertices, run.layout_ranks)[1:-1]
     rows = dg.from_local(dg.local_rows())
     return int(np.count_nonzero(
         np.searchsorted(cuts, rows, side="right")
@@ -1225,38 +1155,23 @@ def _cross_entries(dg: DistGraph, layout_ranks: int | None) -> int:
     ))
 
 
-def _refine_phase(comm: Communicator, dg: DistGraph, out: _PhaseOutcome) -> None:
+def _refine_phase(comm: Communicator, phase: _Phase) -> None:
     """Leiden-style refinement: split every community into its connected
-    components before coarsening.
+    components before coarsening, the owner-side C_info kept
+    audit-consistent with the split (:func:`_relabel`).
 
     Zero-edge cuts mean in_c is preserved while the a_c^2 penalty can
     only shrink, so modularity never decreases; connected communities
     are merely renamed to their minimum member (the rebuild renumbers
     canonically either way).
     """
-    state = out.state
-    ref_local, ref_ghost = refine_communities(
-        comm, dg, state.local_comm, out.ghost_comm
+    ref_local, phase.ghost_comm = refine_communities(
+        comm, phase.dg, phase.state.local_comm, phase.ghost_comm
     )
-    # Keep the owner-side C_info audit-consistent with the refined
-    # labels (same delta protocol as a sweep move).
-    moved = ref_local != state.local_comm
-    _apply_community_deltas(
-        comm,
-        dg,
-        *aggregate_deltas(
-            state.local_comm[moved],
-            ref_local[moved],
-            dg.local_degrees()[moved],
-        ),
-        tot_owned=state.tot_owned,
-        size_owned=state.size_owned,
-    )
-    state.local_comm = ref_local
-    out.ghost_comm = ref_ghost
+    _relabel(comm, phase.dg, phase.k, phase.state, ref_local)
 
 
-def _audit_phase(comm: Communicator, dg: DistGraph, out: _PhaseOutcome) -> None:
+def _audit_phase(comm: Communicator, phase: _Phase) -> None:
     """``validate_invariants``: the phase's final labels, owner-side
     C_info and ghost copies must agree across ranks."""
     from .validate import (
@@ -1265,13 +1180,13 @@ def _audit_phase(comm: Communicator, dg: DistGraph, out: _PhaseOutcome) -> None:
         audit_partition,
     )
 
-    state = out.state
+    dg, state = phase.dg, phase.state
     audit_community_info(
         comm, dg, state.local_comm, state.tot_owned, state.size_owned
     ).raise_if_failed()
     audit_partition(comm, dg, state.local_comm).raise_if_failed()
     audit_ghost_coherence(
-        comm, dg, state.local_comm, out.ghost_comm
+        comm, dg, state.local_comm, phase.ghost_comm
     ).raise_if_failed()
 
 
@@ -1332,6 +1247,11 @@ def run_louvain(
     """
     seed_global = None
     if initial_assignment is not None:
+        if len(initial_assignment) != g.num_vertices:
+            raise ValueError(
+                f"initial_assignment covers {len(initial_assignment)} "
+                f"vertices, graph has {g.num_vertices}"
+            )
         seed_global = _labels_to_vertex_space(initial_assignment)
     if checkpoints is not None:
         checkpoints.begin_attempt(resume=resume)
@@ -1366,20 +1286,13 @@ def _labels_to_vertex_space(labels: np.ndarray) -> np.ndarray:
 
     The distributed algorithm requires community ids to be vertex ids
     (the owner of community ``c`` is the owner of vertex ``c``).  Each
-    community is renamed to its minimum member vertex id, which is
-    always a valid vertex and stable under relabeling.
+    community is renamed to its minimum member vertex id — the first
+    occurrence of its label — which is always a valid vertex and stable
+    under relabeling.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    n = len(labels)
-    if n == 0:
-        return labels.copy()
-    # Sort by (label, vertex id): the first entry of each label group is
-    # that community's minimum member vertex.
-    order = np.lexsort((np.arange(n), labels))
-    sorted_labels = labels[order]
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    first[1:] = sorted_labels[1:] != sorted_labels[:-1]
-    uniq = sorted_labels[first]
-    min_member = order[first]
-    return min_member[np.searchsorted(uniq, labels)].astype(np.int64)
+    _, first, inverse = np.unique(
+        np.asarray(labels, dtype=np.int64),
+        return_index=True,
+        return_inverse=True,
+    )
+    return first[inverse].astype(np.int64)

@@ -77,3 +77,8 @@ class RunState:
     #: Original-vertex assignment after each phase — rank 0 only, and
     #: only with ``track_assignments``; ``None`` otherwise.
     phase_assignments: list[np.ndarray] | None = None
+    #: Rank count of the world a gathered tail's one-rank run stands
+    #: for, whose even-vertex layout its phases draw ET and report
+    #: ``ghost_fraction`` under; ``None`` on every other run.  Not a
+    #: field: the tail that sets it is atomic, so no checkpoint holds it.
+    layout_ranks = None

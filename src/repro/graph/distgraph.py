@@ -20,7 +20,6 @@ import numpy as np
 from ..runtime.comm import Communicator
 from . import binio
 from .csr import CSRGraph, row_index, sum_duplicate_entries
-from .edgelist import EdgeList
 from .partition import even_edge, even_vertex
 
 
@@ -419,22 +418,6 @@ class DistGraph:
             edges=local[1],
             weights=local[2],
             total_weight=total,
-        )
-
-    def to_edgelist_local(self) -> EdgeList:
-        """Owned edges as an EdgeList (edges with both endpoints owned
-        appear once; cut edges appear with the owned endpoint first)."""
-        rows = np.repeat(self.local_vertex_ids(), np.diff(self.index))
-        keep = (
-            (rows < self.edges)
-            | ~self.is_owned(self.edges)
-            | (rows == self.edges)
-        )
-        return EdgeList(
-            num_vertices=self.num_global_vertices,
-            u=rows[keep],
-            v=self.edges[keep],
-            w=self.weights[keep],
         )
 
 

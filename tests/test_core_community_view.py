@@ -129,9 +129,9 @@ def checked_rounds(monkeypatch):
     real = distlouvain._sweep_round
     checked: dict[int, int] = {}
 
-    def sweep_round(comm, dg, view, sweep, k, local_comm, *a, **kw):
-        out = real(comm, dg, view, sweep, k, local_comm, *a, **kw)
-        assert_view_consistent(view, dg, local_comm)
+    def sweep_round(comm, phase, *a, **kw):
+        out = real(comm, phase, *a, **kw)
+        assert_view_consistent(phase.view, phase.dg, phase.state.local_comm)
         checked[comm.rank] = checked.get(comm.rank, 0) + 1
         return out
 
@@ -185,16 +185,14 @@ def _state_after_every_round(g, p, config, two_exchanges: bool):
     received: list[tuple[bool, bool]] = []
     real = distlouvain._sweep_round
 
-    def sweep_round(
-        comm, dg, view, sweep, k, local_comm, tot_owned, size_owned, *args,
-    ):
-        out = real(
-            comm, dg, view, sweep, k, local_comm, tot_owned, size_owned,
-            *args,
-        )
+    def sweep_round(comm, phase, *args):
+        out = real(comm, phase, *args)
+        state, view = phase.state, phase.view
         states[comm.rank].append([
-            a.copy() for a in
-            (tot_owned, size_owned, view.values, view.slot, view.target)
+            a.copy() for a in (
+                state.tot_owned, state.size_owned,
+                view.values, view.slot, view.target,
+            )
         ])
         return out
 

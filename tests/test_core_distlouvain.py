@@ -65,6 +65,17 @@ class TestCorrectness:
         assert r.num_communities >= 2
         assert r.modularity > 0.3
 
+    @pytest.mark.parametrize("delta", [-5, 5])
+    def test_warm_start_of_the_wrong_length_is_refused(self, delta):
+        """Before the world starts: five labels short used to fail on
+        one rank mid-run, five extra were silently dropped."""
+        from repro.generators import make_graph
+
+        g = make_graph("channel", scale="tiny", seed=0)
+        labels = np.arange(g.num_vertices + delta) % 7
+        with pytest.raises(ValueError, match="initial_assignment covers"):
+            run_louvain(g, 4, machine=FREE, initial_assignment=labels)
+
     def test_graph_with_isolated_vertices(self):
         g = EdgeList.from_arrays(6, [0, 1], [1, 2]).to_csr()
         r = run_louvain(g, 2, machine=FREE)

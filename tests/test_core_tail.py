@@ -15,7 +15,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import EarlyTermination, LouvainConfig, Variant, run_louvain
+from repro.core import (
+    EarlyTermination,
+    LouvainConfig,
+    RunState,
+    Variant,
+    run_louvain,
+)
 from repro.core import distlouvain, tail
 from repro.core.distlouvain import _cross_entries
 from repro.core.heuristics import LayoutStreams, make_rank_rng
@@ -188,9 +194,15 @@ class TestLayout:
     def test_ghost_fraction_is_the_layouts(self, channel, p):
         n = channel.num_vertices
         offsets = even_vertex(n, p)
+
+        def cross_entries(dg, ranks=None):
+            run = RunState(dg=dg, orig_slice=np.empty(0, dtype=np.int64))
+            run.layout_ranks = ranks
+            return _cross_entries(run)
+
         whole = DistGraph.from_global(channel, np.array([0, n]), 0)
-        assert _cross_entries(whole, p) == sum(
-            _cross_entries(DistGraph.from_global(channel, offsets, r), None)
+        assert cross_entries(whole, p) == sum(
+            cross_entries(DistGraph.from_global(channel, offsets, r))
             for r in range(p)
         )
 

@@ -8,7 +8,7 @@ from repro.core.distlouvain import (
     _CommunityView,
     louvain_phase_distributed,
 )
-from repro.core import LouvainConfig
+from repro.core import LouvainConfig, RunState
 from repro.core.validate import (
     AuditReport,
     audit_community_info,
@@ -45,7 +45,8 @@ class TestAuditsOnLiveState:
         def prog(comm):
             dg = DistGraph.distribute(comm, g)
             config = LouvainConfig()
-            out = louvain_phase_distributed(comm, dg, 1e-6, config, 0)
+            run = RunState(dg=dg, orig_slice=dg.local_vertex_ids())
+            out = louvain_phase_distributed(comm, run, 1e-6, config)
             labels = out.state.local_comm
             # Recompute owned C_info the same way the phase did, from
             # scratch, for the audit comparison.
