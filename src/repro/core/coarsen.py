@@ -164,13 +164,13 @@ def rebuild_distributed(
     # is assigned to it.  Used-here ids are sliced by owner; owners
     # learn about remote usage through the notification alltoall —
     # also step 4's request: a rank needs the new ids of exactly the
-    # communities it reports.
+    # communities it reports.  The own slice goes in with the others:
+    # ``alltoall`` hands a self-message back unsized and uncounted.
     cuts = dg.cuts(used)
-    requests = [used[cuts[r]:cuts[r + 1]] for r in range(comm.size)]
-    mine_here = requests[comm.rank]
-    requests[comm.rank] = used[:0]  # (the own slice stays off the wire)
-    reported = comm.alltoall(requests, category="rebuild")
-    reported[comm.rank] = mine_here
+    reported = comm.alltoall(
+        [used[cuts[r]:cuts[r + 1]] for r in range(comm.size)],
+        category="rebuild",
+    )
     alive = sorted_unique(np.concatenate(reported))
     # (every id reported to us is owned by us by construction)
 
@@ -184,14 +184,13 @@ def rebuild_distributed(
     # search, the own slice in place; the replies, in rank order, are
     # the new ids in ``used`` order, so each must be as long as what
     # this rank reported to its sender.
-    replies = np.split(
-        new_ids[np.searchsorted(alive, np.concatenate(reported))],
-        np.cumsum([len(ids) for ids in reported[:-1]]),
+    answers = comm.alltoall(
+        np.split(
+            new_ids[np.searchsorted(alive, np.concatenate(reported))],
+            np.cumsum([len(ids) for ids in reported[:-1]]),
+        ),
+        category="rebuild",
     )
-    own = replies[comm.rank]
-    replies[comm.rank] = own[:0]
-    answers = comm.alltoall(replies, category="rebuild")
-    answers[comm.rank] = own
     for r, got in enumerate(answers):
         if len(got) != cuts[r + 1] - cuts[r]:
             raise ValueError(
@@ -204,7 +203,7 @@ def rebuild_distributed(
     # --- step 5: partial meta edge lists --------------------------------
     # Community of each edge target: local targets via their own slot,
     # ghost targets via the ghost slots (the compressed-target trick).
-    target_new = slot_new[dg.compressed_targets(plan)]
+    target_new = slot_new[dg.compressed_targets()]
     src_new = local_new[dg.local_rows()]
     comm.charge_compute(dg.num_local_entries, category="rebuild")
 
@@ -215,9 +214,7 @@ def rebuild_distributed(
         category="rebuild",
     )
 
-    rs = np.concatenate([t[0] for t in received])
-    rd = np.concatenate([t[1] for t in received])
-    rw = np.concatenate([t[2] for t in received])
+    rs, rd, rw = (np.concatenate(part) for part in zip(*received))
 
     # --- step 7: rebuild local CSR --------------------------------------
     vb = int(new_offsets[comm.rank])

@@ -61,10 +61,10 @@ def distributed_coloring(
     plan = plan or dg.build_ghost_plan(comm)
     nloc = dg.num_local
     colors = np.full(nloc, UNCOLORED, dtype=np.int64)
-    ctargets = dg.compressed_targets(plan)
-    rows = np.repeat(np.arange(nloc, dtype=np.int64), np.diff(dg.index))
-    row_gid = np.asarray(dg.from_local(rows))
-    self_mask = dg.edges == row_gid
+    ctargets = dg.compressed_targets()
+    rows = dg.local_rows()
+    row_gid = dg.from_local(rows)
+    self_mask = dg.self_loop_mask()
 
     my_prio = _priorities(dg.local_vertex_ids().astype(np.uint64), seed)
     ghost_prio = _priorities(plan.ghost_ids.astype(np.uint64), seed)
@@ -76,8 +76,8 @@ def distributed_coloring(
             comm, plan, colors, category="other"
         )
         all_colors = np.concatenate([colors, ghost_colors])
-        target_colors = all_colors[ctargets] if len(ctargets) else all_colors[:0]
-        target_prio = all_prio[ctargets] if len(ctargets) else all_prio[:0]
+        target_colors = all_colors[ctargets]
+        target_prio = all_prio[ctargets]
 
         uncolored = colors == UNCOLORED
         # A vertex wins the round if every *uncoloured* neighbour has a
@@ -134,18 +134,9 @@ def verify_coloring(
     ghost_colors = dg.exchange_ghost_values(
         comm, plan, colors, category="other"
     )
-    ctargets = dg.compressed_targets(plan)
-    rows = np.repeat(
-        np.arange(dg.num_local, dtype=np.int64), np.diff(dg.index)
-    )
-    self_mask = dg.edges == np.asarray(dg.from_local(rows))
-    target_colors = (
-        np.concatenate([colors, ghost_colors])[ctargets]
-        if len(ctargets)
-        else np.empty(0, dtype=np.int64)
-    )
+    targets = np.concatenate([colors, ghost_colors])[dg.compressed_targets()]
     local_ok = bool(
-        np.all((colors[rows] != target_colors) | self_mask)
+        np.all((colors[dg.local_rows()] != targets) | dg.self_loop_mask())
         and np.all(colors >= 0)
     )
     return bool(comm.allreduce(local_ok, op="land", category="other"))

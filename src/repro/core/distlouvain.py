@@ -88,7 +88,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph, sorted_unique
 from ..graph.distgraph import DistGraph, GhostPlan
-from ..graph.partition import even_vertex
+from ..graph.partition import even_vertex, owner_of
 from ..runtime.comm import Communicator
 from ..runtime.executor import SPMDResult, run_spmd
 from ..runtime.perfmodel import CORI_HASWELL, MachineModel
@@ -158,19 +158,11 @@ class _CommunityView:
         self.ids, self.slot = np.unique(
             np.concatenate([local_comm, values]), return_inverse=True
         )
-        self._ctargets = dg.compressed_targets(plan)
+        self._ctargets = dg.compressed_targets()
         self.target = self.slot.take(self._ctargets, out=target, mode="clip")
-        # Flattened ghost send plan: the owned vertex ids each rank
-        # ghosts, ascending by destination rank, and their local slots.
-        per_rank = [
-            plan.send_ids.get(r, np.empty(0, np.int64))
-            for r in range(dg.nranks)
-        ]
-        counts = [len(ids) for ids in per_rank]
-        self.send_ids = np.concatenate(per_rank)
-        self.send_loc = np.asarray(dg.to_local(self.send_ids))
-        #: Where each destination's pairs start in the send lists.
-        self._send_cuts = np.concatenate([[0], np.cumsum(counts)])
+        #: Local slots of the plan's send list (the owned vertex ids
+        #: each rank ghosts, in destination order).
+        self.send_loc = np.asarray(dg.to_local(plan.send_ids))
 
     def publish(
         self, local_comm: np.ndarray, moved: np.ndarray
@@ -184,8 +176,8 @@ class _CommunityView:
         own new positions (the kernel proposes in positions, so the
         caller has them for free)."""
         sel = np.flatnonzero(moved[self.send_loc])
-        counts = np.diff(np.searchsorted(sel, self._send_cuts))
-        return counts, self.send_ids[sel], local_comm[self.send_loc[sel]]
+        counts = np.diff(np.searchsorted(sel, self.plan.send_cuts))
+        return counts, self.plan.send_ids[sel], local_comm[self.send_loc[sel]]
 
     def absorb(self, ghost_ids: np.ndarray, values: np.ndarray) -> None:
         """Ghost vertices ``ghost_ids`` now belong to communities
@@ -1147,11 +1139,10 @@ def _cross_entries(run: RunState) -> int:
     dg = run.dg
     if run.layout_ranks is None:
         return int(np.count_nonzero(~dg.is_owned(dg.edges)))
-    cuts = even_vertex(dg.num_global_vertices, run.layout_ranks)[1:-1]
+    layout = even_vertex(dg.num_global_vertices, run.layout_ranks)
     rows = dg.from_local(dg.local_rows())
     return int(np.count_nonzero(
-        np.searchsorted(cuts, rows, side="right")
-        != np.searchsorted(cuts, dg.edges, side="right")
+        owner_of(layout, rows) != owner_of(layout, dg.edges)
     ))
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.distgraph import DistGraph, GhostPlan, split_by_rank
+from ..graph.distgraph import DistGraph, GhostPlan
 from ..runtime.comm import Communicator
 from .coarsen import remote_lookup
 
@@ -62,9 +62,8 @@ def _component_labels(
     max_rounds: int,
 ) -> np.ndarray:
     """Min vertex id of each owned vertex's (community, component)."""
-    ctargets = dg.compressed_targets(plan)
-    nloc = dg.num_local
-    rows = np.repeat(np.arange(nloc, dtype=np.int64), np.diff(dg.index))
+    ctargets = dg.compressed_targets()
+    rows = dg.local_rows()
     labels = dg.local_vertex_ids().copy()
 
     for _ in range(max_rounds):
@@ -74,17 +73,13 @@ def _component_labels(
             labels,
             category="other",
         )
-        if len(rows):
-            both = np.concatenate([labels, ghost_labels])
-            comm_both = np.concatenate([local_comm, ghost_comm])
-            target_labels = both[ctargets]
-            # The community constraint: only same-community edges carry
-            # labels, so propagation never crosses a community wall.
-            same = comm_both[ctargets] == local_comm[rows]
-            new_labels = labels.copy()
-            np.minimum.at(new_labels, rows[same], target_labels[same])
-        else:
-            new_labels = labels.copy()
+        target_labels = np.concatenate([labels, ghost_labels])[ctargets]
+        # The community constraint: only same-community edges carry
+        # labels, so propagation never crosses a community wall.
+        comm_both = np.concatenate([local_comm, ghost_comm])
+        same = comm_both[ctargets] == local_comm[rows]
+        new_labels = labels.copy()
+        np.minimum.at(new_labels, rows[same], target_labels[same])
         comm.charge_compute(dg.num_local_entries)
         changed = bool(np.any(new_labels != labels))
         labels = new_labels
@@ -132,20 +127,19 @@ def _labels_collide(
     """Do two different original communities claim one refined label?
 
     Each rank routes its distinct ``(refined label, original community)``
-    pairs to the label's owner, who checks that every claim on a label
-    names the same source community.  Replicated verdict via one
-    ``lor`` allreduce.
+    pairs — ascending by label, so cut by owner — to the label's owner,
+    who checks that every claim on a label names the same source
+    community.  Replicated verdict via one ``lor`` allreduce.
     """
     pairs = np.unique(np.stack([refined, original], axis=1), axis=0)
     lab, orig = pairs[:, 0], pairs[:, 1]
-    outgoing = split_by_rank(dg.owner_of(lab), comm.size, lab, orig)
-    received = comm.alltoall(outgoing, category="other")
-    all_lab = np.concatenate(
-        [rl for rl, _ in received] or [np.empty(0, np.int64)]
+    cuts = dg.cuts(lab)
+    received = comm.alltoall(
+        [(lab[a:b], orig[a:b]) for a, b in zip(cuts[:-1], cuts[1:])],
+        category="other",
     )
-    all_orig = np.concatenate(
-        [ro for _, ro in received] or [np.empty(0, np.int64)]
-    )
+    all_lab = np.concatenate([rl for rl, _ in received])
+    all_orig = np.concatenate([ro for _, ro in received])
     conflict = False
     if len(all_lab):
         order = np.lexsort((all_orig, all_lab))

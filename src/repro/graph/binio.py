@@ -88,7 +88,8 @@ def read_header(path: str | os.PathLike) -> BinHeader:
 def read_edges_slice(
     path: str | os.PathLike, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read records ``[lo, hi)``; returns ``(u, v, w)`` arrays."""
+    """Read records ``[lo, hi)``; returns ``(u, v, w)`` arrays.  An
+    endpoint outside the header's ``[0, n)`` raises."""
     header = read_header(path)
     if not 0 <= lo <= hi <= header.num_edges:
         raise ValueError(
@@ -100,11 +101,16 @@ def read_edges_slice(
         records = np.fromfile(fh, dtype=RECORD_DTYPE, count=count)
     if len(records) != count:
         raise BinFormatError(f"{path}: truncated file")
-    return (
-        records["u"].astype(np.int64),
-        records["v"].astype(np.int64),
-        records["w"].astype(np.float64),
-    )
+    u, v = (records[f].astype(np.int64) for f in "uv")
+    n = header.num_vertices
+    bad = np.flatnonzero((np.minimum(u, v) < 0) | (np.maximum(u, v) >= n))
+    if len(bad):
+        i = bad[0]
+        raise BinFormatError(
+            f"{path}: record {lo + i} has endpoint "
+            f"{u[i] if not 0 <= u[i] < n else v[i]} outside [0, {n})"
+        )
+    return u, v, records["w"].astype(np.float64)
 
 
 def read_edgelist(path: str | os.PathLike) -> EdgeList:

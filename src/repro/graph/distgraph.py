@@ -8,7 +8,9 @@ phase, which ghost values must be fetched from which owner.
 
 The full ghost exchange a phase starts with — every ghost vertex's
 community assignment — is :meth:`DistGraph.exchange_ghost_values`, which
-moves a value per ghost vertex through one ``alltoall``.
+moves a value per ghost vertex through one ``alltoall``.  Both route by
+owner the one way ownership allows: ascending ids cut by rank
+(:func:`owner_cuts`).
 """
 
 from __future__ import annotations
@@ -20,30 +22,7 @@ import numpy as np
 from ..runtime.comm import Communicator
 from . import binio
 from .csr import CSRGraph, row_index, sum_duplicate_entries
-from .partition import even_edge, even_vertex
-
-
-def split_by_rank(
-    ranks: np.ndarray, nranks: int, *arrays: np.ndarray
-) -> list[tuple[np.ndarray, ...]]:
-    """Bucket parallel arrays by destination rank in one argsort.
-
-    ``ranks`` assigns a destination rank to every element; the aligned
-    ``arrays`` are returned as one tuple of slices per rank (empty
-    slices for ranks with no elements).  Element order *within* a rank
-    follows the input order (stable sort), which callers rely on for
-    deterministic payloads.  This replaces the per-rank boolean-mask
-    loops (``for r in range(p): a[ranks == r]``) that scanned the full
-    array ``p`` times per call on the hot communication paths.
-    """
-    order = np.argsort(ranks, kind="stable")
-    bounds = np.searchsorted(
-        ranks, np.arange(nranks + 1, dtype=np.int64), sorter=order
-    )
-    return [
-        tuple(a[order[bounds[r]:bounds[r + 1]]] for a in arrays)
-        for r in range(nranks)
-    ]
+from .partition import even_edge, even_vertex, owner_of
 
 
 def owner_cuts(offsets: np.ndarray, sorted_ids: np.ndarray) -> np.ndarray:
@@ -51,10 +30,9 @@ def owner_cuts(offsets: np.ndarray, sorted_ids: np.ndarray) -> np.ndarray:
 
     Ownership is contiguous (``offsets``), so the owners of ascending
     ids ascend too and routing by owner is slicing:
-    ``sorted_ids[cuts[r]:cuts[r + 1]]`` are the ids rank ``r`` owns —
-    payload for payload what ``split_by_rank(owner_of(ids), ...)``
-    yields, with no sort and no copy.  An id outside the vertex space
-    has no owner; it raises rather than being dropped off either end.
+    ``sorted_ids[cuts[r]:cuts[r + 1]]`` are the ids rank ``r`` owns,
+    with no sort and no copy.  An id outside the vertex space has no
+    owner; it raises rather than being dropped off either end.
     """
     cuts = np.searchsorted(sorted_ids, offsets)
     if cuts[0] != 0 or cuts[-1] != len(sorted_ids):
@@ -67,30 +45,28 @@ def owner_cuts(offsets: np.ndarray, sorted_ids: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GhostPlan:
-    """Per-phase ghost exchange plan (paper Algorithm 4).
+    """Per-phase ghost exchange plan (paper Algorithm 4): two id
+    arrays in owner order, each with its ``int64[p + 1]`` rank cuts.
 
     Attributes
     ----------
-    ghost_ids:
-        Sorted global ids of this rank's ghost vertices.
-    recv_ids:
-        ``{owner_rank: global ids we receive from that rank}``; the
-        concatenation in rank order equals ``ghost_ids`` order.
-    send_ids:
-        ``{dest_rank: our owned global ids that dest keeps as ghosts}``.
+    ghost_ids / ghost_cuts:
+        Sorted global ids of this rank's ghost vertices; rank ``r`` owns
+        ``ghost_ids[ghost_cuts[r]:ghost_cuts[r + 1]]``.
+    send_ids / send_cuts:
+        Our owned global ids that rank ``d`` keeps as ghosts are
+        ``send_ids[send_cuts[d]:send_cuts[d + 1]]`` (``d``'s
+        ``ghost_ids`` slice for us).
     """
 
     ghost_ids: np.ndarray
-    recv_ids: dict[int, np.ndarray]
-    send_ids: dict[int, np.ndarray]
+    ghost_cuts: np.ndarray
+    send_ids: np.ndarray
+    send_cuts: np.ndarray
 
     @property
     def num_ghosts(self) -> int:
         return len(self.ghost_ids)
-
-    def neighbor_ranks(self) -> list[int]:
-        """Ranks this rank exchanges ghost data with."""
-        return sorted(set(self.recv_ids) | set(self.send_ids))
 
 
 @dataclass
@@ -122,7 +98,6 @@ class DistGraph:
         default=None, repr=False
     )
     _plan: GhostPlan | None = field(default=None, repr=False)
-    _owner_bounds: np.ndarray | None = field(default=None, repr=False)
     _rows: np.ndarray | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
@@ -152,17 +127,6 @@ class DistGraph:
     def num_local_entries(self) -> int:
         """Stored adjacency entries on this rank (its share of work)."""
         return len(self.edges)
-
-    def owner(self, vertices: np.ndarray | int):
-        """Rank owning each global vertex id."""
-        return self.owner_of(vertices)
-
-    def owner_of(self, ids: np.ndarray | int):
-        """Vectorised owner lookup: searches the cached interior
-        boundaries ``offsets[1:-1]`` (computed once and reused)."""
-        if self._owner_bounds is None:
-            self._owner_bounds = np.ascontiguousarray(self.offsets[1:-1])
-        return np.searchsorted(self._owner_bounds, ids, side="right")
 
     def cuts(self, sorted_ids: np.ndarray) -> np.ndarray:
         """:func:`owner_cuts` of ascending ``sorted_ids`` in this graph's
@@ -228,10 +192,10 @@ class DistGraph:
     def build_ghost_plan(self, comm: Communicator) -> GhostPlan:
         """One-time-per-phase ghost coordinate exchange (Algorithm 4).
 
-        Each rank scans its edge targets for non-owned vertices, groups
+        Each rank scans its edge targets for non-owned vertices, cuts
         them by owner, and tells every owner which of its vertices are
-        ghosted here; the owner's reply direction is implied (symmetric
-        alltoall), establishing both halves of the plan.
+        ghosted here; what it hears back, laid end to end, is its send
+        list (symmetric alltoall), establishing both halves of the plan.
         """
         if self._plan is not None:
             # The plan is memoised in the same phase on every rank
@@ -244,14 +208,15 @@ class DistGraph:
         comm.charge_compute(self.num_local_entries, category="ghost_comm")
 
         # No ghost is owned here, so this rank's own slice is empty.
-        requests = [ghosts[cuts[r]:cuts[r + 1]] for r in range(comm.size)]
-        recv_ids = {r: ids for r, ids in enumerate(requests) if len(ids)}
-        got = comm.alltoall(requests, category="ghost_comm")
-        send_ids = {
-            r: ids for r, ids in enumerate(got) if r != comm.rank and len(ids)
-        }
+        got = comm.alltoall(
+            [ghosts[cuts[r]:cuts[r + 1]] for r in range(comm.size)],
+            category="ghost_comm",
+        )
         self._plan = GhostPlan(
-            ghost_ids=ghosts, recv_ids=recv_ids, send_ids=send_ids
+            ghost_ids=ghosts,
+            ghost_cuts=cuts,
+            send_ids=np.concatenate(got),
+            send_cuts=np.cumsum([0] + [len(ids) for ids in got]),
         )
         return self._plan
 
@@ -267,12 +232,12 @@ class DistGraph:
             self._targets = ghosts, compressed
         return self._targets
 
-    def compressed_targets(self, plan: GhostPlan) -> np.ndarray:
+    def compressed_targets(self) -> np.ndarray:
         """Edge targets re-indexed for O(1) community lookup.
 
         Owned target ``v`` becomes ``v - vbegin``; ghost target becomes
-        ``num_local + slot`` where ``slot`` indexes ``plan.ghost_ids``
-        (``plan`` being this graph's own plan).
+        ``num_local + slot`` where ``slot`` indexes the plan's
+        ``ghost_ids``.
         With local community assignments ``C_loc[num_local]`` and ghost
         values ``C_gho[num_ghosts]``, the community of every edge target
         is ``concat(C_loc, C_gho)[compressed_targets]`` — the vectorised
@@ -293,30 +258,28 @@ class DistGraph:
         ``local_values`` is indexed by local vertex (0..num_local); the
         return array aligns with ``plan.ghost_ids``.  This is the
         Algorithm 3 lines 4-5 exchange in full, executed once per phase;
-        the iterations then ship only values that changed.
+        the iterations then ship only values that changed.  Owners
+        ascend with the ghost ids, so rank order is ghost order.
         """
         if len(local_values) != self.num_local:
             raise ValueError(
                 f"local_values has {len(local_values)} entries for "
                 f"{self.num_local} owned vertices"
             )
-        payload_list = [
-            local_values[self.to_local(plan.send_ids[r])]
-            if r in plan.send_ids
-            else np.empty(0, local_values.dtype)
-            for r in range(comm.size)
-        ]
-        received = comm.alltoall(payload_list, category=category)
-        out = np.empty(plan.num_ghosts, dtype=local_values.dtype)
-        for r, ids in sorted(plan.recv_ids.items()):
-            values = received[r]
-            if len(values) != len(ids):
+        received = comm.alltoall(
+            np.split(
+                local_values[self.to_local(plan.send_ids)],
+                plan.send_cuts[1:-1],
+            ),
+            category=category,
+        )
+        for r, want in enumerate(np.diff(plan.ghost_cuts)):
+            if len(received[r]) != want:
                 raise ValueError(
                     f"ghost exchange mismatch with rank {r}: expected "
-                    f"{len(ids)} values, got {len(values)}"
+                    f"{want} values, got {len(received[r])}"
                 )
-            out[np.searchsorted(plan.ghost_ids, ids)] = values
-        return out
+        return np.concatenate(received)
 
     # ------------------------------------------------------------------
     # Construction
@@ -395,17 +358,12 @@ class DistGraph:
 
         # Route each record to the owner of each endpoint (twice when the
         # endpoints live on different ranks), as the loader must.
-        owner_u = np.searchsorted(offsets, u, side="right") - 1
-        owner_v = np.searchsorted(offsets, v, side="right") - 1
-        outgoing: list[tuple[np.ndarray, ...]] = []
-        for r in range(comm.size):
-            keep = (owner_u == r) | (owner_v == r)
-            outgoing.append((u[keep], v[keep], w[keep]))
-        received = comm.alltoall(outgoing, category="io")
-
-        ru = np.concatenate([t[0] for t in received])
-        rv = np.concatenate([t[1] for t in received])
-        rw = np.concatenate([t[2] for t in received])
+        owner_u, owner_v = owner_of(offsets, u), owner_of(offsets, v)
+        keeps = [(owner_u == r) | (owner_v == r) for r in range(comm.size)]
+        received = comm.alltoall(
+            [(u[k], v[k], w[k]) for k in keeps], category="io"
+        )
+        ru, rv, rw = (np.concatenate(part) for part in zip(*received))
         vb, ve = int(offsets[comm.rank]), int(offsets[comm.rank + 1])
         local = _rows_from_undirected(ru, rv, rw, vb, ve)
         # Total weight requires one global reduction.

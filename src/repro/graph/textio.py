@@ -9,7 +9,8 @@ sources actually serve, so the conversion pipeline is reproducible:
   ``%`` comments, arbitrary (possibly sparse) vertex ids;
 * **METIS** — header ``n m [fmt]``, then one line per vertex listing
   its (1-based) neighbours, optionally with weights (fmt 1/001 = edge
-  weights).
+  weights); ``%`` lines are comments, and a blank line is a vertex
+  without neighbours.
 
 Both produce an :class:`~repro.graph.edgelist.EdgeList`;
 :func:`convert_to_binary` completes the paper's ingest pipeline.
@@ -81,36 +82,45 @@ def read_snap_edgelist(
 
 
 def read_metis(path: str | os.PathLike) -> EdgeList:
-    """Read a METIS graph file (1-based adjacency lists)."""
+    """Read a METIS graph file (1-based adjacency lists).  Only ``%``
+    lines are comments: after the header a blank line is an isolated
+    vertex (blank lines past the ``n``-th are ignored)."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [
-            ln.strip()
-            for ln in fh
-            if ln.strip() and not ln.lstrip().startswith("%")
-        ]
-    if not lines:
+        lines = [ln.strip() for ln in fh if not ln.lstrip().startswith("%")]
+    start = next((i for i, ln in enumerate(lines) if ln), len(lines))
+    if start == len(lines):
         raise TextFormatError(f"{path}: empty METIS file")
-    header = lines[0].split()
-    if len(header) < 2:
-        raise TextFormatError(f"{path}: METIS header needs 'n m [fmt]'")
-    n, m = int(header[0]), int(header[1])
+    header = lines[start].split()
+    try:
+        n, m = int(header[0]), int(header[1])
+    except (IndexError, ValueError):
+        raise TextFormatError(
+            f"{path}: METIS header needs 'n m [fmt]', got {lines[start]!r}"
+        ) from None
     fmt = header[2] if len(header) > 2 else "0"
     has_edge_weights = fmt.endswith("1")
     has_vertex_weights = len(fmt) >= 2 and fmt[-2] == "1"
-    if len(lines) - 1 != n:
+    rows = lines[start + 1:]
+    while len(rows) > n and not rows[-1]:
+        rows.pop()
+    if len(rows) != n:
         raise TextFormatError(
-            f"{path}: header says {n} vertices, file has {len(lines) - 1} "
+            f"{path}: header says {n} vertices, file has {len(rows)} "
             "adjacency lines"
         )
 
     us: list[int] = []
     vs: list[int] = []
     ws: list[float] = []
-    for u, line in enumerate(lines[1:]):
-        tokens = line.split()
-        start = 1 if has_vertex_weights else 0
-        step = 2 if has_edge_weights else 1
-        for i in range(start, len(tokens), step):
+    step = 2 if has_edge_weights else 1
+    for u, line in enumerate(rows):
+        tokens = line.split()[1 if has_vertex_weights else 0:]
+        if len(tokens) % step:
+            raise TextFormatError(
+                f"{path}: vertex {u + 1} lists neighbour {tokens[-1]} "
+                "without a weight"
+            )
+        for i in range(0, len(tokens), step):
             v = int(tokens[i]) - 1  # METIS is 1-based
             if not 0 <= v < n:
                 raise TextFormatError(

@@ -3,9 +3,10 @@
 These are the ``aggregate_deltas`` and the ``argsort(dest)`` +
 per-destination ``_combine_entries`` of ``repro.core`` as they shipped
 before the per-phase community view, moved here verbatim (tests only,
-never imported by ``src/``; ``split_by_rank`` still ships and is used
-as is).  The shipped code — a scatter over the view's dense ids, one
-``(src, dst)`` sort for every destination — keeps their arithmetic:
+never imported by ``src/``), together with the argsort bucketing
+``split_by_rank`` they used, which ``src/`` replaced with owner cuts of
+ascending ids.  The shipped code — a scatter over the view's dense ids,
+one ``(src, dst)`` sort for every destination — keeps their arithmetic:
 same floats added in the same order, same arrays on the wire.
 Equality, not a tolerance, is the contract.
 """
@@ -14,7 +15,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.distgraph import split_by_rank
+
+def split_by_rank(
+    ranks: np.ndarray, nranks: int, *arrays: np.ndarray
+) -> list[tuple[np.ndarray, ...]]:
+    """Bucket parallel arrays by destination rank in one argsort.
+
+    ``ranks`` assigns a destination rank to every element; the aligned
+    ``arrays`` are returned as one tuple of slices per rank (empty
+    slices for ranks with no elements).  Element order *within* a rank
+    follows the input order (stable sort), which callers rely on for
+    deterministic payloads.  This replaces the per-rank boolean-mask
+    loops (``for r in range(p): a[ranks == r]``) that scanned the full
+    array ``p`` times per call on the hot communication paths.
+    """
+    order = np.argsort(ranks, kind="stable")
+    bounds = np.searchsorted(
+        ranks, np.arange(nranks + 1, dtype=np.int64), sorter=order
+    )
+    return [
+        tuple(a[order[bounds[r]:bounds[r + 1]]] for a in arrays)
+        for r in range(nranks)
+    ]
 
 
 def aggregate_deltas(

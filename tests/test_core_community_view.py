@@ -43,7 +43,7 @@ def assert_view_consistent(view, dg, local_comm) -> None:
     assert np.all(np.diff(view.ids) > 0)
     np.testing.assert_array_equal(view.ids[view.slot], raw)
     np.testing.assert_array_equal(
-        view.target, view.slot[dg.compressed_targets(view.plan)]
+        view.target, view.slot[dg.compressed_targets()]
     )
     np.testing.assert_array_equal(
         np.unique(view.slot, return_inverse=True)[1],

@@ -35,6 +35,11 @@ REMOVED = {
     "core.coarsen._lookup_sorted",
     "_send_requests",
     "_answer_requests",
+    "GhostPlan.recv_ids",
+    "GhostPlan.neighbor_ranks",
+    "DistGraph.owner",
+    "DistGraph.owner_of",
+    "graph.distgraph.split_by_rank",
 }
 
 _NAME = re.compile(r"^[A-Za-z_]\w*(\.[A-Za-z_]\w*)*$")

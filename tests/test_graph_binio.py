@@ -130,3 +130,56 @@ class TestMalformedFiles:
         bad.write_bytes(data[:-8])
         with pytest.raises(BinFormatError, match="truncated"):
             read_edges_slice(bad, 0, el.num_edges)
+
+
+class TestEndpointRange:
+    """Records whose endpoints lie outside the header's ``[0, n)`` are
+    refused by the reader every ingest path shares, naming the file and
+    the offending id."""
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        # 4 vertices in the header, one record aims at vertex 7.
+        path = tmp_path / "bad.bin"
+        write_edgelist(
+            path, EdgeList(4, np.array([0, 1, 2, 2]), np.array([1, 2, 7, 3]),
+                           np.ones(4))
+        )
+        return path
+
+    def test_read_edgelist_refuses(self, bad):
+        with pytest.raises(BinFormatError, match=r"bad\.bin.*endpoint 7"):
+            read_edgelist(bad)
+
+    def test_negative_endpoint_refused(self, tmp_path):
+        path = tmp_path / "neg.bin"
+        write_edgelist(
+            path, EdgeList(3, np.array([0, -2]), np.array([1, 1]), np.ones(2))
+        )
+        with pytest.raises(BinFormatError, match="endpoint -2"):
+            read_edges_slice(path, 0, 2)
+
+    def test_slice_without_the_bad_record_reads(self, bad):
+        u, v, _ = read_edges_slice(bad, 0, 2)
+        np.testing.assert_array_equal(v, [1, 2])
+
+    @pytest.mark.parametrize("partition", ["even_vertex", "even_edge"])
+    @pytest.mark.parametrize("nranks", [1, 2])
+    def test_load_binary_refuses(self, bad, partition, nranks):
+        from repro.graph import DistGraph
+        from repro.runtime import FREE, RankFailedError, run_spmd
+
+        with pytest.raises((BinFormatError, RankFailedError)) as excinfo:
+            run_spmd(
+                nranks,
+                lambda comm: DistGraph.load_binary(
+                    comm, str(bad), partition=partition
+                ),
+                machine=FREE,
+                timeout=15.0,
+            )
+        err = excinfo.value
+        if isinstance(err, RankFailedError):
+            err = next(iter(err.causes.values()))
+        assert isinstance(err, BinFormatError)
+        assert "bad.bin" in str(err) and "endpoint 7" in str(err)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, DistGraph, EdgeList, write_edgelist
+from repro.graph.partition import owner_of
 from repro.runtime import FREE, run_spmd
 
 from .conftest import planted_blocks_graph
@@ -36,13 +39,6 @@ class TestFromGlobal:
         nbrs, _ = p1.row(0)  # local vertex 0 == global 3
         assert set(map(int, nbrs)) == {2, 4}
 
-    def test_owner(self):
-        g = ring_graph(6)
-        dg = DistGraph.from_global(g, np.array([0, 3, 6]), 0)
-        np.testing.assert_array_equal(
-            dg.owner(np.array([0, 2, 3, 5])), [0, 0, 1, 1]
-        )
-
     def test_partition_must_cover(self):
         g = ring_graph(6)
         with pytest.raises(ValueError):
@@ -61,32 +57,34 @@ class TestGhostPlan:
         def prog(comm):
             dg = DistGraph.distribute(comm, g, partition="even_vertex")
             plan = dg.build_ghost_plan(comm)
-            return sorted(plan.ghost_ids.tolist()), plan.neighbor_ranks()
+            return (
+                plan.ghost_ids.tolist(), plan.ghost_cuts.tolist(),
+                plan.send_ids.tolist(), plan.send_cuts.tolist(),
+            )
 
         r = spmd(4, prog)
-        # Rank 1 owns {2,3}: ghosts are 1 and 4, owned by ranks 0 and 2.
-        ghosts, nbrs = r.values[1]
-        assert ghosts == [1, 4]
-        assert nbrs == [0, 2]
+        # Rank 1 owns {2,3}: ghosts are 1 and 4, owned by ranks 0 and 2,
+        # which ghost 2 and 3 of its own.
+        assert r.values[1] == ([1, 4], [0, 1, 1, 2, 2], [2, 3], [0, 1, 1, 2, 2])
 
     def test_plan_symmetry(self):
         g = planted_blocks_graph(blocks=4, per_block=10, seed=3)
 
         def prog(comm):
-            dg = DistGraph.distribute(comm, g)
-            plan = dg.build_ghost_plan(comm)
-            send = {r: ids.tolist() for r, ids in sorted(plan.send_ids.items())}
-            recv = {r: ids.tolist() for r, ids in sorted(plan.recv_ids.items())}
-            return send, recv
+            return DistGraph.distribute(comm, g).build_ghost_plan(comm)
 
-        r = spmd(3, prog)
+        plans = spmd(3, prog).values
         for a in range(3):
             for b in range(3):
-                if a == b:
-                    continue
-                sends = r.values[a][0].get(b, [])
-                recvs = r.values[b][1].get(a, [])
-                assert sorted(sends) == sorted(recvs)
+                # What a sends b is what b ghosts of a, in the same order.
+                sent = plans[a].send_ids[
+                    plans[a].send_cuts[b]:plans[a].send_cuts[b + 1]
+                ]
+                ghosted = plans[b].ghost_ids[
+                    plans[b].ghost_cuts[a]:plans[b].ghost_cuts[a + 1]
+                ]
+                np.testing.assert_array_equal(sent, ghosted)
+                assert a != b or not len(sent)
 
     def test_plan_cached(self):
         g = ring_graph(6)
@@ -109,6 +107,56 @@ class TestGhostPlan:
         assert spmd(1, prog).values == [0]
 
 
+@given(
+    n=st.integers(0, 14),
+    m=st.integers(0, 30),
+    seed=st.integers(0, 2**16),
+    p=st.integers(1, 8),
+    partition=st.sampled_from(["even_vertex", "even_edge"]),
+)
+@settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_plan_is_owner_order(n, m, seed, p, partition):
+    """The plan's slices follow ownership, the two sides of every
+    (owner, ghosting rank) pair hold the same ids, and the exchange
+    returns each ghost's owner value in ghost order — on graphs with
+    isolated vertices, with p > n allowed."""
+    rng = np.random.default_rng(seed)
+    u = v = np.empty(0, np.int64)
+    if n:
+        # Edges touch a random half of the vertices; the rest are isolated.
+        ends = rng.choice(n, size=max(n // 2, 1), replace=False)
+        u, v = rng.choice(ends, m), rng.choice(ends, m)
+    g = EdgeList.from_arrays(n, u, v).to_csr()
+
+    def prog(comm):
+        dg = DistGraph.distribute(comm, g, partition=partition)
+        plan = dg.build_ghost_plan(comm)
+        gc, off = plan.ghost_cuts, dg.offsets
+        for o in range(p):
+            got = plan.ghost_ids[gc[o]:gc[o + 1]]
+            assert np.all((got >= off[o]) & (got < off[o + 1]))
+            assert o != comm.rank or not len(got)
+        assert gc[-1] == plan.num_ghosts
+        everyone = comm.allgather(plan)
+        for r, theirs in enumerate(everyone):
+            np.testing.assert_array_equal(
+                plan.send_ids[plan.send_cuts[r]:plan.send_cuts[r + 1]],
+                theirs.ghost_ids[
+                    theirs.ghost_cuts[comm.rank]:theirs.ghost_cuts[comm.rank + 1]
+                ],
+            )
+        got = dg.exchange_ghost_values(
+            comm, plan, dg.local_vertex_ids() * 7 + 3
+        )
+        np.testing.assert_array_equal(got, plan.ghost_ids * 7 + 3)
+        return True
+
+    assert all(spmd(p, prog).values)
+
+
 class TestGhostExchange:
     def test_values_match_owners(self):
         g = planted_blocks_graph(blocks=4, per_block=10, seed=3)
@@ -123,34 +171,6 @@ class TestGhostExchange:
 
         assert all(spmd(4, prog).values)
 
-    def test_insertion_order_of_plan_dicts_is_irrelevant(self):
-        # Regression: exchange_ghost_values used to iterate
-        # plan.send_ids/recv_ids in dict insertion order, so two plans
-        # with the same content but different construction history could
-        # exchange in different per-rank orders.  Both iterations are now
-        # sorted; a plan with reversed insertion order must produce the
-        # identical ghost array (checked under the schedule verifier).
-        from repro.graph.distgraph import GhostPlan
-
-        g = planted_blocks_graph(blocks=4, per_block=10, seed=3)
-
-        def prog(comm):
-            dg = DistGraph.distribute(comm, g)
-            plan = dg.build_ghost_plan(comm)
-            reversed_plan = GhostPlan(
-                ghost_ids=plan.ghost_ids,
-                recv_ids=dict(reversed(list(plan.recv_ids.items()))),
-                send_ids=dict(reversed(list(plan.send_ids.items()))),
-            )
-            local = (np.arange(dg.vbegin, dg.vend) * 7 + 1).astype(np.int64)
-            a = dg.exchange_ghost_values(comm, plan, local)
-            b = dg.exchange_ghost_values(comm, reversed_plan, local)
-            return bool(np.array_equal(a, b)) and bool(
-                np.all(a == plan.ghost_ids * 7 + 1)
-            )
-
-        assert all(spmd(4, prog, verify_schedule=True).values)
-
     def test_wrong_length_rejected(self):
         g = ring_graph(8)
 
@@ -164,13 +184,43 @@ class TestGhostExchange:
         with pytest.raises(RankFailedError):
             spmd(4, prog)
 
+    def test_short_wire_message_names_the_rank(self, monkeypatch):
+        # The replies are laid end to end as the ghost values, so one
+        # that is not as long as its slice of the plan would shift every
+        # later ghost: it must fail, naming the rank that sent it.
+        from repro.runtime import RankFailedError
+        from repro.runtime.comm import Communicator
+
+        g = ring_graph(8)
+        real = Communicator.alltoall
+
+        def lossy(self, values, category="other"):
+            if category == "test" and self.rank == 2:
+                values = [v if d != 1 else v[:-1] for d, v in enumerate(values)]
+            return real(self, values, category=category)
+
+        def prog(comm):
+            dg = DistGraph.distribute(comm, g, partition="even_vertex")
+            plan = dg.build_ghost_plan(comm)
+            local = dg.local_vertex_ids()
+            return dg.exchange_ghost_values(comm, plan, local, category="test")
+
+        monkeypatch.setattr(Communicator, "alltoall", lossy)
+        with pytest.raises(RankFailedError) as excinfo:
+            spmd(4, prog)
+        (rank, err), = excinfo.value.causes.items()
+        assert rank == 1 and isinstance(err, ValueError)
+        assert str(err) == (
+            "ghost exchange mismatch with rank 2: expected 1 values, got 0"
+        )
+
     def test_compressed_targets_resolve_communities(self):
         g = planted_blocks_graph(blocks=3, per_block=8, seed=5)
 
         def prog(comm):
             dg = DistGraph.distribute(comm, g)
             plan = dg.build_ghost_plan(comm)
-            ct = dg.compressed_targets(plan)
+            ct = dg.compressed_targets()
             local = np.arange(dg.vbegin, dg.vend, dtype=np.int64)
             ghosts = dg.exchange_ghost_values(comm, plan, local)
             resolved = np.concatenate([local, ghosts])[ct]
@@ -231,37 +281,9 @@ class TestLoadBinary:
         assert r.trace.seconds_by_category().get("io", 0) > 0
 
 
-class TestOwnerLookup:
-    def test_owner_of_matches_offsets(self):
-        g = ring_graph(17)
-        offsets = np.array([0, 5, 5, 11, 17])
-        dg = DistGraph.from_global(g, offsets, 0)
-        ids = np.arange(17)
-        expected = np.searchsorted(offsets, ids, side="right") - 1
-        np.testing.assert_array_equal(dg.owner_of(ids), expected)
-
-    def test_owner_of_scalar_and_boundaries(self):
-        g = ring_graph(10)
-        offsets = np.array([0, 3, 7, 10])
-        dg = DistGraph.from_global(g, offsets, 1)
-        assert dg.owner_of(0) == 0
-        assert dg.owner_of(2) == 0
-        assert dg.owner_of(3) == 1  # first vertex of rank 1's slice
-        assert dg.owner_of(6) == 1
-        assert dg.owner_of(7) == 2
-        assert dg.owner_of(9) == 2
-
-    def test_empty_rank_owns_nothing(self):
-        g = ring_graph(6)
-        offsets = np.array([0, 3, 3, 6])  # rank 1 owns no vertices
-        dg = DistGraph.from_global(g, offsets, 0)
-        owners = dg.owner_of(np.arange(6))
-        assert 1 not in owners
-
-
 class TestSplitByRank:
     def test_buckets_and_stability(self):
-        from repro.graph.distgraph import split_by_rank
+        from .oracles.aggregate_reference import split_by_rank
 
         ranks = np.array([2, 0, 2, 1, 0, 2])
         vals = np.array([10, 11, 12, 13, 14, 15])
@@ -277,7 +299,7 @@ class TestSplitByRank:
             np.testing.assert_array_equal(out[r][1], out[r][0] * 2.0)
 
     def test_empty_input(self):
-        from repro.graph.distgraph import split_by_rank
+        from .oracles.aggregate_reference import split_by_rank
 
         out = split_by_rank(np.empty(0, np.int64), 3, np.empty(0, np.int64))
         assert len(out) == 3
@@ -298,7 +320,7 @@ class TestOwnerCuts:
 
     @pytest.mark.parametrize("offsets", OFFSETS)
     def test_equals_split_by_owner(self, offsets):
-        from repro.graph.distgraph import split_by_rank
+        from .oracles.aggregate_reference import split_by_rank
 
         offsets = np.array(offsets)
         n, p = int(offsets[-1]), len(offsets) - 1
@@ -313,7 +335,7 @@ class TestOwnerCuts:
             aux = ids * 0.5
             cuts = dg.cuts(ids)
             assert len(cuts) == p + 1
-            want = split_by_rank(dg.owner_of(ids), p, ids, aux)
+            want = split_by_rank(owner_of(offsets, ids), p, ids, aux)
             for r in range(p):
                 a, b = cuts[r], cuts[r + 1]
                 np.testing.assert_array_equal(ids[a:b], want[r][0])
@@ -323,8 +345,9 @@ class TestOwnerCuts:
 
     @pytest.mark.parametrize("bad", [[-1, 2], [3, 10], [0, 99], [-5]])
     def test_id_outside_vertex_space_raises(self, bad):
-        # owner_of would hand such an id to the first or last rank; a
-        # cut would silently drop it off the end.  Neither: it raises.
+        # A bare owner search would hand such an id to the first or last
+        # rank; a cut would silently drop it off the end.  Neither: it
+        # raises.
         dg = DistGraph.from_global(ring_graph(10), np.array([0, 4, 7, 10]), 1)
         with pytest.raises(ValueError, match="outside the vertex space"):
             dg.cuts(np.array(bad))

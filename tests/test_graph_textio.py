@@ -167,3 +167,44 @@ class TestConvertToBinary:
         np.testing.assert_array_equal(
             from_file.assignment, direct.assignment
         )
+
+
+class TestMetisBlankLines:
+    """In METIS a blank adjacency line is an isolated vertex, so what
+    :func:`write_metis` writes for one reads back."""
+
+    @pytest.mark.parametrize(
+        "n, u, v",
+        [
+            (5, [0, 3], [1, 4]),  # vertex 2 isolated, in the middle
+            (5, [0, 1], [1, 2]),  # vertices 3 and 4 isolated, at the end
+            (3, [], []),  # no edges at all
+        ],
+    )
+    def test_roundtrip_with_isolated_vertices(self, tmp_path, n, u, v):
+        el = EdgeList.from_arrays(n, u, v, np.arange(1.0, len(u) + 1))
+        path = tmp_path / "g.graph"
+        write_metis(path, el)
+        back = read_metis(path)
+        assert back.num_vertices == n
+        np.testing.assert_array_equal(back.u, el.u)
+        np.testing.assert_array_equal(back.v, el.v)
+        np.testing.assert_array_equal(back.w, el.w)
+
+    def test_trailing_blank_lines_past_n_ignored(self, tmp_path):
+        path = tmp_path / "g.graph"
+        path.write_text("3 1\n2\n1\n\n\n\n")
+        el = read_metis(path)
+        assert (el.num_vertices, el.num_edges) == (3, 1)
+
+    def test_dangling_weighted_neighbour(self, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_text("3 1 001\n2 1 3\n1 1\n\n")
+        with pytest.raises(TextFormatError, match=r"bad\.graph.*weight"):
+            read_metis(path)
+
+    def test_non_integer_header(self, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_text("x 1\n2\n1\n")
+        with pytest.raises(TextFormatError, match=r"bad\.graph.*header"):
+            read_metis(path)
