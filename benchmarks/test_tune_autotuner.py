@@ -37,7 +37,6 @@ def collect():
         settings = TunerSettings(
             trials=SETTINGS_TRIALS,
             machine=machine(name),
-            verify_schedule=True,
         )
         space = default_space(max_ranks=8)
         record, cached = tune_graph(g, db, space=space, settings=settings)

@@ -10,10 +10,10 @@ Two cooperating layers:
   (:mod:`repro.analysis.callgraph`) and per-function collective
   footprints (:mod:`repro.analysis.summaries`), so a collective hidden
   in a helper counts like a bare one;
-* **dynamic** — the debug-mode collective-schedule verifier and the
-  wait-for-graph deadlock auditor inside :mod:`repro.runtime.comm`
-  (enabled per run with ``run_spmd(..., verify_schedule=True)`` or
-  globally with ``REPRO_VERIFY_SCHEDULE=1``).
+* **dynamic** — the collective-schedule check and the wait-for-graph
+  deadlock auditor inside :mod:`repro.runtime.comm`, both always on:
+  every rendezvous compares each rank's op name and payload kind with
+  the first arriver's.
 
 CLI entry point: ``repro-louvain lint src/repro``.  Rule catalog and
 rationale: ``docs/ANALYSIS.md``.

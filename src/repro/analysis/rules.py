@@ -652,7 +652,7 @@ PAYLOAD_ARG0_METHODS = (
 @rule(
     "SPMD201",
     "error",
-    "communication payload has no registered deterministic wire size",
+    "communication payload has no deterministic wire size",
 )
 def check_payload_hazard(fn) -> Iterator[tuple[ast.AST, str]]:
     for node in walk_no_nested(fn.node):
@@ -673,8 +673,7 @@ def check_payload_hazard(fn) -> Iterator[tuple[ast.AST, str]]:
             yield payload, (
                 "sending a set: iteration order (and therefore the "
                 "packed wire image) is nondeterministic; send a sorted "
-                "array/list, or register a sizer via "
-                "runtime.payload.register_payload_type"
+                "array/list"
             )
         elif isinstance(payload, ast.GeneratorExp):
             yield payload, (

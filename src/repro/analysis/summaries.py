@@ -19,7 +19,7 @@ concrete :class:`LouvainConfig`, :func:`evaluate` resolves the
 config-guarded alternatives and :func:`schedule_matrix` tabulates the
 schedule of every distinct variant in a tuner
 :class:`~repro.tune.space.SearchSpace` — the static counterpart of the
-runtime schedule verifier.
+runtime's schedule check.
 
 Config guards are recognised in three forms: direct field tests
 (``if config.use_coloring:``), derived-property chains

@@ -112,16 +112,14 @@ def run_trial(
     machine: MachineModel = CORI_HASWELL,
     partition: str = "even_edge",
     max_phases: int | None = None,
-    verify_schedule: bool | None = None,
 ) -> LouvainResult:
     """One autotuner trial: a (possibly phase-capped) measured run.
 
     ``max_phases`` overrides the config's phase cap — the successive-
     halving rungs of :mod:`repro.tune.search` run cheap low-fidelity
-    trials (one or two phases) before committing to full runs.
-    ``verify_schedule`` turns on the debug collective-schedule verifier
-    so a tuning sweep doubles as a collective-safety sweep over the
-    whole candidate space.
+    trials (one or two phases) before committing to full runs.  Every
+    run meets the runtime's schedule check, so a tuning sweep doubles as
+    a collective-safety sweep over the whole candidate space.
     """
     if max_phases is not None:
         config = replace(config, max_phases=max_phases)
@@ -131,7 +129,6 @@ def run_trial(
         config,
         machine=machine,
         partition=partition,
-        verify_schedule=verify_schedule,
     )
 
 

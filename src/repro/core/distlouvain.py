@@ -1215,7 +1215,6 @@ def run_louvain(
     checkpoints=None,
     resume: bool = False,
     fault_plan=None,
-    verify_schedule: bool | None = None,
 ) -> LouvainResult:
     """Driver: distribute ``g`` over ``nranks`` simulated ranks and run.
 
@@ -1232,9 +1231,7 @@ def run_louvain(
     restarts from its latest valid save point (the input graph is not
     re-distributed — state comes from the save point);
     ``fault_plan`` injects deterministic failures
-    (:class:`repro.resilience.faults.FaultPlan`).  ``verify_schedule``
-    enables the debug collective-schedule verifier for this run
-    (defaults to the ``REPRO_VERIFY_SCHEDULE`` environment setting).
+    (:class:`repro.resilience.faults.FaultPlan`).
     """
     seed_global = None
     if initial_assignment is not None:
@@ -1264,7 +1261,6 @@ def run_louvain(
         machine=machine,
         timeout=timeout,
         fault_plan=fault_plan,
-        verify_schedule=verify_schedule,
     )
     result: LouvainResult = spmd.value
     result.elapsed = spmd.elapsed

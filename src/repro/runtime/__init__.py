@@ -1,17 +1,13 @@
 """Simulated SPMD/MPI runtime substrate.
 
 This subpackage replaces the MPI + Cray Aries stack the paper ran on:
-ranks are threads, messages are Python objects routed through mailboxes,
-and time is an analytic LogGP-style model (see DESIGN.md §2 for the
-substitution rationale).
+ranks are threads, every collective is one rendezvous of all ranks (the
+last to arrive routes the deposits and prices them), and time is an
+analytic LogGP-style model (see DESIGN.md §2 for the substitution
+rationale).
 """
 
-from .comm import (
-    Communicator,
-    ScheduleRecorder,
-    World,
-    payload_kind,
-)
+from .comm import Communicator, World, payload_kind
 from .errors import (
     CollectiveMismatchError,
     CommTimeoutError,
@@ -22,12 +18,7 @@ from .errors import (
     RuntimeSimError,
 )
 from .executor import SPMDResult, run_spmd
-from .payload import (
-    message_bytes,
-    nbytes,
-    register_payload_type,
-    registered_payload_types,
-)
+from .payload import message_bytes, nbytes
 from .perfmodel import (
     CORI_HASWELL,
     CORI_HASWELL_SHARED,
@@ -58,13 +49,10 @@ __all__ = [
     "RankTrace",
     "RuntimeSimError",
     "SPMDResult",
-    "ScheduleRecorder",
     "TraceReport",
     "World",
     "message_bytes",
     "nbytes",
     "payload_kind",
-    "register_payload_type",
-    "registered_payload_types",
     "run_spmd",
 ]

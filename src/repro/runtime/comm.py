@@ -24,7 +24,7 @@ Beside them sits one rendezvous that is not a message,
 :meth:`Communicator.world_call`: one function run once over every
 rank's deposit (the sweep of a synchronised round, in ``core/``).  It
 moves no bytes and charges no time, but every rank must make it in
-schedule order like a collective, so the schedule verifier and the
+schedule order like a collective, so the schedule check and the
 deadlock audit see it.  Memory such a call keeps from one world to the
 next lives in :attr:`World.workspace`.
 
@@ -60,8 +60,8 @@ Semantics notes (documented deviations from real MPI):
 * all collectives are synchronizing (clocks align to the latest arriving
   rank before the collective's cost is added), which is the conservative
   model for a blocking implementation;
-* ranks must call collectives in the same order with the same name, as
-  MPI requires; mismatches raise
+* ranks must call collectives in the same order with the same name and
+  payload kind, as MPI requires of ops and datatypes; mismatches raise
   :class:`~repro.runtime.errors.CollectiveMismatchError` instead of the
   undefined behaviour real MPI gives you.
 
@@ -74,14 +74,15 @@ return ``("delay", seconds)`` to add virtual latency, ``("drop",)`` to
 silently discard a point-to-point send (the receiver eventually times
 out, as with a real lost message), or ``None`` for no action.
 
-Debug-mode dynamic verification (``REPRO_VERIFY_SCHEDULE=1`` or
-``World(verify_schedule=True)``): every rank additionally records a
-rolling hash of its (op name, payload kind) collective sequence, and
-each rendezvous cross-checks the hashes as ranks arrive, so a divergent
-schedule is localized to the *first* mismatched op (by op index and
-rank) instead of whatever op happens to explode later.  Independent of
-that flag, every :class:`~repro.runtime.errors.CommTimeoutError` carries
-a wait-for-graph *deadlock audit* naming each blocked rank, the op it is
+Schedule check (always on): each rendezvous compares every arriving
+rank's (op name, :func:`payload_kind` of its deposit) with the
+generation's first arriver's — the op name alone for the rooted
+``bcast`` and ``scatter``, whose non-roots deposit ``None``.  Every
+earlier op already passed the same check on every rank, so a divergent
+schedule fails at its *first* mismatched op, named by op index and rank,
+instead of whatever op happens to explode later.  Every
+:class:`~repro.runtime.errors.CommTimeoutError` carries a
+wait-for-graph *deadlock audit* naming each blocked rank, the op it is
 stuck in, and any wait cycle.  The static half of this tooling is
 :mod:`repro.analysis` (``repro-louvain lint``).
 """
@@ -89,7 +90,6 @@ stuck in, and any wait cycle.  The static half of this tooling is
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 from collections import defaultdict, deque
 from itertools import accumulate
@@ -198,41 +198,12 @@ def _route(
     ]
 
 
-# ----------------------------------------------------------------------
-# Debug-mode collective-schedule verification
-# ----------------------------------------------------------------------
-#: FNV-1a offset basis — seed of every rank's rolling schedule hash.
-_SCHEDULE_SEED = 0xCBF29CE484222325
+#: Rooted collectives: their non-root ranks deposit ``None``, so only
+#: the op name is compared.
+_ROOTED = frozenset({"bcast", "scatter"})
 
-
-def _schedule_hash(prev: int, sig: str) -> int:
-    """Fold one op signature into an FNV-1a-style rolling hash."""
-    h = prev
-    for b in sig.encode():
-        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
-#: Collectives whose deposits must have rank-identical payload kinds.
-#: Rooted ops (bcast/scatter) are excluded: non-root ranks legitimately
-#: deposit ``None``.
-_DTYPE_CHECKED = frozenset(
-    {
-        "barrier",
-        "reduce",
-        "allreduce",
-        "gather",
-        "allgather",
-        "alltoall",
-        "scan",
-        "exscan",
-        "neighbor_alltoall",
-        "exchange_roundtrip",
-        "lookup",
-        "push",
-        "world_call",
-    }
-)
+#: ``payload_kind`` by ``type`` (by ``(type, dtype)`` for an ndarray).
+_KINDS: dict[Any, str] = {}
 
 
 def payload_kind(obj: Any) -> str:
@@ -242,7 +213,17 @@ def payload_kind(obj: Any) -> str:
     across ranks (e.g. per-rank failure lists in an allgather), but the
     top-level kind — and an ndarray's dtype — must agree, which is
     exactly the class of silent divergence real MPI datatypes enforce.
+    Python and numpy scalars of one family share a kind.  Kinds are
+    cached by type (and dtype), so the check costs one dict lookup.
     """
+    key = (type(obj), obj.dtype) if isinstance(obj, np.ndarray) else type(obj)
+    kind = _KINDS.get(key)
+    if kind is None:
+        kind = _KINDS[key] = _describe(obj)
+    return kind
+
+
+def _describe(obj: Any) -> str:
     if obj is None:
         return "none"
     if isinstance(obj, np.ndarray):
@@ -253,42 +234,14 @@ def payload_kind(obj: Any) -> str:
         return "int"
     if isinstance(obj, (float, np.floating)):
         return "float"
-    if isinstance(obj, (str, bytes, dict, tuple, list)):
-        return type(obj).__name__
     return type(obj).__name__
 
 
-class ScheduleRecorder:
-    """One rank's collective schedule as a rolling hash plus op log.
-
-    The hash makes comparison O(1) per op; the log exists only to
-    localize a divergence to its first mismatched entry once the hashes
-    disagree.
-    """
-
-    def __init__(self, rank: int):
-        self.rank = rank
-        self.count = 0
-        self.rolling = _SCHEDULE_SEED
-        self.log: list[str] = []
-
-    def record(self, op_name: str, kind: str) -> None:
-        sig = f"{op_name}|{kind}" if kind else op_name
-        self.count += 1
-        self.rolling = _schedule_hash(self.rolling, sig)
-        self.log.append(sig)
-
-
-def _first_divergence(a: list[str], b: list[str]) -> tuple[int, str, str]:
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return i, x, y
-    i = min(len(a), len(b))
-    return (
-        i,
-        a[i] if i < len(a) else "<nothing>",
-        b[i] if i < len(b) else "<nothing>",
-    )
+def _delay(action: Any) -> float | None:
+    """Seconds a fault-plan ``action`` delays its op (``None``: none)."""
+    if isinstance(action, tuple) and action and action[0] == "delay":
+        return float(action[1])
+    return None
 
 
 def _find_wait_cycle(edges: dict[int, set[int]]) -> list[int] | None:
@@ -340,71 +293,57 @@ class _Rendezvous:
         self._gen = 0
         self._arrived = 0
         self._slots: list[Any] = [None] * size
-        self._op_name: str | None = None
+        #: The generation's first arriver: ``(rank, op_name, kind)``.
+        self._first: tuple[int, str, str] = (0, "", "")
         self._results: dict[int, list[Any]] = {}
         self._refs: dict[int, int] = {}
-        # Debug-mode schedule verification (lazy; see module docstring).
-        self._recorders: list[ScheduleRecorder] | None = None
-        self._sched_ref: int | None = None
         #: Ranks inside the current generation (diagnostics: deadlock
         #: audit "waiting for ...").
         self._present: set[int] = set()
 
-    def _verify(
+    def _mismatch(
         self, rank: int, op_name: str, kind: str
-    ) -> CollectiveMismatchError | None:
-        """Record ``rank``'s op and cross-check rolling schedule hashes.
-
-        The first arriver of each generation is the reference; any later
-        arriver whose (hash, count) disagrees gets an error localizing
-        the divergence to the first mismatched op of the two logs.
-        """
-        if self._recorders is None:
-            self._recorders = [ScheduleRecorder(i) for i in range(self._size)]
-        rec = self._recorders[rank]
-        rec.record(op_name, kind)
-        if self._arrived == 0:
-            self._sched_ref = rank
-            return None
-        ref_rank = self._sched_ref
-        ref = self._recorders[ref_rank]
-        if (ref.rolling, ref.count) == (rec.rolling, rec.count):
-            return None
-        idx, ref_sig, sig = _first_divergence(ref.log, rec.log)
+    ) -> CollectiveMismatchError:
+        """The error for an arrival whose ``(op_name, kind)`` is not the
+        first arriver's.  Every earlier generation passed this check on
+        every rank, so the current one is the first divergent op."""
+        first, first_name, first_kind = self._first
+        gen = self._gen
+        if first_name != op_name:
+            return CollectiveMismatchError(
+                f"rank {rank} called {op_name!r} while other ranks are in "
+                f"{first_name!r} (collective op #{gen})"
+            )
+        first_sig, sig = f"{op_name}|{first_kind}", f"{op_name}|{kind}"
         return CollectiveMismatchError(
-            f"collective schedule divergence at op #{idx}: rank {ref_rank} "
-            f"recorded {ref_sig!r} but rank {rank} recorded {sig!r} "
-            f"(detected entering {op_name!r}, collective op #{self._gen})"
+            f"collective schedule divergence at op #{gen}: rank {first} "
+            f"recorded {first_sig!r} but rank {rank} recorded {sig!r} "
+            f"(detected entering {op_name!r}, collective op #{gen})"
         )
 
     def exchange(
         self,
         rank: int,
         op_name: str,
+        kind: str,
         deposit: Any,
         finalize: Callable[[list[Any]], list[Any]],
         timeout: float,
-        kind: str = "",
     ) -> Any:
+        """Deposit ``rank``'s value for generation ``op_name`` and return
+        this rank's output.  ``kind`` is the deposit's
+        :func:`payload_kind` (``""`` for a rooted op); it and the op
+        name must equal the first arriver's."""
         with self._cv:
             self._world.check_abort()
             gen = self._gen
             if self._arrived == 0:
-                self._op_name = op_name
-            elif self._op_name != op_name:
-                exc = CollectiveMismatchError(
-                    f"rank {rank} called {op_name!r} while other ranks are in "
-                    f"{self._op_name!r} (collective op #{gen})"
-                )
+                self._first = (rank, op_name, kind)
+            elif self._first[1:] != (op_name, kind):
+                exc = self._mismatch(rank, op_name, kind)
                 self._world.abort(exc)
                 self._cv.notify_all()
                 raise exc
-            if self._world.verify_schedule:
-                mismatch = self._verify(rank, op_name, kind)
-                if mismatch is not None:
-                    self._world.abort(mismatch)
-                    self._cv.notify_all()
-                    raise mismatch
             self._slots[rank] = deposit
             self._present.add(rank)
             self._arrived += 1
@@ -461,7 +400,6 @@ class World:
         size: int,
         machine: MachineModel,
         timeout: float = 120.0,
-        verify_schedule: bool | None = None,
         workspace: dict | None = None,
     ):
         if size < 1:
@@ -473,22 +411,12 @@ class World:
         #: outlive the world (``run_spmd`` hands it to the next world its
         #: calling thread starts), so no two live worlds share one.
         self.workspace = {} if workspace is None else workspace
-        if verify_schedule is None:
-            verify_schedule = os.environ.get(
-                "REPRO_VERIFY_SCHEDULE", ""
-            ).strip().lower() in ("1", "true", "on", "yes")
-        #: Debug mode: cross-check each rank's rolling collective-schedule
-        #: hash at every rendezvous (see module docstring).
-        self.verify_schedule = bool(verify_schedule)
         self._abort_exc: BaseException | None = None
         # Per-rank blocked state for the deadlock audit:
         # ("recv", source, tag) or ("collective", op_name, rendezvous).
         self._blocked: list[tuple | None] = [None] * size
         #: Optional fault-injection plan (``on_op(rank, op_index, op)``).
         self.fault_plan: Any = None
-        # Per-rank communication-operation counters (each rank only ever
-        # touches its own slot, so no locking is needed).
-        self._op_counts: list[int] = [0] * size
         # One mailbox per destination rank: (source, tag) -> FIFO of
         # (payload, arrival_time, nbytes).
         self._boxes: list[dict[tuple[int, int], deque]] = [
@@ -554,20 +482,6 @@ class World:
                 return self._boxes[dest][key].popleft()
             finally:
                 self.clear_blocked(dest)
-
-    def fault_op(self, rank: int, op_name: str) -> Any:
-        """Advance ``rank``'s op counter and consult the fault plan.
-
-        Op indices are 1-based (the rank's first communication
-        operation is op 1).  Returns the plan's action (``None`` /
-        ``("delay", dt)`` / ``("drop",)``); a kill is raised by the
-        plan itself as :class:`~repro.runtime.errors.InjectedFault`.
-        """
-        n = self._op_counts[rank] + 1
-        self._op_counts[rank] = n
-        if self.fault_plan is None:
-            return None
-        return self.fault_plan.on_op(rank, n, op_name)
 
     # -- deadlock audit --------------------------------------------------
     def set_blocked(self, rank: int, info: tuple) -> None:
@@ -636,17 +550,29 @@ class Communicator:
         self.machine = world.machine
         self.clock = 0.0
         self.trace = RankTrace(rank=rank)
+        #: Communication ops so far: the fault plan's 1-based op index.
+        self._ops = 0
 
     def _fault_hook(self, op_name: str, category: str) -> Any:
-        """Consult the world's fault plan before a communication op.
+        """Count one communication op (one call per op and per leg, so
+        an observer that patches this method sees each with the
+        ``category`` it charges) and return the world's fault-plan
+        action for it: ``None``, ``("delay", dt)`` or ``("drop",)``;
+        the caller charges a delay.  A kill raises here."""
+        self._ops += 1
+        plan = self.world.fault_plan
+        if plan is None:
+            return None
+        return plan.on_op(self.rank, self._ops, op_name)
 
-        Applies a ``delay`` action immediately (extra virtual latency
-        charged to the op's category) and returns the action so callers
-        can honour ``drop``.
-        """
-        action = self.world.fault_op(self.rank, op_name)
-        if isinstance(action, tuple) and action and action[0] == "delay":
-            self.charge(category, float(action[1]))
+    def _consult(self, op_name: str, category: str) -> Any:
+        """:meth:`_fault_hook` for an op that starts now: a ``delay``
+        is charged to ``category`` at once; returns the action so
+        callers can honour ``drop``."""
+        action = self._fault_hook(op_name, category)
+        dt = _delay(action)
+        if dt is not None:
+            self.charge(category, dt)
         return action
 
     # ------------------------------------------------------------------
@@ -681,16 +607,17 @@ class Communicator:
         op indices, and so its seeded kill points, count communication
         only) — so each rank charges its own share of the work itself.
         It is a rendezvous all the same: every rank must make the call,
-        in the same place of its schedule, which the schedule verifier
-        checks and the deadlock audit reports like a collective.
+        in the same place of its schedule and with a deposit of the same
+        kind, which the rendezvous checks and the deadlock audit reports
+        like a collective.
         """
         return self.world.rendezvous.exchange(
             self.rank,
             "world_call",
+            payload_kind(deposit),
             deposit,
             run,
             self.world.timeout,
-            kind=self._schedule_kind("world_call", deposit),
         )
 
     @contextlib.contextmanager
@@ -707,10 +634,7 @@ class Communicator:
         block ends.
         """
         world = World(
-            1,
-            self.machine,
-            timeout=self.world.timeout,
-            verify_schedule=self.world.verify_schedule,
+            1, self.machine, timeout=self.world.timeout,
             workspace=self.world.workspace,
         )
         comm = Communicator(world, 0)
@@ -726,7 +650,7 @@ class Communicator:
     def send(self, obj: Any, dest: int, tag: int = 0, category: str = "other") -> None:
         """Buffered send; never blocks."""
         self._check_peer(dest)
-        action = self._fault_hook("send", category)
+        action = self._consult("send", category)
         n = message_bytes(obj)
         # Sender pays the injection overhead (cheaper when the peer is
         # on the same node); the payload arrives after the full
@@ -742,7 +666,7 @@ class Communicator:
     def recv(self, source: int, tag: int = 0, category: str = "other") -> Any:
         """Blocking receive of the next matching message (FIFO order)."""
         self._check_peer(source)
-        self._fault_hook("recv", category)
+        self._consult("recv", category)
         obj, arrival, n = self.world.take(
             self.rank, source, tag, self.world.timeout
         )
@@ -787,24 +711,18 @@ class Communicator:
         ``finalize`` receives the per-rank deposits ``[(value, clock)]``
         and must return per-rank ``(result, new_clock)`` pairs.
         """
-        self._fault_hook(name, category)
+        self._consult(name, category)
         self.trace.record_collective(name)
         out, new_clock = self.world.rendezvous.exchange(
             self.rank,
             name,
+            "" if name in _ROOTED else payload_kind(deposit),
             (deposit, self.clock),
             finalize,
             self.world.timeout,
-            kind=self._schedule_kind(name, deposit),
         )
         self.charge(category, max(new_clock - self.clock, 0.0))
         return out
-
-    def _schedule_kind(self, name: str, deposit: Any) -> str:
-        """Payload descriptor recorded by the schedule verifier."""
-        if self.world.verify_schedule and name in _DTYPE_CHECKED:
-            return payload_kind(deposit)
-        return ""
 
     def _record_leg(self, sent: int, received: int) -> None:
         """Count one exchange leg: a message to and from every peer,
@@ -945,8 +863,8 @@ class Communicator:
         world, p = self.world, self.size
 
         def finalize(slots):
-            mats = [v for v, _ in slots]
-            t0 = max(c for _, c in slots)
+            mats, clocks, _ = zip(*slots)
+            t0 = max(clocks)
             legs = _leg_sizes(mats)
             return [
                 ([mats[s][r] for s in range(p)], (leg,), (t0 + dt,))
@@ -975,20 +893,24 @@ class Communicator:
         world = self.world
 
         def finalize(slots):
-            asks = [d[0] for d, _ in slots]
-            owners = [d[2] for d, _ in slots]
-            counts = _counts([d[1] for d, _ in slots])
+            deps, clocks, late = zip(*slots)
+            asks = [d[0] for d in deps]
+            owners = [d[2] for d in deps]
+            counts = _counts([d[1] for d in deps])
             asked = _joined(asks)
             fields = [_joined(w).take(asked) for w in zip(*owners)]
             cuts = list(accumulate([len(a) for a in asks], initial=0))
             request = _count_sizes(counts * _widths([[a] for a in asks]))
             reply = _count_sizes(counts.T * _widths(owners))
-            t0 = max(c for _, c in slots)
+            t0 = max(clocks)
             mids = [t0 + dt for dt in world.leg_costs(request)]
             # The reply leg starts from every rank's clock after the
-            # request leg (the float operations of charging it), as a
-            # second alltoall would.
-            t1 = max(c + max(mid - c, 0.0) for (_, c), mid in zip(slots, mids))
+            # request leg and its reply-leg delay (the float operations
+            # of charging them), as a second alltoall would.
+            t1 = max(
+                c + max(mid - c, 0.0) + (dt or 0.0)
+                for c, mid, (dt,) in zip(clocks, mids, late)
+            )
             return [
                 (
                     tuple(f[cuts[r]:cuts[r + 1]] for f in fields),
@@ -1025,7 +947,7 @@ class Communicator:
         world, p = self.world, self.size
 
         def finalize(slots):
-            deps = [d for d, _ in slots]
+            deps, clocks, _ = zip(*slots)
             owners = [d[3] for d in deps]
             payload = _counts([d[1] for d in deps]) * _widths(
                 [(d[0], *d[2]) for d in deps]
@@ -1047,7 +969,7 @@ class Communicator:
                 arrays = [d[4][1:] for d in deps]
                 payload += routed * _widths(arrays)
                 carried = _route(routed, arrays)
-            t0 = max(c for _, c in slots)
+            t0 = max(clocks)
             legs = _count_sizes(payload)
             return [
                 (carried[r], (leg,), (t0 + dt,))
@@ -1070,22 +992,31 @@ class Communicator:
         finalize: Callable[[list[Any]], list[Any]],
         category: str,
     ) -> Any:
-        """One rendezvous ``name`` the machine sees as ``legs`` alltoalls:
-        each leg consults the fault plan and is recorded before it (a
-        delay on a later leg is charged there), then charged and counted
-        from ``finalize``'s ``(result, sizes, ends)``, one of each a leg."""
-        for _ in range(legs):
-            self._fault_hook("alltoall", category)
+        """One rendezvous ``name`` the machine sees as ``legs`` alltoalls.
+        Each leg consults the fault plan and is recorded before it.  The
+        first leg's delay is charged before the rendezvous; a later
+        leg's travels in the deposit ``(deposit, clock, late)`` — ``late``
+        holds one delay or ``None`` per later leg — for ``finalize`` to
+        start that leg after it, and is charged between the legs.  Each
+        leg is then charged and counted from ``finalize``'s ``(result,
+        sizes, ends)``, one of each a leg."""
+        self._consult("alltoall", category)
+        self.trace.record_collective("alltoall")
+        late = []
+        for _ in range(legs - 1):
+            late.append(_delay(self._fault_hook("alltoall", category)))
             self.trace.record_collective("alltoall")
         out, sizes, ends = self.world.rendezvous.exchange(
             self.rank,
             name,
-            (deposit, self.clock),
+            payload_kind(deposit),
+            (deposit, self.clock, late),
             finalize,
             self.world.timeout,
-            kind=self._schedule_kind(name, deposit),
         )
-        for (sent, received), end in zip(sizes, ends):
+        for dt, (sent, received), end in zip([None, *late], sizes, ends):
+            if dt is not None:
+                self.charge(category, dt)
             self.charge(category, max(end - self.clock, 0.0))
             self._record_leg(sent, received)
         return out

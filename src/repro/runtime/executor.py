@@ -138,7 +138,6 @@ def run_spmd(
     timeout: float = 300.0,
     trace_events: bool = False,
     fault_plan: Any = None,
-    verify_schedule: bool | None = None,
     **kwargs: Any,
 ) -> SPMDResult:
     """Execute ``fn(comm, *args, **kwargs)`` on ``size`` simulated ranks.
@@ -163,17 +162,10 @@ def run_spmd(
         Deterministic fault-injection plan (any object with
         ``on_op(rank, op_index, op_name)``; see
         :class:`repro.resilience.faults.FaultPlan`).
-    verify_schedule:
-        Debug mode: cross-check every rank's rolling collective-schedule
-        hash at each rendezvous so a divergent schedule fails at its
-        first mismatched op (named by op index and rank) instead of
-        wherever it happens to explode later.  Defaults to the
-        ``REPRO_VERIFY_SCHEDULE`` environment variable.
     """
     idle = _idle_workspaces()
     world = World(
-        size, machine, timeout=timeout, verify_schedule=verify_schedule,
-        workspace=idle.pop() if idle else None,
+        size, machine, timeout=timeout, workspace=idle.pop() if idle else None
     )
     world.fault_plan = fault_plan
     comms: list[Communicator] = [world.communicator(r) for r in range(size)]
@@ -190,7 +182,11 @@ def run_spmd(
 
     if size == 1:
         # Fast path: no threads needed, and failures propagate natively.
-        values[0] = fn(comms[0], *args, **kwargs)
+        try:
+            values[0] = fn(comms[0], *args, **kwargs)
+        except BaseException:
+            emit_current("spmd_run_failed", size=1, failed_ranks=[0])
+            raise
         idle.append(world.workspace)
         emit_current("spmd_run_finished", size=1, max_clock=comms[0].clock)
         return SPMDResult(

@@ -14,7 +14,7 @@ implementation would transmit.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -23,28 +23,6 @@ SCALAR_BYTES = 8
 
 #: Fixed envelope cost charged per message (headers, matching metadata).
 ENVELOPE_BYTES = 32
-
-#: Registered wire-size estimators for custom message types, consulted
-#: before the ``__dict__`` fallback (insertion order; first match wins).
-_CUSTOM_SIZERS: dict[type, Callable[[Any], int]] = {}
-
-
-def register_payload_type(cls: type, sizer: Callable[[Any], int]) -> None:
-    """Register a deterministic wire-size estimator for ``cls``.
-
-    SPMD code that ships a custom object type should register it here so
-    the cost model charges its true packed footprint instead of the
-    conservative fallback — spmdlint rule SPMD201 points senders of
-    unsizable payloads at this hook.
-    """
-    if not isinstance(cls, type):
-        raise TypeError(f"expected a type, got {cls!r}")
-    _CUSTOM_SIZERS[cls] = sizer
-
-
-def registered_payload_types() -> tuple[type, ...]:
-    """Types with a registered custom sizer (introspection/tests)."""
-    return tuple(_CUSTOM_SIZERS)
 
 
 def nbytes(obj: Any) -> int:
@@ -75,9 +53,6 @@ def nbytes(obj: Any) -> int:
         return sum(nbytes(k) + nbytes(v) for k, v in obj.items())
     if isinstance(obj, (list, tuple, set, frozenset)):
         return sum(nbytes(x) for x in obj)
-    for cls, sizer in _CUSTOM_SIZERS.items():
-        if isinstance(obj, cls):
-            return int(sizer(obj))
     # Dataclass-like objects used as messages expose __dict__.
     d = getattr(obj, "__dict__", None)
     if d is not None:

@@ -98,8 +98,6 @@ class TunerSettings:
     seed: int = 0
     machine: MachineModel = CORI_HASWELL
     partition: str = "even_edge"
-    #: Run every measured trial under the collective-schedule verifier.
-    verify_schedule: bool | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -227,7 +225,6 @@ def plan_for_graph(
             machine=machine,
             partition=settings.partition,
             max_phases=cap,
-            verify_schedule=settings.verify_schedule,
         )
         trial = Trial(
             rung=rung,

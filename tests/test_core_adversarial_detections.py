@@ -4,8 +4,8 @@
 self loops, parallel edges, zero and fractional weights, isolated
 vertices — at the sweep kernel alone.  Here the same edge lists become
 graphs and run end to end at p ∈ {1, 2, 3, 4, 7} (more ranks than some
-graphs have vertices) under the baseline, ETC and coloring, with the
-collective-schedule verifier on.  What must hold:
+graphs have vertices) under the baseline, ETC and coloring, every one under the runtime's
+collective-schedule check.  What must hold:
 
 * the reported Q is the Q of the returned assignment, recomputed from
   scratch;
@@ -56,7 +56,7 @@ def test_adversarial_graph_every_rank_count(seed):
     first: dict[str, tuple] = {}
     for p in RANKS:
         runs = {
-            name: run_louvain(g, p, cfg, verify_schedule=True)
+            name: run_louvain(g, p, cfg)
             for name, cfg in CONFIGS.items()
         }
         for name, r in runs.items():
@@ -69,6 +69,6 @@ def test_adversarial_graph_every_rank_count(seed):
                 assert first.setdefault(name, outcome(r)) == outcome(r), where
         if p == 4:
             for name, r in runs.items():
-                again = run_louvain(g, p, CONFIGS[name], verify_schedule=True)
+                again = run_louvain(g, p, CONFIGS[name])
                 assert outcome(again) == outcome(r), (seed, name)
                 assert cost(again) == cost(r), (seed, name)

@@ -207,7 +207,7 @@ class TestCompositionBitIdentity:
     def test_identical_across_rank_counts(self, karate, overrides):
         cfg = LouvainConfig(**overrides)
         runs = [
-            run_louvain(karate, p, cfg, machine=FREE, verify_schedule=True)
+            run_louvain(karate, p, cfg, machine=FREE)
             for p in (1, 2, 4)
         ]
         for r in runs[1:]:
@@ -216,15 +216,12 @@ class TestCompositionBitIdentity:
 
     def test_checkpointing_does_not_perturb(self, tmp_path, planted_blocks):
         cfg = LouvainConfig(vertex_following=True, refine="leiden")
-        ref = run_louvain(
-            planted_blocks, 2, cfg, machine=FREE, verify_schedule=True
-        )
+        ref = run_louvain(planted_blocks, 2, cfg, machine=FREE)
         res = run_louvain(
             planted_blocks,
             2,
             cfg,
             machine=FREE,
-            verify_schedule=True,
             checkpoints=disk_checkpoints(
                 tmp_path / "ck", cfg, every_iterations=2
             ),
@@ -252,7 +249,6 @@ class TestCompositionBitIdentity:
             machine=FREE,
             checkpoints=disk_checkpoints(d, cfg),
             resume=True,
-            verify_schedule=True,
         )
         np.testing.assert_array_equal(ref.assignment, res.assignment)
         assert res.modularity == ref.modularity

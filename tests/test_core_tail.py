@@ -214,10 +214,6 @@ class TestResilience:
     CFG = LouvainConfig(variant=Variant.ET_TC, alpha=0.25, seed=3)
     P = 4
 
-    @pytest.fixture(autouse=True)
-    def _verify_schedule(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_SCHEDULE", "1")
-
     def _medium(self, medium, tmp_path, name):
         if medium == "disk":
             return disk_checkpoints(

@@ -247,10 +247,9 @@ class TestMisalignedGhostAudit:
                 ghost = ghost[:-1]  # drop one entry on this rank only
             return audit_ghost_coherence(comm, dg, local_comm, ghost)
 
-        # verify_schedule makes any residual collective divergence fail
-        # fast with a localized error instead of a timeout.
-        r = run_spmd(2, prog, machine=FREE, timeout=30.0,
-                     verify_schedule=True)
+        # The schedule check makes any residual collective divergence
+        # fail fast with a localized error instead of a timeout.
+        r = run_spmd(2, prog, machine=FREE, timeout=30.0)
         assert all(not rep.ok for rep in r.values)
         for rep in r.values:  # merge_global replicates the failure list
             assert any("misaligned" in f for f in rep.failures)

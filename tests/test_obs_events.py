@@ -76,6 +76,26 @@ class TestScopedEmission:
         with scoped(None, job_id="x"):
             emit_current("dropped")
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_failed_spmd_run_is_closed_by_a_failure_event(self, tmp_path, p):
+        """One rank re-raises natively, several wrap the failure: both
+        bracket the run with ``spmd_run_failed``."""
+        from repro.runtime import RankFailedError, run_spmd
+
+        def prog(comm):
+            if comm.rank == 0:
+                raise ValueError("boom")
+
+        path = tmp_path / "events.jsonl"
+        with EventLog(path) as log, scoped(log, job_id="j"):
+            with pytest.raises(ValueError if p == 1 else RankFailedError):
+                run_spmd(p, prog)
+        events = read_events(path)
+        assert [e["event"] for e in events] == [
+            "spmd_run_started", "spmd_run_failed",
+        ]
+        assert events[1]["failed_ranks"] == [0]
+
 
 class TestEndToEndCorrelation:
     """Engine + SPMD + cache records correlate on one job id."""

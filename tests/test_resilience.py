@@ -53,14 +53,6 @@ from repro.runtime import (
     RankFailedError,
     run_spmd,
 )
-
-
-@pytest.fixture(autouse=True)
-def _verify_schedule(monkeypatch):
-    """Run this suite under the dynamic collective-schedule verifier so
-    a checkpoint/resume divergence fails at its first mismatched op
-    instead of on end-state mismatch."""
-    monkeypatch.setenv("REPRO_VERIFY_SCHEDULE", "1")
 from tests.conftest import disk_checkpoints, planted_blocks_graph
 
 

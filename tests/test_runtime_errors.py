@@ -2,12 +2,12 @@
 
 Exercises the messages and secondary-failure handling that the dynamic
 analysis layer (docs/ANALYSIS.md) relies on: collective-mismatch
-localization, schedule-hash divergence, deadlock audits on timeout, and
+localization, payload-kind divergence, deadlock audits on timeout, and
 RankAborted suppression in RankFailedError.causes.
 """
 # spmdlint: skip-file — every worker below deliberately diverges
 # (mismatched collectives, rank-local raises, recv cycles) to exercise
-# the runtime verifier; the static rules would flag all of them.
+# the runtime's schedule check; the static rules would flag all of them.
 
 from __future__ import annotations
 
@@ -47,8 +47,8 @@ class TestCollectiveMismatch:
 
     def test_schedule_verifier_pinpoints_dtype_divergence(self):
         # Same op name on every rank, but rank 1 deposits an int where
-        # the others deposit a float64 array: only the debug verifier
-        # can see this, and it must localize to op index and rank.
+        # the others deposit a float64 array: the always-on schedule
+        # check must localize it to op index and rank.
         def prog(comm):
             comm.barrier()  # op #0, identical everywhere
             if comm.rank == 1:
@@ -56,7 +56,7 @@ class TestCollectiveMismatch:
             return comm.allreduce(np.ones(4, dtype=np.float64))
 
         with pytest.raises(RankFailedError) as excinfo:
-            run_spmd(2, prog, verify_schedule=True)
+            run_spmd(2, prog)
         cause = first_cause(excinfo)
         assert isinstance(cause, CollectiveMismatchError)
         msg = str(cause)
@@ -71,20 +71,52 @@ class TestCollectiveMismatch:
             total = comm.allreduce(float(comm.rank))
             return comm.allgather([comm.rank] * comm.rank)  # ragged: ok
 
-        out = run_spmd(3, prog, verify_schedule=True)
+        out = run_spmd(3, prog)
         assert out.values[0] == [[], [1], [2, 2]]
 
-    def test_env_var_enables_verifier(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_SCHEDULE", "1")
+    def test_python_and_numpy_scalars_share_a_kind(self):
+        """Kinds are cached by type; a Python scalar and its numpy
+        counterpart must still meet as one kind, whichever rank holds
+        which and whichever arrives first.  The non-roots of a ``bcast``
+        deposit ``None`` against the root's array: compared by name."""
+        pairs = [(3, np.int64(3)), (2.5, np.float64(2.5)),
+                 (True, np.bool_(True))]
 
         def prog(comm):
-            if comm.rank == 0:
-                return comm.allreduce(np.float64(1.0))
-            return comm.allreduce([1.0])
+            out = [
+                comm.allgather(a if comm.rank == 0 else b)
+                for a, b in pairs + [(b, a) for a, b in pairs]
+            ]
+            root = np.arange(3.0) if comm.rank == 1 else None
+            return out, comm.bcast(root, root=1)
+
+        out = run_spmd(3, prog)
+        gathered, got = out.values[2]
+        assert gathered == [[a, b, b] for a, b in pairs] + [
+            [b, a, a] for a, b in pairs
+        ]
+        np.testing.assert_array_equal(got, np.arange(3.0))
+
+    @pytest.mark.parametrize("path", ["allreduce", "push"])
+    def test_kind_divergence_fails_with_no_setting(self, path):
+        """float64 against float32 arrays in a plain collective, and an
+        int against a tuple deposit in ``push``'s one-rendezvous legs."""
+        def prog(comm):
+            if path == "allreduce":
+                dtype = np.float32 if comm.rank == 1 else np.float64
+                return comm.allreduce(np.ones(2, dtype=dtype))
+            deposit = 3 if comm.rank == 1 else (np.zeros(0, np.int64),)
+            return comm._legs("push", 1, deposit, None, "other")
 
         with pytest.raises(RankFailedError) as excinfo:
             run_spmd(2, prog)
-        assert "divergence at op #0" in str(first_cause(excinfo))
+        msg = str(first_cause(excinfo))
+        assert "collective schedule divergence at op #0" in msg
+        if path == "allreduce":
+            assert "'allreduce|ndarray[float64]'" in msg
+            assert "'allreduce|ndarray[float32]'" in msg
+        else:
+            assert "'push|int'" in msg and "'push|tuple'" in msg
 
 
 class TestDeadlockAudit:

@@ -141,15 +141,38 @@ def test_equal_to_the_list_protocol(p, seed, n):
 
 
 @pytest.mark.parametrize("p", [2, 4])
-@pytest.mark.parametrize("op", [1, 3, 6])
+@pytest.mark.parametrize("op", [1, 2, 3, 5, 6])
 def test_delay_before_a_rendezvous_lands_as_on_the_list_protocol(p, op):
-    """Op 1 is the first lookup's request leg, 3 the push, 6 the second
-    push: a delay on every rank's op lands on the clock and in the trace
-    exactly as on the list protocol.  (A delay on a reply leg, op 2, is
-    charged before the one rendezvous, not between the legs.)"""
+    """Ops 1 and 4 are the lookups' request legs, 2 and 5 their reply
+    legs, 3 and 6 the pushes: a delay on every rank's op lands on the
+    clock and in the trace exactly as on the list protocol."""
     plan = FaultPlan(delays={(r, op): 1e-3 * (r + 1) for r in range(p)})
     run = _run_both(p, 5, 30, fault_plan=plan)
     assert run.clocks[0] > 1e-3
+
+
+@pytest.mark.parametrize("reference", [False, True])
+def test_reply_leg_delay_of_an_early_rank_starts_the_reply_leg(reference):
+    """Rank 1 arrives 1 s late; rank 0's 0.5 s delay on its reply leg
+    (op 2) is charged after the request leg, so the reply leg starts
+    at 1.5 s on both protocols — it is not absorbed by the wait."""
+    offsets = np.array([0, 2, 4], dtype=np.int64)
+    ids = np.arange(4, dtype=np.int64)
+
+    def prog(comm):
+        if comm.rank == 1:
+            comm.charge("compute", 1.0)
+        tables = (np.arange(2.0) + offsets[comm.rank],)
+        if reference:
+            got = exchange_reference.lookup(comm, offsets, ids, tables)
+        else:
+            got = comm.lookup(ids, owner_cuts(offsets, ids), tables)
+        np.testing.assert_array_equal(got[0], np.arange(4.0))
+
+    run = run_spmd(
+        2, prog, machine=FREE, fault_plan=FaultPlan(delays={(0, 2): 0.5})
+    )
+    assert run.clocks == [1.5, 1.5]
 
 
 def test_every_leg_is_an_alltoall_op_for_the_fault_plan():

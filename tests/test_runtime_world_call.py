@@ -2,7 +2,7 @@
 
 It is a rendezvous but not a message: no clock advance, no trace record,
 no fault-plan op index — and, like a collective, it shows up in the
-schedule verifier and the deadlock audit, and a failure inside it fails
+schedule check and the deadlock audit, and a failure inside it fails
 the run loudly.
 """
 # spmdlint: skip-file — workers below deliberately raise on one rank,
@@ -87,7 +87,7 @@ class TestSemantics:
             return comm.allreduce(1)
 
         with pytest.raises(RankFailedError) as excinfo:
-            run_spmd(2, prog, machine=FREE, verify_schedule=True)
+            run_spmd(2, prog, machine=FREE)
         cause = excinfo.value.causes[excinfo.value.rank]
         assert isinstance(cause, CollectiveMismatchError)
         assert "'world_call'" in str(cause) and "'allreduce'" in str(cause)

@@ -110,11 +110,9 @@ class TestSearch:
         assert report.trials[0].max_phases is None
 
     def test_trials_run_collective_safe(self, channel):
-        # The schedule verifier raises on any rank divergence in the
-        # collective sequence; a clean pass is the assertion.
-        settings = TunerSettings(
-            trials=3, rung_phase_caps=(1,), verify_schedule=True
-        )
+        # The runtime's schedule check raises on any rank divergence in
+        # the collective sequence; a clean pass is the assertion.
+        settings = TunerSettings(trials=3, rung_phase_caps=(1,))
         report = plan_for_graph(channel, space=SMALL_SPACE, settings=settings)
         assert report.record.quality_guard_passed
 
