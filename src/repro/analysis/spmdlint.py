@@ -1,20 +1,18 @@
 """spmdlint engine: AST analysis contexts, rule driver, and reporting.
 
 The engine parses every ``.py`` file under the requested paths, builds a
-:class:`ModuleContext` (suppression map, function contexts with
-communicator/rank/replication taint), and runs the registered rules from
+:class:`ModuleContext` (suppression map, function contexts with their
+communicator names), and runs the registered rules from
 :mod:`repro.analysis.rules` at their declared scope:
 
 * ``function`` rules run once per SPMD function (a function that takes a
   communicator parameter);
-* ``module`` rules run once per module;
-* ``program`` rules run once over all modules (cross-module matching,
-  e.g. send/recv tags).
+* ``module`` rules run once per module.
 
 Findings can be silenced with a trailing comment on the offending line::
 
-    if comm.rank == 0:
-        comm.bcast(x, root=0)  # spmdlint: ignore[SPMD001] -- reason
+    for vid in set(members):  # spmdlint: ignore[SPMD101] -- reason
+        ...
 
 or for a whole file with ``# spmdlint: skip-file`` in the first ten
 lines.  Suppressions should carry a justification; they are for
@@ -31,17 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .callgraph import CallGraph
-from .rules import (
-    RULES,
-    Rule,
-    is_rank_variant,
-    is_replicated_safe,
-    params_matching,
-    solo_names,
-    walk_no_nested,
-)
-from .summaries import SummaryBuilder
+from .rules import RULES, Rule, params_matching
 
 #: Parameter names assumed to be communicators even without annotation.
 COMM_PARAM_NAMES = frozenset({"comm"})
@@ -84,77 +72,21 @@ class FunctionContext:
     ``comm_names`` are the function's *own* communicator parameters
     (the SPMD-function test the rules key on); ``all_comm_names``
     additionally includes communicators closed over from enclosing
-    functions, which is what collective detection inside nested
-    helpers needs.  ``interproc_rank_calls`` is filled by the call
-    graph's taint fixpoint: names of callees whose return value is
-    rank-variant, treated like ``owner_of`` by the local taint pass.
-    ``callgraph`` is attached by :class:`ProgramContext`; through it
-    :func:`~repro.analysis.rules.collective_op` sees helper calls.
-    ``solo_names`` are the names bound to a one-rank communicator
-    (``MPI_COMM_SELF``), on which collectives are this rank's own.
+    functions, which is what payload detection inside nested helpers
+    needs.
     """
 
     def __init__(
         self,
-        module: "ModuleContext",
         node: ast.FunctionDef,
-        qualname: str | None = None,
-        class_name: str | None = None,
-        is_nested: bool = False,
         enclosing_comm_names: frozenset[str] = frozenset(),
     ):
-        self.module = module
         self.node = node
-        self.name = node.name
-        self.qualname = qualname or node.name
-        self.class_name = class_name
-        self.is_nested = is_nested
         self.comm_names = params_matching(
             node, COMM_PARAM_NAMES, "Communicator"
         )
         self.all_comm_names = self.comm_names | enclosing_comm_names
-        self.solo_names = solo_names(node)
         self.is_spmd = bool(self.comm_names)
-        self.rank_tainted: set[str] = set()
-        self.replicated: set[str] = set()
-        self.interproc_rank_calls: set[str] = set()
-        self.callgraph: CallGraph | None = None
-        if self.is_spmd:
-            self._build_taint()
-
-    def _assignments(self) -> Iterator[tuple[list[ast.expr], ast.expr]]:
-        for node in walk_no_nested(self.node):
-            if isinstance(node, ast.Assign):
-                yield node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                yield [node.target], node.value
-            elif isinstance(node, ast.AugAssign):
-                yield [node.target], node.value
-            elif isinstance(node, (ast.NamedExpr,)):
-                yield [node.target], node.value
-
-    def _build_taint(self) -> None:
-        # Two fixed-point passes give one level of transitivity each,
-        # which covers the assignment chains that occur in practice.
-        for _ in range(2):
-            for targets, value in self._assignments():
-                names = [
-                    t.id for t in targets if isinstance(t, ast.Name)
-                ]
-                if not names:
-                    continue
-                if is_rank_variant(value, self):
-                    self.rank_tainted.update(names)
-                elif is_replicated_safe(value, self):
-                    self.replicated.update(names)
-
-    def rebuild_taint(self) -> None:
-        """Re-run the local taint pass after interprocedural updates.
-
-        ``rank_tainted``/``replicated`` grow monotonically, so repeated
-        calls converge; the call graph drives this to a fixpoint.
-        """
-        self._build_taint()
 
 
 class ModuleContext:
@@ -166,55 +98,23 @@ class ModuleContext:
         self.source = source
         self.tree = ast.parse(source, filename=str(path))
         self.functions: list[FunctionContext] = []
-        self._collect_functions(self.tree, scope=(), comm=frozenset(),
-                                in_function=False)
+        self._collect_functions(self.tree)
         self.suppressions: dict[int, frozenset[str] | None] = {}
         self.skip_file = False
         self._scan_suppressions()
 
     def _collect_functions(
-        self,
-        node: ast.AST,
-        scope: tuple[str, ...],
-        comm: frozenset[str],
-        in_function: bool,
-        class_name: str | None = None,
+        self, node: ast.AST, comm: frozenset[str] = frozenset()
     ) -> None:
-        """Scoped walk: records qualified names, nesting, and the
-        communicator names visible through closures."""
+        """Record every function with the communicator names visible to
+        it through closures (async code is not SPMD-scheduled)."""
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.FunctionDef):
-                fn = FunctionContext(
-                    self,
-                    child,
-                    qualname=".".join((*scope, child.name)),
-                    class_name=class_name,
-                    is_nested=in_function,
-                    enclosing_comm_names=comm if in_function else frozenset(),
-                )
+                fn = FunctionContext(child, enclosing_comm_names=comm)
                 self.functions.append(fn)
-                self._collect_functions(
-                    child,
-                    scope=(*scope, child.name),
-                    comm=fn.all_comm_names,
-                    in_function=True,
-                    class_name=None,
-                )
-            elif isinstance(child, ast.ClassDef):
-                self._collect_functions(
-                    child,
-                    scope=(*scope, child.name),
-                    comm=comm,
-                    in_function=in_function,
-                    class_name=child.name,
-                )
-            elif isinstance(child, ast.AsyncFunctionDef):
-                continue  # async code is not SPMD-scheduled
-            else:
-                self._collect_functions(
-                    child, scope=scope, comm=comm,
-                    in_function=in_function, class_name=class_name,
-                )
+                self._collect_functions(child, fn.all_comm_names)
+            elif not isinstance(child, ast.AsyncFunctionDef):
+                self._collect_functions(child, comm)
 
     def _scan_suppressions(self) -> None:
         for lineno, line in enumerate(self.source.splitlines(), start=1):
@@ -236,28 +136,6 @@ class ModuleContext:
         if ids is None:
             return True
         return rule_id in ids
-
-
-class ProgramContext:
-    """All modules of one lint run plus the interprocedural artifacts.
-
-    ``callgraph`` (rank-taint fixpoint applied, attached to every
-    function) and ``analysis`` (the memoizing summary builder) are
-    built once here, so the rules and the schedule matrix share them.
-    """
-
-    def __init__(
-        self, modules: Sequence[ModuleContext], parse_errors: list[str]
-    ):
-        self.modules = list(modules)
-        self.parse_errors = parse_errors
-        self.callgraph = CallGraph(self.modules)
-        for fn in self.callgraph.functions:
-            fn.callgraph = self.callgraph
-        # Interprocedural rank taint first: the per-function rules and
-        # the summaries both read the augmented ``rank_tainted`` sets.
-        self.callgraph.augment_rank_taint()
-        self.analysis = SummaryBuilder(self.callgraph)
 
 
 def _excluded(path: Path, exclude: Sequence[str]) -> bool:
@@ -396,63 +274,38 @@ def _emit(
     )
 
 
-def build_program(
-    paths: Sequence[str | Path], exclude: Sequence[str] = ()
-) -> ProgramContext:
-    """Parse ``paths`` and run the interprocedural analyses.
-
-    Files that fail to parse are skipped and listed in the program's
-    ``parse_errors``.  The result feeds :func:`lint_program` and
-    :func:`repro.analysis.summaries.schedule_matrix` alike.
-    """
-    modules: list[ModuleContext] = []
-    parse_errors: list[str] = []
-    for path in _iter_python_files(paths, exclude):
-        try:
-            source = path.read_text(encoding="utf-8")
-            modules.append(ModuleContext(path, source, display_path=str(path)))
-        except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-            parse_errors.append(f"{path}: {exc}")
-    return ProgramContext(modules, parse_errors)
-
-
-def lint_program(
-    program: ProgramContext,
-    select: Sequence[str] | None = None,
-    ignore: Sequence[str] | None = None,
-) -> LintResult:
-    """Run the registered rules over an already-built program."""
-    rules = _selected_rules(select, ignore)
-    result = LintResult(
-        files_checked=len(program.modules),
-        parse_errors=list(program.parse_errors),
-    )
-    for rule in rules:
-        if rule.scope == "program":
-            for module, node, message in rule.check(program):
-                _emit(result, module, rule, node, message)
-            continue
-        for module in program.modules:
-            if rule.scope == "module":
-                for node, message in rule.check(module):
-                    _emit(result, module, rule, node, message)
-            else:  # function scope: SPMD functions only
-                for fn in module.functions:
-                    if not fn.is_spmd:
-                        continue
-                    for node, message in rule.check(fn):
-                        _emit(result, module, rule, node, message)
-
-    result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return result
-
-
 def lint_paths(
     paths: Sequence[str | Path],
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
     exclude: Sequence[str] = (),
 ) -> LintResult:
-    """Run the registered rules over ``paths`` (files or directories)."""
-    _selected_rules(select, ignore)  # unknown ids fail before parsing
-    return lint_program(build_program(paths, exclude), select, ignore)
+    """Run the registered rules over ``paths`` (files or directories).
+
+    Unknown rule ids raise :class:`ValueError` before anything is
+    parsed; files that fail to parse are skipped and listed in the
+    result's ``parse_errors``.
+    """
+    rules = _selected_rules(select, ignore)
+    result = LintResult()
+    for path in _iter_python_files(paths, exclude):
+        try:
+            source = path.read_text(encoding="utf-8")
+            module = ModuleContext(path, source, display_path=str(path))
+        except (SyntaxError, UnicodeDecodeError, OSError) as exc:
+            result.parse_errors.append(f"{path}: {exc}")
+            continue
+        result.files_checked += 1
+        for rule in rules:
+            if rule.scope == "module":
+                for node, message in rule.check(module):
+                    _emit(result, module, rule, node, message)
+                continue
+            for fn in module.functions:
+                if fn.is_spmd:
+                    for node, message in rule.check(fn):
+                        _emit(result, module, rule, node, message)
+    # One finding per (rule, place), however many checks reach it.
+    unique = {(f.path, f.line, f.col, f.rule): f for f in result.findings}
+    result.findings = [unique[k] for k in sorted(unique)]
+    return result

@@ -26,7 +26,7 @@ searches for the best (config, ranks) plan for a graph and stores it in
 a persistent tuning database (see ``docs/TUNING.md``), ``ckpt``
 inspects/validates a checkpoint directory, ``compare`` scores a result
 against ground truth with the §V-D metrics, ``lint`` runs the spmdlint
-SPMD correctness analysis (see ``docs/ANALYSIS.md``).
+determinism and payload rules (see ``docs/ANALYSIS.md``).
 """
 
 from __future__ import annotations
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("truth", help="'vertex community' text file")
 
     lint = sub.add_parser(
-        "lint", help="static SPMD correctness analysis (spmdlint)"
+        "lint", help="static SPMD determinism and payload checks (spmdlint)"
     )
     lint.add_argument(
         "paths", nargs="+", help="files or directories to analyse"
@@ -327,11 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
-    )
-    lint.add_argument(
-        "--schedule-report", metavar="FILE",
-        help="write the config-variant schedule matrix for "
-             "distributed_louvain (JSON) to FILE",
     )
     return parser
 
@@ -981,7 +976,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from .analysis import RULES, SEVERITY_ORDER, build_program, lint_program
+    from .analysis import RULES, SEVERITY_ORDER, lint_paths
 
     if args.list_rules:
         for r in RULES.values():
@@ -990,16 +985,12 @@ def _cmd_lint(args) -> int:
     def split(spec: str) -> list[str]:
         return [x.strip() for x in spec.split(",") if x.strip()]
 
-    # One program per run: the rules and the schedule matrix share its
-    # call graph and summary memo.
-    program = build_program(
-        args.paths, exclude=split(args.exclude) if args.exclude else []
-    )
     try:
-        result = lint_program(
-            program,
+        result = lint_paths(
+            args.paths,
             select=split(args.select) if args.select else None,
             ignore=split(args.ignore) if args.ignore else None,
+            exclude=split(args.exclude) if args.exclude else [],
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1010,28 +1001,6 @@ def _cmd_lint(args) -> int:
         print(result.format_github())
     else:
         print(result.format_text())
-
-    if args.schedule_report:
-        import json as _json
-        from pathlib import Path
-
-        from .analysis.summaries import schedule_matrix
-
-        try:
-            report = schedule_matrix(program.analysis)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        Path(args.schedule_report).write_text(
-            _json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
-        )
-        rep = report["summary"]
-        print(
-            f"schedule matrix: {rep['variants']} variant(s), "
-            f"{rep['distinct_schedules']} distinct schedule(s), "
-            f"divergence_free={rep['divergence_free']} "
-            f"-> {args.schedule_report}"
-        )
 
     if result.parse_errors:
         return 2

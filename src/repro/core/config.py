@@ -54,12 +54,13 @@ DEFAULT_THRESHOLD_CYCLE: tuple[tuple[float, int], ...] = (
 
 #: The :class:`LouvainConfig` fields :meth:`LouvainConfig.cache_key`
 #: leaves out; it hashes every other field, so a new field is in the key
-#: unless it is named here.  Each value is ``"<kind>: <reason>"``; lint
-#: rule SPMD302 reads the kind.  ``audit`` — the knob adds verification
-#: work executed identically by every rank, and the detection outcome
-#: does not change — is the one *schedule-safe* kind: such a field may
-#: change which collectives run without invalidating a cached detection
-#: result, so an audited request can be served from an unaudited one.
+#: unless it is named here.  Each value is ``"<kind>: <reason>"``.  An
+#: exclusion promises that flipping the field leaves the detection
+#: outcome unchanged, so a request can be served from a result cached
+#: under the other value (``tests/test_core_config.py`` checks the
+#: outcome digest at p = 1 and 3).  ``audit`` — the knob adds
+#: verification work executed identically by every rank — may change
+#: which collectives run and still keep that promise.
 CACHE_KEY_EXCLUSIONS = {
     "validate_invariants": (
         "audit: adds replicated verification collectives; detection "

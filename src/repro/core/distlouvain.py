@@ -575,7 +575,7 @@ def _iterate(
     # Trip count is len(rounds) — 1, or the allreduced colour count —
     # replicated even though each round's active *mask* is rank-local
     # (the mask only gates local move proposals).
-    for round_active in rounds:  # spmdlint: ignore[SPMD001]
+    for round_active in rounds:
         moved |= _sweep_round(comm, phase, round_active)[0]
     total = _global_modularity(comm, phase, config, active, moved)
     return _exit_tests(phase, it, config, total)

@@ -201,7 +201,7 @@ class DistGraph:
             # The plan is memoised in the same phase on every rank
             # (built right after distribution, invalidated together at
             # coarsening): all ranks hit the cache, or none do.
-            return self._plan  # spmdlint: ignore[SPMD002]
+            return self._plan
         ghosts, _ = self._scan_targets()
         cuts = self.cuts(ghosts)
         # Scan cost: one pass over the local edge list (Algorithm 4 l.2-7).

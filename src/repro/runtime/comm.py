@@ -83,8 +83,7 @@ schedule fails at its *first* mismatched op, named by op index and rank,
 instead of whatever op happens to explode later.  Every
 :class:`~repro.runtime.errors.CommTimeoutError` carries a
 wait-for-graph *deadlock audit* naming each blocked rank, the op it is
-stuck in, and any wait cycle.  The static half of this tooling is
-:mod:`repro.analysis` (``repro-louvain lint``).
+stuck in, and any wait cycle.
 """
 
 from __future__ import annotations

@@ -2,10 +2,8 @@
 # spmdlint: skip-file
 
 
-def guarded(comm, x):
-    if comm.rank == 0:
-        comm.bcast(x, root=0)
-    return x
+def share(comm, frontier):
+    return comm.bcast(set(frontier), root=0)
 
 
 def iterate(comm, members):

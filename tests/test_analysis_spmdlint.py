@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -11,12 +12,10 @@ from repro.analysis import (
     RULES,
     SEVERITIES,
     SEVERITY_ORDER,
-    build_program,
     lint_paths,
     rule,
     spmdlint,
 )
-from repro.analysis.rules import COLLECTIVE_METHODS
 from repro.cli import main as cli_main
 
 CASES_DIR = Path(__file__).parent / "data" / "lint_cases"
@@ -25,32 +24,7 @@ REPO_ROOT = Path(__file__).parent.parent
 #: with ``python -m tests.test_analysis_spmdlint`` after an intended move.
 FINDINGS_GOLDEN = Path(__file__).parent / "data" / "lint_findings.json"
 
-RULE_IDS = (
-    "SPMD001",
-    "SPMD002",
-    "SPMD003",
-    "SPMD101",
-    "SPMD102",
-    "SPMD103",
-    "SPMD104",
-    "SPMD201",
-    "SPMD302",
-    "SPMD303",
-)
-
-#: Fixture stem -> the rule its ``bad_`` case must trigger.  SPMD004
-#: (divergence through an inlined callee) was folded into SPMD001; its
-#: fixtures stay as SPMD001's transitive-helper cases.  ``world_call``
-#: moves no data but is a rendezvous, so skipping it is SPMD001 too.
-#: ``solo``: a rank-guarded collective is SPMD001 on the world's
-#: communicator and fine on the one-rank ``comm.solo()``.  ``lookup``:
-#: the owner-routed exchange is a collective like ``alltoall``.
-FIXTURE_RULES = {rule_id: rule_id for rule_id in RULE_IDS} | {
-    "SPMD004": "SPMD001",
-    "WORLD_CALL": "SPMD001",
-    "SOLO": "SPMD001",
-    "LOOKUP": "SPMD001",
-}
+RULE_IDS = ("SPMD101", "SPMD102", "SPMD103", "SPMD104", "SPMD201")
 
 
 def rules_found(path: Path) -> set[str]:
@@ -71,41 +45,43 @@ class TestFixtures:
     def test_every_finding_matches_the_golden(self):
         assert fixture_findings() == json.loads(FINDINGS_GOLDEN.read_text())
 
-    @pytest.mark.parametrize("rule_id", FIXTURE_RULES)
+    def test_findings_are_unique(self):
+        # One finding per (file, rule, line, col), however many of the
+        # rule's checks reach the node (both keys of one id()-keyed dict).
+        findings = [tuple(row) for row in fixture_findings()]
+        assert len(findings) == len(set(findings))
+
+    @pytest.mark.parametrize("rule_id", RULE_IDS)
     def test_bad_fixture_triggers_exactly_its_rule(self, rule_id):
         path = CASES_DIR / f"bad_{rule_id.lower()}.py"
-        assert rules_found(path) == {FIXTURE_RULES[rule_id]}
+        assert rules_found(path) == {rule_id}
 
-    @pytest.mark.parametrize("rule_id", FIXTURE_RULES)
+    @pytest.mark.parametrize("rule_id", RULE_IDS)
     def test_near_miss_is_quiet(self, rule_id):
         path = CASES_DIR / f"ok_{rule_id.lower()}.py"
         assert rules_found(path) == set()
 
     def test_findings_carry_location_and_severity(self):
-        result = lint_paths([CASES_DIR / "bad_spmd001.py"])
+        result = lint_paths([CASES_DIR / "bad_spmd201.py"])
         assert result.files_checked == 1
-        # One rule reports every fork, around a bare collective or a
-        # helper call (module-local helper at 56, nested closure at 66).
-        assert [f.line for f in result.findings] == [
-            9, 19, 28, 34, 40, 56, 66,
-        ]
+        # A set call, a set display and a generator, one per line.
+        assert [f.line for f in result.findings] == [7, 8, 9]
         for f in result.findings:
-            assert f.rule == "SPMD001"
+            assert f.rule == "SPMD201"
             assert f.severity == "error"
-            assert f.line > 0
-            assert str(f.path).endswith("bad_spmd001.py")
-            assert "rank-dependent" in f.message
+            assert str(f.path).endswith("bad_spmd201.py")
+            assert "sending a" in f.message
         formatted = result.findings[0].format()
-        assert "bad_spmd001.py" in formatted
-        assert "SPMD001 [error]" in formatted
+        assert "bad_spmd201.py" in formatted
+        assert "SPMD201 [error]" in formatted
 
 
 class TestSuppression:
     def test_targeted_and_bare_ignores_silence_matching_rules(self):
-        # suppressed.py has four violations: three silenced, one with a
+        # suppressed.py has three violations: two silenced, one with a
         # non-matching rule id that must still be reported.
         result = lint_paths([CASES_DIR / "suppressed.py"])
-        assert [f.rule for f in result.findings] == ["SPMD001"]
+        assert [f.rule for f in result.findings] == ["SPMD101"]
 
     def test_skip_file_silences_everything(self):
         assert rules_found(CASES_DIR / "skipped_file.py") == set()
@@ -190,15 +166,15 @@ class TestEngine:
             "def reduce(comm: 'Communicator', x):\n"
             "    return comm.allreduce(x)\n"
         )
-        program = build_program([mod])
-        spmd = {f.name: f.is_spmd for f in program.modules[0].functions}
+        module = spmdlint.ModuleContext(mod, mod.read_text(), str(mod))
+        spmd = {f.node.name: f.is_spmd for f in module.functions}
         assert spmd == {"relabel": False, "reduce": True}
 
     def test_github_format(self):
-        result = lint_paths([CASES_DIR / "bad_spmd001.py"])
+        result = lint_paths([CASES_DIR / "bad_spmd201.py"])
         out = result.format_github()
         assert "::error file=" in out
-        assert "title=SPMD001" in out
+        assert "title=SPMD201" in out
         # The trailing summary line matches the text format's.
         assert out.splitlines()[-1] == result.format_text().splitlines()[-1]
 
@@ -217,30 +193,24 @@ class TestRegistry:
 
     def test_duplicate_rule_id_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            rule("SPMD001", "error", "clash")(lambda fn: iter(()))
+            rule("SPMD101", "error", "clash")(lambda fn: iter(()))
 
     def test_unknown_severity_rejected(self):
         with pytest.raises(ValueError, match="severity"):
             rule("SPMD998", "fatal", "bad severity")(lambda fn: iter(()))
 
-    def test_collective_method_table_matches_runtime(self):
-        from repro.runtime.comm import Communicator
-
-        for name in COLLECTIVE_METHODS:
-            assert hasattr(Communicator, name), name
-
 
 class TestCli:
     def test_fail_on_gating(self, capsys):
-        bad = str(CASES_DIR / "bad_spmd001.py")
+        bad = str(CASES_DIR / "bad_spmd201.py")
         assert cli_main(["lint", bad, "--fail-on", "error"]) == 1
         assert cli_main(["lint", bad, "--fail-on", "never"]) == 0
         capsys.readouterr()
 
     def test_warning_threshold(self, capsys):
-        bad = str(CASES_DIR / "bad_spmd002.py")  # SPMD002 is a warning
-        assert cli_main(["lint", bad, "--fail-on", "warning"]) == 1
-        assert cli_main(["lint", bad, "--fail-on", "error"]) == 0
+        bad = str(CASES_DIR / "bad_spmd104.py")  # SPMD104 is info
+        assert cli_main(["lint", bad, "--fail-on", "info"]) == 1
+        assert cli_main(["lint", bad, "--fail-on", "warning"]) == 0
         capsys.readouterr()
 
     def test_clean_tree_exits_zero(self, capsys):
@@ -265,7 +235,7 @@ class TestCli:
         capsys.readouterr()
 
     def test_unknown_rule_exits_two(self, capsys):
-        bad = str(CASES_DIR / "bad_spmd001.py")
+        bad = str(CASES_DIR / "bad_spmd201.py")
         assert cli_main(["lint", bad, "--select", "SPMD999"]) == 2
         assert "SPMD999" in capsys.readouterr().err
 
@@ -276,46 +246,10 @@ class TestCli:
             assert rule_id in out
 
     def test_github_format_flag(self, capsys):
-        bad = str(CASES_DIR / "bad_spmd001.py")
+        bad = str(CASES_DIR / "bad_spmd201.py")
         assert cli_main(["lint", bad, "--format", "github",
                          "--fail-on", "never"]) == 0
         assert "::error file=" in capsys.readouterr().out
-
-    def test_schedule_report(self, tmp_path, capsys):
-        target = str(REPO_ROOT / "src" / "repro")
-        out_file = tmp_path / "schedule-report.json"
-        assert cli_main(["lint", target, "--schedule-report",
-                         str(out_file), "--fail-on", "error"]) == 0
-        capsys.readouterr()
-        doc = json.loads(out_file.read_text())
-        assert doc["entry"] == "distributed_louvain"
-        assert doc["summary"]["divergence_free"] is True
-        # coloring x refine: no heuristic variant guards a collective.
-        assert doc["summary"]["variants"] == 4
-        for row in doc["rows"]:
-            assert row["divergences"] == []
-            assert row["collectives"]
-
-    def test_one_program_per_invocation(self, tmp_path, capsys, monkeypatch):
-        # The rules and the schedule matrix share one parsed program.
-        built = []
-
-        class Counting(spmdlint.ProgramContext):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(spmdlint, "ProgramContext", Counting)
-        target = tmp_path / "entry.py"
-        target.write_text(
-            "def distributed_louvain(comm, config):\n"
-            "    return comm.allreduce(1)\n"
-        )
-        out_file = tmp_path / "schedule-report.json"
-        assert cli_main(["lint", str(target), "--schedule-report",
-                         str(out_file), "--fail-on", "error"]) == 0
-        assert "1 variant(s)" in capsys.readouterr().out
-        assert len(built) == 1
 
 
 class TestToolingConfig:
@@ -328,18 +262,17 @@ class TestToolingConfig:
         assert "[tool.mypy]" in text
         assert 'extend-exclude = ["tests/data"]' in text
         assert "repro.analysis.*" in text
-        # The whole-program analysis modules are held to strict checks.
-        assert "repro.analysis.callgraph" in text
-        assert "repro.analysis.summaries" in text
-        assert "disallow_untyped_defs = true" in text
+        # No module of the package is gone but still named.
+        for module in re.findall(r"repro\.analysis\.(\w+)", text):
+            assert (REPO_ROOT / "src/repro/analysis" / f"{module}.py").exists()
 
     def test_ci_runs_lint_job(self):
         text = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
         assert "repro-louvain lint src/ benchmarks/ examples/ tests/" in text
         assert "--exclude 'tests/data/*'" in text
-        assert "--schedule-report schedule-report.json" in text
         assert "--fail-on error" in text
-        assert "name: schedule-report" in text
+        # The schedule matrix and its artifact went with the summaries.
+        assert "schedule-report" not in text
         assert "ruff check ." in text
         assert "mypy -p repro.analysis" in text
 

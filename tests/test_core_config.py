@@ -1,11 +1,12 @@
 """Unit tests for LouvainConfig validation and variant semantics."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from repro.core import PAPER_VARIANTS, LouvainConfig, Variant
+from repro.core import PAPER_VARIANTS, LouvainConfig, Variant, run_louvain
 from repro.core.config import CACHE_KEY_EXCLUSIONS
+from tests import fingerprints
 
 
 class TestVariant:
@@ -162,7 +163,8 @@ class TestCacheKey:
 
     def test_key_value_pinned(self):
         # Result-store entries and checkpoint manifests persist this
-        # hash; removing a field outside CACHE_KEY_FIELDS must not move it.
+        # hash: it may move only when a hashed field (any field not in
+        # CACHE_KEY_EXCLUSIONS) is added, removed or changes default.
         assert LouvainConfig().cache_key() == (
             "6d96408f274135326f87d19d6c2d497e"
             "6dee840821de7fc447ba8d9bc10e2b18"
@@ -188,13 +190,26 @@ class TestCacheKey:
 
     def test_exclusions_name_fields_and_carry_a_kind(self):
         # The key hashes every field not excluded, so what is left to
-        # get wrong is a stale exclusion or an untagged reason (SPMD302
-        # reads the kind).
+        # get wrong is a stale exclusion or an untagged reason.
         names = {f.name for f in fields(LouvainConfig)}
         for name, reason in CACHE_KEY_EXCLUSIONS.items():
             assert name in names, name
             kind, sep, why = reason.partition(":")
             assert kind.strip() and sep and why.strip(), reason
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("name", sorted(CACHE_KEY_EXCLUSIONS))
+    def test_exclusion_leaves_the_outcome_unchanged(self, name, p):
+        # What an exclusion promises the result store: a detection with
+        # the field flipped is the one cached under the default's key.
+        default = LouvainConfig()
+        value = getattr(default, name)
+        assert isinstance(value, bool), f"no flip for {name}={value!r}"
+        flipped = replace(default, **{name: not value})
+        g = fingerprints.graph("channel")
+        assert fingerprints.outcome_digest(
+            run_louvain(g, p, flipped)
+        ) == fingerprints.outcome_digest(run_louvain(g, p, default))
 
     def test_validate_invariants_does_not_change_key(self):
         assert (

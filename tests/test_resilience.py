@@ -1067,10 +1067,10 @@ class TestRunSnapshots:
             comm.barrier()
             state.iteration, state.local_comm[:] = 1, 7
             # (a deposit is rank-local: no peer waits for it)
-            if comm.rank == 0:  # spmdlint: ignore[SPMD001]
+            if comm.rank == 0:
                 _save_checkpoint(snaps, comm, run, state)
             comm.barrier()
-            if comm.rank == 1:  # spmdlint: ignore[SPMD001]
+            if comm.rank == 1:
                 raise InjectedFault(1, 0, "between deposits")
             comm.barrier()
 
@@ -1084,7 +1084,7 @@ class TestRunSnapshots:
             run, state = _rank_state(comm, g)
             assert meta["iteration"] == 0
             np.testing.assert_array_equal(arrays["local_comm"], state.local_comm)
-            if comm.rank == 1:  # spmdlint: ignore[SPMD001]
+            if comm.rank == 1:
                 # Rank 0's half of the dead attempt is gone: rank 1's
                 # alone completes nothing.
                 state.iteration = 1

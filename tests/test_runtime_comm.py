@@ -243,7 +243,7 @@ class TestCollectives:
     def test_collective_mismatch_detected(self):
         def prog(comm):
             # Divergence under test: the runtime must catch it.
-            if comm.rank == 0:  # spmdlint: ignore[SPMD001]
+            if comm.rank == 0:
                 comm.barrier()
             else:
                 comm.allreduce(1)

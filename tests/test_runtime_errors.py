@@ -5,9 +5,6 @@ analysis layer (docs/ANALYSIS.md) relies on: collective-mismatch
 localization, payload-kind divergence, deadlock audits on timeout, and
 RankAborted suppression in RankFailedError.causes.
 """
-# spmdlint: skip-file — every worker below deliberately diverges
-# (mismatched collectives, rank-local raises, recv cycles) to exercise
-# the runtime's schedule check; the static rules would flag all of them.
 
 from __future__ import annotations
 

@@ -59,7 +59,7 @@ class TestFailurePropagation:
     def test_single_failing_rank_reported(self):
         def prog(comm):
             # Fault injection: rank 2 dies, the rest must unblock.
-            if comm.rank == 2:  # spmdlint: ignore[SPMD001]
+            if comm.rank == 2:
                 raise ValueError("boom")
             comm.barrier()
 
@@ -91,7 +91,7 @@ class TestFailurePropagation:
     def test_failure_inside_collective_unblocks_everyone(self):
         def prog(comm):
             # Fault injection: a mid-collective death under test.
-            if comm.rank == 1:  # spmdlint: ignore[SPMD001]
+            if comm.rank == 1:
                 raise ValueError("late")
             for _ in range(3):
                 comm.allreduce(1)
@@ -104,7 +104,7 @@ class TestFailurePropagation:
         # normal return (the executor still reports the primary cause).
         def prog(comm):
             # Fault injection: primary failure vs caught RankAborted.
-            if comm.rank == 0:  # spmdlint: ignore[SPMD001]
+            if comm.rank == 0:
                 raise ValueError("primary")
             try:
                 comm.barrier()
@@ -122,7 +122,7 @@ class TestFailurePropagation:
         stop = threading.Event()
 
         def prog(comm):
-            if comm.rank == 0:  # spmdlint: ignore[SPMD001]
+            if comm.rank == 0:
                 while not stop.is_set():
                     pass
             return "ok"
@@ -170,7 +170,7 @@ class TestOneCpuPerWorld:
         assert os.sched_getaffinity(0) == before
 
         def boom(comm):
-            if comm.rank == 1:  # spmdlint: ignore[SPMD001]
+            if comm.rank == 1:
                 raise ValueError("boom")
             comm.barrier()
 

@@ -195,8 +195,8 @@ def test_mismatched_with_alltoall_raises():
     def prog(comm):
         ids = np.arange(2, dtype=np.int64)
         # A deliberate divergence, to exercise the mismatch error.
-        if comm.rank == 0:  # spmdlint: ignore[SPMD001]
-            return comm.lookup(  # spmdlint: ignore[SPMD002]
+        if comm.rank == 0:
+            return comm.lookup(
                 ids, np.array([0, 2, 2]), (np.zeros(2),)
             )
         return comm.alltoall([None, None])
@@ -220,9 +220,3 @@ def test_leg_costs_are_the_models_alltoallv_costs(machine, p):
         machine.alltoallv_cost(s, r, p, rank=k)
         for k, (s, r) in enumerate(sizes)
     ]
-
-
-def test_collective_methods_are_known_to_the_analyzer():
-    from repro.analysis.rules import COLLECTIVE_METHODS
-
-    assert {"lookup", "push"} <= COLLECTIVE_METHODS

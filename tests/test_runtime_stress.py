@@ -108,11 +108,11 @@ class TestSkewedSchedules:
         def prog(comm):
             # Asymmetric by design: both ranks still meet one barrier
             # and the p2p traffic is fully matched.
-            if comm.rank == 0:  # spmdlint: ignore[SPMD001]
+            if comm.rank == 0:
                 for i in range(50):
                     comm.send(i, 1)
                 comm.barrier()
-                return None  # spmdlint: ignore[SPMD002]
+                return None
             got = []
             comm.barrier()  # receive only after everything is queued
             for _ in range(50):
@@ -128,7 +128,7 @@ class TestFailureTiming:
         def prog(comm):
             for i in range(20):
                 # Fault injection: rank 1 dies at a chosen iteration.
-                if comm.rank == 1 and i == fail_at:  # spmdlint: ignore[SPMD001]
+                if comm.rank == 1 and i == fail_at:
                     raise RuntimeError(f"die-{i}")
                 comm.allreduce(i)
             return True

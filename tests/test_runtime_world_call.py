@@ -5,9 +5,6 @@ no fault-plan op index — and, like a collective, it shows up in the
 schedule check and the deadlock audit, and a failure inside it fails
 the run loudly.
 """
-# spmdlint: skip-file — workers below deliberately raise on one rank,
-# or pair a world call with a different collective, to exercise the
-# runtime's failure paths.
 
 from __future__ import annotations
 
