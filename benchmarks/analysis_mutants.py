@@ -60,7 +60,7 @@ TIER1 = (
 #: Rules whose hazard is a separate process's: a hash seed, an address
 #: or thread timing.
 HASH_SEED_RULES = frozenset({"SPMD101", "SPMD103", "SPMD104"})
-#: Reruns of the test that killed such a mutant: a defect that hangs on
+#: Reruns of the test that killed such a mutant: a defect that depends on
 #: addresses or timing may fail a test by chance, which is no kill.
 RERUNS = 5
 #: A green tier-1 takes ~2.7 min; anything past this is a hang.
@@ -469,12 +469,12 @@ def main(argv: list[str] | None = None) -> int:
             line = apply(work, m)
             found = lint_count(work, m)
             before = baseline[key]
-            killed = tier1(work)
+            verdict = tier1(work)
             if m.rule in HASH_SEED_RULES and "::" in (
-                killed["first_failure"] or ""
+                verdict["first_failure"] or ""
             ):
-                killed["reruns_failed"] = (
-                    f"{reruns_failed(work, killed['first_failure'])}/{RERUNS}"
+                verdict["reruns_failed"] = (
+                    f"{reruns_failed(work, verdict['first_failure'])}/{RERUNS}"
                 )
             record = {
                 "kind": "analysis_mutant",
@@ -489,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
                     else found > before,
                     "findings": found,
                 },
-                "tier1": killed,
+                "tier1": verdict,
                 "hash_seed": hash_seed(work) if m.rule in HASH_SEED_RULES
                 else None,
                 "host": f"{platform.machine()} x{os.cpu_count()}",

@@ -93,7 +93,6 @@ class ModuleContext:
     """Parsed module plus suppression map and function contexts."""
 
     def __init__(self, path: Path, source: str, display_path: str):
-        self.path = path
         self.display_path = display_path
         self.source = source
         self.tree = ast.parse(source, filename=str(path))
