@@ -1,7 +1,7 @@
 """Mutant matrix for the SPMD linter: which nets kill which defects.
 
 Each mutant is one text substitution at a real call site, in the shape
-a lint rule names.  For every mutant the driver copies the tree into a
+a lint rule names.  For every mutant the script copies the tree into a
 temporary directory (the tree passed in is never written), applies the
 substitution there and asks three nets whether they see it:
 
