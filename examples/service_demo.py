@@ -12,8 +12,10 @@ Exercises the serving tier end to end:
 * a repeated (graph, config) submission — served from the
   content-addressed result cache (hit counted in the metrics) with a
   bit-identical result;
-* the metrics snapshot and the aggregate modelled-time trace across the
-  whole workload.
+* the metrics summary, whose modelled-time table aggregates the trace of
+  every fresh job of the workload (the engine forgets each job once its
+  response is collected, so the metrics are where the workload's trace
+  lives).
 
 Run:  python examples/service_demo.py
 """
@@ -122,7 +124,6 @@ with tempfile.TemporaryDirectory() as tmp:
     assert snapshot["counters"]["cache_hits"] >= 1
     assert snapshot["counters"].get("failed", 0) == 0
     assert snapshot["counters"].get("cancelled", 0) == 0
+    assert not engine.jobs(), "a collected job stayed in the engine"
     print()
     print(engine.metrics.format())
-    print()
-    print(engine.trace_report().format())

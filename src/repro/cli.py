@@ -202,9 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--event-log", metavar="FILE",
                      help="append structured JSON-lines events to FILE "
                           "(shards share the file, tagged by origin)")
-    srv.add_argument("--trace", action="store_true",
-                     help="print the aggregate modelled-time breakdown "
-                          "(in-process mode only)")
 
     tnt = sub.add_parser(
         "tenant",
@@ -620,8 +617,6 @@ def _cmd_serve(args) -> int:
             if response.result is None:
                 failed += 1
         print(engine.metrics.format())
-        if args.trace:
-            print(engine.trace_report().format())
         if args.metrics:
             with open(args.metrics, "w", encoding="utf-8") as fh:
                 json.dump(engine.metrics.snapshot(), fh, indent=1)

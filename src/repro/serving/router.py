@@ -103,7 +103,8 @@ class ShardRouter:
     def drain(
         self, *, cancel_pending: bool = False, timeout: float = 600.0
     ) -> dict[int, list[tuple[str, str]]]:
-        """Drain every live shard; id -> its ``(job_id, state)`` report."""
+        """Drain every live shard; id -> its ``(job_id, state)`` report
+        of the jobs not fetched yet."""
         report: dict[int, list[tuple[str, str]]] = {}
         for sid, shard in sorted(self.shards.items()):
             if not shard.alive:

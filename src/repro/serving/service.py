@@ -503,7 +503,8 @@ class ServingTier:
     def drain(
         self, *, cancel_pending: bool = False
     ) -> dict[int, list[tuple[str, str]]]:
-        """Settle every live shard's queue; id -> (job, state) report."""
+        """Settle every live shard's queue; id -> (job, state) report of
+        the jobs no :meth:`wait` has collected."""
         return self.router.drain(cancel_pending=cancel_pending)
 
     def shutdown(self, *, cancel_pending: bool = True) -> None:
