@@ -31,7 +31,10 @@ keeps the tier honest under the workload it was built for:
   against a bare engine is recorded beside it;
 * **engine memory**: 300 mixed cold / hit / incremental jobs through
   one long-lived engine — VmRSS per job once warm, and no job left
-  behind once every response is collected.
+  behind once every response is collected;
+* **cache-hit latency**: ``Engine.detect`` of a request whose result
+  is stored, for an in-memory graph and for a graph file — median
+  latency, and the share of it spent hashing the input.
 
 Wall-clock times are real (the shards multiplex actual simulator
 runs), unlike the modelled times of the paper-reproduction benches.
@@ -533,3 +536,85 @@ def test_engine_memory_is_bounded(record_result, record_bench):
         },
     )
     assert not held, f"{held} collected jobs are still in the engine"
+
+
+def test_cache_hit_latency(record_result, record_bench, tmp_path, monkeypatch):
+    """Median latency of a cache hit, and the share of it spent hashing.
+
+    web-wiki-en-2013 small at p = 2 through ``Engine(workers=1)`` with a
+    warm 4-entry store: one cold detection, then ``HITS`` fresh requests
+    for the same graph, first as ``graph=`` (one CSR instance, as a
+    caller holding its graph submits it) and then as ``graph_path=``.
+    Hashing is the time inside ``CSRGraph.fingerprint`` plus, where the
+    request module keys files by their bytes, its file digest.
+    """
+    import repro.service.request as request_module
+    from repro.graph import CSRGraph, EdgeList
+    from repro.graph.binio import write_edgelist
+
+    hits = 200
+    graph = make_graph("web-wiki-en-2013", scale="small")
+    path = str(tmp_path / "g.bin")
+    write_edgelist(path, EdgeList.from_csr(graph))
+    hashing = [0.0]
+
+    def timed(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                hashing[0] += time.perf_counter() - t0
+
+        return wrapper
+
+    monkeypatch.setattr(CSRGraph, "fingerprint", timed(CSRGraph.fingerprint))
+    if hasattr(request_module, "_file_digest"):
+        monkeypatch.setattr(
+            request_module, "_file_digest", timed(request_module._file_digest)
+        )
+    rows = {}
+    with Engine(workers=1, store=ResultStore(capacity=4)) as engine:
+        cold = engine.detect(
+            DetectionRequest(graph=graph, nranks=2), timeout=WAIT
+        )
+        assert cold.state.value == "done", cold.error
+        for source in ({"graph": graph}, {"graph_path": path}):
+            # The first path request loads the file once.
+            engine.detect(DetectionRequest(nranks=2, **source), timeout=WAIT)
+            hashing[0] = 0.0
+            walls = []
+            for _ in range(hits):
+                t0 = time.perf_counter()
+                response = engine.detect(
+                    DetectionRequest(nranks=2, **source), timeout=WAIT
+                )
+                walls.append(time.perf_counter() - t0)
+                assert response.cache_hit
+            rows[next(iter(source))] = (
+                float(np.median(walls)), hashing[0] / sum(walls)
+            )
+
+    lines = [
+        f"cache-hit latency (web-wiki-en-2013 small, p=2, 1 worker, warm "
+        f"store, {hits} hits each)",
+    ] + [
+        f"  {name + '=':<12} median {p50 * 1e6:8.0f} us   hashing "
+        f"{share:6.1%} of the hit"
+        for name, (p50, share) in rows.items()
+    ]
+    record_result("cache_hit_latency", "\n".join(lines))
+    record_bench(
+        "serving_throughput",
+        {
+            "cache_hit_workload": (
+                f"web-wiki-en-2013 small, p=2, Engine(workers=1), warm "
+                f"ResultStore(capacity=4), {hits} hits per input kind"
+            ),
+            "hit_graph_us_p50": round(rows["graph"][0] * 1e6, 1),
+            "hit_graph_hash_share": round(rows["graph"][1], 4),
+            "hit_path_us_p50": round(rows["graph_path"][0] * 1e6, 1),
+            "hit_path_hash_share": round(rows["graph_path"][1], 4),
+        },
+    )

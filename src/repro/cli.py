@@ -676,7 +676,7 @@ def _serve_sharded(args, specs) -> int:
             except (KeyError, TypeError, ValueError) as exc:
                 print(f"error: jobs[{i}]: {exc}", file=sys.stderr)
                 return 2
-            key = request.resolved_graph().fingerprint()
+            key = request.graph_fingerprint()
             for _ in range(int(spec.get("repeat", 1))):
                 shard = router.route(key)
                 try:

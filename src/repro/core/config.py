@@ -223,15 +223,21 @@ class LouvainConfig:
         Field order never matters (keys are sorted), so the hash is
         stable across dataclass reordering and process restarts.  Used
         as the config half of the result-store cache key and recorded
-        in checkpoint manifests to refuse cross-config resumes.
+        in checkpoint manifests to refuse cross-config resumes.  The
+        config is frozen, so the hash is computed on the first call and
+        kept on the instance (outside the dataclass fields).
         """
-        payload = {
-            name: value
-            for name, value in self.to_dict().items()
-            if name not in CACHE_KEY_EXCLUSIONS
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            payload = {
+                name: value
+                for name, value in self.to_dict().items()
+                if name not in CACHE_KEY_EXCLUSIONS
+            }
+            blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
 
 #: Ready-made configs for the variant sweep the paper reports.

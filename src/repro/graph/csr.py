@@ -87,6 +87,13 @@ def row_index(rows: np.ndarray, num_rows: int) -> np.ndarray:
 class CSRGraph:
     """Immutable weighted undirected graph in CSR form.
 
+    Construction freezes the three arrays (``writeable`` cleared).  They
+    are the arrays the graph was given, so a caller's own arrays become
+    read-only too: keep a copy to go on writing (an array that is a view
+    keeps a writeable base, so pass owned arrays).  A graph unpickled in
+    another process comes back frozen.  Since the bytes cannot change,
+    :meth:`fingerprint` hashes them once per instance.
+
     Attributes
     ----------
     index:
@@ -112,6 +119,17 @@ class CSRGraph:
             raise ValueError("index must start at 0 and end at nnz")
         if np.any(np.diff(self.index) < 0):
             raise ValueError("index must be non-decreasing")
+        self._freeze()
+
+    def _freeze(self) -> None:
+        for array in (self.index, self.edges, self.weights):
+            array.flags.writeable = False
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled numpy arrays are writeable; the stored fingerprint,
+        # if any, travels with the bytes it was computed from.
+        self.__dict__.update(state)
+        self._freeze()
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -158,13 +176,19 @@ class CSRGraph:
         Two CSR graphs fingerprint equal iff their ``index``/``edges``/
         ``weights`` arrays are byte-identical — the graph half of the
         detection-service result-cache key (:mod:`repro.service.store`).
+        The arrays are frozen, so the digest is computed on the first
+        call and kept on the instance (outside the dataclass fields).
         """
-        h = hashlib.sha256()
-        h.update(np.int64(self.num_vertices).tobytes())
-        h.update(self.index.tobytes())
-        h.update(self.edges.tobytes())
-        h.update(self.weights.tobytes())
-        return h.hexdigest()
+        digest = self.__dict__.get("_fingerprint")
+        if digest is None:
+            h = hashlib.sha256()
+            h.update(np.int64(self.num_vertices).tobytes())
+            h.update(self.index.tobytes())
+            h.update(self.edges.tobytes())
+            h.update(self.weights.tobytes())
+            digest = h.hexdigest()
+            object.__setattr__(self, "_fingerprint", digest)
+        return digest
 
     def self_loop_weights(self) -> np.ndarray:
         """Self-loop weight per vertex (float64[n], zero when absent)."""

@@ -177,6 +177,9 @@ class Job:
     checkpoints: CheckpointManager | None = None
     ticket: int | None = None
     cancel_requested: bool = False
+    #: The caller's wait timed out, so no one will collect the job:
+    #: ``_finish`` drops it, as it does a tune job.
+    abandoned: bool = False
     submitted_at: float = 0.0
     started_at: float | None = None
     finished_at: float | None = None
@@ -381,7 +384,9 @@ class Engine:
         """Cancel a job.  Pending jobs cancel immediately; running jobs
         best-effort (the in-flight run completes, its result is
         discarded).  False if the job is already terminal."""
-        job = self._job(job_id)
+        return self._cancel(self._job(job_id))
+
+    def _cancel(self, job: Job) -> bool:
         if job.state is JobState.PENDING and job.ticket is not None:
             if self.scheduler.cancel(job.ticket):
                 self.metrics.set_gauge("queue_depth", self.scheduler.depth())
@@ -443,8 +448,13 @@ class Engine:
     def detect(
         self, request: DetectionRequest, timeout: float | None = None
     ) -> DetectionResponse:
-        """Synchronous convenience: submit and wait."""
-        return self.wait(self.submit(request), timeout=timeout)
+        """Synchronous convenience: submit and wait.  On ``timeout`` the
+        job is cancelled and the engine forgets it."""
+        job_id = self.submit(request)
+        try:
+            return self.wait(job_id, timeout=timeout)
+        except TimeoutError as exc:
+            raise self._abandon([job_id], exc) from None
 
     def detect_at_resolutions(
         self,
@@ -458,7 +468,9 @@ class Engine:
         differ only in the resolution folded into their config — all
         share the input graph (and its fingerprint), so each level is a
         distinct result-store entry served bit-identically on repeat.
-        Responses come back in the order of ``resolutions``.
+        Responses come back in the order of ``resolutions``.  On
+        ``timeout`` every level not collected yet is cancelled and
+        forgotten.
         """
         if not resolutions:
             raise ValueError("resolutions must be non-empty")
@@ -474,7 +486,10 @@ class Engine:
             )
             for r in resolutions
         ]
-        return self.wait_all(ids, timeout=timeout)
+        try:
+            return self.wait_all(ids, timeout=timeout)
+        except TimeoutError as exc:
+            raise self._abandon(ids, exc) from None
 
     def jobs(self) -> list[DetectionResponse]:
         """Snapshot of every job not collected yet, in submission order."""
@@ -512,6 +527,28 @@ class Engine:
         with self._lock:
             self._next_id += 1
             return f"job-{self._next_id:04d}"
+
+    def _abandon(
+        self, job_ids: Sequence[str], exc: TimeoutError
+    ) -> TimeoutError:
+        """Cancel the jobs of ``job_ids`` not collected yet, whose caller
+        gave up waiting, and mark them so ``_finish`` drops them; returns
+        the error to raise in place of ``exc``."""
+        dropped = []
+        for job_id in job_ids:
+            with self._lock:
+                job = self._jobs.get(job_id)
+                if job is None:  # collected before the wait timed out
+                    continue
+                job.abandoned = True
+                # ``_finish`` sets the state before it takes the lock, so
+                # a job it finished before this is dropped here and one
+                # it finishes after is dropped there.
+                if job.state.terminal:
+                    del self._jobs[job_id]
+            dropped.append(job_id)
+            self._cancel(job)
+        return TimeoutError(f"{exc}; cancelled {', '.join(dropped)}")
 
     def _job(self, job_id: str) -> Job:
         with self._lock:
@@ -574,8 +611,8 @@ class Engine:
             error=error,
             elapsed=result.elapsed if result is not None else None,
         )
-        if job.kind == "tune":  # no caller will collect it
-            with self._lock:
+        with self._lock:
+            if job.kind == "tune" or job.abandoned:  # no caller collects it
                 self._jobs.pop(job.id, None)
         job.done.set()
 

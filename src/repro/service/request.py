@@ -12,6 +12,8 @@ result (or the failure), and the service-side timings.
 Requests are content-addressable: :meth:`DetectionRequest.cache_key`
 combines the graph fingerprint with the config's canonical hash so the
 result store can serve a repeated submission without recomputing it.
+A ``graph_path`` input is keyed by the bytes of its file: a process
+loads the file only for a file digest it has not seen before.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ import dataclasses
 import enum
 import hashlib
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -37,6 +42,55 @@ MODES = ("batch", "incremental", "resume")
 #: lets an engine with a tuning DB substitute the planned
 #: (config, ranks) for this graph (see :mod:`repro.tune`).
 TUNE_MODES = ("off", "auto")
+
+
+#: Most file digests :data:`_FILE_FINGERPRINTS` remembers.
+_FILE_FINGERPRINTS_CAPACITY = 1024
+
+
+class _FileFingerprints:
+    """Bounded, thread-safe map: SHA-256 of a graph file's bytes -> the
+    :meth:`CSRGraph.fingerprint` those bytes load to.
+
+    The same bytes always load to the same CSR, so an entry never goes
+    stale; the least recently used one is dropped past ``capacity``.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._entries: OrderedDict[str, str] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, file_digest: str) -> str | None:
+        with self._lock:
+            fingerprint = self._entries.get(file_digest)
+            if fingerprint is not None:
+                self._entries.move_to_end(file_digest)
+            return fingerprint
+
+    def put(self, file_digest: str, fingerprint: str) -> None:
+        with self._lock:
+            self._entries[file_digest] = fingerprint
+            self._entries.move_to_end(file_digest)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+
+_FILE_FINGERPRINTS = _FileFingerprints(_FILE_FINGERPRINTS_CAPACITY)
+
+
+def _file_digest(path: str) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+@lru_cache(maxsize=16)
+def _machine_key(machine: MachineModel) -> bytes:
+    """The machine model's part of :meth:`DetectionRequest.cache_key`."""
+    return json.dumps(dataclasses.asdict(machine), sort_keys=True).encode()
 
 
 class JobState(enum.Enum):
@@ -214,26 +268,23 @@ class DetectionRequest:
     def cache_key(self) -> str | None:
         """Content hash of (input graph, config, execution shape).
 
-        ``None`` for uncacheable requests.  The graph contributes its
-        CSR fingerprint (``graph_path`` inputs are fingerprinted after
-        loading, so the same bytes hash equal either way); the config
-        contributes :meth:`LouvainConfig.cache_key`; ``nranks``,
+        ``None`` for uncacheable requests.  The graph contributes
+        :meth:`graph_fingerprint` (its CSR fingerprint, computed once
+        per frozen graph; a ``graph_path`` input is keyed by its file's
+        bytes, so the same bytes hash equal either way and a file seen
+        before is not loaded again); the config contributes
+        :meth:`LouvainConfig.cache_key`, also computed once; ``nranks``,
         ``partition``, and the machine model are included because they
         change the result's assignment/trace/elapsed; incremental
         requests mix in the warm-start labels.
         """
         if not self.cacheable:
             return None
-        g = self.resolved_graph()
         h = hashlib.sha256()
-        h.update(g.fingerprint().encode())
+        h.update(self.graph_fingerprint().encode())
         h.update(self.config.cache_key().encode())
         h.update(f"|{self.nranks}|{self.partition}|{self.mode}|".encode())
-        h.update(
-            json.dumps(
-                dataclasses.asdict(self.machine), sort_keys=True
-            ).encode()
-        )
+        h.update(_machine_key(self.machine))
         if self.mode == "incremental":
             h.update(
                 np.asarray(self.previous_assignment, dtype=np.int64).tobytes()
@@ -244,8 +295,31 @@ class DetectionRequest:
                 )
         return h.hexdigest()
 
+    def graph_fingerprint(self) -> str:
+        """:meth:`CSRGraph.fingerprint` of the input graph.
+
+        A ``graph_path`` input not loaded yet is looked up by the
+        SHA-256 of its file's bytes; only a digest this process has not
+        seen loads the file (once, kept on the request like
+        :meth:`resolved_graph`).  The digest is kept on the request too,
+        so a later load of the file refuses bytes that changed since.
+        """
+        if self.graph is not None or self.graph_path is None:
+            return self.resolved_graph().fingerprint()
+        digest = _file_digest(self.graph_path)
+        object.__setattr__(self, "_keyed_digest", digest)
+        fingerprint = _FILE_FINGERPRINTS.get(digest)
+        if fingerprint is None:
+            fingerprint = self.resolved_graph().fingerprint()
+            _FILE_FINGERPRINTS.put(digest, fingerprint)
+        return fingerprint
+
     def resolved_graph(self) -> CSRGraph:
-        """The input CSR graph, loading ``graph_path`` if necessary."""
+        """The input CSR graph, loading ``graph_path`` if necessary.
+
+        Raises :class:`ValueError` when the file's bytes are no longer
+        the ones :meth:`graph_fingerprint` keyed the request by.
+        """
         if self.graph is not None:
             return self.graph
         if self.graph_path is None:
@@ -253,6 +327,11 @@ class DetectionRequest:
         from ..graph.binio import read_edgelist
 
         g = read_edgelist(self.graph_path).to_csr()
+        keyed = self.__dict__.get("_keyed_digest")
+        if keyed is not None and _file_digest(self.graph_path) != keyed:
+            raise ValueError(
+                f"{self.graph_path} changed after the request was keyed"
+            )
         # Cache the load on the (frozen) request so repeated key
         # computations and the execution itself read the file once.
         object.__setattr__(self, "graph", g)

@@ -331,7 +331,7 @@ class ServingTier:
         """Route and submit, rerouting once over a shard death."""
         if self._closed:
             raise RuntimeError("serving tier is shut down")
-        key = request.resolved_graph().fingerprint()
+        key = request.graph_fingerprint()
         for attempt in range(2):
             t0 = time.monotonic()
             shard = self.router.route(key)

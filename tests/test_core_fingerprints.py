@@ -13,6 +13,11 @@ then regenerate with ``--write-pins`` (``--write-pins cost`` when only
 the schedule was meant to move).
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from tests import fingerprints
@@ -39,3 +44,42 @@ def test_run_fingerprint(name, p, label):
     )
     assert row.outcome == pin["outcome"], f"{row.key}: outcome moved"
     assert row.cost == pin["cost"], f"{row.key}: outcome equal, cost moved"
+
+
+#: Rows of the full table rerun under two string-hash seeds: an ET row
+#: (random draws, fractional weights) and a killed-then-resumed run on
+#: disk checkpoints.
+HASH_SEED_ROWS = """
+import json
+from tests import fingerprints as f
+rows = [
+    f._row("soc-friendster", "fractional", 3, "et", f.FULL_CONFIGS["et"]),
+    f._resumed_row("channel"),
+]
+print(json.dumps([[r.key, r.outcome, r.cost] for r in rows]))
+"""
+
+
+def test_rows_do_not_depend_on_the_hash_seed():
+    """An order taken from a set or dict of strings changes with
+    ``PYTHONHASHSEED``; two fresh interpreters must still agree."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = [os.path.join(root, "src"), root, os.environ.get("PYTHONPATH", "")]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", HASH_SEED_ROWS],
+            cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env={
+                **os.environ, "PYTHONHASHSEED": seed,
+                "PYTHONPATH": os.pathsep.join(p for p in path if p),
+            },
+        )
+        for seed in ("0", "1")
+    ]
+    outputs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        outputs.append(json.loads(out))
+    assert len(outputs[0]) == 2
+    assert outputs[0] == outputs[1]

@@ -1,9 +1,14 @@
 """Unit tests for the CSR graph structure."""
 
+import dataclasses
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.graph import CSRGraph
+from repro.core.coarsen import coarsen_csr
+from repro.graph import CSRGraph, EdgeList
 from repro.graph.csr import row_index, sorted_unique, sum_duplicate_entries
 
 from .oracles import aggregate_reference
@@ -155,9 +160,87 @@ class TestRelabel:
             g.relabel(np.arange(3))
 
 
+def _direct_graph():
+    # Edge 0-1 of weight 2, built from the caller's own arrays: the
+    # graph holds (and freezes) these very objects.
+    return CSRGraph(
+        index=np.array([0, 1, 2], dtype=np.int64),
+        edges=np.array([1, 0], dtype=np.int64),
+        weights=np.array([2.0, 2.0]),
+    )
+
+
+FROZEN_BUILDS = {
+    "from_edges": small_graph,
+    "to_csr": lambda: EdgeList(
+        num_vertices=3,
+        u=np.array([0, 1], dtype=np.int64),
+        v=np.array([1, 2], dtype=np.int64),
+        w=np.array([1.0, 3.0]),
+    ).to_csr(),
+    "coarsen_csr": lambda: coarsen_csr(small_graph(), [0, 0, 1, 1])[0],
+    "direct": _direct_graph,
+    "pickled": lambda: pickle.loads(pickle.dumps(small_graph())),
+    "empty": lambda: CSRGraph.empty(3),
+}
+
+
+class TestFrozen:
+    @pytest.mark.parametrize("build", sorted(FROZEN_BUILDS))
+    @pytest.mark.parametrize("name", ["index", "edges", "weights"])
+    def test_writing_an_array_raises(self, build, name):
+        array = getattr(FROZEN_BUILDS[build](), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] = 0
+
+    def test_pickle_round_trip_keeps_the_graph(self):
+        g = small_graph()
+        g.fingerprint()
+        h = pickle.loads(pickle.dumps(g))
+        for name in ("index", "edges", "weights"):
+            np.testing.assert_array_equal(getattr(h, name), getattr(g, name))
+        assert h.fingerprint() == g.fingerprint()
+
+
+class _Sha256Spy:
+    """Stands in for ``hashlib`` in :mod:`repro.graph.csr`; counts the
+    hashers made."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sha256(self, *args):
+        self.calls += 1
+        return hashlib.sha256(*args)
+
+
 class TestFingerprint:
     def test_deterministic(self):
         assert small_graph().fingerprint() == small_graph().fingerprint()
+
+    def test_hashed_once_per_instance(self, monkeypatch):
+        import repro.graph.csr as csr
+
+        spy = _Sha256Spy()
+        monkeypatch.setattr(csr, "hashlib", spy)
+        g = small_graph()
+        first = g.fingerprint()
+        assert [g.fingerprint() for _ in range(3)] == [first] * 3
+        assert spy.calls == 1
+        # An independent rebuild from the same edges hashes equal.
+        eu, ev, ew = g.edge_array()
+        rebuilt = CSRGraph.from_edges(
+            g.num_vertices, eu.copy(), ev.copy(), ew.copy()
+        )
+        assert rebuilt.fingerprint() == first
+        assert spy.calls == 2
+
+    def test_stored_digest_is_no_field(self):
+        g = small_graph()
+        g.fingerprint()
+        assert [f.name for f in dataclasses.fields(g)] == [
+            "index", "edges", "weights"
+        ]
 
     def test_hex_sha256(self):
         fp = small_graph().fingerprint()

@@ -592,6 +592,39 @@ class TestJobsAreCollected:
                 with pytest.raises(KeyError, match=job):
                     call(job)
 
+    @pytest.mark.parametrize("call", ["detect", "detect_at_resolutions"])
+    def test_timed_out_wait_cancels_and_drops_its_jobs(
+        self, tiny, monkeypatch, call
+    ):
+        """Nobody holds the ids of a timed-out ``detect`` (or
+        ``detect_at_resolutions``): its jobs are cancelled and leave the
+        engine when they finish."""
+        import repro.service.engine as engine_module
+
+        release = threading.Event()
+        execute = engine_module.execute_request
+
+        def held(*args, **kwargs):
+            release.wait(60)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "execute_request", held)
+        request = DetectionRequest(graph=tiny, nranks=2)
+        engine = Engine(workers=1)
+        with engine:
+            with pytest.raises(TimeoutError, match=r"cancelled job-0001"):
+                if call == "detect":
+                    engine.detect(request, timeout=0.2)
+                else:
+                    engine.detect_at_resolutions(
+                        request, [0.5, 1.0], timeout=0.2
+                    )
+            release.set()
+        # Leaving the block joins the idle worker.
+        assert not engine._jobs
+        counters = engine.metrics.snapshot()["counters"]
+        assert counters["cancelled"] == (1 if call == "detect" else 2)
+
     def test_failed_tune_job_is_counted_and_logged(self, tmp_path, monkeypatch):
         """A tune job is dropped at finish, so its failure must show as
         a counter and an event."""
