@@ -86,7 +86,7 @@ _VAL = "src/repro/core/validate.py"
 _CFG = "src/repro/core/config.py"
 _COMM_TEST = "tests/test_runtime_comm.py"
 
-_ALLREDUCE = '    total = comm.allreduce(partial, category="allreduce")\n'
+_ALLREDUCE = '    ops.append(("allreduce", "allreduce"))\n'
 _BARRIER = (
     '        comm.barrier(category="checkpoint")\n'
     "        return manifest\n"
@@ -100,14 +100,14 @@ MUTANTS: tuple[Mutant, ...] = (
     # SPMD001: rank-dependent control flow around a collective.
     Mutant(
         "m1", "SPMD001", _DL, _ALLREDUCE,
-        "    total = partial\n    if comm.rank != 1:\n    " + _ALLREDUCE,
-        "rank 1 skips _global_modularity's allreduce",
+        "    if comm.rank != 1:\n    " + _ALLREDUCE,
+        "rank 1 leaves the allreduce out of _iterate's ops",
     ),
     Mutant(
         "m2", "SPMD001", _DL, _ALLREDUCE,
-        "    total = partial\n    if dg.num_local_entries:\n    "
-        + _ALLREDUCE,
-        "_global_modularity skips its allreduce on a rank with no entries",
+        "    if phase.dg.num_local_entries:\n    " + _ALLREDUCE,
+        "_iterate leaves the allreduce out of its ops on a rank with no "
+        "entries",
     ),
     Mutant(
         "ckpt_barrier", "SPMD001", _CK, _BARRIER,
@@ -340,9 +340,9 @@ MUTANTS: tuple[Mutant, ...] = (
     # SPMD303: a LouvainConfig attribute that does not exist.
     Mutant(
         "typo_resolution", "SPMD303", _DL,
-        "float(total[0] / w - config.resolution * total[1] / (w * w))",
-        "float(total[0] / w - config.resolutoin * total[1] / (w * w))",
-        "_global_modularity reads config.resolutoin",
+        "_Turn(phase, active, rounds, config.resolution)",
+        "_Turn(phase, active, rounds, config.resolutoin)",
+        "_iterate reads config.resolutoin",
     ),
     Mutant(
         "typo_etc_exit", "SPMD303", _DL,

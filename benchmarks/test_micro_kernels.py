@@ -6,14 +6,15 @@ performance regressions of the simulator itself are visible:
 
 * the vectorised move-selection sweep — from the singleton state, from
   a mid-run state with sparse community ids, and under a 25%-active
-  mask — and one whole ``_sweep_round`` on every rank at p ∈ {1, 4}
-  (per world-round: wall and thread-CPU µs summed over the ranks, the
-  kernel's share beside it), so the glue around the kernel has its own
-  number; both also on soc-friendster ``small`` / ``medium`` /
+  mask — and one whole iteration, ``_iterate``, on every rank at
+  p ∈ {1, 4} (per world-iteration: wall and thread-CPU µs summed over
+  the ranks, the kernel's share beside it, modelled seconds), so the
+  glue around the kernel has its own number; both also on
+  soc-friendster ``small`` / ``medium`` /
   ``large`` (p = 1), in ns per candidate entry and per (vertex,
   community) pair with the kernel's stages replayed beside them, so a
-  per-edge cost that rises with the input says where, and the rounds
-  also on the ``mesh_p8`` and ``social_p4_etc`` workloads' slices
+  per-edge cost that rises with the input says where, and the
+  iterations also on the ``mesh_p8`` and ``social_p4_etc`` workloads' slices
   (appended to ``BENCH_generators.json``);
 * one round's community-info legs per 8-rank world on the ``mesh_p8``
   slice — ``Communicator.lookup`` + ``push`` with the ghost labels
@@ -46,17 +47,19 @@ from repro.core import (
     IterationState,
     LouvainConfig,
     RunState,
+    Variant,
     aggregate_deltas,
     coarsen_csr,
 )
 from repro.core.coarsen import rebuild_distributed
 from repro.core.distlouvain import (
     _CommunityView,
+    _iterate,
     _Phase,
     _save_checkpoint,
     _stack_sweep,
-    _sweep_round,
 )
+from repro.core.heuristics import EarlyTermination, make_rank_rng
 from repro.core.grappolo import greedy_coloring, vertex_following_seed
 from repro.core.sweep import SweepPlan, SweepSlice, array_lookup, propose_moves
 from repro.core.result import IterationStats
@@ -256,29 +259,35 @@ WARM_ROUNDS = 3
     ],
 )
 @pytest.mark.parametrize("state,active", SWEEP_CASES)
-def test_kernel_sweep_round(
+def test_kernel_iteration(
     benchmark, monkeypatch, record_bench, state, active, p, which
 ):
-    """Steps (i)-(iv) of one iteration on every rank — the ``needed``
-    set and its fetch, the world call of the kernel, the delta
-    aggregation and exchange, the ghost exchange and the view's update —
-    at p = 1 on soc-friendster at three sizes, on the 3 000-vertex LFR
-    graph at p = 1 and 4, and on the slices the ``mesh_p8`` (channel
-    ``medium``, p = 8) and ``social_p4_etc`` (soc-friendster ``small``,
-    p = 4) workloads sweep.  Every round restarts from the same
-    assignment (the views and owner arrays are rebuilt outside the
-    timers).  Reported per world-round: wall µs (first rank in to last
-    rank out), thread-CPU µs summed over the ranks (``thread_time_ns``:
-    what the ranks burn, waits excluded) and the kernel's share of that
-    CPU — one thread sweeps for every rank, so a per-rank number would
-    charge the whole world to whichever rank ran it."""
+    """One Louvain iteration on every rank, ``_iterate(comm, phase, it,
+    config)`` — steps (i)-(v): the ``needed`` set and its fetch, the
+    kernel over every rank's entries, the delta aggregation and the
+    push with the ghost labels, the view's update, the modularity
+    partials and the allreduce — at p = 1 on soc-friendster at three
+    sizes, on the 3 000-vertex LFR graph at p = 1 and 4, and on the
+    slices the ``mesh_p8`` (channel ``medium``, p = 8) and
+    ``social_p4_etc`` (soc-friendster ``small``, p = 4) workloads sweep.
+    Every iteration restarts from the same assignment (the views, owner
+    arrays and ET state are rebuilt outside the timers); the 25%-active
+    case is ET with every vertex's probability at 0.25.  Reported per
+    world-iteration: wall µs (first rank in to last rank out),
+    thread-CPU µs summed over the ranks (``thread_time_ns``: what the
+    ranks burn, waits excluded), the kernel's share of that CPU — one
+    thread works for every rank, so a per-rank number would charge the
+    whole world to whichever rank ran it — and the modelled seconds the
+    latest rank's clock advances on ``CORI_HASWELL``."""
     from repro.core import distlouvain
 
     g = _kernel_graph(which)
     n = g.num_vertices
     comm0 = _sweep_state(g, state)
-    mask = _sweep_active(n, active)
-    mask = np.ones(n, dtype=bool) if mask is None else mask
+    config = (
+        LouvainConfig() if active == "all"
+        else LouvainConfig(variant=Variant.ET, alpha=0.25, seed=11)
+    )
     deg = g.degrees()
     tot0 = np.bincount(comm0, weights=deg, minlength=n)
     size0 = np.bincount(comm0, minlength=n)
@@ -307,7 +316,7 @@ def test_kernel_sweep_round(
                 dg.local_rows(), k,
             ),
             dg.total_weight,
-            1.0,
+            config.resolution,
         )
         spans, moves = [], 0
         for _ in range(rounds + WARM_ROUNDS):
@@ -320,53 +329,66 @@ def test_kernel_sweep_round(
             state = IterationState(
                 local, tot0[lo:hi].copy(), size0[lo:hi].copy()
             )
+            if active != "all":
+                state.et = EarlyTermination(
+                    dg.num_local, config, make_rank_rng(11, comm.rank, 0)
+                )
+                state.et.prob[:] = 0.25
             phase = _Phase(
                 dg, 0, k, sweep, view, None, state, view.values
             )
             comm.barrier()
+            m0 = comm.clock
             w0, c0 = time.perf_counter_ns(), time.thread_time_ns()
-            moved, moves = _sweep_round(comm, phase, mask[lo:hi])
+            _iterate(comm, phase, 0, config)
             c1, w1 = time.thread_time_ns(), time.perf_counter_ns()
-            spans.append((w0, w1, c1 - c0))
-            assert moves == int(moved.sum())
+            spans.append((w0, w1, c1 - c0, m0, comm.clock))
+            moves = state.stats[-1].moves
         return spans[WARM_ROUNDS:], moves
 
     r = benchmark.pedantic(
-        lambda: run_spmd(p, prog, machine=FREE, timeout=60.0),
+        lambda: run_spmd(p, prog, machine=CORI_HASWELL, timeout=60.0),
         rounds=1, iterations=1,
     )
-    assert sum(v[1] for v in r.values) > 0
+    assert r.values[0][1] > 0
     per_round = list(zip(*(v[0] for v in r.values)))
     wall_us = float(np.median(
         [max(s[1] for s in rs) - min(s[0] for s in rs) for rs in per_round]
     )) / 1e3
     cpu_us = float(np.median([sum(s[2] for s in rs) for rs in per_round])) / 1e3
-    # The kernel calls of the timed rounds: the last ones made.
+    modelled_s = float(np.median(
+        [max(s[4] for s in rs) - max(s[3] for s in rs) for rs in per_round]
+    ))
+    # The kernel calls of the timed iterations: the last ones made.
     calls = len(kernel_ns) // (rounds + WARM_ROUNDS)
     kernel_us = float(np.sum(kernel_ns[-calls * rounds:])) / rounds / 1e3
     benchmark.extra_info.update(
-        wall_us_per_world_round=wall_us, cpu_us_per_world_round=cpu_us,
-        kernel_cpu_us_per_world_round=kernel_us,
+        wall_us_per_world_iteration=wall_us,
+        cpu_us_per_world_iteration=cpu_us,
+        kernel_cpu_us_per_world_iteration=kernel_us,
+        modelled_s_per_world_iteration=modelled_s,
     )
     dataset = "channel" if which == "mesh" else "soc-friendster"
     print(
-        f"\nsweep round {which:<8} {state:<9} {active:<7} p={p} "
-        f"{wall_us:>8.0f} us wall {cpu_us:>8.0f} us cpu per world-round, "
+        f"\niteration {which:<8} {state:<9} {active:<7} p={p} "
+        f"{wall_us:>8.0f} us wall {cpu_us:>8.0f} us cpu per world-iteration, "
         f"kernel {kernel_us:>7.0f} us ({kernel_us / cpu_us:.0%}) in "
-        f"{calls} call(s), {1e3 * cpu_us / g.num_edges:.0f} ns cpu per edge"
+        f"{calls} call(s), {1e3 * cpu_us / g.num_edges:.0f} ns cpu per edge, "
+        f"{modelled_s * 1e6:.1f} us modelled"
     )
     if which != "lfr3000":
         record_bench("generators", {
-            "kind": "kernel_sweep_round", "dataset": dataset,
+            "kind": "kernel_iteration", "dataset": dataset,
             "scale": "medium" if which == "mesh" else which,
             "state": state, "active": active, "ranks": p,
-            "num_edges": g.num_edges, "sweep": "one call per world",
-            "kernel_calls_per_world_round": calls,
-            "wall_us_per_world_round": round(wall_us, 1),
-            "cpu_us_per_world_round": round(cpu_us, 1),
-            "kernel_cpu_us_per_world_round": round(kernel_us, 1),
+            "num_edges": g.num_edges,
+            "kernel_calls_per_world_iteration": calls,
+            "wall_us_per_world_iteration": round(wall_us, 1),
+            "cpu_us_per_world_iteration": round(cpu_us, 1),
+            "kernel_cpu_us_per_world_iteration": round(kernel_us, 1),
             "kernel_cpu_share": round(kernel_us / cpu_us, 3),
             "cpu_ns_per_edge": round(1e3 * cpu_us / g.num_edges, 1),
+            "modelled_s_per_world_iteration": modelled_s,
         })
 
 

@@ -109,17 +109,32 @@ def owner_lookup(
     ``ids`` from the dense ``tables`` (one per field, over this rank's
     interval of ``offsets``) of the ranks that own them —
     :meth:`~repro.runtime.comm.Communicator.lookup`, whose owners answer
-    every rank at once.  A table that is not as long as its interval
-    would shift every later rank's ids, so it raises."""
-    cuts = owner_cuts(offsets, ids)
-    owned = int(offsets[comm.rank + 1] - offsets[comm.rank])
+    every rank at once."""
+    return comm.lookup(
+        *owner_request(offsets, comm.rank, ids, tables), category=category
+    )
+
+
+def owner_request(
+    offsets: np.ndarray,
+    rank: int,
+    ids: np.ndarray,
+    tables: tuple[np.ndarray, ...],
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Rank ``rank``'s deposit in an owner-routed lookup, ``(ids, owner
+    cuts, tables)``.  The owners' tables are laid end to end, so one that
+    is not as long as its interval would shift every later rank's ids:
+    it raises, naming the rank, as an id outside the vertex space does
+    first."""
+    cuts = owner_cuts(offsets, ids, rank)
+    owned = int(offsets[rank + 1] - offsets[rank])
     for table in tables:
         if len(table) != owned:
             raise ValueError(
-                f"rank {comm.rank}: owner table of {len(table)} values "
+                f"rank {rank}: owner table of {len(table)} values "
                 f"for its {owned} ids"
             )
-    return comm.lookup(ids, cuts, tables, category=category)
+    return ids, cuts, tables
 
 
 def rebuild_distributed(

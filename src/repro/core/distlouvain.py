@@ -15,32 +15,37 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
       ``ExchangeGhostVertices`` — one-time-per-phase ghost coordinate
       exchange (Algorithm 4; :meth:`DistGraph.build_ghost_plan`) and one
       full exchange of the ghost vertices' starting communities;
-    * iteration loop (Algorithm 3, :func:`louvain_phase_distributed`;
-      each :func:`_iterate` runs steps i-iv in one or more
-      :func:`_sweep_round`, then v and vi):
+    * iteration loop (Algorithm 3, :func:`louvain_phase_distributed`).
+      Each :func:`_iterate` is one rendezvous: the rank draws its ET mask
+      and consults the fault plan for the iteration's ops, then one
+      world function (:func:`_world_iteration`) runs steps ii-v for
+      every rank, a step at a time — per colour round
+      (:func:`_world_round`; one round without colouring) ii-iv, then
+      v — and hands each rank the charges its ops made, which it
+      replays (:class:`~repro.runtime.comm.Script`); vi is the rank's:
 
       i.   the community of every ghost vertex as of the last
            synchronisation point is already in place (lines 4-5; see
            step iv);
-      ii.  fetch current ``a_c``/size for every community referenced by
-           this iteration's *active* vertices from the community owners
-           (one ``lookup``: request and reply in one rendezvous; category
-           ``community_comm``);
-      iii. snapshot sweep: compute the best move for every active local
-           vertex against the fetched state (lines 6-9; the shared
-           kernel from :mod:`repro.core.sweep`) — for every rank at
-           once: the round's sweeps are independent, so one world call
-           (:func:`_sweep_world`) runs the kernel once over every rank's
-           entries, laid end to end once per phase by
-           :func:`_stack_sweep`;
-      iv.  one personalised exchange (``push``) carries everything the
-           moves changed, one message per peer: the ``a_c``/size deltas
-           of the communities that peer owns, which it applies (lines
-           10-11), and the new community of every moved vertex it
-           ghosts (the next sweep's lines 4-5) — ``community_comm``;
-      v.   :func:`_global_modularity`: one allreduce combines the
+      ii.  :func:`_fetch_step`: every rank fetches current ``a_c``/size
+           for every community its round's *active* vertices reference
+           from the community owners (the lookup's request and reply
+           legs; category ``community_comm``);
+      iii. :func:`_sweep_step`, snapshot sweep: the best move for every
+           active local vertex against the fetched state (lines 6-9; the
+           shared kernel from :mod:`repro.core.sweep`) — one kernel call
+           over every rank's entries, laid end to end once per phase by
+           :func:`_stack_sweep`; each rank is charged its own
+           ``compute``;
+      iv.  :func:`_push_step`: one personalised exchange (the push)
+           carries everything the moves changed, one message per peer:
+           the ``a_c``/size deltas of the communities that peer owns,
+           which it applies (lines 10-11), and the new community of every
+           moved vertex it ghosts (the next sweep's lines 4-5) —
+           ``community_comm``;
+      v.   :func:`_modularity_step`: one allreduce combines the
            modularity partials with the move, activity and
-           inactive-vertex counters (lines 12-13, ``allreduce``);
+           inactive-vertex counts (lines 12-13, ``allreduce``);
       vi.  :func:`_exit_tests`: the stats row and ETC's 90% exit on the
            inactive count the same allreduce delivered (§IV-B(b)) — no
            variant adds a collective; then the tau test and, the phase
@@ -69,7 +74,9 @@ owner — community requests, deltas, ghost updates — is an ascending id
 array cut into one slice per rank (:meth:`DistGraph.cuts`), and the
 owners' tables laid end to end are indexed by global id, so the owners
 answer and apply for the whole world at once.  Whatever is ready
-at the same synchronisation point leaves in one message per peer.  What
+at the same synchronisation point leaves in one message per peer.  The
+world halves of those collectives (:mod:`repro.runtime.comm`) price
+every rank's legs; the iteration calls them, so no pricing lives here.  What
 a rank knows of the communities between exchanges lives in a per-phase
 :class:`_CommunityView` that the rounds patch rather than rebuild.
 
@@ -83,16 +90,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 
 from ..graph.csr import CSRGraph, sorted_unique
 from ..graph.distgraph import DistGraph, GhostPlan
 from ..graph.partition import even_vertex, owner_of
-from ..runtime.comm import Communicator
+from ..runtime.comm import (
+    Communicator, Script, World, allreduce_world, lookup_world, push_world,
+)
 from ..runtime.executor import SPMDResult, run_spmd
 from ..runtime.perfmodel import CORI_HASWELL, MachineModel
-from .coarsen import owner_lookup, rebuild_distributed, remote_lookup
+from .coarsen import owner_request, rebuild_distributed, remote_lookup
 from .config import LouvainConfig
 from .heuristics import (
     EarlyTermination, LayoutStreams, ThresholdCycler, make_rank_rng,
@@ -170,11 +180,10 @@ class _CommunityView:
         """This round's labels by destination rank: ``(counts, vertex
         ids, new communities)`` of the ``moved`` owned vertices each rank
         ghosts, in destination order, ``counts[d]`` of them for rank
-        ``d``.  The caller ships them with the round's deltas
-        (:func:`_apply_community_deltas`) and hands what came back to
-        :meth:`absorb`.  ``slot`` must already hold the moved vertices'
-        own new positions (the kernel proposes in positions, so the
-        caller has them for free)."""
+        ``d``.  The round ships them with its deltas (:func:`_push_step`)
+        and hands what came back to :meth:`absorb`.  ``slot`` must
+        already hold the moved vertices' own new positions (the kernel
+        proposes in positions, so the caller has them for free)."""
         sel = np.flatnonzero(moved[self.send_loc])
         counts = np.diff(np.searchsorted(sel, self.plan.send_cuts))
         return counts, self.plan.send_ids[sel], local_comm[self.send_loc[sel]]
@@ -229,7 +238,7 @@ def _stack_sweep(
     resolution: float,
 ) -> _WorldSweep:
     """One world call per phase: every rank's CSR slice laid end to end
-    in the world's workspace, as one input of :func:`_sweep_world`."""
+    in the world's workspace, as one input of :func:`_sweep_step`."""
     return comm.world_call(
         part,
         partial(_stack_world, comm.world.workspace, total_weight, resolution),
@@ -246,139 +255,6 @@ def _stack_world(
         _WorldSweep(stack, *stack.segment(r), total_weight, resolution)
         for r in range(len(slices))
     ]
-
-
-def _sweep_world(rounds) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Step (iii) for every rank at once: one :func:`propose_moves` over
-    the stack.  ``rounds[r]`` is rank ``r``'s ``(sweep, dense (a_c, |c|)
-    table, ids)``; its tables, laid end to end, back the lookups, each
-    rank's positions shifted by the ids of the ranks before (one rank is
-    one segment, with nothing to shift).  Returns, per rank, its
-    proposals, moved mask and pair count."""
-    sweep = rounds[0][0]
-    stack = sweep.stack
-    lengths = [len(r_ids) for _, _, r_ids in rounds]
-    shift = np.zeros(len(rounds), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=shift[1:])
-    total = sum(lengths)
-    ids = stack.workspace.array("ids", total, np.int64)
-    info = stack.workspace.array("info", 2 * total, np.float64)
-    info = info.reshape(2, total)
-    np.concatenate([r_ids for _, _, r_ids in rounds], out=ids)
-    np.concatenate([r_info for _, r_info, _ in rounds], axis=1, out=info)
-    res = propose_moves(
-        index=stack.index,
-        target_comm=stack.target,
-        weights=None,
-        self_mask=None,
-        degrees=stack.degrees,
-        cur_comm=stack.cur,
-        total_weight=sweep.total_weight,
-        tot_lookup=array_lookup(ids, info[0]),
-        size_lookup=array_lookup(ids, info[1]),
-        active=stack.active,
-        resolution=sweep.resolution,
-        plan=stack.plan,
-        segments=Segments(stack.row_cuts, shift),
-    )
-    cuts = stack.row_cuts
-    return [
-        (res.proposal[a:b], res.moved[a:b], int(pairs))
-        for a, b, pairs in zip(cuts[:-1], cuts[1:], res.segment_pairs)
-    ]
-
-
-def _world_propose(
-    comm: Communicator,
-    sweep: _WorldSweep,
-    cur: np.ndarray,
-    active: np.ndarray,
-    info: np.ndarray,
-    ids: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Step (iii) as a world call: this rank's current communities and
-    active flags go into its segment of the stack (its targets are there
-    already), and it gets back its proposals, a moved mask of its own and
-    its pair count.  The proposals are the stack's, valid until the
-    rank's next sweep."""
-    sweep.cur[:] = cur
-    sweep.active[:] = active
-    proposal, moved, pairs = comm.world_call((sweep, info, ids), _sweep_world)
-    return proposal, moved.copy(), pairs
-
-
-def _sweep_round(
-    comm: Communicator, phase: _Phase, active: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Steps (i)-(iv) of one Louvain iteration for one active set:
-    three legs — community-info request and reply (one lookup), and
-    after the sweep one message per peer with the deltas it owns and
-    the labels it ghosts (one push) — and between them the world call.
-
-    Updates the phase's labels, owner-side C_info and view in place and
-    returns ``(moved mask, moves)``; ``phase.view.values`` is current
-    again on return.  The baseline calls this once per iteration with
-    the full active set; the coloring mode (§VI) calls it once per
-    colour class.
-    """
-    dg, view, state = phase.dg, phase.view, phase.state
-    nloc = dg.num_local
-    # (i) ghost vertex community assignments as of the last exchange
-    # (lines 4-5) are in the view, already numbered densely: the kernel
-    # works in positions of ``view.ids``.
-    ids = view.ids
-    local_dense = view.slot[:nloc]
-
-    # (ii) fetch a_c and |c| for the communities this round evaluates:
-    # neighbours of active vertices + their own.  Every slot is a local
-    # vertex or the target of a local entry, so a full active set needs
-    # the community of every slot; a partial one flags its candidates.
-    # Unfetched communities — among them ids nobody here holds any more
-    # — stay NaN in the dense tables, which ``array_lookup`` turns into
-    # the ``KeyError`` a protocol bug deserves.
-    flags = np.zeros(len(ids), dtype=bool)
-    if active.all():
-        scanned = dg.num_local_entries
-        flags[view.slot] = True
-    else:
-        active_entries = active[dg.local_rows()]
-        scanned = int(np.count_nonzero(active_entries))
-        flags[view.target[active_entries]] = True
-        flags[local_dense[active]] = True
-    wanted = np.flatnonzero(flags)
-    # Row 0: a_c, row 1: |c|, by position in ``ids``.
-    dense_info = np.full((2, len(ids)), np.nan)
-    dense_info[0, wanted], dense_info[1, wanted] = _fetch_community_info(
-        comm, dg, ids[wanted], state.tot_owned, state.size_owned
-    )
-
-    # (iii) local move computation (lines 6-9), in dense ids, swept with
-    # every other rank's in one call; the view already wrote the
-    # targets into this rank's segment.  Each rank is charged for its
-    # own pairs, as if it had swept alone.
-    proposal, moved, pairs = _world_propose(
-        comm, phase.sweep, local_dense, active, dense_info, ids
-    )
-    comm.charge_compute(pairs + scanned + nloc)
-
-    # (iv) everything the moves changed, one message per peer: the
-    # a_c/|c| deltas of the communities it owns (lines 10-11;
-    # duplicates pre-aggregated in the view's dense space) and the new
-    # community of every moved vertex it ghosts (the next round's
-    # lines 4-5).
-    rows = np.flatnonzero(moved)
-    new_dense = proposal[rows]
-    deltas = aggregate_dense_deltas(
-        ids, local_dense[rows], new_dense, phase.k[rows]
-    )
-    state.local_comm[rows] = ids[new_dense]
-    local_dense[rows] = new_dense
-    view.absorb(*_apply_community_deltas(
-        comm, dg, *deltas, tot_owned=state.tot_owned,
-        size_owned=state.size_owned,
-        labels=view.publish(state.local_comm, moved),
-    ))
-    return moved, len(rows)
 
 
 @dataclass
@@ -558,71 +434,270 @@ def _color_classes(
 def _iterate(
     comm: Communicator, phase: _Phase, it: int, config: LouvainConfig
 ) -> bool:
-    """Iteration ``it`` of the phase: steps (i)-(iv) in one sweep round
-    per active set, then (v) and (vi).  Updates ``phase.state`` in place
-    and returns whether ETC's inactive-fraction exit fired; the tau
-    test is the caller's."""
+    """Iteration ``it`` of the phase: one rendezvous, in which
+    :func:`_world_iteration` runs steps (ii)-(v) for every rank, then
+    (vi).  Updates ``phase.state`` in place and returns whether ETC's
+    inactive-fraction exit fired; the tau test is the caller's.
+
+    Before the rendezvous the rank draws its ET mask and consults the
+    fault plan for the iteration's ops — per colour round the lookup's
+    request and reply legs and the push, then the allreduce — so a
+    kill raises here, at its op.  After it the rank replays the charges
+    and legs those ops made (:class:`~repro.runtime.comm.Script`)."""
     et = phase.state.et
-    nloc = phase.dg.num_local
     # ET: vertices mark themselves active/inactive first (§IV-B(b)).
-    active = et.draw_active() if et is not None else np.ones(nloc, dtype=bool)
+    active = (
+        et.draw_active()
+        if et is not None
+        else np.ones(phase.dg.num_local, dtype=bool)
+    )
+    # The round count is len(rounds) — 1, or the allreduced colour
+    # count — replicated even though each round's active *mask* is
+    # rank-local (the mask only gates local move proposals).
     rounds = (
         [active]
         if phase.color_classes is None
         else [active & cls for cls in phase.color_classes]
     )
-    moved = np.zeros(nloc, dtype=bool)
-    # Trip count is len(rounds) — 1, or the allreduced colour count —
-    # replicated even though each round's active *mask* is rank-local
-    # (the mask only gates local move proposals).
-    for round_active in rounds:
-        moved |= _sweep_round(comm, phase, round_active)[0]
-    total = _global_modularity(comm, phase, config, active, moved)
+    ops = [("alltoall", "community_comm")] * (3 * len(rounds))
+    ops.append(("allreduce", "allreduce"))
+    total = comm.scripted(
+        "iteration", ops, _Turn(phase, active, rounds, config.resolution),
+        _world_iteration,
+    )
     return _exit_tests(phase, it, config, total)
 
 
-def _global_modularity(
-    comm: Communicator, phase: _Phase, config: LouvainConfig,
-    active: np.ndarray, moved: np.ndarray,
-) -> np.ndarray:
-    """Step (v), global modularity (lines 12-13): the iteration's one
-    allreduce of the modularity partials and the global move / active /
-    inactive counts, the same 5-vector on every variant.  Sets
-    ``phase.state.q`` and returns the reduced vector.
+@dataclass(frozen=True)
+class _Turn:
+    """One rank's deposit in its iteration's rendezvous: the phase, the
+    active mask ET drew, each colour round's share of it (the whole of it
+    without colouring) and the resolution."""
 
-    The rounds' exchanges have delivered every move, so both sides of
-    every stored entry evaluate under the *post-move* assignment: the
-    estimate is a function of the global assignment alone and cannot
-    depend on which endpoints happen to be rank-local under the current
-    layout (a requirement for bit-identity across rank counts and input
-    partitions).  Each sweep still decided against the synchronisation
-    point before it (§III-B).
-    """
-    dg, view, state = phase.dg, phase.view, phase.state
-    intra = view.slot[dg.local_rows()] == view.target
-    local_in = float(dg.weights.compress(intra).sum())
-    comm.charge_compute(dg.num_local_entries)
-    local_inactive = state.et.update(moved) if state.et is not None else 0
-    # a_c^2 is summed *before* dividing by w^2 (like _record_phase's
-    # exact Q) so the reduction is exact for integer weights — the
-    # per-rank grouping of communities then cannot perturb Q, which
-    # keeps every rank count and input partition bit-identical.  The
-    # three counts ride along: below 2**53 they sum exactly in float64
-    # in any order.  (Colour classes are disjoint, so no vertex moves
-    # twice in one iteration.)
-    partial = np.array([
-        local_in, float(np.square(state.tot_owned).sum()),
-        float(np.count_nonzero(moved)), float(active.sum()),
-        float(local_inactive),
+    phase: _Phase
+    active: np.ndarray
+    rounds: list[np.ndarray]
+    resolution: float
+
+
+def _world_iteration(
+    world: World, scripts: Sequence[Script], turns: list[_Turn]
+) -> list[np.ndarray]:
+    """Steps (ii)-(v) of one iteration for every rank (Algorithm 3,
+    lines 4-13): one :func:`_world_round` per colour round, then
+    :func:`_modularity_step`.  Every rank decides against the same
+    synchronisation point, so doing the ranks' work one step at a time
+    for all of them is what the ranks doing it between collectives
+    computes; each ``scripts[r]`` meanwhile records rank ``r``'s
+    charges.  Returns every rank's reduced step-(v) vector."""
+    moved = [np.zeros(t.phase.dg.num_local, dtype=bool) for t in turns]
+    for k in range(len(turns[0].rounds)):
+        round_moved = _world_round(world, scripts, turns, k)
+        for acc, mask in zip(moved, round_moved):
+            acc |= mask
+    return _modularity_step(world, scripts, turns, moved)
+
+
+def _world_round(
+    world: World, scripts: Sequence[Script], turns: list[_Turn], k: int
+) -> list[np.ndarray]:
+    """Steps (i)-(iv) of colour round ``k`` for every rank: the fetch,
+    the sweep, each rank's compute charged for its own pairs as if it had
+    swept alone, and the push.  Updates the phases' labels, owner-side
+    C_info and views in place (``view.values`` is current again on
+    return) and returns each rank's moved mask, valid until the next
+    sweep.
+
+    (i) The community of every ghost vertex as of the last exchange
+    (lines 4-5) is in each view, already numbered densely: the kernel
+    works in positions of ``view.ids``."""
+    actives = [t.rounds[k] for t in turns]
+    infos, scanned = _fetch_step(world, scripts, turns, actives)
+    sweeps = _sweep_step([
+        (t.phase.sweep, t.phase.view.slot[:t.phase.dg.num_local], active,
+         info, t.phase.view.ids)
+        for t, active, info in zip(turns, actives, infos)
     ])
-    total = comm.allreduce(partial, category="allreduce")
-    w = dg.total_weight
-    state.q = (
-        float(total[0] / w - config.resolution * total[1] / (w * w))
-        if w > 0
-        else 0.0
+    cost = world.machine.compute_cost
+    for script, t, sweep, entries in zip(scripts, turns, sweeps, scanned):
+        pairs = sweep[2]
+        script.charge("compute", cost(pairs + entries + t.phase.dg.num_local))
+    _push_step(world, scripts, turns, sweeps)
+    return [moved for _, moved, _ in sweeps]
+
+
+def _fetch_step(
+    world: World,
+    scripts: Sequence[Script],
+    turns: list[_Turn],
+    actives: list[np.ndarray],
+) -> tuple[list[np.ndarray], list[int]]:
+    """Step (ii): every rank fetches a_c and |c| of the communities its
+    round evaluates — neighbours of its active vertices and their own —
+    in one lookup (request and reply legs, ``community_comm``).  Every
+    slot is a local vertex or the target of a local entry, so a full
+    active set needs the community of every slot; a partial one flags its
+    candidates.  Returns, per rank, the dense table (row 0: a_c, row 1:
+    |c|, by position in ``view.ids``) and how many entries its sweep
+    scans.  Unfetched communities — among them ids nobody there holds
+    any more — stay NaN, which ``array_lookup`` turns into the
+    ``KeyError`` a protocol bug deserves."""
+    asks, wanted, scanned = [], [], []
+    for t, active in zip(turns, actives):
+        dg, view, state = t.phase.dg, t.phase.view, t.phase.state
+        flags = np.zeros(len(view.ids), dtype=bool)
+        if active.all():
+            scanned.append(dg.num_local_entries)
+            flags[view.slot] = True
+        else:
+            active_entries = active[dg.local_rows()]
+            scanned.append(int(np.count_nonzero(active_entries)))
+            flags[view.target[active_entries]] = True
+            flags[view.slot[:dg.num_local][active]] = True
+        wanted.append(np.flatnonzero(flags))
+        asks.append(owner_request(
+            dg.offsets, dg.rank, view.ids[wanted[-1]],
+            (state.tot_owned, state.size_owned),
+        ))
+    infos = []
+    for t, want, (tot, size) in zip(
+        turns, wanted, lookup_world(world, scripts, asks)
+    ):
+        info = np.full((2, len(t.phase.view.ids)), np.nan)
+        info[0, want], info[1, want] = tot, size
+        infos.append(info)
+    return infos, scanned
+
+
+def _sweep_step(rounds) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Step (iii), the local move computation (lines 6-9), for every rank
+    at once: the ranks' sweeps are independent, so one
+    :func:`propose_moves` runs over the stack (:func:`_stack_sweep`).
+    ``rounds[r]`` is rank ``r``'s ``(sweep, current dense communities,
+    active flags, dense (a_c, |c|) table, ids)``: the first two go into
+    its segment of the stack (its targets are there already); its
+    tables, laid end to end, back the lookups, each rank's positions
+    shifted by the ids of the ranks before (one rank is one segment,
+    with nothing to shift).  Returns, per rank, its proposals, moved
+    mask and pair count — the stack's, valid until the next sweep."""
+    for sweep, cur, active, _, _ in rounds:
+        sweep.cur[:] = cur
+        sweep.active[:] = active
+    sweep = rounds[0][0]
+    stack = sweep.stack
+    lengths = [len(r[4]) for r in rounds]
+    shift = np.zeros(len(rounds), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=shift[1:])
+    total = sum(lengths)
+    ids = stack.workspace.array("ids", total, np.int64)
+    info = stack.workspace.array("info", 2 * total, np.float64)
+    info = info.reshape(2, total)
+    np.concatenate([r[4] for r in rounds], out=ids)
+    np.concatenate([r[3] for r in rounds], axis=1, out=info)
+    res = propose_moves(
+        index=stack.index,
+        target_comm=stack.target,
+        weights=None,
+        self_mask=None,
+        degrees=stack.degrees,
+        cur_comm=stack.cur,
+        total_weight=sweep.total_weight,
+        tot_lookup=array_lookup(ids, info[0], shift),
+        size_lookup=array_lookup(ids, info[1], shift),
+        active=stack.active,
+        resolution=sweep.resolution,
+        plan=stack.plan,
+        segments=Segments(stack.row_cuts, shift),
     )
-    return total
+    cuts = stack.row_cuts
+    return [
+        (res.proposal[a:b], res.moved[a:b], int(pairs))
+        for a, b, pairs in zip(cuts[:-1], cuts[1:], res.segment_pairs)
+    ]
+
+
+def _push_step(
+    world: World,
+    scripts: Sequence[Script],
+    turns: list[_Turn],
+    sweeps: list[tuple[np.ndarray, np.ndarray, int]],
+) -> None:
+    """Step (iv): everything the moves changed, one message per peer —
+    the a_c/|c| deltas of the communities it owns (lines 10-11;
+    duplicates pre-aggregated in the view's dense space), which it
+    applies, and the new community of every moved vertex it ghosts (the
+    next round's lines 4-5): one push for the world, ``community_comm``.
+    Each rank relabels its moved vertices (line 9) first and absorbs
+    what was carried to it last."""
+    deposits = []
+    for t, (proposal, moved, _) in zip(turns, sweeps):
+        phase = t.phase
+        dg, view, state = phase.dg, phase.view, phase.state
+        ids, local_dense = view.ids, view.slot[:dg.num_local]
+        rows = np.flatnonzero(moved)
+        new_dense = proposal[rows]
+        delta_ids, dtot, dsize = aggregate_dense_deltas(
+            ids, local_dense[rows], new_dense, phase.k[rows]
+        )
+        state.local_comm[rows] = ids[new_dense]
+        local_dense[rows] = new_dense
+        deposits.append((
+            delta_ids, dg.cuts(delta_ids), (dtot, dsize),
+            (state.tot_owned, state.size_owned),
+            view.publish(state.local_comm, moved),
+        ))
+    for t, carried in zip(turns, push_world(world, scripts, deposits)):
+        t.phase.view.absorb(*carried)
+
+
+def _modularity_step(
+    world: World,
+    scripts: Sequence[Script],
+    turns: list[_Turn],
+    moved: list[np.ndarray],
+) -> list[np.ndarray]:
+    """Step (v), global modularity (lines 12-13): every rank's
+    modularity partials and move / active / inactive counts (its ET
+    state updated on the way), the same 5-vector on every variant,
+    folded by the iteration's one allreduce; sets each
+    ``phase.state.q`` and returns the reduced vectors.
+
+    The rounds' pushes have delivered every move, so both sides of every
+    stored entry evaluate under the *post-move* assignment: the estimate
+    is a function of the global assignment alone and cannot depend on
+    which endpoints happen to be rank-local under the current layout (a
+    requirement for bit-identity across rank counts and input
+    partitions).  Each sweep still decided against the synchronisation
+    point before it (§III-B)."""
+    cost = world.machine.compute_cost
+    partials = []
+    for script, t, mask in zip(scripts, turns, moved):
+        dg, view, state = t.phase.dg, t.phase.view, t.phase.state
+        intra = view.slot[dg.local_rows()] == view.target
+        local_in = float(dg.weights.compress(intra).sum())
+        script.charge("compute", cost(dg.num_local_entries))
+        inactive = state.et.update(mask) if state.et is not None else 0
+        # a_c^2 is summed *before* dividing by w^2 (like _record_phase's
+        # exact Q) so the reduction is exact for integer weights — the
+        # per-rank grouping of communities then cannot perturb Q, which
+        # keeps every rank count and input partition bit-identical.  The
+        # three counts ride along: below 2**53 they sum exactly in
+        # float64 in any order.  (Colour classes are disjoint, so no
+        # vertex moves twice in one iteration.)
+        partials.append(np.array([
+            local_in, float(np.square(state.tot_owned).sum()),
+            float(np.count_nonzero(mask)), float(t.active.sum()),
+            float(inactive),
+        ]))
+    totals = allreduce_world(world, scripts, partials)
+    for t, total in zip(turns, totals):
+        w = t.phase.dg.total_weight
+        t.phase.state.q = (
+            float(total[0] / w - t.resolution * total[1] / (w * w))
+            if w > 0
+            else 0.0
+        )
+    return totals
 
 
 def _exit_tests(
@@ -644,26 +719,6 @@ def _exit_tests(
     return (
         config.variant.uses_inactive_exit
         and inactive_fraction >= config.etc_exit_fraction
-    )
-
-
-def _fetch_community_info(
-    comm: Communicator,
-    dg: DistGraph,
-    needed: np.ndarray,
-    tot_owned: np.ndarray,
-    size_owned: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pull current (a_c, |c|) for each community id in ascending
-    ``needed``, as two arrays aligned with it, from the owners' dense
-    C_info tables (:func:`~repro.core.coarsen.owner_lookup`).  Two
-    alltoall legs (request + reply), charged to ``community_comm`` —
-    the traffic the paper's §V-A profile attributes ~34% of the
-    runtime to.
-    """
-    return owner_lookup(
-        comm, dg.offsets, needed, (tot_owned, size_owned),
-        category="community_comm",
     )
 
 

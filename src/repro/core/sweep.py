@@ -635,7 +635,11 @@ def _shifted(
     return out
 
 
-def array_lookup(ids: np.ndarray | None, values: np.ndarray) -> Callable:
+def array_lookup(
+    ids: np.ndarray | None,
+    values: np.ndarray,
+    starts: np.ndarray | None = None,
+) -> Callable:
     """Lookup over a dense array indexed directly by community id.
 
     ``values[i]`` is the value of community ``i``; a slot that was never
@@ -643,7 +647,9 @@ def array_lookup(ids: np.ndarray | None, values: np.ndarray) -> Callable:
     distributed algorithm it means a community's owner was never asked
     for its totals, a protocol bug worth failing loudly on rather than
     scoring against garbage.  ``ids[i]``, when given, is the name of
-    slot ``i`` in the error (the caller's id before dense renumbering).
+    slot ``i`` in the error (the caller's id before dense renumbering);
+    ``starts``, when given, where each rank's slots begin in a table of
+    every rank's laid end to end, so the error names the ranks too.
     """
 
     def look(query: np.ndarray) -> np.ndarray:
@@ -652,8 +658,12 @@ def array_lookup(ids: np.ndarray | None, values: np.ndarray) -> Callable:
         if missing.any():
             slots = np.unique(np.asarray(query)[missing])[:5]
             names = slots if ids is None else np.asarray(ids)[slots]
+            where = ""
+            if starts is not None:
+                ranks = np.searchsorted(starts, slots, side="right") - 1
+                where = f" on rank(s) {sorted(set(ranks.tolist()))}"
             raise KeyError(
-                f"community totals missing for ids {names.tolist()}"
+                f"community totals missing for ids {names.tolist()}{where}"
             )
         return out
 

@@ -25,19 +25,23 @@ from .csr import CSRGraph, row_index, sum_duplicate_entries
 from .partition import even_edge, even_vertex, owner_of
 
 
-def owner_cuts(offsets: np.ndarray, sorted_ids: np.ndarray) -> np.ndarray:
+def owner_cuts(
+    offsets: np.ndarray, sorted_ids: np.ndarray, rank: int | None = None
+) -> np.ndarray:
     """Where each rank's ids start in an ascending id array.
 
     Ownership is contiguous (``offsets``), so the owners of ascending
     ids ascend too and routing by owner is slicing:
     ``sorted_ids[cuts[r]:cuts[r + 1]]`` are the ids rank ``r`` owns,
     with no sort and no copy.  An id outside the vertex space has no
-    owner; it raises rather than being dropped off either end.
+    owner; it raises rather than being dropped off either end, naming
+    ``rank`` (the rank routing them) when given.
     """
     cuts = np.searchsorted(sorted_ids, offsets)
     if cuts[0] != 0 or cuts[-1] != len(sorted_ids):
         raise ValueError(
-            f"ids outside the vertex space [0, {int(offsets[-1])}): "
+            ("" if rank is None else f"rank {rank}: ")
+            + f"ids outside the vertex space [0, {int(offsets[-1])}): "
             f"{int(sorted_ids[0])} .. {int(sorted_ids[-1])}"
         )
     return cuts
@@ -131,7 +135,7 @@ class DistGraph:
     def cuts(self, sorted_ids: np.ndarray) -> np.ndarray:
         """:func:`owner_cuts` of ascending ``sorted_ids`` in this graph's
         partition: rank ``r`` owns ``sorted_ids[cuts[r]:cuts[r + 1]]``."""
-        return owner_cuts(self.offsets, sorted_ids)
+        return owner_cuts(self.offsets, sorted_ids, self.rank)
 
     def to_local(self, ids: np.ndarray | int):
         """Local slot of each *owned* global vertex id."""

@@ -13,8 +13,9 @@ ranks run as threads, each holding a :class:`Communicator`, and talk via
   MPI-3-style ``neighbor_alltoall`` the paper lists as future work
   (§VI), and a fused request/reply ``exchange_roundtrip``.
   The algorithm itself uses allreduce, alltoall, lookup, push,
-  allgather, gather and bcast, and checkpointing adds barrier; no
-  caller outside the tests
+  allgather, gather and bcast (a Louvain iteration reaches lookup, push
+  and allreduce through one scripted rendezvous, below), and
+  checkpointing adds barrier; no caller outside the tests
   sends point to point.  ``send``, ``recv``, ``sendrecv``, ``reduce``,
   ``scatter``, ``scan``, ``exscan``, ``neighbor_alltoall`` and
   ``exchange_roundtrip`` stay only because the end-to-end benchmark's
@@ -22,8 +23,8 @@ ranks run as threads, each holding a :class:`Communicator`, and talk via
 
 Beside them sits one rendezvous that is not a message,
 :meth:`Communicator.world_call`: one function run once over every
-rank's deposit (the sweep of a synchronised round, in ``core/``).  It
-moves no bytes and charges no time, but every rank must make it in
+rank's deposit (the stacking of a phase's sweep input, in ``core/``).
+It moves no bytes and charges no time, but every rank must make it in
 schedule order like a collective, so the schedule check and the
 deadlock audit see it.  Memory such a call keeps from one world to the
 next lives in :attr:`World.workspace`.
@@ -36,16 +37,35 @@ nothing on the modelled machine.
 A *leg* is one personalised exchange on the wire, a message from every
 rank to every peer, priced per rank by the alltoallv model from the
 bytes it sends and receives; the cost model and the trace counters read
-the same sums.  ``alltoall`` is one leg and sizes its payloads once, in
-the rendezvous finalizer (:func:`_leg_sizes`).  Owner-routed traffic
-(Algorithm 3's community info) runs on the table-backed ``lookup``
-(request and reply legs) and ``push`` (one leg): one rendezvous each, in
-which the owners' work is done once for the world while every rank is
-blocked.  The model, the trace and the fault plan still see the paper's
-alltoallv legs — each leg consults the plan and counts as one
-``alltoall`` — and message ``(s, d)`` is sized ``ENVELOPE_BYTES + Σ count
-× itemsize`` (:func:`_count_sizes`), ``message_bytes`` of the same
-slices by construction.
+the same sums.  ``alltoall`` is one leg and sizes its payloads once
+(:func:`_leg_sizes`).  Owner-routed traffic (Algorithm 3's community
+info) runs on the table-backed ``lookup`` (request and reply legs) and
+``push`` (one leg), in which the owners' work is done once for the
+world while every rank is blocked.  The model, the trace and the fault
+plan still see the paper's alltoallv legs — each leg consults the plan
+and counts as one ``alltoall`` — and message ``(s, d)`` is sized
+``ENVELOPE_BYTES + Σ count × itemsize`` (:func:`_count_sizes`),
+``message_bytes`` of the same slices by construction.
+
+What a rendezvous charges.  ``alltoall``, ``lookup``, ``push`` and
+``allreduce`` are *scripted* (:meth:`Communicator.scripted`): one
+rendezvous that stands for a list of ops.  Before it, the rank consults
+the fault plan for every op in order — a kill raises there, at its op —
+and records each as a collective.  Then the rank deposits its payload
+and a :class:`Script` holding a copy of its clock and each op's delay.
+The last rank to arrive runs the *world half* (:func:`alltoall_world`,
+:func:`lookup_world`, :func:`push_world`, :func:`allreduce_world`, or a
+caller's function of several, such as one Louvain iteration in
+``core/``) over every deposit.  Per op it charges the op's delay to each
+script, synchronises the world on the latest script clock, and charges
+each rank ``max(end - clock, 0.0)`` for its share, recording the leg's
+bytes.  ``clock += dt`` on the copy is the float operation
+:meth:`Communicator.charge` performs, so each rank then *replays* its
+script — the ``(category, seconds)`` charges and leg records, in order —
+and its clock, trace seconds, bytes, messages and collective counts are
+bit for bit what making the ops one by one would have left.  There is
+one pricing implementation per collective, whichever rendezvous runs
+it.
 
 Every operation advances the rank's *virtual clock* according to the
 :class:`~repro.runtime.perfmodel.MachineModel` and attributes the time to
@@ -68,7 +88,8 @@ Semantics notes (documented deviations from real MPI):
 Fault injection: the :class:`World` optionally carries a *fault plan*
 (any object with ``on_op(rank, op_index, op_name)``; see
 :class:`repro.resilience.faults.FaultPlan`).  Every send/recv/collective
-first consults it.  The plan may raise
+first consults it (a scripted rendezvous, every op it stands for before
+it starts).  The plan may raise
 :class:`~repro.runtime.errors.InjectedFault` (killing the rank), or
 return ``("delay", seconds)`` to add virtual latency, ``("drop",)`` to
 silently discard a point-to-point send (the receiver eventually times
@@ -91,6 +112,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from collections import defaultdict, deque
+from functools import partial
 from itertools import accumulate
 from typing import Any, Callable, Iterator, Sequence
 
@@ -197,6 +219,168 @@ def _route(
     ]
 
 
+class Script:
+    """One rank's side of a scripted rendezvous
+    (:meth:`Communicator.scripted`): a copy of its clock and the charges
+    and leg records its ops make, in order.
+
+    The rank consulted the fault plan for every op before it deposited;
+    ``ops`` holds each op's ``(category, delay or None)``.  The world
+    half advances :attr:`clock` exactly as :meth:`Communicator.charge`
+    advances the rank's (``clock += dt``), so a wait ``max(end - clock,
+    0.0)`` computed here is the one the rank would compute, and the rank
+    replaying :attr:`steps` on its own clock and trace ends bit for bit
+    where making the ops one by one would have left it.
+    """
+
+    __slots__ = ("clock", "steps", "_ops", "_made", "_category")
+
+    def __init__(self, clock: float, ops: list[tuple[str, float | None]]):
+        self.clock = clock
+        #: ``(category, seconds)`` charges and ``(None, (sent,
+        #: received))`` legs.
+        self.steps: list[tuple[str | None, Any]] = []
+        self._ops = ops
+        self._made = 0
+        self._category = ""
+
+    def begin(self) -> None:
+        """Start the rank's next op: its delay, if the fault plan set
+        one, is charged to its category first."""
+        self._category, dt = self._ops[self._made]
+        self._made += 1
+        if dt is not None:
+            self.charge(self._category, dt)
+
+    def charge(self, category: str, dt: float) -> None:
+        self.steps.append((category, dt))
+        self.clock += dt
+
+    def finish(self, end: float) -> None:
+        """The current op ends at ``end``: wait for it, in its category."""
+        self.charge(self._category, max(end - self.clock, 0.0))
+
+    def leg(self, sent: int, received: int) -> None:
+        """Count one leg of the current op
+        (:meth:`Communicator._record_leg`)."""
+        self.steps.append((None, (sent, received)))
+
+
+def _run_scripted(
+    name: str, world: "World", run: Callable, slots: list[Any]
+) -> list[tuple[Any, Script]]:
+    """The finalizer of a scripted rendezvous: ``run`` over the deposits
+    and scripts, each script handed back with its rank's output."""
+    deposits, scripts = zip(*slots)
+    outs = run(world, scripts, list(deposits))
+    for rank, script in enumerate(scripts):
+        if script._made != len(script._ops):
+            raise AssertionError(
+                f"{name!r} made {script._made} of the {len(script._ops)} "
+                f"ops rank {rank} consulted the fault plan for"
+            )
+    return list(zip(outs, scripts))
+
+
+def _leg(world: "World", scripts: Sequence[Script], sizes) -> None:
+    """One alltoallv leg for every rank: each starts its next op, the leg
+    starts once the last has, and rank ``r``'s share ends after its cost
+    for the ``sizes[r] = (sent, received)`` bytes."""
+    for script in scripts:
+        script.begin()
+    t0 = max(script.clock for script in scripts)
+    for script, size, dt in zip(scripts, sizes, world.leg_costs(sizes)):
+        script.finish(t0 + dt)
+        script.leg(*size)
+
+
+def alltoall_world(
+    world: "World", scripts: Sequence[Script], mats: list[Sequence[Any]]
+) -> list[list[Any]]:
+    """World half of :meth:`Communicator.alltoall`: ``mats[s][d]`` is
+    rank ``s``'s payload for rank ``d``; every message is sized once
+    (:func:`_leg_sizes`)."""
+    _leg(world, scripts, _leg_sizes(mats))
+    return [[row[d] for row in mats] for d in range(len(mats))]
+
+
+def lookup_world(
+    world: "World", scripts: Sequence[Script], deposits: list[Any]
+) -> list[tuple[np.ndarray, ...]]:
+    """World half of :meth:`Communicator.lookup`, request and reply legs
+    for every rank: ``deposits[r] = (ids, cuts, tables)``.  Ownership is
+    contiguous from 0, so every rank's tables laid end to end are
+    indexed by global id and one gather per field answers the world.
+    Request ``(d, s)`` carries the ids ``d`` asks ``s`` for, reply
+    ``(s, d)`` one value per id and field."""
+    asks = [d[0] for d in deposits]
+    owners = [d[2] for d in deposits]
+    counts = _counts([d[1] for d in deposits])
+    asked = _joined(asks)
+    fields = [_joined(w).take(asked) for w in zip(*owners)]
+    cuts = list(accumulate([len(a) for a in asks], initial=0))
+    _leg(world, scripts, _count_sizes(counts * _widths([[a] for a in asks])))
+    _leg(world, scripts, _count_sizes(counts.T * _widths(owners)))
+    return [
+        tuple(f[cuts[r]:cuts[r + 1]] for f in fields)
+        for r in range(len(deposits))
+    ]
+
+
+def push_world(
+    world: "World", scripts: Sequence[Script], deposits: list[Any]
+) -> list[tuple[np.ndarray, ...]]:
+    """World half of :meth:`Communicator.push`, one leg for every rank:
+    ``deposits[r] = (ids, cuts, values, tables, carry)``.  Every rank's
+    values land with one ``np.add.at`` per field over the world's tables
+    laid end to end, in source-rank order — the order one ``np.add.at``
+    per source gives each element — and each owner's slice is copied
+    back.  Carried arrays are routed in the same messages."""
+    p = len(deposits)
+    owners = [d[3] for d in deposits]
+    payload = _counts([d[1] for d in deposits]) * _widths(
+        [(d[0], *d[2]) for d in deposits]
+    )
+    at = _joined([d[0] for d in deposits])
+    joined = [_joined(w) for w in zip(*owners)]
+    for table, field in zip(joined, zip(*(d[2] for d in deposits))):
+        np.add.at(table, at, _joined(field))
+    lo = 0
+    for own in owners:
+        hi = lo + len(own[0])
+        for mine, table in zip(own, joined):
+            if mine is not table:
+                mine[:] = table[lo:hi]
+        lo = hi
+    carried = [()] * p
+    if deposits[0][4]:
+        routed = np.array([d[4][0] for d in deposits])
+        arrays = [d[4][1:] for d in deposits]
+        payload += routed * _widths(arrays)
+        carried = _route(routed, arrays)
+    _leg(world, scripts, _count_sizes(payload))
+    return carried
+
+
+def allreduce_world(
+    world: "World",
+    scripts: Sequence[Script],
+    values: list[Any],
+    op: Callable[[Any, Any], Any] = _REDUCE_OPS["sum"],
+) -> list[Any]:
+    """World half of :meth:`Communicator.allreduce`: ``values`` folded
+    in rank order, priced by the largest deposit; every rank gets the
+    one result."""
+    for script in scripts:
+        script.begin()
+    n = max(message_bytes(v) for v in values)
+    cost = world.machine.allreduce_cost(n, len(values))
+    end = max(script.clock for script in scripts) + cost
+    for script in scripts:
+        script.finish(end)
+    return [_fold(values, op)] * len(values)
+
+
 #: Rooted collectives: their non-root ranks deposit ``None``, so only
 #: the op name is compared.
 _ROOTED = frozenset({"bcast", "scatter"})
@@ -271,16 +455,18 @@ def _find_wait_cycle(edges: dict[int, set[int]]) -> list[int] | None:
 
 
 class _Rendezvous:
-    """Reusable all-ranks rendezvous behind every collective and every
-    world call.
+    """Reusable all-ranks rendezvous behind every collective, scripted
+    rendezvous and world call.
 
     Each call is one *generation*.  Every rank deposits a value; the
     last rank to arrive runs a ``finalize`` callback once, producing a
     per-rank output list; every rank then picks up its slot.  For a
     collective ``finalize`` routes payloads and prices them; for a
-    :meth:`Communicator.world_call` it is the caller's computation, run
-    on whichever rank thread arrived last (an exception in it fails that
-    rank, and the world abort releases the others).  Results are kept
+    scripted rendezvous it runs the world half on every rank's script;
+    for a :meth:`Communicator.world_call` it is the caller's
+    computation.  It runs on whichever rank thread arrived last (an
+    exception in it fails that rank, and the world abort releases the
+    others).  Results are kept
     per generation (refcounted) so a fast rank starting the next call
     cannot clobber a slow rank's pending result.
     """
@@ -784,18 +970,10 @@ class Communicator:
         op: str | Callable[[Any, Any], Any] = "sum",
         category: str = "allreduce",
     ) -> Any:
-        fn = _resolve_op(op)
-        m = self.machine
-        p = self.size
-
-        def finalize(slots):
-            values = [v for v, _ in slots]
-            total = _fold(values, fn)
-            n = max(message_bytes(v) for v in values)
-            t = max(c for _, c in slots) + m.allreduce_cost(n, p)
-            return [(total, t)] * p
-
-        return self._collective("allreduce", value, finalize, category)
+        return self.scripted(
+            "allreduce", [("allreduce", category)], value,
+            partial(allreduce_world, op=_resolve_op(op)),
+        )
 
     def gather(self, value: Any, root: int = 0, category: str = "other") -> list | None:
         self._check_peer(root)
@@ -859,18 +1037,9 @@ class Communicator:
                 f"alltoall needs one value per rank ({self.size}), got "
                 f"{len(values)}"
             )
-        world, p = self.world, self.size
-
-        def finalize(slots):
-            mats, clocks, _ = zip(*slots)
-            t0 = max(clocks)
-            legs = _leg_sizes(mats)
-            return [
-                ([mats[s][r] for s in range(p)], (leg,), (t0 + dt,))
-                for r, (leg, dt) in enumerate(zip(legs, world.leg_costs(legs)))
-            ]
-
-        return self._legs("alltoall", 1, list(values), finalize, category)
+        return self.scripted(
+            "alltoall", [("alltoall", category)], list(values), alltoall_world
+        )
 
     def lookup(
         self,
@@ -881,46 +1050,13 @@ class Communicator:
     ) -> tuple[np.ndarray, ...]:
         """Values of ascending ``ids`` from the ranks that own them
         (``ids[cuts[r]:cuts[r + 1]]`` are rank ``r``'s): request and
-        reply legs in one rendezvous.  ``tables`` are this rank's dense
-        tables over its own vertex interval, one per field; ownership is
-        contiguous from 0, so the finalizer lays every rank's tables end
-        to end and answers every rank with one gather per field by
-        global id.  Returns one array per field, aligned with ``ids``.
-        Request ``(d, s)`` carries the ids ``d`` asks ``s`` for, reply
-        ``(s, d)`` one value per id and field (:meth:`_legs`).
+        reply legs in one rendezvous (:func:`lookup_world`).  ``tables``
+        are this rank's dense tables over its own vertex interval, one
+        per field.  Returns one array per field, aligned with ``ids``.
         """
-        world = self.world
-
-        def finalize(slots):
-            deps, clocks, late = zip(*slots)
-            asks = [d[0] for d in deps]
-            owners = [d[2] for d in deps]
-            counts = _counts([d[1] for d in deps])
-            asked = _joined(asks)
-            fields = [_joined(w).take(asked) for w in zip(*owners)]
-            cuts = list(accumulate([len(a) for a in asks], initial=0))
-            request = _count_sizes(counts * _widths([[a] for a in asks]))
-            reply = _count_sizes(counts.T * _widths(owners))
-            t0 = max(clocks)
-            mids = [t0 + dt for dt in world.leg_costs(request)]
-            # The reply leg starts from every rank's clock after the
-            # request leg and its reply-leg delay (the float operations
-            # of charging them), as a second alltoall would.
-            t1 = max(
-                c + max(mid - c, 0.0) + (dt or 0.0)
-                for c, mid, (dt,) in zip(clocks, mids, late)
-            )
-            return [
-                (
-                    tuple(f[cuts[r]:cuts[r + 1]] for f in fields),
-                    (request[r], reply[r]),
-                    (mids[r], t1 + dt),
-                )
-                for r, dt in enumerate(world.leg_costs(reply))
-            ]
-
-        return self._legs(
-            "lookup", 2, (ids, cuts, tuple(tables)), finalize, category
+        return self.scripted(
+            "lookup", [("alltoall", category)] * 2,
+            (ids, cuts, tuple(tables)), lookup_world,
         )
 
     def push(
@@ -934,90 +1070,55 @@ class Communicator:
     ) -> tuple[np.ndarray, ...]:
         """Add ``values`` (one array per field, aligned with ascending
         ``ids``, cut by owner as in :meth:`lookup`) into the owners'
-        dense ``tables``, in place: one leg.  The finalizer applies every
-        rank's values with one ``np.add.at`` per field over the world's
-        tables laid end to end, in source-rank order — the order one
-        ``np.add.at`` per source gives each element — and copies each
-        owner's slice back.  ``carry=(counts, *arrays)`` routes arrays in
-        destination order in the same messages, ``counts[d]`` elements
-        of each to rank ``d``; returns what was carried here, per field
-        in source order (``()`` without ``carry``).
+        dense ``tables``, in place: one leg (:func:`push_world`).
+        ``carry=(counts, *arrays)`` routes arrays in destination order in
+        the same messages, ``counts[d]`` elements of each to rank ``d``;
+        returns what was carried here, per field in source order (``()``
+        without ``carry``).
         """
-        world, p = self.world, self.size
-
-        def finalize(slots):
-            deps, clocks, _ = zip(*slots)
-            owners = [d[3] for d in deps]
-            payload = _counts([d[1] for d in deps]) * _widths(
-                [(d[0], *d[2]) for d in deps]
-            )
-            at = _joined([d[0] for d in deps])
-            joined = [_joined(w) for w in zip(*owners)]
-            for table, field in zip(joined, zip(*(d[2] for d in deps))):
-                np.add.at(table, at, _joined(field))
-            lo = 0
-            for own in owners:
-                hi = lo + len(own[0])
-                for mine, table in zip(own, joined):
-                    if mine is not table:
-                        mine[:] = table[lo:hi]
-                lo = hi
-            carried = [()] * p
-            if deps[0][4]:
-                routed = np.array([d[4][0] for d in deps])
-                arrays = [d[4][1:] for d in deps]
-                payload += routed * _widths(arrays)
-                carried = _route(routed, arrays)
-            t0 = max(clocks)
-            legs = _count_sizes(payload)
-            return [
-                (carried[r], (leg,), (t0 + dt,))
-                for r, (leg, dt) in enumerate(zip(legs, world.leg_costs(legs)))
-            ]
-
-        return self._legs(
-            "push",
-            1,
+        return self.scripted(
+            "push", [("alltoall", category)],
             (ids, cuts, tuple(values), tuple(tables), tuple(carry or ())),
-            finalize,
-            category,
+            push_world,
         )
 
-    def _legs(
+    def scripted(
         self,
         name: str,
-        legs: int,
+        ops: Sequence[tuple[str, str]],
         deposit: Any,
-        finalize: Callable[[list[Any]], list[Any]],
-        category: str,
+        run: Callable[["World", Sequence["Script"], list[Any]], list[Any]],
     ) -> Any:
-        """One rendezvous ``name`` the machine sees as ``legs`` alltoalls.
-        Each leg consults the fault plan and is recorded before it.  The
-        first leg's delay is charged before the rendezvous; a later
-        leg's travels in the deposit ``(deposit, clock, late)`` — ``late``
-        holds one delay or ``None`` per later leg — for ``finalize`` to
-        start that leg after it, and is charged between the legs.  Each
-        leg is then charged and counted from ``finalize``'s ``(result,
-        sizes, ends)``, one of each a leg."""
-        self._consult("alltoall", category)
-        self.trace.record_collective("alltoall")
-        late = []
-        for _ in range(legs - 1):
-            late.append(_delay(self._fault_hook("alltoall", category)))
-            self.trace.record_collective("alltoall")
-        out, sizes, ends = self.world.rendezvous.exchange(
+        """One rendezvous ``name`` that the machine sees as ``ops``, the
+        ``(op name, category)`` of each collective or leg in the order
+        this rank makes them; returns this rank's item of
+        ``run(world, scripts, deposits)``.
+
+        Each op consults the fault plan and is recorded now, before the
+        rendezvous, so a kill raises at its op's hook.  ``run`` (a world
+        half: :func:`alltoall_world`, :func:`lookup_world`,
+        :func:`push_world`, :func:`allreduce_world`, or a function of
+        them) runs once, on whichever rank arrives last, over every
+        rank's deposit and its :class:`Script`, whose ops it must make
+        in order; the rank then replays what its script recorded.
+        """
+        planned = []
+        for op, category in ops:
+            planned.append((category, _delay(self._fault_hook(op, category))))
+            self.trace.record_collective(op)
+        out, script = self.world.rendezvous.exchange(
             self.rank,
             name,
             payload_kind(deposit),
-            (deposit, self.clock, late),
-            finalize,
+            (deposit, Script(self.clock, planned)),
+            partial(_run_scripted, name, self.world, run),
             self.world.timeout,
         )
-        for dt, (sent, received), end in zip([None, *late], sizes, ends):
-            if dt is not None:
+        for category, dt in script.steps:
+            if category is None:
+                self._record_leg(*dt)
+            else:
                 self.charge(category, dt)
-            self.charge(category, max(end - self.clock, 0.0))
-            self._record_leg(sent, received)
         return out
 
     def exchange_roundtrip(

@@ -32,7 +32,8 @@ affects wall time, never the modelled time or the results (the
 algorithms are deterministic given their seeds).
 
 Memory: a world's :attr:`~repro.runtime.comm.World.workspace` (what its
-world calls keep by key — the sweep's buffers, in ``core/``) is taken
+world calls and scripted rendezvous keep by key — the sweep's buffers,
+in ``core/``) is taken
 from a pool of the *calling* thread and put back when the world
 finishes cleanly, so the next world that thread starts inherits it:
 memory such a call needs is allocated and faulted in once per calling

@@ -2,7 +2,8 @@
 
 ``_CommunityView`` is derived state the sweep rounds patch instead of
 rebuilding: these tests hold it to what a rebuild from the raw labels
-would give — after arbitrary patches, after every round of real runs,
+would give — after arbitrary patches, after every round of real runs
+(where the iteration's world function runs them),
 and after a resume — and hold ``aggregate_dense_deltas`` to the sort-based
 reference it replaced.
 """
@@ -24,7 +25,9 @@ from repro.resilience import FaultPlan
 from repro.runtime import FREE, RankFailedError, run_spmd
 
 from .conftest import disk_checkpoints, planted_blocks_graph, random_graph
-from .oracles import aggregate_reference, exchange_reference
+from .oracles import (
+    aggregate_reference, exchange_reference, iteration_reference,
+)
 from .test_core_sweep_differential import adversarial_edges
 
 COMMON = dict(
@@ -124,18 +127,23 @@ def test_view_survives_random_patches(n, m, seed, p, steps):
 # ----------------------------------------------------------------------
 @pytest.fixture
 def checked_rounds(monkeypatch):
-    """Assert the view's invariants after every ``_sweep_round``;
-    yields the per-rank count of rounds checked."""
-    real = distlouvain._sweep_round
+    """Assert every rank's view invariants after every round the
+    iteration's world function runs (``_world_round``); yields the
+    per-rank count of rounds checked."""
+    real = distlouvain._world_round
     checked: dict[int, int] = {}
 
-    def sweep_round(comm, phase, *a, **kw):
-        out = real(comm, phase, *a, **kw)
-        assert_view_consistent(phase.view, phase.dg, phase.state.local_comm)
-        checked[comm.rank] = checked.get(comm.rank, 0) + 1
+    def world_round(world, scripts, turns, k):
+        out = real(world, scripts, turns, k)
+        for rank, turn in enumerate(turns):
+            phase = turn.phase
+            assert_view_consistent(
+                phase.view, phase.dg, phase.state.local_comm
+            )
+            checked[rank] = checked.get(rank, 0) + 1
         return out
 
-    monkeypatch.setattr(distlouvain, "_sweep_round", sweep_round)
+    monkeypatch.setattr(distlouvain, "_world_round", world_round)
     return checked
 
 
@@ -177,15 +185,19 @@ def test_view_consistent_after_resume(checked_rounds, tmp_path):
 # ----------------------------------------------------------------------
 # One message per peer against the two-exchange oracle
 # ----------------------------------------------------------------------
-def _state_after_every_round(g, p, config, two_exchanges: bool):
+def _state_after_every_iteration(g, p, config, two_exchanges: bool):
     """Run a detection; per rank, copies of the owner-side tables and
-    the view after each ``_sweep_round`` — under the shipped exchange or
-    the oracle's two (which also logs what each peer's message held)."""
+    the view after each iteration (one round each: no colouring) — the
+    shipped one, or the per-rank reference iteration with the oracle's
+    two exchanges in place of its one push (which also logs what each
+    peer's message held)."""
     states = {rank: [] for rank in range(p)}
     received: list[tuple[bool, bool]] = []
-    real = distlouvain._sweep_round
+    real = (
+        iteration_reference.iterate if two_exchanges else distlouvain._iterate
+    )
 
-    def sweep_round(comm, phase, *args):
+    def iterate(comm, phase, *args):
         out = real(comm, phase, *args)
         state, view = phase.state, phase.view
         states[comm.rank].append([
@@ -197,10 +209,10 @@ def _state_after_every_round(g, p, config, two_exchanges: bool):
         return out
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distlouvain, "_sweep_round", sweep_round)
+        patch.setattr(distlouvain, "_iterate", iterate)
         if two_exchanges:
             patch.setattr(
-                distlouvain, "_apply_community_deltas",
+                iteration_reference, "apply_community_deltas",
                 partial(
                     exchange_reference.apply_community_deltas,
                     received_log=received,
@@ -213,7 +225,8 @@ def _state_after_every_round(g, p, config, two_exchanges: bool):
 @pytest.mark.parametrize("p", [2, 3, 4, 7])
 def test_fused_exchange_matches_two_exchanges(p):
     """Deltas and labels in one message per peer leave every rank
-    holding, after every round, exactly what the two exchanges left:
+    holding, after every iteration, exactly what the two exchanges of
+    the per-rank reference iteration left:
     owner-side ``tot`` / ``size``, ``view.values``, ``view.slot``,
     ``view.target`` — on rounds where a peer's message carries deltas
     and labels, only one of them, or nothing."""
@@ -222,8 +235,8 @@ def test_fused_exchange_matches_two_exchanges(p):
         _, n, u, v, w = adversarial_edges(seed)
         g = CSRGraph.from_edges(n, u, v, w)
         for config in (LouvainConfig(), ETC):
-            got, _ = _state_after_every_round(g, p, config, False)
-            want, kinds = _state_after_every_round(g, p, config, True)
+            got, _ = _state_after_every_iteration(g, p, config, False)
+            want, kinds = _state_after_every_iteration(g, p, config, True)
             message_kinds |= kinds
             for rank in range(p):
                 assert len(got[rank]) == len(want[rank]) > 0

@@ -297,13 +297,15 @@ class TestCommunityInfoCoverage:
         cause = excinfo.value.causes[excinfo.value.rank]
         assert isinstance(cause, KeyError)
         assert "community totals missing for ids" in str(cause)
+        # The world's one kernel call still names whose totals were missing.
+        assert "on rank(s) [" in str(cause)
 
 
     def test_owner_table_not_its_interval_fails_loudly(self, planted_blocks):
         # Owners answer from their C_info tables laid end to end, so a
         # table that does not cover its owner's interval would shift
         # every later rank's answers: it must raise, naming the rank.
-        from repro.core.distlouvain import _fetch_community_info
+        from repro.core.coarsen import owner_lookup
         from repro.graph import DistGraph
         from repro.runtime import RankFailedError, run_spmd
 
@@ -311,15 +313,42 @@ class TestCommunityInfoCoverage:
             dg = DistGraph.distribute(comm, planted_blocks)
             n = dg.num_global_vertices
             tot = dg.local_degrees()
-            return _fetch_community_info(
-                comm, dg, np.arange(0, n, 3),
-                tot[:-1] if comm.rank == 1 else tot,
-                np.ones(dg.num_local, dtype=np.int64),
+            return owner_lookup(
+                comm, dg.offsets, np.arange(0, n, 3),
+                (tot[:-1] if comm.rank == 1 else tot,
+                 np.ones(dg.num_local, dtype=np.int64)),
+                category="community_comm",
             )
 
         with pytest.raises(RankFailedError) as excinfo:
             run_spmd(2, prog, machine=FREE, timeout=15.0)
         cause = excinfo.value.causes[1]
+        assert isinstance(cause, ValueError)
+        assert "rank 1: owner table" in str(cause)
+
+    def test_iteration_owner_table_not_its_interval_names_the_rank(
+        self, planted_blocks, monkeypatch
+    ):
+        # The iteration's fetch runs every rank's step on one thread:
+        # the error must still say whose table it was.
+        from repro.core import distlouvain
+        from repro.runtime import RankFailedError
+
+        real = distlouvain._begin_phase
+        shortened = []
+
+        def short_table(comm, *args, **kwargs):
+            phase = real(comm, *args, **kwargs)
+            if comm.rank == 1:
+                phase.state.tot_owned = phase.state.tot_owned[:-1]
+                shortened.append(comm.rank)
+            return phase
+
+        monkeypatch.setattr(distlouvain, "_begin_phase", short_table)
+        with pytest.raises(RankFailedError) as excinfo:
+            run_louvain(planted_blocks, 2, machine=FREE, timeout=15.0)
+        assert shortened == [1]
+        cause = excinfo.value.causes[excinfo.value.rank]
         assert isinstance(cause, ValueError)
         assert "rank 1: owner table" in str(cause)
 
@@ -343,6 +372,35 @@ class TestCommunityInfoCoverage:
         with pytest.raises(RankFailedError, match="outside the vertex space"):
             run_spmd(2, prog, machine=FREE, timeout=15.0)
 
+    def test_iteration_delta_for_a_non_vertex_names_the_rank(
+        self, planted_blocks, monkeypatch
+    ):
+        # The iteration's push step routes every rank's deltas on one
+        # thread: the error must still say whose they were.
+        from repro.core import distlouvain
+        from repro.runtime import RankFailedError
+
+        real = distlouvain.aggregate_dense_deltas
+        calls = []
+        n = planted_blocks.num_vertices
+
+        def stray(*args):
+            ids, dtot, dsize = real(*args)
+            calls.append(len(ids))
+            if len(calls) == 2:  # rank 1's deltas of the first round
+                ids, dtot, dsize = (
+                    np.append(ids, n + 3), np.append(dtot, 0.0),
+                    np.append(dsize, 0),
+                )
+            return ids, dtot, dsize
+
+        monkeypatch.setattr(distlouvain, "aggregate_dense_deltas", stray)
+        with pytest.raises(RankFailedError) as excinfo:
+            run_louvain(planted_blocks, 2, machine=FREE, timeout=15.0)
+        cause = excinfo.value.causes[excinfo.value.rank]
+        assert isinstance(cause, ValueError)
+        assert "rank 1: ids outside the vertex space" in str(cause)
+
 
 class TestCollectiveBudget:
     """What leaves at which synchronisation point, counted: a sweep
@@ -359,13 +417,14 @@ class TestCollectiveBudget:
         """Log rank 0's ``(collective, category)`` sequence — one entry
         per leg, where it consults the fault plan — the number of sweep
         rounds it ran, and the log position after each iteration in
-        which ETC's exit fired."""
+        which ETC's exit fired.  The rounds are counted where the
+        iteration's world function runs them (:func:`_world_round`)."""
         from repro.core import distlouvain
         from repro.runtime.comm import Communicator
 
         seen = {"log": [], "rounds": 0, "exits": []}
         real_hook = Communicator._fault_hook
-        real_round = distlouvain._sweep_round
+        real_round = distlouvain._world_round
         real_iterate = distlouvain._iterate
 
         def collective(self, name, category):
@@ -373,9 +432,10 @@ class TestCollectiveBudget:
                 seen["log"].append((name, category))
             return real_hook(self, name, category)
 
-        def sweep_round(comm, *args, **kwargs):
-            seen["rounds"] += comm.rank == 0
-            return real_round(comm, *args, **kwargs)
+        def world_round(*args, **kwargs):
+            # One call per colour round of the whole world.
+            seen["rounds"] += 1
+            return real_round(*args, **kwargs)
 
         def iterate(comm, *args, **kwargs):
             exited = real_iterate(comm, *args, **kwargs)
@@ -384,7 +444,7 @@ class TestCollectiveBudget:
             return exited
 
         monkeypatch.setattr(Communicator, "_fault_hook", collective)
-        monkeypatch.setattr(distlouvain, "_sweep_round", sweep_round)
+        monkeypatch.setattr(distlouvain, "_world_round", world_round)
         monkeypatch.setattr(distlouvain, "_iterate", iterate)
         return seen
 
@@ -438,6 +498,8 @@ class TestCollectiveBudget:
             run_louvain(planted_blocks, 4, cfg, machine=FREE)
             logs[variant] = seen
             monkeypatch.undo()
+        assert logs[Variant.ET]["rounds"] > 0
+        assert logs[Variant.ETC]["rounds"] > 0
         assert logs[Variant.ET]["exits"] == []
         first_exit = logs[Variant.ETC]["exits"][0]
         # Nine iterations in: 2 set-up exchanges, then 3 + 1 a round.

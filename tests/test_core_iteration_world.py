@@ -1,0 +1,231 @@
+"""One rendezvous per Louvain iteration against the per-rank iteration.
+
+``_iterate`` runs Algorithm 3's steps (ii)-(v) for every rank in one
+world function and hands each rank back the charges its ops made, which
+the rank replays.  The formulation it replaced — a ``lookup``, a sweep
+world call and a ``push`` per colour round, then an ``allreduce``, each
+its own rendezvous with the rank's work between them — is kept in
+``tests/oracles/iteration_reference.py``.  After every iteration every
+rank must hold what it holds there: owner tables, view, labels, ET
+state, clock, and the trace's seconds by category, messages, bytes and
+collective counts, fault-plan delays included.  A rank killed at any op
+of an iteration fails the world with its own ``InjectedFault``, and a
+resume from disk checkpoints ends as the uninterrupted run does.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core import LouvainConfig, Variant, distlouvain, run_louvain
+from repro.graph import CSRGraph
+from repro.resilience import FaultPlan
+from repro.runtime import CORI_HASWELL, FREE, RankFailedError
+from repro.runtime.comm import Communicator
+from repro.runtime.errors import InjectedFault
+
+from .conftest import disk_checkpoints, planted_blocks_graph
+from .oracles import iteration_reference
+
+CONFIGS = {
+    "baseline": LouvainConfig(),
+    "et": LouvainConfig(variant=Variant.ET, alpha=0.5, seed=3),
+    "etc": LouvainConfig(variant=Variant.ETC, alpha=0.25, seed=1),
+    "coloring": LouvainConfig(use_coloring=True, seed=5),
+    "resolution": LouvainConfig(variant=Variant.ET, alpha=0.5, resolution=0.7),
+}
+
+
+def _graph(fractional: bool) -> CSRGraph:
+    g = planted_blocks_graph(blocks=5, per_block=14, inter_edges=45, seed=4)
+    if not fractional:
+        return g
+    rng = np.random.default_rng(9)
+    rows = np.repeat(np.arange(g.num_vertices), np.diff(g.index))
+    keep = rows <= g.edges  # each undirected edge once, loops once
+    u, v = rows[keep], g.edges[keep]
+    return CSRGraph.from_edges(
+        g.num_vertices, u, v, 0.25 + rng.random(len(u)) * 2.0
+    )
+
+
+def _delays(p: int) -> FaultPlan:
+    """Delays on a third of every rank's first 400 ops, a different
+    third per rank: lookup request and reply legs, pushes and allreduces
+    all get some, on some ranks and not others."""
+    return FaultPlan(delays={
+        (r, op): 1e-5 * (1 + (op * 7 + r) % 5)
+        for r in range(p) for op in range(1, 400) if (op + r) % 3 == 0
+    })
+
+
+def _et_state(et) -> list:
+    """ET's probabilities, inactive flags and generator state(s)."""
+    if et is None:
+        return []
+    rngs = getattr(et.rng, "streams", [et.rng])
+    return [
+        et.prob.copy(), et.permanently_inactive.copy(),
+        [rng.bit_generator.state for rng in rngs],
+    ]
+
+
+def _after_every_iteration(g, p, config, iterate, fault_plan):
+    """Per rank, a snapshot after every iteration of the detection with
+    ``iterate`` in place of ``_iterate``."""
+    seen = {rank: [] for rank in range(p)}
+
+    def snapshot(comm, phase, *args):
+        exited = iterate(comm, phase, *args)
+        state, view, t = phase.state, phase.view, comm.trace
+        seen[comm.rank].append(dict(
+            arrays=[a.copy() for a in (
+                state.tot_owned, state.size_owned, state.local_comm,
+                view.values, view.ids, view.slot, view.target,
+            )],
+            et=_et_state(state.et),
+            scalars=(
+                exited, state.q, state.iteration, comm.clock, comm._ops,
+                t.messages_sent, t.messages_received, t.bytes_sent,
+                t.bytes_received,
+            ),
+            seconds=dict(t.seconds),
+            collectives=dict(t.collectives),
+        ))
+        return exited
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distlouvain, "_iterate", snapshot)
+        result = run_louvain(
+            g, p, config, machine=CORI_HASWELL, fault_plan=fault_plan
+        )
+    return seen, result
+
+
+def _assert_equal_snapshots(got, want):
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        for x, y in zip(a["arrays"], b["arrays"]):
+            assert x.dtype == y.dtype
+            np.testing.assert_array_equal(x, y)
+        assert len(a["et"]) == len(b["et"])
+        for x, y in zip(a["et"][:2], b["et"][:2]):
+            np.testing.assert_array_equal(x, y)
+        assert a["et"][2:] == b["et"][2:]
+        assert a["scalars"] == b["scalars"]
+        assert a["seconds"] == b["seconds"]
+        assert a["collectives"] == b["collectives"]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("config", list(CONFIGS))
+@pytest.mark.parametrize("fractional", [False, True])
+def test_world_iteration_equals_per_rank_iteration(p, config, fractional):
+    g, cfg = _graph(fractional), CONFIGS[config]
+    runs = [
+        _after_every_iteration(g, p, cfg, iterate, _delays(p))
+        for iterate in (distlouvain._iterate, iteration_reference.iterate)
+    ]
+    (got, got_result), (want, want_result) = runs
+    for rank in range(p):
+        _assert_equal_snapshots(got[rank], want[rank])
+    np.testing.assert_array_equal(
+        got_result.assignment, want_result.assignment
+    )
+    assert got_result.modularity == want_result.modularity
+    assert got_result.elapsed == want_result.elapsed
+    assert (
+        got_result.trace.seconds_by_category()
+        == want_result.trace.seconds_by_category()
+    )
+
+
+# ----------------------------------------------------------------------
+# Kill points
+# ----------------------------------------------------------------------
+VICTIM = 1
+KILL_GRAPH = dict(blocks=6, per_block=16, inter_edges=70, seed=2)
+
+
+def _iteration_ops(g, p, config, d) -> list[list[tuple[int, str, str]]]:
+    """The victim's ``(op index, op, category)`` of every iteration of
+    the first phase, from an uninterrupted run checkpointing to ``d``
+    after every iteration (the saves are collectives too)."""
+    ops: list = []
+    iterations: list = []
+    real_hook = Communicator._fault_hook
+    real_iterate = distlouvain._iterate
+
+    def hook(self, name, category):
+        if self.rank == VICTIM and self.size == p:
+            ops.append((self._ops + 1, name, category))
+        return real_hook(self, name, category)
+
+    def iterate(comm, phase, *args):
+        start = len(ops)
+        exited = real_iterate(comm, phase, *args)
+        if comm.rank == VICTIM and phase.index == 0:
+            iterations.append(ops[start:])
+        return exited
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Communicator, "_fault_hook", hook)
+        patch.setattr(distlouvain, "_iterate", iterate)
+        run_louvain(
+            g, p, config, machine=FREE,
+            checkpoints=disk_checkpoints(d, config, every_iterations=1),
+        )
+    return iterations
+
+
+KILLS = {
+    "lookup request": (False, 0),
+    "lookup reply": (False, 1),
+    "push": (False, 2),
+    "allreduce": (False, -1),
+    "colour round lookup request": (True, 3),
+    "colour round lookup reply": (True, 4),
+    "colour round push": (True, 5),
+}
+
+
+@pytest.mark.parametrize("where", list(KILLS))
+def test_kill_at_each_op_of_an_iteration(where, tmp_path):
+    coloring, at = KILLS[where]
+    p = 3
+    g = planted_blocks_graph(**KILL_GRAPH)
+    cfg = LouvainConfig(variant=Variant.ET, alpha=0.5, seed=4,
+                        use_coloring=coloring)
+    iterations = _iteration_ops(g, p, cfg, str(tmp_path / "probe"))
+    assert len(iterations) > 2
+    # The third iteration: checkpoints of the first two are on disk.
+    ops = iterations[2]
+    rounds = (len(ops) - 1) // 3
+    assert rounds > 1 if coloring else rounds == 1
+    assert [name for _, name, _ in ops] == ["alltoall"] * 3 * rounds + [
+        "allreduce"
+    ]
+    op, name, _ = ops[at]
+    ref = run_louvain(g, p, cfg, machine=FREE)
+
+    d = str(tmp_path / "ck")
+    with pytest.raises(RankFailedError) as excinfo:
+        run_louvain(
+            g, p, cfg, machine=FREE,
+            checkpoints=disk_checkpoints(d, cfg, every_iterations=1),
+            fault_plan=FaultPlan(kills={VICTIM: op}),
+        )
+    assert excinfo.value.rank == VICTIM
+    cause = excinfo.value.causes[VICTIM]
+    assert isinstance(cause, InjectedFault)
+    assert (cause.rank, cause.op_index, cause.op_name) == (VICTIM, op, name)
+
+    res = run_louvain(
+        g, p, cfg, machine=FREE, checkpoints=disk_checkpoints(d, cfg),
+        resume=True,
+    )
+    np.testing.assert_array_equal(res.assignment, ref.assignment)
+    assert res.modularity == ref.modularity
+    assert res.iterations == ref.iterations
+    assert res.phases == ref.phases

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import LouvainConfig, Variant, distlouvain, run_louvain
-from repro.core.distlouvain import _stack_sweep, _world_propose
+from repro.core.distlouvain import _stack_sweep, _sweep_step
 from repro.core.sweep import SweepPlan, SweepSlice, array_lookup, propose_moves
 from repro.runtime import FREE, run_spmd
 
@@ -283,8 +283,9 @@ def rank_slices(case: dict, p: int) -> list[dict]:
 
 
 def world_sweep(slices, active, total_weight, resolution):
-    """Each rank's ``(proposal, moved, pairs)`` from the world calls a
-    phase and a round make (:func:`_stack_sweep`, :func:`_world_propose`)."""
+    """Each rank's ``(proposal, moved, pairs)`` from the world call a
+    phase makes (:func:`_stack_sweep`) and a round's sweep step
+    (:func:`_sweep_step`, run here as a world call of its own)."""
 
     def prog(comm):
         s = slices[comm.rank]
@@ -299,10 +300,11 @@ def world_sweep(slices, active, total_weight, resolution):
             resolution,
         )
         sweep.target[:] = s["target"]
-        proposal, moved, pairs = _world_propose(
-            comm, sweep, s["cur"], active[s["rows"]], s["info"], s["ids"]
+        proposal, moved, pairs = comm.world_call(
+            (sweep, s["cur"], active[s["rows"]], s["info"], s["ids"]),
+            _sweep_step,
         )
-        return proposal.copy(), moved, pairs
+        return proposal.copy(), moved.copy(), pairs
 
     return run_spmd(len(slices), prog, machine=FREE, timeout=30.0).values
 
@@ -352,13 +354,15 @@ def test_concurrent_detections_do_not_share_a_workspace(monkeypatch):
     ]
     want = [run_louvain(g, p, cfg, machine=FREE) for g, p, cfg in jobs]
 
-    real = distlouvain._sweep_world
+    real = distlouvain._sweep_step
+    sweeps = []
 
     def yielding(rounds):
+        sweeps.append(len(rounds))
         time.sleep(0.0005)
         return real(rounds)
 
-    monkeypatch.setattr(distlouvain, "_sweep_world", yielding)
+    monkeypatch.setattr(distlouvain, "_sweep_step", yielding)
     got: list = [None, None]
 
     def detect(i: int) -> None:
@@ -379,6 +383,8 @@ def test_concurrent_detections_do_not_share_a_workspace(monkeypatch):
     finally:
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
+    # Both worlds swept through the patch: it is the iteration's hook.
+    assert {3, 4} <= set(sweeps)
     for result, ref in zip(got, want):
         assert not isinstance(result, BaseException), result
         np.testing.assert_array_equal(result.assignment, ref.assignment)

@@ -5,7 +5,7 @@ A backticked span is a citation when it is a dotted name rooted in the
 package (``repro.core.tail.gather_pays``, ``core.tail.gather_pays``), a
 ``Class.member`` of a class the package defines
 (``DistGraph.build_ghost_plan``), or a bare private or class name
-(``_sweep_round``, ``RunSnapshots``, but not ``C_info`` or
+(``_world_round``, ``RunSnapshots``, but not ``C_info`` or
 ``MPI_COMM_SELF``); a trailing call (``(...)``,
 ``(checkpoints=)``) is dropped.  Anything else in backticks — a variable,
 an expression, a path — is prose.  Names the section on what was tried
@@ -124,7 +124,7 @@ def test_the_mapping_cites_code():
     assert len(CITED) > 80
     assert "repro.core.tail.gather_pays" in CITED
     assert "DistGraph.build_ghost_plan" in CITED
-    assert "_sweep_round" in CITED
+    assert "_world_round" in CITED
 
 
 @pytest.mark.parametrize("name", [n for n in CITED if n not in REMOVED])

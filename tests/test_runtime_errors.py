@@ -103,7 +103,9 @@ class TestCollectiveMismatch:
                 dtype = np.float32 if comm.rank == 1 else np.float64
                 return comm.allreduce(np.ones(2, dtype=dtype))
             deposit = 3 if comm.rank == 1 else (np.zeros(0, np.int64),)
-            return comm._legs("push", 1, deposit, None, "other")
+            return comm.scripted(
+                "push", [("alltoall", "other")], deposit, None
+            )
 
         with pytest.raises(RankFailedError) as excinfo:
             run_spmd(2, prog)
