@@ -340,8 +340,8 @@ MUTANTS: tuple[Mutant, ...] = (
     # SPMD303: a LouvainConfig attribute that does not exist.
     Mutant(
         "typo_resolution", "SPMD303", _DL,
-        "_Turn(phase, active, rounds, config.resolution)",
-        "_Turn(phase, active, rounds, config.resolutoin)",
+        "- config.resolution * total[1]",
+        "- config.resolutoin * total[1]",
         "_iterate reads config.resolutoin",
     ),
     Mutant(

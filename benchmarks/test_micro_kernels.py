@@ -53,21 +53,21 @@ from repro.core import (
 )
 from repro.core.coarsen import rebuild_distributed
 from repro.core.distlouvain import (
-    _CommunityView,
     _iterate,
     _Phase,
     _save_checkpoint,
-    _stack_sweep,
+    _stack_phase,
 )
 from repro.core.heuristics import EarlyTermination, make_rank_rng
 from repro.core.grappolo import greedy_coloring, vertex_following_seed
-from repro.core.sweep import SweepPlan, SweepSlice, array_lookup, propose_moves
+from repro.core.sweep import SweepPlan, array_lookup, propose_moves
 from repro.core.result import IterationStats
 from repro.generators import generate_lfr, make_graph
 from repro.graph import CSRGraph, DistGraph, EdgeList
 from repro.resilience import CheckpointManager, RunSnapshots, read_manifest
 from repro.runtime import CORI_HASWELL, FREE, run_spmd
 from tests.oracles import exchange_reference
+from tests.oracles.iteration_reference import publish
 
 
 def _graph():
@@ -309,23 +309,9 @@ def test_kernel_iteration(
         lo, hi = dg.vbegin, dg.vend
         ghost_plan = dg.build_ghost_plan(comm)
         k = dg.local_degrees()
-        sweep = _stack_sweep(
-            comm,
-            SweepSlice(
-                dg.index, dg.weights, np.flatnonzero(~dg.self_loop_mask()),
-                dg.local_rows(), k,
-            ),
-            dg.total_weight,
-            config.resolution,
-        )
         spans, moves = [], 0
         for _ in range(rounds + WARM_ROUNDS):
             local = comm0[lo:hi].copy()
-            view = _CommunityView(
-                dg, ghost_plan, local,
-                dg.exchange_ghost_values(comm, ghost_plan, local),
-                target=sweep.target,
-            )
             state = IterationState(
                 local, tot0[lo:hi].copy(), size0[lo:hi].copy()
             )
@@ -334,9 +320,12 @@ def test_kernel_iteration(
                     dg.num_local, config, make_rank_rng(11, comm.rank, 0)
                 )
                 state.et.prob[:] = 0.25
-            phase = _Phase(
-                dg, 0, k, sweep, view, None, state, view.values
+            world, view = _stack_phase(
+                comm, dg, ghost_plan, k, state,
+                dg.exchange_ghost_values(comm, ghost_plan, local), None,
+                config.resolution,
             )
+            phase = _Phase(dg, 0, k, world, view, 1, state, view.values)
             comm.barrier()
             m0 = comm.clock
             w0, c0 = time.perf_counter_ns(), time.thread_time_ns()
@@ -437,9 +426,9 @@ def test_kernel_community_legs(benchmark, record_bench):
         lo, hi = dg.vbegin, dg.vend
         plan = dg.build_ghost_plan(comm)
         local = comm0[lo:hi].copy()
-        view = _CommunityView(
-            dg, plan, local, dg.exchange_ghost_values(comm, plan, local)
-        )
+        ids = np.unique(np.concatenate(
+            [local, dg.exchange_ghost_values(comm, plan, local)]
+        ))
         rows = np.arange(0, dg.num_local, 7)
         rows = rows[np.diff(dg.index)[rows] > 0]
         new = local.copy()
@@ -448,13 +437,13 @@ def test_kernel_community_legs(benchmark, record_bench):
         deltas = aggregate_deltas(
             local[moved], new[moved], dg.local_degrees()[moved]
         )
-        labels = view.publish(new, moved)
+        labels = publish(dg, plan, new, moved)
         spans = []
         for _ in range(COMMUNITY_ROUNDS + WARM_ROUNDS):
             tables = (tot0[lo:hi].copy(), size0[lo:hi].copy())
             comm.barrier()
             w0, m0 = time.perf_counter_ns(), comm.clock
-            info = lookup(comm, dg, view.ids, tables)
+            info = lookup(comm, dg, ids, tables)
             got = push(comm, dg, deltas[0], deltas[1:], tables, labels)
             spans.append((w0, time.perf_counter_ns(), comm.clock - m0))
         return spans[WARM_ROUNDS:], (*info, *got, *tables)

@@ -14,15 +14,21 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
       (:func:`_relabel`) or resumed labels, then
       ``ExchangeGhostVertices`` — one-time-per-phase ghost coordinate
       exchange (Algorithm 4; :meth:`DistGraph.build_ghost_plan`) and one
-      full exchange of the ghost vertices' starting communities;
+      full exchange of the ghost vertices' starting communities — and
+      the phase's one world call (:func:`_stack_phase`), which lays
+      every rank's CSR slice, labels, owner tables, community view,
+      ghost maps and ET state end to end in world arrays
+      (:class:`_WorldPhase`); the rank's objects hold their segments;
     * iteration loop (Algorithm 3, :func:`louvain_phase_distributed`).
       Each :func:`_iterate` is one rendezvous: the rank draws its ET mask
       and consults the fault plan for the iteration's ops, then one
       world function (:func:`_world_iteration`) runs steps ii-v for
       every rank, a step at a time — per colour round
       (:func:`_world_round`; one round without colouring) ii-iv, then
-      v — and hands each rank the charges its ops made, which it
-      replays (:class:`~repro.runtime.comm.Script`); vi is the rank's:
+      v — each step a fixed number of numpy passes over the world
+      arrays whatever the rank count, and hands each rank the charges
+      its ops made, which it replays
+      (:class:`~repro.runtime.comm.Script`); vi is the rank's:
 
       i.   the community of every ghost vertex as of the last
            synchronisation point is already in place (lines 4-5; see
@@ -34,8 +40,7 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
       iii. :func:`_sweep_step`, snapshot sweep: the best move for every
            active local vertex against the fetched state (lines 6-9; the
            shared kernel from :mod:`repro.core.sweep`) — one kernel call
-           over every rank's entries, laid end to end once per phase by
-           :func:`_stack_sweep`; each rank is charged its own
+           over every rank's entries; each rank is charged its own
            ``compute``;
       iv.  :func:`_push_step`: one personalised exchange (the push)
            carries everything the moves changed, one message per peer:
@@ -44,8 +49,9 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
            moved vertex it ghosts (the next sweep's lines 4-5) —
            ``community_comm``;
       v.   :func:`_modularity_step`: one allreduce combines the
-           modularity partials with the move, activity and
-           inactive-vertex counts (lines 12-13, ``allreduce``);
+           modularity partials — each rank's float sums over its own
+           segment — with the move, activity and inactive-vertex counts
+           (lines 12-13, ``allreduce``);
       vi.  :func:`_exit_tests`: the stats row and ETC's 90% exit on the
            inactive count the same allreduce delivered (§IV-B(b)) — no
            variant adds a collective; then the tau test and, the phase
@@ -73,11 +79,13 @@ of Algorithm 3.  Ownership is contiguous (§IV), so anything routed by
 owner — community requests, deltas, ghost updates — is an ascending id
 array cut into one slice per rank (:meth:`DistGraph.cuts`), and the
 owners' tables laid end to end are indexed by global id, so the owners
-answer and apply for the whole world at once.  Whatever is ready
-at the same synchronisation point leaves in one message per peer.  The
-world halves of those collectives (:mod:`repro.runtime.comm`) price
-every rank's legs; the iteration calls them, so no pricing lives here.  What
-a rank knows of the communities between exchanges lives in a per-phase
+answer and apply for the whole world at once; inside a phase the
+world's tables *are* laid end to end, each rank's a segment.  Whatever
+is ready at the same synchronisation point leaves in one message per
+peer.  The world halves of those collectives
+(:mod:`repro.runtime.comm`) price every rank's legs; the iteration
+calls them, so no pricing lives here.  What a rank knows of the
+communities between exchanges lives in a per-phase
 :class:`_CommunityView` that the rounds patch rather than rebuild.
 
 Consistency semantics are the paper's: within an iteration every rank
@@ -90,7 +98,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,10 +110,11 @@ from ..runtime.comm import (
 )
 from ..runtime.executor import SPMDResult, run_spmd
 from ..runtime.perfmodel import CORI_HASWELL, MachineModel
-from .coarsen import owner_request, rebuild_distributed, remote_lookup
+from .coarsen import rebuild_distributed, remote_lookup
 from .config import LouvainConfig
 from .heuristics import (
     EarlyTermination, LayoutStreams, ThresholdCycler, make_rank_rng,
+    update_activity,
 )
 from .refine import refine_communities
 from .result import IterationStats, LouvainResult, PhaseStats, normalize_assignment
@@ -113,6 +122,7 @@ from .state import IterationState, RunState
 from .sweep import (
     Segments,
     StackedSweep,
+    SweepResult,
     SweepSlice,
     SweepWorkspace,
     array_lookup,
@@ -122,20 +132,21 @@ from .tail import gather_pays
 
 
 class _CommunityView:
-    """What this rank knows of the communities during one phase.
+    """What this rank knows of the communities during one phase: its
+    segments of the world's view arrays (:class:`_WorldPhase`).
 
     Inside a phase only labels change (Algorithm 3): the CSR, the ghost
     plan and the id -> owner map are fixed.  So the view is built once,
     from the phase's one full ghost exchange
     (:meth:`DistGraph.exchange_ghost_values`), and every sweep round
-    patches it with what the round already has in hand instead of
-    re-deriving it from the raw labels:
+    patches it — every rank's at once (:func:`_push_step`) — with what
+    the round already has in hand instead of re-deriving it from the raw
+    labels:
 
     * :attr:`values` — community of every ghost vertex (Algorithm 3,
-      lines 4-5).  :meth:`publish` lists only the values that changed; a
-      ghost copy of an unmoved vertex is already correct (the "further
-      sophistication" §IV-B(b) sketches).  The view itself never
-      communicates: the lists ride the round's one update exchange.
+      lines 4-5), aligned with ``plan.ghost_ids``.  A round ships only
+      the values that changed; a ghost copy of an unmoved vertex is
+      already correct (the "further sophistication" §IV-B(b) sketches).
     * :attr:`ids` — every community id seen here this phase, ascending.
       It only grows: an id no vertex here holds any more costs one
       unused table row, while deleting it would renumber every slot.
@@ -144,117 +155,240 @@ class _CommunityView:
       the ids, so the kernel's smallest-id tie-breaks are those of the
       raw ids whatever else the table holds.
     * :attr:`target` — ``slot[ctargets]``, the dense community of every
-      CSR entry's target: the kernel's ``target_comm``, and one side of
-      the modularity estimate.  Kept in ``target`` when one is given —
-      the rank's segment of the world sweep's input, so the round's
-      patch is also the sweep's input, with no copy in between.
+      CSR entry's target: the kernel's ``target_comm`` (the rank's
+      segment of the world sweep's input), and one side of the
+      modularity estimate.
 
     The sweep, the modularity estimate and the graph rebuild all read
     this one object.
     """
 
-    def __init__(
-        self,
-        dg: DistGraph,
-        plan,
-        local_comm: np.ndarray,
-        values: np.ndarray,
-        target: np.ndarray | None = None,
-    ):
+    def __init__(self, world: "_WorldPhase", rank: int, plan: GhostPlan):
         self.plan = plan
-        self.nloc = dg.num_local
-        #: Community of every ghost vertex, aligned with ``plan.ghost_ids``.
-        self.values = values
-        self.ids, self.slot = np.unique(
-            np.concatenate([local_comm, values]), return_inverse=True
-        )
-        self._ctargets = dg.compressed_targets()
-        self.target = self.slot.take(self._ctargets, out=target, mode="clip")
-        #: Local slots of the plan's send list (the owned vertex ids
-        #: each rank ghosts, in destination order).
-        self.send_loc = np.asarray(dg.to_local(plan.send_ids))
+        self._world, self._rank = world, rank
+        s0, s1 = world.slot_cuts[rank], world.slot_cuts[rank + 1]
+        g0, g1 = world.ghost_cuts[rank], world.ghost_cuts[rank + 1]
+        e0, e1 = world.stack.entry_cuts[rank:rank + 2]
+        self.slot = world.slot[s0:s1]
+        self.values = world.values[g0:g1]
+        self.target = world.stack.target[e0:e1]
 
-    def publish(
-        self, local_comm: np.ndarray, moved: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """This round's labels by destination rank: ``(counts, vertex
-        ids, new communities)`` of the ``moved`` owned vertices each rank
-        ghosts, in destination order, ``counts[d]`` of them for rank
-        ``d``.  The round ships them with its deltas (:func:`_push_step`)
-        and hands what came back to :meth:`absorb`.  ``slot`` must
-        already hold the moved vertices' own new positions (the kernel
-        proposes in positions, so the caller has them for free)."""
-        sel = np.flatnonzero(moved[self.send_loc])
-        counts = np.diff(np.searchsorted(sel, self.plan.send_cuts))
-        return counts, self.plan.send_ids[sel], local_comm[self.send_loc[sel]]
-
-    def absorb(self, ghost_ids: np.ndarray, values: np.ndarray) -> None:
-        """Ghost vertices ``ghost_ids`` now belong to communities
-        ``values`` (raw ids, possibly never seen here): update the ghost
-        copies and their positions, then re-aim :attr:`target`."""
-        if len(ghost_ids):
-            ghosts = np.searchsorted(self.plan.ghost_ids, ghost_ids)
-            self.values[ghosts] = values
-            self.slot[self.nloc + ghosts] = self._positions(values)
-        self.slot.take(self._ctargets, out=self.target, mode="clip")
-
-    def _positions(self, values: np.ndarray) -> np.ndarray:
-        """Position in :attr:`ids` of each raw id, merging unseen ids in
-        (which shifts the positions above them, in ``slot`` too)."""
-        pos = np.searchsorted(self.ids, values)
-        unseen = self.ids.take(pos, mode="clip") != values
-        if unseen.any():
-            fresh = sorted_unique(values[unseen])
-            # Every position, old or asked for, moves up by the number
-            # of fresh ids below it.
-            shift = np.searchsorted(fresh, self.ids)
-            shift += np.arange(len(self.ids))
-            self.slot[:] = shift[self.slot]
-            self.ids = np.insert(
-                self.ids, np.searchsorted(self.ids, fresh), fresh
-            )
-            pos += np.searchsorted(fresh, values)
-        return pos
+    @property
+    def ids(self) -> np.ndarray:
+        cuts = self._world.id_cuts
+        return self._world.ids[cuts[self._rank]:cuts[self._rank + 1]]
 
 
-@dataclass(frozen=True)
-class _WorldSweep:
-    """This rank's share of the phase's world sweep (:func:`_stack_sweep`):
-    the stack, and the rank's segments of its inputs, which the rank
-    writes before every sweep."""
+@dataclass(eq=False)
+class _WorldPhase:
+    """Every rank's share of one phase laid end to end in the world's
+    workspace (:func:`_stack_world`): what the iteration's world function
+    works on, a fixed number of numpy passes per step whatever the rank
+    count.  Ownership is contiguous from 0, so a per-vertex array is
+    indexed by global vertex id, which is also the stacked row, and the
+    owner tables are joined as they stand.  Each rank's objects — its
+    :class:`~repro.core.state.IterationState`, :class:`_CommunityView`
+    and ET state — hold views of their segments."""
 
     stack: StackedSweep
-    target: np.ndarray
-    cur: np.ndarray
-    active: np.ndarray
+    workspace: SweepWorkspace
     total_weight: float
     resolution: float
+    #: Per vertex: its community (``local_comm``), the owner tables
+    #: (``tot_owned`` / ``size_owned``, the paper's C_info), the activity
+    #: ET drew for the iteration, whether it moved in the iteration and
+    #: its colour (``None`` without colouring).
+    local_comm: np.ndarray
+    tot: np.ndarray
+    size: np.ndarray
+    active: np.ndarray
+    moved: np.ndarray
+    colors: np.ndarray | None
+    #: ET's probabilities and inactive flags (``None`` without ET), and
+    #: its constants.
+    prob: np.ndarray | None
+    inactive: np.ndarray | None
+    alpha: float
+    floor: float
+    #: Every rank's view slots, its owned vertices then its ghosts, cut
+    #: by ``slot_cuts``; the slot of every owned vertex and of every
+    #: ghost; the slot every stacked CSR entry targets.
+    slot: np.ndarray
+    slot_cuts: np.ndarray
+    own_slot: np.ndarray
+    ghost_slot: np.ndarray
+    ctargets: np.ndarray
+    #: Every rank's ghost vertices and their communities, cut by
+    #: ``ghost_cuts``.
+    ghost_ids: np.ndarray
+    values: np.ndarray
+    ghost_cuts: np.ndarray
+    #: Every rank's ``ids``, cut by ``id_cuts`` (all three grow), the
+    #: same keyed by rank (``rank * key_base + id``: ascending, so one
+    #: search finds any rank's id), and each slot's ``id_cuts[rank]``: a
+    #: slot plus its shift is a position in ``ids``.
+    ids: np.ndarray
+    id_cuts: np.ndarray
+    keys: np.ndarray
+    key_base: int
+    slot_shift: np.ndarray
+    #: Stored CSR entries of every row.
+    row_entries: np.ndarray
+    #: The send lists: every (owned vertex, rank ghosting it) pair's
+    #: vertex and ``source * p + destination``, in owner order.
+    send_ids: np.ndarray
+    send_pairs: np.ndarray
+    #: :meth:`owner_runs` as of the ``keys`` it was found in.
+    _runs: tuple[np.ndarray, np.ndarray | None] = (np.empty(0), None)
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self.stack.row_cuts
+
+    def owner_runs(self) -> np.ndarray:
+        """``runs[s, d]``: where rank ``s``'s ids owned by rank ``d``
+        start in ``ids``, then where those below the vertex space's end
+        stop (``id_cuts[s + 1]`` unless an id outside it follows)."""
+        keys, runs = self._runs
+        if keys is not self.keys:
+            p = len(self.id_cuts) - 1
+            starts = np.add.outer(np.arange(p) * self.key_base, self.offsets)
+            runs = np.searchsorted(self.keys, starts)
+            self._runs = (self.keys, runs)
+        return runs
 
 
-def _stack_sweep(
+class _Seat(NamedTuple):
+    """One rank's deposit in its phase's world call (:func:`_stack_world`):
+    its CSR slice, iteration state, ghost plan, ghost communities after
+    the full exchange, compressed targets and colours (or ``None``)."""
+
+    part: SweepSlice
+    state: IterationState
+    plan: GhostPlan
+    ghosts: np.ndarray
+    ctargets: np.ndarray
+    colors: np.ndarray | None
+
+
+def _stack_phase(
     comm: Communicator,
-    part: SweepSlice,
-    total_weight: float,
+    dg: DistGraph,
+    plan: GhostPlan,
+    k: np.ndarray,
+    state: IterationState,
+    ghosts: np.ndarray,
+    colors: np.ndarray | None,
     resolution: float,
-) -> _WorldSweep:
-    """One world call per phase: every rank's CSR slice laid end to end
-    in the world's workspace, as one input of :func:`_sweep_step`."""
+) -> tuple[_WorldPhase, _CommunityView]:
+    """The phase's one world call: every rank's CSR slice, iteration
+    state, view and ET state laid end to end in the world's workspace
+    (:func:`_stack_world`).  Returns the world's arrays and this rank's
+    view; ``state`` (and its ET state) hold their segments from here."""
     return comm.world_call(
-        part,
-        partial(_stack_world, comm.world.workspace, total_weight, resolution),
+        _Seat(
+            SweepSlice(
+                dg.index, dg.weights, np.flatnonzero(~dg.self_loop_mask()),
+                dg.local_rows(), k,
+            ),
+            state, plan, ghosts, dg.compressed_targets(), colors,
+        ),
+        partial(
+            _stack_world, comm.world.workspace, dg.total_weight, resolution
+        ),
     )
 
 
 def _stack_world(
-    workspace: dict, total_weight: float, resolution: float, slices
-) -> list[_WorldSweep]:
+    workspace: dict, total_weight: float, resolution: float,
+    seats: list[_Seat],
+) -> list[tuple[_WorldPhase, _CommunityView]]:
+    """:func:`_stack_phase`'s world half: every seat copied into its
+    segments, and each rank's state and ET state rebound to them."""
     if "sweep" not in workspace:
         workspace["sweep"] = SweepWorkspace()
-    stack = workspace["sweep"].stack(slices)
-    return [
-        _WorldSweep(stack, *stack.segment(r), total_weight, resolution)
-        for r in range(len(slices))
-    ]
+    ws = workspace["sweep"]
+    stack = ws.stack([s.part for s in seats])
+    p, rows = len(seats), stack.row_cuts
+    n = int(rows[-1])
+    nloc, nghost = np.diff(rows), [len(s.ghosts) for s in seats]
+    ghost_cuts = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(nghost, out=ghost_cuts[1:])
+    slot_cuts = rows + ghost_cuts
+    ranks = np.arange(p + 1)
+    # Every rank's view at once: one np.unique of every rank's labels and
+    # ghost communities, keyed by rank, numbers each rank's ids apart.
+    raw = np.concatenate(
+        [a for s in seats for a in (s.state.local_comm, s.ghosts)]
+    ).astype(np.int64, copy=False)
+    slot_rank = np.repeat(ranks[:-1], np.diff(slot_cuts))
+    base = max(n, int(raw.max()) + 1 if len(raw) else 1)
+    keys, inverse = np.unique(raw + slot_rank * base, return_inverse=True)
+    id_cuts = np.searchsorted(keys, ranks * base)
+    slot_shift = ws.array("slot_shift", len(raw), np.int64)
+    id_cuts.take(slot_rank, out=slot_shift, mode="clip")
+    slot = ws.array("slot", len(raw), np.int64)
+    np.subtract(inverse.reshape(-1), slot_shift, out=slot)
+    ghost_ids = np.concatenate([s.plan.ghost_ids for s in seats])
+    et = seats[0].state.et
+    wp = _WorldPhase(
+        stack=stack,
+        workspace=ws,
+        total_weight=total_weight,
+        resolution=resolution,
+        local_comm=ws.array("local_comm", n, np.int64),
+        tot=ws.array("tot", n, np.float64),
+        size=ws.array("size", n, np.int64),
+        active=ws.array("drawn", n, bool),
+        moved=ws.array("moved_any", n, bool),
+        colors=(
+            None if seats[0].colors is None
+            else np.concatenate([s.colors for s in seats])
+        ),
+        prob=None if et is None else ws.array("prob", n, np.float64),
+        inactive=None if et is None else ws.array("inactive", n, bool),
+        alpha=0.0 if et is None else et.alpha,
+        floor=0.0 if et is None else et.floor,
+        slot=slot,
+        slot_cuts=slot_cuts,
+        own_slot=ws.positions(n) + np.repeat(ghost_cuts[:-1], nloc),
+        ghost_slot=ws.positions(len(ghost_ids)) + np.repeat(rows[1:], nghost),
+        ctargets=ws.array("ctargets", len(stack.rows), np.int64),
+        values=ws.array("values", len(ghost_ids), np.int64),
+        ghost_cuts=ghost_cuts,
+        ghost_ids=ghost_ids,
+        ids=keys - np.repeat(ranks[:-1] * base, np.diff(id_cuts)),
+        id_cuts=id_cuts,
+        keys=keys,
+        key_base=base,
+        slot_shift=slot_shift,
+        row_entries=np.diff(stack.index),
+        send_ids=np.concatenate([s.plan.send_ids for s in seats]),
+        send_pairs=np.repeat(
+            np.arange(p * p),
+            np.concatenate([np.diff(s.plan.send_cuts) for s in seats]),
+        ),
+    )
+    np.concatenate([s.ghosts for s in seats], out=wp.values)
+    wp.active[:] = True
+    out = []
+    for r, s in enumerate(seats):
+        e0, e1 = stack.entry_cuts[r:r + 2]
+        np.add(s.ctargets, slot_cuts[r], out=wp.ctargets[e0:e1])
+        a, b = rows[r], rows[r + 1]
+        s.state.place(
+            r, local_comm=wp.local_comm[a:b], tot_owned=wp.tot[a:b],
+            size_owned=wp.size[a:b],
+        )
+        if et is not None:
+            wp.prob[a:b] = s.state.et.prob
+            wp.inactive[a:b] = s.state.et.permanently_inactive
+            s.state.et.prob = wp.prob[a:b]
+            s.state.et.permanently_inactive = wp.inactive[a:b]
+        out.append((wp, _CommunityView(wp, r, s.plan)))
+    slot.take(wp.own_slot, out=stack.cur, mode="clip")
+    slot.take(wp.ctargets, out=stack.target, mode="clip")
+    return out
 
 
 @dataclass
@@ -272,14 +406,14 @@ class _Phase:
     index: int
     #: Weighted degree of every owned vertex.
     k: np.ndarray
-    #: This rank's share of the world's phase-invariant sweep input
-    #: (rows, non-self-loop entries, the synthetic own-community
-    #: entries), gathered from every iteration.
-    sweep: _WorldSweep
+    #: Every rank's share of the phase laid end to end, which the
+    #: iteration's world function works on.
+    world: _WorldPhase
     view: _CommunityView
-    #: §VI future work: distance-1 colour classes, swept one after
-    #: another so concurrently processed vertices are non-adjacent.
-    color_classes: list[np.ndarray] | None
+    #: Sweep rounds per iteration: 1, or the number of colour classes
+    #: (§VI future work: distance-1 colour classes, swept one after
+    #: another so concurrently processed vertices are non-adjacent).
+    rounds: int
     state: IterationState
     #: Community of every ghost vertex as of the last exchange: the
     #: view's copies, which the rounds patch in place, until Leiden
@@ -287,6 +421,11 @@ class _Phase:
     ghost_comm: np.ndarray
     #: ETC's inactive-fraction exit ended the phase.
     exited_by_inactive: bool = False
+
+    @property
+    def active(self) -> np.ndarray:
+        """This rank's segment of the iteration's drawn activity."""
+        return self.world.active[self.dg.vbegin:self.dg.vend]
 
 
 def louvain_phase_distributed(
@@ -331,16 +470,13 @@ def _begin_phase(
 ) -> _Phase:
     """The phase's starting state — rejoined, warm-started or singleton —
     and everything derived from it: ghost set-up (Algorithm 4), colour
-    classes, and the community view after the phase's one full ghost
-    exchange (Algorithm 3, lines 4-5).  A one-rank run standing for a
-    wider world (``run.layout_ranks``) draws ET as that world would."""
+    classes, the phase's one full ghost exchange (Algorithm 3, lines
+    4-5) and every rank's share laid end to end (:func:`_stack_phase`).
+    A one-rank run standing for a wider world (``run.layout_ranks``)
+    draws ET as that world would."""
     dg = run.dg
     plan = dg.build_ghost_plan(comm)
     k = dg.local_degrees()
-    sweep = _stack_sweep(comm, SweepSlice(
-        dg.index, dg.weights, np.flatnonzero(~dg.self_loop_mask()),
-        dg.local_rows(), k,
-    ), dg.total_weight, config.resolution)
     # The first phase a run begins consumes the warm start (a phase
     # rejoined mid-way is already past it).
     seed, run.seed_assignment = run.seed_assignment, None
@@ -377,24 +513,21 @@ def _begin_phase(
                     f"rank owns {dg.num_local}"
                 )
             _relabel(comm, dg, k, state, np.array(seed, dtype=np.int64))
-    color_classes = (
-        _color_classes(comm, dg, plan, config.seed)
+    colors, rounds = (
+        _coloring(comm, dg, plan, config.seed)
         if config.use_coloring
-        else None
+        else (None, 1)
     )
     # Later rounds ship only what changed.  The view is derived state:
     # the full exchange of a resumed phase reproduces the ghost values
     # the uninterrupted run holds at this point.
-    view = _CommunityView(
-        dg, plan, state.local_comm,
-        dg.exchange_ghost_values(
-            comm, plan, state.local_comm, category="ghost_comm"
-        ),
-        target=sweep.target,
+    ghosts = dg.exchange_ghost_values(
+        comm, plan, state.local_comm, category="ghost_comm"
     )
-    return _Phase(
-        dg, run.phase, k, sweep, view, color_classes, state, view.values
+    world, view = _stack_phase(
+        comm, dg, plan, k, state, ghosts, colors, config.resolution
     )
+    return _Phase(dg, run.phase, k, world, view, rounds, state, view.values)
 
 
 def _relabel(
@@ -416,11 +549,11 @@ def _relabel(
     state.local_comm = labels
 
 
-def _color_classes(
+def _coloring(
     comm: Communicator, dg: DistGraph, plan: GhostPlan, seed: int
-) -> list[np.ndarray]:
-    """One mask of owned vertices per colour of a distance-1 coloring;
-    every rank gets the same number of classes."""
+) -> tuple[np.ndarray, int]:
+    """The colour of every owned vertex in a distance-1 coloring, and the
+    world's colour count: every rank sweeps that many rounds."""
     from .coloring import distributed_coloring
 
     colors = distributed_coloring(comm, dg, plan, seed=seed)
@@ -428,7 +561,7 @@ def _color_classes(
         int(colors.max()) + 1 if dg.num_local else 0, op="max",
         category="other",
     ))
-    return [colors == c for c in range(num_colors)]
+    return colors, num_colors
 
 
 def _iterate(
@@ -439,228 +572,316 @@ def _iterate(
     (vi).  Updates ``phase.state`` in place and returns whether ETC's
     inactive-fraction exit fired; the tau test is the caller's.
 
-    Before the rendezvous the rank draws its ET mask and consults the
-    fault plan for the iteration's ops — per colour round the lookup's
-    request and reply legs and the push, then the allreduce — so a
-    kill raises here, at its op.  After it the rank replays the charges
-    and legs those ops made (:class:`~repro.runtime.comm.Script`)."""
+    Before the rendezvous the rank draws its ET mask into its segment of
+    the world's and consults the fault plan for the iteration's ops —
+    per colour round the lookup's request and reply legs and the push,
+    then the allreduce — so a kill raises here, at its op.  After it the
+    rank replays the charges and legs those ops made
+    (:class:`~repro.runtime.comm.Script`)."""
     et = phase.state.et
-    # ET: vertices mark themselves active/inactive first (§IV-B(b)).
-    active = (
-        et.draw_active()
-        if et is not None
-        else np.ones(phase.dg.num_local, dtype=bool)
-    )
-    # The round count is len(rounds) — 1, or the allreduced colour
-    # count — replicated even though each round's active *mask* is
-    # rank-local (the mask only gates local move proposals).
-    rounds = (
-        [active]
-        if phase.color_classes is None
-        else [active & cls for cls in phase.color_classes]
-    )
-    ops = [("alltoall", "community_comm")] * (3 * len(rounds))
+    if et is not None:
+        # ET: vertices mark themselves active/inactive first (§IV-B(b)).
+        phase.active[:] = et.draw_active()
+    # The round count is replicated even though each round's active
+    # *mask* is rank-local (the mask only gates local move proposals).
+    ops = [("alltoall", "community_comm")] * (3 * phase.rounds)
     ops.append(("allreduce", "allreduce"))
-    total = comm.scripted(
-        "iteration", ops, _Turn(phase, active, rounds, config.resolution),
-        _world_iteration,
+    total = comm.scripted("iteration", ops, phase, _world_iteration)
+    w = phase.dg.total_weight
+    phase.state.q = (
+        float(total[0] / w - config.resolution * total[1] / (w * w))
+        if w > 0
+        else 0.0
     )
     return _exit_tests(phase, it, config, total)
 
 
-@dataclass(frozen=True)
-class _Turn:
-    """One rank's deposit in its iteration's rendezvous: the phase, the
-    active mask ET drew, each colour round's share of it (the whole of it
-    without colouring) and the resolution."""
-
-    phase: _Phase
-    active: np.ndarray
-    rounds: list[np.ndarray]
-    resolution: float
-
-
 def _world_iteration(
-    world: World, scripts: Sequence[Script], turns: list[_Turn]
+    world: World, scripts: Sequence[Script], phases: list[_Phase]
 ) -> list[np.ndarray]:
     """Steps (ii)-(v) of one iteration for every rank (Algorithm 3,
     lines 4-13): one :func:`_world_round` per colour round, then
-    :func:`_modularity_step`.  Every rank decides against the same
+    :func:`_modularity_step`, each over the phase's world arrays
+    (:class:`_WorldPhase`).  Every rank decides against the same
     synchronisation point, so doing the ranks' work one step at a time
     for all of them is what the ranks doing it between collectives
     computes; each ``scripts[r]`` meanwhile records rank ``r``'s
     charges.  Returns every rank's reduced step-(v) vector."""
-    moved = [np.zeros(t.phase.dg.num_local, dtype=bool) for t in turns]
-    for k in range(len(turns[0].rounds)):
-        round_moved = _world_round(world, scripts, turns, k)
-        for acc, mask in zip(moved, round_moved):
-            acc |= mask
-    return _modularity_step(world, scripts, turns, moved)
+    wp = phases[0].world
+    wp.moved[:] = False
+    for k in range(phases[0].rounds):
+        wp.moved |= _world_round(world, scripts, phases, k)
+    return _modularity_step(world, scripts, phases)
 
 
 def _world_round(
-    world: World, scripts: Sequence[Script], turns: list[_Turn], k: int
-) -> list[np.ndarray]:
+    world: World, scripts: Sequence[Script], phases: list[_Phase], k: int
+) -> np.ndarray:
     """Steps (i)-(iv) of colour round ``k`` for every rank: the fetch,
     the sweep, each rank's compute charged for its own pairs as if it had
-    swept alone, and the push.  Updates the phases' labels, owner-side
-    C_info and views in place (``view.values`` is current again on
-    return) and returns each rank's moved mask, valid until the next
-    sweep.
+    swept alone, and the push.  Updates the labels, the owner tables and
+    the views in place (``view.values`` is current again on return) and
+    returns the world's moved mask, valid until the next sweep.
 
     (i) The community of every ghost vertex as of the last exchange
     (lines 4-5) is in each view, already numbered densely: the kernel
-    works in positions of ``view.ids``."""
-    actives = [t.rounds[k] for t in turns]
-    infos, scanned = _fetch_step(world, scripts, turns, actives)
-    sweeps = _sweep_step([
-        (t.phase.sweep, t.phase.view.slot[:t.phase.dg.num_local], active,
-         info, t.phase.view.ids)
-        for t, active, info in zip(turns, actives, infos)
-    ])
+    works in positions of each rank's ``ids``."""
+    wp = phases[0].world
+    stack = wp.stack
+    if wp.colors is None:
+        stack.active[:] = wp.active
+    else:
+        np.logical_and(wp.colors == k, wp.active, out=stack.active)
+    scanned, info = _fetch_step(world, scripts, wp)
+    res = _sweep_step(
+        stack, wp.ids, info, wp.id_cuts, wp.total_weight, wp.resolution
+    )
     cost = world.machine.compute_cost
-    for script, t, sweep, entries in zip(scripts, turns, sweeps, scanned):
-        pairs = sweep[2]
-        script.charge("compute", cost(pairs + entries + t.phase.dg.num_local))
-    _push_step(world, scripts, turns, sweeps)
-    return [moved for _, moved, _ in sweeps]
+    for script, pairs, entries, nloc in zip(
+        scripts, res.segment_pairs.tolist(), scanned,
+        np.diff(stack.row_cuts).tolist(),
+    ):
+        script.charge("compute", cost(pairs + entries + nloc))
+    _push_step(world, scripts, wp, res)
+    return res.moved
 
 
 def _fetch_step(
-    world: World,
-    scripts: Sequence[Script],
-    turns: list[_Turn],
-    actives: list[np.ndarray],
-) -> tuple[list[np.ndarray], list[int]]:
+    world: World, scripts: Sequence[Script], wp: _WorldPhase
+) -> tuple[list[int], np.ndarray]:
     """Step (ii): every rank fetches a_c and |c| of the communities its
     round evaluates — neighbours of its active vertices and their own —
-    in one lookup (request and reply legs, ``community_comm``).  Every
-    slot is a local vertex or the target of a local entry, so a full
-    active set needs the community of every slot; a partial one flags its
-    candidates.  Returns, per rank, the dense table (row 0: a_c, row 1:
-    |c|, by position in ``view.ids``) and how many entries its sweep
-    scans.  Unfetched communities — among them ids nobody there holds
-    any more — stay NaN, which ``array_lookup`` turns into the
-    ``KeyError`` a protocol bug deserves."""
-    asks, wanted, scanned = [], [], []
-    for t, active in zip(turns, actives):
-        dg, view, state = t.phase.dg, t.phase.view, t.phase.state
-        flags = np.zeros(len(view.ids), dtype=bool)
-        if active.all():
-            scanned.append(dg.num_local_entries)
-            flags[view.slot] = True
-        else:
-            active_entries = active[dg.local_rows()]
-            scanned.append(int(np.count_nonzero(active_entries)))
-            flags[view.target[active_entries]] = True
-            flags[view.slot[:dg.num_local][active]] = True
-        wanted.append(np.flatnonzero(flags))
-        asks.append(owner_request(
-            dg.offsets, dg.rank, view.ids[wanted[-1]],
-            (state.tot_owned, state.size_owned),
-        ))
-    infos = []
-    for t, want, (tot, size) in zip(
-        turns, wanted, lookup_world(world, scripts, asks)
-    ):
-        info = np.full((2, len(t.phase.view.ids)), np.nan)
-        info[0, want], info[1, want] = tot, size
-        infos.append(info)
-    return infos, scanned
+    in one lookup for the world (request and reply legs,
+    ``community_comm``).  Every slot is a local vertex or the target of
+    a local entry, so a full active set needs the community of every
+    slot; a partial one flags its candidates.  Returns how many entries
+    each rank's sweep scans and the dense table of every rank laid end
+    to end (row 0: a_c, row 1: |c|, by position in the world's ``ids``).
+    Unfetched communities — among them ids nobody there holds any more —
+    stay NaN, which ``array_lookup`` turns into the ``KeyError`` a
+    protocol bug deserves."""
+    stack = wp.stack
+    active = stack.active
+    # The kernel's scratch is free between sweeps.
+    scratch = stack.plan.scratch
+    scratch.top = 0
+    flags = scratch.empty(len(wp.ids), np.dtype(bool))
+    flags[:] = False
+    # Every slot plus its shift is its community's position in ``ids``.
+    at = np.add(
+        wp.slot, wp.slot_shift,
+        out=scratch.empty(len(wp.slot), np.dtype(np.int64)),
+    )
+    if active.all():
+        flags[at] = True
+        scanned = np.diff(stack.entry_cuts)
+    else:
+        # The slots the active rows' entries target, and their own.
+        hit = scratch.empty(len(wp.slot), np.dtype(bool))
+        hit[:] = False
+        hit[wp.ctargets[scratch.take(active, stack.rows)]] = True
+        hit[wp.own_slot[active]] = True
+        flags[at[hit]] = True
+        scanned = _run_sums(wp.row_entries * active, wp.offsets)
+    wanted = np.flatnonzero(flags)
+    tot, size = lookup_world(
+        world, scripts, wp.ids.take(wanted), _owner_counts(wp, wanted),
+        (wp.tot, wp.size),
+    )
+    info = wp.workspace.array("info", 2 * len(wp.ids), np.float64)
+    info = info.reshape(2, -1)
+    info.fill(np.nan)
+    info[0, wanted], info[1, wanted] = tot, size
+    return scanned.tolist(), info
 
 
-def _sweep_step(rounds) -> list[tuple[np.ndarray, np.ndarray, int]]:
+def _run_sums(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The integer sum of ``values`` over each run ``cuts[r]:cuts[r + 1]``."""
+    total = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, out=total[1:])
+    return np.diff(total.take(cuts))
+
+
+def _owner_counts(wp: _WorldPhase, positions: np.ndarray) -> np.ndarray:
+    """``counts[s, d]``: how many of the ids at ascending ``positions``
+    of the world's ``ids`` are rank ``s``'s and owned by rank ``d``.
+    Keyed by rank the ids ascend, so each (rank, owner) run is cut by
+    one search (:meth:`_WorldPhase.owner_runs`), and an id outside the
+    vertex space, which follows its rank's runs, raises, naming the rank
+    that routes it."""
+    runs = wp.owner_runs()
+    cuts = np.searchsorted(positions, runs)
+    tail = runs[:, -1] < wp.id_cuts[1:]
+    if tail.any():
+        stray = np.flatnonzero(
+            tail & (cuts[:, -1] < np.searchsorted(positions, wp.id_cuts[1:]))
+        )
+        if len(stray):
+            rank = int(stray[0])
+            mine = wp.ids.take(positions[cuts[rank, 0]:np.searchsorted(
+                positions, wp.id_cuts[rank + 1]
+            )])
+            raise ValueError(
+                f"rank {rank}: ids outside the vertex space "
+                f"[0, {int(wp.offsets[-1])}): "
+                f"{int(mine.min())} .. {int(mine.max())}"
+            )
+    return np.diff(cuts, axis=1)
+
+
+def _sweep_step(
+    stack: StackedSweep,
+    ids: np.ndarray,
+    info: np.ndarray,
+    id_cuts: np.ndarray,
+    total_weight: float,
+    resolution: float,
+) -> SweepResult:
     """Step (iii), the local move computation (lines 6-9), for every rank
     at once: the ranks' sweeps are independent, so one
-    :func:`propose_moves` runs over the stack (:func:`_stack_sweep`).
-    ``rounds[r]`` is rank ``r``'s ``(sweep, current dense communities,
-    active flags, dense (a_c, |c|) table, ids)``: the first two go into
-    its segment of the stack (its targets are there already); its
-    tables, laid end to end, back the lookups, each rank's positions
-    shifted by the ids of the ranks before (one rank is one segment,
-    with nothing to shift).  Returns, per rank, its proposals, moved
-    mask and pair count — the stack's, valid until the next sweep."""
-    for sweep, cur, active, _, _ in rounds:
-        sweep.cur[:] = cur
-        sweep.active[:] = active
-    sweep = rounds[0][0]
-    stack = sweep.stack
-    lengths = [len(r[4]) for r in rounds]
-    shift = np.zeros(len(rounds), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=shift[1:])
-    total = sum(lengths)
-    ids = stack.workspace.array("ids", total, np.int64)
-    info = stack.workspace.array("info", 2 * total, np.float64)
-    info = info.reshape(2, total)
-    np.concatenate([r[4] for r in rounds], out=ids)
-    np.concatenate([r[3] for r in rounds], axis=1, out=info)
-    res = propose_moves(
+    :func:`propose_moves` runs over the stack (:func:`_stack_phase`),
+    whose ``cur``, ``target`` and ``active`` hold every rank's segment,
+    each in positions of that rank's ``ids``.  ``ids`` and ``info`` (the
+    dense (a_c, |c|) table) are every rank's laid end to end, rank
+    ``r``'s from ``id_cuts[r]``, which shifts its positions where they
+    meet the lookups.  The result's proposals and moved mask are the
+    stack's, valid until the next sweep; ``segment_pairs`` counts each
+    rank's pairs."""
+    shift = id_cuts[:-1]
+    return propose_moves(
         index=stack.index,
         target_comm=stack.target,
         weights=None,
         self_mask=None,
         degrees=stack.degrees,
         cur_comm=stack.cur,
-        total_weight=sweep.total_weight,
+        total_weight=total_weight,
         tot_lookup=array_lookup(ids, info[0], shift),
         size_lookup=array_lookup(ids, info[1], shift),
         active=stack.active,
-        resolution=sweep.resolution,
+        resolution=resolution,
         plan=stack.plan,
         segments=Segments(stack.row_cuts, shift),
     )
-    cuts = stack.row_cuts
-    return [
-        (res.proposal[a:b], res.moved[a:b], int(pairs))
-        for a, b, pairs in zip(cuts[:-1], cuts[1:], res.segment_pairs)
-    ]
 
 
 def _push_step(
-    world: World,
-    scripts: Sequence[Script],
-    turns: list[_Turn],
-    sweeps: list[tuple[np.ndarray, np.ndarray, int]],
+    world: World, scripts: Sequence[Script], wp: _WorldPhase,
+    res: SweepResult,
 ) -> None:
     """Step (iv): everything the moves changed, one message per peer —
     the a_c/|c| deltas of the communities it owns (lines 10-11;
-    duplicates pre-aggregated in the view's dense space), which it
-    applies, and the new community of every moved vertex it ghosts (the
-    next round's lines 4-5): one push for the world, ``community_comm``.
-    Each rank relabels its moved vertices (line 9) first and absorbs
-    what was carried to it last."""
-    deposits = []
-    for t, (proposal, moved, _) in zip(turns, sweeps):
-        phase = t.phase
-        dg, view, state = phase.dg, phase.view, phase.state
-        ids, local_dense = view.ids, view.slot[:dg.num_local]
-        rows = np.flatnonzero(moved)
-        new_dense = proposal[rows]
-        delta_ids, dtot, dsize = aggregate_dense_deltas(
-            ids, local_dense[rows], new_dense, phase.k[rows]
+    duplicates pre-aggregated in the dense space), which it applies, and
+    the new community of every moved vertex it ghosts (the next round's
+    lines 4-5): one push for the world, ``community_comm``.  The moved
+    vertices are relabelled (line 9) first and what was carried is
+    absorbed last (:func:`_absorb`)."""
+    stack, p = wp.stack, len(scripts)
+    rows = np.flatnonzero(res.moved)
+    shift = np.repeat(
+        wp.id_cuts[:-1], np.diff(np.searchsorted(rows, wp.offsets))
+    )
+    new_dense = res.proposal.take(rows)
+    new = new_dense + shift
+    old = stack.cur.take(rows)
+    old += shift
+    touched, dtot, dsize = _world_deltas(
+        wp, old, new, stack.degrees.take(rows)
+    )
+    wp.local_comm[rows] = wp.ids.take(new)
+    wp.slot[wp.own_slot.take(rows)] = new_dense
+    stack.cur[rows] = new_dense
+    # The new labels of the moved vertices other ranks ghost.
+    changed = res.moved.take(wp.send_ids)
+    sent = wp.send_ids.compress(changed)
+    routed = np.bincount(
+        wp.send_pairs.compress(changed), minlength=p * p
+    ).reshape(p, p)
+    _, _, values = push_world(
+        world, scripts, wp.ids.take(touched), _owner_counts(wp, touched),
+        (dtot, dsize), (wp.tot, wp.size),
+        carry=(routed, sent, wp.local_comm.take(sent)),
+    )
+    # Each rank receives the labels of the moved vertices it ghosts, by
+    # owner and then id: in its ghosts' order.
+    _absorb(wp, np.flatnonzero(res.moved.take(wp.ghost_ids)), values)
+
+
+def _world_deltas(
+    wp: _WorldPhase, old: np.ndarray, new: np.ndarray, deg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Net (a_c, |c|) delta per community every rank's moves touched:
+    :func:`aggregate_dense_deltas` over the world's positions — a
+    position is one rank's, so each rank's sums are its own, added in
+    the same order — returning the touched positions, ascending."""
+    return aggregate_dense_deltas(
+        wp.workspace.positions(len(wp.ids)), old, new, deg
+    )
+
+
+def _absorb(wp: _WorldPhase, ghosts: np.ndarray, values: np.ndarray) -> None:
+    """The world's ghosts ``ghosts`` (ascending positions in the ghost
+    arrays, every rank's laid end to end) now belong to communities
+    ``values`` (raw ids, possibly never seen on their rank): update the
+    ghost copies and their slots, then re-aim every entry's target."""
+    if len(ghosts):
+        wp.values[ghosts] = values
+        wp.slot[wp.ghost_slot.take(ghosts)] = _positions(
+            wp, np.diff(np.searchsorted(ghosts, wp.ghost_cuts)), values
         )
-        state.local_comm[rows] = ids[new_dense]
-        local_dense[rows] = new_dense
-        deposits.append((
-            delta_ids, dg.cuts(delta_ids), (dtot, dsize),
-            (state.tot_owned, state.size_owned),
-            view.publish(state.local_comm, moved),
-        ))
-    for t, carried in zip(turns, push_world(world, scripts, deposits)):
-        t.phase.view.absorb(*carried)
+    wp.slot.take(wp.ctargets, out=wp.stack.target, mode="clip")
+
+
+def _positions(
+    wp: _WorldPhase, counts: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Position of each raw id of ``values`` in its rank's ``ids`` (rank
+    ``d``'s ``counts[d]`` after the ranks before), merging unseen ids in
+    — which shifts the positions above them, in ``slot`` too.  Keyed by
+    rank every rank's ids are one ascending array, so one search (of the
+    asked ids in ascending order, which halves its cost) and one insert
+    serve the world."""
+    p = len(counts)
+    top = int(values.max()) + 1
+    if top > wp.key_base:
+        wp.key_base = top
+        wp.keys = wp.ids + np.repeat(np.arange(p) * top, np.diff(wp.id_cuts))
+    asked = values + np.repeat(np.arange(p) * wp.key_base, counts)
+    order = asked.argsort()
+    asked = asked.take(order)
+    pos = np.searchsorted(wp.keys, asked)
+    unseen = wp.keys.take(pos, mode="clip") != asked
+    if unseen.any():
+        fresh = sorted_unique(asked[unseen])
+        at = np.searchsorted(wp.keys, fresh)
+        added = np.searchsorted(fresh, np.arange(p + 1) * wp.key_base)
+        # Every id moves up by the fresh ids of its rank below it: the
+        # fresh ids below it anywhere, less those of the ranks before.
+        lift = np.bincount(at, minlength=len(wp.keys) + 1)[:-1].cumsum()
+        lift -= np.repeat(added[:-1], np.diff(wp.id_cuts))
+        wp.slot += lift.take(wp.slot + wp.slot_shift)
+        wp.slot_shift += np.repeat(added[:-1], np.diff(wp.slot_cuts))
+        wp.slot.take(wp.own_slot, out=wp.stack.cur, mode="clip")
+        wp.keys = np.insert(wp.keys, at, fresh)
+        wp.ids = np.insert(
+            wp.ids, at, fresh - fresh // wp.key_base * wp.key_base
+        )
+        wp.id_cuts = wp.id_cuts + added
+        pos += np.searchsorted(fresh, asked)
+    out = np.empty_like(pos)
+    out[order] = pos
+    out -= np.repeat(wp.id_cuts[:-1], counts)
+    return out
 
 
 def _modularity_step(
-    world: World,
-    scripts: Sequence[Script],
-    turns: list[_Turn],
-    moved: list[np.ndarray],
+    world: World, scripts: Sequence[Script], phases: list[_Phase]
 ) -> list[np.ndarray]:
     """Step (v), global modularity (lines 12-13): every rank's
-    modularity partials and move / active / inactive counts (its ET
-    state updated on the way), the same 5-vector on every variant,
-    folded by the iteration's one allreduce; sets each
-    ``phase.state.q`` and returns the reduced vectors.
+    modularity partials and move / active / inactive counts (the world's
+    ET state updated on the way), the same 5-vector on every variant,
+    folded by the iteration's one allreduce; returns the reduced
+    vectors.
 
     The rounds' pushes have delivered every move, so both sides of every
     stored entry evaluate under the *post-move* assignment: the estimate
@@ -669,35 +890,43 @@ def _modularity_step(
     requirement for bit-identity across rank counts and input
     partitions).  Each sweep still decided against the synchronisation
     point before it (§III-B)."""
+    wp = phases[0].world
+    stack = wp.stack
     cost = world.machine.compute_cost
+    scratch = stack.plan.scratch
+    scratch.top = 0
+    intra = scratch.take(stack.cur, stack.rows)
+    intra = np.equal(
+        intra, stack.target, out=scratch.empty(len(intra), np.dtype(bool))
+    )
+    if wp.prob is not None:
+        update_activity(wp.prob, wp.inactive, wp.moved, wp.alpha, wp.floor)
+    squares = np.square(wp.tot)
     partials = []
-    for script, t, mask in zip(scripts, turns, moved):
-        dg, view, state = t.phase.dg, t.phase.view, t.phase.state
-        intra = view.slot[dg.local_rows()] == view.target
-        local_in = float(dg.weights.compress(intra).sum())
-        script.charge("compute", cost(dg.num_local_entries))
-        inactive = state.et.update(mask) if state.et is not None else 0
+    ecuts, vcuts = stack.entry_cuts.tolist(), wp.offsets.tolist()
+    for r, (script, phase) in enumerate(zip(scripts, phases)):
+        e0, e1, v0, v1 = ecuts[r], ecuts[r + 1], vcuts[r], vcuts[r + 1]
+        script.charge("compute", cost(e1 - e0))
         # a_c^2 is summed *before* dividing by w^2 (like _record_phase's
         # exact Q) so the reduction is exact for integer weights — the
         # per-rank grouping of communities then cannot perturb Q, which
         # keeps every rank count and input partition bit-identical.  The
         # three counts ride along: below 2**53 they sum exactly in
         # float64 in any order.  (Colour classes are disjoint, so no
-        # vertex moves twice in one iteration.)
+        # vertex moves twice in one iteration.)  Each rank's float sums
+        # are over its own segment, as it would sum them alone (numpy's
+        # pairwise order, not left to right).
         partials.append(np.array([
-            local_in, float(np.square(state.tot_owned).sum()),
-            float(np.count_nonzero(mask)), float(t.active.sum()),
-            float(inactive),
+            float(phase.dg.weights.compress(intra[e0:e1]).sum()),
+            float(squares[v0:v1].sum()),
+            float(np.count_nonzero(wp.moved[v0:v1])),
+            float(np.count_nonzero(wp.active[v0:v1])),
+            float(
+                0 if wp.inactive is None
+                else np.count_nonzero(wp.inactive[v0:v1])
+            ),
         ]))
-    totals = allreduce_world(world, scripts, partials)
-    for t, total in zip(turns, totals):
-        w = t.phase.dg.total_weight
-        t.phase.state.q = (
-            float(total[0] / w - t.resolution * total[1] / (w * w))
-            if w > 0
-            else 0.0
-        )
-    return totals
+    return allreduce_world(world, scripts, partials)
 
 
 def _exit_tests(
@@ -776,8 +1005,8 @@ def _apply_community_deltas(
     the community owners, who apply them in source-rank order
     (:meth:`~repro.runtime.comm.Communicator.push`).
 
-    ``labels`` — a sweep round's :meth:`_CommunityView.publish`,
-    ``(counts, ids, values)`` in destination order — leaves in the same
+    ``labels`` — ``(counts, ids, values)`` in destination order, as a
+    sweep round lists its moved vertices' labels — leaves in the same
     message as that rank's delta slice; returns the ``(ids, values)``
     every rank sent here, concatenated in source order (``()`` without
     labels).  One exchange, charged to ``community_comm``; every rank

@@ -50,7 +50,10 @@ class EarlyTermination:
     """Per-vertex activity state for one phase (Eq. 3).
 
     The state is local to a rank (vertex activity needs no
-    communication of its own).  Deterministic given the seed.
+    communication of its own); in a distributed phase :attr:`prob` and
+    :attr:`permanently_inactive` are the rank's segments of the world's
+    arrays, which the iteration updates for every rank at once
+    (:func:`update_activity`).  Deterministic given the seed.
     """
 
     def __init__(
@@ -88,17 +91,35 @@ class EarlyTermination:
         """
         if len(moved) != self.num_vertices:
             raise ValueError("moved mask length mismatch")
-        self.prob[moved] = 1.0
-        self.permanently_inactive[moved] = False
-        stayed = ~moved
-        self.prob[stayed] *= 1.0 - self.alpha
-        self.permanently_inactive |= self.prob < self.floor
+        update_activity(
+            self.prob, self.permanently_inactive, moved, self.alpha,
+            self.floor,
+        )
         return int(self.permanently_inactive.sum())
 
     def inactive_fraction(self) -> float:
         if self.num_vertices == 0:
             return 0.0
         return float(self.permanently_inactive.mean())
+
+
+def update_activity(
+    prob: np.ndarray,
+    permanently_inactive: np.ndarray,
+    moved: np.ndarray,
+    alpha: float,
+    floor: float,
+) -> None:
+    """Eq. 3 in place, over one rank's vertices or every rank's laid end
+    to end (alpha and the floor are the config's, the same everywhere):
+    a vertex that moved is active with probability 1 again, one that
+    stayed decays by ``1 - alpha``, and one below ``floor`` is
+    permanently inactive."""
+    stayed = ~moved
+    np.multiply(prob, 1.0 - alpha, out=prob, where=stayed)
+    prob[moved] = 1.0
+    permanently_inactive &= stayed
+    permanently_inactive |= prob < floor
 
 
 def make_rank_rng(seed: int, rank: int, phase: int) -> np.random.Generator:

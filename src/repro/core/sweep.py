@@ -212,9 +212,9 @@ class StackedSweep:
     """CSR slices laid end to end as the input of one sweep
     (:meth:`SweepWorkspace.stack`); its arrays live in the workspace.
 
-    ``index``, ``degrees`` and ``plan`` are fixed when it is built.
-    ``target``, ``cur`` and ``active`` are written by the owner of each
-    slice before every sweep, in the slice's own community ids
+    ``index``, ``rows``, ``degrees`` and ``plan`` are fixed when it is
+    built.  ``target``, ``cur`` and ``active`` are written
+    before every sweep, each slice's in its own community ids
     (:meth:`segment`); :class:`Segments` keeps those apart in the sweep.
     """
 
@@ -222,6 +222,8 @@ class StackedSweep:
     #: Row index of the stacked CSR: slice ``s``'s entries offset by
     #: ``entry_cuts[s]``.
     index: np.ndarray
+    #: Row of every stacked CSR entry, self loops included.
+    rows: np.ndarray
     degrees: np.ndarray
     #: Community of every entry's target, of every row, and the active
     #: flag of every row.
@@ -283,6 +285,7 @@ class SweepWorkspace:
         inner_cuts = _cuts([len(s.entries) for s in slices])
         n, inner = int(row_cuts[-1]), int(inner_cuts[-1])
         index = self.array("index", n + 1, np.int64)
+        rows = self.array("rows", int(entry_cuts[-1]), np.int64)
         degrees = self.array("degrees", n, np.float64)
         entries = self.array("entries", inner, np.int64)
         entry_rows = self.array("entry_rows", inner + n, np.int64)
@@ -291,9 +294,11 @@ class SweepWorkspace:
         for s, part in enumerate(slices):
             r0, r1 = row_cuts[s], row_cuts[s + 1]
             i0, i1 = inner_cuts[s], inner_cuts[s + 1]
-            np.add(part.index[1:], entry_cuts[s], out=index[r0 + 1:r1 + 1])
+            e0, e1 = entry_cuts[s], entry_cuts[s + 1]
+            np.add(part.index[1:], e0, out=index[r0 + 1:r1 + 1])
+            np.add(part.rows, r0, out=rows[e0:e1])
             degrees[r0:r1] = part.degrees
-            np.add(part.entries, entry_cuts[s], out=entries[i0:i1])
+            np.add(part.entries, e0, out=entries[i0:i1])
             part.rows.take(part.entries, out=entry_rows[i0:i1], mode="clip")
             entry_rows[i0:i1] += r0
             part.weights.take(
@@ -317,6 +322,7 @@ class SweepWorkspace:
         return StackedSweep(
             plan=plan,
             index=index,
+            rows=rows,
             degrees=degrees,
             target=self.array("target", int(entry_cuts[-1]), np.int64),
             cur=self.array("cur", n, np.int64),
@@ -627,12 +633,12 @@ def _shifted(
 ) -> np.ndarray:
     """``ids`` as the lookups number them: the run ``cuts[s]:cuts[s + 1]``
     (segment ``s``'s) plus ``shift[s]``, written into ``out`` (int64, as
-    long as ``ids``); ``ids`` itself when nothing shifts."""
+    long as ``ids``); ``ids`` itself when nothing shifts.  The shifts,
+    repeated by segment length, are added in one pass whatever the
+    segment count."""
     if shift is None:
         return ids
-    for s, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-        np.add(ids[a:b], shift[s], out=out[a:b])
-    return out
+    return np.add(ids, shift.repeat(np.diff(cuts)), out=out)
 
 
 def array_lookup(

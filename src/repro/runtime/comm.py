@@ -183,9 +183,9 @@ def _counts(cuts: Sequence[np.ndarray]) -> np.ndarray:
     return c[:, 1:] - c[:, :-1]
 
 
-def _widths(arrays: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
-    """Bytes per id of every rank's aligned ``arrays``, as a column."""
-    return np.array([[sum(a.itemsize for a in row)] for row in arrays])
+def _width(arrays: Sequence[np.ndarray]) -> int:
+    """Bytes per element of aligned ``arrays``."""
+    return sum(a.itemsize for a in arrays)
 
 
 def _joined(parts: Sequence[np.ndarray]) -> np.ndarray:
@@ -194,16 +194,23 @@ def _joined(parts: Sequence[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _split(cuts: Sequence[int], fields: Sequence[np.ndarray]) -> list[tuple]:
+    """Rank ``r``'s slice ``cuts[r]:cuts[r + 1]`` of every field."""
+    return [
+        tuple(f[cuts[r]:cuts[r + 1]] for f in fields)
+        for r in range(len(cuts) - 1)
+    ]
+
+
 def _route(
-    counts: np.ndarray, arrays: Sequence[Sequence[np.ndarray]]
-) -> list[tuple[np.ndarray, ...]]:
-    """Personalised routing of concatenated arrays in one gather per
-    field: ``arrays[s]`` are rank ``s``'s arrays in destination order,
-    ``counts[s, d]`` elements for rank ``d``; rank ``d`` gets, per
-    field, what every rank sent it concatenated in source order."""
+    counts: np.ndarray, arrays: Sequence[np.ndarray]
+) -> tuple[np.ndarray, ...]:
+    """Personalised routing of laid-out arrays in one gather per field:
+    ``arrays`` hold every rank's elements in destination order, rank
+    ``s``'s after rank ``s - 1``'s, ``counts[s, d]`` of rank ``s``'s for
+    rank ``d``.  Returns ``(cuts, *fields)``: per field what every rank
+    receives, rank ``d``'s at ``cuts[d]:cuts[d + 1]``, in source order."""
     p = len(counts)
-    if not counts.any():
-        return [tuple(a[:0] for a in arrays[0])] * p
     flat = counts.ravel()
     lengths = counts.T.ravel()
     # Segment (s, d) moves from its start in the source-major layout to
@@ -212,11 +219,9 @@ def _route(
     shift -= lengths.cumsum() - lengths
     index = shift.repeat(lengths)
     index += np.arange(len(index))
-    fields = [np.concatenate(field).take(index) for field in zip(*arrays)]
-    cuts = list(accumulate(counts.sum(axis=0).tolist(), initial=0))
-    return [
-        tuple(f[cuts[d]:cuts[d + 1]] for f in fields) for d in range(p)
-    ]
+    cuts = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(counts.sum(axis=0), out=cuts[1:])
+    return (cuts, *(field.take(index) for field in arrays))
 
 
 class Script:
@@ -305,46 +310,93 @@ def alltoall_world(
 
 
 def lookup_world(
+    world: "World",
+    scripts: Sequence[Script],
+    ids: np.ndarray,
+    counts: np.ndarray,
+    tables: Sequence[np.ndarray],
+) -> list[np.ndarray]:
+    """The world half of an owner-routed lookup, request and reply legs
+    for every rank: ``ids`` are every rank's asks laid end to end, rank
+    ``s``'s asking ``counts[s, d]`` of them of rank ``d``; ``tables``
+    arrive joined — the owners' dense tables laid end to end, one per
+    field.  Ownership is contiguous from 0, so they are indexed by global
+    id and one gather per field answers the world.  Request ``(d, s)``
+    carries the ids ``d`` asks ``s`` for, reply ``(s, d)`` one value per
+    id and field.  Returns one array per field, aligned with ``ids``."""
+    fields = [table.take(ids) for table in tables]
+    _leg(world, scripts, _count_sizes(counts * ids.itemsize))
+    _leg(world, scripts, _count_sizes(counts.T * _width(tables)))
+    return fields
+
+
+def _lookup_ranks(
     world: "World", scripts: Sequence[Script], deposits: list[Any]
 ) -> list[tuple[np.ndarray, ...]]:
-    """World half of :meth:`Communicator.lookup`, request and reply legs
-    for every rank: ``deposits[r] = (ids, cuts, tables)``.  Ownership is
-    contiguous from 0, so every rank's tables laid end to end are
-    indexed by global id and one gather per field answers the world.
-    Request ``(d, s)`` carries the ids ``d`` asks ``s`` for, reply
-    ``(s, d)`` one value per id and field."""
+    """:func:`lookup_world` over per-rank deposits ``(ids, cuts,
+    tables)`` (:meth:`Communicator.lookup`): joined, answered, cut back
+    per rank."""
     asks = [d[0] for d in deposits]
-    owners = [d[2] for d in deposits]
-    counts = _counts([d[1] for d in deposits])
-    asked = _joined(asks)
-    fields = [_joined(w).take(asked) for w in zip(*owners)]
-    cuts = list(accumulate([len(a) for a in asks], initial=0))
-    _leg(world, scripts, _count_sizes(counts * _widths([[a] for a in asks])))
-    _leg(world, scripts, _count_sizes(counts.T * _widths(owners)))
-    return [
-        tuple(f[cuts[r]:cuts[r + 1]] for f in fields)
-        for r in range(len(deposits))
-    ]
+    fields = lookup_world(
+        world, scripts, _joined(asks), _counts([d[1] for d in deposits]),
+        [_joined(t) for t in zip(*(d[2] for d in deposits))],
+    )
+    return _split(list(accumulate(map(len, asks), initial=0)), fields)
 
 
 def push_world(
+    world: "World",
+    scripts: Sequence[Script],
+    ids: np.ndarray,
+    counts: np.ndarray,
+    values: Sequence[np.ndarray],
+    tables: Sequence[np.ndarray],
+    carry: tuple[np.ndarray, ...] | None = None,
+) -> tuple[np.ndarray, ...]:
+    """The world half of an owner-routed push, one leg for every rank:
+    ``ids`` are every rank's ids laid end to end, ``counts[s, d]`` of
+    rank ``s``'s owned by rank ``d``, ``values`` one array per field
+    aligned with them.  ``tables`` arrive joined, as in
+    :func:`lookup_world`, and every value lands in them with one
+    ``np.add.at`` per field, in source-rank order — the order one
+    ``np.add.at`` per source gives each element.  ``carry = (counts,
+    *arrays)`` routes arrays laid out the same way (each rank's in
+    destination order, ``counts[s, d]`` of rank ``s``'s for ``d``) in the
+    same messages; returns :func:`_route`'s ``(cuts, *fields)`` of what
+    was carried, ``()`` without ``carry``."""
+    payload = counts * _width([ids, *values])
+    for table, field in zip(tables, values):
+        np.add.at(table, ids, field)
+    carried: tuple[np.ndarray, ...] = ()
+    if carry is not None:
+        routed, *arrays = carry
+        payload += routed * _width(arrays)
+        carried = _route(routed, arrays)
+    _leg(world, scripts, _count_sizes(payload))
+    return carried
+
+
+def _push_ranks(
     world: "World", scripts: Sequence[Script], deposits: list[Any]
 ) -> list[tuple[np.ndarray, ...]]:
-    """World half of :meth:`Communicator.push`, one leg for every rank:
-    ``deposits[r] = (ids, cuts, values, tables, carry)``.  Every rank's
-    values land with one ``np.add.at`` per field over the world's tables
-    laid end to end, in source-rank order — the order one ``np.add.at``
-    per source gives each element — and each owner's slice is copied
-    back.  Carried arrays are routed in the same messages."""
+    """:func:`push_world` over per-rank deposits ``(ids, cuts, values,
+    tables, carry)`` (:meth:`Communicator.push`): the owners' tables are
+    joined for it and each owner's slice copied back, and what was
+    carried is cut per destination."""
     p = len(deposits)
     owners = [d[3] for d in deposits]
-    payload = _counts([d[1] for d in deposits]) * _widths(
-        [(d[0], *d[2]) for d in deposits]
-    )
-    at = _joined([d[0] for d in deposits])
     joined = [_joined(w) for w in zip(*owners)]
-    for table, field in zip(joined, zip(*(d[2] for d in deposits))):
-        np.add.at(table, at, _joined(field))
+    carry = None
+    if deposits[0][4]:
+        carry = (
+            np.array([d[4][0] for d in deposits]),
+            *(_joined(f) for f in zip(*(d[4][1:] for d in deposits))),
+        )
+    carried = push_world(
+        world, scripts, _joined([d[0] for d in deposits]),
+        _counts([d[1] for d in deposits]),
+        [_joined(f) for f in zip(*(d[2] for d in deposits))], joined, carry,
+    )
     lo = 0
     for own in owners:
         hi = lo + len(own[0])
@@ -352,14 +404,9 @@ def push_world(
             if mine is not table:
                 mine[:] = table[lo:hi]
         lo = hi
-    carried = [()] * p
-    if deposits[0][4]:
-        routed = np.array([d[4][0] for d in deposits])
-        arrays = [d[4][1:] for d in deposits]
-        payload += routed * _widths(arrays)
-        carried = _route(routed, arrays)
-    _leg(world, scripts, _count_sizes(payload))
-    return carried
+    if not carried:
+        return [()] * p
+    return _split(carried[0], carried[1:])
 
 
 def allreduce_world(
@@ -1056,7 +1103,7 @@ class Communicator:
         """
         return self.scripted(
             "lookup", [("alltoall", category)] * 2,
-            (ids, cuts, tuple(tables)), lookup_world,
+            (ids, cuts, tuple(tables)), _lookup_ranks,
         )
 
     def push(
@@ -1079,7 +1126,7 @@ class Communicator:
         return self.scripted(
             "push", [("alltoall", category)],
             (ids, cuts, tuple(values), tuple(tables), tuple(carry or ())),
-            push_world,
+            _push_ranks,
         )
 
     def scripted(

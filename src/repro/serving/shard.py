@@ -205,6 +205,11 @@ def _shard_main(conn: Any, config: ShardConfig) -> None:
                 else:
                     conn.send(("error", f"unknown command {cmd!r}"))
             except Exception as exc:  # keep the protocol alive
+                engine.metrics.inc("rpc_errors")
+                if engine.event_log is not None:
+                    engine.event_log.emit(
+                        "rpc_error", command=cmd, error=repr(exc)
+                    )
                 try:
                     conn.send(("error", repr(exc)))
                 except (BrokenPipeError, OSError):

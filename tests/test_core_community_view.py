@@ -1,11 +1,12 @@
 """The per-phase community view and the dense-space delta aggregation.
 
 ``_CommunityView`` is derived state the sweep rounds patch instead of
-rebuilding: these tests hold it to what a rebuild from the raw labels
-would give — after arbitrary patches, after every round of real runs
-(where the iteration's world function runs them),
-and after a resume — and hold ``aggregate_dense_deltas`` to the sort-based
-reference it replaced.
+rebuilding — every rank's at once, over the world's arrays its view is
+a segment of: these tests hold it to what a rebuild from the raw labels
+would give — after arbitrary patches (``_absorb`` over the world),
+after every round of real runs (where the iteration's world function
+runs them), and after a resume — and hold ``aggregate_dense_deltas`` to
+the sort-based reference it replaced.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from hypothesis import strategies as st
 
 from repro.core import LouvainConfig, Variant, aggregate_deltas, run_louvain
 from repro.core import distlouvain
-from repro.core.distlouvain import _CommunityView, aggregate_dense_deltas
+from repro.core.distlouvain import (
+    _absorb, _stack_phase, aggregate_dense_deltas,
+)
+from repro.core.state import IterationState
 from repro.graph import CSRGraph, DistGraph
 from repro.resilience import FaultPlan
 from repro.runtime import FREE, RankFailedError, run_spmd
@@ -70,6 +74,20 @@ steps = st.lists(
 )
 
 
+def _absorb_all(deposits):
+    """``_absorb`` of every rank's ``(world, ghost positions, values)``."""
+    world = deposits[0][0]
+    _absorb(
+        world,
+        np.concatenate([
+            world.ghost_cuts[r] + ghosts
+            for r, (_, ghosts, _) in enumerate(deposits)
+        ]),
+        np.concatenate([values for _, _, values in deposits]),
+    )
+    return [None] * len(deposits)
+
+
 @given(
     n=st.integers(6, 30), m=st.integers(4, 90), seed=st.integers(0, 2**16),
     p=st.integers(2, 4), steps=steps,
@@ -77,8 +95,8 @@ steps = st.lists(
 @settings(**COMMON)
 def test_view_survives_random_patches(n, m, seed, p, steps):
     """Local moves (positions the kernel would propose) and ghost
-    updates (raw ids, some never seen on this rank) in any order leave
-    the view equal to one rebuilt from the labels."""
+    updates (raw ids, some never seen on their rank) in any order leave
+    every rank's view equal to one rebuilt from the labels."""
     g = random_graph(np.random.default_rng(seed), n, m)
     # Community ids sit in the middle of a wider id space so unseen ids
     # can land below and above everything known.
@@ -88,10 +106,14 @@ def test_view_survives_random_patches(n, m, seed, p, steps):
         dg = DistGraph.distribute(comm, g, partition="even_vertex")
         plan = dg.build_ghost_plan(comm)
         nloc, nghost = dg.num_local, plan.num_ghosts
-        local_comm = lo + dg.local_vertex_ids()
-        view = _CommunityView(
-            dg, plan, local_comm, lo + plan.ghost_ids.copy()
+        k = dg.local_degrees()
+        state = IterationState(
+            lo + dg.local_vertex_ids(), k, np.ones(nloc, dtype=np.int64)
         )
+        world, view = _stack_phase(
+            comm, dg, plan, k, state, lo + plan.ghost_ids, None, 1.0
+        )
+        local_comm = state.local_comm
         assert_view_consistent(view, dg, local_comm)
         for step_seed, kind, where in steps:
             rng = np.random.default_rng((step_seed, comm.rank))
@@ -114,7 +136,7 @@ def test_view_survives_random_patches(n, m, seed, p, steps):
                     rng.integers(low, high, len(moved)),
                     rng.choice(view.ids, len(moved)),
                 )
-            view.absorb(plan.ghost_ids[moved], values)
+            comm.world_call((world, moved, values), _absorb_all)
             np.testing.assert_array_equal(view.values[moved], values)
             assert_view_consistent(view, dg, local_comm)
         return True
@@ -133,10 +155,9 @@ def checked_rounds(monkeypatch):
     real = distlouvain._world_round
     checked: dict[int, int] = {}
 
-    def world_round(world, scripts, turns, k):
-        out = real(world, scripts, turns, k)
-        for rank, turn in enumerate(turns):
-            phase = turn.phase
+    def world_round(world, scripts, phases, k):
+        out = real(world, scripts, phases, k)
+        for rank, phase in enumerate(phases):
             assert_view_consistent(
                 phase.view, phase.dg, phase.state.local_comm
             )

@@ -329,8 +329,9 @@ class TestCommunityInfoCoverage:
     def test_iteration_owner_table_not_its_interval_names_the_rank(
         self, planted_blocks, monkeypatch
     ):
-        # The iteration's fetch runs every rank's step on one thread:
-        # the error must still say whose table it was.
+        # The iteration works on every rank's tables laid end to end, of
+        # which a rank's ``tot_owned`` is a segment: replacing it with a
+        # table that is not its interval must raise, naming the rank.
         from repro.core import distlouvain
         from repro.runtime import RankFailedError
 
@@ -340,8 +341,8 @@ class TestCommunityInfoCoverage:
         def short_table(comm, *args, **kwargs):
             phase = real(comm, *args, **kwargs)
             if comm.rank == 1:
-                phase.state.tot_owned = phase.state.tot_owned[:-1]
                 shortened.append(comm.rank)
+                phase.state.tot_owned = phase.state.tot_owned[:-1]
             return phase
 
         monkeypatch.setattr(distlouvain, "_begin_phase", short_table)
@@ -375,26 +376,31 @@ class TestCommunityInfoCoverage:
     def test_iteration_delta_for_a_non_vertex_names_the_rank(
         self, planted_blocks, monkeypatch
     ):
-        # The iteration's push step routes every rank's deltas on one
-        # thread: the error must still say whose they were.
+        # The iteration's push step routes every rank's deltas at once:
+        # the error must still say whose they were.
         from repro.core import distlouvain
         from repro.runtime import RankFailedError
 
-        real = distlouvain.aggregate_dense_deltas
+        real = distlouvain._world_deltas
         calls = []
         n = planted_blocks.num_vertices
 
-        def stray(*args):
-            ids, dtot, dsize = real(*args)
-            calls.append(len(ids))
-            if len(calls) == 2:  # rank 1's deltas of the first round
-                ids, dtot, dsize = (
-                    np.append(ids, n + 3), np.append(dtot, 0.0),
-                    np.append(dsize, 0),
+        def stray(wp, *args):
+            touched, dtot, dsize = real(wp, *args)
+            calls.append(len(touched))
+            if len(calls) == 1:
+                # The first round also touches a community outside the
+                # vertex space, the last id of rank 1 (the last rank).
+                wp.ids = np.append(wp.ids, n + 3)
+                wp.keys = np.append(wp.keys, wp.key_base + n + 3)
+                wp.id_cuts = wp.id_cuts + [0, 0, 1]
+                touched, dtot, dsize = (
+                    np.append(touched, len(wp.ids) - 1),
+                    np.append(dtot, 0.0), np.append(dsize, 0),
                 )
-            return ids, dtot, dsize
+            return touched, dtot, dsize
 
-        monkeypatch.setattr(distlouvain, "aggregate_dense_deltas", stray)
+        monkeypatch.setattr(distlouvain, "_world_deltas", stray)
         with pytest.raises(RankFailedError) as excinfo:
             run_louvain(planted_blocks, 2, machine=FREE, timeout=15.0)
         cause = excinfo.value.causes[excinfo.value.rank]

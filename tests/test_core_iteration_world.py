@@ -10,7 +10,10 @@ rank must hold what it holds there: owner tables, view, labels, ET
 state, clock, and the trace's seconds by category, messages, bytes and
 collective counts, fault-plan delays included.  A rank killed at any op
 of an iteration fails the world with its own ``InjectedFault``, and a
-resume from disk checkpoints ends as the uninterrupted run does.
+resume from disk checkpoints ends as the uninterrupted run does.  The
+configs include the paths that reassign a rank's labels or ghost copies
+outside the rounds (vertex following, Leiden, a warm start): each rank's
+state is a segment of the world's arrays, which must never go stale.
 """
 
 from __future__ import annotations
@@ -34,7 +37,16 @@ CONFIGS = {
     "etc": LouvainConfig(variant=Variant.ETC, alpha=0.25, seed=1),
     "coloring": LouvainConfig(use_coloring=True, seed=5),
     "resolution": LouvainConfig(variant=Variant.ET, alpha=0.5, resolution=0.7),
+    # The paths that reassign a rank's labels or ghost copies outside
+    # the rounds (the vertex-following pre-merge, Leiden's relabelling,
+    # a warm start's seed), where a stale segment of the world's arrays
+    # would show.
+    "vertex following": LouvainConfig(vertex_following=True),
+    "leiden": LouvainConfig(refine="leiden", seed=2),
+    "warm start": LouvainConfig(variant=Variant.ET, alpha=0.5, seed=6),
 }
+#: Configs run from a seed assignment (``initial_assignment``).
+WARM = {"warm start"}
 
 
 def _graph(fractional: bool) -> CSRGraph:
@@ -71,7 +83,9 @@ def _et_state(et) -> list:
     ]
 
 
-def _after_every_iteration(g, p, config, iterate, fault_plan):
+def _after_every_iteration(
+    g, p, config, iterate, fault_plan, initial_assignment=None
+):
     """Per rank, a snapshot after every iteration of the detection with
     ``iterate`` in place of ``_iterate``."""
     seen = {rank: [] for rank in range(p)}
@@ -98,7 +112,8 @@ def _after_every_iteration(g, p, config, iterate, fault_plan):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distlouvain, "_iterate", snapshot)
         result = run_louvain(
-            g, p, config, machine=CORI_HASWELL, fault_plan=fault_plan
+            g, p, config, machine=CORI_HASWELL, fault_plan=fault_plan,
+            initial_assignment=initial_assignment,
         )
     return seen, result
 
@@ -123,8 +138,10 @@ def _assert_equal_snapshots(got, want):
 @pytest.mark.parametrize("fractional", [False, True])
 def test_world_iteration_equals_per_rank_iteration(p, config, fractional):
     g, cfg = _graph(fractional), CONFIGS[config]
+    # Blocks of seven consecutive vertices, across the planted blocks.
+    warm = np.arange(g.num_vertices) // 7 if config in WARM else None
     runs = [
-        _after_every_iteration(g, p, cfg, iterate, _delays(p))
+        _after_every_iteration(g, p, cfg, iterate, _delays(p), warm)
         for iterate in (distlouvain._iterate, iteration_reference.iterate)
     ]
     (got, got_result), (want, want_result) = runs

@@ -21,9 +21,11 @@ import numpy as np
 import pytest
 
 from repro.core import LouvainConfig, Variant, distlouvain, run_louvain
-from repro.core.distlouvain import _stack_sweep, _sweep_step
-from repro.core.sweep import SweepPlan, SweepSlice, array_lookup, propose_moves
-from repro.runtime import FREE, run_spmd
+from repro.core.distlouvain import _sweep_step
+from repro.core.sweep import (
+    SweepPlan, SweepSlice, SweepWorkspace, array_lookup, propose_moves,
+)
+from repro.runtime import FREE
 
 from .conftest import planted_blocks_graph
 from .oracles.sweep_reference import propose_moves as reference_propose_moves
@@ -283,30 +285,38 @@ def rank_slices(case: dict, p: int) -> list[dict]:
 
 
 def world_sweep(slices, active, total_weight, resolution):
-    """Each rank's ``(proposal, moved, pairs)`` from the world call a
-    phase makes (:func:`_stack_sweep`) and a round's sweep step
-    (:func:`_sweep_step`, run here as a world call of its own)."""
+    """Each rank's ``(proposal, moved, pairs)`` from a round's sweep step
+    (:func:`_sweep_step`) over every rank's slice, laid end to end as a
+    phase lays them (``SweepWorkspace.stack``) with every rank's ids and
+    dense tables joined."""
 
-    def prog(comm):
-        s = slices[comm.rank]
-        rows = np.repeat(np.arange(len(s["index"]) - 1), np.diff(s["index"]))
-        sweep = _stack_sweep(
-            comm,
+    def sweep(parts):
+        stack = SweepWorkspace().stack([
             SweepSlice(
                 s["index"], s["weights"], np.flatnonzero(~s["self_mask"]),
-                rows, s["degrees"],
-            ),
-            total_weight,
-            resolution,
+                np.repeat(np.arange(len(s["index"]) - 1), np.diff(s["index"])),
+                s["degrees"],
+            )
+            for s in parts
+        ])
+        for r, s in enumerate(parts):
+            target, cur, rank_active = stack.segment(r)
+            target[:], cur[:] = s["target"], s["cur"]
+            rank_active[:] = active[s["rows"]]
+        id_cuts = np.zeros(len(parts) + 1, dtype=np.int64)
+        np.cumsum([len(s["ids"]) for s in parts], out=id_cuts[1:])
+        res = _sweep_step(
+            stack, np.concatenate([s["ids"] for s in parts]),
+            np.concatenate([s["info"] for s in parts], axis=1), id_cuts,
+            total_weight, resolution,
         )
-        sweep.target[:] = s["target"]
-        proposal, moved, pairs = comm.world_call(
-            (sweep, s["cur"], active[s["rows"]], s["info"], s["ids"]),
-            _sweep_step,
-        )
-        return proposal.copy(), moved.copy(), pairs
+        cuts = stack.row_cuts
+        return [
+            (res.proposal[a:b].copy(), res.moved[a:b].copy(), int(pairs))
+            for a, b, pairs in zip(cuts[:-1], cuts[1:], res.segment_pairs)
+        ]
 
-    return run_spmd(len(slices), prog, machine=FREE, timeout=30.0).values
+    return sweep(slices)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 7])
@@ -357,10 +367,10 @@ def test_concurrent_detections_do_not_share_a_workspace(monkeypatch):
     real = distlouvain._sweep_step
     sweeps = []
 
-    def yielding(rounds):
-        sweeps.append(len(rounds))
+    def yielding(stack, *args):
+        sweeps.append(len(stack.row_cuts) - 1)
         time.sleep(0.0005)
-        return real(rounds)
+        return real(stack, *args)
 
     monkeypatch.setattr(distlouvain, "_sweep_step", yielding)
     got: list = [None, None]

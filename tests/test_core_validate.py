@@ -4,10 +4,7 @@ internal consistency of the Louvain iteration machinery)."""
 import numpy as np
 import pytest
 
-from repro.core.distlouvain import (
-    _CommunityView,
-    louvain_phase_distributed,
-)
+from repro.core.distlouvain import louvain_phase_distributed
 from repro.core import LouvainConfig, RunState
 from repro.core.validate import (
     AuditReport,
@@ -19,6 +16,7 @@ from repro.graph import DistGraph
 from repro.runtime import FREE, run_spmd
 
 from .conftest import planted_blocks_graph
+from .oracles.iteration_reference import publish
 
 
 class TestAuditReport:
@@ -169,9 +167,10 @@ class TestGhostChannelDeltaCoherence:
             size = np.ones(dg.num_local, dtype=np.int64)
             local_comm = np.arange(dg.vbegin, dg.vend, dtype=np.int64)
 
-            def move_to(new_comm, chan=None):
+            def move_to(new_comm, ghosts=None):
                 """One round's exchange for the moves ``local_comm`` ->
-                ``new_comm``; with a view, the labels ride along."""
+                ``new_comm``; with ghost copies, the labels ride along
+                and land there."""
                 moved = new_comm != local_comm
                 labels = _apply_community_deltas(
                     comm, dg,
@@ -180,24 +179,22 @@ class TestGhostChannelDeltaCoherence:
                     ),
                     tot_owned=tot, size_owned=size,
                     labels=(
-                        None if chan is None
-                        else chan.publish(new_comm, moved)
+                        None if ghosts is None
+                        else publish(dg, plan, new_comm, moved)
                     ),
                 )
-                if chan is not None:
-                    chan.absorb(*labels)
+                if ghosts is not None:
+                    ids, values = labels
+                    ghosts[np.searchsorted(plan.ghost_ids, ids)] = values
                 local_comm[:] = new_comm
 
             if scrambled_start:
                 move_to(rng.integers(0, dg.num_global_vertices, dg.num_local))
-            chan = _CommunityView(
-                dg, plan, local_comm,
-                dg.exchange_ghost_values(comm, plan, local_comm),
-            )
+            ghosts = dg.exchange_ghost_values(comm, plan, local_comm)
 
             def coherent():
                 return (
-                    audit_ghost_coherence(comm, dg, local_comm, chan.values).ok
+                    audit_ghost_coherence(comm, dg, local_comm, ghosts).ok
                     and audit_community_info(
                         comm, dg, local_comm, tot, size
                     ).ok
@@ -212,7 +209,7 @@ class TestGhostChannelDeltaCoherence:
                     new_comm[idx] = rng.integers(
                         0, dg.num_global_vertices, 3
                     )
-                move_to(new_comm, chan)
+                move_to(new_comm, ghosts)
                 oks.append(coherent())
             return oks
 
@@ -223,8 +220,8 @@ class TestGhostChannelDeltaCoherence:
         self._churn_rounds(planted_blocks, scrambled_start=False)
 
     def test_resume_shaped_start_stays_coherent(self, planted_blocks):
-        # A resumed (or warm-started) phase builds the channel from an
-        # arbitrary assignment, not the singleton one.
+        # A resumed (or warm-started) phase starts its ghost copies from
+        # an arbitrary assignment, not the singleton one.
         self._churn_rounds(planted_blocks, scrambled_start=True)
 
 

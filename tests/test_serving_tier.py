@@ -5,6 +5,7 @@ where possible and keep graphs tiny.  The destructive drills (shard
 death, drain cancellation) build their own fleets.
 """
 
+import json
 import multiprocessing
 import threading
 import time
@@ -242,6 +243,35 @@ class TestDrain:
         finally:
             call("shutdown", False)
             loop.join()
+
+    def test_failed_rpc_is_counted_and_logged(self, tmp_path):
+        """A command that raises keeps its error reply, and the shard's
+        engine counts it (``rpc_errors``) and logs one ``rpc_error``
+        event naming the command."""
+        events = tmp_path / "events.jsonl"
+        reply = repr(KeyError("unknown job id 'no-such-job'"))
+        parent, child = multiprocessing.Pipe()
+        loop = threading.Thread(target=_shard_main, args=(
+            child,
+            ShardConfig(shard_id=0, workers=1, event_log_path=str(events)),
+        ))
+        loop.start()
+        try:
+            parent.send(("poll", "no-such-job"))
+            assert parent.recv() == ("error", reply)
+            parent.send(("metrics", None))
+            status, metrics = parent.recv()
+            assert status == "ok"
+            assert metrics["counters"]["rpc_errors"] == 1
+        finally:
+            parent.send(("shutdown", False))
+            assert parent.recv() == ("ok", None)
+            loop.join()
+        records = map(json.loads, events.read_text().splitlines())
+        logged = [r for r in records if r["event"] == "rpc_error"]
+        assert len(logged) == 1
+        assert logged[0]["command"] == "poll"
+        assert logged[0]["error"] == reply
 
 
 @pytest.mark.slow
