@@ -265,12 +265,12 @@ def test_kernel_iteration(
     """One Louvain iteration on every rank, ``_iterate(comm, phase, it,
     config)`` — steps (i)-(v): the ``needed`` set and its fetch, the
     kernel over every rank's entries, the delta aggregation and the
-    push with the ghost labels, the view's update, the modularity
+    push with the ghost labels, the entries' re-aim, the modularity
     partials and the allreduce — at p = 1 on soc-friendster at three
     sizes, on the 3 000-vertex LFR graph at p = 1 and 4, and on the
     slices the ``mesh_p8`` (channel ``medium``, p = 8) and
     ``social_p4_etc`` (soc-friendster ``small``, p = 4) workloads sweep.
-    Every iteration restarts from the same assignment (the views, owner
+    Every iteration restarts from the same assignment (the world's
     arrays and ET state are rebuilt outside the timers); the 25%-active
     case is ET with every vertex's probability at 0.25.  Reported per
     world-iteration: wall µs (first rank in to last rank out),
@@ -320,12 +320,11 @@ def test_kernel_iteration(
                     dg.num_local, config, make_rank_rng(11, comm.rank, 0)
                 )
                 state.et.prob[:] = 0.25
-            world, view = _stack_phase(
-                comm, dg, ghost_plan, k, state,
-                dg.exchange_ghost_values(comm, ghost_plan, local), None,
-                config.resolution,
+            dg.exchange_ghost_values(comm, ghost_plan, local)
+            world = _stack_phase(
+                comm, dg, ghost_plan, k, state, None, config.resolution
             )
-            phase = _Phase(dg, 0, k, world, view, 1, state, view.values)
+            phase = _Phase(dg, 0, k, world, ghost_plan, 1, state)
             comm.barrier()
             m0 = comm.clock
             w0, c0 = time.perf_counter_ns(), time.thread_time_ns()

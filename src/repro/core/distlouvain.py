@@ -16,9 +16,9 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
       exchange (Algorithm 4; :meth:`DistGraph.build_ghost_plan`) and one
       full exchange of the ghost vertices' starting communities — and
       the phase's one world call (:func:`_stack_phase`), which lays
-      every rank's CSR slice, labels, owner tables, community view,
-      ghost maps and ET state end to end in world arrays
-      (:class:`_WorldPhase`); the rank's objects hold their segments;
+      every rank's CSR slice, labels, owner tables, ghost maps and ET
+      state end to end in world arrays (:class:`_WorldPhase`); the
+      rank's objects hold their segments;
     * iteration loop (Algorithm 3, :func:`louvain_phase_distributed`).
       Each :func:`_iterate` is one rendezvous: the rank draws its ET mask
       and consults the fault plan for the iteration's ops, then one
@@ -31,12 +31,13 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
       (:class:`~repro.runtime.comm.Script`); vi is the rank's:
 
       i.   the community of every ghost vertex as of the last
-           synchronisation point is already in place (lines 4-5; see
-           step iv);
+           synchronisation point is its label in the world's labels
+           (lines 4-5; see step iv);
       ii.  :func:`_fetch_step`: every rank fetches current ``a_c``/size
            for every community its round's *active* vertices reference
            from the community owners (the lookup's request and reply
-           legs; category ``community_comm``);
+           legs, sized by the distinct communities each rank asks each
+           owner for; category ``community_comm``);
       iii. :func:`_sweep_step`, snapshot sweep: the best move for every
            active local vertex against the fetched state (lines 6-9; the
            shared kernel from :mod:`repro.core.sweep`) — one kernel call
@@ -46,8 +47,8 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
            carries everything the moves changed, one message per peer:
            the ``a_c``/size deltas of the communities that peer owns,
            which it applies (lines 10-11), and the new community of every
-           moved vertex it ghosts (the next sweep's lines 4-5) —
-           ``community_comm``;
+           moved vertex it ghosts (the next sweep's lines 4-5, written
+           into the world's labels) — ``community_comm``;
       v.   :func:`_modularity_step`: one allreduce combines the
            modularity partials — each rank's float sums over its own
            segment — with the move, activity and inactive-vertex counts
@@ -84,9 +85,13 @@ world's tables *are* laid end to end, each rank's a segment.  Whatever
 is ready at the same synchronisation point leaves in one message per
 peer.  The world halves of those collectives
 (:mod:`repro.runtime.comm`) price every rank's legs; the iteration
-calls them, so no pricing lives here.  What a rank knows of the
-communities between exchanges lives in a per-phase
-:class:`_CommunityView` that the rounds patch rather than rebuild.
+calls them, so no pricing lives here.
+
+Inside the world the kernel sweeps global community ids: a ghost's
+community is the world's label of that vertex, a fetched ``a_c``/size
+the owner's table entry.  No rank's partial knowledge is kept as data:
+its cost is reproduced from counts, its yield checked against the
+per-rank iteration in ``tests/oracles/iteration_reference.py``.
 
 Consistency semantics are the paper's: within an iteration every rank
 decides against state from the last synchronisation point, so remote
@@ -102,7 +107,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..graph.csr import CSRGraph, sorted_unique
+from ..graph.csr import CSRGraph
 from ..graph.distgraph import DistGraph, GhostPlan
 from ..graph.partition import even_vertex, owner_of
 from ..runtime.comm import (
@@ -125,79 +130,31 @@ from .sweep import (
     SweepResult,
     SweepSlice,
     SweepWorkspace,
-    array_lookup,
     propose_moves,
 )
 from .tail import gather_pays
 
-
-class _CommunityView:
-    """What this rank knows of the communities during one phase: its
-    segments of the world's view arrays (:class:`_WorldPhase`).
-
-    Inside a phase only labels change (Algorithm 3): the CSR, the ghost
-    plan and the id -> owner map are fixed.  So the view is built once,
-    from the phase's one full ghost exchange
-    (:meth:`DistGraph.exchange_ghost_values`), and every sweep round
-    patches it — every rank's at once (:func:`_push_step`) — with what
-    the round already has in hand instead of re-deriving it from the raw
-    labels:
-
-    * :attr:`values` — community of every ghost vertex (Algorithm 3,
-      lines 4-5), aligned with ``plan.ghost_ids``.  A round ships only
-      the values that changed; a ghost copy of an unmoved vertex is
-      already correct (the "further sophistication" §IV-B(b) sketches).
-    * :attr:`ids` — every community id seen here this phase, ascending.
-      It only grows: an id no vertex here holds any more costs one
-      unused table row, while deleting it would renumber every slot.
-    * :attr:`slot` — position in :attr:`ids` of the community of every
-      vertex slot (owned vertices, then ghosts).  Positions ascend with
-      the ids, so the kernel's smallest-id tie-breaks are those of the
-      raw ids whatever else the table holds.
-    * :attr:`target` — ``slot[ctargets]``, the dense community of every
-      CSR entry's target: the kernel's ``target_comm`` (the rank's
-      segment of the world sweep's input), and one side of the
-      modularity estimate.
-
-    The sweep, the modularity estimate and the graph rebuild all read
-    this one object.
-    """
-
-    def __init__(self, world: "_WorldPhase", rank: int, plan: GhostPlan):
-        self.plan = plan
-        self._world, self._rank = world, rank
-        s0, s1 = world.slot_cuts[rank], world.slot_cuts[rank + 1]
-        g0, g1 = world.ghost_cuts[rank], world.ghost_cuts[rank + 1]
-        e0, e1 = world.stack.entry_cuts[rank:rank + 2]
-        self.slot = world.slot[s0:s1]
-        self.values = world.values[g0:g1]
-        self.target = world.stack.target[e0:e1]
-
-    @property
-    def ids(self) -> np.ndarray:
-        cuts = self._world.id_cuts
-        return self._world.ids[cuts[self._rank]:cuts[self._rank + 1]]
+_I8 = np.dtype(np.int64)
 
 
 @dataclass(eq=False)
 class _WorldPhase:
     """Every rank's share of one phase laid end to end in the world's
-    workspace (:func:`_stack_world`): what the iteration's world function
-    works on, a fixed number of numpy passes per step whatever the rank
-    count.  Ownership is contiguous from 0, so a per-vertex array is
-    indexed by global vertex id, which is also the stacked row, and the
-    owner tables are joined as they stand.  Each rank's objects — its
-    :class:`~repro.core.state.IterationState`, :class:`_CommunityView`
-    and ET state — hold views of their segments."""
+    workspace (:func:`_stack_world`), which the iteration's world
+    function works on.  Ownership is contiguous from 0 and community ids
+    are vertex ids, so a per-vertex array is indexed by vertex id (the
+    stacked row) and community id alike: ``tot`` / ``size`` hold every
+    community's a_c / |c|, ``local_comm`` any vertex's community, a
+    ghost's as of the last synchronisation point included."""
 
     stack: StackedSweep
     workspace: SweepWorkspace
     total_weight: float
     resolution: float
-    #: Per vertex: its community (``local_comm``), the owner tables
-    #: (``tot_owned`` / ``size_owned``, the paper's C_info), the activity
-    #: ET drew for the iteration, whether it moved in the iteration and
-    #: its colour (``None`` without colouring).
+    #: Per vertex: its community (the stack's ``cur``), the owner tables
+    #: (``tot`` / ``size``, the paper's C_info), the activity ET drew for
+    #: the iteration, whether it moved in the iteration and its colour
+    #: (``None`` without colouring).
     local_comm: np.ndarray
     tot: np.ndarray
     size: np.ndarray
@@ -210,64 +167,34 @@ class _WorldPhase:
     inactive: np.ndarray | None
     alpha: float
     floor: float
-    #: Every rank's view slots, its owned vertices then its ghosts, cut
-    #: by ``slot_cuts``; the slot of every owned vertex and of every
-    #: ghost; the slot every stacked CSR entry targets.
-    slot: np.ndarray
-    slot_cuts: np.ndarray
-    own_slot: np.ndarray
-    ghost_slot: np.ndarray
-    ctargets: np.ndarray
-    #: Every rank's ghost vertices and their communities, cut by
-    #: ``ghost_cuts``.
+    #: ``n * r`` of the rank ``r`` holding each vertex / each of every
+    #: rank's ghosts laid end to end: plus a community id, a key that
+    #: ascends by rank, then by id.
+    rank_key: np.ndarray
     ghost_ids: np.ndarray
-    values: np.ndarray
-    ghost_cuts: np.ndarray
-    #: Every rank's ``ids``, cut by ``id_cuts`` (all three grow), the
-    #: same keyed by rank (``rank * key_base + id``: ascending, so one
-    #: search finds any rank's id), and each slot's ``id_cuts[rank]``: a
-    #: slot plus its shift is a position in ``ids``.
-    ids: np.ndarray
-    id_cuts: np.ndarray
-    keys: np.ndarray
-    key_base: int
-    slot_shift: np.ndarray
-    #: Stored CSR entries of every row.
-    row_entries: np.ndarray
+    ghost_key: np.ndarray
+    #: Each rank's CSR targets (global ids) and the row of each of its
+    #: entries: its ``DistGraph``'s own arrays, not copies.
+    edges: list[np.ndarray]
+    rows: list[np.ndarray]
     #: The send lists: every (owned vertex, rank ghosting it) pair's
     #: vertex and ``source * p + destination``, in owner order.
     send_ids: np.ndarray
     send_pairs: np.ndarray
-    #: :meth:`owner_runs` as of the ``keys`` it was found in.
-    _runs: tuple[np.ndarray, np.ndarray | None] = (np.empty(0), None)
 
     @property
     def offsets(self) -> np.ndarray:
         return self.stack.row_cuts
 
-    def owner_runs(self) -> np.ndarray:
-        """``runs[s, d]``: where rank ``s``'s ids owned by rank ``d``
-        start in ``ids``, then where those below the vertex space's end
-        stop (``id_cuts[s + 1]`` unless an id outside it follows)."""
-        keys, runs = self._runs
-        if keys is not self.keys:
-            p = len(self.id_cuts) - 1
-            starts = np.add.outer(np.arange(p) * self.key_base, self.offsets)
-            runs = np.searchsorted(self.keys, starts)
-            self._runs = (self.keys, runs)
-        return runs
-
 
 class _Seat(NamedTuple):
-    """One rank's deposit in its phase's world call (:func:`_stack_world`):
-    its CSR slice, iteration state, ghost plan, ghost communities after
-    the full exchange, compressed targets and colours (or ``None``)."""
+    """One rank's deposit in its phase's world call (:func:`_stack_world`)
+    (``colors`` ``None`` without colouring)."""
 
     part: SweepSlice
+    edges: np.ndarray
     state: IterationState
     plan: GhostPlan
-    ghosts: np.ndarray
-    ctargets: np.ndarray
     colors: np.ndarray | None
 
 
@@ -277,21 +204,19 @@ def _stack_phase(
     plan: GhostPlan,
     k: np.ndarray,
     state: IterationState,
-    ghosts: np.ndarray,
     colors: np.ndarray | None,
     resolution: float,
-) -> tuple[_WorldPhase, _CommunityView]:
+) -> _WorldPhase:
     """The phase's one world call: every rank's CSR slice, iteration
-    state, view and ET state laid end to end in the world's workspace
-    (:func:`_stack_world`).  Returns the world's arrays and this rank's
-    view; ``state`` (and its ET state) hold their segments from here."""
+    state and ET state laid end to end (:func:`_stack_world`); ``state``
+    (and its ET state) hold their segments from here."""
     return comm.world_call(
         _Seat(
             SweepSlice(
                 dg.index, dg.weights, np.flatnonzero(~dg.self_loop_mask()),
                 dg.local_rows(), k,
             ),
-            state, plan, ghosts, dg.compressed_targets(), colors,
+            dg.edges, state, plan, colors,
         ),
         partial(
             _stack_world, comm.world.workspace, dg.total_weight, resolution
@@ -302,41 +227,24 @@ def _stack_phase(
 def _stack_world(
     workspace: dict, total_weight: float, resolution: float,
     seats: list[_Seat],
-) -> list[tuple[_WorldPhase, _CommunityView]]:
+) -> list[_WorldPhase]:
     """:func:`_stack_phase`'s world half: every seat copied into its
-    segments, and each rank's state and ET state rebound to them."""
+    segments, each rank's state and ET state pointed at them; a table not
+    as long as its rank's interval raises, naming the rank."""
     if "sweep" not in workspace:
         workspace["sweep"] = SweepWorkspace()
     ws = workspace["sweep"]
     stack = ws.stack([s.part for s in seats])
     p, rows = len(seats), stack.row_cuts
     n = int(rows[-1])
-    nloc, nghost = np.diff(rows), [len(s.ghosts) for s in seats]
-    ghost_cuts = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(nghost, out=ghost_cuts[1:])
-    slot_cuts = rows + ghost_cuts
-    ranks = np.arange(p + 1)
-    # Every rank's view at once: one np.unique of every rank's labels and
-    # ghost communities, keyed by rank, numbers each rank's ids apart.
-    raw = np.concatenate(
-        [a for s in seats for a in (s.state.local_comm, s.ghosts)]
-    ).astype(np.int64, copy=False)
-    slot_rank = np.repeat(ranks[:-1], np.diff(slot_cuts))
-    base = max(n, int(raw.max()) + 1 if len(raw) else 1)
-    keys, inverse = np.unique(raw + slot_rank * base, return_inverse=True)
-    id_cuts = np.searchsorted(keys, ranks * base)
-    slot_shift = ws.array("slot_shift", len(raw), np.int64)
-    id_cuts.take(slot_rank, out=slot_shift, mode="clip")
-    slot = ws.array("slot", len(raw), np.int64)
-    np.subtract(inverse.reshape(-1), slot_shift, out=slot)
-    ghost_ids = np.concatenate([s.plan.ghost_ids for s in seats])
+    keys = np.arange(p, dtype=np.int64) * n
     et = seats[0].state.et
     wp = _WorldPhase(
         stack=stack,
         workspace=ws,
         total_weight=total_weight,
         resolution=resolution,
-        local_comm=ws.array("local_comm", n, np.int64),
+        local_comm=stack.cur,
         tot=ws.array("tot", n, np.float64),
         size=ws.array("size", n, np.int64),
         active=ws.array("drawn", n, bool),
@@ -349,46 +257,50 @@ def _stack_world(
         inactive=None if et is None else ws.array("inactive", n, bool),
         alpha=0.0 if et is None else et.alpha,
         floor=0.0 if et is None else et.floor,
-        slot=slot,
-        slot_cuts=slot_cuts,
-        own_slot=ws.positions(n) + np.repeat(ghost_cuts[:-1], nloc),
-        ghost_slot=ws.positions(len(ghost_ids)) + np.repeat(rows[1:], nghost),
-        ctargets=ws.array("ctargets", len(stack.rows), np.int64),
-        values=ws.array("values", len(ghost_ids), np.int64),
-        ghost_cuts=ghost_cuts,
-        ghost_ids=ghost_ids,
-        ids=keys - np.repeat(ranks[:-1] * base, np.diff(id_cuts)),
-        id_cuts=id_cuts,
-        keys=keys,
-        key_base=base,
-        slot_shift=slot_shift,
-        row_entries=np.diff(stack.index),
+        rank_key=keys.repeat(np.diff(rows)),
+        ghost_ids=np.concatenate([s.plan.ghost_ids for s in seats]),
+        ghost_key=keys.repeat([len(s.plan.ghost_ids) for s in seats]),
+        edges=[s.edges for s in seats],
+        rows=[s.part.rows for s in seats],
         send_ids=np.concatenate([s.plan.send_ids for s in seats]),
         send_pairs=np.repeat(
             np.arange(p * p),
             np.concatenate([np.diff(s.plan.send_cuts) for s in seats]),
         ),
     )
-    np.concatenate([s.ghosts for s in seats], out=wp.values)
     wp.active[:] = True
-    out = []
     for r, s in enumerate(seats):
-        e0, e1 = stack.entry_cuts[r:r + 2]
-        np.add(s.ctargets, slot_cuts[r], out=wp.ctargets[e0:e1])
         a, b = rows[r], rows[r + 1]
-        s.state.place(
-            r, local_comm=wp.local_comm[a:b], tot_owned=wp.tot[a:b],
-            size_owned=wp.size[a:b],
-        )
+        for name, table, what in (
+            ("local_comm", wp.local_comm, "label array"),
+            ("tot_owned", wp.tot, "owner table"),
+            ("size_owned", wp.size, "owner table"),
+        ):
+            mine, segment = getattr(s.state, name), table[a:b]
+            if len(mine) != b - a:
+                raise ValueError(
+                    f"rank {r}: {what} of {len(mine)} values "
+                    f"for its {b - a} ids"
+                )
+            segment[:] = mine
+            setattr(s.state, name, segment)
         if et is not None:
             wp.prob[a:b] = s.state.et.prob
             wp.inactive[a:b] = s.state.et.permanently_inactive
             s.state.et.prob = wp.prob[a:b]
             s.state.et.permanently_inactive = wp.inactive[a:b]
-        out.append((wp, _CommunityView(wp, r, s.plan)))
-    slot.take(wp.own_slot, out=stack.cur, mode="clip")
-    slot.take(wp.ctargets, out=stack.target, mode="clip")
-    return out
+    _aim(wp)
+    return [wp] * p
+
+
+def _aim(wp: _WorldPhase) -> None:
+    """The community of every stacked CSR entry's target, the kernel's
+    ``target_comm``: the world's labels at each rank's own targets."""
+    cuts = wp.stack.entry_cuts
+    for r, edges in enumerate(wp.edges):
+        wp.local_comm.take(
+            edges, out=wp.stack.target[cuts[r]:cuts[r + 1]], mode="clip"
+        )
 
 
 @dataclass
@@ -406,19 +318,18 @@ class _Phase:
     index: int
     #: Weighted degree of every owned vertex.
     k: np.ndarray
-    #: Every rank's share of the phase laid end to end, which the
-    #: iteration's world function works on.
+    #: Every rank's share of the phase, laid end to end.
     world: _WorldPhase
-    view: _CommunityView
+    #: The phase's ghost plan (Algorithm 4).
+    plan: GhostPlan
     #: Sweep rounds per iteration: 1, or the number of colour classes
     #: (§VI future work: distance-1 colour classes, swept one after
     #: another so concurrently processed vertices are non-adjacent).
     rounds: int
     state: IterationState
-    #: Community of every ghost vertex as of the last exchange: the
-    #: view's copies, which the rounds patch in place, until Leiden
-    #: refinement replaces them.
-    ghost_comm: np.ndarray
+    #: Community of every ghost vertex when the iterations ended, until
+    #: Leiden refinement replaces them (``None`` before).
+    ghost_comm: np.ndarray | None = None
     #: ETC's inactive-fraction exit ended the phase.
     exited_by_inactive: bool = False
 
@@ -459,6 +370,9 @@ def louvain_phase_distributed(
             # (all exit tests are derived from replicated global
             # values), so cutting a checkpoint here is collective-safe.
             checkpoint_hook(state)
+    # Every rank is past the last rendezvous and none writes a label
+    # before its next collective: the world's labels are the ghosts'.
+    phase.ghost_comm = phase.world.local_comm.take(phase.plan.ghost_ids)
     return phase
 
 
@@ -505,29 +419,26 @@ def _begin_phase(
                 ),
             )
         if seed is not None:
-            # Warm start: a copy of the seed (the rounds relabel in
-            # place) as one batch of moves.
+            # Warm start: the seed as one batch of moves.
             if len(seed) != dg.num_local:
                 raise ValueError(
                     f"initial_assignment covers {len(seed)} vertices, "
                     f"rank owns {dg.num_local}"
                 )
-            _relabel(comm, dg, k, state, np.array(seed, dtype=np.int64))
+            _relabel(comm, dg, k, state, np.asarray(seed, dtype=np.int64))
     colors, rounds = (
         _coloring(comm, dg, plan, config.seed)
         if config.use_coloring
         else (None, 1)
     )
-    # Later rounds ship only what changed.  The view is derived state:
-    # the full exchange of a resumed phase reproduces the ghost values
-    # the uninterrupted run holds at this point.
-    ghosts = dg.exchange_ghost_values(
+    # Lines 4-5 in full, once per phase, priced as the paper runs them
+    # (later rounds ship only what changed).  Inside the world a ghost's
+    # community is its label there: the copies are not kept.
+    dg.exchange_ghost_values(
         comm, plan, state.local_comm, category="ghost_comm"
     )
-    world, view = _stack_phase(
-        comm, dg, plan, k, state, ghosts, colors, config.resolution
-    )
-    return _Phase(dg, run.phase, k, world, view, rounds, state, view.values)
+    world = _stack_phase(comm, dg, plan, k, state, colors, config.resolution)
+    return _Phase(dg, run.phase, k, world, plan, rounds, state)
 
 
 def _relabel(
@@ -546,7 +457,7 @@ def _relabel(
         *aggregate_deltas(state.local_comm[moved], labels[moved], k[moved]),
         tot_owned=state.tot_owned, size_owned=state.size_owned,
     )
-    state.local_comm = labels
+    state.local_comm[:] = labels
 
 
 def _coloring(
@@ -569,14 +480,11 @@ def _iterate(
 ) -> bool:
     """Iteration ``it`` of the phase: one rendezvous, in which
     :func:`_world_iteration` runs steps (ii)-(v) for every rank, then
-    (vi).  Updates ``phase.state`` in place and returns whether ETC's
-    inactive-fraction exit fired; the tau test is the caller's.
-
-    Before the rendezvous the rank draws its ET mask into its segment of
-    the world's and consults the fault plan for the iteration's ops —
-    per colour round the lookup's request and reply legs and the push,
-    then the allreduce — so a kill raises here, at its op.  After it the
-    rank replays the charges and legs those ops made
+    (vi); returns whether ETC's inactive-fraction exit fired.  Before the
+    rendezvous the rank draws its ET mask and consults the fault plan for
+    the iteration's ops — per colour round the lookup's two legs and the
+    push, then the allreduce — so a kill raises here, at its op; after
+    it the rank replays the charges and legs those ops made
     (:class:`~repro.runtime.comm.Script`)."""
     et = phase.state.et
     if et is not None:
@@ -601,12 +509,11 @@ def _world_iteration(
 ) -> list[np.ndarray]:
     """Steps (ii)-(v) of one iteration for every rank (Algorithm 3,
     lines 4-13): one :func:`_world_round` per colour round, then
-    :func:`_modularity_step`, each over the phase's world arrays
-    (:class:`_WorldPhase`).  Every rank decides against the same
-    synchronisation point, so doing the ranks' work one step at a time
-    for all of them is what the ranks doing it between collectives
-    computes; each ``scripts[r]`` meanwhile records rank ``r``'s
-    charges.  Returns every rank's reduced step-(v) vector."""
+    :func:`_modularity_step`.  Every rank decides against the same
+    synchronisation point, so doing the ranks' work a step at a time for
+    all of them computes what the ranks would between collectives; each
+    ``scripts[r]`` records rank ``r``'s charges.  Returns every rank's
+    reduced step-(v) vector."""
     wp = phases[0].world
     wp.moved[:] = False
     for k in range(phases[0].rounds):
@@ -618,24 +525,19 @@ def _world_round(
     world: World, scripts: Sequence[Script], phases: list[_Phase], k: int
 ) -> np.ndarray:
     """Steps (i)-(iv) of colour round ``k`` for every rank: the fetch,
-    the sweep, each rank's compute charged for its own pairs as if it had
-    swept alone, and the push.  Updates the labels, the owner tables and
-    the views in place (``view.values`` is current again on return) and
-    returns the world's moved mask, valid until the next sweep.
-
-    (i) The community of every ghost vertex as of the last exchange
-    (lines 4-5) is in each view, already numbered densely: the kernel
-    works in positions of each rank's ``ids``."""
+    the sweep (in global ids: (i), a ghost's community, is its label in
+    the world's), each rank's compute charged for its own pairs as if it
+    had swept alone, and the push.  Updates the labels, the owner tables
+    and the entries' target communities in place and returns the
+    world's moved mask, valid until the next sweep."""
     wp = phases[0].world
     stack = wp.stack
     if wp.colors is None:
         stack.active[:] = wp.active
     else:
         np.logical_and(wp.colors == k, wp.active, out=stack.active)
-    scanned, info = _fetch_step(world, scripts, wp)
-    res = _sweep_step(
-        stack, wp.ids, info, wp.id_cuts, wp.total_weight, wp.resolution
-    )
+    scanned = _fetch_step(world, scripts, wp)
+    res = _sweep_step(stack, wp.tot, wp.size, wp.total_weight, wp.resolution)
     cost = world.machine.compute_cost
     for script, pairs, entries, nloc in zip(
         scripts, res.segment_pairs.tolist(), scanned,
@@ -648,106 +550,78 @@ def _world_round(
 
 def _fetch_step(
     world: World, scripts: Sequence[Script], wp: _WorldPhase
-) -> tuple[list[int], np.ndarray]:
+) -> list[int]:
     """Step (ii): every rank fetches a_c and |c| of the communities its
-    round evaluates — neighbours of its active vertices and their own —
-    in one lookup for the world (request and reply legs,
-    ``community_comm``).  Every slot is a local vertex or the target of
-    a local entry, so a full active set needs the community of every
-    slot; a partial one flags its candidates.  Returns how many entries
-    each rank's sweep scans and the dense table of every rank laid end
-    to end (row 0: a_c, row 1: |c|, by position in the world's ``ids``).
-    Unfetched communities — among them ids nobody there holds any more —
-    stay NaN, which ``array_lookup`` turns into the ``KeyError`` a
-    protocol bug deserves."""
+    round evaluates — its active vertices' and their neighbours' (with a
+    full active set, every vertex's it holds) — in one lookup for the
+    world, ``community_comm``, sized by the distinct ``(rank,
+    community)`` keys; the sweep reads the owners' tables itself.
+    Returns how many entries each rank's sweep scans."""
     stack = wp.stack
     active = stack.active
-    # The kernel's scratch is free between sweeps.
+    n, cuts, vcuts = len(wp.local_comm), stack.entry_cuts, wp.offsets
     scratch = stack.plan.scratch
-    scratch.top = 0
-    flags = scratch.empty(len(wp.ids), np.dtype(bool))
-    flags[:] = False
-    # Every slot plus its shift is its community's position in ``ids``.
-    at = np.add(
-        wp.slot, wp.slot_shift,
-        out=scratch.empty(len(wp.slot), np.dtype(np.int64)),
-    )
+    flags = _key_flags(wp)
+    own = np.add(wp.rank_key, wp.local_comm, out=scratch.empty(n, _I8))
     if active.all():
-        flags[at] = True
-        scanned = np.diff(stack.entry_cuts)
+        flags[own] = True
+        ghost = scratch.take(wp.local_comm, wp.ghost_ids)
+        ghost += wp.ghost_key
+        flags[ghost] = True
+        scanned = np.diff(cuts).tolist()
     else:
-        # The slots the active rows' entries target, and their own.
-        hit = scratch.empty(len(wp.slot), np.dtype(bool))
-        hit[:] = False
-        hit[wp.ctargets[scratch.take(active, stack.rows)]] = True
-        hit[wp.own_slot[active]] = True
-        flags[at[hit]] = True
-        scanned = _run_sums(wp.row_entries * active, wp.offsets)
-    wanted = np.flatnonzero(flags)
-    tot, size = lookup_world(
-        world, scripts, wp.ids.take(wanted), _owner_counts(wp, wanted),
+        flags[own[active]] = True
+        scanned = []
+        for r, (rows, lo, hi) in enumerate(zip(wp.rows, cuts, cuts[1:])):
+            mark = scratch.top
+            hit = scratch.take(active[vcuts[r]:vcuts[r + 1]], rows)
+            scanned.append(int(np.count_nonzero(hit)))
+            targets = stack.target[lo:hi].compress(
+                hit, out=scratch.empty(scanned[-1], _I8)
+            )
+            targets += r * n
+            flags[targets] = True
+            scratch.top = mark
+    lookup_world(
+        world, scripts, None, _owner_counts(wp, np.flatnonzero(flags)),
         (wp.tot, wp.size),
     )
-    info = wp.workspace.array("info", 2 * len(wp.ids), np.float64)
-    info = info.reshape(2, -1)
-    info.fill(np.nan)
-    info[0, wanted], info[1, wanted] = tot, size
-    return scanned.tolist(), info
+    return scanned
 
 
-def _run_sums(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """The integer sum of ``values`` over each run ``cuts[r]:cuts[r + 1]``."""
-    total = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum(values, out=total[1:])
-    return np.diff(total.take(cuts))
+def _key_flags(wp: _WorldPhase) -> np.ndarray:
+    """One cleared flag per ``(rank, community)`` key ``n * rank + c``, in
+    the kernel's scratch (free between sweeps; reset here)."""
+    scratch = wp.stack.plan.scratch
+    scratch.top = 0
+    flags = scratch.empty(len(wp.rank_key) * len(wp.edges), np.dtype(bool))
+    flags[:] = False
+    return flags
 
 
-def _owner_counts(wp: _WorldPhase, positions: np.ndarray) -> np.ndarray:
-    """``counts[s, d]``: how many of the ids at ascending ``positions``
-    of the world's ``ids`` are rank ``s``'s and owned by rank ``d``.
-    Keyed by rank the ids ascend, so each (rank, owner) run is cut by
-    one search (:meth:`_WorldPhase.owner_runs`), and an id outside the
-    vertex space, which follows its rank's runs, raises, naming the rank
-    that routes it."""
-    runs = wp.owner_runs()
-    cuts = np.searchsorted(positions, runs)
-    tail = runs[:, -1] < wp.id_cuts[1:]
-    if tail.any():
-        stray = np.flatnonzero(
-            tail & (cuts[:, -1] < np.searchsorted(positions, wp.id_cuts[1:]))
-        )
-        if len(stray):
-            rank = int(stray[0])
-            mine = wp.ids.take(positions[cuts[rank, 0]:np.searchsorted(
-                positions, wp.id_cuts[rank + 1]
-            )])
-            raise ValueError(
-                f"rank {rank}: ids outside the vertex space "
-                f"[0, {int(wp.offsets[-1])}): "
-                f"{int(mine.min())} .. {int(mine.max())}"
-            )
-    return np.diff(cuts, axis=1)
+def _owner_counts(wp: _WorldPhase, keys: np.ndarray) -> np.ndarray:
+    """``counts[s, d]``: how many of the ascending ``keys`` (``n * s +
+    c``: rank ``s``'s community ``c``) are rank ``s``'s and owned by rank
+    ``d``.  Owners ascend with the ids, so one search of the keys against
+    every rank's copy of the offsets cuts every (rank, owner) run."""
+    p, n = len(wp.edges), int(wp.offsets[-1])
+    starts = np.add.outer(np.arange(p, dtype=np.int64) * n, wp.offsets)
+    return np.diff(np.searchsorted(keys, starts), axis=1)
 
 
 def _sweep_step(
     stack: StackedSweep,
-    ids: np.ndarray,
-    info: np.ndarray,
-    id_cuts: np.ndarray,
+    tot: np.ndarray,
+    size: np.ndarray,
     total_weight: float,
     resolution: float,
 ) -> SweepResult:
     """Step (iii), the local move computation (lines 6-9), for every rank
     at once: the ranks' sweeps are independent, so one
-    :func:`propose_moves` runs over the stack (:func:`_stack_phase`),
-    whose ``cur``, ``target`` and ``active`` hold every rank's segment,
-    each in positions of that rank's ``ids``.  ``ids`` and ``info`` (the
-    dense (a_c, |c|) table) are every rank's laid end to end, rank
-    ``r``'s from ``id_cuts[r]``, which shifts its positions where they
-    meet the lookups.  The result's proposals and moved mask are the
-    stack's, valid until the next sweep; ``segment_pairs`` counts each
-    rank's pairs."""
-    shift = id_cuts[:-1]
+    :func:`propose_moves` runs over the stack's global community ids
+    against the owners' tables ``tot`` / ``size``.  The result's
+    proposals and moved mask are the stack's, valid until the next
+    sweep; ``segment_pairs`` counts each rank's pairs."""
     return propose_moves(
         index=stack.index,
         target_comm=stack.target,
@@ -756,12 +630,12 @@ def _sweep_step(
         degrees=stack.degrees,
         cur_comm=stack.cur,
         total_weight=total_weight,
-        tot_lookup=array_lookup(ids, info[0], shift),
-        size_lookup=array_lookup(ids, info[1], shift),
+        tot_lookup=tot.take,
+        size_lookup=size.take,
         active=stack.active,
         resolution=resolution,
         plan=stack.plan,
-        segments=Segments(stack.row_cuts, shift),
+        segments=Segments(stack.row_cuts),
     )
 
 
@@ -770,108 +644,68 @@ def _push_step(
     res: SweepResult,
 ) -> None:
     """Step (iv): everything the moves changed, one message per peer —
-    the a_c/|c| deltas of the communities it owns (lines 10-11;
-    duplicates pre-aggregated in the dense space), which it applies, and
-    the new community of every moved vertex it ghosts (the next round's
-    lines 4-5): one push for the world, ``community_comm``.  The moved
-    vertices are relabelled (line 9) first and what was carried is
-    absorbed last (:func:`_absorb`)."""
-    stack, p = wp.stack, len(scripts)
+    the a_c/|c| deltas of the communities it owns (lines 10-11; netted
+    per rank), which it applies, and the new community of every moved
+    vertex it ghosts (the next round's lines 4-5): one push for the
+    world, ``community_comm``.  The moved vertices are relabelled (line
+    9) in the world's labels, where every ghost reads them, so the
+    labels are priced, not delivered; every entry is then re-aimed."""
+    p, n = len(scripts), len(wp.local_comm)
     rows = np.flatnonzero(res.moved)
-    shift = np.repeat(
-        wp.id_cuts[:-1], np.diff(np.searchsorted(rows, wp.offsets))
-    )
-    new_dense = res.proposal.take(rows)
-    new = new_dense + shift
-    old = stack.cur.take(rows)
-    old += shift
-    touched, dtot, dsize = _world_deltas(
-        wp, old, new, stack.degrees.take(rows)
-    )
-    wp.local_comm[rows] = wp.ids.take(new)
-    wp.slot[wp.own_slot.take(rows)] = new_dense
-    stack.cur[rows] = new_dense
+    new = res.proposal.take(rows)
+    _check_vertex_space(wp, rows, new)
+    key = wp.rank_key.take(rows)
+    old = wp.local_comm.take(rows)
+    old += key
+    key += new
+    keys, dtot, dsize = _world_deltas(wp, old, key, wp.stack.degrees[rows])
+    wp.local_comm[rows] = new
+    counts = _owner_counts(wp, keys)
     # The new labels of the moved vertices other ranks ghost.
     changed = res.moved.take(wp.send_ids)
     sent = wp.send_ids.compress(changed)
     routed = np.bincount(
         wp.send_pairs.compress(changed), minlength=p * p
     ).reshape(p, p)
-    _, _, values = push_world(
-        world, scripts, wp.ids.take(touched), _owner_counts(wp, touched),
+    push_world(
+        world, scripts, np.remainder(keys, n, out=keys), counts,
         (dtot, dsize), (wp.tot, wp.size),
         carry=(routed, sent, wp.local_comm.take(sent)),
     )
-    # Each rank receives the labels of the moved vertices it ghosts, by
-    # owner and then id: in its ghosts' order.
-    _absorb(wp, np.flatnonzero(res.moved.take(wp.ghost_ids)), values)
+    _aim(wp)
 
 
 def _world_deltas(
     wp: _WorldPhase, old: np.ndarray, new: np.ndarray, deg: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Net (a_c, |c|) delta per community every rank's moves touched:
-    :func:`aggregate_dense_deltas` over the world's positions — a
-    position is one rank's, so each rank's sums are its own, added in
-    the same order — returning the touched positions, ascending."""
-    return aggregate_dense_deltas(
-        wp.workspace.positions(len(wp.ids)), old, new, deg
-    )
+    """Net (a_c, |c|) delta per ``(rank, community)`` key every rank's
+    moves touched (the moves given as keys), keys ascending: the touched
+    keys are flagged, not sorted, and :func:`aggregate_dense_deltas`
+    runs over their positions — a key is one rank's, so each rank's sums
+    are its own, added in the order it would add them alone."""
+    flags = _key_flags(wp)
+    flags[old] = True
+    flags[new] = True
+    keys = np.flatnonzero(flags)
+    at = wp.stack.plan.scratch.empty(len(flags), _I8)
+    at[keys] = wp.workspace.positions(len(keys))
+    return aggregate_dense_deltas(keys, at.take(old), at.take(new), deg)
 
 
-def _absorb(wp: _WorldPhase, ghosts: np.ndarray, values: np.ndarray) -> None:
-    """The world's ghosts ``ghosts`` (ascending positions in the ghost
-    arrays, every rank's laid end to end) now belong to communities
-    ``values`` (raw ids, possibly never seen on their rank): update the
-    ghost copies and their slots, then re-aim every entry's target."""
-    if len(ghosts):
-        wp.values[ghosts] = values
-        wp.slot[wp.ghost_slot.take(ghosts)] = _positions(
-            wp, np.diff(np.searchsorted(ghosts, wp.ghost_cuts)), values
+def _check_vertex_space(
+    wp: _WorldPhase, rows: np.ndarray, ids: np.ndarray
+) -> None:
+    """A move to an id outside the vertex space has no owner: it raises,
+    naming the rank whose vertex moved, rather than land in a
+    neighbouring rank's run of keys."""
+    n = int(wp.offsets[-1])
+    bad = (ids < 0) | (ids >= n)
+    if bad.any():
+        rank = np.searchsorted(wp.offsets, rows[bad][0], side="right") - 1
+        raise ValueError(
+            f"rank {rank}: ids outside the vertex space [0, {n}): "
+            f"{int(ids[bad].min())} .. {int(ids[bad].max())}"
         )
-    wp.slot.take(wp.ctargets, out=wp.stack.target, mode="clip")
-
-
-def _positions(
-    wp: _WorldPhase, counts: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Position of each raw id of ``values`` in its rank's ``ids`` (rank
-    ``d``'s ``counts[d]`` after the ranks before), merging unseen ids in
-    — which shifts the positions above them, in ``slot`` too.  Keyed by
-    rank every rank's ids are one ascending array, so one search (of the
-    asked ids in ascending order, which halves its cost) and one insert
-    serve the world."""
-    p = len(counts)
-    top = int(values.max()) + 1
-    if top > wp.key_base:
-        wp.key_base = top
-        wp.keys = wp.ids + np.repeat(np.arange(p) * top, np.diff(wp.id_cuts))
-    asked = values + np.repeat(np.arange(p) * wp.key_base, counts)
-    order = asked.argsort()
-    asked = asked.take(order)
-    pos = np.searchsorted(wp.keys, asked)
-    unseen = wp.keys.take(pos, mode="clip") != asked
-    if unseen.any():
-        fresh = sorted_unique(asked[unseen])
-        at = np.searchsorted(wp.keys, fresh)
-        added = np.searchsorted(fresh, np.arange(p + 1) * wp.key_base)
-        # Every id moves up by the fresh ids of its rank below it: the
-        # fresh ids below it anywhere, less those of the ranks before.
-        lift = np.bincount(at, minlength=len(wp.keys) + 1)[:-1].cumsum()
-        lift -= np.repeat(added[:-1], np.diff(wp.id_cuts))
-        wp.slot += lift.take(wp.slot + wp.slot_shift)
-        wp.slot_shift += np.repeat(added[:-1], np.diff(wp.slot_cuts))
-        wp.slot.take(wp.own_slot, out=wp.stack.cur, mode="clip")
-        wp.keys = np.insert(wp.keys, at, fresh)
-        wp.ids = np.insert(
-            wp.ids, at, fresh - fresh // wp.key_base * wp.key_base
-        )
-        wp.id_cuts = wp.id_cuts + added
-        pos += np.searchsorted(fresh, asked)
-    out = np.empty_like(pos)
-    out[order] = pos
-    out -= np.repeat(wp.id_cuts[:-1], counts)
-    return out
 
 
 def _modularity_step(
@@ -894,11 +728,6 @@ def _modularity_step(
     stack = wp.stack
     cost = world.machine.compute_cost
     scratch = stack.plan.scratch
-    scratch.top = 0
-    intra = scratch.take(stack.cur, stack.rows)
-    intra = np.equal(
-        intra, stack.target, out=scratch.empty(len(intra), np.dtype(bool))
-    )
     if wp.prob is not None:
         update_activity(wp.prob, wp.inactive, wp.moved, wp.alpha, wp.floor)
     squares = np.square(wp.tot)
@@ -907,6 +736,12 @@ def _modularity_step(
     for r, (script, phase) in enumerate(zip(scripts, phases)):
         e0, e1, v0, v1 = ecuts[r], ecuts[r + 1], vcuts[r], vcuts[r + 1]
         script.charge("compute", cost(e1 - e0))
+        scratch.top = 0
+        intra = scratch.take(wp.local_comm[v0:v1], wp.rows[r])
+        intra = np.equal(
+            intra, stack.target[e0:e1],
+            out=scratch.empty(e1 - e0, np.dtype(bool)),
+        )
         # a_c^2 is summed *before* dividing by w^2 (like _record_phase's
         # exact Q) so the reduction is exact for integer weights — the
         # per-rank grouping of communities then cannot perturb Q, which
@@ -917,7 +752,7 @@ def _modularity_step(
         # are over its own segment, as it would sum them alone (numpy's
         # pairwise order, not left to right).
         partials.append(np.array([
-            float(phase.dg.weights.compress(intra[e0:e1]).sum()),
+            float(phase.dg.weights.compress(intra).sum()),
             float(squares[v0:v1].sum()),
             float(np.count_nonzero(wp.moved[v0:v1])),
             float(np.count_nonzero(wp.active[v0:v1])),
@@ -1002,17 +837,12 @@ def _apply_community_deltas(
 ) -> tuple[np.ndarray, ...]:
     """Route aggregated (a_c, |c|) deltas of this rank's moves
     (:func:`aggregate_deltas`: ``ids`` ascending and duplicate-free) to
-    the community owners, who apply them in source-rank order
-    (:meth:`~repro.runtime.comm.Communicator.push`).
-
-    ``labels`` — ``(counts, ids, values)`` in destination order, as a
-    sweep round lists its moved vertices' labels — leaves in the same
-    message as that rank's delta slice; returns the ``(ids, values)``
-    every rank sent here, concatenated in source order (``()`` without
-    labels).  One exchange, charged to ``community_comm``; every rank
-    participates even with zero moves (the collective is unconditional
-    in Algorithm 3).
-    """
+    the community owners, who apply them in source-rank order: one
+    :meth:`~repro.runtime.comm.Communicator.push`, ``community_comm``,
+    which every rank makes even with zero moves.  ``labels`` —
+    ``(counts, ids, values)`` in destination order — leave in the same
+    messages; returns the ``(ids, values)`` every rank sent here, in
+    source order (``()`` without labels)."""
     return comm.push(
         ids, dg.cuts(ids), (dtot, dsize), (tot_owned, size_owned),
         carry=labels, category="community_comm",

@@ -10,8 +10,8 @@ level:
   iteration inside one phase.
 
 The loops in :mod:`repro.core.distlouvain` own one of each and mutate
-it in place.  Everything else a phase works with — ghost copies, the
-community view, the sweep plan, colour classes — is *derived* from
+it in place.  Everything else a phase works with — the ghost plan, the
+world's arrays, the sweep plan, colour classes — is *derived* from
 these two and rebuilt whenever a phase begins, so a checkpoint is
 ``pack(state)`` (:mod:`repro.resilience.louvain_state`) and a resume is
 ``state = unpack(...)``: the resumed loop rebuilds the derived parts
@@ -29,14 +29,6 @@ from .heuristics import EarlyTermination
 from .result import IterationStats, PhaseStats
 
 
-#: The arrays a phase lays out in the world's, and what an error calls them.
-_PLACED = {
-    "local_comm": "label array",
-    "tot_owned": "owner table",
-    "size_owned": "owner table",
-}
-
-
 @dataclass
 class IterationState:
     """One rank's state between two iterations of a phase (Algorithm 3).
@@ -46,9 +38,10 @@ class IterationState:
     vertex interval.
 
     While a phase runs, ``local_comm``, ``tot_owned`` and ``size_owned``
-    are this rank's segments of arrays that hold every rank's laid end
-    to end (:meth:`place`), and assigning one of them writes into its
-    segment: what else holds the segment never reads a stale copy.
+    are views of this rank's segments of the world's per-vertex tables,
+    which hold every rank's laid end to end (the phase's one world call
+    points them there).  They are written in place, never rebound: the
+    world's tables are the one copy.
     """
 
     #: Community of every owned vertex (global community ids).
@@ -65,29 +58,6 @@ class IterationState:
     q: float = 0.0
     #: This phase's iterations so far.
     stats: list[IterationStats] = field(default_factory=list)
-    #: The rank whose segments hold the placed arrays; ``None`` before
-    #: :meth:`place`.  Not a field: a resumed phase places afresh.
-    _rank = None
-
-    def place(self, rank: int, **segments: np.ndarray) -> None:
-        """Copy ``local_comm``, ``tot_owned`` and ``size_owned`` into
-        ``segments`` (by name) and hold those from now on."""
-        for name, segment in segments.items():
-            segment[:] = getattr(self, name)
-            object.__setattr__(self, name, segment)
-        object.__setattr__(self, "_rank", rank)
-
-    def __setattr__(self, name: str, value) -> None:
-        if self._rank is None or name not in _PLACED:
-            super().__setattr__(name, value)
-            return
-        segment = getattr(self, name)
-        if len(value) != len(segment):
-            raise ValueError(
-                f"rank {self._rank}: {_PLACED[name]} of {len(value)} "
-                f"values for its {len(segment)} ids"
-            )
-        segment[:] = value
 
 
 @dataclass

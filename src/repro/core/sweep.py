@@ -45,19 +45,16 @@ it snapshot community ids for *global* targets and a ``tot`` lookup that
 covers remotely-owned communities, so exactly the same decision logic
 runs in the serial, shared-memory and distributed paths.  Community ids
 must be non-negative with ``nloc * (max id + 1)`` inside int64; the
-distributed caller keeps the ids a rank has seen this phase numbered
-densely (an order-preserving map, so tie-breaks are unaffected), which
-also lets it hand over totals as plain arrays through
-:func:`array_lookup`.
+distributed caller sweeps global ids (community ids are vertex ids) and
+hands over the owners' tables, indexed by id, as the lookups.
 
 Nothing in a row's decision reads another row, so independent CSR
 slices — the ranks' slices of one synchronised round — can be swept by
 one call: :meth:`SweepWorkspace.stack` lays them end to end (rows and
 entry positions offset by the slices before), and ``segments=``
-(:class:`Segments`) keeps each slice's community numbering its own and
-counts its pairs apart.  Every array such a call touches that grows with
-the entries lives in the :class:`SweepWorkspace`, which the caller keeps
-from sweep to sweep.
+(:class:`Segments`) counts each slice's pairs apart.  Every array such a
+call touches that grows with the entries lives in the
+:class:`SweepWorkspace`, which the caller keeps from sweep to sweep.
 """
 
 from __future__ import annotations
@@ -98,18 +95,13 @@ class SweepResult:
 class Segments(NamedTuple):
     """Consecutive row slices swept as independent problems in one call.
 
-    Slice ``s`` is rows ``rows[s]:rows[s + 1]`` and numbers its
-    communities on its own.  The kernel adds ``shift[s]`` to slice
-    ``s``'s ids only where they meet the lookups, which therefore cover
-    the slices' tables laid end to end.  Grouping, scores and tie-breaks
-    compare ids within one row, so every slice decides exactly as it
-    would swept alone.
+    Slice ``s`` is rows ``rows[s]:rows[s + 1]``.  Grouping, scores and
+    tie-breaks compare ids within one row, so every slice decides
+    exactly as it would swept alone; the result counts its pairs apart.
     """
 
     #: Where each slice starts, then the row count: ``int64[s + 1]``.
     rows: np.ndarray
-    #: Lookup offset of each slice's community ids: ``int64[s]``.
-    shift: np.ndarray
 
 
 class _Scratch:
@@ -212,18 +204,15 @@ class StackedSweep:
     """CSR slices laid end to end as the input of one sweep
     (:meth:`SweepWorkspace.stack`); its arrays live in the workspace.
 
-    ``index``, ``rows``, ``degrees`` and ``plan`` are fixed when it is
-    built.  ``target``, ``cur`` and ``active`` are written
-    before every sweep, each slice's in its own community ids
-    (:meth:`segment`); :class:`Segments` keeps those apart in the sweep.
+    ``index``, ``degrees`` and ``plan`` are fixed when it is built.
+    ``target``, ``cur`` and ``active`` are written before every sweep
+    (:meth:`segment`: slice ``s``'s views).
     """
 
     plan: SweepPlan
     #: Row index of the stacked CSR: slice ``s``'s entries offset by
     #: ``entry_cuts[s]``.
     index: np.ndarray
-    #: Row of every stacked CSR entry, self loops included.
-    rows: np.ndarray
     degrees: np.ndarray
     #: Community of every entry's target, of every row, and the active
     #: flag of every row.
@@ -285,7 +274,6 @@ class SweepWorkspace:
         inner_cuts = _cuts([len(s.entries) for s in slices])
         n, inner = int(row_cuts[-1]), int(inner_cuts[-1])
         index = self.array("index", n + 1, np.int64)
-        rows = self.array("rows", int(entry_cuts[-1]), np.int64)
         degrees = self.array("degrees", n, np.float64)
         entries = self.array("entries", inner, np.int64)
         entry_rows = self.array("entry_rows", inner + n, np.int64)
@@ -296,7 +284,6 @@ class SweepWorkspace:
             i0, i1 = inner_cuts[s], inner_cuts[s + 1]
             e0, e1 = entry_cuts[s], entry_cuts[s + 1]
             np.add(part.index[1:], e0, out=index[r0 + 1:r1 + 1])
-            np.add(part.rows, r0, out=rows[e0:e1])
             degrees[r0:r1] = part.degrees
             np.add(part.entries, e0, out=entries[i0:i1])
             part.rows.take(part.entries, out=entry_rows[i0:i1], mode="clip")
@@ -322,7 +309,6 @@ class SweepWorkspace:
         return StackedSweep(
             plan=plan,
             index=index,
-            rows=rows,
             degrees=degrees,
             target=self.array("target", int(entry_cuts[-1]), np.int64),
             cur=self.array("cur", n, np.int64),
@@ -409,9 +395,8 @@ def propose_moves(
         ``SweepPlan.build(index, weights, self_mask)``, when the caller
         sweeps the same CSR repeatedly; built here otherwise.
     segments:
-        Independent row slices with their own community numbering
-        (:class:`Segments`); the result then counts each slice's pairs
-        in ``segment_pairs``.
+        Independent row slices (:class:`Segments`); the result then
+        counts each slice's pairs in ``segment_pairs``.
     """
     nloc = len(index) - 1
     if plan is not None and plan.out is not None:
@@ -427,7 +412,7 @@ def propose_moves(
         pairs_evaluated=0,
         segment_pairs=(
             None if segments is None
-            else np.zeros(len(segments.shift), dtype=np.int64)
+            else np.zeros(len(segments.rows) - 1, dtype=np.int64)
         ),
     )
     if nloc == 0 or total_weight <= 0.0:
@@ -436,11 +421,6 @@ def propose_moves(
         plan = SweepPlan.build(index, weights, self_mask)
     if len(target_comm) != index[-1] or len(cur_comm) != nloc:
         raise ValueError("target_comm / cur_comm do not match the CSR")
-    shift = (
-        segments.shift
-        if segments is not None and segments.shift.any()
-        else None
-    )
     target_comm = np.asarray(target_comm, dtype=np.int64)
     ws = plan.scratch
     ws.top = 0
@@ -513,8 +493,8 @@ def propose_moves(
     # each segment's pairs are one run; every swept row holds exactly one
     # own-community pair (the synthetic entry guarantees it), so ``own``,
     # ``row_starts`` and ``swept`` are one per swept row, rows ascending.
-    # ``spare`` holds, in turn, the three pair-sized arrays that are dead
-    # as soon as they are read.
+    # ``spare`` holds, in turn, the two pair-sized arrays that are dead as
+    # soon as they are read.
     pair_cuts = None if segments is None else pr.searchsorted(segments.rows)
     row_starts = _group_starts(pr, ws)
     swept = ws.take(pr, row_starts)
@@ -525,11 +505,7 @@ def propose_moves(
         np.equal(pc, cur_comm.take(pr, out=pair_cur, mode="clip"), out=flags),
         ws,
     )
-    tot_eff = _look_up(
-        tot_lookup,
-        _shifted(pc, pair_cuts, shift, spare),
-        ws.empty(len(pr), _F8),
-    )
+    tot_eff = _look_up(tot_lookup, pc, ws.empty(len(pr), _F8))
     own_tot = ws.take(tot_eff, own)
     own_tot -= ws.take(degrees, swept)
     tot_eff[own] = own_tot
@@ -564,18 +540,12 @@ def propose_moves(
     # Singleton-singleton swap suppression (minimum labelling).
     if len(cand_rows):
         src_c = ws.take(cur_comm, cand_rows)
-        cand_cuts = (
-            None if shift is None else cand_rows.searchsorted(segments.rows)
-        )
-        query = spare[:len(cand_rows)]
-        src_q = _shifted(src_c, cand_cuts, shift, query)
         looked = ws.empty(len(cand_rows), _F8)
-        src_alone = _look_up(size_lookup, src_q, looked) == 1
-        gap = _look_up(tot_lookup, src_q, looked)
+        src_alone = _look_up(size_lookup, src_c, looked) == 1
+        gap = _look_up(tot_lookup, src_c, looked)
         gap -= ws.take(degrees, cand_rows)
         src_alone &= np.abs(gap, out=gap) <= 1e-9
-        dst_q = _shifted(cand_comm, cand_cuts, shift, query)
-        src_alone &= _look_up(size_lookup, dst_q, looked) == 1
+        src_alone &= _look_up(size_lookup, cand_comm, looked) == 1
         src_alone &= cand_comm > src_c  # now: blocked
         keep = _nonzero(np.logical_not(src_alone, out=src_alone), ws)
         cand_rows = ws.take(cand_rows, keep)
@@ -625,37 +595,16 @@ def _look_up(
     return out
 
 
-def _shifted(
-    ids: np.ndarray,
-    cuts: np.ndarray | None,
-    shift: np.ndarray | None,
-    out: np.ndarray,
-) -> np.ndarray:
-    """``ids`` as the lookups number them: the run ``cuts[s]:cuts[s + 1]``
-    (segment ``s``'s) plus ``shift[s]``, written into ``out`` (int64, as
-    long as ``ids``); ``ids`` itself when nothing shifts.  The shifts,
-    repeated by segment length, are added in one pass whatever the
-    segment count."""
-    if shift is None:
-        return ids
-    return np.add(ids, shift.repeat(np.diff(cuts)), out=out)
-
-
-def array_lookup(
-    ids: np.ndarray | None,
-    values: np.ndarray,
-    starts: np.ndarray | None = None,
-) -> Callable:
+def array_lookup(ids: np.ndarray | None, values: np.ndarray) -> Callable:
     """Lookup over a dense array indexed directly by community id.
 
     ``values[i]`` is the value of community ``i``; a slot that was never
-    filled holds NaN.  Querying one raises ``KeyError`` — in the
-    distributed algorithm it means a community's owner was never asked
-    for its totals, a protocol bug worth failing loudly on rather than
-    scoring against garbage.  ``ids[i]``, when given, is the name of
-    slot ``i`` in the error (the caller's id before dense renumbering);
-    ``starts``, when given, where each rank's slots begin in a table of
-    every rank's laid end to end, so the error names the ranks too.
+    filled holds NaN.  Querying one raises ``KeyError`` — in a per-rank
+    view of the communities (the reference iteration) it means a
+    community's owner was never asked for its totals, a protocol bug
+    worth failing loudly on rather than scoring against garbage.
+    ``ids[i]``, when given, is the name of slot ``i`` in the error (the
+    caller's id before dense renumbering).
     """
 
     def look(query: np.ndarray) -> np.ndarray:
@@ -664,13 +613,7 @@ def array_lookup(
         if missing.any():
             slots = np.unique(np.asarray(query)[missing])[:5]
             names = slots if ids is None else np.asarray(ids)[slots]
-            where = ""
-            if starts is not None:
-                ranks = np.searchsorted(starts, slots, side="right") - 1
-                where = f" on rank(s) {sorted(set(ranks.tolist()))}"
-            raise KeyError(
-                f"community totals missing for ids {names.tolist()}{where}"
-            )
+            raise KeyError(f"community totals missing for ids {names.tolist()}")
         return out
 
     return look

@@ -9,6 +9,7 @@ render one fleet-wide exposition from snapshots it never owned live
 
 from __future__ import annotations
 
+import contextvars
 import http.server
 import json
 import os
@@ -16,6 +17,7 @@ import threading
 from typing import Any, Callable, Mapping
 
 from ..runtime.tracing import TraceReport
+from .events import emit_current
 from .registry import MetricsRegistry
 
 __all__ = [
@@ -269,7 +271,13 @@ class PeriodicExporter:
 class MetricsServer:
     """Minimal stdlib HTTP endpoint: ``/metrics`` (Prometheus text) and
     ``/metrics.json`` (JSON snapshot), for ``repro-louvain serve
-    --metrics-port``."""
+    --metrics-port``.
+
+    A collection that raises is answered with HTTP 500 and surfaced: it
+    counts in :attr:`collect_failures` and emits a
+    ``metrics_collect_failed`` event, naming the path, to the event sink
+    that was ambient where the server was built
+    (:func:`~repro.obs.events.emit_current`)."""
 
     def __init__(
         self,
@@ -279,14 +287,22 @@ class MetricsServer:
         port: int = 0,
     ) -> None:
         collect_fn = collect
+        #: Requests whose collection raised.
+        self.collect_failures = 0
+        lock = threading.Lock()
+        # Handlers run on the server's threads: they emit into a copy of
+        # the builder's context, where its ambient sink is installed.
+        context = contextvars.copy_context()
+        server = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
             def do_GET(self) -> None:  # noqa: N802 (stdlib API name)
+                path = self.path.split("?")[0]
                 try:
-                    if self.path.split("?")[0] == "/metrics":
+                    if path == "/metrics":
                         body = to_prometheus(_resolve(collect_fn))
                         ctype = "text/plain; version=0.0.4; charset=utf-8"
-                    elif self.path.split("?")[0] == "/metrics.json":
+                    elif path == "/metrics.json":
                         body = json.dumps(
                             _resolve(collect_fn), indent=2, sort_keys=True
                         )
@@ -295,6 +311,12 @@ class MetricsServer:
                         self.send_error(404)
                         return
                 except Exception as exc:  # collection failed; report, don't die
+                    with lock:
+                        server.collect_failures += 1
+                    context.copy().run(
+                        emit_current, "metrics_collect_failed",
+                        path=path, error=repr(exc),
+                    )
                     self.send_error(500, repr(exc))
                     return
                 data = body.encode("utf-8")

@@ -312,7 +312,7 @@ def alltoall_world(
 def lookup_world(
     world: "World",
     scripts: Sequence[Script],
-    ids: np.ndarray,
+    ids: np.ndarray | None,
     counts: np.ndarray,
     tables: Sequence[np.ndarray],
 ) -> list[np.ndarray]:
@@ -323,11 +323,13 @@ def lookup_world(
     field.  Ownership is contiguous from 0, so they are indexed by global
     id and one gather per field answers the world.  Request ``(d, s)``
     carries the ids ``d`` asks ``s`` for, reply ``(s, d)`` one value per
-    id and field.  Returns one array per field, aligned with ``ids``."""
-    fields = [table.take(ids) for table in tables]
-    _leg(world, scripts, _count_sizes(counts * ids.itemsize))
+    id and field.  Returns one array per field, aligned with ``ids`` —
+    none when ``ids`` is ``None``: a caller that reads the joined tables
+    itself has the legs priced (int64 ids) and nothing gathered."""
+    width = np.dtype(np.int64).itemsize if ids is None else ids.itemsize
+    _leg(world, scripts, _count_sizes(counts * width))
     _leg(world, scripts, _count_sizes(counts.T * _width(tables)))
-    return fields
+    return [] if ids is None else [table.take(ids) for table in tables]
 
 
 def _lookup_ranks(
@@ -352,7 +354,7 @@ def push_world(
     values: Sequence[np.ndarray],
     tables: Sequence[np.ndarray],
     carry: tuple[np.ndarray, ...] | None = None,
-) -> tuple[np.ndarray, ...]:
+) -> None:
     """The world half of an owner-routed push, one leg for every rank:
     ``ids`` are every rank's ids laid end to end, ``counts[s, d]`` of
     rank ``s``'s owned by rank ``d``, ``values`` one array per field
@@ -360,20 +362,16 @@ def push_world(
     :func:`lookup_world`, and every value lands in them with one
     ``np.add.at`` per field, in source-rank order — the order one
     ``np.add.at`` per source gives each element.  ``carry = (counts,
-    *arrays)`` routes arrays laid out the same way (each rank's in
+    *arrays)`` prices arrays laid out the same way (each rank's in
     destination order, ``counts[s, d]`` of rank ``s``'s for ``d``) in the
-    same messages; returns :func:`_route`'s ``(cuts, *fields)`` of what
-    was carried, ``()`` without ``carry``."""
+    same messages; delivering them is the caller's (:func:`_route`)."""
     payload = counts * _width([ids, *values])
     for table, field in zip(tables, values):
         np.add.at(table, ids, field)
-    carried: tuple[np.ndarray, ...] = ()
     if carry is not None:
         routed, *arrays = carry
         payload += routed * _width(arrays)
-        carried = _route(routed, arrays)
     _leg(world, scripts, _count_sizes(payload))
-    return carried
 
 
 def _push_ranks(
@@ -382,7 +380,7 @@ def _push_ranks(
     """:func:`push_world` over per-rank deposits ``(ids, cuts, values,
     tables, carry)`` (:meth:`Communicator.push`): the owners' tables are
     joined for it and each owner's slice copied back, and what was
-    carried is cut per destination."""
+    carried is routed (:func:`_route`) and cut per destination."""
     p = len(deposits)
     owners = [d[3] for d in deposits]
     joined = [_joined(w) for w in zip(*owners)]
@@ -392,7 +390,7 @@ def _push_ranks(
             np.array([d[4][0] for d in deposits]),
             *(_joined(f) for f in zip(*(d[4][1:] for d in deposits))),
         )
-    carried = push_world(
+    push_world(
         world, scripts, _joined([d[0] for d in deposits]),
         _counts([d[1] for d in deposits]),
         [_joined(f) for f in zip(*(d[2] for d in deposits))], joined, carry,
@@ -404,8 +402,9 @@ def _push_ranks(
             if mine is not table:
                 mine[:] = table[lo:hi]
         lo = hi
-    if not carried:
+    if carry is None:
         return [()] * p
+    carried = _route(carry[0], carry[1:])
     return _split(carried[0], carried[1:])
 
 

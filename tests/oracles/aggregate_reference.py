@@ -5,10 +5,10 @@ per-destination ``_combine_entries`` of ``repro.core`` as they shipped
 before the per-phase community view, moved here verbatim (tests only,
 never imported by ``src/``), together with the argsort bucketing
 ``split_by_rank`` they used, which ``src/`` replaced with owner cuts of
-ascending ids.  The shipped code — a scatter over the view's dense ids,
-one ``(src, dst)`` sort for every destination — keeps their arithmetic:
-same floats added in the same order, same arrays on the wire.
-Equality, not a tolerance, is the contract.
+ascending ids.  The shipped code — a scatter over the touched ids'
+dense positions, one ``(src, dst)`` sort for every destination — keeps
+their arithmetic: same floats added in the same order, same arrays on
+the wire.  Equality, not a tolerance, is the contract.
 """
 
 from __future__ import annotations

@@ -120,7 +120,7 @@ def apply_community_deltas(
 ):
     """Drop-in for ``repro.core.distlouvain._apply_community_deltas``:
     one alltoall for the delta slices (owners apply them in source-rank
-    order), then — when the round has ``labels``, a view's
+    order), then — when the round has ``labels``, its
     ``(counts, ids, values)`` — a second one for the label slices.
     ``received_log`` collects, per source rank, whether its delta slice
     and its label slice were non-empty."""

@@ -4,15 +4,24 @@ The shipped ``repro.core.distlouvain._iterate`` makes one rendezvous per
 iteration: every rank consults the fault plan for the iteration's ops,
 and one world function runs Algorithm 3's steps (ii)-(v) for every rank
 — each step a fixed number of numpy passes over every rank's state laid
-end to end — handing each rank back the charges its ops would have made.
+end to end, in global community ids — handing each rank back the charges
+its ops would have made.  The world keeps no rank's partial knowledge of
+the communities as data: a ghost's community is its label in the world's
+labels, a fetched a_c / |c| is the owner's table entry itself, and the
+messages are priced from counts.
+
 This is the formulation it replaced, kept as an oracle (tests only,
 never imported by ``src/``): per colour round a ``lookup`` (request and
-reply legs), a world call of the stacked sweep and a ``push`` of the
-deltas with the ghost labels, then one ``allreduce`` — each its own
-rendezvous, with the per-rank work between them on the rank's own
-thread, in the per-rank forms of the view's patching (:func:`publish`,
-:func:`absorb`).  After every iteration every rank must hold *equal*
-state, clock and trace.
+reply legs), the rank's own sweep and a ``push`` of the deltas with the
+ghost labels, then one ``allreduce`` — each its own rendezvous, with the
+per-rank work between them on the rank's own thread.  Each rank keeps
+its own view: its copies of its ghosts' communities
+(``phase.ghost_comm``, patched with the labels its pushes deliver,
+:func:`absorb`) and, per round, its communities numbered densely with
+the (a_c, |c|) of exactly those it fetched — a community the round did
+not fetch stays NaN, and scoring against it raises ``KeyError``
+(:func:`~repro.core.sweep.array_lookup`).  After every iteration every
+rank must hold *equal* state, clock and trace.
 
 :func:`iterate` is a drop-in for ``_iterate``.  Its delta exchange is
 the module function :func:`apply_community_deltas`, so a test can swap
@@ -25,8 +34,7 @@ import numpy as np
 
 from repro.core.coarsen import owner_lookup
 from repro.core.distlouvain import _exit_tests, aggregate_dense_deltas
-from repro.core.sweep import Segments, array_lookup, propose_moves
-from repro.graph.csr import sorted_unique
+from repro.core.sweep import array_lookup, propose_moves
 
 
 def apply_community_deltas(
@@ -46,6 +54,11 @@ def iterate(comm, phase, it, config) -> bool:
     et = phase.state.et
     dg = phase.dg
     nloc = dg.num_local
+    if phase.ghost_comm is None:
+        # The phase's first iteration: the ghosts' communities as its
+        # full exchange delivered them — the labels the world holds
+        # before any rank's first collective of the iteration.
+        phase.ghost_comm = phase.world.local_comm.take(phase.plan.ghost_ids)
     active = et.draw_active() if et is not None else np.ones(nloc, dtype=bool)
     colors = phase.world.colors
     rounds = (
@@ -63,21 +76,31 @@ def iterate(comm, phase, it, config) -> bool:
     return _exit_tests(phase, it, config, total)
 
 
+def view(phase):
+    """The rank's communities as it knows them: every slot's (owned
+    vertices, then ghosts) numbered densely in ascending id order, and
+    the ids, the slots' and every CSR entry's target's dense
+    community."""
+    raw = np.concatenate([phase.state.local_comm, phase.ghost_comm])
+    ids, slot = np.unique(raw, return_inverse=True)
+    return ids, slot, slot[phase.dg.compressed_targets()]
+
+
 def sweep_round(comm, phase, active) -> tuple[np.ndarray, int]:
-    """Steps (i)-(iv) for one active set: fetch, world sweep, deltas and
-    labels out, view patched."""
-    dg, view, state = phase.dg, phase.view, phase.state
+    """Steps (i)-(iv) for one active set: fetch, the rank's sweep, deltas
+    and labels out, ghost copies patched."""
+    dg, state = phase.dg, phase.state
     nloc = dg.num_local
-    ids = view.ids
-    local_dense = view.slot[:nloc]
+    ids, slot, target = view(phase)
+    local_dense = slot[:nloc]
     flags = np.zeros(len(ids), dtype=bool)
     if active.all():
         scanned = dg.num_local_entries
-        flags[view.slot] = True
+        flags[slot] = True
     else:
         active_entries = active[dg.local_rows()]
         scanned = int(np.count_nonzero(active_entries))
-        flags[view.target[active_entries]] = True
+        flags[target[active_entries]] = True
         flags[local_dense[active]] = True
     wanted = np.flatnonzero(flags)
     dense_info = np.full((2, len(ids)), np.nan)
@@ -85,59 +108,33 @@ def sweep_round(comm, phase, active) -> tuple[np.ndarray, int]:
         comm, dg.offsets, ids[wanted], (state.tot_owned, state.size_owned),
         category="community_comm",
     )
-    stack = phase.world.stack
-    _, cur, round_active = stack.segment(comm.rank)
-    cur[:] = local_dense
-    round_active[:] = active
-    proposal, moved, pairs = comm.world_call(
-        (phase.world, dense_info, ids), _sweep_world
+    res = propose_moves(
+        index=dg.index,
+        target_comm=target,
+        weights=dg.weights,
+        self_mask=dg.self_loop_mask(),
+        degrees=phase.k,
+        cur_comm=local_dense,
+        total_weight=dg.total_weight,
+        tot_lookup=array_lookup(ids, dense_info[0]),
+        size_lookup=array_lookup(ids, dense_info[1]),
+        active=active,
+        resolution=phase.world.resolution,
     )
-    moved = moved.copy()
-    comm.charge_compute(pairs + scanned + nloc)
+    comm.charge_compute(res.pairs_evaluated + scanned + nloc)
+    moved = res.moved
     rows = np.flatnonzero(moved)
-    new_dense = proposal[rows]
+    new_dense = res.proposal[rows]
     deltas = aggregate_dense_deltas(
         ids, local_dense[rows], new_dense, phase.k[rows]
     )
     state.local_comm[rows] = ids[new_dense]
-    local_dense[rows] = new_dense
-    absorb(comm, phase, *apply_community_deltas(
+    absorb(phase, *apply_community_deltas(
         comm, dg, *deltas, tot_owned=state.tot_owned,
         size_owned=state.size_owned,
-        labels=publish(dg, view.plan, state.local_comm, moved),
+        labels=publish(dg, phase.plan, state.local_comm, moved),
     ))
     return moved, len(rows)
-
-
-def _sweep_world(rounds):
-    """One ``propose_moves`` over the stack for every rank's round."""
-    world = rounds[0][0]
-    stack = world.stack
-    lengths = [len(r_ids) for _, _, r_ids in rounds]
-    shift = np.zeros(len(rounds), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=shift[1:])
-    ids = np.concatenate([r_ids for _, _, r_ids in rounds])
-    info = np.concatenate([r_info for _, r_info, _ in rounds], axis=1)
-    res = propose_moves(
-        index=stack.index,
-        target_comm=stack.target,
-        weights=None,
-        self_mask=None,
-        degrees=stack.degrees,
-        cur_comm=stack.cur,
-        total_weight=world.total_weight,
-        tot_lookup=array_lookup(ids, info[0]),
-        size_lookup=array_lookup(ids, info[1]),
-        active=stack.active,
-        resolution=world.resolution,
-        plan=stack.plan,
-        segments=Segments(stack.row_cuts, shift),
-    )
-    cuts = stack.row_cuts
-    return [
-        (res.proposal[a:b], res.moved[a:b], int(pairs))
-        for a, b, pairs in zip(cuts[:-1], cuts[1:], res.segment_pairs)
-    ]
 
 
 def publish(dg, plan, local_comm, moved):
@@ -150,64 +147,21 @@ def publish(dg, plan, local_comm, moved):
     return counts, plan.send_ids[sel], local_comm[send_loc[sel]]
 
 
-def absorb(comm, phase, ghost_ids, values) -> None:
-    """Ghost vertices ``ghost_ids`` now belong to communities ``values``
-    (raw ids, possibly never seen here): update the ghost copies and
-    their positions, then re-aim the view's targets.  Collective: a rank
-    whose ids grew hands them to the world's table in a world call every
-    rank makes."""
-    dg, view = phase.dg, phase.view
-    grown = None
+def absorb(phase, ghost_ids, values) -> None:
+    """Ghost vertices ``ghost_ids`` now belong to communities ``values``:
+    update the rank's copies."""
     if len(ghost_ids):
-        ghosts = np.searchsorted(view.plan.ghost_ids, ghost_ids)
-        view.values[ghosts] = values
-        grown, pos = _positions(view, values)
-        view.slot[dg.num_local + ghosts] = pos
-    comm.world_call((phase.world, grown), _set_ids)
-    view.slot.take(dg.compressed_targets(), out=view.target, mode="clip")
-
-
-def _positions(view, values):
-    """This rank's ``ids`` with the unseen ``values`` merged in (``None``
-    when none is unseen), and the position of each value in them; the
-    positions above a merged id move up, in ``slot`` too."""
-    ids = view.ids
-    pos = np.searchsorted(ids, values)
-    unseen = ids.take(pos, mode="clip") != values
-    if not unseen.any():
-        return None, pos
-    fresh = sorted_unique(values[unseen])
-    shift = np.searchsorted(fresh, ids)
-    shift += np.arange(len(ids))
-    view.slot[:] = shift[view.slot]
-    pos += np.searchsorted(fresh, values)
-    return np.insert(ids, np.searchsorted(ids, fresh), fresh), pos
-
-
-def _set_ids(deposits):
-    """Every rank's ``ids`` laid end to end again, a grown rank's
-    replaced."""
-    world = deposits[0][0]
-    if any(grown is not None for _, grown in deposits):
-        cuts = world.id_cuts
-        parts = [
-            world.ids[cuts[r]:cuts[r + 1]] if grown is None else grown
-            for r, (_, grown) in enumerate(deposits)
-        ]
-        world.id_cuts = np.zeros(len(parts) + 1, dtype=np.int64)
-        np.cumsum([len(a) for a in parts], out=world.id_cuts[1:])
-        world.ids = np.concatenate(parts)
-        world.slot_shift[:] = np.repeat(
-            world.id_cuts[:-1], np.diff(world.slot_cuts)
-        )
-    return [None] * len(deposits)
+        phase.ghost_comm[
+            np.searchsorted(phase.plan.ghost_ids, ghost_ids)
+        ] = values
 
 
 def global_modularity(comm, phase, config, active, moved) -> np.ndarray:
     """Step (v): the modularity partials and counts in one allreduce;
     sets ``phase.state.q``."""
-    dg, view, state = phase.dg, phase.view, phase.state
-    intra = view.slot[dg.local_rows()] == view.target
+    dg, state = phase.dg, phase.state
+    _, slot, target = view(phase)
+    intra = slot[dg.local_rows()] == target
     local_in = float(dg.weights.compress(intra).sum())
     comm.charge_compute(dg.num_local_entries)
     local_inactive = state.et.update(moved) if state.et is not None else 0

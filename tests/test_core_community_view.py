@@ -1,12 +1,16 @@
-"""The per-phase community view and the dense-space delta aggregation.
+"""The world's view of the communities and the dense-space delta
+aggregation.
 
-``_CommunityView`` is derived state the sweep rounds patch instead of
-rebuilding — every rank's at once, over the world's arrays its view is
-a segment of: these tests hold it to what a rebuild from the raw labels
-would give — after arbitrary patches (``_absorb`` over the world),
-after every round of real runs (where the iteration's world function
-runs them), and after a resume — and hold ``aggregate_dense_deltas`` to
-the sort-based reference it replaced.
+Inside a phase a community id is a global vertex id, and the community
+of any vertex — a ghost's as of the last synchronisation point included
+— is its label in the world's labels (``_WorldPhase.local_comm``).  The
+one view derived from them that the rounds patch instead of rebuilding
+is the community of every CSR entry's target, the kernel's
+``target_comm``: these tests hold it to the labels after every round of
+real runs (where the iteration's world function patches it) and after a
+resume, hold the rounds' one message per peer to the per-rank reference
+iteration's two exchanges, and hold ``aggregate_dense_deltas`` to the
+sort-based reference it replaced.
 """
 
 from __future__ import annotations
@@ -20,15 +24,12 @@ from hypothesis import strategies as st
 
 from repro.core import LouvainConfig, Variant, aggregate_deltas, run_louvain
 from repro.core import distlouvain
-from repro.core.distlouvain import (
-    _absorb, _stack_phase, aggregate_dense_deltas,
-)
-from repro.core.state import IterationState
-from repro.graph import CSRGraph, DistGraph
+from repro.core.distlouvain import aggregate_dense_deltas
+from repro.graph import CSRGraph
 from repro.resilience import FaultPlan
-from repro.runtime import FREE, RankFailedError, run_spmd
+from repro.runtime import FREE, RankFailedError
 
-from .conftest import disk_checkpoints, planted_blocks_graph, random_graph
+from .conftest import disk_checkpoints, planted_blocks_graph
 from .oracles import (
     aggregate_reference, exchange_reference, iteration_reference,
 )
@@ -41,107 +42,15 @@ COMMON = dict(
 )
 
 
-def assert_view_consistent(view, dg, local_comm) -> None:
-    """The three invariants: the table ascends strictly, every slot
-    names its raw community, every entry aims at its target's slot —
-    and the numbering is order-preserving, i.e. it ranks the slots
-    exactly as a fresh ``np.unique`` of the raw communities would."""
-    raw = np.concatenate([local_comm, view.values])
-    assert np.all(np.diff(view.ids) > 0)
-    np.testing.assert_array_equal(view.ids[view.slot], raw)
+def assert_view_consistent(world, dg, rank) -> None:
+    """Every entry of rank ``rank``'s segment of the stack aims at its
+    target's community in the world's labels, and the kernel's current
+    communities are those labels."""
+    e0, e1 = world.stack.entry_cuts[rank:rank + 2]
     np.testing.assert_array_equal(
-        view.target, view.slot[dg.compressed_targets()]
+        world.stack.target[e0:e1], world.local_comm[dg.edges]
     )
-    np.testing.assert_array_equal(
-        np.unique(view.slot, return_inverse=True)[1],
-        np.unique(raw, return_inverse=True)[1],
-    )
-
-
-# ----------------------------------------------------------------------
-# Random patches (no run around them)
-# ----------------------------------------------------------------------
-steps = st.lists(
-    st.tuples(
-        st.integers(0, 2**16),                      # seed of the step
-        st.sampled_from(["local", "ghost", "both"]),
-        # Where unseen ids come from: inside the known range, below
-        # every known id, above every known id.
-        st.sampled_from(["inside", "below", "above"]),
-    ),
-    min_size=1,
-    max_size=6,
-)
-
-
-def _absorb_all(deposits):
-    """``_absorb`` of every rank's ``(world, ghost positions, values)``."""
-    world = deposits[0][0]
-    _absorb(
-        world,
-        np.concatenate([
-            world.ghost_cuts[r] + ghosts
-            for r, (_, ghosts, _) in enumerate(deposits)
-        ]),
-        np.concatenate([values for _, _, values in deposits]),
-    )
-    return [None] * len(deposits)
-
-
-@given(
-    n=st.integers(6, 30), m=st.integers(4, 90), seed=st.integers(0, 2**16),
-    p=st.integers(2, 4), steps=steps,
-)
-@settings(**COMMON)
-def test_view_survives_random_patches(n, m, seed, p, steps):
-    """Local moves (positions the kernel would propose) and ghost
-    updates (raw ids, some never seen on their rank) in any order leave
-    every rank's view equal to one rebuilt from the labels."""
-    g = random_graph(np.random.default_rng(seed), n, m)
-    # Community ids sit in the middle of a wider id space so unseen ids
-    # can land below and above everything known.
-    lo, hi = 1000, 1000 + n
-
-    def prog(comm):
-        dg = DistGraph.distribute(comm, g, partition="even_vertex")
-        plan = dg.build_ghost_plan(comm)
-        nloc, nghost = dg.num_local, plan.num_ghosts
-        k = dg.local_degrees()
-        state = IterationState(
-            lo + dg.local_vertex_ids(), k, np.ones(nloc, dtype=np.int64)
-        )
-        world, view = _stack_phase(
-            comm, dg, plan, k, state, lo + plan.ghost_ids, None, 1.0
-        )
-        local_comm = state.local_comm
-        assert_view_consistent(view, dg, local_comm)
-        for step_seed, kind, where in steps:
-            rng = np.random.default_rng((step_seed, comm.rank))
-            if kind != "ghost" and nloc:
-                rows = np.flatnonzero(rng.random(nloc) < 0.5)
-                dense = rng.integers(0, len(view.ids), len(rows))
-                local_comm[rows] = view.ids[dense]
-                view.slot[rows] = dense
-            moved = np.empty(0, dtype=np.int64)
-            values = np.empty(0, dtype=np.int64)
-            if kind != "local" and nghost:
-                moved = np.flatnonzero(rng.random(nghost) < 0.5)
-                low, high = {
-                    "inside": (lo, hi),
-                    "below": (0, lo),
-                    "above": (hi, 2 * hi),
-                }[where]
-                values = np.where(
-                    rng.random(len(moved)) < 0.5,
-                    rng.integers(low, high, len(moved)),
-                    rng.choice(view.ids, len(moved)),
-                )
-            comm.world_call((world, moved, values), _absorb_all)
-            np.testing.assert_array_equal(view.values[moved], values)
-            assert_view_consistent(view, dg, local_comm)
-        return True
-
-    assert all(run_spmd(p, prog, machine=FREE, timeout=30.0).values)
+    assert world.stack.cur is world.local_comm
 
 
 # ----------------------------------------------------------------------
@@ -149,7 +58,7 @@ def test_view_survives_random_patches(n, m, seed, p, steps):
 # ----------------------------------------------------------------------
 @pytest.fixture
 def checked_rounds(monkeypatch):
-    """Assert every rank's view invariants after every round the
+    """Assert every rank's view invariant after every round the
     iteration's world function runs (``_world_round``); yields the
     per-rank count of rounds checked."""
     real = distlouvain._world_round
@@ -158,9 +67,7 @@ def checked_rounds(monkeypatch):
     def world_round(world, scripts, phases, k):
         out = real(world, scripts, phases, k)
         for rank, phase in enumerate(phases):
-            assert_view_consistent(
-                phase.view, phase.dg, phase.state.local_comm
-            )
+            assert_view_consistent(phase.world, phase.dg, rank)
             checked[rank] = checked.get(rank, 0) + 1
         return out
 
@@ -178,8 +85,8 @@ def test_view_consistent_after_every_round(checked_rounds):
 
 
 def test_view_consistent_after_resume(checked_rounds, tmp_path):
-    """A resumed phase rebuilds the view from the restored labels (no
-    shard stores it) and carries on bit-identically."""
+    """A resumed phase re-aims the targets at the restored labels (no
+    shard stores them) and carries on bit-identically."""
     g = planted_blocks_graph(blocks=6, per_block=16, inter_edges=70, seed=2)
     ref = run_louvain(g, 4, ETC, machine=FREE)
     full_run = dict(checked_rounds)
@@ -208,10 +115,12 @@ def test_view_consistent_after_resume(checked_rounds, tmp_path):
 # ----------------------------------------------------------------------
 def _state_after_every_iteration(g, p, config, two_exchanges: bool):
     """Run a detection; per rank, copies of the owner-side tables and
-    the view after each iteration (one round each: no colouring) — the
-    shipped one, or the per-rank reference iteration with the oracle's
-    two exchanges in place of its one push (which also logs what each
-    peer's message held)."""
+    the raw community of every slot (owned vertices, then ghosts) and of
+    every entry's target after each iteration (one round each: no
+    colouring) — the shipped one, whose ghosts read the world's labels,
+    or the per-rank reference iteration, whose ghost copies its pushes
+    patch, with the oracle's two exchanges in place of its one push
+    (which also logs what each peer's message held)."""
     states = {rank: [] for rank in range(p)}
     received: list[tuple[bool, bool]] = []
     real = (
@@ -220,11 +129,16 @@ def _state_after_every_iteration(g, p, config, two_exchanges: bool):
 
     def iterate(comm, phase, *args):
         out = real(comm, phase, *args)
-        state, view = phase.state, phase.view
+        state = phase.state
+        ghosts = (
+            phase.ghost_comm if two_exchanges
+            else phase.world.local_comm.take(phase.plan.ghost_ids)
+        )
+        slots = np.concatenate([state.local_comm, ghosts])
         states[comm.rank].append([
             a.copy() for a in (
                 state.tot_owned, state.size_owned,
-                view.values, view.slot, view.target,
+                slots, slots[phase.dg.compressed_targets()],
             )
         ])
         return out
@@ -248,9 +162,9 @@ def test_fused_exchange_matches_two_exchanges(p):
     """Deltas and labels in one message per peer leave every rank
     holding, after every iteration, exactly what the two exchanges of
     the per-rank reference iteration left:
-    owner-side ``tot`` / ``size``, ``view.values``, ``view.slot``,
-    ``view.target`` — on rounds where a peer's message carries deltas
-    and labels, only one of them, or nothing."""
+    owner-side ``tot`` / ``size``, the community of every slot and of
+    every entry's target — on rounds where a peer's message carries
+    deltas and labels, only one of them, or nothing."""
     message_kinds = set()
     for seed in range(8):
         _, n, u, v, w = adversarial_edges(seed)

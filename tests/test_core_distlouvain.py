@@ -278,28 +278,35 @@ class TestCommunityInfoCoverage:
         self, planted_blocks, monkeypatch
     ):
         # A sweep that evaluates a community whose (a_c, |c|) was never
-        # fetched is a protocol bug.  Simulate one: the kernel sweeps
-        # *every* vertex while the round fetched only what ET's active
-        # subset needs.  The miss must surface as a KeyError naming the
-        # communities, never as a move scored against garbage.
+        # fetched is a protocol bug.  The world sweeps against the
+        # owners' tables themselves, so the check lives where a rank's
+        # partial knowledge does: the per-rank reference iteration, which
+        # the world iteration is held to.  Simulate a miss there: the
+        # kernel sweeps *every* vertex while the round fetched only what
+        # ET's active subset needs.  It must surface as a KeyError naming
+        # the communities, never as a move scored against garbage.
         from repro.core import distlouvain
         from repro.runtime import RankFailedError
+
+        from .oracles import iteration_reference
 
         def sweep_everyone(**kwargs):
             kwargs["active"] = None
             return real(**kwargs)
 
-        real = distlouvain.propose_moves
-        monkeypatch.setattr(distlouvain, "propose_moves", sweep_everyone)
+        real = iteration_reference.propose_moves
+        monkeypatch.setattr(
+            iteration_reference, "propose_moves", sweep_everyone
+        )
+        monkeypatch.setattr(
+            distlouvain, "_iterate", iteration_reference.iterate
+        )
         cfg = LouvainConfig(variant=Variant.ET, alpha=0.75)
         with pytest.raises(RankFailedError) as excinfo:
             run_louvain(planted_blocks, 2, cfg, machine=FREE)
         cause = excinfo.value.causes[excinfo.value.rank]
         assert isinstance(cause, KeyError)
         assert "community totals missing for ids" in str(cause)
-        # The world's one kernel call still names whose totals were missing.
-        assert "on rank(s) [" in str(cause)
-
 
     def test_owner_table_not_its_interval_fails_loudly(self, planted_blocks):
         # Owners answer from their C_info tables laid end to end, so a
@@ -330,22 +337,22 @@ class TestCommunityInfoCoverage:
         self, planted_blocks, monkeypatch
     ):
         # The iteration works on every rank's tables laid end to end, of
-        # which a rank's ``tot_owned`` is a segment: replacing it with a
-        # table that is not its interval must raise, naming the rank.
+        # which a rank's ``tot_owned`` becomes a segment when the phase
+        # lays them out: a table that is not its interval must raise
+        # there, naming the rank.
         from repro.core import distlouvain
         from repro.runtime import RankFailedError
 
-        real = distlouvain._begin_phase
+        real = distlouvain._stack_phase
         shortened = []
 
-        def short_table(comm, *args, **kwargs):
-            phase = real(comm, *args, **kwargs)
+        def short_table(comm, dg, plan, k, state, *args):
             if comm.rank == 1:
                 shortened.append(comm.rank)
-                phase.state.tot_owned = phase.state.tot_owned[:-1]
-            return phase
+                state.tot_owned = state.tot_owned[:-1]
+            return real(comm, dg, plan, k, state, *args)
 
-        monkeypatch.setattr(distlouvain, "_begin_phase", short_table)
+        monkeypatch.setattr(distlouvain, "_stack_phase", short_table)
         with pytest.raises(RankFailedError) as excinfo:
             run_louvain(planted_blocks, 2, machine=FREE, timeout=15.0)
         assert shortened == [1]
@@ -377,30 +384,26 @@ class TestCommunityInfoCoverage:
         self, planted_blocks, monkeypatch
     ):
         # The iteration's push step routes every rank's deltas at once:
-        # the error must still say whose they were.
+        # a move to a community outside the vertex space must raise
+        # there, and the error must still say whose move it was.
         from repro.core import distlouvain
         from repro.runtime import RankFailedError
 
-        real = distlouvain._world_deltas
-        calls = []
+        real = distlouvain.propose_moves
         n = planted_blocks.num_vertices
+        calls = []
 
-        def stray(wp, *args):
-            touched, dtot, dsize = real(wp, *args)
-            calls.append(len(touched))
+        def stray(**kwargs):
+            res = real(**kwargs)
+            calls.append(res.num_moves)
             if len(calls) == 1:
-                # The first round also touches a community outside the
-                # vertex space, the last id of rank 1 (the last rank).
-                wp.ids = np.append(wp.ids, n + 3)
-                wp.keys = np.append(wp.keys, wp.key_base + n + 3)
-                wp.id_cuts = wp.id_cuts + [0, 0, 1]
-                touched, dtot, dsize = (
-                    np.append(touched, len(wp.ids) - 1),
-                    np.append(dtot, 0.0), np.append(dsize, 0),
-                )
-            return touched, dtot, dsize
+                # The first round also moves the last vertex of rank 1
+                # (the last rank) outside the vertex space.
+                res.proposal[-1] = n + 3
+                res.moved[-1] = True
+            return res
 
-        monkeypatch.setattr(distlouvain, "_world_deltas", stray)
+        monkeypatch.setattr(distlouvain, "propose_moves", stray)
         with pytest.raises(RankFailedError) as excinfo:
             run_louvain(planted_blocks, 2, machine=FREE, timeout=15.0)
         cause = excinfo.value.causes[excinfo.value.rank]

@@ -6,9 +6,12 @@ the rank replays.  The formulation it replaced — a ``lookup``, a sweep
 world call and a ``push`` per colour round, then an ``allreduce``, each
 its own rendezvous with the rank's work between them — is kept in
 ``tests/oracles/iteration_reference.py``.  After every iteration every
-rank must hold what it holds there: owner tables, view, labels, ET
-state, clock, and the trace's seconds by category, messages, bytes and
-collective counts, fault-plan delays included.  A rank killed at any op
+rank must hold what it holds there: owner tables, labels, the community
+of every slot (owned vertices, then ghosts) and of every CSR entry's
+target, ET state, clock, and the trace's seconds by category, messages,
+bytes and collective counts, fault-plan delays included.  The world
+reads a ghost's community off its labels; the oracle keeps the rank's
+own copies, patched with the labels its pushes deliver.  A rank killed at any op
 of an iteration fails the world with its own ``InjectedFault``, and a
 resume from disk checkpoints ends as the uninterrupted run does.  The
 configs include the paths that reassign a rank's labels or ghost copies
@@ -83,20 +86,32 @@ def _et_state(et) -> list:
     ]
 
 
+def _world_ghosts(phase):
+    """The ghosts' communities as the world holds them: its labels."""
+    return phase.world.local_comm.take(phase.plan.ghost_ids)
+
+
+def _own_ghosts(phase):
+    """The ghosts' communities as the oracle's rank holds them."""
+    return phase.ghost_comm
+
+
 def _after_every_iteration(
-    g, p, config, iterate, fault_plan, initial_assignment=None
+    g, p, config, iterate, ghosts, fault_plan, initial_assignment=None
 ):
     """Per rank, a snapshot after every iteration of the detection with
-    ``iterate`` in place of ``_iterate``."""
+    ``iterate`` in place of ``_iterate`` (``ghosts(phase)``: the rank's
+    ghosts' communities)."""
     seen = {rank: [] for rank in range(p)}
 
     def snapshot(comm, phase, *args):
         exited = iterate(comm, phase, *args)
-        state, view, t = phase.state, phase.view, comm.trace
+        state, t = phase.state, comm.trace
+        slots = np.concatenate([state.local_comm, ghosts(phase)])
         seen[comm.rank].append(dict(
             arrays=[a.copy() for a in (
                 state.tot_owned, state.size_owned, state.local_comm,
-                view.values, view.ids, view.slot, view.target,
+                slots, slots[phase.dg.compressed_targets()],
             )],
             et=_et_state(state.et),
             scalars=(
@@ -141,8 +156,11 @@ def test_world_iteration_equals_per_rank_iteration(p, config, fractional):
     # Blocks of seven consecutive vertices, across the planted blocks.
     warm = np.arange(g.num_vertices) // 7 if config in WARM else None
     runs = [
-        _after_every_iteration(g, p, cfg, iterate, _delays(p), warm)
-        for iterate in (distlouvain._iterate, iteration_reference.iterate)
+        _after_every_iteration(g, p, cfg, iterate, ghosts, _delays(p), warm)
+        for iterate, ghosts in (
+            (distlouvain._iterate, _world_ghosts),
+            (iteration_reference.iterate, _own_ghosts),
+        )
     ]
     (got, got_result), (want, want_result) = runs
     for rank in range(p):
@@ -246,3 +264,76 @@ def test_kill_at_each_op_of_an_iteration(where, tmp_path):
     assert res.modularity == ref.modularity
     assert res.iterations == ref.iterations
     assert res.phases == ref.phases
+
+
+# ----------------------------------------------------------------------
+# Request and push counts against each rank's own view
+# ----------------------------------------------------------------------
+def _world_counts(g, p, config):
+    """Per colour round, the world's ``(rank, owner)`` request and push
+    count matrices, as ``_fetch_step`` / ``_push_step`` hand them to the
+    world halves."""
+    requests, pushes = [], []
+    real_lookup, real_push = distlouvain.lookup_world, distlouvain.push_world
+
+    def lookup(world, scripts, ids, counts, tables):
+        requests.append(counts.copy())
+        return real_lookup(world, scripts, ids, counts, tables)
+
+    def push(world, scripts, ids, counts, *args, **kwargs):
+        pushes.append(counts.copy())
+        return real_push(world, scripts, ids, counts, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distlouvain, "lookup_world", lookup)
+        patch.setattr(distlouvain, "push_world", push)
+        run_louvain(g, p, config, machine=FREE)
+    return requests, pushes
+
+
+def _own_counts(g, p, config):
+    """The same matrices from the per-rank reference iteration: per round
+    and rank, how many distinct communities it asks each owner for
+    (its view's wanted ids) and pushes deltas of to each owner."""
+    requests = {rank: [] for rank in range(p)}
+    pushes = {rank: [] for rank in range(p)}
+    real_lookup = iteration_reference.owner_lookup
+    real_push = iteration_reference.apply_community_deltas
+
+    def lookup(comm, offsets, ids, *args, **kwargs):
+        assert np.all(np.diff(ids) > 0)
+        requests[comm.rank].append(np.diff(np.searchsorted(ids, offsets)))
+        return real_lookup(comm, offsets, ids, *args, **kwargs)
+
+    def push(comm, dg, ids, *args, **kwargs):
+        assert np.all(np.diff(ids) > 0)
+        pushes[comm.rank].append(np.diff(dg.cuts(ids)))
+        return real_push(comm, dg, ids, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distlouvain, "_iterate", iteration_reference.iterate)
+        patch.setattr(iteration_reference, "owner_lookup", lookup)
+        patch.setattr(iteration_reference, "apply_community_deltas", push)
+        run_louvain(g, p, config, machine=FREE)
+    return [
+        [np.array(rows) for rows in zip(*(seen[r] for r in range(p)))]
+        for seen in (requests, pushes)
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+@pytest.mark.parametrize("config", ["baseline", "etc", "coloring", "leiden"])
+def test_request_and_push_counts_are_each_ranks_own(p, config):
+    """The world keeps no rank's view of the communities, so it sizes
+    every message from counts: per colour round, rank ``s`` asks owner
+    ``d`` for as many communities as its own view wants of ``d``, and
+    pushes as many deltas to ``d`` as its moves touched communities
+    ``d`` owns.  Held round by round to the per-rank reference
+    iteration, which keeps each rank's view as data."""
+    g, cfg = _graph(fractional=True), CONFIGS[config]
+    got = _world_counts(g, p, cfg)
+    want = _own_counts(g, p, cfg)
+    for got_rounds, want_rounds in zip(got, want):
+        assert len(got_rounds) == len(want_rounds) > 0
+        for a, b in zip(got_rounds, want_rounds):
+            np.testing.assert_array_equal(a, b)

@@ -258,8 +258,8 @@ def test_tie_and_swap_pair_with_sparse_ids():
 def rank_slices(case: dict, p: int) -> list[dict]:
     """The case's rows cut into ``p`` contiguous slices (empty ones when
     ``p`` exceeds the rows), each as a rank holds it: its CSR slice, its
-    communities numbered densely in ascending id order (as the community
-    view numbers them) and their ``(a_c, |c|)`` table."""
+    communities numbered densely in ascending id order (as the per-rank
+    reference iteration numbers them) and their ``(a_c, |c|)`` table."""
     index = case["index"]
     bounds = np.cumsum([0] + [len(r) for r in np.array_split(
         np.arange(len(index) - 1), p
@@ -287,43 +287,38 @@ def rank_slices(case: dict, p: int) -> list[dict]:
 def world_sweep(slices, active, total_weight, resolution):
     """Each rank's ``(proposal, moved, pairs)`` from a round's sweep step
     (:func:`_sweep_step`) over every rank's slice, laid end to end as a
-    phase lays them (``SweepWorkspace.stack``) with every rank's ids and
-    dense tables joined."""
-
-    def sweep(parts):
-        stack = SweepWorkspace().stack([
-            SweepSlice(
-                s["index"], s["weights"], np.flatnonzero(~s["self_mask"]),
-                np.repeat(np.arange(len(s["index"]) - 1), np.diff(s["index"])),
-                s["degrees"],
-            )
-            for s in parts
-        ])
-        for r, s in enumerate(parts):
-            target, cur, rank_active = stack.segment(r)
-            target[:], cur[:] = s["target"], s["cur"]
-            rank_active[:] = active[s["rows"]]
-        id_cuts = np.zeros(len(parts) + 1, dtype=np.int64)
-        np.cumsum([len(s["ids"]) for s in parts], out=id_cuts[1:])
-        res = _sweep_step(
-            stack, np.concatenate([s["ids"] for s in parts]),
-            np.concatenate([s["info"] for s in parts], axis=1), id_cuts,
-            total_weight, resolution,
+    phase lays them (``SweepWorkspace.stack``), in the raw community ids
+    against the ``(a_c, |c|)`` tables indexed by id (NaN where no
+    community lives), as the world holds them."""
+    stack = SweepWorkspace().stack([
+        SweepSlice(
+            s["index"], s["weights"], np.flatnonzero(~s["self_mask"]),
+            np.repeat(np.arange(len(s["index"]) - 1), np.diff(s["index"])),
+            s["degrees"],
         )
-        cuts = stack.row_cuts
-        return [
-            (res.proposal[a:b].copy(), res.moved[a:b].copy(), int(pairs))
-            for a, b, pairs in zip(cuts[:-1], cuts[1:], res.segment_pairs)
-        ]
-
-    return sweep(slices)
+        for s in slices
+    ])
+    top = 1 + max(int(s["ids"].max()) for s in slices if len(s["ids"]))
+    tot, size = np.full(top, np.nan), np.full(top, np.nan)
+    for r, s in enumerate(slices):
+        target, cur, rank_active = stack.segment(r)
+        target[:], cur[:] = s["ids"][s["target"]], s["ids"][s["cur"]]
+        rank_active[:] = active[s["rows"]]
+        tot[s["ids"]], size[s["ids"]] = s["info"]
+    res = _sweep_step(stack, tot, size, total_weight, resolution)
+    cuts = stack.row_cuts
+    return [
+        (res.proposal[a:b].copy(), res.moved[a:b].copy(), int(pairs))
+        for a, b, pairs in zip(cuts[:-1], cuts[1:], res.segment_pairs)
+    ]
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 7])
 @pytest.mark.parametrize("active_kind", ACTIVE_KINDS)
 def test_world_sweep_matches_each_rank_alone(p, active_kind):
-    """One call over every rank's entries hands each rank the proposals,
-    moved mask and pair count its own ``propose_moves`` gives — on self
+    """One call over every rank's entries, in global ids, hands each rank
+    the proposals, moved mask and pair count its own ``propose_moves``
+    gives in its dense numbering — on self
     loops, parallel edges, zero and fractional weights, exact ties,
     ``resolution != 1``, all-false masks and empty slices."""
     empty_slices = 0
@@ -346,7 +341,7 @@ def test_world_sweep_matches_each_rank_alone(p, active_kind):
                 size_lookup=array_lookup(s["ids"], s["info"][1]),
                 active=active[s["rows"]], resolution=resolution,
             )
-            np.testing.assert_array_equal(proposal, want.proposal)
+            np.testing.assert_array_equal(proposal, s["ids"][want.proposal])
             np.testing.assert_array_equal(moved, want.moved)
             assert pairs == want.pairs_evaluated
     assert (empty_slices > 0) == (p == 7)

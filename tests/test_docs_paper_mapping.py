@@ -40,6 +40,10 @@ REMOVED = {
     "DistGraph.owner",
     "DistGraph.owner_of",
     "graph.distgraph.split_by_rank",
+    "_CommunityView",
+    "_positions",
+    "_absorb",
+    "IterationState.place",
 }
 
 _NAME = re.compile(r"^[A-Za-z_]\w*(\.[A-Za-z_]\w*)*$")

@@ -1,15 +1,19 @@
 """Exporter tests: Prometheus text exposition, fleet merge, HTTP endpoint."""
 
 import json
+import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.obs import (
+    EventLog,
     MetricsRegistry,
     MetricsServer,
     PeriodicExporter,
     merge_snapshots,
+    read_events,
+    scoped,
     to_prometheus,
     trace_to_registry,
     write_json,
@@ -151,6 +155,27 @@ class TestMetricsServer:
                 assert resp.read().decode() == GOLDEN
             with urllib.request.urlopen(f"{base}/metrics.json") as resp:
                 assert json.load(resp) == reg.snapshot()
+
+    def test_failed_collection_is_counted_and_logged(self, tmp_path):
+        # The endpoint stays up and answers 500, and the failure is not
+        # swallowed: it counts, and the sink ambient where the server was
+        # built gets one event naming the path.
+        def collect():
+            raise RuntimeError("registry unavailable")
+
+        log_path = tmp_path / "events.jsonl"
+        with EventLog(log_path, origin="metrics") as log:
+            with scoped(log, shard=3), MetricsServer(collect, port=0) as server:
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(
+                        f"http://127.0.0.1:{server.port}/metrics.json?x=1"
+                    )
+                assert err.value.code == 500
+                assert server.collect_failures == 1
+        (event,) = read_events(log_path, event="metrics_collect_failed")
+        assert event["path"] == "/metrics.json"
+        assert event["shard"] == 3
+        assert "registry unavailable" in event["error"]
 
     def test_unknown_path_404(self):
         with MetricsServer(_sample_registry(), port=0) as server:

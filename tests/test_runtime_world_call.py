@@ -11,6 +11,7 @@ from __future__ import annotations
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import LouvainConfig, Variant, run_louvain
@@ -151,23 +152,24 @@ class TestFailures:
                 assert isinstance(exc, RankAborted), (rank, exc)
 
     def test_kernel_key_error_fails_a_detection(self, monkeypatch):
-        """The sweep's own protocol check, raised inside the world call:
-        a kernel that sweeps every vertex while the round fetched only
-        the active ones' totals."""
+        """A lookup's protocol check, raised inside the iteration's world
+        call: the kernel handed a totals table in which the community of
+        vertex 0, which every round scores, has no entry."""
         from repro.core import distlouvain
+        from repro.core.sweep import array_lookup
 
-        def sweep_everyone(**kwargs):
-            kwargs["active"] = None
+        def sweep_with_a_hole(**kwargs):
+            cur = kwargs["cur_comm"]
+            tot = kwargs["tot_lookup"](np.arange(len(cur))).astype(float)
+            tot[cur[0]] = np.nan
+            kwargs["tot_lookup"] = array_lookup(None, tot)
             return real(**kwargs)
 
         real = distlouvain.propose_moves
-        monkeypatch.setattr(distlouvain, "propose_moves", sweep_everyone)
+        monkeypatch.setattr(distlouvain, "propose_moves", sweep_with_a_hole)
         g = planted_blocks_graph(blocks=4, per_block=12, inter_edges=30, seed=1)
         with pytest.raises(RankFailedError) as excinfo:
-            run_louvain(
-                g, 3, LouvainConfig(variant=Variant.ET, alpha=0.75),
-                machine=FREE, timeout=30.0,
-            )
+            run_louvain(g, 3, LouvainConfig(), machine=FREE, timeout=30.0)
         (runner,) = excinfo.value.causes
         cause = excinfo.value.causes[runner]
         assert isinstance(cause, KeyError)
