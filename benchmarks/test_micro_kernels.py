@@ -20,7 +20,10 @@ performance regressions of the simulator itself are visible:
   slice — ``Communicator.lookup`` + ``push`` with the ghost labels
   against the list protocol they replaced — wall µs per world-round and
   modelled seconds per round (appended to ``BENCH_generators.json``);
-* one ``rebuild_distributed`` at p ∈ {1, 4};
+* the phase boundaries of a detection (set-up and end of phases 0-1:
+  thread-CPU ms summed over the ranks, wall, rank 0's rendezvous) on the
+  ``mesh_p8`` graphs at p ∈ {1, 4, 8} (appended to
+  ``BENCH_generators.json``);
 * the vectorised greedy coloring and vertex-following seeds;
 * serial graph coarsening;
 * CSR construction from edge lists;
@@ -50,8 +53,8 @@ from repro.core import (
     Variant,
     aggregate_deltas,
     coarsen_csr,
+    run_louvain,
 )
-from repro.core.coarsen import rebuild_distributed
 from repro.core.distlouvain import (
     _iterate,
     _Phase,
@@ -113,12 +116,24 @@ SWEEP_CASES = [
 
 def _median_ns(fn, repeats: int = 5):
     """``(median wall ns, last result)`` of ``repeats`` calls."""
+    times, out = _times_ns(fn, repeats)
+    return float(np.median(times)), out
+
+
+def _times_ns(fn, repeats: int):
+    """``(wall ns of each of ``repeats`` calls, last result)``."""
     times, out = [], None
     for _ in range(repeats):
         t0 = time.perf_counter_ns()
         out = fn()
         times.append(time.perf_counter_ns() - t0)
-    return float(np.median(times)), out
+    return times, out
+
+
+def _spread(values) -> tuple[float, float]:
+    """``(median, inter-quartile range)`` of repeated measurements."""
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return float(median), float(q3 - q1)
 
 
 def _replay_stages(plan, target_comm, cur_comm, active):
@@ -219,7 +234,8 @@ def test_kernel_propose_moves(benchmark, record_bench, state, active, which):
     result = benchmark(sweep)
     assert result.num_moves > 0
 
-    total_ns, _ = _median_ns(sweep, repeats=9)
+    times, _ = _times_ns(sweep, KERNEL_REPEATS)
+    total_ns, iqr_ns = _spread(times)
     stages, entries, pairs = _replay_stages(plan, target_comm, comm, mask)
     assert pairs == result.pairs_evaluated
     per_entry = {name: round(t / entries, 2) for name, t in stages.items()}
@@ -239,6 +255,8 @@ def test_kernel_propose_moves(benchmark, record_bench, state, active, which):
             "scale": which, "state": state, "active": active,
             "num_edges": g.num_edges, "entries": entries, "pairs": pairs,
             "kernel_ms": round(total_ns / 1e6, 3),
+            "kernel_ms_iqr": round(iqr_ns / 1e6, 3),
+            "repeats": KERNEL_REPEATS,
             "ns_per_entry": round(total_ns / entries, 2),
             "ns_per_pair": round(total_ns / pairs, 2),
             "stage_ns_per_entry": per_entry,
@@ -247,6 +265,9 @@ def test_kernel_propose_moves(benchmark, record_bench, state, active, which):
 
 SWEEP_ROUNDS = 30
 WARM_ROUNDS = 3
+#: Repeats of a measurement inside one run, for its median and IQR.
+KERNEL_REPEATS = 9
+WORLD_REPEATS = 5
 
 
 @pytest.mark.parametrize(
@@ -334,22 +355,37 @@ def test_kernel_iteration(
             moves = state.stats[-1].moves
         return spans[WARM_ROUNDS:], moves
 
-    r = benchmark.pedantic(
-        lambda: run_spmd(p, prog, machine=CORI_HASWELL, timeout=60.0),
-        rounds=1, iterations=1,
+    def one_run():
+        """``(wall, cpu, kernel cpu µs, modelled s)`` per world-iteration
+        of one run: each its median over the run's timed iterations."""
+        kernel_ns.clear()
+        r = run_spmd(p, prog, machine=CORI_HASWELL, timeout=60.0)
+        assert r.values[0][1] > 0
+        per_round = list(zip(*(v[0] for v in r.values)))
+        # The kernel calls of the timed iterations: the last ones made.
+        calls = len(kernel_ns) // (rounds + WARM_ROUNDS)
+        return calls, (
+            float(np.median([
+                max(s[1] for s in rs) - min(s[0] for s in rs)
+                for rs in per_round
+            ])) / 1e3,
+            float(np.median([sum(s[2] for s in rs) for rs in per_round]))
+            / 1e3,
+            float(np.sum(kernel_ns[-calls * rounds:])) / rounds / 1e3,
+            float(np.median([
+                max(s[4] for s in rs) - max(s[3] for s in rs)
+                for rs in per_round
+            ])),
+        )
+
+    # Repeats inside the run: a row carries the median of the runs'
+    # medians and their spread.
+    runs = [benchmark.pedantic(one_run, rounds=1, iterations=1)]
+    runs += [one_run() for _ in range(WORLD_REPEATS - 1)]
+    calls = runs[0][0]
+    (wall_us, wall_iqr), (cpu_us, cpu_iqr), (kernel_us, _), (modelled_s, _) = (
+        _spread(values) for values in zip(*(run for _, run in runs))
     )
-    assert r.values[0][1] > 0
-    per_round = list(zip(*(v[0] for v in r.values)))
-    wall_us = float(np.median(
-        [max(s[1] for s in rs) - min(s[0] for s in rs) for rs in per_round]
-    )) / 1e3
-    cpu_us = float(np.median([sum(s[2] for s in rs) for rs in per_round])) / 1e3
-    modelled_s = float(np.median(
-        [max(s[4] for s in rs) - max(s[3] for s in rs) for rs in per_round]
-    ))
-    # The kernel calls of the timed iterations: the last ones made.
-    calls = len(kernel_ns) // (rounds + WARM_ROUNDS)
-    kernel_us = float(np.sum(kernel_ns[-calls * rounds:])) / rounds / 1e3
     benchmark.extra_info.update(
         wall_us_per_world_iteration=wall_us,
         cpu_us_per_world_iteration=cpu_us,
@@ -359,7 +395,8 @@ def test_kernel_iteration(
     dataset = "channel" if which == "mesh" else "soc-friendster"
     print(
         f"\niteration {which:<8} {state:<9} {active:<7} p={p} "
-        f"{wall_us:>8.0f} us wall {cpu_us:>8.0f} us cpu per world-iteration, "
+        f"{wall_us:>8.0f} us wall {cpu_us:>8.0f} (IQR {cpu_iqr:.0f}) us cpu "
+        f"per world-iteration, "
         f"kernel {kernel_us:>7.0f} us ({kernel_us / cpu_us:.0%}) in "
         f"{calls} call(s), {1e3 * cpu_us / g.num_edges:.0f} ns cpu per edge, "
         f"{modelled_s * 1e6:.1f} us modelled"
@@ -372,7 +409,10 @@ def test_kernel_iteration(
             "num_edges": g.num_edges,
             "kernel_calls_per_world_iteration": calls,
             "wall_us_per_world_iteration": round(wall_us, 1),
+            "wall_us_iqr": round(wall_iqr, 1),
             "cpu_us_per_world_iteration": round(cpu_us, 1),
+            "cpu_us_iqr": round(cpu_iqr, 1),
+            "repeats": WORLD_REPEATS,
             "kernel_cpu_us_per_world_iteration": round(kernel_us, 1),
             "kernel_cpu_share": round(kernel_us / cpu_us, 3),
             "cpu_ns_per_edge": round(1e3 * cpu_us / g.num_edges, 1),
@@ -493,41 +533,98 @@ def test_kernel_community_legs(benchmark, record_bench):
         })
 
 
-@pytest.mark.parametrize("p", [1, 4])
-def test_kernel_rebuild(benchmark, p):
-    """One ``rebuild_distributed`` (§IV-A(b) steps 1-7) of the mid-run
-    state: wall ms of the collective call, thread-CPU ms per rank."""
-    g = _graph().to_csr()
-    comm0 = _sweep_state(g, "midrun")
-    cpu: list[int] = []
-    wall: list[int] = []
+#: Inputs per phase-boundary run: the first ``mesh_p8`` graphs.
+BOUNDARY_INPUTS = 4
 
-    def prog(comm):
-        dg = DistGraph.distribute(comm, g)
-        ghost_plan = dg.build_ghost_plan(comm)
-        local = comm0[dg.vbegin:dg.vend]
-        ghost = dg.exchange_ghost_values(comm, ghost_plan, local)
-        for _ in range(12):
-            comm.barrier()
-            w0, c0 = time.perf_counter_ns(), time.thread_time_ns()
-            new_dg, _ = rebuild_distributed(comm, dg, local, ghost)
-            cpu.append(time.thread_time_ns() - c0)
-            if comm.rank == 0:
-                wall.append(time.perf_counter_ns() - w0)
-        return new_dg.num_global_vertices
 
-    r = benchmark.pedantic(
-        lambda: run_spmd(p, prog, machine=FREE, timeout=60.0),
-        rounds=1, iterations=1,
+@pytest.mark.parametrize("p", [1, 4, 8])
+def test_kernel_phase_boundary(benchmark, monkeypatch, record_bench, p):
+    """The phase boundaries of a detection on every rank: the set-up
+    (``_begin_phase``: the ghost plan, the full ghost exchange, the
+    stacking) and the end (``_finish_phase``: the §IV-A(b) rebuild, the
+    statistics' allreduce, the projection) of phases 0 and 1 — the
+    distributed ones at every p — on the ``mesh_p8`` graphs (channel
+    ``medium``, inputs 0-3, Baseline).  Reported per detection: thread
+    CPU ms summed over the ranks (what the ranks burn, waits excluded),
+    wall ms of the whole detection, and the rendezvous rank 0 enters.
+    Only names both sides of a change share are wrapped, so a clone of
+    the parent commit runs the same rows."""
+    from repro.core import distlouvain
+    from repro.runtime import comm as comm_mod
+
+    graphs = [
+        make_graph("channel", scale="medium", seed=i)
+        for i in range(BOUNDARY_INPUTS)
+    ]
+    spent: dict[str, list[int]] = {"set-up": [], "end": []}
+    entered: list[int] = []
+
+    def timed(part, real):
+        def call(comm, run, *args):
+            c0 = time.thread_time_ns()
+            try:
+                return real(comm, run, *args)
+            finally:
+                if comm.size == p and run.phase < 2:
+                    spent[part].append(time.thread_time_ns() - c0)
+        return call
+
+    real_exchange = comm_mod._Rendezvous.exchange
+
+    def exchange(self, rank, *args):
+        if rank == 0 and self._size == p:
+            entered.append(1)
+        return real_exchange(self, rank, *args)
+
+    monkeypatch.setattr(
+        distlouvain, "_begin_phase", timed("set-up", distlouvain._begin_phase)
     )
-    assert r.values == [300] * p
-    wall_ms = float(np.median(wall)) / 1e6
-    cpu_ms = float(np.median(cpu)) / 1e6
-    benchmark.extra_info.update(wall_ms=wall_ms, cpu_ms_per_rank=cpu_ms)
+    monkeypatch.setattr(
+        distlouvain, "_finish_phase", timed("end", distlouvain._finish_phase)
+    )
+    monkeypatch.setattr(comm_mod._Rendezvous, "exchange", exchange)
+    run_louvain(graphs[0], p, LouvainConfig())  # warm
+
+    def one_run():
+        """Per detection: set-up and end CPU ms, wall ms, rendezvous."""
+        for part in spent.values():
+            part.clear()
+        entered.clear()
+        walls = []
+        for g in graphs:
+            t0 = time.perf_counter_ns()
+            run_louvain(g, p, LouvainConfig())
+            walls.append(time.perf_counter_ns() - t0)
+        n = len(graphs)
+        return (
+            sum(spent["set-up"]) / n / 1e6, sum(spent["end"]) / n / 1e6,
+            (sum(spent["set-up"]) + sum(spent["end"])) / n / 1e6,
+            float(np.mean(walls)) / 1e6, len(entered) / n,
+        )
+
+    runs = [benchmark.pedantic(one_run, rounds=1, iterations=1)]
+    runs += [one_run() for _ in range(WORLD_REPEATS - 1)]
+    (setup, _), (end, _), (total, total_iqr), (wall, wall_iqr), (rdv, _) = (
+        _spread(values) for values in zip(*runs)
+    )
+    benchmark.extra_info.update(
+        boundary_cpu_ms=total, wall_ms=wall, rendezvous=rdv
+    )
     print(
-        f"\nrebuild_distributed p={p} {wall_ms:>7.2f} ms wall "
-        f"{cpu_ms:>7.2f} ms cpu per rank"
+        f"\nphase boundary p={p} set-up {setup:.2f} + end {end:.2f} = "
+        f"{total:.2f} (IQR {total_iqr:.2f}) ms cpu per detection, "
+        f"{wall:.1f} ms wall, {rdv:.1f} rendezvous at rank 0"
     )
+    record_bench("generators", {
+        "kind": "phase_boundary", "dataset": "channel", "scale": "medium",
+        "inputs": BOUNDARY_INPUTS, "ranks": p, "repeats": WORLD_REPEATS,
+        "setup_cpu_ms": round(setup, 3), "end_cpu_ms": round(end, 3),
+        "boundary_cpu_ms": round(total, 3),
+        "boundary_cpu_ms_iqr": round(total_iqr, 3),
+        "wall_ms_per_detection": round(wall, 2),
+        "wall_ms_iqr": round(wall_iqr, 2),
+        "rendezvous_rank0_per_detection": rdv,
+    })
 
 
 def test_kernel_greedy_coloring(benchmark):

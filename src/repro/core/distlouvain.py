@@ -11,14 +11,15 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
     rank 0 finishes it alone (:func:`_finish_on_one_rank`):
 
     * begin the phase (:func:`_begin_phase`): singleton, warm-started
-      (:func:`_relabel`) or resumed labels, then
-      ``ExchangeGhostVertices`` — one-time-per-phase ghost coordinate
-      exchange (Algorithm 4; :meth:`DistGraph.build_ghost_plan`) and one
-      full exchange of the ghost vertices' starting communities — and
-      the phase's one world call (:func:`_stack_phase`), which lays
-      every rank's CSR slice, labels, owner tables, ghost maps and ET
-      state end to end in world arrays (:class:`_WorldPhase`); the
-      rank's objects hold their segments;
+      (:func:`_relabel`) or resumed labels, then the phase's set-up,
+      one scripted rendezvous (:func:`_stack_phase` →
+      :func:`_set_up_world`): ``ExchangeGhostVertices`` — the
+      one-time-per-phase ghost coordinate exchange (Algorithm 4) and one
+      full exchange of the ghost vertices' starting communities, priced
+      from counts — and the stacking, which lays every rank's CSR slice,
+      labels, owner tables, ghost maps and ET state end to end in world
+      arrays (:class:`_WorldPhase`); the rank's objects hold their
+      segments;
     * iteration loop (Algorithm 3, :func:`louvain_phase_distributed`).
       Each :func:`_iterate` is one rendezvous: the rank draws its ET mask
       and consults the fault plan for the iteration's ops, then one
@@ -60,9 +61,10 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
 
     * finish the phase (:func:`_finish_phase`): Leiden refinement
       (:func:`_refine_phase`, relabelled like a warm start), audits,
-      distributed graph reconstruction (§IV-A(b); :mod:`~.coarsen`),
-      statistics and exact Q (one allreduce), projection of the
-      original vertices;
+      then one scripted rendezvous (:func:`_end_phase` →
+      :func:`_end_world`): distributed graph reconstruction (§IV-A(b)'s
+      seven world steps, :mod:`~.coarsen`), statistics and exact Q (one
+      allreduce), projection of the original vertices;
 
     and gather the assignment (:func:`_gather_result`).
 
@@ -108,14 +110,21 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..graph.distgraph import DistGraph, GhostPlan
+from ..graph.distgraph import (
+    PLAN_OP, DistGraph, GhostPlan, ghost_exchange_world, ghost_plans_world,
+    key_counts,
+)
 from ..graph.partition import even_vertex, owner_of
 from ..runtime.comm import (
-    Communicator, Script, World, allreduce_world, lookup_world, push_world,
+    Communicator, Script, World, allgather_world, allreduce_world,
+    lookup_world, push_world,
 )
 from ..runtime.executor import SPMDResult, run_spmd
 from ..runtime.perfmodel import CORI_HASWELL, MachineModel
-from .coarsen import rebuild_distributed, remote_lookup
+from .coarsen import (
+    PROJECT_OPS, REBUILD_OPS, RebuildSeat, project_world,
+    rebuild_distributed, rebuild_seat, rebuild_world, remote_lookup,
+)
 from .config import LouvainConfig
 from .heuristics import (
     EarlyTermination, LayoutStreams, ThresholdCycler, make_rank_rng,
@@ -188,52 +197,80 @@ class _WorldPhase:
 
 
 class _Seat(NamedTuple):
-    """One rank's deposit in its phase's world call (:func:`_stack_world`)
+    """One rank's deposit in its phase's set-up (:func:`_set_up_world`)
     (``colors`` ``None`` without colouring)."""
 
     part: SweepSlice
     edges: np.ndarray
     state: IterationState
-    plan: GhostPlan
+    #: The rank's ghost plan, or — the set-up building it — its deposit
+    #: for :func:`~repro.graph.distgraph.ghost_plans_world`.
+    plan: GhostPlan | tuple
     colors: np.ndarray | None
+
+
+#: The set-up's full ghost exchange (Algorithm 3, lines 4-5).
+_EXCHANGE_OP = ("alltoall", "ghost_comm")
 
 
 def _stack_phase(
     comm: Communicator,
     dg: DistGraph,
-    plan: GhostPlan,
+    plan: GhostPlan | None,
     k: np.ndarray,
     state: IterationState,
     colors: np.ndarray | None,
     resolution: float,
 ) -> _WorldPhase:
-    """The phase's one world call: every rank's CSR slice, iteration
-    state and ET state laid end to end (:func:`_stack_world`); ``state``
-    (and its ET state) hold their segments from here."""
-    return comm.world_call(
+    """The phase's set-up, one scripted rendezvous (:func:`_set_up_world`):
+    the ghost plan (Algorithm 4) unless ``plan`` is given, the full ghost
+    exchange (Algorithm 3, lines 4-5), and every rank's CSR slice,
+    iteration state and ET state laid end to end; ``state`` (and its ET
+    state) hold their segments from here, and ``dg`` memoises its plan."""
+    ops = [_EXCHANGE_OP] if plan is not None else [PLAN_OP, _EXCHANGE_OP]
+    return comm.scripted(
+        "phase_setup", ops,
         _Seat(
             SweepSlice(
                 dg.index, dg.weights, np.flatnonzero(~dg.self_loop_mask()),
                 dg.local_rows(), k,
             ),
-            dg.edges, state, plan, colors,
+            dg.edges, state, dg.plan_seat() if plan is None else plan,
+            colors,
         ),
         partial(
-            _stack_world, comm.world.workspace, dg.total_weight, resolution
+            _set_up_world, comm.world.workspace, dg.total_weight, resolution
         ),
     )
 
 
+def _set_up_world(
+    workspace: dict, total_weight: float, resolution: float,
+    world: World, scripts: Sequence[Script], seats: list[_Seat],
+) -> list[_WorldPhase]:
+    """:func:`_stack_phase`'s world function: every rank's ghost plan
+    (:func:`~repro.graph.distgraph.ghost_plans_world`, unless the ranks
+    brought theirs), the lines 4-5 exchange priced from the plans'
+    counts — its values are the world's labels, so none are gathered
+    (:func:`~repro.graph.distgraph.ghost_exchange_world`) — and the
+    stacking (:func:`_stack_world`)."""
+    plans = [s.plan for s in seats]
+    if not isinstance(plans[0], GhostPlan):
+        plans = ghost_plans_world(world, scripts, plans)
+    ghost_exchange_world(
+        world, scripts, plans, seats[0].state.local_comm.itemsize
+    )
+    return _stack_world(workspace, total_weight, resolution, seats, plans)
+
+
 def _stack_world(
     workspace: dict, total_weight: float, resolution: float,
-    seats: list[_Seat],
+    seats: list[_Seat], plans: list[GhostPlan],
 ) -> list[_WorldPhase]:
-    """:func:`_stack_phase`'s world half: every seat copied into its
-    segments, each rank's state and ET state pointed at them; a table not
-    as long as its rank's interval raises, naming the rank."""
-    if "sweep" not in workspace:
-        workspace["sweep"] = SweepWorkspace()
-    ws = workspace["sweep"]
+    """Every seat copied into its segments of the world's arrays, each
+    rank's state and ET state pointed at them; a table not as long as its
+    rank's interval raises, naming the rank."""
+    ws = SweepWorkspace.of(workspace)
     stack = ws.stack([s.part for s in seats])
     p, rows = len(seats), stack.row_cuts
     n = int(rows[-1])
@@ -258,14 +295,14 @@ def _stack_world(
         alpha=0.0 if et is None else et.alpha,
         floor=0.0 if et is None else et.floor,
         rank_key=keys.repeat(np.diff(rows)),
-        ghost_ids=np.concatenate([s.plan.ghost_ids for s in seats]),
-        ghost_key=keys.repeat([len(s.plan.ghost_ids) for s in seats]),
+        ghost_ids=np.concatenate([plan.ghost_ids for plan in plans]),
+        ghost_key=keys.repeat([len(plan.ghost_ids) for plan in plans]),
         edges=[s.edges for s in seats],
         rows=[s.part.rows for s in seats],
-        send_ids=np.concatenate([s.plan.send_ids for s in seats]),
+        send_ids=np.concatenate([plan.send_ids for plan in plans]),
         send_pairs=np.repeat(
             np.arange(p * p),
-            np.concatenate([np.diff(s.plan.send_cuts) for s in seats]),
+            np.concatenate([np.diff(plan.send_cuts) for plan in plans]),
         ),
     )
     wp.active[:] = True
@@ -389,12 +426,12 @@ def _begin_phase(
     A one-rank run standing for a wider world (``run.layout_ranks``)
     draws ET as that world would."""
     dg = run.dg
-    plan = dg.build_ghost_plan(comm)
     k = dg.local_degrees()
     # The first phase a run begins consumes the warm start (a phase
     # rejoined mid-way is already past it).
     seed, run.seed_assignment = run.seed_assignment, None
     if rejoin is not None:
+        seed = None
         # Rejoin the loop exactly where the checkpoint was cut.
         state = rejoin
     else:
@@ -418,6 +455,11 @@ def _begin_phase(
                     np.diff(even_vertex(dg.num_local, run.layout_ranks)),
                 ),
             )
+    colors, rounds = None, 1
+    if seed is not None or config.use_coloring:
+        # The seed's push and the colouring's rounds come between the
+        # plan and the exchange: the plan is a rendezvous of its own.
+        plan = dg.build_ghost_plan(comm)
         if seed is not None:
             # Warm start: the seed as one batch of moves.
             if len(seed) != dg.num_local:
@@ -426,19 +468,15 @@ def _begin_phase(
                     f"rank owns {dg.num_local}"
                 )
             _relabel(comm, dg, k, state, np.asarray(seed, dtype=np.int64))
-    colors, rounds = (
-        _coloring(comm, dg, plan, config.seed)
-        if config.use_coloring
-        else (None, 1)
-    )
+        if config.use_coloring:
+            colors, rounds = _coloring(comm, dg, plan, config.seed)
     # Lines 4-5 in full, once per phase, priced as the paper runs them
     # (later rounds ship only what changed).  Inside the world a ghost's
     # community is its label there: the copies are not kept.
-    dg.exchange_ghost_values(
-        comm, plan, state.local_comm, category="ghost_comm"
+    world = _stack_phase(
+        comm, dg, dg.ghost_plan, k, state, colors, config.resolution
     )
-    world = _stack_phase(comm, dg, plan, k, state, colors, config.resolution)
-    return _Phase(dg, run.phase, k, world, plan, rounds, state)
+    return _Phase(dg, run.phase, k, world, dg.ghost_plan, rounds, state)
 
 
 def _relabel(
@@ -583,7 +621,8 @@ def _fetch_step(
             flags[targets] = True
             scratch.top = mark
     lookup_world(
-        world, scripts, None, _owner_counts(wp, np.flatnonzero(flags)),
+        world, scripts, None,
+        key_counts(wp.offsets, np.flatnonzero(flags), len(wp.edges)),
         (wp.tot, wp.size),
     )
     return scanned
@@ -597,16 +636,6 @@ def _key_flags(wp: _WorldPhase) -> np.ndarray:
     flags = scratch.empty(len(wp.rank_key) * len(wp.edges), np.dtype(bool))
     flags[:] = False
     return flags
-
-
-def _owner_counts(wp: _WorldPhase, keys: np.ndarray) -> np.ndarray:
-    """``counts[s, d]``: how many of the ascending ``keys`` (``n * s +
-    c``: rank ``s``'s community ``c``) are rank ``s``'s and owned by rank
-    ``d``.  Owners ascend with the ids, so one search of the keys against
-    every rank's copy of the offsets cuts every (rank, owner) run."""
-    p, n = len(wp.edges), int(wp.offsets[-1])
-    starts = np.add.outer(np.arange(p, dtype=np.int64) * n, wp.offsets)
-    return np.diff(np.searchsorted(keys, starts), axis=1)
 
 
 def _sweep_step(
@@ -660,7 +689,7 @@ def _push_step(
     key += new
     keys, dtot, dsize = _world_deltas(wp, old, key, wp.stack.degrees[rows])
     wp.local_comm[rows] = new
-    counts = _owner_counts(wp, keys)
+    counts = key_counts(wp.offsets, keys, p)
     # The new labels of the moved vertices other ranks ghost.
     changed = res.moved.take(wp.send_ids)
     sent = wp.send_ids.compress(changed)
@@ -1169,11 +1198,8 @@ def _finish_phase(
     if config.validate_invariants:
         _audit_phase(comm, phase)
 
-    new_dg, local_new = rebuild_distributed(
-        comm, run.dg, state.local_comm, phase.ghost_comm
-    )
-    _record_phase(comm, run, phase, tau, new_dg, config.resolution)
-    _project(comm, run, local_new)
+    new_dg, total, run.orig_slice = _end_phase(comm, run, phase)
+    _record_phase(run, phase, tau, total, config.resolution)
     if config.track_assignments:
         gathered = comm.gather(run.orig_slice, root=0, category="other")
         if comm.rank == 0:
@@ -1193,40 +1219,96 @@ def _finish_phase(
     return True
 
 
+def _end_phase(
+    comm: Communicator, run: RunState, phase: _Phase
+) -> tuple[DistGraph, np.ndarray, np.ndarray]:
+    """The phase's end, one scripted rendezvous (:func:`_end_world`):
+    the §IV-A(b) rebuild, the statistics' allreduce and the projection.
+    Returns the coarsened slice, the reduced :func:`_phase_partials` and
+    the new original-vertex map."""
+    return comm.scripted(
+        "phase_end", _END_OPS,
+        _Closing(
+            rebuild_seat(
+                comm, run.dg, phase.state.local_comm, phase.ghost_comm
+            ),
+            run.orig_slice, _cross_entries(run),
+        ),
+        _end_world,
+    )
+
+
+class _Closing(NamedTuple):
+    """One rank's deposit in its phase's end (:func:`_end_world`): its
+    rebuild seat, original-vertex map and cross-rank entry count."""
+
+    seat: RebuildSeat
+    orig_slice: np.ndarray
+    cross: int
+
+
+#: The phase end's ops: the rebuild's, the statistics' allreduce
+#: (:func:`_record_phase`) and the projection's.
+_END_OPS = (*REBUILD_OPS, ("allreduce", "allreduce"), *PROJECT_OPS)
+
+
+def _end_world(
+    world: World, scripts: Sequence[Script], closing: list[_Closing]
+) -> list[tuple[DistGraph, np.ndarray, np.ndarray]]:
+    """The phase's end for every rank, in :data:`_END_OPS` order: the
+    §IV-A(b) rebuild (:func:`~repro.core.coarsen.rebuild_world`), the
+    allreduce of every rank's :func:`_phase_partials` and the projection
+    of the original vertices (:func:`~repro.core.coarsen.project_world`).
+    Returns each rank's coarsened slice, reduced partials and new map."""
+    rebuilt = rebuild_world(world, scripts, [c.seat for c in closing])
+    totals = allreduce_world(world, scripts, [
+        _phase_partials(c, new_dg) for c, (new_dg, _) in zip(closing, rebuilt)
+    ])
+    projected = project_world(
+        world, scripts, closing[0].seat.dg.offsets,
+        [c.orig_slice for c in closing], [new for _, new in rebuilt],
+    )
+    return [
+        (new_dg, total, orig)
+        for (new_dg, _), total, orig in zip(rebuilt, totals, projected)
+    ]
+
+
+def _phase_partials(closing: _Closing, new_dg: DistGraph) -> np.ndarray:
+    """One rank's share of :func:`_record_phase`'s sums.  Achieved layout
+    quality of the graph the phase ran on — the cross-rank fraction of
+    stored adjacency entries, beside their total — and the coarsened
+    graph's in_c and a_c² for the exact Q.  Counts sum exactly in
+    float64, so they share the vector."""
+    return np.array([
+        float(closing.cross),
+        float(closing.seat.dg.num_local_entries),
+        float(new_dg.local_self_loops().sum()),
+        float(np.square(new_dg.local_degrees()).sum()),
+    ])
+
+
 def _record_phase(
-    comm: Communicator,
     run: RunState,
     phase: _Phase,
     tau: float,
-    new_dg: DistGraph,
+    total: np.ndarray,
     resolution: float,
 ) -> None:
     """Append the finished phase's iterations and its
     :class:`PhaseStats` to the run's history and set ``run.final_mod``
-    to the phase's exact Q — one small allreduce for both.
+    to the phase's exact Q, from ``total``, the phase end's one small
+    allreduce of :func:`_phase_partials`.
 
     The per-iteration modularity is computed against the stale ghost
-    view (the paper's semantics).  The coarsened graph ``new_dg`` gives
-    the *exact* value for free: each meta vertex's self loop carries the
+    view (the paper's semantics).  The coarsened graph gives the *exact*
+    value for free: each meta vertex's self loop carries the
     intra-community weight (in_c) and its degree is the community's
     incident weight (a_c), both fully synchronised after the rebuild.
     """
     dg, stats = run.dg, phase.state.stats
     run.iterations.extend(stats)
-    # Achieved layout quality of the graph this phase ran on: the
-    # cross-rank fraction of stored adjacency entries, beside their
-    # total.  Counts sum exactly in float64, so they share the vector.
-    partial = np.array(
-        [
-            float(_cross_entries(run)),
-            float(dg.num_local_entries),
-            float(new_dg.local_self_loops().sum()),
-            float(np.square(new_dg.local_degrees()).sum()),
-        ]
-    )
-    cross, entries, in_c, sq_a_c = comm.allreduce(
-        partial, category="allreduce"
-    )
+    cross, entries, in_c, sq_a_c = total
     w = dg.total_weight
     run.final_mod = (
         float(in_c / w - resolution * sq_a_c / (w * w)) if w > 0 else 0.0
@@ -1252,7 +1334,7 @@ def _cross_entries(run: RunState) -> int:
     even-vertex layout it stands for."""
     dg = run.dg
     if run.layout_ranks is None:
-        return int(np.count_nonzero(~dg.is_owned(dg.edges)))
+        return dg.num_cross_entries()
     layout = even_vertex(dg.num_global_vertices, run.layout_ranks)
     rows = dg.from_local(dg.local_rows())
     return int(np.count_nonzero(
@@ -1296,25 +1378,48 @@ def _audit_phase(comm: Communicator, phase: _Phase) -> None:
 
 
 def _project(comm: Communicator, run: RunState, local_new: np.ndarray) -> None:
-    """Fold one coarsening of ``run.dg`` into the original-vertex map:
-    the new meta id of original vertex o is ``local_new[to_local(x)]``
-    at the owner of o's current meta vertex x."""
-    dg = run.dg
-    run.orig_slice = remote_lookup(
-        comm, dg.offsets, run.orig_slice, local_new, category="rebuild"
+    """Fold one coarsening of ``run.dg`` into the original-vertex map,
+    one lookup rendezvous (:func:`~repro.core.coarsen.project_world`)."""
+    run.orig_slice = comm.scripted(
+        "lookup", PROJECT_OPS, (run.dg.offsets, run.orig_slice, local_new),
+        _project_ranks,
     )
 
 
+def _project_ranks(
+    world: World, scripts: Sequence[Script], deposits: list[tuple]
+) -> list[np.ndarray]:
+    """:func:`~repro.core.coarsen.project_world` over per-rank deposits
+    ``(offsets, orig_slice, local_new)``."""
+    offsets, origs, tables = zip(*deposits)
+    return project_world(world, scripts, offsets[0], list(origs), list(tables))
+
+
 def _gather_result(comm: Communicator, run: RunState) -> LouvainResult:
-    """Assemble the replicated original-vertex assignment."""
-    pieces = comm.allgather(run.orig_slice, category="other")
+    """Assemble the replicated original-vertex assignment: one allgather,
+    normalised once for the world; every rank gets the same read-only
+    array."""
     return LouvainResult(
         modularity=run.final_mod,
-        assignment=normalize_assignment(np.concatenate(pieces)),
+        assignment=comm.scripted(
+            "allgather", [("allgather", "other")], run.orig_slice,
+            _assignment_world,
+        ),
         phases=run.phases,
         iterations=run.iterations,
         phase_assignments=run.phase_assignments,
     )
+
+
+def _assignment_world(
+    world: World, scripts: Sequence[Script], pieces: list[np.ndarray]
+) -> list[np.ndarray]:
+    """The result's allgather for every rank, and the assignment it
+    yields normalised once."""
+    allgather_world(world, scripts, pieces)
+    assignment = normalize_assignment(np.concatenate(pieces))
+    assignment.flags.writeable = False
+    return [assignment] * len(pieces)
 
 
 def run_louvain(
@@ -1377,6 +1482,9 @@ def run_louvain(
         fault_plan=fault_plan,
     )
     result: LouvainResult = spmd.value
+    # The ranks shared one read-only assignment; the caller, who keeps
+    # rank 0's result alone, may write to it.
+    result.assignment.flags.writeable = True
     result.elapsed = spmd.elapsed
     result.trace = spmd.trace
     return result

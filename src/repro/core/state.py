@@ -39,8 +39,8 @@ class IterationState:
 
     While a phase runs, ``local_comm``, ``tot_owned`` and ``size_owned``
     are views of this rank's segments of the world's per-vertex tables,
-    which hold every rank's laid end to end (the phase's one world call
-    points them there).  They are written in place, never rebound: the
+    which hold every rank's laid end to end (the phase's set-up
+    rendezvous points them there).  They are written in place, never rebound: the
     world's tables are the one copy.
     """
 

@@ -258,6 +258,21 @@ class SweepWorkspace:
             buf = self._buffers[name] = np.empty(grown, dtype=np.uint8)
         return buf[:size].view(dtype)
 
+    @staticmethod
+    def of(workspace: dict) -> "SweepWorkspace":
+        """The one kept in a world's ``workspace`` (made on first use)."""
+        if "sweep" not in workspace:
+            workspace["sweep"] = SweepWorkspace()
+        return workspace["sweep"]
+
+    def scratch(self, n_entries: int) -> _Scratch:
+        """The kernel's scratch, sized for ``n_entries`` candidate
+        entries — free between sweeps, so a world step between them
+        carves its entry-sized temporaries from it too."""
+        return _Scratch(
+            self.array("scratch", _scratch_bytes(n_entries), np.uint8)
+        )
+
     def positions(self, n: int) -> np.ndarray:
         """``0..n-1``, from one arange that only grows."""
         if len(self._positions) < n:
@@ -298,9 +313,7 @@ class SweepWorkspace:
             entry_rows=entry_rows,
             entry_weights=entry_weights,
             positions=self.positions(inner + n),
-            scratch=_Scratch(
-                self.array("scratch", _scratch_bytes(inner + n), np.uint8)
-            ),
+            scratch=self.scratch(inner + n),
             out=(
                 self.array("proposal", n, np.int64),
                 self.array("moved", n, bool),

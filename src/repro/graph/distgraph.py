@@ -6,11 +6,12 @@ targets remain *global* ids.  Any target owned by another rank is a
 "ghost" vertex, and :class:`GhostPlan` (Algorithm 4) records, once per
 phase, which ghost values must be fetched from which owner.
 
-The full ghost exchange a phase starts with — every ghost vertex's
-community assignment — is :meth:`DistGraph.exchange_ghost_values`, which
-moves a value per ghost vertex through one ``alltoall``.  Both route by
+The full ghost exchange of a rank's values — one per ghost vertex — is
+:meth:`DistGraph.exchange_ghost_values`, one ``alltoall``.  Both route by
 owner the one way ownership allows: ascending ids cut by rank
-(:func:`owner_cuts`).
+(:func:`owner_cuts`).  A phase's set-up runs both for every rank inside
+one scripted rendezvous: :func:`ghost_plans_world` builds every plan, and
+:func:`ghost_exchange_world` prices the exchange from the plans' counts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..runtime.comm import Communicator
+from ..runtime.comm import (
+    Communicator, Script, World, alltoall_counts_world, cut_counts, route,
+)
 from . import binio
 from .csr import CSRGraph, row_index, sum_duplicate_entries
 from .partition import even_edge, even_vertex, owner_of
@@ -45,6 +48,27 @@ def owner_cuts(
             f"{int(sorted_ids[0])} .. {int(sorted_ids[-1])}"
         )
     return cuts
+
+
+def key_counts(offsets: np.ndarray, keys: np.ndarray, p: int) -> np.ndarray:
+    """``counts[s, d]``: how many of the ascending ``keys`` — ``n * s +
+    c`` for rank ``s``'s id ``c``, ``n`` the vertex count — rank ``d``
+    owns.  Owners ascend with the ids, so one search of the keys against
+    every rank's copy of the offsets cuts every (rank, owner) run."""
+    n = int(offsets[-1])
+    starts = np.add.outer(np.arange(p, dtype=np.int64) * n, offsets)
+    return np.diff(np.searchsorted(keys, starts), axis=1)
+
+
+def distinct_keys(size: int, *keys: np.ndarray, empty=np.empty) -> np.ndarray:
+    """The distinct values of every array of ``keys`` (each in
+    ``[0, size)``), ascending: one boolean scatter, no sort
+    (``empty(n, dtype)`` gives the flags)."""
+    flags = empty(size, np.dtype(bool))
+    flags[:] = False
+    for k in keys:
+        flags[k] = True
+    return np.flatnonzero(flags)
 
 
 @dataclass
@@ -103,6 +127,7 @@ class DistGraph:
     )
     _plan: GhostPlan | None = field(default=None, repr=False)
     _rows: np.ndarray | None = field(default=None, repr=False)
+    _cross: int = field(default=0, repr=False)
 
     # ------------------------------------------------------------------
     # Shape
@@ -200,41 +225,61 @@ class DistGraph:
         them by owner, and tells every owner which of its vertices are
         ghosted here; what it hears back, laid end to end, is its send
         list (symmetric alltoall), establishing both halves of the plan.
+        One scripted rendezvous (:func:`ghost_plans_world`); a phase's
+        set-up makes the same step inside its own.
         """
         if self._plan is not None:
             # The plan is memoised in the same phase on every rank
-            # (built right after distribution, invalidated together at
+            # (built when the phase is set up, invalidated together at
             # coarsening): all ranks hit the cache, or none do.
             return self._plan
-        ghosts, _ = self._scan_targets()
-        cuts = self.cuts(ghosts)
-        # Scan cost: one pass over the local edge list (Algorithm 4 l.2-7).
-        comm.charge_compute(self.num_local_entries, category="ghost_comm")
+        return comm.scripted(
+            "ghost_plan", [PLAN_OP], self.plan_seat(), ghost_plans_world
+        )
 
-        # No ghost is owned here, so this rank's own slice is empty.
-        got = comm.alltoall(
-            [ghosts[cuts[r]:cuts[r + 1]] for r in range(comm.size)],
-            category="ghost_comm",
-        )
-        self._plan = GhostPlan(
-            ghost_ids=ghosts,
-            ghost_cuts=cuts,
-            send_ids=np.concatenate(got),
-            send_cuts=np.cumsum([0] + [len(ids) for ids in got]),
-        )
+    @property
+    def ghost_plan(self) -> GhostPlan | None:
+        """The memoised ghost plan (``None`` until it is built)."""
         return self._plan
 
+    def plan_seat(self) -> tuple["DistGraph", np.ndarray, np.ndarray]:
+        """This rank's deposit in :func:`ghost_plans_world`: the graph,
+        its ghost ids and their owner cuts, scanned here, so an edge
+        target outside the vertex space raises on this rank, naming it."""
+        ghosts, _ = self._scan_targets()
+        return self, ghosts, self.cuts(ghosts)
+
     def _scan_targets(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(ghost ids, compressed targets)`` from one sort of the
-        non-owned edge targets: the distinct ids are the ghost vertices,
-        and each entry's rank among them is its ghost slot."""
+        """``(ghost ids, compressed targets)`` from one scatter of the
+        non-owned edge targets over the vertex space: the flagged ids are
+        the ghost vertices, ascending, and each entry's rank among them
+        is its ghost slot (no sort: the far targets of a scattered graph
+        are most of a rank's entries)."""
         if self._targets is None:
             far = np.flatnonzero(~self.is_owned(self.edges))
-            ghosts, slots = np.unique(self.edges[far], return_inverse=True)
+            targets = self.edges[far]
+            if len(targets):
+                # An id outside the vertex space has no owner: raise as
+                # routing it would, naming this rank.
+                owner_cuts(
+                    self.offsets,
+                    np.array([targets.min(), targets.max()]), self.rank,
+                )
+            seen = np.zeros(self.num_global_vertices, dtype=bool)
+            seen[targets] = True
+            ghosts = np.flatnonzero(seen)
+            slot = np.empty(len(seen), dtype=np.int64)
+            slot[ghosts] = np.arange(len(ghosts))
             compressed = self.to_local(self.edges)
-            compressed[far] = self.num_local + slots
-            self._targets = ghosts, compressed
+            compressed[far] = self.num_local + slot.take(targets)
+            self._targets, self._cross = (ghosts, compressed), len(far)
         return self._targets
+
+    def num_cross_entries(self) -> int:
+        """Stored entries whose target another rank owns (counted by the
+        one target scan)."""
+        self._scan_targets()
+        return self._cross
 
     def compressed_targets(self) -> np.ndarray:
         """Edge targets re-indexed for O(1) community lookup.
@@ -295,7 +340,9 @@ class DistGraph:
         """Slice rank ``rank``'s rows out of a replicated global CSR.
 
         Models loading from a pre-partitioned file: every rank can do
-        this independently without communication.
+        this independently without communication.  The rank's ``edges``
+        and ``weights`` are views of ``g``'s frozen arrays, not copies:
+        read-only, like them.
         """
         offsets = np.asarray(offsets, dtype=np.int64)
         if offsets[-1] != g.num_vertices:
@@ -306,8 +353,8 @@ class DistGraph:
             offsets=offsets,
             rank=rank,
             index=(g.index[lo : hi + 1] - g.index[lo]).astype(np.int64),
-            edges=g.edges[elo:ehi].copy(),
-            weights=g.weights[elo:ehi].copy(),
+            edges=g.edges[elo:ehi],
+            weights=g.weights[elo:ehi],
             total_weight=g.total_weight,
         )
 
@@ -381,6 +428,55 @@ class DistGraph:
             weights=local[2],
             total_weight=total,
         )
+
+
+#: The ghost plan's one op: the ghost-id lists to their owners.
+PLAN_OP = ("alltoall", "ghost_comm")
+
+
+def ghost_plans_world(
+    world: World,
+    scripts: list[Script],
+    seats: list[tuple[DistGraph, np.ndarray, np.ndarray]],
+) -> list[GhostPlan]:
+    """Algorithm 4 for every rank (the world half of
+    :meth:`DistGraph.build_ghost_plan`): each rank is charged its scan,
+    one pass over its entries (lines 2-7), then one leg tells every
+    owner which of its vertices are ghosted where — priced from the
+    counts — and what an owner hears, laid end to end in source order,
+    is its send list.  Each graph memoises its plan."""
+    cost = world.machine.compute_cost
+    for script, (dg, _, _) in zip(scripts, seats):
+        script.charge("ghost_comm", cost(dg.num_local_entries))
+    counts = cut_counts([cuts for _, _, cuts in seats])
+    ghosts = [g for _, g, _ in seats]
+    alltoall_counts_world(world, scripts, counts, ghosts[0].itemsize)
+    send_cuts, send_ids = route(counts, [np.concatenate(ghosts)])
+    plans = []
+    for d, (dg, g, cuts) in enumerate(seats):
+        sends = np.zeros(len(seats) + 1, dtype=np.int64)
+        np.cumsum(counts[:, d], out=sends[1:])
+        dg._plan = GhostPlan(
+            ghost_ids=g,
+            ghost_cuts=cuts,
+            send_ids=send_ids[send_cuts[d]:send_cuts[d + 1]],
+            send_cuts=sends,
+        )
+        plans.append(dg._plan)
+    return plans
+
+
+def ghost_exchange_world(
+    world: World, scripts: list[Script], plans: list[GhostPlan], width: int
+) -> None:
+    """The full ghost exchange of Algorithm 3 lines 4-5 for every rank,
+    priced from the plans' counts (``width`` bytes a value): owner ``d``
+    sends rank ``r`` one value per vertex of its send list for ``r``.
+    Nothing is delivered — a world that reads a ghost's value off the
+    owners' arrays laid end to end needs no copy — so it is
+    :meth:`DistGraph.exchange_ghost_values` without the values."""
+    counts = np.array([np.diff(plan.send_cuts) for plan in plans])
+    alltoall_counts_world(world, scripts, counts, width)
 
 
 def _rows_from_undirected(

@@ -14,7 +14,9 @@ ranks run as threads, each holding a :class:`Communicator`, and talk via
   (§VI), and a fused request/reply ``exchange_roundtrip``.
   The algorithm itself uses allreduce, alltoall, lookup, push,
   allgather, gather and bcast (a Louvain iteration reaches lookup, push
-  and allreduce through one scripted rendezvous, below), and
+  and allreduce through one scripted rendezvous, below, and so does each
+  half of a phase boundary: the set-up's ghost plan and exchange, and
+  the end's rebuild, allgather, allreduce and projection), and
   checkpointing adds barrier; no caller outside the tests
   sends point to point.  ``send``, ``recv``, ``sendrecv``, ``reduce``,
   ``scatter``, ``scan``, ``exscan``, ``neighbor_alltoall`` and
@@ -23,7 +25,7 @@ ranks run as threads, each holding a :class:`Communicator`, and talk via
 
 Beside them sits one rendezvous that is not a message,
 :meth:`Communicator.world_call`: one function run once over every
-rank's deposit (the stacking of a phase's sweep input, in ``core/``).
+rank's deposit.
 It moves no bytes and charges no time, but every rank must make it in
 schedule order like a collective, so the schedule check and the
 deadlock audit see it.  Memory such a call keeps from one world to the
@@ -47,17 +49,21 @@ and counts as one ``alltoall`` — and message ``(s, d)`` is sized
 ``ENVELOPE_BYTES + Σ count × itemsize`` (:func:`_count_sizes`),
 ``message_bytes`` of the same slices by construction.
 
-What a rendezvous charges.  ``alltoall``, ``lookup``, ``push`` and
-``allreduce`` are *scripted* (:meth:`Communicator.scripted`): one
-rendezvous that stands for a list of ops.  Before it, the rank consults
+What a rendezvous charges.  ``alltoall``, ``lookup``, ``push``,
+``allreduce`` and ``allgather`` are *scripted*
+(:meth:`Communicator.scripted`): one rendezvous that stands for a list
+of ops.  Before it, the rank consults
 the fault plan for every op in order — a kill raises there, at its op —
 and records each as a collective.  Then the rank deposits its payload
 and a :class:`Script` holding a copy of its clock and each op's delay.
 The last rank to arrive runs the *world half* (:func:`alltoall_world`,
-:func:`lookup_world`, :func:`push_world`, :func:`allreduce_world`, or a
-caller's function of several, such as one Louvain iteration in
-``core/``) over every deposit.  Per op it charges the op's delay to each
-script, synchronises the world on the latest script clock, and charges
+:func:`lookup_world`, :func:`push_world`, :func:`allreduce_world`,
+:func:`allgather_world`, or a caller's function of several, such as one
+Louvain iteration, a phase's set-up or its end in ``core/``) over every
+deposit; a world step that reads what it needs off the world's arrays
+prices a leg from counts alone (:func:`alltoall_counts_world`).  Per op
+it charges the op's delay to each script, synchronises the world on the
+latest script clock, and charges
 each rank ``max(end - clock, 0.0)`` for its share, recording the leg's
 bytes.  ``clock += dt`` on the copy is the float operation
 :meth:`Communicator.charge` performs, so each rank then *replays* its
@@ -65,7 +71,8 @@ script — the ``(category, seconds)`` charges and leg records, in order —
 and its clock, trace seconds, bytes, messages and collective counts are
 bit for bit what making the ops one by one would have left.  There is
 one pricing implementation per collective, whichever rendezvous runs
-it.
+it (``barrier``, ``bcast`` and ``gather`` still price in
+``_collective``'s finalizers).
 
 Every operation advances the rank's *virtual clock* according to the
 :class:`~repro.runtime.perfmodel.MachineModel` and attributes the time to
@@ -177,7 +184,7 @@ def _count_sizes(payload: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(sizes.sum(axis=1).tolist(), sizes.sum(axis=0).tolist()))
 
 
-def _counts(cuts: Sequence[np.ndarray]) -> np.ndarray:
+def cut_counts(cuts: Sequence[np.ndarray]) -> np.ndarray:
     """``counts[s, d]``: how many of rank ``s``'s ids rank ``d`` owns."""
     c = np.array(cuts)
     return c[:, 1:] - c[:, :-1]
@@ -202,7 +209,7 @@ def _split(cuts: Sequence[int], fields: Sequence[np.ndarray]) -> list[tuple]:
     ]
 
 
-def _route(
+def route(
     counts: np.ndarray, arrays: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, ...]:
     """Personalised routing of laid-out arrays in one gather per field:
@@ -309,6 +316,16 @@ def alltoall_world(
     return [[row[d] for row in mats] for d in range(len(mats))]
 
 
+def alltoall_counts_world(
+    world: "World", scripts: Sequence[Script], counts: np.ndarray, width: int
+) -> None:
+    """One ``alltoall`` leg for every rank priced from counts: message
+    ``(s, d)`` carries ``counts[s, d]`` elements of ``width`` bytes.
+    Nothing is delivered: a world step that reads what it needs off the
+    world's own arrays has the leg priced as if it had been sent."""
+    _leg(world, scripts, _count_sizes(counts * width))
+
+
 def lookup_world(
     world: "World",
     scripts: Sequence[Script],
@@ -340,7 +357,7 @@ def _lookup_ranks(
     per rank."""
     asks = [d[0] for d in deposits]
     fields = lookup_world(
-        world, scripts, _joined(asks), _counts([d[1] for d in deposits]),
+        world, scripts, _joined(asks), cut_counts([d[1] for d in deposits]),
         [_joined(t) for t in zip(*(d[2] for d in deposits))],
     )
     return _split(list(accumulate(map(len, asks), initial=0)), fields)
@@ -364,7 +381,7 @@ def push_world(
     ``np.add.at`` per source gives each element.  ``carry = (counts,
     *arrays)`` prices arrays laid out the same way (each rank's in
     destination order, ``counts[s, d]`` of rank ``s``'s for ``d``) in the
-    same messages; delivering them is the caller's (:func:`_route`)."""
+    same messages; delivering them is the caller's (:func:`route`)."""
     payload = counts * _width([ids, *values])
     for table, field in zip(tables, values):
         np.add.at(table, ids, field)
@@ -380,7 +397,7 @@ def _push_ranks(
     """:func:`push_world` over per-rank deposits ``(ids, cuts, values,
     tables, carry)`` (:meth:`Communicator.push`): the owners' tables are
     joined for it and each owner's slice copied back, and what was
-    carried is routed (:func:`_route`) and cut per destination."""
+    carried is routed (:func:`route`) and cut per destination."""
     p = len(deposits)
     owners = [d[3] for d in deposits]
     joined = [_joined(w) for w in zip(*owners)]
@@ -392,7 +409,7 @@ def _push_ranks(
         )
     push_world(
         world, scripts, _joined([d[0] for d in deposits]),
-        _counts([d[1] for d in deposits]),
+        cut_counts([d[1] for d in deposits]),
         [_joined(f) for f in zip(*(d[2] for d in deposits))], joined, carry,
     )
     lo = 0
@@ -404,7 +421,7 @@ def _push_ranks(
         lo = hi
     if carry is None:
         return [()] * p
-    carried = _route(carry[0], carry[1:])
+    carried = route(carry[0], carry[1:])
     return _split(carried[0], carried[1:])
 
 
@@ -425,6 +442,21 @@ def allreduce_world(
     for script in scripts:
         script.finish(end)
     return [_fold(values, op)] * len(values)
+
+
+def allgather_world(
+    world: "World", scripts: Sequence[Script], values: list[Any]
+) -> list[list[Any]]:
+    """World half of :meth:`Communicator.allgather`: priced by the
+    largest deposit; every rank gets every value, in rank order."""
+    for script in scripts:
+        script.begin()
+    n = max(message_bytes(v) for v in values)
+    cost = world.machine.allgather_cost(n, len(values))
+    end = max(script.clock for script in scripts) + cost
+    for script in scripts:
+        script.finish(end)
+    return [list(values)] * len(values)
 
 
 #: Rooted collectives: their non-root ranks deposit ``None``, so only
@@ -1035,16 +1067,9 @@ class Communicator:
         return self._collective("gather", value, finalize, category)
 
     def allgather(self, value: Any, category: str = "other") -> list:
-        m = self.machine
-        p = self.size
-
-        def finalize(slots):
-            values = [v for v, _ in slots]
-            n = max(message_bytes(v) for v in values)
-            t = max(c for _, c in slots) + m.allgather_cost(n, p)
-            return [(list(values), t)] * p
-
-        return self._collective("allgather", value, finalize, category)
+        return self.scripted(
+            "allgather", [("allgather", category)], value, allgather_world
+        )
 
     def scatter(
         self, values: Sequence[Any] | None, root: int = 0, category: str = "other"

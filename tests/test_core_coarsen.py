@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import coarsen_csr, modularity, remote_lookup
-from repro.core.coarsen import _meta_edge_payloads, rebuild_distributed
+from repro.core.coarsen import rebuild_distributed
 from repro.graph import CSRGraph, DistGraph
 from repro.graph.partition import even_vertex
 from repro.runtime import FREE, RankFailedError, run_spmd
 
 from .conftest import planted_blocks_graph
-from .oracles import aggregate_reference
+from .oracles import aggregate_reference, rebuild_reference
+from .oracles.rebuild_reference import _meta_edge_payloads
 
 
 class TestCoarsenCSR:
@@ -318,7 +319,10 @@ class TestRebuildOneRequest:
     def test_short_new_id_reply_fails_loudly(self, monkeypatch):
         # The new ids are read as slices of the notification order, so
         # a reply that is not as long as its notification must not be
-        # accepted — and the error names the rank that sent it.
+        # accepted — and the error names the rank that sent it.  The
+        # world rebuild reads every new id off one prefix sum, so only
+        # the per-rank formulation has replies to shorten: the check
+        # lives in its oracle.
         from repro.runtime.comm import Communicator
 
         g = planted_blocks_graph(blocks=2, per_block=6, seed=2)
@@ -340,7 +344,7 @@ class TestRebuildOneRequest:
             dg = DistGraph.distribute(comm, g, partition="even_vertex")
             plan = dg.build_ghost_plan(comm)
             calls.pop(comm.rank, None)
-            return rebuild_distributed(
+            return rebuild_reference.rebuild_distributed(
                 comm, dg, dg.local_vertex_ids(), plan.ghost_ids.copy()
             )
 

@@ -150,6 +150,30 @@ class TestVariants:
         for iterations in per_rank[1:]:
             assert iterations == per_rank[0]
 
+    @pytest.mark.parametrize("nranks", [1, 3])
+    def test_every_rank_gets_one_read_only_assignment(
+        self, planted_blocks, nranks
+    ):
+        # The result's allgather normalises the assignment once for the
+        # world: every rank holds the same array, and none may write it.
+        from repro.core.distlouvain import distributed_louvain
+        from repro.graph import DistGraph
+        from repro.runtime import run_spmd
+
+        def prog(comm):
+            dg = DistGraph.distribute(comm, planted_blocks)
+            return distributed_louvain(comm, dg).assignment
+
+        per_rank = run_spmd(nranks, prog, machine=FREE, timeout=60.0).values
+        want = run_louvain(planted_blocks, nranks, machine=FREE).assignment
+        for assignment in per_rank:
+            np.testing.assert_array_equal(assignment, want)
+            assert not assignment.flags.writeable
+            with pytest.raises(ValueError):
+                assignment[:1] = -1
+        # The driver hands its caller rank 0's array alone, writable.
+        assert want.flags.writeable
+
     @pytest.mark.parametrize(
         "name,nranks,exits",
         [

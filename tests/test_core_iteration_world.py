@@ -266,6 +266,107 @@ def test_kill_at_each_op_of_an_iteration(where, tmp_path):
     assert res.phases == ref.phases
 
 
+#: The victim's ops at the end of a phase, in order: the rebuild's
+#: notification, allgather, answer and meta edges, the statistics'
+#: allreduce and the projection's request and reply.
+END_OPS = [
+    "alltoall", "allgather", "alltoall", "alltoall", "allreduce",
+    "alltoall", "alltoall",
+]
+
+
+def _boundary_ops(g, p, config, d) -> dict[str, list[tuple[int, str, str]]]:
+    """The victim's ``(op index, op, category)`` of the second phase's
+    set-up (``_begin_phase``) and end (``_end_phase``), from an
+    uninterrupted run checkpointing to ``d`` after every iteration."""
+    ops: list = []
+    seen: dict = {}
+    real_hook = Communicator._fault_hook
+    real_begin, real_end = distlouvain._begin_phase, distlouvain._end_phase
+
+    def hook(self, name, category):
+        if self.rank == VICTIM and self.size == p:
+            ops.append((self._ops + 1, name, category))
+        return real_hook(self, name, category)
+
+    def recorded(key, real):
+        def call(comm, run, *args):
+            start = len(ops)
+            out = real(comm, run, *args)
+            if comm.rank == VICTIM and run.phase == 1:
+                seen[key] = ops[start:]
+            return out
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Communicator, "_fault_hook", hook)
+        patch.setattr(
+            distlouvain, "_begin_phase", recorded("setup", real_begin)
+        )
+        patch.setattr(distlouvain, "_end_phase", recorded("end", real_end))
+        run_louvain(
+            g, p, config, machine=FREE,
+            checkpoints=disk_checkpoints(d, config, every_iterations=1),
+        )
+    return seen
+
+
+#: Every op of a phase boundary's two rendezvous: the set-up's ghost
+#: plan and full ghost exchange (with colouring, the colouring's rounds
+#: come between them), then the end's ``END_OPS``.
+BOUNDARY_KILLS = {
+    "set-up ghost plan": ("setup", 0),
+    "set-up ghost exchange": ("setup", -1),
+    "rebuild notification": ("end", 0),
+    "rebuild allgather": ("end", 1),
+    "rebuild answer": ("end", 2),
+    "rebuild meta edges": ("end", 3),
+    "phase statistics allreduce": ("end", 4),
+    "projection request": ("end", 5),
+    "projection reply": ("end", 6),
+}
+
+
+@pytest.mark.parametrize("coloring", [False, True], ids=["plain", "coloring"])
+@pytest.mark.parametrize("where", list(BOUNDARY_KILLS))
+def test_kill_at_each_op_of_a_phase_boundary(where, coloring, tmp_path):
+    part, at = BOUNDARY_KILLS[where]
+    p = 3
+    g = planted_blocks_graph(**KILL_GRAPH)
+    cfg = LouvainConfig(variant=Variant.ET, alpha=0.5, seed=4,
+                        use_coloring=coloring)
+    seen = _boundary_ops(g, p, cfg, str(tmp_path / "probe"))
+    setup, end = seen["setup"], seen["end"]
+    assert [(name, cat) for _, name, cat in (setup[0], setup[-1])] == [
+        ("alltoall", "ghost_comm")
+    ] * 2
+    assert len(setup) > 2 if coloring else len(setup) == 2
+    assert [name for _, name, _ in end] == END_OPS
+    op, name, _ = seen[part][at]
+    ref = run_louvain(g, p, cfg, machine=FREE)
+
+    d = str(tmp_path / "ck")
+    with pytest.raises(RankFailedError) as excinfo:
+        run_louvain(
+            g, p, cfg, machine=FREE,
+            checkpoints=disk_checkpoints(d, cfg, every_iterations=1),
+            fault_plan=FaultPlan(kills={VICTIM: op}),
+        )
+    assert excinfo.value.rank == VICTIM
+    cause = excinfo.value.causes[VICTIM]
+    assert isinstance(cause, InjectedFault)
+    assert (cause.rank, cause.op_index, cause.op_name) == (VICTIM, op, name)
+
+    res = run_louvain(
+        g, p, cfg, machine=FREE, checkpoints=disk_checkpoints(d, cfg),
+        resume=True,
+    )
+    np.testing.assert_array_equal(res.assignment, ref.assignment)
+    assert res.modularity == ref.modularity
+    assert res.iterations == ref.iterations
+    assert res.phases == ref.phases
+
+
 # ----------------------------------------------------------------------
 # Request and push counts against each rank's own view
 # ----------------------------------------------------------------------

@@ -44,6 +44,8 @@ REMOVED = {
     "_positions",
     "_absorb",
     "IterationState.place",
+    "_meta_edge_payloads",
+    "_owner_counts",
 }
 
 _NAME = re.compile(r"^[A-Za-z_]\w*(\.[A-Za-z_]\w*)*$")
@@ -140,3 +142,34 @@ def test_every_cited_name_resolves(name):
 def test_removed_names_stay_removed_and_cited(name):
     assert name in CITED, f"{name!r} is no longer cited: drop it here"
     assert not _resolves(name), f"{name!r} exists again: cite it as live"
+
+
+def _rebuild_steps() -> list[str]:
+    """The world steps ``rebuild_world`` calls, in call order: the
+    functions of ``core.coarsen`` whose docstring opens "Step k:"."""
+    from repro.core import coarsen
+
+    body = inspect.getsource(coarsen.rebuild_world).split('"""')[2]
+    steps = []
+    for name in re.findall(r"\b([a-z_]\w*)\(", body):
+        fn = getattr(coarsen, name, None)
+        doc = inspect.getdoc(fn) if inspect.isfunction(fn) else None
+        if doc and re.match(r"Step \d:", doc):
+            steps.append((int(doc[5]), name))
+    in_order = steps == sorted(steps)
+    return [name for _, name in steps] if in_order else []
+
+
+def test_rebuild_rows_cite_the_seven_world_steps():
+    # §IV-A(b)'s table has one row per step, and row k cites the world
+    # step that runs step k — renaming, dropping or reordering a step in
+    # ``rebuild_world`` fails here until the mapping follows.
+    steps = _rebuild_steps()
+    assert len(steps) == 7, steps
+    text = MAPPING.read_text("utf-8")
+    section = text.split("## §IV-A(b)")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| (\d) \(.*$", section, re.MULTILINE)
+    assert rows == [str(k) for k in range(1, 8)]
+    for k, name in enumerate(steps, start=1):
+        row = re.search(rf"^\| {k} \(.*$", section, re.MULTILINE).group(0)
+        assert f"`repro.core.coarsen.{name}`" in row, (k, name)

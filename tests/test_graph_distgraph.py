@@ -44,6 +44,18 @@ class TestFromGlobal:
         with pytest.raises(ValueError):
             DistGraph.from_global(g, np.array([0, 3, 5]), 0)
 
+    def test_rank_slices_are_views_of_the_frozen_graph(self):
+        # No copy per rank: the frozen CSR's bytes cannot change under
+        # the slices, and a slice cannot be written either.
+        g = planted_blocks_graph(blocks=3, per_block=8, seed=1)
+        offsets = np.array([0, 7, 15, 24])
+        for r in range(3):
+            dg = DistGraph.from_global(g, offsets, r)
+            for mine, whole in ((dg.edges, g.edges), (dg.weights, g.weights)):
+                assert np.shares_memory(mine, whole)
+                with pytest.raises(ValueError):
+                    mine[:1] = 0
+
     def test_local_self_loops(self):
         g = CSRGraph.from_edges(4, [0, 1, 1], [1, 2, 1], [1.0, 1.0, 2.5])
         dg = DistGraph.from_global(g, np.array([0, 2, 4]), 0)
@@ -360,6 +372,8 @@ class TestOwnerCuts:
         def prog(comm):
             dg = DistGraph.from_global(g, np.array([0, 3, 6]), comm.rank)
             if comm.rank == 0:
+                # (The slice is a read-only view of the frozen graph.)
+                dg.edges = dg.edges.copy()
                 dg.edges[0] = 6  # not a vertex
             return dg.build_ghost_plan(comm)
 

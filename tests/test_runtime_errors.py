@@ -8,6 +8,8 @@ RankAborted suppression in RankFailedError.causes.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -120,9 +122,17 @@ class TestCollectiveMismatch:
 
 class TestDeadlockAudit:
     def test_recv_cycle_is_reported(self):
-        # 0 waits on 1 and 1 waits on 0: a true wait cycle.
+        # 0 waits on 1 and 1 waits on 0: a true wait cycle.  Past the
+        # barrier both ranks run; rank 1 enters its receive a third of
+        # the timeout after rank 0, so rank 0's timer is the first to
+        # run out and the cycle has been closed long before it does (a
+        # rank whose own timer ran out first leaves the wait before the
+        # other reports it).
         def prog(comm):
             peer = 1 - comm.rank
+            comm.barrier()
+            if comm.rank == 1:
+                time.sleep(0.1)
             return comm.recv(source=peer, tag=0)
 
         with pytest.raises(RankFailedError) as excinfo:
