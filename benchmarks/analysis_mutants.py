@@ -86,7 +86,7 @@ _VAL = "src/repro/core/validate.py"
 _CFG = "src/repro/core/config.py"
 _COMM_TEST = "tests/test_runtime_comm.py"
 
-_ALLREDUCE = '    ops.append(("allreduce", "allreduce"))\n'
+_ALLREDUCE = "    num_colors = int(comm.allreduce(\n"
 _BARRIER = (
     '        comm.barrier(category="checkpoint")\n'
     "        return manifest\n"
@@ -101,13 +101,13 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "m1", "SPMD001", _DL, _ALLREDUCE,
         "    if comm.rank != 1:\n    " + _ALLREDUCE,
-        "rank 1 leaves the allreduce out of _iterate's ops",
+        "rank 1 leaves the colour count's allreduce out of _coloring",
     ),
     Mutant(
         "m2", "SPMD001", _DL, _ALLREDUCE,
-        "    if phase.dg.num_local_entries:\n    " + _ALLREDUCE,
-        "_iterate leaves the allreduce out of its ops on a rank with no "
-        "entries",
+        "    if dg.num_local:\n    " + _ALLREDUCE,
+        "_coloring leaves the colour count's allreduce out on a rank with "
+        "no vertices",
     ),
     Mutant(
         "ckpt_barrier", "SPMD001", _CK, _BARRIER,

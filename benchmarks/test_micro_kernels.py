@@ -24,6 +24,10 @@ performance regressions of the simulator itself are visible:
   thread-CPU ms summed over the ranks, wall, rank 0's rendezvous) on the
   ``mesh_p8`` graphs at p ∈ {1, 4, 8} (appended to
   ``BENCH_generators.json``);
+* a detection's fixed cost on a 222-vertex coarsened soc-friendster
+  graph at p ∈ {1, 4, 8}: wall, thread CPU summed over the ranks, rank
+  0's rendezvous and the iterations per detection (appended to
+  ``BENCH_generators.json``);
 * the vectorised greedy coloring and vertex-following seeds;
 * serial graph coarsening;
 * CSR construction from edge lists;
@@ -40,7 +44,7 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -57,13 +61,13 @@ from repro.core import (
 )
 from repro.core.distlouvain import (
     _iterate,
-    _Phase,
     _save_checkpoint,
-    _stack_phase,
+    _Seat,
+    _set_up_world,
 )
 from repro.core.heuristics import EarlyTermination, make_rank_rng
 from repro.core.grappolo import greedy_coloring, vertex_following_seed
-from repro.core.sweep import SweepPlan, array_lookup, propose_moves
+from repro.core.sweep import SweepPlan, SweepSlice, array_lookup, propose_moves
 from repro.core.result import IterationStats
 from repro.generators import generate_lfr, make_graph
 from repro.graph import CSRGraph, DistGraph, EdgeList
@@ -283,8 +287,9 @@ WORLD_REPEATS = 5
 def test_kernel_iteration(
     benchmark, monkeypatch, record_bench, state, active, p, which
 ):
-    """One Louvain iteration on every rank, ``_iterate(comm, phase, it,
-    config)`` — steps (i)-(v): the ``needed`` set and its fetch, the
+    """One Louvain iteration on every rank, ``_iterate(world, scripts,
+    phases, it, config)`` in a rendezvous of its own — steps (i)-(v): the
+    ``needed`` set and its fetch, the
     kernel over every rank's entries, the delta aggregation and the
     push with the ghost labels, the entries' re-aim, the modularity
     partials and the allreduce — at p = 1 on soc-friendster at three
@@ -325,11 +330,19 @@ def test_kernel_iteration(
 
     monkeypatch.setattr(distlouvain, "propose_moves", timed_kernel)
 
+    def iteration(world, scripts, phases):
+        return [_iterate(world, scripts, phases, 0, config)] * len(phases)
+
     def prog(comm):
         dg = DistGraph.distribute(comm, g)
         lo, hi = dg.vbegin, dg.vend
         ghost_plan = dg.build_ghost_plan(comm)
         k = dg.local_degrees()
+        run = RunState(dg=dg, orig_slice=dg.local_vertex_ids())
+        part = SweepSlice(
+            dg.index, dg.weights, np.flatnonzero(~dg.self_loop_mask()),
+            dg.local_rows(), k,
+        )
         spans, moves = [], 0
         for _ in range(rounds + WARM_ROUNDS):
             local = comm0[lo:hi].copy()
@@ -342,14 +355,14 @@ def test_kernel_iteration(
                 )
                 state.et.prob[:] = 0.25
             dg.exchange_ghost_values(comm, ghost_plan, local)
-            world = _stack_phase(
-                comm, dg, ghost_plan, k, state, None, config.resolution
+            phase = comm.scripted(
+                "phase_setup", _Seat(run, k, part, state, ghost_plan, None, 1),
+                partial(_set_up_world, resolution=config.resolution),
             )
-            phase = _Phase(dg, 0, k, world, ghost_plan, 1, state)
             comm.barrier()
             m0 = comm.clock
             w0, c0 = time.perf_counter_ns(), time.thread_time_ns()
-            _iterate(comm, phase, 0, config)
+            comm.scripted("iteration", phase, iteration)
             c1, w1 = time.thread_time_ns(), time.perf_counter_ns()
             spans.append((w0, w1, c1 - c0, m0, comm.clock))
             moves = state.stats[-1].moves
@@ -548,7 +561,12 @@ def test_kernel_phase_boundary(benchmark, monkeypatch, record_bench, p):
     CPU ms summed over the ranks (what the ranks burn, waits excluded),
     wall ms of the whole detection, and the rendezvous rank 0 enters.
     Only names both sides of a change share are wrapped, so a clone of
-    the parent commit runs the same rows."""
+    the parent commit runs the same rows.  Since a phase is one
+    rendezvous, its set-up and end run inside ``louvain_phase_distributed``
+    on whichever thread runs the world: from then on the two stages
+    time only the rank-side work around it (the starting state, the
+    sweep slice, the target scan; the record of the phase), and
+    ``fixed_cost`` times whole detections."""
     from repro.core import distlouvain
     from repro.runtime import comm as comm_mod
 
@@ -624,6 +642,97 @@ def test_kernel_phase_boundary(benchmark, monkeypatch, record_bench, p):
         "wall_ms_per_detection": round(wall, 2),
         "wall_ms_iqr": round(wall_iqr, 2),
         "rendezvous_rank0_per_detection": rdv,
+    })
+
+
+#: Detections per repeat of the fixed-cost row, and its repeats.
+FIXED_RUNS = 10
+FIXED_REPEATS = 7
+
+
+@lru_cache(maxsize=None)
+def _fixed_cost_graph() -> CSRGraph:
+    """soc-friendster ``small`` coarsened by its detection's second phase:
+    222 meta vertices, a detection of a few iterations in two phases."""
+    g = make_graph("soc-friendster", scale="small", seed=0)
+    r = run_louvain(g, 1, LouvainConfig(track_assignments=True))
+    meta, _ = coarsen_csr(g, r.phase_assignments[1])
+    return meta
+
+
+@pytest.mark.parametrize("p", [1, 4, 8])
+def test_kernel_fixed_cost(benchmark, monkeypatch, record_bench, p):
+    """What a detection costs beyond its work: a ~200-vertex graph
+    (:func:`_fixed_cost_graph`, Baseline), where the kernels have almost
+    nothing to do, at p ∈ {1, 4, 8}.  Per detection: wall ms, thread CPU
+    ms summed over the ranks (each rank's ``thread_time_ns`` across its
+    ``distributed_louvain``), the rendezvous rank 0 enters and the
+    iterations; each the median and IQR of the repeats' means.  Only
+    names both sides of a change share are wrapped, so a clone of the
+    parent commit runs the same rows."""
+    from repro.core import distlouvain
+    from repro.runtime import comm as comm_mod
+
+    g = _fixed_cost_graph()
+    spent: list[int] = []
+    entered: list[int] = []
+    real_detect = distlouvain.distributed_louvain
+    real_exchange = comm_mod._Rendezvous.exchange
+
+    def detect(comm, *args, **kwargs):
+        c0 = time.thread_time_ns()
+        try:
+            return real_detect(comm, *args, **kwargs)
+        finally:
+            if comm.size == p:
+                spent.append(time.thread_time_ns() - c0)
+
+    def exchange(self, rank, *args):
+        if rank == 0 and self._size == p:
+            entered.append(1)
+        return real_exchange(self, rank, *args)
+
+    monkeypatch.setattr(distlouvain, "distributed_louvain", detect)
+    monkeypatch.setattr(comm_mod._Rendezvous, "exchange", exchange)
+    run_louvain(g, p, LouvainConfig())  # warm
+
+    def one_run():
+        """Per detection, over FIXED_RUNS: wall ms, CPU ms, rendezvous,
+        iterations."""
+        spent.clear()
+        entered.clear()
+        t0 = time.perf_counter_ns()
+        for _ in range(FIXED_RUNS):
+            r = run_louvain(g, p, LouvainConfig())
+        wall = (time.perf_counter_ns() - t0) / FIXED_RUNS / 1e6
+        return (
+            wall, sum(spent) / FIXED_RUNS / 1e6, len(entered) / FIXED_RUNS,
+            float(r.total_iterations),
+        )
+
+    runs = [benchmark.pedantic(one_run, rounds=1, iterations=1)]
+    runs += [one_run() for _ in range(FIXED_REPEATS - 1)]
+    (wall, wall_iqr), (cpu, cpu_iqr), (rdv, _), (its, _) = (
+        _spread(values) for values in zip(*runs)
+    )
+    benchmark.extra_info.update(wall_ms=wall, cpu_ms=cpu, rendezvous=rdv)
+    print(
+        f"\nfixed cost p={p} {g.num_vertices} vertices: {wall:.2f} "
+        f"(IQR {wall_iqr:.2f}) ms wall, {cpu:.2f} (IQR {cpu_iqr:.2f}) ms "
+        f"cpu per detection, {rdv:.0f} rendezvous at rank 0, "
+        f"{its:.0f} iterations"
+    )
+    record_bench("generators", {
+        "kind": "fixed_cost", "dataset": "soc-friendster",
+        "scale": "small coarsened by phase 1",
+        "num_vertices": g.num_vertices, "num_edges": g.num_edges,
+        "ranks": p, "runs": FIXED_RUNS, "repeats": FIXED_REPEATS,
+        "wall_ms_per_detection": round(wall, 3),
+        "wall_ms_iqr": round(wall_iqr, 3),
+        "cpu_ms_per_detection": round(cpu, 3),
+        "cpu_ms_iqr": round(cpu_iqr, 3),
+        "rendezvous_rank0_per_detection": rdv,
+        "iterations": its,
     })
 
 

@@ -162,16 +162,6 @@ class RebuildSeat(NamedTuple):
     ghost_comm: np.ndarray
 
 
-#: The rebuild's ops, in order: step 2's notification, step 3's
-#: allgather, step 4's answer and step 6's meta edges.
-REBUILD_OPS = (
-    ("alltoall", "rebuild"),
-    ("allgather", "rebuild"),
-    ("alltoall", "rebuild"),
-    ("alltoall", "rebuild"),
-)
-
-
 def rebuild_seat(
     comm: Communicator,
     dg: DistGraph,
@@ -184,10 +174,6 @@ def rebuild_seat(
     if len(ghost_comm) != plan.num_ghosts:
         raise ValueError("ghost_comm not aligned with the ghost plan")
     return RebuildSeat(dg, local_comm, ghost_comm)
-
-
-#: The projection's ops: an owner lookup's request and reply legs.
-PROJECT_OPS = (("alltoall", "rebuild"),) * 2
 
 
 def project_world(
@@ -219,7 +205,7 @@ def project_world(
     lookup_world(
         world, scripts, None,
         key_counts(offsets, distinct_keys(n * p, keys, empty=empty), p),
-        (table,),
+        (table,), category="rebuild",
     )
     return [table.take(o) for o in origs]
 
@@ -231,7 +217,7 @@ def rebuild_distributed(
     ghost_comm: np.ndarray,
 ) -> tuple[DistGraph, np.ndarray]:
     """Distributed graph reconstruction at the end of a phase: one
-    scripted rendezvous of :data:`REBUILD_OPS` (:func:`rebuild_world`).
+    scripted rendezvous (:func:`rebuild_world`).
 
     Parameters
     ----------
@@ -252,17 +238,19 @@ def rebuild_distributed(
         assignment.
     """
     return comm.scripted(
-        "rebuild", REBUILD_OPS,
-        rebuild_seat(comm, dg, local_comm, ghost_comm), rebuild_world,
+        "rebuild", rebuild_seat(comm, dg, local_comm, ghost_comm),
+        rebuild_world,
     )
 
 
 def rebuild_world(
     world: World, scripts: Sequence[Script], seats: list[RebuildSeat]
 ) -> list[tuple[DistGraph, np.ndarray]]:
-    """§IV-A(b)'s seven steps for every rank, one world step each; every
-    ``scripts[r]`` records rank ``r``'s charges.  Returns each rank's
-    coarsened slice and its owned vertices' new ids."""
+    """§IV-A(b)'s seven steps for every rank, one world step each; their
+    ops — step 2's notification, step 3's allgather, step 4's answer and
+    step 6's meta edges, all ``rebuild`` — are charged to every rank
+    through ``scripts[r]``.  Returns each rank's coarsened slice and its
+    owned vertices' new ids."""
     offsets = seats[0].dg.offsets
     # Every temporary the steps make is carved from the sweep's scratch,
     # idle between phases, so none settles in this thread's heap.
@@ -331,7 +319,9 @@ def prune_stale_ids(
     notification counts."""
     n = int(offsets[-1])
     notified = key_counts(offsets, used, len(scripts))
-    alltoall_counts_world(world, scripts, notified, used.itemsize)
+    alltoall_counts_world(
+        world, scripts, notified, used.itemsize, category="rebuild"
+    )
     alive = empty(n, np.dtype(bool))
     alive[:] = False
     alive[np.remainder(used, max(n, 1), out=empty(len(used), _I8))] = True
@@ -354,7 +344,9 @@ def prefix_sum_renumber(
     below = empty(len(alive) + 1, _I8)
     below[0] = 0
     np.cumsum(alive, out=below[1:])
-    allgather_world(world, scripts, np.diff(below[offsets]).tolist())
+    allgather_world(
+        world, scripts, np.diff(below[offsets]).tolist(), category="rebuild"
+    )
     return below[:-1], even_vertex(int(below[-1]), len(scripts))
 
 
@@ -368,7 +360,9 @@ def propagate_new_ids(
     """Step 4: every owner answers each notification with the new ids
     of the communities in it (one ``alltoall``, the transposed counts);
     every slot's new id is read off the prefix sum."""
-    alltoall_counts_world(world, scripts, notified.T, new_id.itemsize)
+    alltoall_counts_world(
+        world, scripts, notified.T, new_id.itemsize, category="rebuild"
+    )
     return new_id.take(slots)
 
 
@@ -479,7 +473,8 @@ def redistribute(
         pair[cuts[d]:cuts[d + 1]] += d
     counts = np.bincount(pair, minlength=p * p).reshape(p, p)
     alltoall_counts_world(
-        world, scripts, counts, 2 * _I8.itemsize + w.itemsize
+        world, scripts, counts, 2 * _I8.itemsize + w.itemsize,
+        category="rebuild",
     )
 
 

@@ -8,28 +8,29 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
     pre-merge, :func:`_premerge_leaves`) or restore it
     (:func:`_restore_run`); per phase — until, at a boundary after the
     first phase, the rest is cheaper on one rank (:mod:`.tail`) and
-    rank 0 finishes it alone (:func:`_finish_on_one_rank`):
+    rank 0 finishes it alone (:func:`_finish_on_one_rank`) — Algorithm
+    3, :func:`louvain_phase_distributed`.  The rank sets out its starting
+    state (:func:`_begin_phase`: singleton, warm-started
+    (:func:`_relabel`) or resumed labels, and with a seed or colouring
+    the ghost plan first, a rendezvous of its own); then *one* scripted
+    rendezvous runs the whole phase for every rank (:func:`_phase_world`),
+    charging every op to each rank's own clock and trace as it is made
+    (:class:`~repro.runtime.comm.Script`):
 
-    * begin the phase (:func:`_begin_phase`): singleton, warm-started
-      (:func:`_relabel`) or resumed labels, then the phase's set-up,
-      one scripted rendezvous (:func:`_stack_phase` →
-      :func:`_set_up_world`): ``ExchangeGhostVertices`` — the
-      one-time-per-phase ghost coordinate exchange (Algorithm 4) and one
-      full exchange of the ghost vertices' starting communities, priced
-      from counts — and the stacking, which lays every rank's CSR slice,
-      labels, owner tables, ghost maps and ET state end to end in world
-      arrays (:class:`_WorldPhase`); the rank's objects hold their
+    * the set-up (:func:`_set_up_world`): ``ExchangeGhostVertices`` —
+      the one-time-per-phase ghost coordinate exchange (Algorithm 4) and
+      one full exchange of the ghost vertices' starting communities,
+      priced from counts — and the stacking, which lays every rank's CSR
+      slice, labels, owner tables, ghost maps and ET state end to end in
+      world arrays (:class:`_WorldPhase`); the rank's objects hold their
       segments;
-    * iteration loop (Algorithm 3, :func:`louvain_phase_distributed`).
-      Each :func:`_iterate` is one rendezvous: the rank draws its ET mask
-      and consults the fault plan for the iteration's ops, then one
-      world function (:func:`_world_iteration`) runs steps ii-v for
-      every rank, a step at a time — per colour round
-      (:func:`_world_round`; one round without colouring) ii-iv, then
-      v — each step a fixed number of numpy passes over the world
-      arrays whatever the rank count, and hands each rank the charges
-      its ops made, which it replays
-      (:class:`~repro.runtime.comm.Script`); vi is the rank's:
+    * the iteration loop, to the tau test: per iteration
+      (:func:`_iterate`) every rank draws its ET mask, then
+      :func:`_world_iteration` runs steps ii-v for every rank, a step at
+      a time — per colour round (:func:`_world_round`; one round without
+      colouring) ii-iv, then v — each step a fixed number of numpy
+      passes over the world arrays whatever the rank count; vi is each
+      rank's:
 
       i.   the community of every ghost vertex as of the last
            synchronisation point is its label in the world's labels
@@ -56,15 +57,20 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
            (lines 12-13, ``allreduce``);
       vi.  :func:`_exit_tests`: the stats row and ETC's 90% exit on the
            inactive count the same allreduce delivered (§IV-B(b)) — no
-           variant adds a collective; then the tau test and, the phase
-           going on, an optional checkpoint (:func:`_save_checkpoint`);
+           variant adds a collective; then the tau test;
 
-    * finish the phase (:func:`_finish_phase`): Leiden refinement
-      (:func:`_refine_phase`, relabelled like a warm start), audits,
-      then one scripted rendezvous (:func:`_end_phase` →
-      :func:`_end_world`): distributed graph reconstruction (§IV-A(b)'s
+    * the ghosts' communities read off the world's labels, and the end
+      (:func:`_end_world`): distributed graph reconstruction (§IV-A(b)'s
       seven world steps, :mod:`~.coarsen`), statistics and exact Q (one
-      allreduce), projection of the original vertices;
+      allreduce), projection of the original vertices.
+
+    The world leaves the rendezvous early only where rank-side code must
+    run: after an iteration a checkpoint is due at (the rank cuts it,
+    :func:`_save_checkpoint`, and the next rendezvous continues the
+    phase), and before the end when Leiden refinement
+    (:func:`_refine_phase`, relabelled like a warm start) or the audits
+    run — the end is then a rendezvous of its own (:func:`_end_phase`).
+    :func:`_finish_phase` records the phase;
 
     and gather the assignment (:func:`_gather_result`).
 
@@ -105,13 +111,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..graph.distgraph import (
-    PLAN_OP, DistGraph, GhostPlan, ghost_exchange_world, ghost_plans_world,
+    DistGraph, GhostPlan, ghost_exchange_world, ghost_plans_world,
     key_counts,
 )
 from ..graph.partition import even_vertex, owner_of
@@ -122,8 +128,8 @@ from ..runtime.comm import (
 from ..runtime.executor import SPMDResult, run_spmd
 from ..runtime.perfmodel import CORI_HASWELL, MachineModel
 from .coarsen import (
-    PROJECT_OPS, REBUILD_OPS, RebuildSeat, project_world,
-    rebuild_distributed, rebuild_seat, rebuild_world, remote_lookup,
+    RebuildSeat, project_world, rebuild_distributed, rebuild_world,
+    remote_lookup,
 )
 from .config import LouvainConfig
 from .heuristics import (
@@ -197,76 +203,50 @@ class _WorldPhase:
 
 
 class _Seat(NamedTuple):
-    """One rank's deposit in its phase's set-up (:func:`_set_up_world`)
+    """One rank's deposit in its phase's set-up (:func:`_set_up_world`):
+    its run, the phase's starting state and what it derived from it
     (``colors`` ``None`` without colouring)."""
 
+    run: RunState
+    k: np.ndarray
     part: SweepSlice
-    edges: np.ndarray
     state: IterationState
     #: The rank's ghost plan, or — the set-up building it — its deposit
     #: for :func:`~repro.graph.distgraph.ghost_plans_world`.
     plan: GhostPlan | tuple
     colors: np.ndarray | None
-
-
-#: The set-up's full ghost exchange (Algorithm 3, lines 4-5).
-_EXCHANGE_OP = ("alltoall", "ghost_comm")
-
-
-def _stack_phase(
-    comm: Communicator,
-    dg: DistGraph,
-    plan: GhostPlan | None,
-    k: np.ndarray,
-    state: IterationState,
-    colors: np.ndarray | None,
-    resolution: float,
-) -> _WorldPhase:
-    """The phase's set-up, one scripted rendezvous (:func:`_set_up_world`):
-    the ghost plan (Algorithm 4) unless ``plan`` is given, the full ghost
-    exchange (Algorithm 3, lines 4-5), and every rank's CSR slice,
-    iteration state and ET state laid end to end; ``state`` (and its ET
-    state) hold their segments from here, and ``dg`` memoises its plan."""
-    ops = [_EXCHANGE_OP] if plan is not None else [PLAN_OP, _EXCHANGE_OP]
-    return comm.scripted(
-        "phase_setup", ops,
-        _Seat(
-            SweepSlice(
-                dg.index, dg.weights, np.flatnonzero(~dg.self_loop_mask()),
-                dg.local_rows(), k,
-            ),
-            dg.edges, state, dg.plan_seat() if plan is None else plan,
-            colors,
-        ),
-        partial(
-            _set_up_world, comm.world.workspace, dg.total_weight, resolution
-        ),
-    )
+    rounds: int
 
 
 def _set_up_world(
-    workspace: dict, total_weight: float, resolution: float,
-    world: World, scripts: Sequence[Script], seats: list[_Seat],
-) -> list[_WorldPhase]:
-    """:func:`_stack_phase`'s world function: every rank's ghost plan
-    (:func:`~repro.graph.distgraph.ghost_plans_world`, unless the ranks
-    brought theirs), the lines 4-5 exchange priced from the plans'
-    counts — its values are the world's labels, so none are gathered
-    (:func:`~repro.graph.distgraph.ghost_exchange_world`) — and the
-    stacking (:func:`_stack_world`)."""
+    world: World, scripts: Sequence[Script], seats: list[_Seat], *,
+    resolution: float,
+) -> list["_Phase"]:
+    """The phase's set-up for every rank: every rank's ghost plan
+    (Algorithm 4, :func:`~repro.graph.distgraph.ghost_plans_world`,
+    unless the ranks brought theirs), the lines 4-5 exchange priced from
+    the plans' counts — its values are the world's labels, so none are
+    gathered (:func:`~repro.graph.distgraph.ghost_exchange_world`) — and
+    the stacking (:func:`_stack_world`).  Returns every rank's
+    :class:`_Phase`; its state (and ET state) hold their segments of the
+    world's arrays from here, and each graph memoises its plan."""
     plans = [s.plan for s in seats]
     if not isinstance(plans[0], GhostPlan):
         plans = ghost_plans_world(world, scripts, plans)
     ghost_exchange_world(
         world, scripts, plans, seats[0].state.local_comm.itemsize
     )
-    return _stack_world(workspace, total_weight, resolution, seats, plans)
+    wp = _stack_world(world.workspace, resolution, seats, plans)
+    return [
+        _Phase(s.run, s.k, wp, plan, s.rounds, s.state)
+        for s, plan in zip(seats, plans)
+    ]
 
 
 def _stack_world(
-    workspace: dict, total_weight: float, resolution: float,
-    seats: list[_Seat], plans: list[GhostPlan],
-) -> list[_WorldPhase]:
+    workspace: dict, resolution: float, seats: list[_Seat],
+    plans: list[GhostPlan],
+) -> _WorldPhase:
     """Every seat copied into its segments of the world's arrays, each
     rank's state and ET state pointed at them; a table not as long as its
     rank's interval raises, naming the rank."""
@@ -279,7 +259,7 @@ def _stack_world(
     wp = _WorldPhase(
         stack=stack,
         workspace=ws,
-        total_weight=total_weight,
+        total_weight=seats[0].run.dg.total_weight,
         resolution=resolution,
         local_comm=stack.cur,
         tot=ws.array("tot", n, np.float64),
@@ -297,7 +277,7 @@ def _stack_world(
         rank_key=keys.repeat(np.diff(rows)),
         ghost_ids=np.concatenate([plan.ghost_ids for plan in plans]),
         ghost_key=keys.repeat([len(plan.ghost_ids) for plan in plans]),
-        edges=[s.edges for s in seats],
+        edges=[s.run.dg.edges for s in seats],
         rows=[s.part.rows for s in seats],
         send_ids=np.concatenate([plan.send_ids for plan in plans]),
         send_pairs=np.repeat(
@@ -327,7 +307,7 @@ def _stack_world(
             s.state.et.prob = wp.prob[a:b]
             s.state.et.permanently_inactive = wp.inactive[a:b]
     _aim(wp)
-    return [wp] * p
+    return wp
 
 
 def _aim(wp: _WorldPhase) -> None:
@@ -342,17 +322,17 @@ def _aim(wp: _WorldPhase) -> None:
 
 @dataclass
 class _Phase:
-    """One phase's working set at this rank (Algorithm 3), built once by
-    :func:`_begin_phase` and handed whole to every stage.
+    """One phase's working set at one rank (Algorithm 3), built once by
+    the phase's set-up (:func:`_set_up_world`) and handed whole to every
+    stage.
 
     Only :attr:`state` is state (:mod:`repro.core.state`): the rest is
     derived from the graph slice and the starting labels, so a resumed
     phase rebuilds it exactly as a fresh one does.
     """
 
-    #: The rank's slice of the graph the phase runs on, and its index.
-    dg: DistGraph
-    index: int
+    #: The rank's run; the phase runs on its graph slice ``run.dg``.
+    run: RunState
     #: Weighted degree of every owned vertex.
     k: np.ndarray
     #: Every rank's share of the phase, laid end to end.
@@ -369,6 +349,18 @@ class _Phase:
     ghost_comm: np.ndarray | None = None
     #: ETC's inactive-fraction exit ended the phase.
     exited_by_inactive: bool = False
+    #: The phase's end (:func:`_end_world`) — the coarsened slice, the
+    #: reduced :func:`_phase_partials` and the new original-vertex map —
+    #: once the world has closed the phase (``None`` before).
+    ended: tuple[DistGraph, np.ndarray, np.ndarray] | None = None
+
+    @property
+    def dg(self) -> DistGraph:
+        return self.run.dg
+
+    @property
+    def index(self) -> int:
+        return self.run.phase
 
     @property
     def active(self) -> np.ndarray:
@@ -381,36 +373,79 @@ def louvain_phase_distributed(
     run: RunState,
     tau: float,
     config: LouvainConfig,
-    checkpoint_hook=None,
+    checkpoints=None,
     rejoin: IterationState | None = None,
 ) -> _Phase:
-    """Algorithm 3: the Louvain iterations of phase ``run.phase`` at this
-    rank, on ``run.dg``; returns the phase as it ended.  A pending
-    ``run.seed_assignment`` (community id per *owned* vertex, in the
-    vertex-id space) seeds it instead of singletons — the incremental
-    mode's warm start.
+    """Algorithm 3: phase ``run.phase`` at this rank, on ``run.dg``; one
+    scripted rendezvous (:func:`_phase_world`) runs it for every rank.
+    Returns the phase as it ended — closed (:attr:`_Phase.ended`) unless
+    Leiden or the audits come first.  A pending ``run.seed_assignment``
+    (community id per *owned* vertex, in the vertex-id space) seeds it
+    instead of singletons — the incremental mode's warm start.
 
-    ``checkpoint_hook`` (resilience subsystem) is called at the end of
-    every non-final iteration — at the same iterations on every rank —
-    with the live :class:`~repro.core.state.IterationState`; ``rejoin``
-    is such a state, and rejoins the loop after its last iteration.
+    ``checkpoints`` (resilience subsystem) is the run's save-point
+    object: after every non-final iteration its cadence makes due — at
+    the same iterations on every rank — the world leaves, this rank cuts
+    the checkpoint of its live :class:`~repro.core.state.IterationState`
+    and the next rendezvous continues the phase.  ``rejoin`` is such a
+    state, and rejoins the loop after its last iteration.
     """
-    phase = _begin_phase(comm, run, config, rejoin)
-    state = phase.state
-    for it in range(state.iteration + 1, config.max_iterations):
-        phase.exited_by_inactive = _iterate(comm, phase, it, config)
-        if phase.exited_by_inactive or state.q - state.prev_q <= tau:
-            break
-        state.prev_q = state.q
-        if checkpoint_hook is not None:
-            # The phase continues past this iteration on every rank
-            # (all exit tests are derived from replicated global
-            # values), so cutting a checkpoint here is collective-safe.
-            checkpoint_hook(state)
-    # Every rank is past the last rendezvous and none writes a label
-    # before its next collective: the world's labels are the ghosts'.
-    phase.ghost_comm = phase.world.local_comm.take(phase.plan.ghost_ids)
+    seat = _begin_phase(comm, run, config, rejoin)
+    due = None if checkpoints is None else checkpoints.should_checkpoint_iteration
+    step = partial(_phase_world, tau, config, due)
+    phase, paused = comm.scripted("phase", seat, step)
+    while paused:
+        _save_checkpoint(checkpoints, comm, run, phase.state)
+        phase, paused = comm.scripted("phase", phase, step)
     return phase
+
+
+def _phase_world(
+    tau: float,
+    config: LouvainConfig,
+    due: Callable[[int], bool] | None,
+    world: World,
+    scripts: Sequence[Script],
+    deposits: list,
+) -> list[tuple[_Phase, bool]]:
+    """The phase for every rank: the set-up (:func:`_set_up_world`) —
+    unless the deposits are phases a checkpoint paused — then the
+    iterations (:func:`_iterate`) until the tau test or ETC's exit ends
+    the phase, the ghosts' communities read off the world's labels and,
+    unless Leiden or the audits must come first (:func:`_ends_in_world`),
+    the end (:func:`_end_world`).  The world leaves early after an
+    iteration ``due(it)`` names: the phase goes on past it on every rank
+    (the exit tests read replicated values), so the ranks cut a
+    checkpoint there.  Returns every rank's phase and whether it
+    paused."""
+    phases = deposits
+    if isinstance(deposits[0], _Seat):
+        phases = _set_up_world(
+            world, scripts, deposits, resolution=config.resolution
+        )
+    state = phases[0].state
+    for it in range(state.iteration + 1, config.max_iterations):
+        exited = _iterate(world, scripts, phases, it, config)
+        if exited or state.q - state.prev_q <= tau:
+            break
+        for phase in phases:
+            phase.state.prev_q = phase.state.q
+        if due is not None and due(it):
+            return [(phase, True) for phase in phases]
+    for phase in phases:
+        phase.ghost_comm = phase.world.local_comm.take(phase.plan.ghost_ids)
+    if _ends_in_world(config):
+        ends = _end_world(world, scripts, [_closing(ph) for ph in phases])
+        for phase, end in zip(phases, ends):
+            phase.ended = end
+    return [(phase, False) for phase in phases]
+
+
+def _ends_in_world(config: LouvainConfig) -> bool:
+    """Whether the phase's world closes it: Leiden and the audits run on
+    the rank side first, and the end is then a rendezvous of its own
+    (:func:`_end_phase`)."""
+    return config.refine != "leiden" and not config.validate_invariants
 
 
 def _begin_phase(
@@ -418,13 +453,14 @@ def _begin_phase(
     run: RunState,
     config: LouvainConfig,
     rejoin: IterationState | None,
-) -> _Phase:
+) -> _Seat:
     """The phase's starting state — rejoined, warm-started or singleton —
-    and everything derived from it: ghost set-up (Algorithm 4), colour
-    classes, the phase's one full ghost exchange (Algorithm 3, lines
-    4-5) and every rank's share laid end to end (:func:`_stack_phase`).
-    A one-rank run standing for a wider world (``run.layout_ranks``)
-    draws ET as that world would."""
+    and what the rank derives from it before the set-up: the sweep's
+    slice of its graph and, for a warm start's seed or colouring, the
+    ghost plan (Algorithm 4, a rendezvous of its own, the seed's push
+    and the colouring's rounds coming between it and the set-up's
+    exchange).  A one-rank run standing for a wider world
+    (``run.layout_ranks``) draws ET as that world would."""
     dg = run.dg
     k = dg.local_degrees()
     # The first phase a run begins consumes the warm start (a phase
@@ -457,8 +493,6 @@ def _begin_phase(
             )
     colors, rounds = None, 1
     if seed is not None or config.use_coloring:
-        # The seed's push and the colouring's rounds come between the
-        # plan and the exchange: the plan is a rendezvous of its own.
         plan = dg.build_ghost_plan(comm)
         if seed is not None:
             # Warm start: the seed as one batch of moves.
@@ -470,13 +504,20 @@ def _begin_phase(
             _relabel(comm, dg, k, state, np.asarray(seed, dtype=np.int64))
         if config.use_coloring:
             colors, rounds = _coloring(comm, dg, plan, config.seed)
-    # Lines 4-5 in full, once per phase, priced as the paper runs them
-    # (later rounds ship only what changed).  Inside the world a ghost's
-    # community is its label there: the copies are not kept.
-    world = _stack_phase(
-        comm, dg, dg.ghost_plan, k, state, colors, config.resolution
+    # Lines 4-5 in full, once per phase, come in the set-up, priced as
+    # the paper runs them (later rounds ship only what changed).  Inside
+    # the world a ghost's community is its label there: the copies are
+    # not kept.
+    return _Seat(
+        run, k,
+        SweepSlice(
+            dg.index, dg.weights, np.flatnonzero(~dg.self_loop_mask()),
+            dg.local_rows(), k,
+        ),
+        state,
+        dg.plan_seat() if dg.ghost_plan is None else dg.ghost_plan,
+        colors, rounds,
     )
-    return _Phase(dg, run.phase, k, world, dg.ghost_plan, rounds, state)
 
 
 def _relabel(
@@ -514,32 +555,34 @@ def _coloring(
 
 
 def _iterate(
-    comm: Communicator, phase: _Phase, it: int, config: LouvainConfig
+    world: World,
+    scripts: Sequence[Script],
+    phases: list[_Phase],
+    it: int,
+    config: LouvainConfig,
 ) -> bool:
-    """Iteration ``it`` of the phase: one rendezvous, in which
-    :func:`_world_iteration` runs steps (ii)-(v) for every rank, then
-    (vi); returns whether ETC's inactive-fraction exit fired.  Before the
-    rendezvous the rank draws its ET mask and consults the fault plan for
-    the iteration's ops — per colour round the lookup's two legs and the
-    push, then the allreduce — so a kill raises here, at its op; after
-    it the rank replays the charges and legs those ops made
-    (:class:`~repro.runtime.comm.Script`)."""
-    et = phase.state.et
-    if et is not None:
-        # ET: vertices mark themselves active/inactive first (§IV-B(b)).
-        phase.active[:] = et.draw_active()
-    # The round count is replicated even though each round's active
-    # *mask* is rank-local (the mask only gates local move proposals).
-    ops = [("alltoall", "community_comm")] * (3 * phase.rounds)
-    ops.append(("allreduce", "allreduce"))
-    total = comm.scripted("iteration", ops, phase, _world_iteration)
-    w = phase.dg.total_weight
-    phase.state.q = (
+    """Iteration ``it`` of the phase for every rank: each rank draws its
+    ET mask, :func:`_world_iteration` runs steps (ii)-(v) — per colour
+    round the lookup's two legs and the push, then the allreduce, each
+    op charged to every rank's clock and trace as it is made — and each
+    rank takes (vi) on the reduced vector; returns whether ETC's
+    inactive-fraction exit fired (replicated, so on every rank)."""
+    for phase in phases:
+        et = phase.state.et
+        if et is not None:
+            # ET: vertices mark themselves active/inactive first (§IV-B(b)).
+            phase.active[:] = et.draw_active()
+    # The allreduce hands every rank the same vector.
+    total = _world_iteration(world, scripts, phases)[0]
+    w = phases[0].dg.total_weight
+    q = (
         float(total[0] / w - config.resolution * total[1] / (w * w))
         if w > 0
         else 0.0
     )
-    return _exit_tests(phase, it, config, total)
+    for phase in phases:
+        phase.state.q = q
+    return _exit_tests(phases, it, config, total)
 
 
 def _world_iteration(
@@ -550,7 +593,7 @@ def _world_iteration(
     :func:`_modularity_step`.  Every rank decides against the same
     synchronisation point, so doing the ranks' work a step at a time for
     all of them computes what the ranks would between collectives; each
-    ``scripts[r]`` records rank ``r``'s charges.  Returns every rank's
+    rank's charges go through ``scripts[r]``.  Returns every rank's
     reduced step-(v) vector."""
     wp = phases[0].world
     wp.moved[:] = False
@@ -623,7 +666,7 @@ def _fetch_step(
     lookup_world(
         world, scripts, None,
         key_counts(wp.offsets, np.flatnonzero(flags), len(wp.edges)),
-        (wp.tot, wp.size),
+        (wp.tot, wp.size), category="community_comm",
     )
     return scanned
 
@@ -700,6 +743,7 @@ def _push_step(
         world, scripts, np.remainder(keys, n, out=keys), counts,
         (dtot, dsize), (wp.tot, wp.size),
         carry=(routed, sent, wp.local_comm.take(sent)),
+        category="community_comm",
     )
     _aim(wp)
 
@@ -790,29 +834,36 @@ def _modularity_step(
                 else np.count_nonzero(wp.inactive[v0:v1])
             ),
         ]))
-    return allreduce_world(world, scripts, partials)
+    return allreduce_world(world, scripts, partials, category="allreduce")
 
 
 def _exit_tests(
-    phase: _Phase, it: int, config: LouvainConfig, total: np.ndarray
+    phases: Sequence[_Phase], it: int, config: LouvainConfig,
+    total: np.ndarray,
 ) -> bool:
-    """Step (vi) on the replicated result of step (v): the iteration's
-    stats row, then ETC's exit on the global inactive count the
-    allreduce delivered (§IV-B(b)); returns whether it fired."""
-    state = phase.state
-    n_global = phase.dg.num_global_vertices
+    """Step (vi) for ``phases`` (ranks of one phase, each with its ``q``
+    set) on the replicated result of step (v): the iteration's stats row,
+    one immutable row every rank appends, then ETC's exit on the global
+    inactive count the allreduce delivered (§IV-B(b)); returns whether it
+    fired."""
+    first = phases[0]
+    n_global = first.dg.num_global_vertices
     inactive_fraction = float(total[4] / n_global) if n_global else 0.0
-    state.stats.append(IterationStats(
-        phase=phase.index, iteration=it, modularity=state.q,
+    row = IterationStats(
+        phase=first.index, iteration=it, modularity=first.state.q,
         moves=int(total[2]),
         active_fraction=float(total[3] / n_global) if n_global else 1.0,
         inactive_fraction=inactive_fraction,
-    ))
-    state.iteration = it
-    return (
+    )
+    exited = (
         config.variant.uses_inactive_exit
         and inactive_fraction >= config.etc_exit_fraction
     )
+    for phase in phases:
+        phase.state.stats.append(row)
+        phase.state.iteration = it
+        phase.exited_by_inactive = exited
+    return exited
 
 
 def aggregate_deltas(
@@ -937,19 +988,13 @@ def _run_phases(
     converges: checkpoint the boundary (``manager``, unless it is the
     one ``restored_at``), then — the graph cheap enough on one rank —
     finish on rank 0 (:func:`_finish_on_one_rank`), or else run the
-    phase (rejoining ``rejoin``, a mid-phase state) and close it."""
+    phase (rejoining ``rejoin``, a mid-phase state; ``manager``'s
+    iteration cadence cutting checkpoints inside it) and finish it."""
     cycler = (
         ThresholdCycler(config)
         if config.variant.uses_threshold_cycling
         else None
     )
-    hook = None
-    if manager is not None and manager.every_iterations:
-
-        def hook(it: IterationState) -> None:
-            if manager.should_checkpoint_iteration(it.iteration):
-                _save_checkpoint(manager, comm, run, it)
-
     while run.phase < config.max_phases:
         tau = _phase_tau(run, config, cycler)
         if (
@@ -968,7 +1013,9 @@ def _run_phases(
         ):
             _finish_on_one_rank(comm, run, config)
             break
-        phase = louvain_phase_distributed(comm, run, tau, config, hook, rejoin)
+        phase = louvain_phase_distributed(
+            comm, run, tau, config, manager, rejoin
+        )
         rejoin = None
         if not _finish_phase(comm, run, phase, tau, config, cycler):
             break
@@ -1189,16 +1236,18 @@ def _finish_phase(
     config: LouvainConfig,
     cycler: ThresholdCycler | None,
 ) -> bool:
-    """Close ``phase`` — refinement, audits, graph rebuild, stats and
-    exact Q, projection, tracking — and advance ``run`` to the next
-    one; returns whether there is a next one."""
+    """Finish ``phase`` — refinement, audits and the end (graph rebuild,
+    stats and exact Q, projection) unless its world closed it — record
+    it, track it, and advance ``run`` to the next one; returns whether
+    there is a next one."""
     state = phase.state
     if config.refine == "leiden":
         _refine_phase(comm, phase)
     if config.validate_invariants:
         _audit_phase(comm, phase)
-
-    new_dg, total, run.orig_slice = _end_phase(comm, run, phase)
+    if phase.ended is None:
+        phase.ended = _end_phase(comm, run, phase)
+    new_dg, total, run.orig_slice = phase.ended
     _record_phase(run, phase, tau, total, config.resolution)
     if config.track_assignments:
         gathered = comm.gather(run.orig_slice, root=0, category="other")
@@ -1222,20 +1271,12 @@ def _finish_phase(
 def _end_phase(
     comm: Communicator, run: RunState, phase: _Phase
 ) -> tuple[DistGraph, np.ndarray, np.ndarray]:
-    """The phase's end, one scripted rendezvous (:func:`_end_world`):
-    the §IV-A(b) rebuild, the statistics' allreduce and the projection.
-    Returns the coarsened slice, the reduced :func:`_phase_partials` and
-    the new original-vertex map."""
-    return comm.scripted(
-        "phase_end", _END_OPS,
-        _Closing(
-            rebuild_seat(
-                comm, run.dg, phase.state.local_comm, phase.ghost_comm
-            ),
-            run.orig_slice, _cross_entries(run),
-        ),
-        _end_world,
-    )
+    """The phase's end as a rendezvous of its own (:func:`_end_world`),
+    after Leiden's or the audits' collectives: the §IV-A(b) rebuild, the
+    statistics' allreduce and the projection.  Returns the coarsened
+    slice, the reduced :func:`_phase_partials` and the new
+    original-vertex map."""
+    return comm.scripted("phase_end", _closing(phase), _end_world)
 
 
 class _Closing(NamedTuple):
@@ -1247,23 +1288,27 @@ class _Closing(NamedTuple):
     cross: int
 
 
-#: The phase end's ops: the rebuild's, the statistics' allreduce
-#: (:func:`_record_phase`) and the projection's.
-_END_OPS = (*REBUILD_OPS, ("allreduce", "allreduce"), *PROJECT_OPS)
+def _closing(phase: _Phase) -> _Closing:
+    """A rank's deposit in its phase's end, made inside the world."""
+    run, state = phase.run, phase.state
+    return _Closing(
+        RebuildSeat(run.dg, state.local_comm, phase.ghost_comm),
+        run.orig_slice, _cross_entries(run),
+    )
 
 
 def _end_world(
     world: World, scripts: Sequence[Script], closing: list[_Closing]
 ) -> list[tuple[DistGraph, np.ndarray, np.ndarray]]:
-    """The phase's end for every rank, in :data:`_END_OPS` order: the
-    §IV-A(b) rebuild (:func:`~repro.core.coarsen.rebuild_world`), the
-    allreduce of every rank's :func:`_phase_partials` and the projection
-    of the original vertices (:func:`~repro.core.coarsen.project_world`).
-    Returns each rank's coarsened slice, reduced partials and new map."""
+    """The phase's end for every rank: the §IV-A(b) rebuild
+    (:func:`~repro.core.coarsen.rebuild_world`), the allreduce of every
+    rank's :func:`_phase_partials` and the projection of the original
+    vertices (:func:`~repro.core.coarsen.project_world`).  Returns each
+    rank's coarsened slice, reduced partials and new map."""
     rebuilt = rebuild_world(world, scripts, [c.seat for c in closing])
     totals = allreduce_world(world, scripts, [
         _phase_partials(c, new_dg) for c, (new_dg, _) in zip(closing, rebuilt)
-    ])
+    ], category="allreduce")
     projected = project_world(
         world, scripts, closing[0].seat.dg.offsets,
         [c.orig_slice for c in closing], [new for _, new in rebuilt],
@@ -1381,7 +1426,7 @@ def _project(comm: Communicator, run: RunState, local_new: np.ndarray) -> None:
     """Fold one coarsening of ``run.dg`` into the original-vertex map,
     one lookup rendezvous (:func:`~repro.core.coarsen.project_world`)."""
     run.orig_slice = comm.scripted(
-        "lookup", PROJECT_OPS, (run.dg.offsets, run.orig_slice, local_new),
+        "lookup", (run.dg.offsets, run.orig_slice, local_new),
         _project_ranks,
     )
 
@@ -1402,8 +1447,7 @@ def _gather_result(comm: Communicator, run: RunState) -> LouvainResult:
     return LouvainResult(
         modularity=run.final_mod,
         assignment=comm.scripted(
-            "allgather", [("allgather", "other")], run.orig_slice,
-            _assignment_world,
+            "allgather", run.orig_slice, _assignment_world
         ),
         phases=run.phases,
         iterations=run.iterations,
@@ -1416,7 +1460,7 @@ def _assignment_world(
 ) -> list[np.ndarray]:
     """The result's allgather for every rank, and the assignment it
     yields normalised once."""
-    allgather_world(world, scripts, pieces)
+    allgather_world(world, scripts, pieces, category="other")
     assignment = normalize_assignment(np.concatenate(pieces))
     assignment.flags.writeable = False
     return [assignment] * len(pieces)

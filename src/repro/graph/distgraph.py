@@ -233,9 +233,7 @@ class DistGraph:
             # (built when the phase is set up, invalidated together at
             # coarsening): all ranks hit the cache, or none do.
             return self._plan
-        return comm.scripted(
-            "ghost_plan", [PLAN_OP], self.plan_seat(), ghost_plans_world
-        )
+        return comm.scripted("ghost_plan", self.plan_seat(), ghost_plans_world)
 
     @property
     def ghost_plan(self) -> GhostPlan | None:
@@ -430,10 +428,6 @@ class DistGraph:
         )
 
 
-#: The ghost plan's one op: the ghost-id lists to their owners.
-PLAN_OP = ("alltoall", "ghost_comm")
-
-
 def ghost_plans_world(
     world: World,
     scripts: list[Script],
@@ -450,7 +444,9 @@ def ghost_plans_world(
         script.charge("ghost_comm", cost(dg.num_local_entries))
     counts = cut_counts([cuts for _, _, cuts in seats])
     ghosts = [g for _, g, _ in seats]
-    alltoall_counts_world(world, scripts, counts, ghosts[0].itemsize)
+    alltoall_counts_world(
+        world, scripts, counts, ghosts[0].itemsize, category="ghost_comm"
+    )
     send_cuts, send_ids = route(counts, [np.concatenate(ghosts)])
     plans = []
     for d, (dg, g, cuts) in enumerate(seats):
@@ -476,7 +472,7 @@ def ghost_exchange_world(
     owners' arrays laid end to end needs no copy — so it is
     :meth:`DistGraph.exchange_ghost_values` without the values."""
     counts = np.array([np.diff(plan.send_cuts) for plan in plans])
-    alltoall_counts_world(world, scripts, counts, width)
+    alltoall_counts_world(world, scripts, counts, width, category="ghost_comm")
 
 
 def _rows_from_undirected(

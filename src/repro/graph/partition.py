@@ -50,11 +50,13 @@ def even_edge(row_lengths: np.ndarray, nranks: int) -> np.ndarray:
         return even_vertex(num_vertices, nranks)
     offsets = np.zeros(nranks + 1, dtype=np.int64)
     offsets[nranks] = num_vertices
-    for r in range(1, nranks):
-        target = total * r / nranks
-        # First vertex boundary whose prefix reaches the target.
-        cut = int(np.searchsorted(csum, target, side="left"))
-        offsets[r] = min(max(cut, offsets[r - 1]), num_vertices)
+    # Rank r's target is total * r / nranks, as a float; one search gives
+    # every rank the first vertex boundary whose prefix reaches it.
+    targets = np.arange(1, nranks, dtype=np.int64) * total / nranks
+    np.minimum(
+        np.searchsorted(csum, targets, side="left"), num_vertices,
+        out=offsets[1:nranks],
+    )
     # Guarantee monotonicity even for degenerate inputs (many empty rows).
     np.maximum.accumulate(offsets, out=offsets)
     return offsets

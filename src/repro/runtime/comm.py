@@ -13,23 +13,13 @@ ranks run as threads, each holding a :class:`Communicator`, and talk via
   MPI-3-style ``neighbor_alltoall`` the paper lists as future work
   (§VI), and a fused request/reply ``exchange_roundtrip``.
   The algorithm itself uses allreduce, alltoall, lookup, push,
-  allgather, gather and bcast (a Louvain iteration reaches lookup, push
-  and allreduce through one scripted rendezvous, below, and so does each
-  half of a phase boundary: the set-up's ghost plan and exchange, and
-  the end's rebuild, allgather, allreduce and projection), and
-  checkpointing adds barrier; no caller outside the tests
-  sends point to point.  ``send``, ``recv``, ``sendrecv``, ``reduce``,
+  allgather, gather and bcast (a phase of Louvain reaches lookup, push,
+  alltoall, allgather and allreduce through scripted rendezvous, below),
+  and checkpointing adds barrier; no caller outside the tests sends
+  point to point.  ``send``, ``recv``, ``sendrecv``, ``reduce``,
   ``scatter``, ``scan``, ``exscan``, ``neighbor_alltoall`` and
   ``exchange_roundtrip`` stay only because the end-to-end benchmark's
   span table names them.
-
-Beside them sits one rendezvous that is not a message,
-:meth:`Communicator.world_call`: one function run once over every
-rank's deposit.
-It moves no bytes and charges no time, but every rank must make it in
-schedule order like a collective, so the schedule check and the
-deadlock audit see it.  Memory such a call keeps from one world to the
-next lives in :attr:`World.workspace`.
 
 :meth:`Communicator.solo` is ``MPI_COMM_SELF``: a one-rank communicator
 for work one rank does alone inside the SPMD program (the gathered tail
@@ -51,28 +41,45 @@ and counts as one ``alltoall`` — and message ``(s, d)`` is sized
 
 What a rendezvous charges.  ``alltoall``, ``lookup``, ``push``,
 ``allreduce`` and ``allgather`` are *scripted*
-(:meth:`Communicator.scripted`): one rendezvous that stands for a list
-of ops.  Before it, the rank consults
-the fault plan for every op in order — a kill raises there, at its op —
-and records each as a collective.  Then the rank deposits its payload
-and a :class:`Script` holding a copy of its clock and each op's delay.
-The last rank to arrive runs the *world half* (:func:`alltoall_world`,
-:func:`lookup_world`, :func:`push_world`, :func:`allreduce_world`,
-:func:`allgather_world`, or a caller's function of several, such as one
-Louvain iteration, a phase's set-up or its end in ``core/``) over every
-deposit; a world step that reads what it needs off the world's arrays
-prices a leg from counts alone (:func:`alltoall_counts_world`).  Per op
-it charges the op's delay to each script, synchronises the world on the
-latest script clock, and charges
+(:meth:`Communicator.scripted`): one rendezvous in which a *world
+function* runs once, on whichever rank arrives last, over every rank's
+deposit and a :class:`Script` per rank — a handle on that rank's
+communicator.  The world function makes the ranks' ops through the
+world halves (:func:`alltoall_world`, :func:`lookup_world`,
+:func:`push_world`, :func:`allreduce_world`, :func:`allgather_world`),
+or chains any number of them: one phase of Louvain, in ``core/``, is one
+world function.  A world step that reads what it needs off the world's
+arrays prices a leg from counts alone (:func:`alltoall_counts_world`).
+Per op every rank's script *begins* it — consults the fault plan
+through the rank's :meth:`Communicator._fault_hook` (a kill raises
+there, at its op), counts it as a collective and charges a delay the
+plan set — then the world synchronises on the latest clock and charges
 each rank ``max(end - clock, 0.0)`` for its share, recording the leg's
-bytes.  ``clock += dt`` on the copy is the float operation
-:meth:`Communicator.charge` performs, so each rank then *replays* its
-script — the ``(category, seconds)`` charges and leg records, in order —
-and its clock, trace seconds, bytes, messages and collective counts are
-bit for bit what making the ops one by one would have left.  There is
-one pricing implementation per collective, whichever rendezvous runs
-it (``barrier``, ``bcast`` and ``gather`` still price in
+bytes.  Every rank is blocked in the rendezvous while the world function
+runs, so it charges each rank's own clock and trace directly: in the
+order and with the float operations making the ops one by one would,
+so clocks, trace seconds, bytes, messages and collective counts are bit
+for bit theirs.  A rendezvous that makes no op (a scripted call that
+only computes) moves no clock and consults no plan, but every rank must
+make it in schedule order like a collective, so the schedule check and
+the deadlock audit see it.  Memory a world function keeps from one world
+to the next lives in :attr:`World.workspace`.  There is one
+pricing implementation per collective, whichever rendezvous runs it
+(``barrier``, ``bcast`` and ``gather`` still price in
 ``_collective``'s finalizers).
+
+A kill inside a world function.  A kill raised at an op's ``begin``
+stops the world function there.  The victim raises its
+:class:`~repro.runtime.errors.InjectedFault` and every other rank of the
+rendezvous raises :class:`~repro.runtime.errors.RankAborted`, whichever
+thread ran the world.  When several ranks' kills fall in one rendezvous,
+only the first the world function reaches fires — ops in the order it
+makes them, and within an op the ranks in rank order (every world half
+begins rank 0's op first) — so the victim is the one whose kill comes
+first in that order; the others' kills never run and they raise
+``RankAborted`` like everyone else.  Any other exception in a world
+function fails the rank whose thread ran it, and the world abort
+releases the others.
 
 Every operation advances the rank's *virtual clock* according to the
 :class:`~repro.runtime.perfmodel.MachineModel` and attributes the time to
@@ -95,10 +102,10 @@ Semantics notes (documented deviations from real MPI):
 Fault injection: the :class:`World` optionally carries a *fault plan*
 (any object with ``on_op(rank, op_index, op_name)``; see
 :class:`repro.resilience.faults.FaultPlan`).  Every send/recv/collective
-first consults it (a scripted rendezvous, every op it stands for before
-it starts).  The plan may raise
-:class:`~repro.runtime.errors.InjectedFault` (killing the rank), or
-return ``("delay", seconds)`` to add virtual latency, ``("drop",)`` to
+first consults it (inside a scripted rendezvous, as each op begins).
+The plan may raise :class:`~repro.runtime.errors.InjectedFault`
+(killing the rank), or return ``("delay", seconds)`` to add virtual
+latency, ``("drop",)`` to
 silently discard a point-to-point send (the receiver eventually times
 out, as with a real lost message), or ``None`` for no action.
 
@@ -121,13 +128,14 @@ import threading
 from collections import defaultdict, deque
 from functools import partial
 from itertools import accumulate
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
     CollectiveMismatchError,
     CommTimeoutError,
+    InjectedFault,
     InvalidRankError,
     RankAborted,
 )
@@ -233,97 +241,93 @@ def route(
 
 class Script:
     """One rank's side of a scripted rendezvous
-    (:meth:`Communicator.scripted`): a copy of its clock and the charges
-    and leg records its ops make, in order.
+    (:meth:`Communicator.scripted`): a handle on the rank's
+    :class:`Communicator`, through which a world function makes the
+    rank's ops.  The rank is blocked in the rendezvous meanwhile, so its
+    clock and trace are written here directly, each charge the
+    ``clock += dt`` of :meth:`Communicator.charge`."""
 
-    The rank consulted the fault plan for every op before it deposited;
-    ``ops`` holds each op's ``(category, delay or None)``.  The world
-    half advances :attr:`clock` exactly as :meth:`Communicator.charge`
-    advances the rank's (``clock += dt``), so a wait ``max(end - clock,
-    0.0)`` computed here is the one the rank would compute, and the rank
-    replaying :attr:`steps` on its own clock and trace ends bit for bit
-    where making the ops one by one would have left it.
-    """
+    __slots__ = ("comm",)
 
-    __slots__ = ("clock", "steps", "_ops", "_made", "_category")
+    def __init__(self, comm: "Communicator"):
+        self.comm = comm
 
-    def __init__(self, clock: float, ops: list[tuple[str, float | None]]):
-        self.clock = clock
-        #: ``(category, seconds)`` charges and ``(None, (sent,
-        #: received))`` legs.
-        self.steps: list[tuple[str | None, Any]] = []
-        self._ops = ops
-        self._made = 0
-        self._category = ""
+    @property
+    def clock(self) -> float:
+        return self.comm.clock
 
-    def begin(self) -> None:
-        """Start the rank's next op: its delay, if the fault plan set
-        one, is charged to its category first."""
-        self._category, dt = self._ops[self._made]
-        self._made += 1
+    def begin(self, op: str, category: str) -> None:
+        """Start the rank's next op: the fault plan is consulted for it
+        (a kill raises here), it counts as a collective, and a delay the
+        plan set is charged to ``category`` first."""
+        comm = self.comm
+        dt = _delay(comm._fault_hook(op, category))
+        comm.trace.record_collective(op)
         if dt is not None:
-            self.charge(self._category, dt)
+            comm.charge(category, dt)
 
     def charge(self, category: str, dt: float) -> None:
-        self.steps.append((category, dt))
-        self.clock += dt
+        self.comm.charge(category, dt)
 
-    def finish(self, end: float) -> None:
-        """The current op ends at ``end``: wait for it, in its category."""
-        self.charge(self._category, max(end - self.clock, 0.0))
+    def finish(self, category: str, end: float) -> None:
+        """The current op ends at ``end``: wait for it, in ``category``."""
+        comm = self.comm
+        comm.charge(category, max(end - comm.clock, 0.0))
 
-    def leg(self, sent: int, received: int) -> None:
-        """Count one leg of the current op
-        (:meth:`Communicator._record_leg`)."""
-        self.steps.append((None, (sent, received)))
+
+class _Killed(NamedTuple):
+    """Every rank's output of a scripted rendezvous whose world function
+    a kill stopped."""
+
+    fault: InjectedFault
 
 
 def _run_scripted(
-    name: str, world: "World", run: Callable, slots: list[Any]
-) -> list[tuple[Any, Script]]:
+    world: "World", run: Callable, slots: list[Any]
+) -> list[Any]:
     """The finalizer of a scripted rendezvous: ``run`` over the deposits
-    and scripts, each script handed back with its rank's output."""
+    and scripts; a kill at one of its ops stops it for every rank."""
     deposits, scripts = zip(*slots)
-    outs = run(world, scripts, list(deposits))
-    for rank, script in enumerate(scripts):
-        if script._made != len(script._ops):
-            raise AssertionError(
-                f"{name!r} made {script._made} of the {len(script._ops)} "
-                f"ops rank {rank} consulted the fault plan for"
-            )
-    return list(zip(outs, scripts))
+    try:
+        return run(world, scripts, list(deposits))
+    except InjectedFault as fault:
+        return [_Killed(fault)] * len(slots)
 
 
-def _leg(world: "World", scripts: Sequence[Script], sizes) -> None:
+def _leg(
+    world: "World", scripts: Sequence[Script], sizes, category: str
+) -> None:
     """One alltoallv leg for every rank: each starts its next op, the leg
     starts once the last has, and rank ``r``'s share ends after its cost
     for the ``sizes[r] = (sent, received)`` bytes."""
     for script in scripts:
-        script.begin()
+        script.begin("alltoall", category)
     t0 = max(script.clock for script in scripts)
     for script, size, dt in zip(scripts, sizes, world.leg_costs(sizes)):
-        script.finish(t0 + dt)
-        script.leg(*size)
+        script.finish(category, t0 + dt)
+        script.comm._record_leg(*size)
 
 
 def alltoall_world(
-    world: "World", scripts: Sequence[Script], mats: list[Sequence[Any]]
+    world: "World", scripts: Sequence[Script], mats: list[Sequence[Any]],
+    *, category: str,
 ) -> list[list[Any]]:
     """World half of :meth:`Communicator.alltoall`: ``mats[s][d]`` is
     rank ``s``'s payload for rank ``d``; every message is sized once
     (:func:`_leg_sizes`)."""
-    _leg(world, scripts, _leg_sizes(mats))
+    _leg(world, scripts, _leg_sizes(mats), category)
     return [[row[d] for row in mats] for d in range(len(mats))]
 
 
 def alltoall_counts_world(
-    world: "World", scripts: Sequence[Script], counts: np.ndarray, width: int
+    world: "World", scripts: Sequence[Script], counts: np.ndarray, width: int,
+    *, category: str,
 ) -> None:
     """One ``alltoall`` leg for every rank priced from counts: message
     ``(s, d)`` carries ``counts[s, d]`` elements of ``width`` bytes.
     Nothing is delivered: a world step that reads what it needs off the
     world's own arrays has the leg priced as if it had been sent."""
-    _leg(world, scripts, _count_sizes(counts * width))
+    _leg(world, scripts, _count_sizes(counts * width), category)
 
 
 def lookup_world(
@@ -332,6 +336,8 @@ def lookup_world(
     ids: np.ndarray | None,
     counts: np.ndarray,
     tables: Sequence[np.ndarray],
+    *,
+    category: str,
 ) -> list[np.ndarray]:
     """The world half of an owner-routed lookup, request and reply legs
     for every rank: ``ids`` are every rank's asks laid end to end, rank
@@ -344,13 +350,14 @@ def lookup_world(
     none when ``ids`` is ``None``: a caller that reads the joined tables
     itself has the legs priced (int64 ids) and nothing gathered."""
     width = np.dtype(np.int64).itemsize if ids is None else ids.itemsize
-    _leg(world, scripts, _count_sizes(counts * width))
-    _leg(world, scripts, _count_sizes(counts.T * _width(tables)))
+    _leg(world, scripts, _count_sizes(counts * width), category)
+    _leg(world, scripts, _count_sizes(counts.T * _width(tables)), category)
     return [] if ids is None else [table.take(ids) for table in tables]
 
 
 def _lookup_ranks(
-    world: "World", scripts: Sequence[Script], deposits: list[Any]
+    world: "World", scripts: Sequence[Script], deposits: list[Any],
+    *, category: str,
 ) -> list[tuple[np.ndarray, ...]]:
     """:func:`lookup_world` over per-rank deposits ``(ids, cuts,
     tables)`` (:meth:`Communicator.lookup`): joined, answered, cut back
@@ -359,6 +366,7 @@ def _lookup_ranks(
     fields = lookup_world(
         world, scripts, _joined(asks), cut_counts([d[1] for d in deposits]),
         [_joined(t) for t in zip(*(d[2] for d in deposits))],
+        category=category,
     )
     return _split(list(accumulate(map(len, asks), initial=0)), fields)
 
@@ -371,6 +379,8 @@ def push_world(
     values: Sequence[np.ndarray],
     tables: Sequence[np.ndarray],
     carry: tuple[np.ndarray, ...] | None = None,
+    *,
+    category: str,
 ) -> None:
     """The world half of an owner-routed push, one leg for every rank:
     ``ids`` are every rank's ids laid end to end, ``counts[s, d]`` of
@@ -388,11 +398,12 @@ def push_world(
     if carry is not None:
         routed, *arrays = carry
         payload += routed * _width(arrays)
-    _leg(world, scripts, _count_sizes(payload))
+    _leg(world, scripts, _count_sizes(payload), category)
 
 
 def _push_ranks(
-    world: "World", scripts: Sequence[Script], deposits: list[Any]
+    world: "World", scripts: Sequence[Script], deposits: list[Any],
+    *, category: str,
 ) -> list[tuple[np.ndarray, ...]]:
     """:func:`push_world` over per-rank deposits ``(ids, cuts, values,
     tables, carry)`` (:meth:`Communicator.push`): the owners' tables are
@@ -411,6 +422,7 @@ def _push_ranks(
         world, scripts, _joined([d[0] for d in deposits]),
         cut_counts([d[1] for d in deposits]),
         [_joined(f) for f in zip(*(d[2] for d in deposits))], joined, carry,
+        category=category,
     )
     lo = 0
     for own in owners:
@@ -430,32 +442,35 @@ def allreduce_world(
     scripts: Sequence[Script],
     values: list[Any],
     op: Callable[[Any, Any], Any] = _REDUCE_OPS["sum"],
+    *,
+    category: str,
 ) -> list[Any]:
     """World half of :meth:`Communicator.allreduce`: ``values`` folded
     in rank order, priced by the largest deposit; every rank gets the
     one result."""
     for script in scripts:
-        script.begin()
+        script.begin("allreduce", category)
     n = max(message_bytes(v) for v in values)
     cost = world.machine.allreduce_cost(n, len(values))
     end = max(script.clock for script in scripts) + cost
     for script in scripts:
-        script.finish(end)
+        script.finish(category, end)
     return [_fold(values, op)] * len(values)
 
 
 def allgather_world(
-    world: "World", scripts: Sequence[Script], values: list[Any]
+    world: "World", scripts: Sequence[Script], values: list[Any],
+    *, category: str,
 ) -> list[list[Any]]:
     """World half of :meth:`Communicator.allgather`: priced by the
     largest deposit; every rank gets every value, in rank order."""
     for script in scripts:
-        script.begin()
+        script.begin("allgather", category)
     n = max(message_bytes(v) for v in values)
     cost = world.machine.allgather_cost(n, len(values))
     end = max(script.clock for script in scripts) + cost
     for script in scripts:
-        script.finish(end)
+        script.finish(category, end)
     return [list(values)] * len(values)
 
 
@@ -533,18 +548,18 @@ def _find_wait_cycle(edges: dict[int, set[int]]) -> list[int] | None:
 
 
 class _Rendezvous:
-    """Reusable all-ranks rendezvous behind every collective, scripted
-    rendezvous and world call.
+    """Reusable all-ranks rendezvous behind every collective and
+    scripted rendezvous.
 
     Each call is one *generation*.  Every rank deposits a value; the
     last rank to arrive runs a ``finalize`` callback once, producing a
     per-rank output list; every rank then picks up its slot.  For a
     collective ``finalize`` routes payloads and prices them; for a
-    scripted rendezvous it runs the world half on every rank's script;
-    for a :meth:`Communicator.world_call` it is the caller's
-    computation.  It runs on whichever rank thread arrived last (an
-    exception in it fails that rank, and the world abort releases the
-    others).  Results are kept
+    scripted rendezvous it runs the world function on every rank's
+    script.  It runs on whichever rank thread arrived last (an exception
+    in it fails that rank, and the world abort releases the others; a
+    kill is handed to every rank as its output, see
+    :meth:`Communicator.scripted`).  Results are kept
     per generation (refcounted) so a fast rank starting the next call
     cannot clobber a slow rank's pending result.
     """
@@ -628,7 +643,10 @@ class _Rendezvous:
                 self._world.set_blocked(rank, ("collective", op_name, self))
                 try:
                     while self._gen == gen:
-                        if not self._cv.wait(timeout):
+                        # A generation that completed while this rank
+                        # waited (a long world function, every rank in)
+                        # is no deadlock, however long it took.
+                        if not self._cv.wait(timeout) and self._gen == gen:
                             exc = CommTimeoutError(
                                 f"rank {rank} timed out after {timeout}s inside "
                                 f"collective {op_name!r} (collective op "
@@ -670,7 +688,7 @@ class World:
         self.size = size
         self.machine = machine
         self.timeout = timeout
-        #: Memory the program keeps by key for world calls; it may
+        #: Memory the program keeps by key for world functions; it may
         #: outlive the world (``run_spmd`` hands it to the next world its
         #: calling thread starts), so no two live worlds share one.
         self.workspace = {} if workspace is None else workspace
@@ -854,35 +872,6 @@ class Communicator:
         """Charge reading ``nbytes`` from the parallel filesystem."""
         self.charge("io", self.machine.io_cost(nbytes))
 
-    # ------------------------------------------------------------------
-    # World calls
-    # ------------------------------------------------------------------
-    def world_call(
-        self, deposit: Any, run: Callable[[list[Any]], list[Any]]
-    ) -> Any:
-        """Run ``run`` once over every rank's ``deposit`` (in rank order)
-        and return this rank's item of the list it returns.
-
-        For work that is independent per rank but cheaper as one call:
-        the last rank to arrive runs it for all.  It is not a message —
-        nothing is sized or sent, the virtual clock does not move, the
-        trace records nothing and the fault plan is not consulted (its
-        op indices, and so its seeded kill points, count communication
-        only) — so each rank charges its own share of the work itself.
-        It is a rendezvous all the same: every rank must make the call,
-        in the same place of its schedule and with a deposit of the same
-        kind, which the rendezvous checks and the deadlock audit reports
-        like a collective.
-        """
-        return self.world.rendezvous.exchange(
-            self.rank,
-            "world_call",
-            payload_kind(deposit),
-            deposit,
-            run,
-            self.world.timeout,
-        )
-
     @contextlib.contextmanager
     def solo(self) -> Iterator["Communicator"]:
         """``MPI_COMM_SELF``: a one-rank communicator of this rank alone,
@@ -1049,8 +1038,8 @@ class Communicator:
         category: str = "allreduce",
     ) -> Any:
         return self.scripted(
-            "allreduce", [("allreduce", category)], value,
-            partial(allreduce_world, op=_resolve_op(op)),
+            "allreduce", value,
+            partial(allreduce_world, op=_resolve_op(op), category=category),
         )
 
     def gather(self, value: Any, root: int = 0, category: str = "other") -> list | None:
@@ -1068,7 +1057,7 @@ class Communicator:
 
     def allgather(self, value: Any, category: str = "other") -> list:
         return self.scripted(
-            "allgather", [("allgather", category)], value, allgather_world
+            "allgather", value, partial(allgather_world, category=category)
         )
 
     def scatter(
@@ -1109,7 +1098,8 @@ class Communicator:
                 f"{len(values)}"
             )
         return self.scripted(
-            "alltoall", [("alltoall", category)], list(values), alltoall_world
+            "alltoall", list(values),
+            partial(alltoall_world, category=category),
         )
 
     def lookup(
@@ -1126,8 +1116,8 @@ class Communicator:
         per field.  Returns one array per field, aligned with ``ids``.
         """
         return self.scripted(
-            "lookup", [("alltoall", category)] * 2,
-            (ids, cuts, tuple(tables)), _lookup_ranks,
+            "lookup", (ids, cuts, tuple(tables)),
+            partial(_lookup_ranks, category=category),
         )
 
     def push(
@@ -1148,48 +1138,46 @@ class Communicator:
         without ``carry``).
         """
         return self.scripted(
-            "push", [("alltoall", category)],
+            "push",
             (ids, cuts, tuple(values), tuple(tables), tuple(carry or ())),
-            _push_ranks,
+            partial(_push_ranks, category=category),
         )
 
     def scripted(
         self,
         name: str,
-        ops: Sequence[tuple[str, str]],
         deposit: Any,
         run: Callable[["World", Sequence["Script"], list[Any]], list[Any]],
     ) -> Any:
-        """One rendezvous ``name`` that the machine sees as ``ops``, the
-        ``(op name, category)`` of each collective or leg in the order
-        this rank makes them; returns this rank's item of
-        ``run(world, scripts, deposits)``.
+        """One rendezvous ``name``: ``run(world, scripts, deposits)`` (a
+        world function: :func:`alltoall_world`, :func:`lookup_world`,
+        :func:`push_world`, :func:`allreduce_world`,
+        :func:`allgather_world`, or a function of any number of them)
+        runs once, on whichever rank arrives last, over every rank's
+        deposit and its :class:`Script`; returns this rank's item of
+        what it returns.
 
-        Each op consults the fault plan and is recorded now, before the
-        rendezvous, so a kill raises at its op's hook.  ``run`` (a world
-        half: :func:`alltoall_world`, :func:`lookup_world`,
-        :func:`push_world`, :func:`allreduce_world`, or a function of
-        them) runs once, on whichever rank arrives last, over every
-        rank's deposit and its :class:`Script`, whose ops it must make
-        in order; the rank then replays what its script recorded.
+        Each op the world function makes for this rank consults the fault
+        plan as it begins and is charged to this rank's clock and trace
+        there.  A kill at one of them stops the world function: the
+        victim raises its :class:`InjectedFault`, every other rank
+        :class:`RankAborted` (the module docstring says which kill fires
+        when several fall in one rendezvous).
         """
-        planned = []
-        for op, category in ops:
-            planned.append((category, _delay(self._fault_hook(op, category))))
-            self.trace.record_collective(op)
-        out, script = self.world.rendezvous.exchange(
+        out = self.world.rendezvous.exchange(
             self.rank,
             name,
             payload_kind(deposit),
-            (deposit, Script(self.clock, planned)),
-            partial(_run_scripted, name, self.world, run),
+            (deposit, Script(self)),
+            partial(_run_scripted, self.world, run),
             self.world.timeout,
         )
-        for category, dt in script.steps:
-            if category is None:
-                self._record_leg(*dt)
-            else:
-                self.charge(category, dt)
+        if type(out) is _Killed:
+            if out.fault.rank == self.rank:
+                raise out.fault
+            raise RankAborted(
+                f"world aborted by another rank: {out.fault!r}"
+            )
         return out
 
     def exchange_roundtrip(

@@ -32,8 +32,8 @@ affects wall time, never the modelled time or the results (the
 algorithms are deterministic given their seeds).
 
 Memory: a world's :attr:`~repro.runtime.comm.World.workspace` (what its
-world calls and scripted rendezvous keep by key — the sweep's buffers,
-in ``core/``) is taken
+scripted rendezvous keep by key — the sweep's buffers, in ``core/``) is
+taken
 from a pool of the *calling* thread and put back when the world
 finishes cleanly, so the next world that thread starts inherits it:
 memory such a call needs is allocated and faulted in once per calling
@@ -154,8 +154,12 @@ def run_spmd(
     machine:
         Performance-model constants; defaults to the Cori Haswell preset.
     timeout:
-        Per-blocking-operation timeout in real seconds; exceeding it is
-        treated as a deadlock in the program under test.
+        Per-blocking-operation timeout in real seconds: how long a rank
+        waits for its peers to reach a rendezvous (or for a message);
+        exceeding it is treated as a deadlock in the program under test.
+        A world function running after every rank arrived is not
+        waiting for a peer; the run as a whole is bounded at about twice
+        the timeout.
     trace_events:
         Record per-rank virtual-time timelines, enabling
         ``result.trace.to_chrome_trace()`` (Perfetto-compatible export).

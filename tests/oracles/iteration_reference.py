@@ -1,11 +1,11 @@
 """Reference schedule: one Louvain iteration as every rank runs it alone.
 
-The shipped ``repro.core.distlouvain._iterate`` makes one rendezvous per
-iteration: every rank consults the fault plan for the iteration's ops,
-and one world function runs Algorithm 3's steps (ii)-(v) for every rank
-— each step a fixed number of numpy passes over every rank's state laid
-end to end, in global community ids — handing each rank back the charges
-its ops would have made.  The world keeps no rank's partial knowledge of
+The shipped ``repro.core.distlouvain`` runs a whole phase in one
+rendezvous, and each of its iterations (``_iterate``) runs Algorithm 3's
+steps (ii)-(v) for every rank inside it — each step a fixed number of
+numpy passes over every rank's state laid end to end, in global
+community ids — charging each rank's ops to its clock and trace as they
+are made.  The world keeps no rank's partial knowledge of
 the communities as data: a ghost's community is its label in the world's
 labels, a fetched a_c / |c| is the owner's table entry itself, and the
 messages are priced from counts.
@@ -23,18 +23,81 @@ not fetch stays NaN, and scoring against it raises ``KeyError``
 (:func:`~repro.core.sweep.array_lookup`).  After every iteration every
 rank must hold *equal* state, clock and trace.
 
-:func:`iterate` is a drop-in for ``_iterate``.  Its delta exchange is
+:func:`louvain_phase` is a drop-in for
+``distlouvain.louvain_phase_distributed`` that runs the phase's set-up
+as its own rendezvous, then :func:`iterate` (looked up by name at each
+iteration, so a test can wrap it) on the rank's own thread, and leaves
+the end to ``_finish_phase``'s own rendezvous.  Its delta exchange is
 the module function :func:`apply_community_deltas`, so a test can swap
 in the two-exchange oracle of :mod:`.exchange_reference`.
+:func:`per_rank_iterations` and :func:`world_iterations` hook a
+function in after every iteration of either, per rank.
 """
 
 from __future__ import annotations
 
+import sys
+from functools import partial
+
 import numpy as np
 
+from repro.core import distlouvain
 from repro.core.coarsen import owner_lookup
-from repro.core.distlouvain import _exit_tests, aggregate_dense_deltas
+from repro.core.distlouvain import (
+    _begin_phase, _exit_tests, _save_checkpoint, _set_up_world,
+    aggregate_dense_deltas,
+)
 from repro.core.sweep import array_lookup, propose_moves
+
+
+def louvain_phase(comm, run, tau, config, checkpoints=None, rejoin=None):
+    """A drop-in for ``louvain_phase_distributed``: the set-up as its own
+    rendezvous, then the iteration loop with :func:`iterate` on the
+    rank's own thread, checkpointing where the shipped world leaves for
+    it; the phase is returned open (``ended`` is ``None``)."""
+    seat = _begin_phase(comm, run, config, rejoin)
+    phase = comm.scripted(
+        "phase_setup", seat,
+        partial(_set_up_world, resolution=config.resolution),
+    )
+    state = phase.state
+    for it in range(state.iteration + 1, config.max_iterations):
+        if iterate(comm, phase, it, config) or state.q - state.prev_q <= tau:
+            break
+        state.prev_q = state.q
+        if checkpoints is not None and checkpoints.should_checkpoint_iteration(it):
+            _save_checkpoint(checkpoints, comm, run, state)
+    phase.ghost_comm = phase.world.local_comm.take(phase.plan.ghost_ids)
+    return phase
+
+
+def per_rank_iterations(patch, after):
+    """Run detections with :func:`louvain_phase` in place of the world's
+    phase, calling ``after(comm, phase, exited)`` on every rank after
+    every :func:`iterate`."""
+    real = iterate
+
+    def hooked(comm, phase, *args):
+        exited = real(comm, phase, *args)
+        after(comm, phase, exited)
+        return exited
+
+    patch.setattr(distlouvain, "louvain_phase_distributed", louvain_phase)
+    patch.setattr(sys.modules[__name__], "iterate", hooked)
+
+
+def world_iterations(patch, after):
+    """Call ``after(comm, phase, exited)`` for every rank, in rank order,
+    wherever the shipped world closes an iteration."""
+    real = distlouvain._iterate
+
+    def hooked(world, scripts, phases, *args):
+        exited = real(world, scripts, phases, *args)
+        for script, phase in zip(scripts, phases):
+            after(script.comm, phase, exited)
+        return exited
+
+    patch.setattr(distlouvain, "_iterate", hooked)
 
 
 def apply_community_deltas(
@@ -73,7 +136,7 @@ def iterate(comm, phase, it, config) -> bool:
     for round_active in rounds:
         moved |= sweep_round(comm, phase, round_active)[0]
     total = global_modularity(comm, phase, config, active, moved)
-    return _exit_tests(phase, it, config, total)
+    return _exit_tests([phase], it, config, total)
 
 
 def view(phase):

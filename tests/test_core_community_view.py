@@ -123,12 +123,12 @@ def _state_after_every_iteration(g, p, config, two_exchanges: bool):
     (which also logs what each peer's message held)."""
     states = {rank: [] for rank in range(p)}
     received: list[tuple[bool, bool]] = []
-    real = (
-        iteration_reference.iterate if two_exchanges else distlouvain._iterate
+    iterations = (
+        iteration_reference.per_rank_iterations if two_exchanges
+        else iteration_reference.world_iterations
     )
 
-    def iterate(comm, phase, *args):
-        out = real(comm, phase, *args)
+    def snapshot(comm, phase, exited):
         state = phase.state
         ghosts = (
             phase.ghost_comm if two_exchanges
@@ -141,10 +141,9 @@ def _state_after_every_iteration(g, p, config, two_exchanges: bool):
                 slots, slots[phase.dg.compressed_targets()],
             )
         ])
-        return out
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distlouvain, "_iterate", iterate)
+        iterations(patch, snapshot)
         if two_exchanges:
             patch.setattr(
                 iteration_reference, "apply_community_deltas",

@@ -323,7 +323,8 @@ class TestCommunityInfoCoverage:
             iteration_reference, "propose_moves", sweep_everyone
         )
         monkeypatch.setattr(
-            distlouvain, "_iterate", iteration_reference.iterate
+            distlouvain, "louvain_phase_distributed",
+            iteration_reference.louvain_phase,
         )
         cfg = LouvainConfig(variant=Variant.ET, alpha=0.75)
         with pytest.raises(RankFailedError) as excinfo:
@@ -367,16 +368,17 @@ class TestCommunityInfoCoverage:
         from repro.core import distlouvain
         from repro.runtime import RankFailedError
 
-        real = distlouvain._stack_phase
+        real = distlouvain._begin_phase
         shortened = []
 
-        def short_table(comm, dg, plan, k, state, *args):
+        def short_table(comm, *args):
+            seat = real(comm, *args)
             if comm.rank == 1:
                 shortened.append(comm.rank)
-                state.tot_owned = state.tot_owned[:-1]
-            return real(comm, dg, plan, k, state, *args)
+                seat.state.tot_owned = seat.state.tot_owned[:-1]
+            return seat
 
-        monkeypatch.setattr(distlouvain, "_stack_phase", short_table)
+        monkeypatch.setattr(distlouvain, "_begin_phase", short_table)
         with pytest.raises(RankFailedError) as excinfo:
             run_louvain(planted_blocks, 2, machine=FREE, timeout=15.0)
         assert shortened == [1]
@@ -470,9 +472,10 @@ class TestCollectiveBudget:
             seen["rounds"] += 1
             return real_round(*args, **kwargs)
 
-        def iterate(comm, *args, **kwargs):
-            exited = real_iterate(comm, *args, **kwargs)
-            if exited and comm.rank == 0:
+        def iterate(*args, **kwargs):
+            # Once per iteration of the whole world, rank 0's included.
+            exited = real_iterate(*args, **kwargs)
+            if exited:
                 seen["exits"].append(len(seen["log"]))
             return exited
 

@@ -1,19 +1,23 @@
-"""One rendezvous per Louvain iteration against the per-rank iteration.
+"""The world's Louvain iterations against the per-rank iteration.
 
-``_iterate`` runs Algorithm 3's steps (ii)-(v) for every rank in one
-world function and hands each rank back the charges its ops made, which
-the rank replays.  The formulation it replaced — a ``lookup``, a sweep
-world call and a ``push`` per colour round, then an ``allreduce``, each
-its own rendezvous with the rank's work between them — is kept in
-``tests/oracles/iteration_reference.py``.  After every iteration every
-rank must hold what it holds there: owner tables, labels, the community
+A phase is one rendezvous, and each of its iterations (``_iterate``)
+runs Algorithm 3's steps (ii)-(v) for every rank inside it, charging
+each rank's ops to its own clock and trace as they are made.  The
+formulation it replaced — a ``lookup``, the rank's sweep and a ``push``
+per colour round, then an ``allreduce``, each its own rendezvous with
+the rank's work between them — is kept in
+``tests/oracles/iteration_reference.py``.  After every iteration (where
+the world closes one, and after each of the oracle's) every rank must
+hold what it holds there: owner tables, labels, the community
 of every slot (owned vertices, then ghosts) and of every CSR entry's
 target, ET state, clock, and the trace's seconds by category, messages,
 bytes and collective counts, fault-plan delays included.  The world
 reads a ghost's community off its labels; the oracle keeps the rank's
 own copies, patched with the labels its pushes deliver.  A rank killed at any op
-of an iteration fails the world with its own ``InjectedFault``, and a
-resume from disk checkpoints ends as the uninterrupted run does.  The
+of an iteration or of a phase boundary fails the world with its own
+``InjectedFault`` (the others ``RankAborted``), and a resume from disk
+checkpoints ends as the uninterrupted run does — also when the killed
+iteration follows the world's exit for a checkpoint.  The
 configs include the paths that reassign a rank's labels or ghost copies
 outside the rounds (vertex following, Leiden, a warm start): each rank's
 state is a segment of the world's arrays, which must never go stale.
@@ -97,15 +101,15 @@ def _own_ghosts(phase):
 
 
 def _after_every_iteration(
-    g, p, config, iterate, ghosts, fault_plan, initial_assignment=None
+    g, p, config, iterations, ghosts, fault_plan, initial_assignment=None
 ):
-    """Per rank, a snapshot after every iteration of the detection with
-    ``iterate`` in place of ``_iterate`` (``ghosts(phase)``: the rank's
-    ghosts' communities)."""
+    """Per rank, a snapshot after every iteration of the detection, hooked
+    in by ``iterations`` (the oracle's ``world_iterations`` or
+    ``per_rank_iterations``; ``ghosts(phase)``: the rank's ghosts'
+    communities)."""
     seen = {rank: [] for rank in range(p)}
 
-    def snapshot(comm, phase, *args):
-        exited = iterate(comm, phase, *args)
+    def snapshot(comm, phase, exited):
         state, t = phase.state, comm.trace
         slots = np.concatenate([state.local_comm, ghosts(phase)])
         seen[comm.rank].append(dict(
@@ -122,10 +126,9 @@ def _after_every_iteration(
             seconds=dict(t.seconds),
             collectives=dict(t.collectives),
         ))
-        return exited
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distlouvain, "_iterate", snapshot)
+        iterations(patch, snapshot)
         result = run_louvain(
             g, p, config, machine=CORI_HASWELL, fault_plan=fault_plan,
             initial_assignment=initial_assignment,
@@ -156,10 +159,10 @@ def test_world_iteration_equals_per_rank_iteration(p, config, fractional):
     # Blocks of seven consecutive vertices, across the planted blocks.
     warm = np.arange(g.num_vertices) // 7 if config in WARM else None
     runs = [
-        _after_every_iteration(g, p, cfg, iterate, ghosts, _delays(p), warm)
-        for iterate, ghosts in (
-            (distlouvain._iterate, _world_ghosts),
-            (iteration_reference.iterate, _own_ghosts),
+        _after_every_iteration(g, p, cfg, iterations, ghosts, _delays(p), warm)
+        for iterations, ghosts in (
+            (iteration_reference.world_iterations, _world_ghosts),
+            (iteration_reference.per_rank_iterations, _own_ghosts),
         )
     ]
     (got, got_result), (want, want_result) = runs
@@ -183,10 +186,12 @@ VICTIM = 1
 KILL_GRAPH = dict(blocks=6, per_block=16, inter_edges=70, seed=2)
 
 
-def _iteration_ops(g, p, config, d) -> list[list[tuple[int, str, str]]]:
+def _iteration_ops(
+    g, p, config, d, every
+) -> list[list[tuple[int, str, str]]]:
     """The victim's ``(op index, op, category)`` of every iteration of
     the first phase, from an uninterrupted run checkpointing to ``d``
-    after every iteration (the saves are collectives too)."""
+    after every ``every`` iterations (the saves are collectives too)."""
     ops: list = []
     iterations: list = []
     real_hook = Communicator._fault_hook
@@ -197,10 +202,10 @@ def _iteration_ops(g, p, config, d) -> list[list[tuple[int, str, str]]]:
             ops.append((self._ops + 1, name, category))
         return real_hook(self, name, category)
 
-    def iterate(comm, phase, *args):
+    def iterate(world, scripts, phases, *args):
         start = len(ops)
-        exited = real_iterate(comm, phase, *args)
-        if comm.rank == VICTIM and phase.index == 0:
+        exited = real_iterate(world, scripts, phases, *args)
+        if len(phases) == p and phases[VICTIM].index == 0:
             iterations.append(ops[start:])
         return exited
 
@@ -209,7 +214,7 @@ def _iteration_ops(g, p, config, d) -> list[list[tuple[int, str, str]]]:
         patch.setattr(distlouvain, "_iterate", iterate)
         run_louvain(
             g, p, config, machine=FREE,
-            checkpoints=disk_checkpoints(d, config, every_iterations=1),
+            checkpoints=disk_checkpoints(d, config, every_iterations=every),
         )
     return iterations
 
@@ -227,15 +232,31 @@ KILLS = {
 
 @pytest.mark.parametrize("where", list(KILLS))
 def test_kill_at_each_op_of_an_iteration(where, tmp_path):
+    """The third iteration, under a checkpoint after every iteration: the
+    world left for the checkpoint after the second, and the phase's next
+    rendezvous opened with the killed iteration."""
+    _kill_in_iteration(where, tmp_path, every=1, killed=2)
+
+
+@pytest.mark.parametrize("where", list(KILLS))
+def test_kill_at_each_op_of_a_continued_rendezvous(where, tmp_path):
+    """The fourth iteration, under a checkpoint after every other one:
+    the world left for the checkpoint after the second, and the killed
+    iteration follows the third inside the rendezvous that continued the
+    phase."""
+    _kill_in_iteration(where, tmp_path, every=2, killed=3)
+
+
+def _kill_in_iteration(where, tmp_path, every, killed):
     coloring, at = KILLS[where]
     p = 3
     g = planted_blocks_graph(**KILL_GRAPH)
     cfg = LouvainConfig(variant=Variant.ET, alpha=0.5, seed=4,
                         use_coloring=coloring)
-    iterations = _iteration_ops(g, p, cfg, str(tmp_path / "probe"))
-    assert len(iterations) > 2
-    # The third iteration: checkpoints of the first two are on disk.
-    ops = iterations[2]
+    iterations = _iteration_ops(g, p, cfg, str(tmp_path / "probe"), every)
+    assert len(iterations) > killed
+    # A checkpoint after the second iteration is on disk.
+    ops = iterations[killed]
     rounds = (len(ops) - 1) // 3
     assert rounds > 1 if coloring else rounds == 1
     assert [name for _, name, _ in ops] == ["alltoall"] * 3 * rounds + [
@@ -248,10 +269,11 @@ def test_kill_at_each_op_of_an_iteration(where, tmp_path):
     with pytest.raises(RankFailedError) as excinfo:
         run_louvain(
             g, p, cfg, machine=FREE,
-            checkpoints=disk_checkpoints(d, cfg, every_iterations=1),
+            checkpoints=disk_checkpoints(d, cfg, every_iterations=every),
             fault_plan=FaultPlan(kills={VICTIM: op}),
         )
     assert excinfo.value.rank == VICTIM
+    assert set(excinfo.value.causes) == {VICTIM}
     cause = excinfo.value.causes[VICTIM]
     assert isinstance(cause, InjectedFault)
     assert (cause.rank, cause.op_index, cause.op_name) == (VICTIM, op, name)
@@ -277,43 +299,58 @@ END_OPS = [
 
 def _boundary_ops(g, p, config, d) -> dict[str, list[tuple[int, str, str]]]:
     """The victim's ``(op index, op, category)`` of the second phase's
-    set-up (``_begin_phase``) and end (``_end_phase``), from an
-    uninterrupted run checkpointing to ``d`` after every iteration."""
+    set-up (from ``_begin_phase`` on the rank to the world's
+    ``_set_up_world``) and end (``_end_world``), from an uninterrupted
+    run checkpointing to ``d`` after every iteration."""
     ops: list = []
     seen: dict = {}
+    ends: list = []
+    begun: list = []
     real_hook = Communicator._fault_hook
-    real_begin, real_end = distlouvain._begin_phase, distlouvain._end_phase
+    real_begin = distlouvain._begin_phase
+    real_set_up = distlouvain._set_up_world
+    real_end = distlouvain._end_world
 
     def hook(self, name, category):
         if self.rank == VICTIM and self.size == p:
             ops.append((self._ops + 1, name, category))
         return real_hook(self, name, category)
 
-    def recorded(key, real):
-        def call(comm, run, *args):
-            start = len(ops)
-            out = real(comm, run, *args)
-            if comm.rank == VICTIM and run.phase == 1:
-                seen[key] = ops[start:]
-            return out
-        return call
+    def begin(comm, run, *args):
+        if comm.rank == VICTIM and comm.size == p and run.phase == 1:
+            begun.append(len(ops))
+        return real_begin(comm, run, *args)
+
+    def set_up(world, scripts, seats, **kwargs):
+        out = real_set_up(world, scripts, seats, **kwargs)
+        if len(seats) == p and seats[VICTIM].run.phase == 1:
+            seen["setup"] = ops[begun[-1]:]
+        return out
+
+    def end(world, scripts, closing):
+        start = len(ops)
+        out = real_end(world, scripts, closing)
+        if len(closing) == p:
+            ends.append(ops[start:])
+        return out
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Communicator, "_fault_hook", hook)
-        patch.setattr(
-            distlouvain, "_begin_phase", recorded("setup", real_begin)
-        )
-        patch.setattr(distlouvain, "_end_phase", recorded("end", real_end))
+        patch.setattr(distlouvain, "_begin_phase", begin)
+        patch.setattr(distlouvain, "_set_up_world", set_up)
+        patch.setattr(distlouvain, "_end_world", end)
         run_louvain(
             g, p, config, machine=FREE,
             checkpoints=disk_checkpoints(d, config, every_iterations=1),
         )
+    # The second distributed phase's end.
+    seen["end"] = ends[1]
     return seen
 
 
-#: Every op of a phase boundary's two rendezvous: the set-up's ghost
-#: plan and full ghost exchange (with colouring, the colouring's rounds
-#: come between them), then the end's ``END_OPS``.
+#: Every op of a phase boundary: the set-up's ghost plan and full ghost
+#: exchange (with colouring, the colouring's rounds come between them),
+#: then the end's ``END_OPS``.
 BOUNDARY_KILLS = {
     "set-up ghost plan": ("setup", 0),
     "set-up ghost exchange": ("setup", -1),
@@ -353,6 +390,7 @@ def test_kill_at_each_op_of_a_phase_boundary(where, coloring, tmp_path):
             fault_plan=FaultPlan(kills={VICTIM: op}),
         )
     assert excinfo.value.rank == VICTIM
+    assert set(excinfo.value.causes) == {VICTIM}
     cause = excinfo.value.causes[VICTIM]
     assert isinstance(cause, InjectedFault)
     assert (cause.rank, cause.op_index, cause.op_name) == (VICTIM, op, name)
@@ -377,9 +415,9 @@ def _world_counts(g, p, config):
     requests, pushes = [], []
     real_lookup, real_push = distlouvain.lookup_world, distlouvain.push_world
 
-    def lookup(world, scripts, ids, counts, tables):
+    def lookup(world, scripts, ids, counts, tables, **kwargs):
         requests.append(counts.copy())
-        return real_lookup(world, scripts, ids, counts, tables)
+        return real_lookup(world, scripts, ids, counts, tables, **kwargs)
 
     def push(world, scripts, ids, counts, *args, **kwargs):
         pushes.append(counts.copy())
@@ -412,7 +450,10 @@ def _own_counts(g, p, config):
         return real_push(comm, dg, ids, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distlouvain, "_iterate", iteration_reference.iterate)
+        patch.setattr(
+            distlouvain, "louvain_phase_distributed",
+            iteration_reference.louvain_phase,
+        )
         patch.setattr(iteration_reference, "owner_lookup", lookup)
         patch.setattr(iteration_reference, "apply_community_deltas", push)
         run_louvain(g, p, config, machine=FREE)

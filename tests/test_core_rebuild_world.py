@@ -2,8 +2,10 @@
 
 ``rebuild_distributed`` is one scripted rendezvous whose world function
 runs the seven steps once for every rank; a phase's end adds the
-statistics' allreduce and the projection to the same rendezvous
-(``distlouvain._end_phase``).  The per-rank formulation they replaced —
+statistics' allreduce and the projection (``distlouvain._end_world``),
+inside the phase's rendezvous or, after Leiden's collectives, in one of
+its own (``distlouvain._end_phase``).  The per-rank formulation they
+replaced —
 each collective its own rendezvous, the rank's work between them — is
 kept in ``tests/oracles/rebuild_reference.py``.  Both must leave every
 rank bit-equal new CSR arrays and new ids, and the same clock, trace
@@ -82,20 +84,46 @@ CONFIGS = {
 }
 
 
-def _after_every_phase(g, p, config, end_phase):
-    """Per rank, a snapshot after every distributed phase's end, with
-    ``end_phase`` in place of ``_end_phase``."""
+def _world_ends(patch, snapshot):
+    """``snapshot(comm, ended)`` for every rank wherever the world ends a
+    phase (``_end_world``)."""
+    real = distlouvain._end_world
+
+    def end_world(world, scripts, closing):
+        ends = real(world, scripts, closing)
+        for script, ended in zip(scripts, ends):
+            snapshot(script.comm, ended)
+        return ends
+
+    patch.setattr(distlouvain, "_end_world", end_world)
+
+
+def _per_rank_ends(patch, snapshot):
+    """The phase's world leaves before the end, which
+    ``rebuild_reference.end_phase`` makes on every rank in place of
+    ``_end_phase``; ``snapshot(comm, ended)`` after it."""
+    def end_phase(comm, run, phase):
+        ended = rebuild_reference.end_phase(comm, run, phase)
+        snapshot(comm, ended)
+        return ended
+
+    patch.setattr(distlouvain, "_ends_in_world", lambda config: False)
+    patch.setattr(distlouvain, "_end_phase", end_phase)
+
+
+def _after_every_phase(g, p, config, ends):
+    """Per rank, a snapshot after every distributed phase's end, hooked
+    in by ``ends`` (:func:`_world_ends` or :func:`_per_rank_ends`)."""
     seen = {rank: [] for rank in range(p)}
 
-    def snapshot(comm, run, phase):
-        new_dg, total, orig = end_phase(comm, run, phase)
+    def snapshot(comm, ended):
+        new_dg, total, orig = ended
         seen[comm.rank].append((
             _graph_arrays(new_dg) + [total, orig], _rank_trace(comm)
         ))
-        return new_dg, total, orig
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distlouvain, "_end_phase", snapshot)
+        ends(patch, snapshot)
         result = run_louvain(
             g, p, config, machine=CORI_HASWELL, fault_plan=_delays(p)
         )
@@ -107,8 +135,8 @@ def _after_every_phase(g, p, config, end_phase):
 def test_world_phase_end_equals_per_rank_phase_end(p, config):
     g = _graph(fractional=True)
     (got, got_result), (want, want_result) = (
-        _after_every_phase(g, p, CONFIGS[config], end_phase)
-        for end_phase in (distlouvain._end_phase, rebuild_reference.end_phase)
+        _after_every_phase(g, p, CONFIGS[config], ends)
+        for ends in (_world_ends, _per_rank_ends)
     )
     for rank in range(p):
         assert len(got[rank]) == len(want[rank]) > 0

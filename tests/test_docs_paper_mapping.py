@@ -46,6 +46,10 @@ REMOVED = {
     "IterationState.place",
     "_meta_edge_payloads",
     "_owner_counts",
+    "core.coarsen.REBUILD_OPS",
+    "core.distlouvain._END_OPS",
+    "_stack_phase",
+    "Communicator.world_call",
 }
 
 _NAME = re.compile(r"^[A-Za-z_]\w*(\.[A-Za-z_]\w*)*$")

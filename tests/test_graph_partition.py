@@ -108,6 +108,45 @@ class TestEvenEdge:
         assert off[0] == 0 and off[-1] == 8
 
 
+def _even_edge_one_search_per_rank(row_lengths, nranks):
+    """The per-rank formulation of ``even_edge``: one ``searchsorted`` per
+    rank boundary, each against its own float target."""
+    row_lengths = np.asarray(row_lengths, dtype=np.int64)
+    n = len(row_lengths)
+    csum = np.concatenate([[0], np.cumsum(row_lengths)])
+    total = csum[-1]
+    if total == 0:
+        return even_vertex(n, nranks)
+    offsets = np.zeros(nranks + 1, dtype=np.int64)
+    offsets[nranks] = n
+    for r in range(1, nranks):
+        cut = int(np.searchsorted(csum, total * r / nranks, side="left"))
+        offsets[r] = min(max(cut, offsets[r - 1]), n)
+    np.maximum.accumulate(offsets, out=offsets)
+    return offsets
+
+
+@pytest.mark.parametrize("kind", ["random", "all empty", "mostly empty"])
+@pytest.mark.parametrize("seed", range(4))
+def test_even_edge_equals_one_search_per_rank(kind, seed):
+    """All rank boundaries in one search give the offsets of one search
+    per boundary, for p in {1, 2, 7, n + 3}."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    if kind == "random":
+        rows = rng.integers(0, 9, n)
+    elif kind == "all empty":
+        rows = np.zeros(n, dtype=np.int64)
+    else:
+        rows = np.zeros(n, dtype=np.int64)
+        hot = rng.choice(n, size=max(1, n // 10), replace=False)
+        rows[hot] = rng.integers(1, 50, len(hot))
+    for p in (1, 2, 7, n + 3):
+        np.testing.assert_array_equal(
+            even_edge(rows, p), _even_edge_one_search_per_rank(rows, p)
+        )
+
+
 class TestOwnerOf:
     def test_owner_lookup(self):
         off = np.array([0, 3, 6, 9])

@@ -105,9 +105,7 @@ class TestCollectiveMismatch:
                 dtype = np.float32 if comm.rank == 1 else np.float64
                 return comm.allreduce(np.ones(2, dtype=dtype))
             deposit = 3 if comm.rank == 1 else (np.zeros(0, np.int64),)
-            return comm.scripted(
-                "push", [("alltoall", "other")], deposit, None
-            )
+            return comm.scripted("push", deposit, None)
 
         with pytest.raises(RankFailedError) as excinfo:
             run_spmd(2, prog)

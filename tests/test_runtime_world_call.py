@@ -1,4 +1,5 @@
-"""``Communicator.world_call``: one computation over every rank's deposit.
+"""A world call: a scripted rendezvous whose world function makes no op,
+one computation over every rank's deposit.
 
 It is a rendezvous but not a message: no clock advance, no trace record,
 no fault-plan op index — and, like a collective, it shows up in the
@@ -26,6 +27,14 @@ from repro.runtime.errors import (
 from .conftest import planted_blocks_graph
 
 
+def _world_call(comm, deposit, run):
+    """``run(deposits)`` once over every rank's deposit, in a scripted
+    rendezvous that makes no op; this rank's item of what it returns."""
+    return comm.scripted(
+        "world_call", deposit, lambda world, scripts, deposits: run(deposits)
+    )
+
+
 def _everyone_gets_the_list(deposits):
     return [list(deposits)] * len(deposits)
 
@@ -40,7 +49,7 @@ class TestSemantics:
             return [d * d for d in deposits]
 
         def prog(comm):
-            return comm.world_call(comm.rank + 1, square_all)
+            return _world_call(comm, comm.rank + 1, square_all)
 
         out = run_spmd(p, prog, machine=FREE)
         assert out.values == [(r + 1) ** 2 for r in range(p)]
@@ -56,7 +65,7 @@ class TestSemantics:
         def prog(comm):
             comm.barrier()
             before = (comm.clock, dict(comm.trace.collectives))
-            comm.world_call(comm.rank, _everyone_gets_the_list)
+            _world_call(comm, comm.rank, _everyone_gets_the_list)
             after = (comm.clock, dict(comm.trace.collectives))
             comm.barrier()
             return before == after
@@ -69,7 +78,7 @@ class TestSemantics:
     def test_seeded_kill_lands_on_the_same_collective(self):
         def prog(comm):
             comm.barrier()
-            comm.world_call(None, _everyone_gets_the_list)
+            _world_call(comm, None, _everyone_gets_the_list)
             comm.allreduce(1)
 
         with pytest.raises(RankFailedError) as excinfo:
@@ -81,7 +90,7 @@ class TestSemantics:
     def test_schedule_verifier_sees_the_world_call(self):
         def prog(comm):
             if comm.rank == 0:
-                return comm.world_call(1, _everyone_gets_the_list)
+                return _world_call(comm, 1, _everyone_gets_the_list)
             return comm.allreduce(1)
 
         with pytest.raises(RankFailedError) as excinfo:
@@ -113,7 +122,7 @@ class TestFailures:
                     audit = comm.world.deadlock_audit()
                 audits.append(audit)
                 raise ValueError("rank 1 dies before its deposit")
-            return comm.world_call(comm.rank, _everyone_gets_the_list)
+            return _world_call(comm, comm.rank, _everyone_gets_the_list)
 
         with pytest.raises(RankFailedError) as excinfo:
             run_spmd(3, prog, machine=FREE, timeout=30.0)
@@ -137,7 +146,7 @@ class TestFailures:
 
         def prog(comm):
             try:
-                return comm.world_call(comm.rank, lookup_fails)
+                return _world_call(comm, comm.rank, lookup_fails)
             except BaseException as exc:
                 seen[comm.rank] = exc
                 raise
@@ -152,8 +161,8 @@ class TestFailures:
                 assert isinstance(exc, RankAborted), (rank, exc)
 
     def test_kernel_key_error_fails_a_detection(self, monkeypatch):
-        """A lookup's protocol check, raised inside the iteration's world
-        call: the kernel handed a totals table in which the community of
+        """A lookup's protocol check, raised inside the phase's world
+        function: the kernel handed a totals table in which the community of
         vertex 0, which every round scores, has no entry."""
         from repro.core import distlouvain
         from repro.core.sweep import array_lookup
@@ -178,9 +187,9 @@ class TestFailures:
 
 @pytest.mark.parametrize("p", [1, 2, 4])
 def test_fault_plan_counts_only_collectives_in_a_detection(p):
-    """A detection's world calls (one per phase, one per sweep round)
-    take no fault-plan op index: each rank's last op index is its count
-    of collectives."""
+    """A detection's scripted rendezvous take a fault-plan op index per
+    op their world functions make and none for themselves: each rank's
+    last op index is its count of collectives."""
     last: dict[int, int] = {}
 
     class Recorder:
