@@ -32,8 +32,9 @@ performance regressions of the simulator itself are visible:
 * serial graph coarsening;
 * CSR construction from edge lists;
 * the simulated runtime itself: wall ns and ``message_bytes`` calls per
-  collective for allreduce / allgather / alltoall /
-  ``exchange_roundtrip`` at p ∈ {2, 4, 8} with empty and 1 kB payloads;
+  collective for barrier / bcast / gather / allreduce / allgather /
+  alltoall / ``exchange_roundtrip`` at p ∈ {2, 4, 8} with empty and
+  1 kB payloads (appended to ``BENCH_generators.json``);
 * one collective checkpoint save, full (the first of a phase: graph
   slice and history too) and delta (iteration state only), at
   p ∈ {1, 2, 4} on the ``service_mix`` graph: wall µs and bytes.
@@ -287,7 +288,7 @@ WORLD_REPEATS = 5
 def test_kernel_iteration(
     benchmark, monkeypatch, record_bench, state, active, p, which
 ):
-    """One Louvain iteration on every rank, ``_iterate(world, scripts,
+    """One Louvain iteration on every rank, ``_iterate(world, comms,
     phases, it, config)`` in a rendezvous of its own — steps (i)-(v): the
     ``needed`` set and its fetch, the
     kernel over every rank's entries, the delta aggregation and the
@@ -330,8 +331,8 @@ def test_kernel_iteration(
 
     monkeypatch.setattr(distlouvain, "propose_moves", timed_kernel)
 
-    def iteration(world, scripts, phases):
-        return [_iterate(world, scripts, phases, 0, config)] * len(phases)
+    def iteration(world, comms, phases):
+        return [_iterate(world, comms, phases, 0, config)] * len(phases)
 
     def prog(comm):
         dg = DistGraph.distribute(comm, g)
@@ -791,6 +792,12 @@ PAYLOADS = {
 
 def _collective_call(op: str, payload: np.ndarray):
     """``call(comm)`` issuing one collective of kind ``op``."""
+    if op == "barrier":
+        return lambda comm: comm.barrier()
+    if op == "bcast":
+        return lambda comm: comm.bcast(payload if comm.rank == 0 else None)
+    if op == "gather":
+        return lambda comm: comm.gather(payload)
     if op == "allreduce":
         return lambda comm: comm.allreduce(payload)
     if op == "allgather":
@@ -804,11 +811,17 @@ def _collective_call(op: str, payload: np.ndarray):
 @pytest.mark.parametrize("payload", sorted(PAYLOADS))
 @pytest.mark.parametrize("p", [2, 4, 8])
 @pytest.mark.parametrize(
-    "op", ["allreduce", "allgather", "alltoall", "exchange_roundtrip"]
+    "op", [
+        "barrier", "bcast", "gather", "allreduce", "allgather", "alltoall",
+        "exchange_roundtrip",
+    ],
 )
-def test_kernel_collective(benchmark, monkeypatch, op, p, payload):
+def test_kernel_collective(
+    benchmark, monkeypatch, record_bench, op, p, payload
+):
     """Wall ns and ``message_bytes`` calls per collective, ``machine=FREE``
-    (200 collectives per ``run_spmd``, so thread start-up is amortised)."""
+    (200 collectives per ``run_spmd``, so thread start-up is amortised);
+    appended to ``BENCH_generators.json`` as ``kind: collective``."""
     from repro.runtime import comm as comm_mod
 
     call = _collective_call(op, PAYLOADS[payload])
@@ -845,6 +858,12 @@ def test_kernel_collective(benchmark, monkeypatch, op, p, payload):
         f"\ncollective {op:<18} p={p} payload={payload:<5} "
         f"{ns:>10.0f} ns/collective {sizings:>6.1f} message_bytes calls"
     )
+    record_bench("generators", {
+        "kind": "collective", "op": op, "ranks": p, "payload": payload,
+        "collectives_per_run": COLLECTIVES_PER_RUN,
+        "wall_ns_per_collective": round(ns, 1),
+        "message_bytes_calls_per_collective": sizings,
+    })
 
 
 # ----------------------------------------------------------------------

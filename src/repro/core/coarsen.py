@@ -44,7 +44,7 @@ from ..graph.distgraph import (
 )
 from ..graph.partition import even_vertex
 from ..runtime.comm import (
-    Communicator, Script, World, allgather_world, alltoall_counts_world,
+    Communicator, World, allgather_world, alltoall_counts_world,
     lookup_world,
 )
 from .sweep import SweepWorkspace
@@ -178,7 +178,7 @@ def rebuild_seat(
 
 def project_world(
     world: World,
-    scripts: Sequence[Script],
+    comms: Sequence[Communicator],
     offsets: np.ndarray,
     origs: list[np.ndarray],
     local_new: list[np.ndarray],
@@ -203,7 +203,7 @@ def project_world(
             local_new, out=empty(n, np.result_type(*local_new))
         )
     lookup_world(
-        world, scripts, None,
+        world, comms, None,
         key_counts(offsets, distinct_keys(n * p, keys, empty=empty), p),
         (table,), category="rebuild",
     )
@@ -244,12 +244,12 @@ def rebuild_distributed(
 
 
 def rebuild_world(
-    world: World, scripts: Sequence[Script], seats: list[RebuildSeat]
+    world: World, comms: Sequence[Communicator], seats: list[RebuildSeat]
 ) -> list[tuple[DistGraph, np.ndarray]]:
     """§IV-A(b)'s seven steps for every rank, one world step each; their
     ops — step 2's notification, step 3's allgather, step 4's answer and
     step 6's meta edges, all ``rebuild`` — are charged to every rank
-    through ``scripts[r]``.  Returns each rank's coarsened slice and its
+    through ``comms[r]``.  Returns each rank's coarsened slice and its
     owned vertices' new ids."""
     offsets = seats[0].dg.offsets
     # Every temporary the steps make is carved from the sweep's scratch,
@@ -258,15 +258,15 @@ def rebuild_world(
         sum(s.dg.num_local_entries for s in seats) + int(offsets[-1])
     ).empty
     slots, used = renumber_locally(offsets, seats, empty)
-    alive, notified = prune_stale_ids(world, scripts, offsets, used, empty)
+    alive, notified = prune_stale_ids(world, comms, offsets, used, empty)
     new_id, new_offsets = prefix_sum_renumber(
-        world, scripts, offsets, alive, empty
+        world, comms, offsets, alive, empty
     )
-    slot_new = propagate_new_ids(world, scripts, notified, new_id, slots)
+    slot_new = propagate_new_ids(world, comms, notified, new_id, slots)
     meta = partial_edge_lists(
-        world, scripts, seats, slot_new, new_offsets, empty
+        world, comms, seats, slot_new, new_offsets, empty
     )
-    redistribute(world, scripts, meta, new_offsets, empty)
+    redistribute(world, comms, meta, new_offsets, empty)
     graphs = rebuild_csr(world, seats, meta, new_offsets, empty)
     base, local_new = 0, []
     for s in seats:
@@ -306,7 +306,7 @@ def renumber_locally(
 
 def prune_stale_ids(
     world: World,
-    scripts: Sequence[Script],
+    comms: Sequence[Communicator],
     offsets: np.ndarray,
     used: np.ndarray,
     empty,
@@ -318,9 +318,9 @@ def prune_stale_ids(
     also step 4's request.  Returns the alive flag per community and the
     notification counts."""
     n = int(offsets[-1])
-    notified = key_counts(offsets, used, len(scripts))
+    notified = key_counts(offsets, used, len(comms))
     alltoall_counts_world(
-        world, scripts, notified, used.itemsize, category="rebuild"
+        world, comms, notified, used.itemsize, category="rebuild"
     )
     alive = empty(n, np.dtype(bool))
     alive[:] = False
@@ -330,7 +330,7 @@ def prune_stale_ids(
 
 def prefix_sum_renumber(
     world: World,
-    scripts: Sequence[Script],
+    comms: Sequence[Communicator],
     offsets: np.ndarray,
     alive: np.ndarray,
     empty,
@@ -345,14 +345,14 @@ def prefix_sum_renumber(
     below[0] = 0
     np.cumsum(alive, out=below[1:])
     allgather_world(
-        world, scripts, np.diff(below[offsets]).tolist(), category="rebuild"
+        world, comms, np.diff(below[offsets]).tolist(), category="rebuild"
     )
-    return below[:-1], even_vertex(int(below[-1]), len(scripts))
+    return below[:-1], even_vertex(int(below[-1]), len(comms))
 
 
 def propagate_new_ids(
     world: World,
-    scripts: Sequence[Script],
+    comms: Sequence[Communicator],
     notified: np.ndarray,
     new_id: np.ndarray,
     slots: np.ndarray,
@@ -361,14 +361,14 @@ def propagate_new_ids(
     of the communities in it (one ``alltoall``, the transposed counts);
     every slot's new id is read off the prefix sum."""
     alltoall_counts_world(
-        world, scripts, notified.T, new_id.itemsize, category="rebuild"
+        world, comms, notified.T, new_id.itemsize, category="rebuild"
     )
     return new_id.take(slots)
 
 
 def partial_edge_lists(
     world: World,
-    scripts: Sequence[Script],
+    comms: Sequence[Communicator],
     seats: list[RebuildSeat],
     slot_new: np.ndarray,
     new_offsets: np.ndarray,
@@ -388,7 +388,7 @@ def partial_edge_lists(
     key = empty(total, _I8)
     part = empty(max(s.dg.num_local_entries for s in seats), _I8)
     base = e0 = 0
-    for r, (script, s) in enumerate(zip(scripts, seats)):
+    for r, (comm, s) in enumerate(zip(comms, seats)):
         dg, e1 = s.dg, e0 + s.dg.num_local_entries
         mine = slot_new[base:base + len(s.local_comm) + len(s.ghost_comm)]
         keys, targets = key[e0:e1], part[:e1 - e0]
@@ -398,7 +398,7 @@ def partial_edge_lists(
         keys += targets
         keys *= p
         keys += r
-        script.charge("rebuild", cost(dg.num_local_entries))
+        comm.charge("rebuild", cost(dg.num_local_entries))
         base += len(mine)
         e0 = e1
     weights = [s.dg.weights for s in seats]
@@ -453,7 +453,7 @@ def _heads(
 
 def redistribute(
     world: World,
-    scripts: Sequence[Script],
+    comms: Sequence[Communicator],
     meta: tuple[np.ndarray, np.ndarray],
     new_offsets: np.ndarray,
     empty,
@@ -464,7 +464,7 @@ def redistribute(
     owned by ``d``: the sources ascend with the keys, so the owners'
     runs are cut by one search."""
     key, w = meta
-    p, n_new = len(scripts), int(new_offsets[-1])
+    p, n_new = len(comms), int(new_offsets[-1])
     src = np.floor_divide(key, n_new * p, out=empty(len(key), _I8))
     cuts = owner_cuts(new_offsets, src)
     pair = np.remainder(key, p, out=src)
@@ -473,7 +473,7 @@ def redistribute(
         pair[cuts[d]:cuts[d + 1]] += d
     counts = np.bincount(pair, minlength=p * p).reshape(p, p)
     alltoall_counts_world(
-        world, scripts, counts, 2 * _I8.itemsize + w.itemsize,
+        world, comms, counts, 2 * _I8.itemsize + w.itemsize,
         category="rebuild",
     )
 

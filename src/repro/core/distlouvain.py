@@ -14,8 +14,8 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
     (:func:`_relabel`) or resumed labels, and with a seed or colouring
     the ghost plan first, a rendezvous of its own); then *one* scripted
     rendezvous runs the whole phase for every rank (:func:`_phase_world`),
-    charging every op to each rank's own clock and trace as it is made
-    (:class:`~repro.runtime.comm.Script`):
+    charging every op to each rank's own clock and trace, through the
+    rank's :class:`~repro.runtime.comm.Communicator`, as it is made:
 
     * the set-up (:func:`_set_up_world`): ``ExchangeGhostVertices`` —
       the one-time-per-phase ghost coordinate exchange (Algorithm 4) and
@@ -122,7 +122,7 @@ from ..graph.distgraph import (
 )
 from ..graph.partition import even_vertex, owner_of
 from ..runtime.comm import (
-    Communicator, Script, World, allgather_world, allreduce_world,
+    Communicator, World, allgather_world, allreduce_world,
     lookup_world, push_world,
 )
 from ..runtime.executor import SPMDResult, run_spmd
@@ -219,7 +219,7 @@ class _Seat(NamedTuple):
 
 
 def _set_up_world(
-    world: World, scripts: Sequence[Script], seats: list[_Seat], *,
+    world: World, comms: Sequence[Communicator], seats: list[_Seat], *,
     resolution: float,
 ) -> list["_Phase"]:
     """The phase's set-up for every rank: every rank's ghost plan
@@ -232,9 +232,9 @@ def _set_up_world(
     world's arrays from here, and each graph memoises its plan."""
     plans = [s.plan for s in seats]
     if not isinstance(plans[0], GhostPlan):
-        plans = ghost_plans_world(world, scripts, plans)
+        plans = ghost_plans_world(world, comms, plans)
     ghost_exchange_world(
-        world, scripts, plans, seats[0].state.local_comm.itemsize
+        world, comms, plans, seats[0].state.local_comm.itemsize
     )
     wp = _stack_world(world.workspace, resolution, seats, plans)
     return [
@@ -405,7 +405,7 @@ def _phase_world(
     config: LouvainConfig,
     due: Callable[[int], bool] | None,
     world: World,
-    scripts: Sequence[Script],
+    comms: Sequence[Communicator],
     deposits: list,
 ) -> list[tuple[_Phase, bool]]:
     """The phase for every rank: the set-up (:func:`_set_up_world`) —
@@ -421,11 +421,11 @@ def _phase_world(
     phases = deposits
     if isinstance(deposits[0], _Seat):
         phases = _set_up_world(
-            world, scripts, deposits, resolution=config.resolution
+            world, comms, deposits, resolution=config.resolution
         )
     state = phases[0].state
     for it in range(state.iteration + 1, config.max_iterations):
-        exited = _iterate(world, scripts, phases, it, config)
+        exited = _iterate(world, comms, phases, it, config)
         if exited or state.q - state.prev_q <= tau:
             break
         for phase in phases:
@@ -435,7 +435,7 @@ def _phase_world(
     for phase in phases:
         phase.ghost_comm = phase.world.local_comm.take(phase.plan.ghost_ids)
     if _ends_in_world(config):
-        ends = _end_world(world, scripts, [_closing(ph) for ph in phases])
+        ends = _end_world(world, comms, [_closing(ph) for ph in phases])
         for phase, end in zip(phases, ends):
             phase.ended = end
     return [(phase, False) for phase in phases]
@@ -556,7 +556,7 @@ def _coloring(
 
 def _iterate(
     world: World,
-    scripts: Sequence[Script],
+    comms: Sequence[Communicator],
     phases: list[_Phase],
     it: int,
     config: LouvainConfig,
@@ -573,7 +573,7 @@ def _iterate(
             # ET: vertices mark themselves active/inactive first (§IV-B(b)).
             phase.active[:] = et.draw_active()
     # The allreduce hands every rank the same vector.
-    total = _world_iteration(world, scripts, phases)[0]
+    total = _world_iteration(world, comms, phases)[0]
     w = phases[0].dg.total_weight
     q = (
         float(total[0] / w - config.resolution * total[1] / (w * w))
@@ -586,24 +586,24 @@ def _iterate(
 
 
 def _world_iteration(
-    world: World, scripts: Sequence[Script], phases: list[_Phase]
+    world: World, comms: Sequence[Communicator], phases: list[_Phase]
 ) -> list[np.ndarray]:
     """Steps (ii)-(v) of one iteration for every rank (Algorithm 3,
     lines 4-13): one :func:`_world_round` per colour round, then
     :func:`_modularity_step`.  Every rank decides against the same
     synchronisation point, so doing the ranks' work a step at a time for
     all of them computes what the ranks would between collectives; each
-    rank's charges go through ``scripts[r]``.  Returns every rank's
+    rank's charges go through ``comms[r]``.  Returns every rank's
     reduced step-(v) vector."""
     wp = phases[0].world
     wp.moved[:] = False
     for k in range(phases[0].rounds):
-        wp.moved |= _world_round(world, scripts, phases, k)
-    return _modularity_step(world, scripts, phases)
+        wp.moved |= _world_round(world, comms, phases, k)
+    return _modularity_step(world, comms, phases)
 
 
 def _world_round(
-    world: World, scripts: Sequence[Script], phases: list[_Phase], k: int
+    world: World, comms: Sequence[Communicator], phases: list[_Phase], k: int
 ) -> np.ndarray:
     """Steps (i)-(iv) of colour round ``k`` for every rank: the fetch,
     the sweep (in global ids: (i), a ghost's community, is its label in
@@ -617,20 +617,20 @@ def _world_round(
         stack.active[:] = wp.active
     else:
         np.logical_and(wp.colors == k, wp.active, out=stack.active)
-    scanned = _fetch_step(world, scripts, wp)
+    scanned = _fetch_step(world, comms, wp)
     res = _sweep_step(stack, wp.tot, wp.size, wp.total_weight, wp.resolution)
     cost = world.machine.compute_cost
-    for script, pairs, entries, nloc in zip(
-        scripts, res.segment_pairs.tolist(), scanned,
+    for comm, pairs, entries, nloc in zip(
+        comms, res.segment_pairs.tolist(), scanned,
         np.diff(stack.row_cuts).tolist(),
     ):
-        script.charge("compute", cost(pairs + entries + nloc))
-    _push_step(world, scripts, wp, res)
+        comm.charge("compute", cost(pairs + entries + nloc))
+    _push_step(world, comms, wp, res)
     return res.moved
 
 
 def _fetch_step(
-    world: World, scripts: Sequence[Script], wp: _WorldPhase
+    world: World, comms: Sequence[Communicator], wp: _WorldPhase
 ) -> list[int]:
     """Step (ii): every rank fetches a_c and |c| of the communities its
     round evaluates — its active vertices' and their neighbours' (with a
@@ -664,7 +664,7 @@ def _fetch_step(
             flags[targets] = True
             scratch.top = mark
     lookup_world(
-        world, scripts, None,
+        world, comms, None,
         key_counts(wp.offsets, np.flatnonzero(flags), len(wp.edges)),
         (wp.tot, wp.size), category="community_comm",
     )
@@ -712,7 +712,7 @@ def _sweep_step(
 
 
 def _push_step(
-    world: World, scripts: Sequence[Script], wp: _WorldPhase,
+    world: World, comms: Sequence[Communicator], wp: _WorldPhase,
     res: SweepResult,
 ) -> None:
     """Step (iv): everything the moves changed, one message per peer —
@@ -722,7 +722,7 @@ def _push_step(
     world, ``community_comm``.  The moved vertices are relabelled (line
     9) in the world's labels, where every ghost reads them, so the
     labels are priced, not delivered; every entry is then re-aimed."""
-    p, n = len(scripts), len(wp.local_comm)
+    p, n = len(comms), len(wp.local_comm)
     rows = np.flatnonzero(res.moved)
     new = res.proposal.take(rows)
     _check_vertex_space(wp, rows, new)
@@ -740,7 +740,7 @@ def _push_step(
         wp.send_pairs.compress(changed), minlength=p * p
     ).reshape(p, p)
     push_world(
-        world, scripts, np.remainder(keys, n, out=keys), counts,
+        world, comms, np.remainder(keys, n, out=keys), counts,
         (dtot, dsize), (wp.tot, wp.size),
         carry=(routed, sent, wp.local_comm.take(sent)),
         category="community_comm",
@@ -782,7 +782,7 @@ def _check_vertex_space(
 
 
 def _modularity_step(
-    world: World, scripts: Sequence[Script], phases: list[_Phase]
+    world: World, comms: Sequence[Communicator], phases: list[_Phase]
 ) -> list[np.ndarray]:
     """Step (v), global modularity (lines 12-13): every rank's
     modularity partials and move / active / inactive counts (the world's
@@ -806,9 +806,9 @@ def _modularity_step(
     squares = np.square(wp.tot)
     partials = []
     ecuts, vcuts = stack.entry_cuts.tolist(), wp.offsets.tolist()
-    for r, (script, phase) in enumerate(zip(scripts, phases)):
+    for r, (comm, phase) in enumerate(zip(comms, phases)):
         e0, e1, v0, v1 = ecuts[r], ecuts[r + 1], vcuts[r], vcuts[r + 1]
-        script.charge("compute", cost(e1 - e0))
+        comm.charge("compute", cost(e1 - e0))
         scratch.top = 0
         intra = scratch.take(wp.local_comm[v0:v1], wp.rows[r])
         intra = np.equal(
@@ -834,7 +834,7 @@ def _modularity_step(
                 else np.count_nonzero(wp.inactive[v0:v1])
             ),
         ]))
-    return allreduce_world(world, scripts, partials, category="allreduce")
+    return allreduce_world(world, comms, partials, category="allreduce")
 
 
 def _exit_tests(
@@ -1298,19 +1298,19 @@ def _closing(phase: _Phase) -> _Closing:
 
 
 def _end_world(
-    world: World, scripts: Sequence[Script], closing: list[_Closing]
+    world: World, comms: Sequence[Communicator], closing: list[_Closing]
 ) -> list[tuple[DistGraph, np.ndarray, np.ndarray]]:
     """The phase's end for every rank: the §IV-A(b) rebuild
     (:func:`~repro.core.coarsen.rebuild_world`), the allreduce of every
     rank's :func:`_phase_partials` and the projection of the original
     vertices (:func:`~repro.core.coarsen.project_world`).  Returns each
     rank's coarsened slice, reduced partials and new map."""
-    rebuilt = rebuild_world(world, scripts, [c.seat for c in closing])
-    totals = allreduce_world(world, scripts, [
+    rebuilt = rebuild_world(world, comms, [c.seat for c in closing])
+    totals = allreduce_world(world, comms, [
         _phase_partials(c, new_dg) for c, (new_dg, _) in zip(closing, rebuilt)
     ], category="allreduce")
     projected = project_world(
-        world, scripts, closing[0].seat.dg.offsets,
+        world, comms, closing[0].seat.dg.offsets,
         [c.orig_slice for c in closing], [new for _, new in rebuilt],
     )
     return [
@@ -1432,12 +1432,12 @@ def _project(comm: Communicator, run: RunState, local_new: np.ndarray) -> None:
 
 
 def _project_ranks(
-    world: World, scripts: Sequence[Script], deposits: list[tuple]
+    world: World, comms: Sequence[Communicator], deposits: list[tuple]
 ) -> list[np.ndarray]:
     """:func:`~repro.core.coarsen.project_world` over per-rank deposits
     ``(offsets, orig_slice, local_new)``."""
     offsets, origs, tables = zip(*deposits)
-    return project_world(world, scripts, offsets[0], list(origs), list(tables))
+    return project_world(world, comms, offsets[0], list(origs), list(tables))
 
 
 def _gather_result(comm: Communicator, run: RunState) -> LouvainResult:
@@ -1456,11 +1456,11 @@ def _gather_result(comm: Communicator, run: RunState) -> LouvainResult:
 
 
 def _assignment_world(
-    world: World, scripts: Sequence[Script], pieces: list[np.ndarray]
+    world: World, comms: Sequence[Communicator], pieces: list[np.ndarray]
 ) -> list[np.ndarray]:
     """The result's allgather for every rank, and the assignment it
     yields normalised once."""
-    allgather_world(world, scripts, pieces, category="other")
+    allgather_world(world, comms, pieces, category="other")
     assignment = normalize_assignment(np.concatenate(pieces))
     assignment.flags.writeable = False
     return [assignment] * len(pieces)

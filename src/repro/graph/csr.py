@@ -17,10 +17,17 @@ implementation and kept consistent across the whole library:
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
+
+from .partition import even_edge
+
+#: Held while a graph computes a value it keeps (:meth:`CSRGraph._memo`),
+#: so ranks that ask at once compute it once.
+_MEMO_LOCK = threading.Lock()
 
 
 def sum_duplicate_entries(
@@ -83,6 +90,25 @@ def row_index(rows: np.ndarray, num_rows: int) -> np.ndarray:
     return index
 
 
+def _weight_sum(weights: np.ndarray) -> float:
+    return float(weights.sum())
+
+
+def _even_edge_offsets(index: np.ndarray, nranks: int) -> np.ndarray:
+    offsets = even_edge(np.diff(index), nranks)
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _digest(g: "CSRGraph") -> str:
+    h = hashlib.sha256()
+    h.update(np.int64(g.num_vertices).tobytes())
+    h.update(g.index.tobytes())
+    h.update(g.edges.tobytes())
+    h.update(g.weights.tobytes())
+    return h.hexdigest()
+
+
 @dataclass(frozen=True)
 class CSRGraph:
     """Immutable weighted undirected graph in CSR form.
@@ -92,7 +118,9 @@ class CSRGraph:
     read-only too: keep a copy to go on writing (an array that is a view
     keeps a writeable base, so pass owned arrays).  A graph unpickled in
     another process comes back frozen.  Since the bytes cannot change,
-    :meth:`fingerprint` hashes them once per instance.
+    what is derived from them — :meth:`fingerprint`, :attr:`total_weight`
+    and :meth:`even_edge_offsets` — is computed once per instance and
+    kept on it (outside the dataclass fields, so it pickles with them).
 
     Attributes
     ----------
@@ -122,14 +150,26 @@ class CSRGraph:
         self._freeze()
 
     def _freeze(self) -> None:
-        for array in (self.index, self.edges, self.weights):
-            array.flags.writeable = False
+        for value in self.__dict__.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def __setstate__(self, state: dict) -> None:
-        # Unpickled numpy arrays are writeable; the stored fingerprint,
-        # if any, travels with the bytes it was computed from.
+        # Unpickled numpy arrays are writeable; the values kept, if any,
+        # travel with the bytes they were computed from.
         self.__dict__.update(state)
         self._freeze()
+
+    def _memo(self, key: str, compute: Callable[..., Any], *args: Any) -> Any:
+        """``compute(*args)``, once per instance, kept as ``key``."""
+        value = self.__dict__.get(key)
+        if value is None:
+            with _MEMO_LOCK:
+                value = self.__dict__.get(key)
+                if value is None:
+                    value = compute(*args)
+                    object.__setattr__(self, key, value)
+        return value
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -158,7 +198,15 @@ class CSRGraph:
     @property
     def total_weight(self) -> float:
         """``sum_u k_u`` (a.k.a. ``2m`` for loop-free graphs)."""
-        return float(self.weights.sum())
+        return self._memo("_total_weight", _weight_sum, self.weights)
+
+    def even_edge_offsets(self, nranks: int) -> np.ndarray:
+        """The even-edge partition of this graph over ``nranks`` ranks
+        (:func:`~repro.graph.partition.even_edge` of the row lengths),
+        read-only."""
+        return self._memo(
+            f"_even_edge_{nranks}", _even_edge_offsets, self.index, nranks
+        )
 
     def degrees(self) -> np.ndarray:
         """Weighted degree ``k_u`` for every vertex (float64[n])."""
@@ -179,16 +227,7 @@ class CSRGraph:
         The arrays are frozen, so the digest is computed on the first
         call and kept on the instance (outside the dataclass fields).
         """
-        digest = self.__dict__.get("_fingerprint")
-        if digest is None:
-            h = hashlib.sha256()
-            h.update(np.int64(self.num_vertices).tobytes())
-            h.update(self.index.tobytes())
-            h.update(self.edges.tobytes())
-            h.update(self.weights.tobytes())
-            digest = h.hexdigest()
-            object.__setattr__(self, "_fingerprint", digest)
-        return digest
+        return self._memo("_fingerprint", _digest, self)
 
     def self_loop_weights(self) -> np.ndarray:
         """Self-loop weight per vertex (float64[n], zero when absent)."""

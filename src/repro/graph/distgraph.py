@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..runtime.comm import (
-    Communicator, Script, World, alltoall_counts_world, cut_counts, route,
+    Communicator, World, alltoall_counts_world, cut_counts, route,
 )
 from . import binio
 from .csr import CSRGraph, row_index, sum_duplicate_entries
@@ -369,7 +369,7 @@ class DistGraph:
         each process receives roughly the same number of edges.
         """
         if partition == "even_edge":
-            offsets = even_edge(np.diff(g.index), comm.size)
+            offsets = g.even_edge_offsets(comm.size)
         elif partition == "even_vertex":
             offsets = even_vertex(g.num_vertices, comm.size)
         else:
@@ -430,7 +430,7 @@ class DistGraph:
 
 def ghost_plans_world(
     world: World,
-    scripts: list[Script],
+    comms: list[Communicator],
     seats: list[tuple[DistGraph, np.ndarray, np.ndarray]],
 ) -> list[GhostPlan]:
     """Algorithm 4 for every rank (the world half of
@@ -440,12 +440,12 @@ def ghost_plans_world(
     counts — and what an owner hears, laid end to end in source order,
     is its send list.  Each graph memoises its plan."""
     cost = world.machine.compute_cost
-    for script, (dg, _, _) in zip(scripts, seats):
-        script.charge("ghost_comm", cost(dg.num_local_entries))
+    for comm, (dg, _, _) in zip(comms, seats):
+        comm.charge("ghost_comm", cost(dg.num_local_entries))
     counts = cut_counts([cuts for _, _, cuts in seats])
     ghosts = [g for _, g, _ in seats]
     alltoall_counts_world(
-        world, scripts, counts, ghosts[0].itemsize, category="ghost_comm"
+        world, comms, counts, ghosts[0].itemsize, category="ghost_comm"
     )
     send_cuts, send_ids = route(counts, [np.concatenate(ghosts)])
     plans = []
@@ -463,7 +463,7 @@ def ghost_plans_world(
 
 
 def ghost_exchange_world(
-    world: World, scripts: list[Script], plans: list[GhostPlan], width: int
+    world: World, comms: list[Communicator], plans: list[GhostPlan], width: int
 ) -> None:
     """The full ghost exchange of Algorithm 3 lines 4-5 for every rank,
     priced from the plans' counts (``width`` bytes a value): owner ``d``
@@ -472,7 +472,7 @@ def ghost_exchange_world(
     owners' arrays laid end to end needs no copy — so it is
     :meth:`DistGraph.exchange_ghost_values` without the values."""
     counts = np.array([np.diff(plan.send_cuts) for plan in plans])
-    alltoall_counts_world(world, scripts, counts, width, category="ghost_comm")
+    alltoall_counts_world(world, comms, counts, width, category="ghost_comm")
 
 
 def _rows_from_undirected(

@@ -13,13 +13,11 @@ ranks run as threads, each holding a :class:`Communicator`, and talk via
   MPI-3-style ``neighbor_alltoall`` the paper lists as future work
   (§VI), and a fused request/reply ``exchange_roundtrip``.
   The algorithm itself uses allreduce, alltoall, lookup, push,
-  allgather, gather and bcast (a phase of Louvain reaches lookup, push,
-  alltoall, allgather and allreduce through scripted rendezvous, below),
-  and checkpointing adds barrier; no caller outside the tests sends
-  point to point.  ``send``, ``recv``, ``sendrecv``, ``reduce``,
-  ``scatter``, ``scan``, ``exscan``, ``neighbor_alltoall`` and
-  ``exchange_roundtrip`` stay only because the end-to-end benchmark's
-  span table names them.
+  allgather, gather and bcast, and checkpointing adds barrier; no
+  caller outside the tests sends point to point.  ``send``, ``recv``,
+  ``sendrecv``, ``reduce``, ``scatter``, ``scan``, ``exscan``,
+  ``neighbor_alltoall`` and ``exchange_roundtrip`` stay only because
+  the end-to-end benchmark's span table names them.
 
 :meth:`Communicator.solo` is ``MPI_COMM_SELF``: a one-rank communicator
 for work one rank does alone inside the SPMD program (the gathered tail
@@ -39,47 +37,40 @@ and counts as one ``alltoall`` — and message ``(s, d)`` is sized
 ``ENVELOPE_BYTES + Σ count × itemsize`` (:func:`_count_sizes`),
 ``message_bytes`` of the same slices by construction.
 
-What a rendezvous charges.  ``alltoall``, ``lookup``, ``push``,
-``allreduce`` and ``allgather`` are *scripted*
-(:meth:`Communicator.scripted`): one rendezvous in which a *world
-function* runs once, on whichever rank arrives last, over every rank's
-deposit and a :class:`Script` per rank — a handle on that rank's
-communicator.  The world function makes the ranks' ops through the
-world halves (:func:`alltoall_world`, :func:`lookup_world`,
-:func:`push_world`, :func:`allreduce_world`, :func:`allgather_world`),
-or chains any number of them: one phase of Louvain, in ``core/``, is one
-world function.  A world step that reads what it needs off the world's
-arrays prices a leg from counts alone (:func:`alltoall_counts_world`).
-Per op every rank's script *begins* it — consults the fault plan
-through the rank's :meth:`Communicator._fault_hook` (a kill raises
-there, at its op), counts it as a collective and charges a delay the
-plan set — then the world synchronises on the latest clock and charges
-each rank ``max(end - clock, 0.0)`` for its share, recording the leg's
-bytes.  Every rank is blocked in the rendezvous while the world function
-runs, so it charges each rank's own clock and trace directly: in the
-order and with the float operations making the ops one by one would,
-so clocks, trace seconds, bytes, messages and collective counts are bit
-for bit theirs.  A rendezvous that makes no op (a scripted call that
-only computes) moves no clock and consults no plan, but every rank must
-make it in schedule order like a collective, so the schedule check and
-the deadlock audit see it.  Memory a world function keeps from one world
-to the next lives in :attr:`World.workspace`.  There is one
-pricing implementation per collective, whichever rendezvous runs it
-(``barrier``, ``bcast`` and ``gather`` still price in
-``_collective``'s finalizers).
+What a rendezvous charges.  Every collective, ``lookup`` and ``push``
+is *scripted* (:meth:`Communicator.scripted`): one rendezvous in which
+a *world function* runs once, on whichever rank arrives last, over
+every rank's deposit and every rank's :class:`Communicator`.  It makes
+the ranks' ops through the world halves (:func:`alltoall_world`,
+:func:`lookup_world`, :func:`push_world`, :func:`allreduce_world`,
+:func:`allgather_world`; each other collective's is its method's own
+``run``), or chains any number of them: one phase of Louvain, in
+``core/``, is one world function.  A world step that reads what it
+needs off the world's arrays prices a leg from counts alone
+(:func:`alltoall_counts_world`).  Per op every rank *begins* it
+(:meth:`Communicator._begin`: the fault plan, a delay it sets, the
+collective count), then the world synchronises on the latest clock and
+each rank *finishes* it at its end (:meth:`Communicator._finish`:
+``max(end - clock, 0.0)``), recording the leg's bytes; an op priced
+once for every rank is :func:`_synchronise`.  Every rank is blocked in
+the rendezvous meanwhile, so the world charges each rank's own clock
+and trace directly, in the order and with the float operations making
+the ops one by one would.  A rendezvous that makes no op (a scripted
+call that only computes) moves no clock and consults no plan, but every
+rank must make it in schedule order like a collective, so the schedule
+check and the deadlock audit see it.  Memory a world function keeps
+from one world to the next lives in :attr:`World.workspace`.
 
-A kill inside a world function.  A kill raised at an op's ``begin``
-stops the world function there.  The victim raises its
+A kill inside a world function.  A kill raised as an op begins stops
+the world function there.  The victim raises its
 :class:`~repro.runtime.errors.InjectedFault` and every other rank of the
 rendezvous raises :class:`~repro.runtime.errors.RankAborted`, whichever
-thread ran the world.  When several ranks' kills fall in one rendezvous,
-only the first the world function reaches fires — ops in the order it
-makes them, and within an op the ranks in rank order (every world half
-begins rank 0's op first) — so the victim is the one whose kill comes
-first in that order; the others' kills never run and they raise
-``RankAborted`` like everyone else.  Any other exception in a world
-function fails the rank whose thread ran it, and the world abort
-releases the others.
+thread ran the world.  When several ranks' kills fall in one rendezvous
+— one collective included — only the first the world function reaches
+fires: ops in the order it makes them, and within an op the ranks in
+rank order; the others' kills never run and they raise ``RankAborted``
+like everyone else.  Any other exception in a world function fails the
+rank whose thread ran it, and the world abort releases the others.
 
 Every operation advances the rank's *virtual clock* according to the
 :class:`~repro.runtime.perfmodel.MachineModel` and attributes the time to
@@ -101,11 +92,12 @@ Semantics notes (documented deviations from real MPI):
 
 Fault injection: the :class:`World` optionally carries a *fault plan*
 (any object with ``on_op(rank, op_index, op_name)``; see
-:class:`repro.resilience.faults.FaultPlan`).  Every send/recv/collective
-first consults it (inside a scripted rendezvous, as each op begins).
-The plan may raise :class:`~repro.runtime.errors.InjectedFault`
-(killing the rank), or return ``("delay", seconds)`` to add virtual
-latency, ``("drop",)`` to
+:class:`repro.resilience.faults.FaultPlan`), consulted once per op: by
+``send`` and ``recv`` on the rank's own thread as they start, and for a
+collective's every leg inside the world function, as the op begins
+(:meth:`Communicator._begin`).  The plan may raise
+:class:`~repro.runtime.errors.InjectedFault` (killing the rank), or
+return ``("delay", seconds)`` to add virtual latency, ``("drop",)`` to
 silently discard a point-to-point send (the receiver eventually times
 out, as with a real lost message), or ``None`` for no action.
 
@@ -239,42 +231,6 @@ def route(
     return (cuts, *(field.take(index) for field in arrays))
 
 
-class Script:
-    """One rank's side of a scripted rendezvous
-    (:meth:`Communicator.scripted`): a handle on the rank's
-    :class:`Communicator`, through which a world function makes the
-    rank's ops.  The rank is blocked in the rendezvous meanwhile, so its
-    clock and trace are written here directly, each charge the
-    ``clock += dt`` of :meth:`Communicator.charge`."""
-
-    __slots__ = ("comm",)
-
-    def __init__(self, comm: "Communicator"):
-        self.comm = comm
-
-    @property
-    def clock(self) -> float:
-        return self.comm.clock
-
-    def begin(self, op: str, category: str) -> None:
-        """Start the rank's next op: the fault plan is consulted for it
-        (a kill raises here), it counts as a collective, and a delay the
-        plan set is charged to ``category`` first."""
-        comm = self.comm
-        dt = _delay(comm._fault_hook(op, category))
-        comm.trace.record_collective(op)
-        if dt is not None:
-            comm.charge(category, dt)
-
-    def charge(self, category: str, dt: float) -> None:
-        self.comm.charge(category, dt)
-
-    def finish(self, category: str, end: float) -> None:
-        """The current op ends at ``end``: wait for it, in ``category``."""
-        comm = self.comm
-        comm.charge(category, max(end - comm.clock, 0.0))
-
-
 class _Killed(NamedTuple):
     """Every rank's output of a scripted rendezvous whose world function
     a kill stopped."""
@@ -286,53 +242,71 @@ def _run_scripted(
     world: "World", run: Callable, slots: list[Any]
 ) -> list[Any]:
     """The finalizer of a scripted rendezvous: ``run`` over the deposits
-    and scripts; a kill at one of its ops stops it for every rank."""
-    deposits, scripts = zip(*slots)
+    and the ranks' communicators; a kill at one of its ops stops it for
+    every rank."""
+    deposits, comms = zip(*slots)
     try:
-        return run(world, scripts, list(deposits))
+        return run(world, comms, list(deposits))
     except InjectedFault as fault:
         return [_Killed(fault)] * len(slots)
 
 
+def _largest(values: Sequence[Any]) -> int:
+    """The ``message_bytes`` of the largest of ``values``."""
+    return max(message_bytes(v) for v in values)
+
+
+def _synchronise(
+    comms: Sequence["Communicator"], op: str, category: str, cost: float
+) -> None:
+    """One op for every rank: each begins it, and it ends ``cost`` after
+    the last has."""
+    for comm in comms:
+        comm._begin(op, category)
+    end = max(comm.clock for comm in comms) + cost
+    for comm in comms:
+        comm._finish(category, end)
+
+
 def _leg(
-    world: "World", scripts: Sequence[Script], sizes, category: str
+    world: "World", comms: Sequence["Communicator"], sizes, category: str
 ) -> None:
     """One alltoallv leg for every rank: each starts its next op, the leg
     starts once the last has, and rank ``r``'s share ends after its cost
     for the ``sizes[r] = (sent, received)`` bytes."""
-    for script in scripts:
-        script.begin("alltoall", category)
-    t0 = max(script.clock for script in scripts)
-    for script, size, dt in zip(scripts, sizes, world.leg_costs(sizes)):
-        script.finish(category, t0 + dt)
-        script.comm._record_leg(*size)
+    for comm in comms:
+        comm._begin("alltoall", category)
+    t0 = max(comm.clock for comm in comms)
+    for comm, size, dt in zip(comms, sizes, world.leg_costs(sizes)):
+        comm._finish(category, t0 + dt)
+        comm._record_leg(*size)
 
 
 def alltoall_world(
-    world: "World", scripts: Sequence[Script], mats: list[Sequence[Any]],
-    *, category: str,
+    world: "World", comms: Sequence["Communicator"],
+    mats: list[Sequence[Any]], *, category: str,
 ) -> list[list[Any]]:
     """World half of :meth:`Communicator.alltoall`: ``mats[s][d]`` is
     rank ``s``'s payload for rank ``d``; every message is sized once
     (:func:`_leg_sizes`)."""
-    _leg(world, scripts, _leg_sizes(mats), category)
+    _leg(world, comms, _leg_sizes(mats), category)
     return [[row[d] for row in mats] for d in range(len(mats))]
 
 
 def alltoall_counts_world(
-    world: "World", scripts: Sequence[Script], counts: np.ndarray, width: int,
-    *, category: str,
+    world: "World", comms: Sequence["Communicator"], counts: np.ndarray,
+    width: int, *, category: str,
 ) -> None:
     """One ``alltoall`` leg for every rank priced from counts: message
     ``(s, d)`` carries ``counts[s, d]`` elements of ``width`` bytes.
     Nothing is delivered: a world step that reads what it needs off the
     world's own arrays has the leg priced as if it had been sent."""
-    _leg(world, scripts, _count_sizes(counts * width), category)
+    _leg(world, comms, _count_sizes(counts * width), category)
 
 
 def lookup_world(
     world: "World",
-    scripts: Sequence[Script],
+    comms: Sequence["Communicator"],
     ids: np.ndarray | None,
     counts: np.ndarray,
     tables: Sequence[np.ndarray],
@@ -350,13 +324,13 @@ def lookup_world(
     none when ``ids`` is ``None``: a caller that reads the joined tables
     itself has the legs priced (int64 ids) and nothing gathered."""
     width = np.dtype(np.int64).itemsize if ids is None else ids.itemsize
-    _leg(world, scripts, _count_sizes(counts * width), category)
-    _leg(world, scripts, _count_sizes(counts.T * _width(tables)), category)
+    _leg(world, comms, _count_sizes(counts * width), category)
+    _leg(world, comms, _count_sizes(counts.T * _width(tables)), category)
     return [] if ids is None else [table.take(ids) for table in tables]
 
 
 def _lookup_ranks(
-    world: "World", scripts: Sequence[Script], deposits: list[Any],
+    world: "World", comms: Sequence["Communicator"], deposits: list[Any],
     *, category: str,
 ) -> list[tuple[np.ndarray, ...]]:
     """:func:`lookup_world` over per-rank deposits ``(ids, cuts,
@@ -364,7 +338,7 @@ def _lookup_ranks(
     per rank."""
     asks = [d[0] for d in deposits]
     fields = lookup_world(
-        world, scripts, _joined(asks), cut_counts([d[1] for d in deposits]),
+        world, comms, _joined(asks), cut_counts([d[1] for d in deposits]),
         [_joined(t) for t in zip(*(d[2] for d in deposits))],
         category=category,
     )
@@ -373,7 +347,7 @@ def _lookup_ranks(
 
 def push_world(
     world: "World",
-    scripts: Sequence[Script],
+    comms: Sequence["Communicator"],
     ids: np.ndarray,
     counts: np.ndarray,
     values: Sequence[np.ndarray],
@@ -398,11 +372,11 @@ def push_world(
     if carry is not None:
         routed, *arrays = carry
         payload += routed * _width(arrays)
-    _leg(world, scripts, _count_sizes(payload), category)
+    _leg(world, comms, _count_sizes(payload), category)
 
 
 def _push_ranks(
-    world: "World", scripts: Sequence[Script], deposits: list[Any],
+    world: "World", comms: Sequence["Communicator"], deposits: list[Any],
     *, category: str,
 ) -> list[tuple[np.ndarray, ...]]:
     """:func:`push_world` over per-rank deposits ``(ids, cuts, values,
@@ -419,7 +393,7 @@ def _push_ranks(
             *(_joined(f) for f in zip(*(d[4][1:] for d in deposits))),
         )
     push_world(
-        world, scripts, _joined([d[0] for d in deposits]),
+        world, comms, _joined([d[0] for d in deposits]),
         cut_counts([d[1] for d in deposits]),
         [_joined(f) for f in zip(*(d[2] for d in deposits))], joined, carry,
         category=category,
@@ -439,7 +413,7 @@ def _push_ranks(
 
 def allreduce_world(
     world: "World",
-    scripts: Sequence[Script],
+    comms: Sequence["Communicator"],
     values: list[Any],
     op: Callable[[Any, Any], Any] = _REDUCE_OPS["sum"],
     *,
@@ -448,29 +422,19 @@ def allreduce_world(
     """World half of :meth:`Communicator.allreduce`: ``values`` folded
     in rank order, priced by the largest deposit; every rank gets the
     one result."""
-    for script in scripts:
-        script.begin("allreduce", category)
-    n = max(message_bytes(v) for v in values)
-    cost = world.machine.allreduce_cost(n, len(values))
-    end = max(script.clock for script in scripts) + cost
-    for script in scripts:
-        script.finish(category, end)
+    cost = world.machine.allreduce_cost(_largest(values), len(values))
+    _synchronise(comms, "allreduce", category, cost)
     return [_fold(values, op)] * len(values)
 
 
 def allgather_world(
-    world: "World", scripts: Sequence[Script], values: list[Any],
+    world: "World", comms: Sequence["Communicator"], values: list[Any],
     *, category: str,
 ) -> list[list[Any]]:
     """World half of :meth:`Communicator.allgather`: priced by the
     largest deposit; every rank gets every value, in rank order."""
-    for script in scripts:
-        script.begin("allgather", category)
-    n = max(message_bytes(v) for v in values)
-    cost = world.machine.allgather_cost(n, len(values))
-    end = max(script.clock for script in scripts) + cost
-    for script in scripts:
-        script.finish(category, end)
+    cost = world.machine.allgather_cost(_largest(values), len(values))
+    _synchronise(comms, "allgather", category, cost)
     return [list(values)] * len(values)
 
 
@@ -513,13 +477,6 @@ def _describe(obj: Any) -> str:
     return type(obj).__name__
 
 
-def _delay(action: Any) -> float | None:
-    """Seconds a fault-plan ``action`` delays its op (``None``: none)."""
-    if isinstance(action, tuple) and action and action[0] == "delay":
-        return float(action[1])
-    return None
-
-
 def _find_wait_cycle(edges: dict[int, set[int]]) -> list[int] | None:
     """First cycle in a wait-for graph (smallest-rank-first DFS)."""
     visited: set[int] = set()
@@ -548,20 +505,17 @@ def _find_wait_cycle(edges: dict[int, set[int]]) -> list[int] | None:
 
 
 class _Rendezvous:
-    """Reusable all-ranks rendezvous behind every collective and
-    scripted rendezvous.
+    """Reusable all-ranks rendezvous behind :meth:`Communicator.scripted`.
 
     Each call is one *generation*.  Every rank deposits a value; the
-    last rank to arrive runs a ``finalize`` callback once, producing a
-    per-rank output list; every rank then picks up its slot.  For a
-    collective ``finalize`` routes payloads and prices them; for a
-    scripted rendezvous it runs the world function on every rank's
-    script.  It runs on whichever rank thread arrived last (an exception
-    in it fails that rank, and the world abort releases the others; a
-    kill is handed to every rank as its output, see
-    :meth:`Communicator.scripted`).  Results are kept
-    per generation (refcounted) so a fast rank starting the next call
-    cannot clobber a slow rank's pending result.
+    last rank to arrive runs a ``finalize`` callback once — the world
+    function over every rank's deposit and communicator — producing a
+    per-rank output list; every rank then picks up its slot.  It runs
+    on whichever rank thread arrived last (an exception in it fails that
+    rank, and the world abort releases the others; a kill is handed to
+    every rank as its output).  Results are kept per generation
+    (refcounted) so a fast rank starting the next call cannot clobber a
+    slow rank's pending result.
     """
 
     def __init__(self, size: int, world: "World"):
@@ -851,10 +805,21 @@ class Communicator:
         is charged to ``category`` at once; returns the action so
         callers can honour ``drop``."""
         action = self._fault_hook(op_name, category)
-        dt = _delay(action)
-        if dt is not None:
-            self.charge(category, dt)
+        if isinstance(action, tuple) and action and action[0] == "delay":
+            self.charge(category, float(action[1]))
         return action
+
+    def _begin(self, op_name: str, category: str) -> None:
+        """Start this rank's next collective op: the fault plan is
+        consulted for it (:meth:`_consult`; a kill raises here) and it
+        counts as a collective.  A world function calls it for every
+        rank's every op."""
+        self._consult(op_name, category)
+        self.trace.record_collective(op_name)
+
+    def _finish(self, category: str, end: float) -> None:
+        """The current op ends at ``end``: wait for it, in ``category``."""
+        self.charge(category, max(end - self.clock, 0.0))
 
     # ------------------------------------------------------------------
     # Local cost charging
@@ -951,31 +916,6 @@ class Communicator:
     # ------------------------------------------------------------------
     # Collectives
     # ------------------------------------------------------------------
-    def _collective(
-        self,
-        name: str,
-        deposit: Any,
-        finalize: Callable[[list[Any]], list[Any]],
-        category: str,
-    ) -> Any:
-        """Run one synchronizing collective and apply its clock update.
-
-        ``finalize`` receives the per-rank deposits ``[(value, clock)]``
-        and must return per-rank ``(result, new_clock)`` pairs.
-        """
-        self._consult(name, category)
-        self.trace.record_collective(name)
-        out, new_clock = self.world.rendezvous.exchange(
-            self.rank,
-            name,
-            "" if name in _ROOTED else payload_kind(deposit),
-            (deposit, self.clock),
-            finalize,
-            self.world.timeout,
-        )
-        self.charge(category, max(new_clock - self.clock, 0.0))
-        return out
-
     def _record_leg(self, sent: int, received: int) -> None:
         """Count one exchange leg: a message to and from every peer,
         ``sent`` and ``received`` bytes in all."""
@@ -986,28 +926,23 @@ class Communicator:
         trace.bytes_received += received
 
     def barrier(self, category: str = "other") -> None:
-        m = self.machine
-        p = self.size
+        def run(world, comms, deposits):
+            cost = world.machine.barrier_cost(len(comms))
+            _synchronise(comms, "barrier", category, cost)
+            return deposits
 
-        def finalize(slots):
-            t = max(c for _, c in slots) + m.barrier_cost(p)
-            return [(None, t)] * p
-
-        self._collective("barrier", None, finalize, category)
+        self.scripted("barrier", None, run)
 
     def bcast(self, obj: Any, root: int = 0, category: str = "other") -> Any:
         self._check_peer(root)
-        m = self.machine
-        p = self.size
 
-        def finalize(slots):
-            value = slots[root][0]
-            t = max(c for _, c in slots) + m.bcast_cost(message_bytes(value), p)
-            return [(value, t)] * p
+        def run(world, comms, deposits):
+            value, p = deposits[root], len(comms)
+            cost = world.machine.bcast_cost(message_bytes(value), p)
+            _synchronise(comms, "bcast", category, cost)
+            return [value] * p
 
-        return self._collective(
-            "bcast", obj if self.rank == root else None, finalize, category
-        )
+        return self.scripted("bcast", obj if self.rank == root else None, run)
 
     def reduce(
         self,
@@ -1019,17 +954,15 @@ class Communicator:
         """Reduce to ``root``; other ranks receive ``None``."""
         self._check_peer(root)
         fn = _resolve_op(op)
-        m = self.machine
-        p = self.size
 
-        def finalize(slots):
-            values = [v for v, _ in slots]
+        def run(world, comms, values):
+            p = len(comms)
+            cost = world.machine.reduce_cost(_largest(values), p)
+            _synchronise(comms, "reduce", category, cost)
             total = _fold(values, fn)
-            n = max(message_bytes(v) for v in values)
-            t = max(c for _, c in slots) + m.reduce_cost(n, p)
-            return [(total if r == root else None, t) for r in range(p)]
+            return [total if r == root else None for r in range(p)]
 
-        return self._collective("reduce", value, finalize, category)
+        return self.scripted("reduce", value, run)
 
     def allreduce(
         self,
@@ -1044,16 +977,14 @@ class Communicator:
 
     def gather(self, value: Any, root: int = 0, category: str = "other") -> list | None:
         self._check_peer(root)
-        m = self.machine
-        p = self.size
 
-        def finalize(slots):
-            values = [v for v, _ in slots]
-            n = max(message_bytes(v) for v in values)
-            t = max(c for _, c in slots) + m.gather_cost(n, p)
-            return [(list(values) if r == root else None, t) for r in range(p)]
+        def run(world, comms, values):
+            p = len(comms)
+            cost = world.machine.gather_cost(_largest(values), p)
+            _synchronise(comms, "gather", category, cost)
+            return [values if r == root else None for r in range(p)]
 
-        return self._collective("gather", value, finalize, category)
+        return self.scripted("gather", value, run)
 
     def allgather(self, value: Any, category: str = "other") -> list:
         return self.scripted(
@@ -1065,22 +996,20 @@ class Communicator:
     ) -> Any:
         """Root provides one value per rank; each rank receives its own."""
         self._check_peer(root)
-        m = self.machine
-        p = self.size
 
-        def finalize(slots):
-            send = slots[root][0]
+        def run(world, comms, deposits):
+            send, p = deposits[root], len(comms)
             if send is None or len(send) != p:
                 raise ValueError(
                     f"scatter root must supply exactly {p} values, got "
                     f"{None if send is None else len(send)}"
                 )
-            n = max(message_bytes(v) for v in send)
-            t = max(c for _, c in slots) + m.gather_cost(n, p)
-            return [(send[r], t) for r in range(p)]
+            cost = world.machine.gather_cost(_largest(send), p)
+            _synchronise(comms, "scatter", category, cost)
+            return list(send)
 
-        return self._collective(
-            "scatter", values if self.rank == root else None, finalize, category
+        return self.scripted(
+            "scatter", values if self.rank == root else None, run
         )
 
     def alltoall(self, values: Sequence[Any], category: str = "other") -> list:
@@ -1147,28 +1076,31 @@ class Communicator:
         self,
         name: str,
         deposit: Any,
-        run: Callable[["World", Sequence["Script"], list[Any]], list[Any]],
+        run: Callable[["World", Sequence["Communicator"], list[Any]], list[Any]],
     ) -> Any:
-        """One rendezvous ``name``: ``run(world, scripts, deposits)`` (a
+        """One rendezvous ``name``: ``run(world, comms, deposits)`` (a
         world function: :func:`alltoall_world`, :func:`lookup_world`,
         :func:`push_world`, :func:`allreduce_world`,
         :func:`allgather_world`, or a function of any number of them)
         runs once, on whichever rank arrives last, over every rank's
-        deposit and its :class:`Script`; returns this rank's item of
-        what it returns.
+        deposit and its communicator; returns this rank's item of what
+        it returns.  Every collective of this class is one.
 
-        Each op the world function makes for this rank consults the fault
-        plan as it begins and is charged to this rank's clock and trace
-        there.  A kill at one of them stops the world function: the
-        victim raises its :class:`InjectedFault`, every other rank
-        :class:`RankAborted` (the module docstring says which kill fires
-        when several fall in one rendezvous).
+        Each op the world function makes for this rank begins with
+        :meth:`_begin` — the fault plan is consulted there — and is
+        charged to this rank's clock and trace.  A kill at one of them
+        stops the world function: the victim raises its
+        :class:`InjectedFault`, every other rank :class:`RankAborted`
+        (the module docstring says which kill fires when several fall in
+        one rendezvous).  The schedule check compares the op name and
+        the deposit's kind — the op name alone for the rooted ``bcast``
+        and ``scatter``, whose non-roots deposit ``None``.
         """
         out = self.world.rendezvous.exchange(
             self.rank,
             name,
-            payload_kind(deposit),
-            (deposit, Script(self)),
+            "" if name in _ROOTED else payload_kind(deposit),
+            (deposit, self),
             partial(_run_scripted, self.world, run),
             self.world.timeout,
         )
@@ -1208,43 +1140,37 @@ class Communicator:
                 f"exchange_roundtrip needs one payload per rank "
                 f"({self.size}), got {len(outgoing)}"
             )
-        m = self.machine
-        p = self.size
 
-        def finalize(slots):
-            mats = [v for (v, _fn), _ in slots]
-            serves = [fn for (_v, fn), _ in slots]
-            t0 = max(c for _, c in slots)
+        def run(world, comms, deposits):
+            mats = [v for v, _ in deposits]
+            p = len(comms)
+            for comm in comms:
+                comm._begin("exchange_roundtrip", category)
             # Request leg: servers reply only once every request landed.
             req_sizes = _leg_sizes(mats)
-            t_mid = t0 + max(
-                m.alltoallv_cost(sent, recv, p, rank=r)
-                for r, (sent, recv) in enumerate(req_sizes)
-            )
-            # Serve in rank order: deterministic regardless of which
-            # thread happens to run the rendezvous finalizer.
-            reply_mat = []
-            for r in range(p):
-                replies = serves[r]([mats[s][r] for s in range(p)])
-                if len(replies) != p:
+            t_mid = max(comm.clock for comm in comms)
+            t_mid += max(world.leg_costs(req_sizes))
+            # Serve in rank order, whichever thread runs the world.
+            replies = []
+            for r, (_, serve) in enumerate(deposits):
+                replies.append(serve([mats[s][r] for s in range(p)]))
+                if len(replies[r]) != p:
                     raise ValueError(
-                        f"serve on rank {r} returned {len(replies)} "
+                        f"serve on rank {r} returned {len(replies[r])} "
                         f"replies for {p} ranks"
                     )
-                reply_mat.append(replies)
-            outs = []
-            for r, (sent, recv) in enumerate(_leg_sizes(reply_mat)):
-                t = t_mid + m.alltoallv_cost(sent, recv, p, rank=r)
-                received = [reply_mat[s][r] for s in range(p)]
-                outs.append(((received, req_sizes[r], (sent, recv)), t))
-            return outs
+            rep_sizes = _leg_sizes(replies)
+            for comm, req, rep, dt in zip(
+                comms, req_sizes, rep_sizes, world.leg_costs(rep_sizes)
+            ):
+                comm._finish(category, t_mid + dt)
+                comm._record_leg(*req)
+                comm._record_leg(*rep)
+            return [[row[r] for row in replies] for r in range(p)]
 
-        received, req_leg, reply_leg = self._collective(
-            "exchange_roundtrip", (list(outgoing), serve), finalize, category
+        return self.scripted(
+            "exchange_roundtrip", (list(outgoing), serve), run
         )
-        self._record_leg(*req_leg)
-        self._record_leg(*reply_leg)
-        return received
 
     def neighbor_alltoall(
         self, payloads: dict[int, Any], category: str = "other"
@@ -1256,39 +1182,30 @@ class Communicator:
         ``p - 1`` (the optimization the paper proposes in §VI).
         Returns ``{source: payload}``.
         """
-        m = self.machine
-        p = self.size
-
-        def finalize(slots):
-            mats = [v for v, _ in slots]
-            t0 = max(c for _, c in slots)
-            outs = []
-            for r in range(p):
-                received = {
-                    s: mats[s][r]
-                    for s in range(p)
-                    if s != r and r in mats[s]
-                }
-                sent_bytes = sum(
-                    message_bytes(v) for d, v in mats[r].items() if d != r
-                )
-                recv_bytes = sum(message_bytes(v) for v in received.values())
-                degree = len([d for d in mats[r] if d != r]) + len(received)
-                t = t0 + m.neighbor_alltoallv_cost(sent_bytes, recv_bytes, degree)
-                outs.append((received, t))
-            return outs
-
         for d in payloads:
             self._check_peer(d)
-        out = self._collective(
-            "neighbor_alltoall", dict(payloads), finalize, category
-        )
-        for d, v in payloads.items():
-            if d != self.rank:
-                self.trace.record_send(message_bytes(v))
-        for v in out.values():
-            self.trace.record_recv(message_bytes(v))
-        return out
+
+        def run(world, comms, mats):
+            for comm in comms:
+                comm._begin("neighbor_alltoall", category)
+            t0 = max(comm.clock for comm in comms)
+            outs = []
+            for r, comm in enumerate(comms):
+                got = {s: m[r] for s, m in enumerate(mats) if s != r and r in m}
+                sent = [message_bytes(v) for d, v in mats[r].items() if d != r]
+                recv = [message_bytes(v) for v in got.values()]
+                cost = world.machine.neighbor_alltoallv_cost(
+                    sum(sent), sum(recv), len(sent) + len(recv)
+                )
+                comm._finish(category, t0 + cost)
+                for n in sent:
+                    comm.trace.record_send(n)
+                for n in recv:
+                    comm.trace.record_recv(n)
+                outs.append(got)
+            return outs
+
+        return self.scripted("neighbor_alltoall", dict(payloads), run)
 
     def scan(
         self,
@@ -1298,20 +1215,13 @@ class Communicator:
     ) -> Any:
         """Inclusive prefix reduction over ranks 0..self.rank."""
         fn = _resolve_op(op)
-        m = self.machine
-        p = self.size
 
-        def finalize(slots):
-            values = [v for v, _ in slots]
-            n = max(message_bytes(v) for v in values)
-            t = max(c for _, c in slots) + m.allreduce_cost(n, p)
-            outs, acc = [], None
-            for r in range(p):
-                acc = values[r] if r == 0 else fn(acc, values[r])
-                outs.append((acc, t))
-            return outs
+        def run(world, comms, values):
+            cost = world.machine.allreduce_cost(_largest(values), len(comms))
+            _synchronise(comms, "scan", category, cost)
+            return list(accumulate(values, fn))
 
-        return self._collective("scan", value, finalize, category)
+        return self.scripted("scan", value, run)
 
     def exscan(
         self,
@@ -1326,17 +1236,10 @@ class Communicator:
         distributed graph reconstruction (§IV-A step 3).
         """
         fn = _resolve_op(op)
-        m = self.machine
-        p = self.size
 
-        def finalize(slots):
-            values = [v for v, _ in slots]
-            n = max(message_bytes(v) for v in values)
-            t = max(c for _, c in slots) + m.allreduce_cost(n, p)
-            outs, acc = [], identity
-            for r in range(p):
-                outs.append((acc, t))
-                acc = values[r] if r == 0 else fn(acc, values[r])
-            return outs
+        def run(world, comms, values):
+            cost = world.machine.allreduce_cost(_largest(values), len(comms))
+            _synchronise(comms, "exscan", category, cost)
+            return [identity, *accumulate(values[:-1], fn)]
 
-        return self._collective("exscan", value, finalize, category)
+        return self.scripted("exscan", value, run)

@@ -24,7 +24,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..graph.partition import even_edge, owner_of
+from ..graph.partition import owner_of
 
 #: Rank counts at which the ghost fraction is probed.  These match the
 #: default search space's rank axis; other counts are served by the
@@ -224,7 +224,7 @@ def _ghost_fraction(g: CSRGraph, nranks: int) -> float:
     """Cross-rank fraction of stored adjacency entries at ``nranks``."""
     if nranks <= 1 or g.nnz == 0:
         return 0.0
-    offsets = even_edge(g.edge_counts(), nranks)
+    offsets = g.even_edge_offsets(nranks)
     rows = np.repeat(
         np.arange(g.num_vertices, dtype=np.int64), np.diff(g.index)
     )

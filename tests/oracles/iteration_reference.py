@@ -91,10 +91,10 @@ def world_iterations(patch, after):
     wherever the shipped world closes an iteration."""
     real = distlouvain._iterate
 
-    def hooked(world, scripts, phases, *args):
-        exited = real(world, scripts, phases, *args)
-        for script, phase in zip(scripts, phases):
-            after(script.comm, phase, exited)
+    def hooked(world, comms, phases, *args):
+        exited = real(world, comms, phases, *args)
+        for comm, phase in zip(comms, phases):
+            after(comm, phase, exited)
         return exited
 
     patch.setattr(distlouvain, "_iterate", hooked)

@@ -64,8 +64,8 @@ def checked_rounds(monkeypatch):
     real = distlouvain._world_round
     checked: dict[int, int] = {}
 
-    def world_round(world, scripts, phases, k):
-        out = real(world, scripts, phases, k)
+    def world_round(world, comms, phases, k):
+        out = real(world, comms, phases, k)
         for rank, phase in enumerate(phases):
             assert_view_consistent(phase.world, phase.dg, rank)
             checked[rank] = checked.get(rank, 0) + 1

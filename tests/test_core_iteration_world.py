@@ -202,9 +202,9 @@ def _iteration_ops(
             ops.append((self._ops + 1, name, category))
         return real_hook(self, name, category)
 
-    def iterate(world, scripts, phases, *args):
+    def iterate(world, comms, phases, *args):
         start = len(ops)
-        exited = real_iterate(world, scripts, phases, *args)
+        exited = real_iterate(world, comms, phases, *args)
         if len(phases) == p and phases[VICTIM].index == 0:
             iterations.append(ops[start:])
         return exited
@@ -321,15 +321,15 @@ def _boundary_ops(g, p, config, d) -> dict[str, list[tuple[int, str, str]]]:
             begun.append(len(ops))
         return real_begin(comm, run, *args)
 
-    def set_up(world, scripts, seats, **kwargs):
-        out = real_set_up(world, scripts, seats, **kwargs)
+    def set_up(world, comms, seats, **kwargs):
+        out = real_set_up(world, comms, seats, **kwargs)
         if len(seats) == p and seats[VICTIM].run.phase == 1:
             seen["setup"] = ops[begun[-1]:]
         return out
 
-    def end(world, scripts, closing):
+    def end(world, comms, closing):
         start = len(ops)
-        out = real_end(world, scripts, closing)
+        out = real_end(world, comms, closing)
         if len(closing) == p:
             ends.append(ops[start:])
         return out
@@ -415,13 +415,13 @@ def _world_counts(g, p, config):
     requests, pushes = [], []
     real_lookup, real_push = distlouvain.lookup_world, distlouvain.push_world
 
-    def lookup(world, scripts, ids, counts, tables, **kwargs):
+    def lookup(world, comms, ids, counts, tables, **kwargs):
         requests.append(counts.copy())
-        return real_lookup(world, scripts, ids, counts, tables, **kwargs)
+        return real_lookup(world, comms, ids, counts, tables, **kwargs)
 
-    def push(world, scripts, ids, counts, *args, **kwargs):
+    def push(world, comms, ids, counts, *args, **kwargs):
         pushes.append(counts.copy())
-        return real_push(world, scripts, ids, counts, *args, **kwargs)
+        return real_push(world, comms, ids, counts, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distlouvain, "lookup_world", lookup)

@@ -89,10 +89,10 @@ def _world_ends(patch, snapshot):
     phase (``_end_world``)."""
     real = distlouvain._end_world
 
-    def end_world(world, scripts, closing):
-        ends = real(world, scripts, closing)
-        for script, ended in zip(scripts, ends):
-            snapshot(script.comm, ended)
+    def end_world(world, comms, closing):
+        ends = real(world, comms, closing)
+        for comm, ended in zip(comms, ends):
+            snapshot(comm, ended)
         return ends
 
     patch.setattr(distlouvain, "_end_world", end_world)

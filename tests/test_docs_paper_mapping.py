@@ -50,6 +50,7 @@ REMOVED = {
     "core.distlouvain._END_OPS",
     "_stack_phase",
     "Communicator.world_call",
+    "repro.runtime.comm.Script",
 }
 
 _NAME = re.compile(r"^[A-Za-z_]\w*(\.[A-Za-z_]\w*)*$")

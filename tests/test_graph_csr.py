@@ -202,6 +202,73 @@ class TestFrozen:
         assert h.fingerprint() == g.fingerprint()
 
 
+class TestKeptValues:
+    """The total weight and the even-edge offsets are computed once per
+    graph, like the fingerprint, and travel with it through pickle."""
+
+    @staticmethod
+    def _spies(monkeypatch, g):
+        """Count the weight sums of ``g`` and every ``even_edge`` call."""
+        import repro.graph.csr as csr
+
+        calls = {"sum": 0, "even_edge": 0}
+        real_sum, real_even = csr._weight_sum, csr.even_edge
+
+        def weight_sum(weights):
+            calls["sum"] += weights is g.weights
+            return real_sum(weights)
+
+        def even_edge(*args):
+            calls["even_edge"] += 1
+            return real_even(*args)
+
+        monkeypatch.setattr(csr, "_weight_sum", weight_sum)
+        monkeypatch.setattr(csr, "even_edge", even_edge)
+        return calls
+
+    def test_once_per_detection(self, monkeypatch):
+        """Every rank of a p = 8 detection distributes the graph, the
+        rank threads switching as often as the interpreter lets them; its
+        weight is summed once and its offsets computed once."""
+        import sys
+
+        from repro.core import LouvainConfig, run_louvain
+
+        from .conftest import planted_blocks_graph
+
+        g = planted_blocks_graph()
+        calls = self._spies(monkeypatch, g)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_louvain(g, 8, LouvainConfig(), timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == {"sum": 1, "even_edge": 1}
+
+    def test_offsets_are_the_partition_and_read_only(self):
+        from repro.graph.partition import even_edge
+
+        g = small_graph()
+        offsets = g.even_edge_offsets(3)
+        np.testing.assert_array_equal(offsets, even_edge(np.diff(g.index), 3))
+        assert g.even_edge_offsets(3) is offsets
+        with pytest.raises(ValueError, match="read-only"):
+            offsets[:1] = 0
+        assert g.total_weight == float(g.weights.sum())
+
+    def test_pickled_values_come_back_frozen(self, monkeypatch):
+        g = small_graph()
+        weight, offsets = g.total_weight, g.even_edge_offsets(2)
+        h = pickle.loads(pickle.dumps(g))
+        calls = self._spies(monkeypatch, h)
+        assert h.total_weight == weight
+        np.testing.assert_array_equal(h.even_edge_offsets(2), offsets)
+        assert calls == {"sum": 0, "even_edge": 0}
+        with pytest.raises(ValueError, match="read-only"):
+            h.even_edge_offsets(2)[:1] = 0
+
+
 class _Sha256Spy:
     """Stands in for ``hashlib`` in :mod:`repro.graph.csr`; counts the
     hashers made."""

@@ -357,6 +357,92 @@ class TestKillInsideFusedExchange:
             assert res.phases == ref.phases
 
 
+class TestKillAtCheckpointCollectives:
+    """Each rank in turn killed at each op of a mid-run disk save
+    (``bcast``, ``gather``, ``barrier``) and of the gather to rank 0
+    and ``bcast`` back that bracket the gathered tail: the victim's
+    ``InjectedFault`` is the only primary cause, every other rank raises
+    ``RankAborted``, and a resume equals the unkilled run."""
+
+    P = 3
+
+    @pytest.fixture(scope="class")
+    def schedule(self, tmp_path_factory):
+        """The graph, config, unkilled run and the five ops' ``(op
+        index, op name)`` (every rank makes the same ops)."""
+        from repro.runtime.comm import Communicator
+
+        g, cfg = _graph(), _config()
+        ops = []
+        real = Communicator._fault_hook
+
+        def logging_hook(comm, op_name, category):
+            if comm.rank == 0 and comm.size == self.P:
+                ops.append((op_name, category))
+            return real(comm, op_name, category)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Communicator, "_fault_hook", logging_hook)
+            ref = run_louvain(g, self.P, cfg, checkpoints=disk_checkpoints(
+                tmp_path_factory.mktemp("ref"), cfg, every_iterations=1,
+            ))
+        saves = [
+            i + 1 for i, op in enumerate(ops) if op == ("bcast", "checkpoint")
+        ]
+        tail = ops.index(("gather", "rebuild")) + 1
+        assert ops[tail] == ("bcast", "rebuild")
+        mid = saves[len(saves) // 2]
+        picked = [mid, mid + 1, mid + 2, tail, tail + 1]
+        return g, cfg, ref, [(i, ops[i - 1][0]) for i in picked]
+
+    @pytest.mark.parametrize("at", range(5))
+    @pytest.mark.parametrize("victim", range(P))
+    def test_victim_alone_fails_and_the_run_resumes(
+        self, tmp_path, monkeypatch, schedule, victim, at
+    ):
+        from repro.core import distlouvain
+        from repro.runtime import RankAborted
+
+        g, cfg, ref, ops = schedule
+        op, name = ops[at]
+        assert name == ["bcast", "gather", "barrier", "gather", "bcast"][at]
+        seen: dict[int, BaseException] = {}
+        real = distlouvain.distributed_louvain
+
+        def detect(comm, *args, **kwargs):
+            try:
+                return real(comm, *args, **kwargs)
+            except BaseException as exc:
+                seen[comm.rank] = exc
+                raise
+
+        d = tmp_path / "ck"
+        with monkeypatch.context() as patch:
+            patch.setattr(distlouvain, "distributed_louvain", detect)
+            with pytest.raises(RankFailedError) as excinfo:
+                run_louvain(
+                    g, self.P, cfg,
+                    checkpoints=disk_checkpoints(d, cfg, every_iterations=1),
+                    fault_plan=FaultPlan(kills={victim: op}),
+                )
+        assert set(excinfo.value.causes) == {victim}
+        cause = excinfo.value.causes[victim]
+        assert isinstance(cause, InjectedFault)
+        assert (cause.rank, cause.op_index, cause.op_name) == (victim, op, name)
+        assert sorted(seen) == list(range(self.P))
+        for rank, exc in seen.items():
+            if rank != victim:
+                assert isinstance(exc, RankAborted), (rank, exc)
+        res = run_louvain(
+            g, self.P, cfg, resume=True,
+            checkpoints=disk_checkpoints(d, cfg, every_iterations=1),
+        )
+        np.testing.assert_array_equal(ref.assignment, res.assignment)
+        assert res.modularity == ref.modularity
+        assert res.iterations == ref.iterations
+        assert res.phases == ref.phases
+
+
 class TestConfigKeyGuard:
     def test_cross_config_resume_refused(self, tmp_path):
         """A checkpoint written under one config must not seed a resume

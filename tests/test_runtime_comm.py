@@ -1,5 +1,7 @@
 """Unit tests for point-to-point messaging and collective semantics."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.runtime import (
     RankFailedError,
     run_spmd,
 )
+from repro.runtime.payload import message_bytes
 
 
 def spmd(size, fn, **kw):
@@ -420,8 +423,6 @@ def _ragged(s, d, salt=0):
 def _leg_expectation(machine, p, payload):
     """Per-rank (sent sizes, received sizes, leg cost) of one exchange
     leg, from ``message_bytes`` and the machine model alone."""
-    from repro.runtime.payload import message_bytes
-
     legs = []
     for r in range(p):
         sent = [message_bytes(payload(r, d)) for d in range(p) if d != r]
@@ -431,80 +432,387 @@ def _leg_expectation(machine, p, payload):
     return legs
 
 
-class TestExchangeAccounting:
-    """``alltoall`` / ``exchange_roundtrip`` size each wire message once;
-    the counters and clocks they produce are pinned here against values
-    computed without going through the communicator."""
+#: Every pinned op runs under this plan: rank 1's first op is delayed.
+_DELAYS = {(1, 1): 2.5e-4}
+#: The category every pinned op charges.
+_CAT = "community_comm"
 
-    @staticmethod
-    def _stagger(comm):
-        # Unequal entry clocks: the collective must start at the latest.
+
+class _Ledger:
+    """One rank's clock, trace seconds and op index, charged from the
+    machine model alone the way a rank's trace is: ``seconds[category]
+    += dt``, then ``clock += dt``.  Starts at an entry clock that grows
+    with the rank, so an op must start at the latest arrival."""
+
+    def __init__(self, machine, rank):
+        self.rank, self.clock, self.ops = rank, 0.0, 0
+        self.seconds = Counter()
+        self.charge("compute", machine.compute_cost(1e5 * (rank + 1)))
+
+    def charge(self, category, dt):
+        self.seconds[category] += dt
+        self.clock += dt
+
+    def begin(self):
+        """The rank's next op: the plan's delay for it is charged first."""
+        self.ops += 1
+        dt = _DELAYS.get((self.rank, self.ops))
+        if dt:
+            self.charge(_CAT, dt)
+
+    def wait_until(self, end):
+        self.charge(_CAT, max(end - self.clock, 0.0))
+
+
+def _meet(ledgers, costs):
+    """Every rank begins one op; rank ``r``'s share ends ``costs[r]``
+    after the last of them has begun."""
+    for ledger in ledgers:
+        ledger.begin()
+    t0 = max(ledger.clock for ledger in ledgers)
+    for ledger, cost in zip(ledgers, costs):
+        ledger.wait_until(t0 + cost)
+
+
+def _run_pinned(p, call):
+    """``call(comm)`` on ``p`` ranks entering at unequal clocks, under
+    :data:`_DELAYS`, on ``CORI_HASWELL``."""
+    from repro.resilience import FaultPlan
+    from repro.runtime import CORI_HASWELL as M
+
+    def prog(comm):
         comm.charge_compute(1e5 * (comm.rank + 1))
+        call(comm)
         return comm.clock
 
-    @staticmethod
-    def _advance(start, target):
-        # Exactly how ``Communicator._collective`` moves a clock.
-        return start + max(target - start, 0.0)
+    r = run_spmd(
+        p, prog, machine=M, timeout=10.0, fault_plan=FaultPlan(delays=_DELAYS)
+    )
+    return r, [_Ledger(M, rank) for rank in range(p)]
 
-    @pytest.mark.parametrize("p", [2, 3, 8])
+
+def _assert_pinned(r, ledgers, traffic, collectives):
+    """Each rank's exact clock and trace seconds by category, its
+    ``(messages sent, bytes sent, messages received, bytes received)``
+    and its collective counts."""
+    for rank, ledger in enumerate(ledgers):
+        t = r.trace.ranks[rank]
+        assert r.values[rank] == ledger.clock
+        assert t.seconds == ledger.seconds
+        assert (
+            t.messages_sent, t.bytes_sent, t.messages_received, t.bytes_received,
+        ) == traffic[rank]
+        assert t.collectives == collectives
+
+
+def _values(r):
+    """Rank ``r``'s deposit: its size grows with the rank."""
+    return list(range(r + 2))
+
+
+def _single_cost(op, cost, call):
+    """A collective priced once for every rank: ``cost(M, p, mb)`` with
+    ``mb`` the largest deposit's ``message_bytes``; no traffic counted."""
+
+    def expect(M, p, ledgers):
+        mb = max(message_bytes(_values(r)) for r in range(p))
+        _meet(ledgers, [cost(M, p, mb)] * p)
+        return [(0, 0, 0, 0)] * p, {op: 1}
+
+    return call, expect
+
+
+def _root(comm):
+    return comm.size - 1
+
+
+#: ``name: (call(comm), expect(M, p, ledgers) -> (traffic, collectives))``
+#: for every single-cost collective.
+_SINGLE_COST = {
+    "barrier": _single_cost(
+        "barrier", lambda M, p, mb: M.barrier_cost(p),
+        lambda comm: comm.barrier(category=_CAT),
+    ),
+    "bcast": _single_cost(
+        "bcast",
+        lambda M, p, mb: M.bcast_cost(message_bytes(_values(p - 1)), p),
+        lambda comm: comm.bcast(
+            _values(comm.rank) if comm.rank == _root(comm) else None,
+            root=_root(comm), category=_CAT,
+        ),
+    ),
+    "reduce": _single_cost(
+        "reduce", lambda M, p, mb: M.reduce_cost(mb, p),
+        lambda comm: comm.reduce(
+            _values(comm.rank), root=_root(comm), category=_CAT
+        ),
+    ),
+    "allreduce": _single_cost(
+        "allreduce", lambda M, p, mb: M.allreduce_cost(mb, p),
+        lambda comm: comm.allreduce(_values(comm.rank), category=_CAT),
+    ),
+    "gather": _single_cost(
+        "gather", lambda M, p, mb: M.gather_cost(mb, p),
+        lambda comm: comm.gather(_values(comm.rank), category=_CAT),
+    ),
+    "allgather": _single_cost(
+        "allgather", lambda M, p, mb: M.allgather_cost(mb, p),
+        lambda comm: comm.allgather(_values(comm.rank), category=_CAT),
+    ),
+    "scatter": _single_cost(
+        "scatter", lambda M, p, mb: M.gather_cost(mb, p),
+        lambda comm: comm.scatter(
+            [_values(d) for d in range(comm.size)]
+            if comm.rank == _root(comm) else None,
+            root=_root(comm), category=_CAT,
+        ),
+    ),
+    "scan": _single_cost(
+        "scan", lambda M, p, mb: M.allreduce_cost(mb, p),
+        lambda comm: comm.scan(_values(comm.rank), category=_CAT),
+    ),
+    "exscan": _single_cost(
+        "exscan", lambda M, p, mb: M.allreduce_cost(mb, p),
+        lambda comm: comm.exscan(_values(comm.rank), category=_CAT),
+    ),
+}
+
+
+def _neighbours(r, p):
+    """Rank ``r``'s ``neighbor_alltoall`` payloads (the self entry is
+    never sent)."""
+    return {(r + 1) % p: _values(r), (r + 3) % p: np.arange(r), r: "self"}
+
+
+def _expect_neighbor_alltoall(M, p, ledgers):
+    for ledger in ledgers:
+        ledger.begin()
+    t0 = max(ledger.clock for ledger in ledgers)
+    traffic = []
+    for r, ledger in enumerate(ledgers):
+        sent = [message_bytes(v) for d, v in _neighbours(r, p).items() if d != r]
+        recv = [
+            message_bytes(_neighbours(s, p)[r]) for s in range(p)
+            if s != r and r in _neighbours(s, p)
+        ]
+        ledger.wait_until(t0 + M.neighbor_alltoallv_cost(
+            sum(sent), sum(recv), len(sent) + len(recv)
+        ))
+        traffic.append((len(sent), sum(sent), len(recv), sum(recv)))
+    return traffic, {"neighbor_alltoall": 1}
+
+
+def _ring(comm):
+    return (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+
+
+def _expect_ring(M, p, ledgers):
+    """Each rank sends ``_values(rank)`` to the next rank, then receives
+    from the previous one."""
+    arrival = []
+    for r, ledger in enumerate(ledgers):
+        ledger.begin()
+        ledger.charge(_CAT, M.p2p_alpha(r, (r + 1) % p))
+        arrival.append(ledger.clock + M.beta * message_bytes(_values(r)))
+    traffic = []
+    for r, ledger in enumerate(ledgers):
+        source = (r - 1) % p
+        ledger.begin()
+        ledger.wait_until(
+            max(ledger.clock, arrival[source]) + M.p2p_alpha(source, r)
+        )
+        traffic.append((1, message_bytes(_values(r)), 1, message_bytes(_values(source))))
+    return traffic, {}
+
+
+def _send_then_recv(comm):
+    dest, source = _ring(comm)
+    comm.send(_values(comm.rank), dest, category=_CAT)
+    comm.recv(source, category=_CAT)
+
+
+def _sendrecv(comm):
+    dest, source = _ring(comm)
+    comm.sendrecv(_values(comm.rank), dest, source, category=_CAT)
+
+
+def _owned(p):
+    """Offsets of 12 ids over ``p`` ranks and each rank's ascending ids:
+    rank ``r`` asks for every ``r % 3 + 1``-th id from ``r``."""
+    offsets = np.linspace(0, 12, p + 1).astype(np.int64)
+    return offsets, [np.arange(r % 12, 12, r % 3 + 1) for r in range(p)]
+
+
+def _owner_slices(p):
+    """Per rank ``(ids, cuts)``, ``cuts`` cutting ``ids`` by owner."""
+    from repro.graph.distgraph import owner_cuts
+
+    offsets, ids = _owned(p)
+    return [(i, owner_cuts(offsets, i)) for i in ids]
+
+
+def _tables(comm):
+    offsets, _ = _owned(comm.size)
+    n = int(offsets[comm.rank + 1] - offsets[comm.rank])
+    return np.arange(n, dtype=np.float64) / 4.0, np.arange(n)
+
+
+def _lookup(comm):
+    ids, cuts = _owner_slices(comm.size)[comm.rank]
+    comm.lookup(ids, cuts, _tables(comm), category=_CAT)
+
+
+def _expect_lookup(M, p, ledgers):
+    """A request leg of the ids, then a reply leg of both tables' values."""
+    asked = _owner_slices(p)
+
+    def request(s, d):
+        ids, cuts = asked[s]
+        return ids[cuts[d]:cuts[d + 1]]
+
+    def reply(d, s):  # owner d's answer to s: two fields per id
+        k = len(request(s, d))
+        return np.zeros(k, np.float64), np.zeros(k, np.int64)
+
+    return _legs(M, p, ledgers, [request, reply]), {"alltoall": 2}
+
+
+def _carried(r, p):
+    """Rank ``r``'s carried arrays in destination order and their counts."""
+    counts = np.array([(r + d) % 3 for d in range(p)])
+    counts[r] = 0
+    n = int(counts.sum())
+    return counts, np.arange(n), np.arange(n, 2 * n)
+
+
+def _push(comm):
+    ids, cuts = _owner_slices(comm.size)[comm.rank]
+    values = (ids * 0.5, ids % 4)
+    comm.push(
+        ids, cuts, values, _tables(comm),
+        carry=_carried(comm.rank, comm.size), category=_CAT,
+    )
+
+
+def _expect_push(M, p, ledgers):
+    """One leg: ids, their two values and the carried arrays."""
+    asked = _owner_slices(p)
+
+    def message(s, d):
+        ids, cuts = asked[s]
+        mine = ids[cuts[d]:cuts[d + 1]]
+        counts, *arrays = _carried(s, p)
+        c0, c1 = counts[:d].sum(), counts[:d + 1].sum()
+        return (mine, mine * 0.5, mine % 4, *(a[c0:c1] for a in arrays))
+
+    return _legs(M, p, ledgers, [message]), {"alltoall": 1}
+
+
+def _legs(M, p, ledgers, payloads):
+    """Consecutive alltoall legs, ``payloads[k](s, d)`` leg ``k``'s
+    message from ``s`` to ``d``; returns every rank's traffic."""
+    traffic = [(0, 0, 0, 0)] * p
+    for payload in payloads:
+        legs = _leg_expectation(M, p, payload)
+        _meet(ledgers, [cost for _, _, cost in legs])
+        traffic = [
+            (ms + p - 1, bs + sum(sent), mr + p - 1, br + sum(recv))
+            for (ms, bs, mr, br), (sent, recv, _) in zip(traffic, legs)
+        ]
+    return traffic
+
+
+#: Every ``Communicator`` op but ``alltoall`` and ``exchange_roundtrip``
+#: (:class:`TestExchangeAccounting` pins those two).
+_PINNED = {
+    **_SINGLE_COST,
+    "neighbor_alltoall": (
+        lambda comm: comm.neighbor_alltoall(
+            _neighbours(comm.rank, comm.size), category=_CAT
+        ),
+        _expect_neighbor_alltoall,
+    ),
+    "send_recv": (_send_then_recv, _expect_ring),
+    "sendrecv": (_sendrecv, _expect_ring),
+    "lookup": (_lookup, _expect_lookup),
+    "push": (_push, _expect_push),
+}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 8])
+@pytest.mark.parametrize("op", sorted(_PINNED))
+def test_op_pins_clock_and_trace(op, p):
+    """Each rank's exact clock, trace seconds by category, messages,
+    bytes and collective counts after one op, against values computed
+    from the machine model without the communicator: ranks entering at
+    unequal clocks, rank 1's op delayed by the fault plan."""
+    from repro.runtime import CORI_HASWELL as M
+
+    call, expect = _PINNED[op]
+    r, ledgers = _run_pinned(p, call)
+    _assert_pinned(r, ledgers, *expect(M, p, ledgers))
+
+
+class TestExchangeAccounting:
+    """``alltoall`` / ``exchange_roundtrip`` size each wire message once;
+    the counters, clocks and trace seconds they produce are pinned here
+    against values computed without going through the communicator,
+    with the entry clocks and fault-plan delay of
+    :func:`test_op_pins_clock_and_trace`."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8])
     def test_alltoall_counters_and_clocks(self, p):
         from repro.runtime import CORI_HASWELL as M
 
-        def prog(comm):
-            start = self._stagger(comm)
-            got = comm.alltoall([_ragged(comm.rank, d) for d in range(p)])
+        def call(comm):
+            got = comm.alltoall(
+                [_ragged(comm.rank, d) for d in range(p)], category=_CAT
+            )
             assert [type(v) for v in got] == [
                 type(_ragged(s, comm.rank)) for s in range(p)
             ]
-            return start, comm.clock
 
-        r = run_spmd(p, prog, machine=M, timeout=10.0)
-        legs = _leg_expectation(M, p, _ragged)
-        t0 = max(start for start, _ in r.values)
-        for rank, ((start, clock), (sent, recv, cost)) in enumerate(
-            zip(r.values, legs)
-        ):
-            t = r.trace.ranks[rank]
-            assert (t.messages_sent, t.bytes_sent) == (p - 1, sum(sent))
-            assert (t.messages_received, t.bytes_received) == (p - 1, sum(recv))
-            assert clock == self._advance(start, t0 + cost)
+        r, ledgers = _run_pinned(p, call)
+        traffic = _legs(M, p, ledgers, [_ragged])
+        _assert_pinned(r, ledgers, traffic, {"alltoall": 1})
 
-    @pytest.mark.parametrize("p", [2, 3, 8])
+    @pytest.mark.parametrize("p", [1, 2, 3, 8])
     def test_exchange_roundtrip_counters_and_clocks(self, p):
         from repro.runtime import CORI_HASWELL as M
 
         def reply(s, d):  # server s's reply to client d
             return _ragged(s, d, salt=2)
 
-        def prog(comm):
-            start = self._stagger(comm)
+        def call(comm):
             comm.exchange_roundtrip(
                 [_ragged(comm.rank, d) for d in range(p)],
                 lambda incoming: [reply(comm.rank, d) for d in range(p)],
+                category=_CAT,
             )
-            return start, comm.clock
 
-        r = run_spmd(p, prog, machine=M, timeout=10.0)
+        r, ledgers = _run_pinned(p, call)
         req = _leg_expectation(M, p, _ragged)
         rep = _leg_expectation(M, p, reply)
-        t_mid = max(start for start, _ in r.values) + max(c for _, _, c in req)
-        for rank, (start, clock) in enumerate(r.values):
-            t = r.trace.ranks[rank]
-            sent = req[rank][0] + rep[rank][0]
-            recv = req[rank][1] + rep[rank][1]
-            assert (t.messages_sent, t.bytes_sent) == (2 * (p - 1), sum(sent))
-            assert (t.messages_received, t.bytes_received) == (
-                2 * (p - 1), sum(recv),
-            )
-            assert clock == self._advance(start, t_mid + rep[rank][2])
+        for ledger in ledgers:
+            ledger.begin()
+        t_mid = max(ledger.clock for ledger in ledgers)
+        t_mid += max(c for _, _, c in req)
+        traffic = []
+        for ledger, (sent, recv, _), (rsent, rrecv, cost) in zip(
+            ledgers, req, rep
+        ):
+            ledger.wait_until(t_mid + cost)
+            traffic.append((
+                2 * (p - 1), sum(sent) + sum(rsent),
+                2 * (p - 1), sum(recv) + sum(rrecv),
+            ))
+        _assert_pinned(r, ledgers, traffic, {"exchange_roundtrip": 1})
 
     @pytest.mark.parametrize("p", [2, 3, 8])
     def test_every_wire_message_sized_exactly_once(self, p, monkeypatch):
         import threading
 
         from repro.runtime import comm as comm_mod
-        from repro.runtime.payload import message_bytes
 
         calls = []
         lock = threading.Lock()

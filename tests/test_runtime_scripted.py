@@ -1,12 +1,12 @@
 """Scripted rendezvous: a world function makes every rank's ops.
 
 The world function runs once, on whichever rank thread arrives last, and
-makes each rank's ops through its :class:`~repro.runtime.comm.Script` —
-a handle on the rank's communicator.  Each op consults the fault plan as
-it begins and is charged to the rank's own clock and trace there, so an
-observer patching ``Communicator._fault_hook`` sees every op with its
-category, and the world function reads each rank's clock current.  A
-kill raised at an op's ``begin`` stops the world function: the victim
+makes each rank's ops on the rank's own
+:class:`~repro.runtime.comm.Communicator`.  Each op consults the fault
+plan as it begins and is charged to the rank's own clock and trace there,
+so an observer patching ``Communicator._fault_hook`` sees every op with
+its category, and the world function reads each rank's clock current.  A
+kill raised as an op begins stops the world function: the victim
 raises its ``InjectedFault`` and every other rank ``RankAborted``,
 whichever thread ran the world; of several kills in one rendezvous only
 the first the world function reaches fires.  A world function that runs
@@ -36,18 +36,18 @@ OPS = [
 ]
 
 
-def _three_ops(world, scripts, deposits):
+def _three_ops(world, comms, deposits):
     """A world function of three ops — a leg, an allreduce, a leg — that
     records every rank's clock between them."""
-    p = len(scripts)
+    p = len(comms)
     counts = np.ones((p, p), dtype=np.int64)
-    clocks = [[s.clock for s in scripts]]
-    alltoall_counts_world(world, scripts, counts, 8, category="ghost_comm")
-    clocks.append([s.clock for s in scripts])
-    total = allreduce_world(world, scripts, deposits, category="allreduce")
-    clocks.append([s.clock for s in scripts])
-    alltoall_counts_world(world, scripts, counts * 2, 8, category="rebuild")
-    clocks.append([s.clock for s in scripts])
+    clocks = [[c.clock for c in comms]]
+    alltoall_counts_world(world, comms, counts, 8, category="ghost_comm")
+    clocks.append([c.clock for c in comms])
+    total = allreduce_world(world, comms, deposits, category="allreduce")
+    clocks.append([c.clock for c in comms])
+    alltoall_counts_world(world, comms, counts * 2, 8, category="rebuild")
+    clocks.append([c.clock for c in comms])
     return [(t, clocks) for t in total]
 
 
@@ -133,8 +133,10 @@ def test_kill_inside_a_world_function(victim, at):
         # A kill in the world function and one in the barrier after it:
         # the run stops in the world.
         ({1: 5, 0: 3}, 0),
+        # Two kills in one collective: the first in rank order fires.
+        ({2: 1, 1: 1}, 1),
     ],
-    ids=["earlier op", "same op", "later rendezvous"],
+    ids=["earlier op", "same op", "later rendezvous", "same barrier"],
 )
 def test_several_kills_in_one_rendezvous(kills, victim):
     """When several ranks' kills fall in one rendezvous, only the first
@@ -170,7 +172,7 @@ def test_a_world_function_longer_than_the_timeout_is_no_deadlock():
     """Every rank arrived, so the ranks waiting while one thread runs a
     long world function (a whole phase, on a large graph) are not stuck:
     the timeout is for ranks that never come."""
-    def slow(world, scripts, deposits):
+    def slow(world, comms, deposits):
         time.sleep(1.5)
         return list(deposits)
 

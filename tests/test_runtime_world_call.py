@@ -31,7 +31,7 @@ def _world_call(comm, deposit, run):
     """``run(deposits)`` once over every rank's deposit, in a scripted
     rendezvous that makes no op; this rank's item of what it returns."""
     return comm.scripted(
-        "world_call", deposit, lambda world, scripts, deposits: run(deposits)
+        "world_call", deposit, lambda world, comms, deposits: run(deposits)
     )
 
 
