@@ -80,33 +80,29 @@ class Mutant(NamedTuple):
 _DL = "src/repro/core/distlouvain.py"
 _CK = "src/repro/resilience/checkpoint.py"
 _SNAP = "src/repro/resilience/snapshots.py"
-_REFINE = "src/repro/core/refine.py"
 _DG = "src/repro/graph/distgraph.py"
-_VAL = "src/repro/core/validate.py"
 _CFG = "src/repro/core/config.py"
 _COMM_TEST = "tests/test_runtime_comm.py"
 
-_ALLREDUCE = "    num_colors = int(comm.allreduce(\n"
+_TRACK_GATHER = 'comm.gather(run.orig_slice, root=0, category="other")'
+_TAIL_GATHER = 'comm.gather(mine, root=0, category="rebuild")'
 _BARRIER = (
     '        comm.barrier(category="checkpoint")\n'
     "        return manifest\n"
-)
-_COLLIDE = (
-    '    return bool(comm.allreduce(conflict, op="lor", category="other"))\n'
 )
 _EXCLUSIONS = "CACHE_KEY_EXCLUSIONS = {\n"
 
 MUTANTS: tuple[Mutant, ...] = (
     # SPMD001: rank-dependent control flow around a collective.
     Mutant(
-        "m1", "SPMD001", _DL, _ALLREDUCE,
-        "    if comm.rank != 1:\n    " + _ALLREDUCE,
-        "rank 1 leaves the colour count's allreduce out of _coloring",
+        "m1", "SPMD001", _DL, f"        gathered = {_TRACK_GATHER}\n",
+        f"        if comm.rank != 1:\n            gathered = {_TRACK_GATHER}\n",
+        "rank 1 leaves _finish_phase's assignment-tracking gather out",
     ),
     Mutant(
-        "m2", "SPMD001", _DL, _ALLREDUCE,
-        "    if dg.num_local:\n    " + _ALLREDUCE,
-        "_coloring leaves the colour count's allreduce out on a rank with "
+        "m2", "SPMD001", _DL, f"    parts = {_TAIL_GATHER}\n",
+        f"    if dg.num_local:\n        parts = {_TAIL_GATHER}\n",
+        "_finish_on_one_rank leaves the tail's gather out on a rank with "
         "no vertices",
     ),
     Mutant(
@@ -115,12 +111,14 @@ MUTANTS: tuple[Mutant, ...] = (
         "only rank 0 enters the checkpoint's closing barrier",
     ),
     Mutant(
-        "collide_rank0", "SPMD001", _REFINE, _COLLIDE,
+        "collide_rank0", "SPMD001", _DL,
+        "    meta_map, run.final_mod, phases, iterations = comm.bcast(\n"
+        '        found, root=0, category="rebuild"\n'
+        "    )\n",
         "    if comm.rank == 0:\n"
-        '        conflict = comm.allreduce(conflict, op="lor", '
-        'category="other")\n'
-        "    return bool(conflict)\n",
-        "only rank 0 reduces _labels_collide's conflict flag",
+        '        found = comm.bcast(found, root=0, category="rebuild")\n'
+        "    meta_map, run.final_mod, phases, iterations = found\n",
+        "only rank 0 enters the tail's closing bcast",
     ),
     # SPMD002: an early return under a rank-local condition.
     Mutant(
@@ -151,14 +149,14 @@ MUTANTS: tuple[Mutant, ...] = (
         "exchange_ghost_values returns early on a rank with no ghosts",
     ),
     Mutant(
-        "collide_empty", "SPMD002", _REFINE,
-        "    pairs = np.unique(np.stack([refined, original], axis=1), "
-        "axis=0)\n",
-        "    if len(refined) == 0:\n"
-        "        return False\n"
-        "    pairs = np.unique(np.stack([refined, original], axis=1), "
-        "axis=0)\n",
-        "_labels_collide returns early on a rank with no vertices",
+        "collide_empty", "SPMD002", _DL,
+        "    # Stored-entry count of each leaf's neighbour, wherever it "
+        "lives.\n",
+        "    if len(leaves) == 0:\n"
+        "        return own_ids.copy(), dg.edges[:0]\n"
+        "    # Stored-entry count of each leaf's neighbour, wherever it "
+        "lives.\n",
+        "_vertex_following_targets returns early on a rank with no leaves",
     ),
     # SPMD003: a point-to-point tag no peer uses (src/ has no send/recv).
     Mutant(
@@ -178,11 +176,11 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     # SPMD101: iteration over a set.
     Mutant(
-        "merge_failures_set", "SPMD101", _VAL,
-        "        merged = [f for sub in all_failures for f in sub]\n",
-        "        merged = [f for sub in all_failures for f in set(sub)]\n",
-        "merge_global iterates each rank's failures as a set "
-        "(hash-seed order, duplicates lost)",
+        "merge_failures_set", "SPMD101", _DL,
+        "    run.phases.extend(phases)\n",
+        "    run.phases.extend(ph for ph in set(phases))\n",
+        "_finish_on_one_rank adds the tail's phase statistics in set order "
+        "(the phase history out of order, equal rows lost)",
     ),
     Mutant(
         "manifest_shards_set", "SPMD101", _CK,
@@ -281,18 +279,14 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     # SPMD201: a payload with no deterministic wire image.
     Mutant(
-        "d", "SPMD201", _VAL,
-        "comm.allgather(self.failures, category=\"other\")",
-        "comm.allgather(set(self.failures), category=\"other\")",
-        "AuditReport.merge_global allgathers set(self.failures)",
+        "d", "SPMD201", _DL, _TRACK_GATHER,
+        _TRACK_GATHER.replace("run.orig_slice", "set(run.orig_slice)"),
+        "_finish_phase's assignment-tracking gather sends a set",
     ),
     Mutant(
-        "collide_generator", "SPMD201", _REFINE,
-        "        [(lab[a:b], orig[a:b]) for a, b in zip(cuts[:-1], "
-        "cuts[1:])],\n",
-        "        ((lab[a:b], orig[a:b]) for a, b in zip(cuts[:-1], "
-        "cuts[1:])),\n",
-        "_labels_collide's alltoall sends a generator",
+        "collide_generator", "SPMD201", _DL, _TAIL_GATHER,
+        _TAIL_GATHER.replace("mine", "(part for part in mine)"),
+        "the tail's gather sends a generator",
     ),
     Mutant(
         "load_generator", "SPMD201", _DG,
@@ -352,9 +346,9 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "typo_refine", "SPMD303", _DL,
-        '    if config.refine == "leiden":\n        _refine_phase',
-        '    if config.refinement == "leiden":\n        _refine_phase',
-        "_finish_phase reads config.refinement",
+        '    if config.refine == "leiden":\n        _relabel_world',
+        '    if config.refinement == "leiden":\n        _relabel_world',
+        "_close_world reads config.refinement",
     ),
     Mutant(
         "typo_et_floor", "SPMD303", "src/repro/core/heuristics.py",

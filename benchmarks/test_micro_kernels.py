@@ -56,7 +56,6 @@ from repro.core import (
     LouvainConfig,
     RunState,
     Variant,
-    aggregate_deltas,
     coarsen_csr,
     run_louvain,
 )
@@ -74,7 +73,7 @@ from repro.generators import generate_lfr, make_graph
 from repro.graph import CSRGraph, DistGraph, EdgeList
 from repro.resilience import CheckpointManager, RunSnapshots, read_manifest
 from repro.runtime import CORI_HASWELL, FREE, run_spmd
-from tests.oracles import exchange_reference
+from tests.oracles import aggregate_reference, exchange_reference
 from tests.oracles.iteration_reference import publish
 
 
@@ -357,8 +356,8 @@ def test_kernel_iteration(
                 state.et.prob[:] = 0.25
             dg.exchange_ghost_values(comm, ghost_plan, local)
             phase = comm.scripted(
-                "phase_setup", _Seat(run, k, part, state, ghost_plan, None, 1),
-                partial(_set_up_world, resolution=config.resolution),
+                "phase_setup", _Seat(run, k, part, state, ghost_plan, None),
+                partial(_set_up_world, config=config),
             )
             comm.barrier()
             m0 = comm.clock
@@ -487,7 +486,7 @@ def test_kernel_community_legs(benchmark, record_bench):
         new = local.copy()
         new[rows] = comm0[dg.edges[dg.index[rows]]]
         moved = new != local
-        deltas = aggregate_deltas(
+        deltas = aggregate_reference.aggregate_deltas(
             local[moved], new[moved], dg.local_degrees()[moved]
         )
         labels = publish(dg, plan, new, moved)

@@ -1,7 +1,7 @@
 """Core algorithms: the paper's distributed Louvain and its comparators."""
 
 from .coarsen import coarsen_csr, rebuild_distributed, remote_lookup
-from .coloring import distributed_coloring, verify_coloring
+from .coloring import color_world
 from .config import (
     DEFAULT_THRESHOLD_CYCLE,
     PAPER_VARIANTS,
@@ -9,7 +9,6 @@ from .config import (
     Variant,
 )
 from .distlouvain import (
-    aggregate_deltas,
     distributed_louvain,
     louvain_phase_distributed,
     run_louvain,
@@ -31,6 +30,7 @@ from .modularity import (
     modularity_bounds_ok,
     move_gain,
 )
+from .refine import refine_world
 from .result import (
     IterationStats,
     LouvainResult,
@@ -47,12 +47,7 @@ from .resultio import (
 from .sequential import louvain, louvain_phase
 from .state import IterationState, RunState
 from .sweep import SweepPlan, SweepResult, array_lookup, propose_moves
-from .validate import (
-    AuditReport,
-    audit_community_info,
-    audit_ghost_coherence,
-    audit_partition,
-)
+from .validate import AuditReport, audit_world
 
 __all__ = [
     "DEFAULT_THRESHOLD_CYCLE",
@@ -71,18 +66,15 @@ __all__ = [
     "Variant",
     "AuditReport",
     "ChurnStats",
-    "aggregate_deltas",
     "ChurnAccumulator",
     "EdgeChurn",
     "apply_churn",
     "array_lookup",
-    "audit_community_info",
-    "audit_ghost_coherence",
-    "audit_partition",
+    "audit_world",
     "churn_statistics",
     "coarsen_csr",
+    "color_world",
     "community_aggregates",
-    "distributed_coloring",
     "distributed_louvain",
     "grappolo_louvain",
     "incremental_louvain",
@@ -99,10 +91,10 @@ __all__ = [
     "propose_moves",
     "read_communities_text",
     "rebuild_distributed",
+    "refine_world",
     "remote_lookup",
     "run_louvain",
     "save_result",
-    "verify_coloring",
     "vertex_following_seed",
     "warm_start_assignment",
     "write_communities_text",

@@ -18,14 +18,24 @@ even across rank boundaries, so processing one colour class at a time
 gives the distributed sweep the sequential algorithm's freshness
 guarantees (at the price of extra synchronisation per iteration — the
 trade-off `benchmarks/test_ablation_coloring.py` measures).
+
+A world step (:func:`color_world`), run in a phase's set-up: a round
+decides against the colours at its start — what every rank's ghost
+exchange delivers — so one pass over every rank's entries laid end to
+end computes what the ranks would, each rank charged its exchange,
+compute and allreduce as it makes them.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from ..graph.distgraph import DistGraph, GhostPlan
-from ..runtime.comm import Communicator
+from ..graph.distgraph import (
+    DistGraph, GhostPlan, ghost_exchange_world, world_entries,
+)
+from ..runtime.comm import Communicator, World, allreduce_world
 
 #: Colour value meaning "not coloured yet".
 UNCOLORED = np.int64(-1)
@@ -45,98 +55,87 @@ def _priorities(ids: np.ndarray, seed: int) -> np.ndarray:
     return x
 
 
-def distributed_coloring(
-    comm: Communicator,
-    dg: DistGraph,
-    plan: GhostPlan | None = None,
+def color_world(
+    world: World,
+    comms: Sequence[Communicator],
+    graphs: Sequence[DistGraph],
+    plans: Sequence[GhostPlan],
     seed: int = 0,
     max_rounds: int = 10_000,
-) -> np.ndarray:
-    """Colour the distributed graph; returns a colour per owned vertex.
+) -> tuple[np.ndarray, int]:
+    """Colour the distributed graph for every rank: returns the colour of
+    every vertex (by global id; dense from 0) and the colour count, the
+    sweep rounds of an iteration.
 
-    Colours are dense from 0.  Self loops are ignored (a vertex is not
-    adjacent to itself for colouring purposes).  Deterministic given
-    ``seed`` and the graph.
+    Per round every rank exchanges its ghosts' colours, scans its
+    entries and joins the allreduce of its uncoloured count (category
+    ``other``); then the colour count's ``max`` allreduce.  Self loops
+    are ignored (a vertex is not adjacent to itself for colouring
+    purposes).  Deterministic given ``seed`` and the graph.
     """
-    plan = plan or dg.build_ghost_plan(comm)
-    nloc = dg.num_local
-    colors = np.full(nloc, UNCOLORED, dtype=np.int64)
-    ctargets = dg.compressed_targets()
-    rows = dg.local_rows()
-    row_gid = dg.from_local(rows)
-    self_mask = dg.self_loop_mask()
-
-    my_prio = _priorities(dg.local_vertex_ids().astype(np.uint64), seed)
-    ghost_prio = _priorities(plan.ghost_ids.astype(np.uint64), seed)
-    all_prio = np.concatenate([my_prio, ghost_prio])
-
+    offsets = graphs[0].offsets
+    n = int(offsets[-1])
+    rows, targets = world_entries(graphs)
+    keep = rows != targets
+    rows, targets = rows[keep], targets[keep]
+    prio = _priorities(np.arange(n), seed)
+    # A target beats its row when its priority is higher (ties broken
+    # by global id, which the hash makes vanishingly rare but still must
+    # be deterministic).
+    beats = (prio[targets] > prio[rows]) | (
+        (prio[targets] == prio[rows]) & (targets > rows)
+    )
+    colors = np.full(n, UNCOLORED, dtype=np.int64)
+    cost = world.machine.compute_cost
     for _ in range(max_rounds):
-        # Refresh ghost colours (UNCOLORED propagates naturally).
-        ghost_colors = dg.exchange_ghost_values(
-            comm, plan, colors, category="other"
+        ghost_exchange_world(
+            world, comms, plans, colors.itemsize, category="other"
         )
-        all_colors = np.concatenate([colors, ghost_colors])
-        target_colors = all_colors[ctargets]
-        target_prio = all_prio[ctargets]
-
+        for comm, dg in zip(comms, graphs):
+            comm.charge("other", cost(dg.num_local_entries))
+        # Every rank decides against the colours at the round's start.
         uncolored = colors == UNCOLORED
-        # A vertex wins the round if every *uncoloured* neighbour has a
-        # strictly lower priority (ties broken by global id, which the
-        # hash makes vanishingly rare but still must be deterministic).
-        contested = (
-            ~self_mask
-            & uncolored[rows]
-            & (target_colors == UNCOLORED)
-        )
-        beaten = np.zeros(nloc, dtype=bool)
-        if contested.any():
-            cr = rows[contested]
-            higher = (target_prio[contested] > my_prio[cr]) | (
-                (target_prio[contested] == my_prio[cr])
-                & (dg.edges[contested] > row_gid[contested])
-            )
-            np.logical_or.at(beaten, cr, higher)
+        open_target = uncolored[targets]
+        # A vertex wins the round if no uncoloured neighbour beats it.
+        beaten = np.zeros(n, dtype=bool)
+        beaten[rows[uncolored[rows] & open_target & beats]] = True
         winners = uncolored & ~beaten
-        comm.charge_compute(dg.num_local_entries, category="other")
-
         if winners.any():
-            # Smallest colour unused by coloured neighbours, per winner.
-            colored_entries = ~self_mask & (target_colors != UNCOLORED)
-            for u in np.flatnonzero(winners):
-                lo, hi = dg.index[u], dg.index[u + 1]
-                used = set(
-                    int(c)
-                    for c in target_colors[lo:hi][colored_entries[lo:hi]]
-                )
-                c = 0
-                while c in used:
-                    c += 1
-                colors[u] = c
-
-        remaining = comm.allreduce(
-            int((colors == UNCOLORED).sum()), category="other"
-        )
+            taken = winners[rows] & ~open_target
+            colors[winners] = _smallest_unused(
+                np.flatnonzero(winners), rows[taken], colors[targets[taken]]
+            )
+        remaining = allreduce_world(world, comms, [
+            int(np.count_nonzero(colors[a:b] == UNCOLORED))
+            for a, b in zip(offsets[:-1], offsets[1:])
+        ], category="other")[0]
         if remaining == 0:
-            return colors
-    raise RuntimeError(
-        f"coloring failed to converge within {max_rounds} rounds"
-    )
+            break
+    else:
+        raise RuntimeError(
+            f"coloring failed to converge within {max_rounds} rounds"
+        )
+    num_colors = allreduce_world(world, comms, [
+        int(colors[a:b].max()) + 1 if b > a else 0
+        for a, b in zip(offsets[:-1], offsets[1:])
+    ], max, category="other")[0]
+    return colors, int(num_colors)
 
 
-def verify_coloring(
-    comm: Communicator,
-    dg: DistGraph,
-    colors: np.ndarray,
-    plan: GhostPlan | None = None,
-) -> bool:
-    """SPMD check that no edge connects same-coloured endpoints."""
-    plan = plan or dg.build_ghost_plan(comm)
-    ghost_colors = dg.exchange_ghost_values(
-        comm, plan, colors, category="other"
-    )
-    targets = np.concatenate([colors, ghost_colors])[dg.compressed_targets()]
-    local_ok = bool(
-        np.all((colors[dg.local_rows()] != targets) | dg.self_loop_mask())
-        and np.all(colors >= 0)
-    )
-    return bool(comm.allreduce(local_ok, op="land", category="other"))
+def _smallest_unused(
+    winners: np.ndarray, rows: np.ndarray, taken: np.ndarray
+) -> np.ndarray:
+    """Per vertex of ascending ``winners``, the smallest colour no entry
+    ``(rows[i], taken[i])`` names for it."""
+    m = len(winners)
+    span = int(taken.max(initial=0)) + 1
+    # Unique (winner, colour) pairs, colour-sorted within each winner.
+    pairs = np.unique(np.searchsorted(winners, rows) * span + taken)
+    gs, cs = pairs // span, pairs % span
+    start = np.searchsorted(gs, np.arange(m))
+    mex = np.searchsorted(gs, np.arange(1, m + 1)) - start
+    # The first place where the sorted colours skip a value.
+    rank = np.arange(len(gs), dtype=np.int64) - start[gs]
+    gap = cs != rank
+    np.minimum.at(mex, gs[gap], rank[gap])
+    return mex

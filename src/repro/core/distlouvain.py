@@ -10,20 +10,22 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
     first phase, the rest is cheaper on one rank (:mod:`.tail`) and
     rank 0 finishes it alone (:func:`_finish_on_one_rank`) — Algorithm
     3, :func:`louvain_phase_distributed`.  The rank sets out its starting
-    state (:func:`_begin_phase`: singleton, warm-started
-    (:func:`_relabel`) or resumed labels, and with a seed or colouring
-    the ghost plan first, a rendezvous of its own); then *one* scripted
-    rendezvous runs the whole phase for every rank (:func:`_phase_world`),
-    charging every op to each rank's own clock and trace, through the
-    rank's :class:`~repro.runtime.comm.Communicator`, as it is made:
+    state (:func:`_begin_phase`: singleton or resumed labels, and a warm
+    start's seed, checked against its vertices; no op); then *one*
+    scripted rendezvous runs the whole phase for every rank, from its
+    begin to its end (:func:`_phase_world`), charging every op to each
+    rank's own clock and trace, through the rank's
+    :class:`~repro.runtime.comm.Communicator`, as it is made:
 
-    * the set-up (:func:`_set_up_world`): ``ExchangeGhostVertices`` —
-      the one-time-per-phase ghost coordinate exchange (Algorithm 4) and
-      one full exchange of the ghost vertices' starting communities,
-      priced from counts — and the stacking, which lays every rank's CSR
-      slice, labels, owner tables, ghost maps and ET state end to end in
-      world arrays (:class:`_WorldPhase`); the rank's objects hold their
-      segments;
+    * the set-up (:func:`_set_up_world`): the one-time-per-phase ghost
+      coordinate exchange (Algorithm 4), the stacking, which lays every
+      rank's CSR slice, labels, owner tables, ghost maps and ET state end
+      to end in world arrays (:class:`_WorldPhase`; the rank's objects
+      hold their segments), a warm start's seed as one batch of moves
+      (:func:`_relabel_world`), the distance-1 colouring
+      (:func:`~repro.core.coloring.color_world`) and
+      ``ExchangeGhostVertices``' one full exchange of the ghost
+      vertices' starting communities, priced from counts;
     * the iteration loop, to the tau test: per iteration
       (:func:`_iterate`) every rank draws its ET mask, then
       :func:`_world_iteration` runs steps ii-v for every rank, a step at
@@ -59,18 +61,18 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
            inactive count the same allreduce delivered (§IV-B(b)) — no
            variant adds a collective; then the tau test;
 
-    * the ghosts' communities read off the world's labels, and the end
+    * the close (:func:`_close_world`): Leiden's split
+      (:func:`~repro.core.refine.refine_world`, relabelled like a warm
+      start), the ghosts' communities read off the world's labels, the
+      audits (:func:`~repro.core.validate.audit_world`), and the end
       (:func:`_end_world`): distributed graph reconstruction (§IV-A(b)'s
       seven world steps, :mod:`~.coarsen`), statistics and exact Q (one
       allreduce), projection of the original vertices.
 
-    The world leaves the rendezvous early only where rank-side code must
-    run: after an iteration a checkpoint is due at (the rank cuts it,
-    :func:`_save_checkpoint`, and the next rendezvous continues the
-    phase), and before the end when Leiden refinement
-    (:func:`_refine_phase`, relabelled like a warm start) or the audits
-    run — the end is then a rendezvous of its own (:func:`_end_phase`).
-    :func:`_finish_phase` records the phase;
+    A phase begins and ends inside its world.  The world leaves the
+    rendezvous early only after an iteration a checkpoint is due at: the
+    rank cuts it (:func:`_save_checkpoint`) and the next rendezvous
+    continues the phase.  :func:`_finish_phase` records the phase;
 
     and gather the assignment (:func:`_gather_result`).
 
@@ -131,12 +133,13 @@ from .coarsen import (
     RebuildSeat, project_world, rebuild_distributed, rebuild_world,
     remote_lookup,
 )
+from .coloring import color_world
 from .config import LouvainConfig
 from .heuristics import (
     EarlyTermination, LayoutStreams, ThresholdCycler, make_rank_rng,
     update_activity,
 )
-from .refine import refine_communities
+from .refine import refine_world
 from .result import IterationStats, LouvainResult, PhaseStats, normalize_assignment
 from .state import IterationState, RunState
 from .sweep import (
@@ -148,6 +151,7 @@ from .sweep import (
     propose_moves,
 )
 from .tail import gather_pays
+from .validate import audit_world
 
 _I8 = np.dtype(np.int64)
 
@@ -204,8 +208,7 @@ class _WorldPhase:
 
 class _Seat(NamedTuple):
     """One rank's deposit in its phase's set-up (:func:`_set_up_world`):
-    its run, the phase's starting state and what it derived from it
-    (``colors`` ``None`` without colouring)."""
+    its run, the phase's starting state and what it derived from it."""
 
     run: RunState
     k: np.ndarray
@@ -214,31 +217,42 @@ class _Seat(NamedTuple):
     #: The rank's ghost plan, or — the set-up building it — its deposit
     #: for :func:`~repro.graph.distgraph.ghost_plans_world`.
     plan: GhostPlan | tuple
-    colors: np.ndarray | None
-    rounds: int
+    #: A warm start's seed: the community of every owned vertex
+    #: (``None`` when the phase starts from singletons or a checkpoint).
+    seed: np.ndarray | None
 
 
 def _set_up_world(
     world: World, comms: Sequence[Communicator], seats: list[_Seat], *,
-    resolution: float,
+    config: LouvainConfig,
 ) -> list["_Phase"]:
     """The phase's set-up for every rank: every rank's ghost plan
     (Algorithm 4, :func:`~repro.graph.distgraph.ghost_plans_world`,
-    unless the ranks brought theirs), the lines 4-5 exchange priced from
-    the plans' counts — its values are the world's labels, so none are
-    gathered (:func:`~repro.graph.distgraph.ghost_exchange_world`) — and
-    the stacking (:func:`_stack_world`).  Returns every rank's
-    :class:`_Phase`; its state (and ET state) hold their segments of the
-    world's arrays from here, and each graph memoises its plan."""
+    unless the ranks brought theirs) and the stacking
+    (:func:`_stack_world`); then a warm start's seed, one batch of moves
+    (:func:`_relabel_world`), and the colouring
+    (:func:`~repro.core.coloring.color_world`), each over the world's
+    arrays; then the lines 4-5 exchange priced from the plans' counts —
+    its values are the world's labels, so none are gathered
+    (:func:`~repro.graph.distgraph.ghost_exchange_world`).  Returns every
+    rank's :class:`_Phase`; its state (and ET state) hold their segments
+    of the world's arrays from here, and each graph memoises its plan."""
     plans = [s.plan for s in seats]
     if not isinstance(plans[0], GhostPlan):
         plans = ghost_plans_world(world, comms, plans)
-    ghost_exchange_world(
-        world, comms, plans, seats[0].state.local_comm.itemsize
-    )
-    wp = _stack_world(world.workspace, resolution, seats, plans)
+    wp = _stack_world(world.workspace, config.resolution, seats, plans)
+    if seats[0].seed is not None:
+        seed = np.concatenate([s.seed for s in seats])
+        _relabel_world(world, comms, wp, seed)
+    rounds = 1
+    if config.use_coloring:
+        wp.colors, rounds = color_world(
+            world, comms, [s.run.dg for s in seats], plans, config.seed
+        )
+    ghost_exchange_world(world, comms, plans, wp.local_comm.itemsize)
+    _aim(wp)
     return [
-        _Phase(s.run, s.k, wp, plan, s.rounds, s.state)
+        _Phase(s.run, s.k, wp, plan, rounds, s.state)
         for s, plan in zip(seats, plans)
     ]
 
@@ -249,7 +263,8 @@ def _stack_world(
 ) -> _WorldPhase:
     """Every seat copied into its segments of the world's arrays, each
     rank's state and ET state pointed at them; a table not as long as its
-    rank's interval raises, naming the rank."""
+    rank's interval raises, naming the rank.  The entries are aimed
+    (:func:`_aim`) once the set-up has placed every vertex."""
     ws = SweepWorkspace.of(workspace)
     stack = ws.stack([s.part for s in seats])
     p, rows = len(seats), stack.row_cuts
@@ -266,10 +281,7 @@ def _stack_world(
         size=ws.array("size", n, np.int64),
         active=ws.array("drawn", n, bool),
         moved=ws.array("moved_any", n, bool),
-        colors=(
-            None if seats[0].colors is None
-            else np.concatenate([s.colors for s in seats])
-        ),
+        colors=None,
         prob=None if et is None else ws.array("prob", n, np.float64),
         inactive=None if et is None else ws.array("inactive", n, bool),
         alpha=0.0 if et is None else et.alpha,
@@ -306,7 +318,6 @@ def _stack_world(
             wp.inactive[a:b] = s.state.et.permanently_inactive
             s.state.et.prob = wp.prob[a:b]
             s.state.et.permanently_inactive = wp.inactive[a:b]
-    _aim(wp)
     return wp
 
 
@@ -344,8 +355,8 @@ class _Phase:
     #: another so concurrently processed vertices are non-adjacent).
     rounds: int
     state: IterationState
-    #: Community of every ghost vertex when the iterations ended, until
-    #: Leiden refinement replaces them (``None`` before).
+    #: Community of every ghost vertex as the phase closes, after
+    #: Leiden's split (``None`` before).
     ghost_comm: np.ndarray | None = None
     #: ETC's inactive-fraction exit ended the phase.
     exited_by_inactive: bool = False
@@ -378,10 +389,10 @@ def louvain_phase_distributed(
 ) -> _Phase:
     """Algorithm 3: phase ``run.phase`` at this rank, on ``run.dg``; one
     scripted rendezvous (:func:`_phase_world`) runs it for every rank.
-    Returns the phase as it ended — closed (:attr:`_Phase.ended`) unless
-    Leiden or the audits come first.  A pending ``run.seed_assignment``
-    (community id per *owned* vertex, in the vertex-id space) seeds it
-    instead of singletons — the incremental mode's warm start.
+    Returns the phase closed (:attr:`_Phase.ended`).  A pending
+    ``run.seed_assignment`` (community id per *owned* vertex, in the
+    vertex-id space) seeds it instead of singletons — the incremental
+    mode's warm start.
 
     ``checkpoints`` (resilience subsystem) is the run's save-point
     object: after every non-final iteration its cadence makes due — at
@@ -411,18 +422,14 @@ def _phase_world(
     """The phase for every rank: the set-up (:func:`_set_up_world`) —
     unless the deposits are phases a checkpoint paused — then the
     iterations (:func:`_iterate`) until the tau test or ETC's exit ends
-    the phase, the ghosts' communities read off the world's labels and,
-    unless Leiden or the audits must come first (:func:`_ends_in_world`),
-    the end (:func:`_end_world`).  The world leaves early after an
-    iteration ``due(it)`` names: the phase goes on past it on every rank
-    (the exit tests read replicated values), so the ranks cut a
-    checkpoint there.  Returns every rank's phase and whether it
-    paused."""
+    the phase, then the close (:func:`_close_world`).  The world leaves
+    early after an iteration ``due(it)`` names: the phase goes on past
+    it on every rank (the exit tests read replicated values), so the
+    ranks cut a checkpoint there.  Returns every rank's phase and
+    whether it paused."""
     phases = deposits
     if isinstance(deposits[0], _Seat):
-        phases = _set_up_world(
-            world, comms, deposits, resolution=config.resolution
-        )
+        phases = _set_up_world(world, comms, deposits, config=config)
     state = phases[0].state
     for it in range(state.iteration + 1, config.max_iterations):
         exited = _iterate(world, comms, phases, it, config)
@@ -432,20 +439,40 @@ def _phase_world(
             phase.state.prev_q = phase.state.q
         if due is not None and due(it):
             return [(phase, True) for phase in phases]
-    for phase in phases:
-        phase.ghost_comm = phase.world.local_comm.take(phase.plan.ghost_ids)
-    if _ends_in_world(config):
-        ends = _end_world(world, comms, [_closing(ph) for ph in phases])
-        for phase, end in zip(phases, ends):
-            phase.ended = end
+    _close_world(world, comms, phases, config)
     return [(phase, False) for phase in phases]
 
 
-def _ends_in_world(config: LouvainConfig) -> bool:
-    """Whether the phase's world closes it: Leiden and the audits run on
-    the rank side first, and the end is then a rendezvous of its own
-    (:func:`_end_phase`)."""
-    return config.refine != "leiden" and not config.validate_invariants
+def _close_world(
+    world: World,
+    comms: Sequence[Communicator],
+    phases: list["_Phase"],
+    config: LouvainConfig,
+) -> None:
+    """The phase's close for every rank: Leiden's split
+    (:func:`~repro.core.refine.refine_world`, the owners' C_info kept
+    consistent with it by one batch of moves, :func:`_relabel_world`),
+    the ghosts' communities read off the world's labels, the audits
+    (:func:`~repro.core.validate.audit_world`) and the end
+    (:func:`_end_world`), which every phase records as it ended."""
+    wp = phases[0].world
+    graphs = [phase.dg for phase in phases]
+    plans = [phase.plan for phase in phases]
+    if config.refine == "leiden":
+        _relabel_world(
+            world, comms, wp,
+            refine_world(world, comms, graphs, plans, wp.local_comm),
+        )
+    for phase in phases:
+        phase.ghost_comm = wp.local_comm.take(phase.plan.ghost_ids)
+    if config.validate_invariants:
+        audit_world(
+            world, comms, graphs, plans, wp.local_comm, wp.tot, wp.size,
+            [phase.ghost_comm for phase in phases],
+        )
+    ends = _end_world(world, comms, [_closing(ph) for ph in phases])
+    for phase, end in zip(phases, ends):
+        phase.ended = end
 
 
 def _begin_phase(
@@ -454,12 +481,11 @@ def _begin_phase(
     config: LouvainConfig,
     rejoin: IterationState | None,
 ) -> _Seat:
-    """The phase's starting state — rejoined, warm-started or singleton —
-    and what the rank derives from it before the set-up: the sweep's
-    slice of its graph and, for a warm start's seed or colouring, the
-    ghost plan (Algorithm 4, a rendezvous of its own, the seed's push
-    and the colouring's rounds coming between it and the set-up's
-    exchange).  A one-rank run standing for a wider world
+    """The phase's starting state — rejoined or singleton, and a warm
+    start's seed, which the set-up applies — and what the rank derives
+    from it: the sweep's slice of its graph and its deposit for the ghost
+    plan.  A seed that does not cover the owned vertices raises here,
+    before any rendezvous.  A one-rank run standing for a wider world
     (``run.layout_ranks``) draws ET as that world would."""
     dg = run.dg
     k = dg.local_degrees()
@@ -491,19 +517,13 @@ def _begin_phase(
                     np.diff(even_vertex(dg.num_local, run.layout_ranks)),
                 ),
             )
-    colors, rounds = None, 1
-    if seed is not None or config.use_coloring:
-        plan = dg.build_ghost_plan(comm)
-        if seed is not None:
-            # Warm start: the seed as one batch of moves.
-            if len(seed) != dg.num_local:
-                raise ValueError(
-                    f"initial_assignment covers {len(seed)} vertices, "
-                    f"rank owns {dg.num_local}"
-                )
-            _relabel(comm, dg, k, state, np.asarray(seed, dtype=np.int64))
-        if config.use_coloring:
-            colors, rounds = _coloring(comm, dg, plan, config.seed)
+    if seed is not None:
+        if len(seed) != dg.num_local:
+            raise ValueError(
+                f"initial_assignment covers {len(seed)} vertices, "
+                f"rank owns {dg.num_local}"
+            )
+        seed = np.asarray(seed, dtype=np.int64)
     # Lines 4-5 in full, once per phase, come in the set-up, priced as
     # the paper runs them (later rounds ship only what changed).  Inside
     # the world a ghost's community is its label there: the copies are
@@ -516,42 +536,8 @@ def _begin_phase(
         ),
         state,
         dg.plan_seat() if dg.ghost_plan is None else dg.ghost_plan,
-        colors, rounds,
+        seed,
     )
-
-
-def _relabel(
-    comm: Communicator,
-    dg: DistGraph,
-    k: np.ndarray,
-    state: IterationState,
-    labels: np.ndarray,
-) -> None:
-    """Move the owned vertices to ``labels`` as one batch outside the
-    sweep — a warm start's seed or Leiden's split: the owner-side C_info
-    follows through the same delta exchange as a round's moves."""
-    moved = labels != state.local_comm
-    _apply_community_deltas(
-        comm, dg,
-        *aggregate_deltas(state.local_comm[moved], labels[moved], k[moved]),
-        tot_owned=state.tot_owned, size_owned=state.size_owned,
-    )
-    state.local_comm[:] = labels
-
-
-def _coloring(
-    comm: Communicator, dg: DistGraph, plan: GhostPlan, seed: int
-) -> tuple[np.ndarray, int]:
-    """The colour of every owned vertex in a distance-1 coloring, and the
-    world's colour count: every rank sweeps that many rounds."""
-    from .coloring import distributed_coloring
-
-    colors = distributed_coloring(comm, dg, plan, seed=seed)
-    num_colors = int(comm.allreduce(
-        int(colors.max()) + 1 if dg.num_local else 0, op="max",
-        category="other",
-    ))
-    return colors, num_colors
 
 
 def _iterate(
@@ -722,17 +708,9 @@ def _push_step(
     world, ``community_comm``.  The moved vertices are relabelled (line
     9) in the world's labels, where every ghost reads them, so the
     labels are priced, not delivered; every entry is then re-aimed."""
-    p, n = len(comms), len(wp.local_comm)
+    p = len(comms)
     rows = np.flatnonzero(res.moved)
-    new = res.proposal.take(rows)
-    _check_vertex_space(wp, rows, new)
-    key = wp.rank_key.take(rows)
-    old = wp.local_comm.take(rows)
-    old += key
-    key += new
-    keys, dtot, dsize = _world_deltas(wp, old, key, wp.stack.degrees[rows])
-    wp.local_comm[rows] = new
-    counts = key_counts(wp.offsets, keys, p)
+    ids, counts, deltas = _move(wp, rows, res.proposal.take(rows))
     # The new labels of the moved vertices other ranks ghost.
     changed = res.moved.take(wp.send_ids)
     sent = wp.send_ids.compress(changed)
@@ -740,12 +718,46 @@ def _push_step(
         wp.send_pairs.compress(changed), minlength=p * p
     ).reshape(p, p)
     push_world(
-        world, comms, np.remainder(keys, n, out=keys), counts,
-        (dtot, dsize), (wp.tot, wp.size),
+        world, comms, ids, counts, deltas, (wp.tot, wp.size),
         carry=(routed, sent, wp.local_comm.take(sent)),
         category="community_comm",
     )
     _aim(wp)
+
+
+def _relabel_world(
+    world: World, comms: Sequence[Communicator], wp: _WorldPhase,
+    labels: np.ndarray,
+) -> None:
+    """Move every vertex to its community in ``labels`` as one batch
+    outside the sweep — a warm start's seed or Leiden's split: the
+    owners' a_c/|c| follow through the same delta push as a round's
+    moves (without labels), which every rank makes even with zero
+    moves."""
+    rows = np.flatnonzero(labels != wp.local_comm)
+    push_world(
+        world, comms, *_move(wp, rows, labels[rows]), (wp.tot, wp.size),
+        category="community_comm",
+    )
+
+
+def _move(
+    wp: _WorldPhase, rows: np.ndarray, new: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Relabel the world's vertices ``rows`` to ``new`` (line 9) and
+    return their push to the owners: the communities whose a_c/|c| they
+    change, netted per rank (:func:`_world_deltas`), the ``(rank,
+    owner)`` counts, and the deltas."""
+    _check_vertex_space(wp, rows, new)
+    key = wp.rank_key.take(rows)
+    old = wp.local_comm.take(rows)
+    old += key
+    key += new
+    keys, dtot, dsize = _world_deltas(wp, old, key, wp.stack.degrees[rows])
+    wp.local_comm[rows] = new
+    counts = key_counts(wp.offsets, keys, len(wp.edges))
+    ids = np.remainder(keys, len(wp.local_comm), out=keys)
+    return ids, counts, (dtot, dsize)
 
 
 def _world_deltas(
@@ -866,28 +878,17 @@ def _exit_tests(
     return exited
 
 
-def aggregate_deltas(
-    old: np.ndarray, new: np.ndarray, deg: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Net (a_c, |c|) delta per community touched by a batch of moves.
-
-    A vertex moving ``old -> new`` contributes ``(-k, -1)`` to its old
-    community and ``(+k, +1)`` to its new one; duplicates are summed
-    before communicating.  Returns ``(ids, dtot, dsize)`` with ``ids``
-    ascending; a touched community whose deltas cancel is still listed.
-    """
-    ids, dense = np.unique(np.concatenate([old, new]), return_inverse=True)
-    return aggregate_dense_deltas(
-        ids, dense[:len(old)], dense[len(old):], deg
-    )
-
-
 def aggregate_dense_deltas(
     ids: np.ndarray, old: np.ndarray, new: np.ndarray, deg: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`aggregate_deltas` of moves given as positions in the
-    ascending id table ``ids`` (which may hold untouched ids too).
+    """Net (a_c, |c|) delta per id touched by a batch of moves, the moves
+    given as positions in the ascending id table ``ids`` (which may hold
+    untouched ids too).
 
+    A vertex moving ``old -> new`` contributes ``(-k, -1)`` to its old
+    community and ``(+k, +1)`` to its new one; duplicates are summed
+    before communicating.  Returns ``(ids, dtot, dsize)`` of the touched
+    ids, ascending; a touched id whose deltas cancel is still listed.
     One scatter per column instead of a sort; ``np.bincount`` adds its
     weights left to right like ``np.add.at``, all departures before all
     arrivals.
@@ -903,30 +904,6 @@ def aggregate_dense_deltas(
     ).astype(np.float64, copy=False)
     touched = np.flatnonzero(left + joined)
     return ids[touched], dtot[touched], (joined - left)[touched]
-
-
-def _apply_community_deltas(
-    comm: Communicator,
-    dg: DistGraph,
-    ids: np.ndarray,
-    dtot: np.ndarray,
-    dsize: np.ndarray,
-    tot_owned: np.ndarray,
-    size_owned: np.ndarray,
-    labels: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, ...]:
-    """Route aggregated (a_c, |c|) deltas of this rank's moves
-    (:func:`aggregate_deltas`: ``ids`` ascending and duplicate-free) to
-    the community owners, who apply them in source-rank order: one
-    :meth:`~repro.runtime.comm.Communicator.push`, ``community_comm``,
-    which every rank makes even with zero moves.  ``labels`` —
-    ``(counts, ids, values)`` in destination order — leave in the same
-    messages; returns the ``(ids, values)`` every rank sent here, in
-    source order (``()`` without labels)."""
-    return comm.push(
-        ids, dg.cuts(ids), (dtot, dsize), (tot_owned, size_owned),
-        carry=labels, category="community_comm",
-    )
 
 
 def distributed_louvain(
@@ -1236,17 +1213,10 @@ def _finish_phase(
     config: LouvainConfig,
     cycler: ThresholdCycler | None,
 ) -> bool:
-    """Finish ``phase`` — refinement, audits and the end (graph rebuild,
-    stats and exact Q, projection) unless its world closed it — record
-    it, track it, and advance ``run`` to the next one; returns whether
-    there is a next one."""
+    """Finish ``phase``, which its world closed: record it (its graph
+    rebuild, stats and exact Q, projection), track it, and advance
+    ``run`` to the next one; returns whether there is a next one."""
     state = phase.state
-    if config.refine == "leiden":
-        _refine_phase(comm, phase)
-    if config.validate_invariants:
-        _audit_phase(comm, phase)
-    if phase.ended is None:
-        phase.ended = _end_phase(comm, run, phase)
     new_dg, total, run.orig_slice = phase.ended
     _record_phase(run, phase, tau, total, config.resolution)
     if config.track_assignments:
@@ -1266,17 +1236,6 @@ def _finish_phase(
     run.prev_mod = state.q
     run.phase += 1
     return True
-
-
-def _end_phase(
-    comm: Communicator, run: RunState, phase: _Phase
-) -> tuple[DistGraph, np.ndarray, np.ndarray]:
-    """The phase's end as a rendezvous of its own (:func:`_end_world`),
-    after Leiden's or the audits' collectives: the §IV-A(b) rebuild, the
-    statistics' allreduce and the projection.  Returns the coarsened
-    slice, the reduced :func:`_phase_partials` and the new
-    original-vertex map."""
-    return comm.scripted("phase_end", _closing(phase), _end_world)
 
 
 class _Closing(NamedTuple):
@@ -1385,41 +1344,6 @@ def _cross_entries(run: RunState) -> int:
     return int(np.count_nonzero(
         owner_of(layout, rows) != owner_of(layout, dg.edges)
     ))
-
-
-def _refine_phase(comm: Communicator, phase: _Phase) -> None:
-    """Leiden-style refinement: split every community into its connected
-    components before coarsening, the owner-side C_info kept
-    audit-consistent with the split (:func:`_relabel`).
-
-    Zero-edge cuts mean in_c is preserved while the a_c^2 penalty can
-    only shrink, so modularity never decreases; connected communities
-    are merely renamed to their minimum member (the rebuild renumbers
-    canonically either way).
-    """
-    ref_local, phase.ghost_comm = refine_communities(
-        comm, phase.dg, phase.state.local_comm, phase.ghost_comm
-    )
-    _relabel(comm, phase.dg, phase.k, phase.state, ref_local)
-
-
-def _audit_phase(comm: Communicator, phase: _Phase) -> None:
-    """``validate_invariants``: the phase's final labels, owner-side
-    C_info and ghost copies must agree across ranks."""
-    from .validate import (
-        audit_community_info,
-        audit_ghost_coherence,
-        audit_partition,
-    )
-
-    dg, state = phase.dg, phase.state
-    audit_community_info(
-        comm, dg, state.local_comm, state.tot_owned, state.size_owned
-    ).raise_if_failed()
-    audit_partition(comm, dg, state.local_comm).raise_if_failed()
-    audit_ghost_coherence(
-        comm, dg, state.local_comm, phase.ghost_comm
-    ).raise_if_failed()
 
 
 def _project(comm: Communicator, run: RunState, local_new: np.ndarray) -> None:

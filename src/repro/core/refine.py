@@ -37,53 +37,104 @@ the split decision and the fallback decision are global and purely
 structural, so refined runs stay bit-identical across rank counts and
 layouts.
 
-SPMD: call from every rank.  The propagation trip count is
-data-dependent but replicated (one ``lor`` allreduce per round), the
-same schedule-safe shape as the component kernel.
+A world step (:func:`refine_world`), run where a phase closes: the
+propagation is a Jacobi sweep against the labels at each round's start
+— what every rank's ghost exchange delivers — so one pass over every
+rank's entries laid end to end computes what the ranks would, and
+every rank is charged each exchange, count and audit as it makes them.
+The trip count is data-dependent but replicated (one ``lor`` allreduce
+per round).
 """
 
 from __future__ import annotations
 
+import operator
+from typing import Sequence
+
 import numpy as np
 
-from ..graph.distgraph import DistGraph, GhostPlan
-from ..runtime.comm import Communicator
-from .coarsen import remote_lookup
+from ..graph.distgraph import (
+    DistGraph, GhostPlan, distinct_keys, ghost_exchange_world, key_counts,
+    world_entries,
+)
+from ..runtime.comm import (
+    Communicator, World, allreduce_world, alltoall_counts_world,
+    lookup_world, push_world,
+)
 
-__all__ = ["refine_communities"]
+__all__ = ["refine_world"]
+
+
+def refine_world(
+    world: World,
+    comms: Sequence[Communicator],
+    graphs: Sequence[DistGraph],
+    plans: Sequence[GhostPlan],
+    communities: np.ndarray,
+    *,
+    max_rounds: int = 10_000,
+) -> np.ndarray:
+    """Split every internally disconnected community into components.
+
+    ``communities`` holds every vertex's community by global id, as a
+    phase's world leaves them; ``graphs`` and ``plans`` are the ranks'
+    slices and ghost plans.  Returns the refined community of every
+    vertex: communities that are already connected keep their id; each
+    component of a disconnected community becomes its own community
+    labelled by its minimum member id (or, on the rare label clash the
+    module docstring describes, every community is canonically
+    relabelled to its minimum member).  Each rank's ops, category
+    ``other`` (its scans ``compute``): the propagation rounds, the
+    component counts' push and lookup, the clash check's alltoall and
+    allreduce, and a ghost exchange of the refined labels.
+    """
+    offsets = graphs[0].offsets
+    labels = _component_labels(
+        world, comms, graphs, plans, communities, max_rounds
+    )
+    split = _split_flags(world, comms, offsets, communities, labels)
+    refined = np.where(split, labels, communities)
+    if _labels_collide(world, comms, offsets, refined, communities):
+        refined = labels
+    ghost_exchange_world(
+        world, comms, plans, refined.itemsize, category="other"
+    )
+    return refined
 
 
 def _component_labels(
-    comm: Communicator,
-    dg: DistGraph,
-    plan: GhostPlan,
-    local_comm: np.ndarray,
-    ghost_comm: np.ndarray,
+    world: World,
+    comms: Sequence[Communicator],
+    graphs: Sequence[DistGraph],
+    plans: Sequence[GhostPlan],
+    communities: np.ndarray,
     max_rounds: int,
 ) -> np.ndarray:
-    """Min vertex id of each owned vertex's (community, component)."""
-    ctargets = dg.compressed_targets()
-    rows = dg.local_rows()
-    labels = dg.local_vertex_ids().copy()
-
+    """Min vertex id of every vertex's (community, component)."""
+    offsets = graphs[0].offsets
+    rows, targets = world_entries(graphs)
+    # The community constraint: only same-community edges carry
+    # labels, so propagation never crosses a community wall.
+    same = communities[targets] == communities[rows]
+    rows, targets = rows[same], targets[same]
+    labels = np.arange(int(offsets[-1]), dtype=np.int64)
+    cost = world.machine.compute_cost
     for _ in range(max_rounds):
-        ghost_labels = dg.exchange_ghost_values(
-            comm,
-            plan,
-            labels,
-            category="other",
+        ghost_exchange_world(
+            world, comms, plans, labels.itemsize, category="other"
         )
-        target_labels = np.concatenate([labels, ghost_labels])[ctargets]
-        # The community constraint: only same-community edges carry
-        # labels, so propagation never crosses a community wall.
-        comm_both = np.concatenate([local_comm, ghost_comm])
-        same = comm_both[ctargets] == local_comm[rows]
         new_labels = labels.copy()
-        np.minimum.at(new_labels, rows[same], target_labels[same])
-        comm.charge_compute(dg.num_local_entries)
-        changed = bool(np.any(new_labels != labels))
+        np.minimum.at(new_labels, rows, labels[targets])
+        for comm, dg in zip(comms, graphs):
+            comm.charge("compute", cost(dg.num_local_entries))
+        changed = [
+            bool(np.any(new_labels[a:b] != labels[a:b]))
+            for a, b in zip(offsets[:-1], offsets[1:])
+        ]
         labels = new_labels
-        if not comm.allreduce(changed, op="lor", category="other"):
+        if not allreduce_world(
+            world, comms, changed, operator.or_, category="other"
+        )[0]:
             return labels
     raise RuntimeError(
         f"refinement propagation did not converge in {max_rounds} rounds"
@@ -91,106 +142,65 @@ def _component_labels(
 
 
 def _split_flags(
-    comm: Communicator,
-    dg: DistGraph,
-    local_comm: np.ndarray,
+    world: World,
+    comms: Sequence[Communicator],
+    offsets: np.ndarray,
+    communities: np.ndarray,
     labels: np.ndarray,
 ) -> np.ndarray:
-    """Per owned vertex: does its community have more than one component?
+    """Per vertex: does its community have more than one component?
 
     Component representatives (label == own vertex id, exactly one per
-    component) report to their community's owner, who counts; every
-    vertex then asks its community's owner for the count.  Two
-    owner-routed exchanges, both unconditional.
+    component) report to their community's owner, who counts — one push
+    of each rank's distinct communities with its count of each; every
+    vertex then asks its community's owner for the count — one lookup
+    of each rank's distinct communities.
     """
-    roots = labels == dg.local_vertex_ids()
-    root_comms, root_counts = np.unique(
-        local_comm[roots], return_counts=True
+    p, n = len(comms), len(labels)
+    rank_key = np.repeat(np.arange(p, dtype=np.int64) * n, np.diff(offsets))
+    roots = np.flatnonzero(labels == np.arange(n))
+    keys, per_key = np.unique(
+        rank_key[roots] + communities[roots], return_counts=True
     )
-    ncomp = np.zeros(dg.num_local, dtype=np.int64)
-    comm.push(
-        root_comms, dg.cuts(root_comms), (root_counts,), (ncomp,),
+    ncomp = np.zeros(n, dtype=np.int64)
+    push_world(
+        world, comms, keys % n, key_counts(offsets, keys, p),
+        (per_key.astype(np.int64, copy=False),), (ncomp,), category="other",
+    )
+    asked = distinct_keys(p * n, rank_key + communities)
+    lookup_world(
+        world, comms, None, key_counts(offsets, asked, p), (ncomp,),
         category="other",
     )
-    counts = remote_lookup(
-        comm, dg.offsets, local_comm, ncomp, category="other"
-    )
-    return counts > 1
+    return ncomp[communities] > 1
 
 
 def _labels_collide(
-    comm: Communicator,
-    dg: DistGraph,
+    world: World,
+    comms: Sequence[Communicator],
+    offsets: np.ndarray,
     refined: np.ndarray,
     original: np.ndarray,
 ) -> bool:
     """Do two different original communities claim one refined label?
 
-    Each rank routes its distinct ``(refined label, original community)``
-    pairs — ascending by label, so cut by owner — to the label's owner,
-    who checks that every claim on a label names the same source
-    community.  Replicated verdict via one ``lor`` allreduce.
+    Each rank routes its distinct ``(refined label, original
+    community)`` pairs to the label's owner (one alltoall of two int64
+    per pair), who checks that every claim on a label names the same
+    source community.  Replicated verdict via one ``lor`` allreduce.
     """
-    pairs = np.unique(np.stack([refined, original], axis=1), axis=0)
-    lab, orig = pairs[:, 0], pairs[:, 1]
-    cuts = dg.cuts(lab)
-    received = comm.alltoall(
-        [(lab[a:b], orig[a:b]) for a, b in zip(cuts[:-1], cuts[1:])],
-        category="other",
+    p, n = len(comms), len(refined)
+    counts = np.zeros((p, p), dtype=np.int64)
+    for s, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+        pairs = np.unique(refined[a:b] * n + original[a:b])
+        counts[s] = np.diff(np.searchsorted(pairs, offsets * n))
+    alltoall_counts_world(
+        world, comms, counts, 2 * refined.itemsize, category="other"
     )
-    all_lab = np.concatenate([rl for rl, _ in received])
-    all_orig = np.concatenate([ro for _, ro in received])
-    conflict = False
-    if len(all_lab):
-        order = np.lexsort((all_orig, all_lab))
-        sl, so = all_lab[order], all_orig[order]
-        dup = sl[1:] == sl[:-1]
-        conflict = bool(np.any(dup & (so[1:] != so[:-1])))
-    return bool(comm.allreduce(conflict, op="lor", category="other"))
-
-
-def refine_communities(
-    comm: Communicator,
-    dg: DistGraph,
-    local_comm: np.ndarray,
-    ghost_comm: np.ndarray,
-    *,
-    max_rounds: int = 10_000,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split every internally disconnected community into components.
-
-    ``local_comm`` holds the community of each owned vertex and
-    ``ghost_comm`` the communities of this rank's ghosts (aligned with
-    ``dg.build_ghost_plan(comm)``), exactly as a Louvain phase leaves
-    them.  Returns ``(refined_local, refined_ghost)`` in the same
-    layout.  Communities that are already connected keep their id
-    untouched; each component of a disconnected community becomes its
-    own community labelled by its minimum member id (or, on the rare
-    label clash the module docstring describes, every community is
-    canonically relabelled to its minimum member).
-    """
-    if len(local_comm) != dg.num_local:
-        raise ValueError(
-            f"local_comm covers {len(local_comm)} vertices, rank owns "
-            f"{dg.num_local}"
-        )
-    plan = dg.build_ghost_plan(comm)
-    labels = _component_labels(
-        comm,
-        dg,
-        plan,
-        local_comm,
-        ghost_comm,
-        max_rounds,
-    )
-    split = _split_flags(comm, dg, local_comm, labels)
-    refined = np.where(split, labels, local_comm)
-    if _labels_collide(comm, dg, refined, local_comm):
-        refined = labels
-    refined_ghost = dg.exchange_ghost_values(
-        comm,
-        plan,
-        refined,
-        category="other",
-    )
-    return refined, refined_ghost
+    claimed = np.unique(refined * n + original) // n
+    clash = claimed[1:][claimed[1:] == claimed[:-1]]
+    conflict = np.zeros(p, dtype=bool)
+    conflict[np.searchsorted(offsets, clash, side="right") - 1] = True
+    return bool(allreduce_world(
+        world, comms, conflict.tolist(), operator.or_, category="other"
+    )[0])

@@ -2,34 +2,44 @@
 
 The distributed algorithm maintains replicated/partitioned state whose
 consistency is easy to silently break (lagged C_info, stale ghosts,
-renumbering bugs).  This module provides SPMD audits used by tests and
-by the ``audit_distributed_state`` debugging entry point:
+renumbering bugs).  ``LouvainConfig.validate_invariants`` runs three
+audits where every phase closes, as one world step
+(:func:`audit_world`) over the world's labels and owner tables:
 
 * **C_info consistency** — every owner's ``a_c``/size must equal the
   values recomputed from the actual vertex assignments;
-* **partition sanity** — assignments reference alive communities only,
-  sizes sum to ``|V|``, weights sum to ``W``;
-* **ghost coherence** — after an exchange, every ghost copy matches the
-  owner's current value.
+* **partition sanity** — sizes sum to ``|V|``, weights sum to ``W``;
+* **ghost coherence** — every rank's ghost copy matches the owner's
+  current value.
 
-All audits are collective (every rank must call them) and return a
-:class:`AuditReport` replicated on every rank.
+Each audit prices what every rank would exchange for it as the rank
+makes it, collects every rank's findings in an :class:`AuditReport`
+and merges them with one allgather; a failed audit raises
+``AssertionError`` naming what disagrees.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from ..graph.distgraph import DistGraph
-from ..runtime.comm import Communicator
-from .coarsen import remote_lookup
+from ..graph.distgraph import DistGraph, GhostPlan, key_counts
+from ..runtime.comm import (
+    Communicator, World, allgather_world, allreduce_world, cut_counts,
+    lookup_world, push_world,
+)
+
+#: Relative slack of the C_info audit's a_c comparison.
+TOLERANCE = 1e-6
 
 
 @dataclass
 class AuditReport:
-    """Outcome of a distributed state audit (replicated on all ranks)."""
+    """Outcome of a distributed state audit: one rank's findings, or the
+    world's once merged."""
 
     ok: bool = True
     failures: list[str] = field(default_factory=list)
@@ -39,12 +49,6 @@ class AuditReport:
             self.ok = False
             self.failures.append(message)
 
-    def merge_global(self, comm: Communicator) -> "AuditReport":
-        """Combine every rank's findings (allgather of failure lists)."""
-        all_failures = comm.allgather(self.failures, category="other")
-        merged = [f for sub in all_failures for f in sub]
-        return AuditReport(ok=not merged, failures=merged)
-
     def raise_if_failed(self) -> None:
         if not self.ok:
             raise AssertionError(
@@ -53,120 +57,160 @@ class AuditReport:
             )
 
 
-def audit_community_info(
-    comm: Communicator,
-    dg: DistGraph,
-    local_comm: np.ndarray,
-    tot_owned: np.ndarray,
-    size_owned: np.ndarray,
-    tolerance: float = 1e-6,
+def audit_world(
+    world: World,
+    comms: Sequence[Communicator],
+    graphs: Sequence[DistGraph],
+    plans: Sequence[GhostPlan],
+    labels: np.ndarray,
+    tot: np.ndarray,
+    size: np.ndarray,
+    ghosts: Sequence[np.ndarray],
+) -> None:
+    """The three audits for every rank, in order: ``labels`` / ``tot`` /
+    ``size`` are every vertex's community and every community's
+    maintained ``a_c`` / size, by global id; ``ghosts[r]`` is rank
+    ``r``'s copy of its ghosts' communities, aligned with
+    ``plans[r].ghost_ids``.  Every op is category ``other``.  Raises
+    ``AssertionError`` at the first audit that fails (a label outside
+    the vertex space, which no owner holds, before any op)."""
+    n = len(labels)
+    bad = np.flatnonzero((labels < 0) | (labels >= n))
+    if len(bad):
+        ranks = np.unique(np.searchsorted(graphs[0].offsets, bad, "right") - 1)
+        AuditReport(False, [
+            f"rank {r}: community ids outside [0, {n})" for r in ranks
+        ]).raise_if_failed()
+    for audit in (
+        lambda: audit_community_info(world, comms, graphs, labels, tot, size),
+        lambda: audit_partition(world, comms, graphs),
+        lambda: audit_ghost_coherence(world, comms, plans, labels, ghosts),
+    ):
+        _merged(world, comms, audit()).raise_if_failed()
+
+
+def _merged(
+    world: World, comms: Sequence[Communicator], reports: list[AuditReport]
 ) -> AuditReport:
-    """Verify owner-side C_info against ground truth.
+    """Every rank's findings combined (one allgather of the failure
+    lists)."""
+    gathered = allgather_world(
+        world, comms, [r.failures for r in reports], category="other"
+    )[0]
+    merged = [f for sub in gathered for f in sub]
+    return AuditReport(ok=not merged, failures=merged)
 
-    Recomputes every community's ``a_c`` (sum of member degrees) and
-    size from the actual assignments: each rank aggregates the degrees
-    of its *vertices* per community and routes the partials to the
-    community owners, who compare with their maintained arrays.
-    """
-    report = AuditReport()
-    k = dg.local_degrees()
-    uniq, inv = np.unique(local_comm, return_inverse=True)
-    part_tot = np.zeros(len(uniq))
-    part_size = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(part_tot, inv, k)
-    np.add.at(part_size, inv, 1)
 
-    true_tot = np.zeros(dg.num_local)
-    true_size = np.zeros(dg.num_local, dtype=np.int64)
-    comm.push(
-        uniq, dg.cuts(uniq), (part_tot, part_size), (true_tot, true_size),
-        category="other",
+def audit_community_info(
+    world: World,
+    comms: Sequence[Communicator],
+    graphs: Sequence[DistGraph],
+    labels: np.ndarray,
+    tot: np.ndarray,
+    size: np.ndarray,
+) -> list[AuditReport]:
+    """Owner-side C_info against ground truth: each rank sums the degrees
+    of its vertices per community and pushes the partials to the
+    community owners, who compare them with their maintained arrays.
+    Returns every rank's findings, as its owner would report them."""
+    offsets = graphs[0].offsets
+    p, n = len(graphs), len(labels)
+    keys, at = np.unique(
+        np.repeat(np.arange(p, dtype=np.int64) * n, np.diff(offsets))
+        + labels,
+        return_inverse=True,
     )
-
+    k = np.concatenate([dg.local_degrees() for dg in graphs])
+    true_tot = np.zeros(n)
+    true_size = np.zeros(n, dtype=np.int64)
+    push_world(
+        world, comms, keys % n, key_counts(offsets, keys, p),
+        (np.bincount(at, weights=k, minlength=len(keys)),
+         np.bincount(at, minlength=len(keys))),
+        (true_tot, true_size), category="other",
+    )
     bad_tot = np.flatnonzero(
-        np.abs(true_tot - tot_owned) > tolerance * (1 + np.abs(true_tot))
+        np.abs(true_tot - tot) > TOLERANCE * (1 + np.abs(true_tot))
     )
-    for c in bad_tot[:5]:
-        report.record(
-            False,
-            f"rank {comm.rank}: a_c mismatch for community "
-            f"{int(dg.from_local(int(c)))}: "
-            f"maintained {tot_owned[c]}, actual {true_tot[c]}",
-        )
-    bad_size = np.flatnonzero(true_size != size_owned)
-    for c in bad_size[:5]:
-        report.record(
-            False,
-            f"rank {comm.rank}: size mismatch for community "
-            f"{int(dg.from_local(int(c)))}: "
-            f"maintained {size_owned[c]}, actual {true_size[c]}",
-        )
-    return report.merge_global(comm)
+    bad_size = np.flatnonzero(true_size != size)
+    reports = []
+    for r, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+        report = AuditReport()
+        for c in bad_tot[(bad_tot >= a) & (bad_tot < b)][:5]:
+            report.record(
+                False,
+                f"rank {r}: a_c mismatch for community {int(c)}: "
+                f"maintained {tot[c]}, actual {true_tot[c]}",
+            )
+        for c in bad_size[(bad_size >= a) & (bad_size < b)][:5]:
+            report.record(
+                False,
+                f"rank {r}: size mismatch for community {int(c)}: "
+                f"maintained {size[c]}, actual {true_size[c]}",
+            )
+        reports.append(report)
+    return reports
 
 
 def audit_partition(
-    comm: Communicator,
-    dg: DistGraph,
-    local_comm: np.ndarray,
-) -> AuditReport:
-    """Global partition sanity: coverage, label validity, weight."""
-    report = AuditReport()
+    world: World, comms: Sequence[Communicator], graphs: Sequence[DistGraph]
+) -> list[AuditReport]:
+    """Global partition sanity: the ranks' vertices cover the vertex set
+    and their weights sum to the replicated total (two allreduces)."""
+    dg = graphs[0]
     n_global = dg.num_global_vertices
-    report.record(
-        len(local_comm) == dg.num_local,
-        f"rank {comm.rank}: assignment length {len(local_comm)} != "
-        f"{dg.num_local} owned vertices",
-    )
-    if len(local_comm):
-        report.record(
-            bool((local_comm >= 0).all() and (local_comm < n_global).all()),
-            f"rank {comm.rank}: community ids outside [0, {n_global})",
-        )
-    total_vertices = comm.allreduce(dg.num_local, category="other")
+    total_vertices = allreduce_world(
+        world, comms, [g.num_local for g in graphs], category="other"
+    )[0]
+    total_weight = allreduce_world(
+        world, comms, [float(g.weights.sum()) for g in graphs],
+        category="other",
+    )[0]
+    report = AuditReport()
     report.record(
         total_vertices == n_global,
         f"vertex coverage {total_vertices} != {n_global}",
-    )
-    total_weight = comm.allreduce(
-        float(dg.weights.sum()), category="other"
     )
     report.record(
         abs(total_weight - dg.total_weight)
         <= 1e-9 * max(1.0, dg.total_weight),
         f"weight drift: stored {dg.total_weight}, actual {total_weight}",
     )
-    return report.merge_global(comm)
+    return [AuditReport(report.ok, list(report.failures)) for _ in graphs]
 
 
 def audit_ghost_coherence(
-    comm: Communicator,
-    dg: DistGraph,
-    local_comm: np.ndarray,
-    ghost_comm: np.ndarray,
-) -> AuditReport:
-    """Every ghost copy must equal the owner's current value."""
-    report = AuditReport()
-    plan = dg.build_ghost_plan(comm)
-    # The alignment check must be decided collectively: an early return
-    # taken by the misaligned rank alone would skip the remote_lookup
-    # collectives the healthy ranks are about to enter (schedule
-    # divergence -> deadlock on real MPI).
-    misaligned = len(ghost_comm) != plan.num_ghosts
-    if comm.allreduce(misaligned, op="lor", category="other"):
-        report.record(
-            not misaligned,
-            f"rank {comm.rank}: ghost array misaligned "
-            f"({len(ghost_comm)} entries for {plan.num_ghosts} ghosts)",
-        )
-        return report.merge_global(comm)
-    truth = remote_lookup(
-        comm, dg.offsets, plan.ghost_ids, local_comm, category="other"
+    world: World,
+    comms: Sequence[Communicator],
+    plans: Sequence[GhostPlan],
+    labels: np.ndarray,
+    ghosts: Sequence[np.ndarray],
+) -> list[AuditReport]:
+    """Every ghost copy must equal the owner's current value.  Whether a
+    copy is misaligned with its plan is decided collectively (one ``lor``
+    allreduce), so every rank skips the owners' lookup together."""
+    misaligned = [len(g) != plan.num_ghosts for g, plan in zip(ghosts, plans)]
+    reports = [AuditReport() for _ in plans]
+    if allreduce_world(
+        world, comms, misaligned, operator.or_, category="other"
+    )[0]:
+        for r, (report, g, plan) in enumerate(zip(reports, ghosts, plans)):
+            report.record(
+                not misaligned[r],
+                f"rank {r}: ghost array misaligned "
+                f"({len(g)} entries for {plan.num_ghosts} ghosts)",
+            )
+        return reports
+    lookup_world(
+        world, comms, None, cut_counts([plan.ghost_cuts for plan in plans]),
+        (labels,), category="other",
     )
-    bad = np.flatnonzero(truth != ghost_comm)
-    for g in bad[:5]:
-        report.record(
-            False,
-            f"rank {comm.rank}: ghost {plan.ghost_ids[g]} holds "
-            f"{ghost_comm[g]}, owner says {truth[g]}",
-        )
-    return report.merge_global(comm)
+    for r, (report, g, plan) in enumerate(zip(reports, ghosts, plans)):
+        truth = labels[plan.ghost_ids]
+        for i in np.flatnonzero(truth != g)[:5]:
+            report.record(
+                False,
+                f"rank {r}: ghost {plan.ghost_ids[i]} holds "
+                f"{g[i]}, owner says {truth[i]}",
+            )
+    return reports

@@ -66,15 +66,6 @@ def sum_duplicate_entries(
     return src[lead], dst[lead], summed
 
 
-def sorted_unique(values: np.ndarray) -> np.ndarray:
-    """The distinct ``values``, ascending — ``np.unique(values)`` as one
-    sort and one comparison pass (numpy's own picks a hash table when no
-    inverse is asked for, several times slower at the sizes a rank
-    sees)."""
-    values = np.sort(values)
-    return values[_run_heads(values)]
-
-
 def _run_heads(sorted_values: np.ndarray) -> np.ndarray:
     """True at the first element of every run of equal values."""
     heads = np.empty(len(sorted_values), dtype=bool)

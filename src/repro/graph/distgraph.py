@@ -17,6 +17,7 @@ one scripted rendezvous: :func:`ghost_plans_world` builds every plan, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -463,16 +464,29 @@ def ghost_plans_world(
 
 
 def ghost_exchange_world(
-    world: World, comms: list[Communicator], plans: list[GhostPlan], width: int
+    world: World, comms: Sequence[Communicator], plans: Sequence[GhostPlan],
+    width: int, category: str = "ghost_comm",
 ) -> None:
-    """The full ghost exchange of Algorithm 3 lines 4-5 for every rank,
-    priced from the plans' counts (``width`` bytes a value): owner ``d``
-    sends rank ``r`` one value per vertex of its send list for ``r``.
-    Nothing is delivered — a world that reads a ghost's value off the
-    owners' arrays laid end to end needs no copy — so it is
-    :meth:`DistGraph.exchange_ghost_values` without the values."""
+    """A full ghost exchange (Algorithm 3 lines 4-5, or a colouring or
+    Leiden round's) for every rank, priced from the plans' counts
+    (``width`` bytes a value): owner ``d`` sends rank ``r`` one value per
+    vertex of its send list for ``r``.  Nothing is delivered — a world
+    that reads a ghost's value off the owners' arrays laid end to end
+    needs no copy — so it is :meth:`DistGraph.exchange_ghost_values`
+    without the values."""
     counts = np.array([np.diff(plan.send_cuts) for plan in plans])
-    alltoall_counts_world(world, comms, counts, width, category="ghost_comm")
+    alltoall_counts_world(world, comms, counts, width, category=category)
+
+
+def world_entries(
+    graphs: Sequence[DistGraph],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every rank's CSR entries laid end to end, as the global ids of
+    their rows and of their targets."""
+    return (
+        np.concatenate([dg.from_local(dg.local_rows()) for dg in graphs]),
+        np.concatenate([dg.edges for dg in graphs]),
+    )
 
 
 def _rows_from_undirected(

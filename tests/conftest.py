@@ -5,9 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from typing import NamedTuple
+
 from repro.core import LouvainConfig
-from repro.graph import CSRGraph, EdgeList
+from repro.graph import CSRGraph, DistGraph, EdgeList, GhostPlan
+from repro.graph.distgraph import ghost_plans_world
 from repro.resilience import CheckpointManager
+from repro.runtime import FREE, MachineModel
+from repro.runtime.comm import Communicator, World
 
 #: Zachary's karate club (34 vertices, 78 edges) — the classic community
 #: detection testbed.  Louvain finds Q ≈ 0.41-0.42 with ~4 communities.
@@ -82,6 +87,38 @@ def disk_checkpoints(
         config_key=config.cache_key(),
         **cadence,
     )
+
+
+class WorldOf(NamedTuple):
+    world: World
+    comms: list[Communicator]
+    graphs: list[DistGraph]
+    plans: list[GhostPlan]
+
+
+def world_of(
+    g: CSRGraph, p: int, partition: str = "even_edge",
+    machine: MachineModel = FREE,
+) -> WorldOf:
+    """A ``p``-rank world over ``g``, built in this thread with every
+    rank's slice and ghost plan, for calling a world step directly: with
+    no rendezvous around it, each op still begins and finishes on every
+    rank's ``Communicator``."""
+    world = World(p, machine)
+    comms = [world.communicator(r) for r in range(p)]
+    graphs = [DistGraph.distribute(comm, g, partition) for comm in comms]
+    plans = ghost_plans_world(world, comms, [dg.plan_seat() for dg in graphs])
+    return WorldOf(world, comms, graphs, plans)
+
+
+def assert_proper_coloring(g: CSRGraph, colors: np.ndarray) -> None:
+    """Every vertex coloured and no edge between two vertices of one
+    colour (self loops aside)."""
+    assert len(colors) == g.num_vertices
+    assert (colors >= 0).all()
+    rows = np.repeat(np.arange(g.num_vertices), np.diff(g.index))
+    other = rows != g.edges
+    assert (colors[rows[other]] != colors[g.edges[other]]).all()
 
 
 @pytest.fixture(scope="session")

@@ -62,7 +62,12 @@ PINNED_CONFIGS = {
     "threshold-cycling": LouvainConfig(variant=Variant.THRESHOLD_CYCLING),
     "coloring": LouvainConfig(use_coloring=True),
     "vf+leiden": LouvainConfig(vertex_following=True, refine="leiden"),
+    # Phase 0 seeded with the graph's Baseline assignment (:func:`_seed`).
+    "warm": LouvainConfig(),
+    "audited": LouvainConfig(validate_invariants=True),
 }
+#: The rows whose phase 0 is warm-started.
+WARM = {"warm"}
 FULL_CONFIGS = {
     **PINNED_CONFIGS,
     "et": LouvainConfig(variant=Variant.ET, alpha=0.25, seed=3),
@@ -137,9 +142,16 @@ def cost_digest(result: LouvainResult) -> str:
     ])
 
 
+@lru_cache(maxsize=None)
+def _seed(name: str, weights: str) -> np.ndarray:
+    """The graph's one-rank Baseline assignment: a warm start's seed."""
+    return run_louvain(graph(name, weights), 1).assignment
+
+
 def _row(name: str, weights: str, p: int, label: str, config: LouvainConfig):
     g = graph(name, weights)
-    result = run_louvain(g, p, config)
+    seed = _seed(name, weights) if label in WARM else None
+    result = run_louvain(g, p, config, initial_assignment=seed)
     return Row(
         f"{name}/{weights}/p{p}/{label}", g.fingerprint(),
         outcome_digest(result), cost_digest(result), result.elapsed,

@@ -9,11 +9,26 @@ ascending ids.  The shipped code — a scatter over the touched ids'
 dense positions, one ``(src, dst)`` sort for every destination — keeps
 their arithmetic: same floats added in the same order, same arrays on
 the wire.  Equality, not a tolerance, is the contract.
+
+``sorted_unique`` served only the other oracles once ``src/`` stopped
+calling it, and moved here from ``repro.graph.csr``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, ascending — ``np.unique(values)`` as one
+    sort and one comparison pass (numpy's own picks a hash table when no
+    inverse is asked for, several times slower at the sizes a rank
+    sees)."""
+    values = np.sort(values)
+    heads = np.empty(len(values), dtype=bool)
+    heads[:1] = True
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    return values[heads]
 
 
 def split_by_rank(

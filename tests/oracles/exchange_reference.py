@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import sorted_unique
 from repro.graph.distgraph import owner_cuts
+
+from .aggregate_reference import sorted_unique
 
 
 def _send_requests(comm, offsets, ids, category):
@@ -118,8 +119,8 @@ def apply_community_deltas(
     comm, dg, ids, dtot, dsize, tot_owned, size_owned, labels=None,
     received_log=None,
 ):
-    """Drop-in for ``repro.core.distlouvain._apply_community_deltas``:
-    one alltoall for the delta slices (owners apply them in source-rank
+    """Drop-in for the per-rank iteration's delta exchange
+    (``iteration_reference.apply_community_deltas``): one alltoall for the delta slices (owners apply them in source-rank
     order), then — when the round has ``labels``, its
     ``(counts, ids, values)`` — a second one for the label slices.
     ``received_log`` collects, per source rank, whether its delta slice

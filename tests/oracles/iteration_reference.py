@@ -26,8 +26,8 @@ rank must hold *equal* state, clock and trace.
 :func:`louvain_phase` is a drop-in for
 ``distlouvain.louvain_phase_distributed`` that runs the phase's set-up
 as its own rendezvous, then :func:`iterate` (looked up by name at each
-iteration, so a test can wrap it) on the rank's own thread, and leaves
-the end to ``_finish_phase``'s own rendezvous.  Its delta exchange is
+iteration, so a test can wrap it) on the rank's own thread, and closes
+the phase in a rendezvous of its own (``_close_world``).  Its delta exchange is
 the module function :func:`apply_community_deltas`, so a test can swap
 in the two-exchange oracle of :mod:`.exchange_reference`.
 :func:`per_rank_iterations` and :func:`world_iterations` hook a
@@ -44,8 +44,8 @@ import numpy as np
 from repro.core import distlouvain
 from repro.core.coarsen import owner_lookup
 from repro.core.distlouvain import (
-    _begin_phase, _exit_tests, _save_checkpoint, _set_up_world,
-    aggregate_dense_deltas,
+    _begin_phase, _close_world, _exit_tests, _save_checkpoint,
+    _set_up_world, aggregate_dense_deltas,
 )
 from repro.core.sweep import array_lookup, propose_moves
 
@@ -54,11 +54,10 @@ def louvain_phase(comm, run, tau, config, checkpoints=None, rejoin=None):
     """A drop-in for ``louvain_phase_distributed``: the set-up as its own
     rendezvous, then the iteration loop with :func:`iterate` on the
     rank's own thread, checkpointing where the shipped world leaves for
-    it; the phase is returned open (``ended`` is ``None``)."""
+    it, then the close as a rendezvous of its own."""
     seat = _begin_phase(comm, run, config, rejoin)
     phase = comm.scripted(
-        "phase_setup", seat,
-        partial(_set_up_world, resolution=config.resolution),
+        "phase_setup", seat, partial(_set_up_world, config=config)
     )
     state = phase.state
     for it in range(state.iteration + 1, config.max_iterations):
@@ -67,8 +66,12 @@ def louvain_phase(comm, run, tau, config, checkpoints=None, rejoin=None):
         state.prev_q = state.q
         if checkpoints is not None and checkpoints.should_checkpoint_iteration(it):
             _save_checkpoint(checkpoints, comm, run, state)
-    phase.ghost_comm = phase.world.local_comm.take(phase.plan.ghost_ids)
-    return phase
+    return comm.scripted("phase_close", phase, partial(_close, config=config))
+
+
+def _close(world, comms, phases, *, config):
+    _close_world(world, comms, phases, config)
+    return phases
 
 
 def per_rank_iterations(patch, after):

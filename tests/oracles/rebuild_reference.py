@@ -19,9 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.coarsen import _aggregate_directed
-from repro.graph.csr import sorted_unique, sum_duplicate_entries
+from repro.graph.csr import sum_duplicate_entries
 from repro.graph.distgraph import DistGraph, owner_cuts
 from repro.graph.partition import even_vertex
+
+from .aggregate_reference import sorted_unique
 
 
 def rebuild_distributed(
@@ -156,9 +158,10 @@ def _meta_edge_payloads(
 
 
 def end_phase(comm, run, phase):
-    """A drop-in for ``distlouvain._end_phase`` as three rendezvous of
-    their own: the per-rank :func:`rebuild_distributed`, the statistics'
-    ``allreduce`` and the projection's ``remote_lookup``."""
+    """The end of a phase its world closed without it
+    (``distlouvain._end_world``) as three rendezvous of their own: the
+    per-rank :func:`rebuild_distributed`, the statistics' ``allreduce``
+    and the projection's ``remote_lookup``."""
     from repro.core.coarsen import RebuildSeat, remote_lookup
     from repro.core.distlouvain import (
         _Closing, _cross_entries, _phase_partials,

@@ -1,30 +1,25 @@
-"""Unit tests for distributed distance-1 coloring (§VI future work)."""
+"""Unit tests for distributed distance-1 coloring (§VI future work): the
+world step ``color_world``, called over every rank's slice at once, and
+colouring inside a detection."""
 
 import numpy as np
 import pytest
 
 from repro.core import LouvainConfig, run_louvain
-from repro.core.coloring import distributed_coloring, verify_coloring
-from repro.graph import DistGraph, EdgeList
-from repro.runtime import FREE, run_spmd
+from repro.core.coloring import color_world
+from repro.graph import EdgeList
+from repro.runtime import FREE
 
-from .conftest import planted_blocks_graph
+from .conftest import assert_proper_coloring, planted_blocks_graph, world_of
 
 
 def color_spmd(g, nranks, seed=0):
-    def prog(comm):
-        dg = DistGraph.distribute(comm, g)
-        plan = dg.build_ghost_plan(comm)
-        colors = distributed_coloring(comm, dg, plan, seed=seed)
-        ok = verify_coloring(comm, dg, colors, plan)
-        return ok, colors.tolist(), dg.vbegin
-
-    r = run_spmd(nranks, prog, machine=FREE, timeout=30.0)
-    assert all(v[0] for v in r.values)
-    full = np.empty(g.num_vertices, dtype=np.int64)
-    for ok, colors, vb in r.values:
-        full[vb:vb + len(colors)] = colors
-    return full
+    """The colour of every vertex from ``color_world`` over ``nranks``
+    ranks; it must be proper, and the colour count the sweep rounds."""
+    colors, rounds = color_world(*world_of(g, nranks), seed=seed)
+    assert_proper_coloring(g, colors)
+    assert rounds == (colors.max() + 1 if len(colors) else 0)
+    return colors
 
 
 class TestDistributedColoring:

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import LouvainConfig, Variant, aggregate_deltas, run_louvain
+from repro.core import LouvainConfig, Variant, run_louvain
 from repro.core import distlouvain
 from repro.core.distlouvain import aggregate_dense_deltas
 from repro.graph import CSRGraph
@@ -218,6 +218,14 @@ def test_dense_aggregation_matches_reference(moves, communities, spare, seed):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+
+
+def aggregate_deltas(old, new, deg):
+    """``aggregate_dense_deltas`` of moves given as community ids."""
+    ids, dense = np.unique(np.concatenate([old, new]), return_inverse=True)
+    return aggregate_dense_deltas(
+        ids, dense[:len(old)], dense[len(old):], deg
+    )
 
 
 class TestAggregateDeltas:

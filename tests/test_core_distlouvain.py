@@ -388,22 +388,23 @@ class TestCommunityInfoCoverage:
 
     def test_delta_for_a_non_vertex_fails_loudly(self, planted_blocks):
         # Community ids are vertex ids.  One outside the vertex space
-        # has no owner: routing it must raise, not hand it to the last
-        # rank (the old owner lookup) or drop it (a bare cut).
-        from repro.core.distlouvain import _apply_community_deltas
+        # has no owner: a warm start's seed naming one must raise where
+        # its deltas are routed, naming the rank, not hand them to the
+        # last rank (the old owner lookup) or drop them (a bare cut).
+        from repro.core import distributed_louvain
         from repro.graph import DistGraph
         from repro.runtime import RankFailedError, run_spmd
 
         def prog(comm):
             dg = DistGraph.distribute(comm, planted_blocks)
-            n = dg.num_global_vertices
-            _apply_community_deltas(
-                comm, dg, np.array([0, n + 3]), np.array([1.0, -1.0]),
-                np.array([1, -1]), dg.local_degrees(),
-                np.ones(dg.num_local, dtype=np.int64),
-            )
+            seed = dg.local_vertex_ids()
+            if comm.rank == 1:
+                seed[-1] = dg.num_global_vertices + 3
+            distributed_louvain(comm, dg, initial_assignment=seed)
 
-        with pytest.raises(RankFailedError, match="outside the vertex space"):
+        with pytest.raises(
+            RankFailedError, match="rank 1: ids outside the vertex space"
+        ):
             run_spmd(2, prog, machine=FREE, timeout=15.0)
 
     def test_iteration_delta_for_a_non_vertex_names_the_rank(

@@ -26,7 +26,7 @@ PINS = fingerprints.load_pins()
 
 
 def test_pins_cover_the_pinned_rows():
-    assert len(PINS) == 36
+    assert len(PINS) == 54
     assert sorted(PINS) == sorted(
         f"{name}/integer/p{p}/{label}"
         for name, p, label in fingerprints.pinned_keys()

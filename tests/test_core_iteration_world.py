@@ -411,21 +411,32 @@ def test_kill_at_each_op_of_a_phase_boundary(where, coloring, tmp_path):
 def _world_counts(g, p, config):
     """Per colour round, the world's ``(rank, owner)`` request and push
     count matrices, as ``_fetch_step`` / ``_push_step`` hand them to the
-    world halves."""
-    requests, pushes = [], []
+    world halves (a batch of moves outside the rounds — Leiden's split —
+    pushes through the same world half, and is not counted)."""
+    requests, pushes, rounds = [], [], []
     real_lookup, real_push = distlouvain.lookup_world, distlouvain.push_world
+    real_round = distlouvain._world_round
 
     def lookup(world, comms, ids, counts, tables, **kwargs):
         requests.append(counts.copy())
         return real_lookup(world, comms, ids, counts, tables, **kwargs)
 
     def push(world, comms, ids, counts, *args, **kwargs):
-        pushes.append(counts.copy())
+        if rounds:
+            pushes.append(counts.copy())
         return real_push(world, comms, ids, counts, *args, **kwargs)
+
+    def world_round(*args):
+        rounds.append(True)
+        try:
+            return real_round(*args)
+        finally:
+            rounds.pop()
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distlouvain, "lookup_world", lookup)
         patch.setattr(distlouvain, "push_world", push)
+        patch.setattr(distlouvain, "_world_round", world_round)
         run_louvain(g, p, config, machine=FREE)
     return requests, pushes
 

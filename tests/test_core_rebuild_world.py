@@ -3,11 +3,9 @@
 ``rebuild_distributed`` is one scripted rendezvous whose world function
 runs the seven steps once for every rank; a phase's end adds the
 statistics' allreduce and the projection (``distlouvain._end_world``),
-inside the phase's rendezvous or, after Leiden's collectives, in one of
-its own (``distlouvain._end_phase``).  The per-rank formulation they
-replaced —
-each collective its own rendezvous, the rank's work between them — is
-kept in ``tests/oracles/rebuild_reference.py``.  Both must leave every
+the last step of the phase's rendezvous.  The per-rank formulation they
+replaced — each collective its own rendezvous, the rank's work between
+them — is kept in ``tests/oracles/rebuild_reference.py``.  Both must leave every
 rank bit-equal new CSR arrays and new ids, and the same clock, trace
 seconds by category, messages, bytes and collective counts, fault-plan
 delays included.
@@ -99,16 +97,20 @@ def _world_ends(patch, snapshot):
 
 
 def _per_rank_ends(patch, snapshot):
-    """The phase's world leaves before the end, which
-    ``rebuild_reference.end_phase`` makes on every rank in place of
-    ``_end_phase``; ``snapshot(comm, ended)`` after it."""
-    def end_phase(comm, run, phase):
-        ended = rebuild_reference.end_phase(comm, run, phase)
-        snapshot(comm, ended)
-        return ended
+    """The phase's world closes it without the end, which
+    ``rebuild_reference.end_phase`` makes on every rank before
+    ``_finish_phase`` records it; ``snapshot(comm, ended)`` after it."""
+    finish = distlouvain._finish_phase
 
-    patch.setattr(distlouvain, "_ends_in_world", lambda config: False)
-    patch.setattr(distlouvain, "_end_phase", end_phase)
+    def finish_phase(comm, run, phase, *args):
+        phase.ended = rebuild_reference.end_phase(comm, run, phase)
+        snapshot(comm, phase.ended)
+        return finish(comm, run, phase, *args)
+
+    patch.setattr(
+        distlouvain, "_end_world", lambda world, comms, closing: [None] * len(comms)
+    )
+    patch.setattr(distlouvain, "_finish_phase", finish_phase)
 
 
 def _after_every_phase(g, p, config, ends):

@@ -12,17 +12,19 @@ import numpy as np
 import pytest
 
 from repro.core import LouvainConfig, modularity, run_louvain
-from repro.core.refine import refine_communities
-from repro.graph import DistGraph, EdgeList
+from repro.core.refine import refine_world
+from repro.graph import EdgeList
 from repro.quality import (
     community_components,
     count_disconnected_communities,
     disconnected_communities,
 )
 from repro.resilience import FaultPlan
-from repro.runtime import FREE, InjectedFault, RankFailedError, run_spmd
+from repro.runtime import FREE, InjectedFault, RankFailedError
 
-from .conftest import assert_valid_partition, disk_checkpoints, random_graph
+from .conftest import (
+    assert_valid_partition, disk_checkpoints, random_graph, world_of,
+)
 
 
 def _disconnected_fixture():
@@ -38,27 +40,13 @@ def _disconnected_fixture():
 
 
 def run_refine(g, assignment, nranks):
-    """Drive :func:`refine_communities` over ``nranks`` simulated ranks
-    and gather the refined per-vertex labels; also asserts the returned
-    ghost values match a fresh exchange of the refined labels."""
+    """Drive :func:`refine_world` over ``nranks`` ranks' slices of ``g``
+    and return the refined label of every vertex; the communities it
+    was given are left as they were."""
     assignment = np.asarray(assignment, dtype=np.int64)
-
-    def prog(comm):
-        dg = DistGraph.distribute(comm, g, partition="even_vertex")
-        plan = dg.build_ghost_plan(comm)
-        local = assignment[dg.local_vertex_ids()].copy()
-        ghost = dg.exchange_ghost_values(comm, plan, local, category="other")
-        ref_local, ref_ghost = refine_communities(comm, dg, local, ghost)
-        again = dg.exchange_ghost_values(
-            comm, plan, ref_local, category="other"
-        )
-        assert np.array_equal(again, ref_ghost)
-        return dg.local_vertex_ids().tolist(), ref_local.tolist()
-
-    r = run_spmd(nranks, prog, machine=FREE, timeout=60.0)
-    out = np.empty(g.num_vertices, dtype=np.int64)
-    for ids, vals in r.values:
-        out[np.asarray(ids, dtype=np.int64)] = vals
+    given = assignment.copy()
+    out = refine_world(*world_of(g, nranks, "even_vertex"), assignment)
+    np.testing.assert_array_equal(assignment, given)
     return out
 
 

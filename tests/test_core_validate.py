@@ -1,22 +1,50 @@
 """Unit tests for the distributed state auditors (and via them, the
-internal consistency of the Louvain iteration machinery)."""
+internal consistency of the Louvain iteration machinery).
+
+The audits are one world step (``audit_world``) over every rank's
+labels, owner tables and ghost copies.  Here each rank deposits its own
+— as a per-rank program holds them — in one rendezvous (:func:`audit`),
+whose world lays them end to end and audits them: a corrupted owner
+table, label or ghost copy must raise ``AssertionError`` naming it.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.distlouvain import louvain_phase_distributed
 from repro.core import LouvainConfig, RunState
-from repro.core.validate import (
-    AuditReport,
-    audit_community_info,
-    audit_ghost_coherence,
-    audit_partition,
-)
+from repro.core.validate import AuditReport, audit_world
 from repro.graph import DistGraph
 from repro.runtime import FREE, run_spmd
 
 from .conftest import planted_blocks_graph
-from .oracles.iteration_reference import publish
+from .oracles.aggregate_reference import aggregate_deltas
+from .oracles.iteration_reference import apply_community_deltas, publish
+
+
+def audit(comm, dg, local_comm, tot, size, ghost=None):
+    """The audits over every rank's deposit: ``None`` when they pass,
+    else the ``AssertionError``'s message, on every rank.  ``ghost`` is
+    the rank's copy of its ghosts' communities (by default, what their
+    owners hold)."""
+    plan = dg.ghost_plan or dg.build_ghost_plan(comm)
+    return comm.scripted(
+        "audit", (dg, plan, local_comm, tot, size, ghost), _audit_deposits
+    )
+
+
+def _audit_deposits(world, comms, deposits):
+    graphs, plans, labels, tot, size, ghosts = zip(*deposits)
+    labels, tot, size = map(np.concatenate, (labels, tot, size))
+    ghosts = [
+        labels[plan.ghost_ids] if g is None else g
+        for plan, g in zip(plans, ghosts)
+    ]
+    try:
+        audit_world(world, comms, graphs, plans, labels, tot, size, ghosts)
+    except AssertionError as exc:
+        return [str(exc)] * len(comms)
+    return [None] * len(comms)
 
 
 class TestAuditReport:
@@ -53,20 +81,14 @@ class TestAuditsOnLiveState:
             size = np.ones(dg.num_local, dtype=np.int64)
             # Replay the moves as one batch of deltas (ground truth is
             # recomputed inside the audit anyway).
-            from repro.core import aggregate_deltas
-            from repro.core.distlouvain import _apply_community_deltas
-
             start = np.arange(dg.vbegin, dg.vend, dtype=np.int64)
             moved = labels != start
-            _apply_community_deltas(
+            apply_community_deltas(
                 comm, dg,
                 *aggregate_deltas(start[moved], labels[moved], k[moved]),
                 tot_owned=tot, size_owned=size,
             )
-            r1 = audit_community_info(comm, dg, labels, tot, size)
-            r2 = audit_partition(comm, dg, labels)
-            r3 = audit_ghost_coherence(comm, dg, labels, out.ghost_comm)
-            return r1.ok, r2.ok, r3.ok, r1.failures + r2.failures + r3.failures
+            return audit(comm, dg, labels, tot, size, out.ghost_comm)
 
         r = run_spmd(nranks, prog, machine=FREE, timeout=60.0)
         return r.values
@@ -74,8 +96,8 @@ class TestAuditsOnLiveState:
     @pytest.mark.parametrize("nranks", [1, 2, 4])
     def test_phase_leaves_consistent_state(self, nranks):
         g = planted_blocks_graph(blocks=4, per_block=12, seed=4)
-        for ok1, ok2, ok3, failures in self._audit_after_phase(g, nranks):
-            assert ok1 and ok2 and ok3, failures
+        for failure in self._audit_after_phase(g, nranks):
+            assert failure is None, failure
 
 
 class TestAuditsCatchCorruption:
@@ -87,14 +109,11 @@ class TestAuditsCatchCorruption:
             size = np.ones(dg.num_local, dtype=np.int64)
             if comm.rank == 0 and dg.num_local:
                 tot[0] += 99.0  # corrupt one owner entry
-            return audit_community_info(
-                comm, dg, local_comm, tot, size
-            )
+            return audit(comm, dg, local_comm, tot, size)
 
         r = run_spmd(3, prog, machine=FREE, timeout=30.0)
-        for report in r.values:
-            assert not report.ok
-            assert any("a_c mismatch" in f for f in report.failures)
+        for failure in r.values:
+            assert "rank 0: a_c mismatch for community 0" in failure
 
     def test_size_mismatch_detected(self, planted_blocks):
         def prog(comm):
@@ -104,10 +123,12 @@ class TestAuditsCatchCorruption:
             size = np.ones(dg.num_local, dtype=np.int64)
             if comm.rank == comm.size - 1 and dg.num_local:
                 size[-1] = 7
-            return audit_community_info(comm, dg, local_comm, tot, size)
+            return audit(comm, dg, local_comm, tot, size)
 
         r = run_spmd(2, prog, machine=FREE, timeout=30.0)
-        assert all(not rep.ok for rep in r.values)
+        last = planted_blocks.num_vertices - 1
+        for failure in r.values:
+            assert f"rank 1: size mismatch for community {last}" in failure
 
     def test_ghost_staleness_detected(self, planted_blocks):
         def prog(comm):
@@ -115,16 +136,24 @@ class TestAuditsCatchCorruption:
             plan = dg.build_ghost_plan(comm)
             local_comm = np.arange(dg.vbegin, dg.vend, dtype=np.int64)
             ghost = dg.exchange_ghost_values(comm, plan, local_comm)
-            # Now move a vertex without telling anyone.
+            tot = dg.local_degrees()
+            size = np.ones(dg.num_local, dtype=np.int64)
+            # Now move a vertex into its rank's last vertex's community,
+            # the owner's C_info kept right, without telling the ranks
+            # that ghost it.
             if dg.num_local:
                 local_comm = local_comm.copy()
                 local_comm[0] = int(local_comm[-1])
-            return audit_ghost_coherence(comm, dg, local_comm, ghost)
+                tot[-1] += tot[0]
+                tot[0] = 0.0
+                size[-1], size[0] = 2, 0
+            return audit(comm, dg, local_comm, tot, size, ghost)
 
         r = run_spmd(4, prog, machine=FREE, timeout=30.0)
-        # At least one rank ghosts the moved vertex, so the global audit
-        # fails everywhere (reports are replicated).
-        assert all(not rep.ok for rep in r.values)
+        # At least one rank ghosts a moved vertex, so the global audit
+        # fails everywhere (the findings are merged).
+        for failure in r.values:
+            assert "ghost" in failure and "owner says" in failure
 
     def test_weight_drift_detected(self, planted_blocks):
         def prog(comm):
@@ -138,13 +167,14 @@ class TestAuditsCatchCorruption:
                 total_weight=dg.total_weight + 100.0,
             )
             local_comm = np.arange(dg.vbegin, dg.vend, dtype=np.int64)
-            return audit_partition(comm, corrupted, local_comm)
+            return audit(
+                comm, corrupted, local_comm, dg.local_degrees(),
+                np.ones(dg.num_local, dtype=np.int64),
+            )
 
         r = run_spmd(2, prog, machine=FREE, timeout=30.0)
-        assert all(not rep.ok for rep in r.values)
-        assert any(
-            "weight drift" in f for f in r.values[0].failures
-        )
+        for failure in r.values:
+            assert "weight drift" in failure
 
 
 class TestGhostChannelDeltaCoherence:
@@ -155,9 +185,6 @@ class TestGhostChannelDeltaCoherence:
 
     @staticmethod
     def _churn_rounds(graph, scrambled_start):
-        from repro.core import aggregate_deltas
-        from repro.core.distlouvain import _apply_community_deltas
-
         def prog(comm):
             dg = DistGraph.distribute(comm, graph)
             plan = dg.build_ghost_plan(comm)
@@ -172,7 +199,7 @@ class TestGhostChannelDeltaCoherence:
                 ``new_comm``; with ghost copies, the labels ride along
                 and land there."""
                 moved = new_comm != local_comm
-                labels = _apply_community_deltas(
+                labels = apply_community_deltas(
                     comm, dg,
                     *aggregate_deltas(
                         local_comm[moved], new_comm[moved], k[moved]
@@ -193,12 +220,7 @@ class TestGhostChannelDeltaCoherence:
             ghosts = dg.exchange_ghost_values(comm, plan, local_comm)
 
             def coherent():
-                return (
-                    audit_ghost_coherence(comm, dg, local_comm, ghosts).ok
-                    and audit_community_info(
-                        comm, dg, local_comm, tot, size
-                    ).ok
-                )
+                return audit(comm, dg, local_comm, tot, size, ghosts) is None
 
             oks = [coherent()]
             for _ in range(5):
@@ -227,10 +249,10 @@ class TestGhostChannelDeltaCoherence:
 
 class TestMisalignedGhostAudit:
     """Regression: a ghost array misaligned on ONE rank used to make that
-    rank return early from audit_ghost_coherence, skipping the
-    remote_lookup collectives the healthy ranks were entering (schedule
-    divergence -> deadlock on real MPI).  The decision is now collective;
-    the audit must complete on every rank and fail everywhere."""
+    rank return early from the ghost audit, skipping the owners' lookup
+    the healthy ranks were entering (schedule divergence -> deadlock on
+    real MPI).  The decision is collective; the audit must complete for
+    every rank and fail everywhere."""
 
     def test_single_rank_misalignment_fails_collectively(
         self, planted_blocks
@@ -242,11 +264,13 @@ class TestMisalignedGhostAudit:
             ghost = dg.exchange_ghost_values(comm, plan, local_comm)
             if comm.rank == 1:
                 ghost = ghost[:-1]  # drop one entry on this rank only
-            return audit_ghost_coherence(comm, dg, local_comm, ghost)
+            return audit(
+                comm, dg, local_comm, dg.local_degrees(),
+                np.ones(dg.num_local, dtype=np.int64), ghost,
+            )
 
         # The schedule check makes any residual collective divergence
         # fail fast with a localized error instead of a timeout.
         r = run_spmd(2, prog, machine=FREE, timeout=30.0)
-        assert all(not rep.ok for rep in r.values)
-        for rep in r.values:  # merge_global replicates the failure list
-            assert any("misaligned" in f for f in rep.failures)
+        for failure in r.values:  # the findings are merged
+            assert "rank 1: ghost array misaligned" in failure

@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 
 from repro.core import coarsen_csr, modularity
 from repro.core.coarsen import rebuild_distributed
-from repro.core.coloring import distributed_coloring, verify_coloring
+from repro.core.coloring import color_world
 from repro.core.dynamic import incremental_louvain
 from repro.graph import DistGraph
 from repro.runtime import FREE, run_spmd
 
-from .conftest import assert_valid_partition, random_graph
+from .conftest import (
+    assert_proper_coloring, assert_valid_partition, random_graph, world_of,
+)
 
 COMMON = dict(
     max_examples=15,
@@ -79,15 +81,8 @@ def test_distributed_rebuild_matches_serial(params, p, k, pseed):
 def test_distributed_coloring_always_proper(params, p, seed2):
     n, m, seed = params
     g = random_graph(np.random.default_rng(seed), n, m)
-
-    def prog(comm):
-        dg = DistGraph.distribute(comm, g, partition="even_vertex")
-        plan = dg.build_ghost_plan(comm)
-        colors = distributed_coloring(comm, dg, plan, seed=seed2)
-        return verify_coloring(comm, dg, colors, plan), colors.tolist()
-
-    r = run_spmd(p, prog, machine=FREE, timeout=30.0)
-    assert all(v[0] for v in r.values)
+    colors, _ = color_world(*world_of(g, p, "even_vertex"), seed=seed2)
+    assert_proper_coloring(g, colors)
 
 
 @given(params=graph_params, seed2=st.integers(0, 9))
@@ -97,14 +92,9 @@ def test_coloring_partition_invariant(params, seed2):
     g = random_graph(np.random.default_rng(seed), n, m)
 
     def collect(p):
-        def prog(comm):
-            dg = DistGraph.distribute(comm, g, partition="even_vertex")
-            return distributed_coloring(comm, dg, seed=seed2).tolist()
+        return color_world(*world_of(g, p, "even_vertex"), seed=seed2)[0]
 
-        r = run_spmd(p, prog, machine=FREE, timeout=30.0)
-        return [c for v in r.values for c in v]
-
-    assert collect(1) == collect(3)
+    np.testing.assert_array_equal(collect(1), collect(3))
 
 
 @given(params=graph_params, p=st.integers(1, 4),

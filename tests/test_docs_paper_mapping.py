@@ -51,6 +51,13 @@ REMOVED = {
     "_stack_phase",
     "Communicator.world_call",
     "repro.runtime.comm.Script",
+    "_relabel",
+    "_apply_community_deltas",
+    "repro.core.coloring.distributed_coloring",
+    "_refine_phase",
+    "_audit_phase",
+    "_ends_in_world",
+    "_end_phase",
 }
 
 _NAME = re.compile(r"^[A-Za-z_]\w*(\.[A-Za-z_]\w*)*$")

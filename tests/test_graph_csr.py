@@ -9,9 +9,10 @@ import pytest
 
 from repro.core.coarsen import coarsen_csr
 from repro.graph import CSRGraph, EdgeList
-from repro.graph.csr import row_index, sorted_unique, sum_duplicate_entries
+from repro.graph.csr import row_index, sum_duplicate_entries
 
 from .oracles import aggregate_reference
+from .oracles.aggregate_reference import sorted_unique
 
 
 def small_graph():
