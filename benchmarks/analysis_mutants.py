@@ -84,8 +84,12 @@ _DG = "src/repro/graph/distgraph.py"
 _CFG = "src/repro/core/config.py"
 _COMM_TEST = "tests/test_runtime_comm.py"
 
-_TRACK_GATHER = 'comm.gather(run.orig_slice, root=0, category="other")'
-_TAIL_GATHER = 'comm.gather(mine, root=0, category="rebuild")'
+_GHOST_EXCHANGE = "    ghost_comm = dg.exchange_ghost_values(\n"
+_LOAD = "    manifest, meta, arrays = manager.load_latest(comm)\n"
+_UNPACK = (
+    "    run, rejoin, clock = unpack_rank_state(comm.rank, meta, arrays, "
+    "config)\n"
+)
 _BARRIER = (
     '        comm.barrier(category="checkpoint")\n'
     "        return manifest\n"
@@ -95,15 +99,16 @@ _EXCLUSIONS = "CACHE_KEY_EXCLUSIONS = {\n"
 MUTANTS: tuple[Mutant, ...] = (
     # SPMD001: rank-dependent control flow around a collective.
     Mutant(
-        "m1", "SPMD001", _DL, f"        gathered = {_TRACK_GATHER}\n",
-        f"        if comm.rank != 1:\n            gathered = {_TRACK_GATHER}\n",
-        "rank 1 leaves _finish_phase's assignment-tracking gather out",
+        "m1", "SPMD001", _DL, "    manager.save(\n",
+        "    if comm.rank != 1:\n        manager.save(\n",
+        "rank 1 leaves _save_checkpoint's save out",
     ),
     Mutant(
-        "m2", "SPMD001", _DL, f"    parts = {_TAIL_GATHER}\n",
-        f"    if dg.num_local:\n        parts = {_TAIL_GATHER}\n",
-        "_finish_on_one_rank leaves the tail's gather out on a rank with "
-        "no vertices",
+        "m2", "SPMD001", _DL, _GHOST_EXCHANGE,
+        "    ghost_comm = local_comm[:0]\n"
+        "    if len(plan.ghost_ids):\n    " + _GHOST_EXCHANGE,
+        "_vertex_following_targets leaves the ghost exchange out on a rank "
+        "with no ghosts",
     ),
     Mutant(
         "ckpt_barrier", "SPMD001", _CK, _BARRIER,
@@ -111,14 +116,10 @@ MUTANTS: tuple[Mutant, ...] = (
         "only rank 0 enters the checkpoint's closing barrier",
     ),
     Mutant(
-        "collide_rank0", "SPMD001", _DL,
-        "    meta_map, run.final_mod, phases, iterations = comm.bcast(\n"
-        '        found, root=0, category="rebuild"\n'
-        "    )\n",
-        "    if comm.rank == 0:\n"
-        '        found = comm.bcast(found, root=0, category="rebuild")\n'
-        "    meta_map, run.final_mod, phases, iterations = found\n",
-        "only rank 0 enters the tail's closing bcast",
+        "collide_rank0", "SPMD001", _DL, _LOAD,
+        "    if comm.rank == 0:\n    " + _LOAD,
+        "only rank 0 loads the latest checkpoint (on disk, only it enters "
+        "the load's bcast)",
     ),
     # SPMD002: an early return under a rank-local condition.
     Mutant(
@@ -176,10 +177,9 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     # SPMD101: iteration over a set.
     Mutant(
-        "merge_failures_set", "SPMD101", _DL,
-        "    run.phases.extend(phases)\n",
-        "    run.phases.extend(ph for ph in set(phases))\n",
-        "_finish_on_one_rank adds the tail's phase statistics in set order "
+        "merge_failures_set", "SPMD101", _DL, _UNPACK,
+        _UNPACK + "    run.phases = [ph for ph in set(run.phases)]\n",
+        "_restore_run keeps the restored phase statistics in set order "
         "(the phase history out of order, equal rows lost)",
     ),
     Mutant(
@@ -279,14 +279,16 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     # SPMD201: a payload with no deterministic wire image.
     Mutant(
-        "d", "SPMD201", _DL, _TRACK_GATHER,
-        _TRACK_GATHER.replace("run.orig_slice", "set(run.orig_slice)"),
-        "_finish_phase's assignment-tracking gather sends a set",
+        "d", "SPMD201", _DL,
+        "comm, dg.offsets, leaf_targets, entry_counts,",
+        "comm, dg.offsets, set(leaf_targets), entry_counts,",
+        "_vertex_following_targets' degree lookup sends a set",
     ),
     Mutant(
-        "collide_generator", "SPMD201", _DL, _TAIL_GATHER,
-        _TAIL_GATHER.replace("mine", "(part for part in mine)"),
-        "the tail's gather sends a generator",
+        "collide_generator", "SPMD201", _DL,
+        'comm, plan, local_comm, category="ghost_comm"',
+        'comm, plan, (c for c in local_comm), category="ghost_comm"',
+        "_vertex_following_targets' ghost exchange sends a generator",
     ),
     Mutant(
         "load_generator", "SPMD201", _DG,

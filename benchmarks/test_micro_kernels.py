@@ -356,7 +356,7 @@ def test_kernel_iteration(
                 state.et.prob[:] = 0.25
             dg.exchange_ghost_values(comm, ghost_plan, local)
             phase = comm.scripted(
-                "phase_setup", _Seat(run, k, part, state, ghost_plan, None),
+                "phase_setup", _Seat(run, k, part, state, dg.plan_seat(), None),
                 partial(_set_up_world, config=config),
             )
             comm.barrier()
@@ -553,20 +553,18 @@ BOUNDARY_INPUTS = 4
 @pytest.mark.parametrize("p", [1, 4, 8])
 def test_kernel_phase_boundary(benchmark, monkeypatch, record_bench, p):
     """The phase boundaries of a detection on every rank: the set-up
-    (``_begin_phase``: the ghost plan, the full ghost exchange, the
-    stacking) and the end (``_finish_phase``: the §IV-A(b) rebuild, the
-    statistics' allreduce, the projection) of phases 0 and 1 — the
-    distributed ones at every p — on the ``mesh_p8`` graphs (channel
-    ``medium``, inputs 0-3, Baseline).  Reported per detection: thread
-    CPU ms summed over the ranks (what the ranks burn, waits excluded),
-    wall ms of the whole detection, and the rendezvous rank 0 enters.
-    Only names both sides of a change share are wrapped, so a clone of
-    the parent commit runs the same rows.  Since a phase is one
-    rendezvous, its set-up and end run inside ``louvain_phase_distributed``
-    on whichever thread runs the world: from then on the two stages
-    time only the rank-side work around it (the starting state, the
-    sweep slice, the target scan; the record of the phase), and
-    ``fixed_cost`` times whole detections."""
+    (``_begin_phase``: the starting state, the sweep slice, the target
+    scan; ``_set_up_world``: the ghost plan, the full ghost exchange,
+    the stacking) and the end (``_close_world``: the §IV-A(b) rebuild,
+    the statistics' allreduce, the projection; ``_record_phase``) of
+    phases 0 and 1 — the distributed ones at every p — on the
+    ``mesh_p8`` graphs (channel ``medium``, inputs 0-3, Baseline).
+    Reported per detection: thread CPU ms summed over the threads that
+    run them (the ranks', or the one running the world), wall ms of the
+    whole detection, and the rendezvous rank 0 enters.  Only names and
+    signatures both sides of a change share are wrapped, so a clone of
+    the parent commit runs the same rows; ``fixed_cost`` times whole
+    detections."""
     from repro.core import distlouvain
     from repro.runtime import comm as comm_mod
 
@@ -577,13 +575,16 @@ def test_kernel_phase_boundary(benchmark, monkeypatch, record_bench, p):
     spent: dict[str, list[int]] = {"set-up": [], "end": []}
     entered: list[int] = []
 
-    def timed(part, real):
-        def call(comm, run, *args):
+    def timed(part, real, phase_of):
+        """``real`` timed when ``phase_of(*args)``, its ``(phase, rank
+        count)``, names phase 0 or 1 of the ``p``-rank world."""
+        def call(*args, **kwargs):
             c0 = time.thread_time_ns()
             try:
-                return real(comm, run, *args)
+                return real(*args, **kwargs)
             finally:
-                if comm.size == p and run.phase < 2:
+                phase, size = phase_of(*args)
+                if size == p and phase < 2:
                     spent[part].append(time.thread_time_ns() - c0)
         return call
 
@@ -594,12 +595,27 @@ def test_kernel_phase_boundary(benchmark, monkeypatch, record_bench, p):
             entered.append(1)
         return real_exchange(self, rank, *args)
 
-    monkeypatch.setattr(
-        distlouvain, "_begin_phase", timed("set-up", distlouvain._begin_phase)
-    )
-    monkeypatch.setattr(
-        distlouvain, "_finish_phase", timed("end", distlouvain._finish_phase)
-    )
+    stages = {
+        "_begin_phase": (
+            "set-up", lambda comm, run, *a: (run.phase, comm.size)
+        ),
+        "_set_up_world": (
+            "set-up", lambda world, comms, seats: (seats[0].run.phase, len(comms))
+        ),
+        "_close_world": (
+            "end", lambda world, comms, phases, config: (
+                phases[0].index, len(comms)
+            )
+        ),
+        "_record_phase": (
+            "end", lambda run, *a: (run.phase, len(run.dg.offsets) - 1)
+        ),
+    }
+    for name, (part, phase_of) in stages.items():
+        monkeypatch.setattr(
+            distlouvain, name,
+            timed(part, getattr(distlouvain, name), phase_of),
+        )
     monkeypatch.setattr(comm_mod._Rendezvous, "exchange", exchange)
     run_louvain(graphs[0], p, LouvainConfig())  # warm
 

@@ -10,7 +10,6 @@ from .config import (
 )
 from .distlouvain import (
     distributed_louvain,
-    louvain_phase_distributed,
     run_louvain,
 )
 from .dynamic import (
@@ -82,7 +81,6 @@ __all__ = [
     "load_result",
     "louvain",
     "louvain_phase",
-    "louvain_phase_distributed",
     "make_rank_rng",
     "modularity",
     "modularity_bounds_ok",

@@ -3,19 +3,18 @@
 SPMD structure (executed identically on every rank); every step is a
 named stage of this module:
 
-Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
-    begin the run (:func:`_begin_run`, then Grappolo's vertex-following
-    pre-merge, :func:`_premerge_leaves`) or restore it
-    (:func:`_restore_run`); per phase — until, at a boundary after the
-    first phase, the rest is cheaper on one rank (:mod:`.tail`) and
-    rank 0 finishes it alone (:func:`_finish_on_one_rank`) — Algorithm
-    3, :func:`louvain_phase_distributed`.  The rank sets out its starting
-    state (:func:`_begin_phase`: singleton or resumed labels, and a warm
-    start's seed, checked against its vertices; no op); then *one*
-    scripted rendezvous runs the whole phase for every rank, from its
-    begin to its end (:func:`_phase_world`), charging every op to each
-    rank's own clock and trace, through the rank's
-    :class:`~repro.runtime.comm.Communicator`, as it is made:
+Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_detect_world`)
+    the rank begins the run (:func:`_begin_run`, then Grappolo's
+    vertex-following pre-merge, :func:`_premerge_leaves`) or restores it
+    (:func:`_restore_run`); then *one* scripted rendezvous, ``detect``,
+    runs the rest for every rank, charging every op to each rank's own
+    clock and trace, through the rank's
+    :class:`~repro.runtime.comm.Communicator`, as it is made.  Its phase
+    loop (:func:`_phase_loop`) runs, per phase — until, at a boundary
+    after the first phase, the rest is cheaper on one rank (:mod:`.tail`)
+    and rank 0 finishes it alone (:func:`_tail_world`) — every rank's
+    starting state (:func:`_begin_phase`: singleton or resumed labels,
+    and a warm start's seed), then Algorithm 3 (:func:`_phase_world`):
 
     * the set-up (:func:`_set_up_world`): the one-time-per-phase ghost
       coordinate exchange (Algorithm 4), the stacking, which lays every
@@ -69,12 +68,14 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_run_phases`)
       seven world steps, :mod:`~.coarsen`), statistics and exact Q (one
       allreduce), projection of the original vertices.
 
-    A phase begins and ends inside its world.  The world leaves the
-    rendezvous early only after an iteration a checkpoint is due at: the
-    rank cuts it (:func:`_save_checkpoint`) and the next rendezvous
-    continues the phase.  :func:`_finish_phase` records the phase;
-
-    and gather the assignment (:func:`_gather_result`).
+    then :func:`_finish_phase` records the phase (with assignment
+    tracking, one gather of the original-vertex maps to rank 0) and
+    advances every run.  The result's allgather
+    (:func:`_assignment_world`) ends the detection.  The world leaves the
+    rendezvous only where a checkpoint is due — at a phase boundary other
+    than the one the rendezvous began at, or after an iteration: the rank
+    cuts it (:func:`_save_checkpoint`) and the next ``detect`` continues
+    the run.
 
 What the two loops carry from one synchronisation point to the next is
 one object each (:mod:`repro.core.state`), mutated in place and handed
@@ -124,8 +125,8 @@ from ..graph.distgraph import (
 )
 from ..graph.partition import even_vertex, owner_of
 from ..runtime.comm import (
-    Communicator, World, allgather_world, allreduce_world,
-    lookup_world, push_world,
+    Communicator, World, allgather_world, allreduce_world, bcast_world,
+    gather_world, lookup_world, push_world,
 )
 from ..runtime.executor import SPMDResult, run_spmd
 from ..runtime.perfmodel import CORI_HASWELL, MachineModel
@@ -207,16 +208,15 @@ class _WorldPhase:
 
 
 class _Seat(NamedTuple):
-    """One rank's deposit in its phase's set-up (:func:`_set_up_world`):
+    """One rank's share of its phase's set-up (:func:`_set_up_world`):
     its run, the phase's starting state and what it derived from it."""
 
     run: RunState
     k: np.ndarray
     part: SweepSlice
     state: IterationState
-    #: The rank's ghost plan, or — the set-up building it — its deposit
-    #: for :func:`~repro.graph.distgraph.ghost_plans_world`.
-    plan: GhostPlan | tuple
+    #: Its deposit for :func:`~repro.graph.distgraph.ghost_plans_world`.
+    plan: tuple
     #: A warm start's seed: the community of every owned vertex
     #: (``None`` when the phase starts from singletons or a checkpoint).
     seed: np.ndarray | None
@@ -227,8 +227,8 @@ def _set_up_world(
     config: LouvainConfig,
 ) -> list["_Phase"]:
     """The phase's set-up for every rank: every rank's ghost plan
-    (Algorithm 4, :func:`~repro.graph.distgraph.ghost_plans_world`,
-    unless the ranks brought theirs) and the stacking
+    (Algorithm 4, :func:`~repro.graph.distgraph.ghost_plans_world`) and
+    the stacking
     (:func:`_stack_world`); then a warm start's seed, one batch of moves
     (:func:`_relabel_world`), and the colouring
     (:func:`~repro.core.coloring.color_world`), each over the world's
@@ -237,9 +237,7 @@ def _set_up_world(
     (:func:`~repro.graph.distgraph.ghost_exchange_world`).  Returns every
     rank's :class:`_Phase`; its state (and ET state) hold their segments
     of the world's arrays from here, and each graph memoises its plan."""
-    plans = [s.plan for s in seats]
-    if not isinstance(plans[0], GhostPlan):
-        plans = ghost_plans_world(world, comms, plans)
+    plans = ghost_plans_world(world, comms, [s.plan for s in seats])
     wp = _stack_world(world.workspace, config.resolution, seats, plans)
     if seats[0].seed is not None:
         seed = np.concatenate([s.seed for s in seats])
@@ -379,57 +377,19 @@ class _Phase:
         return self.world.active[self.dg.vbegin:self.dg.vend]
 
 
-def louvain_phase_distributed(
-    comm: Communicator,
-    run: RunState,
-    tau: float,
-    config: LouvainConfig,
-    checkpoints=None,
-    rejoin: IterationState | None = None,
-) -> _Phase:
-    """Algorithm 3: phase ``run.phase`` at this rank, on ``run.dg``; one
-    scripted rendezvous (:func:`_phase_world`) runs it for every rank.
-    Returns the phase closed (:attr:`_Phase.ended`).  A pending
-    ``run.seed_assignment`` (community id per *owned* vertex, in the
-    vertex-id space) seeds it instead of singletons — the incremental
-    mode's warm start.
-
-    ``checkpoints`` (resilience subsystem) is the run's save-point
-    object: after every non-final iteration its cadence makes due — at
-    the same iterations on every rank — the world leaves, this rank cuts
-    the checkpoint of its live :class:`~repro.core.state.IterationState`
-    and the next rendezvous continues the phase.  ``rejoin`` is such a
-    state, and rejoins the loop after its last iteration.
-    """
-    seat = _begin_phase(comm, run, config, rejoin)
-    due = None if checkpoints is None else checkpoints.should_checkpoint_iteration
-    step = partial(_phase_world, tau, config, due)
-    phase, paused = comm.scripted("phase", seat, step)
-    while paused:
-        _save_checkpoint(checkpoints, comm, run, phase.state)
-        phase, paused = comm.scripted("phase", phase, step)
-    return phase
-
-
 def _phase_world(
-    tau: float,
-    config: LouvainConfig,
-    due: Callable[[int], bool] | None,
     world: World,
     comms: Sequence[Communicator],
-    deposits: list,
-) -> list[tuple[_Phase, bool]]:
-    """The phase for every rank: the set-up (:func:`_set_up_world`) —
-    unless the deposits are phases a checkpoint paused — then the
-    iterations (:func:`_iterate`) until the tau test or ETC's exit ends
-    the phase, then the close (:func:`_close_world`).  The world leaves
-    early after an iteration ``due(it)`` names: the phase goes on past
-    it on every rank (the exit tests read replicated values), so the
-    ranks cut a checkpoint there.  Returns every rank's phase and
-    whether it paused."""
-    phases = deposits
-    if isinstance(deposits[0], _Seat):
-        phases = _set_up_world(world, comms, deposits, config=config)
+    phases: list["_Phase"],
+    tau: float,
+    config: LouvainConfig,
+    due: Callable[[int], bool] | None = None,
+) -> bool:
+    """Algorithm 3 for every rank, once the set-up has built ``phases``
+    (or a checkpoint paused them): the iterations (:func:`_iterate`)
+    until the tau test or ETC's exit ends the phase, then the close
+    (:func:`_close_world`).  Returns whether it stopped early, after an
+    iteration ``due(it)`` names, for the ranks to cut a checkpoint."""
     state = phases[0].state
     for it in range(state.iteration + 1, config.max_iterations):
         exited = _iterate(world, comms, phases, it, config)
@@ -438,9 +398,9 @@ def _phase_world(
         for phase in phases:
             phase.state.prev_q = phase.state.q
         if due is not None and due(it):
-            return [(phase, True) for phase in phases]
+            return True
     _close_world(world, comms, phases, config)
-    return [(phase, False) for phase in phases]
+    return False
 
 
 def _close_world(
@@ -470,7 +430,13 @@ def _close_world(
             world, comms, graphs, plans, wp.local_comm, wp.tot, wp.size,
             [phase.ghost_comm for phase in phases],
         )
-    ends = _end_world(world, comms, [_closing(ph) for ph in phases])
+    ends = _end_world(world, comms, [
+        _Closing(
+            RebuildSeat(ph.dg, ph.state.local_comm, ph.ghost_comm),
+            ph.run.orig_slice, _cross_entries(ph.run),
+        )
+        for ph in phases
+    ])
     for phase, end in zip(phases, ends):
         phase.ended = end
 
@@ -481,12 +447,12 @@ def _begin_phase(
     config: LouvainConfig,
     rejoin: IterationState | None,
 ) -> _Seat:
-    """The phase's starting state — rejoined or singleton, and a warm
-    start's seed, which the set-up applies — and what the rank derives
-    from it: the sweep's slice of its graph and its deposit for the ghost
-    plan.  A seed that does not cover the owned vertices raises here,
-    before any rendezvous.  A one-rank run standing for a wider world
-    (``run.layout_ranks``) draws ET as that world would."""
+    """Rank ``comm.rank``'s starting state of phase ``run.phase`` —
+    rejoined or singleton, and a warm start's seed, which the set-up
+    applies — and what it derives from it: the sweep's slice of its
+    graph and its deposit for the ghost plan; no op.  A one-rank run
+    standing for a wider world (``run.layout_ranks``) draws ET as that
+    world would."""
     dg = run.dg
     k = dg.local_degrees()
     # The first phase a run begins consumes the warm start (a phase
@@ -517,17 +483,6 @@ def _begin_phase(
                     np.diff(even_vertex(dg.num_local, run.layout_ranks)),
                 ),
             )
-    if seed is not None:
-        if len(seed) != dg.num_local:
-            raise ValueError(
-                f"initial_assignment covers {len(seed)} vertices, "
-                f"rank owns {dg.num_local}"
-            )
-        seed = np.asarray(seed, dtype=np.int64)
-    # Lines 4-5 in full, once per phase, come in the set-up, priced as
-    # the paper runs them (later rounds ship only what changed).  Inside
-    # the world a ghost's community is its label there: the copies are
-    # not kept.
     return _Seat(
         run, k,
         SweepSlice(
@@ -535,7 +490,7 @@ def _begin_phase(
             dg.local_rows(), k,
         ),
         state,
-        dg.plan_seat() if dg.ghost_plan is None else dg.ghost_plan,
+        dg.plan_seat(),
         seed,
     )
 
@@ -946,97 +901,141 @@ def distributed_louvain(
         # seed already places every vertex.
         if config.vertex_following and initial_assignment is None:
             _premerge_leaves(comm, run)
-    _run_phases(
-        comm, run, config, checkpoints, rejoin,
-        restored_at=run.phase if resume else None,
+        if _boundary_due(checkpoints, run, config):
+            _save_checkpoint(checkpoints, comm, run)
+    # The slice's entry rows and target scan, memoised on it, are derived
+    # on the rank's own thread: inside the world every rank's would be
+    # malloc'd by whichever thread runs it, and each thread that ever
+    # does would keep room for all of them in its heap (peak RSS).
+    run.dg.local_rows()
+    run.dg.compressed_targets()
+    detection = _Detection(run, rejoin)
+    detect = partial(_detect_world, config, checkpoints)
+    while True:
+        detection = comm.scripted("detect", detection, detect)
+        if detection.result is not None:
+            return detection.result
+        # Due at a phase boundary, or after an iteration of this phase.
+        phase = detection.phase
+        _save_checkpoint(checkpoints, comm, run, phase and phase.state)
+
+
+@dataclass(eq=False)
+class _Detection:
+    """One rank's detection between two rendezvous: its run, where the
+    world left it and, once it ends, its result."""
+
+    run: RunState
+    #: A mid-phase checkpoint's state, which the next phase rejoins at.
+    rejoin: IterationState | None = None
+    #: The phase under way (``None`` at a phase boundary).
+    phase: _Phase | None = None
+    result: LouvainResult | None = None
+
+
+def _detect_world(
+    config: LouvainConfig,
+    manager,
+    world: World,
+    comms: Sequence[Communicator],
+    detections: list[_Detection],
+) -> list[_Detection]:
+    """Algorithm 2 for every rank: the phase loop (:func:`_phase_loop`)
+    and, unless it paused for a checkpoint, the result's allgather
+    (:func:`_assignment_world`), which sets every rank's result."""
+    if _phase_loop(world, comms, detections, config, manager):
+        return detections
+    assignment = _assignment_world(
+        world, comms, [d.run.orig_slice for d in detections]
     )
-    return _gather_result(comm, run)
+    for d in detections:
+        run = d.run
+        d.result = LouvainResult(
+            run.final_mod, assignment, run.phases, run.iterations,
+            phase_assignments=run.phase_assignments,
+        )
+    return detections
 
 
-def _run_phases(
-    comm: Communicator,
-    run: RunState,
+def _phase_loop(
+    world: World,
+    comms: Sequence[Communicator],
+    detections: list[_Detection],
     config: LouvainConfig,
     manager=None,
-    rejoin: IterationState | None = None,
-    restored_at: int | None = None,
-) -> None:
-    """Algorithm 2's phase loop, from ``run.phase`` until the run
-    converges: checkpoint the boundary (``manager``, unless it is the
-    one ``restored_at``), then — the graph cheap enough on one rank —
-    finish on rank 0 (:func:`_finish_on_one_rank`), or else run the
-    phase (rejoining ``rejoin``, a mid-phase state; ``manager``'s
-    iteration cadence cutting checkpoints inside it) and finish it."""
+) -> bool:
+    """Algorithm 2's phase loop for every rank, from where the detections
+    stand until the run converges; per phase its tau, then the tail
+    (:func:`_tail_world`) or the starting states (:func:`_begin_phase`),
+    the set-up (:func:`_set_up_world`), the phase (:func:`_phase_world`)
+    and its record (:func:`_finish_phase`).  Returns whether it paused
+    where ``manager`` makes a checkpoint due: after an iteration, or at
+    the boundary a finished phase reaches."""
     cycler = (
         ThresholdCycler(config)
         if config.variant.uses_threshold_cycling
         else None
     )
-    while run.phase < config.max_phases:
+    due = None if manager is None else manager.should_checkpoint_iteration
+    first = detections[0]
+    while first.run.phase < config.max_phases:
+        run = first.run
         tau = _phase_tau(run, config, cycler)
-        if (
-            manager is not None
-            and manager.should_checkpoint_phase(run.phase)
-            # Don't re-cut the checkpoint we just restored from.
-            and run.phase != restored_at
-        ):
-            _save_checkpoint(manager, comm, run)
-        # Replicated inputs only: the machine, the rank count, the new
-        # graph's vertex count (the rebuild's allgather) and, bounding
-        # its entries, the last phase's (its statistics' allreduce).
-        if rejoin is None and run.phases and gather_pays(
-            comm.machine, comm.size, run.dg.num_global_vertices,
-            2 * run.phases[-1].num_edges + 1,
-        ):
-            _finish_on_one_rank(comm, run, config)
-            break
-        phase = louvain_phase_distributed(
-            comm, run, tau, config, manager, rejoin
-        )
-        rejoin = None
-        if not _finish_phase(comm, run, phase, tau, config, cycler):
-            break
+        if first.phase is None:
+            # The last phase's entries bound every later phase's.
+            if first.rejoin is None and run.phases and gather_pays(
+                world.machine, len(comms), run.dg.num_global_vertices,
+                2 * run.phases[-1].num_edges + 1,
+            ):
+                _tail_world(world, comms, [d.run for d in detections], config)
+                return False
+            seats = [
+                _begin_phase(comm, d.run, config, d.rejoin)
+                for comm, d in zip(comms, detections)
+            ]
+            for d, phase in zip(
+                detections, _set_up_world(world, comms, seats, config=config)
+            ):
+                d.phase, d.rejoin = phase, None
+        phases = [d.phase for d in detections]
+        if _phase_world(world, comms, phases, tau, config, due):
+            return True
+        more = _finish_phase(world, comms, detections, tau, config, cycler)
+        if not more or _boundary_due(manager, first.run, config):
+            return more
+    return False
 
 
-def _finish_on_one_rank(
-    comm: Communicator, run: RunState, config: LouvainConfig
+def _boundary_due(manager, run: RunState, config: LouvainConfig) -> bool:
+    """Whether ``manager`` cuts a checkpoint at the boundary before phase
+    ``run.phase`` (one the run goes on to)."""
+    return (
+        manager is not None
+        and run.phase < config.max_phases
+        and manager.should_checkpoint_phase(run.phase)
+    )
+
+
+def _tail_world(
+    world: World,
+    comms: Sequence[Communicator],
+    runs: list[RunState],
+    config: LouvainConfig,
 ) -> None:
     """The remaining phases on rank 0 alone (:mod:`.tail`): one gather of
-    the ranks' CSR slices (with their original-vertex maps when
-    assignments are tracked), the same phase loop on ``MPI_COMM_SELF``
-    there, and one broadcast of the meta vertex -> community map and
-    the phases' statistics, through which every rank maps its original
-    vertices.  Atomic: nothing is checkpointed inside."""
-    dg = run.dg
-    mine = (dg.index, dg.edges, dg.weights)
-    if config.track_assignments:
-        mine += (run.orig_slice,)
-    parts = comm.gather(mine, root=0, category="rebuild")
-    found = None
-    if comm.rank == 0:
-        with comm.solo() as solo:
-            found = _run_tail(solo, run, parts, config)
-    meta_map, run.final_mod, phases, iterations = comm.bcast(
-        found, root=0, category="rebuild"
-    )
-    run.orig_slice = meta_map[run.orig_slice]
-    run.phases.extend(phases)
-    run.iterations.extend(iterations)
-
-
-def _run_tail(
-    comm: Communicator,
-    run: RunState,
-    parts: list[tuple[np.ndarray, ...]],
-    config: LouvainConfig,
-) -> tuple[np.ndarray, float, list[PhaseStats], list[IterationStats]]:
-    """Rank 0's share of :func:`_finish_on_one_rank`, on the one-rank
-    ``comm``: the gathered slices joined into one graph, each meta
-    vertex its own original vertex, and the phase loop run over it as
-    the ranks it was gathered from would have (``layout_ranks``).
-    Returns the meta vertex -> community map, the final Q and the
-    phases' statistics."""
-    n = run.dg.num_global_vertices
+    the ranks' CSR slices (and original-vertex maps, when tracked); the
+    phase loop on rank 0's ``MPI_COMM_SELF`` over them joined, run as
+    the ranks it was gathered from would have (``layout_ranks``); one
+    broadcast of the meta vertex -> community map, the final Q and the
+    statistics, through which every rank maps its original vertices.
+    Atomic: nothing is checkpointed inside."""
+    parts = [
+        (run.dg.index, run.dg.edges, run.dg.weights)
+        + ((run.orig_slice,) if config.track_assignments else ())
+        for run in runs
+    ]
+    gather_world(world, comms, parts, root=0, category="rebuild")
+    root, n = runs[0], runs[0].dg.num_global_vertices
     index, base = [np.zeros(1, dtype=np.int64)], 0
     for part in parts:
         index.append(part[0][1:] + base)
@@ -1048,21 +1047,30 @@ def _run_tail(
             index=np.concatenate(index),
             edges=np.concatenate([part[1] for part in parts]),
             weights=np.concatenate([part[2] for part in parts]),
-            total_weight=run.dg.total_weight,
+            total_weight=root.dg.total_weight,
         ),
         orig_slice=np.arange(n, dtype=np.int64),
-        phase=run.phase,
-        prev_mod=run.prev_mod,
-        final_mod=run.final_mod,
-        in_final_pass=run.in_final_pass,
+        phase=root.phase,
+        prev_mod=root.prev_mod,
+        final_mod=root.final_mod,
+        in_final_pass=root.in_final_pass,
         phase_assignments=[] if config.track_assignments else None,
     )
     tail.layout_ranks = len(parts)
-    _run_phases(comm, tail, config)
+    with comms[0].solo() as solo:
+        _phase_loop(solo.world, [solo], [_Detection(tail)], config)
     if config.track_assignments:
         orig = np.concatenate([part[3] for part in parts])
-        run.phase_assignments.extend(m[orig] for m in tail.phase_assignments)
-    return tail.orig_slice, tail.final_mod, tail.phases, tail.iterations
+        root.phase_assignments.extend(m[orig] for m in tail.phase_assignments)
+    found = (tail.orig_slice, tail.final_mod, tail.phases, tail.iterations)
+    meta_map, final_mod, phases, iterations = bcast_world(
+        world, comms, [found] * len(comms), root=0, category="rebuild"
+    )[0]
+    for run in runs:
+        run.orig_slice = meta_map[run.orig_slice]
+        run.final_mod = final_mod
+        run.phases.extend(phases)
+        run.iterations.extend(iterations)
 
 
 def _begin_run(
@@ -1072,7 +1080,16 @@ def _begin_run(
     initial_assignment: np.ndarray | None,
 ) -> RunState:
     """A fresh run's state: the input slice, every original vertex this
-    rank loaded (its phase-0 interval) its own meta vertex."""
+    rank loaded (its phase-0 interval) its own meta vertex.  A warm
+    start's seed that does not cover the owned vertices raises here,
+    before any rendezvous."""
+    if initial_assignment is not None:
+        if len(initial_assignment) != dg.num_local:
+            raise ValueError(
+                f"initial_assignment covers {len(initial_assignment)} "
+                f"vertices, rank owns {dg.num_local}"
+            )
+        initial_assignment = np.asarray(initial_assignment, dtype=np.int64)
     run = RunState(
         dg=dg,
         orig_slice=np.arange(dg.vbegin, dg.vend, dtype=np.int64),
@@ -1121,7 +1138,10 @@ def _premerge_leaves(comm: Communicator, run: RunState) -> None:
     """
     vf_local, vf_ghost = _vertex_following_targets(comm, run.dg)
     vf_dg, vf_new = rebuild_distributed(comm, run.dg, vf_local, vf_ghost)
-    _project(comm, run, vf_new)
+    # Fold the merge into the original-vertex map: one owner lookup.
+    run.orig_slice = remote_lookup(
+        comm, run.dg.offsets, run.orig_slice, vf_new, category="rebuild"
+    )
     run.dg = vf_dg
 
 
@@ -1206,54 +1226,52 @@ def _save_checkpoint(
 
 
 def _finish_phase(
-    comm: Communicator,
-    run: RunState,
-    phase: _Phase,
+    world: World,
+    comms: Sequence[Communicator],
+    detections: list[_Detection],
     tau: float,
     config: LouvainConfig,
     cycler: ThresholdCycler | None,
 ) -> bool:
-    """Finish ``phase``, which its world closed: record it (its graph
-    rebuild, stats and exact Q, projection), track it, and advance
-    ``run`` to the next one; returns whether there is a next one."""
-    state = phase.state
-    new_dg, total, run.orig_slice = phase.ended
-    _record_phase(run, phase, tau, total, config.resolution)
+    """Finish every rank's phase, which its world closed: record it (its
+    graph rebuild, stats and exact Q, projection), track it — one gather
+    of the original-vertex maps to rank 0 — and move every run onto the
+    coarsened graph and, unless the run converged, to the next phase;
+    returns whether there is one (the test reads replicated values)."""
+    phase, run = detections[0].phase, detections[0].run
+    q, new_n = phase.state.q, phase.ended[0].num_global_vertices
+    converged = q - run.prev_mod <= tau or new_n == run.dg.num_global_vertices
+    # Converged above threshold cycling's lowest tau: one more pass at it
+    # before declaring convergence (§V-C(a)).
+    final_pass = converged and not (
+        cycler is None or run.in_final_pass or tau <= cycler.final_tau
+    )
+    more = not converged or final_pass
+    for d in detections:
+        run, phase, d.phase = d.run, d.phase, None
+        new_dg, total, run.orig_slice = phase.ended
+        _record_phase(run, phase, tau, total, config.resolution)
+        run.dg = new_dg
+        if more:
+            run.in_final_pass |= final_pass
+            run.prev_mod = q
+            run.phase += 1
     if config.track_assignments:
-        gathered = comm.gather(run.orig_slice, root=0, category="other")
-        if comm.rank == 0:
-            run.phase_assignments.append(np.concatenate(gathered))
-
-    gain = state.q - run.prev_mod
-    no_merge = new_dg.num_global_vertices == run.dg.num_global_vertices
-    run.dg = new_dg
-    if gain <= tau or no_merge:
-        if cycler is None or run.in_final_pass or tau <= cycler.final_tau:
-            return False
-        # Converged above the schedule's lowest tau: one more pass at
-        # it before declaring convergence (§V-C(a)).
-        run.in_final_pass = True
-    run.prev_mod = state.q
-    run.phase += 1
-    return True
+        gathered = gather_world(
+            world, comms, [d.run.orig_slice for d in detections],
+            root=0, category="other",
+        )[0]
+        detections[0].run.phase_assignments.append(np.concatenate(gathered))
+    return more
 
 
 class _Closing(NamedTuple):
-    """One rank's deposit in its phase's end (:func:`_end_world`): its
+    """One rank's share of its phase's end (:func:`_end_world`): its
     rebuild seat, original-vertex map and cross-rank entry count."""
 
     seat: RebuildSeat
     orig_slice: np.ndarray
     cross: int
-
-
-def _closing(phase: _Phase) -> _Closing:
-    """A rank's deposit in its phase's end, made inside the world."""
-    run, state = phase.run, phase.state
-    return _Closing(
-        RebuildSeat(run.dg, state.local_comm, phase.ghost_comm),
-        run.orig_slice, _cross_entries(run),
-    )
 
 
 def _end_world(
@@ -1346,48 +1364,15 @@ def _cross_entries(run: RunState) -> int:
     ))
 
 
-def _project(comm: Communicator, run: RunState, local_new: np.ndarray) -> None:
-    """Fold one coarsening of ``run.dg`` into the original-vertex map,
-    one lookup rendezvous (:func:`~repro.core.coarsen.project_world`)."""
-    run.orig_slice = comm.scripted(
-        "lookup", (run.dg.offsets, run.orig_slice, local_new),
-        _project_ranks,
-    )
-
-
-def _project_ranks(
-    world: World, comms: Sequence[Communicator], deposits: list[tuple]
-) -> list[np.ndarray]:
-    """:func:`~repro.core.coarsen.project_world` over per-rank deposits
-    ``(offsets, orig_slice, local_new)``."""
-    offsets, origs, tables = zip(*deposits)
-    return project_world(world, comms, offsets[0], list(origs), list(tables))
-
-
-def _gather_result(comm: Communicator, run: RunState) -> LouvainResult:
-    """Assemble the replicated original-vertex assignment: one allgather,
-    normalised once for the world; every rank gets the same read-only
-    array."""
-    return LouvainResult(
-        modularity=run.final_mod,
-        assignment=comm.scripted(
-            "allgather", run.orig_slice, _assignment_world
-        ),
-        phases=run.phases,
-        iterations=run.iterations,
-        phase_assignments=run.phase_assignments,
-    )
-
-
 def _assignment_world(
     world: World, comms: Sequence[Communicator], pieces: list[np.ndarray]
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """The result's allgather for every rank, and the assignment it
-    yields normalised once."""
+    yields normalised once: the read-only array every rank gets."""
     allgather_world(world, comms, pieces, category="other")
     assignment = normalize_assignment(np.concatenate(pieces))
     assignment.flags.writeable = False
-    return [assignment] * len(pieces)
+    return assignment
 
 
 def run_louvain(

@@ -7,8 +7,8 @@ nothing else — three exchanges and an allreduce — while one rank sweeps
 the whole graph in less time than one of those messages takes.  At
 every phase boundary after the first, :func:`gather_pays` decides from
 replicated values whether the run gathers the graph to rank 0 and
-finishes there on ``MPI_COMM_SELF``
-(:func:`repro.core.distlouvain._finish_on_one_rank`).
+finishes there on ``MPI_COMM_SELF``, a step of the detection's world
+function (:func:`repro.core.distlouvain._tail_world`).
 
 It says yes only when the modelled clock provably cannot rise.  The
 tail on one rank runs the same phases, iterations, sweep rounds and

@@ -20,9 +20,9 @@ ranks run as threads, each holding a :class:`Communicator`, and talk via
   the end-to-end benchmark's span table names them.
 
 :meth:`Communicator.solo` is ``MPI_COMM_SELF``: a one-rank communicator
-for work one rank does alone inside the SPMD program (the gathered tail
-of a run, in ``core/``).  Its collectives meet no peer, so they cost
-nothing on the modelled machine.
+for work one rank does alone (a run's gathered tail, which a world
+function in ``core/`` runs on rank 0's while the others wait).  Its
+collectives meet no peer, so they cost nothing on the modelled machine.
 
 A *leg* is one personalised exchange on the wire, a message from every
 rank to every peer, priced per rank by the alltoallv model from the
@@ -43,16 +43,17 @@ a *world function* runs once, on whichever rank arrives last, over
 every rank's deposit and every rank's :class:`Communicator`.  It makes
 the ranks' ops through the world halves (:func:`alltoall_world`,
 :func:`lookup_world`, :func:`push_world`, :func:`allreduce_world`,
-:func:`allgather_world`; each other collective's is its method's own
-``run``), or chains any number of them: one phase of Louvain, in
-``core/``, is one world function.  A world step that reads what it
-needs off the world's arrays prices a leg from counts alone
-(:func:`alltoall_counts_world`).  Per op every rank *begins* it
-(:meth:`Communicator._begin`: the fault plan, a delay it sets, the
-collective count), then the world synchronises on the latest clock and
-each rank *finishes* it at its end (:meth:`Communicator._finish`:
-``max(end - clock, 0.0)``), recording the leg's bytes; an op priced
-once for every rank is :func:`_synchronise`.  Every rank is blocked in
+:func:`allgather_world`, :func:`gather_world`, :func:`bcast_world`;
+each other collective's is its method's own ``run``), or chains any
+number of them: a Louvain detection, in ``core/``, is one world
+function.  A world step that reads what it needs off the world's arrays
+prices a leg from counts alone (:func:`alltoall_counts_world`).  Per op
+every rank *begins* it (:meth:`Communicator._begin`: the fault plan, a
+delay it sets, the collective count), then the world synchronises on
+the latest clock and each rank *finishes* it at its end
+(:meth:`Communicator._finish`: ``max(end - clock, 0.0)``), recording
+the leg's bytes; an op priced once for every rank is
+:func:`_synchronise`.  Every rank is blocked in
 the rendezvous meanwhile, so the world charges each rank's own clock
 and trace directly, in the order and with the float operations making
 the ops one by one would.  A rendezvous that makes no op (a scripted
@@ -436,6 +437,31 @@ def allgather_world(
     cost = world.machine.allgather_cost(_largest(values), len(values))
     _synchronise(comms, "allgather", category, cost)
     return [list(values)] * len(values)
+
+
+def gather_world(
+    world: "World", comms: Sequence["Communicator"], values: list[Any],
+    *, root: int, category: str,
+) -> list[list[Any] | None]:
+    """World half of :meth:`Communicator.gather`: priced by the largest
+    deposit; ``root`` gets every value, in rank order, every other rank
+    ``None``."""
+    p = len(comms)
+    cost = world.machine.gather_cost(_largest(values), p)
+    _synchronise(comms, "gather", category, cost)
+    return [values if r == root else None for r in range(p)]
+
+
+def bcast_world(
+    world: "World", comms: Sequence["Communicator"], values: list[Any],
+    *, root: int, category: str,
+) -> list[Any]:
+    """World half of :meth:`Communicator.bcast`: ``values[root]``, priced
+    by its size, to every rank (the other ranks' values are not read)."""
+    value, p = values[root], len(comms)
+    cost = world.machine.bcast_cost(message_bytes(value), p)
+    _synchronise(comms, "bcast", category, cost)
+    return [value] * p
 
 
 #: Rooted collectives: their non-root ranks deposit ``None``, so only
@@ -843,9 +869,10 @@ class Communicator:
         open for the ``with`` block.
 
         Only this rank uses it; the world's other ranks go on with their
-        own schedule (typically, waiting in the collective that follows).
-        Its collectives meet no peer: the one-rank cost formulas are
-        zero, no fault plan is consulted and no rendezvous waits.  It
+        own schedule (or wait in the rendezvous whose world function
+        opened it).  Its collectives meet no peer: the one-rank cost
+        formulas are zero, no fault plan is consulted and no rendezvous
+        waits.  It
         shares this rank's trace and the world's workspace, and runs on
         this rank's clock — it starts at it and hands it back when the
         block ends.
@@ -935,14 +962,10 @@ class Communicator:
 
     def bcast(self, obj: Any, root: int = 0, category: str = "other") -> Any:
         self._check_peer(root)
-
-        def run(world, comms, deposits):
-            value, p = deposits[root], len(comms)
-            cost = world.machine.bcast_cost(message_bytes(value), p)
-            _synchronise(comms, "bcast", category, cost)
-            return [value] * p
-
-        return self.scripted("bcast", obj if self.rank == root else None, run)
+        return self.scripted(
+            "bcast", obj if self.rank == root else None,
+            partial(bcast_world, root=root, category=category),
+        )
 
     def reduce(
         self,
@@ -977,14 +1000,9 @@ class Communicator:
 
     def gather(self, value: Any, root: int = 0, category: str = "other") -> list | None:
         self._check_peer(root)
-
-        def run(world, comms, values):
-            p = len(comms)
-            cost = world.machine.gather_cost(_largest(values), p)
-            _synchronise(comms, "gather", category, cost)
-            return [values if r == root else None for r in range(p)]
-
-        return self.scripted("gather", value, run)
+        return self.scripted(
+            "gather", value, partial(gather_world, root=root, category=category)
+        )
 
     def allgather(self, value: Any, category: str = "other") -> list:
         return self.scripted(
@@ -1079,10 +1097,8 @@ class Communicator:
         run: Callable[["World", Sequence["Communicator"], list[Any]], list[Any]],
     ) -> Any:
         """One rendezvous ``name``: ``run(world, comms, deposits)`` (a
-        world function: :func:`alltoall_world`, :func:`lookup_world`,
-        :func:`push_world`, :func:`allreduce_world`,
-        :func:`allgather_world`, or a function of any number of them)
-        runs once, on whichever rank arrives last, over every rank's
+        world function: one of this module's world halves, or a function
+        of any number of them) runs once, on whichever rank arrives last, over every rank's
         deposit and its communicator; returns this rank's item of what
         it returns.  Every collective of this class is one.
 

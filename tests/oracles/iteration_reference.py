@@ -1,6 +1,6 @@
 """Reference schedule: one Louvain iteration as every rank runs it alone.
 
-The shipped ``repro.core.distlouvain`` runs a whole phase in one
+The shipped ``repro.core.distlouvain`` runs a whole detection in one
 rendezvous, and each of its iterations (``_iterate``) runs Algorithm 3's
 steps (ii)-(v) for every rank inside it — each step a fixed number of
 numpy passes over every rank's state laid end to end, in global
@@ -23,70 +23,44 @@ not fetch stays NaN, and scoring against it raises ``KeyError``
 (:func:`~repro.core.sweep.array_lookup`).  After every iteration every
 rank must hold *equal* state, clock and trace.
 
-:func:`louvain_phase` is a drop-in for
-``distlouvain.louvain_phase_distributed`` that runs the phase's set-up
-as its own rendezvous, then :func:`iterate` (looked up by name at each
-iteration, so a test can wrap it) on the rank's own thread, and closes
-the phase in a rendezvous of its own (``_close_world``).  Its delta exchange is
-the module function :func:`apply_community_deltas`, so a test can swap
-in the two-exchange oracle of :mod:`.exchange_reference`.
-:func:`per_rank_iterations` and :func:`world_iterations` hook a
-function in after every iteration of either, per rank.
+:func:`per_rank_iterations` puts it in the world's place: each
+``_iterate`` of the world becomes :func:`iterate` (looked up by name at
+each iteration, so a test can wrap it) on every rank's own thread
+(:func:`~.rank_threads.on_rank_threads`), between the world's set-up and
+close.  Its delta exchange is the module function
+:func:`apply_community_deltas`, so a test can swap in the two-exchange
+oracle of :mod:`.exchange_reference`.  :func:`per_rank_iterations` and
+:func:`world_iterations` hook a function in after every iteration of
+either, per rank.
 """
 
 from __future__ import annotations
-
-import sys
-from functools import partial
 
 import numpy as np
 
 from repro.core import distlouvain
 from repro.core.coarsen import owner_lookup
-from repro.core.distlouvain import (
-    _begin_phase, _close_world, _exit_tests, _save_checkpoint,
-    _set_up_world, aggregate_dense_deltas,
-)
+from repro.core.distlouvain import _exit_tests, aggregate_dense_deltas
 from repro.core.sweep import array_lookup, propose_moves
 
-
-def louvain_phase(comm, run, tau, config, checkpoints=None, rejoin=None):
-    """A drop-in for ``louvain_phase_distributed``: the set-up as its own
-    rendezvous, then the iteration loop with :func:`iterate` on the
-    rank's own thread, checkpointing where the shipped world leaves for
-    it, then the close as a rendezvous of its own."""
-    seat = _begin_phase(comm, run, config, rejoin)
-    phase = comm.scripted(
-        "phase_setup", seat, partial(_set_up_world, config=config)
-    )
-    state = phase.state
-    for it in range(state.iteration + 1, config.max_iterations):
-        if iterate(comm, phase, it, config) or state.q - state.prev_q <= tau:
-            break
-        state.prev_q = state.q
-        if checkpoints is not None and checkpoints.should_checkpoint_iteration(it):
-            _save_checkpoint(checkpoints, comm, run, state)
-    return comm.scripted("phase_close", phase, partial(_close, config=config))
+from .rank_threads import on_rank_threads
 
 
-def _close(world, comms, phases, *, config):
-    _close_world(world, comms, phases, config)
-    return phases
+def per_rank_iterations(patch, after=None):
+    """Run detections with every world iteration replaced by
+    :func:`iterate` on every rank's own thread, calling ``after(comm,
+    phase, exited)`` (if given) on every rank after each."""
 
+    def iterate_ranks(world, comms, phases, it, config):
+        def rank(comm, phase):
+            exited = iterate(comm, phase, it, config)
+            if after is not None:
+                after(comm, phase, exited)
+            return exited
 
-def per_rank_iterations(patch, after):
-    """Run detections with :func:`louvain_phase` in place of the world's
-    phase, calling ``after(comm, phase, exited)`` on every rank after
-    every :func:`iterate`."""
-    real = iterate
+        return on_rank_threads(world, comms, rank, phases)[0]
 
-    def hooked(comm, phase, *args):
-        exited = real(comm, phase, *args)
-        after(comm, phase, exited)
-        return exited
-
-    patch.setattr(distlouvain, "louvain_phase_distributed", louvain_phase)
-    patch.setattr(sys.modules[__name__], "iterate", hooked)
+    patch.setattr(distlouvain, "_iterate", iterate_ranks)
 
 
 def world_iterations(patch, after):

@@ -309,7 +309,6 @@ class TestCommunityInfoCoverage:
         # kernel sweeps *every* vertex while the round fetched only what
         # ET's active subset needs.  It must surface as a KeyError naming
         # the communities, never as a move scored against garbage.
-        from repro.core import distlouvain
         from repro.runtime import RankFailedError
 
         from .oracles import iteration_reference
@@ -322,10 +321,7 @@ class TestCommunityInfoCoverage:
         monkeypatch.setattr(
             iteration_reference, "propose_moves", sweep_everyone
         )
-        monkeypatch.setattr(
-            distlouvain, "louvain_phase_distributed",
-            iteration_reference.louvain_phase,
-        )
+        iteration_reference.per_rank_iterations(monkeypatch)
         cfg = LouvainConfig(variant=Variant.ET, alpha=0.75)
         with pytest.raises(RankFailedError) as excinfo:
             run_louvain(planted_blocks, 2, cfg, machine=FREE)

@@ -1,12 +1,13 @@
 """The world's Louvain iterations against the per-rank iteration.
 
-A phase is one rendezvous, and each of its iterations (``_iterate``)
-runs Algorithm 3's steps (ii)-(v) for every rank inside it, charging
-each rank's ops to its own clock and trace as they are made.  The
-formulation it replaced — a ``lookup``, the rank's sweep and a ``push``
-per colour round, then an ``allreduce``, each its own rendezvous with
-the rank's work between them — is kept in
-``tests/oracles/iteration_reference.py``.  After every iteration (where
+A detection is one rendezvous, and each of its iterations
+(``_iterate``) runs Algorithm 3's steps (ii)-(v) for every rank inside
+it, charging each rank's ops to its own clock and trace as they are
+made.  The formulation it replaced — a ``lookup``, the rank's sweep and
+a ``push`` per colour round, then an ``allreduce``, each its own
+rendezvous with the rank's work between them — is kept in
+``tests/oracles/iteration_reference.py``, which runs it on every rank's
+own thread in the world iteration's place.  After every iteration (where
 the world closes one, and after each of the oracle's) every rank must
 hold what it holds there: owner tables, labels, the community
 of every slot (owned vertices, then ghosts) and of every CSR entry's
@@ -299,7 +300,7 @@ END_OPS = [
 
 def _boundary_ops(g, p, config, d) -> dict[str, list[tuple[int, str, str]]]:
     """The victim's ``(op index, op, category)`` of the second phase's
-    set-up (from ``_begin_phase`` on the rank to the world's
+    set-up (from the world's ``_begin_phase`` for the victim to its
     ``_set_up_world``) and end (``_end_world``), from an uninterrupted
     run checkpointing to ``d`` after every iteration."""
     ops: list = []
@@ -461,10 +462,7 @@ def _own_counts(g, p, config):
         return real_push(comm, dg, ids, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            distlouvain, "louvain_phase_distributed",
-            iteration_reference.louvain_phase,
-        )
+        iteration_reference.per_rank_iterations(patch)
         patch.setattr(iteration_reference, "owner_lookup", lookup)
         patch.setattr(iteration_reference, "apply_community_deltas", push)
         run_louvain(g, p, config, machine=FREE)

@@ -7,7 +7,7 @@ delta push (``_relabel_world``), the colouring's rounds and colour count
 (``_close_world``) makes Leiden's rounds, counts, clash check, ghost
 refresh and relabel push (``refine_world``, ``_relabel_world``), then
 the audits (``audit_world``), then the end.  So a detection with any of
-them enters one rendezvous per phase and the result's allgather; the
+them enters one rendezvous, ``detect``, as every detection does; the
 pinned fingerprints (``tests/data/run_fingerprints.json``: ``coloring``,
 ``vf+leiden``, ``warm``, ``audited``) hold every op's price to the
 per-rank programs these steps replaced.  Here: the rendezvous, each
@@ -20,15 +20,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import LouvainConfig, distlouvain, run_louvain
+from repro.core import LouvainConfig, Variant, distlouvain, run_louvain
 from repro.core.coloring import color_world
 from repro.core.refine import refine_world
 from repro.core.validate import audit_world
 from repro.quality import community_components, disconnected_communities
-from repro.resilience import FaultPlan
-from repro.runtime import FREE, InjectedFault, RankFailedError
+from repro.resilience import FaultPlan, RunSnapshots
+from repro.runtime import CORI_HASWELL, FREE, InjectedFault, RankFailedError
 from repro.runtime.comm import Communicator, _Rendezvous
 
+from . import fingerprints
 from .conftest import (
     assert_proper_coloring, disk_checkpoints, planted_blocks_graph, world_of,
 )
@@ -45,6 +46,18 @@ STAGES = {
 }
 
 
+#: Detections the one-rendezvous pin covers beside the stages, each with
+#: its machine: the variants, assignment tracking (a gather per phase)
+#: and a run that gathers its tail to rank 0 (channel on Cori Haswell).
+DETECTIONS = {
+    "baseline": (LouvainConfig(), FREE),
+    "etc": (LouvainConfig(variant=Variant.ETC, alpha=0.25, seed=1), FREE),
+    "et+tc": (LouvainConfig(variant=Variant.ET_TC, alpha=0.25, seed=3), FREE),
+    "tracked": (LouvainConfig(track_assignments=True), FREE),
+    "tail": (LouvainConfig(track_assignments=True), CORI_HASWELL),
+}
+
+
 @pytest.fixture(scope="module")
 def graph():
     return planted_blocks_graph(**GRAPH)
@@ -54,13 +67,9 @@ def _seed(g):
     return np.arange(g.num_vertices) // 4
 
 
-@pytest.mark.parametrize("p", [1, 2, 8])
-@pytest.mark.parametrize("stage", list(STAGES))
-def test_each_stage_runs_inside_the_phase(graph, monkeypatch, stage, p):
-    """Rank 0 enters no ``ghost_plan``, ``push``, ``lookup``,
-    ``alltoall``, ``allreduce`` or ``phase_end`` rendezvous: one
-    ``phase`` per phase, then the result's ``allgather``."""
-    config, warm = STAGES[stage]
+def _entered(monkeypatch, p):
+    """The names of the rendezvous rank 0 of the ``p``-rank world enters,
+    in order."""
     entered: list[str] = []
     real = _Rendezvous.exchange
 
@@ -70,11 +79,81 @@ def test_each_stage_runs_inside_the_phase(graph, monkeypatch, stage, p):
         return real(self, rank, op_name, *args)
 
     monkeypatch.setattr(_Rendezvous, "exchange", exchange)
+    return entered
+
+
+@pytest.mark.parametrize("p", [1, 2, 8])
+@pytest.mark.parametrize("stage", list(STAGES) + list(DETECTIONS))
+def test_each_stage_runs_inside_the_phase(graph, monkeypatch, stage, p):
+    """Rank 0 enters one rendezvous per detection, ``detect``: no
+    ``phase``, ``ghost_plan``, ``push``, ``lookup``, ``alltoall``,
+    ``allreduce``, ``gather``, ``bcast`` or ``allgather`` of its own —
+    the tail's gather and broadcast and the result's allgather
+    included."""
+    if stage in STAGES:
+        (config, warm), machine, g = STAGES[stage], FREE, graph
+    else:
+        (config, machine), warm = DETECTIONS[stage], False
+        g = fingerprints.graph("channel") if stage == "tail" else graph
+    entered = _entered(monkeypatch, p)
     r = run_louvain(
-        graph, p, config, machine=FREE,
-        initial_assignment=_seed(graph) if warm else None,
+        g, p, config, machine=machine,
+        initial_assignment=_seed(g) if warm else None,
     )
-    assert entered == ["phase"] * r.num_phases + ["allgather"]
+    assert entered == ["detect"]
+    if stage == "tail":
+        # The tail's broadcast is the last rank's only one.
+        tail = r.trace.ranks[p - 1].collectives.get("bcast", 0) == 1
+        assert tail == (p > 1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 8])
+def test_the_premerge_comes_before_the_detection(graph, monkeypatch, p):
+    """Vertex following's pre-merge stays on the ranks: its degree
+    lookup, ghost plan and exchange, rebuild and projection, then the
+    one ``detect``."""
+    entered = _entered(monkeypatch, p)
+    run_louvain(graph, p, LouvainConfig(vertex_following=True), machine=FREE)
+    assert entered == [
+        "lookup", "ghost_plan", "alltoall", "rebuild", "lookup", "detect"
+    ]
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("medium", ["disk", "memory"])
+def test_one_rendezvous_per_save_point_plus_one(
+    graph, monkeypatch, tmp_path, medium, p
+):
+    """Under a checkpoint after every iteration and at every phase
+    boundary, the world leaves the rendezvous at each save point after
+    the first phase begins, and the rank cuts it before the next
+    ``detect``; phase 0's boundary is cut before the first."""
+    config = LouvainConfig()
+    ref = run_louvain(graph, p, config, machine=FREE)
+    events = _entered(monkeypatch, p)
+    real = distlouvain._save_checkpoint
+
+    def save(manager, comm, *args):
+        if comm.rank == 0:
+            events.append("save")
+        return real(manager, comm, *args)
+
+    monkeypatch.setattr(distlouvain, "_save_checkpoint", save)
+    manager = (
+        disk_checkpoints(tmp_path, config, every_iterations=1)
+        if medium == "disk"
+        else RunSnapshots(every_iterations=1, config_key=config.cache_key())
+    )
+    r = run_louvain(graph, p, config, machine=FREE, checkpoints=manager)
+    assert r.modularity == ref.modularity and r.iterations == ref.iterations
+    # One save after every iteration but a phase's last, and one at every
+    # phase boundary (a phase's last iteration is followed by the next
+    # boundary's).
+    later = r.total_iterations - 1
+    assert later > 0
+    assert [e for e in events if e in ("detect", "save")] == (
+        ["save", "detect"] + ["save", "detect"] * later
+    )
 
 
 # ----------------------------------------------------------------------

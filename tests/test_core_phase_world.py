@@ -1,11 +1,12 @@
-"""A phase of Louvain is one rendezvous.
+"""A detection of Louvain is one rendezvous.
 
-``louvain_phase_distributed`` runs Algorithm 3 for every rank in one
-scripted rendezvous (``_phase_world``): the set-up, the iterations and
-the close, Leiden's split and the audits included.  The world leaves it
-early only after an iteration an iteration checkpoint is due at (the
-next rendezvous continues the phase).  Counted here per rank, by name,
-on the free machine (which never gathers a tail).
+``distributed_louvain`` runs Algorithm 2 for every rank in one scripted
+rendezvous, ``detect`` (``_detect_world``): every phase's set-up,
+iterations and close (``_phase_world``), Leiden's split and the audits
+included, its record, and the result's allgather.  The world leaves it
+early only where a checkpoint is due (the next rendezvous continues the
+run).  Counted here per rank, by name, on the free machine (which never
+gathers a tail).
 """
 
 from __future__ import annotations
@@ -43,14 +44,22 @@ def graph():
 @pytest.mark.parametrize("p", [2, 4])
 @pytest.mark.parametrize("variant", [Variant.BASELINE, Variant.ETC])
 def test_one_rendezvous_per_phase(graph, monkeypatch, p, variant):
+    """With a save point at every phase boundary and none inside a phase,
+    the world leaves the detection's rendezvous at every boundary after
+    the first phase (phase 0's is cut before the first), so a detection
+    is one rendezvous per phase; the result is the uncheckpointed
+    run's."""
+    cfg = LouvainConfig(variant=variant, alpha=0.5, seed=3)
+    ref = run_louvain(graph, p, cfg, machine=FREE)
     names = _rendezvous(monkeypatch, p)
-    r = run_louvain(
-        graph, p, LouvainConfig(variant=variant, alpha=0.5, seed=3),
-        machine=FREE,
+    snapshots = RunSnapshots(
+        every_phases=1, every_iterations=0, config_key=cfg.cache_key()
     )
+    r = run_louvain(graph, p, cfg, machine=FREE, checkpoints=snapshots)
+    assert r.modularity == ref.modularity and r.iterations == ref.iterations
     assert r.num_phases > 1
     for rank in range(p):
-        assert names[rank] == ["phase"] * r.num_phases + ["allgather"]
+        assert names[rank] == ["detect"] * r.num_phases
 
 
 def test_an_iteration_checkpoint_continues_in_the_next_rendezvous(
@@ -58,9 +67,9 @@ def test_an_iteration_checkpoint_continues_in_the_next_rendezvous(
 ):
     """With a save point after every iteration the world leaves after
     each iteration but a phase's last (the tau test ended it there), so a
-    phase of n iterations is n rendezvous, the rank's save (in memory: no
-    collective) between every two; the result is the uncheckpointed
-    run's."""
+    detection is one rendezvous more than it has such saves, the rank's
+    save (in memory: no collective) between every two; the result is the
+    uncheckpointed run's."""
     p = 3
     cfg = LouvainConfig()
     ref = run_louvain(graph, p, cfg, machine=FREE)
@@ -78,15 +87,9 @@ def test_an_iteration_checkpoint_continues_in_the_next_rendezvous(
     snapshots.begin_attempt(resume=False)
     r = run_louvain(graph, p, cfg, machine=FREE, checkpoints=snapshots)
     assert r.modularity == ref.modularity and r.iterations == ref.iterations
-    seq = names[0]
-    at = [i for i, n in enumerate(seq) if n == "phase"]
-    assert len(at) == r.total_iterations
-    # A save between every two rendezvous of one phase, none between one
-    # phase's last and the next one's first.
-    saves = [seq[a + 1:b] for a, b in zip(at, at[1:]) if b - a > 1]
-    assert saves == [["save"]] * (r.total_iterations - r.num_phases)
-    assert saves
-    assert seq[0] == "phase" and seq[-2:] == ["phase", "allgather"]
+    saves = r.total_iterations - r.num_phases
+    assert saves > 0
+    assert names[0] == ["detect"] + ["save", "detect"] * saves
 
 
 def test_leiden_and_the_audits_close_the_phase_in_its_world(
@@ -101,4 +104,4 @@ def test_leiden_and_the_audits_close_the_phase_in_its_world(
     )
     assert r.num_phases > 1
     for rank in range(p):
-        assert names[rank] == ["phase"] * r.num_phases + ["allgather"]
+        assert names[rank] == ["detect"]

@@ -3,9 +3,11 @@
 ``rebuild_distributed`` is one scripted rendezvous whose world function
 runs the seven steps once for every rank; a phase's end adds the
 statistics' allreduce and the projection (``distlouvain._end_world``),
-the last step of the phase's rendezvous.  The per-rank formulation they
-replaced — each collective its own rendezvous, the rank's work between
-them — is kept in ``tests/oracles/rebuild_reference.py``.  Both must leave every
+the last step of the phase's close inside the detection's rendezvous.
+The per-rank formulation they replaced — each collective its own
+rendezvous, the rank's work between them — is kept in
+``tests/oracles/rebuild_reference.py``, and runs on every rank's own
+thread in the world's place.  Both must leave every
 rank bit-equal new CSR arrays and new ids, and the same clock, trace
 seconds by category, messages, bytes and collective counts, fault-plan
 delays included.
@@ -22,6 +24,7 @@ from repro.graph import DistGraph
 from repro.runtime import CORI_HASWELL, run_spmd
 
 from .oracles import rebuild_reference
+from .oracles.rank_threads import on_rank_threads
 from .test_core_iteration_world import _delays, _graph
 
 
@@ -97,20 +100,24 @@ def _world_ends(patch, snapshot):
 
 
 def _per_rank_ends(patch, snapshot):
-    """The phase's world closes it without the end, which
-    ``rebuild_reference.end_phase`` makes on every rank before
-    ``_finish_phase`` records it; ``snapshot(comm, ended)`` after it."""
-    finish = distlouvain._finish_phase
+    """The world closes each phase without the end, which
+    ``rebuild_reference.end_phase`` then makes on every rank's own thread
+    (``on_rank_threads``); ``snapshot(comm, ended)`` after it."""
+    close = distlouvain._close_world
 
-    def finish_phase(comm, run, phase, *args):
-        phase.ended = rebuild_reference.end_phase(comm, run, phase)
-        snapshot(comm, phase.ended)
-        return finish(comm, run, phase, *args)
+    def close_world(world, comms, phases, config):
+        close(world, comms, phases, config)
+
+        def end(comm, phase):
+            phase.ended = rebuild_reference.end_phase(comm, phase.run, phase)
+            snapshot(comm, phase.ended)
+
+        on_rank_threads(world, comms, end, phases)
 
     patch.setattr(
         distlouvain, "_end_world", lambda world, comms, closing: [None] * len(comms)
     )
-    patch.setattr(distlouvain, "_finish_phase", finish_phase)
+    patch.setattr(distlouvain, "_close_world", close_world)
 
 
 def _after_every_phase(g, p, config, ends):

@@ -11,7 +11,7 @@ table, label or ghost copy must raise ``AssertionError`` naming it.
 import numpy as np
 import pytest
 
-from repro.core.distlouvain import louvain_phase_distributed
+from repro.core.distlouvain import _begin_phase, _phase_world, _set_up_world
 from repro.core import LouvainConfig, RunState
 from repro.core.validate import AuditReport, audit_world
 from repro.graph import DistGraph
@@ -64,15 +64,26 @@ class TestAuditReport:
         AuditReport().raise_if_failed()  # no-op when clean
 
 
+def _one_phase(world, comms, runs):
+    """Phase 0 for every rank, as the detection's world runs it: the
+    starting states, the set-up, the iterations and the close."""
+    config = LouvainConfig()
+    seats = [
+        _begin_phase(comm, run, config, None) for comm, run in zip(comms, runs)
+    ]
+    phases = _set_up_world(world, comms, seats, config=config)
+    _phase_world(world, comms, phases, 1e-6, config)
+    return phases
+
+
 class TestAuditsOnLiveState:
     """Run a real phase, then audit the final state."""
 
     def _audit_after_phase(self, g, nranks):
         def prog(comm):
             dg = DistGraph.distribute(comm, g)
-            config = LouvainConfig()
             run = RunState(dg=dg, orig_slice=dg.local_vertex_ids())
-            out = louvain_phase_distributed(comm, run, 1e-6, config)
+            out = comm.scripted("phase", run, _one_phase)
             labels = out.state.local_comm
             # Recompute owned C_info the same way the phase did, from
             # scratch, for the audit comparison.

@@ -58,6 +58,12 @@ REMOVED = {
     "_audit_phase",
     "_ends_in_world",
     "_end_phase",
+    "_run_phases",
+    "repro.core.distlouvain.louvain_phase_distributed",
+    "_finish_on_one_rank",
+    "_run_tail",
+    "_gather_result",
+    "_project",
 }
 
 _NAME = re.compile(r"^[A-Za-z_]\w*(\.[A-Za-z_]\w*)*$")

@@ -443,6 +443,80 @@ class TestKillAtCheckpointCollectives:
         assert res.phases == ref.phases
 
 
+class TestKillAtTheTrackingGather:
+    """Each rank in turn killed at phase 1's assignment-tracking gather
+    (the original-vertex maps to rank 0), which the detection's world
+    makes between the phase's record and the next boundary (on the free
+    machine, which never gathers a tail before it): the victim's
+    ``InjectedFault`` is the only primary cause, at the op index the
+    ranks' own phase loop gave that gather, and a resume equals the
+    unkilled run."""
+
+    P = 3
+    #: The gather's op index, the same on every rank (pinned: the world
+    #: makes every op at the index the per-rank loop made it at).
+    OP = 69
+
+    @pytest.fixture(scope="class")
+    def schedule(self, tmp_path_factory):
+        """The graph, config, unkilled run and the gather's op index."""
+        from repro.runtime.comm import Communicator
+
+        g, cfg = _graph(), replace(_config(), track_assignments=True)
+        ops = []
+        real = Communicator._fault_hook
+
+        def logging_hook(comm, op_name, category):
+            if comm.rank == 0 and comm.size == self.P:
+                ops.append((op_name, category))
+            return real(comm, op_name, category)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Communicator, "_fault_hook", logging_hook)
+            ref = run_louvain(
+                g, self.P, cfg, machine=FREE,
+                checkpoints=disk_checkpoints(
+                    tmp_path_factory.mktemp("ref"), cfg, every_iterations=1,
+                ),
+            )
+        gathers = [
+            i + 1 for i, op in enumerate(ops) if op == ("gather", "other")
+        ]
+        assert len(gathers) > 1
+        return g, cfg, ref, gathers[1]
+
+    @pytest.mark.parametrize("victim", range(P))
+    def test_victim_alone_fails_and_the_run_resumes(
+        self, tmp_path, schedule, victim
+    ):
+        g, cfg, ref, op = schedule
+        assert op == self.OP
+        d = tmp_path / "ck"
+        with pytest.raises(RankFailedError) as excinfo:
+            run_louvain(
+                g, self.P, cfg, machine=FREE,
+                checkpoints=disk_checkpoints(d, cfg, every_iterations=1),
+                fault_plan=FaultPlan(kills={victim: op}),
+            )
+        assert set(excinfo.value.causes) == {victim}
+        cause = excinfo.value.causes[victim]
+        assert isinstance(cause, InjectedFault)
+        assert (cause.rank, cause.op_index, cause.op_name) == (
+            victim, op, "gather"
+        )
+        res = run_louvain(
+            g, self.P, cfg, machine=FREE, resume=True,
+            checkpoints=disk_checkpoints(d, cfg, every_iterations=1),
+        )
+        np.testing.assert_array_equal(ref.assignment, res.assignment)
+        assert res.modularity == ref.modularity
+        assert res.iterations == ref.iterations
+        assert res.phases == ref.phases
+        assert len(res.phase_assignments) == len(ref.phase_assignments)
+        for a, b in zip(res.phase_assignments, ref.phase_assignments):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestConfigKeyGuard:
     def test_cross_config_resume_refused(self, tmp_path):
         """A checkpoint written under one config must not seed a resume
