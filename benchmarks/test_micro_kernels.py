@@ -141,35 +141,39 @@ def _spread(values) -> tuple[float, float]:
 
 
 def _replay_stages(plan, target_comm, cur_comm, active):
-    """The grouping half of ``propose_moves`` — candidate entries, fused
-    key, in-place sort, segment sum, pair gathers — one stage at a time,
-    in freshly allocated arrays (the kernel writes into its plan's
-    scratch).  Returns ``({stage: median ns}, entries, pairs)``; scoring
-    and the per-row argmax are what the kernel's total has left."""
+    """The grouping half of ``propose_moves`` — selected entries, their
+    communities, bit-field key, in-place sort, segment sum, each pair's
+    row and community off its key — one stage at a time, in freshly
+    allocated arrays (the kernel writes into its plan's scratch).
+    Returns ``({stage: median ns}, entries, pairs)``; scoring and the
+    per-row argmax are what the kernel's total has left."""
     ns = {}
+    inner = len(plan.entries)
 
     def select():
         if active is None:
-            return plan.entry_rows, plan.entry_weights, None
+            return plan.positions[:len(plan.entry_rows)], inner
         sel = np.flatnonzero(active[plan.entry_rows])
-        return plan.entry_rows[sel], plan.entry_weights[sel], sel
+        return sel, int(sel.searchsorted(inner))
 
-    ns["select"], (c_rows, c_w, sel) = _median_ns(select)
+    ns["select"], (sel, k) = _median_ns(select)
 
     def entry_comm():
-        every = np.concatenate([target_comm[plan.entries], cur_comm])
-        return every if sel is None else every[sel]
+        # Only the selected entries' communities, and the rows' own.
+        rows = plan.entry_rows if active is None else plan.entry_rows[sel]
+        at = plan.entries if active is None else plan.entries[sel[:k]]
+        return rows, np.concatenate([target_comm[at], cur_comm[rows[k:]]])
 
-    ns["entry_comm"], c_comm = _median_ns(entry_comm)
+    ns["entry_comm"], (c_rows, c_comm) = _median_ns(entry_comm)
     n_entries = len(c_comm)
-    span = int(c_comm.max()) + 1
-    bits = (n_entries - 1).bit_length()
+    cb = int(c_comm.max()).bit_length()
+    bits = (len(plan.entry_rows) - 1).bit_length()
 
     def build_key():
-        key = c_rows * span
-        key += c_comm
+        key = np.left_shift(c_rows, cb)
+        key |= c_comm
         key <<= bits
-        key |= plan.positions[:n_entries]
+        key |= sel
         return key
 
     ns["key"], key = _median_ns(build_key)
@@ -185,21 +189,22 @@ def _replay_stages(plan, target_comm, cur_comm, active):
 
     def unpack():
         order = key & ((1 << bits) - 1)
+        pair_key = key >> bits
         first = np.empty(n_entries, bool)
         first[:1] = True
-        np.not_equal(key[1:] >> bits, key[:-1] >> bits, out=first[1:])
-        return order, np.flatnonzero(first)
+        np.not_equal(pair_key[1:], pair_key[:-1], out=first[1:])
+        return order, pair_key, np.flatnonzero(first)
 
-    ns["unpack+starts"], (order, starts) = _median_ns(unpack)
+    ns["unpack+starts"], (order, pair_key, starts) = _median_ns(unpack)
     ns["reduceat"], _ = _median_ns(
-        lambda: np.add.reduceat(c_w.take(order), starts)
+        lambda: np.add.reduceat(plan.entry_weights.take(order), starts)
     )
 
     def pairs():
-        lead = order.take(starts)
-        return c_rows.take(lead), c_comm.take(lead)
+        lead = pair_key.take(starts)
+        return lead >> cb, lead & ((1 << cb) - 1)
 
-    ns["pair_gathers"], _ = _median_ns(pairs)
+    ns["pairs_off_key"], _ = _median_ns(pairs)
     return ns, n_entries, len(starts)
 
 

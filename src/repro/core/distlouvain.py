@@ -38,9 +38,10 @@ Phase loop (Algorithm 2, :func:`distributed_louvain` → :func:`_detect_world`)
            (lines 4-5; see step iv);
       ii.  :func:`_fetch_step`: every rank fetches current ``a_c``/size
            for every community its round's *active* vertices reference
-           from the community owners (the lookup's request and reply
-           legs, sized by the distinct communities each rank asks each
-           owner for; category ``community_comm``);
+           from the owners (request and reply legs, sized by the distinct
+           communities each rank asks each owner for — a partial round's
+           from the sweep's pairs — and priced before the round's compute
+           charges; ``community_comm``);
       iii. :func:`_sweep_step`, snapshot sweep: the best move for every
            active local vertex against the fetched state (lines 6-9; the
            shared kernel from :mod:`repro.core.sweep`) — one kernel call
@@ -546,10 +547,11 @@ def _world_iteration(
 def _world_round(
     world: World, comms: Sequence[Communicator], phases: list[_Phase], k: int
 ) -> np.ndarray:
-    """Steps (i)-(iv) of colour round ``k`` for every rank: the fetch,
-    the sweep (in global ids: (i), a ghost's community, is its label in
-    the world's), each rank's compute charged for its own pairs as if it
-    had swept alone, and the push.  Updates the labels, the owner tables
+    """Steps (i)-(iv) of colour round ``k`` for every rank: the sweep (in
+    global ids: (i), a ghost's community, is its label in the world's),
+    the fetch it read (sized from its pairs, priced first), each rank's
+    compute charged for its own pairs as if it had swept alone, and the
+    push.  Updates the labels, the owner tables
     and the entries' target communities in place and returns the
     world's moved mask, valid until the next sweep."""
     wp = phases[0].world
@@ -558,8 +560,8 @@ def _world_round(
         stack.active[:] = wp.active
     else:
         np.logical_and(wp.colors == k, wp.active, out=stack.active)
-    scanned = _fetch_step(world, comms, wp)
     res = _sweep_step(stack, wp.tot, wp.size, wp.total_weight, wp.resolution)
+    scanned = _fetch_step(world, comms, wp, res)
     cost = world.machine.compute_cost
     for comm, pairs, entries, nloc in zip(
         comms, res.segment_pairs.tolist(), scanned,
@@ -571,39 +573,41 @@ def _world_round(
 
 
 def _fetch_step(
-    world: World, comms: Sequence[Communicator], wp: _WorldPhase
+    world: World, comms: Sequence[Communicator], wp: _WorldPhase,
+    res: SweepResult,
 ) -> list[int]:
     """Step (ii): every rank fetches a_c and |c| of the communities its
     round evaluates — its active vertices' and their neighbours' (with a
     full active set, every vertex's it holds) — in one lookup for the
     world, ``community_comm``, sized by the distinct ``(rank,
-    community)`` keys; the sweep reads the owners' tables itself.
-    Returns how many entries each rank's sweep scans."""
+    community)`` keys; the sweep reads the owners' tables itself.  A
+    partial round's keys are its sweep's pairs: the active rows' own
+    communities and their entries' targets' (a self loop's is the row's
+    own).  Returns how many entries each rank's sweep scans."""
     stack = wp.stack
     active = stack.active
-    n, cuts, vcuts = len(wp.local_comm), stack.entry_cuts, wp.offsets
+    n = len(wp.local_comm)
     scratch = stack.plan.scratch
-    flags = _key_flags(wp)
-    own = np.add(wp.rank_key, wp.local_comm, out=scratch.empty(n, _I8))
     if active.all():
+        flags = _key_flags(wp)
+        own = np.add(wp.rank_key, wp.local_comm, out=scratch.empty(n, _I8))
         flags[own] = True
         ghost = scratch.take(wp.local_comm, wp.ghost_ids)
         ghost += wp.ghost_key
         flags[ghost] = True
-        scanned = np.diff(cuts).tolist()
+        scanned = np.diff(stack.entry_cuts).tolist()
     else:
-        flags[own[active]] = True
-        scanned = []
-        for r, (rows, lo, hi) in enumerate(zip(wp.rows, cuts, cuts[1:])):
-            mark = scratch.top
-            hit = scratch.take(active[vcuts[r]:vcuts[r + 1]], rows)
-            scanned.append(int(np.count_nonzero(hit)))
-            targets = stack.target[lo:hi].compress(
-                hit, out=scratch.empty(scanned[-1], _I8)
-            )
-            targets += r * n
-            flags[targets] = True
-            scratch.top = mark
+        # The keys, then the flags, go past the pairs in the scratch.
+        keys = scratch.take(wp.rank_key, res.pairs[0])
+        keys += res.pairs[1]
+        flags = _key_flags(wp, scratch.top)
+        flags[keys] = True
+        # The active rows' CSR lengths, summed up to every rank's cut.
+        scan = scratch.empty(n + 1, _I8)
+        scan[0] = 0
+        np.subtract(stack.index[1:], stack.index[:-1], out=scan[1:])
+        scan[1:] *= active
+        scanned = np.diff(np.cumsum(scan, out=scan)[wp.offsets]).tolist()
     lookup_world(
         world, comms, None,
         key_counts(wp.offsets, np.flatnonzero(flags), len(wp.edges)),
@@ -612,11 +616,11 @@ def _fetch_step(
     return scanned
 
 
-def _key_flags(wp: _WorldPhase) -> np.ndarray:
+def _key_flags(wp: _WorldPhase, at: int = 0) -> np.ndarray:
     """One cleared flag per ``(rank, community)`` key ``n * rank + c``, in
-    the kernel's scratch (free between sweeps; reset here)."""
+    the kernel's scratch (free between sweeps) from byte ``at`` on."""
     scratch = wp.stack.plan.scratch
-    scratch.top = 0
+    scratch.top = at
     flags = scratch.empty(len(wp.rank_key) * len(wp.edges), np.dtype(bool))
     flags[:] = False
     return flags

@@ -18,14 +18,15 @@ over the edges, with a single sort:
    iteration neither mallocs nor page-faults them afresh — that was a
    third of the call and the part whose cost follows the host, not the
    input;
-1. every (vertex, neighbouring community) entry gets the fused integer
-   key ``row * C + community`` and **one** stable sort groups equal
-   pairs, rows ascending and communities ascending within a row (the
-   entry's position rides in the key's low bits, so the sort runs in
-   place on the keys; ids too wide for that fall back to a stable
-   ``argsort``); stability keeps the CSR order inside a group, so the
-   segment sum ``d_{u,c}`` adds the same floats in the same order
-   whatever the ids;
+1. a masked sweep gathers the communities of its selected entries only;
+   every (vertex, neighbouring community) entry gets the bit-field key
+   ``row << (cb + bits) | community << bits | position`` (``position``
+   in the full entry list, so weights are read by it) and **one**
+   in-place sort groups equal pairs, rows ascending, then communities;
+   each pair's row and community come off its key by shift and mask
+   (ids too wide to pack fall back to a stable ``argsort`` of ``row * C
+   + community``).  Stability keeps the CSR order inside a group, so the
+   segment sum ``d_{u,c}`` adds the same floats in the same order;
 2. score each candidate ``score(c) = d_{u,c} - k_u * tot'(c) / W`` where
    ``tot'`` excludes ``u``'s own degree from its current community —
    maximising this score is equivalent to maximising the modularity gain
@@ -59,17 +60,18 @@ call touches that grows with the entries lives in the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 #: Relative tolerance for "strictly positive gain" decisions.
 GAIN_EPS = 1e-12
-#: Scratch per candidate entry, in 8-byte words; the worst case measured,
-#: a masked sweep early in a phase, reaches 10.  Pages are only touched
-#: as far as a sweep gets, and a sweep that outgrows it mallocs the rest.
-SCRATCH_WORDS = 11
+#: Scratch per candidate entry, in 8-byte words: the worst fingerprint-graph
+#: sweep measured (``test_core_sweep.py::TestScratch``: channel, singletons,
+#: every row active) reaches 7.97.  Pages are only touched as far as a
+#: sweep gets, and one that outgrows it (a coarse phase) mallocs the rest.
+SCRATCH_WORDS = 8
 _I8, _F8, _B1 = np.dtype(np.int64), np.dtype(np.float64), np.dtype(bool)
 
 
@@ -86,6 +88,10 @@ class SweepResult:
     pairs_evaluated: int
     #: ``pairs_evaluated`` per segment, when the call had ``segments=``.
     segment_pairs: np.ndarray | None = None
+    #: The swept ``(rows, communities)``, ascending, one per candidate
+    #: pair (also where ``W = 0`` scores none): scratch views, valid
+    #: until the plan's scratch is reused.
+    pairs: tuple[np.ndarray, ...] = (np.empty(0, dtype=np.int64),) * 2
 
     @property
     def num_moves(self) -> int:
@@ -412,6 +418,8 @@ def propose_moves(
         counts each slice's pairs in ``segment_pairs``.
     """
     nloc = len(index) - 1
+    if len(target_comm) != index[-1] or len(cur_comm) != nloc:
+        raise ValueError("target_comm / cur_comm do not match the CSR")
     if plan is not None and plan.out is not None:
         proposal, moved = plan.out
         proposal[:] = cur_comm
@@ -428,78 +436,85 @@ def propose_moves(
             else np.zeros(len(segments.rows) - 1, dtype=np.int64)
         ),
     )
-    if nloc == 0 or total_weight <= 0.0:
+    if nloc == 0:
         return idle
     if plan is None:
         plan = SweepPlan.build(index, weights, self_mask)
-    if len(target_comm) != index[-1] or len(cur_comm) != nloc:
-        raise ValueError("target_comm / cur_comm do not match the CSR")
     target_comm = np.asarray(target_comm, dtype=np.int64)
+    cur = np.asarray(cur_comm, dtype=np.int64)
     ws = plan.scratch
     ws.top = 0
 
     # Candidate entries: neighbours' communities, then every vertex's own
-    # (zero weight), restricted to the active rows.
-    def entry_comm(out: np.ndarray) -> np.ndarray:
-        inner = len(plan.entries)
-        target_comm.take(plan.entries, out=out[:inner], mode="clip")
-        out[inner:] = cur_comm
-        return out
-
-    c_rows, c_w = plan.entry_rows, plan.entry_weights
-    if active is None or active.all():
-        c_comm = entry_comm(ws.empty(len(c_rows), _I8))
+    # (zero weight), restricted to the active rows: ``sel``, positions in
+    # the full list (the first ``k`` CSR entries), and their rows.
+    inner = len(plan.entries)
+    full = active is None or active.all()
+    if full:
+        sel, k = plan.positions[:len(plan.entry_rows)], inner
     else:
-        sel = _nonzero(ws.take(active, c_rows), ws)
+        sel = _nonzero(ws.take(active, plan.entry_rows), ws)
         if not len(sel):
             return idle
-        c_rows, c_w = ws.take(c_rows, sel), ws.take(c_w, sel)
-        c_comm = ws.empty(len(sel), _I8)
-        mark = ws.top
-        every = entry_comm(ws.empty(len(plan.entry_rows), _I8))
-        every.take(sel, out=c_comm, mode="clip")
-        ws.top = mark
-    n_entries = len(c_comm)
+        k = int(sel.searchsorted(inner))
+    n_entries = len(sel)
+    rows = plan.entry_rows if full else ws.take(plan.entry_rows, sel)
+    comm = ws.empty(n_entries, _I8)
+    mark = ws.top
+    at = plan.entries if full else ws.take(plan.entries, sel[:k])
+    target_comm.take(at, out=comm[:k], mode="clip")
+    cur.take(rows[k:], out=comm[k:], mode="clip")
+    ws.top = mark
 
-    # Group by (row, community) with one sort of a fused key and sum
-    # weights -> d_{u,c}.  The pair arrays outlive the sort's scratch.
-    span = int(c_comm.max()) + 1
-    if int(c_comm.min()) < 0 or nloc * span > np.iinfo(np.int64).max:
+    # Group by (row, community) with one sort of the key ``row << (cb +
+    # bits) | community << bits | position`` and sum weights -> d_{u,c};
+    # the pairs, read off the keys, and ``d`` outlive the sort's scratch.
+    top = int(comm.max())
+    if int(comm.min()) < 0 or nloc * (top + 1) > np.iinfo(np.int64).max:
         raise ValueError(
             "community ids must be non-negative with nloc * (max id + 1) "
-            f"inside int64 (nloc={nloc}, ids in "
-            f"[{int(c_comm.min())}, {span - 1}])"
+            f"inside int64 (nloc={nloc}, ids in [{int(comm.min())}, {top}])"
         )
-    d = ws.empty(n_entries, _F8)
-    pr = ws.empty(n_entries, _I8)
-    pc = ws.empty(n_entries, _I8)
-    mark = ws.top
-    key = ws.empty(n_entries, _I8)
-    np.multiply(c_rows, span, out=key)
-    key += c_comm
-    bits = (n_entries - 1).bit_length()
-    if nloc * span <= np.iinfo(np.int64).max >> bits:
+    cb = top.bit_length()
+    bits = (len(plan.entry_rows) - 1).bit_length()
+    key = ws.empty(n_entries, _I8) if full else rows  # a scratch copy
+    order = ws.empty(n_entries, _I8)
+    paired = ws.top
+    packed = (nloc - 1).bit_length() + cb + bits <= 63
+    if packed:
         # The entry's position rides in the key's low bits, so sorting
         # the keys in place *is* the stable sort and no index array or
         # merge buffer is made.
+        np.left_shift(rows, cb, out=key)
+        key |= comm
         key <<= bits
-        key |= plan.positions[:n_entries]
+        key |= sel
         key.sort()
-        order = ws.empty(n_entries, _I8)
         np.bitwise_and(key, (1 << bits) - 1, out=order)
         key >>= bits
     else:
-        order = np.argsort(key, kind="stable")
-        key = key[order]
+        np.multiply(rows, top + 1, out=key)
+        key += comm
+        by = np.argsort(key, kind="stable")
+        sel.take(by, out=order, mode="clip")
+        key, comm = key.take(by, out=comm, mode="clip"), key
     starts = _group_starts(key, ws)
-    # The weights in sorted order take the keys' place, read by now.
-    sorted_w = np.ndarray(n_entries, c_w.dtype, key)
-    c_w.take(order, out=sorted_w, mode="clip")
-    d = np.add.reduceat(sorted_w, starts, out=d[:len(starts)])
-    lead = ws.take(order, starts)
-    pr = c_rows.take(lead, out=pr[:len(starts)], mode="clip")
-    pc = c_comm.take(lead, out=pc[:len(starts)], mode="clip")
-    ws.top = mark
+    n_pairs = len(starts)
+    # The weights in sorted order take the communities' place, the sums
+    # the positions'; both are read by then.
+    sorted_w = comm.view(_F8)
+    plan.entry_weights.take(order, out=sorted_w, mode="clip")
+    d = np.add.reduceat(sorted_w, starts, out=order.view(_F8)[:n_pairs])
+    pc = key.take(starts, out=comm[:n_pairs], mode="clip")
+    if packed:
+        pr = np.right_shift(pc, cb, out=key[:n_pairs])
+        pc &= (1 << cb) - 1
+    else:
+        pr, pc = np.divmod(pc, top + 1, out=(key[:n_pairs], pc))
+    ws.top = paired
+    if total_weight <= 0.0:
+        # Nothing to score against: every candidate's gain is zero.
+        return replace(idle, pairs=(pr, pc))
 
     # Score candidates against the snapshot totals (minus own degree
     # when evaluating the current community).  Pairs ascend by row, so
@@ -513,9 +528,8 @@ def propose_moves(
     swept = ws.take(pr, row_starts)
     flags = ws.empty(len(pr), _B1)
     spare = ws.empty(len(pr), _I8)
-    pair_cur = np.ndarray(len(pr), cur_comm.dtype, spare)
     own = _nonzero(
-        np.equal(pc, cur_comm.take(pr, out=pair_cur, mode="clip"), out=flags),
+        np.equal(pc, cur.take(pr, out=spare, mode="clip"), out=flags),
         ws,
     )
     tot_eff = _look_up(tot_lookup, pc, ws.empty(len(pr), _F8))
@@ -552,7 +566,7 @@ def propose_moves(
 
     # Singleton-singleton swap suppression (minimum labelling).
     if len(cand_rows):
-        src_c = ws.take(cur_comm, cand_rows)
+        src_c = ws.take(cur, cand_rows)
         looked = ws.empty(len(cand_rows), _F8)
         src_alone = _look_up(size_lookup, src_c, looked) == 1
         gap = _look_up(tot_lookup, src_c, looked)
@@ -566,11 +580,13 @@ def propose_moves(
 
     proposal[cand_rows] = cand_comm
     moved[cand_rows] = True
+    ws.top = paired  # past the pairs, the scratch is free again
     return SweepResult(
         proposal=proposal,
         moved=moved,
         pairs_evaluated=len(pr),
         segment_pairs=None if pair_cuts is None else np.diff(pair_cuts),
+        pairs=(pr, pc),
     )
 
 

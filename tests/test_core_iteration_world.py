@@ -472,16 +472,52 @@ def _own_counts(g, p, config):
     ]
 
 
-@pytest.mark.parametrize("p", [2, 3, 7])
-@pytest.mark.parametrize("config", ["baseline", "etc", "coloring", "leiden"])
-def test_request_and_push_counts_are_each_ranks_own(p, config):
+def _count_graph(kind: str) -> CSRGraph:
+    """The fractional-weight blocks graph, or an edge case of the fetch:
+    every weight zero (the kernel scores nothing), 400 isolated vertices
+    after the blocks' (rows whose only candidate is their own community;
+    late rounds sweep few rows against many key flags), or five vertices
+    on seven ranks (ranks without rows)."""
+    g = _graph(fractional=True)
+    if kind == "blocks":
+        return g
+    rows = np.repeat(np.arange(g.num_vertices), np.diff(g.index))
+    keep = rows <= g.edges
+    u, v, w = rows[keep], g.edges[keep], g.weights[keep]
+    if kind == "zero weight":
+        return CSRGraph.from_edges(g.num_vertices, u, v, np.zeros(len(u)))
+    if kind == "isolated vertices":
+        return CSRGraph.from_edges(g.num_vertices + 400, u, v, w)
+    assert kind == "nranks > n"
+    return CSRGraph.from_edges(
+        5, [0, 0, 1, 2, 3, 3], [1, 2, 2, 3, 4, 3],
+        [1.0, 0.5, 2.0, 0.25, 1.5, 1.0],
+    )
+
+
+#: ``(config, p, graph)``: every config on the blocks graph at p ∈ {2, 3,
+#: 7}, then the fetch's edge cases under ET's partial rounds.
+COUNT_CASES = [
+    pytest.param(config, p, "blocks", id=f"{config}-{p}")
+    for config in ("baseline", "etc", "coloring", "leiden", "et")
+    for p in (2, 3, 7)
+] + [
+    pytest.param("et", p, graph, id=f"et-{graph}-{p}")
+    for graph, p in (
+        ("zero weight", 2), ("isolated vertices", 3), ("nranks > n", 7),
+    )
+]
+
+
+@pytest.mark.parametrize("config,p,graph", COUNT_CASES)
+def test_request_and_push_counts_are_each_ranks_own(config, p, graph):
     """The world keeps no rank's view of the communities, so it sizes
     every message from counts: per colour round, rank ``s`` asks owner
     ``d`` for as many communities as its own view wants of ``d``, and
     pushes as many deltas to ``d`` as its moves touched communities
     ``d`` owns.  Held round by round to the per-rank reference
     iteration, which keeps each rank's view as data."""
-    g, cfg = _graph(fractional=True), CONFIGS[config]
+    g, cfg = _count_graph(graph), CONFIGS[config]
     got = _world_counts(g, p, cfg)
     want = _own_counts(g, p, cfg)
     for got_rounds, want_rounds in zip(got, want):

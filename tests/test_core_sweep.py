@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import array_lookup, move_gain, propose_moves
+from repro.core import sweep
+from repro.core.sweep import SweepPlan
 from repro.graph import CSRGraph, EdgeList
+
+from .fingerprints import GRAPHS, graph
 
 
 def dense_sweep(g: CSRGraph, comm: np.ndarray, active=None):
@@ -199,3 +203,105 @@ class TestLookups:
                     size_lookup=array_lookup(None, np.ones(n)),
                     **{**good, name: good[name][:-1]},
                 )
+
+    def test_shape_is_checked_on_a_graph_without_weight(self):
+        # Nothing is scored when W = 0, but a malformed call is still one:
+        # five target communities against a two-entry CSR.
+        with pytest.raises(ValueError, match="do not match the CSR"):
+            propose_moves(
+                index=np.array([0, 1, 2]),
+                target_comm=np.zeros(5, dtype=np.int64),
+                weights=np.zeros(2),
+                self_mask=np.zeros(2, dtype=bool),
+                degrees=np.zeros(2),
+                cur_comm=np.arange(2, dtype=np.int64),
+                total_weight=0.0,
+                tot_lookup=array_lookup(None, np.zeros(2)),
+                size_lookup=array_lookup(None, np.ones(2)),
+            )
+
+
+class TestPairs:
+    """``SweepResult.pairs``: the distinct (active row, community) pairs
+    the sweep groups — each active row's own community and its entries'
+    targets' (a self loop's is the row's own) — ascending."""
+
+    @pytest.mark.parametrize("weight", [1.0, 0.0])
+    def test_pairs_are_the_active_rows_candidates(self, weight):
+        g = CSRGraph.from_edges(
+            6, [0, 0, 1, 2, 3, 4, 4], [1, 2, 2, 2, 4, 5, 0],
+            np.full(7, weight),
+        )
+        comm = np.array([0, 0, 2, 3, 3, 5], dtype=np.int64)
+        active = np.array([True, False, True, True, False, True])
+        res = dense_sweep(g, comm, active)
+        rows = np.repeat(np.arange(6), np.diff(g.index))
+        hit = active[rows]
+        want = np.unique(np.concatenate([
+            rows[hit] * 6 + comm[g.edges[hit]],
+            np.flatnonzero(active) * 6 + comm[active],
+        ]))
+        pr, pc = res.pairs
+        np.testing.assert_array_equal(pr * 6 + pc, want)
+        assert res.pairs_evaluated == (len(want) if weight else 0)
+
+
+class TestScratch:
+    """The kernel's temporaries fit the plan's scratch: ``SCRATCH_WORDS``
+    8-byte words per candidate entry (plus 4 kB)."""
+
+    @staticmethod
+    def _sweep(g, comm, plan, active):
+        n = g.num_vertices
+        k = g.degrees()
+        return propose_moves(
+            index=g.index,
+            target_comm=comm[g.edges],
+            weights=None,
+            self_mask=None,
+            degrees=k,
+            cur_comm=comm,
+            total_weight=g.total_weight,
+            tot_lookup=np.bincount(comm, weights=k, minlength=n).take,
+            size_lookup=np.bincount(comm, minlength=n).take,
+            active=active,
+            plan=plan,
+        )
+
+    def test_fingerprint_sweeps_never_outgrow_the_scratch(self, monkeypatch):
+        # Every allocation's end in bytes; one past the buffer is a malloc.
+        ends: list[int] = []
+        outgrown: list[int] = []
+        real = sweep._Scratch.empty
+
+        def empty(self, n, dtype):
+            ends.append(self.top + -(-n * dtype.itemsize // 64) * 64)
+            if ends[-1] > len(self._buf):
+                outgrown.append(n)
+            return real(self, n, dtype)
+
+        monkeypatch.setattr(sweep._Scratch, "empty", empty)
+        worst = 0.0
+        for name in GRAPHS:
+            for weights in ("integer", "fractional"):
+                g = graph(name, weights)
+                n = g.num_vertices
+                rows = np.repeat(np.arange(n), np.diff(g.index))
+                plan = SweepPlan.build(
+                    g.index, g.weights, g.edges == rows, rows=rows
+                )
+                quarter = np.random.default_rng(n).random(n) < 0.25
+                comm = np.arange(n, dtype=np.int64)
+                # Singleton labels, then mid-run ones: one and two
+                # iterations on.
+                for _ in range(3):
+                    for active in (None, quarter):
+                        ends.clear()
+                        assert self._sweep(g, comm, plan, active).num_moves
+                        worst = max(
+                            worst, max(ends) / (8 * len(plan.entry_rows))
+                        )
+                    comm = self._sweep(g, comm, plan, None).proposal.copy()
+        assert not outgrown
+        # The constant is the measured worst case, not a loose bound.
+        assert sweep.SCRATCH_WORDS - 1 < worst <= sweep.SCRATCH_WORDS
